@@ -25,6 +25,19 @@
 // Options.Clipping to select skyline clipping or to disable clipping
 // entirely, e.g. to measure the I/O difference via Tree.IOStats.
 //
+// # One read path
+//
+// As in the paper (Section IV), clip points live in an auxiliary table
+// beside the node pages and queries run the unmodified R-tree descent,
+// consulting the table before visiting a child. A tree without clipping is
+// therefore not a second engine but the same one with an empty table, and
+// every query of every type — Tree, View, ShardedTree, ShardedView — runs
+// through one reader over epoch-consistent (tree version, clip table)
+// snapshots: one snapshot for a tree, one per shard for a sharded engine.
+// Spatial joins have two entry points, one per paper algorithm: JoinItems
+// (index nested loop) and Join (synchronised tree traversal); both accept
+// any of the four types through the Reader interface.
+//
 // # Persistence
 //
 // A built tree can be serialised to a versioned, checksummed snapshot and
@@ -56,10 +69,11 @@
 //     run against while writers keep committing. Close releases it.
 //   - Writers are serialised by an internal writer lock. Tree.Begin opens a
 //     Batch whose mutations are published to readers as one atomic commit.
-//   - AttachBufferPool, DetachBufferPool, ResetIOStats, SaveTo, Stats, and
-//     Validate remain maintenance operations: run them while no writer is
-//     active (they may race with a concurrent mutation's bookkeeping, not
-//     with readers).
+//   - Stats reads only published state and may run at any time.
+//   - AttachBufferPool, DetachBufferPool, ResetIOStats, SaveTo, and Validate
+//     remain maintenance operations: run them while no writer is active
+//     (they may race with a concurrent mutation's bookkeeping, not with
+//     readers).
 //
 // File-backed trees opened with Open keep the same guarantees; writer
 // durability (Flush, Close) reuses the write-ahead-log commit and never
@@ -76,7 +90,6 @@ import (
 	"cbb/internal/clipindex"
 	"cbb/internal/core"
 	"cbb/internal/geom"
-	"cbb/internal/parallel"
 	"cbb/internal/rtree"
 	"cbb/internal/storage"
 )
@@ -201,25 +214,31 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
+// clipParams maps the options onto the clip index's parameters. ClipNone is
+// K == 0: no node ever gets a clip point, so the table stays empty and its
+// maintenance costs nothing.
 func (o Options) clipParams() core.Params {
-	method := core.MethodStairline
-	if o.Clipping == ClipSkyline {
-		method = core.MethodSkyline
+	p := core.Params{K: o.MaxClipPoints, Tau: o.ClipThreshold, Method: core.MethodStairline}
+	switch o.Clipping {
+	case ClipSkyline:
+		p.Method = core.MethodSkyline
+	case ClipNone:
+		p.K = 0
 	}
-	return core.Params{K: o.MaxClipPoints, Tau: o.ClipThreshold, Method: method}
+	return p
 }
 
-// Tree is a spatial index: an R-tree of the configured variant, optionally
-// augmented with clipped bounding boxes. It is single-writer/multi-reader
-// with snapshot isolation: read-only queries (Search, SearchAll, Count,
-// NearestNeighbors, BatchSearch, joins) may run from any number of
-// goroutines at any time, concurrently with mutations, and mutations are
-// serialised internally — see the package documentation's Concurrency
-// section, Snapshot, and Begin.
+// Tree is a spatial index: an R-tree of the configured variant augmented
+// with clipped bounding boxes (none at all with ClipNone). It is
+// single-writer/multi-reader with snapshot isolation: read-only queries
+// (Search, SearchAll, Count, NearestNeighbors, BatchSearch, joins) may run
+// from any number of goroutines at any time, concurrently with mutations,
+// and mutations are serialised internally — see the package documentation's
+// Concurrency section, Snapshot, and Begin.
 type Tree struct {
 	opts Options
 	tree *rtree.Tree
-	idx  *clipindex.Index // nil when clipping is disabled
+	idx  *clipindex.Index // over tree; its table stays empty with ClipNone
 
 	// wmu serialises writers (Insert, Delete, BulkLoad, Batch, Flush,
 	// Close): the engine is single-writer/multi-reader, so concurrent
@@ -255,39 +274,31 @@ func New(opts Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{opts: opts, tree: base}
-	if opts.Clipping != ClipNone {
-		idx, err := clipindex.New(base, opts.clipParams())
-		if err != nil {
-			return nil, err
-		}
-		t.idx = idx
+	idx, err := clipindex.New(base, opts.clipParams())
+	if err != nil {
+		return nil, err
 	}
-	return t, nil
+	return &Tree{opts: opts, tree: base, idx: idx}, nil
 }
 
 // Options returns the effective configuration of the tree.
 func (t *Tree) Options() Options { return t.opts }
 
-// readVersion returns the version of the last fully published commit: for
-// a clipped tree that is the combined snapshot's version, so structural
-// accessors (Len, Height, Bounds, NearestNeighbors) can never run ahead of
-// what Search observes during the instant a commit is being published.
-func (t *Tree) readVersion() *rtree.Version {
-	if t.idx != nil {
-		return t.idx.Snap().Version()
-	}
-	return t.tree.CurrentVersion()
-}
+// current returns the reader over the last fully published commit (one
+// atomic load, unpinned): tree version and clip table of the same epoch, so
+// structural accessors (Len, Height, Bounds, NearestNeighbors) can never run
+// ahead of what Search observes during the instant a commit is being
+// published.
+func (t *Tree) current() reader { return reader{t.idx.Snap()} }
 
 // Len returns the number of indexed objects.
-func (t *Tree) Len() int { return t.readVersion().Len() }
+func (t *Tree) Len() int { return t.current().Len() }
 
 // Height returns the number of tree levels (0 when empty).
-func (t *Tree) Height() int { return t.readVersion().Height() }
+func (t *Tree) Height() int { return t.current().Height() }
 
 // Bounds returns the MBB of all indexed objects (the zero Rect when empty).
-func (t *Tree) Bounds() Rect { return t.readVersion().Bounds() }
+func (t *Tree) Bounds() Rect { return t.current().Bounds() }
 
 // Insert adds an object with the given rectangle and id. Duplicate ids are
 // permitted but make Delete ambiguous; most applications use unique ids.
@@ -302,11 +313,7 @@ func (t *Tree) Insert(r Rect, id ObjectID) error {
 }
 
 func (t *Tree) insertLocked(r Rect, id ObjectID) error {
-	if t.idx != nil {
-		_, err := t.idx.Insert(r, id)
-		return err
-	}
-	_, err := t.tree.Insert(r, id)
+	_, err := t.idx.Insert(r, id)
 	return err
 }
 
@@ -323,15 +330,7 @@ func (t *Tree) insertLocked(r Rect, id ObjectID) error {
 func (t *Tree) InsertItems(items []Item) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	return t.insertItemsLocked(items)
-}
-
-func (t *Tree) insertItemsLocked(items []Item) error {
-	if t.idx != nil {
-		return t.idx.InsertItems(items)
-	}
-	_, err := t.tree.InsertItems(items)
-	return err
+	return t.idx.InsertItems(items)
 }
 
 // Delete removes the object with the exact rectangle and id. It reports
@@ -340,18 +339,7 @@ func (t *Tree) insertItemsLocked(items []Item) error {
 func (t *Tree) Delete(r Rect, id ObjectID) (bool, error) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	return t.deleteLocked(r, id)
-}
-
-func (t *Tree) deleteLocked(r Rect, id ObjectID) (bool, error) {
-	if t.idx != nil {
-		return t.idx.Delete(r, id)
-	}
-	trace, err := t.tree.Delete(r, id)
-	if err != nil {
-		return false, err
-	}
-	return trace.Found, nil
+	return t.idx.Delete(r, id)
 }
 
 // BulkLoad builds the tree from scratch out of the given items using the
@@ -364,9 +352,7 @@ func (t *Tree) BulkLoad(items []Item) error {
 	if err := t.tree.BulkLoad(items); err != nil {
 		return err
 	}
-	if t.idx != nil {
-		t.idx.RebuildAll()
-	}
+	t.idx.RebuildAll()
 	return nil
 }
 
@@ -376,30 +362,13 @@ func (t *Tree) BulkLoad(items []Item) error {
 // skipped; the result set is always identical to an unclipped search. An
 // invalid query, or one whose dimensionality differs from the tree's,
 // matches nothing.
-func (t *Tree) Search(q Rect, visit func(ObjectID, Rect) bool) {
-	if t.idx != nil {
-		t.idx.Search(q, visit)
-		return
-	}
-	t.tree.Search(q, visit)
-}
+func (t *Tree) Search(q Rect, visit func(ObjectID, Rect) bool) { t.current().Search(q, visit) }
 
 // SearchAll returns every object intersecting q as a slice of items.
-func (t *Tree) SearchAll(q Rect) []Item {
-	var out []Item
-	t.Search(q, func(id ObjectID, r Rect) bool {
-		out = append(out, Item{Object: id, Rect: r})
-		return true
-	})
-	return out
-}
+func (t *Tree) SearchAll(q Rect) []Item { return t.current().SearchAll(q) }
 
 // Count returns the number of objects intersecting q.
-func (t *Tree) Count(q Rect) int {
-	n := 0
-	t.Search(q, func(ObjectID, Rect) bool { n++; return true })
-	return n
-}
+func (t *Tree) Count(q Rect) int { return t.current().Count(q) }
 
 // BatchOptions configures BatchSearch.
 type BatchOptions struct {
@@ -427,43 +396,22 @@ type BatchResult struct {
 	Workers int
 }
 
-// BatchSearch runs a batch of range queries against the tree on a pool of
-// worker goroutines (the clipped search path when clipping is enabled).
-// Every worker charges a private I/O counter and the per-worker totals are
-// merged afterwards, so BatchResult.IO is exact and the tree's cumulative
-// IOStats advance exactly as in a sequential run. BatchSearch is itself safe
-// to call concurrently with other read-only queries.
+// BatchSearch runs a batch of range queries against the tree's last
+// committed state on a pool of worker goroutines. Every worker charges a
+// private I/O counter and the per-worker totals are merged afterwards, so
+// BatchResult.IO is exact and the tree's cumulative IOStats advance exactly
+// as in a sequential run. BatchSearch is itself safe to call concurrently
+// with other read-only queries.
 func BatchSearch(t *Tree, queries []Rect, opts BatchOptions) (BatchResult, error) {
 	if t == nil {
 		return BatchResult{}, errors.New("cbb: BatchSearch requires a tree")
 	}
-	popts := parallel.Options{
-		Workers: opts.Workers,
-		Collect: opts.Collect,
-		Main:    t.tree.Counter(),
-	}
-	var searcher parallel.Searcher = t.tree
-	if t.idx != nil {
-		searcher = t.idx
-	}
-	res := parallel.RunBatch(searcher, queries, popts)
-	out := BatchResult{
-		Counts:  res.Counts,
-		Workers: res.Workers,
-		IO:      toIOStats(res.IO),
-	}
-	if opts.Collect {
-		out.Items = res.Items
-	}
-	return out, nil
+	return t.current().BatchSearch(queries, opts)
 }
 
-// Neighbor is one result of a nearest-neighbour query.
-type Neighbor struct {
-	Object ObjectID
-	Rect   Rect
-	DistSq float64
-}
+// Neighbor is one result of a nearest-neighbour query: an object, its
+// rectangle, and its squared distance to the query point.
+type Neighbor = rtree.Neighbor
 
 // NearestNeighbors returns the k objects closest to the point p (by minimum
 // Euclidean distance to their rectangles), ordered by ascending distance.
@@ -471,12 +419,7 @@ type Neighbor struct {
 // traverses the plain R-tree best-first and works identically whether or not
 // clipping is enabled.
 func (t *Tree) NearestNeighbors(k int, p Point) []Neighbor {
-	raw := t.readVersion().NearestNeighbors(k, p)
-	out := make([]Neighbor, len(raw))
-	for i, n := range raw {
-		out[i] = Neighbor{Object: n.Object, Rect: n.Rect, DistSq: n.DistSq}
-	}
-	return out
+	return t.current().NearestNeighbors(k, p)
 }
 
 // IOStats is a snapshot of the simulated I/O counters: the number of leaf
@@ -574,39 +517,18 @@ type Stats struct {
 	PlaneBytes int
 }
 
-// Stats returns structural statistics of the tree and its clip table.
-func (t *Tree) Stats() Stats {
-	ts := t.tree.Stats()
-	out := Stats{
-		Objects:    ts.Objects,
-		Height:     ts.Height,
-		LeafNodes:  ts.LeafNodes,
-		DirNodes:   ts.DirNodes,
-		PlaneBytes: ts.PlaneBytes,
-	}
-	if t.idx != nil {
-		out.ClipPoints = t.idx.Table().ClipPointCount()
-		out.AvgClipPoints = t.idx.Table().AvgClipPointsPerNode()
-		out.ClipTableBytes = t.idx.AuxBytes()
-	}
-	return out
-}
+// Stats returns structural statistics of the tree and its clip table at the
+// last committed state. It reads only published, immutable state, so it is
+// safe at any time — including while a writer commits — but walks every
+// node; it is not cheap.
+func (t *Tree) Stats() Stats { return t.current().Stats() }
 
-// Validate checks the structural invariants of the tree and, when clipping
-// is enabled, the soundness of every stored clip point. It is intended for
-// tests and debugging; it is not cheap.
+// Validate checks the structural invariants of the tree and the soundness
+// of every stored clip point. It is intended for tests and debugging; it is
+// not cheap.
 func (t *Tree) Validate() error {
 	if err := t.tree.Validate(); err != nil {
 		return err
 	}
-	if t.idx != nil {
-		return t.idx.Validate()
-	}
-	return nil
+	return t.idx.Validate()
 }
-
-// internalTree exposes the underlying R-tree to sibling files in this
-// package (joins); it is not part of the public API.
-func (t *Tree) internalTree() *rtree.Tree { return t.tree }
-
-func (t *Tree) internalIndex() *clipindex.Index { return t.idx }

@@ -161,7 +161,7 @@ func TestParallelJoinDeterminism(t *testing.T) {
 
 	for _, workers := range []int{2, 4, 8} {
 		opts := JoinOptions{Workers: workers}
-		inlj, err := IndexNestedLoopJoinWith(right, probes, opts, nil)
+		inlj, err := JoinItems(right, probes, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

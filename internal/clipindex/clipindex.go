@@ -177,10 +177,10 @@ type Index struct {
 }
 
 // Snap is an epoch-consistent read snapshot of a clipped tree: the tree
-// version and the clip mirrors published by the same commit. It implements
-// the same read surface the Index offers (Search, SearchCounted, Clips,
-// AdmitChild) against exactly that epoch, and is safe for any number of
-// concurrent readers regardless of writer activity.
+// version and the clip mirrors published by the same commit. It is the one
+// thing every query and join runs against — a plain R-tree is a Snap whose
+// mirrors are empty — and is safe for any number of concurrent readers
+// regardless of writer activity.
 type Snap struct {
 	v     *rtree.Version
 	dense [][]core.ClipPoint
@@ -191,12 +191,8 @@ type Snap struct {
 func (s *Snap) Version() *rtree.Version { return s.v }
 
 // Clips returns the clip points of the node at the snapshot's epoch (nil
-// when it has none, or when s itself is nil, so join code can hold an
-// optional *Snap without guarding every lookup).
+// when it has none).
 func (s *Snap) Clips(id rtree.NodeID) []core.ClipPoint {
-	if s == nil {
-		return nil
-	}
 	if uint64(id) < uint64(len(s.dense)) {
 		return s.dense[id]
 	}
@@ -239,6 +235,29 @@ func (s *Snap) SearchCounted(q geom.Rect, c *storage.Counter, visit func(rtree.O
 	v.SearchAdmittedCounted(q, s, c, visit)
 }
 
+// ClipStats counts the snapshot's clip table from its immutable mirrors: the
+// nodes that have clip points, the clip points in total, and the exact size
+// the table serialises to (as TableBytes; 0 for an empty table, which
+// snapshots omit altogether).
+func (s *Snap) ClipStats() (nodes, points, bytes int) {
+	count := func(clips []core.ClipPoint) {
+		if len(clips) > 0 {
+			nodes++
+			points += len(clips)
+		}
+	}
+	for _, clips := range s.dense {
+		count(clips)
+	}
+	for _, clips := range s.spill {
+		count(clips)
+	}
+	if nodes > 0 {
+		bytes = tableBytes(nodes, points, s.v.Dims())
+	}
+	return nodes, points, bytes
+}
+
 // ensurePrivateStore detaches the dense mirror from the published snapshot:
 // the outer slice and the spill map are copied so the snapshot's readers
 // keep an untouched view while the writer mutates its own. The inner
@@ -267,9 +286,17 @@ func (x *Index) publish() {
 	x.storeShared = true
 }
 
-// publishIfAuto publishes unless an explicit batch is open (Commit will
-// publish then).
-func (x *Index) publishIfAuto() {
+// maintain runs one table-maintenance step for a mutation the tree just
+// applied, then publishes tree version and table together (unless an
+// explicit batch is open, whose Commit publishes instead). It holds the
+// index's one K == 0 early-out: with K == 0 (the public ClipNone
+// configuration) core.Clip never yields a clip point, so the table is
+// permanently empty, the index is exactly a plain R-tree, and the step is
+// skipped whole — no walk, no node lookups, no Reclip charge.
+func (x *Index) maintain(step func()) {
+	if x.params.K != 0 {
+		step()
+	}
 	if !x.tree.InBatch() {
 		x.publish()
 	}
@@ -340,16 +367,6 @@ func (x *Index) delClips(id rtree.NodeID) {
 	x.store.del(id)
 }
 
-// Clips returns the clip points of the node (nil when it has none) at the
-// last published snapshot. A nil Index returns nil, so join code can hold
-// an optional *Index without guarding every lookup.
-func (x *Index) Clips(id rtree.NodeID) []core.ClipPoint {
-	if x == nil {
-		return nil
-	}
-	return x.cur.Load().Clips(id)
-}
-
 // New wraps an existing tree (already built, possibly empty) and computes
 // clip points for all of its nodes.
 func New(tree *rtree.Tree, params core.Params) (*Index, error) {
@@ -410,17 +427,19 @@ func (x *Index) Len() int { return x.tree.Len() }
 // (Algorithm 1 applied to each node, as done when a freshly built R-tree is
 // clipped before its nodes are flushed to disk), and publishes the result
 // (unless an explicit batch is open, whose Commit publishes instead).
-func (x *Index) RebuildAll() {
+func (x *Index) RebuildAll() { x.maintain(x.rebuildTable) }
+
+// rebuildTable recomputes the whole table. Published snapshots keep
+// referencing the old mirrors; the rebuild starts from a fresh private
+// store rather than wiping them in place.
+func (x *Index) rebuildTable() {
 	x.table = make(Table)
-	// Published snapshots keep referencing the old mirrors; the rebuild
-	// starts from a fresh private store rather than wiping them in place.
 	x.store = clipStore{}
 	x.storeShared = false
 	var scratch []geom.Rect
 	x.tree.Walk(func(info rtree.NodeInfo) {
 		scratch = x.reclipNodeInto(info, scratch)
 	})
-	x.publishIfAuto()
 }
 
 // reclipNode recomputes one node's clip points from a node snapshot.
@@ -507,8 +526,8 @@ func (x *Index) Insert(r geom.Rect, obj rtree.ObjectID) ([]ReclipCause, error) {
 		return nil, err
 	}
 	x.stats.Inserts++
-	causes := x.applyInsertTrace(trace)
-	x.publishIfAuto()
+	var causes []ReclipCause
+	x.maintain(func() { causes = x.applyInsertTrace(trace) })
 	return causes, nil
 }
 
@@ -525,8 +544,7 @@ func (x *Index) InsertItems(items []rtree.Item) error {
 		return err
 	}
 	x.stats.Inserts += len(items)
-	x.applyInsertTrace(trace)
-	x.publishIfAuto()
+	x.maintain(func() { x.applyInsertTrace(trace) })
 	return nil
 }
 
@@ -538,16 +556,9 @@ func (x *Index) applyInsertTrace(trace *rtree.InsertTrace) []ReclipCause {
 	if trace.Rebuilt {
 		// The batch rebuilt the tree wholesale: old ids were freed and may
 		// have been reused, so stale table entries cannot be patched out
-		// incrementally. Recompute the table from scratch off a fresh
-		// private store (published snapshots keep the old mirrors), exactly
-		// like RebuildAll but publishing through the caller.
-		x.table = make(Table)
-		x.store = clipStore{}
-		x.storeShared = false
-		var scratch []geom.Rect
-		x.tree.Walk(func(info rtree.NodeInfo) {
-			scratch = x.reclipNodeInto(info, scratch)
-		})
+		// incrementally. Recompute the table from scratch, exactly like
+		// RebuildAll but publishing through the caller.
+		x.rebuildTable()
 		return nil
 	}
 
@@ -657,11 +668,18 @@ func (x *Index) Delete(r geom.Rect, obj rtree.ObjectID) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if !trace.Found {
-		x.publishIfAuto()
-		return false, nil
+	if trace.Found {
+		x.stats.Deletes++
 	}
-	x.stats.Deletes++
+	x.maintain(func() { x.applyDeleteTrace(trace) })
+	return trace.Found, nil
+}
+
+// applyDeleteTrace runs the lazy deletion maintenance for one trace.
+func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace) {
+	if !trace.Found {
+		return
+	}
 	for _, id := range trace.Removed {
 		x.delClips(id)
 	}
@@ -716,8 +734,6 @@ func (x *Index) Delete(r geom.Rect, obj rtree.ObjectID) (bool, error) {
 	if len(reclipped) == 0 {
 		x.stats.DeletesNoReclip++
 	}
-	x.publishIfAuto()
-	return true, nil
 }
 
 // Validate checks that the clip table is sound: every clip point belongs to

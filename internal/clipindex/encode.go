@@ -31,11 +31,11 @@ func ClipPointBytes(dims int) int { return 4 + dims*8 }
 // clip-table storage footprint, shared by Index.AuxBytes, the encoder's
 // buffer sizing, and the storage-breakdown reports.
 func TableBytes(t Table, dims int) int {
-	n := 8
-	for _, clips := range t {
-		n += 8 + len(clips)*ClipPointBytes(dims)
-	}
-	return n
+	return tableBytes(len(t), t.ClipPointCount(), dims)
+}
+
+func tableBytes(nodes, points, dims int) int {
+	return 8 + nodes*8 + points*ClipPointBytes(dims)
 }
 
 // EncodeTable serialises a clip table. Entries are written in ascending

@@ -217,42 +217,45 @@ func RunOrderingAblation(cfg Config) (*OrderingResult, error) {
 	return out, nil
 }
 
-// countClipChecks replays the clipped descent counting how many clip-point
-// dominance tests run until a verdict per candidate child, with the clip
-// list optionally reversed.
-func countClipChecks(tree *rtree.Tree, table clipindex.Table, queries []geom.Rect, reversed bool) int64 {
-	var checks int64
-	clipsFor := func(id rtree.NodeID) []core.ClipPoint {
-		clips := table[id]
-		if !reversed || len(clips) < 2 {
-			return clips
-		}
+// clipCheckCounter is the admission test of the clipped descent
+// (rtree.Admitter) instrumented to count how many clip-point dominance
+// tests run until a verdict per candidate child, with the clip list
+// optionally reversed.
+type clipCheckCounter struct {
+	table    clipindex.Table
+	reversed bool
+	checks   int64
+}
+
+func (c *clipCheckCounter) AdmitChild(child rtree.NodeID, childMBB, q geom.Rect) bool {
+	clips := c.table[child]
+	if c.reversed && len(clips) > 1 {
 		rev := make([]core.ClipPoint, len(clips))
 		for i := range clips {
 			rev[i] = clips[len(clips)-1-i]
 		}
-		return rev
+		clips = rev
 	}
+	// Examine clip points one at a time until one prunes (or all pass),
+	// mirroring Algorithm 2's early exit.
+	for i := range clips {
+		c.checks++
+		if !core.Intersects(childMBB, clips[i:i+1], q, core.SelectorQuery) {
+			return false
+		}
+	}
+	return true
+}
+
+// countClipChecks replays the clipped descent over the queries and returns
+// the number of dominance tests it ran.
+func countClipChecks(tree *rtree.Tree, table clipindex.Table, queries []geom.Rect, reversed bool) int64 {
+	counter := &clipCheckCounter{table: table, reversed: reversed}
+	v := tree.CurrentVersion()
 	for _, q := range queries {
-		tree.SearchFiltered(q, func(child rtree.NodeID, childMBB geom.Rect) bool {
-			clips := clipsFor(child)
-			if len(clips) == 0 {
-				return true
-			}
-			// Count how many clip points are examined until one prunes (or
-			// all pass), mirroring Algorithm 2's early exit.
-			pruned := false
-			for i := range clips {
-				checks++
-				if !core.Intersects(childMBB, clips[i:i+1], q, core.SelectorQuery) {
-					pruned = true
-					break
-				}
-			}
-			return !pruned
-		}, func(rtree.ObjectID, geom.Rect) bool { return true })
+		v.SearchAdmittedCounted(q, counter, nil, func(rtree.ObjectID, geom.Rect) bool { return true })
 	}
-	return checks
+	return counter.checks
 }
 
 // Table renders the ordering ablation.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"cbb/internal/clipindex"
 	"cbb/internal/core"
 	"cbb/internal/geom"
 	"cbb/internal/join"
@@ -57,45 +58,39 @@ func RunJoin(cfg Config) (*JoinResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		leftIdx, _, err := cfg.ClipTree(leftTree, core.MethodStairline)
-		if err != nil {
-			return nil, err
+		// Every join input is a clip snapshot; the unclipped baseline [0] is
+		// one whose table is empty (K = 0), [1] is CSTA. INLJ indexes the
+		// larger dataset (axo03) and probes with every den03 object; STT has
+		// both datasets indexed.
+		var inlj, stt [2]join.Result
+		for i, params := range []core.Params{
+			{Method: core.MethodStairline},
+			cfg.params(left.Spec.Dims, core.MethodStairline),
+		} {
+			leftIdx, err := clipindex.New(leftTree, params)
+			if err != nil {
+				return nil, err
+			}
+			rightIdx, err := clipindex.New(rightTree, params)
+			if err != nil {
+				return nil, err
+			}
+			inlj[i] = join.INLJ([]*clipindex.Snap{leftIdx.Snap()}, right.Items, 1, nil)
+			stt[i], err = join.STT([]join.SidePair{{Left: leftIdx.Snap(), Right: rightIdx.Snap()}}, 1, nil)
+			if err != nil {
+				return nil, err
+			}
 		}
-		rightIdx, _, err := cfg.ClipTree(rightTree, core.MethodStairline)
-		if err != nil {
-			return nil, err
+		for _, row := range []struct {
+			strategy string
+			res      [2]join.Result
+		}{{"INLJ", inlj}, {"STT", stt}} {
+			plain, clipped := row.res[0].IO.LeafReads, row.res[1].IO.LeafReads
+			out.Rows = append(out.Rows, JoinRow{
+				Strategy: row.strategy, Variant: v.String(), Pairs: row.res[0].Pairs,
+				UnclippedLeafIO: plain, ClippedLeafIO: clipped, Reduction: reduction(clipped, plain),
+			})
 		}
-
-		// INLJ: index the larger dataset (axo03), probe with every den03
-		// object.
-		plainINLJ, err := join.INLJ(leftTree, nil, right.Items, nil)
-		if err != nil {
-			return nil, err
-		}
-		clipINLJ, err := join.INLJ(leftTree, leftIdx, right.Items, nil)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, JoinRow{
-			Strategy: "INLJ", Variant: v.String(), Pairs: plainINLJ.Pairs,
-			UnclippedLeafIO: plainINLJ.IO.LeafReads, ClippedLeafIO: clipINLJ.IO.LeafReads,
-			Reduction: reduction(clipINLJ.IO.LeafReads, plainINLJ.IO.LeafReads),
-		})
-
-		// STT: both datasets indexed.
-		plainSTT, err := join.STT(leftTree, rightTree, nil, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		clipSTT, err := join.STT(leftTree, rightTree, leftIdx, rightIdx, nil)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, JoinRow{
-			Strategy: "STT", Variant: v.String(), Pairs: plainSTT.Pairs,
-			UnclippedLeafIO: plainSTT.IO.LeafReads, ClippedLeafIO: clipSTT.IO.LeafReads,
-			Reduction: reduction(clipSTT.IO.LeafReads, plainSTT.IO.LeafReads),
-		})
 	}
 	return out, nil
 }

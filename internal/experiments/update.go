@@ -109,33 +109,29 @@ func updateWorkloadRun(cfg Config, ds *Dataset, batch []geom.Rect, clipped bool,
 		return row, err
 	}
 	params := cfg.params(ds.Spec.Dims, core.MethodStairline)
+	clipMethod, mode := snapshot.ClipStairline, "csta"
+	if !clipped {
+		// The plain R-tree is the same index with an empty clip table.
+		params.K, clipMethod, mode = 0, snapshot.ClipNone, "plain"
+	}
 	treeCfg := tree.Config()
 	meta := snapshot.Meta{
-		Dims:        treeCfg.Dims,
-		Variant:     treeCfg.Variant,
-		MaxEntries:  treeCfg.MaxEntries,
-		MinEntries:  treeCfg.MinEntries,
-		HilbertBits: treeCfg.HilbertBits,
-		Universe:    treeCfg.Universe,
-		ClipMethod:  snapshot.ClipNone,
+		Dims:          treeCfg.Dims,
+		Variant:       treeCfg.Variant,
+		MaxEntries:    treeCfg.MaxEntries,
+		MinEntries:    treeCfg.MinEntries,
+		HilbertBits:   treeCfg.HilbertBits,
+		Universe:      treeCfg.Universe,
+		ClipMethod:    clipMethod,
+		MaxClipPoints: params.K,
+		ClipTau:       params.Tau,
 	}
-	var table clipindex.Table
-	if clipped {
-		built, err := clipindex.New(tree, params)
-		if err != nil {
-			return row, err
-		}
-		table = built.Table()
-		meta.ClipMethod = snapshot.ClipStairline
-		meta.MaxClipPoints = params.K
-		meta.ClipTau = params.Tau
-	}
-	mode := "plain"
-	if clipped {
-		mode = "csta"
+	built, err := clipindex.New(tree, params)
+	if err != nil {
+		return row, err
 	}
 	path := filepath.Join(dir, fmt.Sprintf("%s-%s.cbb", ds.Spec.Name, mode))
-	if err := snapshot.WriteFile(path, tree, table, meta); err != nil {
+	if err := snapshot.WriteFile(path, tree, built.Table(), meta); err != nil {
 		return row, err
 	}
 
@@ -153,21 +149,14 @@ func updateWorkloadRun(cfg Config, ds *Dataset, batch []geom.Rect, clipped bool,
 	if err != nil {
 		return row, err
 	}
-	var idx *clipindex.Index
-	if clipped {
-		if idx, err = clipindex.Restore(ft, params, snap.Table); err != nil {
-			return row, err
-		}
+	idx, err := clipindex.Restore(ft, params, snap.Table)
+	if err != nil {
+		return row, err
 	}
 
 	flush := func() error {
 		start := time.Now()
-		m := meta
-		var tbl clipindex.Table
-		if idx != nil {
-			tbl = idx.Table()
-		}
-		if err := snapshot.Rewrite(fp, ft, tbl, m); err != nil {
+		if err := snapshot.Rewrite(fp, ft, idx.Table(), meta); err != nil {
 			return err
 		}
 		if err := fp.CommitJournal(); err != nil {
@@ -178,30 +167,6 @@ func updateWorkloadRun(cfg Config, ds *Dataset, batch []geom.Rect, clipped bool,
 		return nil
 	}
 
-	insert := func(it rtree.Item) error {
-		if idx != nil {
-			_, err := idx.Insert(it.Rect, it.Object)
-			return err
-		}
-		_, err := ft.Insert(it.Rect, it.Object)
-		return err
-	}
-	remove := func(it rtree.Item) error {
-		if idx != nil {
-			_, err := idx.Delete(it.Rect, it.Object)
-			return err
-		}
-		_, err := ft.Delete(it.Rect, it.Object)
-		return err
-	}
-	search := func(q geom.Rect, visit func(rtree.ObjectID, geom.Rect) bool) {
-		if idx != nil {
-			idx.Search(q, visit)
-			return
-		}
-		ft.Search(q, visit)
-	}
-
 	per := (len(pending) + updateRounds - 1) / updateRounds
 	for r := 0; r < updateRounds; r++ {
 		lo, hi := r*per, (r+1)*per
@@ -209,14 +174,14 @@ func updateWorkloadRun(cfg Config, ds *Dataset, batch []geom.Rect, clipped bool,
 			hi = len(pending)
 		}
 		for i, it := range pending[lo:hi] {
-			if err := insert(it); err != nil {
+			if _, err := idx.Insert(it.Rect, it.Object); err != nil {
 				return row, err
 			}
 			row.Inserts++
 			// Delete every fifth freshly inserted object again: churn that
 			// exercises condensation, free pages, and lazy clip handling.
 			if i%5 == 4 {
-				if err := remove(it); err != nil {
+				if _, err := idx.Delete(it.Rect, it.Object); err != nil {
 					return row, err
 				}
 				row.Deletes++
@@ -224,7 +189,7 @@ func updateWorkloadRun(cfg Config, ds *Dataset, batch []geom.Rect, clipped bool,
 		}
 		before := ft.Counter().Snapshot()
 		for _, q := range batch {
-			search(q, func(rtree.ObjectID, geom.Rect) bool { row.Results++; return true })
+			idx.Search(q, func(rtree.ObjectID, geom.Rect) bool { row.Results++; return true })
 		}
 		d := storage.Diff(before, ft.Counter().Snapshot())
 		row.SearchLeaf += d.LeafReads
@@ -237,12 +202,10 @@ func updateWorkloadRun(cfg Config, ds *Dataset, batch []geom.Rect, clipped bool,
 		return row, err
 	}
 	row.Writes = ft.Counter().Snapshot().Writes
-	if idx != nil {
-		s := idx.Stats()
-		row.Reclips = s.TotalReclips()
-		row.ValidityChecks = s.ValidityChecks
-		row.AvoidedReclips = s.AvoidedReclips
-	}
+	stats := idx.Stats()
+	row.Reclips = stats.TotalReclips()
+	row.ValidityChecks = stats.ValidityChecks
+	row.AvoidedReclips = stats.AvoidedReclips
 	row.DiskReads, row.DiskWrites = fp.DiskStats()
 	return row, nil
 }

@@ -1,21 +1,23 @@
 // Package join implements the two spatial-join strategies evaluated in the
 // paper: the Index Nested Loop Join (INLJ), used when only one input is
 // indexed, and the Synchronised Tree Traversal (STT) of Brinkhoff et al.,
-// used when both inputs are indexed. Both strategies run with or without
-// clipped bounding boxes; with clipping, a child node is skipped when the
-// probe rectangle (INLJ) or the partner subtree's MBB (STT) lies entirely in
-// the child's clipped dead space.
+// used when both inputs are indexed. Every input is a *clipindex.Snap — one
+// epoch-consistent pairing of a tree version with the clip points of the
+// same commit — so a whole join runs against one frozen state regardless of
+// concurrent writers, and a child node is skipped when the probe rectangle
+// (INLJ) or the partner subtree's MBB (STT) lies entirely in the child's
+// clipped dead space. An unclipped input is simply a Snap with no clip
+// points.
 //
-// Both strategies also come in parallel variants (PINLJ, PSTT) that fan the
-// work out over a pool of goroutines: PINLJ partitions the probe set, PSTT
-// partitions the admissible pairs of root children. Every worker charges a
-// private storage.Counter, so the reported I/O is exact and — like the pair
-// count — identical to the sequential run regardless of scheduling.
+// Both strategies fan out over a pool of goroutines: INLJ partitions the
+// probe set; STT partitions the side pairs when there are several (sharded
+// inputs) and the admissible pairs of root children when there is one. Every
+// worker charges private storage.Counters, so the reported I/O is exact and —
+// like the pair count — identical for every worker count.
 package join
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -44,144 +46,31 @@ type Result struct {
 	IO storage.Snapshot
 }
 
-// Side binds one join input to an epoch-consistent snapshot: the tree (for
-// configuration and I/O accounting), the immutable tree version traversed,
-// and — when the input is clipped — the clip snapshot of the same epoch.
-// Bind resolves a live input to its current committed state; the cbb layer
-// builds Sides from pinned read views so whole joins run against one
-// snapshot regardless of concurrent writers.
-type Side struct {
-	Tree *rtree.Tree
-	V    *rtree.Version
-	Snap *clipindex.Snap
-}
-
-// Bind resolves a (tree, optional clip index) input to its last committed
-// snapshot. For a clipped input the tree version is taken from the clip
-// snapshot, so nodes and clip points are guaranteed to share an epoch.
-func Bind(tree *rtree.Tree, idx *clipindex.Index) Side {
-	if idx != nil {
-		s := idx.Snap()
-		return Side{Tree: tree, V: s.Version(), Snap: s}
-	}
-	return Side{Tree: tree, V: tree.CurrentVersion()}
-}
-
-// validate checks that the side's pieces belong together.
-func (s *Side) validate(name string) error {
-	if s.Tree == nil || s.V == nil {
-		return fmt.Errorf("join: %s input is not bound to a tree snapshot", name)
-	}
-	if s.V.Tree() != s.Tree {
-		return fmt.Errorf("join: %s version does not belong to the %s tree", name, name)
-	}
-	if s.Snap != nil && s.Snap.Version() != s.V {
-		return fmt.Errorf("join: %s clip snapshot is from a different epoch than the %s version", name, name)
-	}
-	return nil
-}
-
-// search runs one range query against the side's snapshot (clipped when the
-// side has a clip snapshot), charging node accesses to c.
-func (s *Side) search(q geom.Rect, c *storage.Counter, visit func(rtree.ObjectID, geom.Rect) bool) {
-	if s.Snap != nil {
-		s.Snap.SearchCounted(q, c, visit)
-		return
-	}
-	s.V.SearchCounted(q, c, visit)
-}
-
-// clips returns the side's clip points for a node (nil when unclipped).
-func (s *Side) clips(id rtree.NodeID) []core.ClipPoint { return s.Snap.Clips(id) }
-
 // INLJ performs an index nested loop join: every probe rectangle is run as a
-// range query against the indexed (and optionally clipped) input. When idx
-// is nil the plain tree is probed; otherwise the clipped search path is
-// used. The visit callback is optional.
-func INLJ(tree *rtree.Tree, idx *clipindex.Index, probes []rtree.Item, visit func(Pair)) (Result, error) {
-	return PINLJ(tree, idx, probes, 1, visit)
-}
-
-// PINLJ is INLJ fanned out over a pool of worker goroutines, each probing a
-// partition of the probe set with a private I/O counter; workers <= 0 uses
-// GOMAXPROCS and 1 reproduces the sequential INLJ exactly. The merged I/O is
-// folded back into the tree's counter, so accumulated IOStats match a
-// sequential run. When visit is non-nil it is serialised by a mutex but the
-// pair order across probes is unspecified for workers > 1.
-func PINLJ(tree *rtree.Tree, idx *clipindex.Index, probes []rtree.Item, workers int, visit func(Pair)) (Result, error) {
-	if tree == nil {
-		return Result{}, errors.New("join: INLJ requires an indexed input")
-	}
-	if idx != nil && idx.Tree() != tree {
-		return Result{}, errors.New("join: clip index does not belong to the probed tree")
-	}
-	return PINLJSide(Bind(tree, idx), probes, workers, visit)
-}
-
-// PINLJSide is PINLJ against an explicitly bound snapshot of the indexed
-// input — the entry point of view-based joins: every probe runs against the
-// same pinned epoch, so the result is exactly what a fully quiesced tree at
-// that epoch would produce even while a writer commits concurrently.
-func PINLJSide(in Side, probes []rtree.Item, workers int, visit func(Pair)) (Result, error) {
-	if err := in.validate("indexed"); err != nil {
-		return Result{}, err
-	}
-	workers = parallel.EffectiveWorkers(workers, len(probes))
-	if len(probes) == 0 {
-		return Result{}, nil
-	}
-
-	emit := serializedVisit(visit, workers)
-
-	var pairs int64
-	snapshots := parallel.ForEachChunk(len(probes), workers, func(_, start, end int, c *storage.Counter) {
-		var local int64
-		for i := start; i < end; i++ {
-			probe := probes[i]
-			in.search(probe.Rect, c, func(id rtree.ObjectID, _ geom.Rect) bool {
-				local++
-				if emit != nil {
-					emit(Pair{Left: id, Right: probe.Object})
-				}
-				return true
-			})
-		}
-		atomic.AddInt64(&pairs, local)
-	})
-
-	res := Result{Pairs: pairs}
-	for _, s := range snapshots {
-		res.IO = res.IO.Add(s)
-	}
-	in.Tree.Counter().Add(res.IO)
-	return res, nil
-}
-
-// PINLJSides is PINLJ against a set of bound snapshots that together form
-// one logical index — the entry point of sharded joins, where every shard
-// contributes one Side and each object lives in exactly one shard. Every
-// probe is run against every side whose root MBB it intersects (the
-// directory-level skip is not charged as I/O, mirroring how the sharded
-// engine routes queries); the pair set is the union over sides, exact and
-// duplicate-free because the sides partition the objects. The per-side I/O
-// is folded back into each side's tree counter, so shard-level IOStats stay
-// exact regardless of worker count.
-func PINLJSides(sides []Side, probes []rtree.Item, workers int, visit func(Pair)) (Result, error) {
-	for i := range sides {
-		if err := sides[i].validate("indexed"); err != nil {
-			return Result{}, err
-		}
-	}
+// range query against every side. The sides together form one logical index
+// — a single tree is one side, a sharded engine contributes one side per
+// shard — and because each object lives in exactly one side, the pair set is
+// the union over sides, exact and duplicate-free. A side whose root MBB (or
+// root clip points) rules the probe out costs no I/O.
+//
+// The probe set is partitioned over workers goroutines (<= 0 uses
+// GOMAXPROCS, 1 runs sequentially); pair count and I/O are identical for
+// every worker count. The per-side I/O is folded back into each side's tree
+// counter, so accumulated IOStats match a sequential run whether the sides
+// share one counter (the sharded engine) or not. When visit is non-nil it is
+// serialised by a mutex but the pair order across probes is unspecified for
+// workers > 1.
+func INLJ(sides []*clipindex.Snap, probes []rtree.Item, workers int, visit func(Pair)) Result {
 	workers = parallel.EffectiveWorkers(workers, len(probes))
 	if len(probes) == 0 || len(sides) == 0 {
-		return Result{}, nil
+		return Result{}
 	}
 
 	emit := serializedVisit(visit, workers)
 
 	// One private counter per (worker, side) cell: every node access is
 	// charged to exactly one cell, so the fold below is exact whether the
-	// sides share one tree counter (the sharded engine) or use distinct ones.
+	// sides share one tree counter or use distinct ones.
 	ctrs := make([][]storage.Counter, workers)
 	for w := range ctrs {
 		ctrs[w] = make([]storage.Counter, len(sides))
@@ -192,12 +81,8 @@ func PINLJSides(sides []Side, probes []rtree.Item, workers int, visit func(Pair)
 		var local int64
 		for i := start; i < end; i++ {
 			probe := probes[i]
-			for si := range sides {
-				s := &sides[si]
-				if s.V.RootID() == rtree.InvalidNode || !s.V.RootMBBIntersects(probe.Rect) {
-					continue
-				}
-				s.search(probe.Rect, &ctrs[w][si], func(id rtree.ObjectID, _ geom.Rect) bool {
+			for si, s := range sides {
+				s.SearchCounted(probe.Rect, &ctrs[w][si], func(id rtree.ObjectID, _ geom.Rect) bool {
 					local++
 					if emit != nil {
 						emit(Pair{Left: id, Right: probe.Object})
@@ -210,61 +95,70 @@ func PINLJSides(sides []Side, probes []rtree.Item, workers int, visit func(Pair)
 	})
 
 	res := Result{Pairs: pairs}
-	for si := range sides {
+	for si, s := range sides {
 		var io storage.Snapshot
 		for w := range ctrs {
 			io = io.Add(ctrs[w][si].Snapshot())
 		}
-		sides[si].Tree.Counter().Add(io)
+		s.Version().Tree().Counter().Add(io)
 		res.IO = res.IO.Add(io)
 	}
-	return res, nil
+	return res
 }
 
-// SidePair is one (left, right) input combination of a sharded STT join.
+// SidePair is one (left, right) input combination of an STT join.
 type SidePair struct {
-	Left, Right Side
+	Left, Right *clipindex.Snap
 }
 
-// PSTTSidePairs runs a synchronised tree traversal join over a set of side
-// pairs — the cross product of intersecting shards when both inputs are
-// sharded — and sums the results. Because each object lives in exactly one
-// shard per input, each intersecting object pair appears in exactly one
-// side pair, so the summed pair count equals the unsharded join's. Pairs
-// are partitioned over the workers; each pair's traversal runs sequentially
-// and folds its I/O into its own trees' counters, exactly like PSTTSides.
-func PSTTSidePairs(sidePairs []SidePair, workers int, visit func(Pair)) (Result, error) {
-	for i := range sidePairs {
-		if err := sidePairs[i].Left.validate("left"); err != nil {
-			return Result{}, err
-		}
-		if err := sidePairs[i].Right.validate("right"); err != nil {
-			return Result{}, err
+// STT performs a synchronised tree traversal join over a set of side pairs
+// and sums the results: one pair joins two trees; the cross product of
+// bounds-intersecting shards joins two sharded inputs (each object lives in
+// exactly one shard per input, so each intersecting object pair appears in
+// exactly one side pair). Before descending into a pair of subtrees the
+// traversal applies the dominance tests of Algorithm 2 in both directions: a
+// subtree pair is pruned when either side's overlap with the other's MBB
+// lies entirely in clipped dead space.
+//
+// workers <= 0 uses GOMAXPROCS and 1 runs sequentially. With several pairs
+// those whose bounds intersect are partitioned over the workers and each
+// traversal runs sequentially; with one pair the roots are read once and the
+// admissible pairs of root children are partitioned (a root that is a leaf
+// falls back to the sequential traversal). Pair counts and total I/O are identical to
+// the sequential join either way, and every traversal folds its I/O into its
+// own trees' counters (counted once when both sides share one). When visit
+// is non-nil it is serialised by a mutex but the pair order is unspecified
+// for workers > 1.
+func STT(pairs []SidePair, workers int, visit func(Pair)) (Result, error) {
+	for _, p := range pairs {
+		if p.Left.Version().Dims() != p.Right.Version().Dims() {
+			return Result{}, errors.New("join: dimensionality mismatch")
 		}
 	}
-	workers = parallel.EffectiveWorkers(workers, len(sidePairs))
-	if len(sidePairs) == 0 {
-		return Result{}, nil
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-
+	if len(pairs) == 1 {
+		return sttPair(pairs[0], workers, visit), nil
+	}
+	// Several pairs are the cross product of sharded inputs: like the shard
+	// directory's routing of a range query, a pair whose trees' bounds are
+	// disjoint (or one of which is empty) is skipped without reading a root.
+	live := make([]SidePair, 0, len(pairs))
+	for _, p := range pairs {
+		lv, rv := p.Left.Version(), p.Right.Version()
+		if lv.Len() > 0 && rv.Len() > 0 && lv.Bounds().Intersects(rv.Bounds()) {
+			live = append(live, p)
+		}
+	}
+	workers = parallel.EffectiveWorkers(workers, len(live))
 	emit := serializedVisit(visit, workers)
-
-	results := make([]Result, len(sidePairs))
-	var firstErr atomic.Pointer[error]
-	parallel.ForEachChunk(len(sidePairs), workers, func(_, start, end int, _ *storage.Counter) {
+	results := make([]Result, len(live))
+	parallel.ForEachChunk(len(live), workers, func(_, start, end int, _ *storage.Counter) {
 		for i := start; i < end; i++ {
-			r, err := PSTTSides(sidePairs[i].Left, sidePairs[i].Right, 1, emit)
-			if err != nil {
-				firstErr.CompareAndSwap(nil, &err)
-				return
-			}
-			results[i] = r
+			results[i] = sttPair(live[i], 1, emit)
 		}
 	})
-	if errp := firstErr.Load(); errp != nil {
-		return Result{}, *errp
-	}
-
 	var res Result
 	for _, r := range results {
 		res.Pairs += r.Pairs
@@ -273,61 +167,14 @@ func PSTTSidePairs(sidePairs []SidePair, workers int, visit func(Pair)) (Result,
 	return res, nil
 }
 
-// STT performs a synchronised tree traversal join of two indexed inputs.
-// When clip indexes are provided (either may be nil), the traversal applies
-// the dominance tests of Algorithm 2 in both directions before descending
-// into a pair of subtrees: a subtree pair is pruned when either side's
-// overlap with the other's MBB lies entirely in clipped dead space.
-//
-// Both trees must use distinct I/O counters or the same counter; the
-// reported IO is the sum of the I/O charged to both trees (counted once if
-// shared).
-func STT(left, right *rtree.Tree, leftIdx, rightIdx *clipindex.Index, visit func(Pair)) (Result, error) {
-	return PSTT(left, right, leftIdx, rightIdx, 1, visit)
-}
-
-// PSTT is STT fanned out over a pool of worker goroutines: the roots are
-// read once, the admissible pairs of root children are partitioned across
-// the workers, and each worker traverses its pairs with private I/O
-// counters; workers <= 0 uses GOMAXPROCS and 1 reproduces the sequential
-// STT exactly. Pair counts and total I/O are identical to the sequential
-// join. When visit is non-nil it is serialised by a mutex but the pair
-// order is unspecified for workers > 1. Trees whose root is a leaf fall
-// back to the sequential traversal.
-func PSTT(left, right *rtree.Tree, leftIdx, rightIdx *clipindex.Index, workers int, visit func(Pair)) (Result, error) {
-	if left == nil || right == nil {
-		return Result{}, errors.New("join: STT requires two indexed inputs")
+// sttPair joins one pair of snapshots on up to workers goroutines.
+func sttPair(p SidePair, workers int, visit func(Pair)) Result {
+	lv, rv := p.Left.Version(), p.Right.Version()
+	if lv.RootID() == rtree.InvalidNode || rv.RootID() == rtree.InvalidNode {
+		return Result{}
 	}
-	if leftIdx != nil && leftIdx.Tree() != left {
-		return Result{}, errors.New("join: left clip index does not belong to the left tree")
-	}
-	if rightIdx != nil && rightIdx.Tree() != right {
-		return Result{}, errors.New("join: right clip index does not belong to the right tree")
-	}
-	return PSTTSides(Bind(left, leftIdx), Bind(right, rightIdx), workers, visit)
-}
-
-// PSTTSides is PSTT against two explicitly bound snapshots — the entry point
-// of view-based joins: both traversals run against pinned epochs, one per
-// input, unaffected by concurrent writer commits on either tree.
-func PSTTSides(ls, rs Side, workers int, visit func(Pair)) (Result, error) {
-	if err := ls.validate("left"); err != nil {
-		return Result{}, err
-	}
-	if err := rs.validate("right"); err != nil {
-		return Result{}, err
-	}
-	if ls.Tree.Dims() != rs.Tree.Dims() {
-		return Result{}, errors.New("join: dimensionality mismatch")
-	}
-	if ls.V.RootID() == rtree.InvalidNode || rs.V.RootID() == rtree.InvalidNode {
-		return Result{}, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	shared := ls.Tree.Counter() == rs.Tree.Counter()
+	lctr, rctr := lv.Tree().Counter(), rv.Tree().Counter()
+	shared := lctr == rctr
 	// newJoiner builds a traversal state charging private counters; leftCtr
 	// may be supplied (the per-worker counter of ForEachChunk) or nil for a
 	// fresh one. With a shared tree counter one private counter receives
@@ -336,15 +183,8 @@ func PSTTSides(ls, rs Side, workers int, visit func(Pair)) (Result, error) {
 		if leftCtr == nil {
 			leftCtr = &storage.Counter{}
 		}
-		j := &sttJoiner{
-			left:    ls,
-			right:   rs,
-			visit:   emit,
-			leftCtr: leftCtr,
-		}
-		if shared {
-			j.rightCtr = j.leftCtr
-		} else {
+		j := &sttJoiner{SidePair: p, visit: emit, leftCtr: leftCtr, rightCtr: leftCtr}
+		if !shared {
 			j.rightCtr = &storage.Counter{}
 		}
 		return j
@@ -361,27 +201,27 @@ func PSTTSides(ls, rs Side, workers int, visit func(Pair)) (Result, error) {
 				rightIO = rightIO.Add(j.rightCtr.Snapshot())
 			}
 		}
-		ls.Tree.Counter().Add(leftIO)
+		lctr.Add(leftIO)
 		if !shared {
-			rs.Tree.Counter().Add(rightIO)
+			rctr.Add(rightIO)
 		}
 		res.IO = leftIO.Add(rightIO)
 		return res
 	}
 
-	linfo, lerr := ls.V.Node(ls.V.RootID())
-	rinfo, rerr := rs.V.Node(rs.V.RootID())
+	linfo, lerr := lv.Node(lv.RootID())
+	rinfo, rerr := rv.Node(rv.RootID())
 	if workers <= 1 || lerr != nil || rerr != nil || linfo.Leaf || rinfo.Leaf {
 		j := newJoiner(visit, nil)
-		j.joinNodes(ls.V.RootID(), rs.V.RootID())
-		return finalize(j), nil
+		j.joinNodes(lv.RootID(), rv.RootID())
+		return finalize(j)
 	}
 
 	// The sequential traversal reads both roots, then recurses into every
 	// admissible pair of root children; partition exactly those pairs.
 	root := newJoiner(nil, nil)
-	root.chargeLeft(linfo)
-	root.chargeRight(rinfo)
+	charge(p.Left, linfo, root.leftCtr)
+	charge(p.Right, rinfo, root.rightCtr)
 	type task struct{ l, r rtree.NodeID }
 	var tasks []task
 	for i := range linfo.Children {
@@ -394,7 +234,7 @@ func PSTTSides(ls, rs Side, workers int, visit func(Pair)) (Result, error) {
 	}
 	workers = parallel.EffectiveWorkers(workers, len(tasks))
 	if len(tasks) == 0 {
-		return finalize(root), nil
+		return finalize(root)
 	}
 
 	emit := serializedVisit(visit, workers)
@@ -415,7 +255,7 @@ func PSTTSides(ls, rs Side, workers int, visit func(Pair)) (Result, error) {
 			live = append(live, j)
 		}
 	}
-	return finalize(live...), nil
+	return finalize(live...)
 }
 
 // serializedVisit wraps a join callback in a mutex when more than one worker
@@ -434,11 +274,9 @@ func serializedVisit(visit func(Pair), workers int) func(Pair) {
 }
 
 type sttJoiner struct {
-	// left and right are the two inputs, each bound to one epoch-consistent
-	// snapshot (tree version plus optional clip snapshot); clip points are
-	// looked up through Side.clips, the dense admission path (nil-safe on
-	// an unclipped side).
-	left, right Side
+	// Left and Right are the two inputs, each one epoch-consistent snapshot;
+	// clip points are looked up through Snap.Clips, the dense admission path.
+	SidePair
 	// leftCtr and rightCtr receive the node accesses of the respective tree;
 	// they point at the same counter when the trees share one.
 	leftCtr, rightCtr *storage.Counter
@@ -453,12 +291,12 @@ func (j *sttJoiner) admissible(leftID rtree.NodeID, leftMBB geom.Rect, rightID r
 	if !leftMBB.Intersects(rightMBB) {
 		return false
 	}
-	if clips := j.left.clips(leftID); len(clips) > 0 {
+	if clips := j.Left.Clips(leftID); len(clips) > 0 {
 		if !core.Intersects(leftMBB, clips, rightMBB, core.SelectorQuery) {
 			return false
 		}
 	}
-	if clips := j.right.clips(rightID); len(clips) > 0 {
+	if clips := j.Right.Clips(rightID); len(clips) > 0 {
 		if !core.Intersects(rightMBB, clips, leftMBB, core.SelectorQuery) {
 			return false
 		}
@@ -467,16 +305,16 @@ func (j *sttJoiner) admissible(leftID rtree.NodeID, leftMBB geom.Rect, rightID r
 }
 
 func (j *sttJoiner) joinNodes(leftID, rightID rtree.NodeID) {
-	linfo, err := j.left.V.Node(leftID)
+	linfo, err := j.Left.Version().Node(leftID)
 	if err != nil {
 		return
 	}
-	rinfo, err := j.right.V.Node(rightID)
+	rinfo, err := j.Right.Version().Node(rightID)
 	if err != nil {
 		return
 	}
-	j.chargeLeft(linfo)
-	j.chargeRight(rinfo)
+	charge(j.Left, linfo, j.leftCtr)
+	charge(j.Right, rinfo, j.rightCtr)
 
 	switch {
 	case linfo.Leaf && rinfo.Leaf:
@@ -495,14 +333,14 @@ func (j *sttJoiner) joinNodes(leftID, rightID rtree.NodeID) {
 		for k := range rinfo.Children {
 			child := rinfo.Children[k]
 			if j.admissible(linfo.ID, linfo.MBB, child.Child, child.Rect) {
-				j.joinLeafWithNode(linfo, &j.right, child.Child)
+				j.joinLeafWithNode(linfo, j.Right, j.rightCtr, child.Child)
 			}
 		}
 	case rinfo.Leaf:
 		for i := range linfo.Children {
 			child := linfo.Children[i]
 			if j.admissible(child.Child, child.Rect, rinfo.ID, rinfo.MBB) {
-				j.joinNodeWithLeaf(&j.left, child.Child, rinfo)
+				j.joinNodeWithLeaf(j.Left, j.leftCtr, child.Child, rinfo)
 			}
 		}
 	default:
@@ -518,13 +356,14 @@ func (j *sttJoiner) joinNodes(leftID, rightID rtree.NodeID) {
 }
 
 // joinLeafWithNode joins an already-loaded leaf with a (possibly deeper)
-// subtree of the other side.
-func (j *sttJoiner) joinLeafWithNode(leaf rtree.NodeInfo, other *Side, otherID rtree.NodeID) {
-	oinfo, err := other.V.Node(otherID)
+// subtree of the other side, charging that side's counter (passed
+// explicitly: in a self-join both sides are the same snapshot).
+func (j *sttJoiner) joinLeafWithNode(leaf rtree.NodeInfo, other *clipindex.Snap, ctr *storage.Counter, otherID rtree.NodeID) {
+	oinfo, err := other.Version().Node(otherID)
 	if err != nil {
 		return
 	}
-	j.chargeSide(other, oinfo)
+	charge(other, oinfo, ctr)
 	if oinfo.Leaf {
 		for i := range leaf.Children {
 			for k := range oinfo.Children {
@@ -543,22 +382,22 @@ func (j *sttJoiner) joinLeafWithNode(leaf rtree.NodeInfo, other *Side, otherID r
 		if !leaf.MBB.Intersects(child.Rect) {
 			continue
 		}
-		if clips := other.clips(child.Child); len(clips) > 0 {
+		if clips := other.Clips(child.Child); len(clips) > 0 {
 			if !core.Intersects(child.Rect, clips, leaf.MBB, core.SelectorQuery) {
 				continue
 			}
 		}
-		j.joinLeafWithNode(leaf, other, child.Child)
+		j.joinLeafWithNode(leaf, other, ctr, child.Child)
 	}
 }
 
 // joinNodeWithLeaf mirrors joinLeafWithNode with the leaf on the right.
-func (j *sttJoiner) joinNodeWithLeaf(other *Side, otherID rtree.NodeID, leaf rtree.NodeInfo) {
-	oinfo, err := other.V.Node(otherID)
+func (j *sttJoiner) joinNodeWithLeaf(other *clipindex.Snap, ctr *storage.Counter, otherID rtree.NodeID, leaf rtree.NodeInfo) {
+	oinfo, err := other.Version().Node(otherID)
 	if err != nil {
 		return
 	}
-	j.chargeSide(other, oinfo)
+	charge(other, oinfo, ctr)
 	if oinfo.Leaf {
 		for i := range oinfo.Children {
 			for k := range leaf.Children {
@@ -577,30 +416,17 @@ func (j *sttJoiner) joinNodeWithLeaf(other *Side, otherID rtree.NodeID, leaf rtr
 		if !child.Rect.Intersects(leaf.MBB) {
 			continue
 		}
-		if clips := other.clips(child.Child); len(clips) > 0 {
+		if clips := other.Clips(child.Child); len(clips) > 0 {
 			if !core.Intersects(child.Rect, clips, leaf.MBB, core.SelectorQuery) {
 				continue
 			}
 		}
-		j.joinNodeWithLeaf(other, child.Child, leaf)
+		j.joinNodeWithLeaf(other, ctr, child.Child, leaf)
 	}
 }
 
-func (j *sttJoiner) chargeLeft(info rtree.NodeInfo) {
-	j.left.Tree.ChargeReadSized(info.ID, info.Leaf, info.Bytes, j.leftCtr)
-}
-
-func (j *sttJoiner) chargeRight(info rtree.NodeInfo) {
-	j.right.Tree.ChargeReadSized(info.ID, info.Leaf, info.Bytes, j.rightCtr)
-}
-
-// chargeSide charges a node access of one side to that side's counter; the
-// side pointer identifies left vs right even in a self-join, where both
-// sides hold the same tree.
-func (j *sttJoiner) chargeSide(s *Side, info rtree.NodeInfo) {
-	if s == &j.left {
-		j.chargeLeft(info)
-		return
-	}
-	j.chargeRight(info)
+// charge records one node access of a side on the given private counter
+// (and the side's buffer pool).
+func charge(s *clipindex.Snap, info rtree.NodeInfo, ctr *storage.Counter) {
+	s.Version().Tree().ChargeReadSized(info.ID, info.Leaf, info.Bytes, ctr)
 }

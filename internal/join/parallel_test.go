@@ -42,11 +42,11 @@ func TestPINLJMatchesSequential(t *testing.T) {
 	}
 	for _, clip := range []*clipindex.Index{nil, idx} {
 		seqPairs, seq := sortedPairs(func(v func(Pair)) (Result, error) {
-			return INLJ(left, clip, probes, v)
+			return inlj(t, left, clip, probes, 1, v), nil
 		}, t)
 		for _, workers := range []int{2, 4, 8} {
 			parPairs, par := sortedPairs(func(v func(Pair)) (Result, error) {
-				return PINLJ(left, clip, probes, workers, v)
+				return inlj(t, left, clip, probes, workers, v), nil
 			}, t)
 			if par.Pairs != seq.Pairs {
 				t.Fatalf("workers=%d clip=%v: %d pairs, sequential %d", workers, clip != nil, par.Pairs, seq.Pairs)
@@ -78,11 +78,11 @@ func TestPSTTMatchesSequential(t *testing.T) {
 	}
 	for _, c := range []cfg{{"plain", nil, nil}, {"clipped", leftIdx, rightIdx}} {
 		seqPairs, seq := sortedPairs(func(v func(Pair)) (Result, error) {
-			return STT(left, right, c.li, c.ri, v)
+			return stt(t, left, right, c.li, c.ri, 1, v)
 		}, t)
 		for _, workers := range []int{2, 4, 8} {
 			parPairs, par := sortedPairs(func(v func(Pair)) (Result, error) {
-				return PSTT(left, right, c.li, c.ri, workers, v)
+				return stt(t, left, right, c.li, c.ri, workers, v)
 			}, t)
 			if par.Pairs != seq.Pairs {
 				t.Fatalf("%s workers=%d: %d pairs, sequential %d", c.name, workers, par.Pairs, seq.Pairs)
@@ -103,11 +103,11 @@ func TestPSTTSharedCounter(t *testing.T) {
 	left, _ := buildIndexed(t, "axo03", 600, 25, rtree.RStar)
 	right, _ := buildIndexed(t, "den03", 400, 26, rtree.RStar)
 	right.SetCounter(left.Counter())
-	seq, err := STT(left, right, nil, nil, nil)
+	seq, err := stt(t, left, right, nil, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := PSTT(left, right, nil, nil, 4, nil)
+	par, err := stt(t, left, right, nil, nil, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +120,7 @@ func TestParallelJoinAccumulatesTreeCounters(t *testing.T) {
 	left, _ := buildIndexed(t, "axo03", 800, 27, rtree.RStar)
 	_, probes := buildIndexed(t, "den03", 500, 28, rtree.RStar)
 	left.Counter().Reset()
-	res, err := PINLJ(left, nil, probes, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := inlj(t, left, nil, probes, 4, nil)
 	if got := left.Counter().Snapshot(); got != res.IO {
 		t.Fatalf("tree counter %+v after join, result IO %+v", got, res.IO)
 	}
@@ -135,7 +132,7 @@ func TestPSTTSmallTreesFallBack(t *testing.T) {
 	left, leftItems := buildIndexed(t, "axo03", 10, 29, rtree.Quadratic)
 	right, rightItems := buildIndexed(t, "den03", 8, 30, rtree.Quadratic)
 	want := bruteForcePairs(leftItems, rightItems)
-	res, err := PSTT(left, right, nil, nil, 8, nil)
+	res, err := stt(t, left, right, nil, nil, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

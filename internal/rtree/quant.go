@@ -90,8 +90,9 @@ func planeWords(count int) int { return (count + planeLanes - 1) / planeLanes }
 func (n *node) planeBytes() int { return len(n.qplanes)*8 + len(n.qmbb)*8 }
 
 // hasPlanes reports whether the node carries a filter layer consistent with
-// its entry count — true for every node this package builds or decodes; the
-// scan kernels fall back to the exact mirror otherwise (defence in depth).
+// its entry count — true for every node this package builds or decodes.
+// Range search skips a node without one like an unreadable page; the
+// nearest-neighbour search only skips its grid prefilter.
 func (n *node) hasPlanes(dims int) bool {
 	return len(n.qplanes) == 2*dims*planeWords(len(n.entries)) && len(n.qmbb) == 2*dims
 }

@@ -307,14 +307,13 @@ func (c Config) withDefaults() (Config, error) {
 // Tree is an R-tree of one of the four variants.
 //
 // Concurrency: the tree is single-writer/multi-reader with copy-on-write
-// epoch versioning. Any number of goroutines may run Search,
-// SearchFiltered, Count, NearestNeighbors, and the join algorithms at any
-// time — including concurrently with a mutation — because every read
-// traverses an immutable published Version (one atomic load per query; see
-// version.go). Mutations (Insert, Delete, BulkLoad, BeginBatch/CommitBatch,
+// epoch versioning. Any number of goroutines may run Search, Count,
+// NearestNeighbors, Stats, and the join algorithms at any time — including
+// concurrently with a mutation — because every read traverses an immutable
+// published Version (one atomic load per query; see version.go). Mutations (Insert, Delete, BulkLoad, BeginBatch/CommitBatch,
 // FlushDirty) must come from one goroutine at a time; the public cbb layer
-// enforces this with a writer mutex. Walk, Node, Save, Stats, and Validate
-// read the writer's working state and are likewise writer-side operations.
+// enforces this with a writer mutex. Walk, Node, Save, and Validate read
+// the writer's working state and are likewise writer-side operations.
 // SetCounter and SetBufferPool must not race with readers; attach them
 // before the concurrent phase starts.
 type Tree struct {
@@ -473,24 +472,9 @@ func (t *Tree) ResetIO() {
 // --- copy-on-write versioning (writer side; reader side in version.go) ------
 
 // CurrentVersion returns the last published version of the tree: one atomic
-// load, no pinning. It is never nil. Use it for a single query; use
-// PinSnapshot for a long-lived read view.
+// load, no pinning. It is never nil. A long-lived read view pins the version
+// it reads (Version.Pin; see clipindex.Index.PinSnap).
 func (t *Tree) CurrentVersion() *Version { return t.cur.Load() }
-
-// PinSnapshot returns the current version pinned: file pages freed by later
-// batches are not recycled until the matching Unpin. The retry loop ensures
-// the pin lands on a version that was current at some instant during the
-// call.
-func (t *Tree) PinSnapshot() *Version {
-	for {
-		v := t.cur.Load()
-		v.pins.Add(1)
-		if t.cur.Load() == v {
-			return v
-		}
-		v.pins.Add(-1)
-	}
-}
 
 // publish commits the writer's working state as a new immutable Version and
 // makes it the current one. The writer's node array is handed to the version
@@ -1140,7 +1124,7 @@ func (t *Tree) NodeCount() (dir, leaf int) {
 // silently ignored on the unclipped path and panicked on the clipped path;
 // both now uniformly return no results.)
 func (t *Tree) Search(q geom.Rect, visit func(ObjectID, geom.Rect) bool) {
-	t.SearchFiltered(q, nil, visit)
+	t.cur.Load().searchIter(q, nil, nil, visit)
 }
 
 // SearchCounted is Search with the node accesses charged to an explicit
@@ -1148,32 +1132,17 @@ func (t *Tree) Search(q geom.Rect, visit func(ObjectID, geom.Rect) bool) {
 // Parallel executors give every worker goroutine a private counter so that
 // per-worker I/O can be reported exactly and merged deterministically.
 func (t *Tree) SearchCounted(q geom.Rect, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
-	t.SearchFilteredCounted(q, nil, c, visit)
+	t.cur.Load().searchIter(q, nil, c, visit)
 }
 
-// SearchFiltered is Search with an optional per-node admission filter: when
-// filter is non-nil it is consulted before a child node is visited, with
-// that child's id and MBB (the rectangle stored in the parent entry);
-// returning false skips the child (and saves its I/O). The clipped R-tree
-// layer uses the filter to apply Algorithm 2 with each child's clip points.
-// The root is always visited.
-func (t *Tree) SearchFiltered(q geom.Rect, filter func(NodeID, geom.Rect) bool, visit func(ObjectID, geom.Rect) bool) {
-	t.SearchFilteredCounted(q, filter, nil, visit)
-}
-
-// SearchFilteredCounted is SearchFiltered with the node accesses charged to
-// an explicit counter (the tree's own when c is nil).
-func (t *Tree) SearchFilteredCounted(q geom.Rect, filter func(NodeID, geom.Rect) bool, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
-	t.cur.Load().searchIter(q, filter, nil, c, visit)
-}
-
-// Admitter is the allocation-free variant of the SearchFiltered admission
-// hook: it is consulted with a candidate child's id, the child's MBB (the
+// Admitter is the per-child admission hook of Version.SearchAdmittedCounted:
+// it is consulted with a candidate child's id, the child's MBB (the
 // rectangle stored in the parent entry), and the query before the child is
-// visited; returning false skips the child and saves its I/O. The clipped
-// R-tree layer implements it to run Algorithm 2 with the child's clip points.
-// Unlike a filter closure, an Admitter can be a long-lived value, so a
-// steady-state search performs no heap allocations.
+// visited; returning false skips the child and saves its I/O. The root is
+// always visited. The clipped R-tree layer implements it to run Algorithm 2
+// with the child's clip points. An Admitter is a long-lived value rather
+// than a per-query closure, so a steady-state search performs no heap
+// allocations.
 type Admitter interface {
 	AdmitChild(child NodeID, childMBB geom.Rect, q geom.Rect) bool
 }

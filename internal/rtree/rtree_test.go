@@ -195,29 +195,37 @@ func TestSearchCountsIO(t *testing.T) {
 	}
 }
 
+// admitFunc adapts a func to the Admitter interface.
+type admitFunc func(child NodeID, childMBB, q geom.Rect) bool
+
+func (f admitFunc) AdmitChild(child NodeID, childMBB, q geom.Rect) bool {
+	return f(child, childMBB, q)
+}
+
 func TestSearchFiltered(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tr := MustNew(smallConfig(2, Quadratic))
 	for i := 0; i < 300; i++ {
 		_, _ = tr.Insert(randRect(rng, 2, 500, 5), ObjectID(i))
 	}
-	// A filter that rejects everything prunes all children of the root.
+	v := tr.CurrentVersion()
+	// An admitter that rejects everything prunes all children of the root.
 	tr.Counter().Reset()
 	count := 0
-	tr.SearchFiltered(geom.R(0, 0, 500, 500), func(NodeID, geom.Rect) bool { return false },
+	v.SearchAdmittedCounted(geom.R(0, 0, 500, 500), admitFunc(func(NodeID, geom.Rect, geom.Rect) bool { return false }), nil,
 		func(ObjectID, geom.Rect) bool { count++; return true })
 	if count != 0 {
-		t.Errorf("filter rejecting all children should yield no results, got %d", count)
+		t.Errorf("admitter rejecting all children should yield no results, got %d", count)
 	}
 	if tr.Counter().Snapshot().LeafReads != 0 {
 		t.Error("rejected children must not be read")
 	}
-	// A pass-through filter behaves like Search.
+	// A pass-through admitter behaves like Search.
 	got := 0
-	tr.SearchFiltered(geom.R(0, 0, 500, 500), func(NodeID, geom.Rect) bool { return true },
+	v.SearchAdmittedCounted(geom.R(0, 0, 500, 500), admitFunc(func(NodeID, geom.Rect, geom.Rect) bool { return true }), nil,
 		func(ObjectID, geom.Rect) bool { got++; return true })
 	if got != tr.Count(geom.R(0, 0, 500, 500)) {
-		t.Error("pass-through filter should match unfiltered search")
+		t.Error("pass-through admitter should match unfiltered search")
 	}
 }
 

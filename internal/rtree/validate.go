@@ -195,25 +195,45 @@ type Stats struct {
 	PlaneBytes int
 }
 
-// Stats computes the tree's structural statistics without charging I/O.
-func (t *Tree) Stats() Stats {
-	s := Stats{Objects: t.size, Height: t.height, Bounds: t.Bounds()}
+// Stats computes the structural statistics of the last committed version
+// without charging I/O. Unlike Walk it reads only published, immutable
+// state, so it may run concurrently with the writer.
+func (t *Tree) Stats() Stats { return t.cur.Load().Stats() }
+
+// Stats computes the structural statistics of this version without charging
+// I/O. The version is immutable, so this is safe at any time from any
+// goroutine.
+func (v *Version) Stats() Stats {
+	s := Stats{Objects: v.size, Height: v.height, Bounds: v.Bounds()}
+	if v.root == InvalidNode {
+		return s
+	}
 	var leafEntries, dirEntries int
-	t.Walk(func(info NodeInfo) {
-		s.PlaneBytes += info.PlaneBytes
-		if info.Leaf {
-			s.LeafNodes++
-			leafEntries += len(info.Children)
-		} else {
-			s.DirNodes++
-			dirEntries += len(info.Children)
+	stack := []NodeID{v.root}
+	for len(stack) > 0 {
+		n := v.node(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+		if n == nil {
+			continue
 		}
-	})
+		s.PlaneBytes += n.planeBytes()
+		if n.leaf {
+			s.LeafNodes++
+			leafEntries += len(n.entries)
+			continue
+		}
+		s.DirNodes++
+		dirEntries += len(n.entries)
+		for i := range n.entries {
+			stack = append(stack, n.entries[i].Child)
+		}
+	}
+	maxEntries := v.tree.cfg.MaxEntries
 	if s.LeafNodes > 0 {
-		s.AvgLeafOcc = float64(leafEntries) / float64(s.LeafNodes*t.cfg.MaxEntries)
+		s.AvgLeafOcc = float64(leafEntries) / float64(s.LeafNodes*maxEntries)
 	}
 	if s.DirNodes > 0 {
-		s.AvgDirOcc = float64(dirEntries) / float64(s.DirNodes*t.cfg.MaxEntries)
+		s.AvgDirOcc = float64(dirEntries) / float64(s.DirNodes*maxEntries)
 	}
 	return s
 }

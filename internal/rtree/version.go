@@ -38,11 +38,14 @@ import (
 // enough to still reference them (see FlushDirty).
 
 // Version is an immutable snapshot of a Tree at one committed epoch.
-// Obtain one with Tree.PinSnapshot (pinned, for long-lived read views) or
-// Tree.CurrentVersion (unpinned, for a single query); every read-only
-// operation on it — Search, SearchAdmitted, NearestNeighbors, Node, Bounds —
-// sees exactly the state of that commit, regardless of concurrent writer
-// activity, and charges I/O to the owning tree's counters as usual.
+// Obtain one with Tree.CurrentVersion (Pin it for a long-lived read view);
+// every read-only operation on it — Search, SearchAdmittedCounted,
+// NearestNeighbors, Node, Bounds, Stats — sees exactly the state of that
+// commit, regardless of concurrent writer activity, and charges I/O to the
+// owning tree's counters as usual. The public cbb layer never queries a bare
+// Version: it reads through clipindex.Snap, which pairs a Version with the
+// clip table of the same commit (an empty one for an unclipped tree) and
+// descends it with SearchAdmittedCounted.
 type Version struct {
 	tree   *Tree
 	epoch  uint64
@@ -82,7 +85,7 @@ func (v *Version) Dims() int { return v.tree.cfg.Dims }
 // counted; every Pin must be matched by exactly one Unpin.
 func (v *Version) Pin() { v.pins.Add(1) }
 
-// Unpin releases a pin taken with Pin (or Tree.PinSnapshot).
+// Unpin releases a pin taken with Pin.
 func (v *Version) Unpin() { v.pins.Add(-1) }
 
 // node returns the node with the given id at this version. Ordinary
@@ -148,7 +151,7 @@ func (v *Version) Node(id NodeID) (NodeInfo, error) {
 // early when visit returns false. Node accesses are charged to the owning
 // tree's counter.
 func (v *Version) Search(q geom.Rect, visit func(ObjectID, geom.Rect) bool) {
-	v.searchIter(q, nil, nil, nil, visit)
+	v.searchIter(q, nil, nil, visit)
 }
 
 // SearchCounted is Search with the node accesses charged to an explicit
@@ -156,13 +159,13 @@ func (v *Version) Search(q geom.Rect, visit func(ObjectID, geom.Rect) bool) {
 // implements the batch executor's Searcher contract, so a pinned version can
 // be fanned out over a worker pool directly.
 func (v *Version) SearchCounted(q geom.Rect, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
-	v.searchIter(q, nil, nil, c, visit)
+	v.searchIter(q, nil, c, visit)
 }
 
 // SearchAdmittedCounted is Search with a per-child admission test (the
 // clipped layer's Algorithm 2) and an explicit counter; either may be nil.
 func (v *Version) SearchAdmittedCounted(q geom.Rect, adm Admitter, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
-	v.searchIter(q, nil, adm, c, visit)
+	v.searchIter(q, adm, c, visit)
 }
 
 // searchScratch is the pooled per-search working state: the explicit DFS
@@ -200,9 +203,9 @@ var searchScratchPool = sync.Pool{
 	New: func() interface{} { return &searchScratch{stack: make([]NodeID, 0, 64)} },
 }
 
-// searchIter is the query hot path shared by Search, SearchFiltered,
-// SearchAdmitted, and the batch executor: an iterative depth-first descent
-// over an explicit pooled stack, against one immutable version. Per node the
+// searchIter is the query hot path shared by Search, SearchAdmittedCounted,
+// and the batch executor: an iterative depth-first descent over an explicit
+// pooled stack, against one immutable version. Per node the
 // quantised SoA planes are scanned first (quantScan, branch-free, ANDing a
 // survivor bitmask across dimensions); only survivors touch the exact
 // float64 mirror — leaf survivors get one exact verification before visit,
@@ -217,9 +220,7 @@ var searchScratchPool = sync.Pool{
 // In steady state it performs no heap allocations, takes no locks, and
 // touches no shared mutable state beyond the atomic I/O counters: the one
 // version load its caller performed pins the entire traversal.
-//
-// At most one of filter and adm is non-nil.
-func (v *Version) searchIter(q geom.Rect, filter func(NodeID, geom.Rect) bool, adm Admitter, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
+func (v *Version) searchIter(q geom.Rect, adm Admitter, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
 	t := v.tree
 	if v.root == InvalidNode || !q.Valid() || q.Dims() != t.cfg.Dims {
 		return
@@ -236,16 +237,10 @@ func (v *Version) searchIter(q geom.Rect, filter func(NodeID, geom.Rect) bool, a
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		n := v.node(id)
-		if n == nil {
-			continue // unreadable page on a file-backed tree; recorded in Err
-		}
-		if !n.hasPlanes(dims) {
-			// Defensive exact path for nodes without a filter layer (freed-slot
-			// placeholders; unreachable from a live root in practice).
-			if !v.scanExact(n, q, filter, adm, c, visit, sc, &stack) {
-				searchScratchPool.Put(sc)
-				return
-			}
+		if n == nil || !n.hasPlanes(dims) {
+			// An unreadable page on a file-backed tree (recorded in Err), or a
+			// node without a filter layer: only freed-slot placeholders lack
+			// one, and no live root reaches them.
 			continue
 		}
 		count := len(n.entries)
@@ -279,10 +274,7 @@ func (v *Version) searchIter(q geom.Rect, filter func(NodeID, geom.Rect) bool, a
 				i := w<<6 + bits.TrailingZeros64(m)
 				m &= m - 1
 				e := &n.entries[i]
-				switch {
-				case filter != nil && !filter(e.Child, e.Rect):
-				case adm != nil && !adm.AdmitChild(e.Child, e.Rect, q):
-				default:
+				if adm == nil || adm.AdmitChild(e.Child, e.Rect, q) {
 					stack = append(stack, e.Child)
 				}
 			}
@@ -295,49 +287,6 @@ func (v *Version) searchIter(q geom.Rect, filter func(NodeID, geom.Rect) bool, a
 	}
 	sc.stack = stack[:0]
 	searchScratchPool.Put(sc)
-}
-
-// scanExact is the pre-quantisation scan over one node's float64 mirror,
-// kept as the fallback for nodes without planes. Returns false when visit
-// aborted the search (the caller returns immediately; sc.stack has been
-// reset for the pool).
-func (v *Version) scanExact(n *node, q geom.Rect, filter func(NodeID, geom.Rect) bool, adm Admitter, c *storage.Counter, visit func(ObjectID, geom.Rect) bool, sc *searchScratch, stack *[]NodeID) bool {
-	t := v.tree
-	dims := t.cfg.Dims
-	boxes := n.boxes
-	if n.leaf {
-		t.chargeReadNode(n, true, c)
-		off := 0
-		for i := range n.entries {
-			if boxHits(boxes, off, dims, &sc.qlo, &sc.qhi) {
-				if !visit(n.entries[i].Object, n.entries[i].Rect) {
-					sc.stack = (*stack)[:0]
-					return false
-				}
-			}
-			off += 2 * dims
-		}
-		return true
-	}
-	t.chargeReadNode(n, false, c)
-	base := len(*stack)
-	off := 0
-	for i := range n.entries {
-		if boxHits(boxes, off, dims, &sc.qlo, &sc.qhi) {
-			e := &n.entries[i]
-			switch {
-			case filter != nil && !filter(e.Child, e.Rect):
-			case adm != nil && !adm.AdmitChild(e.Child, e.Rect, q):
-			default:
-				*stack = append(*stack, e.Child)
-			}
-		}
-		off += 2 * dims
-	}
-	for i, j := base, len(*stack)-1; i < j; i, j = i+1, j-1 {
-		(*stack)[i], (*stack)[j] = (*stack)[j], (*stack)[i]
-	}
-	return true
 }
 
 // boxHits reports whether the entry box starting at boxes[off] (dims Lo

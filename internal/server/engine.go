@@ -43,14 +43,15 @@ type Engine interface {
 
 // ReadView is one pinned snapshot: every operation answers at the view's
 // epoch(s), regardless of concurrent writers. It must be released with
-// Close.
+// Close. *cbb.View and *cbb.ShardedView implement it as they are; embedding
+// cbb.Reader makes a view the indexed input of cbb.JoinItems.
 type ReadView interface {
+	cbb.Reader
 	Epochs() []uint64
 	Search(q cbb.Rect, visit func(cbb.ObjectID, cbb.Rect) bool)
 	Count(q cbb.Rect) int
 	NearestNeighbors(k int, p cbb.Point) []cbb.Neighbor
 	BatchSearch(queries []cbb.Rect, opts cbb.BatchOptions) (cbb.BatchResult, error)
-	Join(probes []cbb.Item, opts cbb.JoinOptions, visit func(cbb.JoinPair)) (cbb.JoinResult, error)
 	Close()
 }
 
@@ -61,12 +62,13 @@ type WriteOp struct {
 	ID     cbb.ObjectID
 }
 
-// writeBatch is the common surface of *cbb.Batch and *cbb.ShardedBatch that
-// applyOps needs.
+// writeBatch is the common surface of *cbb.Batch and *cbb.ShardedBatch.
 type writeBatch interface {
 	Insert(r cbb.Rect, id cbb.ObjectID) error
 	InsertItems(items []cbb.Item) error
 	Delete(r cbb.Rect, id cbb.ObjectID) (bool, error)
+	Commit() error
+	Rollback()
 }
 
 // applyOps replays a /batch request's ops into an open writer batch. Runs of
@@ -116,11 +118,25 @@ func applyOps(b writeBatch, ops []WriteOp) (int, error) {
 	return found, nil
 }
 
-// --- single-tree engine -------------------------------------------------------
+// index is the common surface of *cbb.Tree (B = *cbb.Batch, V = *cbb.View)
+// and *cbb.ShardedTree (B = *cbb.ShardedBatch, V = *cbb.ShardedView).
+type index[B writeBatch, V ReadView] interface {
+	Snapshot() V
+	Begin() (B, error)
+	Insert(r cbb.Rect, id cbb.ObjectID) error
+	Len() int
+	Stats() cbb.Stats
+	IOStats() cbb.IOStats
+	BufferStats() (cbb.BufferStats, bool)
+	Flush() error
+	Close() error
+}
 
-// treeEngine adapts a *cbb.Tree.
-type treeEngine struct {
-	t          *cbb.Tree
+// engine adapts a single tree or a sharded tree: the pinned views satisfy
+// ReadView directly, so all that is left to adapt is the differing batch and
+// view types behind Begin and Snapshot.
+type engine[B writeBatch, V ReadView] struct {
+	index[B, V]
 	persistent bool
 }
 
@@ -128,90 +144,25 @@ type treeEngine struct {
 // bound to a snapshot file (Create/Open), enabling the durable flush on
 // shutdown.
 func NewTreeEngine(t *cbb.Tree, persistent bool) Engine {
-	return &treeEngine{t: t, persistent: persistent}
-}
-
-func (e *treeEngine) Snapshot() ReadView { return treeView{e.t.Snapshot()} }
-
-func (e *treeEngine) Epochs() []uint64 {
-	v := e.t.Snapshot()
-	defer v.Close()
-	return []uint64{v.Epoch()}
-}
-
-func (e *treeEngine) Insert(r cbb.Rect, id cbb.ObjectID) error { return e.t.Insert(r, id) }
-
-func (e *treeEngine) Apply(ops []WriteOp) (int, error) {
-	b, err := e.t.Begin()
-	if err != nil {
-		return 0, err
-	}
-	defer b.Rollback()
-	found, err := applyOps(b, ops)
-	if err != nil {
-		return 0, err
-	}
-	return found, b.Commit()
-}
-
-func (e *treeEngine) Len() int                             { return e.t.Len() }
-func (e *treeEngine) Stats() cbb.Stats                     { return e.t.Stats() }
-func (e *treeEngine) IOStats() cbb.IOStats                 { return e.t.IOStats() }
-func (e *treeEngine) BufferStats() (cbb.BufferStats, bool) { return e.t.BufferStats() }
-func (e *treeEngine) Persistent() bool                     { return e.persistent }
-func (e *treeEngine) Flush() error {
-	if !e.persistent {
-		return nil
-	}
-	return e.t.Flush()
-}
-func (e *treeEngine) Close() error { return e.t.Close() }
-
-// treeView adapts a *cbb.View.
-type treeView struct{ v *cbb.View }
-
-func (t treeView) Epochs() []uint64 { return []uint64{t.v.Epoch()} }
-func (t treeView) Search(q cbb.Rect, visit func(cbb.ObjectID, cbb.Rect) bool) {
-	t.v.Search(q, visit)
-}
-func (t treeView) Count(q cbb.Rect) int { return t.v.Count(q) }
-func (t treeView) NearestNeighbors(k int, p cbb.Point) []cbb.Neighbor {
-	return t.v.NearestNeighbors(k, p)
-}
-func (t treeView) BatchSearch(queries []cbb.Rect, opts cbb.BatchOptions) (cbb.BatchResult, error) {
-	return t.v.BatchSearch(queries, opts)
-}
-func (t treeView) Join(probes []cbb.Item, opts cbb.JoinOptions, visit func(cbb.JoinPair)) (cbb.JoinResult, error) {
-	return cbb.IndexNestedLoopJoinView(t.v, probes, opts, visit)
-}
-func (t treeView) Close() { t.v.Close() }
-
-// --- sharded engine -----------------------------------------------------------
-
-// shardedEngine adapts a *cbb.ShardedTree.
-type shardedEngine struct {
-	st         *cbb.ShardedTree
-	persistent bool
+	return engine[*cbb.Batch, *cbb.View]{t, persistent}
 }
 
 // NewShardedEngine wraps a sharded tree for serving. persistent marks an
 // engine bound to a shard directory (CreateSharded/OpenSharded).
 func NewShardedEngine(st *cbb.ShardedTree, persistent bool) Engine {
-	return &shardedEngine{st: st, persistent: persistent}
+	return engine[*cbb.ShardedBatch, *cbb.ShardedView]{st, persistent}
 }
 
-func (e *shardedEngine) Snapshot() ReadView { return shardedView{e.st.Snapshot()} }
+func (e engine[B, V]) Snapshot() ReadView { return e.index.Snapshot() }
 
-func (e *shardedEngine) Epochs() []uint64 {
-	v := e.st.Snapshot()
+func (e engine[B, V]) Epochs() []uint64 {
+	v := e.index.Snapshot()
 	defer v.Close()
 	return v.Epochs()
 }
 
-func (e *shardedEngine) Insert(r cbb.Rect, id cbb.ObjectID) error { return e.st.Insert(r, id) }
-
-func (e *shardedEngine) Apply(ops []WriteOp) (int, error) {
-	b, err := e.st.Begin()
+func (e engine[B, V]) Apply(ops []WriteOp) (int, error) {
+	b, err := e.Begin()
 	if err != nil {
 		return 0, err
 	}
@@ -223,36 +174,13 @@ func (e *shardedEngine) Apply(ops []WriteOp) (int, error) {
 	return found, b.Commit()
 }
 
-func (e *shardedEngine) Len() int                             { return e.st.Len() }
-func (e *shardedEngine) Stats() cbb.Stats                     { return e.st.Stats() }
-func (e *shardedEngine) IOStats() cbb.IOStats                 { return e.st.IOStats() }
-func (e *shardedEngine) BufferStats() (cbb.BufferStats, bool) { return e.st.BufferStats() }
-func (e *shardedEngine) Persistent() bool                     { return e.persistent }
-func (e *shardedEngine) Flush() error {
+func (e engine[B, V]) Persistent() bool { return e.persistent }
+
+func (e engine[B, V]) Flush() error {
 	if !e.persistent {
 		return nil
 	}
-	return e.st.Flush()
+	return e.index.Flush()
 }
-func (e *shardedEngine) Close() error { return e.st.Close() }
-
-// shardedView adapts a *cbb.ShardedView.
-type shardedView struct{ v *cbb.ShardedView }
-
-func (s shardedView) Epochs() []uint64 { return s.v.Epochs() }
-func (s shardedView) Search(q cbb.Rect, visit func(cbb.ObjectID, cbb.Rect) bool) {
-	s.v.Search(q, visit)
-}
-func (s shardedView) Count(q cbb.Rect) int { return s.v.Count(q) }
-func (s shardedView) NearestNeighbors(k int, p cbb.Point) []cbb.Neighbor {
-	return s.v.NearestNeighbors(k, p)
-}
-func (s shardedView) BatchSearch(queries []cbb.Rect, opts cbb.BatchOptions) (cbb.BatchResult, error) {
-	return s.v.BatchSearch(queries, opts)
-}
-func (s shardedView) Join(probes []cbb.Item, opts cbb.JoinOptions, visit func(cbb.JoinPair)) (cbb.JoinResult, error) {
-	return cbb.IndexNestedLoopJoinShardedView(s.v, probes, opts, visit)
-}
-func (s shardedView) Close() { s.v.Close() }
 
 var errNoEngine = errors.New("server: Config.Engine is required")

@@ -557,7 +557,7 @@ func (s *Server) handleJoin(r *http.Request) (any, error) {
 	if req.Collect {
 		visit = results.add
 	}
-	res, err := view.Join(probes, cbb.JoinOptions{Workers: workers}, visit)
+	res, err := cbb.JoinItems(view, probes, cbb.JoinOptions{Workers: workers}, visit)
 	if err != nil {
 		return nil, err
 	}

@@ -103,30 +103,19 @@ func optionsFromMeta(m snapshot.Meta) (Options, error) {
 	return opts, nil
 }
 
-// table returns the clip table to persist (nil when clipping is disabled).
-func (t *Tree) table() clipindex.Table {
-	if t.idx == nil {
-		return nil
-	}
-	return t.idx.Table()
-}
-
 // restore assembles a public Tree around a decoded snapshot's R-tree and
-// clip table.
+// clip table (none for a ClipNone snapshot: the index starts, and stays,
+// empty).
 func restore(snap *snapshot.Snapshot, base *rtree.Tree) (*Tree, error) {
 	opts, err := optionsFromMeta(snap.Meta)
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{opts: opts, tree: base}
-	if opts.Clipping != ClipNone {
-		idx, err := clipindex.Restore(base, opts.clipParams(), snap.Table)
-		if err != nil {
-			return nil, err
-		}
-		t.idx = idx
+	idx, err := clipindex.Restore(base, opts.clipParams(), snap.Table)
+	if err != nil {
+		return nil, err
 	}
-	return t, nil
+	return &Tree{opts: opts, tree: base, idx: idx}, nil
 }
 
 // SaveTo writes a snapshot of the tree — configuration, node pages, and clip
@@ -134,7 +123,7 @@ func restore(snap *snapshot.Snapshot, base *rtree.Tree) (*Tree, error) {
 // the tree without any out-of-band configuration, and reject corrupt or
 // truncated input via magic, version, and checksum validation.
 func (t *Tree) SaveTo(w io.Writer) error {
-	return snapshot.SaveTo(w, t.tree, t.table(), t.snapshotMeta())
+	return snapshot.SaveTo(w, t.tree, t.idx.Table(), t.snapshotMeta())
 }
 
 // SaveToFormat is SaveTo with an explicit snapshot format; SaveTo is
@@ -142,7 +131,7 @@ func (t *Tree) SaveTo(w io.Writer) error {
 func (t *Tree) SaveToFormat(w io.Writer, format SnapshotFormat) error {
 	meta := t.snapshotMeta()
 	meta.Format = int(format)
-	return snapshot.SaveTo(w, t.tree, t.table(), meta)
+	return snapshot.SaveTo(w, t.tree, t.idx.Table(), meta)
 }
 
 // WriteSnapshot writes the tree as a snapshot file at path in the given
@@ -153,7 +142,7 @@ func (t *Tree) SaveToFormat(w io.Writer, format SnapshotFormat) error {
 func (t *Tree) WriteSnapshot(path string, format SnapshotFormat) error {
 	meta := t.snapshotMeta()
 	meta.Format = int(format)
-	return snapshot.WriteFile(path, t.tree, t.table(), meta)
+	return snapshot.WriteFile(path, t.tree, t.idx.Table(), meta)
 }
 
 // TranscodeSnapshot rewrites the snapshot file at src into dst in the given
@@ -311,7 +300,7 @@ func Create(path string, opts Options) (*Tree, error) {
 	if err := fp.EnableJournal(); err != nil {
 		return fail(err)
 	}
-	if err := snapshot.Write(fp, t.tree, t.table(), meta); err != nil {
+	if err := snapshot.Write(fp, t.tree, t.idx.Table(), meta); err != nil {
 		return fail(err)
 	}
 	if err := fp.CommitJournal(); err != nil {
@@ -352,7 +341,7 @@ func (t *Tree) flushLocked() error {
 	if !t.tree.Dirty() {
 		return t.pager.CommitJournal() // commits table-only changes, if any; otherwise a sync
 	}
-	if err := snapshot.Rewrite(t.pager, t.tree, t.table(), t.snapshotMeta()); err != nil {
+	if err := snapshot.Rewrite(t.pager, t.tree, t.idx.Table(), t.snapshotMeta()); err != nil {
 		// Roll the staged page mutations back so a failed flush leaves the
 		// file binding at its last committed state.
 		t.pager.DiscardJournal()

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"cbb/internal/hilbert"
-	"cbb/internal/rtree"
 	"cbb/internal/storage"
 )
 
@@ -113,26 +112,6 @@ type shard struct {
 	t       *Tree
 	path    string // snapshot file of a file-backed shard ("" in memory)
 	retired atomic.Bool
-}
-
-// search runs one uncoordinated range query against the shard's last
-// committed snapshot, charging the shared counter; the root bounds check is
-// the directory-level skip and is not charged.
-func (sh *shard) search(q Rect, visit func(ObjectID, Rect) bool) {
-	if sh.t.idx != nil {
-		s := sh.t.idx.Snap()
-		v := s.Version()
-		if v.Len() == 0 || !v.RootMBBIntersects(q) {
-			return
-		}
-		s.SearchCounted(q, nil, visit)
-		return
-	}
-	v := sh.t.tree.CurrentVersion()
-	if v.Len() == 0 || !v.RootMBBIntersects(q) {
-		return
-	}
-	v.SearchCounted(q, nil, visit)
 }
 
 // shardDir is the immutable shard directory: shards sorted by lo, their
@@ -380,7 +359,7 @@ func (st *ShardedTree) Delete(r Rect, id ObjectID) (bool, error) {
 			sh.t.wmu.Unlock()
 			continue
 		}
-		found, err := sh.t.deleteLocked(r, id)
+		found, err := sh.t.idx.Delete(r, id)
 		sh.t.wmu.Unlock()
 		if err != nil || !found {
 			return found, err
@@ -619,6 +598,18 @@ func (sb *ShardedBatch) Rollback() {
 	sb.st.batchMu.Unlock()
 }
 
+// current returns the reader over every shard's last committed state, in
+// directory order. Each shard is loaded independently (no cross-shard
+// consistency, no pins); Snapshot is the coordinated counterpart.
+func (st *ShardedTree) current() reader {
+	shards := st.dir.Load().shards
+	r := make(reader, len(shards))
+	for i, sh := range shards {
+		r[i] = sh.t.idx.Snap()
+	}
+	return r
+}
+
 // Search calls visit for every object whose rectangle intersects q, fanning
 // out only to shards whose root MBB intersects q (the directory-level skip
 // costs no I/O); traversal stops early when visit returns false. The result
@@ -626,95 +617,22 @@ func (sb *ShardedBatch) Rollback() {
 // Tree.Search, it runs lock-free against each shard's last committed state;
 // use Snapshot for a frozen cross-shard view.
 func (st *ShardedTree) Search(q Rect, visit func(ObjectID, Rect) bool) {
-	if q.Dims() != st.opts.Dims {
-		return
-	}
-	cont := true
-	for _, sh := range st.dir.Load().shards {
-		if !cont {
-			return
-		}
-		sh.search(q, func(id ObjectID, r Rect) bool {
-			if !visit(id, r) {
-				cont = false
-				return false
-			}
-			return true
-		})
-	}
+	st.current().Search(q, visit)
 }
 
 // SearchAll returns every object intersecting q. Order follows the shard
 // directory (Hilbert order), not a single tree's traversal order.
-func (st *ShardedTree) SearchAll(q Rect) []Item {
-	var out []Item
-	st.Search(q, func(id ObjectID, r Rect) bool {
-		out = append(out, Item{Object: id, Rect: r})
-		return true
-	})
-	return out
-}
+func (st *ShardedTree) SearchAll(q Rect) []Item { return st.current().SearchAll(q) }
 
 // Count returns the number of objects intersecting q.
-func (st *ShardedTree) Count(q Rect) int {
-	n := 0
-	st.Search(q, func(ObjectID, Rect) bool { n++; return true })
-	return n
-}
+func (st *ShardedTree) Count(q Rect) int { return st.current().Count(q) }
 
 // NearestNeighbors returns the k objects closest to p across all shards,
 // ordered by ascending distance (ties broken by object id). Shards are
 // visited in order of their bounds' distance to p and pruned once k results
 // closer than the next shard's bounds are known.
 func (st *ShardedTree) NearestNeighbors(k int, p Point) []Neighbor {
-	if len(p) != st.opts.Dims {
-		return nil
-	}
-	d := st.dir.Load()
-	versions := make([]*rtree.Version, 0, len(d.shards))
-	for _, sh := range d.shards {
-		versions = append(versions, sh.t.readVersion())
-	}
-	return knnAcrossVersions(versions, k, p)
-}
-
-// knnAcrossVersions merges per-shard nearest-neighbour queries with
-// distance-ordered shard pruning.
-func knnAcrossVersions(versions []*rtree.Version, k int, p Point) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	type src struct {
-		v *rtree.Version
-		d float64
-	}
-	srcs := make([]src, 0, len(versions))
-	for _, v := range versions {
-		if v.Len() == 0 {
-			continue
-		}
-		srcs = append(srcs, src{v: v, d: v.Bounds().MinDistSq(p)})
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i].d < srcs[j].d })
-	var best []Neighbor
-	for _, s := range srcs {
-		if len(best) >= k && s.d > best[len(best)-1].DistSq {
-			break
-		}
-		for _, n := range s.v.NearestNeighbors(k, p) {
-			best = append(best, Neighbor{Object: n.Object, Rect: n.Rect, DistSq: n.DistSq})
-		}
-		sort.Slice(best, func(i, j int) bool {
-			if best[i].DistSq != best[j].DistSq {
-				return best[i].DistSq < best[j].DistSq
-			}
-			return best[i].Object < best[j].Object
-		})
-		if len(best) > k {
-			best = best[:k]
-		}
-	}
-	return best
+	return st.current().NearestNeighbors(k, p)
 }
 
 // BatchSearch runs a batch of range queries over one internally acquired
@@ -727,41 +645,13 @@ func (st *ShardedTree) BatchSearch(queries []Rect, opts BatchOptions) (BatchResu
 }
 
 // Len returns the total number of indexed objects across shards.
-func (st *ShardedTree) Len() int {
-	n := 0
-	for _, sh := range st.dir.Load().shards {
-		n += sh.t.Len()
-	}
-	return n
-}
+func (st *ShardedTree) Len() int { return st.current().Len() }
 
 // Height returns the height of the tallest shard tree.
-func (st *ShardedTree) Height() int {
-	h := 0
-	for _, sh := range st.dir.Load().shards {
-		if hh := sh.t.Height(); hh > h {
-			h = hh
-		}
-	}
-	return h
-}
+func (st *ShardedTree) Height() int { return st.current().Height() }
 
 // Bounds returns the MBB of all indexed objects across shards.
-func (st *ShardedTree) Bounds() Rect {
-	var out Rect
-	for _, sh := range st.dir.Load().shards {
-		b := sh.t.Bounds()
-		if b.IsZero() {
-			continue
-		}
-		if out.IsZero() {
-			out = b
-			continue
-		}
-		out = out.Union(b)
-	}
-	return out
-}
+func (st *ShardedTree) Bounds() Rect { return st.current().Bounds() }
 
 // IOStats returns the I/O counters accumulated across every shard: all
 // shard trees charge one shared counter, so each node access is counted
@@ -817,28 +707,9 @@ func (st *ShardedTree) BufferStats() (BufferStats, bool) {
 }
 
 // Stats aggregates structural statistics across shards (Height is the
-// maximum, the counts are sums).
-func (st *ShardedTree) Stats() Stats {
-	var out Stats
-	d := st.dir.Load()
-	weighted := 0.0
-	for _, sh := range d.shards {
-		s := sh.t.Stats()
-		out.Objects += s.Objects
-		out.LeafNodes += s.LeafNodes
-		out.DirNodes += s.DirNodes
-		out.ClipPoints += s.ClipPoints
-		out.ClipTableBytes += s.ClipTableBytes
-		if s.Height > out.Height {
-			out.Height = s.Height
-		}
-		weighted += s.AvgClipPoints * float64(s.LeafNodes+s.DirNodes)
-	}
-	if nodes := out.LeafNodes + out.DirNodes; nodes > 0 {
-		out.AvgClipPoints = weighted / float64(nodes)
-	}
-	return out
-}
+// maximum, the counts are sums) at each shard's last committed state. Like
+// Tree.Stats it reads only published state and is safe while writers commit.
+func (st *ShardedTree) Stats() Stats { return st.current().Stats() }
 
 // Validate checks every shard's structural invariants, the directory's
 // (contiguous ranges covering the key space), and that every object lives

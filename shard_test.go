@@ -551,7 +551,7 @@ func TestShardedJoinsEquivalence(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		var gotPairs []JoinPair
-		gotRes, err := IndexNestedLoopJoinSharded(shL, rightItems, JoinOptions{Workers: workers}, func(p JoinPair) { gotPairs = append(gotPairs, p) })
+		gotRes, err := JoinItems(shL, rightItems, JoinOptions{Workers: workers}, func(p JoinPair) { gotPairs = append(gotPairs, p) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -575,7 +575,7 @@ func TestShardedJoinsEquivalence(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		var gotPairs []JoinPair
-		gotRes, err := SynchronizedTreeTraversalJoinSharded(shL, shR, JoinOptions{Workers: workers}, func(p JoinPair) { gotPairs = append(gotPairs, p) })
+		gotRes, err := Join(shL, shR, JoinOptions{Workers: workers}, func(p JoinPair) { gotPairs = append(gotPairs, p) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -598,7 +598,7 @@ func TestShardedJoinsEquivalence(t *testing.T) {
 		}
 	}
 	var gotPairs []JoinPair
-	gotRes, err := SynchronizedTreeTraversalJoinSharded(shL, shR, JoinOptions{Workers: 2}, func(p JoinPair) { gotPairs = append(gotPairs, p) })
+	gotRes, err := Join(shL, shR, JoinOptions{Workers: 2}, func(p JoinPair) { gotPairs = append(gotPairs, p) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,6 +626,13 @@ func TestShardedStatsAggregation(t *testing.T) {
 	}
 	if stats.ClipPoints == 0 {
 		t.Error("clipped sharded tree reports no clip points")
+	}
+	planes := 0
+	for _, sh := range st.dir.Load().shards {
+		planes += sh.t.Stats().PlaneBytes
+	}
+	if stats.PlaneBytes != planes || planes == 0 {
+		t.Errorf("PlaneBytes = %d, want the sum over shards %d (> 0)", stats.PlaneBytes, planes)
 	}
 
 	st.ResetIOStats()

@@ -1,28 +1,22 @@
 package cbb
 
-import (
-	"errors"
-	"sync"
-
-	"cbb/internal/parallel"
-	"cbb/internal/rtree"
-	"cbb/internal/storage"
-)
+import "sync"
 
 // ShardedView is a pinned, cross-shard read view of a ShardedTree taken
-// with ShardedTree.Snapshot: one View per shard, all pinned in a single
+// with ShardedTree.Snapshot: one snapshot per shard, all pinned in a single
 // acquisition that is atomic with respect to cross-shard batch commits, so
 // the per-shard epochs are mutually consistent — the view can never observe
 // part of a ShardedBatch. Each shard's epoch stays fixed for the view's
 // lifetime regardless of concurrent writers, splits, or merges (a view
 // pinned on a since-retired shard keeps serving its frozen content).
 //
-// Like View, a ShardedView is safe for any number of concurrent goroutines
-// and must be released with Close.
+// It offers the same queries as a View (Search fans out only to shards whose
+// pinned root MBB intersects the query; Epochs lists the pinned epochs in
+// directory order). Like View, a ShardedView is safe for any number of
+// concurrent goroutines and must be released with Close.
 type ShardedView struct {
-	st    *ShardedTree
-	views []*View
-	once  sync.Once
+	reader
+	once sync.Once
 }
 
 // Snapshot returns a pinned cross-shard read view of the last committed
@@ -32,152 +26,17 @@ type ShardedView struct {
 func (st *ShardedTree) Snapshot() *ShardedView {
 	st.commitMu.RLock()
 	defer st.commitMu.RUnlock()
-	d := st.dir.Load()
-	views := make([]*View, len(d.shards))
-	for i, sh := range d.shards {
-		views[i] = sh.t.Snapshot()
+	shards := st.dir.Load().shards
+	r := make(reader, len(shards))
+	for i, sh := range shards {
+		r[i] = sh.t.idx.PinSnap()
 	}
-	return &ShardedView{st: st, views: views}
+	return &ShardedView{reader: r}
 }
 
 // Close releases every shard pin. Idempotent; the view must not be queried
 // after Close.
-func (sv *ShardedView) Close() {
-	sv.once.Do(func() {
-		for _, v := range sv.views {
-			v.Close()
-		}
-	})
-}
+func (sv *ShardedView) Close() { sv.once.Do(sv.unpin) }
 
 // Shards returns the number of shards pinned by the view.
-func (sv *ShardedView) Shards() int { return len(sv.views) }
-
-// Epochs returns the pinned commit epoch of every shard, in directory
-// order. The slice is stable for the view's lifetime.
-func (sv *ShardedView) Epochs() []uint64 {
-	out := make([]uint64, len(sv.views))
-	for i, v := range sv.views {
-		out[i] = v.Epoch()
-	}
-	return out
-}
-
-// Len returns the total number of indexed objects at the view's epochs.
-func (sv *ShardedView) Len() int {
-	n := 0
-	for _, v := range sv.views {
-		n += v.Len()
-	}
-	return n
-}
-
-// Bounds returns the MBB of all indexed objects at the view's epochs.
-func (sv *ShardedView) Bounds() Rect {
-	var out Rect
-	for _, v := range sv.views {
-		b := v.Bounds()
-		if b.IsZero() {
-			continue
-		}
-		if out.IsZero() {
-			out = b
-			continue
-		}
-		out = out.Union(b)
-	}
-	return out
-}
-
-// Search calls visit for every object intersecting q at the view's epochs,
-// fanning out only to shards whose pinned root MBB intersects q; traversal
-// stops early when visit returns false.
-func (sv *ShardedView) Search(q Rect, visit func(ObjectID, Rect) bool) {
-	sv.SearchCounted(q, nil, visit)
-}
-
-// SearchCounted is Search with node accesses charged to an explicit counter
-// (the engine's shared counter when c is nil). It implements the parallel
-// executor's Searcher interface, which is how BatchSearch fans a sharded
-// view out over workers with exact per-worker I/O accounting.
-func (sv *ShardedView) SearchCounted(q Rect, c *storage.Counter, visit func(ObjectID, Rect) bool) {
-	if q.Dims() != sv.st.opts.Dims {
-		return
-	}
-	cont := true
-	for _, v := range sv.views {
-		if !cont {
-			return
-		}
-		if v.v.Len() == 0 || !v.v.RootMBBIntersects(q) {
-			continue
-		}
-		wrapped := func(id ObjectID, r Rect) bool {
-			if !visit(id, r) {
-				cont = false
-				return false
-			}
-			return true
-		}
-		if v.snap != nil {
-			v.snap.SearchCounted(q, c, wrapped)
-		} else {
-			v.v.SearchCounted(q, c, wrapped)
-		}
-	}
-}
-
-// SearchAll returns every object intersecting q at the view's epochs.
-func (sv *ShardedView) SearchAll(q Rect) []Item {
-	var out []Item
-	sv.Search(q, func(id ObjectID, r Rect) bool {
-		out = append(out, Item{Object: id, Rect: r})
-		return true
-	})
-	return out
-}
-
-// Count returns the number of objects intersecting q at the view's epochs.
-func (sv *ShardedView) Count(q Rect) int {
-	n := 0
-	sv.Search(q, func(ObjectID, Rect) bool { n++; return true })
-	return n
-}
-
-// NearestNeighbors returns the k objects closest to p at the view's epochs,
-// ordered by ascending distance (ties broken by object id), with the same
-// shard pruning as ShardedTree.NearestNeighbors.
-func (sv *ShardedView) NearestNeighbors(k int, p Point) []Neighbor {
-	if len(p) != sv.st.opts.Dims {
-		return nil
-	}
-	versions := make([]*rtree.Version, len(sv.views))
-	for i, v := range sv.views {
-		versions[i] = v.v
-	}
-	return knnAcrossVersions(versions, k, p)
-}
-
-// BatchSearch runs a batch of range queries against the view on a pool of
-// worker goroutines, every query answered at the view's epochs, with the
-// merged I/O folded into the engine's shared counters exactly once.
-func (sv *ShardedView) BatchSearch(queries []Rect, opts BatchOptions) (BatchResult, error) {
-	if sv == nil {
-		return BatchResult{}, errors.New("cbb: BatchSearch requires a sharded view")
-	}
-	popts := parallel.Options{
-		Workers: opts.Workers,
-		Collect: opts.Collect,
-		Main:    sv.st.counter,
-	}
-	res := parallel.RunBatch(sv, queries, popts)
-	out := BatchResult{
-		Counts:  res.Counts,
-		Workers: res.Workers,
-		IO:      toIOStats(res.IO),
-	}
-	if opts.Collect {
-		out.Items = res.Items
-	}
-	return out, nil
-}
+func (sv *ShardedView) Shards() int { return len(sv.reader) }

@@ -219,13 +219,13 @@ func TestSnapshotIsolationUnderWriteStress(t *testing.T) {
 					probes := []Item{{Object: 1, Rect: universe}}
 					for !stop.Load() {
 						v := tree.Snapshot()
-						inlj, err := IndexNestedLoopJoinView(v, probes, JoinOptions{Workers: 2}, nil)
+						inlj, err := JoinItems(v, probes, JoinOptions{Workers: 2}, nil)
 						if err != nil || inlj.Pairs != base {
 							fail("join reader: INLJ pairs %d err %v, want %d", inlj.Pairs, err, base)
 							v.Close()
 							return
 						}
-						stt, err := SynchronizedTreeTraversalJoinView(v, before, JoinOptions{Workers: 2}, nil)
+						stt, err := Join(v, before, JoinOptions{Workers: 2}, nil)
 						if err != nil || stt.Pairs == 0 {
 							fail("join reader: STT pairs %d err %v", stt.Pairs, err)
 							v.Close()
@@ -307,14 +307,14 @@ func TestBatchAtomicityAndViewJoins(t *testing.T) {
 	// View-based INLJ answers at the pinned epoch; the live join sees the
 	// committed batch.
 	probes := []Item{{Object: 1, Rect: R(-5, -5, 1050, 1050)}}
-	onView, err := IndexNestedLoopJoinView(v, probes, JoinOptions{Workers: 2}, nil)
+	onView, err := JoinItems(v, probes, JoinOptions{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if onView.Pairs != 800 {
 		t.Fatalf("view INLJ pairs %d, want 800", onView.Pairs)
 	}
-	live, err := IndexNestedLoopJoinWith(tree, probes, JoinOptions{Workers: 2}, nil)
+	live, err := JoinItems(tree, probes, JoinOptions{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestBatchAtomicityAndViewJoins(t *testing.T) {
 	}
 	ov := other.Snapshot()
 	defer ov.Close()
-	onViews, err := SynchronizedTreeTraversalJoinView(v, ov, JoinOptions{Workers: 2}, nil)
+	onViews, err := Join(v, ov, JoinOptions{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestBatchAtomicityAndViewJoins(t *testing.T) {
 		t.Fatal("joins found no pairs; fixture is vacuous")
 	}
 	// The epoch-pinned join must equal the INLJ of the same two states.
-	fromINLJ, err := IndexNestedLoopJoinView(v, items, JoinOptions{Workers: 1}, nil)
+	fromINLJ, err := JoinItems(v, items, JoinOptions{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,39 +6,37 @@ import (
 	"sync"
 
 	"cbb/internal/clipindex"
-	"cbb/internal/join"
-	"cbb/internal/parallel"
-	"cbb/internal/rtree"
 )
 
 // This file is the public surface of the concurrency subsystem: pinned read
 // views (Snapshot / View) and batched writer transactions (Begin / Batch).
 //
 // The engine is copy-on-write versioned: every committed mutation publishes
-// a new immutable version of the tree (and, when clipping is enabled, of the
-// clip table of the same epoch) behind one atomic pointer. Ordinary queries
-// on a Tree load the current version once and traverse it lock-free; a View
-// pins one version so that an arbitrarily long sequence of queries — range
-// searches, batch searches, nearest-neighbour queries, joins — observes one
-// frozen state of the index while writers keep committing. Writers never
-// wait for readers and readers never wait for writers.
+// a new immutable version of the tree together with the clip table of the
+// same epoch behind one atomic pointer. Ordinary queries on a Tree load the
+// current snapshot once and traverse it lock-free; a View pins one snapshot
+// so that an arbitrarily long sequence of queries — range searches, batch
+// searches, nearest-neighbour queries, joins — observes one frozen state of
+// the index while writers keep committing. Writers never wait for readers
+// and readers never wait for writers.
 
 // View is a pinned, immutable snapshot of a Tree taken with Tree.Snapshot.
 // All read operations on the view observe exactly the state of the commit
 // that produced it: no later Insert, Delete, Batch.Commit, or BulkLoad is
 // visible, and no partially applied batch can ever be observed. A View is
-// safe for any number of concurrent goroutines, and its queries charge the
-// owning tree's I/O counters and buffer pool exactly like queries on the
-// Tree itself.
+// safe for any number of concurrent goroutines, and its queries — the same
+// Search, SearchAll, Count, NearestNeighbors, BatchSearch, Len, Height,
+// Bounds, and Stats a Tree offers, plus JoinItems and Join through the
+// Reader interface — charge the owning tree's I/O counters and buffer pool
+// exactly like queries on the Tree itself.
 //
 // Close releases the view's pin; keeping many views open is cheap in
 // memory (versions share all unchanged nodes), but pins defer the reuse of
 // file pages freed by later batches, so long-lived views on file-backed
 // trees should be closed when done.
 type View struct {
-	t    *Tree
-	v    *rtree.Version
-	snap *clipindex.Snap // nil when clipping is disabled
+	reader
+	one  [1]*clipindex.Snap // backs reader: pinning a view stays one allocation
 	once sync.Once
 }
 
@@ -46,103 +44,19 @@ type View struct {
 // It never blocks: concurrent writers continue committing new versions while
 // the view keeps serving its epoch. Every view must be released with Close.
 func (t *Tree) Snapshot() *View {
-	if t.idx != nil {
-		s := t.idx.PinSnap()
-		return &View{t: t, v: s.Version(), snap: s}
-	}
-	return &View{t: t, v: t.tree.PinSnapshot()}
+	v := &View{one: [1]*clipindex.Snap{t.idx.PinSnap()}}
+	v.reader = v.one[:]
+	return v
 }
 
 // Close releases the view's pin. It is idempotent; the view must not be
 // queried after Close.
-func (v *View) Close() { v.once.Do(v.v.Unpin) }
+func (v *View) Close() { v.once.Do(v.unpin) }
 
 // Epoch returns the commit epoch the view is pinned to. Epochs increase by
 // one per committed batch, so two views with equal epochs (of one tree) see
 // identical states.
-func (v *View) Epoch() uint64 { return v.v.Epoch() }
-
-// Len returns the number of indexed objects at the view's epoch.
-func (v *View) Len() int { return v.v.Len() }
-
-// Height returns the number of tree levels at the view's epoch.
-func (v *View) Height() int { return v.v.Height() }
-
-// Bounds returns the MBB of all indexed objects at the view's epoch.
-func (v *View) Bounds() Rect { return v.v.Bounds() }
-
-// Search calls visit for every object whose rectangle intersects q at the
-// view's epoch; traversal stops early when visit returns false. Semantics
-// match Tree.Search (clipping included) against the pinned state.
-func (v *View) Search(q Rect, visit func(ObjectID, Rect) bool) {
-	if v.snap != nil {
-		v.snap.SearchCounted(q, nil, visit)
-		return
-	}
-	v.v.SearchCounted(q, nil, visit)
-}
-
-// SearchAll returns every object intersecting q at the view's epoch.
-func (v *View) SearchAll(q Rect) []Item {
-	var out []Item
-	v.Search(q, func(id ObjectID, r Rect) bool {
-		out = append(out, Item{Object: id, Rect: r})
-		return true
-	})
-	return out
-}
-
-// Count returns the number of objects intersecting q at the view's epoch.
-func (v *View) Count(q Rect) int {
-	n := 0
-	v.Search(q, func(ObjectID, Rect) bool { n++; return true })
-	return n
-}
-
-// NearestNeighbors returns the k objects closest to p at the view's epoch,
-// ordered by ascending distance, with the same traversal and I/O accounting
-// as Tree.NearestNeighbors.
-func (v *View) NearestNeighbors(k int, p Point) []Neighbor {
-	raw := v.v.NearestNeighbors(k, p)
-	out := make([]Neighbor, len(raw))
-	for i, n := range raw {
-		out[i] = Neighbor{Object: n.Object, Rect: n.Rect, DistSq: n.DistSq}
-	}
-	return out
-}
-
-// BatchSearch runs a batch of range queries against the view on a pool of
-// worker goroutines, exactly like the package-level BatchSearch but with
-// every query answered at the view's epoch.
-func (v *View) BatchSearch(queries []Rect, opts BatchOptions) (BatchResult, error) {
-	if v == nil {
-		return BatchResult{}, errors.New("cbb: BatchSearch requires a view")
-	}
-	popts := parallel.Options{
-		Workers: opts.Workers,
-		Collect: opts.Collect,
-		Main:    v.t.tree.Counter(),
-	}
-	var searcher parallel.Searcher = v.v
-	if v.snap != nil {
-		searcher = v.snap
-	}
-	res := parallel.RunBatch(searcher, queries, popts)
-	out := BatchResult{
-		Counts:  res.Counts,
-		Workers: res.Workers,
-		IO:      toIOStats(res.IO),
-	}
-	if opts.Collect {
-		out.Items = res.Items
-	}
-	return out, nil
-}
-
-// side binds the view to the join engine's snapshot input.
-func (v *View) side() join.Side {
-	return join.Side{Tree: v.t.tree, V: v.v, Snap: v.snap}
-}
+func (v *View) Epoch() uint64 { return v.reader[0].Version().Epoch() }
 
 // Batch is an open writer transaction created with Tree.Begin: mutations
 // applied through it accumulate in a writer-private overlay (copy-on-write
@@ -170,13 +84,7 @@ type Batch struct {
 // on read-only trees.
 func (t *Tree) Begin() (*Batch, error) {
 	t.wmu.Lock()
-	var err error
-	if t.idx != nil {
-		err = t.idx.Begin()
-	} else {
-		err = t.tree.BeginBatch()
-	}
-	if err != nil {
+	if err := t.idx.Begin(); err != nil {
 		t.wmu.Unlock()
 		return nil, fmt.Errorf("cbb: begin: %w", err)
 	}
@@ -200,7 +108,7 @@ func (b *Batch) InsertItems(items []Item) error {
 	if b.done {
 		return errBatchDone
 	}
-	return b.t.insertItemsLocked(items)
+	return b.t.idx.InsertItems(items)
 }
 
 // Delete removes an object within the batch; the removal becomes visible to
@@ -210,7 +118,7 @@ func (b *Batch) Delete(r Rect, id ObjectID) (bool, error) {
 	if b.done {
 		return false, errBatchDone
 	}
-	return b.t.deleteLocked(r, id)
+	return b.t.idx.Delete(r, id)
 }
 
 // Commit publishes the batch to readers as one new epoch and releases the
@@ -221,11 +129,7 @@ func (b *Batch) Commit() error {
 		return errBatchDone
 	}
 	b.done = true
-	if b.t.idx != nil {
-		b.t.idx.Commit()
-	} else {
-		b.t.tree.CommitBatch()
-	}
+	b.t.idx.Commit()
 	b.t.batchOpen.Store(false)
 	b.t.wmu.Unlock()
 	return nil
@@ -241,11 +145,7 @@ func (b *Batch) Rollback() {
 		return
 	}
 	b.done = true
-	if b.t.idx != nil {
-		b.t.idx.Rollback()
-	} else {
-		b.t.tree.RollbackBatch()
-	}
+	b.t.idx.Rollback()
 	b.t.batchOpen.Store(false)
 	b.t.wmu.Unlock()
 }
