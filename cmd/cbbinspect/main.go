@@ -273,13 +273,13 @@ func reportSlack(tree *rtree.Tree) {
 		if info.Leaf {
 			return
 		}
-		for _, e := range info.Children {
-			child, err := tree.Node(e.Child)
+		for i := 0; i < info.Len(); i++ {
+			child, err := tree.Node(info.Child(i))
 			if err != nil {
 				continue
 			}
 			total++
-			pm, cm := e.Rect.Margin(), child.MBB.Margin()
+			pm, cm := info.Rect(i).Margin(), child.MBB.Margin()
 			var rel float64
 			if cm > 0 {
 				rel = (pm - cm) / cm

@@ -37,6 +37,13 @@ func buildHotPathTestTree(t *testing.T, n int, clipping ClipMethod) (*Tree, []Re
 // clip-filtered range query allocates. GC is disabled during the
 // measurement so the sync.Pool cannot be drained mid-run.
 func TestSearchZeroAllocs(t *testing.T) {
+	// Allocations per operation of the kNN and STT-join cases below at the
+	// commit before this test covered them (clipping prunes node pairs, so
+	// the clipped join loads fewer nodes).
+	zeroAllocCeilings := map[ClipMethod]struct{ knn, join float64 }{
+		ClipNone:      {knn: 1, join: 527},
+		ClipStairline: {knn: 1, join: 395},
+	}
 	for _, cm := range []ClipMethod{ClipNone, ClipStairline} {
 		t.Run(cm.String(), func(t *testing.T) {
 			tree, queries := buildHotPathTestTree(t, 4000, cm)
@@ -70,6 +77,40 @@ func TestSearchZeroAllocs(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("steady-state View.Search (%s) allocates %.1f times per query, want 0", cm, allocs)
+			}
+
+			if raceEnabled {
+				// Under -race sync.Pool drops Puts at random and the
+				// instrumentation allocates; the counts below only mean
+				// something in an uninstrumented binary.
+				return
+			}
+			// kNN and the STT join allocate by design (the result slice; the
+			// join's node snapshots and task list), but reading slots as views
+			// of node storage must not cost them more than reading stored
+			// rectangles did: the ceilings are what this exact workload
+			// allocated before nodes stopped storing Entry values.
+			allocs = testing.AllocsPerRun(100, func() {
+				lo := queries[i%len(queries)].Lo
+				if got := len(v.NearestNeighbors(10, lo)); got != 10 {
+					t.Fatalf("NearestNeighbors returned %d neighbours, want 10", got)
+				}
+				i++
+			})
+			if max := zeroAllocCeilings[cm].knn; allocs > max {
+				t.Errorf("steady-state NearestNeighbors (%s) allocates %.1f times per query, want at most %.0f", cm, allocs, max)
+			}
+			other, _ := buildHotPathTestTree(t, 1000, cm)
+			ov := other.Snapshot()
+			defer ov.Close()
+			allocs = testing.AllocsPerRun(10, func() {
+				res, err := Join(v, ov, JoinOptions{Workers: 1}, nil)
+				if err != nil || res.Pairs == 0 {
+					t.Fatalf("Join: %d pairs, err %v", res.Pairs, err)
+				}
+			})
+			if max := zeroAllocCeilings[cm].join; allocs > max {
+				t.Errorf("STT join (%s) allocates %.1f times per join, want at most %.0f", cm, allocs, max)
 			}
 		})
 	}

@@ -28,8 +28,8 @@ func BenchmarkClipAdmission(b *testing.B) {
 	var cands []cand
 	tree.Walk(func(info rtree.NodeInfo) {
 		if !info.Leaf {
-			for i := range info.Children {
-				cands = append(cands, cand{id: info.Children[i].Child, mbb: info.Children[i].Rect})
+			for i := 0; i < info.Len(); i++ {
+				cands = append(cands, cand{id: info.Child(i), mbb: info.Rect(i)})
 			}
 		}
 	})

@@ -108,12 +108,12 @@ func RunFig09(cfg Config) (*Fig09Result, error) {
 		// Collect leaf nodes and sample a subset deterministically.
 		var leaves [][]geom.Rect
 		tree.Walk(func(info rtree.NodeInfo) {
-			if !info.Leaf || len(info.Children) < 2 {
+			if !info.Leaf || info.Len() < 2 {
 				return
 			}
-			rects := make([]geom.Rect, len(info.Children))
-			for i := range info.Children {
-				rects[i] = info.Children[i].Rect
+			rects := make([]geom.Rect, info.Len())
+			for i := range rects {
+				rects[i] = info.Rect(i)
 			}
 			leaves = append(leaves, rects)
 		})

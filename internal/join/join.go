@@ -19,6 +19,7 @@ package join
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -224,11 +225,10 @@ func sttPair(p SidePair, workers int, visit func(Pair)) Result {
 	charge(p.Right, rinfo, root.rightCtr)
 	type task struct{ l, r rtree.NodeID }
 	var tasks []task
-	for i := range linfo.Children {
-		for k := range rinfo.Children {
-			lc, rc := linfo.Children[i], rinfo.Children[k]
-			if root.admissible(lc.Child, lc.Rect, rc.Child, rc.Rect) {
-				tasks = append(tasks, task{lc.Child, rc.Child})
+	for i := 0; i < linfo.Len(); i++ {
+		for k := 0; k < rinfo.Len(); k++ {
+			if root.admissible(linfo.Child(i), linfo.Rect(i), rinfo.Child(k), rinfo.Rect(k)) {
+				tasks = append(tasks, task{linfo.Child(i), rinfo.Child(k)})
 			}
 		}
 	}
@@ -282,6 +282,7 @@ type sttJoiner struct {
 	leftCtr, rightCtr *storage.Counter
 	visit             func(Pair)
 	pairs             int64
+	rects             []geom.Rect // joinLeaves scratch
 }
 
 // admissible applies the clipped intersection test in both directions for a
@@ -318,37 +319,49 @@ func (j *sttJoiner) joinNodes(leftID, rightID rtree.NodeID) {
 
 	switch {
 	case linfo.Leaf && rinfo.Leaf:
-		for i := range linfo.Children {
-			for k := range rinfo.Children {
-				if linfo.Children[i].Rect.Intersects(rinfo.Children[k].Rect) {
-					j.pairs++
-					if j.visit != nil {
-						j.visit(Pair{Left: linfo.Children[i].Object, Right: rinfo.Children[k].Object})
-					}
-				}
-			}
-		}
+		j.joinLeaves(linfo, rinfo)
 	case linfo.Leaf:
 		// Descend only the right tree.
-		for k := range rinfo.Children {
-			child := rinfo.Children[k]
-			if j.admissible(linfo.ID, linfo.MBB, child.Child, child.Rect) {
-				j.joinLeafWithNode(linfo, j.Right, j.rightCtr, child.Child)
+		for k := 0; k < rinfo.Len(); k++ {
+			if j.admissible(linfo.ID, linfo.MBB, rinfo.Child(k), rinfo.Rect(k)) {
+				j.joinLeafWithNode(linfo, j.Right, j.rightCtr, rinfo.Child(k))
 			}
 		}
 	case rinfo.Leaf:
-		for i := range linfo.Children {
-			child := linfo.Children[i]
-			if j.admissible(child.Child, child.Rect, rinfo.ID, rinfo.MBB) {
-				j.joinNodeWithLeaf(j.Left, j.leftCtr, child.Child, rinfo)
+		for i := 0; i < linfo.Len(); i++ {
+			if j.admissible(linfo.Child(i), linfo.Rect(i), rinfo.ID, rinfo.MBB) {
+				j.joinNodeWithLeaf(j.Left, j.leftCtr, linfo.Child(i), rinfo)
 			}
 		}
 	default:
-		for i := range linfo.Children {
-			for k := range rinfo.Children {
-				lc, rc := linfo.Children[i], rinfo.Children[k]
-				if j.admissible(lc.Child, lc.Rect, rc.Child, rc.Rect) {
-					j.joinNodes(lc.Child, rc.Child)
+		for i := 0; i < linfo.Len(); i++ {
+			lc, lr := linfo.Child(i), linfo.Rect(i)
+			for k := 0; k < rinfo.Len(); k++ {
+				if j.admissible(lc, lr, rinfo.Child(k), rinfo.Rect(k)) {
+					j.joinNodes(lc, rinfo.Child(k))
+				}
+			}
+		}
+	}
+}
+
+// joinLeaves reports every intersecting pair of objects of two loaded leaves,
+// left-major.
+func (j *sttJoiner) joinLeaves(left, right rtree.NodeInfo) {
+	// The right leaf's rectangle views are built once, not once per left
+	// slot: the inner loop below is the join's hottest code.
+	rr := slices.Grow(j.rects[:0], right.Len())
+	for k := 0; k < right.Len(); k++ {
+		rr = append(rr, right.Rect(k))
+	}
+	j.rects = rr
+	for i := 0; i < left.Len(); i++ {
+		lr := left.Rect(i)
+		for k := range rr {
+			if lr.Intersects(rr[k]) {
+				j.pairs++
+				if j.visit != nil {
+					j.visit(Pair{Left: left.Object(i), Right: right.Object(k)})
 				}
 			}
 		}
@@ -365,29 +378,20 @@ func (j *sttJoiner) joinLeafWithNode(leaf rtree.NodeInfo, other *clipindex.Snap,
 	}
 	charge(other, oinfo, ctr)
 	if oinfo.Leaf {
-		for i := range leaf.Children {
-			for k := range oinfo.Children {
-				if leaf.Children[i].Rect.Intersects(oinfo.Children[k].Rect) {
-					j.pairs++
-					if j.visit != nil {
-						j.visit(Pair{Left: leaf.Children[i].Object, Right: oinfo.Children[k].Object})
-					}
-				}
-			}
-		}
+		j.joinLeaves(leaf, oinfo)
 		return
 	}
-	for k := range oinfo.Children {
-		child := oinfo.Children[k]
-		if !leaf.MBB.Intersects(child.Rect) {
+	for k := 0; k < oinfo.Len(); k++ {
+		child, rect := oinfo.Child(k), oinfo.Rect(k)
+		if !leaf.MBB.Intersects(rect) {
 			continue
 		}
-		if clips := other.Clips(child.Child); len(clips) > 0 {
-			if !core.Intersects(child.Rect, clips, leaf.MBB, core.SelectorQuery) {
+		if clips := other.Clips(child); len(clips) > 0 {
+			if !core.Intersects(rect, clips, leaf.MBB, core.SelectorQuery) {
 				continue
 			}
 		}
-		j.joinLeafWithNode(leaf, other, ctr, child.Child)
+		j.joinLeafWithNode(leaf, other, ctr, child)
 	}
 }
 
@@ -399,29 +403,20 @@ func (j *sttJoiner) joinNodeWithLeaf(other *clipindex.Snap, ctr *storage.Counter
 	}
 	charge(other, oinfo, ctr)
 	if oinfo.Leaf {
-		for i := range oinfo.Children {
-			for k := range leaf.Children {
-				if oinfo.Children[i].Rect.Intersects(leaf.Children[k].Rect) {
-					j.pairs++
-					if j.visit != nil {
-						j.visit(Pair{Left: oinfo.Children[i].Object, Right: leaf.Children[k].Object})
-					}
-				}
-			}
-		}
+		j.joinLeaves(oinfo, leaf)
 		return
 	}
-	for i := range oinfo.Children {
-		child := oinfo.Children[i]
-		if !child.Rect.Intersects(leaf.MBB) {
+	for i := 0; i < oinfo.Len(); i++ {
+		child, rect := oinfo.Child(i), oinfo.Rect(i)
+		if !rect.Intersects(leaf.MBB) {
 			continue
 		}
-		if clips := other.Clips(child.Child); len(clips) > 0 {
-			if !core.Intersects(child.Rect, clips, leaf.MBB, core.SelectorQuery) {
+		if clips := other.Clips(child); len(clips) > 0 {
+			if !core.Intersects(rect, clips, leaf.MBB, core.SelectorQuery) {
 				continue
 			}
 		}
-		j.joinNodeWithLeaf(other, ctr, child.Child, leaf)
+		j.joinNodeWithLeaf(other, ctr, child, leaf)
 	}
 }
 

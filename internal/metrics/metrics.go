@@ -56,7 +56,7 @@ func TreeNodeStats(t *rtree.Tree, samplesPerNode int, seed int64) NodeStats {
 	var out NodeStats
 	var sumOverlap, sumDead, sumLeafDead float64
 	t.Walk(func(info rtree.NodeInfo) {
-		if len(info.Children) == 0 || info.MBB.Volume() <= 0 {
+		if info.Len() == 0 || info.MBB.Volume() <= 0 {
 			return
 		}
 		overlap, dead := nodeOverlapAndDeadSpace(info, samplesPerNode, rng)
@@ -90,8 +90,8 @@ func nodeOverlapAndDeadSpace(info rtree.NodeInfo, samples int, rng *rand.Rand) (
 			p[d] = info.MBB.Lo[d] + rng.Float64()*(info.MBB.Hi[d]-info.MBB.Lo[d])
 		}
 		covering := 0
-		for i := range info.Children {
-			if info.Children[i].Rect.ContainsPoint(p) {
+		for i := 0; i < info.Len(); i++ {
+			if info.Rect(i).ContainsPoint(p) {
 				covering++
 				if covering >= 2 {
 					break
@@ -141,7 +141,7 @@ func ClippedDeadSpace(idx *clipindex.Index, samplesPerNode int, seed int64) Clip
 	var sumDead, sumClipped float64
 	tree.Walk(func(info rtree.NodeInfo) {
 		vol := info.MBB.Volume()
-		if len(info.Children) == 0 || vol <= 0 {
+		if info.Len() == 0 || vol <= 0 {
 			return
 		}
 		_, dead := nodeOverlapAndDeadSpace(info, samplesPerNode, rng)
@@ -202,8 +202,8 @@ func MeasureIOOptimality(t *rtree.Tree, queries []geom.Rect) IOOptimality {
 			if !info.Leaf {
 				return
 			}
-			for i := range info.Children {
-				if info.Children[i].Rect.Intersects(q) {
+			for i := 0; i < info.Len(); i++ {
+				if info.Rect(i).Intersects(q) {
 					useful++
 					return
 				}

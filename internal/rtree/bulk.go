@@ -38,22 +38,34 @@ func (t *Tree) BulkLoad(items []Item) (err error) {
 	if len(items) == 0 {
 		return nil
 	}
-	var leafEntries [][]Entry
-	switch t.cfg.Variant {
-	case Hilbert:
-		leafEntries = t.packHilbert(items)
-	default:
-		leafEntries = t.packSTR(items)
-	}
-	t.buildFromLeaves(leafEntries)
-	t.size = len(items)
+	t.buildPacked(items)
 	return nil
 }
 
-// packHilbert sorts items by the Hilbert value of their centres and packs
-// them into leaves of capacity M in curve order (Kamel & Faloutsos). Keys
-// are computed once per item, not once per comparison.
-func (t *Tree) packHilbert(items []Item) [][]Entry {
+// buildPacked bulk packs items into an empty tree: the variant's packing
+// order (Hilbert order for the HR-tree, its defining construction;
+// Sort-Tile-Recursive otherwise) is chopped into leaves, and parent levels
+// are packed bottom-up until a single root remains.
+func (t *Tree) buildPacked(items []Item) {
+	var sorted []Item
+	if t.cfg.Variant == Hilbert {
+		sorted = t.sortHilbert(items)
+	} else {
+		sorted = t.sortSTR(items)
+	}
+	current := t.packLeaves(sorted)
+	for level := 1; len(current) > 1; level++ {
+		current = t.packParents(current, level)
+	}
+	t.root = current[0]
+	t.height = t.mustNode(t.root).level + 1
+	t.size = len(items)
+}
+
+// sortHilbert returns the items sorted by the Hilbert value of their centres
+// — the leaf order of Hilbert packing (Kamel & Faloutsos). Keys are computed
+// once per item, not once per comparison.
+func (t *Tree) sortHilbert(items []Item) []Item {
 	sorted := append([]Item(nil), items...)
 	// Rebuild the curve over the actual data bounds: a curve spanning a much
 	// larger configured universe would quantise the data into a handful of
@@ -75,7 +87,7 @@ func (t *Tree) packHilbert(items []Item) [][]Entry {
 	for i, o := range ord {
 		perm[i] = sorted[o.idx]
 	}
-	return packRuns(perm, t.cfg.MaxEntries)
+	return perm
 }
 
 // hilbertOrd pairs a Hilbert key with the item's original position; the
@@ -95,12 +107,12 @@ func compareHilbertOrd(a, b hilbertOrd) int {
 	return int(a.idx - b.idx)
 }
 
-// packSTR implements Sort-Tile-Recursive packing (Leutenegger et al.): sort
-// by the first dimension, cut into vertical slabs of S·M items, sort each
-// slab by the next dimension, and recurse. Centre coordinates are computed
-// once up front (row-major, dims per item) rather than allocating a centre
-// point on every comparison.
-func (t *Tree) packSTR(items []Item) [][]Entry {
+// sortSTR returns the items in Sort-Tile-Recursive order (Leutenegger et
+// al.): sort by the first dimension, cut into vertical slabs of S·M items,
+// sort each slab by the next dimension, and recurse. Centre coordinates are
+// computed once up front (row-major, dims per item) rather than allocating a
+// centre point on every comparison.
+func (t *Tree) sortSTR(items []Item) []Item {
 	sorted := append([]Item(nil), items...)
 	dims := t.cfg.Dims
 	centers := make([]float64, len(sorted)*dims)
@@ -115,7 +127,7 @@ func (t *Tree) packSTR(items []Item) [][]Entry {
 		centers: make([]float64, len(sorted)*dims),
 	}
 	t.strSort(sorted, centers, scratch, 0)
-	return packRuns(sorted, t.cfg.MaxEntries)
+	return sorted
 }
 
 // centerOrd pairs one centre coordinate with the item's current position;
@@ -126,7 +138,7 @@ type centerOrd struct {
 	idx int32
 }
 
-// strScratch holds the reusable buffers of one packSTR invocation: the
+// strScratch holds the reusable buffers of one sortSTR invocation: the
 // (key, index) pairs being sorted and the permutation targets. Slabs are
 // sorted one at a time, so one set of buffers serves the whole recursion.
 type strScratch struct {
@@ -190,35 +202,55 @@ func (t *Tree) strSort(items []Item, centers []float64, scratch *strScratch, dim
 	}
 }
 
-// packRuns chops a sorted item list into runs of at most capacity entries,
-// distributing the items evenly across the runs so that every run also
-// respects the minimum fill (the root-only exception is handled by the
-// caller). Each run's entry rectangles are deep copies of the items' (the
-// tree owns its entries), carved out of one flat per-run backing array —
-// entry rectangles are never mutated in place, so sharing the backing is
-// safe and costs two allocations per leaf instead of two per item.
-func packRuns(items []Item, capacity int) [][]Entry {
-	if len(items) == 0 {
-		return nil
-	}
-	dims := items[0].Rect.Dims()
-	sizes := groupSizes(len(items), capacity)
-	out := make([][]Entry, 0, len(sizes))
+// packLeaves chops a sorted item list into new leaves of at most M slots,
+// distributing the items evenly so that every leaf also respects the minimum
+// fill (the root-only exception is handled by the caller), and returns the
+// leaf ids in order. Each leaf copies its items' coordinates into one
+// exactly-sized array.
+func (t *Tree) packLeaves(items []Item) []NodeID {
+	sizes := groupSizes(len(items), t.cfg.MaxEntries)
+	ids := make([]NodeID, 0, len(sizes))
+	run := make([]Entry, 0, t.cfg.MaxEntries)
 	pos := 0
 	for _, sz := range sizes {
-		run := make([]Entry, 0, sz)
-		buf := make([]float64, 2*dims*sz)
-		for k, it := range items[pos : pos+sz] {
-			lo := buf[k*2*dims : k*2*dims+dims : k*2*dims+dims]
-			hi := buf[k*2*dims+dims : (k+1)*2*dims : (k+1)*2*dims]
-			copy(lo, it.Rect.Lo)
-			copy(hi, it.Rect.Hi)
-			run = append(run, Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Object: it.Object, Child: InvalidNode})
+		run = run[:0]
+		for _, it := range items[pos : pos+sz] {
+			run = append(run, Entry{Rect: it.Rect, Object: it.Object, Child: InvalidNode})
 		}
-		out = append(out, run)
 		pos += sz
+		n := t.newNode(true, 0)
+		n.setEntries(run, t.cfg.Dims)
+		t.touch(n)
+		t.updateHilbertLHV(n)
+		t.counter.Write(1)
+		ids = append(ids, n.id)
 	}
-	return out
+	return ids
+}
+
+// packParents groups the nodes of one level, in order, under new parents at
+// the given level and returns the parents' ids.
+func (t *Tree) packParents(children []NodeID, level int) []NodeID {
+	sizes := groupSizes(len(children), t.cfg.MaxEntries)
+	ids := make([]NodeID, 0, len(sizes))
+	run := make([]Entry, 0, t.cfg.MaxEntries)
+	pos := 0
+	for _, sz := range sizes {
+		parent := t.newNode(false, level)
+		run = run[:0]
+		for _, childID := range children[pos : pos+sz] {
+			child := t.mustNode(childID)
+			child.parent = parent.id
+			run = append(run, Entry{Rect: child.mbb(), Child: childID})
+		}
+		pos += sz
+		parent.setEntries(run, t.cfg.Dims)
+		t.touch(parent)
+		t.updateHilbertLHV(parent)
+		t.counter.Write(1)
+		ids = append(ids, parent.id)
+	}
+	return ids
 }
 
 // groupSizes splits n items into ceil(n/capacity) groups of as-even-as-
@@ -239,42 +271,6 @@ func groupSizes(n, capacity int) []int {
 		}
 	}
 	return sizes
-}
-
-// buildFromLeaves materialises leaf nodes from entry runs and then packs
-// parent levels bottom-up until a single root remains.
-func (t *Tree) buildFromLeaves(leafEntries [][]Entry) {
-	level := 0
-	var current []NodeID
-	for _, run := range leafEntries {
-		n := t.newNode(true, 0)
-		n.entries = run
-		t.touch(n)
-		t.updateHilbertLHV(n)
-		t.counter.Write(1)
-		current = append(current, n.id)
-	}
-	for len(current) > 1 {
-		level++
-		var next []NodeID
-		pos := 0
-		for _, sz := range groupSizes(len(current), t.cfg.MaxEntries) {
-			parent := t.newNode(false, level)
-			for _, childID := range current[pos : pos+sz] {
-				child := t.mustNode(childID)
-				child.parent = parent.id
-				parent.entries = append(parent.entries, Entry{Rect: child.mbb(), Child: childID})
-			}
-			pos += sz
-			t.touch(parent)
-			t.updateHilbertLHV(parent)
-			t.counter.Write(1)
-			next = append(next, parent.id)
-		}
-		current = next
-	}
-	t.root = current[0]
-	t.height = t.mustNode(t.root).level + 1
 }
 
 func itemRects(items []Item) []geom.Rect {

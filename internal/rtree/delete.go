@@ -64,7 +64,7 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 	trace.Found = true
 	trace.Leaf = leaf.id
 	leaf = t.mutable(leaf)
-	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
+	leaf.removeAt(idx, t.cfg.Dims)
 	t.touch(leaf)
 	t.size--
 	t.counter.Write(1)
@@ -80,8 +80,8 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 
 	// Shrink the tree if the root became a lone directory entry or empty.
 	root := t.mustNode(t.root)
-	for !root.leaf && len(root.entries) == 1 {
-		child := t.mustNode(root.entries[0].Child)
+	for !root.leaf && root.count() == 1 {
+		child := t.mustNode(root.child(0))
 		child.parent = InvalidNode
 		trace.Removed = append(trace.Removed, root.id)
 		t.freeNode(root.id)
@@ -89,7 +89,7 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 		t.height = child.level + 1
 		root = child
 	}
-	if root.leaf && len(root.entries) == 0 && t.size == 0 {
+	if root.leaf && root.count() == 0 && t.size == 0 {
 		trace.Removed = append(trace.Removed, root.id)
 		t.freeNode(root.id)
 		t.root = InvalidNode
@@ -100,17 +100,18 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 
 // findLeaf locates the leaf containing an exact (rect, object) entry.
 func (t *Tree) findLeaf(n *node, r geom.Rect, obj ObjectID) (*node, int) {
+	dims := t.cfg.Dims
 	if n.leaf {
-		for i := range n.entries {
-			if n.entries[i].Object == obj && n.entries[i].Rect.Equal(r) {
+		for i := range n.refs {
+			if n.object(i) == obj && n.rect(i, dims).Equal(r) {
 				return n, i
 			}
 		}
 		return nil, -1
 	}
-	for i := range n.entries {
-		if n.entries[i].Rect.ContainsRect(r) || n.entries[i].Rect.Intersects(r) {
-			if leaf, idx := t.findLeaf(t.mustNode(n.entries[i].Child), r, obj); leaf != nil {
+	for i := range n.refs {
+		if ri := n.rect(i, dims); ri.ContainsRect(r) || ri.Intersects(r) {
+			if leaf, idx := t.findLeaf(t.mustNode(n.child(i)), r, obj); leaf != nil {
 				return leaf, idx
 			}
 		}
@@ -131,22 +132,22 @@ func (t *Tree) condense(n *node, trace *DeleteTrace) {
 	for cur.id != t.root {
 		parent := t.mustNode(cur.parent)
 		idx := t.childIndex(parent, cur.id)
-		if len(cur.entries) < t.cfg.MinEntries {
+		if cur.count() < t.cfg.MinEntries {
 			// Dissolve the node: remove it from the parent and queue its
 			// entries for re-insertion.
 			parent = t.mutable(parent)
-			parent.entries = append(parent.entries[:idx], parent.entries[idx+1:]...)
+			parent.removeAt(idx, t.cfg.Dims)
 			t.touch(parent)
-			for _, e := range cur.entries {
+			for _, e := range cur.entries(t.cfg.Dims) {
 				orphans = append(orphans, orphan{entry: e, level: cur.level})
 			}
 			trace.Removed = append(trace.Removed, cur.id)
 			t.freeNode(cur.id)
 		} else {
 			newMBB := cur.mbb()
-			if !parent.entries[idx].Rect.Equal(newMBB) {
+			if !parent.rect(idx, t.cfg.Dims).Equal(newMBB) {
 				parent = t.mutable(parent)
-				parent.entries[idx].Rect = newMBB
+				parent.setRect(idx, newMBB, t.cfg.Dims)
 				t.touch(parent)
 				trace.markMBBChanged(cur.id)
 				t.counter.Write(1)

@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 
-	"cbb/internal/geom"
 	"cbb/internal/storage"
 )
 
@@ -46,9 +45,10 @@ func PageBytesFor(maxEntries, dims int) int {
 	return nodeHeaderBytes + maxEntries*EntryBytes(dims)
 }
 
-// encodeNode serialises a node into the Figure 4a layout.
+// encodeNode serialises a node into the Figure 4a layout, which is the
+// node's boxes and refs interleaved slot by slot.
 func encodeNode(n *node, dims int) []byte {
-	buf := make([]byte, 0, nodeHeaderBytes+len(n.entries)*EntryBytes(dims))
+	buf := make([]byte, 0, nodeHeaderBytes+n.count()*EntryBytes(dims))
 	if n.leaf {
 		buf = append(buf, 1)
 	} else {
@@ -56,20 +56,13 @@ func encodeNode(n *node, dims int) []byte {
 	}
 	buf = append(buf, byte(n.level))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n.id))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(n.entries)))
-	for i := range n.entries {
-		e := &n.entries[i]
-		for d := 0; d < dims; d++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rect.Lo[d]))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n.count()))
+	w := 2 * dims
+	for i, ref := range n.refs {
+		for _, v := range n.boxes[i*w : (i+1)*w] {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
-		for d := 0; d < dims; d++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rect.Hi[d]))
-		}
-		if n.leaf {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Object))
-		} else {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(e.Child)))
-		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(ref))
 	}
 	return buf
 }
@@ -88,31 +81,31 @@ func decodeNode(buf []byte, dims int) (*node, error) {
 	if len(buf) < want {
 		return nil, fmt.Errorf("rtree: node page truncated: have %d bytes, want %d", len(buf), want)
 	}
-	off := nodeHeaderBytes
-	n.entries = make([]Entry, count)
-	for i := 0; i < count; i++ {
-		lo := make(geom.Point, dims)
-		hi := make(geom.Point, dims)
-		for d := 0; d < dims; d++ {
-			lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		for d := 0; d < dims; d++ {
-			hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		ref := binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-		e := Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Child: InvalidNode}
-		if n.leaf {
-			e.Object = ObjectID(ref)
-		} else {
-			e.Child = NodeID(int64(ref))
-		}
-		n.entries[i] = e
-	}
-	n.syncBoxes(dims)
+	n.readSlots(buf, nodeHeaderBytes, count, dims)
+	n.syncDerived(dims)
 	return n, nil
+}
+
+// readSlots decodes count raw <rect, ref> records — the slot layout
+// encodeNode writes — from buf at off into fresh boxes and refs, and returns
+// the offset just past them. The caller has checked that buf is long enough.
+func (n *node) readSlots(buf []byte, off, count, dims int) int {
+	n.boxes = make([]float64, count*2*dims)
+	n.refs = make([]int64, count)
+	b := 0
+	for i := range n.refs {
+		for end := b + 2*dims; b < end; b++ {
+			n.boxes[b] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+			off += 8
+		}
+		ref := int64(binary.LittleEndian.Uint64(buf[off:]))
+		off += 8
+		if !n.leaf {
+			ref = int64(NodeID(ref)) // child ids are 32 bits wide
+		}
+		n.refs[i] = ref
+	}
+	return off
 }
 
 // Save writes every node of the tree onto the page store, one page per node,
@@ -165,7 +158,7 @@ func loadWith(cfg Config, p storage.PageStore, root storage.PageID, pages map[No
 		}
 		t.nodes[nid] = n
 		if n.leaf {
-			objects += len(n.entries)
+			objects += n.count()
 		}
 		if n.level+1 > height {
 			height = n.level + 1
@@ -176,8 +169,8 @@ func loadWith(cfg Config, p storage.PageStore, root storage.PageID, pages map[No
 		if n == nil || n.leaf {
 			continue
 		}
-		for i := range n.entries {
-			child := n.entries[i].Child
+		for i := range n.refs {
+			child := n.child(i)
 			if int(child) >= len(t.nodes) || t.nodes[child] == nil {
 				return nil, fmt.Errorf("rtree: node %d references missing child %d", n.id, child)
 			}

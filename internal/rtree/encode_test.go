@@ -10,31 +10,31 @@ import (
 
 func TestEncodeDecodeNode(t *testing.T) {
 	n := &node{id: 7, leaf: true, level: 0, parent: InvalidNode}
-	n.entries = []Entry{
+	n.setEntries([]Entry{
 		{Rect: geom.R(1, 2, 3, 4), Object: 42, Child: InvalidNode},
 		{Rect: geom.R(-5, 0, 5, 10), Object: 43, Child: InvalidNode},
-	}
+	}, 2)
 	buf := encodeNode(n, 2)
 	back, err := decodeNode(buf, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.id != 7 || !back.leaf || back.level != 0 || len(back.entries) != 2 {
+	if back.id != 7 || !back.leaf || back.level != 0 || back.count() != 2 {
 		t.Fatalf("decoded node header wrong: %+v", back)
 	}
-	for i := range n.entries {
-		if !back.entries[i].Rect.Equal(n.entries[i].Rect) || back.entries[i].Object != n.entries[i].Object {
-			t.Fatalf("entry %d mismatch: %+v vs %+v", i, back.entries[i], n.entries[i])
+	for i := range n.refs {
+		if !back.rect(i, 2).Equal(n.rect(i, 2)) || back.object(i) != n.object(i) {
+			t.Fatalf("entry %d mismatch: %+v vs %+v", i, back.entry(i, 2), n.entry(i, 2))
 		}
 	}
 }
 
 func TestEncodeDecodeDirectoryNode(t *testing.T) {
 	n := &node{id: 3, leaf: false, level: 2, parent: InvalidNode}
-	n.entries = []Entry{
+	n.setEntries([]Entry{
 		{Rect: geom.R(0, 0, 0, 1, 1, 1), Child: 11},
 		{Rect: geom.R(2, 2, 2, 3, 3, 3), Child: 12},
-	}
+	}, 3)
 	buf := encodeNode(n, 3)
 	back, err := decodeNode(buf, 3)
 	if err != nil {
@@ -43,7 +43,7 @@ func TestEncodeDecodeDirectoryNode(t *testing.T) {
 	if back.leaf || back.level != 2 {
 		t.Fatal("directory header wrong")
 	}
-	if back.entries[0].Child != 11 || back.entries[1].Child != 12 {
+	if back.child(0) != 11 || back.child(1) != 12 {
 		t.Fatal("child references lost")
 	}
 }
@@ -53,7 +53,7 @@ func TestDecodeNodeErrors(t *testing.T) {
 		t.Error("empty buffer must fail")
 	}
 	n := &node{id: 1, leaf: true}
-	n.entries = []Entry{{Rect: geom.R(0, 0, 1, 1), Object: 1, Child: InvalidNode}}
+	n.setEntries([]Entry{{Rect: geom.R(0, 0, 1, 1), Object: 1, Child: InvalidNode}}, 2)
 	buf := encodeNode(n, 2)
 	if _, err := decodeNode(buf[:len(buf)-4], 2); err == nil {
 		t.Error("truncated buffer must fail")

@@ -168,17 +168,17 @@ func leafDeltaShift(n *node, dims int, mbb geom.Rect) int {
 	for d := 0; d < dims; d++ {
 		prev[d] = math.Float64bits(mbb.Lo[d])
 	}
-	for i := range n.entries {
-		e := &n.entries[i]
+	for i := range n.refs {
+		r := n.rect(i, dims)
 		for d := 0; d < dims; d++ {
-			lo := math.Float64bits(e.Rect.Lo[d])
+			lo := math.Float64bits(r.Lo[d])
 			if delta := lo - prev[d]; delta != 0 {
 				if tz := bits.TrailingZeros64(delta); tz < shift {
 					shift = tz
 				}
 			}
 			prev[d] = lo
-			if delta := math.Float64bits(e.Rect.Hi[d]) - lo; delta != 0 {
+			if delta := math.Float64bits(r.Hi[d]) - lo; delta != 0 {
 				if tz := bits.TrailingZeros64(delta); tz < shift {
 					shift = tz
 				}
@@ -213,12 +213,12 @@ func encodeNodeV2(n *node, dims int) ([]byte, error) {
 	switch {
 	case usePlanes:
 		mbb = geom.Rect{Lo: n.qmbb[:dims], Hi: n.qmbb[dims:]}
-	case len(n.entries) == 0:
+	case n.count() == 0:
 		mbb = geom.Rect{Lo: make(geom.Point, dims), Hi: make(geom.Point, dims)}
 	default:
 		mbb = n.mbb()
 	}
-	buf := make([]byte, 0, nodeHeaderV2Bytes+16*dims+len(n.entries)*(dims*4+8))
+	buf := make([]byte, 0, nodeHeaderV2Bytes+16*dims+n.count()*(dims*4+8))
 	flags := byte(0)
 	if n.leaf {
 		flags |= flagV2Leaf
@@ -235,7 +235,7 @@ func encodeNodeV2(n *node, dims int) ([]byte, error) {
 	}
 	buf = append(buf, flags, byte(n.level), qbits)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n.id))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(n.entries)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n.count()))
 	for d := 0; d < dims; d++ {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(mbb.Lo[d]))
 	}
@@ -244,10 +244,10 @@ func encodeNodeV2(n *node, dims int) ([]byte, error) {
 	}
 
 	if !n.leaf {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if e.Child < 0 || int64(e.Child) > math.MaxUint32 {
-				return nil, fmt.Errorf("rtree: node %d child id %d does not fit the v2 layout", n.id, e.Child)
+		for i := range n.refs {
+			child, r := n.child(i), n.rect(i, dims)
+			if child < 0 || int64(child) > math.MaxUint32 {
+				return nil, fmt.Errorf("rtree: node %d child id %d does not fit the v2 layout", n.id, child)
 			}
 			if usePlanes {
 				for d := 0; d < dims; d++ {
@@ -258,13 +258,13 @@ func encodeNodeV2(n *node, dims int) ([]byte, error) {
 				}
 			} else {
 				for d := 0; d < dims; d++ {
-					buf = binary.LittleEndian.AppendUint16(buf, qlower(e.Rect.Lo[d], mbb.Lo[d], mbb.Hi[d]))
+					buf = binary.LittleEndian.AppendUint16(buf, qlower(r.Lo[d], mbb.Lo[d], mbb.Hi[d]))
 				}
 				for d := 0; d < dims; d++ {
-					buf = binary.LittleEndian.AppendUint16(buf, qupper(e.Rect.Hi[d], mbb.Lo[d], mbb.Hi[d]))
+					buf = binary.LittleEndian.AppendUint16(buf, qupper(r.Hi[d], mbb.Lo[d], mbb.Hi[d]))
 				}
 			}
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Child))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(child))
 		}
 		return buf, nil
 	}
@@ -279,39 +279,30 @@ func encodeNodeV2(n *node, dims int) ([]byte, error) {
 		prevLo[d] = math.Float64bits(mbb.Lo[d])
 	}
 	prevObj := int64(0)
-	for i := range n.entries {
-		e := &n.entries[i]
+	for i, obj := range n.refs {
+		r := n.rect(i, dims)
 		for d := 0; d < dims; d++ {
-			lo := math.Float64bits(e.Rect.Lo[d])
+			lo := math.Float64bits(r.Lo[d])
 			m := binary.PutUvarint(scratch[:], zigzag(int64(lo-prevLo[d])>>shift))
 			buf = append(buf, scratch[:m]...)
 			prevLo[d] = lo
 		}
 		for d := 0; d < dims; d++ {
-			hi := math.Float64bits(e.Rect.Hi[d])
+			hi := math.Float64bits(r.Hi[d])
 			m := binary.PutUvarint(scratch[:], zigzag(int64(hi-prevLo[d])>>shift))
 			buf = append(buf, scratch[:m]...)
 		}
-		m := binary.PutUvarint(scratch[:], zigzag(int64(e.Object)-prevObj))
+		m := binary.PutUvarint(scratch[:], zigzag(obj-prevObj))
 		buf = append(buf, scratch[:m]...)
-		prevObj = int64(e.Object)
+		prevObj = obj
 	}
-	if len(buf)-payloadStart >= len(n.entries)*EntryBytes(dims) {
+	if len(buf)-payloadStart >= n.count()*EntryBytes(dims) {
 		// The stream expanded past the raw layout — rewrite the payload raw so
 		// a v2 page is never larger than nodeHeaderV2Bytes + MBB + v1 entries.
 		buf = buf[:payloadStart]
 		buf[0] |= flagV2RawLeaf
 		buf[2] = 0 // no delta shift in the raw layout
-		for i := range n.entries {
-			e := &n.entries[i]
-			for d := 0; d < dims; d++ {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rect.Lo[d]))
-			}
-			for d := 0; d < dims; d++ {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Rect.Hi[d]))
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Object))
-		}
+		buf = append(buf, encodeNode(n, dims)[nodeHeaderBytes:]...)
 	}
 	return buf, nil
 }
@@ -361,7 +352,8 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 		if count > (len(buf)-off)/dirEntryBytesV2(dims) {
 			return nil, fmt.Errorf("rtree: v2 directory page truncated: have %d bytes, want %d", len(buf), want)
 		}
-		n.entries = make([]Entry, count)
+		n.boxes = make([]float64, count*2*dims)
+		n.refs = make([]int64, count)
 		// The page's grid coordinates become the node's SoA filter planes
 		// verbatim (and the exactly-stored MBB its quantisation base): the
 		// encoder computed them from the exact child MBBs, so they equal
@@ -374,60 +366,43 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 		copy(n.qmbb[:dims], mbbLo)
 		copy(n.qmbb[dims:], mbbHi)
 		for i := 0; i < count; i++ {
-			lo := make(geom.Point, dims)
-			hi := make(geom.Point, dims)
+			r := n.rect(i, dims)
 			for d := 0; d < dims; d++ {
 				g := binary.LittleEndian.Uint16(buf[off:])
 				setPlane(n.qplanes, pw, d, i, false, g)
-				lo[d] = qdecode(mbbLo[d], mbbHi[d], uint32(g))
+				r.Lo[d] = qdecode(mbbLo[d], mbbHi[d], uint32(g))
 				off += 2
 			}
 			for d := 0; d < dims; d++ {
 				g := binary.LittleEndian.Uint16(buf[off:])
 				setPlane(n.qplanes, pw, d, i, true, g)
-				hi[d] = qdecode(mbbLo[d], mbbHi[d], uint32(g))
+				r.Hi[d] = qdecode(mbbLo[d], mbbHi[d], uint32(g))
 				off += 2
 			}
-			child := binary.LittleEndian.Uint32(buf[off:])
+			n.refs[i] = int64(NodeID(binary.LittleEndian.Uint32(buf[off:])))
 			off += 4
-			n.entries[i] = Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Child: NodeID(child)}
 		}
 	case flags&flagV2RawLeaf != 0:
 		want := off + count*EntryBytes(dims)
 		if count > (len(buf)-off)/EntryBytes(dims) {
 			return nil, fmt.Errorf("rtree: v2 raw leaf page truncated: have %d bytes, want %d", len(buf), want)
 		}
-		n.entries = make([]Entry, count)
-		for i := 0; i < count; i++ {
-			lo := make(geom.Point, dims)
-			hi := make(geom.Point, dims)
-			for d := 0; d < dims; d++ {
-				lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-				off += 8
-			}
-			for d := 0; d < dims; d++ {
-				hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-				off += 8
-			}
-			obj := binary.LittleEndian.Uint64(buf[off:])
-			off += 8
-			n.entries[i] = Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Child: InvalidNode, Object: ObjectID(obj)}
-		}
+		off = n.readSlots(buf, off, count, dims)
 	default:
 		// Delta/varint leaf stream: every entry needs at least one byte per
 		// varint, bounding count before any allocation.
 		if count > len(buf)-off {
 			return nil, fmt.Errorf("rtree: v2 leaf page truncated: %d entries in %d bytes", count, len(buf)-off)
 		}
-		n.entries = make([]Entry, count)
+		n.boxes = make([]float64, count*2*dims)
+		n.refs = make([]int64, count)
 		prevLo := make([]uint64, dims)
 		for d := 0; d < dims; d++ {
 			prevLo[d] = math.Float64bits(mbbLo[d])
 		}
 		prevObj := int64(0)
 		for i := 0; i < count; i++ {
-			lo := make(geom.Point, dims)
-			hi := make(geom.Point, dims)
+			r := n.rect(i, dims)
 			for d := 0; d < dims; d++ {
 				u, m := binary.Uvarint(buf[off:])
 				if m <= 0 {
@@ -435,7 +410,7 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 				}
 				off += m
 				prevLo[d] += uint64(unzigzag(u) << shift)
-				lo[d] = math.Float64frombits(prevLo[d])
+				r.Lo[d] = math.Float64frombits(prevLo[d])
 			}
 			for d := 0; d < dims; d++ {
 				u, m := binary.Uvarint(buf[off:])
@@ -443,7 +418,7 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 					return nil, errors.New("rtree: v2 leaf stream truncated")
 				}
 				off += m
-				hi[d] = math.Float64frombits(prevLo[d] + uint64(unzigzag(u)<<shift))
+				r.Hi[d] = math.Float64frombits(prevLo[d] + uint64(unzigzag(u)<<shift))
 			}
 			u, m := binary.Uvarint(buf[off:])
 			if m <= 0 {
@@ -451,17 +426,14 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 			}
 			off += m
 			prevObj += unzigzag(u)
-			n.entries[i] = Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Child: InvalidNode, Object: ObjectID(prevObj)}
+			n.refs[i] = prevObj
 		}
 	}
 	if n.leaf {
 		// Leaf coordinates are lossless, so requantising reproduces exactly
 		// the planes an in-memory tree computes for the same entries.
-		n.syncBoxes(dims)
-	} else {
-		// Directory planes were adopted from the page above; only the float
-		// mirror needs rebuilding from the decoded rects.
-		n.syncMirror(dims)
+		// (Directory planes were adopted from the page above.)
+		n.syncPlanes(dims)
 	}
 	n.encSize = int32(off)
 	return n, nil
@@ -506,11 +478,13 @@ func TranscodeNodePage(buf []byte, dims int, from, to PageCodec, childMBB func(N
 		return nil, err
 	}
 	if childMBB != nil && !n.leaf {
-		for i := range n.entries {
-			if r, ok := childMBB(n.entries[i].Child); ok {
-				n.entries[i].Rect = r
+		es := n.entries(dims)
+		for i := range es {
+			if r, ok := childMBB(es[i].Child); ok {
+				es[i].Rect = r
 			}
 		}
+		n.setEntries(es, dims)
 	}
 	return encodeNodeCodec(n, dims, to)
 }
@@ -560,7 +534,7 @@ func InspectNodePage(buf []byte, dims int, codec PageCodec) (NodePageStats, erro
 		Leaf:    n.leaf,
 		Level:   n.level,
 		ID:      n.id,
-		Entries: len(n.entries),
+		Entries: n.count(),
 		Bytes:   int(n.encSize),
 	}
 	if codec == CodecV2 {

@@ -26,7 +26,7 @@ func randLeafV2(rng *rand.Rand, dims, count int, reduced bool) *node {
 			}
 			lo[d], hi[d] = a, b
 		}
-		n.entries = append(n.entries, Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Object: ObjectID(rng.Int63n(1 << 40)), Child: InvalidNode})
+		n.appendEntry(Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Object: ObjectID(rng.Int63n(1 << 40)), Child: InvalidNode})
 	}
 	return n
 }
@@ -44,17 +44,17 @@ func TestEncodeDecodeNodeV2LeafExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if back.id != n.id || !back.leaf || len(back.entries) != len(n.entries) {
+			if back.id != n.id || !back.leaf || back.count() != n.count() {
 				t.Fatalf("dims=%d header mismatch: %+v", dims, back)
 			}
-			for i := range n.entries {
+			for i := range n.refs {
 				for d := 0; d < dims; d++ {
-					if math.Float64bits(back.entries[i].Rect.Lo[d]) != math.Float64bits(n.entries[i].Rect.Lo[d]) ||
-						math.Float64bits(back.entries[i].Rect.Hi[d]) != math.Float64bits(n.entries[i].Rect.Hi[d]) {
+					if math.Float64bits(back.rect(i, dims).Lo[d]) != math.Float64bits(n.rect(i, dims).Lo[d]) ||
+						math.Float64bits(back.rect(i, dims).Hi[d]) != math.Float64bits(n.rect(i, dims).Hi[d]) {
 						t.Fatalf("dims=%d entry %d not bit-identical", dims, i)
 					}
 				}
-				if back.entries[i].Object != n.entries[i].Object {
+				if back.object(i) != n.object(i) {
 					t.Fatalf("dims=%d entry %d object mismatch", dims, i)
 				}
 			}
@@ -94,7 +94,7 @@ func TestEncodeNodeV2RawFallbackBound(t *testing.T) {
 	n := &node{id: 4, leaf: true, level: 0, parent: InvalidNode}
 	for i := 0; i < 40; i++ {
 		lo := geom.Pt(math.Float64frombits(rng.Uint64()>>12), math.Float64frombits(rng.Uint64()>>12))
-		n.entries = append(n.entries, Entry{
+		n.appendEntry(Entry{
 			Rect:   geom.Rect{Lo: lo, Hi: lo},
 			Object: ObjectID(rng.Uint64() >> 1), Child: InvalidNode,
 		})
@@ -103,15 +103,15 @@ func TestEncodeNodeV2RawFallbackBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if max := nodeHeaderV2Bytes + 16*2 + len(n.entries)*EntryBytes(2); len(buf) > max {
+	if max := nodeHeaderV2Bytes + 16*2 + n.count()*EntryBytes(2); len(buf) > max {
 		t.Fatalf("v2 page %d B exceeds the raw bound %d B", len(buf), max)
 	}
 	back, err := decodeNodeV2(buf, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range n.entries {
-		if !back.entries[i].Rect.Equal(n.entries[i].Rect) || back.entries[i].Object != n.entries[i].Object {
+	for i := range n.refs {
+		if !back.rect(i, 2).Equal(n.rect(i, 2)) || back.object(i) != n.object(i) {
 			t.Fatalf("raw fallback not lossless at entry %d", i)
 		}
 	}
@@ -122,7 +122,7 @@ func TestEncodeDecodeNodeV2DirConservative(t *testing.T) {
 	for _, dims := range []int{1, 2, 3} {
 		n := &node{id: 2, leaf: false, level: 1, parent: InvalidNode}
 		for i := 0; i < 30; i++ {
-			n.entries = append(n.entries, Entry{Rect: randRect(rng, dims, 900, 40), Child: NodeID(i + 10)})
+			n.appendEntry(Entry{Rect: randRect(rng, dims, 900, 40), Child: NodeID(i + 10)})
 		}
 		mbb := n.mbb()
 		buf, err := encodeNodeV2(n, dims)
@@ -133,16 +133,16 @@ func TestEncodeDecodeNodeV2DirConservative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		union := back.entries[0].Rect
-		for i := range n.entries {
-			got := back.entries[i].Rect
-			if !got.ContainsRect(n.entries[i].Rect) {
-				t.Fatalf("dims=%d entry %d decoded rect %v does not contain original %v", dims, i, got, n.entries[i].Rect)
+		union := back.rect(0, dims)
+		for i := range n.refs {
+			got := back.rect(i, dims)
+			if !got.ContainsRect(n.rect(i, dims)) {
+				t.Fatalf("dims=%d entry %d decoded rect %v does not contain original %v", dims, i, got, n.rect(i, dims))
 			}
 			if !mbb.ContainsRect(got) {
 				t.Fatalf("dims=%d entry %d decoded rect escapes the node MBB", dims, i)
 			}
-			if back.entries[i].Child != n.entries[i].Child {
+			if back.child(i) != n.child(i) {
 				t.Fatalf("dims=%d entry %d child lost", dims, i)
 			}
 			union = union.Union(got)
@@ -172,8 +172,8 @@ func TestDecodeNodeV2Errors(t *testing.T) {
 	if _, err := decodeNodeV2(bad, 2); err == nil {
 		t.Error("leaf delta shift > 63 must fail")
 	}
-	dir := &node{id: 1, leaf: false, level: 1, parent: InvalidNode,
-		entries: []Entry{{Rect: geom.R(0, 0, 1, 1), Child: 5}}}
+	dir := &node{id: 1, leaf: false, level: 1, parent: InvalidNode}
+	dir.appendEntry(Entry{Rect: geom.R(0, 0, 1, 1), Child: 5})
 	dbuf, err := encodeNodeV2(dir, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -223,8 +223,8 @@ func TestTranscodeNodePageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range leaf.entries {
-		if !back.entries[i].Rect.Equal(leaf.entries[i].Rect) || back.entries[i].Object != leaf.entries[i].Object {
+	for i := range leaf.refs {
+		if !back.rect(i, dims).Equal(leaf.rect(i, dims)) || back.object(i) != leaf.object(i) {
 			t.Fatalf("leaf entry %d changed across v1->v2->v1", i)
 		}
 	}
@@ -234,7 +234,7 @@ func TestTranscodeNodePageRoundTrip(t *testing.T) {
 	children := map[NodeID]geom.Rect{}
 	for i := 0; i < 20; i++ {
 		r := randRect(rng, dims, 500, 25)
-		dir.entries = append(dir.entries, Entry{Rect: r, Child: NodeID(100 + i)})
+		dir.appendEntry(Entry{Rect: r, Child: NodeID(100 + i)})
 		children[NodeID(100+i)] = r
 	}
 	dv1 := encodeNode(dir, dims)
@@ -251,9 +251,9 @@ func TestTranscodeNodePageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range dir.entries {
-		if !dn.entries[i].Rect.Equal(dir.entries[i].Rect) {
-			t.Fatalf("dir entry %d not restored exactly: %v vs %v", i, dn.entries[i].Rect, dir.entries[i].Rect)
+	for i := range dir.refs {
+		if !dn.rect(i, dims).Equal(dir.rect(i, dims)) {
+			t.Fatalf("dir entry %d not restored exactly: %v vs %v", i, dn.rect(i, dims), dir.rect(i, dims))
 		}
 	}
 }

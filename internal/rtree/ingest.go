@@ -19,38 +19,17 @@ import (
 // Equivalence contract: InsertItems is defined as equivalent to inserting
 // the Hilbert-sorted batch item by item — the same objects become
 // searchable with identical result sets, and the structure always satisfies
-// Validate. With the fast path disabled (IngestTuning.DisableFastPath) the
-// structure, traces, and write I/O are bit-identical to that per-item
-// sequence; the fast path may build a different (bulk-packed) shape for
-// large runs, which is what makes it fast. File-backed and in-memory trees
-// route a given batch identically, so their structures and I/O counts stay
-// bit-identical to each other either way.
+// Validate. It may build a different (bulk-packed) shape for large runs,
+// which is what makes it fast. File-backed and in-memory trees route a given
+// batch identically, so their structures and I/O counts stay bit-identical
+// to each other.
 
-// IngestTuning controls when InsertItems leaves the classic per-item insert
-// path. The zero value selects the defaults; SetIngestTuning is writer-side
-// like every mutation.
-type IngestTuning struct {
-	// MinGraftRun is the smallest Hilbert-contiguous run that is packed
-	// into a pre-built subtree and grafted instead of being placed item by
-	// item. 0 selects the default (the node capacity M); values below the
-	// minimum fill are clamped to it, because a packed leaf must satisfy
-	// MinEntries.
-	MinGraftRun int
-	// RebuildFactor selects the wholesale-rebuild threshold: a batch of at
-	// least RebuildFactor × the current tree size is merged with the
-	// existing items and bulk packed from scratch, exactly like a bulk load
-	// of the union. Grafting run by run cannot beat that when the batch
-	// dwarfs the tree — most runs end at a foreign leaf boundary after a
-	// handful of items. 0 selects the default factor 2.
-	RebuildFactor float64
-	// DisableFastPath forces every item of a batch through the classic
-	// per-item insert (still inside one batch epoch). Equivalence tests use
-	// it to pin the bit-identical fallback.
-	DisableFastPath bool
-	// DisableRebuild keeps run-based routing even for batches large enough
-	// to trigger the wholesale rebuild. Graft-path tests use it.
-	DisableRebuild bool
-}
+// rebuildFactor is the wholesale-rebuild threshold: a batch of at least
+// rebuildFactor × the current tree size is merged with the existing items
+// and bulk packed from scratch, exactly like a bulk load of the union.
+// Grafting run by run cannot beat that when the batch dwarfs the tree — most
+// runs end at a foreign leaf boundary after a handful of items.
+const rebuildFactor = 2
 
 // IngestStats reports how the most recent InsertItems call routed its
 // items.
@@ -69,13 +48,12 @@ type IngestStats struct {
 	GraftSubtrees int
 	GraftNodes    int
 	// PerItem counts items that fell back to the classic insert path (run
-	// heads on full leaves, items after a leaf filled up, or the whole
-	// batch when the fast path is disabled).
+	// heads on full leaves, items after a leaf filled up).
 	PerItem int
 	// BulkLoaded reports that the batch hit an empty tree and was bulk
 	// packed wholesale.
 	BulkLoaded bool
-	// Rebuilt reports that the batch was at least RebuildFactor × the tree
+	// Rebuilt reports that the batch was at least rebuildFactor × the tree
 	// size, so the union of old and new items was bulk packed from scratch.
 	Rebuilt bool
 }
@@ -86,25 +64,9 @@ type ingestKey struct {
 	key  uint64
 }
 
-// SetIngestTuning adjusts the batch-insert thresholds. Writer-side: do not
-// race it with mutations.
-func (t *Tree) SetIngestTuning(tu IngestTuning) { t.ingest = tu }
-
 // LastIngest returns the routing statistics of the most recent InsertItems
 // call. Writer-side.
 func (t *Tree) LastIngest() IngestStats { return t.lastIngest }
-
-// minGraftRun resolves the effective graft threshold.
-func (t *Tree) minGraftRun() int {
-	g := t.ingest.MinGraftRun
-	if g <= 0 {
-		g = t.cfg.MaxEntries
-	}
-	if g < t.cfg.MinEntries {
-		g = t.cfg.MinEntries
-	}
-	return g
-}
 
 // InsertItems adds a batch of objects in one mutation epoch and returns one
 // aggregated trace of every structural change (the clipped layer consumes
@@ -116,9 +78,9 @@ func (t *Tree) minGraftRun() int {
 // Hilbert variant, STR otherwise), like BulkLoad. Otherwise items are
 // sorted into Hilbert order and contiguous runs that fall inside one leaf's
 // MBB are serviced together: subtree choice runs once per run, runs are
-// placed directly while the leaf has room, and runs of at least
-// IngestTuning.MinGraftRun items are bottom-up packed into mini-subtrees
-// grafted as siblings at the appropriate level. Items that fit none of
+// placed directly while the leaf has room, and runs of at least M items (the
+// node capacity) are bottom-up packed into mini-subtrees grafted as siblings
+// at the appropriate level. Items that fit none of
 // those take the classic per-item insert path.
 func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 	if err := t.ensureMutable(); err != nil {
@@ -142,26 +104,18 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 		trace.seen = make(map[NodeID]uint8, 1+len(items)/t.cfg.MaxEntries)
 	}
 
-	if t.root == InvalidNode && !t.ingest.DisableFastPath {
+	if t.root == InvalidNode {
 		// Empty tree: the whole batch is a bulk load. Every node is new, so
 		// the trace marks them all created (the clipped layer then clips
 		// each once, as it would after BulkLoad).
-		var leafEntries [][]Entry
-		switch t.cfg.Variant {
-		case Hilbert:
-			leafEntries = t.packHilbert(items)
-		default:
-			leafEntries = t.packSTR(items)
-		}
-		t.buildFromLeaves(leafEntries)
-		t.size = len(items)
+		t.buildPacked(items)
 		t.Walk(func(info NodeInfo) { trace.markCreated(info.ID) })
 		stats.BulkLoaded = true
 		stats.Grafted = len(items)
 		return trace, nil
 	}
 
-	if !t.ingest.DisableFastPath && !t.ingest.DisableRebuild && t.rebuildWorthwhile(len(items)) {
+	if len(items) >= rebuildFactor*t.size {
 		t.rebuildWith(items, trace)
 		stats.Rebuilt = true
 		stats.Grafted = len(items)
@@ -169,35 +123,12 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 	}
 
 	ks := t.sortedIngestKeys(items)
-	var rootBefore geom.Rect
-	if t.root != InvalidNode {
-		rootBefore = t.mustNode(t.root).mbb()
-	}
-	if t.ingest.DisableFastPath {
-		for i := range ks {
-			t.insertOne(ks[i].item, trace)
-		}
-		stats.PerItem = len(ks)
-	} else {
-		t.ingestRuns(ks, trace, &stats)
-	}
-	if t.root != InvalidNode {
-		if rootAfter := t.mustNode(t.root).mbb(); !rootAfter.Equal(rootBefore) {
-			trace.markMBBChanged(t.root)
-		}
+	rootBefore := t.mustNode(t.root).mbb()
+	t.ingestRuns(ks, trace, &stats)
+	if rootAfter := t.mustNode(t.root).mbb(); !rootAfter.Equal(rootBefore) {
+		trace.markMBBChanged(t.root)
 	}
 	return trace, nil
-}
-
-// rebuildWorthwhile reports whether a batch of n items is large enough,
-// relative to the current tree, that rebuilding the whole tree beats
-// incremental routing.
-func (t *Tree) rebuildWorthwhile(n int) bool {
-	factor := t.ingest.RebuildFactor
-	if factor <= 0 {
-		factor = 2
-	}
-	return float64(n) >= factor*float64(t.size)
 }
 
 // rebuildWith merges the batch with the tree's existing items and bulk packs
@@ -212,8 +143,8 @@ func (t *Tree) rebuildWith(items []Item, trace *InsertTrace) {
 	t.Walk(func(info NodeInfo) {
 		ids = append(ids, info.ID)
 		if info.Leaf {
-			for _, e := range info.Children {
-				all = append(all, Item{Object: e.Object, Rect: e.Rect})
+			for i := 0; i < info.Len(); i++ {
+				all = append(all, Item{Object: info.Object(i), Rect: info.Rect(i)})
 			}
 		}
 	})
@@ -223,15 +154,7 @@ func (t *Tree) rebuildWith(items []Item, trace *InsertTrace) {
 	}
 	t.root = InvalidNode
 	t.height = 0
-	var leafEntries [][]Entry
-	switch t.cfg.Variant {
-	case Hilbert:
-		leafEntries = t.packHilbert(all)
-	default:
-		leafEntries = t.packSTR(all)
-	}
-	t.buildFromLeaves(leafEntries)
-	t.size = len(all)
+	t.buildPacked(all)
 	trace.Rebuilt = true
 	t.Walk(func(info NodeInfo) { trace.markCreated(info.ID) })
 }
@@ -273,32 +196,17 @@ func (t *Tree) sortedIngestKeys(items []Item) []ingestKey {
 	return ks
 }
 
-// insertOne is the classic per-item insert without the per-call epoch
-// bookkeeping (InsertItems owns the epoch), structurally identical to
-// Insert.
+// insertOne is the classic per-item insert into a non-empty tree without
+// the per-call epoch bookkeeping (InsertItems owns the epoch).
 func (t *Tree) insertOne(it Item, trace *InsertTrace) {
-	if t.root == InvalidNode {
-		root := t.newNode(true, 0)
-		t.root = root.id
-		t.height = 1
-		root.entries = append(root.entries, Entry{Rect: it.Rect.Clone(), Object: it.Object, Child: InvalidNode})
-		t.touch(root)
-		t.updateHilbertLHV(root)
-		t.size++
-		trace.markCreated(root.id)
-		trace.Placements = append(trace.Placements, Placement{Node: root.id, Rect: it.Rect.Clone()})
-		t.counter.Write(1)
-		return
-	}
 	t.ovMarks.begin()
-	t.insertAtLevel(Entry{Rect: it.Rect.Clone(), Object: it.Object, Child: InvalidNode}, 0, trace, &t.ovMarks, false)
+	t.insertAtLevel(Entry{Rect: it.Rect, Object: it.Object, Child: InvalidNode}, 0, trace, &t.ovMarks, false)
 	t.size++
 }
 
 // ingestRuns partitions the sorted batch into runs sharing a target leaf
 // and services each run with the cheapest applicable strategy.
 func (t *Tree) ingestRuns(ks []ingestKey, trace *InsertTrace, stats *IngestStats) {
-	minGraft := t.minGraftRun()
 	i := 0
 	for i < len(ks) {
 		stats.Runs++
@@ -317,7 +225,7 @@ func (t *Tree) ingestRuns(ks []ingestKey, trace *InsertTrace, stats *IngestStats
 
 		// Large runs skip per-item insertion entirely: pack bottom-up and
 		// graft. Needs a directory level to graft into (height >= 2).
-		if len(run) >= minGraft && t.height >= 2 {
+		if len(run) >= t.cfg.MaxEntries && t.height >= 2 {
 			t.graftRun(run, trace, stats)
 			i = j
 			continue
@@ -326,13 +234,12 @@ func (t *Tree) ingestRuns(ks []ingestKey, trace *InsertTrace, stats *IngestStats
 		// Direct placement: append into the chosen leaf while it has room,
 		// with one touch/adjust pass for the whole stretch.
 		placed := 0
-		if len(leaf.entries) < t.cfg.MaxEntries {
+		if leaf.count() < t.cfg.MaxEntries {
 			n := t.mutable(leaf)
 			before := n.mbb()
-			for placed < len(run) && len(n.entries) < t.cfg.MaxEntries {
-				e := Entry{Rect: run[placed].item.Rect.Clone(), Object: run[placed].item.Object, Child: InvalidNode}
-				n.entries = append(n.entries, e)
-				trace.Placements = append(trace.Placements, Placement{Node: n.id, Rect: e.Rect})
+			for placed < len(run) && n.count() < t.cfg.MaxEntries {
+				n.appendEntry(Entry{Rect: run[placed].item.Rect, Object: run[placed].item.Object, Child: InvalidNode})
+				trace.Placements = append(trace.Placements, Placement{Node: n.id, Rect: n.rect(n.count()-1, t.cfg.Dims)})
 				t.counter.Write(1)
 				placed++
 			}
@@ -366,43 +273,19 @@ func (t *Tree) graftRun(run []ingestKey, trace *InsertTrace, stats *IngestStats)
 	for idx := range run {
 		items[idx] = run[idx].item
 	}
-	leafEntries := packRuns(items, t.cfg.MaxEntries)
-
 	// maxLevel caps the packed subtree's root so its graft target (one
 	// level above) exists below or at the current root.
 	maxLevel := t.height - 2
-	current := make([]NodeID, 0, len(leafEntries))
-	for _, runE := range leafEntries {
-		n := t.newNode(true, 0)
-		n.entries = runE
-		t.touch(n)
-		t.updateHilbertLHV(n)
-		t.counter.Write(1)
-		trace.markCreated(n.id)
-		current = append(current, n.id)
-	}
-	stats.GraftNodes += len(current)
-	level := 0
-	for len(current) >= t.cfg.MinEntries && level+1 <= maxLevel {
-		level++
-		var next []NodeID
-		pos := 0
-		for _, sz := range groupSizes(len(current), t.cfg.MaxEntries) {
-			parent := t.newNode(false, level)
-			for _, childID := range current[pos : pos+sz] {
-				child := t.mustNode(childID)
-				child.parent = parent.id
-				parent.entries = append(parent.entries, Entry{Rect: child.mbb(), Child: childID})
-			}
-			pos += sz
-			t.touch(parent)
-			t.updateHilbertLHV(parent)
-			t.counter.Write(1)
-			trace.markCreated(parent.id)
-			next = append(next, parent.id)
+	current := t.packLeaves(items)
+	for level := 0; ; level++ {
+		for _, id := range current {
+			trace.markCreated(id)
 		}
-		stats.GraftNodes += len(next)
-		current = next
+		stats.GraftNodes += len(current)
+		if len(current) < t.cfg.MinEntries || level+1 > maxLevel {
+			break
+		}
+		current = t.packParents(current, level+1)
 	}
 	for _, id := range current {
 		sub := t.mustNode(id)

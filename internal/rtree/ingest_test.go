@@ -106,81 +106,6 @@ func TestInsertItemsEquivalence(t *testing.T) {
 	}
 }
 
-// TestInsertItemsFallbackBitIdentical pins the fallback contract: with the
-// fast path disabled, InsertItems is structurally bit-identical to
-// inserting the Hilbert-sorted sequence per item inside one batch —
-// identical stats, identical traversal order, identical write I/O.
-func TestInsertItemsFallbackBitIdentical(t *testing.T) {
-	for _, v := range AllVariants() {
-		t.Run(v.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			dims := 2
-			seed := ingestItems(rng, dims, 200, false)
-			batch := ingestItems(rng, dims, 500, true)
-			for i := range batch {
-				batch[i].Object = ObjectID(10000 + i)
-			}
-
-			a := MustNew(smallConfig(dims, v))
-			b := MustNew(smallConfig(dims, v))
-			for _, tree := range []*Tree{a, b} {
-				for _, it := range seed {
-					if _, err := tree.Insert(it.Rect, it.Object); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			a.SetIngestTuning(IngestTuning{DisableFastPath: true})
-			wa := a.Counter().Snapshot().Writes
-			wb := b.Counter().Snapshot().Writes
-			if _, err := a.InsertItems(batch); err != nil {
-				t.Fatal(err)
-			}
-			// Replay the identical (sorted) sequence per item in one batch.
-			sorted := b.sortedIngestKeys(batch)
-			seq := make([]Item, len(sorted))
-			for i := range sorted {
-				seq[i] = sorted[i].item
-			}
-			if err := b.BeginBatch(); err != nil {
-				t.Fatal(err)
-			}
-			for _, it := range seq {
-				if _, err := b.Insert(it.Rect, it.Object); err != nil {
-					t.Fatal(err)
-				}
-			}
-			b.CommitBatch()
-
-			sa, sb := a.Stats(), b.Stats()
-			if fmt.Sprintf("%+v", sa) != fmt.Sprintf("%+v", sb) {
-				t.Fatalf("stats diverge:\n fallback: %+v\n per-item: %+v", sa, sb)
-			}
-			da := a.Counter().Snapshot().Writes - wa
-			db := b.Counter().Snapshot().Writes - wb
-			if da != db {
-				t.Fatalf("write I/O diverges: fallback %d, per-item %d", da, db)
-			}
-			// Traversal order (not just membership) must match.
-			q := universeRect(dims)
-			var va, vb []ObjectID
-			a.Search(q, func(id ObjectID, _ geom.Rect) bool { va = append(va, id); return true })
-			b.Search(q, func(id ObjectID, _ geom.Rect) bool { vb = append(vb, id); return true })
-			if len(va) != len(vb) {
-				t.Fatalf("visit counts diverge: %d vs %d", len(va), len(vb))
-			}
-			for i := range va {
-				if va[i] != vb[i] {
-					t.Fatalf("visit order diverges at %d: %d vs %d", i, va[i], vb[i])
-				}
-			}
-			if st := a.LastIngest(); st.PerItem != len(batch) || st.Grafted != 0 {
-				t.Fatalf("fallback stats wrong: %+v", st)
-			}
-		})
-	}
-}
-
 // TestInsertItemsGraftEngages checks that a clustered batch actually uses
 // the graft path and that grafting keeps the structure valid.
 func TestInsertItemsGraftEngages(t *testing.T) {
@@ -189,11 +114,11 @@ func TestInsertItemsGraftEngages(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			dims := 2
 			tree := MustNew(smallConfig(dims, v))
-			// The batch dwarfs the seed, which would trip the wholesale
-			// rebuild; disable it so the graft path itself is exercised.
-			tree.SetIngestTuning(IngestTuning{DisableRebuild: true})
-			// Seed densely so one leaf's MBB covers the hot region.
-			for i := 0; i < 400; i++ {
+			// Seed densely so one leaf's MBB covers the hot region, and with
+			// more than half the batch size: a batch of at least twice the
+			// tree would be rebuilt wholesale instead of grafted.
+			const seeded = 2400
+			for i := 0; i < seeded; i++ {
 				r := randRect(rng, dims, 100, 4)
 				if _, err := tree.Insert(r, ObjectID(i+1)); err != nil {
 					t.Fatal(err)
@@ -216,8 +141,8 @@ func TestInsertItemsGraftEngages(t *testing.T) {
 			if err := tree.Validate(); err != nil {
 				t.Fatalf("Validate after graft: %v", err)
 			}
-			if tree.Len() != 400+len(batch) {
-				t.Fatalf("Len = %d, want %d", tree.Len(), 400+len(batch))
+			if tree.Len() != seeded+len(batch) {
+				t.Fatalf("Len = %d, want %d", tree.Len(), seeded+len(batch))
 			}
 		})
 	}

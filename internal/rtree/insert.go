@@ -51,7 +51,8 @@ const (
 	traceMBBBit
 )
 
-// Placement records that a rectangle was placed into a node.
+// Placement records that a rectangle was placed into a node. Rect is a view
+// of the slot it landed in (see Entry).
 type Placement struct {
 	Node NodeID
 	Rect geom.Rect
@@ -194,19 +195,19 @@ func (t *Tree) Insert(r geom.Rect, obj ObjectID) (trace *InsertTrace, err error)
 		root := t.newNode(true, 0)
 		t.root = root.id
 		t.height = 1
-		root.entries = append(root.entries, Entry{Rect: r.Clone(), Object: obj, Child: InvalidNode})
+		root.appendEntry(Entry{Rect: r, Object: obj, Child: InvalidNode})
 		t.touch(root)
 		t.updateHilbertLHV(root)
 		t.size++
 		trace.Leaf = root.id
 		trace.markCreated(root.id)
-		trace.Placements = append(trace.Placements, Placement{Node: root.id, Rect: r.Clone()})
+		trace.Placements = append(trace.Placements, Placement{Node: root.id, Rect: root.rect(0, t.cfg.Dims)})
 		t.counter.Write(1)
 		return trace, nil
 	}
 	rootBefore := t.mustNode(t.root).mbb()
 	t.ovMarks.begin()
-	t.insertAtLevel(Entry{Rect: r.Clone(), Object: obj, Child: InvalidNode}, 0, trace, &t.ovMarks, true)
+	t.insertAtLevel(Entry{Rect: r, Object: obj, Child: InvalidNode}, 0, trace, &t.ovMarks, true)
 	t.size++
 	if rootAfter := t.mustNode(t.root).mbb(); !rootAfter.Equal(rootBefore) {
 		trace.markMBBChanged(t.root)
@@ -214,10 +215,10 @@ func (t *Tree) Insert(r geom.Rect, obj ObjectID) (trace *InsertTrace, err error)
 	return trace, nil
 }
 
-// insertAtLevel places the entry into a node at the given level, handling
-// overflow. recordLeaf marks whether the chosen node should be recorded as
-// the receiving leaf in the trace (true only for the original object
-// insertion, not for re-insertions).
+// insertAtLevel places a copy of the entry into a node at the given level,
+// handling overflow. recordLeaf marks whether the chosen node should be
+// recorded as the receiving leaf in the trace (true only for the original
+// object insertion, not for re-insertions).
 func (t *Tree) insertAtLevel(e Entry, level int, trace *InsertTrace, marks *levelMarks, recordLeaf bool) {
 	target := t.chooseSubtree(e.Rect, level)
 	n := t.mutable(t.mustNode(target))
@@ -225,14 +226,14 @@ func (t *Tree) insertAtLevel(e Entry, level int, trace *InsertTrace, marks *leve
 		t.mustNode(e.Child).parent = n.id
 	}
 	before := n.mbb()
-	n.entries = append(n.entries, e)
+	n.appendEntry(e)
 	t.touch(n)
 	if recordLeaf && n.leaf {
 		trace.Leaf = n.id
 	}
-	trace.Placements = append(trace.Placements, Placement{Node: n.id, Rect: e.Rect})
+	trace.Placements = append(trace.Placements, Placement{Node: n.id, Rect: n.rect(n.count()-1, t.cfg.Dims)})
 	t.counter.Write(1)
-	if len(n.entries) > t.cfg.MaxEntries {
+	if n.count() > t.cfg.MaxEntries {
 		t.handleOverflow(n, trace, marks)
 		return
 	}
@@ -249,7 +250,7 @@ func (t *Tree) chooseSubtree(r geom.Rect, level int) NodeID {
 	cur := t.mustNode(t.root)
 	for cur.level > level {
 		idx := t.chooseChild(cur, r)
-		cur = t.mustNode(cur.entries[idx].Child)
+		cur = t.mustNode(cur.child(idx))
 	}
 	return cur.id
 }
@@ -281,9 +282,10 @@ func (t *Tree) chooseChild(n *node, r geom.Rect) int {
 func (t *Tree) chooseMinEnlargementChild(n *node, r geom.Rect) int {
 	best := 0
 	var bestEnl, bestVol float64
-	for i := range n.entries {
-		enl := n.entries[i].Rect.Enlargement(r)
-		vol := n.entries[i].Rect.Volume()
+	for i := range n.refs {
+		ri := n.rect(i, t.cfg.Dims)
+		enl := ri.Enlargement(r)
+		vol := ri.Volume()
 		if i == 0 || enl < bestEnl || (enl == bestEnl && vol < bestVol) {
 			best, bestEnl, bestVol = i, enl, vol
 		}
@@ -300,22 +302,25 @@ func (t *Tree) chooseMinOverlapChild(n *node, r geom.Rect) int {
 		vol        float64
 	}
 	best := cand{idx: -1}
-	for i := range n.entries {
-		grown := n.entries[i].Rect.Union(r)
+	dims := t.cfg.Dims
+	for i := range n.refs {
+		ri := n.rect(i, dims)
+		grown := ri.Union(r)
 		var ovBefore, ovAfter float64
-		for j := range n.entries {
+		for j := range n.refs {
 			if j == i {
 				continue
 			}
-			ovBefore += n.entries[i].Rect.OverlapVolume(n.entries[j].Rect)
-			ovAfter += grown.OverlapVolume(n.entries[j].Rect)
+			rj := n.rect(j, dims)
+			ovBefore += ri.OverlapVolume(rj)
+			ovAfter += grown.OverlapVolume(rj)
 		}
 		c := cand{
 			idx:        i,
 			overlapInc: ovAfter - ovBefore,
-			volInc:     n.entries[i].Rect.Enlargement(r),
-			marginInc:  n.entries[i].Rect.MarginEnlargement(r),
-			vol:        n.entries[i].Rect.Volume(),
+			volInc:     ri.Enlargement(r),
+			marginInc:  ri.MarginEnlargement(r),
+			vol:        ri.Volume(),
 		}
 		if best.idx < 0 || less(c, best, t.cfg.Variant) {
 			best = c
@@ -350,10 +355,10 @@ func less(a, b struct {
 func (t *Tree) chooseHilbertChild(n *node, r geom.Rect) int {
 	h := t.curve.IndexRect(r)
 	best := -1
-	for i := range n.entries {
-		child := t.mustNode(n.entries[i].Child)
+	for i := range n.refs {
+		child := t.mustNode(n.child(i))
 		if child.hilbertLHV >= h {
-			if best < 0 || t.mustNode(n.entries[best].Child).hilbertLHV > child.hilbertLHV {
+			if best < 0 || t.mustNode(n.child(best)).hilbertLHV > child.hilbertLHV {
 				best = i
 			}
 		}
@@ -363,8 +368,8 @@ func (t *Tree) chooseHilbertChild(n *node, r geom.Rect) int {
 	}
 	// All children have smaller LHV: take the one with the largest.
 	best = 0
-	for i := range n.entries {
-		if t.mustNode(n.entries[i].Child).hilbertLHV > t.mustNode(n.entries[best].Child).hilbertLHV {
+	for i := range n.refs {
+		if t.mustNode(n.child(i)).hilbertLHV > t.mustNode(n.child(best)).hilbertLHV {
 			best = i
 		}
 	}
@@ -391,8 +396,8 @@ func (t *Tree) forcedReinsert(n *node, trace *InsertTrace, marks *levelMarks) {
 		e Entry
 		d float64
 	}
-	ds := make([]distEntry, len(n.entries))
-	for i, e := range n.entries {
+	ds := make([]distEntry, n.count())
+	for i, e := range n.entries(t.cfg.Dims) {
 		ds[i] = distEntry{e: e, d: e.Rect.Center().DistSq(centre)}
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i].d > ds[j].d })
@@ -411,7 +416,7 @@ func (t *Tree) forcedReinsert(n *node, trace *InsertTrace, marks *levelMarks) {
 	for i := p; i < len(ds); i++ {
 		kept = append(kept, ds[i].e)
 	}
-	n.entries = kept
+	n.setEntries(kept, t.cfg.Dims)
 	t.touch(n)
 	trace.markMBBChanged(n.id)
 	t.updateHilbertLHV(n)
@@ -427,18 +432,19 @@ func (t *Tree) forcedReinsert(n *node, trace *InsertTrace, marks *levelMarks) {
 // pushes the new sibling into the parent (growing the tree if the root was
 // split).
 func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
-	groupA, groupB := t.splitEntries(n.entries)
+	dims := t.cfg.Dims
+	groupA, groupB := t.splitEntries(n.entries(dims))
 	sibling := t.newNode(n.leaf, n.level)
-	n.entries = groupA
-	sibling.entries = groupB
+	n.setEntries(groupA, dims)
+	sibling.setEntries(groupB, dims)
 	t.touch(n)
 	t.touch(sibling)
 	if !n.leaf {
-		for i := range sibling.entries {
-			t.mustNode(sibling.entries[i].Child).parent = sibling.id
+		for i := range sibling.refs {
+			t.mustNode(sibling.child(i)).parent = sibling.id
 		}
-		for i := range n.entries {
-			t.mustNode(n.entries[i].Child).parent = n.id
+		for i := range n.refs {
+			t.mustNode(n.child(i)).parent = n.id
 		}
 	}
 	t.updateHilbertLHV(n)
@@ -449,10 +455,8 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 
 	if n.id == t.root {
 		newRoot := t.newNode(false, n.level+1)
-		newRoot.entries = []Entry{
-			{Rect: n.mbb(), Child: n.id},
-			{Rect: sibling.mbb(), Child: sibling.id},
-		}
+		newRoot.appendEntry(Entry{Rect: n.mbb(), Child: n.id})
+		newRoot.appendEntry(Entry{Rect: sibling.mbb(), Child: sibling.id})
 		t.touch(newRoot)
 		n.parent = newRoot.id
 		sibling.parent = newRoot.id
@@ -467,12 +471,12 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 	parent := t.mutable(t.mustNode(n.parent))
 	idx := t.childIndex(parent, n.id)
 	before := parent.mbb()
-	parent.entries[idx].Rect = n.mbb()
+	parent.setRect(idx, n.mbb(), dims)
 	sibling.parent = parent.id
-	parent.entries = append(parent.entries, Entry{Rect: sibling.mbb(), Child: sibling.id})
+	parent.appendEntry(Entry{Rect: sibling.mbb(), Child: sibling.id})
 	t.touch(parent)
 	t.counter.Write(1)
-	if len(parent.entries) > t.cfg.MaxEntries {
+	if parent.count() > t.cfg.MaxEntries {
 		t.handleOverflow(parent, trace, marks)
 		return
 	}
@@ -491,10 +495,10 @@ func (t *Tree) adjustUpward(n *node, trace *InsertTrace) {
 		parent := t.mustNode(cur.parent)
 		idx := t.childIndex(parent, cur.id)
 		newMBB := cur.mbb()
-		changed := !parent.entries[idx].Rect.Equal(newMBB)
+		changed := !parent.rect(idx, t.cfg.Dims).Equal(newMBB)
 		if changed {
 			parent = t.mutable(parent)
-			parent.entries[idx].Rect = newMBB
+			parent.setRect(idx, newMBB, t.cfg.Dims)
 			t.touch(parent)
 			trace.markMBBChanged(cur.id)
 			t.counter.Write(1)
@@ -510,8 +514,8 @@ func (t *Tree) adjustUpward(n *node, trace *InsertTrace) {
 // childIndex finds the entry slot of child within parent. It panics if the
 // child is not present, which would indicate a corrupted tree.
 func (t *Tree) childIndex(parent *node, child NodeID) int {
-	for i := range parent.entries {
-		if parent.entries[i].Child == child {
+	for i := range parent.refs {
+		if parent.child(i) == child {
 			return i
 		}
 	}
@@ -526,14 +530,14 @@ func (t *Tree) updateHilbertLHV(n *node) {
 	}
 	var max uint64
 	if n.leaf {
-		for i := range n.entries {
-			if h := t.curve.IndexRect(n.entries[i].Rect); h > max {
+		for i := range n.refs {
+			if h := t.curve.IndexRect(n.rect(i, t.cfg.Dims)); h > max {
 				max = h
 			}
 		}
 	} else {
-		for i := range n.entries {
-			if h := t.mustNode(n.entries[i].Child).hilbertLHV; h > max {
+		for i := range n.refs {
+			if h := t.mustNode(n.child(i)).hilbertLHV; h > max {
 				max = h
 			}
 		}

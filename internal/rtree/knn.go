@@ -136,11 +136,11 @@ func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
 					sc.bhi[dim] = math.Nextafter(p[dim]+r, math.Inf(1))
 				}
 				quantiseQuery(n.qmbb, dims, &sc.blo, &sc.bhi, &sc.qg)
-				mask = sc.maskFor(len(n.entries))
-				quantScan(n.qplanes, len(n.entries), dims, &sc.qg, mask)
+				mask = sc.maskFor(n.count())
+				quantScan(n.qplanes, n.count(), dims, &sc.qg, mask)
 			}
 			off := 0
-			for i := range n.entries {
+			for i, ref := range n.refs {
 				if mask != nil && mask[i>>6]&(1<<uint(i&63)) == 0 {
 					off += 2 * dims
 					continue
@@ -161,10 +161,10 @@ func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
 					continue
 				}
 				if n.leaf {
-					refs = append(refs, knnRef{object: n.entries[i].Object, rect: n.entries[i].Rect})
+					refs = append(refs, knnRef{object: ObjectID(ref), rect: n.rect(i, dims)})
 					pq = knnPush(pq, knnItem{distSq: d, ref: int64(len(refs)-1)<<1 | 1})
 				} else {
-					pq = knnPush(pq, knnItem{distSq: d, ref: int64(n.entries[i].Child) << 1})
+					pq = knnPush(pq, knnItem{distSq: d, ref: ref << 1})
 				}
 			}
 			continue

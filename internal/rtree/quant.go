@@ -1,16 +1,16 @@
 package rtree
 
 // This file implements the quantised structure-of-arrays (SoA) filter layer
-// of the in-memory node representation: alongside the exact flat float64
-// mirror (node.boxes), every node keeps per-dimension planes of 16-bit grid
-// coordinates relative to its own MBB, quantised conservatively outward with
+// of the in-memory node representation: derived from the one exact store
+// (node.boxes, flat float64), every node keeps per-dimension planes of 16-bit
+// grid coordinates relative to its own MBB, quantised conservatively outward with
 // exactly the v2 directory codec's qlower/qupper (lower bounds round down,
 // upper bounds round up on the same grid). The query hot path scans these
-// planes instead of the float mirror: per node, the intersection test becomes
+// planes instead of the float64 store: per node, the intersection test becomes
 // one branch-free pass per dimension ANDing a survivor bitmask — and because
 // the planes are packed four 16-bit lanes to a uint64 word, each comparison
 // instruction processes four entries at once (SWAR), an 8x cut in memory
-// traffic and loop iterations against the float64 mirror. Only surviving
+// traffic and loop iterations against the float64 store. Only surviving
 // entries ever touch the exact rectangles: leaf survivors get one exact
 // verification, directory survivors are recursed into directly (the decoded
 // plane rect is a superset of the stored rect, so recursing off the
@@ -94,14 +94,14 @@ func (n *node) planeBytes() int { return len(n.qplanes)*8 + len(n.qmbb)*8 }
 // Range search skips a node without one like an unreadable page; the
 // nearest-neighbour search only skips its grid prefilter.
 func (n *node) hasPlanes(dims int) bool {
-	return len(n.qplanes) == 2*dims*planeWords(len(n.entries)) && len(n.qmbb) == 2*dims
+	return len(n.qplanes) == 2*dims*planeWords(n.count()) && len(n.qmbb) == 2*dims
 }
 
 // planeAt reads one quantised coordinate back out of the packed planes:
 // entry i's lower (hi=false) or upper (hi=true) bound in dimension d.
 // Validation and the v2 encoder use it; the scan kernels never unpack.
 func (n *node) planeAt(dims, d, i int, hi bool) uint16 {
-	count := len(n.entries)
+	count := n.count()
 	w := planeWords(count)
 	base := 2 * d * w
 	if hi {
@@ -120,7 +120,7 @@ func setPlane(planes []uint64, w, d, i int, hi bool, g uint16) {
 	planes[base+i/planeLanes] |= uint64(g) << ((i % planeLanes) * PlaneBits)
 }
 
-// syncPlanes rebuilds the quantised SoA planes from the flat float mirror:
+// syncPlanes rebuilds the quantised SoA planes from boxes:
 // qmbb gets the node MBB (Lo extents then Hi extents, like boxes), and each
 // dimension's lo/hi plane gets the entry bounds quantised conservatively
 // outward onto that MBB's 16-bit grid. The plane layout is dimension-major
@@ -128,11 +128,10 @@ func setPlane(planes []uint64, w, d, i int, hi bool, g uint16) {
 // [2dW, (2d+1)W) are dimension d's lower-bound plane and [(2d+1)W, (2d+2)W)
 // its upper-bound plane, entry i in lane i%4 of word i/4 — so the kernel
 // streams contiguous words per dimension. Padding lanes are zero; their mask
-// bits are cleared by quantScan. Must be called after syncMirror; the v2
-// fault-in path skips it for directory nodes and installs the page's stored
-// grid coordinates instead.
+// bits are cleared by quantScan. The v2 fault-in path skips it for directory
+// nodes and installs the page's stored grid coordinates instead.
 func (n *node) syncPlanes(dims int) {
-	count := len(n.entries)
+	count := n.count()
 	if cap(n.qmbb) < 2*dims {
 		n.qmbb = make([]float64, 2*dims)
 	} else {

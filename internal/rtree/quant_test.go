@@ -9,13 +9,13 @@ import (
 )
 
 // leafFromRects builds a detached leaf node over the given rects and syncs
-// its mirror and quantised planes, without going through a tree.
+// its quantised planes, without going through a tree.
 func leafFromRects(rects []geom.Rect, dims int) *node {
 	n := &node{leaf: true}
 	for i, r := range rects {
-		n.entries = append(n.entries, Entry{Rect: r, Object: ObjectID(i), Child: InvalidNode})
+		n.appendEntry(Entry{Rect: r, Object: ObjectID(i), Child: InvalidNode})
 	}
-	n.syncBoxes(dims)
+	n.syncDerived(dims)
 	return n
 }
 
@@ -27,9 +27,9 @@ func quantVerdicts(n *node, dims int, q geom.Rect) []bool {
 	copy(qlo[:dims], q.Lo)
 	copy(qhi[:dims], q.Hi)
 	quantiseQuery(n.qmbb, dims, &qlo, &qhi, &qg)
-	mask := make([]uint64, (len(n.entries)+63)>>6)
-	quantScan(n.qplanes, len(n.entries), dims, &qg, mask)
-	out := make([]bool, len(n.entries))
+	mask := make([]uint64, (n.count()+63)>>6)
+	quantScan(n.qplanes, n.count(), dims, &qg, mask)
+	out := make([]bool, n.count())
 	for i := range out {
 		out[i] = mask[i>>6]&(1<<uint(i&63)) != 0
 	}
@@ -43,10 +43,10 @@ func quantVerdicts(n *node, dims int, q geom.Rect) []bool {
 func checkNeverMisses(t *testing.T, n *node, dims int, q geom.Rect) {
 	t.Helper()
 	got := quantVerdicts(n, dims, q)
-	for i := range n.entries {
-		if n.entries[i].Rect.Intersects(q) && !got[i] {
+	for i := range n.refs {
+		if n.rect(i, dims).Intersects(q) && !got[i] {
 			t.Fatalf("quantised kernel missed entry %d (%v) for query %v (node MBB %v)",
-				i, n.entries[i].Rect, q, n.qmbb)
+				i, n.rect(i, dims), q, n.qmbb)
 		}
 	}
 }
@@ -244,6 +244,54 @@ func TestValidateDetectsPlaneCorruption(t *testing.T) {
 	}
 }
 
+// TestValidateDetectsBoxCorruption checks that Validate checks the one exact
+// slot store itself: an inverted box, a truncated coordinate array, a
+// directory ref to no node, and an object held twice by one leaf must all be
+// reported.
+func TestValidateDetectsBoxCorruption(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tr := MustNew(smallConfig(2, RStar))
+	items := make([]Item, 64)
+	for i := range items {
+		items[i] = Item{Rect: randRect(rng, 2, 10, 1), Object: ObjectID(i)}
+	}
+	if err := tr.BulkLoad(items); err != nil {
+		t.Fatal(err)
+	}
+	root := tr.mustNode(tr.root)
+	leaf := tr.mustNode(root.child(0))
+	corrupt := func(what string, apply, undo func()) {
+		t.Helper()
+		apply()
+		if err := tr.Validate(); err == nil {
+			t.Errorf("Validate missed %s", what)
+		}
+		undo()
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("tree restored after %s fails validation: %v", what, err)
+		}
+	}
+	lo, hi := leaf.boxes[0], leaf.boxes[2]
+	corrupt("a box with lo > hi",
+		func() { leaf.boxes[0] = hi + 1 },
+		func() { leaf.boxes[0] = lo })
+	corrupt("a non-finite coordinate",
+		func() { leaf.boxes[2] = math.Inf(1) },
+		func() { leaf.boxes[2] = hi })
+	boxes := leaf.boxes
+	corrupt("a truncated coordinate array",
+		func() { leaf.boxes = boxes[:len(boxes)-1] },
+		func() { leaf.boxes = boxes })
+	ref := root.refs[0]
+	corrupt("a directory ref to no node",
+		func() { root.refs[0] = int64(len(tr.nodes)) },
+		func() { root.refs[0] = ref })
+	obj := leaf.refs[1]
+	corrupt("an object held twice by one leaf",
+		func() { leaf.refs[1] = leaf.refs[0] },
+		func() { leaf.refs[1] = obj })
+}
+
 // TestV2DirPlanesAdoptedVerbatim pins the cross-store identity at its root:
 // a directory node round-tripped through the compressed v2 page layout comes
 // back with bit-identical packed planes and plane MBB (the decoder installs
@@ -263,7 +311,7 @@ func TestV2DirPlanesAdoptedVerbatim(t *testing.T) {
 	}
 	dirs, leaves := 0, 0
 	for _, n := range tr.nodes {
-		if n == nil || len(n.entries) == 0 {
+		if n == nil || n.count() == 0 {
 			continue
 		}
 		buf, err := encodeNodeV2(n, 2)

@@ -11,6 +11,14 @@
 // directory accesses, the paper's I/O metric. Trees can additionally be
 // serialised page-by-page onto a storage.Pager for storage-breakdown
 // experiments and persistence tests.
+//
+// A node keeps its rectangles once: one exact store (flat float64
+// coordinates plus a parallel reference array, the in-memory form of the
+// paper's Figure 4a page) and one filter layer derived from it (16-bit SoA
+// planes, quant.go). Entry and NodeInfo are views of that store; the
+// rectangles they — and every query callback — hand out alias immutable node
+// storage, are read-only, and stay valid for the life of the process (see
+// Entry).
 package rtree
 
 import (
@@ -79,14 +87,29 @@ type NodeID int32
 // InvalidNode is the null node reference.
 const InvalidNode NodeID = -1
 
-// Entry is one slot of a node: a rectangle plus either a child node
-// reference (directory nodes) or an object id (leaf nodes).
+// Entry is one slot of a node as a by-value item: a rectangle plus either a
+// child node reference (directory nodes; Object is zero) or an object id
+// (leaf nodes; Child is InvalidNode). Nodes do not store Entry values — they
+// store flat coordinate and reference arrays (see node) — so an Entry is
+// either an item on its way into a node (its Rect is copied on arrival) or a
+// view of one slot, whose Rect aliases the node's coordinate storage.
+//
+// View contract: a Rect obtained from a node — through Entry, NodeInfo.Rect,
+// All, or a Search/NearestNeighbors/join callback — aliases immutable node
+// storage. It is read-only, stays bit-unchanged for the life of the process
+// (no mutation, rollback, or flush ever writes to it), and its Lo/Hi are
+// capacity-capped, so appending to them copies instead of overwriting the
+// neighbouring coordinates.
 type Entry struct {
 	Rect   geom.Rect
 	Child  NodeID
 	Object ObjectID
 }
 
+// node is the in-memory form of the Figure 4a page: a header plus M slots of
+// <rectangle, reference>. The slots are held once, as two flat arrays — boxes
+// (exact coordinates) and refs — with one filter layer derived from boxes
+// (qmbb/qplanes, see quant.go).
 type node struct {
 	id     NodeID
 	parent NodeID
@@ -95,27 +118,33 @@ type node struct {
 	// born is the writer epoch that created this node object (creation,
 	// clone, or decode). A node whose born epoch predates the writer's
 	// current batch belongs to a published version and is immutable: the
-	// writer must clone it (Tree.mutable) before changing entries, boxes,
-	// leaf, or level. The parent pointer and the cached Hilbert LHV are
+	// writer must clone it (Tree.mutable) before changing boxes, refs, leaf,
+	// or level. The parent pointer and the cached Hilbert LHV are
 	// writer-private metadata the read paths never consult, so they may be
 	// refreshed in place on shared node objects.
-	born    uint64
-	entries []Entry
-	// boxes is the flat coordinate mirror of the entry rectangles: 2·dims
-	// contiguous float64 per entry (Lo extents then Hi extents), in entry
-	// order. The query hot path scans it instead of chasing the per-entry
-	// Rect slices, so one node's coordinates occupy one contiguous block.
-	// Every mutation of entries refreshes it through Tree.touch (and the
-	// decode path builds it directly); Tree.Validate checks the mirror.
+	born uint64
+	// boxes is the only exact store of the slot rectangles: 2·dims
+	// contiguous float64 per slot (Lo extents then Hi extents), in slot
+	// order. refs holds the slot references in the same order: the child
+	// node id on directory nodes, the object id on leaves.
+	//
+	// Aliasing rule: rect and entry hand out views that alias boxes, and
+	// those views outlive the node (orphans awaiting reinsertion, split
+	// groups, every Rect a visit callback ever received). So the backing
+	// arrays are never overwritten in place: appendEntry writes only beyond
+	// len (into spare capacity, or a grown copy), and removeAt, setRect, and
+	// setEntries install fresh arrays. Mutate slots only through those four
+	// methods, each followed by Tree.touch.
 	boxes []float64
+	refs  []int64
 	// qmbb and qplanes are the quantised SoA filter layer (see quant.go):
 	// qmbb holds the node MBB the planes are quantised against (dims Lo
 	// extents then dims Hi extents, like one boxes record), and qplanes holds
-	// the 16-bit grid coordinates of the entry bounds in dimension-major SoA
+	// the 16-bit grid coordinates of the slot bounds in dimension-major SoA
 	// order (lo plane then hi plane per dimension), packed four lanes per
-	// uint64 word. The scan kernels test entries against these planes first
-	// and touch boxes only for survivors. Maintained by syncBoxes wherever
-	// boxes is; the v2 fault-in path installs the page's stored grid
+	// uint64 word. The scan kernels test slots against these planes first
+	// and touch boxes only for survivors. Derived from boxes by syncDerived
+	// on every mutation; the v2 fault-in path installs the page's stored grid
 	// coordinates instead (bit-identical pruning across stores — see
 	// decodeNodeV2).
 	qmbb    []float64
@@ -125,46 +154,104 @@ type node struct {
 	hilbertLHV uint64
 	// encSize is the node's encoded page size in bytes: the exact stored
 	// size for nodes decoded from a snapshot, or the v1 layout size for
-	// in-memory nodes (refreshed by syncBoxes on every mutation). Byte-budget
-	// buffer pools charge residency by it, so compressed and raw pages share
-	// one budget honestly.
+	// in-memory nodes (refreshed by syncDerived on every mutation).
+	// Byte-budget buffer pools charge residency by it, so compressed and raw
+	// pages share one budget honestly.
 	encSize int32
 }
 
-// syncBoxes rebuilds the flat coordinate mirror — and the quantised SoA
-// planes derived from it — from the entry rectangles.
-func (n *node) syncBoxes(dims int) {
-	n.syncMirror(dims)
+// count returns the number of slots in use.
+func (n *node) count() int { return len(n.refs) }
+
+// rect returns slot i's rectangle as a view of boxes (no allocation).
+func (n *node) rect(i, dims int) geom.Rect { return boxRect(n.boxes, i, dims) }
+
+// boxRect views record i of a flat coordinate array as a Rect whose Lo and
+// Hi are capacity-capped sub-slices, so a caller's append reallocates instead
+// of writing into the next coordinates.
+func boxRect(boxes []float64, i, dims int) geom.Rect {
+	off := i * 2 * dims
+	return geom.Rect{Lo: boxes[off : off+dims : off+dims], Hi: boxes[off+dims : off+2*dims : off+2*dims]}
+}
+
+// child returns slot i's child node id (directory nodes).
+func (n *node) child(i int) NodeID { return NodeID(n.refs[i]) }
+
+// object returns slot i's object id (leaf nodes).
+func (n *node) object(i int) ObjectID { return ObjectID(n.refs[i]) }
+
+// entry returns slot i as a by-value view.
+func (n *node) entry(i, dims int) Entry {
+	if n.leaf {
+		return Entry{Rect: n.rect(i, dims), Child: InvalidNode, Object: n.object(i)}
+	}
+	return Entry{Rect: n.rect(i, dims), Child: n.child(i)}
+}
+
+// entries returns every slot as a by-value view, for the algorithms that
+// permute whole entry sets (splits, forced reinsertion, condensing).
+func (n *node) entries(dims int) []Entry {
+	out := make([]Entry, n.count())
+	for i := range out {
+		out[i] = n.entry(i, dims)
+	}
+	return out
+}
+
+// ref returns the reference an entry stores in a node of n's kind.
+func (n *node) ref(e Entry) int64 {
+	if n.leaf {
+		return int64(e.Object)
+	}
+	return int64(e.Child)
+}
+
+// appendEntry adds e as the last slot, copying its coordinates.
+func (n *node) appendEntry(e Entry) {
+	n.boxes = append(append(n.boxes, e.Rect.Lo...), e.Rect.Hi...)
+	n.refs = append(n.refs, n.ref(e))
+}
+
+// setEntries replaces every slot with copies of es, in fresh arrays.
+func (n *node) setEntries(es []Entry, dims int) {
+	// es may view the old arrays; they are dropped, not written.
+	n.boxes = make([]float64, 0, len(es)*2*dims)
+	n.refs = make([]int64, 0, len(es))
+	for _, e := range es {
+		n.appendEntry(e)
+	}
+}
+
+// removeAt drops slot i, keeping the order of the others, in fresh arrays.
+func (n *node) removeAt(i, dims int) {
+	w := 2 * dims
+	boxes := make([]float64, 0, len(n.boxes)-w)
+	n.boxes = append(append(boxes, n.boxes[:i*w]...), n.boxes[(i+1)*w:]...)
+	refs := make([]int64, 0, len(n.refs)-1)
+	n.refs = append(append(refs, n.refs[:i]...), n.refs[i+1:]...)
+}
+
+// setRect replaces slot i's rectangle with a copy of r, in a fresh array.
+func (n *node) setRect(i int, r geom.Rect, dims int) {
+	boxes := append(make([]float64, 0, cap(n.boxes)), n.boxes...)
+	copy(boxes[i*2*dims:], r.Lo)
+	copy(boxes[i*2*dims+dims:], r.Hi)
+	n.boxes = boxes
+}
+
+// syncDerived rebuilds what is derived from boxes and refs: the quantised
+// SoA planes and the encoded page size.
+func (n *node) syncDerived(dims int) {
 	n.syncPlanes(dims)
-	n.encSize = int32(nodeHeaderBytes + len(n.entries)*EntryBytes(dims))
+	n.encSize = int32(nodeHeaderBytes + n.count()*EntryBytes(dims))
 }
 
-// syncMirror rebuilds only the flat float64 mirror from the entry
-// rectangles. decodeNodeV2's directory branch uses it directly because it
-// installs the page's stored grid coordinates as the planes rather than
-// requantising (see quant.go).
-func (n *node) syncMirror(dims int) {
-	need := len(n.entries) * 2 * dims
-	if cap(n.boxes) < need {
-		n.boxes = make([]float64, need)
-	} else {
-		n.boxes = n.boxes[:need]
-	}
-	off := 0
-	for i := range n.entries {
-		r := &n.entries[i].Rect
-		copy(n.boxes[off:off+dims], r.Lo)
-		copy(n.boxes[off+dims:off+2*dims], r.Hi)
-		off += 2 * dims
-	}
-}
-
-// mbbIntersects reports whether q intersects the MBB of the node's entries,
-// scanning the flat mirror instead of materialising the MBB (n.mbb()
-// allocates). An entry-less node keeps the legacy vacuous-truth semantics of
-// the zero Rect: everything intersects it.
+// mbbIntersects reports whether q intersects the MBB of the node's slots,
+// scanning boxes instead of materialising the MBB (n.mbb() allocates). A
+// slot-less node keeps the legacy vacuous-truth semantics of the zero Rect:
+// everything intersects it.
 func (n *node) mbbIntersects(q geom.Rect, dims int) bool {
-	if len(n.entries) == 0 {
+	if n.count() == 0 {
 		return true
 	}
 	for d := 0; d < dims; d++ {
@@ -212,15 +299,19 @@ func (n *node) mbbMinDistSq(p geom.Point, dims int) float64 {
 	return s
 }
 
+// mbb returns the MBB of the node's slots as a fresh rectangle the caller
+// owns (zero Rect when the node is empty).
 func (n *node) mbb() geom.Rect {
-	if len(n.entries) == 0 {
+	if n.count() == 0 {
 		return geom.Rect{}
 	}
-	// One fresh rectangle extended in place, instead of one Union allocation
-	// per entry: mbb is called for every node a mutation or walk touches.
-	out := n.entries[0].Rect.Clone()
-	for i := 1; i < len(n.entries); i++ {
-		out = out.Extend(n.entries[i].Rect)
+	dims := len(n.boxes) / (2 * n.count())
+	// One fresh record (a copy of slot 0, one allocation) extended in place,
+	// instead of one Union allocation per slot: mbb is called for every node
+	// a mutation, walk, or join touches.
+	out := boxRect(append([]float64(nil), n.boxes[:2*dims]...), 0, dims)
+	for i := 1; i < n.count(); i++ {
+		out = out.Extend(n.rect(i, dims))
 	}
 	return out
 }
@@ -352,7 +443,6 @@ type Tree struct {
 	// how the most recent InsertItems call routed its items.
 	ovMarks    levelMarks
 	ingestKeys []ingestKey
-	ingest     IngestTuning
 	lastIngest IngestStats
 
 	// File-backed mode, set up by OpenPaged or AttachStore: nodes are
@@ -503,6 +593,9 @@ func (t *Tree) publish() *Version {
 			live = append(live, lv)
 		}
 	}
+	// The filter ran in place: clear the stale pointers left in the tail, or
+	// each keeps a superseded version — and every node it replaced — alive.
+	clear(t.live[len(live):])
 	t.live = append(live, v)
 	t.verMu.Unlock()
 	t.published = true
@@ -671,8 +764,8 @@ func (t *Tree) fixParentsLocked() {
 		if n == nil || n.leaf {
 			continue
 		}
-		for i := range n.entries {
-			c := n.entries[i].Child
+		for i := range n.refs {
+			c := n.child(i)
 			if c >= 0 && int(c) < len(t.nodes) && t.nodes[c] != nil {
 				t.nodes[c].parent = n.id
 			}
@@ -691,17 +784,17 @@ func (t *Tree) autoCommit(err error) {
 }
 
 // cloneForWrite deep-copies a shared node object so the writer can mutate it
-// without disturbing published versions: entries and the flat coordinate
-// mirror get fresh backing arrays; parent, leaf, level, and the Hilbert LHV
-// carry over.
+// without disturbing published versions: boxes, refs, and the filter layer
+// get fresh backing arrays; parent, leaf, level, and the Hilbert LHV carry
+// over.
 func (t *Tree) cloneForWrite(n *node) *node {
 	c := &node{
 		id: n.id, parent: n.parent, leaf: n.leaf, level: n.level,
 		born:       t.epoch,
 		hilbertLHV: n.hilbertLHV,
 	}
-	c.entries = append(make([]Entry, 0, cap(n.entries)), n.entries...)
 	c.boxes = append(make([]float64, 0, cap(n.boxes)), n.boxes...)
+	c.refs = append(make([]int64, 0, cap(n.refs)), n.refs...)
 	c.qmbb = append(make([]float64, 0, cap(n.qmbb)), n.qmbb...)
 	c.qplanes = append(make([]uint64, 0, cap(n.qplanes)), n.qplanes...)
 	return c
@@ -710,8 +803,8 @@ func (t *Tree) cloneForWrite(n *node) *node {
 // mutable returns a node object the writer may mutate in place: n itself
 // when it was created or already cloned in the current batch, otherwise a
 // clone installed in the writer's arena in its stead. Every mutation of a
-// node's entries (and the derived boxes mirror) must go through here before
-// writing; reads may keep using the shared object.
+// node's slots must go through here before writing; reads may keep using the
+// shared object.
 func (t *Tree) mutable(n *node) *node {
 	if n.born == t.epoch {
 		return n
@@ -849,12 +942,13 @@ func (t *Tree) freeNode(id NodeID) {
 	}
 }
 
-// touch records that a node's persistent state (entries, leaf flag, level)
+// touch records that a node's persistent state (slots, leaf flag, level)
 // changed: the next FlushDirty writes it back (file-backed trees), and the
-// flat coordinate mirror is refreshed (all trees). Every entry mutation site
-// calls it — the single node-access layer shared by both modes. The node
-// must be writer-owned (created or cloned in the current batch); touching a
-// shared node object would mutate a published version under its readers.
+// filter layer derived from boxes is refreshed (all trees). Every slot
+// mutation site calls it — the single node-access layer shared by both
+// modes. The node must be writer-owned (created or cloned in the current
+// batch); touching a shared node object would mutate a published version
+// under its readers.
 func (t *Tree) touch(n *node) {
 	if n.born != t.epoch {
 		panic(fmt.Sprintf("rtree: touch of node %d shared with a published version (born %d, batch %d)", n.id, n.born, t.epoch))
@@ -865,7 +959,7 @@ func (t *Tree) touch(n *node) {
 			t.src.dirty[n.id] = struct{}{}
 		}
 	}
-	n.syncBoxes(t.cfg.Dims)
+	n.syncDerived(t.cfg.Dims)
 }
 
 // faultFailure carries a node-access failure out of the deep mutation
@@ -1043,26 +1137,57 @@ func (t *Tree) faultErrLocked(err error) {
 }
 
 // NodeInfo is a read-only description of one node, exposed for the clip
-// layer, statistics, and tests.
+// layer, the joins, statistics, and tests. Its slots are read through Len,
+// Rect, Child, and Object, which view the same flat arrays the search kernel
+// scans: no per-node allocation, and the returned rectangles follow the view
+// contract on Entry (read-only, valid for the life of the process). A
+// NodeInfo is a snapshot: slots appended to a writer-side node afterwards
+// are not seen.
 type NodeInfo struct {
-	ID       NodeID
-	Parent   NodeID
-	Leaf     bool
-	Level    int
-	MBB      geom.Rect
-	Children []Entry
+	ID     NodeID
+	Parent NodeID
+	Leaf   bool
+	Level  int
+	MBB    geom.Rect
 	// Bytes is the node's encoded page size (see node.encSize).
 	Bytes int
 	// PlaneBytes is the resident size of the node's quantised SoA filter
 	// layer (see quant.go); it rides on top of Bytes in pool accounting.
 	PlaneBytes int
+
+	boxes []float64
+	refs  []int64
+	dims  int
 }
 
-// Node returns a snapshot of the node with the given id. The returned
-// Children slice aliases internal storage and must not be modified. On a
-// file-backed tree the node is faulted in on demand, and Parent is
-// InvalidNode until Materialize has run (parents are not stored in the
-// Figure 4a page layout).
+// Len returns the number of slots (children of a directory node, objects of
+// a leaf). The accessors take a pointer receiver so a loop over the slots
+// does not copy the struct once per call.
+func (ni *NodeInfo) Len() int { return len(ni.refs) }
+
+// Rect returns slot i's rectangle: the child's MBB on a directory node, the
+// object's rectangle on a leaf.
+func (ni *NodeInfo) Rect(i int) geom.Rect { return boxRect(ni.boxes, i, ni.dims) }
+
+// Child returns slot i's child node id; meaningful on directory nodes only.
+func (ni *NodeInfo) Child(i int) NodeID { return NodeID(ni.refs[i]) }
+
+// Object returns slot i's object id; meaningful on leaves only.
+func (ni *NodeInfo) Object(i int) ObjectID { return ObjectID(ni.refs[i]) }
+
+// info describes the node for Node and Walk; parent is passed because
+// versions must not read the writer-private pointer.
+func (n *node) info(parent NodeID, dims int) NodeInfo {
+	return NodeInfo{
+		ID: n.id, Parent: parent, Leaf: n.leaf, Level: n.level,
+		MBB: n.mbb(), Bytes: int(n.encSize), PlaneBytes: n.planeBytes(),
+		boxes: n.boxes, refs: n.refs, dims: dims,
+	}
+}
+
+// Node returns a snapshot of the node with the given id. On a file-backed
+// tree the node is faulted in on demand, and Parent is InvalidNode until
+// Materialize has run (parents are not stored in the Figure 4a page layout).
 func (t *Tree) Node(id NodeID) (NodeInfo, error) {
 	if id < 0 || int(id) >= len(t.nodes) {
 		return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
@@ -1071,10 +1196,7 @@ func (t *Tree) Node(id NodeID) (NodeInfo, error) {
 	if n == nil {
 		return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
 	}
-	return NodeInfo{
-		ID: n.id, Parent: n.parent, Leaf: n.leaf, Level: n.level,
-		MBB: n.mbb(), Children: n.entries, Bytes: int(n.encSize), PlaneBytes: n.planeBytes(),
-	}, nil
+	return n.info(n.parent, t.cfg.Dims), nil
 }
 
 // Walk visits every live node of the tree top-down, calling fn with a
@@ -1092,10 +1214,10 @@ func (t *Tree) Walk(fn func(NodeInfo)) {
 		if n == nil {
 			continue
 		}
-		fn(NodeInfo{ID: n.id, Parent: n.parent, Leaf: n.leaf, Level: n.level, MBB: n.mbb(), Children: n.entries, Bytes: int(n.encSize), PlaneBytes: n.planeBytes()})
+		fn(n.info(n.parent, t.cfg.Dims))
 		if !n.leaf {
-			for i := range n.entries {
-				stack = append(stack, n.entries[i].Child)
+			for i := range n.refs {
+				stack = append(stack, n.child(i))
 			}
 		}
 	}
@@ -1156,12 +1278,14 @@ func (t *Tree) Count(q geom.Rect) int {
 }
 
 // All returns every object in the tree (id and rectangle), in no particular
-// order, without charging I/O.
+// order, without charging I/O. The rectangles are views (see Entry).
 func (t *Tree) All() []Entry {
 	out := make([]Entry, 0, t.size)
 	t.Walk(func(info NodeInfo) {
 		if info.Leaf {
-			out = append(out, info.Children...)
+			for i := 0; i < info.Len(); i++ {
+				out = append(out, Entry{Rect: info.Rect(i), Child: InvalidNode, Object: info.Object(i)})
+			}
 		}
 	})
 	return out

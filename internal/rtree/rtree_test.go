@@ -3,8 +3,10 @@ package rtree
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"cbb/internal/geom"
 )
@@ -462,7 +464,7 @@ func TestNodeAndWalk(t *testing.T) {
 	tr.Walk(func(info NodeInfo) {
 		seen++
 		if info.Leaf {
-			leafObjects += len(info.Children)
+			leafObjects += info.Len()
 			if info.Level != 0 {
 				t.Error("leaves must be level 0")
 			}
@@ -588,9 +590,9 @@ func TestRStarProducesLessOverlapThanQuadratic(t *testing.T) {
 			if info.Leaf {
 				return
 			}
-			for i := 0; i < len(info.Children); i++ {
-				for j := i + 1; j < len(info.Children); j++ {
-					overlap += info.Children[i].Rect.OverlapVolume(info.Children[j].Rect)
+			for i := 0; i < info.Len(); i++ {
+				for j := i + 1; j < info.Len(); j++ {
+					overlap += info.Rect(i).OverlapVolume(info.Rect(j))
 				}
 			}
 		})
@@ -706,6 +708,114 @@ func TestAllReturnsEveryObject(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWriterSideViewsStayValid pins the node aliasing rule where copy-on-write
+// cannot help: inside one open batch the writer mutates its own node clones
+// many times, and views taken of them in between (trace placements, orphans,
+// Walk snapshots) must keep their values, so removal, replacement, and
+// splitting may never rewrite a node's arrays in place.
+func TestWriterSideViewsStayValid(t *testing.T) {
+	for _, v := range AllVariants() {
+		t.Run(v.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(21))
+			tr := MustNew(smallConfig(2, v))
+			var items []Item
+			for i := 0; i < 300; i++ {
+				items = append(items, Item{Object: ObjectID(i), Rect: randRect(rng, 2, 100, 5)})
+			}
+			if err := tr.BulkLoad(items); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.BeginBatch(); err != nil {
+				t.Fatal(err)
+			}
+			type kept struct{ view, copy geom.Rect }
+			var views []kept
+			nextID := len(items)
+			for round := 0; round < 40; round++ {
+				tr.Walk(func(info NodeInfo) {
+					for i := 0; i < info.Len(); i++ {
+						views = append(views, kept{info.Rect(i), info.Rect(i).Clone()})
+					}
+				})
+				for k := 0; k < 10; k++ {
+					it := Item{Object: ObjectID(nextID), Rect: randRect(rng, 2, 100, 5)}
+					nextID++
+					trace, err := tr.Insert(it.Rect, it.Object)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, p := range trace.Placements {
+						views = append(views, kept{p.Rect, p.Rect.Clone()})
+					}
+					items = append(items, it)
+					i := rng.Intn(len(items))
+					if _, err := tr.Delete(items[i].Rect, items[i].Object); err != nil {
+						t.Fatal(err)
+					}
+					items = append(items[:i], items[i+1:]...)
+				}
+			}
+			for i, k := range views {
+				if !k.view.Equal(k.copy) {
+					t.Fatalf("view %d of %d changed from %v to %v", i, len(views), k.copy, k.view)
+				}
+			}
+			tr.CommitBatch()
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestPublishDropsSupersededVersions pins that the live-version list holds no
+// stale pointers: once old versions are unpinned, the next publish must leave
+// nothing beyond len(t.live) in the backing array, so the garbage collector
+// can reclaim the versions and the node generations only they referenced.
+func TestPublishDropsSupersededVersions(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	tr := MustNew(smallConfig(2, RStar))
+	insert := func(id int) {
+		t.Helper()
+		if _, err := tr.Insert(randRect(rng, 2, 100, 5), ObjectID(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(0)
+	collected := make(chan struct{})
+	runtime.SetFinalizer(tr.mustNode(tr.root), func(*node) { close(collected) })
+	pinned := []*Version{tr.CurrentVersion()}
+	pinned[0].Pin()
+	for i := 1; i < 8; i++ {
+		insert(i) // clones the root leaf: the finalizer's node is superseded
+		v := tr.CurrentVersion()
+		v.Pin()
+		pinned = append(pinned, v)
+	}
+	for i, v := range pinned {
+		v.Unpin()
+		pinned[i] = nil
+	}
+	insert(8)
+	if len(tr.live) != 1 {
+		t.Fatalf("%d live versions after unpinning everything, want 1", len(tr.live))
+	}
+	for i, v := range tr.live[:cap(tr.live)][len(tr.live):] {
+		if v != nil {
+			t.Errorf("stale *Version (epoch %d) left at live[%d]", v.epoch, len(tr.live)+i)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("a node only superseded versions referenced was never collected")
 }
 
 func BenchmarkInsertQuadratic(b *testing.B) {

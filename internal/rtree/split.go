@@ -9,19 +9,19 @@ import (
 // splitEntries distributes an over-full entry set (M+1 entries) into two
 // groups according to the variant's split algorithm. Both groups respect the
 // minimum fill m.
-func (t *Tree) splitEntries(entries []Entry) (groupA, groupB []Entry) {
+func (t *Tree) splitEntries(es []Entry) (groupA, groupB []Entry) {
 	switch t.cfg.Variant {
 	case RStar:
-		return t.splitRStar(entries, false)
+		return t.splitRStar(es, false)
 	case RRStar:
-		return t.splitRStar(entries, true)
+		return t.splitRStar(es, true)
 	case Hilbert:
 		if t.curve != nil {
-			return t.splitHilbert(entries)
+			return t.splitHilbert(es)
 		}
-		return t.splitQuadratic(entries)
+		return t.splitQuadratic(es)
 	default:
-		return t.splitQuadratic(entries)
+		return t.splitQuadratic(es)
 	}
 }
 
@@ -31,17 +31,17 @@ func (t *Tree) splitEntries(entries []Entry) (groupA, groupB []Entry) {
 // entries that would waste the most area if grouped together as seeds, then
 // repeatedly assign the entry with the greatest preference difference to the
 // group whose MBB it enlarges least, while honouring the minimum fill.
-func (t *Tree) splitQuadratic(entries []Entry) ([]Entry, []Entry) {
+func (t *Tree) splitQuadratic(es []Entry) ([]Entry, []Entry) {
 	m := t.cfg.MinEntries
-	seedA, seedB := pickQuadraticSeeds(entries)
-	groupA := []Entry{entries[seedA]}
-	groupB := []Entry{entries[seedB]}
-	mbbA := entries[seedA].Rect.Clone()
-	mbbB := entries[seedB].Rect.Clone()
-	remaining := make([]Entry, 0, len(entries)-2)
-	for i := range entries {
+	seedA, seedB := pickQuadraticSeeds(es)
+	groupA := []Entry{es[seedA]}
+	groupB := []Entry{es[seedB]}
+	mbbA := es[seedA].Rect.Clone()
+	mbbB := es[seedB].Rect.Clone()
+	remaining := make([]Entry, 0, len(es)-2)
+	for i := range es {
 		if i != seedA && i != seedB {
-			remaining = append(remaining, entries[i])
+			remaining = append(remaining, es[i])
 		}
 	}
 	for len(remaining) > 0 {
@@ -96,13 +96,13 @@ func (t *Tree) splitQuadratic(entries []Entry) ([]Entry, []Entry) {
 
 // pickQuadraticSeeds returns the indexes of the pair of entries whose
 // combined MBB wastes the most area.
-func pickQuadraticSeeds(entries []Entry) (int, int) {
+func pickQuadraticSeeds(es []Entry) (int, int) {
 	seedA, seedB := 0, 1
 	worst := -1.0
-	for i := 0; i < len(entries); i++ {
-		volI := entries[i].Rect.Volume()
-		for j := i + 1; j < len(entries); j++ {
-			waste := entries[i].Rect.UnionVolume(entries[j].Rect) - volI - entries[j].Rect.Volume()
+	for i := 0; i < len(es); i++ {
+		volI := es[i].Rect.Volume()
+		for j := i + 1; j < len(es); j++ {
+			waste := es[i].Rect.UnionVolume(es[j].Rect) - volI - es[j].Rect.Volume()
 			if waste > worst {
 				worst, seedA, seedB = waste, i, j
 			}
@@ -120,10 +120,10 @@ func pickQuadraticSeeds(entries []Entry) (int, int) {
 // when every candidate has zero volume overlap, which discriminates
 // distributions of degenerate rectangles — the perimeter-based goal function
 // of the revised R*-tree.
-func (t *Tree) splitRStar(entries []Entry, revised bool) ([]Entry, []Entry) {
+func (t *Tree) splitRStar(es []Entry, revised bool) ([]Entry, []Entry) {
 	m := t.cfg.MinEntries
 	dims := t.cfg.Dims
-	n := len(entries)
+	n := len(es)
 
 	// Axis choice: total margin over all candidate distributions. The left
 	// and right MBBs of the distributions are prefix/suffix unions of the
@@ -142,7 +142,7 @@ func (t *Tree) splitRStar(entries []Entry, revised bool) ([]Entry, []Entry) {
 	for d := 0; d < dims; d++ {
 		margin := 0.0
 		for _, byUpper := range []bool{false, true} {
-			sorted := sortEntriesByAxis(entries, d, byUpper)
+			sorted := sortEntriesByAxis(es, d, byUpper)
 			suffixScan(sorted)
 			pre := sorted[0].Rect.Clone()
 			for i := 1; i < m; i++ {
@@ -173,7 +173,7 @@ func (t *Tree) splitRStar(entries []Entry, revised bool) ([]Entry, []Entry) {
 	}
 	cands := make([]candidate, 0, 2*(n-2*m+1))
 	for _, byUpper := range []bool{false, true} {
-		sorted := sortEntriesByAxis(entries, bestAxis, byUpper)
+		sorted := sortEntriesByAxis(es, bestAxis, byUpper)
 		suffixScan(sorted)
 		pre := sorted[0].Rect.Clone()
 		for i := 1; i < m; i++ {
@@ -215,14 +215,14 @@ func (t *Tree) splitRStar(entries []Entry, revised bool) ([]Entry, []Entry) {
 			best = i
 		}
 	}
-	sorted := sortEntriesByAxis(entries, bestAxis, cands[best].byUpper)
+	sorted := sortEntriesByAxis(es, bestAxis, cands[best].byUpper)
 	left := append([]Entry(nil), sorted[:cands[best].k]...)
 	right := append([]Entry(nil), sorted[cands[best].k:]...)
 	return left, right
 }
 
-func sortEntriesByAxis(entries []Entry, axis int, byUpper bool) []Entry {
-	out := append([]Entry(nil), entries...)
+func sortEntriesByAxis(es []Entry, axis int, byUpper bool) []Entry {
+	out := append([]Entry(nil), es...)
 	sort.SliceStable(out, func(i, j int) bool {
 		if byUpper {
 			if out[i].Rect.Hi[axis] != out[j].Rect.Hi[axis] {
@@ -238,14 +238,6 @@ func sortEntriesByAxis(entries []Entry, axis int, byUpper bool) []Entry {
 	return out
 }
 
-func entryRects(entries []Entry) []geom.Rect {
-	out := make([]geom.Rect, len(entries))
-	for i := range entries {
-		out[i] = entries[i].Rect
-	}
-	return out
-}
-
 // --- Hilbert split -------------------------------------------------------------
 
 // splitHilbert splits an over-full node by Hilbert order of the entry
@@ -253,8 +245,8 @@ func entryRects(entries []Entry) []geom.Rect {
 // original HR-tree defers splits with 2-to-3 redistribution; plain halving
 // is the standard simplification and only affects occupancy, not
 // correctness.)
-func (t *Tree) splitHilbert(entries []Entry) ([]Entry, []Entry) {
-	sorted := append([]Entry(nil), entries...)
+func (t *Tree) splitHilbert(es []Entry) ([]Entry, []Entry) {
+	sorted := append([]Entry(nil), es...)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return t.curve.IndexRect(sorted[i].Rect) < t.curve.IndexRect(sorted[j].Rect)
 	})

@@ -12,6 +12,8 @@ import (
 // tool; it never charges I/O.
 //
 // Invariants checked:
+//   - every node's slot store is well formed (checkSlots) and its filter
+//     layer is conservative for it (checkPlanes);
 //   - every node's entry count is within [MinEntries, MaxEntries], except
 //     the root (which may hold fewer) and single-leaf trees;
 //   - directory entries' rectangles equal the MBB of the referenced child;
@@ -45,31 +47,28 @@ func (t *Tree) Validate() error {
 		if n == nil {
 			return fmt.Errorf("rtree: node %d is nil", id)
 		}
-		if len(n.entries) > t.cfg.MaxEntries {
-			return fmt.Errorf("rtree: node %d has %d entries (max %d)", id, len(n.entries), t.cfg.MaxEntries)
+		if n.count() > t.cfg.MaxEntries {
+			return fmt.Errorf("rtree: node %d has %d entries (max %d)", id, n.count(), t.cfg.MaxEntries)
 		}
-		if err := t.checkBoxes(n); err != nil {
+		if err := t.checkSlots(n); err != nil {
 			return err
 		}
 		if err := t.checkPlanes(n); err != nil {
 			return err
 		}
-		if id != t.root && len(n.entries) < t.cfg.MinEntries {
-			return fmt.Errorf("rtree: node %d has %d entries (min %d)", id, len(n.entries), t.cfg.MinEntries)
+		if id != t.root && n.count() < t.cfg.MinEntries {
+			return fmt.Errorf("rtree: node %d has %d entries (min %d)", id, n.count(), t.cfg.MinEntries)
 		}
 		if n.leaf {
 			if n.level != 0 {
 				return fmt.Errorf("rtree: leaf %d at level %d", id, n.level)
 			}
-			objects += len(n.entries)
+			objects += n.count()
 			return nil
 		}
-		for i := range n.entries {
-			e := &n.entries[i]
+		for i := range n.refs {
+			e := n.entry(i, t.cfg.Dims)
 			child := t.nodes[e.Child]
-			if child == nil {
-				return fmt.Errorf("rtree: node %d references missing child %d", id, e.Child)
-			}
 			if child.parent != id {
 				return fmt.Errorf("rtree: child %d has parent %d, expected %d", child.id, child.parent, id)
 			}
@@ -102,38 +101,44 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
-// checkBoxes verifies that the node's flat coordinate mirror matches its
-// entry rectangles exactly — the invariant the query hot path relies on.
-func (t *Tree) checkBoxes(n *node) error {
+// checkSlots verifies the node's one slot store: boxes holds exactly 2·dims
+// coordinates per ref, every box is finite with lo <= hi, every directory
+// ref names a live node, and no object id repeats within a leaf.
+func (t *Tree) checkSlots(n *node) error {
 	dims := t.cfg.Dims
-	if len(n.boxes) != len(n.entries)*2*dims {
-		return fmt.Errorf("rtree: node %d has %d mirror coordinates for %d entries (want %d)",
-			n.id, len(n.boxes), len(n.entries), len(n.entries)*2*dims)
+	if len(n.boxes) != n.count()*2*dims {
+		return fmt.Errorf("rtree: node %d has %d coordinates for %d entries (want %d)",
+			n.id, len(n.boxes), n.count(), n.count()*2*dims)
 	}
-	off := 0
-	for i := range n.entries {
-		r := &n.entries[i].Rect
-		for d := 0; d < dims; d++ {
-			if n.boxes[off+d] != r.Lo[d] || n.boxes[off+dims+d] != r.Hi[d] {
-				return fmt.Errorf("rtree: node %d entry %d mirror out of sync with rect %v", n.id, i, *r)
+	for i, ref := range n.refs {
+		if r := n.rect(i, dims); !r.Valid() {
+			return fmt.Errorf("rtree: node %d entry %d has invalid rect %v", n.id, i, r)
+		}
+		if !n.leaf {
+			if ref < 0 || ref >= int64(len(t.nodes)) || t.nodes[ref] == nil {
+				return fmt.Errorf("rtree: node %d references missing child %d", n.id, ref)
+			}
+			continue
+		}
+		for _, other := range n.refs[:i] {
+			if other == ref {
+				return fmt.Errorf("rtree: leaf %d holds object %d twice", n.id, ref)
 			}
 		}
-		off += 2 * dims
 	}
 	return nil
 }
 
 // checkPlanes verifies the node's quantised SoA filter layer against the
-// exact mirror: the planes must be conservative (each grid bound decodes to
+// exact boxes: the planes must be conservative (each grid bound decodes to
 // at most the exact lower / at least the exact upper bound — the property
 // the scan kernels rely on to never miss a hit), and, wherever the planes
 // were computed from exact rects (every node except directories adopted
 // verbatim from a compressed v2 page), they must be exactly the
-// qlower/qupper quantisation of the mirror against a qmbb that is the
-// mirror's true MBB.
+// qlower/qupper quantisation of boxes against a qmbb that is their true MBB.
 func (t *Tree) checkPlanes(n *node) error {
 	dims := t.cfg.Dims
-	count := len(n.entries)
+	count := n.count()
 	if !n.hasPlanes(dims) {
 		return fmt.Errorf("rtree: node %d has %d plane words and %d MBB extents for %d entries (want %d and %d)",
 			n.id, len(n.qplanes), len(n.qmbb), count, 2*dims*planeWords(count), 2*dims)
@@ -142,7 +147,7 @@ func (t *Tree) checkPlanes(n *node) error {
 		return nil
 	}
 	// Directory nodes of a v2-loaded tree carry the page's stored grid
-	// coordinates and MBB; their decoded-rect mirror sits outward of both, so
+	// coordinates and MBB; their decoded rects sit outward of both, so
 	// only the conservativeness half applies to them.
 	adopted := t.conservative && !n.leaf
 	for d := 0; d < dims; d++ {
@@ -159,7 +164,7 @@ func (t *Tree) checkPlanes(n *node) error {
 				}
 			}
 			if lo != minLo || hi != maxHi {
-				return fmt.Errorf("rtree: node %d plane MBB [%v, %v] in dim %d does not match mirror MBB [%v, %v]",
+				return fmt.Errorf("rtree: node %d plane MBB [%v, %v] in dim %d does not match box MBB [%v, %v]",
 					n.id, lo, hi, d, minLo, maxHi)
 			}
 		}
@@ -219,13 +224,13 @@ func (v *Version) Stats() Stats {
 		s.PlaneBytes += n.planeBytes()
 		if n.leaf {
 			s.LeafNodes++
-			leafEntries += len(n.entries)
+			leafEntries += n.count()
 			continue
 		}
 		s.DirNodes++
-		dirEntries += len(n.entries)
-		for i := range n.entries {
-			stack = append(stack, n.entries[i].Child)
+		dirEntries += n.count()
+		for i := range n.refs {
+			stack = append(stack, n.child(i))
 		}
 	}
 	maxEntries := v.tree.cfg.MaxEntries

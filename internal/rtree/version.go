@@ -128,8 +128,7 @@ func (v *Version) RootMBBIntersects(q geom.Rect) bool {
 }
 
 // Node returns a read-only snapshot of the node with the given id at this
-// version. The returned Children slice aliases the version's immutable
-// storage and must not be modified. Parent is always InvalidNode: parent
+// version. Parent is always InvalidNode: parent
 // pointers are writer-private metadata that the single writer refreshes in
 // place on shared node objects, so a version must not read them (the join
 // and search paths never need them).
@@ -141,10 +140,7 @@ func (v *Version) Node(id NodeID) (NodeInfo, error) {
 	if n == nil {
 		return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
 	}
-	return NodeInfo{
-		ID: n.id, Parent: InvalidNode, Leaf: n.leaf, Level: n.level,
-		MBB: n.mbb(), Children: n.entries, Bytes: int(n.encSize), PlaneBytes: n.planeBytes(),
-	}, nil
+	return n.info(InvalidNode, v.tree.cfg.Dims), nil
 }
 
 // Search finds every object intersecting q at this version; traversal stops
@@ -208,7 +204,7 @@ var searchScratchPool = sync.Pool{
 // pooled stack, against one immutable version. Per node the
 // quantised SoA planes are scanned first (quantScan, branch-free, ANDing a
 // survivor bitmask across dimensions); only survivors touch the exact
-// float64 mirror — leaf survivors get one exact verification before visit,
+// float64 boxes — leaf survivors get one exact verification before visit,
 // directory survivors are recursed into directly off the conservative grid
 // verdict (admissible by the same containment argument as the v2 on-disk
 // format; see quant.go). Survivors are walked in ascending entry order
@@ -243,7 +239,7 @@ func (v *Version) searchIter(q geom.Rect, adm Admitter, c *storage.Counter, visi
 			// one, and no live root reaches them.
 			continue
 		}
-		count := len(n.entries)
+		count := n.count()
 		quantiseQuery(n.qmbb, dims, &sc.qlo, &sc.qhi, &sc.qg)
 		mask := sc.maskFor(count)
 		quantScan(n.qplanes, count, dims, &sc.qg, mask)
@@ -256,7 +252,7 @@ func (v *Version) searchIter(q geom.Rect, adm Admitter, c *storage.Counter, visi
 					i := w<<6 + bits.TrailingZeros64(m)
 					m &= m - 1
 					if boxHits(boxes, i*2*dims, dims, &sc.qlo, &sc.qhi) {
-						if !visit(n.entries[i].Object, n.entries[i].Rect) {
+						if !visit(n.object(i), boxRect(boxes, i, dims)) {
 							sc.stack = stack[:0]
 							searchScratchPool.Put(sc)
 							return
@@ -273,9 +269,9 @@ func (v *Version) searchIter(q geom.Rect, adm Admitter, c *storage.Counter, visi
 			for m != 0 {
 				i := w<<6 + bits.TrailingZeros64(m)
 				m &= m - 1
-				e := &n.entries[i]
-				if adm == nil || adm.AdmitChild(e.Child, e.Rect, q) {
-					stack = append(stack, e.Child)
+				child := n.child(i)
+				if adm == nil || adm.AdmitChild(child, n.rect(i, dims), q) {
+					stack = append(stack, child)
 				}
 			}
 		}

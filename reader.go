@@ -83,6 +83,10 @@ func (r reader) Bounds() Rect {
 // result set is always identical to an unclipped search. Across shards the
 // order follows the shard directory (Hilbert order). An invalid query, or
 // one whose dimensionality differs from the index's, matches nothing.
+//
+// The rectangles handed to visit (and those in SearchAll and
+// NearestNeighbors results) are views of immutable node storage: read-only,
+// but safe to keep without Clone — no later mutation changes them.
 func (r reader) Search(q Rect, visit func(ObjectID, Rect) bool) {
 	r.searchCounted(q, nil, visit)
 }
