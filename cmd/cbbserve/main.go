@@ -47,7 +47,7 @@ func main() {
 
 		inflight     = flag.Int("inflight", 0, "max concurrently served data requests (0 = default 256, <0 = unlimited)")
 		queueTimeout = flag.Duration("queue-timeout", 0, "max wait for an in-flight slot before shedding with 429 (0 = default 50ms)")
-		coalesce     = flag.Duration("coalesce", 0, "point-search coalescing window (0 = default 200µs, <0 = disabled)")
+		coalesce     = flag.Bool("coalesce", true, "answer /search requests that arrive while another is being answered as one batch on one pinned view (there is no window: a lone request never waits)")
 		coalesceMax  = flag.Int("coalesce-max", 0, "max point searches per coalesced batch (0 = default 64)")
 		workers      = flag.Int("workers", 1, "worker goroutines per batch search (0 = GOMAXPROCS)")
 		drain        = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline")
@@ -82,14 +82,17 @@ func main() {
 		fatal(err)
 	}
 
-	s, err := server.New(server.Config{
+	cfg := server.Config{
 		Engine:           eng,
 		InFlightLimit:    *inflight,
 		QueueTimeout:     *queueTimeout,
-		CoalesceWindow:   *coalesce,
 		CoalesceMaxBatch: *coalesceMax,
 		SearchWorkers:    *workers,
-	})
+	}
+	if !*coalesce {
+		cfg.CoalesceWindow = -1
+	}
+	s, err := server.New(cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -22,8 +22,9 @@ import (
 // serving layer (decode, admission, snapshot pin, query, encode) from
 // kernel TCP behaviour. Each dataset × profile is measured twice: "direct"
 // (sequential requests, coalescing disabled) and "coalesced" (workers
-// concurrent clients sharing micro-batches), the two paths a live cbbserve
-// serves under light and heavy concurrency respectively.
+// concurrent clients; a request that arrives while another is being
+// answered shares the next batch), the two paths a live cbbserve serves
+// under light and heavy concurrency respectively.
 func RunServe(cfg Config, workers int) (*ServeResult, error) {
 	cfg = cfg.WithDefaults()
 	if workers < 2 {
@@ -69,7 +70,6 @@ func RunServe(cfg Config, workers int) (*ServeResult, error) {
 		}
 		coalesced, err := server.New(server.Config{
 			Engine:           server.NewTreeEngine(tree, false),
-			CoalesceWindow:   200 * time.Microsecond,
 			CoalesceMaxBatch: workers,
 			SearchWorkers:    1,
 		})
@@ -192,7 +192,7 @@ func (r *ServeResult) Table() *Table {
 			us(row.Direct.P50), us(row.Direct.P99), row.Direct.QPS,
 			us(row.Coalesced.P50), us(row.Coalesced.P99), row.Coalesced.QPS)
 	}
-	t.AddNote("direct: sequential requests, coalescing disabled; coal: %d concurrent clients, 200µs window", r.Workers)
+	t.AddNote("direct: sequential requests, coalescing disabled; coal: %d concurrent clients, batches of what queued behind the request in progress", r.Workers)
 	t.AddNote("in-process httptest handler — JSON decode/encode and admission included, TCP excluded")
 	return t
 }

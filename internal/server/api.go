@@ -46,8 +46,8 @@ func fromItems(items []cbb.Item) []ItemJSON {
 }
 
 // SearchRequest asks for every object intersecting one query window.
-// Point searches are the coalescing path: concurrent /search requests are
-// micro-batched into one BatchSearch on one pinned view.
+// Point searches are the coalescing path: /search requests that arrive
+// while another is being answered share one BatchSearch on one pinned view.
 type SearchRequest struct {
 	Query RectJSON `json:"query"`
 	// CountOnly suppresses the item list in the response.
@@ -208,8 +208,11 @@ type StatsResponse struct {
 		Errors    int64 `json:"errors"`
 		Shed      int64 `json:"shed"`
 		Coalesced int64 `json:"coalesced_queries"`
-		Batches   int64 `json:"coalesced_batches"`
-		InFlight  int64 `json:"in_flight"`
+		// CoalesceWaitP50 is the median time a point query queued before
+		// the flush that answered it began, in nanoseconds.
+		CoalesceWaitP50 int64 `json:"coalesce_wait_p50_ns"`
+		Batches         int64 `json:"coalesced_batches"`
+		InFlight        int64 `json:"in_flight"`
 	} `json:"server"`
 }
 

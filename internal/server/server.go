@@ -5,8 +5,11 @@
 //   - Every read request is answered from one pinned snapshot view for its
 //     whole lifetime: it never blocks writers, never sees a partial batch,
 //     and reports the commit epoch(s) it was answered at.
-//   - Concurrent point searches are coalesced into one engine BatchSearch
-//     through a bounded micro-batching queue (one pinned view per batch).
+//   - A point search that finds the coalescer idle is answered at once on
+//     its own goroutine; searches arriving while another is being answered
+//     queue behind it and share one engine BatchSearch on one pinned view as
+//     soon as it ends. Batches form out of concurrency, never out of a
+//     timer, so a lone client pays nothing for coalescing.
 //   - Admission control sheds load with 429 + Retry-After once the
 //     in-flight limit is reached and a queued request cannot be admitted
 //     within the queue timeout; handlers honor context cancellation.
@@ -22,6 +25,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -52,14 +56,16 @@ type Config struct {
 	// in-flight slot before being shed (0 defaults to 50ms).
 	QueueTimeout time.Duration
 
-	// CoalesceWindow is the micro-batching window of /search: concurrent
-	// point queries arriving within it are answered by one BatchSearch on
-	// one pinned view. 0 defaults to 200µs; negative disables coalescing
-	// (every /search pins its own view).
+	// CoalesceWindow switches /search coalescing: negative turns it off
+	// (every /search pins its own view), any other value leaves it on. There
+	// is no window to tune: a search that finds no other in progress is
+	// answered at once, and those arriving meanwhile are answered together,
+	// by one BatchSearch on one pinned view, as soon as it ends. (The name and
+	// type date from a timer-driven coalescer.)
 	CoalesceWindow time.Duration
 
-	// CoalesceMaxBatch caps a coalesced batch (flush fires early when the
-	// cap is reached; 0 defaults to 64).
+	// CoalesceMaxBatch caps a coalesced batch; searches queued beyond it wait
+	// for the batch after (0 defaults to 64).
 	CoalesceMaxBatch int
 
 	// SearchWorkers bounds the engine-side worker fan-out of coalesced
@@ -79,9 +85,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.QueueTimeout == 0 {
 		c.QueueTimeout = 50 * time.Millisecond
-	}
-	if c.CoalesceWindow == 0 {
-		c.CoalesceWindow = 200 * time.Microsecond
 	}
 	if c.CoalesceMaxBatch <= 0 {
 		c.CoalesceMaxBatch = 64
@@ -122,6 +125,7 @@ type Server struct {
 	canceled  *telemetry.Counter
 	coalBatch *telemetry.Counter
 	coalQ     *telemetry.Counter
+	coalWait  *telemetry.Histogram
 }
 
 // New builds a server over the configured engine.
@@ -164,6 +168,8 @@ func New(cfg Config) (*Server, error) {
 	s.coalBatch = s.reg.Counter("cbbserve_coalesce_batches_total", "coalesced micro-batches flushed")
 	s.coalQ = s.reg.Counter("cbbserve_coalesce_queries_total", "point queries answered through coalesced batches")
 	coalSize := s.reg.Histogram("cbbserve_coalesce_batch_size", "queries per coalesced batch", 1)
+	s.coalWait = s.reg.Histogram("cbbserve_coalesce_wait_seconds",
+		"time a point query queued before the flush that answered it began (0 when it found the coalescer idle)", 1e9)
 
 	// Engine-side statistics, computed at scrape time.
 	s.reg.GaugeFunc("cbb_objects", "indexed objects", func() float64 { return float64(s.eng.Len()) })
@@ -178,9 +184,11 @@ func New(cfg Config) (*Server, error) {
 		return bs.HitRate()
 	})
 
-	if cfg.CoalesceWindow > 0 {
-		s.coal = newCoalescer(s.eng, cfg.CoalesceWindow, cfg.CoalesceMaxBatch, cfg.SearchWorkers,
-			s.coalBatch, s.coalQ, coalSize)
+	if cfg.CoalesceWindow >= 0 {
+		s.coal = &coalescer{
+			eng: s.eng, max: cfg.CoalesceMaxBatch, workers: cfg.SearchWorkers,
+			batches: s.coalBatch, coalesced: s.coalQ, batchSize: coalSize, wait: s.coalWait,
+		}
 	}
 
 	s.mux.Handle("/search", s.handle("/search", true, s.handleSearch))
@@ -216,11 +224,12 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Shutdown drains the server and retires the engine: new data-plane
-// requests are refused with 503, in-flight requests are given until ctx's
-// deadline to complete (none is dropped before then), and once drained the
-// engine is flushed (when persistent) and closed — so a file-backed
-// engine's snapshot is durable and valid after a clean shutdown. Safe to
-// call without a preceding Serve (in-process servers).
+// requests are refused with 503, in-flight requests and queued point
+// searches are given until ctx's deadline to complete (none is dropped
+// before then), and once drained the engine is flushed (when persistent)
+// and closed — so a file-backed engine's snapshot is durable and valid
+// after a clean shutdown. Safe to call without a preceding Serve
+// (in-process servers).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	var errs []error
@@ -228,7 +237,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		errs = append(errs, fmt.Errorf("drain: %w", err))
 	}
 	// In-process callers bypass hs; wait for admitted requests ourselves.
-	if err := s.awaitInflight(ctx); err != nil {
+	if err := s.awaitDrained(ctx); err != nil {
 		errs = append(errs, err)
 	}
 	if err := s.eng.Close(); err != nil {
@@ -237,16 +246,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// awaitInflight waits until no admitted request is in flight (admission
-// slots drain to zero) or ctx expires.
-func (s *Server) awaitInflight(ctx context.Context) error {
-	if s.inflight == nil {
-		return nil
-	}
+// awaitDrained waits until no admitted request is in flight (admission
+// slots drain to zero) and the coalescer is idle, or ctx expires. The
+// coalescer is asked as well because admission control can be off, and then
+// nothing else knows of a flush still running against the engine.
+func (s *Server) awaitDrained(ctx context.Context) error {
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	for {
-		if len(s.inflight) == 0 {
+		if len(s.inflight) == 0 && (s.coal == nil || s.coal.idle()) {
 			return nil
 		}
 		select {
@@ -296,15 +304,14 @@ func (s *Server) handle(endpoint string, post bool, fn func(r *http.Request) (an
 			writeJSON(w, status, ErrorResponse{Error: "server is draining"})
 			return
 		}
-		release, ok := s.admit(r.Context())
-		if !ok {
+		if !s.admit(r.Context()) {
 			status = http.StatusTooManyRequests
 			s.shed.Inc()
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterS))
 			writeJSON(w, status, ErrorResponse{Error: "overloaded: in-flight limit reached"})
 			return
 		}
-		defer release()
+		defer s.release()
 
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		resp, err := fn(r)
@@ -328,10 +335,10 @@ func (s *Server) handle(endpoint string, post bool, fn func(r *http.Request) (an
 
 // admit acquires an in-flight slot, waiting up to the queue timeout; the
 // request is shed when neither a slot frees up in time nor the client is
-// still interested.
-func (s *Server) admit(ctx context.Context) (release func(), ok bool) {
+// still interested. An admitted request gives its slot back with release.
+func (s *Server) admit(ctx context.Context) bool {
 	if s.inflight == nil {
-		return func() {}, true
+		return true
 	}
 	select {
 	case s.inflight <- struct{}{}:
@@ -342,29 +349,90 @@ func (s *Server) admit(ctx context.Context) (release func(), ok bool) {
 		select {
 		case s.inflight <- struct{}{}:
 		case <-t.C:
-			return nil, false
+			return false
 		case <-ctx.Done():
-			return nil, false
+			return false
 		}
 	}
 	s.inflightG.Add(1)
-	return func() {
-		s.inflightG.Add(-1)
-		<-s.inflight
-	}, true
+	return true
 }
+
+func (s *Server) release() {
+	if s.inflight == nil {
+		return
+	}
+	s.inflightG.Add(-1)
+	<-s.inflight
+}
+
+// maxPooledBytes is the largest request body or reply whose buffer goes back
+// to its pool; one huge /batch or /join must not pin megabytes per pool slot.
+const maxPooledBytes = 64 << 10
+
+// replyEncoder is a json.Encoder kept across requests together with the
+// buffer it encodes into, so a reply is one Write.
+type replyEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var replyEncoders = sync.Pool{New: func() any {
+	e := &replyEncoder{}
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
+
+var jsonContentType = []string{"application/json"}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	e := replyEncoders.Get().(*replyEncoder)
+	e.buf.Reset()
+	// The wire types hold nothing json cannot encode, and the status line
+	// could not take the error back anyway.
+	_ = e.enc.Encode(v)
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(e.buf.Bytes()) // a client that has gone is not an error to report
+	if e.buf.Cap() <= maxPooledBytes {
+		replyEncoders.Put(e)
+	}
 }
 
+// bodyDecoder is a json.Decoder kept across requests for its read buffer: it
+// reads from itself, and so from whichever request's body it is pointed at.
+type bodyDecoder struct {
+	dec  *json.Decoder
+	body io.Reader
+	read int64 // bytes handed to dec over all requests
+}
+
+func (d *bodyDecoder) Read(p []byte) (int, error) {
+	n, err := d.body.Read(p)
+	d.read += int64(n)
+	return n, err
+}
+
+var bodyDecoders = sync.Pool{New: func() any {
+	d := &bodyDecoder{}
+	d.dec = json.NewDecoder(d)
+	d.dec.DisallowUnknownFields()
+	return d
+}}
+
 func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	d := bodyDecoders.Get().(*bodyDecoder)
+	d.body = r.Body
+	before := d.read
+	err := d.dec.Decode(v)
+	d.body = nil
+	// The decoder serves another request only if nothing of this one is left
+	// in it: no error (a syntax error is sticky) and no bytes read beyond the
+	// value, which the next Decode would take for the start of its body.
+	if err == nil && d.dec.InputOffset() == d.read && d.read-before <= maxPooledBytes {
+		bodyDecoders.Put(d)
+	}
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return badRequest("empty request body")
 		}
@@ -375,9 +443,10 @@ func decodeJSON(r *http.Request, v any) error {
 
 // --- handlers -----------------------------------------------------------------
 
-// handleSearch answers one range query. With coalescing enabled the query
-// joins the pending micro-batch and is answered by one BatchSearch on one
-// pinned view shared with its batch peers; otherwise it pins its own view.
+// handleSearch answers one range query: through the coalescer when it is on
+// (alone if no other search is in progress, otherwise with the batch that
+// forms behind it), on a view of its own when it is off. A count_only
+// request builds no item list on either path.
 func (s *Server) handleSearch(r *http.Request) (any, error) {
 	var req SearchRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -389,21 +458,14 @@ func (s *Server) handleSearch(r *http.Request) (any, error) {
 	}
 	var out searchOutcome
 	if s.coal != nil {
-		out = s.coal.submit(r.Context(), q)
+		out = s.coal.submit(r.Context(), q, !req.CountOnly)
 	} else {
-		view := s.eng.Snapshot()
-		items := make([]cbb.Item, 0, 16)
-		view.Search(q, func(id cbb.ObjectID, rect cbb.Rect) bool {
-			items = append(items, cbb.Item{Object: id, Rect: rect})
-			return true
-		})
-		out = searchOutcome{epochs: view.Epochs(), items: items, batched: 1}
-		view.Close()
+		out = searchAlone(s.eng, q, !req.CountOnly)
 	}
 	if out.err != nil {
 		return nil, out.err
 	}
-	resp := SearchResponse{Epochs: out.epochs, Count: len(out.items), Batched: out.batched}
+	resp := SearchResponse{Epochs: out.epochs, Count: out.count, Batched: out.batched}
 	if !req.CountOnly {
 		resp.Items = fromItems(out.items)
 	}
@@ -635,6 +697,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Server.Errors = errsN
 	resp.Server.Shed = s.shed.Value()
 	resp.Server.Coalesced = s.coalQ.Value()
+	resp.Server.CoalesceWaitP50 = s.coalWait.Quantile(0.5)
 	resp.Server.Batches = s.coalBatch.Value()
 	resp.Server.InFlight = s.inflightG.Value()
 	writeJSON(w, http.StatusOK, resp)

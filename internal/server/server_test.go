@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
@@ -262,72 +261,6 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestCoalescing drives concurrent point searches through the micro-batch
-// queue and checks that (a) batches actually form, (b) every response is
-// correct and answered at a single epoch set, and (c) the results are
-// identical to the direct path.
-func TestCoalescing(t *testing.T) {
-	tree := buildTree(t, 2000)
-	s := newTestServer(t, Config{
-		Engine:           NewTreeEngine(tree, false),
-		CoalesceWindow:   500 * time.Microsecond,
-		CoalesceMaxBatch: 16,
-	})
-	queries := testRects(64, 99)
-	want := make([]int, len(queries))
-	for i, q := range queries {
-		probe := cbb.R(q.Lo[0], q.Lo[1], q.Lo[0]+20, q.Lo[1]+20)
-		queries[i] = probe
-		want[i] = tree.Count(probe)
-	}
-
-	var wg sync.WaitGroup
-	var maxBatched atomic.Int64
-	errs := make(chan error, len(queries))
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q cbb.Rect) {
-			defer wg.Done()
-			var resp SearchResponse
-			code := post(t, s, "/search", SearchRequest{Query: FromRect(q), CountOnly: true}, &resp)
-			if code != 200 {
-				errs <- fmt.Errorf("query %d: code %d", i, code)
-				return
-			}
-			if resp.Count != want[i] {
-				errs <- fmt.Errorf("query %d: count %d, want %d", i, resp.Count, want[i])
-				return
-			}
-			if len(resp.Epochs) != 1 {
-				errs <- fmt.Errorf("query %d: %d epochs", i, len(resp.Epochs))
-				return
-			}
-			if b := int64(resp.Batched); b > maxBatched.Load() {
-				maxBatched.Store(b)
-			}
-			errs <- nil
-		}(i, q)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Error(err)
-		}
-	}
-	if maxBatched.Load() < 2 {
-		t.Errorf("no coalescing observed (max batch = %d); expected concurrent queries to share a batch", maxBatched.Load())
-	}
-	var st StatsResponse
-	get(t, s, "/stats", &st)
-	if st.Server.Coalesced != int64(len(queries)) {
-		t.Errorf("coalesced queries = %d, want %d", st.Server.Coalesced, len(queries))
-	}
-	if st.Server.Batches == 0 || st.Server.Batches >= int64(len(queries)) {
-		t.Errorf("batches = %d, want in (0, %d)", st.Server.Batches, len(queries))
-	}
-}
-
 // TestAdmissionControl fills the in-flight limit and checks that the next
 // request is shed with 429 + Retry-After and counted in telemetry.
 func TestAdmissionControl(t *testing.T) {
@@ -337,8 +270,7 @@ func TestAdmissionControl(t *testing.T) {
 		QueueTimeout:  5 * time.Millisecond,
 	})
 	// Occupy the only slot directly.
-	release, ok := s.admit(context.Background())
-	if !ok {
+	if !s.admit(context.Background()) {
 		t.Fatal("could not admit the first request")
 	}
 	var resp SearchResponse
@@ -356,122 +288,10 @@ func TestAdmissionControl(t *testing.T) {
 	if got := s.shed.Value(); got != 1 {
 		t.Errorf("shed counter = %d, want 1", got)
 	}
-	release()
+	s.release()
 	// With the slot free the same request succeeds.
 	if code := post(t, s, "/search", req, &resp); code != 200 {
 		t.Errorf("post-release code = %d, want 200", code)
-	}
-}
-
-// TestContextCancellation checks that a canceled request unblocks and is
-// not served.
-func TestContextCancellation(t *testing.T) {
-	s := newTestServer(t, Config{
-		Engine:         NewTreeEngine(buildTree(t, 10), false),
-		CoalesceWindow: time.Hour, // a flush that will never fire on its own
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	body, _ := json.Marshal(SearchRequest{Query: RectJSON{Lo: []float64{0, 0}, Hi: []float64{1, 1}}})
-	r := httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(body)).WithContext(ctx)
-	w := httptest.NewRecorder()
-	done := make(chan struct{})
-	go func() {
-		s.ServeHTTP(w, r)
-		close(done)
-	}()
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("canceled request did not unblock")
-	}
-	if w.Code != statusClientClosed {
-		t.Errorf("code = %d, want %d", w.Code, statusClientClosed)
-	}
-	if s.canceled.Value() != 1 {
-		t.Errorf("canceled counter = %d, want 1", s.canceled.Value())
-	}
-}
-
-// TestEpochConsistencyUnderIngest is the serving-layer consistency
-// guarantee: while a writer ingests concurrently, every read response
-// reports exactly one pinned epoch set and a sequential client observes
-// non-decreasing epochs — reads never straddle a commit.
-func TestEpochConsistencyUnderIngest(t *testing.T) {
-	tree := buildTree(t, 200)
-	s := newTestServer(t, Config{
-		Engine:           NewTreeEngine(tree, false),
-		CoalesceWindow:   200 * time.Microsecond,
-		CoalesceMaxBatch: 8,
-	})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	stop := make(chan struct{})
-	var writerErr atomic.Value
-	go func() {
-		rects := testRects(100000, 7)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := tree.Insert(rects[i%len(rects)], cbb.ObjectID(1000+i)); err != nil {
-				writerErr.Store(err)
-				return
-			}
-		}
-	}()
-
-	client := ts.Client()
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for wkr := 0; wkr < 4; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			lastEpoch := uint64(0)
-			for i := 0; i < 100; i++ {
-				q := RectJSON{Lo: []float64{5, 5}, Hi: []float64{50, 50}}
-				body, _ := json.Marshal(SearchRequest{Query: q, CountOnly: true})
-				resp, err := client.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
-				if err != nil {
-					errs <- err
-					return
-				}
-				var sr SearchResponse
-				err = json.NewDecoder(resp.Body).Decode(&sr)
-				resp.Body.Close()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if resp.StatusCode != 200 {
-					errs <- fmt.Errorf("worker %d: code %d", wkr, resp.StatusCode)
-					return
-				}
-				if len(sr.Epochs) != 1 {
-					errs <- fmt.Errorf("worker %d: response with %d epochs", wkr, len(sr.Epochs))
-					return
-				}
-				if sr.Epochs[0] < lastEpoch {
-					errs <- fmt.Errorf("worker %d: epoch went backwards: %d then %d", wkr, lastEpoch, sr.Epochs[0])
-					return
-				}
-				lastEpoch = sr.Epochs[0]
-			}
-		}(wkr)
-	}
-	wg.Wait()
-	close(stop)
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if err, _ := writerErr.Load().(error); err != nil {
-		t.Fatalf("writer: %v", err)
 	}
 }
 
