@@ -200,6 +200,9 @@ func (o Options) withDefaults() (Options, error) {
 			o.MinEntries = 1
 		}
 	}
+	if o.MaxClipPoints < 0 {
+		return o, errors.New("cbb: Options.MaxClipPoints must not be negative")
+	}
 	if o.MaxClipPoints == 0 {
 		o.MaxClipPoints = 1 << uint(o.Dims+1)
 	}

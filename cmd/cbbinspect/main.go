@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"cbb/internal/clipindex"
 	"cbb/internal/core"
@@ -87,10 +88,17 @@ func main() {
 		if kk == 0 {
 			kk = 1 << uint(ds.Spec.Dims+1)
 		}
+		start := time.Now()
 		idx, err = clipindex.New(tree, core.Params{K: kk, Tau: *tau, Method: method})
 		if err != nil {
 			fatal(err)
 		}
+		// The numerator of the paper's Figure 14: what clipping adds to the
+		// build, beside the tree's own time above.
+		clipTime := time.Since(start)
+		dir, leaf := tree.NodeCount()
+		fmt.Printf("clip build : %s (%.0f ns/object, %d nodes, %d workers)\n", clipTime.Round(1e6),
+			float64(clipTime.Nanoseconds())/float64(max(len(ds.Items), 1)), dir+leaf, clipindex.BuildWorkers(dir+leaf))
 	}
 	if err := inspectTree(tree, idx, *samples, *seed); err != nil {
 		fatal(err)

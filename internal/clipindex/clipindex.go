@@ -16,6 +16,9 @@ package clipindex
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"cbb/internal/core"
@@ -431,50 +434,97 @@ func (x *Index) RebuildAll() { x.maintain(x.rebuildTable) }
 
 // rebuildTable recomputes the whole table. Published snapshots keep
 // referencing the old mirrors; the rebuild starts from a fresh private
-// store rather than wiping them in place.
+// store rather than wiping them in place. The nodes are collected here, on
+// the writer's goroutine, so a lazily opened file-backed tree faults its
+// pages in from one thread.
 func (x *Index) rebuildTable() {
+	var infos []rtree.NodeInfo
+	x.tree.Walk(func(info rtree.NodeInfo) { infos = append(infos, info) })
 	x.table = make(Table)
 	x.store = clipStore{}
 	x.storeShared = false
-	var scratch []geom.Rect
-	x.tree.Walk(func(info rtree.NodeInfo) {
-		scratch = x.reclipNodeInto(info, scratch)
-	})
+	x.reclip(infos)
 }
 
-// reclipNode recomputes one node's clip points from a node snapshot.
-func (x *Index) reclipNode(info rtree.NodeInfo) {
-	x.reclipNodeInto(info, nil)
+// reclipChunk is the number of nodes a build worker takes at a time: large
+// enough that claiming a chunk is noise next to clipping it, small enough
+// that a two-level tree still splits into several.
+const reclipChunk = 16
+
+// BuildWorkers returns the number of goroutines, the caller's included, that
+// clip a set of n nodes: one per chunk up to GOMAXPROCS.
+func BuildWorkers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), (n+reclipChunk-1)/reclipChunk))
 }
 
-// reclipNodeInto is reclipNode with a caller-owned scratch buffer for the
-// child rectangles; core.Clip only reads them, so whole-table rebuild walks
-// reuse one buffer across every node instead of allocating per node. It
-// returns the (possibly grown) buffer for the next call.
-func (x *Index) reclipNodeInto(info rtree.NodeInfo, scratch []geom.Rect) []geom.Rect {
-	children := scratch[:0]
-	for i := 0; i < info.Len(); i++ {
-		children = append(children, info.Rect(i))
-	}
-	clips := core.Clip(info.MBB, children, x.params)
-	if len(clips) == 0 {
-		x.delClips(info.ID)
-		return children
-	}
-	x.setClips(info.ID, clips)
-	return children
-}
-
-// reclipByID recomputes one node's clip points, looking the node up first;
-// missing nodes (freed during condensation) are simply dropped.
-func (x *Index) reclipByID(id rtree.NodeID) {
-	info, err := x.tree.Node(id)
-	if err != nil {
-		x.delClips(id)
+// reclip runs Algorithm 1 on the given nodes and installs the results — the
+// one place clip points are computed, whether for the nodes one insert
+// invalidated or for every node of a bulk-loaded tree. Algorithm 1 reads
+// nothing but one node's child rectangles, so the nodes are clipped in
+// chunks by up to GOMAXPROCS workers (the caller being one of them; a single
+// chunk starts no goroutine), each with its own scratch and each writing only
+// its own nodes' slots of clips. Installation is serial and in the order
+// given, so the table, the dense mirror and their heap layout do not depend
+// on the worker count or on scheduling. The scratch goes with the call:
+// nothing of a build stays on the heap but the clip points.
+func (x *Index) reclip(infos []rtree.NodeInfo) {
+	if len(infos) == 0 {
 		return
 	}
-	x.reclipNode(info)
-	x.tree.Counter().Reclip(1)
+	clips := make([][]core.ClipPoint, len(infos))
+	var next atomic.Int64
+	work := func() {
+		var clipper core.Clipper
+		var children []geom.Rect
+		for {
+			lo := int(next.Add(1)-1) * reclipChunk
+			if lo >= len(infos) {
+				return
+			}
+			for i := lo; i < min(lo+reclipChunk, len(infos)); i++ {
+				info := &infos[i]
+				children = slices.Grow(children[:0], info.Len())
+				for j := 0; j < info.Len(); j++ {
+					children = append(children, info.Rect(j))
+				}
+				clips[i] = clipper.Clip(info.MBB, children, x.params)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := BuildWorkers(len(infos)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for i := range infos {
+		if id := infos[i].ID; len(clips[i]) == 0 {
+			x.delClips(id)
+		} else {
+			x.setClips(id, clips[i])
+		}
+	}
+}
+
+// reclipByIDs recomputes the clip points of the given nodes in one build,
+// looking each node up first; missing nodes (freed during condensation) are
+// simply dropped.
+func (x *Index) reclipByIDs(ids []rtree.NodeID) {
+	infos := make([]rtree.NodeInfo, 0, len(ids))
+	for _, id := range ids {
+		info, err := x.tree.Node(id)
+		if err != nil {
+			x.delClips(id)
+			continue
+		}
+		infos = append(infos, info)
+	}
+	x.reclip(infos)
+	x.tree.Counter().Reclip(int64(len(infos)))
 }
 
 // Search finds every object intersecting q, using clip points to skip child
@@ -564,13 +614,17 @@ func (x *Index) applyInsertTrace(trace *rtree.InsertTrace) []ReclipCause {
 
 	var causes []ReclipCause
 
+	// Every decision below reads the tree as the mutation left it and the
+	// clip points of nodes not marked yet, so the marked nodes are re-clipped
+	// together at the end, as one build.
+	var pending []rtree.NodeID
 	reclipped := make(map[rtree.NodeID]bool, len(trace.Split)+len(trace.Created)+len(trace.MBBChanged))
 	reclip := func(id rtree.NodeID, cause ReclipCause) {
 		if reclipped[id] {
 			return
 		}
 		reclipped[id] = true
-		x.reclipByID(id)
+		pending = append(pending, id)
 		causes = append(causes, cause)
 		switch cause {
 		case CauseSplit:
@@ -626,6 +680,7 @@ func (x *Index) applyInsertTrace(trace *rtree.InsertTrace) []ReclipCause {
 	// grew (child MBB change could intrude into the parent's clipped
 	// corners): validity-check them against the grown child rectangles.
 	x.checkAncestors(trace, reclip)
+	x.reclipByIDs(pending)
 	return causes
 }
 
@@ -683,12 +738,18 @@ func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace) {
 	for _, id := range trace.Removed {
 		x.delClips(id)
 	}
+	// As in applyInsertTrace, the marked nodes are re-clipped together at the
+	// end.
+	var pending []rtree.NodeID
 	reclipped := make(map[rtree.NodeID]bool)
-	for _, id := range trace.MBBChanged {
+	reclip := func(id rtree.NodeID) {
 		if !reclipped[id] {
 			reclipped[id] = true
-			x.reclipByID(id)
+			pending = append(pending, id)
 		}
+	}
+	for _, id := range trace.MBBChanged {
+		reclip(id)
 	}
 	// Entries re-inserted by the condense step may land in clipped dead
 	// space of nodes whose MBB did not change; validity-check each placement
@@ -706,8 +767,7 @@ func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace) {
 			continue
 		}
 		if !core.Intersects(info.MBB, clips, pl.Rect, core.SelectorInsert) {
-			reclipped[pl.Node] = true
-			x.reclipByID(pl.Node)
+			reclip(pl.Node)
 		}
 	}
 	// A node whose MBB grew during re-insertion may now intrude into its
@@ -727,10 +787,10 @@ func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace) {
 			continue
 		}
 		if !core.Intersects(pinfo.MBB, clips, info.MBB, core.SelectorInsert) {
-			reclipped[info.Parent] = true
-			x.reclipByID(info.Parent)
+			reclip(info.Parent)
 		}
 	}
+	x.reclipByIDs(pending)
 	if len(reclipped) == 0 {
 		x.stats.DeletesNoReclip++
 	}

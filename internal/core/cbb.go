@@ -23,9 +23,9 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -138,8 +138,8 @@ func (p Params) Validate() error {
 }
 
 // Clip computes the clip points of the MBB mbb given the rectangles of its
-// children (child MBBs for directory nodes, object MBBs for leaves). It is
-// Algorithm 1 of the paper:
+// children (child MBBs for directory nodes, object MBBs for leaves), which
+// must lie inside mbb. It is Algorithm 1 of the paper:
 //
 //	for each corner b:
 //	    P ← oriented skyline of the children's b-corners
@@ -148,10 +148,52 @@ func (p Params) Validate() error {
 //	    keep candidates with score > τ·Vol(mbb)
 //	return the K highest-scoring candidates overall, ordered by score
 //
+// evaluated so that only work whose result can be stored is done. A skyline
+// point is tested against the floor τ·Vol(mbb) at once; a pair of skyline
+// points is validated first (the cheapest test), then spliced and floored,
+// and only then compared with the candidates accepted so far; only candidates
+// that cleared the floor are scored. The floor is exact, not a heuristic: a
+// score is the candidate's volume minus what it shares with the corner's
+// largest candidate, so score ≤ volume and a candidate at or under the floor
+// would fail the threshold anyway; and the largest candidate, which every
+// other score refers to, clears the floor whenever any candidate does, so the
+// survivors' scores do not change. Validity and de-duplication are properties
+// of the splice alone, so their order is free. Ties in score keep candidate
+// order (corners ascending, then the order of skyline.Scratch.Candidates).
+//
 // A nil or empty children slice, a zero-volume MBB, or K == 0 yields no clip
 // points. The children need not be clipped themselves; only their MBBs
-// participate.
+// participate. Clip is a Clipper used once; callers that clip many nodes
+// keep a Clipper.
 func Clip(mbb geom.Rect, children []geom.Rect, p Params) []ClipPoint {
+	var c Clipper
+	return c.Clip(mbb, children, p)
+}
+
+// Clipper runs Clip with reusable scratch, so a node costs two allocations —
+// the clip points and the one slab their coordinates share — and none when it
+// gets no clip point. All scratch is sized by the node's fan-out and its
+// candidates, never by K. The zero value is ready; a Clipper serves one
+// goroutine.
+type Clipper struct {
+	sky     skyline.Scratch
+	lo, nhi []float64 // the children's lower corners, and upper corners negated
+	pts     []float64 // one MBB corner's view of them: lo or nhi per dimension
+	origin  []float64 // that MBB corner, reflected like pts
+	picks   []pick    // candidates of all corners that cleared the threshold
+	coords  []float64 // their coordinates, still reflected
+}
+
+// pick is one scored candidate; off locates its coordinates in
+// Clipper.coords.
+type pick struct {
+	score float64
+	mask  geom.Corner
+	off   int
+}
+
+// Clip is the package-level Clip on the receiver's scratch.
+func (c *Clipper) Clip(mbb geom.Rect, children []geom.Rect, p Params) []ClipPoint {
 	if len(children) == 0 || p.K == 0 || !mbb.Valid() {
 		return nil
 	}
@@ -163,110 +205,102 @@ func Clip(mbb geom.Rect, children []geom.Rect, p Params) []ClipPoint {
 	}
 	minScore := p.Tau * nodeVol
 
-	all := make([]ClipPoint, 0, 2*p.K)
-	corners := make([]geom.Point, len(children))
-	geom.Corners(dims, func(b geom.Corner) {
-		// Line 3: nearest corners of every child w.r.t. b, carved out of one
-		// flat slab instead of one allocation per corner point. Candidates
-		// returned by the skyline stage alias this slab, so each MBB corner
-		// gets a fresh slab (kept alive via `all` until the final copy below
-		// clones the winners out of it).
-		slab := make([]float64, len(children)*dims)
-		for i, ch := range children {
-			c := slab[i*dims : (i+1)*dims : (i+1)*dims]
-			for d := 0; d < dims; d++ {
-				if b.Bit(d) {
-					c[d] = ch.Hi[d]
-				} else {
-					c[d] = ch.Lo[d]
-				}
+	// Corner b's nearest child corners, reflected so that b is the minimum
+	// corner (Line 3), are the children's lower corners in the dimensions b
+	// minimises and their negated upper corners in the others: both are laid
+	// out once per node, and a corner is a strided copy per dimension.
+	lo, nhi := slices.Grow(c.lo[:0], len(children)*dims), slices.Grow(c.nhi[:0], len(children)*dims)
+	for _, ch := range children {
+		lo = append(lo, ch.Lo...)
+		for _, v := range ch.Hi {
+			nhi = append(nhi, -v)
+		}
+	}
+	c.lo, c.nhi = lo, nhi
+	c.pts = slices.Grow(c.pts[:0], len(lo))[:len(lo)]
+	c.origin = slices.Grow(c.origin[:0], dims)[:dims]
+	pts, origin := c.pts, c.origin
+	picks, coords := c.picks[:0], c.coords[:0]
+
+	for b := geom.Corner(0); int(b) < geom.CornerCount(dims); b++ {
+		for d := 0; d < dims; d++ {
+			src := lo
+			origin[d] = mbb.Lo[d]
+			if b.Bit(d) {
+				src = nhi
+				origin[d] = -mbb.Hi[d]
 			}
-			corners[i] = geom.Point(c)
-		}
-		var candidates []geom.Point
-		switch p.Method {
-		case MethodStairline:
-			candidates = skyline.Stairline(corners, b)
-		default:
-			candidates = skyline.Oriented(corners, b)
-		}
-		scored := scoreCorner(mbb, b, candidates)
-		for _, cp := range scored {
-			if cp.Score > minScore {
-				all = append(all, cp)
+			for i := d; i < len(pts); i += dims {
+				pts[i] = src[i]
 			}
 		}
-	})
+		cand, vols := c.sky.Candidates(pts, dims, origin, minScore, p.Method == MethodStairline)
+
+		// Figure 5's additive approximation: the candidate clipping the most
+		// volume is assumed chosen and keeps its volume as score; every other
+		// candidate is charged the volume it shares with that one, so the sum
+		// approximates the union without inclusion–exclusion.
+		best, bestVol := -1, -1.0
+		for i, v := range vols {
+			if v > bestVol {
+				bestVol, best = v, i
+			}
+		}
+		if best < 0 {
+			continue
+		}
+		largest := cand[best*dims:][:dims]
+		for i, score := range vols {
+			q := cand[i*dims:][:dims]
+			if i != best {
+				// The conversion keeps the last multiplication of the overlap
+				// from being fused into the subtraction where the target has
+				// a fused multiply-add: stored scores are the same bits
+				// everywhere.
+				score -= float64(overlap(q, largest, origin))
+			}
+			if score > minScore {
+				picks = append(picks, pick{score: score, mask: b, off: len(coords)})
+				coords = append(coords, q...)
+			}
+		}
+	}
+	c.picks, c.coords = picks, coords
 
 	// Line 12: keep the K highest-scoring clip points overall.
-	slices.SortStableFunc(all, func(a, b ClipPoint) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		default:
-			return 0
-		}
-	})
-	if len(all) > p.K {
-		all = all[:p.K]
+	slices.SortStableFunc(picks, func(a, b pick) int { return cmp.Compare(b.score, a.score) })
+	if len(picks) > p.K {
+		picks = picks[:p.K]
 	}
-	// Clone into a right-sized slice: candidate coordinates alias the per-
-	// corner scratch slabs, which must not be retained (or shared) by
-	// long-lived clip tables.
-	out := make([]ClipPoint, len(all))
-	for i, cp := range all {
-		out[i] = ClipPoint{Coord: cp.Coord.Clone(), Mask: cp.Mask, Score: cp.Score}
+	if len(picks) == 0 {
+		return nil
+	}
+	out := make([]ClipPoint, len(picks))
+	slab := make([]float64, len(picks)*dims)
+	for i, pk := range picks {
+		coord := slab[i*dims : (i+1)*dims : (i+1)*dims]
+		skyline.Reflect(coord, coords[pk.off:pk.off+dims], pk.mask)
+		out[i] = ClipPoint{Coord: coord, Mask: pk.mask, Score: pk.score}
 	}
 	return out
 }
 
-// scoreCorner assigns the additive-approximation scores of Figure 5 to the
-// candidate clip points of a single corner: the candidate clipping the most
-// volume keeps its full volume as score; every other candidate is charged
-// its overlap with that best candidate. Candidates are returned unsorted,
-// with Coord aliasing the candidate points (the caller clones the winners);
-// the candidate regions live only for the duration of the call and share one
-// flat backing buffer.
-func scoreCorner(mbb geom.Rect, b geom.Corner, candidates []geom.Point) []ClipPoint {
-	if len(candidates) == 0 {
-		return nil
-	}
-	dims := mbb.Dims()
-	buf := make([]float64, 2*dims*len(candidates))
-	regions := make([]geom.Rect, len(candidates))
-	out := make([]ClipPoint, 0, len(candidates))
-	best := -1
-	bestVol := -1.0
-	for i, c := range candidates {
-		lo := buf[(2*i)*dims : (2*i+1)*dims : (2*i+1)*dims]
-		hi := buf[(2*i+1)*dims : (2*i+2)*dims : (2*i+2)*dims]
-		for d := 0; d < dims; d++ {
-			cc := mbb.Lo[d]
-			if b.Bit(d) {
-				cc = mbb.Hi[d]
-			}
-			lo[d] = math.Min(c[d], cc)
-			hi[d] = math.Max(c[d], cc)
+// overlap returns the volume two corner rectangles [origin, p] and
+// [origin, q] share: the corner rectangle of their coordinate-wise minimum,
+// zero when it is degenerate.
+func overlap(p, q, origin []float64) float64 {
+	v := 1.0
+	for d, x := range p {
+		if q[d] < x {
+			x = q[d]
 		}
-		regions[i] = geom.Rect{Lo: lo, Hi: hi}
-		v := regions[i].Volume()
-		out = append(out, ClipPoint{Coord: c, Mask: b, Score: v})
-		if v > bestVol {
-			bestVol, best = v, i
+		side := x - origin[d]
+		if side <= 0 {
+			return 0
 		}
+		v *= side
 	}
-	// Assumption (2)/(3): the largest clip is assumed chosen; others are
-	// charged for the area they share with it so the sum approximates the
-	// union without inclusion–exclusion.
-	for i := range out {
-		if i == best {
-			continue
-		}
-		out[i].Score -= regions[i].OverlapVolume(regions[best])
-	}
-	return out
+	return v
 }
 
 // ErrSelector is returned by Intersects when the selector is neither

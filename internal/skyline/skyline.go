@@ -10,252 +10,368 @@
 //     valid clip points, producing strictly more aggressive clip points
 //     (CSTA).
 //
-// The skyline is computed with a sort-and-scan algorithm that is O(n log n)
-// for two dimensions and O(n²) worst case in higher dimensions, which is the
-// standard approach for the tiny inputs involved (at most the node fan-out M).
+// Everything here runs on corner-normalised data: the caller reflects the
+// points once (Reflect: x' = −x in every dimension the corner maximises,
+// exact and self-inverse, ±0 included) so that the corner becomes the
+// minimum corner, and hands them over as one flat []float64. "Closer to the
+// corner" is then "smaller" in every dimension, a splice is a coordinate-wise
+// max, and no kernel looks at the corner bitmask again.
+//
+// Scratch.Candidates is the pipeline. For n points in d dimensions of which s
+// survive into the skyline and c become candidates:
+//
+//  1. skyline: sort lexicographically, O(n log n), then sweep — a point
+//     survives iff no earlier survivor is at most as far from the corner in
+//     the remaining dimensions: a running minimum for d = 2, a staircase for
+//     d = 3, the survivor list otherwise, O(n·s) at worst;
+//  2. floor: a skyline point or splice whose corner rectangle is no larger
+//     than the caller's floor is dropped at once — the caller could never
+//     store it;
+//  3. splices: "which skyline points are strictly closer than r in dimension
+//     d" is laid out once as bitsets, O(s²·d) comparisons; each of the
+//     s(s−1)/2 pairs is then validated with d word operations per 64 skyline
+//     points, and only a valid pair is spliced, floored, O(d), and compared
+//     with the candidates already accepted, O(c).
+//
+// That is O(n log n + n·s + s²·d) plus O(c) per valid splice. The generator
+// this replaced spliced every pair, compared it with every candidate so far
+// and only then validated it against the skyline — O(s²·(c+s)·d), quartic in
+// s where most splices are valid, which is what "unfortunately cubic … still
+// practically reasonable" had grown into for three-dimensional leaves.
 package skyline
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
 	"cbb/internal/geom"
 )
 
-// Oriented returns the skyline of pts with respect to corner orientation b:
-// the subset of points not dominated by any other point (Definition 5).
-// Duplicate points are collapsed to a single representative. The result is
-// ordered by descending distance from the corner is NOT guaranteed; callers
-// that need an order should sort the result themselves.
+// Reflect writes p into dst with the sign flipped in every dimension whose
+// bit of b is set, which turns corner b of any rectangle around p into the
+// minimum corner. It is its own inverse and exact (only sign bits change).
+// dst and p may be the same slice.
+func Reflect(dst, p []float64, b geom.Corner) {
+	for d, v := range p {
+		if b.Bit(d) {
+			v = -v
+		}
+		dst[d] = v
+	}
+}
+
+// Scratch holds the buffers of the candidate pipeline. The zero value is
+// ready to use; one Scratch serves any number of calls (of any
+// dimensionality) from one goroutine and grows to the largest input seen.
+type Scratch struct {
+	order  []sortKey // the input points, sorted
+	stair  []float64 // the three-dimensional sweep's (y, z) staircase
+	sky    []int32   // the skyline, as indices into the input
+	skyPts []float64 // the skyline's coordinates, packed for the pair loop
+	closer []uint64  // the pair loop's per-point, per-dimension bitsets
+	splice []float64 // the pair loop's current splice
+	coords []float64 // accepted candidates
+	vols   []float64 // their corner-rectangle volumes
+}
+
+// Candidates returns the clip-point candidates among pts — len(pts)/dims
+// corner-normalised points stored back to back — as packed coordinates plus
+// the volume of each candidate's corner rectangle [origin, candidate]: the
+// skyline points and, with splice set, the valid splices of skyline pairs
+// (Line 6 of Algorithm 1), in both cases only those whose volume exceeds
+// floor. origin must bound the points from below in every dimension (it is
+// the reflected MBB corner). Both results alias the Scratch and are valid
+// until its next call; pts is only read.
 //
-// The input slice is not modified. Returned points may alias the coordinate
-// storage of the input points (this sits on the clip-construction hot path,
-// where the caller owns per-corner scratch buffers); callers that retain the
-// result beyond the lifetime of pts must clone the points they keep.
-func Oriented(pts []geom.Point, b geom.Corner) []geom.Point {
-	switch len(pts) {
-	case 0:
-		return nil
-	case 1:
-		return []geom.Point{pts[0]}
+// The order is part of the contract, because callers break score ties by it:
+// skyline points first, in input order — except in two dimensions, where they
+// come in staircase order, dimension 0 ascending — then splices in the order
+// (i, j), i < j, of the skyline pairs that produced them. Points that compare
+// equal are represented by the first of them in input order (in two
+// dimensions: by whichever the sort puts first, which only matters to the
+// sign of a zero).
+func (s *Scratch) Candidates(pts []float64, dims int, origin []float64, floor float64, splice bool) (coords, vols []float64) {
+	s.skyline(pts, dims)
+	s.coords, s.vols, s.skyPts = s.coords[:0], s.vols[:0], s.skyPts[:0]
+	for _, i := range s.sky {
+		p := pts[int(i)*dims:][:dims]
+		if splice {
+			s.skyPts = append(s.skyPts, p...)
+		}
+		if v := volume(p, origin); !(v <= floor) {
+			s.accept(p, v)
+		}
 	}
-	dims := pts[0].Dims()
-	if dims == 2 {
-		return oriented2D(pts, b)
+	if splice {
+		s.splices(dims, origin, floor)
 	}
-	return orientedGeneric(pts, b)
+	return s.coords, s.vols
 }
 
-// oriented2D computes the skyline with a sort-and-scan pass: sort by
-// closeness to the corner in dimension 0 (ties broken by dimension 1), then
-// keep points whose dimension-1 coordinate improves on the best seen so far.
-// The index slice lives on the stack for realistic fan-outs and the sort is
-// a direct slices.SortFunc (no reflection-based swapper).
-func oriented2D(pts []geom.Point, b geom.Corner) []geom.Point {
-	var ibuf [64]int32
-	idx := ibuf[:0]
-	if len(pts) > len(ibuf) {
-		idx = make([]int32, 0, len(pts))
+func (s *Scratch) accept(p []float64, v float64) {
+	s.coords = append(s.coords, p...)
+	s.vols = append(s.vols, v)
+}
+
+// sortKey is a point's place in the lexicographic sort: its first coordinate,
+// which settles almost every comparison, and its index for the rest.
+type sortKey struct {
+	x float64
+	i int32
+}
+
+// skyline leaves in s.sky the points not dominated by any other
+// (Definition 5): sort lexicographically, so that whatever dominates or
+// duplicates a point precedes it, then keep a point iff no survivor before
+// it is <= in every dimension after the first (the first is <= by the sort).
+func (s *Scratch) skyline(pts []float64, dims int) {
+	n := len(pts) / dims
+	order := slices.Grow(s.order[:0], n)
+	for i := 0; i < n; i++ {
+		order = append(order, sortKey{pts[i*dims], int32(i)})
 	}
-	for i := range pts {
-		idx = append(idx, int32(i))
-	}
-	slices.SortFunc(idx, func(x, y int32) int {
-		p, q := pts[x], pts[y]
-		if p[0] != q[0] {
-			if geom.CloserToCorner(p, q, b, 0) {
-				return -1
-			}
+	slices.SortFunc(order, func(a, b sortKey) int {
+		if a.x < b.x {
+			return -1
+		}
+		if a.x > b.x {
 			return 1
 		}
-		if p[1] != q[1] {
-			if geom.CloserToCorner(p, q, b, 1) {
-				return -1
+		p, q := pts[int(a.i)*dims:][:dims], pts[int(b.i)*dims:][:dims]
+		for d := 1; d < dims; d++ {
+			if p[d] != q[d] {
+				if p[d] < q[d] {
+					return -1
+				}
+				return 1
 			}
-			return 1
 		}
-		return 0
+		if dims == 2 {
+			return 0
+		}
+		return cmp.Compare(a.i, b.i)
 	})
-	out := make([]geom.Point, 0, len(pts))
-	haveBest := false
-	var best float64
-	better := func(v float64) bool {
-		if !haveBest {
-			return true
+	s.order = order
+	sky := s.sky[:0]
+	switch dims {
+	case 2:
+		// One dimension left: the survivors' best is the last survivor's.
+		for _, k := range order {
+			if len(sky) == 0 || pts[2*int(k.i)+1] < pts[2*int(sky[len(sky)-1])+1] {
+				sky = append(sky, k.i)
+			}
 		}
-		if b.Bit(1) {
-			return v > best
-		}
-		return v < best
-	}
-	var prev geom.Point
-	for _, i := range idx {
-		p := pts[i]
-		if prev != nil && p.Equal(prev) {
-			continue
-		}
-		prev = p
-		if better(p[1]) {
-			out = append(out, p)
-			best = p[1]
-			haveBest = true
-		}
-	}
-	return out
-}
-
-// orientedGeneric computes the skyline by pairwise dominance checks. With
-// node fan-outs of a few dozen to a few hundred entries this is entirely
-// adequate and is also what the paper assumes ("small input sets (< M)").
-func orientedGeneric(pts []geom.Point, b geom.Corner) []geom.Point {
-	out := make([]geom.Point, 0, len(pts))
-	for i, p := range pts {
-		dominated := false
-		duplicate := false
-		for j, q := range pts {
-			if i == j {
+		s.sky = sky
+		return
+	case 3:
+		// Two dimensions left: the survivors' (y, z) minima form a staircase,
+		// y ascending and z descending, and the step at or before y decides.
+		stair := s.stair[:0]
+		for _, k := range order {
+			y, z := pts[3*int(k.i)+1], pts[3*int(k.i)+2]
+			at := 0
+			for at < len(stair) && stair[at] <= y {
+				at += 2
+			}
+			if at > 0 && stair[at-1] <= z {
 				continue
 			}
-			if q.Equal(p) {
-				// Keep only the first occurrence of duplicates.
-				if j < i {
-					duplicate = true
+			// The new step replaces the steps it dominates: one at the same y,
+			// if any, and those after it that are no lower.
+			from, to := at, at
+			if at > 0 && stair[at-2] == y {
+				from -= 2
+			}
+			for to < len(stair) && stair[to+1] >= z {
+				to += 2
+			}
+			stair = slices.Replace(stair, from, to, y, z)
+			sky = append(sky, k.i)
+		}
+		s.stair = stair
+	default:
+		for _, k := range order {
+			p := pts[int(k.i)*dims:][:dims]
+			keep := true
+			for _, j := range sky {
+				if below(pts[int(j)*dims:][:dims], p, 1) {
+					keep = false
 					break
 				}
-				continue
 			}
-			if geom.Dominates(q, p, b) {
-				dominated = true
-				break
+			if keep {
+				sky = append(sky, k.i)
 			}
-		}
-		if !dominated && !duplicate {
-			out = append(out, p)
 		}
 	}
-	return out
+	slices.Sort(sky) // back to input order
+	s.sky = sky
 }
 
-// Stairline returns the union of the oriented skyline of pts w.r.t. b and
-// all valid splice points generated from pairs of skyline points
-// (Definition 7). A splice point s = splice(p, q, ~b) is valid when no
-// skyline point dominates it w.r.t. b — i.e. when clipping with s would not
-// clip away any child. Skyline points that are themselves dominated by a
-// generated splice point are redundant for clipping purposes but are still
-// returned; the CBB scoring stage in internal/core decides which candidates
-// to keep.
+// below reports whether q[d] <= p[d] for every dimension d >= from.
+func below(q, p []float64, from int) bool {
+	for d := from; d < len(p); d++ {
+		if q[d] > p[d] {
+			return false
+		}
+	}
+	return true
+}
+
+// volume returns the volume of the corner rectangle [origin, p], multiplied
+// in dimension order (the scores stored in clip tables depend on it).
+func volume(p, origin []float64) float64 {
+	v := 1.0
+	for d, x := range p {
+		v *= x - origin[d]
+	}
+	return v
+}
+
+// splices runs the one pair loop over the skyline in s.skyPts (Definition 7).
+// The splice of p and q takes the coordinate farther from the corner in every
+// dimension, p's on a tie (the sign of a zero is p's). Each pair is asked, in
+// order of cost, and each question only of what the previous let through:
 //
-// The cost is cubic in the skyline size (pairs × validation scan), matching
-// the paper's "unfortunately-cubic algorithm that is still practically
-// reasonable given the small input sets". Splices are computed into a stack
-// scratch point and only the accepted ones are materialised, so rejected
-// pairs cost no allocation. Like Oriented, returned skyline points may alias
-// the input points; splice points are freshly allocated.
-func Stairline(pts []geom.Point, b geom.Corner) []geom.Point {
-	sky := Oriented(pts, b)
-	if len(sky) < 2 {
-		return sky
-	}
-	dims := sky[0].Dims()
-	inv := b.Opposite(dims)
-	out := make([]geom.Point, len(sky), len(sky)+8)
-	copy(out, sky)
-	var sbuf [8]float64
-	s := geom.Point(sbuf[:])
-	if dims > len(sbuf) {
-		s = make(geom.Point, dims)
-	} else {
-		s = s[:dims]
-	}
-	for i := 0; i < len(sky); i++ {
-		for j := i + 1; j < len(sky); j++ {
-			geom.SpliceInto(s, sky[i], sky[j], inv)
-			if containsBits(out, s) {
+// Valid? A splice is valid iff no skyline point is strictly closer to the
+// corner in every dimension — such a point is the corner of a child the
+// splice's rectangle would cut into; boundary contact (the spliced point c of
+// the paper's Figure 2 touches o1 and o4) does not invalidate it. Closer than
+// the splice in a dimension means closer than p or closer than q there, so
+// with the sets "strictly closer than r in dimension d" laid out once as
+// bitsets over the skyline, O(s²·d) comparisons for all pairs together, a
+// pair is an OR and an AND of words per dimension.
+//
+// Above the floor? Computed only now, with the splice itself.
+//
+// New? It is a duplicate iff a candidate already accepted has the same bit
+// patterns (±0 are distinct); a duplicate has the same volume, so it is
+// enough to look among the candidates that cleared the floor, and at their
+// coordinates only when the volumes agree.
+func (s *Scratch) splices(dims int, origin []float64, floor float64) {
+	sky := s.skyPts
+	n := len(sky) / dims
+	words := (n + 63) / 64
+	closer := s.closerSets(dims)
+	s.splice = slices.Grow(s.splice[:0], dims)[:dims]
+	sp := s.splice
+	for i := 0; i < n-1; i++ {
+		p, pc := sky[i*dims:][:dims], closer[i*dims*words:][:dims*words]
+	pairs:
+		for j := i + 1; j < n; j++ {
+			q, qc := sky[j*dims:][:dims], closer[j*dims*words:][:dims*words]
+			for w := 0; w < words; w++ {
+				invalidating := ^uint64(0)
+				for at := w; at < len(pc); at += words { // once per dimension
+					invalidating &= pc[at] | qc[at]
+				}
+				if invalidating != 0 {
+					continue pairs
+				}
+			}
+			v := 1.0
+			for d, x := range p {
+				if q[d] > x {
+					x = q[d]
+				}
+				sp[d] = x
+				v *= x - origin[d]
+			}
+			if v <= floor {
 				continue
 			}
-			if spliceValid(s, sky, b) {
-				out = append(out, s.Clone())
+			for k, kv := range s.vols {
+				if kv == v && sameBits(s.coords[k*dims:][:dims], sp) {
+					continue pairs
+				}
 			}
+			s.accept(sp, v)
 		}
 	}
-	return out
 }
 
-// SplicesOnly returns just the valid splice points (stairline minus the
-// skyline). Useful for analysing how much the splicing step adds.
-func SplicesOnly(pts []geom.Point, b geom.Corner) []geom.Point {
-	sky := Oriented(pts, b)
-	if len(sky) < 2 {
+// closerSets lays out, for every skyline point r and dimension d, the set of
+// skyline points strictly closer to the corner than r in d, as a bitset of
+// (n+63)/64 words at index (r*dims+d)*words: bit q of word w is point 64w+q.
+func (s *Scratch) closerSets(dims int) []uint64 {
+	sky := s.skyPts
+	n := len(sky) / dims
+	words := (n + 63) / 64
+	closer := slices.Grow(s.closer[:0], len(sky)*words)[:len(sky)*words]
+	s.closer = closer
+	for at, x := range sky { // at = r*dims+d
+		d := at % dims
+		for w := 0; w < words; w++ {
+			var set uint64
+			first := 64*w*dims + d
+			for q := (min(n, 64*w+64)-1)*dims + d; q >= first; q -= dims {
+				set <<= 1
+				if sky[q] < x {
+					set |= 1
+				}
+			}
+			closer[at*words+w] = set
+		}
+	}
+	return closer
+}
+
+func sameBits(p, q []float64) bool {
+	for d, x := range p {
+		if math.Float64bits(x) != math.Float64bits(q[d]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Oriented returns the skyline of pts with respect to corner orientation b:
+// the subset of points not dominated by any other point (Definition 5), one
+// representative per group of equal points, in the order Scratch.Candidates
+// documents. The result is freshly allocated; pts is not modified.
+func Oriented(pts []geom.Point, b geom.Corner) []geom.Point {
+	return candidates(pts, b, false)
+}
+
+// Stairline returns the oriented skyline of pts w.r.t. b followed by all
+// valid splice points generated from pairs of skyline points (Definition 7),
+// in the order Scratch.Candidates documents. A splice point s = splice(p, q,
+// ~b) is valid when no skyline point strictly dominates it w.r.t. b — i.e.
+// when clipping with s would not clip away any child. Skyline points that are
+// themselves dominated by a generated splice point are redundant for clipping
+// purposes but are still returned; the CBB scoring stage in internal/core
+// decides which candidates to keep. It is Scratch.Candidates without a floor:
+// every valid splice is kept, and compared with all those before it.
+func Stairline(pts []geom.Point, b geom.Corner) []geom.Point {
+	return candidates(pts, b, true)
+}
+
+// candidates adapts Scratch.Candidates to geom.Point in and out: reflect,
+// run with a floor nothing falls under, reflect back.
+func candidates(pts []geom.Point, b geom.Corner, splice bool) []geom.Point {
+	if len(pts) == 0 {
 		return nil
 	}
-	dims := sky[0].Dims()
-	inv := b.Opposite(dims)
-	var out []geom.Point
-	seen := append([]geom.Point(nil), sky...)
-	for i := 0; i < len(sky); i++ {
-		for j := i + 1; j < len(sky); j++ {
-			s := geom.Splice(sky[i], sky[j], inv)
-			if containsBits(seen, s) {
-				continue
-			}
-			if spliceValid(s, sky, b) {
-				out = append(out, s)
-				seen = append(seen, s)
+	dims := pts[0].Dims()
+	flat := make([]float64, len(pts)*dims)
+	origin := make([]float64, dims)
+	for i, p := range pts {
+		r := flat[i*dims:][:dims]
+		Reflect(r, p, b)
+		for d, v := range r {
+			if i == 0 || v < origin[d] {
+				origin[d] = v
 			}
 		}
+	}
+	var s Scratch
+	coords, _ := s.Candidates(flat, dims, origin, math.Inf(-1), splice)
+	out := make([]geom.Point, len(coords)/dims)
+	for i := range out {
+		p := coords[i*dims : (i+1)*dims : (i+1)*dims]
+		Reflect(p, p, b)
+		out[i] = p
 	}
 	return out
-}
-
-// spliceValid reports whether the splice point s is a valid clip point
-// candidate w.r.t. corner b given the skyline points of the children
-// (Line 6 of Algorithm 1): s is valid iff no child corner lies strictly
-// inside the region s would clip away. A child's nearest corner q cuts into
-// the open interior of that region exactly when q is strictly closer to the
-// MBB corner than s in every dimension, so boundary contact (as with the
-// spliced point c in the paper's Figure 2, which touches o1 and o4) does not
-// invalidate a splice.
-func spliceValid(s geom.Point, sky []geom.Point, b geom.Corner) bool {
-	for _, q := range sky {
-		if geom.StrictlyDominates(q, s, b) {
-			return false
-		}
-	}
-	return true
-}
-
-// IsDominated reports whether p is dominated w.r.t. b by any point in set.
-func IsDominated(p geom.Point, set []geom.Point, b geom.Corner) bool {
-	for _, q := range set {
-		if geom.Dominates(q, p, b) {
-			return true
-		}
-	}
-	return false
-}
-
-// containsBits reports whether set holds a point with exactly the bit
-// patterns of p. It replaces the string-keyed map the dedupe step used to
-// build per corner, with identical semantics (±0 are distinct, NaNs are
-// equal iff their payloads match); candidate sets are at most the node
-// fan-out plus a handful of splices, so a linear scan beats hashing.
-func containsBits(set []geom.Point, p geom.Point) bool {
-	for _, q := range set {
-		if bitsEqual(q, p) {
-			return true
-		}
-	}
-	return false
-}
-
-func bitsEqual(p, q geom.Point) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if math.Float64bits(p[i]) != math.Float64bits(q[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -140,23 +141,39 @@ func TestStairlineRejectsInvalidSplices(t *testing.T) {
 	}
 }
 
+// splicesOnly is the stairline minus the skyline: the splices are the tail of
+// Stairline's result.
+func splicesOnly(pts []geom.Point, b geom.Corner) []geom.Point {
+	return Stairline(pts, b)[len(Oriented(pts, b)):]
+}
+
 func TestSplicesOnly(t *testing.T) {
 	pts := []geom.Point{geom.Pt(3, 9), geom.Pt(9, 4)}
-	sp := SplicesOnly(pts, 0b11)
+	sp := splicesOnly(pts, 0b11)
 	if len(sp) != 1 || !sp[0].Equal(geom.Pt(3, 4)) {
-		t.Fatalf("SplicesOnly = %v", sp)
+		t.Fatalf("splicesOnly = %v", sp)
 	}
-	if SplicesOnly([]geom.Point{geom.Pt(1, 1)}, 0b11) != nil {
+	if len(splicesOnly([]geom.Point{geom.Pt(1, 1)}, 0b11)) != 0 {
 		t.Error("single point cannot produce splices")
 	}
 }
 
+// isDominated reports whether p is dominated w.r.t. b by any point in set.
+func isDominated(p geom.Point, set []geom.Point, b geom.Corner) bool {
+	for _, q := range set {
+		if geom.Dominates(q, p, b) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestIsDominated(t *testing.T) {
 	set := []geom.Point{geom.Pt(2, 2)}
-	if !IsDominated(geom.Pt(3, 3), set, 0b00) {
+	if !isDominated(geom.Pt(3, 3), set, 0b00) {
 		t.Error("(3,3) should be dominated by (2,2) w.r.t. 00")
 	}
-	if IsDominated(geom.Pt(1, 3), set, 0b00) {
+	if isDominated(geom.Pt(1, 3), set, 0b00) {
 		t.Error("(1,3) should not be dominated by (2,2) w.r.t. 00")
 	}
 }
@@ -204,13 +221,13 @@ func TestSkylineProperties(t *testing.T) {
 						break
 					}
 				}
-				if !inSky && !IsDominated(p, sky, b) {
+				if !inSky && !isDominated(p, sky, b) {
 					t.Fatalf("point %v neither in skyline nor dominated (corner %s)", p, b.StringDims(dims))
 				}
 			}
 			// Cross-check the two algorithms in 2d.
 			if dims == 2 {
-				gen := orientedGeneric(pts, b)
+				gen := refOrientedGeneric(pts, b)
 				if len(gen) != len(sky) {
 					t.Fatalf("2d scan and generic disagree: %d vs %d (%v vs %v)", len(sky), len(gen), sky, gen)
 				}
@@ -241,6 +258,46 @@ func TestStairlineProperties(t *testing.T) {
 							s, p, b.StringDims(dims))
 					}
 				}
+			}
+		})
+	}
+}
+
+// samePoints reports whether two candidate lists agree in length, order and
+// the bit pattern of every coordinate.
+func samePoints(got, want []geom.Point) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if !refBitsEqual(got[i], want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// The flat pipeline without a floor is the old generator, bit for bit and in
+// the same order: ties, duplicates, signed zeros and all.
+func TestCandidatesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 600; iter++ {
+		dims := 1 + rng.Intn(4)
+		grid := []int{0, 3, 12}[rng.Intn(3)]
+		pts := randomPoints(rng, 1+rng.Intn(48), dims, grid)
+		for _, p := range pts {
+			for d := range p {
+				if p[d] == 0 && rng.Intn(2) == 0 {
+					p[d] = math.Copysign(0, -1)
+				}
+			}
+		}
+		geom.Corners(dims, func(b geom.Corner) {
+			if got, want := Oriented(pts, b), refOriented(pts, b); !samePoints(got, want) {
+				t.Fatalf("dims %d corner %s: skyline of %v\n got %v\nwant %v", dims, b.StringDims(dims), pts, got, want)
+			}
+			if got, want := Stairline(pts, b), refStairline(pts, b); !samePoints(got, want) {
+				t.Fatalf("dims %d corner %s: stairline of %v\n got %v\nwant %v", dims, b.StringDims(dims), pts, got, want)
 			}
 		})
 	}
