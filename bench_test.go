@@ -302,26 +302,8 @@ func BenchmarkAblation_ScoreApproximation(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			var relErr float64
-			var nodes int
-			for id, clips := range idx.Table() {
-				info, err := tree.Node(id)
-				if err != nil || len(clips) == 0 {
-					continue
-				}
-				exact := core.ClippedVolume(info.MBB, clips)
-				approx := core.ApproxClippedVolume(clips)
-				if exact > 0 {
-					diff := approx - exact
-					if diff < 0 {
-						diff = -diff
-					}
-					relErr += diff / exact
-					nodes++
-				}
-			}
-			if nodes > 0 {
-				b.ReportMetric(100*relErr/float64(nodes), "score_approx_error_%")
+			if relErr, nodes := experiments.ScoreApproxError(tree, idx.Params()); nodes > 0 {
+				b.ReportMetric(100*relErr, "score_approx_error_%")
 			}
 			b.ReportMetric(float64(idx.Table().ClipPointCount()), "clip_points")
 		}

@@ -431,8 +431,12 @@ func inspectTree(tree *rtree.Tree, idx *clipindex.Index, samples int, seed int64
 		params := idx.Params()
 		clipBytes = idx.AuxBytes()
 		fmt.Printf("clipping   : %s, k=%d, tau=%.3f\n", params.Method, params.K, params.Tau)
-		fmt.Printf("clip points: %d total, %.1f per clipped node, %d bytes\n",
-			idx.Table().ClipPointCount(), idx.Table().AvgClipPointsPerNode(), clipBytes)
+		snap := idx.Snap()
+		nodes, points, _ := snap.ClipStats()
+		resident := snap.ResidentBytes()
+		fmt.Printf("clip points: %d total, %.1f per clipped node, %d bytes\n", points, float64(points)/float64(max(nodes, 1)), clipBytes)
+		fmt.Printf("clip store : %d records, %d clip points, %d bytes resident (%.1f per clip point)\n",
+			nodes, points, resident, float64(resident)/float64(max(points, 1)))
 		fmt.Printf("clipped    : %.1f%% of node volume (%.1f%% of the dead space)\n",
 			100*cs.AvgClipped, 100*cs.ClippedShareOfDead)
 	}

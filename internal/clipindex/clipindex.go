@@ -1,21 +1,32 @@
 // Package clipindex plugs clipped bounding boxes (internal/core) into any
 // R-tree variant (internal/rtree), following Section IV of the paper:
 //
-//   - the clip points of every node live in a small auxiliary table keyed by
-//     node id (Figure 4b), fully separate from the node pages;
+//   - the clip points of every node live in an auxiliary store keyed by node
+//     id (Figure 4b), fully separate from the node pages;
 //   - queries run the unmodified R-tree descent but consult Algorithm 2
 //     before visiting a child node, skipping children whose overlap with the
 //     query is entirely clipped dead space;
-//   - insertions keep the table consistent with the eager validity check of
+//   - insertions keep the store consistent with the eager validity check of
 //     Section IV-D (re-clip only when a clip point would clip the new
 //     object, the node split, or the node's MBB changed);
 //   - deletions are handled lazily (clip points only become more
 //     conservative when data disappears) unless the MBB changes.
+//
+// There is one resident representation of clip points: per node id one
+// core.Record (which see: corner-normalised, flat, bit-exact both ways,
+// never written once installed). The range-search descent, the joins and the
+// writer's validity checks read the records directly; the writer and every
+// snapshot share them, and only the directory from ids to records is copied
+// when the writer first touches it after a publish. Table, the map of
+// []core.ClipPoint, is the exchange form: what DecodeTable produces,
+// inspection tools read, and Index.Table materialises on demand.
 package clipindex
 
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -106,110 +117,92 @@ func (u UpdateStats) ReclipsPerInsert() float64 {
 	return float64(u.TotalReclips()) / float64(u.Inserts)
 }
 
-// clipStore is the dense admission-path mirror of the clip table: clip
-// points indexed by node id with a single slice load instead of a map
-// lookup. Node ids are arena indices and therefore compact, so the dense
-// slice covers essentially every real tree; ids beyond maxDenseClipID (only
-// reachable through pathological or adversarial snapshots) fall back to a
-// spill map so memory stays bounded by the number of clipped nodes.
-type clipStore struct {
-	dense [][]core.ClipPoint
-	spill map[rtree.NodeID][]core.ClipPoint
-}
-
-// maxDenseClipID bounds the dense slice: 2^21 slice headers are 48 MiB, far
-// beyond any arena the snapshot decoder accepts, and cheap next to the nodes.
+// maxDenseClipID bounds the dense directory of a store (rtree.ClipRecords):
+// node ids are arena indices, so a slice indexed by id covers every real tree
+// with one load per lookup, and 2^21 slice headers are 48 MiB, cheap next to
+// that many nodes. Ids beyond it (a pathological or adversarial snapshot's
+// table may name any id) go to the spill map: memory stays bounded by the
+// number of records.
 const maxDenseClipID = 1 << 21
 
-// get returns the clip points of the node (nil when none).
-func (s *clipStore) get(id rtree.NodeID) []core.ClipPoint {
-	if uint64(id) < uint64(len(s.dense)) {
-		return s.dense[id]
-	}
-	return s.spill[id]
-}
-
-func (s *clipStore) set(id rtree.NodeID, clips []core.ClipPoint) {
-	if id < 0 {
-		return
-	}
-	if int64(id) < maxDenseClipID {
-		for int(id) >= len(s.dense) {
-			s.dense = append(s.dense, nil)
+// setRecord installs (or, with a nil record, removes) a node's record.
+func setRecord(s *rtree.ClipRecords, id rtree.NodeID, rec core.Record) {
+	switch {
+	case id < 0:
+	case uint64(id) < uint64(len(s.Dense)):
+		s.Dense[id] = rec
+	case rec == nil:
+		delete(s.Spill, id)
+	case id < maxDenseClipID:
+		s.Dense = append(s.Dense, make([]core.Record, int(id)+1-len(s.Dense))...)
+		s.Dense[id] = rec
+	default:
+		if s.Spill == nil {
+			s.Spill = make(map[rtree.NodeID]core.Record)
 		}
-		s.dense[id] = clips
-		return
+		s.Spill[id] = rec
 	}
-	if s.spill == nil {
-		s.spill = make(map[rtree.NodeID][]core.ClipPoint)
-	}
-	s.spill[id] = clips
 }
 
-func (s *clipStore) del(id rtree.NodeID) {
-	if uint64(id) < uint64(len(s.dense)) {
-		s.dense[id] = nil
-		return
+// records ranges over the nodes that have clip points, in ascending id order
+// (every dense id is below every spilled one).
+func records(s *rtree.ClipRecords) iter.Seq2[rtree.NodeID, core.Record] {
+	return func(yield func(rtree.NodeID, core.Record) bool) {
+		for id, rec := range s.Dense {
+			if len(rec) > 0 && !yield(rtree.NodeID(id), rec) {
+				return
+			}
+		}
+		for _, id := range slices.Sorted(maps.Keys(s.Spill)) {
+			if !yield(id, s.Spill[id]) {
+				return
+			}
+		}
 	}
-	delete(s.spill, id)
 }
 
-// Index is a clipped R-tree: an rtree.Tree of any variant plus a clip table
-// and the parameters used to maintain it. The authoritative table (the
-// serialised Figure 4b form) and the dense admission mirror are kept in sync
-// through setClips/delClips.
+// Index is a clipped R-tree: an rtree.Tree of any variant plus the clip
+// records of its nodes and the parameters used to maintain them.
 //
 // Like the underlying tree, the Index is copy-on-write versioned: the
-// writer maintains the table and the dense mirror privately and publishes
-// them together with the tree's committed version as one Snap, loaded
-// atomically (once per query) by every read path. Readers therefore always
-// see clip points and nodes of the same epoch — a clip point computed for a
-// newer node generation can never prune a query running against an older
-// one.
+// writer maintains its record directory privately and publishes it together
+// with the tree's committed version as one Snap, loaded atomically (once per
+// query) by every read path. Readers therefore always see clip points and
+// nodes of the same epoch — a clip point computed for a newer node
+// generation can never prune a query running against an older one.
 type Index struct {
 	tree   *rtree.Tree
 	params core.Params
-	table  Table
-	store  clipStore
-	// storeShared marks that the dense mirror's backing arrays are
-	// referenced by the published Snap and must be copied before the next
-	// mutation (the clip-side analogue of the tree's detach step).
+	store  rtree.ClipRecords
+	// storeShared marks that the directory's backing arrays are referenced
+	// by the published Snap and must be copied before the next mutation (the
+	// clip-side analogue of the tree's detach step).
 	storeShared bool
 	cur         atomic.Pointer[Snap]
 	stats       UpdateStats
 }
 
 // Snap is an epoch-consistent read snapshot of a clipped tree: the tree
-// version and the clip mirrors published by the same commit. It is the one
-// thing every query and join runs against — a plain R-tree is a Snap whose
-// mirrors are empty — and is safe for any number of concurrent readers
-// regardless of writer activity.
+// version and the clip records published by the same commit. It is the one
+// thing every query and join runs against — a plain R-tree is a Snap without
+// records — and is safe for any number of concurrent readers regardless of
+// writer activity.
 type Snap struct {
-	v     *rtree.Version
-	dense [][]core.ClipPoint
-	spill map[rtree.NodeID][]core.ClipPoint
+	v    *rtree.Version
+	recs rtree.ClipRecords
 }
 
 // Version returns the tree version the snapshot is bound to.
 func (s *Snap) Version() *rtree.Version { return s.v }
 
-// Clips returns the clip points of the node at the snapshot's epoch (nil
-// when it has none).
-func (s *Snap) Clips(id rtree.NodeID) []core.ClipPoint {
-	if uint64(id) < uint64(len(s.dense)) {
-		return s.dense[id]
-	}
-	return s.spill[id]
-}
+// Record returns the clip record of the node at the snapshot's epoch (nil
+// when it has no clip points); joins test it with core.Record.Dead.
+func (s *Snap) Record(id rtree.NodeID) core.Record { return s.recs.Of(id) }
 
-// AdmitChild is the Algorithm-2 admission test bound to the snapshot's
-// epoch; it implements rtree.Admitter for the clipped search below.
-func (s *Snap) AdmitChild(child rtree.NodeID, childMBB geom.Rect, q geom.Rect) bool {
-	clips := s.Clips(child)
-	if len(clips) == 0 {
-		return true
-	}
-	return core.Intersects(childMBB, clips, q, core.SelectorQuery)
+// Clips materialises the clip points of the node at the snapshot's epoch
+// (nil when it has none), for inspection; nothing on a query path calls it.
+func (s *Snap) Clips(id rtree.NodeID) []core.ClipPoint {
+	return s.recs.Of(id).Points(s.v.Dims())
 }
 
 // Search finds every object intersecting q at the snapshot's epoch, using
@@ -223,77 +216,61 @@ func (s *Snap) Search(q geom.Rect, visit func(rtree.ObjectID, geom.Rect) bool) {
 // counter instead of the tree's own (the tree's counter when c is nil). It
 // satisfies the batch executor's Searcher contract.
 func (s *Snap) SearchCounted(q geom.Rect, c *storage.Counter, visit func(rtree.ObjectID, geom.Rect) bool) {
-	v := s.v
-	if v.RootID() == rtree.InvalidNode || !q.Valid() || q.Dims() != v.Dims() {
-		return
-	}
-	// The root's own MBB and clip points can prune the query outright,
-	// before any I/O is charged.
-	if !v.RootMBBIntersects(q) {
-		return
-	}
-	if core.QueryDead(s.Clips(v.RootID()), q) {
-		return
-	}
-	v.SearchAdmittedCounted(q, s, c, visit)
+	s.v.SearchClippedCounted(q, &s.recs, c, visit)
 }
 
-// ClipStats counts the snapshot's clip table from its immutable mirrors: the
-// nodes that have clip points, the clip points in total, and the exact size
-// the table serialises to (as TableBytes; 0 for an empty table, which
-// snapshots omit altogether).
+// ClipStats counts the snapshot's clip records: the nodes that have clip
+// points, the clip points in total, and the exact size the table serialises
+// to (as TableBytes; 0 for an empty table, which snapshots omit altogether).
 func (s *Snap) ClipStats() (nodes, points, bytes int) {
-	count := func(clips []core.ClipPoint) {
-		if len(clips) > 0 {
-			nodes++
-			points += len(clips)
-		}
+	return clipStats(&s.recs, s.v.Dims())
+}
+
+// ResidentBytes returns the heap the snapshot's clip points occupy: the
+// directory (a slice header per dense node id, a map entry per spilled id)
+// plus the records.
+func (s *Snap) ResidentBytes() int {
+	n := cap(s.recs.Dense)*24 + len(s.recs.Spill)*32
+	for _, rec := range records(&s.recs) {
+		n += 8 * cap(rec)
 	}
-	for _, clips := range s.dense {
-		count(clips)
-	}
-	for _, clips := range s.spill {
-		count(clips)
+	return n
+}
+
+func clipStats(recs *rtree.ClipRecords, dims int) (nodes, points, bytes int) {
+	for _, rec := range records(recs) {
+		nodes++
+		points += rec.Len(dims)
 	}
 	if nodes > 0 {
-		bytes = tableBytes(nodes, points, s.v.Dims())
+		bytes = tableBytes(nodes, points, dims)
 	}
 	return nodes, points, bytes
 }
 
-// ensurePrivateStore detaches the dense mirror from the published snapshot:
-// the outer slice and the spill map are copied so the snapshot's readers
-// keep an untouched view while the writer mutates its own. The inner
-// []core.ClipPoint slices are immutable once installed (every reclip builds
-// a fresh slice), so they are shared freely across snapshots.
+// ensurePrivateStore detaches the record directory from the published
+// snapshot: the dense slice and the spill map are copied, the records
+// themselves are immutable and stay shared.
 func (x *Index) ensurePrivateStore() {
-	if !x.storeShared {
-		return
+	if x.storeShared {
+		x.store = rtree.ClipRecords{Dense: slices.Clone(x.store.Dense), Spill: maps.Clone(x.store.Spill)}
+		x.storeShared = false
 	}
-	x.store.dense = append([][]core.ClipPoint(nil), x.store.dense...)
-	if x.store.spill != nil {
-		spill := make(map[rtree.NodeID][]core.ClipPoint, len(x.store.spill))
-		for id, clips := range x.store.spill {
-			spill[id] = clips
-		}
-		x.store.spill = spill
-	}
-	x.storeShared = false
 }
 
 // publish stores a new combined snapshot pairing the tree's current
-// committed version with the writer's clip mirrors, and marks the mirrors
-// shared (copy-on-write for the next batch).
+// committed version with the writer's record directory, and marks the
+// directory shared (copy-on-write for the next batch).
 func (x *Index) publish() {
-	x.cur.Store(&Snap{v: x.tree.CurrentVersion(), dense: x.store.dense, spill: x.store.spill})
+	x.cur.Store(&Snap{v: x.tree.CurrentVersion(), recs: x.store})
 	x.storeShared = true
 }
 
 // maintain runs one table-maintenance step for a mutation the tree just
-// applied, then publishes tree version and table together (unless an
+// applied, then publishes tree version and records together (unless an
 // explicit batch is open, whose Commit publishes instead). It holds the
 // index's one K == 0 early-out: with K == 0 (the public ClipNone
-// configuration) core.Clip never yields a clip point, so the table is
+// configuration) core.Clip never yields a clip point, so the store is
 // permanently empty, the index is exactly a plain R-tree, and the step is
 // skipped whole — no walk, no node lookups, no Reclip charge.
 func (x *Index) maintain(step func()) {
@@ -334,40 +311,20 @@ func (x *Index) Commit() {
 }
 
 // Rollback discards every mutation since Begin: the tree batch is rolled
-// back, and the writer's clip table and mirrors are restored from the last
-// published snapshot. Readers never saw any of it. The advisory update
-// statistics (Stats) are not unwound.
+// back and the writer takes the published snapshot's record directory back,
+// shared again, so nothing is rebuilt. Readers never saw any of it. The
+// advisory update statistics (Stats) are not unwound.
 func (x *Index) Rollback() {
 	x.tree.RollbackBatch()
-	s := x.cur.Load()
-	x.store.dense = s.dense
-	x.store.spill = s.spill
-	x.storeShared = true // next mutation copies before touching the mirrors
-	table := make(Table, len(s.spill)+len(s.dense)/8)
-	for id, clips := range s.dense {
-		if len(clips) > 0 {
-			table[rtree.NodeID(id)] = clips
-		}
-	}
-	for id, clips := range s.spill {
-		table[id] = clips
-	}
-	x.table = table
+	x.store = x.cur.Load().recs
+	x.storeShared = true // next mutation copies before touching the directory
 }
 
-// setClips installs a node's clip points in both the table and the dense
-// admission mirror.
-func (x *Index) setClips(id rtree.NodeID, clips []core.ClipPoint) {
+// setClips installs a node's record in the writer's directory (a nil record
+// removes the node's clip points).
+func (x *Index) setClips(id rtree.NodeID, rec core.Record) {
 	x.ensurePrivateStore()
-	x.table[id] = clips
-	x.store.set(id, clips)
-}
-
-// delClips removes a node's clip points from both representations.
-func (x *Index) delClips(id rtree.NodeID) {
-	x.ensurePrivateStore()
-	delete(x.table, id)
-	x.store.del(id)
+	setRecord(&x.store, id, rec)
 }
 
 // New wraps an existing tree (already built, possibly empty) and computes
@@ -379,17 +336,17 @@ func New(tree *rtree.Tree, params core.Params) (*Index, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	idx := &Index{tree: tree, params: params, table: make(Table)}
+	idx := &Index{tree: tree, params: params}
 	idx.RebuildAll()
 	return idx, nil
 }
 
 // Restore wraps a tree with a previously computed clip table without
 // recomputing anything — the decode path of the persistence subsystem. The
-// table is adopted as-is (it must belong to this tree, which snapshot
-// integrity checks guarantee); a nil table means no node has clip points.
-// Unlike New, Restore never walks the tree, so a lazily opened file-backed
-// tree stays unmaterialised.
+// table is flattened into records and not retained (it must belong to this
+// tree, which snapshot integrity checks guarantee); a nil table means no node
+// has clip points. Unlike New, Restore never walks the tree, so a lazily
+// opened file-backed tree stays unmaterialised.
 func Restore(tree *rtree.Tree, params core.Params, table Table) (*Index, error) {
 	if tree == nil {
 		return nil, errors.New("clipindex: tree must not be nil")
@@ -397,12 +354,9 @@ func Restore(tree *rtree.Tree, params core.Params, table Table) (*Index, error) 
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if table == nil {
-		table = make(Table)
-	}
-	x := &Index{tree: tree, params: params, table: table}
+	x := &Index{tree: tree, params: params}
 	for id, clips := range table {
-		x.store.set(id, clips)
+		setRecord(&x.store, id, core.NewRecord(clips, tree.Dims()))
 	}
 	x.publish()
 	return x, nil
@@ -414,8 +368,16 @@ func (x *Index) Tree() *rtree.Tree { return x.tree }
 // Params returns the clipping parameters.
 func (x *Index) Params() core.Params { return x.params }
 
-// Table returns the auxiliary clip table. The caller must not modify it.
-func (x *Index) Table() Table { return x.table }
+// Table materialises the writer's clip records (scores are not kept, as in a
+// decoded table), for inspection, experiments and tests; snapshots are
+// encoded straight from the records (EncodeClips).
+func (x *Index) Table() Table {
+	t := make(Table)
+	for id, rec := range records(&x.store) {
+		t[id] = rec.Points(x.tree.Dims())
+	}
+	return t
+}
 
 // Stats returns the accumulated update statistics.
 func (x *Index) Stats() UpdateStats { return x.stats }
@@ -432,16 +394,15 @@ func (x *Index) Len() int { return x.tree.Len() }
 // (unless an explicit batch is open, whose Commit publishes instead).
 func (x *Index) RebuildAll() { x.maintain(x.rebuildTable) }
 
-// rebuildTable recomputes the whole table. Published snapshots keep
-// referencing the old mirrors; the rebuild starts from a fresh private
-// store rather than wiping them in place. The nodes are collected here, on
+// rebuildTable recomputes every record. Published snapshots keep
+// referencing the old directory; the rebuild starts from a fresh private
+// one rather than wiping it in place. The nodes are collected here, on
 // the writer's goroutine, so a lazily opened file-backed tree faults its
 // pages in from one thread.
 func (x *Index) rebuildTable() {
 	var infos []rtree.NodeInfo
 	x.tree.Walk(func(info rtree.NodeInfo) { infos = append(infos, info) })
-	x.table = make(Table)
-	x.store = clipStore{}
+	x.store = rtree.ClipRecords{}
 	x.storeShared = false
 	x.reclip(infos)
 }
@@ -463,15 +424,15 @@ func BuildWorkers(n int) int {
 // nothing but one node's child rectangles, so the nodes are clipped in
 // chunks by up to GOMAXPROCS workers (the caller being one of them; a single
 // chunk starts no goroutine), each with its own scratch and each writing only
-// its own nodes' slots of clips. Installation is serial and in the order
-// given, so the table, the dense mirror and their heap layout do not depend
-// on the worker count or on scheduling. The scratch goes with the call:
-// nothing of a build stays on the heap but the clip points.
+// its own nodes' slots of recs. Installation is serial and in the order
+// given, so the store does not depend on the worker count or on scheduling.
+// The scratch goes with the call: nothing of a build stays on the heap but
+// the records, one allocation per clipped node.
 func (x *Index) reclip(infos []rtree.NodeInfo) {
 	if len(infos) == 0 {
 		return
 	}
-	clips := make([][]core.ClipPoint, len(infos))
+	recs := make([]core.Record, len(infos))
 	var next atomic.Int64
 	work := func() {
 		var clipper core.Clipper
@@ -487,7 +448,7 @@ func (x *Index) reclip(infos []rtree.NodeInfo) {
 				for j := 0; j < info.Len(); j++ {
 					children = append(children, info.Rect(j))
 				}
-				clips[i] = clipper.Clip(info.MBB, children, x.params)
+				recs[i] = core.NewRecord(clipper.Clip(info.MBB, children, x.params), len(info.MBB.Lo))
 			}
 		}
 	}
@@ -502,11 +463,7 @@ func (x *Index) reclip(infos []rtree.NodeInfo) {
 	work()
 	wg.Wait()
 	for i := range infos {
-		if id := infos[i].ID; len(clips[i]) == 0 {
-			x.delClips(id)
-		} else {
-			x.setClips(id, clips[i])
-		}
+		x.setClips(infos[i].ID, recs[i])
 	}
 }
 
@@ -518,7 +475,7 @@ func (x *Index) reclipByIDs(ids []rtree.NodeID) {
 	for _, id := range ids {
 		info, err := x.tree.Node(id)
 		if err != nil {
-			x.delClips(id)
+			x.setClips(id, nil)
 			continue
 		}
 		infos = append(infos, info)
@@ -533,7 +490,7 @@ func (x *Index) reclipByIDs(ids []rtree.NodeID) {
 //
 // It is safe for any number of concurrent readers at any time, including
 // while the single writer mutates: the query runs against one atomically
-// loaded Snap (immutable tree version + clip mirrors of the same epoch).
+// loaded Snap (immutable tree version + clip records of the same epoch).
 func (x *Index) Search(q geom.Rect, visit func(rtree.ObjectID, geom.Rect) bool) {
 	x.SearchCounted(q, nil, visit)
 }
@@ -541,22 +498,10 @@ func (x *Index) Search(q geom.Rect, visit func(rtree.ObjectID, geom.Rect) bool) 
 // SearchCounted is Search with the node accesses charged to an explicit
 // counter instead of the tree's own (the tree's counter when c is nil), the
 // hook parallel executors use to give each worker goroutine private I/O
-// accounting. One combined snapshot — tree version plus clip mirrors of the
+// accounting. One combined snapshot — tree version plus clip records of the
 // same epoch — is loaded atomically at entry and pins the whole traversal.
 func (x *Index) SearchCounted(q geom.Rect, c *storage.Counter, visit func(rtree.ObjectID, geom.Rect) bool) {
 	x.cur.Load().SearchCounted(q, c, visit)
-}
-
-// AdmitChild is the Algorithm-2 admission test the clipped search runs before
-// visiting a child node (it implements rtree.Admitter): it reports whether
-// the query's overlap with the child's MBB may contain live space. A child
-// with no clip points is always admitted. The clip lookup is a dense slice
-// load and the dominance tests allocate nothing, so admission costs an index
-// load plus a handful of float comparisons per clip point. It consults the
-// last published snapshot; query paths use the Snap's own AdmitChild so one
-// query never mixes epochs.
-func (x *Index) AdmitChild(child rtree.NodeID, childMBB geom.Rect, q geom.Rect) bool {
-	return x.cur.Load().AdmitChild(child, childMBB, q)
 }
 
 // Count returns the number of objects intersecting q using the clipped
@@ -585,7 +530,7 @@ func (x *Index) Insert(r geom.Rect, obj rtree.ObjectID) ([]ReclipCause, error) {
 // pipeline and maintains the clip table from the one aggregated trace: each
 // structurally changed node is re-clipped once for the whole batch and each
 // placement is validity-checked once, instead of paying the per-insert
-// maintenance (including the copy-on-write detach of the dense clip mirror)
+// maintenance (including the copy-on-write detach of the record directory)
 // per item. Outside an explicit batch the combined snapshot is published
 // once, atomically.
 func (x *Index) InsertItems(items []rtree.Item) error {
@@ -653,66 +598,60 @@ func (x *Index) applyInsertTrace(trace *rtree.InsertTrace) []ReclipCause {
 	// the eager validity check of Algorithm 2 with the insert selector and
 	// re-clip only when the placed rectangle reaches into clipped dead
 	// space.
+	check := func(id rtree.NodeID, r geom.Rect) {
+		if broken, checked := x.invalidates(id, r); checked {
+			x.stats.ValidityChecks++
+			if broken {
+				reclip(id, CauseCBBOnly)
+			} else {
+				x.stats.AvoidedReclips++
+			}
+		}
+	}
 	for _, pl := range trace.Placements {
 		if reclipped[pl.Node] {
 			continue
 		}
-		clips := x.store.get(pl.Node)
-		if len(clips) == 0 {
+		if len(x.store.Of(pl.Node)) == 0 {
 			// No clip points can be invalidated, but new dead space might
 			// now be clippable; the paper leaves such nodes alone until the
 			// next forced recomputation, and so do we.
 			x.stats.AvoidedReclips++
 			continue
 		}
-		info, err := x.tree.Node(pl.Node)
-		if err != nil {
-			continue
-		}
-		x.stats.ValidityChecks++
-		if !core.Intersects(info.MBB, clips, pl.Rect, core.SelectorInsert) {
-			reclip(pl.Node, CauseCBBOnly)
-		} else {
-			x.stats.AvoidedReclips++
-		}
+		check(pl.Node, pl.Rect)
 	}
 	// 4. Ancestors whose own MBB did not change but one of whose children
 	// grew (child MBB change could intrude into the parent's clipped
 	// corners): validity-check them against the grown child rectangles.
-	x.checkAncestors(trace, reclip)
+	for _, ids := range [][]rtree.NodeID{trace.MBBChanged, trace.Split, trace.Created} {
+		for _, id := range ids {
+			// A parent that changed itself is re-clipped via its own cause.
+			if info, err := x.tree.Node(id); err == nil && info.Parent != rtree.InvalidNode && !trace.Changed(info.Parent) {
+				check(info.Parent, info.MBB)
+			}
+		}
+	}
 	x.reclipByIDs(pending)
 	return causes
 }
 
-// checkAncestors runs the insert-validity test on parents of changed nodes
-// that were not themselves re-clipped.
-func (x *Index) checkAncestors(trace *rtree.InsertTrace, reclip func(rtree.NodeID, ReclipCause)) {
-	changed := append(append([]rtree.NodeID{}, trace.MBBChanged...), trace.Split...)
-	changed = append(changed, trace.Created...)
-	for _, id := range changed {
-		info, err := x.tree.Node(id)
-		if err != nil || info.Parent == rtree.InvalidNode {
-			continue
-		}
-		parent := info.Parent
-		if trace.Changed(parent) {
-			continue // already re-clipped via its own cause
-		}
-		clips := x.store.get(parent)
-		if len(clips) == 0 {
-			continue
-		}
-		pinfo, err := x.tree.Node(parent)
-		if err != nil {
-			continue
-		}
-		x.stats.ValidityChecks++
-		if !core.Intersects(pinfo.MBB, clips, info.MBB, core.SelectorInsert) {
-			reclip(parent, CauseCBBOnly)
-		} else {
-			x.stats.AvoidedReclips++
-		}
+// invalidates is the eager validity check of Section IV-D on the node's flat
+// record: broken reports whether placing r in the node breaks its clip points
+// (the negation of core.ValidAfterInsert). checked is false, and nothing was
+// tested, when the node has no clip points or no longer exists.
+func (x *Index) invalidates(id rtree.NodeID, r geom.Rect) (broken, checked bool) {
+	rec := x.store.Of(id)
+	if len(rec) == 0 {
+		return false, false
 	}
+	info, err := x.tree.Node(id)
+	if err != nil {
+		return false, false
+	}
+	var sel core.Sel
+	sel.Insert(r)
+	return !info.MBB.Intersects(r) || rec.Dead(r.Dims(), &sel), true
 }
 
 // Delete removes an object. Deletions are handled lazily: clip points stay
@@ -736,7 +675,7 @@ func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace) {
 		return
 	}
 	for _, id := range trace.Removed {
-		x.delClips(id)
+		x.setClips(id, nil)
 	}
 	// As in applyInsertTrace, the marked nodes are re-clipped together at the
 	// end.
@@ -755,18 +694,7 @@ func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace) {
 	// space of nodes whose MBB did not change; validity-check each placement
 	// just like an insertion.
 	for _, pl := range trace.Placements {
-		if reclipped[pl.Node] {
-			continue
-		}
-		clips := x.store.get(pl.Node)
-		if len(clips) == 0 {
-			continue
-		}
-		info, err := x.tree.Node(pl.Node)
-		if err != nil {
-			continue
-		}
-		if !core.Intersects(info.MBB, clips, pl.Rect, core.SelectorInsert) {
+		if broken, _ := x.invalidates(pl.Node, pl.Rect); broken {
 			reclip(pl.Node)
 		}
 	}
@@ -774,20 +702,10 @@ func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace) {
 	// parent's clipped corners even though the parent's own MBB is
 	// unchanged; validity-check those parents as well.
 	for _, id := range trace.MBBChanged {
-		info, err := x.tree.Node(id)
-		if err != nil || info.Parent == rtree.InvalidNode || reclipped[info.Parent] {
-			continue
-		}
-		clips := x.store.get(info.Parent)
-		if len(clips) == 0 {
-			continue
-		}
-		pinfo, err := x.tree.Node(info.Parent)
-		if err != nil {
-			continue
-		}
-		if !core.Intersects(pinfo.MBB, clips, info.MBB, core.SelectorInsert) {
-			reclip(info.Parent)
+		if info, err := x.tree.Node(id); err == nil && info.Parent != rtree.InvalidNode {
+			if broken, _ := x.invalidates(info.Parent, info.MBB); broken {
+				reclip(info.Parent)
+			}
 		}
 	}
 	x.reclipByIDs(pending)
@@ -803,7 +721,7 @@ func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace) {
 func (x *Index) Validate() error {
 	live := make(map[rtree.NodeID]rtree.NodeInfo)
 	x.tree.Walk(func(info rtree.NodeInfo) { live[info.ID] = info })
-	for id, clips := range x.table {
+	for id, clips := range x.Table() {
 		info, ok := live[id]
 		if !ok {
 			return fmt.Errorf("clipindex: clip table references dead node %d", id)
@@ -827,7 +745,7 @@ func (x *Index) Validate() error {
 // (Figure 4b) and returns the number of pages written. Used by the
 // storage-overhead experiment.
 func (x *Index) SaveAux(p storage.PageStore) (pages int, err error) {
-	buf := EncodeTable(x.table, x.tree.Dims())
+	buf := x.EncodeClips(x.tree.Dims(), nil)
 	pageSize := p.PageSize()
 	for off := 0; off < len(buf); off += pageSize {
 		end := off + pageSize
@@ -850,5 +768,6 @@ func (x *Index) SaveAux(p storage.PageStore) (pages int, err error) {
 // the same number Stats.ClipTableBytes and the cbbinspect storage breakdown
 // report, all through TableBytes.
 func (x *Index) AuxBytes() int {
-	return TableBytes(x.table, x.tree.Dims())
+	nodes, points, _ := clipStats(&x.store, x.tree.Dims())
+	return tableBytes(nodes, points, x.tree.Dims())
 }

@@ -1,15 +1,9 @@
 package clipindex
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
-	"sort"
 
-	"cbb/internal/core"
 	"cbb/internal/geom"
-	"cbb/internal/rtree"
 )
 
 // This file implements the compressed v2 clip-table layout used by format-2
@@ -116,15 +110,15 @@ func clipQUp(x, lo, hi float64) (uint32, bool) {
 // quantisePoint encodes one clip point's coordinates onto the universe grid,
 // rounding toward its corner. ok is false when any dimension cannot be
 // bounded conservatively, in which case the caller stores the point raw.
-func quantisePoint(c *core.ClipPoint, universe geom.Rect, out []uint32) bool {
-	for d := range c.Coord {
+func quantisePoint(mask geom.Corner, coord []float64, universe geom.Rect, out []uint32) bool {
+	for d, v := range coord {
 		lo, hi := universe.Lo[d], universe.Hi[d]
 		var q uint32
 		var ok bool
-		if c.Mask.Bit(d) {
-			q, ok = clipQUp(c.Coord[d], lo, hi)
+		if mask.Bit(d) {
+			q, ok = clipQUp(v, lo, hi)
 		} else {
-			q, ok = clipQDown(c.Coord[d], lo, hi)
+			q, ok = clipQDown(v, lo, hi)
 		}
 		if !ok {
 			return false
@@ -134,114 +128,14 @@ func quantisePoint(c *core.ClipPoint, universe geom.Rect, out []uint32) bool {
 	return true
 }
 
-// TableBytesV2 returns the exact serialised size of a clip table in the v2
-// layout against the given universe — the v2 counterpart of TableBytes.
-func TableBytesV2(t Table, dims int, universe geom.Rect) int {
-	n := 8
-	scratch := make([]uint32, dims)
-	for _, clips := range t {
-		n += 8
-		for i := range clips {
-			if quantisePoint(&clips[i], universe, scratch) {
-				n += ClipPointBytesV2(dims)
-			} else {
-				n += ClipPointBytes(dims)
-			}
-		}
-	}
-	return n
-}
-
 // EncodeTableV2 serialises a clip table in the quantised v2 layout. Entries
 // are written in ascending node-id order so the encoding is deterministic.
 func EncodeTableV2(t Table, dims int, universe geom.Rect) []byte {
-	ids := make([]rtree.NodeID, 0, len(t))
-	for id := range t {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf := make([]byte, 0, 8+len(ids)*8)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(dims))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
-	scratch := make([]uint32, dims)
-	for _, id := range ids {
-		clips := t[id]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(clips)))
-		for i := range clips {
-			c := &clips[i]
-			if quantisePoint(c, universe, scratch) {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Mask))
-				for d := 0; d < dims; d++ {
-					buf = binary.LittleEndian.AppendUint32(buf, scratch[d])
-				}
-			} else {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Mask)|clipRawFlag)
-				for d := 0; d < dims; d++ {
-					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Coord[d]))
-				}
-			}
-		}
-	}
-	return buf
+	return encodeTable(t, dims, &universe)
 }
 
 // DecodeTableV2 parses a clip table previously produced by EncodeTableV2,
 // reconstructing coordinates on the universe grid.
 func DecodeTableV2(buf []byte, universe geom.Rect) (Table, int, error) {
-	if len(buf) < 8 {
-		return nil, 0, errors.New("clipindex: v2 clip table buffer too short")
-	}
-	dims := int(binary.LittleEndian.Uint32(buf[0:4]))
-	if dims < 1 || dims > geom.MaxDims {
-		return nil, 0, fmt.Errorf("clipindex: implausible dimensionality %d", dims)
-	}
-	if universe.Dims() != dims || !universe.Valid() {
-		return nil, 0, fmt.Errorf("clipindex: v2 clip table needs a valid %d-dimensional universe", dims)
-	}
-	count := int(binary.LittleEndian.Uint32(buf[4:8]))
-	off := 8
-	table := make(Table, count)
-	for i := 0; i < count; i++ {
-		if off+8 > len(buf) {
-			return nil, 0, errors.New("clipindex: truncated v2 clip table entry header")
-		}
-		id := rtree.NodeID(binary.LittleEndian.Uint32(buf[off:]))
-		n := int(binary.LittleEndian.Uint32(buf[off+4:]))
-		off += 8
-		if n > (len(buf)-off)/clipPointV2HeaderBytes {
-			return nil, 0, errors.New("clipindex: truncated v2 clip table")
-		}
-		clips := make([]core.ClipPoint, 0, n)
-		for j := 0; j < n; j++ {
-			if off+clipPointV2HeaderBytes > len(buf) {
-				return nil, 0, errors.New("clipindex: truncated v2 clip point")
-			}
-			raw := binary.LittleEndian.Uint32(buf[off:])
-			off += 4
-			mask := geom.Corner(raw &^ clipRawFlag)
-			coord := make(geom.Point, dims)
-			if raw&clipRawFlag != 0 {
-				if off+dims*8 > len(buf) {
-					return nil, 0, errors.New("clipindex: truncated v2 clip point")
-				}
-				for d := 0; d < dims; d++ {
-					coord[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-					off += 8
-				}
-			} else {
-				if off+dims*4 > len(buf) {
-					return nil, 0, errors.New("clipindex: truncated v2 clip point")
-				}
-				for d := 0; d < dims; d++ {
-					q := binary.LittleEndian.Uint32(buf[off:])
-					coord[d] = clipQDecode(universe.Lo[d], universe.Hi[d], q)
-					off += 4
-				}
-			}
-			clips = append(clips, core.ClipPoint{Coord: coord, Mask: mask})
-		}
-		table[id] = clips
-	}
-	return table, dims, nil
+	return decodeTable(buf, &universe)
 }

@@ -303,10 +303,6 @@ func overlap(p, q, origin []float64) float64 {
 	return v
 }
 
-// ErrSelector is returned by Intersects when the selector is neither
-// SelectorQuery nor SelectorInsert.
-var ErrSelector = errors.New("core: selector must be SelectorQuery or SelectorInsert")
-
 // Selector chooses which corner of the probe rectangle Algorithm 2 compares
 // against each clip point.
 type Selector int
@@ -338,11 +334,8 @@ const (
 // the boundary of a dead region is never treated as inside it; clipped search
 // therefore returns exactly the same results as unclipped search even for
 // workloads with exact coordinate ties.
-// The per-clip dominance tests are evaluated without materialising the probe
-// corner: Algorithm 2 only ever compares the corner coordinate q.Lo[i] or
-// q.Hi[i] selected by the clip mask, so the test reads the query extents
-// directly. This keeps the admission path — which runs once per candidate
-// child on every query — free of heap allocations.
+// Queries, joins and index maintenance evaluate the same test on flat
+// records (Record.Dead); this is the definition that kernel is tested against.
 func Intersects(mbb geom.Rect, clips []ClipPoint, q geom.Rect, sel Selector) bool {
 	if !mbb.Intersects(q) {
 		return false

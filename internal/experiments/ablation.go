@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+
 	"cbb/internal/clipindex"
 	"cbb/internal/core"
 	"cbb/internal/geom"
@@ -127,37 +129,37 @@ func RunScoreApprox(cfg Config) (*ScoreApproxResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			idx, _, err := cfg.ClipTree(tree, core.MethodStairline)
-			if err != nil {
-				return nil, err
-			}
-			var relErr float64
-			nodes := 0
-			for id, clips := range idx.Table() {
-				info, err := tree.Node(id)
-				if err != nil || len(clips) == 0 {
-					continue
-				}
-				exact := core.ClippedVolume(info.MBB, clips)
-				if exact <= 0 {
-					continue
-				}
-				approx := core.ApproxClippedVolume(clips)
-				diff := approx - exact
-				if diff < 0 {
-					diff = -diff
-				}
-				relErr += diff / exact
-				nodes++
-			}
-			row := ScoreApproxRow{Dataset: name, Variant: v.String(), Nodes: nodes}
-			if nodes > 0 {
-				row.MeanRelativeError = relErr / float64(nodes)
-			}
+			row := ScoreApproxRow{Dataset: name, Variant: v.String()}
+			row.MeanRelativeError, row.Nodes = ScoreApproxError(tree, cfg.params(tree.Dims(), core.MethodStairline))
 			out.Rows = append(out.Rows, row)
 		}
 	}
 	return out, nil
+}
+
+// ScoreApproxError returns mean(|approx − exact| / exact) of the additive
+// score approximation over the nodes of the tree that get clip points under
+// params, and how many those are. A clipped index keeps no scores, so
+// Algorithm 1 is re-run per node.
+func ScoreApproxError(tree *rtree.Tree, params core.Params) (meanRelErr float64, nodes int) {
+	var clipper core.Clipper
+	tree.Walk(func(info rtree.NodeInfo) {
+		children := make([]geom.Rect, info.Len())
+		for i := range children {
+			children[i] = info.Rect(i)
+		}
+		clips := clipper.Clip(info.MBB, children, params)
+		exact := core.ClippedVolume(info.MBB, clips)
+		if exact <= 0 {
+			return
+		}
+		meanRelErr += math.Abs(core.ApproxClippedVolume(clips)-exact) / exact
+		nodes++
+	})
+	if nodes > 0 {
+		meanRelErr /= float64(nodes)
+	}
+	return meanRelErr, nodes
 }
 
 // Table renders the score-approximation ablation.
@@ -217,45 +219,44 @@ func RunOrderingAblation(cfg Config) (*OrderingResult, error) {
 	return out, nil
 }
 
-// clipCheckCounter is the admission test of the clipped descent
-// (rtree.Admitter) instrumented to count how many clip-point dominance
-// tests run until a verdict per candidate child, with the clip list
-// optionally reversed.
-type clipCheckCounter struct {
-	table    clipindex.Table
-	reversed bool
-	checks   int64
-}
-
-func (c *clipCheckCounter) AdmitChild(child rtree.NodeID, childMBB, q geom.Rect) bool {
-	clips := c.table[child]
-	if c.reversed && len(clips) > 1 {
-		rev := make([]core.ClipPoint, len(clips))
-		for i := range clips {
-			rev[i] = clips[len(clips)-1-i]
-		}
-		clips = rev
-	}
-	// Examine clip points one at a time until one prunes (or all pass),
-	// mirroring Algorithm 2's early exit.
-	for i := range clips {
-		c.checks++
-		if !core.Intersects(childMBB, clips[i:i+1], q, core.SelectorQuery) {
-			return false
-		}
-	}
-	return true
-}
-
 // countClipChecks replays the clipped descent over the queries and returns
-// the number of dominance tests it ran.
+// the number of clip-point dominance tests it runs until a verdict per
+// candidate child — the children of visited nodes that have clip points and
+// whose MBB the query intersects — with every clip list optionally reversed.
+// The verdicts, and so the nodes visited, do not depend on the order.
 func countClipChecks(tree *rtree.Tree, table clipindex.Table, queries []geom.Rect, reversed bool) int64 {
-	counter := &clipCheckCounter{table: table, reversed: reversed}
 	v := tree.CurrentVersion()
-	for _, q := range queries {
-		v.SearchAdmittedCounted(q, counter, nil, func(rtree.ObjectID, geom.Rect) bool { return true })
+	var checks int64
+	var descend func(id rtree.NodeID, q geom.Rect)
+	descend = func(id rtree.NodeID, q geom.Rect) {
+		info, err := v.Node(id)
+		if err != nil || info.Leaf {
+			return
+		}
+	children:
+		for i := 0; i < info.Len(); i++ {
+			if !info.Rect(i).Intersects(q) {
+				continue
+			}
+			clips := table[info.Child(i)]
+			// Examine clip points one at a time until one prunes (or all
+			// pass), mirroring Algorithm 2's early exit.
+			for k := range clips {
+				if reversed {
+					k = len(clips) - 1 - k
+				}
+				checks++
+				if core.QueryDead(clips[k:k+1], q) {
+					continue children
+				}
+			}
+			descend(info.Child(i), q)
+		}
 	}
-	return counter.checks
+	for _, q := range queries {
+		descend(v.RootID(), q)
+	}
+	return checks
 }
 
 // Table renders the ordering ablation.

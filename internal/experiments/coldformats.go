@@ -127,7 +127,7 @@ func RunColdFormats(cfg Config) (*ColdFormatResult, error) {
 			ClipTau:       params.Tau,
 		}
 		v1Path := filepath.Join(dir, name+"-v1.cbb")
-		if err := snapshot.WriteFile(v1Path, tree, idx.Table(), meta); err != nil {
+		if err := snapshot.WriteFile(v1Path, tree, idx, meta); err != nil {
 			return nil, err
 		}
 		v2Path := filepath.Join(dir, name+"-v2.cbb")

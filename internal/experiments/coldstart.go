@@ -88,7 +88,7 @@ func RunColdStart(cfg Config) (*ColdStartResult, error) {
 			ClipTau:       params.Tau,
 		}
 		path := filepath.Join(dir, name+".cbb")
-		if err := snapshot.WriteFile(path, tree, idx.Table(), meta); err != nil {
+		if err := snapshot.WriteFile(path, tree, idx, meta); err != nil {
 			return nil, err
 		}
 

@@ -290,12 +290,3 @@ func (c Config) QuerySet(ds *Dataset) (map[querygen.Profile][]geom.Rect, error) 
 	}
 	return out, nil
 }
-
-// variantNames renders a list of variants for table headers.
-func variantNames(vs []rtree.Variant) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.String()
-	}
-	return out
-}

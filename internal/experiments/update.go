@@ -131,7 +131,7 @@ func updateWorkloadRun(cfg Config, ds *Dataset, batch []geom.Rect, clipped bool,
 		return row, err
 	}
 	path := filepath.Join(dir, fmt.Sprintf("%s-%s.cbb", ds.Spec.Name, mode))
-	if err := snapshot.WriteFile(path, tree, built.Table(), meta); err != nil {
+	if err := snapshot.WriteFile(path, tree, built, meta); err != nil {
 		return row, err
 	}
 
@@ -156,7 +156,7 @@ func updateWorkloadRun(cfg Config, ds *Dataset, batch []geom.Rect, clipped bool,
 
 	flush := func() error {
 		start := time.Now()
-		if err := snapshot.Rewrite(fp, ft, idx.Table(), meta); err != nil {
+		if err := snapshot.Rewrite(fp, ft, idx, meta); err != nil {
 			return err
 		}
 		if err := fp.CommitJournal(); err != nil {

@@ -21,11 +21,6 @@ import (
 // and d = 3, like the paper.
 type Point []float64
 
-// NewPoint returns a zero point of the given dimensionality.
-func NewPoint(dims int) Point {
-	return make(Point, dims)
-}
-
 // Pt is a convenience constructor: Pt(1, 2, 3) is the 3-dimensional point
 // (1, 2, 3).
 func Pt(coords ...float64) Point {

@@ -275,7 +275,7 @@ func serializedVisit(visit func(Pair), workers int) func(Pair) {
 
 type sttJoiner struct {
 	// Left and Right are the two inputs, each one epoch-consistent snapshot;
-	// clip points are looked up through Snap.Clips, the dense admission path.
+	// clip points are read through Snap.Record, the flat store.
 	SidePair
 	// leftCtr and rightCtr receive the node accesses of the respective tree;
 	// they point at the same counter when the trees share one.
@@ -283,26 +283,27 @@ type sttJoiner struct {
 	visit             func(Pair)
 	pairs             int64
 	rects             []geom.Rect // joinLeaves scratch
+	sel               core.Sel    // dead scratch: the probe laid out for Record.Dead
 }
 
 // admissible applies the clipped intersection test in both directions for a
 // candidate pair of node MBBs: the pair survives only if neither side's
 // clipped bounding box certifies the other's MBB as dead space.
 func (j *sttJoiner) admissible(leftID rtree.NodeID, leftMBB geom.Rect, rightID rtree.NodeID, rightMBB geom.Rect) bool {
-	if !leftMBB.Intersects(rightMBB) {
+	return leftMBB.Intersects(rightMBB) && !j.dead(j.Left, leftID, rightMBB) && !j.dead(j.Right, rightID, leftMBB)
+}
+
+// dead is the dominance half of Algorithm 2 on the node's flat clip record:
+// it reports whether the node's clip points certify its whole overlap with
+// probe — which the caller has found to intersect the node's MBB — as dead
+// space.
+func (j *sttJoiner) dead(s *clipindex.Snap, id rtree.NodeID, probe geom.Rect) bool {
+	rec := s.Record(id)
+	if len(rec) == 0 {
 		return false
 	}
-	if clips := j.Left.Clips(leftID); len(clips) > 0 {
-		if !core.Intersects(leftMBB, clips, rightMBB, core.SelectorQuery) {
-			return false
-		}
-	}
-	if clips := j.Right.Clips(rightID); len(clips) > 0 {
-		if !core.Intersects(rightMBB, clips, leftMBB, core.SelectorQuery) {
-			return false
-		}
-	}
-	return true
+	j.sel.Query(probe)
+	return rec.Dead(probe.Dims(), &j.sel)
 }
 
 func (j *sttJoiner) joinNodes(leftID, rightID rtree.NodeID) {
@@ -383,13 +384,8 @@ func (j *sttJoiner) joinLeafWithNode(leaf rtree.NodeInfo, other *clipindex.Snap,
 	}
 	for k := 0; k < oinfo.Len(); k++ {
 		child, rect := oinfo.Child(k), oinfo.Rect(k)
-		if !leaf.MBB.Intersects(rect) {
+		if !leaf.MBB.Intersects(rect) || j.dead(other, child, leaf.MBB) {
 			continue
-		}
-		if clips := other.Clips(child); len(clips) > 0 {
-			if !core.Intersects(rect, clips, leaf.MBB, core.SelectorQuery) {
-				continue
-			}
 		}
 		j.joinLeafWithNode(leaf, other, ctr, child)
 	}
@@ -408,13 +404,8 @@ func (j *sttJoiner) joinNodeWithLeaf(other *clipindex.Snap, ctr *storage.Counter
 	}
 	for i := 0; i < oinfo.Len(); i++ {
 		child, rect := oinfo.Child(i), oinfo.Rect(i)
-		if !rect.Intersects(leaf.MBB) {
+		if !rect.Intersects(leaf.MBB) || j.dead(other, child, leaf.MBB) {
 			continue
-		}
-		if clips := other.Clips(child); len(clips) > 0 {
-			if !core.Intersects(rect, clips, leaf.MBB, core.SelectorQuery) {
-				continue
-			}
 		}
 		j.joinNodeWithLeaf(other, ctr, child, leaf)
 	}

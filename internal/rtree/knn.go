@@ -87,7 +87,8 @@ func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
 	dims := t.cfg.Dims
 	sc := knnScratchPool.Get().(*knnScratch)
 	refs := sc.refs[:0]
-	pq := knnPush(sc.pq[:0], knnItem{distSq: root.mbbMinDistSq(p, dims), ref: int64(v.root) << 1})
+	// The root is alone in the queue and popped first, whatever its distance.
+	pq := knnPush(sc.pq[:0], knnItem{ref: int64(v.root) << 1})
 
 	// At most min(k, size) results can exist; +1 slot absorbs the transient
 	// append inside insertNeighbor. Sizing by k alone would let a huge k

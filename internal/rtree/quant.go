@@ -192,17 +192,43 @@ func quantiseQuery(qmbb []float64, dims int, qlo, qhi *[geom.MaxDims]float64, qg
 	}
 }
 
-// swarGE compares the four unsigned 16-bit lanes of x and y at once,
-// returning a word whose lane-top bit is set exactly where x's lane >= y's.
-// Forcing x's lane tops on and y's off before the subtraction confines each
-// lane's borrow to itself; the lane-top of the difference then decides the
-// low 15 bits, and the original lane tops decide the rest (classic SWAR
-// unsigned compare).
-func swarGE(x, y uint64) uint64 {
-	t := (x | laneH) - (y &^ laneH)
-	xh := x & laneH
-	yh := y & laneH
-	return (xh &^ yh) | (^(xh ^ yh) & t & laneH)
+// swarGE compares the four unsigned 16-bit lanes of x with one constant c
+// broadcast to all lanes: the lane top of the result is set exactly where x's
+// lane >= c; the other bits are garbage, masked off with laneH once per word
+// after all of a word's comparisons are ANDed together (AND never carries, so
+// garbage cannot reach a lane top). Forcing x's lane tops on and c's off
+// (cL = c&^laneH) confines each lane's borrow to the lane, so the lane top of
+// the difference t says whether x's low 15 bits reach c's; the verdict is
+// majority(x's top, not c's top, t's top). c's top is the same in every lane:
+// with s all-ones where it is clear and zero where it is set, that majority
+// is x|t or x&t, which is ((t^s)&(x^s))^s either way.
+func swarGE(x, cL, s uint64) uint64 { return (((x|laneH)-cL)^s)&(x^s) ^ s }
+
+// laneQuery is one dimension of the quantised query window as quantScan's
+// word loop needs it: all that depends on the query alone, computed once per
+// node instead of once per word (the compiler hoists none of it). An entry
+// passes the dimension when lo <= qh and hi >= ql; the first is taken as
+// ^lo >= ^qh, exact on 16-bit lanes, so both are swarGE against a constant.
+type laneQuery struct {
+	nhL, nhS uint64 // ^qh broadcast: low 15 bits per lane, and swarGE's s
+	lL, lS   uint64 // the same for ql
+}
+
+func newLaneQuery(ql, qh uint16) laneQuery {
+	l, nh := uint64(ql)*lane1, uint64(^qh)*lane1
+	return laneQuery{nhL: nh &^ laneH, nhS: nh>>15&1 - 1, lL: l &^ laneH, lS: l>>15&1 - 1}
+}
+
+// admits returns a word whose lane tops are set where the entry bounds lo, hi
+// (one plane word each) overlap the query in this dimension.
+func (q laneQuery) admits(lo, hi uint64) uint64 {
+	return swarGE(^lo, q.nhL, q.nhS) & swarGE(hi, q.lL, q.lS)
+}
+
+// nibble gathers the four lane tops of m into the mask nibble of plane word
+// wi (one multiply, see nibMul), positioned within its 64-entry mask word.
+func nibble(m uint64, wi int) uint64 {
+	return ((m & laneH >> 15) * nibMul >> 48) << (uint(wi&15) << 2)
 }
 
 // quantScan fills mask with the survivor bitmask of the node's entries
@@ -210,70 +236,62 @@ func swarGE(x, y uint64) uint64 {
 // grid-domain test admits entry i. One pass over the packed planes, four
 // entries per comparison: per word and dimension, two SWAR compares AND into
 // a lane-top accumulator, and one multiply gathers the four verdict bits
-// into the mask nibble. The admitted set is a superset of the exact
+// into the mask nibble; a mask word's sixteen nibbles are collected in a
+// register and stored once (OR-ing each into memory chained every word to the
+// previous word's store). The admitted set is a superset of the exact
 // intersection set (see the file comment); it never misses a true hit.
-// Padding-lane bits beyond count are cleared before returning.
+// Padding-lane bits beyond count and mask words beyond the node's are cleared.
 //
-// The common dimensionalities are unrolled: the per-dimension sub-slices are
-// hoisted out of the word loop (one bounds check each instead of index
-// arithmetic plus a check per access), which is worth ~30% of the kernel at
-// dims=2. All branches compute the identical function.
+// Two and three dimensions are unrolled, with the per-dimension planes
+// resliced to one length so the word loop carries no bounds checks. All
+// branches compute the identical function.
 func quantScan(planes []uint64, count, dims int, qg *[2 * geom.MaxDims]uint16, mask []uint64) {
 	w := planeWords(count)
-	for i := range mask {
-		mask[i] = 0
-	}
+	words := (w + 15) >> 4
+	clear(mask[words:])
 	if w == 0 {
 		return
 	}
+	var acc uint64
 	switch dims {
-	case 1:
-		lo0, hi0 := planes[0:w:w], planes[w:2*w:2*w]
-		ql0, qh0 := uint64(qg[0])*lane1, uint64(qg[1])*lane1
-		for wi := 0; wi < w; wi++ {
-			m := swarGE(qh0, lo0[wi]) & swarGE(hi0[wi], ql0)
-			mask[wi>>4] |= (((m >> 15) * nibMul) >> 48 & 0xF) << ((wi & 15) << 2)
-		}
 	case 2:
-		lo0, hi0 := planes[0:w:w], planes[w:2*w:2*w]
-		lo1, hi1 := planes[2*w:3*w:3*w], planes[3*w:4*w:4*w]
-		ql0, qh0 := uint64(qg[0])*lane1, uint64(qg[1])*lane1
-		ql1, qh1 := uint64(qg[2])*lane1, uint64(qg[3])*lane1
-		for wi := 0; wi < w; wi++ {
-			m := swarGE(qh0, lo0[wi]) & swarGE(hi0[wi], ql0)
-			m &= swarGE(qh1, lo1[wi]) & swarGE(hi1[wi], ql1)
-			mask[wi>>4] |= (((m >> 15) * nibMul) >> 48 & 0xF) << ((wi & 15) << 2)
+		lo0, hi0, lo1, hi1 := planes[:w], planes[w:][:w], planes[2*w:][:w], planes[3*w:][:w]
+		q0, q1 := newLaneQuery(qg[0], qg[1]), newLaneQuery(qg[2], qg[3])
+		for wi, l0 := range lo0 {
+			m := q0.admits(l0, hi0[wi]) & q1.admits(lo1[wi], hi1[wi])
+			if acc |= nibble(m, wi); wi&15 == 15 {
+				mask[wi>>4], acc = acc, 0
+			}
 		}
 	case 3:
-		lo0, hi0 := planes[0:w:w], planes[w:2*w:2*w]
-		lo1, hi1 := planes[2*w:3*w:3*w], planes[3*w:4*w:4*w]
-		lo2, hi2 := planes[4*w:5*w:5*w], planes[5*w:6*w:6*w]
-		ql0, qh0 := uint64(qg[0])*lane1, uint64(qg[1])*lane1
-		ql1, qh1 := uint64(qg[2])*lane1, uint64(qg[3])*lane1
-		ql2, qh2 := uint64(qg[4])*lane1, uint64(qg[5])*lane1
-		for wi := 0; wi < w; wi++ {
-			m := swarGE(qh0, lo0[wi]) & swarGE(hi0[wi], ql0)
-			m &= swarGE(qh1, lo1[wi]) & swarGE(hi1[wi], ql1)
-			m &= swarGE(qh2, lo2[wi]) & swarGE(hi2[wi], ql2)
-			mask[wi>>4] |= (((m >> 15) * nibMul) >> 48 & 0xF) << ((wi & 15) << 2)
+		lo0, hi0, lo1, hi1 := planes[:w], planes[w:][:w], planes[2*w:][:w], planes[3*w:][:w]
+		lo2, hi2 := planes[4*w:][:w], planes[5*w:][:w]
+		q0, q1, q2 := newLaneQuery(qg[0], qg[1]), newLaneQuery(qg[2], qg[3]), newLaneQuery(qg[4], qg[5])
+		for wi, l0 := range lo0 {
+			m := q0.admits(l0, hi0[wi]) & q1.admits(lo1[wi], hi1[wi]) & q2.admits(lo2[wi], hi2[wi])
+			if acc |= nibble(m, wi); wi&15 == 15 {
+				mask[wi>>4], acc = acc, 0
+			}
 		}
 	default:
-		var cql, cqh [geom.MaxDims]uint64
+		var qs [geom.MaxDims]laneQuery
 		for d := 0; d < dims; d++ {
-			cql[d] = uint64(qg[2*d]) * lane1
-			cqh[d] = uint64(qg[2*d+1]) * lane1
+			qs[d] = newLaneQuery(qg[2*d], qg[2*d+1])
 		}
 		for wi := 0; wi < w; wi++ {
 			m := ^uint64(0)
 			for d := 0; d < dims; d++ {
-				lo := planes[2*d*w+wi]
-				hi := planes[(2*d+1)*w+wi]
-				m &= swarGE(cqh[d], lo) & swarGE(hi, cql[d])
+				m &= qs[d].admits(planes[2*d*w+wi], planes[(2*d+1)*w+wi])
 			}
-			mask[wi>>4] |= (((m >> 15) * nibMul) >> 48 & 0xF) << ((wi & 15) << 2)
+			if acc |= nibble(m, wi); wi&15 == 15 {
+				mask[wi>>4], acc = acc, 0
+			}
 		}
 	}
+	if w&15 != 0 {
+		mask[words-1] = acc
+	}
 	if r := count & 63; r != 0 {
-		mask[len(mask)-1] &= 1<<uint(r) - 1
+		mask[words-1] &= 1<<uint(r) - 1
 	}
 }

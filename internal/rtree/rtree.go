@@ -24,7 +24,6 @@ package rtree
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -244,59 +243,6 @@ func (n *node) setRect(i int, r geom.Rect, dims int) {
 func (n *node) syncDerived(dims int) {
 	n.syncPlanes(dims)
 	n.encSize = int32(nodeHeaderBytes + n.count()*EntryBytes(dims))
-}
-
-// mbbIntersects reports whether q intersects the MBB of the node's slots,
-// scanning boxes instead of materialising the MBB (n.mbb() allocates). A
-// slot-less node keeps the legacy vacuous-truth semantics of the zero Rect:
-// everything intersects it.
-func (n *node) mbbIntersects(q geom.Rect, dims int) bool {
-	if n.count() == 0 {
-		return true
-	}
-	for d := 0; d < dims; d++ {
-		minLo := math.Inf(1)
-		maxHi := math.Inf(-1)
-		for off := 0; off < len(n.boxes); off += 2 * dims {
-			if v := n.boxes[off+d]; v < minLo {
-				minLo = v
-			}
-			if v := n.boxes[off+dims+d]; v > maxHi {
-				maxHi = v
-			}
-		}
-		if maxHi < q.Lo[d] || q.Hi[d] < minLo {
-			return false
-		}
-	}
-	return true
-}
-
-// mbbMinDistSq returns the squared minimum distance from p to the node's MBB
-// without materialising the MBB, mirroring geom.Rect.MinDistSq.
-func (n *node) mbbMinDistSq(p geom.Point, dims int) float64 {
-	var s float64
-	for d := 0; d < dims; d++ {
-		minLo := math.Inf(1)
-		maxHi := math.Inf(-1)
-		for off := 0; off < len(n.boxes); off += 2 * dims {
-			if v := n.boxes[off+d]; v < minLo {
-				minLo = v
-			}
-			if v := n.boxes[off+dims+d]; v > maxHi {
-				maxHi = v
-			}
-		}
-		switch {
-		case p[d] < minLo:
-			dv := minLo - p[d]
-			s += dv * dv
-		case p[d] > maxHi:
-			dv := p[d] - maxHi
-			s += dv * dv
-		}
-	}
-	return s
 }
 
 // mbb returns the MBB of the node's slots as a fresh rectangle the caller
@@ -1255,18 +1201,6 @@ func (t *Tree) Search(q geom.Rect, visit func(ObjectID, geom.Rect) bool) {
 // per-worker I/O can be reported exactly and merged deterministically.
 func (t *Tree) SearchCounted(q geom.Rect, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
 	t.cur.Load().searchIter(q, nil, c, visit)
-}
-
-// Admitter is the per-child admission hook of Version.SearchAdmittedCounted:
-// it is consulted with a candidate child's id, the child's MBB (the
-// rectangle stored in the parent entry), and the query before the child is
-// visited; returning false skips the child and saves its I/O. The root is
-// always visited. The clipped R-tree layer implements it to run Algorithm 2
-// with the child's clip points. An Admitter is a long-lived value rather
-// than a per-query closure, so a steady-state search performs no heap
-// allocations.
-type Admitter interface {
-	AdmitChild(child NodeID, childMBB geom.Rect, q geom.Rect) bool
 }
 
 // Count returns the number of objects intersecting q (convenience wrapper

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cbb/internal/core"
 	"cbb/internal/geom"
 )
 
@@ -197,11 +198,16 @@ func TestSearchCountsIO(t *testing.T) {
 	}
 }
 
-// admitFunc adapts a func to the Admitter interface.
-type admitFunc func(child NodeID, childMBB, q geom.Rect) bool
-
-func (f admitFunc) AdmitChild(child NodeID, childMBB, q geom.Rect) bool {
-	return f(child, childMBB, q)
+// rootChildRecords gives every child of the root one clip point at corner 0
+// with all coordinates c: its dead region is everything below c, so 1e18
+// prunes any query and -1e18 none.
+func rootChildRecords(v *Version, c float64) *ClipRecords {
+	root, _ := v.Node(v.RootID())
+	clips := &ClipRecords{Spill: map[NodeID]core.Record{}}
+	for i := 0; i < root.Len(); i++ {
+		clips.Spill[root.Child(i)] = core.NewRecord([]core.ClipPoint{{Coord: geom.Point{c, c}}}, 2)
+	}
+	return clips
 }
 
 func TestSearchFiltered(t *testing.T) {
@@ -211,23 +217,23 @@ func TestSearchFiltered(t *testing.T) {
 		_, _ = tr.Insert(randRect(rng, 2, 500, 5), ObjectID(i))
 	}
 	v := tr.CurrentVersion()
-	// An admitter that rejects everything prunes all children of the root.
+	// Records that certify everything dead prune all children of the root.
 	tr.Counter().Reset()
 	count := 0
-	v.SearchAdmittedCounted(geom.R(0, 0, 500, 500), admitFunc(func(NodeID, geom.Rect, geom.Rect) bool { return false }), nil,
+	v.SearchClippedCounted(geom.R(0, 0, 500, 500), rootChildRecords(v, 1e18), nil,
 		func(ObjectID, geom.Rect) bool { count++; return true })
 	if count != 0 {
-		t.Errorf("admitter rejecting all children should yield no results, got %d", count)
+		t.Errorf("records rejecting all children should yield no results, got %d", count)
 	}
 	if tr.Counter().Snapshot().LeafReads != 0 {
 		t.Error("rejected children must not be read")
 	}
-	// A pass-through admitter behaves like Search.
+	// Records that certify nothing dead behave like Search.
 	got := 0
-	v.SearchAdmittedCounted(geom.R(0, 0, 500, 500), admitFunc(func(NodeID, geom.Rect, geom.Rect) bool { return true }), nil,
+	v.SearchClippedCounted(geom.R(0, 0, 500, 500), rootChildRecords(v, -1e18), nil,
 		func(ObjectID, geom.Rect) bool { got++; return true })
 	if got != tr.Count(geom.R(0, 0, 500, 500)) {
-		t.Error("pass-through admitter should match unfiltered search")
+		t.Error("pass-through records should match unfiltered search")
 	}
 }
 

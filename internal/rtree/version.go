@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cbb/internal/core"
 	"cbb/internal/geom"
 	"cbb/internal/storage"
 )
@@ -39,13 +40,13 @@ import (
 
 // Version is an immutable snapshot of a Tree at one committed epoch.
 // Obtain one with Tree.CurrentVersion (Pin it for a long-lived read view);
-// every read-only operation on it — Search, SearchAdmittedCounted,
+// every read-only operation on it — Search, SearchClippedCounted,
 // NearestNeighbors, Node, Bounds, Stats — sees exactly the state of that
 // commit, regardless of concurrent writer activity, and charges I/O to the
 // owning tree's counters as usual. The public cbb layer never queries a bare
 // Version: it reads through clipindex.Snap, which pairs a Version with the
-// clip table of the same commit (an empty one for an unclipped tree) and
-// descends it with SearchAdmittedCounted.
+// clip records of the same commit (none for an unclipped tree) and descends
+// it with SearchClippedCounted.
 type Version struct {
 	tree   *Tree
 	epoch  uint64
@@ -113,18 +114,25 @@ func (v *Version) Bounds() geom.Rect {
 }
 
 // RootMBBIntersects reports whether q intersects the MBB of the root node at
-// this version, without charging I/O or allocating. It returns false for an
-// empty tree and true when the root cannot be read (so callers fall through
-// to the regular search path, which records the fault).
+// this version, without charging I/O or allocating; the MBB is read from the
+// root's qmbb, the exact MBB its planes are quantised against. It returns
+// false for an empty tree, and true when the root has no slots (the vacuous
+// truth of the zero Rect) or cannot be read (so callers fall through to the
+// regular search path, which records the fault).
 func (v *Version) RootMBBIntersects(q geom.Rect) bool {
 	if v.root == InvalidNode {
 		return false
 	}
-	n := v.node(v.root)
-	if n == nil {
+	n, dims := v.node(v.root), len(q.Lo)
+	if n == nil || n.count() == 0 || len(n.qmbb) != 2*dims {
 		return true
 	}
-	return n.mbbIntersects(q, v.tree.cfg.Dims)
+	for d := 0; d < dims; d++ {
+		if n.qmbb[dims+d] < q.Lo[d] || q.Hi[d] < n.qmbb[d] {
+			return false
+		}
+	}
+	return true
 }
 
 // Node returns a read-only snapshot of the node with the given id at this
@@ -158,10 +166,30 @@ func (v *Version) SearchCounted(q geom.Rect, c *storage.Counter, visit func(Obje
 	v.searchIter(q, nil, c, visit)
 }
 
-// SearchAdmittedCounted is Search with a per-child admission test (the
-// clipped layer's Algorithm 2) and an explicit counter; either may be nil.
-func (v *Version) SearchAdmittedCounted(q geom.Rect, adm Admitter, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
-	v.searchIter(q, adm, c, visit)
+// ClipRecords is a clip store as the descent reads it: the record of node id
+// is Dense[id], or Spill[id] for the ids beyond the dense range (which only a
+// pathological snapshot produces; see clipindex). A node without an entry,
+// or with a nil one, has no clip points. The zero value is the empty store.
+type ClipRecords struct {
+	Dense []core.Record
+	Spill map[NodeID]core.Record
+}
+
+// Of returns the node's record (nil when it has no clip points).
+func (r *ClipRecords) Of(id NodeID) core.Record {
+	if uint64(id) < uint64(len(r.Dense)) {
+		return r.Dense[id]
+	}
+	return r.Spill[id]
+}
+
+// SearchClippedCounted is SearchCounted over clipped bounding boxes
+// (Algorithm 2): a directory child that has a record is visited only if q
+// intersects its exact MBB and no clip point certifies that overlap dead, and
+// the root's own MBB and record are tested before any I/O is charged. clips
+// must belong to this version's commit and must not change during the call.
+func (v *Version) SearchClippedCounted(q geom.Rect, clips *ClipRecords, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
+	v.searchIter(q, clips, c, visit)
 }
 
 // searchScratch is the pooled per-search working state: the explicit DFS
@@ -173,6 +201,7 @@ type searchScratch struct {
 	qlo   [geom.MaxDims]float64
 	qhi   [geom.MaxDims]float64
 	qg    [2 * geom.MaxDims]uint16
+	sel   core.Sel // q laid out for the clip records' dominance test
 	// maskBuf serves nodes of up to 256 entries (every page-derived fanout)
 	// without a separate allocation, so a freshly constructed scratch costs
 	// exactly as many mallocs as before the filter layer existed; mask is the
@@ -199,7 +228,7 @@ var searchScratchPool = sync.Pool{
 	New: func() interface{} { return &searchScratch{stack: make([]NodeID, 0, 64)} },
 }
 
-// searchIter is the query hot path shared by Search, SearchAdmittedCounted,
+// searchIter is the query hot path shared by Search, SearchClippedCounted,
 // and the batch executor: an iterative depth-first descent over an explicit
 // pooled stack, against one immutable version. Per node the
 // quantised SoA planes are scanned first (quantScan, branch-free, ANDing a
@@ -207,7 +236,11 @@ var searchScratchPool = sync.Pool{
 // float64 boxes — leaf survivors get one exact verification before visit,
 // directory survivors are recursed into directly off the conservative grid
 // verdict (admissible by the same containment argument as the v2 on-disk
-// format; see quant.go). Survivors are walked in ascending entry order
+// format; see quant.go), except that one with a clip record (clips non-nil)
+// first gets Algorithm 2 straight from the record: the exact MBB test on
+// boxes, then the dominance loop. Children without a record are not tested
+// exactly; that asymmetry is part of the access counts every store
+// reproduces. Survivors are walked in ascending entry order
 // (trailing-zero iteration over the mask words) and admitted children are
 // reversed on the stack, so nodes are processed — and I/O is charged — in
 // exactly the order the recursive implementation used. Every store faults
@@ -215,8 +248,9 @@ var searchScratchPool = sync.Pool{
 // leaf/directory access counts are bit-identical across mem/file/v2/mmap.
 // In steady state it performs no heap allocations, takes no locks, and
 // touches no shared mutable state beyond the atomic I/O counters: the one
-// version load its caller performed pins the entire traversal.
-func (v *Version) searchIter(q geom.Rect, adm Admitter, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
+// version load its caller performed pins the entire traversal. The query is
+// validated here and nowhere else.
+func (v *Version) searchIter(q geom.Rect, clips *ClipRecords, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
 	t := v.tree
 	if v.root == InvalidNode || !q.Valid() || q.Dims() != t.cfg.Dims {
 		return
@@ -226,6 +260,18 @@ func (v *Version) searchIter(q geom.Rect, adm Admitter, c *storage.Counter, visi
 	}
 	dims := t.cfg.Dims
 	sc := searchScratchPool.Get().(*searchScratch)
+	if clips == nil {
+		clips = &ClipRecords{}
+	} else {
+		sc.sel.Query(q)
+		// The root's own MBB and clip points can prune the query outright,
+		// before any I/O is charged (an unreadable root falls through to the
+		// descent, which skips it).
+		if !v.RootMBBIntersects(q) || clips.Of(v.root).Dead(dims, &sc.sel) {
+			searchScratchPool.Put(sc)
+			return
+		}
+	}
 	copy(sc.qlo[:dims], q.Lo)
 	copy(sc.qhi[:dims], q.Hi)
 	stack := append(sc.stack[:0], v.root)
@@ -243,9 +289,9 @@ func (v *Version) searchIter(q geom.Rect, adm Admitter, c *storage.Counter, visi
 		quantiseQuery(n.qmbb, dims, &sc.qlo, &sc.qhi, &sc.qg)
 		mask := sc.maskFor(count)
 		quantScan(n.qplanes, count, dims, &sc.qg, mask)
+		boxes := n.boxes
 		if n.leaf {
 			t.chargeReadNode(n, true, c)
-			boxes := n.boxes
 			for w := range mask {
 				m := mask[w]
 				for m != 0 {
@@ -270,7 +316,7 @@ func (v *Version) searchIter(q geom.Rect, adm Admitter, c *storage.Counter, visi
 				i := w<<6 + bits.TrailingZeros64(m)
 				m &= m - 1
 				child := n.child(i)
-				if adm == nil || adm.AdmitChild(child, n.rect(i, dims), q) {
+				if rec := clips.Of(child); len(rec) == 0 || boxHits(boxes, i*2*dims, dims, &sc.qlo, &sc.qhi) && !rec.Dead(dims, &sc.sel) {
 					stack = append(stack, child)
 				}
 			}

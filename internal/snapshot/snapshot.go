@@ -210,15 +210,24 @@ func fillPageSize(meta Meta, tree *rtree.Tree) (Meta, error) {
 	return meta, nil
 }
 
+// ClipSource is a clip table a snapshot can serialise: a clipindex.Table
+// (decoded from another snapshot, say) or a *clipindex.Index, which encodes
+// straight from its resident records. EncodeClips returns the clip section in
+// the format-1 layout for a nil universe and the format-2 layout otherwise,
+// nil when there are no clip points. A nil ClipSource has none.
+type ClipSource interface {
+	EncodeClips(dims int, universe *geom.Rect) []byte
+}
+
 // encodeClip serialises the clip table in the header's format.
-func encodeClip(meta Meta, table clipindex.Table) []byte {
-	if len(table) == 0 {
+func encodeClip(meta Meta, clips ClipSource) []byte {
+	switch {
+	case clips == nil:
 		return nil
+	case meta.Format >= FormatV2:
+		return clips.EncodeClips(meta.Dims, &meta.Universe)
 	}
-	if meta.Format >= FormatV2 {
-		return clipindex.EncodeTableV2(table, meta.Dims, meta.Universe)
-	}
-	return clipindex.EncodeTable(table, meta.Dims)
+	return clips.EncodeClips(meta.Dims, nil)
 }
 
 // Layout locates the snapshot's page regions inside the page file; it is
@@ -277,8 +286,8 @@ func (s *Snapshot) OpenTree(store storage.PageStore, readonly bool) (*rtree.Tree
 // store: superblock first, then the node pages (Figure 4a), the node index,
 // and the clip table (Figure 4b). meta's configuration fields must describe
 // the tree; its structural fields are filled in here.
-func Write(store storage.PageStore, tree *rtree.Tree, table clipindex.Table, meta Meta) error {
-	meta, err := checkMeta(store, tree, table, meta)
+func Write(store storage.PageStore, tree *rtree.Tree, clips ClipSource, meta Meta) error {
+	meta, clipBuf, err := checkMeta(store, tree, clips, meta)
 	if err != nil {
 		return err
 	}
@@ -308,7 +317,6 @@ func Write(store storage.PageStore, tree *rtree.Tree, table clipindex.Table, met
 		return fmt.Errorf("snapshot: writing node index: %w", err)
 	}
 
-	clipBuf := encodeClip(meta, table)
 	clipFirst, clipPages, err := writeChunked(store, clipBuf)
 	if err != nil {
 		return fmt.Errorf("snapshot: writing clip table: %w", err)
@@ -328,16 +336,17 @@ func Write(store storage.PageStore, tree *rtree.Tree, table clipindex.Table, met
 
 // checkMeta validates that a snapshot header describes the tree and the
 // store, filling in the page size; any divergence would checksum fine yet
-// reopen as a differently configured index.
-func checkMeta(store storage.PageStore, tree *rtree.Tree, table clipindex.Table, meta Meta) (Meta, error) {
+// reopen as a differently configured index. It returns the clip section
+// encoded in the header's format.
+func checkMeta(store storage.PageStore, tree *rtree.Tree, clips ClipSource, meta Meta) (Meta, []byte, error) {
 	if tree == nil {
-		return meta, errors.New("snapshot: tree must not be nil")
+		return meta, nil, errors.New("snapshot: tree must not be nil")
 	}
 	cfg := tree.Config()
 	if meta.Dims != cfg.Dims || meta.Variant != cfg.Variant ||
 		meta.MaxEntries != cfg.MaxEntries || meta.MinEntries != cfg.MinEntries ||
 		meta.HilbertBits != cfg.HilbertBits || !meta.Universe.Equal(cfg.Universe) {
-		return meta, fmt.Errorf("snapshot: header (%dd %v M=%d m=%d bits=%d) does not describe the tree (%dd %v M=%d m=%d bits=%d)",
+		return meta, nil, fmt.Errorf("snapshot: header (%dd %v M=%d m=%d bits=%d) does not describe the tree (%dd %v M=%d m=%d bits=%d)",
 			meta.Dims, meta.Variant, meta.MaxEntries, meta.MinEntries, meta.HilbertBits,
 			cfg.Dims, cfg.Variant, cfg.MaxEntries, cfg.MinEntries, cfg.HilbertBits)
 	}
@@ -345,19 +354,20 @@ func checkMeta(store storage.PageStore, tree *rtree.Tree, table clipindex.Table,
 		meta.Format = FormatV1
 	}
 	if meta.Format != FormatV1 && meta.Format != FormatV2 {
-		return meta, fmt.Errorf("snapshot: unknown format %d", meta.Format)
+		return meta, nil, fmt.Errorf("snapshot: unknown format %d", meta.Format)
 	}
 	meta, err := fillPageSize(meta, tree)
 	if err != nil {
-		return meta, err
+		return meta, nil, err
 	}
 	if store.PageSize() != meta.PageSize {
-		return meta, fmt.Errorf("snapshot: page store has page size %d, header says %d", store.PageSize(), meta.PageSize)
+		return meta, nil, fmt.Errorf("snapshot: page store has page size %d, header says %d", store.PageSize(), meta.PageSize)
 	}
-	if meta.ClipMethod == ClipNone && len(table) > 0 {
-		return meta, errors.New("snapshot: clip table present but clip method is none")
+	clipBuf := encodeClip(meta, clips)
+	if meta.ClipMethod == ClipNone && len(clipBuf) > 0 {
+		return meta, nil, errors.New("snapshot: clip table present but clip method is none")
 	}
-	return meta, nil
+	return meta, clipBuf, nil
 }
 
 // Rewrite commits the current state of a writable file-backed tree back into
@@ -369,11 +379,11 @@ func checkMeta(store storage.PageStore, tree *rtree.Tree, table clipindex.Table,
 // rewritten last. Rewrite itself does not force durability: on a journaled
 // FilePager the caller's CommitJournal makes the whole batch atomic, which
 // is how Flush gives crash consistency.
-func Rewrite(store storage.PageStore, tree *rtree.Tree, table clipindex.Table, meta Meta) error {
+func Rewrite(store storage.PageStore, tree *rtree.Tree, clips ClipSource, meta Meta) error {
 	if meta.Format >= FormatV2 {
 		return errors.New("snapshot: v2 (compressed) snapshots are read-only and cannot be rewritten in place")
 	}
-	meta, err := checkMeta(store, tree, table, meta)
+	meta, clipBuf, err := checkMeta(store, tree, clips, meta)
 	if err != nil {
 		return err
 	}
@@ -409,7 +419,6 @@ func Rewrite(store storage.PageStore, tree *rtree.Tree, table clipindex.Table, m
 	if err != nil {
 		return fmt.Errorf("snapshot: writing node index: %w", err)
 	}
-	clipBuf := encodeClip(meta, table)
 	clipFirst, clipPages, err := writeChunked(store, clipBuf)
 	if err != nil {
 		return fmt.Errorf("snapshot: writing clip table: %w", err)
@@ -499,13 +508,13 @@ func Read(store storage.PageStore) (*Snapshot, error) {
 
 // SaveTo writes a snapshot of the tree as a byte stream (the page file
 // format) to w.
-func SaveTo(w io.Writer, tree *rtree.Tree, table clipindex.Table, meta Meta) error {
+func SaveTo(w io.Writer, tree *rtree.Tree, clips ClipSource, meta Meta) error {
 	meta, err := fillPageSize(meta, tree)
 	if err != nil {
 		return err
 	}
 	pager := storage.NewPager(meta.PageSize)
-	if err := Write(pager, tree, table, meta); err != nil {
+	if err := Write(pager, tree, clips, meta); err != nil {
 		return err
 	}
 	_, err = pager.WriteTo(w)
@@ -529,13 +538,13 @@ func LoadFrom(r io.Reader) (*Snapshot, *storage.Pager, error) {
 // WriteFile writes a snapshot to path atomically: the pages go to a
 // temporary file in the same directory, which is fsynced and renamed over
 // path only after every page is on disk.
-func WriteFile(path string, tree *rtree.Tree, table clipindex.Table, meta Meta) error {
+func WriteFile(path string, tree *rtree.Tree, clips ClipSource, meta Meta) error {
 	meta, err := fillPageSize(meta, tree)
 	if err != nil {
 		return err
 	}
 	return atomicWritePageFile(path, meta.PageSize, func(fp *storage.FilePager) error {
-		return Write(fp, tree, table, meta)
+		return Write(fp, tree, clips, meta)
 	})
 }
 

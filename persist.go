@@ -123,7 +123,7 @@ func restore(snap *snapshot.Snapshot, base *rtree.Tree) (*Tree, error) {
 // the tree without any out-of-band configuration, and reject corrupt or
 // truncated input via magic, version, and checksum validation.
 func (t *Tree) SaveTo(w io.Writer) error {
-	return snapshot.SaveTo(w, t.tree, t.idx.Table(), t.snapshotMeta())
+	return snapshot.SaveTo(w, t.tree, t.idx, t.snapshotMeta())
 }
 
 // SaveToFormat is SaveTo with an explicit snapshot format; SaveTo is
@@ -131,7 +131,7 @@ func (t *Tree) SaveTo(w io.Writer) error {
 func (t *Tree) SaveToFormat(w io.Writer, format SnapshotFormat) error {
 	meta := t.snapshotMeta()
 	meta.Format = int(format)
-	return snapshot.SaveTo(w, t.tree, t.idx.Table(), meta)
+	return snapshot.SaveTo(w, t.tree, t.idx, meta)
 }
 
 // WriteSnapshot writes the tree as a snapshot file at path in the given
@@ -142,7 +142,7 @@ func (t *Tree) SaveToFormat(w io.Writer, format SnapshotFormat) error {
 func (t *Tree) WriteSnapshot(path string, format SnapshotFormat) error {
 	meta := t.snapshotMeta()
 	meta.Format = int(format)
-	return snapshot.WriteFile(path, t.tree, t.idx.Table(), meta)
+	return snapshot.WriteFile(path, t.tree, t.idx, meta)
 }
 
 // TranscodeSnapshot rewrites the snapshot file at src into dst in the given
@@ -300,7 +300,7 @@ func Create(path string, opts Options) (*Tree, error) {
 	if err := fp.EnableJournal(); err != nil {
 		return fail(err)
 	}
-	if err := snapshot.Write(fp, t.tree, t.idx.Table(), meta); err != nil {
+	if err := snapshot.Write(fp, t.tree, t.idx, meta); err != nil {
 		return fail(err)
 	}
 	if err := fp.CommitJournal(); err != nil {
@@ -341,7 +341,7 @@ func (t *Tree) flushLocked() error {
 	if !t.tree.Dirty() {
 		return t.pager.CommitJournal() // commits table-only changes, if any; otherwise a sync
 	}
-	if err := snapshot.Rewrite(t.pager, t.tree, t.idx.Table(), t.snapshotMeta()); err != nil {
+	if err := snapshot.Rewrite(t.pager, t.tree, t.idx, t.snapshotMeta()); err != nil {
 		// Roll the staged page mutations back so a failed flush leaves the
 		// file binding at its last committed state.
 		t.pager.DiscardJournal()
