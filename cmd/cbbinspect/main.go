@@ -119,7 +119,7 @@ func main() {
 // pending WAL as a side effect of merely looking at the file.)
 func inspectSnapshot(path string, samples int, seed int64, verify bool) error {
 	walState := describeWAL(storage.WALPathFor(path))
-	snap, fp, err := snapshot.OpenFileReadOnly(path)
+	snap, fp, err := snapshot.OpenFile(path, true)
 	if err != nil {
 		return err
 	}
@@ -160,7 +160,7 @@ func transcodeSnapshot(path, out, format string, compact bool) error {
 		if !compact {
 			return fmt.Errorf("-rewrite needs a format (v1 or v2)")
 		}
-		snap, fp, err := snapshot.OpenFileReadOnly(path)
+		snap, fp, err := snapshot.OpenFile(path, true)
 		if err != nil {
 			return err
 		}
@@ -445,7 +445,7 @@ func inspectTree(tree *rtree.Tree, idx *clipindex.Index, samples int, seed int64
 		fmt.Println("storage    : empty tree, no pages")
 	} else {
 		pager := storage.NewPager(storage.DefaultPageSize)
-		if _, _, err := tree.Save(pager); err != nil {
+		if _, err := tree.Save(pager, rtree.CodecV1); err != nil {
 			return err
 		}
 		u := pager.Usage()

@@ -1,10 +1,13 @@
 package cbb
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime/debug"
 	"sync"
 	"testing"
+
+	"cbb/internal/storage"
 )
 
 // buildHotPathTestTree is the test-sized sibling of the benchmark helper:
@@ -35,7 +38,11 @@ func buildHotPathTestTree(t *testing.T, n int, clipping ClipMethod) (*Tree, []Re
 // TestSearchZeroAllocs pins the zero-allocation guarantee of the in-memory
 // read path: once the pooled search scratch is warm, neither a plain nor a
 // clip-filtered range query allocates. GC is disabled during the
-// measurement so the sync.Pool cannot be drained mid-run.
+// measurement so the sync.Pool cannot be drained mid-run. Each case runs on
+// the tree as built and on the same tree after a SaveTo/Load round trip: a
+// loaded tree is an ordinary in-memory tree (no store binding and no lazy
+// version, so no lock and no allocation on the read path), published at the
+// epoch a built one is.
 func TestSearchZeroAllocs(t *testing.T) {
 	// Allocations per operation of the kNN and STT-join cases below at the
 	// commit before this test covered them (clipping prunes node pairs, so
@@ -44,9 +51,31 @@ func TestSearchZeroAllocs(t *testing.T) {
 		ClipNone:      {knn: 1, join: 527},
 		ClipStairline: {knn: 1, join: 395},
 	}
-	for _, cm := range []ClipMethod{ClipNone, ClipStairline} {
-		t.Run(cm.String(), func(t *testing.T) {
+	type zeroAllocCase struct {
+		cm     ClipMethod
+		loaded bool
+	}
+	for _, c := range []zeroAllocCase{{ClipNone, false}, {ClipNone, true}, {ClipStairline, false}, {ClipStairline, true}} {
+		cm, name := c.cm, c.cm.String()
+		if c.loaded {
+			name += "-loaded"
+		}
+		t.Run(name, func(t *testing.T) {
 			tree, queries := buildHotPathTestTree(t, 4000, cm)
+			if c.loaded {
+				var buf bytes.Buffer
+				if err := tree.SaveTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				built := tree.tree.CurrentVersion().Epoch()
+				var err error
+				if tree, err = Load(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if got := tree.tree.CurrentVersion().Epoch(); tree.tree.FileBacked() || got != built {
+					t.Fatalf("loaded tree: FileBacked %v at epoch %d, want an in-memory tree at epoch %d", tree.tree.FileBacked(), got, built)
+				}
+			}
 			hits := 0
 			visit := func(ObjectID, Rect) bool { hits++; return true }
 			// Warm the scratch pool and any lazily grown stacks.
@@ -161,5 +190,36 @@ func TestBatchSearchShardedPoolRace(t *testing.T) {
 	stats, ok := tree.BufferStats()
 	if !ok || stats.Hits+stats.Misses == 0 {
 		t.Fatal("buffer pool saw no traffic")
+	}
+}
+
+// TestBytesResidentIndependentOfAccessPath pins that a page is charged one
+// size whoever reads it: on a byte-budget pool too large to evict anything,
+// the resident bytes after a full search stay put through a self-join (which
+// reads every node again through the join's charge) and through another
+// search. Charging the join's reads without the filter layer used to re-price
+// every page on each change of access path.
+func TestBytesResidentIndependentOfAccessPath(t *testing.T) {
+	tree, _ := buildHotPathTestTree(t, 4000, ClipStairline)
+	pool := storage.NewBufferPoolBytes(1 << 40)
+	tree.tree.SetBufferPool(pool)
+	everything := R(-1, -1, 2, 2)
+
+	if tree.Count(everything) != 4000 {
+		t.Fatal("full-space search missed objects")
+	}
+	searched, pages := pool.BytesResident(), pool.Len()
+	if searched == 0 {
+		t.Fatal("byte pool charged nothing")
+	}
+	if res, err := Join(tree, tree, JoinOptions{Workers: 1}, nil); err != nil || res.Pairs == 0 {
+		t.Fatalf("self-join: %d pairs, err %v", res.Pairs, err)
+	}
+	if got := pool.BytesResident(); got != searched || pool.Len() != pages {
+		t.Errorf("after a self-join %d pages hold %d B, after the search before it %d pages held %d B", pool.Len(), got, pages, searched)
+	}
+	tree.Count(everything)
+	if got := pool.BytesResident(); got != searched {
+		t.Errorf("searching again moved resident bytes from %d to %d", searched, got)
 	}
 }

@@ -745,23 +745,8 @@ func (x *Index) Validate() error {
 // (Figure 4b) and returns the number of pages written. Used by the
 // storage-overhead experiment.
 func (x *Index) SaveAux(p storage.PageStore) (pages int, err error) {
-	buf := x.EncodeClips(x.tree.Dims(), nil)
-	pageSize := p.PageSize()
-	for off := 0; off < len(buf); off += pageSize {
-		end := off + pageSize
-		if end > len(buf) {
-			end = len(buf)
-		}
-		id, err := p.Allocate(storage.KindAux)
-		if err != nil {
-			return pages, err
-		}
-		if err := p.Write(id, buf[off:end]); err != nil {
-			return pages, err
-		}
-		pages++
-	}
-	return pages, nil
+	_, pages, err = storage.WriteChunked(p, x.EncodeClips(x.tree.Dims(), nil))
+	return pages, err
 }
 
 // AuxBytes returns the exact serialised size of the clip table in bytes —

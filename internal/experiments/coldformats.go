@@ -196,7 +196,7 @@ func coldFormatRun(path, mode string, batch []geom.Rect, poolBytes int64) (ColdF
 		snap, err = snapshot.Read(ms)
 	} else {
 		var fp *storage.FilePager
-		snap, fp, err = snapshot.OpenFileReadOnly(path)
+		snap, fp, err = snapshot.OpenFile(path, true)
 		if fp != nil {
 			store = fp
 		}

@@ -120,7 +120,7 @@ func RunColdStart(cfg Config) (*ColdStartResult, error) {
 
 // coldStartRun opens the snapshot cold and runs the query batch file-backed.
 func coldStartRun(path string, batch []geom.Rect, capacity int, clipped bool) (ColdStartRow, error) {
-	snap, fp, err := snapshot.OpenFile(path)
+	snap, fp, err := snapshot.OpenFile(path, false)
 	if err != nil {
 		return ColdStartRow{}, err
 	}

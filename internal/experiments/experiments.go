@@ -207,7 +207,7 @@ func variantSlug(v rtree.Variant) string {
 // configuration mismatch.
 func loadCachedTree(path string, ds *Dataset, v rtree.Variant) (*rtree.Tree, time.Duration, bool) {
 	start := time.Now()
-	snap, fp, err := snapshot.OpenFile(path)
+	snap, fp, err := snapshot.OpenFile(path, false)
 	if err != nil {
 		return nil, 0, false
 	}

@@ -123,7 +123,7 @@ func RunFig13(cfg Config) (*Fig13Result, error) {
 				return nil, err
 			}
 			pager := storage.NewPager(storage.DefaultPageSize)
-			if _, _, err := tree.Save(pager); err != nil {
+			if _, err := tree.Save(pager, rtree.CodecV1); err != nil {
 				return nil, err
 			}
 			if _, err := idx.SaveAux(pager); err != nil {

@@ -137,7 +137,7 @@ func updateWorkloadRun(cfg Config, ds *Dataset, batch []geom.Rect, clipped bool,
 
 	// Reopen writable and file-backed: updates and queries now run against
 	// the on-disk pages, with flushes committing through the WAL.
-	snap, fp, err := snapshot.OpenFile(path)
+	snap, fp, err := snapshot.OpenFile(path, false)
 	if err != nil {
 		return row, err
 	}

@@ -414,5 +414,5 @@ func (j *sttJoiner) joinNodeWithLeaf(other *clipindex.Snap, ctr *storage.Counter
 // charge records one node access of a side on the given private counter
 // (and the side's buffer pool).
 func charge(s *clipindex.Snap, info rtree.NodeInfo, ctr *storage.Counter) {
-	s.Version().Tree().ChargeReadSized(info.ID, info.Leaf, info.Bytes, ctr)
+	s.Version().Tree().ChargeNodeRead(&info, ctr)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // This file implements the physical node layout of Figure 4a and tree
-// persistence onto a storage.Pager: a directory node page holds its own id,
+// persistence onto a storage.PageStore: a directory node page holds its own id,
 // level and a list of <child MBB, child page> slots; a leaf page holds
 // <object MBB, object id> slots. The encoding is little-endian and
 // fixed-width per entry so the entry capacity per page is predictable, which
@@ -108,88 +109,76 @@ func (n *node) readSlots(buf []byte, off, count, dims int) int {
 	return off
 }
 
-// Save writes every node of the tree onto the page store, one page per node,
-// and returns the page id of the root together with a map from node id to
-// page id. It is used by the storage-overhead experiment, the snapshot
-// subsystem, and persistence round-trip tests. Saving a file-backed tree
-// faults every node in first.
-func (t *Tree) Save(p storage.PageStore) (root storage.PageID, pages map[NodeID]storage.PageID, err error) {
-	return t.SaveWith(p, CodecV1)
+// Save writes every node of the tree onto the page store in the given codec's
+// layout, one page per node, and returns the map from node id to page id
+// (the root's page is pages[RootID()]). It is used by the snapshot writer,
+// the storage-overhead experiment, and persistence round-trip tests. Saving
+// a file-backed tree faults every node in first.
+func (t *Tree) Save(p storage.PageStore, codec PageCodec) (map[NodeID]storage.PageID, error) {
+	if t.root == InvalidNode {
+		return nil, errors.New("rtree: cannot save an empty tree")
+	}
+	pages := make(map[NodeID]storage.PageID)
+	var firstErr error
+	t.Walk(func(info NodeInfo) {
+		if firstErr != nil {
+			return
+		}
+		kind := storage.KindDirectory
+		if info.Leaf {
+			kind = storage.KindLeaf
+		}
+		id, err := p.Allocate(kind)
+		if err != nil {
+			firstErr = err
+			return
+		}
+		pages[info.ID] = id
+		buf, err := encodeNodeCodec(t.node(info.ID), t.cfg.Dims, codec)
+		if err != nil {
+			firstErr = err
+			return
+		}
+		if err := p.Write(id, buf); err != nil {
+			firstErr = fmt.Errorf("rtree: saving node %d: %w", info.ID, err)
+		}
+	})
+	if firstErr == nil {
+		firstErr = t.Err()
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return pages, nil
 }
 
-// Load reconstructs a tree previously written with Save. The configuration
-// must match the one used when building the original tree.
-func Load(cfg Config, p storage.PageStore, root storage.PageID, pages map[NodeID]storage.PageID) (*Tree, error) {
-	return loadWith(cfg, p, root, pages, CodecV1)
-}
-
-func loadWith(cfg Config, p storage.PageStore, root storage.PageID, pages map[NodeID]storage.PageID, codec PageCodec) (*Tree, error) {
-	t, err := New(cfg)
+// Load reconstructs, fully in memory, a tree previously written with Save in
+// the same codec; the configuration must match the one the original tree was
+// built with. It is the lazy open followed by hydrate with the store binding
+// dropped: the result is an ordinary in-memory tree (not FileBacked, read
+// lock-free, no page map or store retained) whose object count and height
+// are what the pages hold — callers with a header to honour compare them
+// (snapshot.LoadTree). A tree loaded from v2 pages carries conservatively
+// expanded directory rects, so Validate checks containment instead of
+// equality; it remains fully usable (queries are admissible, mutations
+// re-tighten rects as they touch them).
+func Load(cfg Config, store storage.PageStore, pages map[NodeID]storage.PageID, root NodeID, codec PageCodec) (*Tree, error) {
+	if root == InvalidNode {
+		return nil, errors.New("rtree: cannot load an empty tree")
+	}
+	// Size and height are what hydrate is about to count; the open only needs
+	// plausible stand-ins.
+	t, err := OpenPaged(cfg, store, pages, root, 0, 1, true, codec)
 	if err != nil {
 		return nil, err
 	}
-	// Invert the node→page mapping so children can be resolved.
-	byPage := make(map[storage.PageID]NodeID, len(pages))
-	for nid, pid := range pages {
-		byPage[pid] = nid
-	}
-	rootNode, ok := byPage[root]
-	if !ok {
-		return nil, errors.New("rtree: root page not present in page map")
-	}
-	maxID, err := maxNodeID(pages)
-	if err != nil {
+	if t.size, t.height, err = t.hydrate(); err != nil {
 		return nil, err
 	}
-	t.nodes = make([]*node, maxID+1)
-	objects := 0
-	height := 0
-	for nid, pid := range pages {
-		buf, _, err := p.Read(pid)
-		if err != nil {
-			return nil, fmt.Errorf("rtree: reading page %d: %w", pid, err)
-		}
-		n, err := decodeNodeCodec(buf, cfg.Dims, codec)
-		if err != nil {
-			return nil, err
-		}
-		if n.id != nid {
-			return nil, fmt.Errorf("rtree: page %d claims node id %d, expected %d", pid, n.id, nid)
-		}
-		t.nodes[nid] = n
-		if n.leaf {
-			objects += n.count()
-		}
-		if n.level+1 > height {
-			height = n.level + 1
-		}
-	}
-	// Fix parent pointers and Hilbert values.
-	for _, n := range t.nodes {
-		if n == nil || n.leaf {
-			continue
-		}
-		for i := range n.refs {
-			child := n.child(i)
-			if int(child) >= len(t.nodes) || t.nodes[child] == nil {
-				return nil, fmt.Errorf("rtree: node %d references missing child %d", n.id, child)
-			}
-			t.nodes[child].parent = n.id
-		}
-	}
-	t.root = rootNode
-	t.size = objects
-	t.height = height
-	if cfg.Variant == Hilbert && t.curve != nil {
-		// Recompute LHVs bottom-up (levels ascending).
-		for level := 0; level < height; level++ {
-			for _, n := range t.nodes {
-				if n != nil && n.level == level {
-					t.updateHilbertLHV(n)
-				}
-			}
-		}
-	}
+	// No reader ever saw the lazy version the open published; the resident
+	// tree is published in its stead, under the same epoch.
+	t.src, t.lazyV = nil, nil
+	t.epoch--
 	t.publish()
 	return t, nil
 }
@@ -223,27 +212,35 @@ func maxNodeID(pages map[NodeID]storage.PageID) (NodeID, error) {
 }
 
 // OpenPaged constructs a file-backed tree over pages previously written with
-// Save: nodes are decoded from the page store on first access (through the
-// tree's buffer pool and I/O counters, if attached) instead of being
-// materialised up front, so a snapshot of any size opens in constant time.
-// size and height come from the snapshot header because they cannot be known
-// without reading every page. Concurrent readers are safe, exactly as for an
-// in-memory tree.
+// Save in the given codec: nodes are decoded from the page store on first
+// access (through the tree's buffer pool and I/O counters, if attached)
+// instead of being brought in up front, so a snapshot of any size opens in
+// constant time. size and height come from the snapshot header because they
+// cannot be known without reading every page; hydrate holds the pages to
+// them. Concurrent readers are safe, exactly as for an in-memory tree.
 //
 // With readonly false the tree accepts Insert, Delete, and BulkLoad: the
 // first mutation hydrates the tree (parent pointers are not stored in the
 // page layout), mutated nodes accumulate in the dirty set, and FlushDirty
 // writes them back to the store. With readonly true mutations return
-// ErrReadOnly.
-func OpenPaged(cfg Config, store storage.PageStore, pages map[NodeID]storage.PageID, root NodeID, size, height int, readonly bool) (*Tree, error) {
+// ErrReadOnly. Compressed (v2) pages only open read-only: they are sized to
+// the encoded bytes at write time, so a re-encoded dirty node has no
+// guarantee of fitting its slot; writable trees use v1.
+func OpenPaged(cfg Config, store storage.PageStore, pages map[NodeID]storage.PageID, root NodeID, size, height int, readonly bool, codec PageCodec) (*Tree, error) {
+	switch {
+	case store == nil:
+		return nil, errors.New("rtree: OpenPaged requires a page store")
+	case codec != CodecV1 && codec != CodecV2:
+		return nil, fmt.Errorf("rtree: unknown page codec %d", codec)
+	case codec == CodecV2 && !readonly:
+		return nil, errors.New("rtree: v2 (compressed) snapshots are read-only; transcode to v1 for a writable open")
+	}
 	t, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if store == nil {
-		return nil, errors.New("rtree: OpenPaged requires a page store")
-	}
-	t.src = &pageSource{store: store, pages: pages, readonly: readonly, codec: CodecV1, dirty: make(map[NodeID]struct{})}
+	t.src = &pageSource{store: store, pages: pages, readonly: readonly, codec: codec, dirty: make(map[NodeID]struct{})}
+	t.conservative = codec == CodecV2
 	if root == InvalidNode {
 		if len(pages) != 0 || size != 0 || height != 0 {
 			return nil, errors.New("rtree: snapshot has pages but no root")
@@ -301,8 +298,8 @@ func (t *Tree) AttachStore(store storage.PageStore, pages map[NodeID]storage.Pag
 // FlushDirty writes every node mutated since the last flush back to the
 // tree's page store: dirty nodes are re-encoded onto their existing pages,
 // new nodes get pages allocated (reusing the store's free-page list), and
-// pages of dissolved nodes are released. It returns the root's page id, the
-// updated node→page map, and a commit callback.
+// pages of dissolved nodes are released. It returns the updated node→page map
+// and a commit callback.
 //
 // FlushDirty is transactional on the tree side: the dirty set, the freed
 // list, and the live page map are not touched until the caller invokes
@@ -313,17 +310,17 @@ func (t *Tree) AttachStore(store storage.PageStore, pages map[NodeID]storage.Pag
 // — so a failed flush can simply be retried. The store itself decides
 // durability: a journaled FilePager makes the whole batch atomic on its
 // next commit.
-func (t *Tree) FlushDirty() (storage.PageID, map[NodeID]storage.PageID, func(), error) {
+func (t *Tree) FlushDirty() (map[NodeID]storage.PageID, func(), error) {
 	if t.src == nil {
-		return storage.InvalidPage, nil, nil, errors.New("rtree: FlushDirty requires a file-backed tree")
+		return nil, nil, errors.New("rtree: FlushDirty requires a file-backed tree")
 	}
 	if t.src.readonly {
-		return storage.InvalidPage, nil, nil, ErrReadOnly
+		return nil, nil, ErrReadOnly
 	}
 	if t.inBatch {
 		// A mid-batch flush would persist (and make undo of) uncommitted
 		// state; the batch must Commit or Rollback first.
-		return storage.InvalidPage, nil, nil, errors.New("rtree: FlushDirty inside an open batch")
+		return nil, nil, errors.New("rtree: FlushDirty inside an open batch")
 	}
 	src := t.src
 	// Release pages of dissolved nodes first so their slots are available
@@ -340,7 +337,7 @@ func (t *Tree) FlushDirty() (storage.PageID, map[NodeID]storage.PageID, func(), 
 			continue
 		}
 		if err := src.store.Free(fp.page); err != nil {
-			return storage.InvalidPage, nil, nil, fmt.Errorf("rtree: releasing page %d: %w", fp.page, err)
+			return nil, nil, fmt.Errorf("rtree: releasing page %d: %w", fp.page, err)
 		}
 	}
 	ids := make([]NodeID, 0, len(src.dirty))
@@ -356,7 +353,7 @@ func (t *Tree) FlushDirty() (storage.PageID, map[NodeID]storage.PageID, func(), 
 	for _, id := range ids {
 		n := t.node(id)
 		if n == nil {
-			return storage.InvalidPage, nil, nil, fmt.Errorf("rtree: dirty node %d does not exist", id)
+			return nil, nil, fmt.Errorf("rtree: dirty node %d does not exist", id)
 		}
 		pid, ok := pages[id]
 		if !ok {
@@ -367,24 +364,24 @@ func (t *Tree) FlushDirty() (storage.PageID, map[NodeID]storage.PageID, func(), 
 			var err error
 			pid, err = src.store.Allocate(kind)
 			if err != nil {
-				return storage.InvalidPage, nil, nil, fmt.Errorf("rtree: allocating page for node %d: %w", id, err)
+				return nil, nil, fmt.Errorf("rtree: allocating page for node %d: %w", id, err)
 			}
 			pages[id] = pid
 		}
-		if err := src.store.Write(pid, encodeNode(n, t.cfg.Dims)); err != nil {
-			return storage.InvalidPage, nil, nil, fmt.Errorf("rtree: writing node %d to page %d: %w", id, pid, err)
+		buf, err := encodeNodeCodec(n, t.cfg.Dims, src.codec)
+		if err == nil {
+			err = src.store.Write(pid, buf)
 		}
-	}
-	root := storage.InvalidPage
-	if t.root != InvalidNode {
-		root = pages[t.root]
+		if err != nil {
+			return nil, nil, fmt.Errorf("rtree: writing node %d to page %d: %w", id, pid, err)
+		}
 	}
 	commit := func() {
 		src.pages = pages
 		src.dirty = make(map[NodeID]struct{})
 		src.freed = deferred
 	}
-	return root, pages, commit, nil
+	return pages, commit, nil
 }
 
 // ReleaseFreedPages unconditionally releases every deferred freed page to
@@ -411,25 +408,63 @@ func (t *Tree) ReleaseFreedPages() (int, error) {
 	return released, nil
 }
 
-// Materialize faults every node of a file-backed tree into memory and fixes
-// up parent pointers (which are not stored in the page layout). It is a
-// no-op for in-memory trees. Validate calls it implicitly; callers can also
-// use it to warm a freshly opened tree. It must not run concurrently with
-// queries, because it rewrites parent pointers the moment they are known.
+// Materialize makes a file-backed tree fully resident and verifies it: every
+// page is brought in by hydrate, and the object count and height the pages
+// hold must be the ones the tree was opened with. It is a no-op for in-memory
+// trees and for trees already hydrated. Validate and the first mutation of a
+// writable tree (ensureMutable) go through it; callers can also use it to
+// warm a freshly opened tree. It is a writer-side operation: readers may run
+// beside it, mutations may not.
 func (t *Tree) Materialize() error {
-	if t.src == nil {
+	src := t.src
+	if src == nil || src.hydrated {
 		return nil
 	}
-	for id := range t.src.pages {
-		if t.node(id) == nil {
-			break
-		}
-	}
-	if err := t.Err(); err != nil {
+	objects, height, err := t.hydrate()
+	if err != nil {
 		return err
 	}
-	t.arenaMu.Lock()
-	defer t.arenaMu.Unlock()
-	t.fixParentsLocked()
+	if objects != t.size || height != t.height {
+		return fmt.Errorf("rtree: header claims %d objects and height %d, pages hold %d and %d", t.size, t.height, objects, height)
+	}
+	if !src.readonly {
+		// The lazy version published at open keeps the original page map; the
+		// writer takes a private copy so freeNode and FlushDirty never mutate
+		// a map a concurrent lazy reader might still consult while faulting.
+		src.pages = maps.Clone(src.pages)
+	}
+	src.hydrated = true
 	return nil
+}
+
+// hydrate brings every page of a lazily opened tree into the arena — the
+// only way a tree becomes fully resident, whoever asks (Materialize for an
+// opened tree, Load for an eager one). Each id of the page map is faulted in
+// through the tree's codec (fault: unreadable page, decode error, or a page
+// whose stored id differs from its index entry → error), every directory
+// slot must name a resident child, and what the page layout does not store
+// is rebuilt: parent pointers and the Hilbert LHVs. It returns the object
+// count and height the pages hold; the caller decides what they are checked
+// against. Readers may fault the same version concurrently: parents and LHVs
+// are writer-private metadata the read paths never consult.
+func (t *Tree) hydrate() (objects, height int, err error) {
+	v := t.lazyV
+	for id := range v.pages {
+		n, err := t.lazyNode(v, id)
+		if err != nil {
+			return 0, 0, err
+		}
+		if n.leaf {
+			objects += n.count()
+		}
+		height = max(height, n.level+1)
+	}
+	t.arenaMu.Lock()
+	err = t.fixParentsLocked()
+	t.arenaMu.Unlock()
+	if err != nil {
+		return 0, 0, err
+	}
+	t.recomputeHilbertLHVs(height)
+	return objects, height, nil
 }

@@ -73,14 +73,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				_, _ = tr.Insert(r, ObjectID(i))
 			}
 			pager := storage.NewPager(storage.DefaultPageSize)
-			root, pages, err := tr.Save(pager)
+			pages, err := tr.Save(pager, CodecV1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(pages) == 0 || root == storage.InvalidPage {
+			if len(pages) == 0 || pages[tr.RootID()] == storage.InvalidPage {
 				t.Fatal("Save produced no pages")
 			}
-			back, err := Load(cfg, pager, root, pages)
+			back, err := Load(cfg, pager, pages, tr.RootID(), CodecV1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveEmptyTreeFails(t *testing.T) {
 	tr := MustNew(smallConfig(2, Quadratic))
-	if _, _, err := tr.Save(storage.NewPager(0)); err == nil {
+	if _, err := tr.Save(storage.NewPager(0), CodecV1); err == nil {
 		t.Error("saving an empty tree should fail")
 	}
 }
@@ -116,20 +116,19 @@ func TestLoadErrors(t *testing.T) {
 		_, _ = tr.Insert(geom.R(float64(i), 0, float64(i)+1, 1), ObjectID(i))
 	}
 	pager := storage.NewPager(0)
-	root, pages, err := tr.Save(pager)
+	pages, err := tr.Save(pager, CodecV1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unknown root page.
-	if _, err := Load(cfg, pager, storage.PageID(99999), pages); err == nil {
-		t.Error("bogus root page must fail")
+	// Root without a page.
+	if _, err := Load(cfg, pager, pages, NodeID(99999), CodecV1); err == nil {
+		t.Error("bogus root must fail")
 	}
 	// Page map referencing a missing page.
 	broken := map[NodeID]storage.PageID{NodeID(0): storage.PageID(99999)}
-	if _, err := Load(cfg, pager, storage.PageID(99999), broken); err == nil {
+	if _, err := Load(cfg, pager, broken, NodeID(0), CodecV1); err == nil {
 		t.Error("missing pages must fail")
 	}
-	_ = root
 }
 
 func TestSavePageKinds(t *testing.T) {
@@ -139,7 +138,7 @@ func TestSavePageKinds(t *testing.T) {
 		_, _ = tr.Insert(randRect(rng, 2, 500, 10), ObjectID(i))
 	}
 	pager := storage.NewPager(0)
-	if _, _, err := tr.Save(pager); err != nil {
+	if _, err := tr.Save(pager, CodecV1); err != nil {
 		t.Fatal(err)
 	}
 	usage := pager.Usage()

@@ -8,7 +8,6 @@ import (
 	"math/bits"
 
 	"cbb/internal/geom"
-	"cbb/internal/storage"
 )
 
 // This file implements the compressed v2 node page layout. The paper's whole
@@ -580,84 +579,4 @@ func (t *Tree) MaxEncodedNodeBytes(codec PageCodec) (int, error) {
 		return 0, err
 	}
 	return max, nil
-}
-
-// SaveWith is Save with an explicit page codec: every node is encoded with
-// codec and written to its own page. Save is SaveWith(p, CodecV1).
-func (t *Tree) SaveWith(p storage.PageStore, codec PageCodec) (root storage.PageID, pages map[NodeID]storage.PageID, err error) {
-	if t.root == InvalidNode {
-		return storage.InvalidPage, nil, errors.New("rtree: cannot save an empty tree")
-	}
-	pages = make(map[NodeID]storage.PageID)
-	var firstErr error
-	t.Walk(func(info NodeInfo) {
-		if firstErr != nil {
-			return
-		}
-		kind := storage.KindDirectory
-		if info.Leaf {
-			kind = storage.KindLeaf
-		}
-		id, err := p.Allocate(kind)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		pages[info.ID] = id
-		buf, err := encodeNodeCodec(t.node(info.ID), t.cfg.Dims, codec)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		if err := p.Write(id, buf); err != nil {
-			firstErr = fmt.Errorf("rtree: saving node %d: %w", info.ID, err)
-		}
-	})
-	if firstErr != nil {
-		return storage.InvalidPage, nil, firstErr
-	}
-	if err := t.Err(); err != nil {
-		return storage.InvalidPage, nil, err
-	}
-	return pages[t.root], pages, nil
-}
-
-// LoadCodec is Load with an explicit page codec. A tree loaded from v2 pages
-// carries conservatively expanded directory rects; it is marked so Validate
-// checks containment instead of equality, and remains fully usable (queries
-// are admissible, mutations re-tighten rects as they touch them).
-func LoadCodec(cfg Config, p storage.PageStore, root storage.PageID, pages map[NodeID]storage.PageID, codec PageCodec) (*Tree, error) {
-	t, err := loadWith(cfg, p, root, pages, codec)
-	if err != nil {
-		return nil, err
-	}
-	if codec == CodecV2 {
-		t.conservative = true
-	}
-	return t, nil
-}
-
-// OpenPagedCodec is OpenPaged with an explicit page codec: node pages fault
-// in through the codec's decoder. Compressed (v2) snapshots open read-only —
-// their pages are sized to the encoded bytes at write time, so a re-encoded
-// dirty node has no guarantee of fitting its slot; writable trees use v1.
-func OpenPagedCodec(cfg Config, store storage.PageStore, pages map[NodeID]storage.PageID, root NodeID, size, height int, readonly bool, codec PageCodec) (*Tree, error) {
-	switch codec {
-	case CodecV1:
-	case CodecV2:
-		if !readonly {
-			return nil, errors.New("rtree: v2 (compressed) snapshots are read-only; transcode to v1 for a writable open")
-		}
-	default:
-		return nil, fmt.Errorf("rtree: unknown page codec %d", codec)
-	}
-	t, err := OpenPaged(cfg, store, pages, root, size, height, readonly)
-	if err != nil {
-		return nil, err
-	}
-	t.src.codec = codec
-	if codec == CodecV2 {
-		t.conservative = true
-	}
-	return t, nil
 }

@@ -258,7 +258,7 @@ func TestTranscodeNodePageRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveWithLoadCodecV2(t *testing.T) {
+func TestSaveLoadRoundTripV2(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	cfg := smallConfig(2, RStar)
 	tr := MustNew(cfg)
@@ -275,11 +275,11 @@ func TestSaveWithLoadCodecV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	pager := storage.NewPager(need)
-	root, pages, err := tr.SaveWith(pager, CodecV2)
+	pages, err := tr.Save(pager, CodecV2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadCodec(cfg, pager, root, pages, CodecV2)
+	back, err := Load(cfg, pager, pages, tr.RootID(), CodecV2)
 	if err != nil {
 		t.Fatal(err)
 	}

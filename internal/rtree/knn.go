@@ -115,7 +115,7 @@ func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
 			if n == nil {
 				continue
 			}
-			t.chargeReadNode(n, n.leaf, nil)
+			t.chargeReadNode(n, nil)
 			boxes := n.boxes
 			// Quantised prefilter: once the result set is full, every entry
 			// that can still matter (exact minDist d <= worst) intersects the

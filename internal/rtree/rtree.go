@@ -6,11 +6,20 @@
 // and differ only in how they distribute entries into nodes, exactly as the
 // paper assumes when it plugs clipped bounding boxes into each of them.
 //
-// Nodes live in an in-memory arena; every node access during a query is
-// routed through a storage.Counter so the evaluation can measure leaf and
-// directory accesses, the paper's I/O metric. Trees can additionally be
-// serialised page-by-page onto a storage.Pager for storage-breakdown
-// experiments and persistence tests.
+// Every node access during a query is routed through a storage.Counter so
+// the evaluation can measure leaf and directory accesses, the paper's I/O
+// metric. Nodes live in an arena that is either built in memory or bound to
+// a storage.PageStore holding one page per node (Figure 4a; encode.go,
+// encode_v2.go), and there is one door each way. Off pages: Tree.fault is
+// the only code that turns a page into a node, on first access to it, and
+// hydrate is the only code that brings every page in. A tree opened with
+// OpenPaged keeps its store, its page map and the header's counts, reads
+// through fault, and hydrates on Materialize, Validate or its first
+// mutation, when hydrate's recount is held to the header; a tree loaded
+// with Load is the same open hydrated at once, adopting the recount and
+// keeping neither store nor page map — an ordinary in-memory tree. Onto
+// pages: Save writes a whole tree, FlushDirty the nodes mutated since the
+// last flush, both through a PageCodec argument.
 //
 // A node keeps its rectangles once: one exact store (flat float64
 // coordinates plus a parallel reference array, the in-memory form of the
@@ -34,8 +43,9 @@ import (
 
 // ErrReadOnly is returned by mutating operations on a tree that was
 // explicitly opened read-only (OpenPaged with readonly set, e.g. from a
-// snapshot on read-only media). Writable file-backed trees accept mutations
-// and write dirty nodes back through FlushDirty.
+// snapshot on read-only media or in the compressed v2 codec). Writable
+// file-backed trees accept mutations and write dirty nodes back through
+// FlushDirty.
 var ErrReadOnly = errors.New("rtree: tree is read-only")
 
 // Variant selects the node-organisation strategy.
@@ -349,8 +359,8 @@ func (c Config) withDefaults() (Config, error) {
 // concurrently with a mutation — because every read traverses an immutable
 // published Version (one atomic load per query; see version.go). Mutations (Insert, Delete, BulkLoad, BeginBatch/CommitBatch,
 // FlushDirty) must come from one goroutine at a time; the public cbb layer
-// enforces this with a writer mutex. Walk, Node, Save, and Validate read
-// the writer's working state and are likewise writer-side operations.
+// enforces this with a writer mutex. Walk, Node, Save, Materialize, and
+// Validate work on the writer's state and are likewise writer-side operations.
 // SetCounter and SetBufferPool must not race with readers; attach them
 // before the concurrent phase starts.
 type Tree struct {
@@ -415,8 +425,8 @@ type pageSource struct {
 	store    storage.PageStore
 	pages    map[NodeID]storage.PageID
 	readonly bool
-	hydrated bool      // whole tree materialised; parents and LHVs are valid
-	codec    PageCodec // page layout nodes fault in through (CodecV1 default)
+	hydrated bool      // hydrate has run and held: parents and LHVs are valid
+	codec    PageCodec // page layout of the store; CodecV1 on every writable tree
 	dirty    map[NodeID]struct{}
 	freed    []freedPage
 }
@@ -690,19 +700,17 @@ func (t *Tree) RollbackBatch() {
 		t.src.freed = t.src.freed[:u.freedLen]
 	}
 	t.arenaMu.Lock()
-	t.fixParentsLocked()
+	_ = t.fixParentsLocked() // every child of a published version is resident
 	t.arenaMu.Unlock()
-	if t.cfg.Variant == Hilbert {
-		t.recomputeHilbertLHVs()
-	}
+	t.recomputeHilbertLHVs(t.height)
 }
 
 // fixParentsLocked recomputes every node's parent pointer from the
 // directory entries (the inverse information is not kept anywhere else) —
-// shared by Materialize (hydration) and RollbackBatch. arenaMu must be
-// held; the arena is accessed directly, so every node must already be
-// resident.
-func (t *Tree) fixParentsLocked() {
+// shared by hydrate and RollbackBatch — and reports the first directory slot
+// whose child is not in the arena. arenaMu must be held; the arena is
+// accessed directly, so every node must already be resident.
+func (t *Tree) fixParentsLocked() (err error) {
 	if t.root != InvalidNode && int(t.root) < len(t.nodes) && t.nodes[t.root] != nil {
 		t.nodes[t.root].parent = InvalidNode
 	}
@@ -714,9 +722,12 @@ func (t *Tree) fixParentsLocked() {
 			c := n.child(i)
 			if c >= 0 && int(c) < len(t.nodes) && t.nodes[c] != nil {
 				t.nodes[c].parent = n.id
+			} else if err == nil {
+				err = fmt.Errorf("rtree: node %d references missing child %d", n.id, c)
 			}
 		}
 	}
+	return err
 }
 
 // InBatch reports whether an explicit writer batch is open.
@@ -765,20 +776,27 @@ func (t *Tree) mutable(n *node) *node {
 	return c
 }
 
-// ChargeRead records one access to the node with the given id: a leaf or
+// ChargeNodeRead records one access to the node info describes: a leaf or
 // directory read on c (the tree's own counter when c is nil) plus a touch of
-// the attached buffer pool, if any. The search and join paths funnel every
-// node access through here so counter and pool accounting cannot diverge.
-func (t *Tree) ChargeRead(id NodeID, leaf bool, c *storage.Counter) {
-	t.ChargeReadSized(id, leaf, 0, c)
+// the attached buffer pool, if any. Every read path funnels its node accesses
+// through here or through chargeReadNode, its form for callers that hold the
+// node itself, so counter and pool accounting cannot diverge and a page is
+// charged one size whoever reads it.
+func (t *Tree) ChargeNodeRead(info *NodeInfo, c *storage.Counter) {
+	t.chargeRead(info.ID, info.Leaf, info.Bytes+info.PlaneBytes, c)
 }
 
-// ChargeReadSized is ChargeRead with the node's encoded page size attached:
-// byte-budget buffer pools charge residency by it (page-count pools ignore
-// it, so accounting is unchanged for every existing configuration). Paths
-// that hold the node pass its exact size via chargeReadNode; callers that
-// only have an id may pass 0, which byte pools treat as membership-only.
-func (t *Tree) ChargeReadSized(id NodeID, leaf bool, bytes int, c *storage.Counter) {
+// chargeReadNode is ChargeNodeRead for the search and kNN hot paths, which
+// hold the node and build no NodeInfo.
+func (t *Tree) chargeReadNode(n *node, c *storage.Counter) {
+	t.chargeRead(n.id, n.leaf, int(n.encSize)+n.planeBytes(), c)
+}
+
+// chargeRead counts the access and touches the pool with the bytes the node
+// keeps resident: its encoded page size plus the quantised filter layer
+// (planes + quantisation MBB). Byte-budget pools charge residency by it;
+// page-count pools ignore it.
+func (t *Tree) chargeRead(id NodeID, leaf bool, bytes int, c *storage.Counter) {
 	if c == nil {
 		c = t.counter
 	}
@@ -791,15 +809,6 @@ func (t *Tree) ChargeReadSized(id NodeID, leaf bool, bytes int, c *storage.Count
 		// PageID zero is invalid, node ids start at zero: offset by one.
 		t.pool.TouchSized(storage.PageID(uint64(id)+1), bytes)
 	}
-}
-
-// chargeReadNode is the hot-path form of ChargeRead: the caller already holds
-// the node, so the byte charge is exact and free to compute. The charge is
-// the node's encoded page size plus the resident quantised filter layer
-// (planes + quantisation MBB), so byte-budget pools account for everything a
-// resident node actually occupies.
-func (t *Tree) chargeReadNode(n *node, leaf bool, c *storage.Counter) {
-	t.ChargeReadSized(n.id, leaf, int(n.encSize)+n.planeBytes(), c)
 }
 
 // RootID returns the id of the root node, or InvalidNode for an empty tree.
@@ -825,8 +834,9 @@ func (t *Tree) Dirty() bool {
 
 // Err returns the first page-fault failure of a file-backed tree (a page
 // that could not be read or decoded on demand), or nil. Queries treat a
-// faulted node as empty rather than panicking; callers that need certainty
-// should check Err after a batch, or call Materialize up front.
+// node that failed to fault in as empty rather than panicking; callers that
+// need certainty should check Err after a batch, or call Materialize up
+// front.
 func (t *Tree) Err() error {
 	if t.src == nil {
 		return nil
@@ -940,47 +950,28 @@ func recoverFault(errp *error) {
 	}
 }
 
-// ensureMutable gates every mutation. In-memory trees are always mutable.
-// A read-only file-backed tree fails with ErrReadOnly. A writable
-// file-backed tree is hydrated on its first mutation: every node is faulted
-// in and parent pointers (and Hilbert LHVs) — which the page layout does not
-// store — are reconstructed, after which the mutation algorithms run exactly
-// as in memory and mark what they change in the dirty set.
+// ensureMutable gates every mutation. In-memory trees are always mutable, a
+// read-only file-backed tree fails with ErrReadOnly, and a writable one must
+// be hydrated (Materialize; the first mutation pays for it), after which the
+// mutation algorithms run exactly as in memory and mark what they change in
+// the dirty set.
 func (t *Tree) ensureMutable() error {
-	if t.src == nil {
-		return nil
-	}
-	if t.src.readonly {
+	if t.src != nil && t.src.readonly {
 		return ErrReadOnly
-	}
-	if t.src.hydrated {
-		return nil
 	}
 	if err := t.Materialize(); err != nil {
 		return fmt.Errorf("rtree: hydrating file-backed tree for mutation: %w", err)
 	}
-	if t.cfg.Variant == Hilbert {
-		t.recomputeHilbertLHVs()
-	}
-	// The lazy version published at open keeps the original page map; the
-	// writer takes a private copy so freeNode and FlushDirty never mutate a
-	// map a concurrent lazy reader might still consult while faulting.
-	pages := make(map[NodeID]storage.PageID, len(t.src.pages))
-	for id, pid := range t.src.pages {
-		pages[id] = pid
-	}
-	t.src.pages = pages
-	t.src.hydrated = true
 	return nil
 }
 
 // recomputeHilbertLHVs rebuilds every node's cached largest-Hilbert-value
-// bottom-up (levels ascending), as Load does after decoding pages.
-func (t *Tree) recomputeHilbertLHVs() {
+// bottom-up (levels ascending) for a tree of the given height.
+func (t *Tree) recomputeHilbertLHVs(height int) {
 	if t.curve == nil {
 		return
 	}
-	for level := 0; level < t.height; level++ {
+	for level := 0; level < height; level++ {
 		for _, n := range t.nodes {
 			if n != nil && n.level == level {
 				t.updateHilbertLHV(n)
@@ -991,49 +982,52 @@ func (t *Tree) recomputeHilbertLHVs() {
 
 // node is the writer-side node accessor: the arena lookup used by the
 // mutation algorithms, Walk, Save, and friends. For an ordinary in-memory
-// tree (and for a file-backed tree once its first mutation has hydrated it)
-// this is a plain arena lookup; before hydration it falls through to the
-// lazy version's fault path, so the arena fills in exactly as reads always
-// did. It returns nil when the id is out of range or its page cannot be
-// read (the failure is recorded and exposed via Err).
+// tree (and for a file-backed tree once hydrated) this is a plain arena
+// lookup; before hydration it falls through to the lazy version's fault
+// path, so the arena fills in exactly as reads always did. It returns nil
+// when the id is out of range or its page cannot be read (the failure is
+// recorded and exposed via Err).
 func (t *Tree) node(id NodeID) *node {
 	if t.src == nil {
 		return t.nodes[id]
 	}
 	if id < 0 || int(id) >= len(t.nodes) {
-		t.setFaultErr(fmt.Errorf("rtree: node id %d out of range", id))
+		t.parkFault(fmt.Errorf("rtree: node id %d out of range", id))
 		return nil
 	}
 	if t.src.hydrated {
 		return t.nodes[id]
 	}
-	return t.lazyNode(t.lazyV, id)
+	n, _ := t.lazyNode(t.lazyV, id) // the failure is parked in Err
+	return n
 }
 
-// lazyNode serves a node access on a lazy (file-backed, never mutated)
+// lazyNode serves a node access on a lazy (file-backed, not yet hydrated)
 // version: the version's array is checked under the arena lock, and a miss
 // faults the page in. Before the tree's first mutation the lazy version's
 // array and the writer arena are the same array, so faults triggered by
 // either side are shared.
-func (t *Tree) lazyNode(v *Version, id NodeID) *node {
+func (t *Tree) lazyNode(v *Version, id NodeID) (*node, error) {
 	if id < 0 || int(id) >= len(v.nodes) {
-		t.setFaultErr(fmt.Errorf("rtree: node id %d out of range", id))
-		return nil
+		return nil, t.parkFault(fmt.Errorf("rtree: node id %d out of range", id))
 	}
 	t.arenaMu.RLock()
 	n := v.nodes[id]
 	t.arenaMu.RUnlock()
 	if n != nil {
-		return n
+		return n, nil
 	}
 	return t.fault(v, id)
 }
 
 // fault loads one node page from the page store into a lazy version's node
-// array. The disk read and decode run outside the lock so concurrent cold
-// readers fault different pages in parallel; the outcome — success OR
-// failure — is then reconciled under the write lock against what may have
-// been installed meanwhile, and the already-installed node always wins.
+// array: the one place a page becomes a node of a tree, and the one place a
+// fault error is born (no page for the id, unreadable page, decode error, a
+// page that claims another node's id). The disk read and decode run outside
+// the lock so concurrent cold readers fault different pages in parallel; the
+// outcome — success OR failure — is then reconciled under the write lock
+// against what may have been installed meanwhile, and the already-installed
+// node always wins.
 // That rule is what makes unpinned in-flight reads safe against a
 // concurrent first mutation + flush: the writer's hydration populates the
 // whole array before any page can be freed, rewritten, or recycled on
@@ -1042,7 +1036,7 @@ func (t *Tree) lazyNode(v *Version, id NodeID) *node {
 // node instead of recording a spurious fault — or, worse, serving a newer
 // node generation to an older version. The page lookup uses the version's
 // own page map, which is never mutated after publication.
-func (t *Tree) fault(v *Version, id NodeID) *node {
+func (t *Tree) fault(v *Version, id NodeID) (*node, error) {
 	var n *node
 	var ferr error
 	if pid, ok := v.pages[id]; !ok {
@@ -1050,36 +1044,34 @@ func (t *Tree) fault(v *Version, id NodeID) *node {
 	} else if buf, _, err := t.src.store.Read(pid); err != nil {
 		ferr = fmt.Errorf("rtree: reading page %d for node %d: %w", pid, id, err)
 	} else if n, err = decodeNodeCodec(buf, t.cfg.Dims, t.src.codec); err != nil {
-		n = nil
 		ferr = fmt.Errorf("rtree: decoding page %d for node %d: %w", pid, id, err)
 	} else if n.id != id {
 		ferr = fmt.Errorf("rtree: page %d claims node id %d, expected %d", pid, n.id, id)
-		n = nil
 	}
 	t.arenaMu.Lock()
 	defer t.arenaMu.Unlock()
 	if cached := v.nodes[id]; cached != nil {
-		return cached
+		return cached, nil
 	}
 	if ferr != nil {
-		t.faultErrLocked(ferr)
-		return nil
+		if t.faultErr == nil {
+			t.faultErr = ferr
+		}
+		return nil, ferr
 	}
 	v.nodes[id] = n
-	return n
+	return n, nil
 }
 
-func (t *Tree) setFaultErr(err error) {
+// parkFault records err as the tree's sticky fault failure if it is the
+// first, and returns it.
+func (t *Tree) parkFault(err error) error {
 	t.arenaMu.Lock()
-	t.faultErrLocked(err)
-	t.arenaMu.Unlock()
-}
-
-// faultErrLocked records the first fault failure; arenaMu must be held.
-func (t *Tree) faultErrLocked(err error) {
 	if t.faultErr == nil {
 		t.faultErr = err
 	}
+	t.arenaMu.Unlock()
+	return err
 }
 
 // NodeInfo is a read-only description of one node, exposed for the clip

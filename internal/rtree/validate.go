@@ -28,7 +28,7 @@ func (t *Tree) Validate() error {
 		}
 		return nil
 	}
-	// A file-backed tree must be fully loaded first: validation needs parent
+	// A file-backed tree must be hydrated first: validation needs parent
 	// pointers, which the page layout does not store.
 	if err := t.Materialize(); err != nil {
 		return err

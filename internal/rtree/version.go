@@ -21,16 +21,18 @@ import (
 //
 // Two kinds of versions exist:
 //
-//   - ordinary versions (in-memory trees, and every version committed after
-//     a file-backed tree's first mutation) hold a fully populated node array
-//     and are traversed lock-free;
-//   - the initial version of a lazily opened file-backed tree is "lazy":
-//     nodes are still faulted in from the page file on first access, under
-//     the tree's arena lock, exactly as file-backed reads always worked.
-//     Because a writer's first mutation hydrates the whole tree (it needs
-//     parent pointers), the lazy version is fully populated before any node
-//     is ever mutated or any page rewritten, so lazy readers and the writer
-//     can never observe each other's pages.
+//   - ordinary versions (in-memory and loaded trees, and every version
+//     committed after a file-backed tree was hydrated) hold a fully populated
+//     node array and are traversed lock-free;
+//   - the version a lazy open (OpenPaged) publishes is "lazy": it keeps the
+//     page map of its epoch, and a node missing from its array is brought in
+//     by Tree.fault on first access, under the tree's arena lock. Nothing
+//     else decodes pages for a tree, and Tree.hydrate — the only code that
+//     brings every page in — does so through the same fault. Because a
+//     writer's first mutation hydrates the whole tree (it needs parent
+//     pointers), the lazy version is fully populated before any node is ever
+//     mutated or any page rewritten, so lazy readers and the writer can never
+//     observe each other's pages.
 //
 // Old versions are reclaimed by epoch-based garbage collection: in memory,
 // dropping the last reference to a Version lets the Go runtime collect the
@@ -92,12 +94,13 @@ func (v *Version) Unpin() { v.pins.Add(-1) }
 // node returns the node with the given id at this version. Ordinary
 // versions index the immutable node array directly; lazy versions fall back
 // to the tree's fault path (arena-locked, reading the version's own page
-// map), matching the pre-versioning behaviour of file-backed reads.
+// map) and return nil for a node that cannot be brought in.
 func (v *Version) node(id NodeID) *node {
 	if !v.lazy {
 		return v.nodes[id]
 	}
-	return v.tree.lazyNode(v, id)
+	n, _ := v.tree.lazyNode(v, id) // the failure is parked in Tree.Err
+	return n
 }
 
 // Bounds returns the MBB of all objects at this version (zero Rect when
@@ -291,7 +294,7 @@ func (v *Version) searchIter(q geom.Rect, clips *ClipRecords, c *storage.Counter
 		quantScan(n.qplanes, count, dims, &sc.qg, mask)
 		boxes := n.boxes
 		if n.leaf {
-			t.chargeReadNode(n, true, c)
+			t.chargeReadNode(n, c)
 			for w := range mask {
 				m := mask[w]
 				for m != 0 {
@@ -308,7 +311,7 @@ func (v *Version) searchIter(q geom.Rect, clips *ClipRecords, c *storage.Counter
 			}
 			continue
 		}
-		t.chargeReadNode(n, false, c)
+		t.chargeReadNode(n, c)
 		base := len(stack)
 		for w := range mask {
 			m := mask[w]

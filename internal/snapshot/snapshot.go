@@ -6,13 +6,15 @@
 // pages in the Figure 4a layout, a node-id→page-id index, and the Figure 4b
 // clip table, all written with the existing encoders.
 //
-// The same snapshot can be consumed two ways: fully decoded into an
-// in-memory tree (LoadTree), or opened lazily so that queries run directly
-// against the on-disk pages through a FilePager, the buffer pool, and the
-// usual I/O counters (OpenTree). Every layer validates on decode: the page
-// container checks magic, version, and per-page CRC-32C; the superblock
-// carries its own checksum and plausibility limits; and the node decoder
-// rejects malformed pages.
+// The same snapshot can be consumed two ways: opened lazily so that queries
+// run directly against the stored pages through a page store, the buffer
+// pool, and the usual I/O counters (OpenTree), or loaded into an in-memory
+// tree (LoadTree) — which is that same open hydrated at once (rtree.Load), so
+// a page set is accepted or rejected identically either way. Every layer
+// validates on decode: the page container checks magic, version, and
+// per-page CRC-32C; the superblock carries its own checksum and plausibility
+// limits; the node decoder rejects malformed pages; and hydration holds the
+// pages to the header's object count and height.
 package snapshot
 
 import (
@@ -230,11 +232,12 @@ func encodeClip(meta Meta, clips ClipSource) []byte {
 	return clips.EncodeClips(meta.Dims, nil)
 }
 
-// Layout locates the snapshot's page regions inside the page file; it is
-// exposed so integrity checkers (cbbinspect -verify) can account for every
-// page the snapshot claims to own.
+// Layout locates the snapshot's regions inside the page file, as the
+// superblock records them; it is exposed so integrity checkers (cbbinspect
+// -verify) can account for every page the snapshot claims to own.
 type Layout struct {
 	RootPage   storage.PageID
+	NodeCount  int
 	IndexFirst storage.PageID
 	IndexPages int
 	ClipFirst  storage.PageID
@@ -246,20 +249,20 @@ type Layout struct {
 // page, and the clip table. The node pages themselves stay in the page store
 // until LoadTree or OpenTree asks for them.
 type Snapshot struct {
-	Meta     Meta
-	RootPage storage.PageID
-	Pages    map[rtree.NodeID]storage.PageID
-	Table    clipindex.Table
-	Layout   Layout
+	Meta   Meta
+	Pages  map[rtree.NodeID]storage.PageID
+	Table  clipindex.Table
+	Layout Layout
 }
 
-// LoadTree fully materialises the snapshot's tree from the page store into
-// memory (the Load half of the Save/Load pair).
+// LoadTree loads the snapshot's tree from the page store into memory (the
+// Load half of the Save/Load pair) and holds what the pages contain to the
+// header: a differing object count or height is ErrCorrupt.
 func (s *Snapshot) LoadTree(store storage.PageStore) (*rtree.Tree, error) {
 	if s.Meta.Root == rtree.InvalidNode {
 		return rtree.New(s.Meta.Config())
 	}
-	t, err := rtree.LoadCodec(s.Meta.Config(), store, s.RootPage, s.Pages, s.Meta.Codec())
+	t, err := rtree.Load(s.Meta.Config(), store, s.Pages, s.Meta.Root, s.Meta.Codec())
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +282,7 @@ func (s *Snapshot) LoadTree(store storage.PageStore) (*rtree.Tree, error) {
 // snapshots only open read-only: their pages are sized to the encoded node,
 // so a mutated node might not fit back in its slot.
 func (s *Snapshot) OpenTree(store storage.PageStore, readonly bool) (*rtree.Tree, error) {
-	return rtree.OpenPagedCodec(s.Meta.Config(), store, s.Pages, s.Meta.Root, s.Meta.Objects, s.Meta.Height, readonly, s.Meta.Codec())
+	return rtree.OpenPaged(s.Meta.Config(), store, s.Pages, s.Meta.Root, s.Meta.Objects, s.Meta.Height, readonly, s.Meta.Codec())
 }
 
 // Write serialises the tree and its clip table into a freshly created page
@@ -303,35 +306,31 @@ func Write(store storage.PageStore, tree *rtree.Tree, clips ClipSource, meta Met
 		return errors.New("snapshot: page store must be empty (superblock did not land on page 1)")
 	}
 
-	var rootPage storage.PageID
 	pages := map[rtree.NodeID]storage.PageID{}
 	if meta.Root != rtree.InvalidNode {
-		rootPage, pages, err = tree.SaveWith(store, meta.Codec())
-		if err != nil {
+		if pages, err = tree.Save(store, meta.Codec()); err != nil {
 			return err
 		}
 	}
+	return writeTail(store, meta, pages, clipBuf)
+}
 
-	indexFirst, indexPages, err := writeChunked(store, encodeIndex(pages))
-	if err != nil {
+// writeTail writes everything that follows a snapshot's node pages, for every
+// writer of one (Write, Rewrite, Transcode): the node index and the clip
+// table, each spread over a fresh run of aux pages, and last the superblock
+// that locates them.
+func writeTail(store storage.PageStore, meta Meta, pages map[rtree.NodeID]storage.PageID, clipBuf []byte) (err error) {
+	lay := Layout{NodeCount: len(pages), ClipBytes: len(clipBuf)}
+	if meta.Root != rtree.InvalidNode {
+		lay.RootPage = pages[meta.Root]
+	}
+	if lay.IndexFirst, lay.IndexPages, err = storage.WriteChunked(store, encodeIndex(pages)); err != nil {
 		return fmt.Errorf("snapshot: writing node index: %w", err)
 	}
-
-	clipFirst, clipPages, err := writeChunked(store, clipBuf)
-	if err != nil {
+	if lay.ClipFirst, lay.ClipPages, err = storage.WriteChunked(store, clipBuf); err != nil {
 		return fmt.Errorf("snapshot: writing clip table: %w", err)
 	}
-
-	layout := layout{
-		rootPage:   rootPage,
-		nodeCount:  len(pages),
-		indexFirst: indexFirst,
-		indexPages: indexPages,
-		clipFirst:  clipFirst,
-		clipPages:  clipPages,
-		clipBytes:  len(clipBuf),
-	}
-	return store.Write(super, encodeSuper(meta, layout))
+	return store.Write(SuperPage, encodeSuper(meta, lay))
 }
 
 // checkMeta validates that a snapshot header describes the tree and the
@@ -396,13 +395,13 @@ func Rewrite(store storage.PageStore, tree *rtree.Tree, clips ClipSource, meta M
 	if err != nil {
 		return err
 	}
-	for i := 0; i < oldLay.indexPages; i++ {
-		if err := store.Free(oldLay.indexFirst + storage.PageID(i)); err != nil {
+	for i := 0; i < oldLay.IndexPages; i++ {
+		if err := store.Free(oldLay.IndexFirst + storage.PageID(i)); err != nil {
 			return fmt.Errorf("snapshot: freeing node-index page: %w", err)
 		}
 	}
-	for i := 0; i < oldLay.clipPages; i++ {
-		if err := store.Free(oldLay.clipFirst + storage.PageID(i)); err != nil {
+	for i := 0; i < oldLay.ClipPages; i++ {
+		if err := store.Free(oldLay.ClipFirst + storage.PageID(i)); err != nil {
 			return fmt.Errorf("snapshot: freeing clip-table page: %w", err)
 		}
 	}
@@ -410,29 +409,11 @@ func Rewrite(store storage.PageStore, tree *rtree.Tree, clips ClipSource, meta M
 	meta.Objects = tree.Len()
 	meta.Height = tree.Height()
 	meta.Root = tree.RootID()
-	rootPage, pages, commit, err := tree.FlushDirty()
+	pages, commit, err := tree.FlushDirty()
 	if err != nil {
 		return err
 	}
-
-	indexFirst, indexPages, err := writeChunked(store, encodeIndex(pages))
-	if err != nil {
-		return fmt.Errorf("snapshot: writing node index: %w", err)
-	}
-	clipFirst, clipPages, err := writeChunked(store, clipBuf)
-	if err != nil {
-		return fmt.Errorf("snapshot: writing clip table: %w", err)
-	}
-	lay := layout{
-		rootPage:   rootPage,
-		nodeCount:  len(pages),
-		indexFirst: indexFirst,
-		indexPages: indexPages,
-		clipFirst:  clipFirst,
-		clipPages:  clipPages,
-		clipBytes:  len(clipBuf),
-	}
-	if err := store.Write(SuperPage, encodeSuper(meta, lay)); err != nil {
+	if err := writeTail(store, meta, pages, clipBuf); err != nil {
 		return err
 	}
 	// Every page of the rewrite is staged; only now may the tree retire its
@@ -455,33 +436,31 @@ func Read(store storage.PageStore) (*Snapshot, error) {
 		return nil, err
 	}
 
-	indexBuf, err := readChunked(store, lay.indexFirst, lay.indexPages, lay.nodeCount*indexEntryBytes)
+	indexBuf, err := storage.ReadChunked(store, lay.IndexFirst, lay.IndexPages, lay.NodeCount*indexEntryBytes)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading node index: %w", err)
 	}
-	pages, err := decodeIndex(indexBuf, lay.nodeCount)
+	pages, err := decodeIndex(indexBuf, lay.NodeCount)
 	if err != nil {
 		return nil, err
 	}
-	rootPage := lay.rootPage
 	if meta.Root != rtree.InvalidNode {
-		if got, ok := pages[meta.Root]; !ok || got != rootPage {
-			return nil, fmt.Errorf("%w: root node %d not indexed at root page %d", ErrCorrupt, meta.Root, rootPage)
+		if got, ok := pages[meta.Root]; !ok || got != lay.RootPage {
+			return nil, fmt.Errorf("%w: root node %d not indexed at root page %d", ErrCorrupt, meta.Root, lay.RootPage)
 		}
 	}
 
-	var table clipindex.Table
-	if lay.clipBytes > 0 {
-		clipBuf, err := readChunked(store, lay.clipFirst, lay.clipPages, lay.clipBytes)
+	snap := &Snapshot{Meta: meta, Pages: pages, Layout: lay}
+	if lay.ClipBytes > 0 {
+		clipBuf, err := storage.ReadChunked(store, lay.ClipFirst, lay.ClipPages, lay.ClipBytes)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: reading clip table: %w", err)
 		}
-		var tbl clipindex.Table
 		var dims int
 		if meta.Format >= FormatV2 {
-			tbl, dims, err = clipindex.DecodeTableV2(clipBuf, meta.Universe)
+			snap.Table, dims, err = clipindex.DecodeTableV2(clipBuf, meta.Universe)
 		} else {
-			tbl, dims, err = clipindex.DecodeTable(clipBuf)
+			snap.Table, dims, err = clipindex.DecodeTable(clipBuf)
 		}
 		if err != nil {
 			return nil, err
@@ -489,19 +468,8 @@ func Read(store storage.PageStore) (*Snapshot, error) {
 		if dims != meta.Dims {
 			return nil, fmt.Errorf("%w: clip table is %d-dimensional, header says %d", ErrCorrupt, dims, meta.Dims)
 		}
-		table = tbl
 	}
-	return &Snapshot{
-		Meta: meta, RootPage: rootPage, Pages: pages, Table: table,
-		Layout: Layout{
-			RootPage:   lay.rootPage,
-			IndexFirst: lay.indexFirst,
-			IndexPages: lay.indexPages,
-			ClipFirst:  lay.clipFirst,
-			ClipPages:  lay.clipPages,
-			ClipBytes:  lay.clipBytes,
-		},
-	}, nil
+	return snap, nil
 }
 
 // --- streaming and file conveniences ----------------------------------------
@@ -597,25 +565,16 @@ func atomicWritePageFile(path string, pageSize int, fill func(*storage.FilePager
 
 // OpenFile opens a snapshot file for lazy, file-backed access. The caller
 // owns the returned FilePager and must Close it when done with the tree.
-func OpenFile(path string) (*Snapshot, *storage.FilePager, error) {
-	fp, err := storage.OpenFilePager(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	snap, err := Read(fp)
-	if err != nil {
-		fp.Close()
-		return nil, nil, err
-	}
-	return snap, fp, nil
-}
-
-// OpenFileReadOnly is OpenFile with a strictly read-only page file: the
-// snapshot (and any pending write-ahead log next to it) is never modified —
-// a committed WAL is replayed into an in-memory overlay and left on disk.
+// With readonly set the page file is opened strictly read-only: the snapshot
+// (and any pending write-ahead log next to it) is never modified — a
+// committed WAL is replayed into an in-memory overlay and left on disk.
 // Inspection tools use this so that examining a file has no side effects.
-func OpenFileReadOnly(path string) (*Snapshot, *storage.FilePager, error) {
-	fp, err := storage.OpenFilePagerReadOnly(path)
+func OpenFile(path string, readonly bool) (*Snapshot, *storage.FilePager, error) {
+	open := storage.OpenFilePager
+	if readonly {
+		open = storage.OpenFilePagerReadOnly
+	}
+	fp, err := open(path)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -625,89 +584,6 @@ func OpenFileReadOnly(path string) (*Snapshot, *storage.FilePager, error) {
 		return nil, nil, err
 	}
 	return snap, fp, nil
-}
-
-// --- chunked aux-page regions ------------------------------------------------
-
-// runAllocator is the optional page-store capability of allocating n
-// consecutively numbered pages; both storage.Pager and storage.FilePager
-// provide it. The chunked aux regions (node index, clip table) are located
-// by (first page, page count) in the superblock, so their pages must be
-// contiguous even when the store's free list holds scattered pages.
-type runAllocator interface {
-	AllocateRun(kind storage.PageKind, n int) (storage.PageID, error)
-}
-
-// writeChunked spreads buf over consecutively allocated aux pages and
-// returns the first page id and the page count (0, 0 for an empty buffer).
-func writeChunked(store storage.PageStore, buf []byte) (first storage.PageID, pages int, err error) {
-	pageSize := store.PageSize()
-	if len(buf) == 0 {
-		return 0, 0, nil
-	}
-	want := (len(buf) + pageSize - 1) / pageSize
-	if ra, ok := store.(runAllocator); ok {
-		first, err = ra.AllocateRun(storage.KindAux, want)
-		if err != nil {
-			return 0, 0, err
-		}
-		for i := 0; i < want; i++ {
-			end := (i + 1) * pageSize
-			if end > len(buf) {
-				end = len(buf)
-			}
-			if err := store.Write(first+storage.PageID(i), buf[i*pageSize:end]); err != nil {
-				return 0, 0, err
-			}
-		}
-		return first, want, nil
-	}
-	for off := 0; off < len(buf); off += pageSize {
-		end := off + pageSize
-		if end > len(buf) {
-			end = len(buf)
-		}
-		id, err := store.Allocate(storage.KindAux)
-		if err != nil {
-			return 0, 0, err
-		}
-		if pages == 0 {
-			first = id
-		} else if id != first+storage.PageID(pages) {
-			return 0, 0, fmt.Errorf("snapshot: non-contiguous aux page allocation (%d after %d)", id, first)
-		}
-		if err := store.Write(id, buf[off:end]); err != nil {
-			return 0, 0, err
-		}
-		pages++
-	}
-	return first, pages, nil
-}
-
-// readChunked reassembles a chunked region of exactly want bytes.
-func readChunked(store storage.PageStore, first storage.PageID, pages, want int) ([]byte, error) {
-	if want < 0 || pages < 0 || want > pages*store.PageSize() {
-		return nil, fmt.Errorf("%w: implausible chunked region (%d bytes in %d pages)", ErrCorrupt, want, pages)
-	}
-	capHint := want
-	if capHint > 1<<20 {
-		capHint = 1 << 20 // grow as real pages arrive; don't trust the header
-	}
-	buf := make([]byte, 0, capHint)
-	for i := 0; i < pages; i++ {
-		payload, kind, err := store.Read(first + storage.PageID(i))
-		if err != nil {
-			return nil, err
-		}
-		if kind != storage.KindAux {
-			return nil, fmt.Errorf("%w: page %d is %v, expected aux", ErrCorrupt, first+storage.PageID(i), kind)
-		}
-		buf = append(buf, payload...)
-	}
-	if len(buf) < want {
-		return nil, fmt.Errorf("%w: chunked region holds %d bytes, expected %d", ErrCorrupt, len(buf), want)
-	}
-	return buf[:want], nil
 }
 
 // --- node index --------------------------------------------------------------
@@ -754,18 +630,7 @@ func decodeIndex(buf []byte, count int) (map[rtree.NodeID]storage.PageID, error)
 
 // --- superblock --------------------------------------------------------------
 
-// layout locates the snapshot's regions inside the page file.
-type layout struct {
-	rootPage   storage.PageID
-	nodeCount  int
-	indexFirst storage.PageID
-	indexPages int
-	clipFirst  storage.PageID
-	clipPages  int
-	clipBytes  int
-}
-
-func encodeSuper(meta Meta, lay layout) []byte {
+func encodeSuper(meta Meta, lay Layout) []byte {
 	format := meta.Format
 	if format == 0 {
 		format = FormatV1
@@ -792,14 +657,14 @@ func encodeSuper(meta Meta, lay layout) []byte {
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(meta.Objects))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(meta.Height))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(lay.nodeCount))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(lay.NodeCount))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(meta.Root)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(lay.rootPage))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(lay.indexFirst))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(lay.indexPages))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(lay.clipFirst))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(lay.clipPages))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(lay.clipBytes))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(lay.RootPage))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(lay.IndexFirst))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(lay.IndexPages))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(lay.ClipFirst))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(lay.ClipPages))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(lay.ClipBytes))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	return buf
 }
@@ -839,9 +704,9 @@ func (c *cursor) u64() uint64 {
 
 func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
 
-func decodeSuper(buf []byte, storePageSize int) (Meta, layout, error) {
+func decodeSuper(buf []byte, storePageSize int) (Meta, Layout, error) {
 	var meta Meta
-	var lay layout
+	var lay Layout
 	if len(buf) < len(superMagic)+8 {
 		return meta, lay, fmt.Errorf("%w: superblock truncated", ErrCorrupt)
 	}
@@ -878,14 +743,14 @@ func decodeSuper(buf []byte, storePageSize int) (Meta, layout, error) {
 	meta.Universe = geom.Rect{Lo: lo, Hi: hi}
 	meta.Objects = int(c.u64())
 	meta.Height = int(c.u32())
-	lay.nodeCount = int(c.u32())
+	lay.NodeCount = int(c.u32())
 	meta.Root = rtree.NodeID(int64(c.u64()))
-	lay.rootPage = storage.PageID(c.u64())
-	lay.indexFirst = storage.PageID(c.u64())
-	lay.indexPages = int(c.u32())
-	lay.clipFirst = storage.PageID(c.u64())
-	lay.clipPages = int(c.u32())
-	lay.clipBytes = int(c.u64())
+	lay.RootPage = storage.PageID(c.u64())
+	lay.IndexFirst = storage.PageID(c.u64())
+	lay.IndexPages = int(c.u32())
+	lay.ClipFirst = storage.PageID(c.u64())
+	lay.ClipPages = int(c.u32())
+	lay.ClipBytes = int(c.u64())
 	body := c.off
 	crc := c.u32()
 	if !c.ok {
@@ -916,33 +781,33 @@ func decodeSuper(buf []byte, storePageSize int) (Meta, layout, error) {
 	if meta.Format >= FormatV2 && meta.PageSize < superBytesFor(meta.Dims) {
 		return meta, lay, fmt.Errorf("%w: %d-byte pages cannot hold the superblock", ErrCorrupt, meta.PageSize)
 	}
-	if lay.nodeCount < 0 || lay.nodeCount > maxNodes {
-		return meta, lay, fmt.Errorf("%w: implausible node count %d", ErrCorrupt, lay.nodeCount)
+	if lay.NodeCount < 0 || lay.NodeCount > maxNodes {
+		return meta, lay, fmt.Errorf("%w: implausible node count %d", ErrCorrupt, lay.NodeCount)
 	}
-	if meta.Objects < 0 || meta.Objects > lay.nodeCount*meta.MaxEntries {
-		return meta, lay, fmt.Errorf("%w: implausible object count %d for %d nodes", ErrCorrupt, meta.Objects, lay.nodeCount)
+	if meta.Objects < 0 || meta.Objects > lay.NodeCount*meta.MaxEntries {
+		return meta, lay, fmt.Errorf("%w: implausible object count %d for %d nodes", ErrCorrupt, meta.Objects, lay.NodeCount)
 	}
 	if meta.Height < 0 || meta.Height > maxHeight {
 		return meta, lay, fmt.Errorf("%w: implausible height %d", ErrCorrupt, meta.Height)
 	}
 	if meta.Root == rtree.InvalidNode {
-		if lay.nodeCount != 0 || meta.Objects != 0 || meta.Height != 0 || lay.rootPage != storage.InvalidPage {
+		if lay.NodeCount != 0 || meta.Objects != 0 || meta.Height != 0 || lay.RootPage != storage.InvalidPage {
 			return meta, lay, fmt.Errorf("%w: empty tree with nodes attached", ErrCorrupt)
 		}
-	} else if meta.Root < 0 || lay.rootPage == storage.InvalidPage || lay.nodeCount == 0 || meta.Height < 1 {
+	} else if meta.Root < 0 || lay.RootPage == storage.InvalidPage || lay.NodeCount == 0 || meta.Height < 1 {
 		return meta, lay, fmt.Errorf("%w: missing root", ErrCorrupt)
 	}
-	wantIndex := (lay.nodeCount*indexEntryBytes + meta.PageSize - 1) / meta.PageSize
-	if lay.indexPages != wantIndex {
-		return meta, lay, fmt.Errorf("%w: node index spans %d pages, expected %d", ErrCorrupt, lay.indexPages, wantIndex)
+	wantIndex := (lay.NodeCount*indexEntryBytes + meta.PageSize - 1) / meta.PageSize
+	if lay.IndexPages != wantIndex {
+		return meta, lay, fmt.Errorf("%w: node index spans %d pages, expected %d", ErrCorrupt, lay.IndexPages, wantIndex)
 	}
-	if lay.clipBytes < 0 || lay.clipPages < 0 || lay.clipBytes > lay.clipPages*meta.PageSize {
+	if lay.ClipBytes < 0 || lay.ClipPages < 0 || lay.ClipBytes > lay.ClipPages*meta.PageSize {
 		return meta, lay, fmt.Errorf("%w: implausible clip region", ErrCorrupt)
 	}
-	if lay.clipBytes == 0 && lay.clipPages != 0 {
-		return meta, lay, fmt.Errorf("%w: empty clip table spanning %d pages", ErrCorrupt, lay.clipPages)
+	if lay.ClipBytes == 0 && lay.ClipPages != 0 {
+		return meta, lay, fmt.Errorf("%w: empty clip table spanning %d pages", ErrCorrupt, lay.ClipPages)
 	}
-	if meta.ClipMethod == ClipNone && lay.clipBytes != 0 {
+	if meta.ClipMethod == ClipNone && lay.ClipBytes != 0 {
 		return meta, lay, fmt.Errorf("%w: clip table present but clip method is none", ErrCorrupt)
 	}
 	return meta, lay, nil

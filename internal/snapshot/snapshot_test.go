@@ -163,7 +163,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := WriteFile(path, tree, idx.Table(), meta); err != nil {
 		t.Fatal(err)
 	}
-	snap, fp, err := OpenFile(path)
+	snap, fp, err := OpenFile(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}

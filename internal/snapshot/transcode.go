@@ -28,7 +28,7 @@ func Transcode(srcPath, dstPath string, format int) error {
 	if format != FormatV1 && format != FormatV2 {
 		return fmt.Errorf("snapshot: unknown format %d", format)
 	}
-	snap, src, err := OpenFileReadOnly(srcPath)
+	snap, src, err := OpenFile(srcPath, true)
 	if err != nil {
 		return err
 	}
@@ -135,27 +135,6 @@ func Transcode(srcPath, dstPath string, format int) error {
 			}
 			pages[id] = pid
 		}
-		var rootPage storage.PageID
-		if meta.Root != rtree.InvalidNode {
-			rootPage = pages[meta.Root]
-		}
-		indexFirst, indexPages, err := writeChunked(fp, encodeIndex(pages))
-		if err != nil {
-			return fmt.Errorf("snapshot: writing node index: %w", err)
-		}
-		clipBuf := encodeClip(meta, snap.Table)
-		clipFirst, clipPages, err := writeChunked(fp, clipBuf)
-		if err != nil {
-			return fmt.Errorf("snapshot: writing clip table: %w", err)
-		}
-		return fp.Write(super, encodeSuper(meta, layout{
-			rootPage:   rootPage,
-			nodeCount:  len(pages),
-			indexFirst: indexFirst,
-			indexPages: indexPages,
-			clipFirst:  clipFirst,
-			clipPages:  clipPages,
-			clipBytes:  len(clipBuf),
-		}))
+		return writeTail(fp, meta, pages, encodeClip(meta, snap.Table))
 	})
 }

@@ -29,7 +29,7 @@ func transcodeQueries(n int) []geom.Rect {
 // through the clipped index, returning sorted result ids per query.
 func queryFile(t *testing.T, path string, qs []geom.Rect) [][]rtree.ObjectID {
 	t.Helper()
-	snap, fp, err := OpenFileReadOnly(path)
+	snap, fp, err := OpenFile(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestTranscodeV1V2V1RoundTrip(t *testing.T) {
 	if err := Transcode(v1, v2, FormatV2); err != nil {
 		t.Fatal(err)
 	}
-	snap, fp, err := OpenFileReadOnly(v2)
+	snap, fp, err := OpenFile(v2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTranscodeV1V2V1RoundTrip(t *testing.T) {
 	if err := Transcode(v2, back, FormatV1); err != nil {
 		t.Fatal(err)
 	}
-	snap, fp, err = OpenFileReadOnly(back)
+	snap, fp, err = OpenFile(back, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestTranscodeFoldsPendingWAL(t *testing.T) {
 	if err := Transcode(v1, v2, FormatV2); err != nil {
 		t.Fatal(err)
 	}
-	snap2, fp2, err := OpenFileReadOnly(v2)
+	snap2, fp2, err := OpenFile(v2, true)
 	if err != nil {
 		t.Fatal(err)
 	}

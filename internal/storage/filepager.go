@@ -225,27 +225,7 @@ func CreateFilePager(path string, pageSize int) (*FilePager, error) {
 // when it is not, so readers always observe the committed state. A torn log
 // (crash before the commit point) is discarded; the file is already
 // consistent at the pre-commit state.
-func OpenFilePager(path string) (*FilePager, error) {
-	readonly := false
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		f, err = os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		readonly = true
-	}
-	p, err := loadFilePager(f, path, readonly)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := p.recoverWAL(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return p, nil
-}
+func OpenFilePager(path string) (*FilePager, error) { return openFilePager(path, false) }
 
 // OpenFilePagerReadOnly opens an existing page file strictly read-only,
 // regardless of file permissions: mutations return ErrReadOnlyFS, Close
@@ -254,17 +234,25 @@ func OpenFilePager(path string) (*FilePager, error) {
 // reads observe the committed state — and is left on disk for a future
 // writable open to apply. Inspection tools use this so that looking at a
 // snapshot can never alter it.
-func OpenFilePagerReadOnly(path string) (*FilePager, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+func OpenFilePagerReadOnly(path string) (*FilePager, error) { return openFilePager(path, true) }
+
+func openFilePager(path string, readonly bool) (*FilePager, error) {
+	var f *os.File
+	var err error
+	if !readonly {
+		f, err = os.OpenFile(path, os.O_RDWR, 0o644)
+		readonly = err != nil
 	}
-	p, err := loadFilePager(f, path, true)
-	if err != nil {
-		f.Close()
-		return nil, err
+	if readonly {
+		if f, err = os.Open(path); err != nil {
+			return nil, err
+		}
 	}
-	if err := p.recoverWAL(); err != nil {
+	p, err := loadFilePager(f, path, readonly)
+	if err == nil {
+		err = p.recoverWAL()
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -297,44 +285,26 @@ func loadFilePager(f *os.File, path string, readonly bool) (*FilePager, error) {
 }
 
 // recoverWAL inspects the pager's write-ahead log, if any, right after open.
-// A committed log is replayed (to the file, or into the overlay on read-only
-// media); a torn or foreign log is discarded on writable media and ignored
-// otherwise.
-func (p *FilePager) recoverWAL() error {
+// On read-only media the committed state is served from an overlay
+// (walOverlay) and the log stays for a future writable open; on writable
+// media a committed log is applied to the file, and whatever log there was —
+// applied, torn, or foreign — is removed.
+func (p *FilePager) recoverWAL() (err error) {
 	walPath := WALPathFor(p.path)
-	info, err := ReadWALFile(walPath)
-	switch {
-	case err == nil && info.PageSize == p.pageSize:
-		if p.readonly {
-			// Replay into the overlay: reads see the committed state, the
-			// medium stays untouched, and the WAL remains for a future
-			// writable open to apply.
-			p.overlay = make(map[PageID]*overlayPage, len(info.Records))
-			for _, r := range info.Records {
-				p.overlay[r.Page] = &overlayPage{kind: r.Kind, inUse: r.InUse, data: r.Payload}
-			}
-			if info.SlotCount > p.slotCount {
-				p.slotCount = info.SlotCount
-			}
-			return nil
-		}
+	if p.readonly {
+		p.overlay, p.slotCount, err = walOverlay(walPath, p.pageSize, p.slotCount)
+		return err
+	}
+	info, err := committedWAL(walPath, p.pageSize)
+	if err != nil {
+		return err
+	}
+	if info != nil {
 		if err := p.applyRecordsLocked(info.Records, info.SlotCount); err != nil {
 			return fmt.Errorf("storage: replaying WAL %s: %w", walPath, err)
 		}
-		return removeWAL(walPath)
-	case err == nil:
-		// A WAL for a different page size cannot belong to this file.
-		fallthrough
-	case errors.Is(err, ErrWALTorn), errors.Is(err, ErrCorrupt):
-		if p.readonly {
-			return nil
-		}
-		return removeWAL(walPath)
-	case os.IsNotExist(err):
-		return nil
-	default:
-		return err
 	}
+	return removeWAL(walPath)
 }
 
 // ensureDirLocked builds the slot directory and free list by scanning the
@@ -657,13 +627,9 @@ func (p *FilePager) Usage() Usage {
 		return u
 	}
 	for _, m := range p.dir {
-		if !m.inUse {
-			continue
+		if m.inUse {
+			u.add(m.kind, m.length)
 		}
-		u.Pages[m.kind]++
-		u.Bytes[m.kind] += m.length
-		u.TotalPages++
-		u.TotalBytes += m.length
 	}
 	return u
 }

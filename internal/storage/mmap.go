@@ -24,9 +24,9 @@ var ErrMmapUnsupported = errors.New("storage: mmap is not supported on this plat
 // must be treated as immutable — writing through one faults (the mapping is
 // PROT_READ). All mutating PageStore operations return ErrReadOnlyFS.
 //
-// Like OpenFilePagerReadOnly, opening replays a committed write-ahead log
-// next to the file into an in-memory overlay (and leaves it on disk for a
-// future writable open); overlay pages are served from heap copies, file
+// Opening replays a committed write-ahead log next to the file through the
+// same walOverlay as OpenFilePagerReadOnly, so the two read-only stores agree
+// on every file + log pair; overlay pages are served from heap copies, file
 // pages from the mapping.
 type MmapStore struct {
 	path      string
@@ -76,29 +76,8 @@ func OpenMmapStore(path string) (*MmapStore, error) {
 		pageSize:  pageSize,
 		fileSlots: int((st.Size() - fileHeaderBytes) / int64(slotSize)),
 	}
-	m.slotCount = m.fileSlots
-
-	// Fold a committed WAL into an in-memory overlay, exactly as the
-	// read-only FilePager open does; a torn or corrupt log means the file
-	// itself is already the committed state.
-	switch info, werr := ReadWALFile(WALPathFor(path)); {
-	case werr == nil:
-		if info.PageSize != pageSize {
-			return fail(fmt.Errorf("%w: WAL page size %d does not match file page size %d", ErrCorrupt, info.PageSize, pageSize))
-		}
-		m.overlay = make(map[PageID]*overlayPage, len(info.Records))
-		for _, r := range info.Records {
-			data := make([]byte, len(r.Payload))
-			copy(data, r.Payload)
-			m.overlay[r.Page] = &overlayPage{kind: r.Kind, inUse: r.InUse, data: data}
-		}
-		if info.SlotCount > m.slotCount {
-			m.slotCount = info.SlotCount
-		}
-	case os.IsNotExist(werr), errors.Is(werr, ErrWALTorn), errors.Is(werr, ErrCorrupt):
-		// Nothing to recover.
-	default:
-		return fail(werr)
+	if m.overlay, m.slotCount, err = walOverlay(WALPathFor(path), pageSize, m.fileSlots); err != nil {
+		return fail(err)
 	}
 	return m, nil
 }
@@ -154,6 +133,11 @@ func (m *MmapStore) Read(id PageID) ([]byte, PageKind, error) {
 // Allocate always fails: the mapping is read-only.
 func (m *MmapStore) Allocate(kind PageKind) (PageID, error) { return InvalidPage, ErrReadOnlyFS }
 
+// AllocateRun always fails: the mapping is read-only.
+func (m *MmapStore) AllocateRun(kind PageKind, n int) (PageID, error) {
+	return InvalidPage, ErrReadOnlyFS
+}
+
 // Write always fails: the mapping is read-only.
 func (m *MmapStore) Write(id PageID, payload []byte) error { return ErrReadOnlyFS }
 
@@ -161,39 +145,14 @@ func (m *MmapStore) Write(id PageID, payload []byte) error { return ErrReadOnlyF
 func (m *MmapStore) Free(id PageID) error { return ErrReadOnlyFS }
 
 // Usage scans the slot headers (not the payloads, so it does not fault the
-// whole file in) and returns the storage breakdown by page kind.
+// whole file in) and returns the storage breakdown by page kind; like
+// FilePager.Usage it is empty when the slot directory cannot be read.
 func (m *MmapStore) Usage() Usage {
 	u := Usage{Pages: make(map[PageKind]int), Bytes: make(map[PageKind]int)}
-	if m.closed.Load() {
-		return u
-	}
-	for i := 0; i < m.fileSlots; i++ {
-		id := PageID(i + 1)
-		if op, ok := m.overlay[id]; ok {
-			if op.inUse {
-				u.Pages[op.kind]++
-				u.Bytes[op.kind] += len(op.data)
-				u.TotalPages++
-				u.TotalBytes += len(op.data)
-			}
-			continue
-		}
-		off := fileHeaderBytes + i*(slotHeaderBytes+m.pageSize)
-		meta, _, err := decodeSlotHeader(m.data[off:off+slotHeaderBytes], m.pageSize)
-		if err != nil || !meta.inUse {
-			continue
-		}
-		u.Pages[meta.kind]++
-		u.Bytes[meta.kind] += meta.length
-		u.TotalPages++
-		u.TotalBytes += meta.length
-	}
-	for i := m.fileSlots; i < m.slotCount; i++ {
-		if op, ok := m.overlay[PageID(i+1)]; ok && op.inUse {
-			u.Pages[op.kind]++
-			u.Bytes[op.kind] += len(op.data)
-			u.TotalPages++
-			u.TotalBytes += len(op.data)
+	slots, _ := m.Slots()
+	for _, s := range slots {
+		if s.InUse {
+			u.add(s.Kind, s.Length)
 		}
 	}
 	return u

@@ -174,3 +174,46 @@ func TestMmapStoreWALOverlay(t *testing.T) {
 		t.Errorf("torn WAL page 4 = %v, want ErrPageNotFound", err)
 	}
 }
+
+// TestMmapStoreForeignWAL puts a committed write-ahead log of a different
+// page size next to a page file: it cannot belong to the file, so both
+// read-only stores — which share one overlay replay — must ignore it and
+// serve the file's own bytes, leaving the log where it is. Also pins
+// AllocateRun, the mutator the page-store contract gained, as read-only.
+func TestMmapStoreForeignWAL(t *testing.T) {
+	path := journalFixture(t) // 128-byte pages
+	foreign := []WALRecord{{Page: 2, Kind: KindLeaf, InUse: true, Payload: fixturePayload(99, 200)}}
+	if err := writeWALFile(WALPathFor(path), 256, 3, foreign); err != nil {
+		t.Fatal(err)
+	}
+
+	fp, err := OpenFilePagerReadOnly(path)
+	if err != nil {
+		t.Fatalf("read-only pager over a foreign WAL: %v", err)
+	}
+	defer fp.Close()
+	ms, err := OpenMmapStore(path)
+	if errors.Is(err, ErrMmapUnsupported) {
+		t.Skip("mmap unsupported on this platform")
+	}
+	if err != nil {
+		t.Fatalf("mmap store over a foreign WAL: %v", err)
+	}
+	defer ms.Close()
+	for id := PageID(1); id <= 3; id++ {
+		want, wantKind, err := fp.Read(id)
+		if err != nil || !bytes.Equal(want, fixturePayload(int(id), 64)) {
+			t.Fatalf("pager page %d is not the file's own (err=%v)", id, err)
+		}
+		got, gotKind, err := ms.Read(id)
+		if err != nil || gotKind != wantKind || !bytes.Equal(got, want) {
+			t.Fatalf("page %d differs between the read-only stores (err=%v)", id, err)
+		}
+	}
+	if _, err := os.Stat(WALPathFor(path)); err != nil {
+		t.Fatalf("a read-only open must leave the WAL in place: %v", err)
+	}
+	if _, err := ms.AllocateRun(KindAux, 2); !errors.Is(err, ErrReadOnlyFS) {
+		t.Errorf("AllocateRun = %v, want ErrReadOnlyFS", err)
+	}
+}

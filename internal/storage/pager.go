@@ -48,23 +48,80 @@ func (k PageKind) String() string {
 	}
 }
 
-// PageStore is the pager contract shared by the in-memory Pager and the
-// on-disk FilePager: fixed-size pages identified by PageID, each tagged with
-// a PageKind for storage-breakdown accounting. Implementations must be safe
-// for concurrent use.
+// PageStore is the page-store contract every layer above storage is written
+// against: fixed-size pages identified by PageID, each tagged with a PageKind
+// for storage-breakdown accounting. It has three implementations — the
+// in-memory Pager, the on-disk FilePager, and the read-only MmapStore, whose
+// mutators all answer ErrReadOnlyFS — and all must be safe for concurrent
+// use. What an implementation offers beyond the contract is reached through
+// its concrete type: journaling, commit statistics and crash fail-points
+// (FilePager), Slots/DiskStats/ReadOnlyFile for inspection (FilePager,
+// MmapStore), stream export (Pager.WriteTo).
 type PageStore interface {
 	// PageSize returns the page size in bytes; payloads may not exceed it.
 	PageSize() int
 	// Allocate reserves a new page of the given kind and returns its id.
 	Allocate(kind PageKind) (PageID, error)
+	// AllocateRun reserves n consecutively numbered pages of the given kind
+	// and returns the first id: regions stored as (first page, page count)
+	// need contiguous ids even when the free list holds scattered pages.
+	AllocateRun(kind PageKind, n int) (PageID, error)
 	// Write stores the payload in the page (payload must fit in one page).
 	Write(id PageID, payload []byte) error
-	// Read returns a copy of the page payload and its kind.
+	// Read returns the page payload and its kind. The payload must not be
+	// modified: MmapStore returns a view of its mapping.
 	Read(id PageID) ([]byte, PageKind, error)
 	// Free releases a page for reuse.
 	Free(id PageID) error
 	// Usage returns a storage breakdown by page kind.
 	Usage() Usage
+}
+
+// WriteChunked spreads buf over a run of consecutively numbered auxiliary
+// pages and returns the first page id and the page count (0, 0 for an empty
+// buffer). It is the one writer of multi-page aux regions: the snapshot's
+// node index, its clip table (Figure 4b), and clipindex.Index.SaveAux.
+func WriteChunked(store PageStore, buf []byte) (first PageID, pages int, err error) {
+	if len(buf) == 0 {
+		return InvalidPage, 0, nil
+	}
+	pageSize := store.PageSize()
+	pages = (len(buf) + pageSize - 1) / pageSize
+	if first, err = store.AllocateRun(KindAux, pages); err != nil {
+		return InvalidPage, 0, err
+	}
+	for i := 0; i < pages; i++ {
+		chunk := buf[i*pageSize : min((i+1)*pageSize, len(buf))]
+		if err := store.Write(first+PageID(i), chunk); err != nil {
+			return InvalidPage, 0, err
+		}
+	}
+	return first, pages, nil
+}
+
+// ReadChunked reassembles the region WriteChunked laid out: exactly want
+// bytes from pages consecutive aux pages starting at first. The arguments
+// come from a file header, so they are checked, not trusted.
+func ReadChunked(store PageStore, first PageID, pages, want int) ([]byte, error) {
+	if want < 0 || pages < 0 || want > pages*store.PageSize() {
+		return nil, fmt.Errorf("%w: implausible chunked region (%d bytes in %d pages)", ErrCorrupt, want, pages)
+	}
+	// Grow as real pages arrive instead of trusting the header's size.
+	buf := make([]byte, 0, min(want, 1<<20))
+	for i := 0; i < pages; i++ {
+		payload, kind, err := store.Read(first + PageID(i))
+		if err != nil {
+			return nil, err
+		}
+		if kind != KindAux {
+			return nil, fmt.Errorf("%w: page %d is %v, expected aux", ErrCorrupt, first+PageID(i), kind)
+		}
+		buf = append(buf, payload...)
+	}
+	if len(buf) < want {
+		return nil, fmt.Errorf("%w: chunked region holds %d bytes, expected %d", ErrCorrupt, len(buf), want)
+	}
+	return buf[:want], nil
 }
 
 type page struct {
@@ -200,10 +257,15 @@ func (p *Pager) Usage() Usage {
 	defer p.mu.RUnlock()
 	u := Usage{Pages: make(map[PageKind]int), Bytes: make(map[PageKind]int)}
 	for _, pg := range p.pages {
-		u.Pages[pg.kind]++
-		u.Bytes[pg.kind] += len(pg.data)
-		u.TotalPages++
-		u.TotalBytes += len(pg.data)
+		u.add(pg.kind, len(pg.data))
 	}
 	return u
+}
+
+// add counts one in-use page of the given kind and payload length.
+func (u *Usage) add(kind PageKind, length int) {
+	u.Pages[kind]++
+	u.Bytes[kind] += length
+	u.TotalPages++
+	u.TotalBytes += length
 }

@@ -208,6 +208,41 @@ func ReadWALFile(path string) (*WALInfo, error) {
 	return DecodeWAL(data)
 }
 
+// committedWAL returns the committed transaction a page file of the given page
+// size must replay, or nil when there is nothing to replay: no log, a torn or
+// corrupt one (the commit never reached its atomicity point, so the file is
+// already consistent), or a log for a different page size, which cannot
+// belong to this file. Any other I/O error is returned.
+func committedWAL(walPath string, pageSize int) (*WALInfo, error) {
+	info, err := ReadWALFile(walPath)
+	switch {
+	case err == nil && info.PageSize == pageSize:
+		return info, nil
+	case err == nil, os.IsNotExist(err), errors.Is(err, ErrWALTorn), errors.Is(err, ErrCorrupt):
+		return nil, nil
+	default:
+		return nil, err
+	}
+}
+
+// walOverlay is the one replay of a committed write-ahead log into memory,
+// shared by every read-only open (OpenFilePagerReadOnly, OpenMmapStore): the
+// page images the log carries, keyed by page id, and the slot count the file
+// has once they are folded in. Reads consult the overlay first; neither the
+// file nor the log is touched. With nothing to replay (see committedWAL) the
+// overlay is nil and slotCount comes back unchanged.
+func walOverlay(walPath string, pageSize, slotCount int) (map[PageID]*overlayPage, int, error) {
+	info, err := committedWAL(walPath, pageSize)
+	if info == nil {
+		return nil, slotCount, err
+	}
+	overlay := make(map[PageID]*overlayPage, len(info.Records))
+	for _, r := range info.Records {
+		overlay[r.Page] = &overlayPage{kind: r.Kind, inUse: r.InUse, data: r.Payload}
+	}
+	return overlay, max(slotCount, info.SlotCount), nil
+}
+
 // writeWALFile writes a committed WAL for the given records and syncs it to
 // stable storage. The file is created fresh (truncating any stale log). The
 // whole log — header, every page record, and the commit record — is encoded

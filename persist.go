@@ -155,10 +155,11 @@ func TranscodeSnapshot(src, dst string, format SnapshotFormat) error {
 }
 
 // Load reads a snapshot previously written with SaveTo and returns a fully
-// in-memory tree. The clip table is restored as saved, not recomputed, so
-// queries against the loaded tree produce bit-identical results and I/O
-// counts to the original. Structural soundness can be checked on demand with
-// Validate.
+// in-memory tree: the lazy open Open performs, with every page brought in at
+// once and no binding to the pages kept. The clip table is restored as
+// saved, not recomputed, so queries against the loaded tree produce
+// bit-identical results and I/O counts to the original. Structural soundness
+// can be checked on demand with Validate.
 func Load(r io.Reader) (*Tree, error) {
 	snap, pager, err := snapshot.LoadFrom(r)
 	if err != nil {
@@ -204,7 +205,7 @@ func OpenReadOnly(path string) (*Tree, error) {
 }
 
 func openFile(path string, readonly bool) (*Tree, error) {
-	snap, fp, err := snapshot.OpenFile(path)
+	snap, fp, err := snapshot.OpenFile(path, false)
 	if err != nil {
 		return nil, err
 	}
@@ -401,9 +402,12 @@ func (t *Tree) ReadOnly() bool { return t.tree.ReadOnly() }
 // certainty check Err after a batch, or Validate/Materialize up front.
 func (t *Tree) Err() error { return t.tree.Err() }
 
-// Materialize faults every node of a file-backed tree into memory (a warm
-// start), verifying that all pages are readable. It is a no-op for
-// in-memory trees and must not run concurrently with queries.
+// Materialize brings every node of a file-backed tree into memory (a warm
+// start) and holds the file to the standard Load applies: every page
+// readable and holding the node its index entry names, every child present,
+// object count and height as the header says. It is a no-op for in-memory
+// trees. Like Validate it is a writer-side operation: queries may run beside
+// it, mutations may not.
 func (t *Tree) Materialize() error { return t.tree.Materialize() }
 
 // FileStats reports the physical page I/O of a tree opened with Open: pages

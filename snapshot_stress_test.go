@@ -393,7 +393,7 @@ func TestDeferredPagesReleasedOnClose(t *testing.T) {
 	}
 
 	// Audit the file: in-use slots == referenced slots, exactly once each.
-	snap, fp, err := snapshot.OpenFileReadOnly(path)
+	snap, fp, err := snapshot.OpenFile(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
