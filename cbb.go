@@ -417,10 +417,9 @@ func BatchSearch(t *Tree, queries []Rect, opts BatchOptions) (BatchResult, error
 type Neighbor = rtree.Neighbor
 
 // NearestNeighbors returns the k objects closest to the point p (by minimum
-// Euclidean distance to their rectangles), ordered by ascending distance.
-// Nearest-neighbour search is an extension beyond the paper's evaluation; it
-// traverses the plain R-tree best-first and works identically whether or not
-// clipping is enabled.
+// Euclidean distance to their rectangles), ordered by ascending distance and,
+// at equal distance, by object id. The answer is the same with and without
+// clipping; clip points raise distance bounds and so save node reads.
 func (t *Tree) NearestNeighbors(k int, p Point) []Neighbor {
 	return t.current().NearestNeighbors(k, p)
 }

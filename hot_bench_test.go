@@ -116,23 +116,38 @@ func BenchmarkSearchHot(b *testing.B) {
 	}
 }
 
-// BenchmarkKNN measures a 10-nearest-neighbour query per iteration over the
-// same uniform tree.
+// BenchmarkKNN measures one in-memory k-nearest-neighbour query per
+// iteration at the centres of BenchmarkSearchHot's query windows, on the
+// rea02 and axo03 stand-ins, with clipping enabled (CSTA) and disabled: the
+// clipped twin reads fewer nodes because a point facing a dead corner is
+// farther from a node's live space than from its MBB. Each row reports the
+// leaf and directory reads per query; the result slice is the one allocation.
 func BenchmarkKNN(b *testing.B) {
-	tree, _ := hotPathTree(b, 50000, 2, ClipNone)
-	rng := rand.New(rand.NewSource(7))
-	points := make([]Point, 256)
-	for i := range points {
-		points[i] = Pt(rng.Float64(), rng.Float64())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		total += len(tree.NearestNeighbors(10, points[i%len(points)]))
-	}
-	b.StopTimer()
-	if total == 0 {
-		b.Fatal("no neighbours found; benchmark is vacuous")
+	for _, dataset := range []string{"rea02", "axo03"} {
+		for _, cm := range []ClipMethod{ClipNone, ClipStairline} {
+			tree, queries := hotDatasetTree(b, dataset, 100000, cm)
+			points := make([]Point, len(queries))
+			for i, q := range queries {
+				points[i] = q.Center()
+			}
+			for _, k := range []int{1, 10, 100} {
+				b.Run(fmt.Sprintf("%s/clip=%s/k=%d", dataset, cm, k), func(b *testing.B) {
+					tree.ResetIOStats()
+					b.ReportAllocs()
+					b.ResetTimer()
+					total := 0
+					for i := 0; i < b.N; i++ {
+						total += len(tree.NearestNeighbors(k, points[i%len(points)]))
+					}
+					b.StopTimer()
+					if total != k*b.N {
+						b.Fatalf("%d neighbours over %d queries, want %d each", total, b.N, k)
+					}
+					io := tree.IOStats()
+					b.ReportMetric(float64(io.LeafReads)/float64(b.N), "leaf_reads/op")
+					b.ReportMetric(float64(io.DirReads)/float64(b.N), "dir_reads/op")
+				})
+			}
+		}
 	}
 }

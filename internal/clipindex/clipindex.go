@@ -219,6 +219,17 @@ func (s *Snap) SearchCounted(q geom.Rect, c *storage.Counter, visit func(rtree.O
 	s.v.SearchClippedCounted(q, &s.recs, c, visit)
 }
 
+// NearestNeighbors is rtree.NearestNeighbors over the snapshots — one tree,
+// or the shards of one index — with their clip records lifting its bounds.
+func NearestNeighbors(k int, p geom.Point, snaps ...*Snap) []rtree.Neighbor {
+	var buf [8]rtree.KNNSource // on the stack for up to eight shards
+	srcs := buf[:0]
+	for _, s := range snaps {
+		srcs = append(srcs, rtree.KNNSource{Version: s.v, Clips: &s.recs})
+	}
+	return rtree.NearestNeighbors(k, p, srcs...)
+}
+
 // ClipStats counts the snapshot's clip records: the nodes that have clip
 // points, the clip points in total, and the exact size the table serialises
 // to (as TableBytes; 0 for an empty table, which snapshots omit altogether).

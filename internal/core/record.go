@@ -132,3 +132,49 @@ func below(a, b float64) uint {
 	}
 	return 0
 }
+
+// MinDistSq returns a lower bound on Rect.MinDistSq(p) of every object of
+// the record's node, for p laid out in sel by Query as the rectangle [p, p]
+// and a box (dims lower, then dims upper extents) that contains the node's
+// MBB; without clip points it is the box's own MinDistSq, bit for bit. A clip
+// point c′ with p′ < c′ in every dimension has p inside (or facing) its dead
+// corner: every object, being a rectangle disjoint from the open corner
+// region, lies wholly in a slab x′_d ≥ c′_d of the box for some d, so the
+// smallest distance to the dims slabs bounds them all, and so does the
+// largest such over the clip points. Each slab distance is summed term by
+// term in dimension order exactly as Rect.MinDistSq sums the object's, every
+// term no greater (c′_d − p′_d is at most the object's gap in the slab's
+// dimension, the box's gap at most the object's in the others), so the bound
+// holds in floating point as computed, not merely in the reals — the closed
+// form MINDIST² + min_d((c′_d − p′_d)² − gap_d²) overshoots by an ulp.
+func (r Record) MinDistSq(dims int, sel *Sel, box []float64) float64 {
+	var gapSq, a [geom.MaxDims]float64
+	var bound float64
+	for d := 0; d < dims; d++ {
+		g := max(box[d]-sel[2*d], sel[2*d]-box[dims+d], 0)
+		gapSq[d] = g * g
+		bound += gapSq[d]
+	}
+points:
+	for ; len(r) > dims; r = r[dims+1:] {
+		m := math.Float64bits(r[0])
+		for d, c := range r[1 : dims+1] {
+			if a[d] = c - sel[2*d+int(m>>uint(d)&1)]; !(a[d] > 0) {
+				continue points
+			}
+		}
+		nearest := math.Inf(1)
+		for slab := 0; slab < dims; slab++ {
+			var s float64
+			for d, term := range gapSq[:dims] {
+				if d == slab {
+					term = a[d] * a[d]
+				}
+				s += term
+			}
+			nearest = min(nearest, s)
+		}
+		bound = max(bound, nearest)
+	}
+	return bound
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cbb/internal/core"
+	"cbb/internal/datasets"
 	"cbb/internal/rtree"
 )
 
@@ -230,9 +231,9 @@ func TestRunFig11AndTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 dataset × 2 variants × 3 profiles × 2 methods.
-	if len(res.Rows) != 12 {
-		t.Fatalf("expected 12 rows, got %d", len(res.Rows))
+	// 1 dataset × 2 variants × (3 range profiles + kNN10) × 2 methods.
+	if len(res.Rows) != 16 {
+		t.Fatalf("expected 16 rows, got %d", len(res.Rows))
 	}
 	for _, row := range res.Rows {
 		if row.Relative < 0 || row.Relative > 1.001 {
@@ -268,6 +269,37 @@ func TestRunFig11AndTable1(t *testing.T) {
 	}
 	if !strings.Contains(res.Table().String(), "QR1") {
 		t.Error("Figure 11 table should include profiles")
+	}
+}
+
+// The nearest-neighbour twin of Figure 11: no clipped 10-NN search ever
+// reads more leaves than the unclipped one, and on every data set the paper
+// evaluates stairline clip points save some. The saving is asserted per data
+// set over both variants: den03's query centres sit on ten objects of one
+// leaf, so its RR*-tree already reads the floor of one leaf per query.
+func TestFig11KNNRowsSaveLeafReads(t *testing.T) {
+	res, err := RunFig11(Config{Scale: 3000, Queries: 40, Seed: 7, SamplesPerNode: 64,
+		Variants: []rtree.Variant{rtree.Hilbert, rtree.RRStar}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unclipped, clipped := map[string]int64{}, map[string]int64{}
+	for _, row := range res.Rows {
+		if row.Profile != knnProfile {
+			continue
+		}
+		if row.ClippedLeafIO > row.UnclippedLeafIO || row.UnclippedLeafIO <= 0 {
+			t.Errorf("a clipped 10-NN search must never read more leaves: %+v", row)
+		}
+		if row.Method == core.MethodStairline.String() {
+			unclipped[row.Dataset] += row.UnclippedLeafIO
+			clipped[row.Dataset] += row.ClippedLeafIO
+		}
+	}
+	for _, name := range datasets.PaperNames() {
+		if clipped[name] >= unclipped[name] {
+			t.Errorf("%s: CSTA read %d leaves for %s, the unclipped trees %d", name, clipped[name], knnProfile, unclipped[name])
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cbb/internal/clipindex"
 	"cbb/internal/core"
 	"cbb/internal/geom"
 	"cbb/internal/metrics"
@@ -23,6 +24,11 @@ type Fig11Row struct {
 	Relative float64
 }
 
+// knnProfile names the rows that are not the paper's, and that Table I
+// leaves out: the figure's nearest-neighbour twin, k = 10 at the centre of
+// every range query of the three profiles.
+const knnProfile = "kNN10"
+
 // Fig11Result reproduces Figure 11 (range-query I/O) for both clipping
 // methods; the figure shows CSTA, and Table I aggregates both.
 type Fig11Result struct {
@@ -31,7 +37,7 @@ type Fig11Result struct {
 
 // RunFig11 builds every (dataset, variant) pair once, generates the three
 // query profiles, and measures leaf accesses of the unclipped tree and both
-// clipped variants on identical query batches.
+// clipped variants on identical query batches, range and nearest-neighbour.
 func RunFig11(cfg Config) (*Fig11Result, error) {
 	cfg = cfg.WithDefaults()
 	out := &Fig11Result{}
@@ -57,26 +63,35 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, p := range querygen.AllProfiles() {
-				qs := queries[p]
-				unclipped := metrics.QueryIO(tree.Counter(), qs, func(q geom.Rect) {
-					tree.Search(q, func(rtree.ObjectID, geom.Rect) bool { return true })
-				}).LeafReads
-				sky := metrics.QueryIO(tree.Counter(), qs, func(q geom.Rect) {
-					idxSky.Search(q, func(rtree.ObjectID, geom.Rect) bool { return true })
-				}).LeafReads
-				sta := metrics.QueryIO(tree.Counter(), qs, func(q geom.Rect) {
-					idxSta.Search(q, func(rtree.ObjectID, geom.Rect) bool { return true })
-				}).LeafReads
-				out.Rows = append(out.Rows,
-					Fig11Row{Dataset: name, Variant: v.String(), Profile: p.String(),
-						Method: core.MethodSkyline.String(), UnclippedLeafIO: unclipped,
-						ClippedLeafIO: sky, Relative: relative(sky, unclipped)},
-					Fig11Row{Dataset: name, Variant: v.String(), Profile: p.String(),
-						Method: core.MethodStairline.String(), UnclippedLeafIO: unclipped,
-						ClippedLeafIO: sta, Relative: relative(sta, unclipped)},
-				)
+			// The unclipped tree, then the clipped ones, skyline first.
+			visit := func(rtree.ObjectID, geom.Rect) bool { return true }
+			search := []func(geom.Rect){
+				func(q geom.Rect) { tree.Search(q, visit) },
+				func(q geom.Rect) { idxSky.Search(q, visit) },
+				func(q geom.Rect) { idxSta.Search(q, visit) },
 			}
+			nearest := []func(geom.Rect){
+				func(q geom.Rect) { tree.NearestNeighbors(10, q.Center()) },
+				func(q geom.Rect) { clipindex.NearestNeighbors(10, q.Center(), idxSky.Snap()) },
+				func(q geom.Rect) { clipindex.NearestNeighbors(10, q.Center(), idxSta.Snap()) },
+			}
+			rows := func(profile string, qs []geom.Rect, run []func(geom.Rect)) {
+				var leafIO [3]int64
+				for i, f := range run {
+					leafIO[i] = metrics.QueryIO(tree.Counter(), qs, f).LeafReads
+				}
+				for i, m := range []core.Method{core.MethodSkyline, core.MethodStairline} {
+					out.Rows = append(out.Rows, Fig11Row{Dataset: name, Variant: v.String(), Profile: profile,
+						Method: m.String(), UnclippedLeafIO: leafIO[0],
+						ClippedLeafIO: leafIO[i+1], Relative: relative(leafIO[i+1], leafIO[0])})
+				}
+			}
+			var all []geom.Rect
+			for _, p := range querygen.AllProfiles() {
+				all = append(all, queries[p]...)
+				rows(p.String(), queries[p], search)
+			}
+			rows(knnProfile, all, nearest)
 		}
 	}
 	return out, nil
@@ -129,6 +144,9 @@ func AggregateTable1(fig11 *Fig11Result) *Table1Result {
 		counts[k]++
 	}
 	for _, row := range fig11.Rows {
+		if row.Profile == knnProfile {
+			continue
+		}
 		reduction := 1 - row.Relative
 		add(row.Variant, row.Profile, row.Method, reduction)
 		add(row.Variant, "Total", row.Method, reduction)

@@ -2,7 +2,7 @@ package rtree
 
 import (
 	"math"
-	"sync"
+	"math/bits"
 
 	"cbb/internal/geom"
 )
@@ -15,262 +15,258 @@ type Neighbor struct {
 	DistSq float64
 }
 
-// knnScratch is the pooled working state of a nearest-neighbour query: the
-// best-first priority queue of 16-byte items over an append-only payload
-// arena, plus the ball-box window and survivor bitmask of the quantised
-// prefilter. Keeping the heap items two words wide (the payload never moves
-// once appended) makes every sift swap a register copy instead of a
-// bulk-memory one; pooling the buffers (plus the concrete-typed heap below,
-// which avoids the interface boxing of container/heap) keeps the per-query
-// allocations down to the returned result slice.
-type knnScratch struct {
-	pq   []knnItem
-	refs []knnRef
-	blo  [geom.MaxDims]float64
-	bhi  [geom.MaxDims]float64
-	qg   [2 * geom.MaxDims]uint16
-	// maskBuf/mask mirror searchScratch: inline buffer for fanouts up to 256
-	// entries, growable spill slice beyond.
-	maskBuf [4]uint64
-	mask    []uint64
+// KNNSource is one tree of a nearest-neighbour query: a version and the clip
+// records of the same commit (nil: every bound is a box's plain MINDIST).
+type KNNSource struct {
+	Version *Version
+	Clips   *ClipRecords
 }
 
-// maskFor returns the scratch's survivor-bitmask buffer sized for count
-// entries: the inline buffer when it fits, otherwise the growable backing
-// slice.
-func (sc *knnScratch) maskFor(count int) []uint64 {
-	words := (count + 63) >> 6
-	if words <= len(sc.maskBuf) {
-		return sc.maskBuf[:words]
+// knnEntry is what both heaps of a nearest-neighbour query hold: a node not
+// yet read, under the best lower bound known for the distance of anything in
+// it, or an object under its distance. Its box is slot slot of read[from].
+type knnEntry struct {
+	key        float64
+	id         int64 // NodeID or ObjectID
+	from, slot int32
+}
+
+// before is the order (key, id), reversed for a max-heap. On objects it is
+// the answer order, (DistSq, ObjectID).
+func (a *knnEntry) before(b *knnEntry, max bool) bool {
+	if max {
+		a, b = b, a
 	}
-	if cap(sc.mask) < words {
-		sc.mask = make([]uint64, words)
-	}
-	return sc.mask[:words]
+	return a.key < b.key || a.key == b.key && a.id < b.id
 }
 
-var knnScratchPool = sync.Pool{
-	New: func() interface{} {
-		return &knnScratch{pq: make([]knnItem, 0, 128), refs: make([]knnRef, 0, 128)}
-	},
+// knnRead is the box array of a node that was read (for a root, its MBB
+// alone) and the source it belongs to, kept so that an entry's box can be
+// found again: a node's when it is popped, an object's when it is returned.
+type knnRead struct {
+	boxes []float64
+	src   int
 }
 
-// NearestNeighbors returns the k objects whose rectangles are closest to the
-// query point (by minimum Euclidean distance; objects containing the point
-// have distance zero), ordered by ascending distance. It uses the classic
-// best-first traversal with a priority queue over node MinDist and therefore
-// visits only the nodes whose MinDist is below the current k-th best
-// distance. Node accesses are charged to the tree's counter like any search.
-//
-// Nearest-neighbour search is not part of the paper's evaluation; it is
-// provided because most downstream users of an R-tree library expect it, and
-// it exercises the same node layout and I/O accounting as range queries.
-// It runs against the last committed version; see Version.NearestNeighbors
-// for querying a pinned snapshot.
+// NearestNeighbors is Version.NearestNeighbors on the last committed version.
 func (t *Tree) NearestNeighbors(k int, p geom.Point) []Neighbor {
 	return t.cur.Load().NearestNeighbors(k, p)
 }
 
-// NearestNeighbors is the best-first k-nearest-neighbour search run against
-// one immutable version: the traversal, pop order, and I/O accounting are
-// identical to Tree.NearestNeighbors, but the result reflects exactly this
-// version's epoch regardless of concurrent writer activity.
+// NearestNeighbors is the package function over this one version, without
+// clip records: the answer is exactly this version's epoch's, regardless of
+// concurrent writer activity.
 func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
-	t := v.tree
-	if k <= 0 || v.root == InvalidNode || len(p) != t.cfg.Dims {
-		return nil
-	}
-	root := v.node(v.root)
-	if root == nil {
-		return nil
-	}
-	dims := t.cfg.Dims
-	sc := knnScratchPool.Get().(*knnScratch)
-	refs := sc.refs[:0]
-	// The root is alone in the queue and popped first, whatever its distance.
-	pq := knnPush(sc.pq[:0], knnItem{ref: int64(v.root) << 1})
+	return NearestNeighbors(k, p, KNNSource{Version: v})
+}
 
-	// At most min(k, size) results can exist; +1 slot absorbs the transient
-	// append inside insertNeighbor. Sizing by k alone would let a huge k
-	// (e.g. "all neighbours" spelled as MaxInt) attempt an absurd allocation.
-	capHint := k
-	if v.size < capHint {
-		capHint = v.size
+// NearestNeighbors returns the k objects of the sources (one tree, or the
+// shards of one index) whose rectangles are closest to p by minimum Euclidean
+// distance (zero for one containing p), ordered by ascending (DistSq,
+// ObjectID) — a function of the indexed items alone, whatever the shape of
+// the trees and however many there are. A non-finite point, one whose
+// dimensionality is not the sources', or k < 1 gets nil; the point is
+// validated here and nowhere else.
+//
+// The traversal is best-first over one frontier for all sources: a min-heap
+// of unread nodes, roots included, keyed by a lower bound of the distance to
+// anything below them. Objects never enter it. They go into a max-heap of
+// the k best seen so far, whose head — worst — is the pruning bound from the
+// first leaf on: an entry beyond it is not pushed, and a node's quantised
+// planes are scanned against the ball of that radius before any exact
+// distance is computed. A huge k costs O(log k) per candidate and never an
+// allocation sized by k.
+//
+// A bound starts as the MINDIST of the entry's box. When the entry is popped
+// and its node has clip points, core.Record.MinDistSq lifts it: a point
+// inside or facing a certified-dead corner is farther from what is live in
+// the node than from its box. That happens lazily — one record lookup per
+// node about to be read, none per entry pushed — and a node whose lifted
+// bound passes the frontier's head is queued again, one beyond worst is
+// skipped unread. Every bound is admissible and the search best-first, so
+// the answer is exact under any of them: without records the nodes read are
+// exactly those with MINDIST ≤ the k-th distance, and records only ever
+// remove reads. Node accesses are charged to each tree's counter.
+func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) []Neighbor {
+	dims := len(p)
+	if k <= 0 || dims > geom.MaxDims || !p.Valid() {
+		return nil
 	}
-	results := make([]Neighbor, 0, capHint+1)
-	for len(pq) > 0 {
-		var e knnItem
-		pq, e = knnPop(pq)
-		// worst is the current k-th best distance, the pruning bound; -1
-		// means the result set is not full yet, so nothing can be pruned.
-		worst := -1.0
-		if len(results) >= k {
-			worst = results[len(results)-1].DistSq
-		}
-		if worst >= 0 && e.distSq > worst {
-			break // nothing in the queue can improve the result set
-		}
-		if e.ref&1 == 0 {
-			n := v.node(NodeID(e.ref >> 1))
-			if n == nil {
-				continue
-			}
-			t.chargeReadNode(n, nil)
-			boxes := n.boxes
-			// Quantised prefilter: once the result set is full, every entry
-			// that can still matter (exact minDist d <= worst) intersects the
-			// Euclidean ball of radius r = sqrt(worst) around p, and hence its
-			// bounding box [p-r, p+r]. Grid-testing that box against the SoA
-			// planes (conservative, see quant.go) skips the per-dimension
-			// float64 distance arithmetic for entries whose grid verdict
-			// already proves d > worst; survivors recompute the exact distance
-			// and apply the identical d > worst check, so pushes — and with
-			// them heap order, visit order, I/O counts, and results — stay
-			// bit-identical. The box is padded outward by one ulp per rounding
-			// step (sqrt and each endpoint sum) so float rounding can never
-			// shrink it below the true ball.
-			var mask []uint64
-			if worst >= 0 && n.hasPlanes(dims) {
-				r := math.Nextafter(math.Sqrt(worst), math.Inf(1))
-				for dim := 0; dim < dims; dim++ {
-					sc.blo[dim] = math.Nextafter(p[dim]-r, math.Inf(-1))
-					sc.bhi[dim] = math.Nextafter(p[dim]+r, math.Inf(1))
-				}
-				quantiseQuery(n.qmbb, dims, &sc.blo, &sc.bhi, &sc.qg)
-				mask = sc.maskFor(n.count())
-				quantScan(n.qplanes, n.count(), dims, &sc.qg, mask)
-			}
-			off := 0
-			for i, ref := range n.refs {
-				if mask != nil && mask[i>>6]&(1<<uint(i&63)) == 0 {
-					off += 2 * dims
-					continue
-				}
-				var d float64
-				for dim := 0; dim < dims; dim++ {
-					switch v := p[dim]; {
-					case v < boxes[off+dim]:
-						dv := boxes[off+dim] - v
-						d += dv * dv
-					case v > boxes[off+dims+dim]:
-						dv := v - boxes[off+dims+dim]
-						d += dv * dv
-					}
-				}
-				off += 2 * dims
-				if worst >= 0 && d > worst {
-					continue
-				}
-				if n.leaf {
-					refs = append(refs, knnRef{object: ObjectID(ref), rect: n.rect(i, dims)})
-					pq = knnPush(pq, knnItem{distSq: d, ref: int64(len(refs)-1)<<1 | 1})
-				} else {
-					pq = knnPush(pq, knnItem{distSq: d, ref: ref << 1})
-				}
-			}
+	sc := searchScratchPool.Get().(*searchScratch)
+	front, best, read := sc.front[:0], sc.best[:0], sc.read[:0]
+	for i, s := range srcs {
+		v := s.Version
+		if v.root == InvalidNode || v.tree.cfg.Dims != dims {
 			continue
 		}
-		// An object entry surfaced: it is at least as close as everything
-		// still queued, so it is final.
-		r := &refs[e.ref>>1]
-		results = insertNeighbor(results, Neighbor{Object: r.object, Rect: r.rect, DistSq: e.distSq}, k)
+		root := v.node(v.root)
+		if root == nil {
+			continue
+		}
+		// A root's box is its own MBB, when it has one on record.
+		e, mbb := knnEntry{id: int64(v.root), from: int32(len(read))}, []float64(nil)
+		if len(root.qmbb) == 2*dims {
+			mbb, e.key = root.qmbb, minDistSq(p, root.qmbb, 0, dims)
+		}
+		read = append(read, knnRead{boxes: mbb, src: i})
+		front = heapPush(front, e, false)
 	}
-	// Drop rectangle references before pooling so the scratch does not pin
-	// entry rectangles of this tree until its next use.
-	for i := range refs {
-		refs[i] = knnRef{}
+	sc.sel.Query(geom.Rect{Lo: p, Hi: p})
+
+	// worst is the k-th best distance seen, +Inf until k objects were.
+	worst := math.Inf(1)
+	for len(front) > 0 && front[0].key <= worst {
+		e := front[0]
+		front = heapPop(front)
+		from := read[e.from]
+		v, clips := srcs[from.src].Version, srcs[from.src].Clips
+		if clips != nil && len(from.boxes) > 0 {
+			if rec := clips.Of(NodeID(e.id)); len(rec) > 0 {
+				e.key = max(e.key, rec.MinDistSq(dims, &sc.sel, from.boxes[int(e.slot)*2*dims:][:2*dims]))
+				if e.key > worst {
+					continue
+				}
+				if len(front) > 0 && e.key > front[0].key {
+					// Popped again, it lifts to the same bound and is read.
+					front = heapPush(front, e, false)
+					continue
+				}
+			}
+		}
+		n := v.node(NodeID(e.id))
+		if n == nil {
+			continue // an unreadable page on a file-backed tree, recorded in Err
+		}
+		v.tree.chargeReadNode(n, nil)
+		count := n.count()
+		mask := sc.mask.sized(count)
+		if worst <= math.MaxFloat64 && n.hasPlanes(dims) {
+			// Quantised prefilter: every entry that can still matter (exact
+			// distance d <= worst) intersects the ball of radius sqrt(worst)
+			// around p, hence its bounding box. Grid-testing that box against
+			// the SoA planes (conservative, see quant.go) spares the entries it
+			// rules out the exact distance; survivors get it and the identical
+			// test, so the filter changes nothing but time. The box is padded
+			// outward by one ulp per rounding step (sqrt and each endpoint sum)
+			// so float rounding can never shrink it below the true ball.
+			r := math.Nextafter(math.Sqrt(worst), math.Inf(1))
+			for d, x := range p {
+				sc.qlo[d] = math.Nextafter(x-r, math.Inf(-1))
+				sc.qhi[d] = math.Nextafter(x+r, math.Inf(1))
+			}
+			quantiseQuery(n.qmbb, dims, &sc.qlo, &sc.qhi, &sc.qg)
+			quantScan(n.qplanes, count, dims, &sc.qg, mask)
+		} else { // nothing to filter by yet, or with: every slot survives
+			for w := range mask {
+				mask[w] = ^uint64(0) >> max(0, (w+1)<<6-count)
+			}
+		}
+		here := int32(len(read))
+		read = append(read, knnRead{boxes: n.boxes, src: from.src})
+		for w, m := range mask {
+			for ; m != 0; m &= m - 1 {
+				i := w<<6 + bits.TrailingZeros64(m)
+				d := minDistSq(p, n.boxes, i*2*dims, dims)
+				switch o := (knnEntry{key: d, id: n.refs[i], from: here, slot: int32(i)}); {
+				case d > worst:
+				case !n.leaf:
+					// Below a lifted node nothing is nearer than its bound.
+					o.key = max(d, e.key)
+					front = heapPush(front, o, false)
+				case len(best) < k:
+					if best = heapPush(best, o, true); len(best) == k {
+						worst = best[0].key
+					}
+				case o.before(&best[0], false):
+					heapSift(best, o, true)
+					worst = best[0].key
+				}
+			}
+		}
 	}
-	sc.refs = refs[:0]
-	sc.pq = pq[:0]
-	knnScratchPool.Put(sc)
-	return results
+
+	// Heap-sort the candidates in place into answer order and copy them out.
+	var out []Neighbor
+	if len(best) > 0 {
+		out = make([]Neighbor, len(best))
+	}
+	for end := len(best) - 1; end > 0; end-- {
+		last := best[0]
+		heapSift(best[:end], best[end], true)
+		best[end] = last
+	}
+	for i, o := range best {
+		out[i] = Neighbor{Object: ObjectID(o.id), Rect: boxRect(read[o.from].boxes, int(o.slot), dims), DistSq: o.key}
+	}
+	// Drop the references into node storage: a pooled scratch pins nothing.
+	clear(read)
+	sc.front, sc.best, sc.read = front[:0], best[:0], read[:0]
+	searchScratchPool.Put(sc)
+	return out
 }
 
-// insertNeighbor inserts n into the sorted result list, keeping at most k
-// entries.
-func insertNeighbor(results []Neighbor, n Neighbor, k int) []Neighbor {
-	pos := len(results)
-	for pos > 0 && results[pos-1].DistSq > n.DistSq {
-		pos--
+// minDistSq is Rect.MinDistSq for the box at boxes[off] (dims lower, then
+// dims upper extents), bit for bit and without a branch: at most one of the
+// two gaps of a dimension is positive, a negative one is replaced by zero,
+// and adding a zero changes no sum.
+func minDistSq(p geom.Point, boxes []float64, off, dims int) float64 {
+	var s float64
+	box := boxes[off:][:2*dims]
+	for d, x := range p[:dims] {
+		g := positive(box[d]-x) + positive(x-box[dims+d])
+		s += g * g
 	}
-	results = append(results, Neighbor{})
-	copy(results[pos+1:], results[pos:])
-	results[pos] = n
-	if len(results) > k {
-		results = results[:k]
-	}
-	return results
+	return s
 }
 
-// knnItem is one priority-queue element: the distance key plus a tagged
-// reference — a node id shifted left one bit, or (tag bit set) an index into
-// the scratch's append-only knnRef arena for a surfaced object. Keeping the
-// item two words wide makes every heap sift swap a pair of register moves;
-// the earlier layout carried the object's geom.Rect inline and spent more
-// time bulk-copying 80-byte entries (runtime.duffcopy) than comparing them.
-type knnItem struct {
-	distSq float64
-	ref    int64
+// positive returns x, or +0 when its sign bit is set.
+func positive(x float64) float64 {
+	b := math.Float64bits(x)
+	return math.Float64frombits(b &^ uint64(int64(b)>>63))
 }
 
-// knnRef is the out-of-band payload of an object item. Arena entries are
-// append-only and never move, so the rectangle slices are written once and
-// only read back if the object surfaces into the result set.
-type knnRef struct {
-	object ObjectID
-	rect   geom.Rect
-}
-
-// knnLess orders queue items by ascending distance, surfacing objects
-// before nodes at equal distance so results finalise as early as possible
-// (the tag bit in ref is exactly the old isObject flag).
-func knnLess(q []knnItem, i, j int) bool {
-	if q[i].distSq != q[j].distSq {
-		return q[i].distSq < q[j].distSq
-	}
-	return q[i].ref&1 == 1 && q[j].ref&1 == 0
-}
-
-// knnPush and knnPop are container/heap's Push and Pop specialised to
-// []knnItem: the sift procedures mirror heap.up/heap.down exactly, so the
-// pop order — and with it visit order and I/O accounting — is bit-identical
-// to the previous container/heap implementation, without boxing every entry
-// in an interface value.
-func knnPush(q []knnItem, e knnItem) []knnItem {
-	q = append(q, e)
-	j := len(q) - 1
+// heapPush, heapPop and heapSift are container/heap specialised to
+// []knnEntry, so entries are not boxed in interface values. heapPop drops
+// the head of a min-heap, which the caller has read in place; heapSift
+// overwrites the head of a non-empty heap with e and sifts it down.
+func heapPush(h []knnEntry, e knnEntry, max bool) []knnEntry {
+	h = append(h, e)
+	j := len(h) - 1
 	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if !knnLess(q, j, i) {
+		if !e.before(&h[i], max) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		h[j] = h[i]
 		j = i
 	}
-	return q
+	h[j] = e
+	return h
 }
 
-func knnPop(q []knnItem) ([]knnItem, knnItem) {
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	// Sift the swapped element down within q[:n] (heap.down(0, n)).
+func heapPop(h []knnEntry) []knnEntry {
+	last := len(h) - 1
+	if last > 0 {
+		heapSift(h[:last], h[last], false)
+	}
+	return h[:last]
+}
+
+func heapSift(h []knnEntry, e knnEntry, max bool) {
 	i := 0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n {
+		j := 2*i + 1
+		if j >= len(h) {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && knnLess(q, j2, j1) {
-			j = j2
+		if j+1 < len(h) && h[j+1].before(&h[j], max) {
+			j++
 		}
-		if !knnLess(q, j, i) {
+		if !h[j].before(&e, max) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		h[i] = h[j]
 		i = j
 	}
-	e := q[n]
-	q[n] = knnItem{}
-	return q[:n], e
+	h[i] = e
 }

@@ -195,36 +195,43 @@ func (v *Version) SearchClippedCounted(q geom.Rect, clips *ClipRecords, c *stora
 	v.searchIter(q, clips, c, visit)
 }
 
-// searchScratch is the pooled per-search working state: the explicit DFS
-// stack, the query extents copied into fixed flat arrays so the hot loop
-// compares contiguous memory against contiguous memory, and the grid-domain
-// query window plus survivor bitmask of the quantised scan kernel.
+// searchScratch is the pooled per-query working state: a range search's
+// explicit DFS stack; a nearest-neighbour search's frontier (a min-heap of
+// unread nodes), candidates (a max-heap of the k best objects seen) and the
+// box arrays both point into; and for either the query extents (the ball
+// around the point) in fixed flat arrays, so the hot loop compares contiguous
+// memory with contiguous memory, plus the grid-domain query window and
+// survivor bitmask of the quantised scan kernel.
 type searchScratch struct {
-	stack []NodeID
-	qlo   [geom.MaxDims]float64
-	qhi   [geom.MaxDims]float64
-	qg    [2 * geom.MaxDims]uint16
-	sel   core.Sel // q laid out for the clip records' dominance test
-	// maskBuf serves nodes of up to 256 entries (every page-derived fanout)
-	// without a separate allocation, so a freshly constructed scratch costs
-	// exactly as many mallocs as before the filter layer existed; mask is the
-	// spill buffer for configurations with a larger fanout.
-	maskBuf [4]uint64
-	mask    []uint64
+	stack       []NodeID
+	front, best []knnEntry
+	read        []knnRead
+	qlo         [geom.MaxDims]float64
+	qhi         [geom.MaxDims]float64
+	qg          [2 * geom.MaxDims]uint16
+	sel         core.Sel // q laid out for the clip records' tests
+	mask        survivorMask
 }
 
-// maskFor returns the scratch's survivor-bitmask buffer sized for count
-// entries: the inline buffer when it fits, otherwise the growable backing
-// slice (amortised to zero by the pool in steady state).
-func (sc *searchScratch) maskFor(count int) []uint64 {
+// survivorMask is the buffer for quantScan's bitmask. The inline words serve
+// nodes of up to 256 entries (every page-derived fanout) without a separate
+// allocation; spill is for configurations with a larger fanout (amortised to
+// zero by the pool).
+type survivorMask struct {
+	inline [4]uint64
+	spill  []uint64
+}
+
+// sized returns the buffer sized for count entries.
+func (m *survivorMask) sized(count int) []uint64 {
 	words := (count + 63) >> 6
-	if words <= len(sc.maskBuf) {
-		return sc.maskBuf[:words]
+	if words <= len(m.inline) {
+		return m.inline[:words]
 	}
-	if cap(sc.mask) < words {
-		sc.mask = make([]uint64, words)
+	if cap(m.spill) < words {
+		m.spill = make([]uint64, words)
 	}
-	return sc.mask[:words]
+	return m.spill[:words]
 }
 
 var searchScratchPool = sync.Pool{
@@ -290,7 +297,7 @@ func (v *Version) searchIter(q geom.Rect, clips *ClipRecords, c *storage.Counter
 		}
 		count := n.count()
 		quantiseQuery(n.qmbb, dims, &sc.qlo, &sc.qhi, &sc.qg)
-		mask := sc.maskFor(count)
+		mask := sc.mask.sized(count)
 		quantScan(n.qplanes, count, dims, &sc.qg, mask)
 		boxes := n.boxes
 		if n.leaf {

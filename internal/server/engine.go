@@ -48,6 +48,7 @@ type Engine interface {
 type ReadView interface {
 	cbb.Reader
 	Epochs() []uint64
+	Bounds() cbb.Rect
 	Search(q cbb.Rect, visit func(cbb.ObjectID, cbb.Rect) bool)
 	Count(q cbb.Rect) int
 	NearestNeighbors(k int, p cbb.Point) []cbb.Neighbor

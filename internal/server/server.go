@@ -527,6 +527,11 @@ func (s *Server) handleKNN(r *http.Request) (any, error) {
 	view := s.eng.Snapshot()
 	defer view.Close()
 	neighbors := view.NearestNeighbors(req.K, req.Point)
+	// No neighbour in an index that holds objects means the point has no
+	// answer (the search validates it), which is not an empty answer.
+	if len(neighbors) == 0 && !view.Bounds().IsZero() {
+		return nil, badRequest("point has %d dimensions, the index %d", len(req.Point), view.Bounds().Dims())
+	}
 	resp := KNNResponse{Epochs: view.Epochs(), Neighbors: make([]NeighborJSON, len(neighbors))}
 	for i, n := range neighbors {
 		resp.Neighbors[i] = NeighborJSON{ID: int64(n.Object), Rect: FromRect(n.Rect), DistSq: n.DistSq}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -146,9 +147,24 @@ func TestEndpointsEndToEnd(t *testing.T) {
 			if len(kr.Neighbors) != 5 {
 				t.Errorf("/knn neighbors = %d, want 5", len(kr.Neighbors))
 			}
+			// k far beyond the index ("all of them" spelled as MaxInt) returns
+			// every object, ordered by (distance, id), at a cost sized by the
+			// index; a point of the wrong dimensionality is an error, not an
+			// empty answer.
+			if code := post(t, s, "/knn", KNNRequest{Point: []float64{50, 50}, K: math.MaxInt}, &kr); code != 200 {
+				t.Fatalf("/knn k=MaxInt code = %d", code)
+			}
+			if len(kr.Neighbors) != eng.Len() {
+				t.Errorf("/knn k=MaxInt neighbors = %d, want all %d", len(kr.Neighbors), eng.Len())
+			}
 			for i := 1; i < len(kr.Neighbors); i++ {
-				if kr.Neighbors[i].DistSq < kr.Neighbors[i-1].DistSq {
-					t.Errorf("/knn distances not ascending")
+				if a, b := kr.Neighbors[i-1], kr.Neighbors[i]; b.DistSq < a.DistSq || b.DistSq == a.DistSq && b.ID <= a.ID {
+					t.Fatalf("/knn rank %d: %+v after %+v, want ascending (distsq, id)", i, b, a)
+				}
+			}
+			for _, point := range [][]float64{{50}, {50, 50, 50}} {
+				if code := post(t, s, "/knn", KNNRequest{Point: point, K: 5}, nil); code != http.StatusBadRequest {
+					t.Errorf("/knn with a %d-d point on a 2-d index: code = %d, want 400", len(point), code)
 				}
 			}
 
@@ -240,6 +256,9 @@ func TestBadRequests(t *testing.T) {
 		{"/search", `{"bogus":1}`, http.StatusBadRequest},
 		{"/searchall", `{"queries":[]}`, http.StatusBadRequest},
 		{"/knn", `{"point":[1,2],"k":0}`, http.StatusBadRequest},
+		{"/knn", `{"point":[],"k":1}`, http.StatusBadRequest},
+		{"/knn", `{"point":[1,2,3],"k":1}`, http.StatusBadRequest},
+		{"/knn", `{"point":[1e999,2],"k":1}`, http.StatusBadRequest},
 		{"/insert", `{"id":1,"rect":{"lo":[5,5],"hi":[1,1]}}`, http.StatusBadRequest},
 		{"/batch", `{"ops":[{"op":"upsert","id":1,"rect":{"lo":[1,1],"hi":[2,2]}}]}`, http.StatusBadRequest},
 		{"/join", `{"probes":[]}`, http.StatusBadRequest},

@@ -320,3 +320,53 @@ func BenchmarkStairline3D(b *testing.B) {
 		Stairline(pts, geom.Corner(i%8))
 	}
 }
+
+// Oriented returns the skyline of pts with respect to corner orientation b:
+// the subset of points not dominated by any other point (Definition 5), one
+// representative per group of equal points, in the order Scratch.Candidates
+// documents. The result is freshly allocated; pts is not modified.
+func Oriented(pts []geom.Point, b geom.Corner) []geom.Point {
+	return candidates(pts, b, false)
+}
+
+// Stairline returns the oriented skyline of pts w.r.t. b followed by all
+// valid splice points generated from pairs of skyline points (Definition 7),
+// in the order Scratch.Candidates documents. A splice point s = splice(p, q,
+// ~b) is valid when no skyline point strictly dominates it w.r.t. b — i.e.
+// when clipping with s would not clip away any child. Skyline points that are
+// themselves dominated by a generated splice point are redundant for clipping
+// purposes but are still returned; the CBB scoring stage in internal/core
+// decides which candidates to keep. It is Scratch.Candidates without a floor:
+// every valid splice is kept, and compared with all those before it.
+func Stairline(pts []geom.Point, b geom.Corner) []geom.Point {
+	return candidates(pts, b, true)
+}
+
+// candidates adapts Scratch.Candidates to geom.Point in and out: reflect,
+// run with a floor nothing falls under, reflect back.
+func candidates(pts []geom.Point, b geom.Corner, splice bool) []geom.Point {
+	if len(pts) == 0 {
+		return nil
+	}
+	dims := pts[0].Dims()
+	flat := make([]float64, len(pts)*dims)
+	origin := make([]float64, dims)
+	for i, p := range pts {
+		r := flat[i*dims:][:dims]
+		Reflect(r, p, b)
+		for d, v := range r {
+			if i == 0 || v < origin[d] {
+				origin[d] = v
+			}
+		}
+	}
+	var s Scratch
+	coords, _ := s.Candidates(flat, dims, origin, math.Inf(-1), splice)
+	out := make([]geom.Point, len(coords)/dims)
+	for i := range out {
+		p := coords[i*dims : (i+1)*dims : (i+1)*dims]
+		Reflect(p, p, b)
+		out[i] = p
+	}
+	return out
+}

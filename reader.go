@@ -1,8 +1,6 @@
 package cbb
 
 import (
-	"sort"
-
 	"cbb/internal/clipindex"
 	"cbb/internal/parallel"
 	"cbb/internal/storage"
@@ -94,21 +92,18 @@ func (r reader) Search(q Rect, visit func(ObjectID, Rect) bool) {
 // searchCounted is Search with node accesses charged to an explicit counter
 // (the index's own when c is nil).
 func (r reader) searchCounted(q Rect, c *storage.Counter, visit func(ObjectID, Rect) bool) {
-	if len(r) == 1 {
-		r[0].SearchCounted(q, c, visit) // nothing to stop between
-		return
-	}
 	cont := true
 	stoppable := func(id ObjectID, rect Rect) bool {
 		cont = visit(id, rect)
 		return cont
 	}
-	for _, s := range r {
-		if !cont {
+	last := len(r) - 1
+	for _, s := range r[:last] {
+		if s.SearchCounted(q, c, stoppable); !cont {
 			return
 		}
-		s.SearchCounted(q, c, stoppable)
 	}
+	r[last].SearchCounted(q, c, visit) // nothing to stop after the last one
 }
 
 // SearchAll returns every object intersecting q as a slice of items.
@@ -129,47 +124,15 @@ func (r reader) Count(q Rect) int {
 }
 
 // NearestNeighbors returns the k objects closest to the point p (by minimum
-// Euclidean distance to their rectangles), ordered by ascending distance.
-// Nearest-neighbour search is an extension beyond the paper's evaluation; it
-// traverses the plain R-tree best-first and ignores clip points. Across
-// shards, shards are visited in order of their bounds' distance to p and
-// pruned once k results closer than the next shard's bounds are known, and
-// ties are broken by object id.
+// Euclidean distance to their rectangles), ordered by ascending distance and,
+// at equal distance, by object id — the same answer however the index was
+// built and however many shards it has. The search is best-first over one
+// frontier for all shards, and clip points raise a node's distance bound (a
+// point facing a certified-dead corner is farther from what is live in the
+// node than from its MBB), so clipping saves node reads here as in Search.
+// k < 1, a non-finite point, or one of another dimensionality gets nil.
 func (r reader) NearestNeighbors(k int, p Point) []Neighbor {
-	if len(r) == 1 {
-		return r[0].Version().NearestNeighbors(k, p) // nothing to merge
-	}
-	if k <= 0 || len(p) != r[0].Version().Dims() {
-		return nil
-	}
-	type src struct {
-		s *clipindex.Snap
-		d float64
-	}
-	srcs := make([]src, 0, len(r))
-	for _, s := range r {
-		if v := s.Version(); v.Len() > 0 {
-			srcs = append(srcs, src{s: s, d: v.Bounds().MinDistSq(p)})
-		}
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i].d < srcs[j].d })
-	var best []Neighbor
-	for _, s := range srcs {
-		if len(best) >= k && s.d > best[len(best)-1].DistSq {
-			break
-		}
-		best = append(best, s.s.Version().NearestNeighbors(k, p)...)
-		sort.Slice(best, func(i, j int) bool {
-			if best[i].DistSq != best[j].DistSq {
-				return best[i].DistSq < best[j].DistSq
-			}
-			return best[i].Object < best[j].Object
-		})
-		if len(best) > k {
-			best = best[:k]
-		}
-	}
-	return best
+	return clipindex.NearestNeighbors(k, p, r...)
 }
 
 // counted is a reader as the parallel executor's Searcher, which is how

@@ -628,9 +628,8 @@ func (st *ShardedTree) SearchAll(q Rect) []Item { return st.current().SearchAll(
 func (st *ShardedTree) Count(q Rect) int { return st.current().Count(q) }
 
 // NearestNeighbors returns the k objects closest to p across all shards,
-// ordered by ascending distance (ties broken by object id). Shards are
-// visited in order of their bounds' distance to p and pruned once k results
-// closer than the next shard's bounds are known.
+// ordered by ascending distance (ties broken by object id): one best-first
+// search whose frontier starts with every shard's root.
 func (st *ShardedTree) NearestNeighbors(k int, p Point) []Neighbor {
 	return st.current().NearestNeighbors(k, p)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -52,15 +53,6 @@ func sortItems(items []Item) {
 	sort.Slice(items, func(i, j int) bool { return items[i].Object < items[j].Object })
 }
 
-func sortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].DistSq != ns[j].DistSq {
-			return ns[i].DistSq < ns[j].DistSq
-		}
-		return ns[i].Object < ns[j].Object
-	})
-}
-
 func sortPairs(ps []JoinPair) {
 	sort.Slice(ps, func(i, j int) bool {
 		if ps[i].Left != ps[j].Left {
@@ -97,23 +89,14 @@ func assertShardedMatches(t *testing.T, ref *Tree, st *ShardedTree, queries []Re
 			t.Fatalf("query %d: Count mismatch", i)
 		}
 	}
-	// KNN at a few pivots (ties sorted on both sides).
+	// KNN at a few pivots: the answer does not depend on the shard count.
 	for trial := 0; trial < 5; trial++ {
 		p := make(Point, dims)
 		for d := range p {
 			p[d] = float64(trial) * 200
 		}
-		want := ref.NearestNeighbors(10, p)
-		got := st.NearestNeighbors(10, p)
-		sortNeighbors(want)
-		sortNeighbors(got)
-		if len(want) != len(got) {
-			t.Fatalf("KNN at %v: sharded %d results, single %d", p, len(got), len(want))
-		}
-		for k := range want {
-			if want[k].Object != got[k].Object || want[k].DistSq != got[k].DistSq {
-				t.Fatalf("KNN at %v rank %d: sharded %+v, single %+v", p, k, got[k], want[k])
-			}
+		if want, got := ref.NearestNeighbors(10, p), st.NearestNeighbors(10, p); !reflect.DeepEqual(want, got) {
+			t.Fatalf("KNN at %v: sharded %+v, single %+v", p, got, want)
 		}
 	}
 }
