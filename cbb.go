@@ -168,7 +168,9 @@ type Options struct {
 	// Dims is the dimensionality of indexed rectangles (required; 2 or 3 are
 	// the extensively tested paths).
 	Dims int
-	// Variant selects the R-tree variant (default RRStarTree).
+	// Variant selects the R-tree variant; the zero value is QRTree (Guttman's
+	// quadratic split). It decides how inserts choose subtrees and split;
+	// BulkLoad packs every variant but HRTree the same way.
 	Variant Variant
 	// Clipping selects the clip-point method (default ClipStairline).
 	Clipping ClipMethod

@@ -14,6 +14,9 @@ func TestOptionsDefaults(t *testing.T) {
 	if opts.MaxEntries <= 0 || opts.MinEntries <= 0 || opts.MaxClipPoints != 8 || opts.ClipThreshold != 0.025 {
 		t.Fatalf("defaults wrong: %+v", opts)
 	}
+	if opts.Variant != QRTree {
+		t.Errorf("zero-value Variant is %v, documented (and every Options{Dims: …} tree built) as QRTree", opts.Variant)
+	}
 	if _, err := (Options{}).withDefaults(); err == nil {
 		t.Error("missing Dims must be rejected")
 	}

@@ -9,17 +9,23 @@
 // clipped dead space. An unclipped input is simply a Snap with no clip
 // points.
 //
-// Both strategies fan out over a pool of goroutines: INLJ partitions the
-// probe set; STT partitions the side pairs when there are several (sharded
-// inputs) and the admissible pairs of root children when there is one. Every
-// worker charges private storage.Counters, so the reported I/O is exact and —
-// like the pair count — identical for every worker count.
+// Every node pair of the STT goes through one kernel, restrict then compare
+// (the first CPU technique of Brinkhoff, Kriegel and Seeger, SIGMOD '93):
+// each node's slots are cut down to those that may intersect the other
+// node's MBB, on its quantised planes (rtree.NodeInfo.Restrict, the range
+// search's scan kernel), and the exact tests run over survivor × survivor
+// only, in ascending slot order. A slot the restriction drops intersects
+// nothing in the other node, so admitted pairs, recursion order, emitted pair
+// order and node reads are those of the nested loop over all slots of both.
+//
+// Both strategies fan out over a pool of goroutines whose workers charge
+// private storage.Counters, so the reported I/O is exact and — like the pair
+// count — identical for every worker count.
 package join
 
 import (
 	"errors"
-	"runtime"
-	"slices"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -125,22 +131,20 @@ type SidePair struct {
 // those whose bounds intersect are partitioned over the workers and each
 // traversal runs sequentially; with one pair the roots are read once and the
 // admissible pairs of root children are partitioned (a root that is a leaf
-// falls back to the sequential traversal). Pair counts and total I/O are identical to
-// the sequential join either way, and every traversal folds its I/O into its
-// own trees' counters (counted once when both sides share one). When visit
-// is non-nil it is serialised by a mutex but the pair order is unspecified
-// for workers > 1.
+// is joined sequentially). Pair counts and total I/O are identical to the
+// sequential join either way, and every traversal folds its I/O into its own
+// trees' counters (counted once when both sides share one). When visit is
+// non-nil it is serialised by a mutex but the pair order is unspecified for
+// workers > 1. A node that cannot be read ends the join with that error.
 func STT(pairs []SidePair, workers int, visit func(Pair)) (Result, error) {
 	for _, p := range pairs {
 		if p.Left.Version().Dims() != p.Right.Version().Dims() {
 			return Result{}, errors.New("join: dimensionality mismatch")
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = parallel.EffectiveWorkers(workers, math.MaxInt) // <= 0: GOMAXPROCS
 	if len(pairs) == 1 {
-		return sttPair(pairs[0], workers, visit), nil
+		return sttPair(pairs[0], workers, visit)
 	}
 	// Several pairs are the cross product of sharded inputs: like the shard
 	// directory's routing of a range query, a pair whose trees' bounds are
@@ -155,9 +159,10 @@ func STT(pairs []SidePair, workers int, visit func(Pair)) (Result, error) {
 	workers = parallel.EffectiveWorkers(workers, len(live))
 	emit := serializedVisit(visit, workers)
 	results := make([]Result, len(live))
+	errs := make([]error, len(live))
 	parallel.ForEachChunk(len(live), workers, func(_, start, end int, _ *storage.Counter) {
 		for i := start; i < end; i++ {
-			results[i] = sttPair(live[i], 1, emit)
+			results[i], errs[i] = sttPair(live[i], 1, emit)
 		}
 	})
 	var res Result
@@ -165,97 +170,60 @@ func STT(pairs []SidePair, workers int, visit func(Pair)) (Result, error) {
 		res.Pairs += r.Pairs
 		res.IO = res.IO.Add(r.IO)
 	}
-	return res, nil
+	return res, errors.Join(errs...)
 }
 
 // sttPair joins one pair of snapshots on up to workers goroutines.
-func sttPair(p SidePair, workers int, visit func(Pair)) Result {
+func sttPair(p SidePair, workers int, visit func(Pair)) (Result, error) {
 	lv, rv := p.Left.Version(), p.Right.Version()
 	if lv.RootID() == rtree.InvalidNode || rv.RootID() == rtree.InvalidNode {
-		return Result{}
+		return Result{}, nil
 	}
 	lctr, rctr := lv.Tree().Counter(), rv.Tree().Counter()
-	shared := lctr == rctr
-	// newJoiner builds a traversal state charging private counters; leftCtr
-	// may be supplied (the per-worker counter of ForEachChunk) or nil for a
-	// fresh one. With a shared tree counter one private counter receives
-	// both sides so the I/O is counted once, as in the sequential join.
-	newJoiner := func(emit func(Pair), leftCtr *storage.Counter) *sttJoiner {
-		if leftCtr == nil {
-			leftCtr = &storage.Counter{}
-		}
-		j := &sttJoiner{SidePair: p, visit: emit, leftCtr: leftCtr, rightCtr: leftCtr}
-		if !shared {
-			j.rightCtr = &storage.Counter{}
+	newJoiner := func(emit func(Pair)) *sttJoiner {
+		j := &sttJoiner{snap: [2]*clipindex.Snap{p.Left, p.Right}, visit: emit}
+		j.ctr = [2]*storage.Counter{&j.io[left], &j.io[right]}
+		if lctr == rctr {
+			// One counter receives both sides, so a tree counter the inputs
+			// share is charged once; io[right] stays zero.
+			j.ctr[right] = j.ctr[left]
 		}
 		return j
 	}
-	// finalize folds the joiners' private counters back into the trees'
-	// counters and sums the joint I/O (counted once when shared).
-	finalize := func(joiners ...*sttJoiner) Result {
-		var res Result
-		var leftIO, rightIO storage.Snapshot
-		for _, j := range joiners {
-			res.Pairs += j.pairs
-			leftIO = leftIO.Add(j.leftCtr.Snapshot())
-			if !shared {
-				rightIO = rightIO.Add(j.rightCtr.Snapshot())
-			}
-		}
-		lctr.Add(leftIO)
-		if !shared {
-			rctr.Add(rightIO)
-		}
-		res.IO = leftIO.Add(rightIO)
-		return res
-	}
-
-	linfo, lerr := lv.Node(lv.RootID())
-	rinfo, rerr := rv.Node(rv.RootID())
-	if workers <= 1 || lerr != nil || rerr != nil || linfo.Leaf || rinfo.Leaf {
-		j := newJoiner(visit, nil)
-		j.joinNodes(lv.RootID(), rv.RootID())
-		return finalize(j)
-	}
-
-	// The sequential traversal reads both roots, then recurses into every
-	// admissible pair of root children; partition exactly those pairs.
-	root := newJoiner(nil, nil)
-	charge(p.Left, linfo, root.leftCtr)
-	charge(p.Right, rinfo, root.rightCtr)
-	type task struct{ l, r rtree.NodeID }
-	var tasks []task
-	for i := 0; i < linfo.Len(); i++ {
-		for k := 0; k < rinfo.Len(); k++ {
-			if root.admissible(linfo.Child(i), linfo.Rect(i), rinfo.Child(k), rinfo.Rect(k)) {
-				tasks = append(tasks, task{linfo.Child(i), rinfo.Child(k)})
-			}
-		}
-	}
-	workers = parallel.EffectiveWorkers(workers, len(tasks))
-	if len(tasks) == 0 {
-		return finalize(root)
-	}
-
+	// The traversal reads both roots, then recurses into every admissible
+	// pair of root children; with several workers the root joiner collects
+	// exactly those pairs instead (none if a root is a leaf: it has joined
+	// them itself) and they are partitioned.
+	root := newJoiner(visit)
+	root.collect = workers > 1
+	root.joinNodes(lv.RootID(), rv.RootID())
+	workers = parallel.EffectiveWorkers(workers, len(root.tasks))
 	emit := serializedVisit(visit, workers)
-	joiners := make([]*sttJoiner, workers)
-	parallel.ForEachChunk(len(tasks), workers, func(w, start, end int, c *storage.Counter) {
-		j := joiners[w]
-		if j == nil {
-			j = newJoiner(emit, c)
-			joiners[w] = j
+	joiners := make([]*sttJoiner, workers, workers+1)
+	parallel.ForEachChunk(len(root.tasks), workers, func(w, start, end int, _ *storage.Counter) {
+		if joiners[w] == nil {
+			joiners[w] = newJoiner(emit)
 		}
-		for i := start; i < end; i++ {
-			j.joinNodes(tasks[i].l, tasks[i].r)
+		for _, t := range root.tasks[start:end] {
+			joiners[w].joinNodes(t[0], t[1])
 		}
 	})
-	live := []*sttJoiner{root}
-	for _, j := range joiners {
-		if j != nil {
-			live = append(live, j)
+	// Fold the private counters back into the trees' counters.
+	var res Result
+	var err error
+	var leftIO, rightIO storage.Snapshot
+	for _, j := range append(joiners, root) {
+		if j == nil {
+			continue
 		}
+		res.Pairs += j.pairs
+		err = errors.Join(err, j.err)
+		leftIO, rightIO = leftIO.Add(j.io[left].Snapshot()), rightIO.Add(j.io[right].Snapshot())
 	}
-	return finalize(live...)
+	lctr.Add(leftIO)
+	rctr.Add(rightIO)
+	res.IO = leftIO.Add(rightIO)
+	return res, err
 }
 
 // serializedVisit wraps a join callback in a mutex when more than one worker
@@ -273,32 +241,36 @@ func serializedVisit(visit func(Pair), workers int) func(Pair) {
 	}
 }
 
+// The two inputs of a traversal, as indices into its per-side state.
+const left, right = 0, 1
+
+// sttJoiner is the state of one sequential traversal.
 type sttJoiner struct {
-	// Left and Right are the two inputs, each one epoch-consistent snapshot;
-	// clip points are read through Snap.Record, the flat store.
-	SidePair
-	// leftCtr and rightCtr receive the node accesses of the respective tree;
-	// they point at the same counter when the trees share one.
-	leftCtr, rightCtr *storage.Counter
-	visit             func(Pair)
-	pairs             int64
-	rects             []geom.Rect // joinLeaves scratch
-	sel               core.Sel    // dead scratch: the probe laid out for Record.Dead
+	snap [2]*clipindex.Snap // the inputs, each one epoch-consistent snapshot
+	// io are the private counters node accesses are charged to; ctr points
+	// each side at its own, or both at io[left] when the trees share theirs.
+	io    [2]storage.Counter
+	ctr   [2]*storage.Counter
+	visit func(Pair)
+	pairs int64
+	err   error    // the first node-read failure; it ends the traversal
+	sel   core.Sel // dead scratch: the probe laid out for Record.Dead
+	mask  []uint64 // Restrict's scratch bitmask
+	// idx is a stack of survivor lists, one frame per node pair on the
+	// recursion path (a frame stays valid when a deeper one grows the
+	// array); hits is one left slot's partners in joinLeaves.
+	idx, hits []int
+	// collect: list the admissible child pairs in tasks, do not descend.
+	collect bool
+	tasks   [][2]rtree.NodeID
 }
 
-// admissible applies the clipped intersection test in both directions for a
-// candidate pair of node MBBs: the pair survives only if neither side's
-// clipped bounding box certifies the other's MBB as dead space.
-func (j *sttJoiner) admissible(leftID rtree.NodeID, leftMBB geom.Rect, rightID rtree.NodeID, rightMBB geom.Rect) bool {
-	return leftMBB.Intersects(rightMBB) && !j.dead(j.Left, leftID, rightMBB) && !j.dead(j.Right, rightID, leftMBB)
-}
-
-// dead is the dominance half of Algorithm 2 on the node's flat clip record:
-// it reports whether the node's clip points certify its whole overlap with
-// probe — which the caller has found to intersect the node's MBB — as dead
-// space.
-func (j *sttJoiner) dead(s *clipindex.Snap, id rtree.NodeID, probe geom.Rect) bool {
-	rec := s.Record(id)
+// dead is the dominance half of Algorithm 2 on the flat clip record of a
+// side's node: it reports whether the node's clip points certify its whole
+// overlap with probe — which the caller has found to intersect the node's
+// MBB — as dead space.
+func (j *sttJoiner) dead(side int, id rtree.NodeID, probe geom.Rect) bool {
+	rec := j.snap[side].Record(id)
 	if len(rec) == 0 {
 		return false
 	}
@@ -306,113 +278,110 @@ func (j *sttJoiner) dead(s *clipindex.Snap, id rtree.NodeID, probe geom.Rect) bo
 	return rec.Dead(probe.Dims(), &j.sel)
 }
 
-func (j *sttJoiner) joinNodes(leftID, rightID rtree.NodeID) {
-	linfo, err := j.Left.Version().Node(leftID)
-	if err != nil {
-		return
-	}
-	rinfo, err := j.Right.Version().Node(rightID)
-	if err != nil {
-		return
-	}
-	charge(j.Left, linfo, j.leftCtr)
-	charge(j.Right, rinfo, j.rightCtr)
+// admissible applies the clipped intersection test in both directions for a
+// candidate pair of node MBBs: the pair survives only if neither side's
+// clipped bounding box certifies the other's MBB as dead space.
+func (j *sttJoiner) admissible(leftID rtree.NodeID, leftMBB geom.Rect, rightID rtree.NodeID, rightMBB geom.Rect) bool {
+	return leftMBB.Intersects(rightMBB) && !j.dead(left, leftID, rightMBB) && !j.dead(right, rightID, leftMBB)
+}
 
+// read loads one node of a side and charges the access to the side's counter
+// (and buffer pool); false once a read of this traversal has failed.
+func (j *sttJoiner) read(side int, id rtree.NodeID) (info rtree.NodeInfo, ok bool) {
+	if j.err != nil {
+		return info, false
+	}
+	v := j.snap[side].Version()
+	if info, j.err = v.Node(id); j.err != nil {
+		return info, false
+	}
+	v.Tree().ChargeNodeRead(&info, j.ctr[side])
+	return info, true
+}
+
+// restrict pushes the slots of n that may intersect q as a new frame of idx;
+// the caller pops what it pushed by truncating idx to its length on entry.
+func (j *sttJoiner) restrict(n *rtree.NodeInfo, q geom.Rect) []int {
+	mark := len(j.idx)
+	j.idx = n.Restrict(q, &j.mask, j.idx)
+	return j.idx[mark:]
+}
+
+func (j *sttJoiner) joinNodes(leftID, rightID rtree.NodeID) {
+	l, lok := j.read(left, leftID)
+	r, rok := j.read(right, rightID)
+	if !lok || !rok {
+		return
+	}
+	mark := len(j.idx)
 	switch {
-	case linfo.Leaf && rinfo.Leaf:
-		j.joinLeaves(linfo, rinfo)
-	case linfo.Leaf:
+	case l.Leaf && r.Leaf:
+		j.joinLeaves(&l, &r)
+	case l.Leaf:
 		// Descend only the right tree.
-		for k := 0; k < rinfo.Len(); k++ {
-			if j.admissible(linfo.ID, linfo.MBB, rinfo.Child(k), rinfo.Rect(k)) {
-				j.joinLeafWithNode(linfo, j.Right, j.rightCtr, rinfo.Child(k))
+		for _, k := range j.restrict(&r, l.MBB) {
+			if rc := r.Child(k); j.admissible(l.ID, l.MBB, rc, r.Rect(k)) {
+				j.joinLeafWithNode(&l, right, rc)
 			}
 		}
-	case rinfo.Leaf:
-		for i := 0; i < linfo.Len(); i++ {
-			if j.admissible(linfo.Child(i), linfo.Rect(i), rinfo.ID, rinfo.MBB) {
-				j.joinNodeWithLeaf(j.Left, j.leftCtr, linfo.Child(i), rinfo)
+	case r.Leaf:
+		for _, i := range j.restrict(&l, r.MBB) {
+			if lc := l.Child(i); j.admissible(lc, l.Rect(i), r.ID, r.MBB) {
+				j.joinLeafWithNode(&r, left, lc)
 			}
 		}
 	default:
-		for i := 0; i < linfo.Len(); i++ {
-			lc, lr := linfo.Child(i), linfo.Rect(i)
-			for k := 0; k < rinfo.Len(); k++ {
-				if j.admissible(lc, lr, rinfo.Child(k), rinfo.Rect(k)) {
-					j.joinNodes(lc, rinfo.Child(k))
+		ls, rs := j.restrict(&l, r.MBB), j.restrict(&r, l.MBB)
+		for _, i := range ls {
+			lc, lr := l.Child(i), l.Rect(i)
+			for _, k := range rs {
+				switch rc := r.Child(k); {
+				case !j.admissible(lc, lr, rc, r.Rect(k)):
+				case j.collect:
+					j.tasks = append(j.tasks, [2]rtree.NodeID{lc, rc})
+				default:
+					j.joinNodes(lc, rc)
 				}
 			}
 		}
 	}
+	j.idx = j.idx[:mark]
 }
 
 // joinLeaves reports every intersecting pair of objects of two loaded leaves,
 // left-major.
-func (j *sttJoiner) joinLeaves(left, right rtree.NodeInfo) {
-	// The right leaf's rectangle views are built once, not once per left
-	// slot: the inner loop below is the join's hottest code.
-	rr := slices.Grow(j.rects[:0], right.Len())
-	for k := 0; k < right.Len(); k++ {
-		rr = append(rr, right.Rect(k))
-	}
-	j.rects = rr
-	for i := 0; i < left.Len(); i++ {
-		lr := left.Rect(i)
-		for k := range rr {
-			if lr.Intersects(rr[k]) {
-				j.pairs++
-				if j.visit != nil {
-					j.visit(Pair{Left: left.Object(i), Right: right.Object(k)})
-				}
+func (j *sttJoiner) joinLeaves(l, r *rtree.NodeInfo) {
+	mark := len(j.idx)
+	ls, rs := j.restrict(l, r.MBB), j.restrict(r, l.MBB)
+	for _, i := range ls {
+		j.hits = l.Intersecting(i, r, rs, j.hits)
+		j.pairs += int64(len(j.hits))
+		if j.visit != nil {
+			for _, k := range j.hits {
+				j.visit(Pair{Left: l.Object(i), Right: r.Object(k)})
 			}
 		}
 	}
+	j.idx = j.idx[:mark]
 }
 
-// joinLeafWithNode joins an already-loaded leaf with a (possibly deeper)
-// subtree of the other side, charging that side's counter (passed
-// explicitly: in a self-join both sides are the same snapshot).
-func (j *sttJoiner) joinLeafWithNode(leaf rtree.NodeInfo, other *clipindex.Snap, ctr *storage.Counter, otherID rtree.NodeID) {
-	oinfo, err := other.Version().Node(otherID)
-	if err != nil {
-		return
-	}
-	charge(other, oinfo, ctr)
-	if oinfo.Leaf {
-		j.joinLeaves(leaf, oinfo)
-		return
-	}
-	for k := 0; k < oinfo.Len(); k++ {
-		child, rect := oinfo.Child(k), oinfo.Rect(k)
-		if !leaf.MBB.Intersects(rect) || j.dead(other, child, leaf.MBB) {
-			continue
+// joinLeafWithNode joins an already-loaded leaf of one input with a (possibly
+// deeper) subtree of the other, the given side.
+func (j *sttJoiner) joinLeafWithNode(leaf *rtree.NodeInfo, side int, id rtree.NodeID) {
+	o, ok := j.read(side, id)
+	switch {
+	case !ok:
+	case !o.Leaf:
+		mark := len(j.idx)
+		for _, k := range j.restrict(&o, leaf.MBB) {
+			if child := o.Child(k); leaf.MBB.Intersects(o.Rect(k)) && !j.dead(side, child, leaf.MBB) {
+				j.joinLeafWithNode(leaf, side, child)
+			}
 		}
-		j.joinLeafWithNode(leaf, other, ctr, child)
+		j.idx = j.idx[:mark]
+	case side == right:
+		j.joinLeaves(leaf, &o)
+	default:
+		j.joinLeaves(&o, leaf)
 	}
-}
-
-// joinNodeWithLeaf mirrors joinLeafWithNode with the leaf on the right.
-func (j *sttJoiner) joinNodeWithLeaf(other *clipindex.Snap, ctr *storage.Counter, otherID rtree.NodeID, leaf rtree.NodeInfo) {
-	oinfo, err := other.Version().Node(otherID)
-	if err != nil {
-		return
-	}
-	charge(other, oinfo, ctr)
-	if oinfo.Leaf {
-		j.joinLeaves(oinfo, leaf)
-		return
-	}
-	for i := 0; i < oinfo.Len(); i++ {
-		child, rect := oinfo.Child(i), oinfo.Rect(i)
-		if !rect.Intersects(leaf.MBB) || j.dead(other, child, leaf.MBB) {
-			continue
-		}
-		j.joinNodeWithLeaf(other, ctr, child, leaf)
-	}
-}
-
-// charge records one node access of a side on the given private counter
-// (and the side's buffer pool).
-func charge(s *clipindex.Snap, info rtree.NodeInfo, ctr *storage.Counter) {
-	s.Version().Tree().ChargeNodeRead(&info, ctr)
 }

@@ -154,7 +154,7 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) []Neighbor {
 				sc.qlo[d] = math.Nextafter(x-r, math.Inf(-1))
 				sc.qhi[d] = math.Nextafter(x+r, math.Inf(1))
 			}
-			quantiseQuery(n.qmbb, dims, &sc.qlo, &sc.qhi, &sc.qg)
+			quantiseQuery(n.qmbb, dims, sc.qlo[:], sc.qhi[:], &sc.qg)
 			quantScan(n.qplanes, count, dims, &sc.qg, mask)
 		} else { // nothing to filter by yet, or with: every slot survives
 			for w := range mask {

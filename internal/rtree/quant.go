@@ -49,11 +49,7 @@ package rtree
 // stores. With verbatim adoption, every store scans identical planes and the
 // equivalence matrices stay bit-identical across mem/file/v2/mmap.
 
-import (
-	"math"
-
-	"cbb/internal/geom"
-)
+import "cbb/internal/geom"
 
 // PlaneBits is the width of one in-memory quantised plane coordinate. It is
 // fixed to the v2 directory grid (DirQuantBits) so that compressed snapshot
@@ -129,44 +125,19 @@ func setPlane(planes []uint64, w, d, i int, hi bool, g uint16) {
 // its upper-bound plane, entry i in lane i%4 of word i/4 — so the kernel
 // streams contiguous words per dimension. Padding lanes are zero; their mask
 // bits are cleared by quantScan. The v2 fault-in path skips it for directory
-// nodes and installs the page's stored grid coordinates instead.
+// nodes and installs the page's stored grid coordinates instead. qmbb is a
+// fresh array every time (the rule boxes follows): NodeInfo.MBB views it.
 func (n *node) syncPlanes(dims int) {
 	count := n.count()
-	if cap(n.qmbb) < 2*dims {
-		n.qmbb = make([]float64, 2*dims)
-	} else {
-		n.qmbb = n.qmbb[:2*dims]
-	}
 	w := planeWords(count)
 	need := 2 * dims * w
 	if cap(n.qplanes) < need {
 		n.qplanes = make([]uint64, need)
 	} else {
 		n.qplanes = n.qplanes[:need]
-		for i := range n.qplanes {
-			n.qplanes[i] = 0
-		}
+		clear(n.qplanes)
 	}
-	if count == 0 {
-		for d := 0; d < 2*dims; d++ {
-			n.qmbb[d] = 0
-		}
-		return
-	}
-	for d := 0; d < dims; d++ {
-		minLo := math.Inf(1)
-		maxHi := math.Inf(-1)
-		for off := 0; off < len(n.boxes); off += 2 * dims {
-			if v := n.boxes[off+d]; v < minLo {
-				minLo = v
-			}
-			if v := n.boxes[off+dims+d]; v > maxHi {
-				maxHi = v
-			}
-		}
-		n.qmbb[d] = minLo
-		n.qmbb[dims+d] = maxHi
-	}
+	n.qmbb = boxesMBB(n.boxes, dims)
 	for d := 0; d < dims; d++ {
 		lo, hi := n.qmbb[d], n.qmbb[dims+d]
 		off := 0
@@ -184,7 +155,7 @@ func (n *node) syncPlanes(dims int) {
 // qupper rounded up) and qg[2d+1] the upper bound rounded DOWN with qlower
 // (compared against entry lower bounds). Query coordinates outside the node
 // MBB clamp to the grid ends, which only widens the admitted set.
-func quantiseQuery(qmbb []float64, dims int, qlo, qhi *[geom.MaxDims]float64, qg *[2 * geom.MaxDims]uint16) {
+func quantiseQuery(qmbb []float64, dims int, qlo, qhi []float64, qg *[2 * geom.MaxDims]uint16) {
 	for d := 0; d < dims; d++ {
 		lo, hi := qmbb[d], qmbb[dims+d]
 		qg[2*d] = qupper(qlo[d], lo, hi)

@@ -26,7 +26,7 @@ func quantVerdicts(n *node, dims int, q geom.Rect) []bool {
 	var qg [2 * geom.MaxDims]uint16
 	copy(qlo[:dims], q.Lo)
 	copy(qhi[:dims], q.Hi)
-	quantiseQuery(n.qmbb, dims, &qlo, &qhi, &qg)
+	quantiseQuery(n.qmbb, dims, qlo[:], qhi[:], &qg)
 	mask := make([]uint64, (n.count()+63)>>6)
 	quantScan(n.qplanes, n.count(), dims, &qg, mask)
 	out := make([]bool, n.count())

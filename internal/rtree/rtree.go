@@ -33,6 +33,8 @@ package rtree
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -262,12 +264,26 @@ func (n *node) mbb() geom.Rect {
 		return geom.Rect{}
 	}
 	dims := len(n.boxes) / (2 * n.count())
-	// One fresh record (a copy of slot 0, one allocation) extended in place,
-	// instead of one Union allocation per slot: mbb is called for every node
-	// a mutation, walk, or join touches.
-	out := boxRect(append([]float64(nil), n.boxes[:2*dims]...), 0, dims)
-	for i := 1; i < n.count(); i++ {
-		out = out.Extend(n.rect(i, dims))
+	return boxRect(boxesMBB(n.boxes, dims), 0, dims)
+}
+
+// boxesMBB folds a flat coordinate array into the MBB of its records, as one
+// fresh record (all zero for no records): a copy of record 0 widened in one
+// pass. It is called for every node a mutation touches.
+func boxesMBB(boxes []float64, dims int) []float64 {
+	w := 2 * dims
+	out := make([]float64, w)
+	copy(out, boxes)
+	for off := w; off+w <= len(boxes); off += w {
+		rec := boxes[off : off+w]
+		for d := 0; d < dims; d++ {
+			if rec[d] < out[d] {
+				out[d] = rec[d]
+			}
+			if rec[dims+d] > out[dims+d] {
+				out[dims+d] = rec[dims+d]
+			}
+		}
 	}
 	return out
 }
@@ -741,9 +757,9 @@ func (t *Tree) autoCommit(err error) {
 }
 
 // cloneForWrite deep-copies a shared node object so the writer can mutate it
-// without disturbing published versions: boxes, refs, and the filter layer
-// get fresh backing arrays; parent, leaf, level, and the Hilbert LHV carry
-// over.
+// without disturbing published versions: boxes, refs, and the planes get
+// fresh backing arrays (qmbb is never written in place, so it is shared);
+// parent, leaf, level, and the Hilbert LHV carry over.
 func (t *Tree) cloneForWrite(n *node) *node {
 	c := &node{
 		id: n.id, parent: n.parent, leaf: n.leaf, level: n.level,
@@ -752,7 +768,7 @@ func (t *Tree) cloneForWrite(n *node) *node {
 	}
 	c.boxes = append(make([]float64, 0, cap(n.boxes)), n.boxes...)
 	c.refs = append(make([]int64, 0, cap(n.refs)), n.refs...)
-	c.qmbb = append(make([]float64, 0, cap(n.qmbb)), n.qmbb...)
+	c.qmbb = n.qmbb
 	c.qplanes = append(make([]uint64, 0, cap(n.qplanes)), n.qplanes...)
 	return c
 }
@@ -1086,16 +1102,20 @@ type NodeInfo struct {
 	Parent NodeID
 	Leaf   bool
 	Level  int
-	MBB    geom.Rect
+	// MBB is the exact MBB of the slots (zero for an empty node): a view of
+	// the rectangle the planes are quantised against, read-only like a slot's.
+	MBB geom.Rect
 	// Bytes is the node's encoded page size (see node.encSize).
 	Bytes int
 	// PlaneBytes is the resident size of the node's quantised SoA filter
 	// layer (see quant.go); it rides on top of Bytes in pool accounting.
 	PlaneBytes int
 
-	boxes []float64
-	refs  []int64
-	dims  int
+	boxes   []float64
+	refs    []int64
+	qmbb    []float64
+	qplanes []uint64
+	dims    int
 }
 
 // Len returns the number of slots (children of a directory node, objects of
@@ -1113,28 +1133,80 @@ func (ni *NodeInfo) Child(i int) NodeID { return NodeID(ni.refs[i]) }
 // Object returns slot i's object id; meaningful on leaves only.
 func (ni *NodeInfo) Object(i int) ObjectID { return ObjectID(ni.refs[i]) }
 
+// Restrict appends to dst, ascending, the slots whose rectangles may intersect
+// q — every slot that does, plus the near misses the grid admits: the range
+// search's scan kernel (quantiseQuery, quantScan) over a published node's
+// planes, through the caller's scratch mask (replaced when too small). A node
+// without a filter layer yields none, as range search skips it.
+func (ni *NodeInfo) Restrict(q geom.Rect, mask *[]uint64, dst []int) []int {
+	count, dims := len(ni.refs), ni.dims
+	if q.Dims() != dims || len(ni.qmbb) != 2*dims || len(ni.qplanes) != 2*dims*planeWords(count) {
+		return dst
+	}
+	var qg [2 * geom.MaxDims]uint16
+	quantiseQuery(ni.qmbb, dims, q.Lo, q.Hi, &qg)
+	*mask = slices.Grow((*mask)[:0], (count+63)>>6)[:(count+63)>>6]
+	quantScan(ni.qplanes, count, dims, &qg, *mask)
+	for w, m := range *mask {
+		for ; m != 0; m &= m - 1 {
+			dst = append(dst, w<<6+bits.TrailingZeros64(m))
+		}
+	}
+	return dst
+}
+
+// Intersecting filters ks, slots of o, down to those whose rectangle
+// intersects slot i's (Rect.Intersects on the two flat stores), in order, into
+// dst's storage. Every candidate is written and the length advanced by its
+// verdict: no branch for neighbouring boxes' verdicts to mispredict.
+func (ni *NodeInfo) Intersecting(i int, o *NodeInfo, ks, dst []int) []int {
+	dims, w := ni.dims, 2*ni.dims
+	a := ni.boxes[i*w:][:w]
+	dst = slices.Grow(dst[:0], len(ks))[:len(ks)]
+	n := 0
+	for _, k := range ks {
+		b, miss := o.boxes[k*w:][:w], 0
+		for d := 0; d < dims; d++ {
+			miss |= b2i(a[dims+d] < b[d]) | b2i(b[dims+d] < a[d])
+		}
+		dst[n] = k
+		n += miss ^ 1
+	}
+	return dst[:n]
+}
+
+// b2i is 1 for true, compiled to a flag move rather than a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // info describes the node for Node and Walk; parent is passed because
 // versions must not read the writer-private pointer.
 func (n *node) info(parent NodeID, dims int) NodeInfo {
-	return NodeInfo{
+	ni := NodeInfo{
 		ID: n.id, Parent: parent, Leaf: n.leaf, Level: n.level,
-		MBB: n.mbb(), Bytes: int(n.encSize), PlaneBytes: n.planeBytes(),
-		boxes: n.boxes, refs: n.refs, dims: dims,
+		Bytes: int(n.encSize), PlaneBytes: n.planeBytes(),
+		boxes: n.boxes, refs: n.refs, qmbb: n.qmbb, qplanes: n.qplanes, dims: dims,
 	}
+	if n.count() > 0 && len(n.qmbb) == 2*dims {
+		ni.MBB = boxRect(n.qmbb, 0, dims)
+	}
+	return ni
 }
 
 // Node returns a snapshot of the node with the given id. On a file-backed
 // tree the node is faulted in on demand, and Parent is InvalidNode until
 // Materialize has run (parents are not stored in the Figure 4a page layout).
 func (t *Tree) Node(id NodeID) (NodeInfo, error) {
-	if id < 0 || int(id) >= len(t.nodes) {
-		return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
+	if id >= 0 && int(id) < len(t.nodes) {
+		if n := t.node(id); n != nil {
+			return n.info(n.parent, t.cfg.Dims), nil
+		}
 	}
-	n := t.node(id)
-	if n == nil {
-		return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
-	}
-	return n.info(n.parent, t.cfg.Dims), nil
+	return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
 }
 
 // Walk visits every live node of the tree top-down, calling fn with a

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"fmt"
-	"math"
 
 	"cbb/internal/geom"
 )
@@ -150,23 +149,12 @@ func (t *Tree) checkPlanes(n *node) error {
 	// coordinates and MBB; their decoded rects sit outward of both, so
 	// only the conservativeness half applies to them.
 	adopted := t.conservative && !n.leaf
+	mbb := boxesMBB(n.boxes, dims)
 	for d := 0; d < dims; d++ {
 		lo, hi := n.qmbb[d], n.qmbb[dims+d]
-		if !adopted {
-			minLo := math.Inf(1)
-			maxHi := math.Inf(-1)
-			for off := 0; off < len(n.boxes); off += 2 * dims {
-				if v := n.boxes[off+d]; v < minLo {
-					minLo = v
-				}
-				if v := n.boxes[off+dims+d]; v > maxHi {
-					maxHi = v
-				}
-			}
-			if lo != minLo || hi != maxHi {
-				return fmt.Errorf("rtree: node %d plane MBB [%v, %v] in dim %d does not match box MBB [%v, %v]",
-					n.id, lo, hi, d, minLo, maxHi)
-			}
+		if !adopted && (lo != mbb[d] || hi != mbb[dims+d]) {
+			return fmt.Errorf("rtree: node %d plane MBB [%v, %v] in dim %d does not match box MBB [%v, %v]",
+				n.id, lo, hi, d, mbb[d], mbb[dims+d])
 		}
 		off := 0
 		for i := 0; i < count; i++ {

@@ -130,28 +130,26 @@ func (v *Version) RootMBBIntersects(q geom.Rect) bool {
 	if n == nil || n.count() == 0 || len(n.qmbb) != 2*dims {
 		return true
 	}
-	for d := 0; d < dims; d++ {
-		if n.qmbb[dims+d] < q.Lo[d] || q.Hi[d] < n.qmbb[d] {
-			return false
-		}
-	}
-	return true
+	return boxRect(n.qmbb, 0, dims).Intersects(q)
 }
 
 // Node returns a read-only snapshot of the node with the given id at this
-// version. Parent is always InvalidNode: parent
-// pointers are writer-private metadata that the single writer refreshes in
-// place on shared node objects, so a version must not read them (the join
-// and search paths never need them).
+// version, or the error that kept a lazy version from bringing its page in.
+// Parent is always InvalidNode: parent pointers are writer-private metadata
+// that the single writer refreshes in place on shared node objects, so a
+// version must not read them (the join and search paths never need them).
 func (v *Version) Node(id NodeID) (NodeInfo, error) {
-	if id < 0 || int(id) >= len(v.nodes) {
+	if v.lazy {
+		n, err := v.tree.lazyNode(v, id)
+		if err != nil {
+			return NodeInfo{}, err
+		}
+		return n.info(InvalidNode, v.tree.cfg.Dims), nil
+	}
+	if id < 0 || int(id) >= len(v.nodes) || v.nodes[id] == nil {
 		return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
 	}
-	n := v.node(id)
-	if n == nil {
-		return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
-	}
-	return n.info(InvalidNode, v.tree.cfg.Dims), nil
+	return v.nodes[id].info(InvalidNode, v.tree.cfg.Dims), nil
 }
 
 // Search finds every object intersecting q at this version; traversal stops
@@ -296,7 +294,7 @@ func (v *Version) searchIter(q geom.Rect, clips *ClipRecords, c *storage.Counter
 			continue
 		}
 		count := n.count()
-		quantiseQuery(n.qmbb, dims, &sc.qlo, &sc.qhi, &sc.qg)
+		quantiseQuery(n.qmbb, dims, sc.qlo[:], sc.qhi[:], &sc.qg)
 		mask := sc.mask.sized(count)
 		quantScan(n.qplanes, count, dims, &sc.qg, mask)
 		boxes := n.boxes
