@@ -354,6 +354,11 @@ func (t *Tree) Delete(r Rect, id ObjectID) (bool, error) {
 func (t *Tree) BulkLoad(items []Item) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
+	return t.bulkLoadLocked(items)
+}
+
+// bulkLoadLocked is BulkLoad under the caller's writer lock (or open batch).
+func (t *Tree) bulkLoadLocked(items []Item) error {
 	if err := t.tree.BulkLoad(items); err != nil {
 		return err
 	}

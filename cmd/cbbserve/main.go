@@ -101,7 +101,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	log.Printf("cbbserve: listening on %s (%s, %d objects)", l.Addr(), desc, eng.Len())
+	log.Printf("cbbserve: listening on %s (%s, %d objects, height %d)", l.Addr(), desc, eng.Len(), eng.Stats().Height)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -189,6 +189,7 @@ func buildEngine(cfg engineConfig) (server.Engine, string, error) {
 		Clipping: clip,
 		Universe: universe,
 	}
+	start := time.Now() // the objects are in memory: what follows is the index build
 
 	if cfg.shards > 0 {
 		st, err := cbb.NewSharded(cbb.ShardedOptions{Options: opts, Shards: cfg.shards})
@@ -199,7 +200,7 @@ func buildEngine(cfg engineConfig) (server.Engine, string, error) {
 			return nil, "", err
 		}
 		return server.NewShardedEngine(st, false),
-			fmt.Sprintf("%s, %d shards", desc, cfg.shards), nil
+			fmt.Sprintf("%s, %d shards, built in %d ms", desc, cfg.shards, time.Since(start).Milliseconds()), nil
 	}
 
 	var tree *cbb.Tree
@@ -225,7 +226,7 @@ func buildEngine(cfg engineConfig) (server.Engine, string, error) {
 			tree.AttachBufferPool(cfg.bufferPool)
 		}
 	}
-	return server.NewTreeEngine(tree, persistent), desc, nil
+	return server.NewTreeEngine(tree, persistent), fmt.Sprintf("%s, built in %d ms", desc, time.Since(start).Milliseconds()), nil
 }
 
 // loadObjects resolves the object source: -data CSV wins, then -dataset,

@@ -151,3 +151,33 @@ func BenchmarkKNN(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBulkLoad measures one BulkLoad of an empty tree per iteration —
+// the build every workload's set-up, cbbserve's boot and a shard split pay —
+// over the repository benchmark's two big inputs, plain (the packing alone)
+// and clipped (packing plus the clip-table build). Ordering and packing fan
+// out over GOMAXPROCS, so run it with -cpu 1,2; the trees are the same bytes
+// either way (TestBulkLoadDeterministicAcrossProcs).
+func BenchmarkBulkLoad(b *testing.B) {
+	for _, in := range []struct {
+		dataset string
+		n       int
+	}{{"rea02", 500000}, {"axo03", 300000}} {
+		items, uni := loadDataset(b, in.dataset, in.n, 42)
+		for _, cm := range []ClipMethod{ClipNone, ClipStairline} {
+			b.Run(fmt.Sprintf("%s/clip=%s", in.dataset, cm), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					tree, err := New(Options{Dims: uni.Dims(), Universe: uni, Clipping: cm})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := tree.BulkLoad(items); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(items)), "ns/object")
+			})
+		}
+	}
+}

@@ -27,12 +27,11 @@ import (
 	"fmt"
 	"iter"
 	"maps"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"cbb/internal/core"
+	"cbb/internal/fanout"
 	"cbb/internal/geom"
 	"cbb/internal/rtree"
 	"cbb/internal/storage"
@@ -425,9 +424,7 @@ const reclipChunk = 16
 
 // BuildWorkers returns the number of goroutines, the caller's included, that
 // clip a set of n nodes: one per chunk up to GOMAXPROCS.
-func BuildWorkers(n int) int {
-	return max(1, min(runtime.GOMAXPROCS(0), (n+reclipChunk-1)/reclipChunk))
-}
+func BuildWorkers(n int) int { return fanout.Workers(0, n, reclipChunk) }
 
 // reclip runs Algorithm 1 on the given nodes and installs the results — the
 // one place clip points are computed, whether for the nodes one insert
@@ -444,35 +441,25 @@ func (x *Index) reclip(infos []rtree.NodeInfo) {
 		return
 	}
 	recs := make([]core.Record, len(infos))
-	var next atomic.Int64
-	work := func() {
-		var clipper core.Clipper
-		var children []geom.Rect
-		for {
-			lo := int(next.Add(1)-1) * reclipChunk
-			if lo >= len(infos) {
-				return
-			}
-			for i := lo; i < min(lo+reclipChunk, len(infos)); i++ {
-				info := &infos[i]
-				children = slices.Grow(children[:0], info.Len())
-				for j := 0; j < info.Len(); j++ {
-					children = append(children, info.Rect(j))
-				}
-				recs[i] = core.NewRecord(clipper.Clip(info.MBB, children, x.params), len(info.MBB.Lo))
-			}
+	type scratch struct {
+		clipper  core.Clipper
+		children []geom.Rect
+	}
+	perWorker := make([]*scratch, BuildWorkers(len(infos)))
+	fanout.ForEachChunk(len(infos), 0, reclipChunk, func(w, lo, hi int) {
+		if perWorker[w] == nil {
+			perWorker[w] = new(scratch)
 		}
-	}
-	var wg sync.WaitGroup
-	for w := BuildWorkers(len(infos)); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+		s := perWorker[w]
+		for i := lo; i < hi; i++ {
+			info := &infos[i]
+			s.children = slices.Grow(s.children[:0], info.Len())
+			for j := 0; j < info.Len(); j++ {
+				s.children = append(s.children, info.Rect(j))
+			}
+			recs[i] = core.NewRecord(s.clipper.Clip(info.MBB, s.children, x.params), len(info.MBB.Lo))
+		}
+	})
 	for i := range infos {
 		x.setClips(infos[i].ID, recs[i])
 	}

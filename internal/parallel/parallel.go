@@ -12,10 +12,7 @@
 package parallel
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
+	"cbb/internal/fanout"
 	"cbb/internal/geom"
 	"cbb/internal/rtree"
 	"cbb/internal/storage"
@@ -72,56 +69,24 @@ type paddedCounter struct {
 // it internally; callers that need the effective count up front (result
 // reporting, lock-elision decisions) use it to stay in sync with the
 // scheduling.
-func EffectiveWorkers(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	return workers
-}
+func EffectiveWorkers(workers, n int) int { return min(fanout.Workers(workers, n, 1), n) }
 
 // ForEachChunk fans the index range [0, n) out over a pool of worker
-// goroutines and returns the per-worker I/O snapshots (length = effective
-// worker count, nil when n == 0). Indices are handed out in contiguous
-// chunks through an atomic cursor — small enough grabs to balance skewed
-// per-index costs, large enough to keep cursor contention negligible. fn is
-// called with the worker's id, a half-open index range [start, end), and the
-// worker's private counter; workers <= 0 uses GOMAXPROCS, and the count is
-// clamped to n. Both RunBatch and the parallel joins schedule through here,
-// so chunking and I/O-exactness fixes stay in one place.
+// goroutines (fanout.ForEachChunk, the caller being one of them) and returns
+// the per-worker I/O snapshots (length = effective worker count, nil when
+// n == 0). fn is called with the worker's id, a half-open index range — small
+// enough grabs to balance skewed per-index costs — and the worker's private
+// counter. Both RunBatch and the parallel joins schedule through here, so
+// chunking and I/O-exactness fixes stay in one place.
 func ForEachChunk(n, workers int, fn func(worker, start, end int, c *storage.Counter)) []storage.Snapshot {
 	workers = EffectiveWorkers(workers, n)
 	if n == 0 {
 		return nil
 	}
-	chunk := n / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var cursor int64
 	counters := make([]paddedCounter, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := &counters[w].c
-			for {
-				start := int(atomic.AddInt64(&cursor, int64(chunk))) - chunk
-				if start >= n {
-					return
-				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				fn(w, start, end, c)
-			}
-		}(w)
-	}
-	wg.Wait()
+	fanout.ForEachChunk(n, workers, max(1, n/(workers*8)), func(w, start, end int) {
+		fn(w, start, end, &counters[w].c)
+	})
 	out := make([]storage.Snapshot, workers)
 	for w := range counters {
 		out[w] = counters[w].c.Snapshot()

@@ -1,10 +1,12 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 
+	"cbb/internal/fanout"
 	"cbb/internal/geom"
 	"cbb/internal/hilbert"
 )
@@ -30,227 +32,235 @@ func (t *Tree) BulkLoad(items []Item) (err error) {
 	if t.size != 0 || t.root != InvalidNode {
 		return fmt.Errorf("rtree: BulkLoad requires an empty tree")
 	}
-	for i := range items {
-		if !items[i].Rect.Valid() || items[i].Rect.Dims() != t.cfg.Dims {
-			return fmt.Errorf("rtree: item %d has invalid rectangle %v", i, items[i].Rect)
-		}
-	}
-	if len(items) == 0 {
-		return nil
+	if err := t.checkItems(items); err != nil || len(items) == 0 {
+		return err
 	}
 	t.buildPacked(items)
+	return nil
+}
+
+// checkItems rejects a batch holding a rectangle the tree cannot index.
+func (t *Tree) checkItems(items []Item) error {
+	for i := range items {
+		if !items[i].Rect.Valid() || items[i].Rect.Dims() != t.cfg.Dims {
+			return fmt.Errorf("rtree: item %d has invalid rectangle %v for a %d-dimensional tree", i, items[i].Rect, t.cfg.Dims)
+		}
+	}
 	return nil
 }
 
 // buildPacked bulk packs items into an empty tree: the variant's packing
 // order (Hilbert order for the HR-tree, its defining construction;
 // Sort-Tile-Recursive otherwise) is chopped into leaves, and parent levels
-// are packed bottom-up until a single root remains.
+// are packed bottom-up until a single root remains. Both stages fan out over
+// GOMAXPROCS and neither copies or moves an item: the order is a permutation
+// of 16-byte records and a leaf takes its coordinates straight from the
+// caller's slice. The tree — ids, slots, page bytes — never depends on the
+// worker count.
 func (t *Tree) buildPacked(items []Item) {
-	var sorted []Item
-	if t.cfg.Variant == Hilbert {
-		sorted = t.sortHilbert(items)
-	} else {
-		sorted = t.sortSTR(items)
-	}
-	current := t.packLeaves(sorted)
+	order := t.packingOrder(items, fanout.Workers(0, len(items), sortRunItems))
+	current := t.packLeaves(items, order)
 	for level := 1; len(current) > 1; level++ {
 		current = t.packParents(current, level)
 	}
-	t.root = current[0]
-	t.height = t.mustNode(t.root).level + 1
+	t.root = current[0].id
+	t.height = current[0].level + 1
 	t.size = len(items)
 }
 
-// sortHilbert returns the items sorted by the Hilbert value of their centres
-// — the leaf order of Hilbert packing (Kamel & Faloutsos). Keys are computed
-// once per item, not once per comparison.
-func (t *Tree) sortHilbert(items []Item) []Item {
-	sorted := append([]Item(nil), items...)
-	// Rebuild the curve over the actual data bounds: a curve spanning a much
-	// larger configured universe would quantise the data into a handful of
-	// cells and destroy the ordering.
-	bounds := geom.MBROf(itemRects(sorted))
-	if c, err := newCurveFor(bounds, t.cfg.HilbertBits); err == nil {
-		t.curve = c
-	}
-	// Sort small (key, index) pairs — pointer-free, so swaps are cheap and
-	// barrier-free — and apply the permutation once. Ordering by (key,
-	// original index) is a total order, so any sort produces exactly the
-	// permutation a stable sort by key would.
-	ord := make([]hilbertOrd, len(sorted))
-	for i := range sorted {
-		ord[i] = hilbertOrd{key: t.curve.IndexRect(sorted[i].Rect), idx: int32(i)}
-	}
-	slices.SortFunc(ord, compareHilbertOrd)
-	perm := make([]Item, len(sorted))
-	for i, o := range ord {
-		perm[i] = sorted[o.idx]
-	}
-	return perm
+// sortRunItems is the fewest items worth a goroutine of their own while
+// ordering; packChunk is the number of nodes a packing worker takes at a time.
+const sortRunItems, packChunk = 8192, 32
+
+// ordRec is one item's place in the packing order: pointer-free, so sorting
+// moves 16 bytes without write barriers while the items stay put.
+type ordRec struct {
+	key  uint64 // Hilbert index, or floatKey of one centre coordinate
+	orig int32  // index into the caller's items
 }
 
-// hilbertOrd pairs a Hilbert key with the item's original position; the
-// position breaks ties so the order is total (and therefore deterministic).
-type hilbertOrd struct {
-	key uint64
-	idx int32
-}
-
-func compareHilbertOrd(a, b hilbertOrd) int {
-	if a.key != b.key {
-		if a.key < b.key {
-			return -1
-		}
-		return 1
+// floatKey maps a non-NaN float64 to a uint64 that orders the same way; +0
+// folds the two zeros, which compare equal, onto one key.
+func floatKey(f float64) uint64 {
+	b := math.Float64bits(f + 0)
+	if b>>63 != 0 {
+		return ^b
 	}
-	return int(a.idx - b.idx)
+	return b | 1<<63
 }
 
-// sortSTR returns the items in Sort-Tile-Recursive order (Leutenegger et
-// al.): sort by the first dimension, cut into vertical slabs of S·M items,
-// sort each slab by the next dimension, and recurse. Centre coordinates are
-// computed once up front (row-major, dims per item) rather than allocating a
-// centre point on every comparison.
-func (t *Tree) sortSTR(items []Item) []Item {
-	sorted := append([]Item(nil), items...)
+// packingOrder returns the variant's packing order as a permutation of
+// items, computed by up to the given number of goroutines. Hilbert packing
+// (Kamel & Faloutsos) is one sort by the Hilbert value of the centres.
+// Sort-Tile-Recursive (Leutenegger et al.) sorts by the first centre
+// coordinate, cuts the order into vertical slabs of S·M items, sorts each
+// slab by the next coordinate, and recurses; the slabs of one stage are
+// independent, so they are sorted concurrently.
+func (t *Tree) packingOrder(items []Item, workers int) []ordRec {
+	order := make([]ordRec, len(items))
 	dims := t.cfg.Dims
-	centers := make([]float64, len(sorted)*dims)
-	for i := range sorted {
-		for d := 0; d < dims; d++ {
-			centers[i*dims+d] = (sorted[i].Rect.Lo[d] + sorted[i].Rect.Hi[d]) / 2
+	if t.cfg.Variant == Hilbert {
+		// Rebuild the curve over the actual data bounds: a curve spanning a
+		// much larger configured universe would quantise the data into a
+		// handful of cells and destroy the ordering.
+		if c, err := newCurveFor(itemsMBR(items), t.cfg.HilbertBits); err == nil {
+			t.curve = c
 		}
+		dims = 1
 	}
-	scratch := &strScratch{
-		ord:     make([]centerOrd, len(sorted)),
-		items:   make([]Item, len(sorted)),
-		centers: make([]float64, len(sorted)*dims),
-	}
-	t.strSort(sorted, centers, scratch, 0)
-	return sorted
-}
-
-// centerOrd pairs one centre coordinate with the item's current position;
-// the position breaks ties, making the order total — any sort then yields
-// the permutation a stable sort by coordinate would.
-type centerOrd struct {
-	key float64
-	idx int32
-}
-
-// strScratch holds the reusable buffers of one sortSTR invocation: the
-// (key, index) pairs being sorted and the permutation targets. Slabs are
-// sorted one at a time, so one set of buffers serves the whole recursion.
-type strScratch struct {
-	ord     []centerOrd
-	items   []Item
-	centers []float64
-}
-
-// strStageSort sorts a slab by one centre dimension: pointer-free (key,
-// index) pairs are sorted and the resulting permutation is applied to the
-// items and their centre rows in one pass.
-func strStageSort(items []Item, centers []float64, dims, dim int, s *strScratch) {
-	n := len(items)
-	ord := s.ord[:n]
-	for i := 0; i < n; i++ {
-		ord[i] = centerOrd{key: centers[i*dims+dim], idx: int32(i)}
-	}
-	slices.SortFunc(ord, func(a, b centerOrd) int {
-		if a.key != b.key {
-			if a.key < b.key {
-				return -1
+	// key fills in one stage's sort keys of order[lo:hi].
+	key := func(lo, hi, dim int) {
+		for i := lo; i < hi; i++ {
+			o := &order[i]
+			if dim == 0 {
+				o.orig = int32(i)
 			}
-			return 1
+			if r := items[o.orig].Rect; t.cfg.Variant == Hilbert {
+				o.key = t.curve.IndexRect(r)
+			} else {
+				o.key = floatKey((r.Lo[dim] + r.Hi[dim]) / 2)
+			}
 		}
-		return int(a.idx - b.idx)
+	}
+	fanout.ForEachChunk(len(order), workers, sortRunItems, func(_, lo, hi int) { key(lo, hi, 0) })
+	tmp := make([]ordRec, len(order))
+	sortOrd(order, tmp, workers)
+	slabs := []int{0, len(order)} // boundaries of the current stage's slabs
+	for dim := 1; dim < dims; dim++ {
+		// Cut every slab for the remaining dimensions as the recursion
+		// would: by its number of leaves, then of sub-slabs.
+		var next []int
+		for s := 0; s+1 < len(slabs); s++ {
+			n := slabs[s+1] - slabs[s]
+			leaves := int(math.Ceil(float64(n) / float64(t.cfg.MaxEntries)))
+			cuts := max(1, int(math.Ceil(math.Pow(float64(leaves), 1/float64(dims-dim+1)))))
+			size := max(1, int(math.Ceil(float64(n)/float64(cuts))))
+			for lo := slabs[s]; lo < slabs[s+1]; lo += size {
+				next = append(next, lo)
+			}
+		}
+		slabs = append(next, len(order))
+		fanout.ForEachChunk(len(slabs)-1, workers, 1, func(_, s, _ int) {
+			key(slabs[s], slabs[s+1], dim)
+			sortOrd(order[slabs[s]:slabs[s+1]], tmp[slabs[s]:slabs[s+1]], 1)
+		})
+	}
+	return order
+}
+
+// sortOrd sorts recs by key, stably — ties keep the order they came in, the
+// order of the previous stage, so the result is the same permutation whatever
+// the worker count — through tmp (as long as recs). With several workers two
+// parts, sized by their share of the workers, are sorted concurrently, each
+// the same way, and merged; one worker runs a byte-wise LSD radix sort that
+// skips the bytes every key shares.
+func sortOrd(recs, tmp []ordRec, workers int) {
+	if len(recs) < 128 {
+		slices.SortStableFunc(recs, func(a, b ordRec) int { return cmp.Compare(a.key, b.key) })
+		return
+	}
+	if workers > 1 {
+		mid := len(recs) * (workers / 2) / workers
+		fanout.ForEachChunk(2, 2, 1, func(_, part, _ int) {
+			if part == 0 {
+				sortOrd(recs[:mid], tmp[:mid], workers/2)
+			} else {
+				sortOrd(recs[mid:], tmp[mid:], workers-workers/2)
+			}
+		})
+		copy(tmp, recs)
+		a, b, dst := tmp[:mid], tmp[mid:], recs
+		for len(a) > 0 && len(b) > 0 {
+			if b[0].key < a[0].key {
+				dst[0], b = b[0], b[1:]
+			} else {
+				dst[0], a = a[0], a[1:]
+			}
+			dst = dst[1:]
+		}
+		copy(dst[copy(dst, a):], b)
+		return
+	}
+	var counts [8][256]int
+	for i := range recs {
+		for b := range counts {
+			counts[b][byte(recs[i].key>>(8*b))]++
+		}
+	}
+	src, dst := recs, tmp
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(src[0].key>>(8*b))] == len(src) {
+			continue
+		}
+		sum := 0
+		for v := range c {
+			c[v], sum = sum, sum+c[v]
+		}
+		for i := range src {
+			v := byte(src[i].key >> (8 * b))
+			dst[c[v]] = src[i]
+			c[v]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &recs[0] {
+		copy(recs, src)
+	}
+}
+
+// packLevel creates the nodes of one packed level over count inputs — at
+// most M a node, spread evenly so that every node also respects the minimum
+// fill (the root-only exception is the caller's) — and fills them. Ids are
+// allocated serially and in order, so ids, free-list reuse and dirty marks do
+// not depend on the worker count; fill then runs concurrently, a node at a
+// time over the input range it owns, appending to exactly-sized boxes and
+// refs. A level under packChunk nodes (a grafted run) starts no goroutine.
+func (t *Tree) packLevel(count int, leaf bool, level int, fill func(n *node, lo, hi int)) []*node {
+	sizes := groupSizes(count, t.cfg.MaxEntries)
+	nodes := make([]*node, len(sizes))
+	starts := make([]int, len(sizes)+1)
+	for i := range nodes {
+		nodes[i] = t.newNode(leaf, level)
+		starts[i+1] = starts[i] + sizes[i]
+	}
+	t.counter.Write(int64(len(nodes)))
+	fanout.ForEachChunk(len(nodes), 0, packChunk, func(_, a, b int) {
+		for i := a; i < b; i++ {
+			n := nodes[i]
+			n.boxes = make([]float64, 0, sizes[i]*2*t.cfg.Dims)
+			n.refs = make([]int64, 0, sizes[i])
+			fill(n, starts[i], starts[i+1])
+			n.syncDerived(t.cfg.Dims)
+			t.updateHilbertLHV(n)
+		}
 	})
-	tmpI := s.items[:n]
-	tmpC := s.centers[:n*dims]
-	for i, o := range ord {
-		tmpI[i] = items[o.idx]
-		copy(tmpC[i*dims:(i+1)*dims], centers[int(o.idx)*dims:(int(o.idx)+1)*dims])
-	}
-	copy(items, tmpI)
-	copy(centers, tmpC)
+	return nodes
 }
 
-func (t *Tree) strSort(items []Item, centers []float64, scratch *strScratch, dim int) {
-	if dim >= t.cfg.Dims {
-		return
-	}
-	strStageSort(items, centers, t.cfg.Dims, dim, scratch)
-	if dim == t.cfg.Dims-1 {
-		return
-	}
-	// Number of leaves and slabs for the remaining dimensions.
-	leaves := int(math.Ceil(float64(len(items)) / float64(t.cfg.MaxEntries)))
-	slabs := int(math.Ceil(math.Pow(float64(leaves), 1/float64(t.cfg.Dims-dim))))
-	if slabs < 1 {
-		slabs = 1
-	}
-	slabSize := int(math.Ceil(float64(len(items)) / float64(slabs)))
-	if slabSize < 1 {
-		slabSize = 1
-	}
-	for start := 0; start < len(items); start += slabSize {
-		end := start + slabSize
-		if end > len(items) {
-			end = len(items)
+// packLeaves chops the items the order names, in that order, into new leaves
+// and returns them in order.
+func (t *Tree) packLeaves(items []Item, order []ordRec) []*node {
+	return t.packLevel(len(order), true, 0, func(n *node, lo, hi int) {
+		for _, o := range order[lo:hi] {
+			it := &items[o.orig]
+			n.boxes = append(append(n.boxes, it.Rect.Lo...), it.Rect.Hi...)
+			n.refs = append(n.refs, int64(it.Object))
 		}
-		t.strSort(items[start:end], centers[start*t.cfg.Dims:end*t.cfg.Dims], scratch, dim+1)
-	}
-}
-
-// packLeaves chops a sorted item list into new leaves of at most M slots,
-// distributing the items evenly so that every leaf also respects the minimum
-// fill (the root-only exception is handled by the caller), and returns the
-// leaf ids in order. Each leaf copies its items' coordinates into one
-// exactly-sized array.
-func (t *Tree) packLeaves(items []Item) []NodeID {
-	sizes := groupSizes(len(items), t.cfg.MaxEntries)
-	ids := make([]NodeID, 0, len(sizes))
-	run := make([]Entry, 0, t.cfg.MaxEntries)
-	pos := 0
-	for _, sz := range sizes {
-		run = run[:0]
-		for _, it := range items[pos : pos+sz] {
-			run = append(run, Entry{Rect: it.Rect, Object: it.Object, Child: InvalidNode})
-		}
-		pos += sz
-		n := t.newNode(true, 0)
-		n.setEntries(run, t.cfg.Dims)
-		t.touch(n)
-		t.updateHilbertLHV(n)
-		t.counter.Write(1)
-		ids = append(ids, n.id)
-	}
-	return ids
+	})
 }
 
 // packParents groups the nodes of one level, in order, under new parents at
-// the given level and returns the parents' ids.
-func (t *Tree) packParents(children []NodeID, level int) []NodeID {
-	sizes := groupSizes(len(children), t.cfg.MaxEntries)
-	ids := make([]NodeID, 0, len(sizes))
-	run := make([]Entry, 0, t.cfg.MaxEntries)
-	pos := 0
-	for _, sz := range sizes {
-		parent := t.newNode(false, level)
-		run = run[:0]
-		for _, childID := range children[pos : pos+sz] {
-			child := t.mustNode(childID)
-			child.parent = parent.id
-			run = append(run, Entry{Rect: child.mbb(), Child: childID})
+// the given level and returns the parents.
+func (t *Tree) packParents(children []*node, level int) []*node {
+	return t.packLevel(len(children), false, level, func(n *node, lo, hi int) {
+		for _, child := range children[lo:hi] {
+			child.parent = n.id
+			// The child was just packed: syncDerived left its MBB in qmbb.
+			n.boxes = append(n.boxes, child.qmbb...)
+			n.refs = append(n.refs, int64(child.id))
 		}
-		pos += sz
-		parent.setEntries(run, t.cfg.Dims)
-		t.touch(parent)
-		t.updateHilbertLHV(parent)
-		t.counter.Write(1)
-		ids = append(ids, parent.id)
-	}
-	return ids
+	})
 }
 
 // groupSizes splits n items into ceil(n/capacity) groups of as-even-as-
@@ -273,10 +283,11 @@ func groupSizes(n, capacity int) []int {
 	return sizes
 }
 
-func itemRects(items []Item) []geom.Rect {
-	out := make([]geom.Rect, len(items))
+// itemsMBR returns the MBB of the items as a fresh rectangle.
+func itemsMBR(items []Item) geom.Rect {
+	var out geom.Rect
 	for i := range items {
-		out[i] = items[i].Rect
+		out = out.Extend(items[i].Rect)
 	}
 	return out
 }

@@ -1,12 +1,5 @@
 package rtree
 
-import (
-	"fmt"
-	"slices"
-
-	"cbb/internal/geom"
-)
-
 // This file implements the fast batch-insert pipeline: InsertItems sorts a
 // batch into Hilbert order, partitions it into contiguous runs that share a
 // target leaf, and services each run with bulk machinery — direct placement
@@ -58,12 +51,6 @@ type IngestStats struct {
 	Rebuilt bool
 }
 
-// ingestKey pairs an item with its Hilbert sort key.
-type ingestKey struct {
-	item Item
-	key  uint64
-}
-
 // LastIngest returns the routing statistics of the most recent InsertItems
 // call. Writer-side.
 func (t *Tree) LastIngest() IngestStats { return t.lastIngest }
@@ -86,10 +73,8 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 	if err := t.ensureMutable(); err != nil {
 		return nil, err
 	}
-	for i := range items {
-		if !items[i].Rect.Valid() || items[i].Rect.Dims() != t.cfg.Dims {
-			return nil, fmt.Errorf("rtree: item %d has invalid rectangle %v for a %d-dimensional tree", i, items[i].Rect, t.cfg.Dims)
-		}
+	if err := t.checkItems(items); err != nil {
+		return nil, err
 	}
 	t.beginMutation()
 	defer func() { t.autoCommit(err) }()
@@ -122,9 +107,8 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 		return trace, nil
 	}
 
-	ks := t.sortedIngestKeys(items)
 	rootBefore := t.mustNode(t.root).mbb()
-	t.ingestRuns(ks, trace, &stats)
+	t.ingestRuns(items, t.ingestOrder(items), trace, &stats)
 	if rootAfter := t.mustNode(t.root).mbb(); !rootAfter.Equal(rootBefore) {
 		trace.markMBBChanged(t.root)
 	}
@@ -159,41 +143,25 @@ func (t *Tree) rebuildWith(items []Item, trace *InsertTrace) {
 	t.Walk(func(info NodeInfo) { trace.markCreated(info.ID) })
 }
 
-// sortedIngestKeys keys every item with its Hilbert index and sorts the
-// batch, reusing the tree's scratch buffer. The Hilbert variant keys with
-// the tree's own curve (so run order agrees with the LHV ordering the
-// variant maintains); the other variants key with a deterministic curve
-// built over the batch bounds, which only has to provide locality.
-func (t *Tree) sortedIngestKeys(items []Item) []ingestKey {
-	ks := t.ingestKeys[:0]
-	if cap(ks) < len(items) {
-		ks = make([]ingestKey, 0, len(items))
-	}
+// ingestOrder keys every item with its Hilbert index and returns the batch's
+// order as a permutation of items. The Hilbert variant keys with the tree's
+// own curve (so run order agrees with the LHV ordering the variant
+// maintains); the other variants key with a deterministic curve built over
+// the batch bounds, which only has to provide locality. The sort is stable.
+func (t *Tree) ingestOrder(items []Item) []ordRec {
 	curve := t.curve
 	if t.cfg.Variant != Hilbert || curve == nil {
-		if c, err := newCurveFor(geom.MBROf(itemRects(items)), t.cfg.HilbertBits); err == nil {
-			curve = c
-		} else {
-			curve = nil // degenerate bounds: keep input order
-		}
+		curve, _ = newCurveFor(itemsMBR(items), t.cfg.HilbertBits) // nil on degenerate bounds: keep input order
 	}
-	// Sort pointer-free (key, index) pairs and emit the keyed items already
-	// in order; (key, original index) is a total order, so the result is
-	// exactly the stable sort by key.
-	ord := make([]hilbertOrd, len(items))
-	for i := range items {
-		var k uint64
+	ord := make([]ordRec, len(items))
+	for i := range ord {
+		ord[i].orig = int32(i)
 		if curve != nil {
-			k = curve.IndexRect(items[i].Rect)
+			ord[i].key = curve.IndexRect(items[i].Rect)
 		}
-		ord[i] = hilbertOrd{key: k, idx: int32(i)}
 	}
-	slices.SortFunc(ord, compareHilbertOrd)
-	for _, o := range ord {
-		ks = append(ks, ingestKey{item: items[o.idx], key: o.key})
-	}
-	t.ingestKeys = ks
-	return ks
+	sortOrd(ord, make([]ordRec, len(ord)), 1)
+	return ord
 }
 
 // insertOne is the classic per-item insert into a non-empty tree without
@@ -206,7 +174,7 @@ func (t *Tree) insertOne(it Item, trace *InsertTrace) {
 
 // ingestRuns partitions the sorted batch into runs sharing a target leaf
 // and services each run with the cheapest applicable strategy.
-func (t *Tree) ingestRuns(ks []ingestKey, trace *InsertTrace, stats *IngestStats) {
+func (t *Tree) ingestRuns(items []Item, ks []ordRec, trace *InsertTrace, stats *IngestStats) {
 	i := 0
 	for i < len(ks) {
 		stats.Runs++
@@ -214,11 +182,11 @@ func (t *Tree) ingestRuns(ks []ingestKey, trace *InsertTrace, stats *IngestStats
 		// head, then extend the run while the next sorted item lies inside
 		// the chosen leaf's MBB (zero enlargement, so the leaf stays a
 		// natural target for the entire run).
-		target := t.chooseSubtree(ks[i].item.Rect, 0)
+		target := t.chooseSubtree(items[ks[i].orig].Rect, 0)
 		leaf := t.mustNode(target)
 		leafMBB := leaf.mbb()
 		j := i + 1
-		for j < len(ks) && leafMBB.ContainsRect(ks[j].item.Rect) {
+		for j < len(ks) && leafMBB.ContainsRect(items[ks[j].orig].Rect) {
 			j++
 		}
 		run := ks[i:j]
@@ -226,7 +194,7 @@ func (t *Tree) ingestRuns(ks []ingestKey, trace *InsertTrace, stats *IngestStats
 		// Large runs skip per-item insertion entirely: pack bottom-up and
 		// graft. Needs a directory level to graft into (height >= 2).
 		if len(run) >= t.cfg.MaxEntries && t.height >= 2 {
-			t.graftRun(run, trace, stats)
+			t.graftRun(items, run, trace, stats)
 			i = j
 			continue
 		}
@@ -238,7 +206,8 @@ func (t *Tree) ingestRuns(ks []ingestKey, trace *InsertTrace, stats *IngestStats
 			n := t.mutable(leaf)
 			before := n.mbb()
 			for placed < len(run) && n.count() < t.cfg.MaxEntries {
-				n.appendEntry(Entry{Rect: run[placed].item.Rect, Object: run[placed].item.Object, Child: InvalidNode})
+				it := &items[run[placed].orig]
+				n.appendEntry(Entry{Rect: it.Rect, Object: it.Object, Child: InvalidNode})
 				trace.Placements = append(trace.Placements, Placement{Node: n.id, Rect: n.rect(n.count()-1, t.cfg.Dims)})
 				t.counter.Write(1)
 				placed++
@@ -256,7 +225,7 @@ func (t *Tree) ingestRuns(ks []ingestKey, trace *InsertTrace, stats *IngestStats
 			// The leaf is full: push one item through the classic path (it
 			// overflows and splits/reinserts as usual), then re-choose a
 			// target for whatever remains of the run.
-			t.insertOne(run[placed].item, trace)
+			t.insertOne(items[run[placed].orig], trace)
 			stats.PerItem++
 			placed++
 		}
@@ -268,18 +237,14 @@ func (t *Tree) ingestRuns(ks []ingestKey, trace *InsertTrace, stats *IngestStats
 // and builds parent levels bottom-up while the level still satisfies the
 // minimum fill and stays strictly below the root, then grafts each packed
 // subtree as a sibling via one directory-level insertion.
-func (t *Tree) graftRun(run []ingestKey, trace *InsertTrace, stats *IngestStats) {
-	items := make([]Item, len(run))
-	for idx := range run {
-		items[idx] = run[idx].item
-	}
+func (t *Tree) graftRun(items []Item, run []ordRec, trace *InsertTrace, stats *IngestStats) {
 	// maxLevel caps the packed subtree's root so its graft target (one
 	// level above) exists below or at the current root.
 	maxLevel := t.height - 2
-	current := t.packLeaves(items)
+	current := t.packLeaves(items, run)
 	for level := 0; ; level++ {
-		for _, id := range current {
-			trace.markCreated(id)
+		for _, n := range current {
+			trace.markCreated(n.id)
 		}
 		stats.GraftNodes += len(current)
 		if len(current) < t.cfg.MinEntries || level+1 > maxLevel {
@@ -287,12 +252,11 @@ func (t *Tree) graftRun(run []ingestKey, trace *InsertTrace, stats *IngestStats)
 		}
 		current = t.packParents(current, level+1)
 	}
-	for _, id := range current {
-		sub := t.mustNode(id)
+	for _, sub := range current {
 		t.ovMarks.begin()
-		t.insertAtLevel(Entry{Rect: sub.mbb(), Child: id}, sub.level+1, trace, &t.ovMarks, false)
+		t.insertAtLevel(Entry{Rect: sub.mbb(), Child: sub.id}, sub.level+1, trace, &t.ovMarks, false)
 		stats.GraftSubtrees++
 	}
-	t.size += len(items)
-	stats.Grafted += len(items)
+	t.size += len(run)
+	stats.Grafted += len(run)
 }

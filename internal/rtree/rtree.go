@@ -411,10 +411,9 @@ type Tree struct {
 	// Writer-side scratch, reused across mutations (the writer is single-
 	// threaded, see above): ovMarks replaces the per-insertion
 	// map[int]bool that tracked the once-per-level R* overflow treatment,
-	// ingestKeys is the sort buffer of InsertItems, and lastIngest records
-	// how the most recent InsertItems call routed its items.
+	// and lastIngest records how the most recent InsertItems call routed
+	// its items.
 	ovMarks    levelMarks
-	ingestKeys []ingestKey
 	lastIngest IngestStats
 
 	// File-backed mode, set up by OpenPaged or AttachStore: nodes are

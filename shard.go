@@ -1,12 +1,15 @@
 package cbb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"cbb/internal/fanout"
 	"cbb/internal/hilbert"
 	"cbb/internal/storage"
 )
@@ -216,11 +219,9 @@ func NewSharded(opts ShardedOptions) (*ShardedTree, error) {
 	ranges := st.initialRanges()
 	shards := make([]*shard, len(ranges))
 	for i, rg := range ranges {
-		t, err := st.newShardTree()
-		if err != nil {
+		if shards[i], err = st.buildShard(rg[0], rg[1], "", nil); err != nil {
 			return nil, err
 		}
-		shards[i] = &shard{lo: rg[0], hi: rg[1], t: t}
 	}
 	st.dir.Store(&shardDir{shards: shards})
 	return st, nil
@@ -246,17 +247,6 @@ func (st *ShardedTree) initialRanges() [][2]uint64 {
 		lo = hi
 	}
 	return ranges
-}
-
-// newShardTree builds one in-memory shard tree wired into the shared
-// counter and, when a pool is attached, its slice of the buffer budget.
-func (st *ShardedTree) newShardTree() (*Tree, error) {
-	t, err := New(st.opts.Options)
-	if err != nil {
-		return nil, err
-	}
-	st.adoptShardTree(t)
-	return t, nil
 }
 
 // adoptShardTree wires an existing Tree (fresh, Created, or Opened) into
@@ -308,7 +298,31 @@ func (st *ShardedTree) RebalanceStats() (splits, merges int64) {
 // key routes a rectangle: the Hilbert key of its centre, clamped to the
 // universe. Splits partition items by this same key, so an object's shard
 // is always the one owning its key.
-func (st *ShardedTree) key(r Rect) uint64 { return st.curve.Index(r.Center()) }
+func (st *ShardedTree) key(r Rect) uint64 { return st.curve.IndexRect(r) }
+
+// routeKey is one item's routing key and its position in the slice it came
+// in: pointer-free, so ordering a batch moves 16 bytes an item.
+type routeKey struct {
+	key uint64
+	idx int
+}
+
+// routeOrder validates the items and returns their routing keys in Hilbert
+// order, ties in input order — a total order, so the result does not depend
+// on the sort.
+func (st *ShardedTree) routeOrder(items []Item) ([]routeKey, error) {
+	ks := make([]routeKey, len(items))
+	for i := range items {
+		if err := st.checkRect(items[i].Rect); err != nil {
+			return nil, err
+		}
+		ks[i] = routeKey{key: st.key(items[i].Rect), idx: i}
+	}
+	slices.SortFunc(ks, func(a, b routeKey) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.idx, b.idx))
+	})
+	return ks, nil
+}
 
 func (st *ShardedTree) checkRect(r Rect) error {
 	if !r.Valid() || r.Dims() != st.opts.Dims {
@@ -376,18 +390,10 @@ func (st *ShardedTree) Delete(r Rect, id ObjectID) (bool, error) {
 // run and concurrent InsertItems calls on disjoint regions do not contend.
 // Unlike Begin, the ingest is atomic per shard, not across shards.
 func (st *ShardedTree) InsertItems(items []Item) error {
-	type keyed struct {
-		item Item
-		key  uint64
+	ks, err := st.routeOrder(items)
+	if err != nil {
+		return err
 	}
-	ks := make([]keyed, len(items))
-	for i, it := range items {
-		if err := st.checkRect(it.Rect); err != nil {
-			return err
-		}
-		ks[i] = keyed{item: it, key: st.key(it.Rect)}
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
 	var run []Item // reused per shard
 	i := 0
 	for i < len(ks) {
@@ -403,7 +409,7 @@ func (st *ShardedTree) InsertItems(items []Item) error {
 		j := i
 		run = run[:0]
 		for j < len(ks) && ks[j].key < sh.hi {
-			run = append(run, ks[j].item)
+			run = append(run, items[ks[j].idx])
 			j++
 		}
 		// The whole per-shard run rides the tree's batch fast path (one
@@ -422,12 +428,15 @@ func (st *ShardedTree) InsertItems(items []Item) error {
 }
 
 // BulkLoad builds the empty sharded tree from items: each shard bulk-loads
-// its key-range's partition with the variant's packing strategy. It is a
-// maintenance operation like Tree.BulkLoad: do not run it concurrently with
+// its key-range's partition with the variant's packing strategy, the shards
+// concurrently. The load is all or nothing — every target shard is checked
+// to be empty before any is built, and the built shards are published
+// together, as one cross-shard batch, only when every build succeeded. It is
+// a maintenance operation like Tree.BulkLoad: do not run it concurrently with
 // other writers.
 func (st *ShardedTree) BulkLoad(items []Item) error {
-	st.batchMu.Lock()
-	defer st.batchMu.Unlock()
+	sb, _ := st.Begin()
+	defer sb.Rollback() // no-op once published
 	d := st.dir.Load()
 	groups := make([][]Item, len(d.shards))
 	for _, it := range items {
@@ -441,10 +450,23 @@ func (st *ShardedTree) BulkLoad(items []Item) error {
 		if len(groups[i]) == 0 {
 			continue
 		}
-		if err := sh.t.BulkLoad(groups[i]); err != nil {
+		if _, _, err := sb.batchFor(sh.lo); err != nil {
 			return err
 		}
+		if n := sh.t.Len(); n != 0 {
+			return fmt.Errorf("cbb: BulkLoad requires an empty sharded tree: shard %d holds %d objects", i, n)
+		}
 	}
+	errs := make([]error, len(d.shards))
+	fanout.ForEachChunk(len(d.shards), 0, 1, func(_, i, _ int) {
+		if len(groups[i]) > 0 {
+			errs[i] = d.shards[i].t.bulkLoadLocked(groups[i])
+		}
+	})
+	if err := cmp.Or(errs...); err != nil {
+		return err
+	}
+	sb.publish()
 	for _, sh := range d.shards {
 		st.maybeSplit(sh)
 	}
@@ -515,18 +537,10 @@ func (sb *ShardedBatch) InsertItems(items []Item) error {
 	if sb.done {
 		return errBatchDone
 	}
-	type keyed struct {
-		item Item
-		key  uint64
+	ks, err := sb.st.routeOrder(items)
+	if err != nil {
+		return err
 	}
-	ks := make([]keyed, len(items))
-	for i, it := range items {
-		if err := sb.st.checkRect(it.Rect); err != nil {
-			return err
-		}
-		ks[i] = keyed{item: it, key: sb.st.key(it.Rect)}
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
 	var run []Item // reused per shard
 	i := 0
 	for i < len(ks) {
@@ -537,7 +551,7 @@ func (sb *ShardedBatch) InsertItems(items []Item) error {
 		j := i
 		run = run[:0]
 		for j < len(ks) && ks[j].key < sh.hi {
-			run = append(run, ks[j].item)
+			run = append(run, items[ks[j].idx])
 			j++
 		}
 		if err := b.InsertItems(run); err != nil {
@@ -571,6 +585,17 @@ func (sb *ShardedBatch) Commit() error {
 	if sb.done {
 		return errBatchDone
 	}
+	sb.publish()
+	for sh := range sb.open {
+		sb.st.maybeSplit(sh)
+		sb.st.maybeMerge(sh)
+	}
+	return nil
+}
+
+// publish commits every touched shard under the commit lock and ends the
+// batch.
+func (sb *ShardedBatch) publish() {
 	sb.done = true
 	sb.st.commitMu.Lock()
 	for _, b := range sb.open {
@@ -578,11 +603,6 @@ func (sb *ShardedBatch) Commit() error {
 	}
 	sb.st.commitMu.Unlock()
 	sb.st.batchMu.Unlock()
-	for sh := range sb.open {
-		sb.st.maybeSplit(sh)
-		sb.st.maybeMerge(sh)
-	}
-	return nil
 }
 
 // Rollback discards the batch on every touched shard; readers never saw any
@@ -811,44 +831,43 @@ func (st *ShardedTree) splitShard(sh *shard) error {
 	if len(items) < 2 {
 		return nil
 	}
-	keys := make([]uint64, len(items))
-	order := make([]int, len(items))
-	for i, it := range items {
-		keys[i] = st.key(it.Rect)
-		order[i] = i
+	ks, err := st.routeOrder(items)
+	if err != nil {
+		return err
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
 	// Bisect at the median occupied key, advancing past an equal prefix so
 	// both halves are non-empty; all keys equal means the shard cannot be
 	// subdivided by Hilbert range.
-	mid := len(order) / 2
-	for mid < len(order) && keys[order[mid]] == keys[order[0]] {
+	mid := len(ks) / 2
+	for mid < len(ks) && ks[mid].key == ks[0].key {
 		mid++
 	}
-	if mid == len(order) {
+	if mid == len(ks) {
 		return nil
 	}
-	splitKey := keys[order[mid]]
-	var leftItems, rightItems []Item
-	for _, idx := range order {
-		if keys[idx] < splitKey {
-			leftItems = append(leftItems, items[idx])
-		} else {
-			rightItems = append(rightItems, items[idx])
+	splitKey := ks[mid].key
+	var parts [2][]Item // the keys below splitKey, and the rest
+	for _, k := range ks {
+		half := 0
+		if k.key >= splitKey {
+			half = 1
 		}
+		parts[half] = append(parts[half], items[k.idx])
 	}
-	left, err := st.buildShard(sh.lo, splitKey, leftItems)
+	// File names are taken in order, then both halves are built concurrently.
+	bounds := [3]uint64{sh.lo, splitKey, sh.hi}
+	paths := [2]string{st.nextShardPath(), st.nextShardPath()}
+	var halves [2]*shard
+	var errs [2]error
+	fanout.ForEachChunk(2, 0, 1, func(_, i, _ int) {
+		halves[i], errs[i] = st.buildShard(bounds[i], bounds[i+1], paths[i], parts[i])
+	})
+	if err = cmp.Or(errs[0], errs[1]); err == nil {
+		err = st.publishReplacement(sh, halves[:])
+	}
 	if err != nil {
-		return err
-	}
-	right, err := st.buildShard(splitKey, sh.hi, rightItems)
-	if err != nil {
-		st.discardShard(left)
-		return err
-	}
-	if err := st.publishReplacement(sh, []*shard{left, right}); err != nil {
-		st.discardShard(left)
-		st.discardShard(right)
+		st.discardShard(halves[0])
+		st.discardShard(halves[1])
 		return err
 	}
 	st.splits.Add(1)
@@ -898,7 +917,7 @@ func (st *ShardedTree) mergeShards(i int) error {
 		return nil // hysteresis: never merge into an immediate split
 	}
 	items := append(left.t.tree.AllItems(), right.t.tree.AllItems()...)
-	merged, err := st.buildShard(left.lo, right.hi, items)
+	merged, err := st.buildShard(left.lo, right.hi, st.nextShardPath(), items)
 	if err != nil {
 		return err
 	}
@@ -911,25 +930,20 @@ func (st *ShardedTree) mergeShards(i int) error {
 }
 
 // buildShard constructs a new shard for [lo, hi) bulk-loaded with items —
-// file-backed (with its own snapshot file, flushed before publication) when
-// the engine is, in-memory otherwise.
-func (st *ShardedTree) buildShard(lo, hi uint64, items []Item) (*shard, error) {
+// file-backed (its own snapshot file at path, from nextShardPath, flushed
+// before publication) when the engine is, in-memory otherwise.
+func (st *ShardedTree) buildShard(lo, hi uint64, path string, items []Item) (*shard, error) {
 	var t *Tree
-	var path string
 	var err error
-	if st.dirPath != "" {
-		path = st.nextShardPath()
+	if path != "" {
 		t, err = Create(path, st.opts.Options)
-		if err != nil {
-			return nil, err
-		}
-		st.adoptShardTree(t)
 	} else {
-		t, err = st.newShardTree()
-		if err != nil {
-			return nil, err
-		}
+		t, err = New(st.opts.Options)
 	}
+	if err != nil {
+		return nil, err
+	}
+	st.adoptShardTree(t)
 	if len(items) > 0 {
 		if err := t.BulkLoad(items); err != nil {
 			if path != "" {
@@ -949,7 +963,7 @@ func (st *ShardedTree) buildShard(lo, hi uint64, items []Item) (*shard, error) {
 
 // discardShard drops a freshly built shard that never got published.
 func (st *ShardedTree) discardShard(sh *shard) {
-	if sh.path != "" {
+	if sh != nil && sh.path != "" {
 		sh.t.Close()
 		removeShardFile(sh.path)
 	}

@@ -174,8 +174,12 @@ func (st *ShardedTree) checkDirectoryRanges(shards []*shard) error {
 	return nil
 }
 
-// nextShardPath reserves the next shard file name.
+// nextShardPath reserves the next shard file name ("" for an in-memory
+// engine, whose shards have no file).
 func (st *ShardedTree) nextShardPath() string {
+	if st.dirPath == "" {
+		return ""
+	}
 	n := st.seq.Add(1)
 	return filepath.Join(st.dirPath, fmt.Sprintf("shard-%06d.cbb", n))
 }

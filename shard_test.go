@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -741,6 +742,87 @@ func TestShardedFlushInMemoryErrors(t *testing.T) {
 		t.Error("Flush on an in-memory sharded tree must fail")
 	}
 	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The routing key is the Hilbert index of the rectangle's centre, computed
+// without allocating the centre: the same key curve.Index(r.Center()) gives,
+// for rectangles inside, across and outside the universe, and degenerate.
+func TestShardedKeyMatchesCentreIndex(t *testing.T) {
+	for _, dims := range []int{1, 2, 3} {
+		st, err := NewSharded(ShardedOptions{Options: Options{Dims: dims, Universe: shardUniverse(dims)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(dims)))
+		rects := make([]Rect, 0, 2002)
+		for _, it := range randShardItems(rng, 2000, dims) {
+			rects = append(rects, it.Rect)
+		}
+		far := make(Point, dims)
+		for d := range far {
+			far[d] = -5000 + 12000*float64(d%2)
+		}
+		rects = append(rects, Rect{Lo: far, Hi: far}, shardUniverse(dims))
+		for _, r := range rects {
+			if got, want := st.key(r), st.curve.Index(r.Center()); got != want {
+				t.Fatalf("dims %d: key(%v) = %d, Index(centre) = %d", dims, r, got, want)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { st.key(rects[0]) }); n != 0 {
+			t.Fatalf("dims %d: key allocates %v times a call", dims, n)
+		}
+	}
+}
+
+// A sharded BulkLoad is all or nothing: a non-empty shard anywhere among the
+// targets fails the load before any shard is built, whichever position it has
+// in the directory, and leaves every shard as it was.
+func TestShardedBulkLoadAllOrNothing(t *testing.T) {
+	items := randShardItems(rand.New(rand.NewSource(9)), 4000, 2)
+	for occupied := 0; occupied < 4; occupied++ {
+		st, err := NewSharded(ShardedOptions{Options: Options{Dims: 2, Universe: shardUniverse(2)}, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := st.dir.Load()
+		var seed Item
+		for _, it := range items {
+			if d.indexOf(d.find(st.key(it.Rect))) == occupied {
+				seed = it
+				break
+			}
+		}
+		if err := st.Insert(seed.Rect, seed.Object); err != nil {
+			t.Fatal(err)
+		}
+		before := st.ShardLens()
+		if err := st.BulkLoad(items); err == nil {
+			t.Fatalf("shard %d occupied: BulkLoad succeeded", occupied)
+		}
+		if got := st.ShardLens(); !slices.Equal(got, before) {
+			t.Fatalf("shard %d occupied: a failed BulkLoad left shard sizes %v, were %v", occupied, got, before)
+		}
+		if err := st.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		// The failed load released every writer lock and batch it took.
+		if err := st.Insert(items[1].Rect, items[1].Object); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := NewSharded(ShardedOptions{Options: Options{Dims: 2, Universe: shardUniverse(2)}, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.BulkLoad(items); err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != len(items) {
+		t.Fatalf("loaded %d of %d items", st.Len(), len(items))
+	}
+	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
