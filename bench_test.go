@@ -1,7 +1,7 @@
 package cbb_test
 
 // This file contains one benchmark per table/figure of the paper's
-// evaluation (see DESIGN.md §3 for the mapping). Each benchmark wraps the
+// evaluation, named after it. Each benchmark wraps the
 // corresponding experiment from internal/experiments at a reduced scale so
 // that `go test -bench=. -benchmem` regenerates the full evaluation in a few
 // minutes; the cbbench command runs the same experiments at larger scales.
@@ -283,8 +283,7 @@ func BenchmarkFig15_Scalability(b *testing.B) {
 // BenchmarkAblation_ScoreApproximation quantifies the design choice of
 // Figure 5 (the additive score approximation used by Algorithm 1): it
 // compares the approximate and the exact clipped volume over every node of a
-// clipped RR*-tree and reports the mean relative error — an ablation called
-// out in DESIGN.md.
+// clipped RR*-tree and reports the mean relative error.
 func BenchmarkAblation_ScoreApproximation(b *testing.B) {
 	cfg := benchConfig("axo03")
 	ds, err := cfg.LoadDataset("axo03")

@@ -10,22 +10,10 @@
 //	cbbench -exp fig11 -scale 50000  # range-query I/O at a larger scale
 //	cbbench -exp table1 -datasets rea02,axo03 -variants "R*-tree,RR*-tree"
 //
-// Experiments: fig01, fig08, fig09, fig10, fig11, table1, fig12, fig13,
-// fig14, join, fig15, throughput, coldstart, coldformats, update, sharded, serve, all. The throughput
-// experiment goes beyond the paper: it sweeps the parallel query engine's
-// worker count (bounded by -workers) and reports queries/sec next to the
-// leaf-access metric. The coldstart experiment measures file-backed query
-// I/O of a freshly opened snapshot under varying buffer-pool sizes, and the
-// update experiment measures query I/O and clip-maintenance cost under mixed
-// insert/search traffic against a writable file-backed tree (clipped vs.
-// plain), including the pages written back per WAL-committed flush. The
-// sharded experiment loads the skewed hot02 workload through concurrent
-// writers into the Hilbert-sharded multi-tree engine (shard count bounded by
-// -shards) and reports ingest throughput against the single-writer-mutex
-// baseline plus the skew-driven shard rebalancing behaviour. The serve
-// experiment drives the internal/server HTTP handler in-process (no
-// network) and reports serving-path latency percentiles for sequential
-// (direct) and concurrent (coalesced) clients.
+// cbbench -list prints the datasets and the experiment names. Everything
+// beyond the paper's figures — serving, parallel batches, sharded ingest,
+// storage formats, durable updates — is measured by the repository
+// benchmark instead (go run ./bench).
 //
 // With -save DIR every built tree is saved as a snapshot into DIR, and with
 // -load DIR previously saved snapshots are reopened instead of rebuilding,
@@ -48,6 +36,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -58,7 +47,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment to run (fig01,fig08,fig09,fig10,fig11,table1,fig12,fig13,fig14,join,fig15,throughput,coldstart,coldformats,update,sharded,serve,all)")
+		exp        = flag.String("exp", "all", "experiment to run ("+strings.Join(experimentNames(), ",")+",all)")
 		scale      = flag.Int("scale", 20000, "objects per dataset")
 		queries    = flag.Int("queries", 200, "queries per selectivity profile")
 		seed       = flag.Int64("seed", 42, "random seed")
@@ -66,8 +55,6 @@ func main() {
 		dsFlag     = flag.String("datasets", "", "comma-separated dataset subset (default: all seven)")
 		varFlag    = flag.String("variants", "", "comma-separated variant subset (QR-tree,HR-tree,R*-tree,RR*-tree)")
 		tau        = flag.Float64("tau", 0.025, "clip-point volume threshold τ")
-		workers    = flag.Int("workers", 8, "maximum worker count of the parallel throughput sweep")
-		shards     = flag.Int("shards", 4, "shard count of the sharded multi-writer ingest experiment")
 		saveDir    = flag.String("save", "", "directory to save built-tree snapshots into (build cost paid once)")
 		loadDir    = flag.String("load", "", "directory to load previously saved tree snapshots from")
 		listOnly   = flag.Bool("list", false, "list datasets and experiments, then exit")
@@ -113,7 +100,7 @@ func main() {
 		for _, s := range datasets.Specs {
 			fmt.Printf("  %-6s %dd  default %d objects  (%s)\n", s.Name, s.Dims, s.DefaultSize, s.Description)
 		}
-		fmt.Println("experiments: fig01 fig08 fig09 fig10 fig11 table1 fig12 fig13 fig14 join fig15 throughput coldstart coldformats update sharded serve all")
+		fmt.Println("experiments: " + strings.Join(experimentNames(), " ") + " all")
 		stopProfiles()
 		return
 	}
@@ -138,11 +125,11 @@ func main() {
 		cfg.Variants = variants
 	}
 
-	runner := newRunner(cfg, *workers, *shards)
+	runner := &runner{cfg: cfg}
 	which := strings.ToLower(strings.TrimSpace(*exp))
 	names := []string{which}
 	if which == "all" {
-		names = []string{"fig01", "fig08", "fig09", "fig10", "fig11", "table1", "fig12", "fig13", "fig14", "join", "fig15", "throughput", "coldstart", "coldformats", "update", "sharded", "serve"}
+		names = experimentNames()
 	}
 	for _, name := range names {
 		if err := runner.run(name); err != nil {
@@ -154,124 +141,69 @@ func main() {
 }
 
 type runner struct {
-	cfg     experiments.Config
-	workers int
-	shards  int
-	fig11   *experiments.Fig11Result // cached for table1
+	cfg   experiments.Config
+	fig11 *experiments.Fig11Result // cached for table1
 }
 
-func newRunner(cfg experiments.Config, workers, shards int) *runner {
-	return &runner{cfg: cfg, workers: workers, shards: shards}
+// experiment is one -exp name and the tables it prints.
+type experiment struct {
+	name string
+	run  func(r *runner) ([]*experiments.Table, error)
+}
+
+// experimentList is every experiment cbbench runs, in the order -exp all
+// runs them: the one place their names are spelled out.
+var experimentList = []experiment{
+	{"fig01", func(r *runner) ([]*experiments.Table, error) {
+		res, err := experiments.RunFig01(r.cfg)
+		if err != nil {
+			return nil, err
+		}
+		return res.Tables(), nil
+	}},
+	{"fig08", func(r *runner) ([]*experiments.Table, error) { return table(experiments.RunFig08(r.cfg)) }},
+	{"fig09", func(r *runner) ([]*experiments.Table, error) { return table(experiments.RunFig09(r.cfg)) }},
+	{"fig10", func(r *runner) ([]*experiments.Table, error) { return table(experiments.RunFig10(r.cfg)) }},
+	{"fig11", func(r *runner) ([]*experiments.Table, error) { return table(r.ensureFig11()) }},
+	{"table1", func(r *runner) ([]*experiments.Table, error) {
+		res, err := r.ensureFig11()
+		if err != nil {
+			return nil, err
+		}
+		return table(experiments.AggregateTable1(res), nil)
+	}},
+	{"fig12", func(r *runner) ([]*experiments.Table, error) { return table(experiments.RunFig12(r.cfg)) }},
+	{"fig13", func(r *runner) ([]*experiments.Table, error) { return table(experiments.RunFig13(r.cfg)) }},
+	{"fig14", func(r *runner) ([]*experiments.Table, error) { return table(experiments.RunFig14(r.cfg)) }},
+	{"join", func(r *runner) ([]*experiments.Table, error) { return table(experiments.RunJoin(r.cfg)) }},
+	{"fig15", func(r *runner) ([]*experiments.Table, error) { return table(experiments.RunFig15(r.cfg)) }},
+}
+
+func experimentNames() []string {
+	names := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		names[i] = e.name
+	}
+	return names
+}
+
+// table renders an experiment result that is one table.
+func table[R interface{ Table() *experiments.Table }](res R, err error) ([]*experiments.Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []*experiments.Table{res.Table()}, nil
 }
 
 func (r *runner) run(name string) error {
 	start := time.Now()
-	var tables []*experiments.Table
-	switch name {
-	case "fig01":
-		res, err := experiments.RunFig01(r.cfg)
-		if err != nil {
-			return err
-		}
-		tables = res.Tables()
-	case "fig08":
-		res, err := experiments.RunFig08(r.cfg)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	case "fig09":
-		res, err := experiments.RunFig09(r.cfg)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	case "fig10":
-		res, err := experiments.RunFig10(r.cfg)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	case "fig11":
-		res, err := r.ensureFig11()
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	case "table1":
-		res, err := r.ensureFig11()
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{experiments.AggregateTable1(res).Table()}
-	case "fig12":
-		res, err := experiments.RunFig12(r.cfg)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	case "fig13":
-		res, err := experiments.RunFig13(r.cfg)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	case "fig14":
-		res, err := experiments.RunFig14(r.cfg)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	case "join":
-		res, err := experiments.RunJoin(r.cfg)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	case "fig15":
-		res, err := experiments.RunFig15(r.cfg)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	case "throughput":
-		res, err := experiments.RunThroughput(r.cfg, r.workers)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	case "coldstart":
-		res, err := experiments.RunColdStart(r.cfg)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	case "coldformats":
-		res, err := experiments.RunColdFormats(r.cfg)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	case "update":
-		res, err := experiments.RunUpdateWorkload(r.cfg)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	case "sharded":
-		res, err := experiments.RunSharded(r.cfg, r.shards, r.shards)
-		if err != nil {
-			return err
-		}
-		tables = res.Tables()
-	case "serve":
-		res, err := experiments.RunServe(r.cfg, r.workers)
-		if err != nil {
-			return err
-		}
-		tables = []*experiments.Table{res.Table()}
-	default:
+	i := slices.IndexFunc(experimentList, func(e experiment) bool { return e.name == name })
+	if i < 0 {
 		return fmt.Errorf("unknown experiment %q", name)
+	}
+	tables, err := experimentList[i].run(r)
+	if err != nil {
+		return err
 	}
 	for _, t := range tables {
 		fmt.Println(t.String())

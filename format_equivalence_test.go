@@ -119,6 +119,11 @@ func TestFormatEquivalenceMatrix(t *testing.T) {
 						t.Fatalf("%s: %v", tc.label, err)
 					}
 					assertSameAnswers(t, tc.label, orig, got, queries, probes)
+					// Conservative directory decode may add a few leaf
+					// visits, never remove one.
+					if want, io := rangeLeafReads(orig, queries), rangeLeafReads(got, queries); io < want || io > want+want/20+1 {
+						t.Errorf("%s: %d leaf reads for the queries, the original %d", tc.label, io, want)
+					}
 					got.Close()
 				}
 
@@ -201,4 +206,13 @@ func TestMmapPagerEquivalenceWALPending(t *testing.T) {
 			t.Fatalf("query %d: mmap and pager disagree on a WAL-pending file", i)
 		}
 	}
+}
+
+// rangeLeafReads is the leaf reads a batch of range queries charges a tree.
+func rangeLeafReads(tree *Tree, queries []Rect) int64 {
+	tree.ResetIOStats()
+	for _, q := range queries {
+		tree.Count(q)
+	}
+	return tree.IOStats().LeafReads
 }

@@ -7,6 +7,7 @@ package cbb
 // cannot see.
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -211,6 +212,18 @@ func TestIntegrationAllDatasetsBuildAndQuery(t *testing.T) {
 				if c != 1 {
 					t.Fatalf("object %d returned %d times", id, c)
 				}
+			}
+			// The compressed snapshot format's size bar on the data it is
+			// built for: at most half of the v1 file.
+			var v1, v2 bytes.Buffer
+			if err := tree.SaveToFormat(&v1, SnapshotV1); err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.SaveToFormat(&v2, SnapshotV2); err != nil {
+				t.Fatal(err)
+			}
+			if 2*v2.Len() > v1.Len() {
+				t.Errorf("v2 snapshot is %d B, more than half of v1's %d B", v2.Len(), v1.Len())
 			}
 		})
 	}

@@ -68,38 +68,3 @@ func DeadSpaceFraction(s Shape, objects []geom.Rect, samples int, seed int64) fl
 	}
 	return (insideFrac*insideArea + outsideArea) / shapeArea
 }
-
-// CoverageRatio returns the shape's area divided by the MBB area of the
-// objects — how much larger (or smaller, for CBBs) the shape is than the
-// baseline MBB.
-func CoverageRatio(s Shape, objects []geom.Rect) float64 {
-	mbb := geom.MBROf(objects).Volume()
-	if mbb == 0 {
-		return 0
-	}
-	return s.Area() / mbb
-}
-
-// Comparison is the per-shape outcome of a bounding-method comparison
-// (one bar group of Figure 9).
-type Comparison struct {
-	Name       string
-	DeadSpace  float64 // fraction in [0,1]
-	PointCount int
-	Area       float64
-}
-
-// Compare evaluates every shape on the same object set with a shared sample
-// budget and seed.
-func Compare(shapes []Shape, objects []geom.Rect, samples int, seed int64) []Comparison {
-	out := make([]Comparison, 0, len(shapes))
-	for _, s := range shapes {
-		out = append(out, Comparison{
-			Name:       s.Name(),
-			DeadSpace:  DeadSpaceFraction(s, objects, samples, seed),
-			PointCount: s.PointCount(),
-			Area:       s.Area(),
-		})
-	}
-	return out
-}

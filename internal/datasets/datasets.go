@@ -31,7 +31,7 @@
 // significant digits (surveyed street geometry, reconstructed morphologies),
 // so full-entropy float64 mantissas would misrepresent them — and would make
 // the snapshot format's lossless leaf compression look worse than it is on
-// real data. See DESIGN.md §4 for the substitution rationale.
+// real data.
 package datasets
 
 import (

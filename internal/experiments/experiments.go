@@ -1,9 +1,11 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section V) on the synthetic stand-in datasets, at a
-// configurable scale. Each experiment returns a structured result that the
-// cbbench tool and the root-level benchmarks render as text tables; the
-// mapping from experiment to paper figure is listed in DESIGN.md §3 and the
-// measured outcomes are recorded in EXPERIMENTS.md.
+// configurable scale: each file is named after the figures it reproduces,
+// and ablation.go holds the design-choice ablations. Each experiment returns
+// a structured result that the cbbench tool and the root-level benchmarks
+// render as text tables. What goes beyond the paper — serving, parallel
+// batches, sharding, storage formats, durable updates — is measured by the
+// repository benchmark in bench/ (README, "Commands").
 package experiments
 
 import (
@@ -31,7 +33,7 @@ type Config struct {
 	// Seed drives dataset generation, query generation and sampling.
 	Seed int64
 	// SamplesPerNode is the Monte-Carlo budget for dead-space estimation
-	// (0 = metrics.DefaultSamplesPerNode).
+	// (0 = 256).
 	SamplesPerNode int
 	// Datasets restricts which datasets are run (nil = all seven).
 	Datasets []string
@@ -245,8 +247,8 @@ func saveCachedTree(path string, tree *rtree.Tree) error {
 }
 
 // BuildTreePartial builds a tree over the first fraction of the dataset
-// (used by the update experiment, which batch-loads 90 % and inserts the
-// remaining 10 % afterwards).
+// (used by Figure 12, which builds over 90 % and inserts the remaining 10 %
+// afterwards).
 func BuildTreePartial(ds *Dataset, v rtree.Variant, fraction float64) (*rtree.Tree, []rtree.Item, error) {
 	if fraction <= 0 || fraction >= 1 {
 		return nil, nil, fmt.Errorf("experiments: fraction must be in (0,1), got %g", fraction)

@@ -88,6 +88,45 @@ func TestBuildTreePartial(t *testing.T) {
 	}
 }
 
+func TestBuildTreeSnapshotCache(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Scale: 1200, Seed: 42, SaveDir: dir}.WithDefaults()
+	ds, err := cfg.LoadDataset("rea02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, _, err := cfg.BuildTree(ds, rtree.RRStar)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.SaveDir, cfg.LoadDir = "", dir
+	reloaded, _, err := cfg.BuildTree(ds, rtree.RRStar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reloaded.Len() != built.Len() || reloaded.Height() != built.Height() {
+		t.Fatalf("cache round trip changed the tree: %d/%d vs %d/%d",
+			reloaded.Len(), reloaded.Height(), built.Len(), built.Height())
+	}
+	if err := reloaded.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// The reloaded tree is fully in memory and mutable.
+	if _, err := reloaded.Insert(ds.Items[0].Rect, 999999); err != nil {
+		t.Fatalf("cached tree must stay mutable: %v", err)
+	}
+
+	// A different variant misses the cache and rebuilds.
+	other, _, err := cfg.BuildTree(ds, rtree.Quadratic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Variant() != rtree.Quadratic {
+		t.Fatal("variant mismatch must bypass the cache")
+	}
+}
+
 func TestQuerySet(t *testing.T) {
 	cfg := tinyConfig("axo03").WithDefaults()
 	ds, err := cfg.LoadDataset("axo03")

@@ -1,8 +1,8 @@
 // Package fanout is the repository's one scheduling loop: an index range
 // handed out in contiguous chunks, through an atomic cursor, to a few
-// goroutines. The query executor (parallel.ForEachChunk adds per-worker I/O
-// counters), the clip-table build, the bulk loader and the sharded engine's
-// shard builds all fan out through it.
+// goroutines. BatchSearch and the parallel joins (each adding its own
+// per-worker I/O counters), the clip-table build, the bulk loader and the
+// sharded engine's shard builds all fan out through it.
 package fanout
 
 import (

@@ -31,8 +31,8 @@ import (
 
 	"cbb/internal/clipindex"
 	"cbb/internal/core"
+	"cbb/internal/fanout"
 	"cbb/internal/geom"
-	"cbb/internal/parallel"
 	"cbb/internal/rtree"
 	"cbb/internal/storage"
 )
@@ -68,7 +68,7 @@ type Result struct {
 // serialised by a mutex but the pair order across probes is unspecified for
 // workers > 1.
 func INLJ(sides []*clipindex.Snap, probes []rtree.Item, workers int, visit func(Pair)) Result {
-	workers = parallel.EffectiveWorkers(workers, len(probes))
+	workers = effectiveWorkers(workers, len(probes))
 	if len(probes) == 0 || len(sides) == 0 {
 		return Result{}
 	}
@@ -84,7 +84,7 @@ func INLJ(sides []*clipindex.Snap, probes []rtree.Item, workers int, visit func(
 	}
 
 	var pairs int64
-	parallel.ForEachChunk(len(probes), workers, func(w, start, end int, _ *storage.Counter) {
+	forEachChunk(len(probes), workers, func(w, start, end int) {
 		var local int64
 		for i := start; i < end; i++ {
 			probe := probes[i]
@@ -142,7 +142,7 @@ func STT(pairs []SidePair, workers int, visit func(Pair)) (Result, error) {
 			return Result{}, errors.New("join: dimensionality mismatch")
 		}
 	}
-	workers = parallel.EffectiveWorkers(workers, math.MaxInt) // <= 0: GOMAXPROCS
+	workers = effectiveWorkers(workers, math.MaxInt) // <= 0: GOMAXPROCS
 	if len(pairs) == 1 {
 		return sttPair(pairs[0], workers, visit)
 	}
@@ -156,11 +156,11 @@ func STT(pairs []SidePair, workers int, visit func(Pair)) (Result, error) {
 			live = append(live, p)
 		}
 	}
-	workers = parallel.EffectiveWorkers(workers, len(live))
+	workers = effectiveWorkers(workers, len(live))
 	emit := serializedVisit(visit, workers)
 	results := make([]Result, len(live))
 	errs := make([]error, len(live))
-	parallel.ForEachChunk(len(live), workers, func(_, start, end int, _ *storage.Counter) {
+	forEachChunk(len(live), workers, func(_, start, end int) {
 		for i := start; i < end; i++ {
 			results[i], errs[i] = sttPair(live[i], 1, emit)
 		}
@@ -197,10 +197,10 @@ func sttPair(p SidePair, workers int, visit func(Pair)) (Result, error) {
 	root := newJoiner(visit)
 	root.collect = workers > 1
 	root.joinNodes(lv.RootID(), rv.RootID())
-	workers = parallel.EffectiveWorkers(workers, len(root.tasks))
+	workers = effectiveWorkers(workers, len(root.tasks))
 	emit := serializedVisit(visit, workers)
 	joiners := make([]*sttJoiner, workers, workers+1)
-	parallel.ForEachChunk(len(root.tasks), workers, func(w, start, end int, _ *storage.Counter) {
+	forEachChunk(len(root.tasks), workers, func(w, start, end int) {
 		if joiners[w] == nil {
 			joiners[w] = newJoiner(emit)
 		}
@@ -224,6 +224,19 @@ func sttPair(p SidePair, workers int, visit func(Pair)) (Result, error) {
 	rctr.Add(rightIO)
 	res.IO = leftIO.Add(rightIO)
 	return res, err
+}
+
+// effectiveWorkers resolves a requested worker count for n indices: <= 0
+// means GOMAXPROCS, never more than n, so an empty range gets none.
+func effectiveWorkers(workers, n int) int { return min(fanout.Workers(workers, n, 1), n) }
+
+// forEachChunk fans [0, n) out over workers goroutines (effectiveWorkers for
+// n) in grabs of an eighth of a worker's share, small enough to balance
+// skewed per-index costs; an empty range starts nothing.
+func forEachChunk(n, workers int, fn func(worker, start, end int)) {
+	if n > 0 {
+		fanout.ForEachChunk(n, workers, max(1, n/(workers*8)), fn)
+	}
 }
 
 // serializedVisit wraps a join callback in a mutex when more than one worker

@@ -103,8 +103,8 @@ const statusClientClosed = 499
 var dataEndpoints = []string{"/search", "/searchall", "/knn", "/insert", "/batch", "/join"}
 
 // Server is the HTTP serving layer. It implements http.Handler, so it can
-// be driven in-process (tests, benchmarks, cbbench -exp serve) or through
-// Serve/Shutdown on a real listener.
+// be driven in-process (tests, BenchmarkServe*) or through Serve/Shutdown on
+// a real listener (cbbserve, the serve-mixed workload of go run ./bench).
 type Server struct {
 	cfg  Config
 	eng  Engine

@@ -19,8 +19,7 @@ import "sync"
 // pool partitions its capacity across shards, so eviction decisions are
 // per-shard approximations of a global LRU — the standard trade-off of
 // lock-striped caches. Small bounded pools (capacity < 2·64) use a single
-// shard and therefore keep exact global-LRU behaviour, which also keeps the
-// small-pool sweeps of the cold-start experiment exactly reproducible.
+// shard and therefore keep exact global-LRU behaviour.
 type BufferPool struct {
 	shards []poolShard
 	shift  uint // 64 - log2(len(shards)); used when len(shards) > 1
@@ -88,15 +87,6 @@ func NewBufferPool(capacity int) *BufferPool {
 	return newBufferPool(capacity, poolShardsFor(capacity))
 }
 
-// NewUnshardedBufferPool creates a single-shard pool whose eviction is an
-// exact global LRU at every capacity. Strictly sequential experiments whose
-// reported metric is the miss count itself (the cold-start sweep) use it so
-// the measurement stays an exact LRU simulation; concurrent workloads should
-// prefer NewBufferPool's lock-striped layout.
-func NewUnshardedBufferPool(capacity int) *BufferPool {
-	return newBufferPool(capacity, 1)
-}
-
 // NewBufferPoolBytes creates a pool bounded by resident bytes instead of page
 // count: TouchSized charges each page's actual encoded size, and the LRU
 // evicts until the shard is back under its byte budget. This is how
@@ -108,15 +98,6 @@ func NewBufferPoolBytes(byteCapacity int64) *BufferPool {
 		return NewBufferPool(0)
 	}
 	return newBufferPoolBytes(byteCapacity, poolMaxShards)
-}
-
-// NewUnshardedBufferPoolBytes is NewBufferPoolBytes with a single shard: an
-// exact global byte-LRU, for sequential experiments that report miss counts.
-func NewUnshardedBufferPoolBytes(byteCapacity int64) *BufferPool {
-	if byteCapacity <= 0 {
-		return NewUnshardedBufferPool(0)
-	}
-	return newBufferPoolBytes(byteCapacity, 1)
 }
 
 func newBufferPoolBytes(byteCapacity int64, shards int) *BufferPool {

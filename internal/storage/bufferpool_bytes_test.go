@@ -3,7 +3,7 @@ package storage
 import "testing"
 
 func TestBufferPoolBytesEviction(t *testing.T) {
-	p := NewUnshardedBufferPoolBytes(1000)
+	p := newBufferPoolBytes(1000, 1)
 	for id := PageID(1); id <= 3; id++ {
 		if p.TouchSized(id, 300) {
 			t.Fatalf("first touch of page %d was a hit", id)
@@ -30,7 +30,7 @@ func TestBufferPoolBytesEviction(t *testing.T) {
 }
 
 func TestBufferPoolBytesLRUOrder(t *testing.T) {
-	p := NewUnshardedBufferPoolBytes(600)
+	p := newBufferPoolBytes(600, 1)
 	p.TouchSized(1, 200)
 	p.TouchSized(2, 200)
 	p.TouchSized(3, 200)
@@ -47,7 +47,7 @@ func TestBufferPoolBytesLRUOrder(t *testing.T) {
 func TestBufferPoolBytesOversizedPage(t *testing.T) {
 	// A single page larger than the whole budget still caches itself: the
 	// page just touched is never its own eviction victim.
-	p := NewUnshardedBufferPoolBytes(100)
+	p := newBufferPoolBytes(100, 1)
 	if p.TouchSized(7, 5000) {
 		t.Fatal("first touch was a hit")
 	}
@@ -65,7 +65,7 @@ func TestBufferPoolBytesOversizedPage(t *testing.T) {
 }
 
 func TestBufferPoolBytesSizeChange(t *testing.T) {
-	p := NewUnshardedBufferPoolBytes(1000)
+	p := newBufferPoolBytes(1000, 1)
 	p.TouchSized(1, 300)
 	if !p.TouchSized(1, 500) { // the page was rewritten larger
 		t.Fatal("re-touch was a miss")
@@ -98,7 +98,7 @@ func TestBufferPoolBytesReset(t *testing.T) {
 func TestTouchSizedOnPageCountPool(t *testing.T) {
 	// Page-count pools ignore the byte argument entirely: two huge pages fit
 	// in a 2-page pool, and BytesResident stays zero.
-	p := NewUnshardedBufferPool(2)
+	p := newBufferPool(2, 1)
 	p.TouchSized(1, 1<<30)
 	p.TouchSized(2, 1<<30)
 	if !p.Touch(1) || !p.Touch(2) {

@@ -219,9 +219,34 @@ func TestBufferPoolConcurrency(t *testing.T) {
 }
 
 func TestUnshardedBufferPoolExactLRU(t *testing.T) {
-	// At capacity 256 NewBufferPool stripes the pool; the unsharded
-	// constructor must keep exact global-LRU eviction at any capacity.
-	b := NewUnshardedBufferPool(256)
+	// LRU is a stack algorithm: on one access sequence a larger exact-LRU pool
+	// holds a superset of a smaller one's pages, so its misses never exceed
+	// the smaller pool's — a cold run's misses shrink as the pool grows.
+	var seq []PageID
+	distinct := map[PageID]bool{}
+	for i := 0; i < 5000; i++ {
+		seq = append(seq, PageID(1+(i*i+7*i)%397))
+		distinct[seq[i]] = true
+	}
+	prev := int64(len(seq) + 1)
+	for _, capacity := range []int{1, 8, 64, 200, 397} {
+		b := newBufferPool(capacity, 1)
+		for _, id := range seq {
+			b.Touch(id)
+		}
+		_, misses := b.Stats()
+		if misses > prev {
+			t.Fatalf("pool of %d pages missed %d times, a smaller one %d", capacity, misses, prev)
+		}
+		prev = misses
+	}
+	if prev != int64(len(distinct)) {
+		t.Fatalf("a pool holding every page missed %d times, want one per page (%d)", prev, len(distinct))
+	}
+
+	// At capacity 256 NewBufferPool stripes the pool; the unsharded layout
+	// keeps exact global-LRU eviction at any capacity.
+	b := newBufferPool(256, 1)
 	for i := 1; i <= 256; i++ {
 		b.Touch(PageID(i))
 	}

@@ -360,7 +360,13 @@ func TestWritableFileBackedMatrix(t *testing.T) {
 
 				queries := corpusQueries(d, 25, int64(7*d))
 				assertTreesEqual(t, mem, fb, queries)
-				if err := fb.Close(); err != nil { // Close flushes
+				if err := fb.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if _, writes, ok := fb.FileStats(); !ok || writes == 0 {
+					t.Fatalf("flush wrote no pages back (writes=%d ok=%v)", writes, ok)
+				}
+				if err := fb.Close(); err != nil {
 					t.Fatal(err)
 				}
 

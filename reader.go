@@ -2,7 +2,7 @@ package cbb
 
 import (
 	"cbb/internal/clipindex"
-	"cbb/internal/parallel"
+	"cbb/internal/fanout"
 	"cbb/internal/storage"
 )
 
@@ -135,26 +135,54 @@ func (r reader) NearestNeighbors(k int, p Point) []Neighbor {
 	return clipindex.NearestNeighbors(k, p, r...)
 }
 
-// counted is a reader as the parallel executor's Searcher, which is how
-// BatchSearch fans it out over workers with exact per-worker I/O accounting.
-type counted reader
-
-func (r counted) SearchCounted(q Rect, c *storage.Counter, visit func(ObjectID, Rect) bool) {
-	reader(r).searchCounted(q, c, visit)
+// paddedCounter keeps each batch worker's counter on its own cache line (and
+// away from the adjacent-line prefetcher) so the workers' per-node-access
+// atomic updates never false-share.
+type paddedCounter struct {
+	c storage.Counter
+	_ [12]int64
 }
 
-// BatchSearch runs a batch of range queries on a pool of worker goroutines.
-// Every worker charges a private I/O counter and the per-worker totals are
-// merged afterwards, so BatchResult.IO is exact and the index's cumulative
-// IOStats advance exactly as in a sequential run. It is safe to call
-// concurrently with other queries.
+// BatchSearch runs a batch of range queries on a pool of worker goroutines,
+// handed out in chunks small enough to balance skewed query costs. Every
+// worker charges a private I/O counter and the per-worker totals are merged
+// afterwards, so BatchResult.IO is exact and the index's cumulative IOStats
+// advance exactly as in a sequential run. It is safe to call concurrently
+// with other queries.
 func (r reader) BatchSearch(queries []Rect, opts BatchOptions) (BatchResult, error) {
-	res := parallel.RunBatch(counted(r), queries, parallel.Options{
-		Workers: opts.Workers,
-		Collect: opts.Collect,
-		Main:    r.counter(),
+	n := len(queries)
+	res := BatchResult{Counts: make([]int, n), Workers: min(fanout.Workers(opts.Workers, n, 1), n)}
+	if opts.Collect {
+		res.Items = make([][]Item, n)
+	}
+	if n == 0 {
+		return res, nil
+	}
+	counters := make([]paddedCounter, res.Workers)
+	fanout.ForEachChunk(n, res.Workers, max(1, n/(res.Workers*8)), func(w, start, end int) {
+		c := &counters[w].c
+		for i := start; i < end; i++ {
+			if opts.Collect {
+				var items []Item
+				r.searchCounted(queries[i], c, func(id ObjectID, rect Rect) bool {
+					items = append(items, Item{Object: id, Rect: rect})
+					return true
+				})
+				res.Items[i], res.Counts[i] = items, len(items)
+			} else {
+				hits := 0
+				r.searchCounted(queries[i], c, func(ObjectID, Rect) bool { hits++; return true })
+				res.Counts[i] = hits
+			}
+		}
 	})
-	return BatchResult{Counts: res.Counts, Items: res.Items, IO: toIOStats(res.IO), Workers: res.Workers}, nil
+	var io storage.Snapshot
+	for w := range counters {
+		io = io.Add(counters[w].c.Snapshot())
+	}
+	r.counter().Add(io)
+	res.IO = toIOStats(io)
+	return res, nil
 }
 
 // Stats returns structural statistics of the index and its clip table

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -217,6 +218,33 @@ func TestReaderConformance(t *testing.T) {
 							seqIO = res.IO
 						} else if res.IO != seqIO {
 							t.Fatalf("BatchSearch workers=%d IO %+v, sequential %+v", workers, res.IO, seqIO)
+						}
+					}
+					// The edges of a batch — nothing to run, more workers than
+					// queries, GOMAXPROCS by default, counts without items — and
+					// the reader's counter advancing by exactly the reported I/O.
+					rd, release := r.acquire()
+					ctr := rd.counter()
+					release()
+					for _, e := range []struct {
+						queries          []Rect
+						workers, applied int
+					}{
+						{nil, 4, 0},
+						{queries[:3], 64, 3},
+						{queries, 0, min(runtime.GOMAXPROCS(0), len(queries))},
+					} {
+						before := ctr.Snapshot()
+						res, err := c.batch(e.queries, BatchOptions{Workers: e.workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Workers != e.applied || len(res.Counts) != len(e.queries) || res.Items != nil {
+							t.Fatalf("BatchSearch of %d queries, workers=%d: %d workers, %d counts, items %v",
+								len(e.queries), e.workers, res.Workers, len(res.Counts), res.Items != nil)
+						}
+						if got := toIOStats(storage.Diff(before, ctr.Snapshot())); got != res.IO {
+							t.Fatalf("BatchSearch of %d queries advanced the counter by %+v, reported %+v", len(e.queries), got, res.IO)
 						}
 					}
 					for _, workers := range []int{1, 3} {

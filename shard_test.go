@@ -461,6 +461,21 @@ func TestShardedAutoSplitAndMerge(t *testing.T) {
 	if splits == 0 {
 		t.Fatalf("no automatic split after %d clustered inserts (shards=%d, lens=%v)", len(items), st.NumShards(), st.ShardLens())
 	}
+	if hot := slices.Max(st.ShardLens()); hot > 200 {
+		t.Fatalf("a shard holds %d objects after splitting, above SplitAbove 200 (lens=%v)", hot, st.ShardLens())
+	}
+	// The same load without SplitAbove never rebalances, and the hot cluster
+	// swamps a shard.
+	static, err := NewSharded(ShardedOptions{Options: base, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := static.InsertItems(items); err != nil {
+		t.Fatal(err)
+	}
+	if s, m := static.RebalanceStats(); s != 0 || m != 0 || static.NumShards() != 2 || slices.Max(static.ShardLens()) <= 200 {
+		t.Fatalf("without SplitAbove: %d splits, %d merges, lens %v", s, m, static.ShardLens())
+	}
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
