@@ -9,6 +9,7 @@ package cbb
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"cbb/internal/querygen"
@@ -149,6 +150,72 @@ func BenchmarkKNN(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkFirstWrites measures the first writes into a freshly bulk-loaded
+// tree: 200k rea02 objects under the library defaults (QR-tree, CSTA, 4 KiB
+// pages), whose packed leaves are full, so nearly every insert splits one —
+// the writes of a set-up's warm-up and of a server's first minutes. "batch2"
+// is one committed batch of an insert and a delete of the previous batch's
+// insert; "insertItems256" one committed InsertItems of 256 scattered
+// objects. The tree is rebuilt off the clock every perTree ops, so each op
+// stays a first write; run it with -benchtime=Nx (a rebuild costs ~0.5 s).
+func BenchmarkFirstWrites(b *testing.B) {
+	items, uni := loadDataset(b, "rea02", 200000, 42)
+	fresh, _ := loadDataset(b, "rea02", 4096, 43)
+	rand.New(rand.NewSource(44)).Shuffle(len(fresh), func(i, j int) { fresh[i], fresh[j] = fresh[j], fresh[i] })
+	for i := range fresh {
+		fresh[i].Object = ObjectID(len(items) + i)
+	}
+	for _, c := range []struct {
+		name           string
+		perOp, perTree int
+		write          func(b *Batch, ins []Item, prev *Item) error
+	}{
+		{"batch2", 1, 256, func(b *Batch, ins []Item, prev *Item) error {
+			if err := b.Insert(ins[0].Rect, ins[0].Object); err != nil || prev == nil {
+				return err
+			}
+			_, err := b.Delete(prev.Rect, prev.Object)
+			return err
+		}},
+		{"insertItems256", 256, 8, func(b *Batch, ins []Item, _ *Item) error { return b.InsertItems(ins) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var tree *Tree
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := i % c.perTree
+				if k == 0 {
+					b.StopTimer()
+					tree = nil
+					runtime.GC()
+					var err error
+					if tree, err = New(Options{Dims: uni.Dims(), Universe: uni}); err != nil {
+						b.Fatal(err)
+					}
+					if err := tree.BulkLoad(items); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				var prev *Item
+				if k > 0 {
+					prev = &fresh[(k-1)*c.perOp]
+				}
+				batch, err := tree.Begin()
+				if err == nil {
+					err = c.write(batch, fresh[k*c.perOp:(k+1)*c.perOp], prev)
+				}
+				if err == nil {
+					err = batch.Commit()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

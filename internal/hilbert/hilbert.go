@@ -1,12 +1,13 @@
 // Package hilbert implements the Hilbert space-filling curve in arbitrary
 // dimensionality, used by the Hilbert R-tree (HR-tree) variant to order
-// spatially-near objects before packing them into leaves.
+// spatially-near objects before packing them into leaves, by every batch
+// insert to order its items, and by the sharded engine to route writes.
 //
-// The implementation follows Skilling's transpose algorithm ("Programming
-// the Hilbert curve", AIP 2004): coordinates are mapped to a transposed
-// Hilbert representation with Gray-code untangling and then bit-interleaved
-// into a single integer index. Encode and Decode are exact inverses for all
-// coordinates smaller than 2^bits per dimension.
+// The curve is Skilling's ("Programming the Hilbert curve", AIP 2004):
+// coordinates are mapped to a transposed Hilbert representation with
+// Gray-code untangling and then bit-interleaved into a single integer index.
+// The transform runs without data-dependent branches and gives Skilling's
+// index to the bit.
 package hilbert
 
 import (
@@ -100,10 +101,7 @@ func (c *Curve) Index(p geom.Point) uint64 {
 		}
 		coords[d] = uint32(f)
 	}
-	// Coordinates are freshly clamped below 2^bits, so encode in place
-	// without Encode's defensive copy and masking.
-	axesToTranspose(coords, c.bits)
-	return interleave(coords, c.bits)
+	return encode(coords, c.bits)
 }
 
 // MaxIndex returns the largest index the curve can produce: 2^(dims*bits)-1.
@@ -128,111 +126,50 @@ func (c *Curve) IndexRect(r geom.Rect) uint64 {
 	return c.Index(geom.Point(ctr))
 }
 
-// Encode converts discrete coordinates (each < 2^bits) into a Hilbert index.
-// Coordinates wider than bits are masked down to their low bits so that the
-// result always lies in [0, 2^(dims*bits)). The slice is not modified.
-func Encode(coords []uint32, bits int) uint64 {
-	n := len(coords)
-	x := make([]uint32, n)
-	copy(x, coords)
-	if bits < 32 {
-		mask := uint32(1)<<uint(bits) - 1
-		for i := range x {
-			x[i] &= mask
-		}
-	}
-	axesToTranspose(x, bits)
-	return interleave(x, bits)
-}
-
-// Decode converts a Hilbert index back into discrete coordinates, the exact
-// inverse of Encode.
-func Decode(index uint64, dims, bits int) []uint32 {
-	x := deinterleave(index, dims, bits)
-	transposeToAxes(x, bits)
-	return x
-}
-
-// axesToTranspose applies Skilling's in-place transformation from Cartesian
-// coordinates to the transposed Hilbert representation.
-func axesToTranspose(x []uint32, bits int) {
-	n := len(x)
-	m := uint32(1) << uint(bits-1)
-	// Inverse undo of the excess work done by transposeToAxes.
-	for q := m; q > 1; q >>= 1 {
-		p := q - 1
-		for i := 0; i < n; i++ {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
-		}
-	}
-	// Gray encode.
-	for i := 1; i < n; i++ {
-		x[i] ^= x[i-1]
-	}
-	var t uint32
-	for q := m; q > 1; q >>= 1 {
-		if x[n-1]&q != 0 {
-			t ^= q - 1
-		}
-	}
-	for i := 0; i < n; i++ {
-		x[i] ^= t
-	}
-}
-
-// transposeToAxes is the inverse of axesToTranspose.
-func transposeToAxes(x []uint32, bits int) {
-	n := len(x)
-	m := uint32(2) << uint(bits-1)
-	// Gray decode by H ^ (H/2).
-	t := x[n-1] >> 1
-	for i := n - 1; i > 0; i-- {
-		x[i] ^= x[i-1]
-	}
-	x[0] ^= t
-	// Undo excess work.
-	for q := uint32(2); q != m; q <<= 1 {
-		p := q - 1
-		for i := n - 1; i >= 0; i-- {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
-		}
-	}
-}
-
-// interleave packs the transposed representation into a single index, most
-// significant bit of x[0] first.
-func interleave(x []uint32, bits int) uint64 {
-	n := len(x)
+// encode returns the Hilbert index of cell coordinates, each below 2^bits,
+// overwriting them on the transform's path.
+func encode(x []uint32, bits int) uint64 {
+	transpose(x, bits)
 	var out uint64
 	for b := bits - 1; b >= 0; b-- {
-		for i := 0; i < n; i++ {
-			out = (out << 1) | uint64((x[i]>>uint(b))&1)
+		for _, v := range x {
+			out = out<<1 | uint64(v>>uint(b)&1)
 		}
 	}
 	return out
 }
 
-// deinterleave is the inverse of interleave.
-func deinterleave(index uint64, dims, bits int) []uint32 {
-	x := make([]uint32, dims)
-	pos := dims*bits - 1
-	for b := bits - 1; b >= 0; b-- {
-		for i := 0; i < dims; i++ {
-			x[i] |= uint32((index>>uint(pos))&1) << uint(b)
-			pos--
+// transpose is Skilling's in-place map from Cartesian coordinates to the
+// transposed Hilbert representation, with every data-dependent choice taken
+// as a mask. At bit level b, axis i inverts axis 0's lower bits when its own
+// bit b is set and exchanges its lower bits with axis 0's when it is clear;
+// then the axes are Gray-coded, and every axis is flipped below each set bit
+// of the last one (a running parity from the top, one shift cascade). Axis 0,
+// which every step reads and writes, is held in a local; its own step (an
+// exchange with itself is a no-op) is the inversion alone.
+func transpose(x []uint32, bits int) {
+	x0, rest := x[0], x[1:]
+	for b := uint(bits - 1); b > 0; b-- {
+		p := uint32(1)<<b - 1
+		x0 ^= p & -(x0 >> b & 1)
+		for i, xi := range rest {
+			set := -(xi >> b & 1)
+			t := (x0 ^ xi) & p &^ set
+			x0 ^= t | p&set
+			rest[i] = xi ^ t
 		}
 	}
-	return x
+	x[0] = x0
+	for i := 1; i < len(x); i++ {
+		x[i] ^= x[i-1]
+	}
+	t := x[len(x)-1] >> 1
+	t ^= t >> 1
+	t ^= t >> 2
+	t ^= t >> 4
+	t ^= t >> 8
+	t ^= t >> 16
+	for i := range x {
+		x[i] ^= t
+	}
 }

@@ -198,6 +198,16 @@ func BenchmarkEncode2D(b *testing.B) {
 	}
 }
 
+func BenchmarkCurveIndex2D(b *testing.B) {
+	uni := geom.R(0, 0, 1000, 1000)
+	c, _ := New(uni, 16)
+	p := geom.Pt(123.4, 567.8)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Index(p)
+	}
+}
+
 func BenchmarkCurveIndex3D(b *testing.B) {
 	uni := geom.R(0, 0, 0, 1000, 1000, 1000)
 	c, _ := New(uni, 16)

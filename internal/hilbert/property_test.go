@@ -163,6 +163,69 @@ func TestCurveIndexMonotoneOnAxis(t *testing.T) {
 	}
 }
 
+// Encode converts discrete coordinates (each < 2^bits) into a Hilbert index
+// through the production kernel. Coordinates wider than bits are masked down
+// to their low bits so that the result always lies in [0, 2^(dims*bits)). The
+// slice is not modified.
+func Encode(coords []uint32, bits int) uint64 {
+	n := len(coords)
+	x := make([]uint32, n)
+	copy(x, coords)
+	if bits < 32 {
+		mask := uint32(1)<<uint(bits) - 1
+		for i := range x {
+			x[i] &= mask
+		}
+	}
+	return encode(x, bits)
+}
+
+// Decode converts a Hilbert index back into discrete coordinates, the exact
+// inverse of Skilling's transform.
+func Decode(index uint64, dims, bits int) []uint32 {
+	x := deinterleave(index, dims, bits)
+	transposeToAxes(x, bits)
+	return x
+}
+
+// transposeToAxes is the inverse of axesToTranspose.
+func transposeToAxes(x []uint32, bits int) {
+	n := len(x)
+	m := uint32(2) << uint(bits-1)
+	// Gray decode by H ^ (H/2).
+	t := x[n-1] >> 1
+	for i := n - 1; i > 0; i-- {
+		x[i] ^= x[i-1]
+	}
+	x[0] ^= t
+	// Undo excess work.
+	for q := uint32(2); q != m; q <<= 1 {
+		p := q - 1
+		for i := n - 1; i >= 0; i-- {
+			if x[i]&q != 0 {
+				x[0] ^= p
+			} else {
+				t := (x[0] ^ x[i]) & p
+				x[0] ^= t
+				x[i] ^= t
+			}
+		}
+	}
+}
+
+// deinterleave is the inverse of interleave.
+func deinterleave(index uint64, dims, bits int) []uint32 {
+	x := make([]uint32, dims)
+	pos := dims*bits - 1
+	for b := bits - 1; b >= 0; b-- {
+		for i := 0; i < dims; i++ {
+			x[i] |= uint32((index>>uint(pos))&1) << uint(b)
+			pos--
+		}
+	}
+	return x
+}
+
 func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint32(0), 3, 8)
 	f.Add(uint32(255), uint32(17), uint32(1<<20), 2, 16)

@@ -72,11 +72,27 @@ func (t *Tree) buildPacked(items []Item) {
 // ordering; packChunk is the number of nodes a packing worker takes at a time.
 const sortRunItems, packChunk = 8192, 32
 
-// ordRec is one item's place in the packing order: pointer-free, so sorting
+// Keyed is one item's place in an order — the packing order, a batch's
+// Hilbert order, a sharded engine's routing order: pointer-free, so sorting
 // moves 16 bytes without write barriers while the items stay put.
-type ordRec struct {
-	key  uint64 // Hilbert index, or floatKey of one centre coordinate
-	orig int32  // index into the caller's items
+type Keyed struct {
+	Key  uint64 // Hilbert index, or floatKey of one centre coordinate
+	Orig int32  // index into the caller's items
+}
+
+// KeyOrder keys items 0..n-1 with key, computed by the fanout workers for a
+// large n, and returns them by ascending key, ties in index order — a total
+// order, so the result does not depend on the worker count.
+func KeyOrder(n int, key func(i int) uint64) []Keyed {
+	workers := fanout.Workers(0, n, sortRunItems)
+	order := make([]Keyed, n)
+	fanout.ForEachChunk(n, workers, sortRunItems, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			order[i] = Keyed{Key: key(i), Orig: int32(i)}
+		}
+	})
+	sortOrd(order, make([]Keyed, n), workers)
+	return order
 }
 
 // floatKey maps a non-NaN float64 to a uint64 that orders the same way; +0
@@ -96,8 +112,8 @@ func floatKey(f float64) uint64 {
 // coordinate, cuts the order into vertical slabs of S·M items, sorts each
 // slab by the next coordinate, and recurses; the slabs of one stage are
 // independent, so they are sorted concurrently.
-func (t *Tree) packingOrder(items []Item, workers int) []ordRec {
-	order := make([]ordRec, len(items))
+func (t *Tree) packingOrder(items []Item, workers int) []Keyed {
+	order := make([]Keyed, len(items))
 	dims := t.cfg.Dims
 	if t.cfg.Variant == Hilbert {
 		// Rebuild the curve over the actual data bounds: a curve spanning a
@@ -113,17 +129,17 @@ func (t *Tree) packingOrder(items []Item, workers int) []ordRec {
 		for i := lo; i < hi; i++ {
 			o := &order[i]
 			if dim == 0 {
-				o.orig = int32(i)
+				o.Orig = int32(i)
 			}
-			if r := items[o.orig].Rect; t.cfg.Variant == Hilbert {
-				o.key = t.curve.IndexRect(r)
+			if r := items[o.Orig].Rect; t.cfg.Variant == Hilbert {
+				o.Key = t.curve.IndexRect(r)
 			} else {
-				o.key = floatKey((r.Lo[dim] + r.Hi[dim]) / 2)
+				o.Key = floatKey((r.Lo[dim] + r.Hi[dim]) / 2)
 			}
 		}
 	}
 	fanout.ForEachChunk(len(order), workers, sortRunItems, func(_, lo, hi int) { key(lo, hi, 0) })
-	tmp := make([]ordRec, len(order))
+	tmp := make([]Keyed, len(order))
 	sortOrd(order, tmp, workers)
 	slabs := []int{0, len(order)} // boundaries of the current stage's slabs
 	for dim := 1; dim < dims; dim++ {
@@ -154,9 +170,9 @@ func (t *Tree) packingOrder(items []Item, workers int) []ordRec {
 // parts, sized by their share of the workers, are sorted concurrently, each
 // the same way, and merged; one worker runs a byte-wise LSD radix sort that
 // skips the bytes every key shares.
-func sortOrd(recs, tmp []ordRec, workers int) {
+func sortOrd(recs, tmp []Keyed, workers int) {
 	if len(recs) < 128 {
-		slices.SortStableFunc(recs, func(a, b ordRec) int { return cmp.Compare(a.key, b.key) })
+		slices.SortStableFunc(recs, func(a, b Keyed) int { return cmp.Compare(a.Key, b.Key) })
 		return
 	}
 	if workers > 1 {
@@ -171,7 +187,7 @@ func sortOrd(recs, tmp []ordRec, workers int) {
 		copy(tmp, recs)
 		a, b, dst := tmp[:mid], tmp[mid:], recs
 		for len(a) > 0 && len(b) > 0 {
-			if b[0].key < a[0].key {
+			if b[0].Key < a[0].Key {
 				dst[0], b = b[0], b[1:]
 			} else {
 				dst[0], a = a[0], a[1:]
@@ -184,13 +200,13 @@ func sortOrd(recs, tmp []ordRec, workers int) {
 	var counts [8][256]int
 	for i := range recs {
 		for b := range counts {
-			counts[b][byte(recs[i].key>>(8*b))]++
+			counts[b][byte(recs[i].Key>>(8*b))]++
 		}
 	}
 	src, dst := recs, tmp
 	for b := range counts {
 		c := &counts[b]
-		if c[byte(src[0].key>>(8*b))] == len(src) {
+		if c[byte(src[0].Key>>(8*b))] == len(src) {
 			continue
 		}
 		sum := 0
@@ -198,7 +214,7 @@ func sortOrd(recs, tmp []ordRec, workers int) {
 			c[v], sum = sum, sum+c[v]
 		}
 		for i := range src {
-			v := byte(src[i].key >> (8 * b))
+			v := byte(src[i].Key >> (8 * b))
 			dst[c[v]] = src[i]
 			c[v]++
 		}
@@ -240,10 +256,10 @@ func (t *Tree) packLevel(count int, leaf bool, level int, fill func(n *node, lo,
 
 // packLeaves chops the items the order names, in that order, into new leaves
 // and returns them in order.
-func (t *Tree) packLeaves(items []Item, order []ordRec) []*node {
+func (t *Tree) packLeaves(items []Item, order []Keyed) []*node {
 	return t.packLevel(len(order), true, 0, func(n *node, lo, hi int) {
 		for _, o := range order[lo:hi] {
-			it := &items[o.orig]
+			it := &items[o.Orig]
 			n.boxes = append(append(n.boxes, it.Rect.Lo...), it.Rect.Hi...)
 			n.refs = append(n.refs, int64(it.Object))
 		}

@@ -73,7 +73,7 @@ func checkOrderMatchesReference(t testing.TB, v Variant, dims, maxEntries, worke
 		t.Fatalf("order has %d records, reference %d items", len(order), len(want))
 	}
 	for i, o := range order {
-		if it := items[o.orig]; it.Object != want[i].Object || !it.Rect.Equal(want[i].Rect) {
+		if it := items[o.Orig]; it.Object != want[i].Object || !it.Rect.Equal(want[i].Rect) {
 			t.Fatalf("slot %d: object %d %v, reference object %d %v", i, it.Object, it.Rect, want[i].Object, want[i].Rect)
 		}
 	}

@@ -148,7 +148,7 @@ func (t *Tree) condense(n *node, trace *DeleteTrace) {
 			if !parent.rect(idx, t.cfg.Dims).Equal(newMBB) {
 				parent = t.mutable(parent)
 				parent.setRect(idx, newMBB, t.cfg.Dims)
-				t.touch(parent)
+				t.touch(parent, idx)
 				trace.markMBBChanged(cur.id)
 				t.counter.Write(1)
 			}

@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cbb/internal/geom"
@@ -293,6 +294,77 @@ func TestSaveLoadRoundTripV2(t *testing.T) {
 		query := randRect(rng, 2, 500, 60)
 		if tr.Count(query) != back.Count(query) {
 			t.Fatalf("query %d differs on v2-loaded tree", q)
+		}
+	}
+}
+
+// TestV2LoadedDirectoryRequantisedOnTouch pins that a directory node of a
+// v2-loaded tree keeps the planes it adopted from its page until a write
+// touches it, and then holds the planes a whole re-quantisation of its decoded
+// boxes gives — the planes a later v2 Save writes back (encodeNodeV2 reuses
+// them). Inserts inside the tree's extent keep most directory MBBs where they
+// were, the case in which a touch of an in-memory node rewrites just the
+// changed slots; deletes run the condense path.
+func TestV2LoadedDirectoryRequantisedOnTouch(t *testing.T) {
+	for _, v := range AllVariants() {
+		rng := rand.New(rand.NewSource(41))
+		cfg := smallConfig(2, v)
+		tr := MustNew(cfg)
+		var rects []geom.Rect
+		for i := 0; i < 600; i++ {
+			rects = append(rects, randRect(rng, 2, 500, 10))
+			if _, err := tr.Insert(rects[i], ObjectID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		need, err := tr.MaxEncodedNodeBytes(CodecV2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pager := storage.NewPager(need)
+		pages, err := tr.Save(pager, CodecV2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(cfg, pager, pages, tr.RootID(), CodecV2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adopted := map[NodeID][]uint64{}
+		for _, n := range back.nodes {
+			if n != nil && !n.leaf {
+				adopted[n.id] = slices.Clone(n.qplanes)
+			}
+		}
+		touched := 0
+		for i := 0; i < 300; i++ {
+			var err error
+			if i%3 == 2 {
+				_, err = back.Delete(rects[i], ObjectID(i))
+			} else {
+				_, err = back.Insert(randRect(rng, 2, 490, 10), ObjectID(1000+i))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range back.nodes {
+				if n == nil || n.leaf || slices.Equal(n.qplanes, adopted[n.id]) {
+					continue
+				}
+				want := &node{boxes: n.boxes, refs: n.refs}
+				want.syncDerived(2)
+				if !slicesEqualBits(n.qmbb, want.qmbb) || !slices.Equal(n.qplanes, want.qplanes) {
+					t.Fatalf("%v, insert %d: directory %d holds planes %x over %v; re-quantised whole they are %x over %v",
+						v, i, n.id, n.qplanes, n.qmbb, want.qplanes, want.qmbb)
+				}
+				touched++
+			}
+		}
+		if touched == 0 {
+			t.Fatalf("%v: no directory node was touched", v)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("%v: %v", v, err)
 		}
 	}
 }

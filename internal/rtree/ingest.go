@@ -148,20 +148,16 @@ func (t *Tree) rebuildWith(items []Item, trace *InsertTrace) {
 // own curve (so run order agrees with the LHV ordering the variant
 // maintains); the other variants key with a deterministic curve built over
 // the batch bounds, which only has to provide locality. The sort is stable.
-func (t *Tree) ingestOrder(items []Item) []ordRec {
+func (t *Tree) ingestOrder(items []Item) []Keyed {
 	curve := t.curve
 	if t.cfg.Variant != Hilbert || curve == nil {
 		curve, _ = newCurveFor(itemsMBR(items), t.cfg.HilbertBits) // nil on degenerate bounds: keep input order
 	}
-	ord := make([]ordRec, len(items))
-	for i := range ord {
-		ord[i].orig = int32(i)
-		if curve != nil {
-			ord[i].key = curve.IndexRect(items[i].Rect)
-		}
+	key := func(int) uint64 { return 0 }
+	if curve != nil {
+		key = func(i int) uint64 { return curve.IndexRect(items[i].Rect) }
 	}
-	sortOrd(ord, make([]ordRec, len(ord)), 1)
-	return ord
+	return KeyOrder(len(items), key)
 }
 
 // insertOne is the classic per-item insert into a non-empty tree without
@@ -174,7 +170,7 @@ func (t *Tree) insertOne(it Item, trace *InsertTrace) {
 
 // ingestRuns partitions the sorted batch into runs sharing a target leaf
 // and services each run with the cheapest applicable strategy.
-func (t *Tree) ingestRuns(items []Item, ks []ordRec, trace *InsertTrace, stats *IngestStats) {
+func (t *Tree) ingestRuns(items []Item, ks []Keyed, trace *InsertTrace, stats *IngestStats) {
 	i := 0
 	for i < len(ks) {
 		stats.Runs++
@@ -182,11 +178,11 @@ func (t *Tree) ingestRuns(items []Item, ks []ordRec, trace *InsertTrace, stats *
 		// head, then extend the run while the next sorted item lies inside
 		// the chosen leaf's MBB (zero enlargement, so the leaf stays a
 		// natural target for the entire run).
-		target := t.chooseSubtree(items[ks[i].orig].Rect, 0)
+		target := t.chooseSubtree(items[ks[i].Orig].Rect, 0)
 		leaf := t.mustNode(target)
 		leafMBB := leaf.mbb()
 		j := i + 1
-		for j < len(ks) && leafMBB.ContainsRect(items[ks[j].orig].Rect) {
+		for j < len(ks) && leafMBB.ContainsRect(items[ks[j].Orig].Rect) {
 			j++
 		}
 		run := ks[i:j]
@@ -206,13 +202,13 @@ func (t *Tree) ingestRuns(items []Item, ks []ordRec, trace *InsertTrace, stats *
 			n := t.mutable(leaf)
 			before := n.mbb()
 			for placed < len(run) && n.count() < t.cfg.MaxEntries {
-				it := &items[run[placed].orig]
+				it := &items[run[placed].Orig]
 				n.appendEntry(Entry{Rect: it.Rect, Object: it.Object, Child: InvalidNode})
+				t.touch(n, n.count()-1)
 				trace.Placements = append(trace.Placements, Placement{Node: n.id, Rect: n.rect(n.count()-1, t.cfg.Dims)})
 				t.counter.Write(1)
 				placed++
 			}
-			t.touch(n)
 			if !n.mbb().Equal(before) {
 				trace.markMBBChanged(n.id)
 			}
@@ -225,7 +221,7 @@ func (t *Tree) ingestRuns(items []Item, ks []ordRec, trace *InsertTrace, stats *
 			// The leaf is full: push one item through the classic path (it
 			// overflows and splits/reinserts as usual), then re-choose a
 			// target for whatever remains of the run.
-			t.insertOne(items[run[placed].orig], trace)
+			t.insertOne(items[run[placed].Orig], trace)
 			stats.PerItem++
 			placed++
 		}
@@ -237,7 +233,7 @@ func (t *Tree) ingestRuns(items []Item, ks []ordRec, trace *InsertTrace, stats *
 // and builds parent levels bottom-up while the level still satisfies the
 // minimum fill and stays strictly below the root, then grafts each packed
 // subtree as a sibling via one directory-level insertion.
-func (t *Tree) graftRun(items []Item, run []ordRec, trace *InsertTrace, stats *IngestStats) {
+func (t *Tree) graftRun(items []Item, run []Keyed, trace *InsertTrace, stats *IngestStats) {
 	// maxLevel caps the packed subtree's root so its graft target (one
 	// level above) exists below or at the current root.
 	maxLevel := t.height - 2

@@ -227,7 +227,7 @@ func (t *Tree) insertAtLevel(e Entry, level int, trace *InsertTrace, marks *leve
 	}
 	before := n.mbb()
 	n.appendEntry(e)
-	t.touch(n)
+	t.touch(n, n.count()-1)
 	if recordLeaf && n.leaf {
 		trace.Leaf = n.id
 	}
@@ -279,13 +279,29 @@ func (t *Tree) chooseChild(n *node, r geom.Rect) int {
 	}
 }
 
+// chooseMinEnlargementChild picks the child whose MBB r enlarges least, ties
+// to the smaller volume, then to the first: Rect.Enlargement and Rect.Volume
+// over the node's flat boxes, the same operations in the same order.
 func (t *Tree) chooseMinEnlargementChild(n *node, r geom.Rect) int {
+	dims := t.cfg.Dims
+	lo, hi := r.Lo[:dims], r.Hi[:dims]
 	best := 0
 	var bestEnl, bestVol float64
 	for i := range n.refs {
-		ri := n.rect(i, t.cfg.Dims)
-		enl := ri.Enlargement(r)
-		vol := ri.Volume()
+		box := n.boxes[i*2*dims:][:2*dims]
+		uv, vol := 1.0, 1.0
+		for d := range dims {
+			l, h := box[d], box[dims+d]
+			vol *= h - l
+			if lo[d] < l {
+				l = lo[d]
+			}
+			if hi[d] > h {
+				h = hi[d]
+			}
+			uv *= h - l
+		}
+		enl := uv - vol
 		if i == 0 || enl < bestEnl || (enl == bestEnl && vol < bestVol) {
 			best, bestEnl, bestVol = i, enl, vol
 		}
@@ -474,7 +490,7 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 	parent.setRect(idx, n.mbb(), dims)
 	sibling.parent = parent.id
 	parent.appendEntry(Entry{Rect: sibling.mbb(), Child: sibling.id})
-	t.touch(parent)
+	t.touch(parent, idx, parent.count()-1)
 	t.counter.Write(1)
 	if parent.count() > t.cfg.MaxEntries {
 		t.handleOverflow(parent, trace, marks)
@@ -499,7 +515,7 @@ func (t *Tree) adjustUpward(n *node, trace *InsertTrace) {
 		if changed {
 			parent = t.mutable(parent)
 			parent.setRect(idx, newMBB, t.cfg.Dims)
-			t.touch(parent)
+			t.touch(parent, idx)
 			trace.markMBBChanged(cur.id)
 			t.counter.Write(1)
 		}

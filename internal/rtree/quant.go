@@ -49,7 +49,11 @@ package rtree
 // stores. With verbatim adoption, every store scans identical planes and the
 // equivalence matrices stay bit-identical across mem/file/v2/mmap.
 
-import "cbb/internal/geom"
+import (
+	"math"
+
+	"cbb/internal/geom"
+)
 
 // PlaneBits is the width of one in-memory quantised plane coordinate. It is
 // fixed to the v2 directory grid (DirQuantBits) so that compressed snapshot
@@ -106,14 +110,15 @@ func (n *node) planeAt(dims, d, i int, hi bool) uint16 {
 	return uint16(n.qplanes[base+i/planeLanes] >> ((i % planeLanes) * PlaneBits))
 }
 
-// setPlane writes one quantised coordinate into the packed planes; the word
-// must have been zeroed first.
+// setPlane writes one quantised coordinate into the packed planes.
 func setPlane(planes []uint64, w, d, i int, hi bool, g uint16) {
 	base := 2 * d * w
 	if hi {
 		base += w
 	}
-	planes[base+i/planeLanes] |= uint64(g) << ((i % planeLanes) * PlaneBits)
+	shift := (i % planeLanes) * PlaneBits
+	word := &planes[base+i/planeLanes]
+	*word = *word&^(uint64(1<<PlaneBits-1)<<shift) | uint64(g)<<shift
 }
 
 // syncPlanes rebuilds the quantised SoA planes from boxes:
@@ -265,4 +270,59 @@ func quantScan(planes []uint64, count, dims int, qg *[2 * geom.MaxDims]uint16, m
 	if r := count & 63; r != 0 {
 		mask[words-1] &= 1<<uint(r) - 1
 	}
+}
+
+// syncSlots is syncPlanes for a change confined to the given slots — appended,
+// or their rectangles replaced — that left the node's MBB where it was: the
+// other slots' grid coordinates cannot have changed, so only these slots' are
+// written, into planes first widened by one word each when the appends opened
+// one. It changes nothing and reports false when the MBB of boxes differs from
+// qmbb in any bit, or the planes were laid out for neither the node's word
+// count nor one word fewer: syncPlanes must rebuild them then.
+func (n *node) syncSlots(dims int, slots []int) bool {
+	var buf [2 * geom.MaxDims]float64
+	mbb := buf[:2*dims]
+	foldMBB(mbb, n.boxes, dims)
+	if len(n.qmbb) != len(mbb) {
+		return false
+	}
+	for k, v := range mbb {
+		if math.Float64bits(v) != math.Float64bits(n.qmbb[k]) {
+			return false
+		}
+	}
+	w := planeWords(n.count())
+	switch len(n.qplanes) {
+	case 2 * dims * w:
+	case 2 * dims * (w - 1):
+		n.widenPlanes(dims, w)
+	default:
+		return false
+	}
+	for _, i := range slots {
+		box := n.boxes[i*2*dims:][:2*dims]
+		for d := 0; d < dims; d++ {
+			lo, hi := n.qmbb[d], n.qmbb[dims+d]
+			setPlane(n.qplanes, w, d, i, false, qlower(box[d], lo, hi))
+			setPlane(n.qplanes, w, d, i, true, qupper(box[dims+d], lo, hi))
+		}
+	}
+	return true
+}
+
+// widenPlanes re-lays planes of w-1 words each out as planes of w words, the
+// new last word of each zero — in place when the capacity allows, moving the
+// last plane first so no plane is overwritten before it has moved.
+func (n *node) widenPlanes(dims, w int) {
+	old, need := n.qplanes, 2*dims*w
+	planes := old[:cap(old)]
+	if len(planes) < need {
+		planes = make([]uint64, need)
+	}
+	planes = planes[:need]
+	for k := 2*dims - 1; k >= 0; k-- {
+		copy(planes[k*w:k*w+w-1], old[k*(w-1):(k+1)*(w-1)])
+		planes[k*w+w-1] = 0
+	}
+	n.qplanes = planes
 }

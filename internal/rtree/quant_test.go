@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cbb/internal/geom"
@@ -172,28 +173,119 @@ func TestQuantPlanesNeverMissRandom(t *testing.T) {
 
 // TestInsertRejectsNonFinite pins that non-finite coordinates are rejected
 // at every ingest entry point, so the quantiser never sees NaN or ±Inf and
-// node MBBs stay finite (the grid math depends on it).
+// node MBBs stay finite (the grid math depends on it). A finite rectangle
+// whose volume overflows is accepted, and under every variant the splits that
+// meet it still split: in the quadratic split every enlargement difference of
+// a group holding it is NaN, and a round used to pick slot -1 and panic.
 func TestInsertRejectsNonFinite(t *testing.T) {
-	bad := []geom.Rect{
-		{Lo: geom.Point{math.NaN(), 0}, Hi: geom.Point{1, 1}},
-		{Lo: geom.Point{0, 0}, Hi: geom.Point{math.Inf(1), 1}},
-		{Lo: geom.Point{math.Inf(-1), 0}, Hi: geom.Point{1, 1}},
+	cases := []struct {
+		r      geom.Rect
+		finite bool
+	}{
+		{geom.Rect{Lo: geom.Point{math.NaN(), 0}, Hi: geom.Point{1, 1}}, false},
+		{geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{math.Inf(1), 1}}, false},
+		{geom.Rect{Lo: geom.Point{math.Inf(-1), 0}, Hi: geom.Point{1, 1}}, false},
+		{geom.Rect{Lo: geom.Point{-1e308, 0}, Hi: geom.Point{1e308, 1}}, true},
 	}
-	for i, r := range bad {
-		tr, err := New(smallConfig(2, RStar))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tr.Insert(r, 1); err == nil {
-			t.Errorf("case %d: Insert accepted non-finite rect %v", i, r)
-		}
-		if err := tr.BulkLoad([]Item{{Rect: r, Object: 1}}); err == nil {
-			t.Errorf("case %d: BulkLoad accepted non-finite rect %v", i, r)
-		}
-		if _, err := tr.InsertItems([]Item{{Rect: r, Object: 1}}); err == nil {
-			t.Errorf("case %d: InsertItems accepted non-finite rect %v", i, r)
+	for i, c := range cases {
+		for _, v := range AllVariants() {
+			cfg := smallConfig(2, v)
+			cfg.MaxEntries, cfg.MinEntries = 4, 2
+			tr, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tr.Insert(c.r, 1); (err == nil) != c.finite {
+				t.Fatalf("case %d, %v: Insert(%v) error %v", i, v, c.r, err)
+			}
+			if !c.finite {
+				if err := tr.BulkLoad([]Item{{Rect: c.r, Object: 1}}); err == nil {
+					t.Errorf("case %d: BulkLoad accepted non-finite rect %v", i, c.r)
+				}
+				if _, err := tr.InsertItems([]Item{{Rect: c.r, Object: 1}}); err == nil {
+					t.Errorf("case %d: InsertItems accepted non-finite rect %v", i, c.r)
+				}
+				continue
+			}
+			for k := 2; k <= 40; k++ {
+				x := float64(k)
+				if _, err := tr.Insert(geom.R(x, x, x+1, x+1), ObjectID(k)); err != nil {
+					t.Fatalf("case %d, %v: insert %d: %v", i, v, k, err)
+				}
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("case %d, %v: %v", i, v, err)
+			}
+			if n := tr.Count(geom.R(-1e300, -1e300, 1e300, 1e300)); n != 40 {
+				t.Fatalf("case %d, %v: %d objects found, want 40", i, v, n)
+			}
 		}
 	}
+}
+
+// TestSyncSlotsMatchesSyncPlanes drives nodes through appends and rectangle
+// replacements, each refreshed through syncDerived with the changed slots
+// named, and holds qmbb, planes and page size to a full syncPlanes of the same
+// boxes after every step: across plane-word boundaries (with and without spare
+// capacity), for changes inside the MBB (written slot by slot) and outside it
+// (rebuilt), in 1 to 3 dimensions.
+func TestSyncSlotsMatchesSyncPlanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	partial, steps := 0, 0
+	for dims := 1; dims <= 3; dims++ {
+		for trial := 0; trial < 20; trial++ {
+			n := leafFromRects([]geom.Rect{randRect(rng, dims, 100, 10)}, dims)
+			for step := 0; step < 60; step++ {
+				// Mostly inside the current MBB, now and then beyond it.
+				r := randRect(rng, dims, 100, 10)
+				if rng.Intn(4) > 0 {
+					r = randRect(rng, dims, 0, 0)
+					for d := 0; d < dims; d++ {
+						lo, hi := n.qmbb[d], n.qmbb[dims+d]
+						a, b := lo+rng.Float64()*(hi-lo), lo+rng.Float64()*(hi-lo)
+						r.Lo[d], r.Hi[d] = min(a, b), max(a, b)
+					}
+				}
+				var slots []int
+				switch k := rng.Intn(3); {
+				case k == 0 && n.count() > 1:
+					i := rng.Intn(n.count())
+					n.setRect(i, r, dims)
+					slots = []int{i}
+				case k == 1 && n.count() > 1:
+					i := rng.Intn(n.count())
+					n.setRect(i, r, dims)
+					n.appendEntry(Entry{Rect: randRect(rng, dims, 0, 0), Child: InvalidNode, Object: ObjectID(step)})
+					slots = []int{i, n.count() - 1}
+				default:
+					if rng.Intn(2) == 0 {
+						n.qplanes = n.qplanes[:len(n.qplanes):len(n.qplanes)] // no spare capacity
+					}
+					n.appendEntry(Entry{Rect: r, Child: InvalidNode, Object: ObjectID(step)})
+					slots = []int{n.count() - 1}
+				}
+				before := &n.qmbb[0]
+				n.syncDerived(dims, slots...)
+				if &n.qmbb[0] == before {
+					partial++ // syncPlanes installs a fresh qmbb; syncSlots keeps it
+				}
+				want := &node{leaf: true, boxes: n.boxes, refs: n.refs}
+				want.syncDerived(dims)
+				if !slicesEqualBits(n.qmbb, want.qmbb) || !slices.Equal(n.qplanes, want.qplanes) || n.encSize != want.encSize {
+					t.Fatalf("dims=%d step %d (slots %v, %d entries): qmbb %v planes %x size %d, full sync %v %x %d",
+						dims, step, slots, n.count(), n.qmbb, n.qplanes, n.encSize, want.qmbb, want.qplanes, want.encSize)
+				}
+				steps++
+			}
+		}
+	}
+	if partial < steps/3 || partial == steps {
+		t.Fatalf("%d of %d refreshes took the slot-only path; the mix does not exercise both", partial, steps)
+	}
+}
+
+func slicesEqualBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestValidateDetectsPlaneCorruption checks that Validate cross-checks the

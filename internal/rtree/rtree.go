@@ -251,9 +251,13 @@ func (n *node) setRect(i int, r geom.Rect, dims int) {
 }
 
 // syncDerived rebuilds what is derived from boxes and refs: the quantised
-// SoA planes and the encoded page size.
-func (n *node) syncDerived(dims int) {
-	n.syncPlanes(dims)
+// SoA planes and the encoded page size. Slots, when given, are the only ones
+// changed or appended since the planes were last synced, and syncSlots gets
+// the first try at the planes.
+func (n *node) syncDerived(dims int, slots ...int) {
+	if len(slots) == 0 || !n.syncSlots(dims, slots) {
+		n.syncPlanes(dims)
+	}
 	n.encSize = int32(nodeHeaderBytes + n.count()*EntryBytes(dims))
 }
 
@@ -268,11 +272,18 @@ func (n *node) mbb() geom.Rect {
 }
 
 // boxesMBB folds a flat coordinate array into the MBB of its records, as one
-// fresh record (all zero for no records): a copy of record 0 widened in one
-// pass. It is called for every node a mutation touches.
+// fresh record (all zero for no records). It is called for every node a
+// mutation touches.
 func boxesMBB(boxes []float64, dims int) []float64 {
+	out := make([]float64, 2*dims)
+	foldMBB(out, boxes, dims)
+	return out
+}
+
+// foldMBB writes the MBB of boxes' records into out, one record long: a copy
+// of record 0 widened in one pass (out untouched for no records).
+func foldMBB(out, boxes []float64, dims int) {
 	w := 2 * dims
-	out := make([]float64, w)
 	copy(out, boxes)
 	for off := w; off+w <= len(boxes); off += w {
 		rec := boxes[off : off+w]
@@ -285,7 +296,6 @@ func boxesMBB(boxes []float64, dims int) []float64 {
 			}
 		}
 	}
-	return out
 }
 
 // Config describes an R-tree's shape-independent parameters.
@@ -917,10 +927,14 @@ func (t *Tree) freeNode(id NodeID) {
 // changed: the next FlushDirty writes it back (file-backed trees), and the
 // filter layer derived from boxes is refreshed (all trees). Every slot
 // mutation site calls it — the single node-access layer shared by both
-// modes. The node must be writer-owned (created or cloned in the current
-// batch); touching a shared node object would mutate a published version
-// under its readers.
-func (t *Tree) touch(n *node) {
+// modes. A site that only appended slots or replaced their rectangles names
+// them, so a node whose MBB stayed put re-quantises just those (see
+// node.syncSlots) — except a directory of a v2-loaded tree, whose other slots
+// may still hold planes adopted from the page: it is re-quantised whole, so
+// its planes are again a function of its boxes alone. The node must be
+// writer-owned (created or cloned in the current batch); touching a shared
+// node object would mutate a published version under its readers.
+func (t *Tree) touch(n *node, slots ...int) {
 	if n.born != t.epoch {
 		panic(fmt.Sprintf("rtree: touch of node %d shared with a published version (born %d, batch %d)", n.id, n.born, t.epoch))
 	}
@@ -930,7 +944,10 @@ func (t *Tree) touch(n *node) {
 			t.src.dirty[n.id] = struct{}{}
 		}
 	}
-	n.syncDerived(t.cfg.Dims)
+	if t.conservative && !n.leaf {
+		slots = nil
+	}
+	n.syncDerived(t.cfg.Dims, slots...)
 }
 
 // faultFailure carries a node-access failure out of the deep mutation

@@ -4,13 +4,13 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"cbb/internal/fanout"
 	"cbb/internal/hilbert"
+	"cbb/internal/rtree"
 	"cbb/internal/storage"
 )
 
@@ -125,13 +125,17 @@ type shardDir struct {
 	shards []*shard
 }
 
-// find returns the shard owning a Hilbert key, by binary search.
-func (d *shardDir) find(key uint64) *shard {
+// find returns the shard owning a Hilbert key.
+func (d *shardDir) find(key uint64) *shard { return d.shards[d.position(key)] }
+
+// position returns the directory index of the shard owning a Hilbert key, by
+// binary search.
+func (d *shardDir) position(key uint64) int {
 	i := sort.Search(len(d.shards), func(i int) bool { return key < d.shards[i].hi })
 	if i == len(d.shards) {
 		i = len(d.shards) - 1 // keys are clamped; defensive
 	}
-	return d.shards[i]
+	return i
 }
 
 // indexOf returns the position of a shard in the directory, or -1.
@@ -300,28 +304,28 @@ func (st *ShardedTree) RebalanceStats() (splits, merges int64) {
 // is always the one owning its key.
 func (st *ShardedTree) key(r Rect) uint64 { return st.curve.IndexRect(r) }
 
-// routeKey is one item's routing key and its position in the slice it came
-// in: pointer-free, so ordering a batch moves 16 bytes an item.
-type routeKey struct {
-	key uint64
-	idx int
-}
+// keyChunk is how many items a fanout worker keys at a time.
+const keyChunk = 8192
 
 // routeOrder validates the items and returns their routing keys in Hilbert
-// order, ties in input order — a total order, so the result does not depend
-// on the sort.
-func (st *ShardedTree) routeOrder(items []Item) ([]routeKey, error) {
-	ks := make([]routeKey, len(items))
+// order, ties in input order, keyed on the fanout workers and radix sorted —
+// a total order, so the result does not depend on either.
+func (st *ShardedTree) routeOrder(items []Item) ([]rtree.Keyed, error) {
+	if err := st.checkItems(items); err != nil {
+		return nil, err
+	}
+	return rtree.KeyOrder(len(items), func(i int) uint64 { return st.key(items[i].Rect) }), nil
+}
+
+// checkItems rejects a batch holding a rectangle the engine cannot route,
+// the first in input order.
+func (st *ShardedTree) checkItems(items []Item) error {
 	for i := range items {
 		if err := st.checkRect(items[i].Rect); err != nil {
-			return nil, err
+			return err
 		}
-		ks[i] = routeKey{key: st.key(items[i].Rect), idx: i}
 	}
-	slices.SortFunc(ks, func(a, b routeKey) int {
-		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.idx, b.idx))
-	})
-	return ks, nil
+	return nil
 }
 
 func (st *ShardedTree) checkRect(r Rect) error {
@@ -397,7 +401,7 @@ func (st *ShardedTree) InsertItems(items []Item) error {
 	var run []Item // reused per shard
 	i := 0
 	for i < len(ks) {
-		sh := st.dir.Load().find(ks[i].key)
+		sh := st.dir.Load().find(ks[i].Key)
 		b, err := sh.t.Begin()
 		if err != nil {
 			return err
@@ -408,8 +412,8 @@ func (st *ShardedTree) InsertItems(items []Item) error {
 		}
 		j := i
 		run = run[:0]
-		for j < len(ks) && ks[j].key < sh.hi {
-			run = append(run, items[ks[j].idx])
+		for j < len(ks) && ks[j].Key < sh.hi {
+			run = append(run, items[ks[j].Orig])
 			j++
 		}
 		// The whole per-shard run rides the tree's batch fast path (one
@@ -437,14 +441,28 @@ func (st *ShardedTree) InsertItems(items []Item) error {
 func (st *ShardedTree) BulkLoad(items []Item) error {
 	sb, _ := st.Begin()
 	defer sb.Rollback() // no-op once published
+	if err := st.checkItems(items); err != nil {
+		return err
+	}
 	d := st.dir.Load()
-	groups := make([][]Item, len(d.shards))
-	for _, it := range items {
-		if err := st.checkRect(it.Rect); err != nil {
-			return err
+	// Each item's shard, found on the fanout workers; then one counting pass
+	// sizes every shard's group and one pass fills them in input order.
+	owner := make([]int32, len(items))
+	fanout.ForEachChunk(len(items), 0, keyChunk, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			owner[i] = int32(d.position(st.key(items[i].Rect)))
 		}
-		i := d.indexOf(d.find(st.key(it.Rect)))
-		groups[i] = append(groups[i], it)
+	})
+	sizes := make([]int, len(d.shards))
+	for _, o := range owner {
+		sizes[o]++
+	}
+	groups := make([][]Item, len(d.shards))
+	for i, n := range sizes {
+		groups[i] = make([]Item, 0, n)
+	}
+	for i, o := range owner {
+		groups[o] = append(groups[o], items[i])
 	}
 	for i, sh := range d.shards {
 		if len(groups[i]) == 0 {
@@ -544,14 +562,14 @@ func (sb *ShardedBatch) InsertItems(items []Item) error {
 	var run []Item // reused per shard
 	i := 0
 	for i < len(ks) {
-		sh, b, err := sb.batchFor(ks[i].key)
+		sh, b, err := sb.batchFor(ks[i].Key)
 		if err != nil {
 			return err
 		}
 		j := i
 		run = run[:0]
-		for j < len(ks) && ks[j].key < sh.hi {
-			run = append(run, items[ks[j].idx])
+		for j < len(ks) && ks[j].Key < sh.hi {
+			run = append(run, items[ks[j].Orig])
 			j++
 		}
 		if err := b.InsertItems(run); err != nil {
@@ -839,20 +857,20 @@ func (st *ShardedTree) splitShard(sh *shard) error {
 	// both halves are non-empty; all keys equal means the shard cannot be
 	// subdivided by Hilbert range.
 	mid := len(ks) / 2
-	for mid < len(ks) && ks[mid].key == ks[0].key {
+	for mid < len(ks) && ks[mid].Key == ks[0].Key {
 		mid++
 	}
 	if mid == len(ks) {
 		return nil
 	}
-	splitKey := ks[mid].key
+	splitKey := ks[mid].Key
 	var parts [2][]Item // the keys below splitKey, and the rest
 	for _, k := range ks {
 		half := 0
-		if k.key >= splitKey {
+		if k.Key >= splitKey {
 			half = 1
 		}
-		parts[half] = append(parts[half], items[k.idx])
+		parts[half] = append(parts[half], items[k.Orig])
 	}
 	// File names are taken in order, then both halves are built concurrently.
 	bounds := [3]uint64{sh.lo, splitKey, sh.hi}
