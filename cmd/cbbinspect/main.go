@@ -444,11 +444,11 @@ func inspectTree(tree *rtree.Tree, idx *clipindex.Index, samples int, seed int64
 	if tree.Len() == 0 {
 		fmt.Println("storage    : empty tree, no pages")
 	} else {
-		pager := storage.NewPager(storage.DefaultPageSize)
-		if _, err := tree.Save(pager, rtree.CodecV1); err != nil {
+		img := storage.NewImage(storage.DefaultPageSize)
+		if _, err := tree.Save(img, rtree.CodecV1); err != nil {
 			return err
 		}
-		u := pager.Usage()
+		u := img.Usage()
 		fmt.Printf("storage    : %d dir B, %d leaf B, %d clip B (%.2f%% overhead)\n",
 			u.Bytes[storage.KindDirectory], u.Bytes[storage.KindLeaf], clipBytes,
 			100*float64(clipBytes)/float64(u.TotalBytes+clipBytes))

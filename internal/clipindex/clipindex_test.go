@@ -394,7 +394,7 @@ func TestSaveAux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pager := storage.NewPager(512)
+	pager := storage.NewImage(512)
 	pages, err := idx.SaveAux(pager)
 	if err != nil {
 		t.Fatal(err)

@@ -103,8 +103,9 @@ type Fig13Result struct {
 	Rows []Fig13Row
 }
 
-// RunFig13 serialises the clipped RR*-tree of every dataset onto a pager and
-// decomposes the bytes into directory nodes, leaf nodes, and clip points.
+// RunFig13 serialises the clipped RR*-tree of every dataset onto an in-memory
+// page file and decomposes the bytes into directory nodes, leaf nodes, and
+// clip points.
 func RunFig13(cfg Config) (*Fig13Result, error) {
 	cfg = cfg.WithDefaults()
 	out := &Fig13Result{}
@@ -122,14 +123,14 @@ func RunFig13(cfg Config) (*Fig13Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			pager := storage.NewPager(storage.DefaultPageSize)
-			if _, err := tree.Save(pager, rtree.CodecV1); err != nil {
+			img := storage.NewImage(storage.DefaultPageSize)
+			if _, err := tree.Save(img, rtree.CodecV1); err != nil {
 				return nil, err
 			}
-			if _, err := idx.SaveAux(pager); err != nil {
+			if _, err := idx.SaveAux(img); err != nil {
 				return nil, err
 			}
-			usage := pager.Usage()
+			usage := img.Usage()
 			total := usage.TotalBytes
 			clipShare := 0.0
 			if total > 0 {

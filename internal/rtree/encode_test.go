@@ -72,7 +72,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				items = append(items, Item{Object: ObjectID(i), Rect: r})
 				_, _ = tr.Insert(r, ObjectID(i))
 			}
-			pager := storage.NewPager(storage.DefaultPageSize)
+			pager := storage.NewImage(storage.DefaultPageSize)
 			pages, err := tr.Save(pager, CodecV1)
 			if err != nil {
 				t.Fatal(err)
@@ -104,7 +104,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveEmptyTreeFails(t *testing.T) {
 	tr := MustNew(smallConfig(2, Quadratic))
-	if _, err := tr.Save(storage.NewPager(0), CodecV1); err == nil {
+	if _, err := tr.Save(storage.NewImage(0), CodecV1); err == nil {
 		t.Error("saving an empty tree should fail")
 	}
 }
@@ -115,7 +115,7 @@ func TestLoadErrors(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		_, _ = tr.Insert(geom.R(float64(i), 0, float64(i)+1, 1), ObjectID(i))
 	}
-	pager := storage.NewPager(0)
+	pager := storage.NewImage(0)
 	pages, err := tr.Save(pager, CodecV1)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestSavePageKinds(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		_, _ = tr.Insert(randRect(rng, 2, 500, 10), ObjectID(i))
 	}
-	pager := storage.NewPager(0)
+	pager := storage.NewImage(0)
 	if _, err := tr.Save(pager, CodecV1); err != nil {
 		t.Fatal(err)
 	}

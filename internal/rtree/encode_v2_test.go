@@ -275,7 +275,7 @@ func TestSaveLoadRoundTripV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pager := storage.NewPager(need)
+	pager := storage.NewImage(need)
 	pages, err := tr.Save(pager, CodecV2)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func TestV2LoadedDirectoryRequantisedOnTouch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pager := storage.NewPager(need)
+		pager := storage.NewImage(need)
 		pages, err := tr.Save(pager, CodecV2)
 		if err != nil {
 			t.Fatal(err)

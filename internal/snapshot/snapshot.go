@@ -481,26 +481,26 @@ func SaveTo(w io.Writer, tree *rtree.Tree, clips ClipSource, meta Meta) error {
 	if err != nil {
 		return err
 	}
-	pager := storage.NewPager(meta.PageSize)
-	if err := Write(pager, tree, clips, meta); err != nil {
+	img := storage.NewImage(meta.PageSize)
+	if err := Write(img, tree, clips, meta); err != nil {
 		return err
 	}
-	_, err = pager.WriteTo(w)
+	_, err = img.WriteTo(w)
 	return err
 }
 
-// LoadFrom reads a snapshot stream into an in-memory pager and decodes it.
-// The returned pager holds the node pages for Snapshot.LoadTree.
-func LoadFrom(r io.Reader) (*Snapshot, *storage.Pager, error) {
-	pager, err := storage.ReadPagerFrom(r)
+// LoadFrom reads a snapshot stream into an in-memory page file and decodes
+// it. The returned image holds the node pages for Snapshot.LoadTree.
+func LoadFrom(r io.Reader) (*Snapshot, *storage.Image, error) {
+	img, err := storage.ReadImage(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	snap, err := Read(pager)
+	snap, err := Read(img)
 	if err != nil {
 		return nil, nil, err
 	}
-	return snap, pager, nil
+	return snap, img, nil
 }
 
 // WriteFile writes a snapshot to path atomically: the pages go to a

@@ -44,7 +44,7 @@ func buildTree(t *testing.T, n int) (*rtree.Tree, *clipindex.Index, Meta) {
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	tree, idx, meta := buildTree(t, 500)
-	store := storage.NewPager(PageSizeFor(meta.MaxEntries, meta.Dims))
+	store := storage.NewImage(PageSizeFor(meta.MaxEntries, meta.Dims))
 	if err := Write(store, tree, idx.Table(), meta); err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +221,11 @@ func TestWriteRejectsMismatchedMeta(t *testing.T) {
 	tree, idx, meta := buildTree(t, 50)
 	bad := meta
 	bad.Dims = 3
-	store := storage.NewPager(PageSizeFor(meta.MaxEntries, meta.Dims))
+	store := storage.NewImage(PageSizeFor(meta.MaxEntries, meta.Dims))
 	if err := Write(store, tree, idx.Table(), bad); err == nil {
 		t.Error("dims mismatch accepted")
 	}
-	store2 := storage.NewPager(PageSizeFor(meta.MaxEntries, meta.Dims))
+	store2 := storage.NewImage(PageSizeFor(meta.MaxEntries, meta.Dims))
 	if _, err := store2.Allocate(storage.KindLeaf); err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestStrictnessEveryWayIn(t *testing.T) {
 	tree, idx, meta := buildTree(t, objects)
 
 	// twoLeaves picks the two leaves with the smallest node ids.
-	twoLeaves := func(t *testing.T, snap *Snapshot, pager *storage.Pager) (a, b rtree.NodeID) {
+	twoLeaves := func(t *testing.T, snap *Snapshot, pager *storage.Image) (a, b rtree.NodeID) {
 		t.Helper()
 		var leaves []rtree.NodeID
 		for id, pid := range snap.Pages {
@@ -47,26 +47,26 @@ func TestStrictnessEveryWayIn(t *testing.T) {
 		// pagesBad marks damage a search can run into (a node fails to fault
 		// in); header damage is invisible to a search.
 		pagesBad bool
-		apply    func(t *testing.T, snap *Snapshot, pager *storage.Pager)
+		apply    func(t *testing.T, snap *Snapshot, pager *storage.Image)
 	}{
-		{"leaf dropped from page map", true, func(t *testing.T, snap *Snapshot, pager *storage.Pager) {
+		{"leaf dropped from page map", true, func(t *testing.T, snap *Snapshot, pager *storage.Image) {
 			leaf, _ := twoLeaves(t, snap, pager)
 			delete(snap.Pages, leaf)
 		}},
-		{"stored node id differs from index entry", true, func(t *testing.T, snap *Snapshot, pager *storage.Pager) {
+		{"stored node id differs from index entry", true, func(t *testing.T, snap *Snapshot, pager *storage.Image) {
 			a, b := twoLeaves(t, snap, pager)
 			snap.Pages[a], snap.Pages[b] = snap.Pages[b], snap.Pages[a]
 		}},
-		{"unreadable page", true, func(t *testing.T, snap *Snapshot, pager *storage.Pager) {
+		{"unreadable page", true, func(t *testing.T, snap *Snapshot, pager *storage.Image) {
 			leaf, _ := twoLeaves(t, snap, pager)
 			if err := pager.Free(snap.Pages[leaf]); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"header object count disagrees", false, func(t *testing.T, snap *Snapshot, pager *storage.Pager) {
+		{"header object count disagrees", false, func(t *testing.T, snap *Snapshot, pager *storage.Image) {
 			snap.Meta.Objects++
 		}},
-		{"header height disagrees", false, func(t *testing.T, snap *Snapshot, pager *storage.Pager) {
+		{"header height disagrees", false, func(t *testing.T, snap *Snapshot, pager *storage.Image) {
 			snap.Meta.Height++
 		}},
 	}
@@ -80,7 +80,7 @@ func TestStrictnessEveryWayIn(t *testing.T) {
 		}
 		for _, dmg := range damages {
 			// Every way in starts from its own copy of the damaged page set.
-			damaged := func(t *testing.T) (*Snapshot, *storage.Pager) {
+			damaged := func(t *testing.T) (*Snapshot, *storage.Image) {
 				t.Helper()
 				snap, pager, err := LoadFrom(bytes.NewReader(file.Bytes()))
 				if err != nil {

@@ -177,7 +177,7 @@ func TestTranscodeUnknownFormat(t *testing.T) {
 
 func TestRewriteRejectsV2(t *testing.T) {
 	tree, idx, meta := buildTree(t, 50)
-	store := storage.NewPager(PageSizeFor(meta.MaxEntries, meta.Dims))
+	store := storage.NewImage(PageSizeFor(meta.MaxEntries, meta.Dims))
 	if err := Write(store, tree, idx.Table(), meta); err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,10 @@ import "sync"
 //
 // The pool is lock-striped so parallel batch searches do not serialise on a
 // single mutex: pages hash onto independent shards, each holding an
-// intrusive array-based LRU list (bounded pools) or a plain membership set
-// (unbounded pools, where recency is unobservable because nothing is ever
-// evicted). Touch performs no per-access heap allocation in steady state.
+// intrusive array-based LRU list under a budget. There is one LRU: a
+// page-count pool charges every page one unit, a byte-budget pool charges a
+// page its byte size, and an unbounded pool never evicts. Touch performs no
+// per-access heap allocation in steady state.
 //
 // Sharding semantics: an unbounded pool behaves exactly like a single LRU
 // for any shard count (a page hits iff it was touched before). A bounded
@@ -23,6 +24,7 @@ import "sync"
 type BufferPool struct {
 	shards []poolShard
 	shift  uint // 64 - log2(len(shards)); used when len(shards) > 1
+	sized  bool // charge pages their byte size (NewBufferPoolBytes), not 1
 }
 
 const (
@@ -49,19 +51,16 @@ func poolShardsFor(capacity int) int {
 	return n
 }
 
-// poolShard is one stripe: a mutex, the page index, and (for bounded
-// shards) an intrusive doubly linked LRU list threaded through a flat slot
-// array — no container/list, no allocation per touch.
+// poolShard is one stripe: a mutex, the page index, and an intrusive doubly
+// linked LRU list threaded through a flat slot array — no container/list, no
+// allocation per touch.
 type poolShard struct {
-	mu       sync.Mutex
-	capacity int // 0 = unbounded (membership only, no LRU list)
-	// Byte-budget mode (byteCap > 0): eviction is driven by the sum of the
-	// resident pages' byte sizes instead of their count, so compressed and
-	// raw pages share one budget honestly. capacity is 0 in this mode; freed
-	// slots are recycled through freeSlots because evictions and admissions
-	// no longer pair one-to-one.
-	byteCap   int64
-	byteUsed  int64
+	mu sync.Mutex
+	// budget bounds used, the sum of the resident pages' charges (0 =
+	// unbounded). Freed slots are recycled through freeSlots because
+	// evictions and admissions need not pair one-to-one when charges differ.
+	budget    int64
+	used      int64
 	freeSlots []int32
 	index     map[PageID]int32
 	slots     []poolSlot
@@ -69,15 +68,15 @@ type poolShard struct {
 	tail      int32 // least recently used, -1 when empty
 	hits      int64
 	misses    int64
-	// Pad the 112 bytes of fields above to 128 — two 64-byte cache lines —
+	// Pad the 104 bytes of fields above to 128 — two 64-byte cache lines —
 	// so the per-shard mutexes and counters of adjacent shards never share
 	// a cache line under parallel batch search.
-	_ [2]int64
+	_ [3]int64
 }
 
 type poolSlot struct {
 	id         PageID
-	size       int64 // resident byte charge (byte-budget mode only)
+	size       int64 // the page's charge against the shard's budget
 	prev, next int32
 }
 
@@ -102,42 +101,38 @@ func NewBufferPoolBytes(byteCapacity int64) *BufferPool {
 
 func newBufferPoolBytes(byteCapacity int64, shards int) *BufferPool {
 	b := newBufferPool(0, shards)
-	per, extra := byteCapacity/int64(shards), byteCapacity%int64(shards)
+	b.sized = true
+	b.split(byteCapacity)
 	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.byteCap = per
-		if int64(i) < extra {
-			sh.byteCap++
-		}
-		if sh.byteCap <= 0 {
-			sh.byteCap = 1
-		}
+		b.shards[i].budget = max(b.shards[i].budget, 1)
 	}
 	return b
 }
 
 func newBufferPool(capacity, shards int) *BufferPool {
-	if capacity < 0 {
-		capacity = 0
-	}
 	b := &BufferPool{shards: make([]poolShard, shards)}
 	for s := shards; s > 1; s >>= 1 {
 		b.shift++
 	}
 	b.shift = 64 - b.shift
-	per, extra := capacity/shards, capacity%shards
 	for i := range b.shards {
 		sh := &b.shards[i]
-		if capacity > 0 {
-			sh.capacity = per
-			if i < extra {
-				sh.capacity++
-			}
-		}
 		sh.index = make(map[PageID]int32)
 		sh.head, sh.tail = -1, -1
 	}
+	b.split(int64(max(capacity, 0)))
 	return b
+}
+
+// split divides a total budget across the shards as evenly as possible.
+func (b *BufferPool) split(total int64) {
+	n := int64(len(b.shards))
+	for i := range b.shards {
+		b.shards[i].budget = total / n
+		if int64(i) < total%n {
+			b.shards[i].budget++
+		}
+	}
 }
 
 // shard maps a page id onto its stripe with a Fibonacci hash, so the
@@ -158,42 +153,39 @@ func (b *BufferPool) Touch(id PageID) bool {
 }
 
 // TouchSized is Touch with the page's resident byte size attached. Page-count
-// pools ignore the size, so it is always safe to pass; byte-budget pools
-// charge it against the shard's budget and evict least-recently-used pages
-// until the budget holds again (the page just touched is never evicted, so a
-// single page larger than the whole budget still caches itself).
+// pools charge every page one unit whatever its size, so it is always safe to
+// pass; byte-budget pools charge it against the shard's budget. Either way
+// least-recently-used pages are evicted until the budget holds again (the
+// page just touched is never evicted, so a single page larger than the whole
+// budget still caches itself).
 func (b *BufferPool) TouchSized(id PageID, bytes int) bool {
+	size := int64(1)
+	if b.sized {
+		size = int64(max(bytes, 0))
+	}
 	s := b.shard(id)
 	s.mu.Lock()
-	var hit bool
-	if s.byteCap > 0 {
-		hit = s.touchBytes(id, int64(bytes))
-	} else {
-		hit = s.touch(id)
-	}
+	hit := s.touchCharged(id, size)
 	s.mu.Unlock()
 	return hit
 }
 
-// touchBytes is the byte-budget counterpart of touch.
-func (s *poolShard) touchBytes(id PageID, size int64) bool {
-	if size < 0 {
-		size = 0
-	}
+// touchCharged records an access to the page, charging it size units.
+func (s *poolShard) touchCharged(id PageID, size int64) bool {
 	if slot, ok := s.index[id]; ok {
 		s.hits++
 		sl := &s.slots[slot]
 		if sl.size != size {
 			// A page's size can legitimately change across epochs (a node
 			// rewritten by a flush); keep the charge honest.
-			s.byteUsed += size - sl.size
+			s.used += size - sl.size
 			sl.size = size
 		}
 		if s.head != slot {
 			s.unlink(slot)
 			s.pushFront(slot)
 		}
-		s.evictOverBytes(slot)
+		s.evictOver(slot)
 		return true
 	}
 	s.misses++
@@ -208,53 +200,22 @@ func (s *poolShard) touchBytes(id PageID, size int64) bool {
 	}
 	s.pushFront(slot)
 	s.index[id] = slot
-	s.byteUsed += size
-	s.evictOverBytes(slot)
+	s.used += size
+	s.evictOver(slot)
 	return false
 }
 
-// evictOverBytes drops least-recently-used pages until the shard is within
-// its byte budget, never evicting the page just touched.
-func (s *poolShard) evictOverBytes(keep int32) {
-	for s.byteUsed > s.byteCap && s.tail >= 0 && s.tail != keep {
+// evictOver drops least-recently-used pages until the shard is within its
+// budget, never evicting the page just touched.
+func (s *poolShard) evictOver(keep int32) {
+	for s.budget > 0 && s.used > s.budget && s.tail >= 0 && s.tail != keep {
 		victim := s.tail
 		s.unlink(victim)
-		s.byteUsed -= s.slots[victim].size
+		s.used -= s.slots[victim].size
 		delete(s.index, s.slots[victim].id)
 		s.slots[victim] = poolSlot{}
 		s.freeSlots = append(s.freeSlots, victim)
 	}
-}
-
-func (s *poolShard) touch(id PageID) bool {
-	if slot, ok := s.index[id]; ok {
-		s.hits++
-		if s.capacity > 0 && s.head != slot {
-			s.unlink(slot)
-			s.pushFront(slot)
-		}
-		return true
-	}
-	s.misses++
-	if s.capacity == 0 {
-		// Unbounded: membership is all that matters.
-		s.index[id] = 0
-		return false
-	}
-	var slot int32
-	if len(s.slots) < s.capacity {
-		slot = int32(len(s.slots))
-		s.slots = append(s.slots, poolSlot{id: id})
-	} else {
-		// Reuse the least recently used slot.
-		slot = s.tail
-		s.unlink(slot)
-		delete(s.index, s.slots[slot].id)
-		s.slots[slot].id = id
-	}
-	s.pushFront(slot)
-	s.index[id] = slot
-	return false
 }
 
 func (s *poolShard) unlink(slot int32) {
@@ -309,11 +270,14 @@ func (b *BufferPool) Len() int {
 // BytesResident returns the total byte charge currently held by a
 // byte-budget pool (always 0 for page-count pools, which do not track sizes).
 func (b *BufferPool) BytesResident() int64 {
+	if !b.sized {
+		return 0
+	}
 	var n int64
 	for i := range b.shards {
 		s := &b.shards[i]
 		s.mu.Lock()
-		n += s.byteUsed
+		n += s.used
 		s.mu.Unlock()
 	}
 	return n
@@ -339,7 +303,7 @@ func (b *BufferPool) Reset() {
 		s.index = make(map[PageID]int32)
 		s.slots = s.slots[:0]
 		s.freeSlots = s.freeSlots[:0]
-		s.byteUsed = 0
+		s.used = 0
 		s.head, s.tail = -1, -1
 		s.hits, s.misses = 0, 0
 		s.mu.Unlock()

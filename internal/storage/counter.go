@@ -1,7 +1,9 @@
-// Package storage provides the disk-simulation substrate of the library:
-// I/O accounting (the paper's primary metric is the number of leaf-node
-// accesses), a fixed-size pager with a binary page format, and an LRU buffer
-// pool used to emulate cold-cache behaviour in the scalability experiment.
+// Package storage provides the page layer of the library: I/O accounting
+// (the paper's primary metric is the number of leaf-node accesses), one
+// checksummed page file format with its three page stores — held in memory
+// (Image), on disk with a write-ahead log (FilePager), and memory-mapped
+// (MmapStore) — and an LRU buffer pool used to emulate cold-cache behaviour
+// in the scalability experiment.
 //
 // The R-tree variants route every node access through a Counter so that the
 // evaluation harness can measure exactly what the paper measures: "we assume

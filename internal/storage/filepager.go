@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -13,11 +12,12 @@ import (
 )
 
 // This file implements the on-disk page store and its byte format. The same
-// layout is used three ways: by FilePager for random-access page files, by
-// Pager.WriteTo to stream an in-memory pager's content to an io.Writer, and
-// by ReadPagerFrom to load such a stream back. A file is a fixed header
-// followed by equally sized page slots, so page id i lives at a computable
-// offset and can be read without touching any other page.
+// layout is used two ways: by FilePager for random-access page files, and by
+// Image for a page file held in memory (a snapshot stream, or MmapStore's
+// mapping). A file is a fixed header followed by equally sized page slots, so
+// page id i lives at a computable offset and can be read without touching any
+// other page. Every open checks the header and that the file holds whole
+// slots (checkPageFile), and every page read checks its slot (decodeSlot).
 //
 // Layout (all little-endian):
 //
@@ -92,6 +92,36 @@ func decodeFileHeader(buf []byte) (pageSize int, pageCount uint64, err error) {
 	return ps, binary.LittleEndian.Uint64(buf[16:]), nil
 }
 
+// checkPageFile is the check every open runs — FilePager, MmapStore, and
+// ReadImage over a stream's bytes: the header at the start of buf must be
+// valid and a file of size bytes must hold a whole number of slots after it.
+// It returns the page size and the slot count.
+func checkPageFile(buf []byte, size int64) (pageSize, slots int, err error) {
+	if pageSize, _, err = decodeFileHeader(buf); err != nil {
+		return 0, 0, err
+	}
+	slotSize := int64(slotHeaderBytes + pageSize)
+	body := size - fileHeaderBytes
+	if body%slotSize != 0 {
+		return 0, 0, fmt.Errorf("%w: file size %d does not match page size %d", ErrCorrupt, size, pageSize)
+	}
+	return pageSize, int(body / slotSize), nil
+}
+
+// statPageFile reads f's header and runs checkPageFile against f's size.
+func statPageFile(f *os.File) (pageSize, slots int, size int64, err error) {
+	hdr := make([]byte, fileHeaderBytes)
+	if _, err := f.ReadAt(hdr, 0); err != nil {
+		return 0, 0, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	pageSize, slots, err = checkPageFile(hdr, st.Size())
+	return pageSize, slots, st.Size(), err
+}
+
 func encodeSlotHeader(kind PageKind, inUse bool, payload []byte) []byte {
 	buf := make([]byte, slotHeaderBytes)
 	buf[0] = byte(kind)
@@ -124,10 +154,29 @@ func decodeSlotHeader(buf []byte, pageSize int) (slotMeta, uint32, error) {
 	return m, binary.LittleEndian.Uint32(buf[8:]), nil
 }
 
+// decodeSlot is the one slot reader, behind FilePager.Read, Image (and so
+// MmapStore) and ReadImage: it checks the slot header and, for a page in use,
+// the payload's CRC, and returns the payload as a view of slot. A free slot
+// is ErrPageNotFound.
+func decodeSlot(slot []byte, pageSize int, id PageID) ([]byte, PageKind, error) {
+	m, crc, err := decodeSlotHeader(slot, pageSize)
+	if err != nil {
+		return nil, 0, fmt.Errorf("page %d: %w", id, err)
+	}
+	if !m.inUse {
+		return nil, 0, fmt.Errorf("%w: %d", ErrPageNotFound, id)
+	}
+	payload := slot[slotHeaderBytes : slotHeaderBytes+m.length]
+	if checksum(payload) != crc {
+		return nil, 0, fmt.Errorf("%w: page %d payload checksum mismatch", ErrCorrupt, id)
+	}
+	return payload, m.kind, nil
+}
+
 // FilePager is an on-disk implementation of the PageStore contract: a page
 // file whose fixed-size slots are read and written in place, so a tree can
-// run directly off disk through the same buffer pool and I/O counters as the
-// in-memory simulation. Every payload is protected by a CRC-32C verified on
+// run directly off disk through the same buffer pool and I/O counters as an
+// in-memory tree. Every payload is protected by a CRC-32C verified on
 // read. It is safe for concurrent use; Read performs the disk access outside
 // the lock so concurrent readers proceed in parallel.
 //
@@ -180,10 +229,7 @@ type overlayPage struct {
 	data  []byte
 }
 
-var (
-	_ PageStore = (*Pager)(nil)
-	_ PageStore = (*FilePager)(nil)
-)
+var _ PageStore = (*FilePager)(nil)
 
 // CreateFilePager creates (or truncates) a page file at path with the given
 // page size (DefaultPageSize when pageSize <= 0). Any write-ahead log left
@@ -248,40 +294,20 @@ func openFilePager(path string, readonly bool) (*FilePager, error) {
 			return nil, err
 		}
 	}
-	p, err := loadFilePager(f, path, readonly)
-	if err == nil {
-		err = p.recoverWAL()
-	}
+	pageSize, slots, _, err := statPageFile(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return p, nil
-}
-
-func loadFilePager(f *os.File, path string, readonly bool) (*FilePager, error) {
-	hdr := make([]byte, fileHeaderBytes)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	pageSize, _, err := decodeFileHeader(hdr)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	slotSize := int64(slotHeaderBytes + pageSize)
-	body := st.Size() - fileHeaderBytes
-	if body < 0 || body%slotSize != 0 {
-		return nil, fmt.Errorf("%w: file size %d does not match page size %d", ErrCorrupt, st.Size(), pageSize)
-	}
-	slots := int(body / slotSize)
-	return &FilePager{
+	p := &FilePager{
 		f: f, path: path, pageSize: pageSize,
 		readonly: readonly, slotCount: slots, committedSlots: slots,
-	}, nil
+	}
+	if err := p.recoverWAL(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return p, nil
 }
 
 // recoverWAL inspects the pager's write-ahead log, if any, right after open.
@@ -572,18 +598,7 @@ func (p *FilePager) Read(id PageID) ([]byte, PageKind, error) {
 		return nil, 0, fmt.Errorf("storage: reading page %d: %w", id, err)
 	}
 	atomic.AddInt64(&p.reads, 1)
-	m, crc, err := decodeSlotHeader(buf, p.pageSize)
-	if err != nil {
-		return nil, 0, fmt.Errorf("page %d: %w", id, err)
-	}
-	if !m.inUse {
-		return nil, 0, fmt.Errorf("%w: %d", ErrPageNotFound, id)
-	}
-	payload := buf[slotHeaderBytes : slotHeaderBytes+m.length]
-	if checksum(payload) != crc {
-		return nil, 0, fmt.Errorf("%w: page %d payload checksum mismatch", ErrCorrupt, id)
-	}
-	return payload, m.kind, nil
+	return decodeSlot(buf, p.pageSize, id)
 }
 
 // Free releases a page for reuse.
@@ -616,22 +631,12 @@ func (p *FilePager) Free(id PageID) error {
 	return nil
 }
 
-// Usage returns a storage breakdown by page kind. It scans the slot
-// directory (building it on first use), so the first call on a freshly
-// opened pager is O(page count).
+// Usage returns a storage breakdown by page kind. It sums Slots, so the
+// first call on a freshly opened pager is O(page count); it is empty when the
+// slot directory cannot be read.
 func (p *FilePager) Usage() Usage {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	u := Usage{Pages: make(map[PageKind]int), Bytes: make(map[PageKind]int)}
-	if err := p.ensureDirLocked(); err != nil {
-		return u
-	}
-	for _, m := range p.dir {
-		if m.inUse {
-			u.add(m.kind, m.length)
-		}
-	}
-	return u
+	slots, _ := p.Slots()
+	return usageOf(slots)
 }
 
 // Sync flushes the file to stable storage, rewriting the file header first
@@ -690,13 +695,6 @@ func (p *FilePager) EnableJournal() error {
 	p.journal = true
 	p.overlay = make(map[PageID]*overlayPage)
 	return nil
-}
-
-// Journaled reports whether the pager stages mutations for atomic commit.
-func (p *FilePager) Journaled() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.journal
 }
 
 // DirtyPages returns the number of staged (uncommitted) pages.
@@ -868,15 +866,6 @@ func (p *FilePager) Close() error {
 // therefore rejects mutations with ErrReadOnlyFS.
 func (p *FilePager) ReadOnlyFile() bool { return p.readonly }
 
-// Slot describes one page slot of the file for integrity checks (cbbinspect
-// -verify): its id, kind, whether it is in use, and its payload length.
-type Slot struct {
-	ID     PageID
-	Kind   PageKind
-	InUse  bool
-	Length int
-}
-
 // Slots returns the state of every page slot, building the slot directory
 // if needed (O(page count) on first call). Staged journal state is included.
 func (p *FilePager) Slots() ([]Slot, error) {
@@ -898,78 +887,3 @@ func (p *FilePager) Slots() ([]Slot, error) {
 // WALPath returns the path of the pager's write-ahead log file (which exists
 // only while a commit is in flight or after a crash).
 func (p *FilePager) WALPath() string { return WALPathFor(p.path) }
-
-// WriteTo streams the pager's content to w in the on-disk page file format,
-// producing bytes that OpenFilePager and ReadPagerFrom accept. It implements
-// io.WriterTo.
-func (p *Pager) WriteTo(w io.Writer) (int64, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return 0, ErrPagerClosed
-	}
-	count := uint64(p.next - 1)
-	var written int64
-	n, err := w.Write(encodeFileHeader(p.pageSize, count))
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	slot := make([]byte, slotHeaderBytes+p.pageSize)
-	for id := PageID(1); id < p.next; id++ {
-		for i := range slot {
-			slot[i] = 0
-		}
-		if pg, ok := p.pages[id]; ok {
-			copy(slot, encodeSlotHeader(pg.kind, true, pg.data))
-			copy(slot[slotHeaderBytes:], pg.data)
-		} else {
-			copy(slot, encodeSlotHeader(0, false, nil))
-		}
-		n, err := w.Write(slot)
-		written += int64(n)
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
-}
-
-// ReadPagerFrom parses a page file stream (as produced by Pager.WriteTo or
-// by a FilePager) into a new in-memory Pager, verifying the header and every
-// payload checksum. Page ids are preserved.
-func ReadPagerFrom(r io.Reader) (*Pager, error) {
-	hdr := make([]byte, fileHeaderBytes)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	pageSize, _, err := decodeFileHeader(hdr)
-	if err != nil {
-		return nil, err
-	}
-	p := NewPager(pageSize)
-	slot := make([]byte, slotHeaderBytes+pageSize)
-	for {
-		_, err := io.ReadFull(r, slot)
-		if err == io.EOF {
-			return p, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated page slot: %v", ErrCorrupt, err)
-		}
-		id := p.next
-		p.next++
-		m, crc, err := decodeSlotHeader(slot, pageSize)
-		if err != nil {
-			return nil, fmt.Errorf("page %d: %w", id, err)
-		}
-		if !m.inUse {
-			continue
-		}
-		payload := slot[slotHeaderBytes : slotHeaderBytes+m.length]
-		if checksum(payload) != crc {
-			return nil, fmt.Errorf("%w: page %d payload checksum mismatch", ErrCorrupt, id)
-		}
-		p.pages[id] = &page{kind: m.kind, data: append([]byte(nil), payload...)}
-	}
-}

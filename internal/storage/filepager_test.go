@@ -185,36 +185,24 @@ func TestFilePagerDetectsCorruption(t *testing.T) {
 }
 
 func TestPagerStreamRoundTrip(t *testing.T) {
-	p := NewPager(128)
-	id1, _ := p.Allocate(KindDirectory)
-	id2, _ := p.Allocate(KindLeaf)
-	id3, _ := p.Allocate(KindAux)
-	p.Write(id1, []byte("dir"))
-	p.Write(id2, []byte("leaf"))
-	p.Write(id3, []byte("aux"))
-	if err := p.Free(id2); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	q, err := ReadPagerFrom(bytes.NewReader(buf.Bytes()))
+	// Pages 1 and 3 hold "dir" and "aux"; page 2 was freed before the stream
+	// was written.
+	raw := streamFixture(t)
+	q, err := ReadImage(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.PageSize() != 128 {
 		t.Fatalf("page size %d", q.PageSize())
 	}
-	got, kind, err := q.Read(id1)
+	got, kind, err := q.Read(1)
 	if err != nil || kind != KindDirectory || string(got) != "dir" {
 		t.Fatalf("page 1: %q %v %v", got, kind, err)
 	}
-	if _, _, err := q.Read(id2); err == nil {
+	if _, _, err := q.Read(2); err == nil {
 		t.Error("freed page must stay free after the round trip")
 	}
-	got, kind, err = q.Read(id3)
+	got, kind, err = q.Read(3)
 	if err != nil || kind != KindAux || string(got) != "aux" {
 		t.Fatalf("page 3: %q %v %v", got, kind, err)
 	}
@@ -228,19 +216,18 @@ func TestPagerStreamRoundTrip(t *testing.T) {
 	}
 
 	// Truncated and corrupted streams are rejected.
-	raw := buf.Bytes()
-	if _, err := ReadPagerFrom(bytes.NewReader(raw[:len(raw)-7])); err == nil {
+	if _, err := ReadImage(bytes.NewReader(raw[:len(raw)-7])); err == nil {
 		t.Error("truncated stream must be rejected")
 	}
 	bad := append([]byte(nil), raw...)
 	bad[fileHeaderBytes+slotHeaderBytes] ^= 0xff
-	if _, err := ReadPagerFrom(bytes.NewReader(bad)); err == nil {
+	if _, err := ReadImage(bytes.NewReader(bad)); err == nil {
 		t.Error("corrupted payload must be rejected")
 	}
 }
 
 func TestFilePagerMatchesStreamFormat(t *testing.T) {
-	// Bytes written by a FilePager are readable with ReadPagerFrom and vice
+	// Bytes written by a FilePager are readable with ReadImage and vice
 	// versa: the two paths share one format.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "pages.cbb")
@@ -257,7 +244,7 @@ func TestFilePagerMatchesStreamFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := ReadPagerFrom(bytes.NewReader(raw))
+	mem, err := ReadImage(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // journalFixture creates a committed page file with three pages (1, 2, 3)
 // and returns its path. Page payloads are distinct and full of structure so
 // silent corruption cannot masquerade as success.
-func journalFixture(t *testing.T) string {
+func journalFixture(t testing.TB) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "journal.cbb")
 	p, err := CreateFilePager(path, 128)

@@ -3,10 +3,10 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
-// PageID identifies a fixed-size page in a Pager. Zero is never a valid id.
+// PageID identifies a fixed-size page in a PageStore. Zero is never a valid
+// id.
 type PageID uint64
 
 // InvalidPage is the zero PageID, never returned by Allocate.
@@ -16,7 +16,7 @@ const InvalidPage PageID = 0
 // the paper's R-tree implementations (4 KiB disk pages).
 const DefaultPageSize = 4096
 
-// Common pager errors.
+// Common page-store errors.
 var (
 	ErrPageNotFound = errors.New("storage: page not found")
 	ErrPageTooLarge = errors.New("storage: payload exceeds page size")
@@ -50,13 +50,15 @@ func (k PageKind) String() string {
 
 // PageStore is the page-store contract every layer above storage is written
 // against: fixed-size pages identified by PageID, each tagged with a PageKind
-// for storage-breakdown accounting. It has three implementations — the
-// in-memory Pager, the on-disk FilePager, and the read-only MmapStore, whose
-// mutators all answer ErrReadOnlyFS — and all must be safe for concurrent
-// use. What an implementation offers beyond the contract is reached through
-// its concrete type: journaling, commit statistics and crash fail-points
-// (FilePager), Slots/DiskStats/ReadOnlyFile for inspection (FilePager,
-// MmapStore), stream export (Pager.WriteTo).
+// for storage-breakdown accounting. It has three implementations, all over
+// one page file format — Image (the file held in a byte slice), FilePager
+// (the file on disk) and the read-only MmapStore (an Image over a mapping,
+// whose mutators all answer ErrReadOnlyFS) — and all must be safe for
+// concurrent use. What an implementation offers beyond the contract is
+// reached through its concrete type: journaling, commit statistics and crash
+// fail-points (FilePager), Slots for inspection (all three),
+// DiskStats/ReadOnlyFile (FilePager, MmapStore), stream export
+// (Image.WriteTo).
 type PageStore interface {
 	// PageSize returns the page size in bytes; payloads may not exceed it.
 	PageSize() int
@@ -124,121 +126,13 @@ func ReadChunked(store PageStore, first PageID, pages, want int) ([]byte, error)
 	return buf[:want], nil
 }
 
-type page struct {
-	kind PageKind
-	data []byte
-}
-
-// Pager is an in-memory simulation of a paged disk file: it hands out
-// fixed-size pages, tracks how many bytes of each kind are in use, and
-// rejects payloads that do not fit a page. It is safe for concurrent use.
-type Pager struct {
-	mu       sync.RWMutex
-	pageSize int
-	next     PageID
-	pages    map[PageID]*page
-	closed   bool
-}
-
-// NewPager creates a pager with the given page size (DefaultPageSize when
-// pageSize <= 0).
-func NewPager(pageSize int) *Pager {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
-	return &Pager{pageSize: pageSize, next: 1, pages: make(map[PageID]*page)}
-}
-
-// PageSize returns the configured page size in bytes.
-func (p *Pager) PageSize() int { return p.pageSize }
-
-// Allocate reserves a new page of the given kind and returns its id.
-func (p *Pager) Allocate(kind PageKind) (PageID, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return InvalidPage, ErrPagerClosed
-	}
-	id := p.next
-	p.next++
-	p.pages[id] = &page{kind: kind}
-	return id, nil
-}
-
-// AllocateRun reserves n consecutively numbered pages of the given kind and
-// returns the first id. The in-memory pager never reuses ids, so the run is
-// always the next n ids.
-func (p *Pager) AllocateRun(kind PageKind, n int) (PageID, error) {
-	if n <= 0 {
-		return InvalidPage, fmt.Errorf("storage: AllocateRun of %d pages", n)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return InvalidPage, ErrPagerClosed
-	}
-	first := p.next
-	for i := 0; i < n; i++ {
-		p.pages[p.next] = &page{kind: kind}
-		p.next++
-	}
-	return first, nil
-}
-
-// Write stores the payload in the page. The payload must fit in one page.
-func (p *Pager) Write(id PageID, payload []byte) error {
-	if len(payload) > p.pageSize {
-		return fmt.Errorf("%w: %d > %d", ErrPageTooLarge, len(payload), p.pageSize)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrPagerClosed
-	}
-	pg, ok := p.pages[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
-	}
-	pg.data = append(pg.data[:0], payload...)
-	return nil
-}
-
-// Read returns a copy of the page payload and its kind.
-func (p *Pager) Read(id PageID) ([]byte, PageKind, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return nil, 0, ErrPagerClosed
-	}
-	pg, ok := p.pages[id]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %d", ErrPageNotFound, id)
-	}
-	out := make([]byte, len(pg.data))
-	copy(out, pg.data)
-	return out, pg.kind, nil
-}
-
-// Free releases a page.
-func (p *Pager) Free(id PageID) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrPagerClosed
-	}
-	if _, ok := p.pages[id]; !ok {
-		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
-	}
-	delete(p.pages, id)
-	return nil
-}
-
-// Close releases all pages; subsequent operations fail with ErrPagerClosed.
-func (p *Pager) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	p.pages = nil
+// Slot describes one page slot of the file for integrity checks (cbbinspect
+// -verify): its id, kind, whether it is in use, and its payload length.
+type Slot struct {
+	ID     PageID
+	Kind   PageKind
+	InUse  bool
+	Length int
 }
 
 // Usage describes how many pages and payload bytes of each kind are in use.
@@ -249,23 +143,17 @@ type Usage struct {
 	TotalBytes int
 }
 
-// Usage returns a storage breakdown by page kind (used by the Figure 13
-// experiment). Bytes counts actual payload bytes; PageBytes (pages × page
-// size) can be derived by the caller.
-func (p *Pager) Usage() Usage {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
+// usageOf sums the in-use slots of a slot listing by page kind: every
+// store's Usage is its Slots, summed.
+func usageOf(slots []Slot) Usage {
 	u := Usage{Pages: make(map[PageKind]int), Bytes: make(map[PageKind]int)}
-	for _, pg := range p.pages {
-		u.add(pg.kind, len(pg.data))
+	for _, s := range slots {
+		if s.InUse {
+			u.Pages[s.Kind]++
+			u.Bytes[s.Kind] += s.Length
+			u.TotalPages++
+			u.TotalBytes += s.Length
+		}
 	}
 	return u
-}
-
-// add counts one in-use page of the given kind and payload length.
-func (u *Usage) add(kind PageKind, length int) {
-	u.Pages[kind]++
-	u.Bytes[kind] += length
-	u.TotalPages++
-	u.TotalBytes += length
 }

@@ -60,7 +60,7 @@ func TestCounterConcurrency(t *testing.T) {
 }
 
 func TestPagerAllocateWriteRead(t *testing.T) {
-	p := NewPager(128)
+	p := NewImage(128)
 	if p.PageSize() != 128 {
 		t.Fatalf("PageSize = %d", p.PageSize())
 	}
@@ -85,7 +85,7 @@ func TestPagerAllocateWriteRead(t *testing.T) {
 }
 
 func TestPagerErrors(t *testing.T) {
-	p := NewPager(16)
+	p := NewImage(16)
 	if err := p.Write(999, []byte("x")); !errors.Is(err, ErrPageNotFound) {
 		t.Errorf("expected ErrPageNotFound, got %v", err)
 	}
@@ -112,13 +112,13 @@ func TestPagerErrors(t *testing.T) {
 }
 
 func TestPagerDefaultSize(t *testing.T) {
-	if NewPager(0).PageSize() != DefaultPageSize {
+	if NewImage(0).PageSize() != DefaultPageSize {
 		t.Error("zero page size should default")
 	}
 }
 
 func TestPagerUsage(t *testing.T) {
-	p := NewPager(1024)
+	p := NewImage(1024)
 	leaf, _ := p.Allocate(KindLeaf)
 	dir, _ := p.Allocate(KindDirectory)
 	aux, _ := p.Allocate(KindAux)

@@ -161,11 +161,11 @@ func TranscodeSnapshot(src, dst string, format SnapshotFormat) error {
 // bit-identical results and I/O counts to the original. Structural soundness
 // can be checked on demand with Validate.
 func Load(r io.Reader) (*Tree, error) {
-	snap, pager, err := snapshot.LoadFrom(r)
+	snap, img, err := snapshot.LoadFrom(r)
 	if err != nil {
 		return nil, err
 	}
-	base, err := snap.LoadTree(pager)
+	base, err := snap.LoadTree(img)
 	if err != nil {
 		return nil, err
 	}

@@ -755,6 +755,26 @@ func TestLoadRejectsCorruptInput(t *testing.T) {
 			t.Errorf("truncation to %d bytes accepted", n)
 		}
 	}
+	// The read-only file opens refuse a truncated snapshot alike: a page file
+	// cut short of a whole slot is corrupt however it is opened.
+	path := filepath.Join(t.TempDir(), "cut.cbb")
+	for _, n := range []int{len(raw) - 1, len(raw) - 100} {
+		if err := os.WriteFile(path, raw[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, open := range []struct {
+			name string
+			open func(string) (*Tree, error)
+		}{{"OpenReadOnly", OpenReadOnly}, {"OpenMmap", OpenMmap}} {
+			tree, err := open.open(path)
+			if err == nil {
+				tree.Close()
+			}
+			if !errors.Is(err, storage.ErrCorrupt) && !errors.Is(err, ErrMmapUnsupported) {
+				t.Errorf("%s of a snapshot cut to %d bytes: %v, want ErrCorrupt", open.name, n, err)
+			}
+		}
+	}
 	// A flipped byte must either fail decoding or be provably harmless (it
 	// landed in zero padding outside any checksummed payload), in which case
 	// the decoded tree is identical to the original.

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -881,7 +882,7 @@ func (st *ShardedTree) splitShard(sh *shard) error {
 		halves[i], errs[i] = st.buildShard(bounds[i], bounds[i+1], paths[i], parts[i])
 	})
 	if err = cmp.Or(errs[0], errs[1]); err == nil {
-		err = st.publishReplacement(sh, halves[:])
+		err = st.publishReplacement([]*shard{sh}, halves[:])
 	}
 	if err != nil {
 		st.discardShard(halves[0])
@@ -939,7 +940,7 @@ func (st *ShardedTree) mergeShards(i int) error {
 	if err != nil {
 		return err
 	}
-	if err := st.publishReplacement2(left, right, merged); err != nil {
+	if err := st.publishReplacement([]*shard{left, right}, []*shard{merged}); err != nil {
 		st.discardShard(merged)
 		return err
 	}
@@ -987,49 +988,28 @@ func (st *ShardedTree) discardShard(sh *shard) {
 	}
 }
 
-// publishReplacement swaps one shard for its replacements in a new
-// directory, persists the directory file (file-backed engines), and retires
-// the old shard — in that order, and while the old shard's writer lock is
-// held, so the old and new shards hold identical content at the swap and a
-// reader on either side observes the same objects.
-func (st *ShardedTree) publishReplacement(old *shard, repl []*shard) error {
+// publishReplacement swaps a contiguous run of the directory's shards for
+// their replacements — one shard for its two halves on a split, two adjacent
+// shards for the merged one on a merge — in a new directory, persists the
+// directory file (file-backed engines), and retires the old shards — in that
+// order, and while the old shards' writer locks are held, so the old and new
+// shards hold identical content at the swap and a reader on either side
+// observes the same objects.
+func (st *ShardedTree) publishReplacement(old, repl []*shard) error {
 	d := st.dir.Load()
-	i := d.indexOf(old)
-	if i < 0 {
-		return fmt.Errorf("cbb: shard vanished from the directory during rebalance")
-	}
-	shards := make([]*shard, 0, len(d.shards)+len(repl)-1)
-	shards = append(shards, d.shards[:i]...)
-	shards = append(shards, repl...)
-	shards = append(shards, d.shards[i+1:]...)
-	if err := st.persistDirectory(shards); err != nil {
-		return err
-	}
-	st.dir.Store(&shardDir{shards: shards})
-	old.retired.Store(true)
-	st.noteRetired(old)
-	return nil
-}
-
-// publishReplacement2 swaps two adjacent shards for one merged shard.
-func (st *ShardedTree) publishReplacement2(l, r *shard, merged *shard) error {
-	d := st.dir.Load()
-	i := d.indexOf(l)
-	if i < 0 || i+1 >= len(d.shards) || d.shards[i+1] != r {
+	i := d.indexOf(old[0])
+	if i < 0 || i+len(old) > len(d.shards) || !slices.Equal(d.shards[i:i+len(old)], old) {
 		return fmt.Errorf("cbb: shards vanished from the directory during rebalance")
 	}
-	shards := make([]*shard, 0, len(d.shards)-1)
-	shards = append(shards, d.shards[:i]...)
-	shards = append(shards, merged)
-	shards = append(shards, d.shards[i+2:]...)
+	shards := slices.Concat(d.shards[:i], repl, d.shards[i+len(old):])
 	if err := st.persistDirectory(shards); err != nil {
 		return err
 	}
 	st.dir.Store(&shardDir{shards: shards})
-	l.retired.Store(true)
-	r.retired.Store(true)
-	st.noteRetired(l)
-	st.noteRetired(r)
+	for _, sh := range old {
+		sh.retired.Store(true)
+		st.noteRetired(sh)
+	}
 	return nil
 }
 
