@@ -399,19 +399,19 @@ type BatchResult struct {
 	Counts []int
 	// Items holds the matches of each query (nil unless Options.Collect).
 	Items [][]Item
-	// IO is the exact I/O incurred by this batch, merged from the workers'
-	// private counters (it is also added to the tree's cumulative IOStats).
+	// IO is the exact I/O incurred by this batch: the sum of what its
+	// queries charged to the tree's cumulative IOStats.
 	IO IOStats
 	// Workers is the number of goroutines actually used.
 	Workers int
 }
 
 // BatchSearch runs a batch of range queries against the tree's last
-// committed state on a pool of worker goroutines. Every worker charges a
-// private I/O counter and the per-worker totals are merged afterwards, so
-// BatchResult.IO is exact and the tree's cumulative IOStats advance exactly
-// as in a sequential run. BatchSearch is itself safe to call concurrently
-// with other read-only queries.
+// committed state on a pool of worker goroutines. Each query charges the
+// tree's I/O counters once as it ends and BatchResult.IO sums what the
+// queries charged, so it is exact and the tree's cumulative IOStats advance
+// exactly as in a sequential run. BatchSearch is itself safe to call
+// concurrently with other read-only queries.
 func BatchSearch(t *Tree, queries []Rect, opts BatchOptions) (BatchResult, error) {
 	if t == nil {
 		return BatchResult{}, errors.New("cbb: BatchSearch requires a tree")

@@ -211,11 +211,16 @@ func (s *Snap) Search(q geom.Rect, visit func(rtree.ObjectID, geom.Rect) bool) {
 	s.SearchCounted(q, nil, visit)
 }
 
-// SearchCounted is Search with the node accesses charged to an explicit
-// counter instead of the tree's own (the tree's counter when c is nil). It
-// satisfies the batch executor's Searcher contract.
-func (s *Snap) SearchCounted(q geom.Rect, c *storage.Counter, visit func(rtree.ObjectID, geom.Rect) bool) {
-	s.v.SearchClippedCounted(q, &s.recs, c, visit)
+// SearchCounted is Search with the node accesses charged to c instead of the
+// tree's own counter (the tree's counter when c is nil). It returns what it
+// charged.
+func (s *Snap) SearchCounted(q geom.Rect, c *storage.Counter, visit func(rtree.ObjectID, geom.Rect) bool) storage.Snapshot {
+	io := s.v.SearchClipped(q, &s.recs, visit)
+	if c == nil {
+		c = s.v.Tree().Counter()
+	}
+	c.Add(io)
+	return io
 }
 
 // NearestNeighbors is rtree.NearestNeighbors over the snapshots — one tree,
@@ -490,16 +495,7 @@ func (x *Index) reclipByIDs(ids []rtree.NodeID) {
 // while the single writer mutates: the query runs against one atomically
 // loaded Snap (immutable tree version + clip records of the same epoch).
 func (x *Index) Search(q geom.Rect, visit func(rtree.ObjectID, geom.Rect) bool) {
-	x.SearchCounted(q, nil, visit)
-}
-
-// SearchCounted is Search with the node accesses charged to an explicit
-// counter instead of the tree's own (the tree's counter when c is nil), the
-// hook parallel executors use to give each worker goroutine private I/O
-// accounting. One combined snapshot — tree version plus clip records of the
-// same epoch — is loaded atomically at entry and pins the whole traversal.
-func (x *Index) SearchCounted(q geom.Rect, c *storage.Counter, visit func(rtree.ObjectID, geom.Rect) bool) {
-	x.cur.Load().SearchCounted(q, c, visit)
+	x.cur.Load().Search(q, visit)
 }
 
 // Count returns the number of objects intersecting q using the clipped

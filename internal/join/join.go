@@ -18,16 +18,17 @@
 // nothing in the other node, so admitted pairs, recursion order, emitted pair
 // order and node reads are those of the nested loop over all slots of both.
 //
-// Both strategies fan out over a pool of goroutines whose workers charge
-// private storage.Counters, so the reported I/O is exact and — like the pair
-// count — identical for every worker count.
+// Both strategies fan out over a pool of goroutines. Every read tallies its
+// node accesses in a plain value and charges its tree's counter once when it
+// ends — a probe's range query in the INLJ, a whole traversal in the STT —
+// and the reported I/O is the sum of the tallies: exact and, like the pair
+// count, identical for every worker count.
 package join
 
 import (
 	"errors"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"cbb/internal/clipindex"
 	"cbb/internal/core"
@@ -62,11 +63,10 @@ type Result struct {
 //
 // The probe set is partitioned over workers goroutines (<= 0 uses
 // GOMAXPROCS, 1 runs sequentially); pair count and I/O are identical for
-// every worker count. The per-side I/O is folded back into each side's tree
-// counter, so accumulated IOStats match a sequential run whether the sides
-// share one counter (the sharded engine) or not. When visit is non-nil it is
-// serialised by a mutex but the pair order across probes is unspecified for
-// workers > 1.
+// every worker count. Each probe's range query charges its side's tree
+// counter, so accumulated IOStats match a sequential run. When visit is
+// non-nil it is serialised by a mutex but the pair order across probes is
+// unspecified for workers > 1.
 func INLJ(sides []*clipindex.Snap, probes []rtree.Item, workers int, visit func(Pair)) Result {
 	workers = effectiveWorkers(workers, len(probes))
 	if len(probes) == 0 || len(sides) == 0 {
@@ -74,41 +74,27 @@ func INLJ(sides []*clipindex.Snap, probes []rtree.Item, workers int, visit func(
 	}
 
 	emit := serializedVisit(visit, workers)
-
-	// One private counter per (worker, side) cell: every node access is
-	// charged to exactly one cell, so the fold below is exact whether the
-	// sides share one tree counter or use distinct ones.
-	ctrs := make([][]storage.Counter, workers)
-	for w := range ctrs {
-		ctrs[w] = make([]storage.Counter, len(sides))
-	}
-
-	var pairs int64
+	tallies := make([]Result, workers)
 	forEachChunk(len(probes), workers, func(w, start, end int) {
-		var local int64
+		local := tallies[w]
 		for i := start; i < end; i++ {
 			probe := probes[i]
-			for si, s := range sides {
-				s.SearchCounted(probe.Rect, &ctrs[w][si], func(id rtree.ObjectID, _ geom.Rect) bool {
-					local++
+			for _, s := range sides {
+				local.IO = local.IO.Add(s.SearchCounted(probe.Rect, nil, func(id rtree.ObjectID, _ geom.Rect) bool {
+					local.Pairs++
 					if emit != nil {
 						emit(Pair{Left: id, Right: probe.Object})
 					}
 					return true
-				})
+				}))
 			}
 		}
-		atomic.AddInt64(&pairs, local)
+		tallies[w] = local
 	})
-
-	res := Result{Pairs: pairs}
-	for si, s := range sides {
-		var io storage.Snapshot
-		for w := range ctrs {
-			io = io.Add(ctrs[w][si].Snapshot())
-		}
-		s.Version().Tree().Counter().Add(io)
-		res.IO = res.IO.Add(io)
+	var res Result
+	for _, r := range tallies {
+		res.Pairs += r.Pairs
+		res.IO = res.IO.Add(r.IO)
 	}
 	return res
 }
@@ -132,10 +118,10 @@ type SidePair struct {
 // traversal runs sequentially; with one pair the roots are read once and the
 // admissible pairs of root children are partitioned (a root that is a leaf
 // is joined sequentially). Pair counts and total I/O are identical to the
-// sequential join either way, and every traversal folds its I/O into its own
-// trees' counters (counted once when both sides share one). When visit is
-// non-nil it is serialised by a mutex but the pair order is unspecified for
-// workers > 1. A node that cannot be read ends the join with that error.
+// sequential join either way, and every traversal charges each side's tally
+// to that side's tree counter. When visit is non-nil it is serialised by a
+// mutex but the pair order is unspecified for workers > 1. A node that cannot
+// be read ends the join with that error.
 func STT(pairs []SidePair, workers int, visit func(Pair)) (Result, error) {
 	for _, p := range pairs {
 		if p.Left.Version().Dims() != p.Right.Version().Dims() {
@@ -179,16 +165,8 @@ func sttPair(p SidePair, workers int, visit func(Pair)) (Result, error) {
 	if lv.RootID() == rtree.InvalidNode || rv.RootID() == rtree.InvalidNode {
 		return Result{}, nil
 	}
-	lctr, rctr := lv.Tree().Counter(), rv.Tree().Counter()
 	newJoiner := func(emit func(Pair)) *sttJoiner {
-		j := &sttJoiner{snap: [2]*clipindex.Snap{p.Left, p.Right}, visit: emit}
-		j.ctr = [2]*storage.Counter{&j.io[left], &j.io[right]}
-		if lctr == rctr {
-			// One counter receives both sides, so a tree counter the inputs
-			// share is charged once; io[right] stays zero.
-			j.ctr[right] = j.ctr[left]
-		}
-		return j
+		return &sttJoiner{snap: [2]*clipindex.Snap{p.Left, p.Right}, visit: emit}
 	}
 	// The traversal reads both roots, then recurses into every admissible
 	// pair of root children; with several workers the root joiner collects
@@ -208,21 +186,21 @@ func sttPair(p SidePair, workers int, visit func(Pair)) (Result, error) {
 			joiners[w].joinNodes(t[0], t[1])
 		}
 	})
-	// Fold the private counters back into the trees' counters.
+	// Charge each side's tally to its tree's counter.
 	var res Result
 	var err error
-	var leftIO, rightIO storage.Snapshot
+	var io [2]storage.Snapshot
 	for _, j := range append(joiners, root) {
 		if j == nil {
 			continue
 		}
 		res.Pairs += j.pairs
 		err = errors.Join(err, j.err)
-		leftIO, rightIO = leftIO.Add(j.io[left].Snapshot()), rightIO.Add(j.io[right].Snapshot())
+		io[left], io[right] = io[left].Add(j.io[left]), io[right].Add(j.io[right])
 	}
-	lctr.Add(leftIO)
-	rctr.Add(rightIO)
-	res.IO = leftIO.Add(rightIO)
+	lv.Tree().Counter().Add(io[left])
+	rv.Tree().Counter().Add(io[right])
+	res.IO = io[left].Add(io[right])
 	return res, err
 }
 
@@ -259,11 +237,8 @@ const left, right = 0, 1
 
 // sttJoiner is the state of one sequential traversal.
 type sttJoiner struct {
-	snap [2]*clipindex.Snap // the inputs, each one epoch-consistent snapshot
-	// io are the private counters node accesses are charged to; ctr points
-	// each side at its own, or both at io[left] when the trees share theirs.
-	io    [2]storage.Counter
-	ctr   [2]*storage.Counter
+	snap  [2]*clipindex.Snap  // the inputs, each one epoch-consistent snapshot
+	io    [2]storage.Snapshot // each side's node accesses
 	visit func(Pair)
 	pairs int64
 	err   error    // the first node-read failure; it ends the traversal
@@ -298,8 +273,9 @@ func (j *sttJoiner) admissible(leftID rtree.NodeID, leftMBB geom.Rect, rightID r
 	return leftMBB.Intersects(rightMBB) && !j.dead(left, leftID, rightMBB) && !j.dead(right, rightID, leftMBB)
 }
 
-// read loads one node of a side and charges the access to the side's counter
-// (and buffer pool); false once a read of this traversal has failed.
+// read loads one node of a side and tallies the access in the side's io
+// (and touches its buffer pool); false once a read of this traversal has
+// failed.
 func (j *sttJoiner) read(side int, id rtree.NodeID) (info rtree.NodeInfo, ok bool) {
 	if j.err != nil {
 		return info, false
@@ -308,7 +284,7 @@ func (j *sttJoiner) read(side int, id rtree.NodeID) (info rtree.NodeInfo, ok boo
 	if info, j.err = v.Node(id); j.err != nil {
 		return info, false
 	}
-	v.Tree().ChargeNodeRead(&info, j.ctr[side])
+	v.Tree().ChargeNodeRead(&info, &j.io[side])
 	return info, true
 }
 

@@ -24,7 +24,7 @@ import (
 // other, through Rect views, in slot order.
 type refJoiner struct {
 	SidePair
-	leftCtr, rightCtr *storage.Counter
+	leftCtr, rightCtr *storage.Snapshot
 	visit             func(Pair)
 	pairs             int64
 	rects             []geom.Rect // joinLeaves scratch
@@ -103,7 +103,7 @@ func (j *refJoiner) joinLeaves(left, right rtree.NodeInfo) {
 	}
 }
 
-func (j *refJoiner) joinLeafWithNode(leaf rtree.NodeInfo, other *clipindex.Snap, ctr *storage.Counter, otherID rtree.NodeID) {
+func (j *refJoiner) joinLeafWithNode(leaf rtree.NodeInfo, other *clipindex.Snap, ctr *storage.Snapshot, otherID rtree.NodeID) {
 	oinfo, err := other.Version().Node(otherID)
 	if err != nil {
 		return
@@ -122,7 +122,7 @@ func (j *refJoiner) joinLeafWithNode(leaf rtree.NodeInfo, other *clipindex.Snap,
 	}
 }
 
-func (j *refJoiner) joinNodeWithLeaf(other *clipindex.Snap, ctr *storage.Counter, otherID rtree.NodeID, leaf rtree.NodeInfo) {
+func (j *refJoiner) joinNodeWithLeaf(other *clipindex.Snap, ctr *storage.Snapshot, otherID rtree.NodeID, leaf rtree.NodeInfo) {
 	oinfo, err := other.Version().Node(otherID)
 	if err != nil {
 		return
@@ -141,13 +141,13 @@ func (j *refJoiner) joinNodeWithLeaf(other *clipindex.Snap, ctr *storage.Counter
 	}
 }
 
-func refCharge(s *clipindex.Snap, info rtree.NodeInfo, ctr *storage.Counter) {
+func refCharge(s *clipindex.Snap, info rtree.NodeInfo, ctr *storage.Snapshot) {
 	s.Version().Tree().ChargeNodeRead(&info, ctr)
 }
 
 // refSTT is the sequential join of the reference: the live side pairs in
-// order, every traversal on private counters (nothing is folded into the
-// trees' own).
+// order, every traversal tallying its reads privately (nothing is charged to
+// the trees' counters).
 func refSTT(pairs []SidePair, visit func(Pair)) Result {
 	var res Result
 	for _, p := range pairs {
@@ -158,10 +158,10 @@ func refSTT(pairs []SidePair, visit func(Pair)) Result {
 		if len(pairs) > 1 && !lv.Bounds().Intersects(rv.Bounds()) {
 			continue
 		}
-		j := &refJoiner{SidePair: p, visit: visit, leftCtr: &storage.Counter{}, rightCtr: &storage.Counter{}}
+		j := &refJoiner{SidePair: p, visit: visit, leftCtr: &storage.Snapshot{}, rightCtr: &storage.Snapshot{}}
 		j.joinNodes(lv.RootID(), rv.RootID())
 		res.Pairs += j.pairs
-		res.IO = res.IO.Add(j.leftCtr.Snapshot()).Add(j.rightCtr.Snapshot())
+		res.IO = res.IO.Add(*j.leftCtr).Add(*j.rightCtr)
 	}
 	return res
 }
@@ -507,7 +507,6 @@ func FuzzJoinNodePairMatchesReference(f *testing.F) {
 				}
 			}
 			j := &sttJoiner{snap: [2]*clipindex.Snap{pair.Left, pair.Right}, collect: true}
-			j.ctr = [2]*storage.Counter{&j.io[left], &j.io[right]}
 			j.joinNodes(lv.RootID(), rv.RootID())
 			if !slices.Equal(j.tasks, admitted) {
 				t.Fatalf("fanout %d: kernel admits root-child pairs %v, nested loop %v", fanout, j.tasks, admitted)

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"cbb/internal/geom"
+	"cbb/internal/storage"
 )
 
 // Neighbor is one result of a nearest-neighbour query: an object, its
@@ -86,7 +87,8 @@ func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
 // skipped unread. Every bound is admissible and the search best-first, so
 // the answer is exact under any of them: without records the nodes read are
 // exactly those with MINDIST ≤ the k-th distance, and records only ever
-// remove reads. Node accesses are charged to each tree's counter.
+// remove reads. Each source tallies its node accesses, and each tally is
+// charged to its tree's counter once, when the query ends.
 func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) []Neighbor {
 	dims := len(p)
 	if k <= 0 || dims > geom.MaxDims || !p.Valid() {
@@ -94,6 +96,7 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) []Neighbor {
 	}
 	sc := searchScratchPool.Get().(*searchScratch)
 	front, best, read := sc.front[:0], sc.best[:0], sc.read[:0]
+	io := append(sc.io[:0], make([]storage.Snapshot, len(srcs))...)
 	for i, s := range srcs {
 		v := s.Version
 		if v.root == InvalidNode || v.tree.cfg.Dims != dims {
@@ -137,7 +140,7 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) []Neighbor {
 		if n == nil {
 			continue // an unreadable page on a file-backed tree, recorded in Err
 		}
-		v.tree.chargeReadNode(n, nil)
+		v.tree.chargeReadNode(n, &io[from.src])
 		count := n.count()
 		mask := sc.mask.sized(count)
 		if worst <= math.MaxFloat64 && n.hasPlanes(dims) {
@@ -198,9 +201,12 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) []Neighbor {
 	for i, o := range best {
 		out[i] = Neighbor{Object: ObjectID(o.id), Rect: boxRect(read[o.from].boxes, int(o.slot), dims), DistSq: o.key}
 	}
+	for i, s := range srcs {
+		s.Version.tree.counter.Add(io[i])
+	}
 	// Drop the references into node storage: a pooled scratch pins nothing.
 	clear(read)
-	sc.front, sc.best, sc.read = front[:0], best[:0], read[:0]
+	sc.front, sc.best, sc.read, sc.io = front[:0], best[:0], read[:0], io[:0]
 	searchScratchPool.Put(sc)
 	return out
 }

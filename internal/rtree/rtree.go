@@ -6,9 +6,10 @@
 // and differ only in how they distribute entries into nodes, exactly as the
 // paper assumes when it plugs clipped bounding boxes into each of them.
 //
-// Every node access during a query is routed through a storage.Counter so
-// the evaluation can measure leaf and directory accesses, the paper's I/O
-// metric. Nodes live in an arena that is either built in memory or bound to
+// Every read — range search, kNN, join traversal — tallies its leaf and
+// directory accesses, the paper's I/O metric, in a storage.Snapshot it owns
+// and charges the tally to the tree's storage.Counter once, when it ends.
+// Nodes live in an arena that is either built in memory or bound to
 // a storage.PageStore holding one page per node (Figure 4a; encode.go,
 // encode_v2.go), and there is one door each way. Off pages: Tree.fault is
 // the only code that turns a page into a node, on first access to it, and
@@ -513,7 +514,8 @@ func (t *Tree) Height() int { return t.cur.Load().height }
 // Counter returns the I/O counter node accesses are charged to.
 func (t *Tree) Counter() *storage.Counter { return t.counter }
 
-// SetCounter replaces the I/O counter (for sharing across trees in joins).
+// SetCounter replaces the I/O counter (a sharded engine shares one across its
+// shard trees).
 func (t *Tree) SetCounter(c *storage.Counter) {
 	if c != nil {
 		t.counter = c
@@ -802,33 +804,30 @@ func (t *Tree) mutable(n *node) *node {
 }
 
 // ChargeNodeRead records one access to the node info describes: a leaf or
-// directory read on c (the tree's own counter when c is nil) plus a touch of
+// directory read in io, the tally of the read it belongs to, plus a touch of
 // the attached buffer pool, if any. Every read path funnels its node accesses
 // through here or through chargeReadNode, its form for callers that hold the
-// node itself, so counter and pool accounting cannot diverge and a page is
+// node itself, so tally and pool accounting cannot diverge and a page is
 // charged one size whoever reads it.
-func (t *Tree) ChargeNodeRead(info *NodeInfo, c *storage.Counter) {
-	t.chargeRead(info.ID, info.Leaf, info.Bytes+info.PlaneBytes, c)
+func (t *Tree) ChargeNodeRead(info *NodeInfo, io *storage.Snapshot) {
+	t.chargeRead(info.ID, info.Leaf, info.Bytes+info.PlaneBytes, io)
 }
 
 // chargeReadNode is ChargeNodeRead for the search and kNN hot paths, which
 // hold the node and build no NodeInfo.
-func (t *Tree) chargeReadNode(n *node, c *storage.Counter) {
-	t.chargeRead(n.id, n.leaf, int(n.encSize)+n.planeBytes(), c)
+func (t *Tree) chargeReadNode(n *node, io *storage.Snapshot) {
+	t.chargeRead(n.id, n.leaf, int(n.encSize)+n.planeBytes(), io)
 }
 
 // chargeRead counts the access and touches the pool with the bytes the node
 // keeps resident: its encoded page size plus the quantised filter layer
 // (planes + quantisation MBB). Byte-budget pools charge residency by it;
 // page-count pools ignore it.
-func (t *Tree) chargeRead(id NodeID, leaf bool, bytes int, c *storage.Counter) {
-	if c == nil {
-		c = t.counter
-	}
+func (t *Tree) chargeRead(id NodeID, leaf bool, bytes int, io *storage.Snapshot) {
 	if leaf {
-		c.LeafRead(1)
+		io.LeafReads++
 	} else {
-		c.DirRead(1)
+		io.DirReads++
 	}
 	if t.pool != nil {
 		// PageID zero is invalid, node ids start at zero: offset by one.
@@ -1272,15 +1271,7 @@ func (t *Tree) NodeCount() (dir, leaf int) {
 // silently ignored on the unclipped path and panicked on the clipped path;
 // both now uniformly return no results.)
 func (t *Tree) Search(q geom.Rect, visit func(ObjectID, geom.Rect) bool) {
-	t.cur.Load().searchIter(q, nil, nil, visit)
-}
-
-// SearchCounted is Search with the node accesses charged to an explicit
-// counter instead of the tree's own (the tree's counter when c is nil).
-// Parallel executors give every worker goroutine a private counter so that
-// per-worker I/O can be reported exactly and merged deterministically.
-func (t *Tree) SearchCounted(q geom.Rect, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
-	t.cur.Load().searchIter(q, nil, c, visit)
+	t.cur.Load().Search(q, visit)
 }
 
 // Count returns the number of objects intersecting q (convenience wrapper

@@ -10,6 +10,7 @@ import (
 
 	"cbb/internal/core"
 	"cbb/internal/geom"
+	"cbb/internal/storage"
 )
 
 // smallConfig returns a configuration with a small fan-out so that tests
@@ -220,17 +221,20 @@ func TestSearchFiltered(t *testing.T) {
 	// Records that certify everything dead prune all children of the root.
 	tr.Counter().Reset()
 	count := 0
-	v.SearchClippedCounted(geom.R(0, 0, 500, 500), rootChildRecords(v, 1e18), nil,
+	io := v.SearchClipped(geom.R(0, 0, 500, 500), rootChildRecords(v, 1e18),
 		func(ObjectID, geom.Rect) bool { count++; return true })
 	if count != 0 {
 		t.Errorf("records rejecting all children should yield no results, got %d", count)
 	}
-	if tr.Counter().Snapshot().LeafReads != 0 {
-		t.Error("rejected children must not be read")
+	if io.LeafReads != 0 || io.DirReads != 1 {
+		t.Errorf("rejected children must not be read: %+v", io)
+	}
+	if tr.Counter().Snapshot() != (storage.Snapshot{}) {
+		t.Error("SearchClipped must charge no counter")
 	}
 	// Records that certify nothing dead behave like Search.
 	got := 0
-	v.SearchClippedCounted(geom.R(0, 0, 500, 500), rootChildRecords(v, -1e18), nil,
+	v.SearchClipped(geom.R(0, 0, 500, 500), rootChildRecords(v, -1e18),
 		func(ObjectID, geom.Rect) bool { got++; return true })
 	if got != tr.Count(geom.R(0, 0, 500, 500)) {
 		t.Error("pass-through records should match unfiltered search")

@@ -42,13 +42,12 @@ import (
 
 // Version is an immutable snapshot of a Tree at one committed epoch.
 // Obtain one with Tree.CurrentVersion (Pin it for a long-lived read view);
-// every read-only operation on it — Search, SearchClippedCounted,
+// every read-only operation on it — Search, SearchClipped,
 // NearestNeighbors, Node, Bounds, Stats — sees exactly the state of that
-// commit, regardless of concurrent writer activity, and charges I/O to the
-// owning tree's counters as usual. The public cbb layer never queries a bare
-// Version: it reads through clipindex.Snap, which pairs a Version with the
-// clip records of the same commit (none for an unclipped tree) and descends
-// it with SearchClippedCounted.
+// commit, regardless of concurrent writer activity. The public cbb layer
+// never queries a bare Version: it reads through clipindex.Snap, which pairs
+// a Version with the clip records of the same commit (none for an unclipped
+// tree) and descends it with SearchClipped.
 type Version struct {
 	tree   *Tree
 	epoch  uint64
@@ -156,15 +155,19 @@ func (v *Version) Node(id NodeID) (NodeInfo, error) {
 // early when visit returns false. Node accesses are charged to the owning
 // tree's counter.
 func (v *Version) Search(q geom.Rect, visit func(ObjectID, geom.Rect) bool) {
-	v.searchIter(q, nil, nil, visit)
+	v.SearchCounted(q, nil, visit)
 }
 
-// SearchCounted is Search with the node accesses charged to an explicit
-// counter instead of the tree's own (the tree's counter when c is nil). It
-// implements the batch executor's Searcher contract, so a pinned version can
-// be fanned out over a worker pool directly.
-func (v *Version) SearchCounted(q geom.Rect, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
-	v.searchIter(q, nil, c, visit)
+// SearchCounted is Search with the node accesses charged to c instead of the
+// tree's own counter (the tree's counter when c is nil). It returns what it
+// charged.
+func (v *Version) SearchCounted(q geom.Rect, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) storage.Snapshot {
+	io := v.SearchClipped(q, nil, visit)
+	if c == nil {
+		c = v.tree.counter
+	}
+	c.Add(io)
+	return io
 }
 
 // ClipRecords is a clip store as the descent reads it: the record of node id
@@ -184,26 +187,18 @@ func (r *ClipRecords) Of(id NodeID) core.Record {
 	return r.Spill[id]
 }
 
-// SearchClippedCounted is SearchCounted over clipped bounding boxes
-// (Algorithm 2): a directory child that has a record is visited only if q
-// intersects its exact MBB and no clip point certifies that overlap dead, and
-// the root's own MBB and record are tested before any I/O is charged. clips
-// must belong to this version's commit and must not change during the call.
-func (v *Version) SearchClippedCounted(q geom.Rect, clips *ClipRecords, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
-	v.searchIter(q, clips, c, visit)
-}
-
 // searchScratch is the pooled per-query working state: a range search's
 // explicit DFS stack; a nearest-neighbour search's frontier (a min-heap of
-// unread nodes), candidates (a max-heap of the k best objects seen) and the
-// box arrays both point into; and for either the query extents (the ball
-// around the point) in fixed flat arrays, so the hot loop compares contiguous
-// memory with contiguous memory, plus the grid-domain query window and
-// survivor bitmask of the quantised scan kernel.
+// unread nodes), candidates (a max-heap of the k best objects seen), the box
+// arrays both point into and one access tally per source; and for either the
+// query extents (the ball around the point) in fixed flat arrays, so the hot
+// loop compares contiguous memory with contiguous memory, plus the
+// grid-domain query window and survivor bitmask of the quantised scan kernel.
 type searchScratch struct {
 	stack       []NodeID
 	front, best []knnEntry
 	read        []knnRead
+	io          []storage.Snapshot
 	qlo         [geom.MaxDims]float64
 	qhi         [geom.MaxDims]float64
 	qg          [2 * geom.MaxDims]uint16
@@ -236,9 +231,16 @@ var searchScratchPool = sync.Pool{
 	New: func() interface{} { return &searchScratch{stack: make([]NodeID, 0, 64)} },
 }
 
-// searchIter is the query hot path shared by Search, SearchClippedCounted,
-// and the batch executor: an iterative depth-first descent over an explicit
-// pooled stack, against one immutable version. Per node the
+// SearchClipped is the range-query hot path: Search over clipped bounding
+// boxes (Algorithm 2) when clips is non-nil — a directory child that has a
+// record is visited only if q intersects its exact MBB and no clip point
+// certifies that overlap dead, and the root's own MBB and record are tested
+// before any node is read. clips must belong to this version's commit and
+// must not change during the call. It returns the query's node accesses and
+// charges them to no counter; Search and SearchCounted do.
+//
+// The descent is iterative and depth-first over an explicit pooled stack,
+// against one immutable version. Per node the
 // quantised SoA planes are scanned first (quantScan, branch-free, ANDing a
 // survivor bitmask across dimensions); only survivors touch the exact
 // float64 boxes — leaf survivors get one exact verification before visit,
@@ -255,16 +257,13 @@ var searchScratchPool = sync.Pool{
 // nodes in with identical planes (quant.go), so results, visit order, and
 // leaf/directory access counts are bit-identical across mem/file/v2/mmap.
 // In steady state it performs no heap allocations, takes no locks, and
-// touches no shared mutable state beyond the atomic I/O counters: the one
+// touches no shared mutable state beyond an attached buffer pool: the one
 // version load its caller performed pins the entire traversal. The query is
 // validated here and nowhere else.
-func (v *Version) searchIter(q geom.Rect, clips *ClipRecords, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) {
+func (v *Version) SearchClipped(q geom.Rect, clips *ClipRecords, visit func(ObjectID, geom.Rect) bool) (io storage.Snapshot) {
 	t := v.tree
 	if v.root == InvalidNode || !q.Valid() || q.Dims() != t.cfg.Dims {
-		return
-	}
-	if c == nil {
-		c = t.counter
+		return io
 	}
 	dims := t.cfg.Dims
 	sc := searchScratchPool.Get().(*searchScratch)
@@ -273,11 +272,11 @@ func (v *Version) searchIter(q geom.Rect, clips *ClipRecords, c *storage.Counter
 	} else {
 		sc.sel.Query(q)
 		// The root's own MBB and clip points can prune the query outright,
-		// before any I/O is charged (an unreadable root falls through to the
+		// before any node is read (an unreadable root falls through to the
 		// descent, which skips it).
 		if !v.RootMBBIntersects(q) || clips.Of(v.root).Dead(dims, &sc.sel) {
 			searchScratchPool.Put(sc)
-			return
+			return io
 		}
 	}
 	copy(sc.qlo[:dims], q.Lo)
@@ -299,7 +298,7 @@ func (v *Version) searchIter(q geom.Rect, clips *ClipRecords, c *storage.Counter
 		quantScan(n.qplanes, count, dims, &sc.qg, mask)
 		boxes := n.boxes
 		if n.leaf {
-			t.chargeReadNode(n, c)
+			t.chargeReadNode(n, &io)
 			for w := range mask {
 				m := mask[w]
 				for m != 0 {
@@ -309,14 +308,14 @@ func (v *Version) searchIter(q geom.Rect, clips *ClipRecords, c *storage.Counter
 						if !visit(n.object(i), boxRect(boxes, i, dims)) {
 							sc.stack = stack[:0]
 							searchScratchPool.Put(sc)
-							return
+							return io
 						}
 					}
 				}
 			}
 			continue
 		}
-		t.chargeReadNode(n, c)
+		t.chargeReadNode(n, &io)
 		base := len(stack)
 		for w := range mask {
 			m := mask[w]
@@ -337,6 +336,7 @@ func (v *Version) searchIter(q geom.Rect, clips *ClipRecords, c *storage.Counter
 	}
 	sc.stack = stack[:0]
 	searchScratchPool.Put(sc)
+	return io
 }
 
 // boxHits reports whether the entry box starting at boxes[off] (dims Lo

@@ -31,10 +31,8 @@ type Engine interface {
 	Stats() cbb.Stats
 	IOStats() cbb.IOStats
 	BufferStats() (cbb.BufferStats, bool)
-	// Persistent reports whether the engine is bound to snapshot file(s);
-	// Shutdown only attempts a durable flush when it is.
-	Persistent() bool
-	// Flush commits the current state durably (file-backed engines only).
+	// Flush commits the current state durably; it is a no-op for an engine
+	// that is not bound to snapshot file(s).
 	Flush() error
 	// Close flushes (when writable and file-backed) and releases the
 	// engine.
@@ -174,8 +172,6 @@ func (e engine[B, V]) Apply(ops []WriteOp) (int, error) {
 	}
 	return found, b.Commit()
 }
-
-func (e engine[B, V]) Persistent() bool { return e.persistent }
 
 func (e engine[B, V]) Flush() error {
 	if !e.persistent {

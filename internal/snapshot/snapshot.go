@@ -518,7 +518,8 @@ func WriteFile(path string, tree *rtree.Tree, clips ClipSource, meta Meta) error
 
 // atomicWritePageFile creates a page file at path atomically: fill populates
 // a FilePager over a temporary file in the same directory, which is fsynced
-// and renamed over path only after every page is on disk.
+// and renamed over path only after every page is on disk and the write-ahead
+// log of the file it replaces is settled (settleWAL).
 func atomicWritePageFile(path string, pageSize int, fill func(*storage.FilePager) error) error {
 	dir, base := filepath.Split(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp-*")
@@ -547,6 +548,9 @@ func atomicWritePageFile(path string, pageSize int, fill func(*storage.FilePager
 	if err := fp.Close(); err != nil {
 		return fail(err)
 	}
+	if err := settleWAL(path); err != nil {
+		return fail(err)
+	}
 	if err := os.Rename(tmpPath, path); err != nil {
 		return fail(err)
 	}
@@ -559,6 +563,26 @@ func atomicWritePageFile(path string, pageSize int, fill func(*storage.FilePager
 		if err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// settleWAL disposes of the write-ahead log beside path before a new file is
+// renamed over it. A log names only a page size, not the file it belongs to,
+// so one left there would be replayed onto the new file. A writable page
+// file at path applies a committed log to itself and drops any other, which
+// is what opening it does; without one the log is removed. A crash before the
+// rename thus leaves the old file at its committed state, one after it the
+// new file with no log.
+func settleWAL(path string) error {
+	if fp, err := storage.OpenFilePager(path); err == nil {
+		if !fp.ReadOnlyFile() {
+			return fp.Close()
+		}
+		fp.Close()
+	}
+	if err := os.Remove(storage.WALPathFor(path)); err != nil && !os.IsNotExist(err) {
+		return err
 	}
 	return nil
 }

@@ -5,10 +5,12 @@
 // (MmapStore) — and an LRU buffer pool used to emulate cold-cache behaviour
 // in the scalability experiment.
 //
-// The R-tree variants route every node access through a Counter so that the
-// evaluation harness can measure exactly what the paper measures: "we assume
-// that internal (non-leaf) nodes are memory-resident and measure the number
-// of leaf-level nodes accessed as our default I/O metric".
+// Every read of an R-tree — a range search, a kNN search, a join traversal —
+// tallies its node accesses in a plain Snapshot it owns and, when it ends,
+// adds the tally to its tree's Counter once, so the evaluation harness can
+// measure exactly what the paper measures: "we assume that internal
+// (non-leaf) nodes are memory-resident and measure the number of leaf-level
+// nodes accessed as our default I/O metric".
 package storage
 
 import (
@@ -16,8 +18,8 @@ import (
 	"sync/atomic"
 )
 
-// Counter accumulates node-access statistics. All methods are safe for
-// concurrent use; experiments typically Reset it, run a query batch, and
+// Counter accumulates a tree's node-access statistics. All methods are safe
+// for concurrent use; experiments typically Reset it, run a query batch, and
 // read a Snapshot.
 type Counter struct {
 	leafReads int64
@@ -26,7 +28,8 @@ type Counter struct {
 	reclips   int64
 }
 
-// Snapshot is an immutable copy of a Counter's totals.
+// Snapshot is a copy of a Counter's totals, and the tally a read keeps of its
+// own accesses before charging them with Counter.Add.
 type Snapshot struct {
 	LeafReads int64 // leaf-node accesses (the paper's I/O metric)
 	DirReads  int64 // directory-node accesses
@@ -37,8 +40,8 @@ type Snapshot struct {
 // Total returns all node reads (leaf + directory).
 func (s Snapshot) Total() int64 { return s.LeafReads + s.DirReads }
 
-// Add returns the element-wise sum of two snapshots, used to merge the
-// per-worker I/O of a parallel query batch into one exact total.
+// Add returns the element-wise sum of two snapshots, used to sum the tallies
+// of the reads of a batch or a join into one exact total.
 func (s Snapshot) Add(o Snapshot) Snapshot {
 	return Snapshot{
 		LeafReads: s.LeafReads + o.LeafReads,
@@ -52,12 +55,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 func (s Snapshot) String() string {
 	return fmt.Sprintf("leaf=%d dir=%d writes=%d reclips=%d", s.LeafReads, s.DirReads, s.Writes, s.Reclips)
 }
-
-// LeafRead records n leaf-node accesses.
-func (c *Counter) LeafRead(n int64) { atomic.AddInt64(&c.leafReads, n) }
-
-// DirRead records n directory-node accesses.
-func (c *Counter) DirRead(n int64) { atomic.AddInt64(&c.dirReads, n) }
 
 // Write records n node writes.
 func (c *Counter) Write(n int64) { atomic.AddInt64(&c.writes, n) }
@@ -75,11 +72,13 @@ func (c *Counter) Snapshot() Snapshot {
 	}
 }
 
-// Add accumulates a snapshot's totals into the counter. Parallel executors
-// run each worker against a private Counter and fold the per-worker
-// snapshots back into the shared counter with Add, so the shared totals are
-// exactly what a sequential run would have produced.
+// Add accumulates a snapshot's totals into the counter: how a read charges
+// the tally of its accesses, once, when it ends. A zero tally (a query the
+// root ruled out) costs nothing.
 func (c *Counter) Add(s Snapshot) {
+	if s == (Snapshot{}) {
+		return
+	}
 	atomic.AddInt64(&c.leafReads, s.LeafReads)
 	atomic.AddInt64(&c.dirReads, s.DirReads)
 	atomic.AddInt64(&c.writes, s.Writes)

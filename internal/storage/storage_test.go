@@ -9,8 +9,7 @@ import (
 
 func TestCounterBasics(t *testing.T) {
 	var c Counter
-	c.LeafRead(3)
-	c.DirRead(2)
+	c.Add(Snapshot{LeafReads: 3, DirReads: 2})
 	c.Write(5)
 	c.Reclip(1)
 	s := c.Snapshot()
@@ -31,10 +30,9 @@ func TestCounterBasics(t *testing.T) {
 
 func TestCounterDiff(t *testing.T) {
 	var c Counter
-	c.LeafRead(10)
+	c.Add(Snapshot{LeafReads: 10})
 	before := c.Snapshot()
-	c.LeafRead(7)
-	c.DirRead(2)
+	c.Add(Snapshot{LeafReads: 7, DirReads: 2})
 	d := Diff(before, c.Snapshot())
 	if d.LeafReads != 7 || d.DirReads != 2 {
 		t.Fatalf("Diff = %+v", d)
@@ -49,13 +47,13 @@ func TestCounterConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.LeafRead(1)
+				c.Add(Snapshot{LeafReads: 1})
 			}
 		}()
 	}
 	wg.Wait()
 	if got := c.Snapshot().LeafReads; got != 8000 {
-		t.Fatalf("concurrent LeafRead lost updates: %d", got)
+		t.Fatalf("concurrent Add lost updates: %d", got)
 	}
 }
 

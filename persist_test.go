@@ -604,6 +604,93 @@ func TestFlushCrashRecovery(t *testing.T) {
 	})
 }
 
+// TestSnapshotOverCommittedWAL writes a snapshot over a file whose last flush
+// crashed after its write-ahead log became durable. A log names only a page
+// size, not the file it belongs to, so one left beside the new file would be
+// replayed onto it by the next Open. The new file must open as written, with
+// no log beside it: a fresh tree exported over the path, and the file
+// compacted in place (which folds the log in).
+func TestSnapshotOverCommittedWAL(t *testing.T) {
+	items := corpusItems(2, 1220, 61)
+	opts := Options{Dims: 2, MaxEntries: 16, MinEntries: 6}
+	// crashed leaves path as 800 committed objects plus a durable log of 120
+	// more that was never applied.
+	crashed := func(t *testing.T) string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "stale.cbb")
+		tr, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.BulkLoad(items[:800]); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.WriteSnapshot(path, SnapshotV1); err != nil {
+			t.Fatal(err)
+		}
+		fb, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fb.InsertItems(items[800:920]); err != nil {
+			t.Fatal(err)
+		}
+		boom := errors.New("crash after WAL")
+		fb.pager.SetCommitFailpoints(func() error { return boom }, nil)
+		if err := fb.Flush(); !errors.Is(err, boom) {
+			t.Fatalf("flush error = %v, want injected crash", err)
+		}
+		if _, err := os.Stat(path + storage.WALSuffix); err != nil {
+			t.Fatalf("the crashed flush left no log: %v", err)
+		}
+		return path // fb is abandoned like a dead process
+	}
+	check := func(t *testing.T, path string, want []Item) {
+		t.Helper()
+		if _, err := os.Stat(path + storage.WALSuffix); !os.IsNotExist(err) {
+			t.Errorf("a write-ahead log is left beside the new file (stat: %v)", err)
+		}
+		tr, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		if tr.Len() != len(want) {
+			t.Fatalf("Len %d, want %d", tr.Len(), len(want))
+		}
+		got := tr.SearchAll(R(-1, -1, 2000, 2000))
+		sortItems(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("SearchAll returned %d items, not the %d written", len(got), len(want))
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("WriteSnapshot", func(t *testing.T) {
+		path := crashed(t)
+		fresh, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.BulkLoad(items[920:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.WriteSnapshot(path, SnapshotV1); err != nil {
+			t.Fatal(err)
+		}
+		check(t, path, items[920:])
+	})
+	t.Run("TranscodeInPlace", func(t *testing.T) {
+		path := crashed(t)
+		if err := TranscodeSnapshot(path, path, SnapshotV1); err != nil {
+			t.Fatal(err)
+		}
+		check(t, path, items[:920])
+	})
+}
+
 // TestOpenEmptySnapshotThenGrow covers the degenerate start: a snapshot of
 // an empty tree, reopened writable, grown from nothing, flushed, reopened.
 func TestOpenEmptySnapshotThenGrow(t *testing.T) {

@@ -15,12 +15,10 @@ import (
 // once, here: View and ShardedView embed the reader they pinned, Tree and
 // ShardedTree build one over their last committed state per call.
 //
-// A reader is never empty, and all its snapshots charge the same I/O counter
-// (a sharded engine rewires every shard tree to one shared counter).
+// A reader is never empty. Every query tallies its node accesses and charges
+// each snapshot's tree counter once (a sharded engine rewires every shard
+// tree to one shared counter).
 type reader []*clipindex.Snap
-
-// counter is the I/O counter every snapshot of the reader charges.
-func (r reader) counter() *storage.Counter { return r[0].Version().Tree().Counter() }
 
 // unpin releases the pins of a reader built from pinned snapshots.
 func (r reader) unpin() {
@@ -86,12 +84,11 @@ func (r reader) Bounds() Rect {
 // NearestNeighbors results) are views of immutable node storage: read-only,
 // but safe to keep without Clone — no later mutation changes them.
 func (r reader) Search(q Rect, visit func(ObjectID, Rect) bool) {
-	r.searchCounted(q, nil, visit)
+	r.search(q, visit)
 }
 
-// searchCounted is Search with node accesses charged to an explicit counter
-// (the index's own when c is nil).
-func (r reader) searchCounted(q Rect, c *storage.Counter, visit func(ObjectID, Rect) bool) {
+// search is Search returning the node accesses it charged.
+func (r reader) search(q Rect, visit func(ObjectID, Rect) bool) (io storage.Snapshot) {
 	cont := true
 	stoppable := func(id ObjectID, rect Rect) bool {
 		cont = visit(id, rect)
@@ -99,11 +96,11 @@ func (r reader) searchCounted(q Rect, c *storage.Counter, visit func(ObjectID, R
 	}
 	last := len(r) - 1
 	for _, s := range r[:last] {
-		if s.SearchCounted(q, c, stoppable); !cont {
-			return
+		if io = io.Add(s.SearchCounted(q, nil, stoppable)); !cont {
+			return io
 		}
 	}
-	r[last].SearchCounted(q, c, visit) // nothing to stop after the last one
+	return io.Add(r[last].SearchCounted(q, nil, visit)) // nothing to stop after the last one
 }
 
 // SearchAll returns every object intersecting q as a slice of items.
@@ -135,18 +132,10 @@ func (r reader) NearestNeighbors(k int, p Point) []Neighbor {
 	return clipindex.NearestNeighbors(k, p, r...)
 }
 
-// paddedCounter keeps each batch worker's counter on its own cache line (and
-// away from the adjacent-line prefetcher) so the workers' per-node-access
-// atomic updates never false-share.
-type paddedCounter struct {
-	c storage.Counter
-	_ [12]int64
-}
-
 // BatchSearch runs a batch of range queries on a pool of worker goroutines,
-// handed out in chunks small enough to balance skewed query costs. Every
-// worker charges a private I/O counter and the per-worker totals are merged
-// afterwards, so BatchResult.IO is exact and the index's cumulative IOStats
+// handed out in chunks small enough to balance skewed query costs. Each
+// query charges the index's counters as it ends, and BatchResult.IO is the
+// sum of what the queries charged: exact, and the index's cumulative IOStats
 // advance exactly as in a sequential run. It is safe to call concurrently
 // with other queries.
 func (r reader) BatchSearch(queries []Rect, opts BatchOptions) (BatchResult, error) {
@@ -158,29 +147,29 @@ func (r reader) BatchSearch(queries []Rect, opts BatchOptions) (BatchResult, err
 	if n == 0 {
 		return res, nil
 	}
-	counters := make([]paddedCounter, res.Workers)
+	tallies := make([]storage.Snapshot, res.Workers)
 	fanout.ForEachChunk(n, res.Workers, max(1, n/(res.Workers*8)), func(w, start, end int) {
-		c := &counters[w].c
+		io := tallies[w]
 		for i := start; i < end; i++ {
 			if opts.Collect {
 				var items []Item
-				r.searchCounted(queries[i], c, func(id ObjectID, rect Rect) bool {
+				io = io.Add(r.search(queries[i], func(id ObjectID, rect Rect) bool {
 					items = append(items, Item{Object: id, Rect: rect})
 					return true
-				})
+				}))
 				res.Items[i], res.Counts[i] = items, len(items)
 			} else {
 				hits := 0
-				r.searchCounted(queries[i], c, func(ObjectID, Rect) bool { hits++; return true })
+				io = io.Add(r.search(queries[i], func(ObjectID, Rect) bool { hits++; return true }))
 				res.Counts[i] = hits
 			}
 		}
+		tallies[w] = io
 	})
 	var io storage.Snapshot
-	for w := range counters {
-		io = io.Add(counters[w].c.Snapshot())
+	for _, t := range tallies {
+		io = io.Add(t)
 	}
-	r.counter().Add(io)
 	res.IO = toIOStats(io)
 	return res, nil
 }

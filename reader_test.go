@@ -224,7 +224,7 @@ func TestReaderConformance(t *testing.T) {
 					// queries, GOMAXPROCS by default, counts without items — and
 					// the reader's counter advancing by exactly the reported I/O.
 					rd, release := r.acquire()
-					ctr := rd.counter()
+					ctr := rd[0].Version().Tree().Counter()
 					release()
 					for _, e := range []struct {
 						queries          []Rect
@@ -332,11 +332,10 @@ func TestClipNoneIsPlainRTree(t *testing.T) {
 		if !plain.RootMBBIntersects(q) {
 			continue
 		}
-		var want storage.Counter
-		plain.SearchCounted(q, &want, count)
+		want := plain.SearchClipped(q, nil, count)
 		tree.ResetIOStats()
 		tree.Search(q, count)
-		if got, w := tree.IOStats(), toIOStats(want.Snapshot()); got != w {
+		if got, w := tree.IOStats(), toIOStats(want); got != w {
 			t.Fatalf("query %d: ClipNone charged %+v, the plain descent %+v", i, got, w)
 		}
 	}

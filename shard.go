@@ -201,10 +201,6 @@ type ShardedTree struct {
 	retired   []*shard
 }
 
-// newSharedCounter builds the engine-wide I/O counter every shard tree is
-// rewired to.
-func newSharedCounter() *storage.Counter { return &storage.Counter{} }
-
 // newShardCurve builds the routing curve for effective (defaulted) options.
 func newShardCurve(opts ShardedOptions) (*hilbert.Curve, error) {
 	return hilbert.New(opts.Universe, opts.HilbertBits)
@@ -216,7 +212,7 @@ func NewSharded(opts ShardedOptions) (*ShardedTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &ShardedTree{opts: opts, counter: newSharedCounter()}
+	st := &ShardedTree{opts: opts, counter: &storage.Counter{}}
 	st.curve, err = newShardCurve(opts)
 	if err != nil {
 		return nil, err

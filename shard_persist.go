@@ -55,7 +55,7 @@ func CreateSharded(dir string, opts ShardedOptions) (*ShardedTree, error) {
 	if _, err := os.Stat(dirFile); err == nil {
 		return nil, fmt.Errorf("cbb: %s already holds a sharded engine", dir)
 	}
-	st := &ShardedTree{opts: opts, counter: newSharedCounter(), dirPath: dir}
+	st := &ShardedTree{opts: opts, counter: &storage.Counter{}, dirPath: dir}
 	st.curve, err = newShardCurve(opts)
 	if err != nil {
 		return nil, err
@@ -124,7 +124,7 @@ func openSharded(dir string, open func(path string) (*Tree, error)) (*ShardedTre
 	if err != nil {
 		return nil, err
 	}
-	st := &ShardedTree{opts: opts, counter: newSharedCounter(), dirPath: dir}
+	st := &ShardedTree{opts: opts, counter: &storage.Counter{}, dirPath: dir}
 	st.curve, err = newShardCurve(opts)
 	if err != nil {
 		return nil, err
