@@ -54,10 +54,11 @@
 // # Concurrency
 //
 // The engine is single-writer / multi-reader with snapshot isolation,
-// implemented by copy-on-write epoch versioning: every committed mutation
-// clones the nodes (and clip entries) it touches into a writer-private
-// overlay and publishes a new immutable version behind one atomic pointer.
-// Readers never block writers and writers never block readers.
+// implemented by copy-on-write epoch versioning: a mutation clones the nodes
+// it touches and copies the chunks of the node directory it writes — each
+// node's slot there holds its clip record too — and the commit publishes a
+// new immutable version behind one atomic pointer. Readers never block
+// writers and writers never block readers.
 //
 //   - Queries (Search, SearchAll, Count, NearestNeighbors, BatchSearch,
 //     joins) may run from any number of goroutines at any time — including
@@ -69,11 +70,10 @@
 //     run against while writers keep committing. Close releases it.
 //   - Writers are serialised by an internal writer lock. Tree.Begin opens a
 //     Batch whose mutations are published to readers as one atomic commit.
-//   - Stats reads only published state and may run at any time.
-//   - AttachBufferPool, DetachBufferPool, ResetIOStats, SaveTo, and Validate
-//     remain maintenance operations: run them while no writer is active
-//     (they may race with a concurrent mutation's bookkeeping, not with
-//     readers).
+//   - Stats reads only published state and may run at any time, as may
+//     AttachBufferPool, DetachBufferPool and ResetIOStats. SaveTo,
+//     WriteSnapshot and Validate take the writer lock: they wait for the
+//     mutation or batch in flight, and readers keep running beside them.
 //
 // File-backed trees opened with Open keep the same guarantees; writer
 // durability (Flush, Close) reuses the write-ahead-log commit and never
@@ -362,8 +362,7 @@ func (t *Tree) bulkLoadLocked(items []Item) error {
 	if err := t.tree.BulkLoad(items); err != nil {
 		return err
 	}
-	t.idx.RebuildAll()
-	return nil
+	return t.idx.RebuildAll()
 }
 
 // Search calls visit for every object whose rectangle intersects q;
@@ -465,8 +464,7 @@ func (t *Tree) ResetIOStats() { t.tree.ResetIO() }
 // means unbounded (everything hits after first touch). The pool is
 // lock-striped so parallel batch searches do not serialise on one mutex;
 // see storage.BufferPool for the sharding semantics. Attaching replaces
-// any previous pool and must not race with concurrent queries; attach before
-// the read phase starts.
+// any previous pool; a query in flight finishes on the pool it started with.
 func (t *Tree) AttachBufferPool(capacity int) {
 	t.tree.SetBufferPool(storage.NewBufferPool(capacity))
 }
@@ -533,9 +531,15 @@ type Stats struct {
 func (t *Tree) Stats() Stats { return t.current().Stats() }
 
 // Validate checks the structural invariants of the tree and the soundness
-// of every stored clip point. It is intended for tests and debugging; it is
-// not cheap.
+// of every stored clip point, under the writer lock. It is intended for tests
+// and debugging; it is not cheap.
 func (t *Tree) Validate() error {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	return t.validateLocked()
+}
+
+func (t *Tree) validateLocked() error {
 	if err := t.tree.Validate(); err != nil {
 		return err
 	}

@@ -154,20 +154,33 @@ func BenchmarkKNN(b *testing.B) {
 }
 
 // BenchmarkFirstWrites measures the first writes into a freshly bulk-loaded
-// tree: 200k rea02 objects under the library defaults (QR-tree, CSTA, 4 KiB
-// pages), whose packed leaves are full, so nearly every insert splits one —
-// the writes of a set-up's warm-up and of a server's first minutes. "batch2"
-// is one committed batch of an insert and a delete of the previous batch's
-// insert; "insertItems256" one committed InsertItems of 256 scattered
-// objects. The tree is rebuilt off the clock every perTree ops, so each op
-// stays a first write; run it with -benchtime=Nx (a rebuild costs ~0.5 s).
+// tree: 200k and 2M rea02 objects under the library defaults (QR-tree, CSTA,
+// 4 KiB pages), whose packed leaves are full, so nearly every insert splits
+// one — the writes of a set-up's warm-up and of a server's first minutes.
+// "batch2" is one committed batch of an insert and a delete of the previous
+// batch's insert; "insertItems256" one committed InsertItems of 256 scattered
+// objects. A commit copies only the directory chunks it wrote, so batch2's
+// bytes per op do not grow with the tree. The tree is rebuilt off the clock
+// every perTree ops, so each op stays a first write; run it with
+// -benchtime=Nx (a rebuild costs ~0.5 s at 200k, ~6 s at 2M).
 func BenchmarkFirstWrites(b *testing.B) {
-	items, uni := loadDataset(b, "rea02", 200000, 42)
 	fresh, _ := loadDataset(b, "rea02", 4096, 43)
 	rand.New(rand.NewSource(44)).Shuffle(len(fresh), func(i, j int) { fresh[i], fresh[j] = fresh[j], fresh[i] })
-	for i := range fresh {
-		fresh[i].Object = ObjectID(len(items) + i)
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"200k", 200000}, {"2M", 2000000}} {
+		b.Run(size.name, func(b *testing.B) {
+			items, uni := loadDataset(b, "rea02", size.n, 42)
+			for i := range fresh {
+				fresh[i].Object = ObjectID(len(items) + i)
+			}
+			benchFirstWrites(b, items, fresh, uni)
+		})
 	}
+}
+
+func benchFirstWrites(b *testing.B, items, fresh []Item, uni Rect) {
 	for _, c := range []struct {
 		name           string
 		perOp, perTree int

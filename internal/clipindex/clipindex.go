@@ -1,8 +1,11 @@
 // Package clipindex plugs clipped bounding boxes (internal/core) into any
 // R-tree variant (internal/rtree), following Section IV of the paper:
 //
-//   - the clip points of every node live in an auxiliary store keyed by node
-//     id (Figure 4b), fully separate from the node pages;
+//   - the clip points of every node live in an auxiliary table keyed by node
+//     id (Figure 4b), fully separate from the node pages — on disk, the
+//     snapshot's clip table; in memory, the record in the node's slot of the
+//     tree's versioned node directory, beside the node, so a query reads a
+//     child's record before reading the child;
 //   - queries run the unmodified R-tree descent but consult Algorithm 2
 //     before visiting a child node, skipping children whose overlap with the
 //     query is entirely clipped dead space;
@@ -15,11 +18,11 @@
 // There is one resident representation of clip points: per node id one
 // core.Record (which see: corner-normalised, flat, bit-exact both ways,
 // never written once installed). The range-search descent, the joins and the
-// writer's validity checks read the records directly; the writer and every
-// snapshot share them, and only the directory from ids to records is copied
-// when the writer first touches it after a publish. Table, the map of
-// []core.ClipPoint, is the exchange form: what DecodeTable produces,
-// inspection tools read, and Index.Table materialises on demand.
+// writer's validity checks read the records directly; the maintenance writes
+// them into the writer's directory (rtree.Tree.SetRecord), and a commit
+// publishes them with the nodes they describe, as one tree version. Table,
+// the map of []core.ClipPoint, is the exchange form: what DecodeTable
+// produces, inspection tools read, and Index.Table materialises on demand.
 package clipindex
 
 import (
@@ -116,79 +119,25 @@ func (u UpdateStats) ReclipsPerInsert() float64 {
 	return float64(u.TotalReclips()) / float64(u.Inserts)
 }
 
-// maxDenseClipID bounds the dense directory of a store (rtree.ClipRecords):
-// node ids are arena indices, so a slice indexed by id covers every real tree
-// with one load per lookup, and 2^21 slice headers are 48 MiB, cheap next to
-// that many nodes. Ids beyond it (a pathological or adversarial snapshot's
-// table may name any id) go to the spill map: memory stays bounded by the
-// number of records.
-const maxDenseClipID = 1 << 21
-
-// setRecord installs (or, with a nil record, removes) a node's record.
-func setRecord(s *rtree.ClipRecords, id rtree.NodeID, rec core.Record) {
-	switch {
-	case id < 0:
-	case uint64(id) < uint64(len(s.Dense)):
-		s.Dense[id] = rec
-	case rec == nil:
-		delete(s.Spill, id)
-	case id < maxDenseClipID:
-		s.Dense = append(s.Dense, make([]core.Record, int(id)+1-len(s.Dense))...)
-		s.Dense[id] = rec
-	default:
-		if s.Spill == nil {
-			s.Spill = make(map[rtree.NodeID]core.Record)
-		}
-		s.Spill[id] = rec
-	}
-}
-
-// records ranges over the nodes that have clip points, in ascending id order
-// (every dense id is below every spilled one).
-func records(s *rtree.ClipRecords) iter.Seq2[rtree.NodeID, core.Record] {
-	return func(yield func(rtree.NodeID, core.Record) bool) {
-		for id, rec := range s.Dense {
-			if len(rec) > 0 && !yield(rtree.NodeID(id), rec) {
-				return
-			}
-		}
-		for _, id := range slices.Sorted(maps.Keys(s.Spill)) {
-			if !yield(id, s.Spill[id]) {
-				return
-			}
-		}
-	}
-}
-
 // Index is a clipped R-tree: an rtree.Tree of any variant plus the clip
-// records of its nodes and the parameters used to maintain them.
-//
-// Like the underlying tree, the Index is copy-on-write versioned: the
-// writer maintains its record directory privately and publishes it together
-// with the tree's committed version as one Snap, loaded atomically (once per
-// query) by every read path. Readers therefore always see clip points and
-// nodes of the same epoch — a clip point computed for a newer node
-// generation can never prune a query running against an older one.
+// records of its nodes and the parameters used to maintain them. The records
+// live in the tree's node directory, so a mutation and its record maintenance
+// publish as one version — one writer batch — and a reader's one load per
+// query yields nodes and clip points of the same epoch. A tree holds one
+// index's records: a later New or Restore over it replaces them, and the
+// earlier index is then good only for the snapshots it published.
 type Index struct {
 	tree   *rtree.Tree
 	params core.Params
-	store  rtree.ClipRecords
-	// storeShared marks that the directory's backing arrays are referenced
-	// by the published Snap and must be copied before the next mutation (the
-	// clip-side analogue of the tree's detach step).
-	storeShared bool
-	cur         atomic.Pointer[Snap]
-	stats       UpdateStats
+	cur    atomic.Pointer[Snap]
+	stats  UpdateStats
 }
 
-// Snap is an epoch-consistent read snapshot of a clipped tree: the tree
-// version and the clip records published by the same commit. It is the one
-// thing every query and join runs against — a plain R-tree is a Snap without
-// records — and is safe for any number of concurrent readers regardless of
-// writer activity.
+// Snap is one published version of a clipped tree, read with its clip
+// records: what every clipped query and join runs against, from any number
+// of goroutines. A plain R-tree is a Snap whose version has no records.
 type Snap struct {
-	v    *rtree.Version
-	recs rtree.ClipRecords
+	v *rtree.Version
 }
 
 // Version returns the tree version the snapshot is bound to.
@@ -196,26 +145,20 @@ func (s *Snap) Version() *rtree.Version { return s.v }
 
 // Record returns the clip record of the node at the snapshot's epoch (nil
 // when it has no clip points); joins test it with core.Record.Dead.
-func (s *Snap) Record(id rtree.NodeID) core.Record { return s.recs.Of(id) }
+func (s *Snap) Record(id rtree.NodeID) core.Record { return s.v.Record(id) }
 
 // Clips materialises the clip points of the node at the snapshot's epoch
 // (nil when it has none), for inspection; nothing on a query path calls it.
 func (s *Snap) Clips(id rtree.NodeID) []core.ClipPoint {
-	return s.recs.Of(id).Points(s.v.Dims())
+	return s.v.Record(id).Points(s.v.Dims())
 }
 
-// Search finds every object intersecting q at the snapshot's epoch, using
-// its clip points to skip child nodes whose overlap with q is entirely dead
-// space.
-func (s *Snap) Search(q geom.Rect, visit func(rtree.ObjectID, geom.Rect) bool) {
-	s.SearchCounted(q, nil, visit)
-}
-
-// SearchCounted is Search with the node accesses charged to c instead of the
-// tree's own counter (the tree's counter when c is nil). It returns what it
-// charged.
+// SearchCounted finds every object intersecting q at the snapshot's epoch,
+// using its clip points to skip child nodes whose overlap with q is entirely
+// dead space, and charges the node accesses to c (the tree's own counter
+// when c is nil). It returns what it charged.
 func (s *Snap) SearchCounted(q geom.Rect, c *storage.Counter, visit func(rtree.ObjectID, geom.Rect) bool) storage.Snapshot {
-	io := s.v.SearchClipped(q, &s.recs, visit)
+	io := s.v.SearchClipped(q, visit)
 	if c == nil {
 		c = s.v.Tree().Counter()
 	}
@@ -229,7 +172,7 @@ func NearestNeighbors(k int, p geom.Point, snaps ...*Snap) []rtree.Neighbor {
 	var buf [8]rtree.KNNSource // on the stack for up to eight shards
 	srcs := buf[:0]
 	for _, s := range snaps {
-		srcs = append(srcs, rtree.KNNSource{Version: s.v, Clips: &s.recs})
+		srcs = append(srcs, rtree.KNNSource{Version: s.v, Clipped: true})
 	}
 	return rtree.NearestNeighbors(k, p, srcs...)
 }
@@ -238,22 +181,21 @@ func NearestNeighbors(k int, p geom.Point, snaps ...*Snap) []rtree.Neighbor {
 // points, the clip points in total, and the exact size the table serialises
 // to (as TableBytes; 0 for an empty table, which snapshots omit altogether).
 func (s *Snap) ClipStats() (nodes, points, bytes int) {
-	return clipStats(&s.recs, s.v.Dims())
+	return clipStats(s.v.Records(), s.v.Dims())
 }
 
 // ResidentBytes returns the heap the snapshot's clip points occupy: the
-// directory (a slice header per dense node id, a map entry per spilled id)
-// plus the records.
+// records themselves (their slots in the node directory are the tree's).
 func (s *Snap) ResidentBytes() int {
-	n := cap(s.recs.Dense)*24 + len(s.recs.Spill)*32
-	for _, rec := range records(&s.recs) {
+	n := 0
+	for _, rec := range s.v.Records() {
 		n += 8 * cap(rec)
 	}
 	return n
 }
 
-func clipStats(recs *rtree.ClipRecords, dims int) (nodes, points, bytes int) {
-	for _, rec := range records(recs) {
+func clipStats(recs iter.Seq2[rtree.NodeID, core.Record], dims int) (nodes, points, bytes int) {
+	for _, rec := range recs {
 		nodes++
 		points += rec.Len(dims)
 	}
@@ -263,38 +205,35 @@ func clipStats(recs *rtree.ClipRecords, dims int) (nodes, points, bytes int) {
 	return nodes, points, bytes
 }
 
-// ensurePrivateStore detaches the record directory from the published
-// snapshot: the dense slice and the spill map are copied, the records
-// themselves are immutable and stay shared.
-func (x *Index) ensurePrivateStore() {
-	if x.storeShared {
-		x.store = rtree.ClipRecords{Dense: slices.Clone(x.store.Dense), Spill: maps.Clone(x.store.Spill)}
-		x.storeShared = false
+// publishRecords publishes the records written outside a batch under the
+// tree's current epoch, as the current snapshot.
+func (x *Index) publishRecords() {
+	x.tree.PublishRecords()
+	x.cur.Store(&Snap{v: x.tree.CurrentVersion()})
+}
+
+// mutate applies one tree mutation and then the maintenance step it returns,
+// in the tree's open batch (whose Commit publishes) or in one of its own,
+// committed on success and rolled back on failure. With K == 0 core.Clip never
+// yields a clip point, so the step is skipped whole: a plain R-tree.
+func (x *Index) mutate(apply func() (step func(), err error)) error {
+	own := !x.tree.InBatch()
+	if own {
+		if err := x.tree.BeginBatch(); err != nil {
+			return err
+		}
 	}
-}
-
-// publish stores a new combined snapshot pairing the tree's current
-// committed version with the writer's record directory, and marks the
-// directory shared (copy-on-write for the next batch).
-func (x *Index) publish() {
-	x.cur.Store(&Snap{v: x.tree.CurrentVersion(), recs: x.store})
-	x.storeShared = true
-}
-
-// maintain runs one table-maintenance step for a mutation the tree just
-// applied, then publishes tree version and records together (unless an
-// explicit batch is open, whose Commit publishes instead). It holds the
-// index's one K == 0 early-out: with K == 0 (the public ClipNone
-// configuration) core.Clip never yields a clip point, so the store is
-// permanently empty, the index is exactly a plain R-tree, and the step is
-// skipped whole — no walk, no node lookups, no Reclip charge.
-func (x *Index) maintain(step func()) {
-	if x.params.K != 0 {
+	step, err := apply()
+	if err == nil && x.params.K != 0 {
 		step()
 	}
-	if !x.tree.InBatch() {
-		x.publish()
+	switch {
+	case own && err != nil:
+		x.tree.RollbackBatch()
+	case own:
+		x.Commit()
 	}
+	return err
 }
 
 // Snap returns the current combined snapshot (one atomic load, unpinned).
@@ -320,67 +259,88 @@ func (x *Index) Begin() error { return x.tree.BeginBatch() }
 
 // Commit publishes every mutation since Begin — node and clip state together
 // — as one new epoch.
-func (x *Index) Commit() {
-	x.tree.CommitBatch()
-	x.publish()
-}
+func (x *Index) Commit() { x.cur.Store(&Snap{v: x.tree.CommitBatch()}) }
 
 // Rollback discards every mutation since Begin: the tree batch is rolled
-// back and the writer takes the published snapshot's record directory back,
-// shared again, so nothing is rebuilt. Readers never saw any of it. The
-// advisory update statistics (Stats) are not unwound.
-func (x *Index) Rollback() {
-	x.tree.RollbackBatch()
-	x.store = x.cur.Load().recs
-	x.storeShared = true // next mutation copies before touching the directory
-}
-
-// setClips installs a node's record in the writer's directory (a nil record
-// removes the node's clip points).
-func (x *Index) setClips(id rtree.NodeID, rec core.Record) {
-	x.ensurePrivateStore()
-	setRecord(&x.store, id, rec)
-}
+// back, and with it the records, which live in the tree's directory; nothing
+// is rebuilt. Readers never saw any of it. The advisory update statistics
+// (Stats) are not unwound.
+func (x *Index) Rollback() { x.tree.RollbackBatch() }
 
 // New wraps an existing tree (already built, possibly empty) and computes
 // clip points for all of its nodes.
 func New(tree *rtree.Tree, params core.Params) (*Index, error) {
+	x, err := newIndex(tree, params)
+	if err != nil {
+		return nil, err
+	}
+	if err := x.RebuildAll(); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// newIndex checks the arguments and makes an index over the tree.
+func newIndex(tree *rtree.Tree, params core.Params) (*Index, error) {
 	if tree == nil {
 		return nil, errors.New("clipindex: tree must not be nil")
 	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	idx := &Index{tree: tree, params: params}
-	idx.RebuildAll()
-	return idx, nil
+	return &Index{tree: tree, params: params}, nil
 }
 
 // Restore wraps a tree with a previously computed clip table without
 // recomputing anything — the decode path of the persistence subsystem. The
-// table is flattened into records and not retained (it must belong to this
-// tree, which snapshot integrity checks guarantee); a nil table means no node
-// has clip points. Unlike New, Restore never walks the tree, so a lazily
-// opened file-backed tree stays unmaterialised.
+// table is flattened into records and not retained; a nil table means no node
+// has clip points, and one naming a node the tree lacks is rejected with
+// storage.ErrCorrupt. Restore never walks the tree: one opened with the
+// table's records (snapshot.OpenTree) stays lazy, one holding others is
+// hydrated to take the table's.
 func Restore(tree *rtree.Tree, params core.Params, table Table) (*Index, error) {
-	if tree == nil {
-		return nil, errors.New("clipindex: tree must not be nil")
-	}
-	if err := params.Validate(); err != nil {
+	x, err := newIndex(tree, params)
+	if err != nil {
 		return nil, err
 	}
-	x := &Index{tree: tree, params: params}
-	for id, clips := range table {
-		setRecord(&x.store, id, core.NewRecord(clips, tree.Dims()))
+	for _, id := range slices.Sorted(maps.Keys(table)) {
+		if !tree.HasNode(id) {
+			return nil, fmt.Errorf("%w: clip table names node %d, which the tree does not have", storage.ErrCorrupt, id)
+		}
 	}
-	x.publish()
+	if !holds(tree, table) {
+		if err := tree.Materialize(); err != nil {
+			return nil, err
+		}
+		clearRecords(tree)
+		for id, clips := range table {
+			tree.SetRecord(id, core.NewRecord(clips, tree.Dims()))
+		}
+	}
+	x.publishRecords()
 	return x, nil
 }
 
-// Tree returns the underlying R-tree.
-func (x *Index) Tree() *rtree.Tree { return x.tree }
+// holds reports whether the tree's records are exactly the table's.
+func holds(tree *rtree.Tree, table Table) bool {
+	n := 0
+	for id, rec := range tree.Records() {
+		if n++; !slices.Equal(rec, core.NewRecord(table[id], tree.Dims())) {
+			return false
+		}
+	}
+	return n == len(table)
+}
 
-// Params returns the clipping parameters.
+// clearRecords removes every record from the tree's writer directory.
+func clearRecords(tree *rtree.Tree) {
+	for id := range tree.Records() {
+		tree.SetRecord(id, nil)
+	}
+}
+
+// Tree and Params return the underlying R-tree and the clipping parameters.
+func (x *Index) Tree() *rtree.Tree   { return x.tree }
 func (x *Index) Params() core.Params { return x.params }
 
 // Table materialises the writer's clip records (scores are not kept, as in a
@@ -388,7 +348,7 @@ func (x *Index) Params() core.Params { return x.params }
 // encoded straight from the records (EncodeClips).
 func (x *Index) Table() Table {
 	t := make(Table)
-	for id, rec := range records(&x.store) {
+	for id, rec := range x.tree.Records() {
 		t[id] = rec.Points(x.tree.Dims())
 	}
 	return t
@@ -400,25 +360,31 @@ func (x *Index) Stats() UpdateStats { return x.stats }
 // ResetStats zeroes the update statistics.
 func (x *Index) ResetStats() { x.stats = UpdateStats{} }
 
-// Len returns the number of indexed objects.
-func (x *Index) Len() int { return x.tree.Len() }
-
 // RebuildAll recomputes the clip points of every node from scratch
-// (Algorithm 1 applied to each node, as done when a freshly built R-tree is
-// clipped before its nodes are flushed to disk), and publishes the result
-// (unless an explicit batch is open, whose Commit publishes instead).
-func (x *Index) RebuildAll() { x.maintain(x.rebuildTable) }
+// (Algorithm 1 per node, as when a freshly built R-tree is clipped before its
+// nodes are flushed), hydrating a lazily opened tree first, and publishes them
+// under the tree's current epoch unless an explicit batch is open.
+func (x *Index) RebuildAll() error {
+	if err := x.tree.Materialize(); err != nil {
+		return err
+	}
+	x.rebuildTable()
+	if !x.tree.InBatch() {
+		x.publishRecords()
+	}
+	return nil
+}
 
-// rebuildTable recomputes every record. Published snapshots keep
-// referencing the old directory; the rebuild starts from a fresh private
-// one rather than wiping it in place. The nodes are collected here, on
-// the writer's goroutine, so a lazily opened file-backed tree faults its
-// pages in from one thread.
+// rebuildTable drops every record and, unless K == 0, recomputes the record
+// of every node. The nodes are collected here, on the writer's goroutine, so
+// the build never faults a page from a worker.
 func (x *Index) rebuildTable() {
+	clearRecords(x.tree)
+	if x.params.K == 0 {
+		return
+	}
 	var infos []rtree.NodeInfo
 	x.tree.Walk(func(info rtree.NodeInfo) { infos = append(infos, info) })
-	x.store = rtree.ClipRecords{}
-	x.storeShared = false
 	x.reclip(infos)
 }
 
@@ -466,22 +432,19 @@ func (x *Index) reclip(infos []rtree.NodeInfo) {
 		}
 	})
 	for i := range infos {
-		x.setClips(infos[i].ID, recs[i])
+		x.tree.SetRecord(infos[i].ID, recs[i])
 	}
 }
 
 // reclipByIDs recomputes the clip points of the given nodes in one build,
-// looking each node up first; missing nodes (freed during condensation) are
-// simply dropped.
+// looking each node up first; a missing node is skipped (a freed node's
+// record went with its slot).
 func (x *Index) reclipByIDs(ids []rtree.NodeID) {
 	infos := make([]rtree.NodeInfo, 0, len(ids))
 	for _, id := range ids {
-		info, err := x.tree.Node(id)
-		if err != nil {
-			x.setClips(id, nil)
-			continue
+		if info, err := x.tree.Node(id); err == nil {
+			infos = append(infos, info)
 		}
-		infos = append(infos, info)
 	}
 	x.reclip(infos)
 	x.tree.Counter().Reclip(int64(len(infos)))
@@ -495,28 +458,22 @@ func (x *Index) reclipByIDs(ids []rtree.NodeID) {
 // while the single writer mutates: the query runs against one atomically
 // loaded Snap (immutable tree version + clip records of the same epoch).
 func (x *Index) Search(q geom.Rect, visit func(rtree.ObjectID, geom.Rect) bool) {
-	x.cur.Load().Search(q, visit)
-}
-
-// Count returns the number of objects intersecting q using the clipped
-// search path.
-func (x *Index) Count(q geom.Rect) int {
-	n := 0
-	x.Search(q, func(rtree.ObjectID, geom.Rect) bool { n++; return true })
-	return n
+	x.cur.Load().SearchCounted(q, nil, visit)
 }
 
 // Insert adds an object and maintains the clip table per Section IV-D. It
 // returns the causes of any clip recomputations performed (for the update
 // experiment).
 func (x *Index) Insert(r geom.Rect, obj rtree.ObjectID) ([]ReclipCause, error) {
-	trace, err := x.tree.Insert(r, obj)
+	var causes []ReclipCause
+	err := x.mutate(func() (func(), error) {
+		trace, err := x.tree.Insert(r, obj)
+		return func() { causes = x.applyInsertTrace(trace) }, err
+	})
 	if err != nil {
 		return nil, err
 	}
 	x.stats.Inserts++
-	var causes []ReclipCause
-	x.maintain(func() { causes = x.applyInsertTrace(trace) })
 	return causes, nil
 }
 
@@ -524,16 +481,17 @@ func (x *Index) Insert(r geom.Rect, obj rtree.ObjectID) ([]ReclipCause, error) {
 // pipeline and maintains the clip table from the one aggregated trace: each
 // structurally changed node is re-clipped once for the whole batch and each
 // placement is validity-checked once, instead of paying the per-insert
-// maintenance (including the copy-on-write detach of the record directory)
-// per item. Outside an explicit batch the combined snapshot is published
-// once, atomically.
+// maintenance per item. Outside an explicit batch the new version is
+// published once, atomically.
 func (x *Index) InsertItems(items []rtree.Item) error {
-	trace, err := x.tree.InsertItems(items)
+	err := x.mutate(func() (func(), error) {
+		trace, err := x.tree.InsertItems(items)
+		return func() { x.applyInsertTrace(trace) }, err
+	})
 	if err != nil {
 		return err
 	}
 	x.stats.Inserts += len(items)
-	x.maintain(func() { x.applyInsertTrace(trace) })
 	return nil
 }
 
@@ -606,7 +564,7 @@ func (x *Index) applyInsertTrace(trace *rtree.InsertTrace) []ReclipCause {
 		if reclipped[pl.Node] {
 			continue
 		}
-		if len(x.store.Of(pl.Node)) == 0 {
+		if len(x.tree.Record(pl.Node)) == 0 {
 			// No clip points can be invalidated, but new dead space might
 			// now be clippable; the paper leaves such nodes alone until the
 			// next forced recomputation, and so do we.
@@ -635,7 +593,7 @@ func (x *Index) applyInsertTrace(trace *rtree.InsertTrace) []ReclipCause {
 // (the negation of core.ValidAfterInsert). checked is false, and nothing was
 // tested, when the node has no clip points or no longer exists.
 func (x *Index) invalidates(id rtree.NodeID, r geom.Rect) (broken, checked bool) {
-	rec := x.store.Of(id)
+	rec := x.tree.Record(id)
 	if len(rec) == 0 {
 		return false, false
 	}
@@ -652,14 +610,17 @@ func (x *Index) invalidates(id rtree.NodeID, r geom.Rect) (broken, checked bool)
 // valid when space only becomes emptier, so the table is touched only for
 // nodes whose MBB changed or that were dissolved.
 func (x *Index) Delete(r geom.Rect, obj rtree.ObjectID) (bool, error) {
-	trace, err := x.tree.Delete(r, obj)
+	var trace *rtree.DeleteTrace
+	err := x.mutate(func() (_ func(), err error) {
+		trace, err = x.tree.Delete(r, obj)
+		return func() { x.applyDeleteTrace(trace) }, err
+	})
 	if err != nil {
 		return false, err
 	}
 	if trace.Found {
 		x.stats.Deletes++
 	}
-	x.maintain(func() { x.applyDeleteTrace(trace) })
 	return trace.Found, nil
 }
 
@@ -668,9 +629,7 @@ func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace) {
 	if !trace.Found {
 		return
 	}
-	for _, id := range trace.Removed {
-		x.setClips(id, nil)
-	}
+	// The dissolved nodes' records went with their slots (rtree's freeNode).
 	// As in applyInsertTrace, the marked nodes are re-clipped together at the
 	// end.
 	var pending []rtree.NodeID
@@ -747,6 +706,6 @@ func (x *Index) SaveAux(p storage.PageStore) (pages int, err error) {
 // the same number Stats.ClipTableBytes and the cbbinspect storage breakdown
 // report, all through TableBytes.
 func (x *Index) AuxBytes() int {
-	nodes, points, _ := clipStats(&x.store, x.tree.Dims())
+	nodes, points, _ := clipStats(x.tree.Records(), x.tree.Dims())
 	return tableBytes(nodes, points, x.tree.Dims())
 }

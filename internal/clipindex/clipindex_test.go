@@ -60,7 +60,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Len() != 0 {
+	if idx.Tree().Len() != 0 {
 		t.Error("empty index should have length 0")
 	}
 	// Searching an empty index is a no-op.
@@ -94,7 +94,7 @@ func TestClippedSearchMatchesUnclipped(t *testing.T) {
 				for q := 0; q < 200; q++ {
 					query := randRect(rng, 2, 1000, 60)
 					unclipped := tree.Count(query)
-					clipped := idx.Count(query)
+					clipped := countClipped(idx, query)
 					if unclipped != clipped {
 						t.Fatalf("query %v: clipped %d != unclipped %d", query, clipped, unclipped)
 					}
@@ -184,8 +184,8 @@ func TestInsertMaintainsCorrectness(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if idx.Len() != 700 {
-				t.Fatalf("Len = %d, want 700", idx.Len())
+			if idx.Tree().Len() != 700 {
+				t.Fatalf("Len = %d, want 700", idx.Tree().Len())
 			}
 			if err := idx.Validate(); err != nil {
 				t.Fatalf("clip table invalid after inserts: %v", err)
@@ -202,7 +202,7 @@ func TestInsertMaintainsCorrectness(t *testing.T) {
 						want++
 					}
 				}
-				if got := idx.Count(query); got != want {
+				if got := countClipped(idx, query); got != want {
 					t.Fatalf("query %v: got %d, want %d", query, got, want)
 				}
 			}
@@ -252,7 +252,7 @@ func TestInsertAvoidsUnnecessaryReclips(t *testing.T) {
 	if _, err := idx.Insert(geom.R(45, 45, 55, 55), 101); err != nil {
 		t.Fatal(err)
 	}
-	if got := idx.Count(geom.R(44, 44, 56, 56)); got != 1 {
+	if got := countClipped(idx, geom.R(44, 44, 56, 56)); got != 1 {
 		t.Fatalf("object inserted into former dead space not found: got %d", got)
 	}
 	if err := idx.Validate(); err != nil {
@@ -277,8 +277,8 @@ func TestDeleteLazyMaintenance(t *testing.T) {
 	if found, _ := idx.Delete(geom.R(0, 0, 1, 1), 999999); found {
 		t.Error("deleting a missing object should report false")
 	}
-	if idx.Len() != 300 {
-		t.Fatalf("Len = %d", idx.Len())
+	if idx.Tree().Len() != 300 {
+		t.Fatalf("Len = %d", idx.Tree().Len())
 	}
 	if err := idx.Validate(); err != nil {
 		t.Fatalf("clip table invalid after deletes: %v", err)
@@ -299,7 +299,7 @@ func TestDeleteLazyMaintenance(t *testing.T) {
 				want++
 			}
 		}
-		if got := idx.Count(query); got != want {
+		if got := countClipped(idx, query); got != want {
 			t.Fatalf("query %v after deletes: got %d want %d", query, got, want)
 		}
 	}
@@ -483,4 +483,11 @@ func BenchmarkUnclippedSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tree.Search(queries[i%len(queries)], func(rtree.ObjectID, geom.Rect) bool { return true })
 	}
+}
+
+// countClipped counts the objects intersecting q on the clipped search path.
+func countClipped(idx *Index, q geom.Rect) int {
+	n := 0
+	idx.Search(q, func(rtree.ObjectID, geom.Rect) bool { n++; return true })
+	return n
 }

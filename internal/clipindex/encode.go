@@ -58,11 +58,11 @@ func (t Table) EncodeClips(dims int, universe *geom.Rect) []byte {
 // straight from them: the bytes are those of x.Table().EncodeClips, without
 // materialising the table (a durable commit runs this once per Flush).
 func (x *Index) EncodeClips(dims int, universe *geom.Rect) []byte {
-	nodes, points, _ := clipStats(&x.store, dims)
+	nodes, points, _ := clipStats(x.tree.Records(), dims)
 	if nodes == 0 {
 		return nil
 	}
-	return encodeRecords(dims, universe, nodes, points, records(&x.store))
+	return encodeRecords(dims, universe, nodes, points, x.tree.Records())
 }
 
 func encodeTable(t Table, dims int, universe *geom.Rect) []byte {

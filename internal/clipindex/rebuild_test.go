@@ -183,7 +183,8 @@ func TestRebuildBesidePinnedReaders(t *testing.T) {
 						return
 					}
 					for k := 0; k < 4; k++ { // the view stays put while the writer moves on
-						if got := count(s.Search, queries[qi]); got != want[n][qi] {
+						search := func(q geom.Rect, visit func(rtree.ObjectID, geom.Rect) bool) { s.SearchCounted(q, nil, visit) }
+						if got := count(search, queries[qi]); got != want[n][qi] {
 							t.Errorf("pinned view of %d objects: query %d found %d, want %d", n, qi, got, want[n][qi])
 						}
 					}

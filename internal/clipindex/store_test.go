@@ -2,13 +2,15 @@ package clipindex
 
 import (
 	"bytes"
+	"errors"
+	"maps"
 	"math/rand"
 	"testing"
-	"unsafe"
 
 	"cbb/internal/core"
 	"cbb/internal/geom"
 	"cbb/internal/rtree"
+	"cbb/internal/storage"
 )
 
 // An index encodes its clip section straight from its records; the bytes are
@@ -59,9 +61,9 @@ func TestEncodeClipsMatchesTable(t *testing.T) {
 }
 
 // Restore followed by Table is the identity on a decoded table — nodes, order
-// of clip points, masks, coordinate bits — and ids beyond the dense range take
-// the bounded path: they are kept, served and encoded, and the dense directory
-// does not grow to reach them.
+// of clip points, masks, coordinate bits — and a table that names a node the
+// tree does not have is rejected as corrupt rather than kept, served and
+// saved again.
 func TestRestoreTableIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tree, _ := buildClusteredTree(t, rng, rtree.RRStar, 1200)
@@ -72,10 +74,6 @@ func TestRestoreTableIdentity(t *testing.T) {
 	table, _, err := DecodeTable(EncodeTable(built.Table(), 2))
 	if err != nil {
 		t.Fatal(err)
-	}
-	far := []rtree.NodeID{maxDenseClipID, maxDenseClipID + 7, 1<<31 - 1}
-	for i, id := range far {
-		table[id] = []core.ClipPoint{{Coord: geom.Point{float64(i), -0.5}, Mask: geom.Corner(i)}}
 	}
 	idx, err := Restore(tree, core.DefaultParams(2), table)
 	if err != nil {
@@ -90,27 +88,29 @@ func TestRestoreTableIdentity(t *testing.T) {
 			t.Fatalf("node %d: restored %v (published %v), want %v", id, back[id], idx.Snap().Clips(id), clips)
 		}
 	}
-	if n := len(idx.store.Dense); n > maxDenseClipID || len(idx.store.Spill) != len(far) {
-		t.Fatalf("dense directory has %d slots and the spill map %d entries for %d far ids", n, len(idx.store.Spill), len(far))
-	}
 	if !bytes.Equal(idx.EncodeClips(2, nil), EncodeTable(table, 2)) {
-		t.Fatal("records with spilled ids do not encode to the table's bytes")
-	}
-	idx.setClips(far[0], nil)
-	if idx.Snap().Record(far[0]) == nil || idx.store.Of(far[0]) != nil || len(idx.store.Spill) != len(far)-1 {
-		t.Fatal("removing a spilled record must leave the published snapshot alone and shrink the writer's map")
+		t.Fatal("restored records do not encode to the table's bytes")
 	}
 	// Queries over the restored index still agree with the plain tree.
 	for i := 0; i < 100; i++ {
 		q := randRect(rng, 2, 900, 150)
-		if got, want := idx.Count(q), tree.Count(q); got != want {
+		if got, want := countClipped(idx, q), tree.Count(q); got != want {
 			t.Fatalf("query %v: %d results, plain tree has %d", q, got, want)
+		}
+	}
+	dir, leaf := tree.NodeCount()
+	for _, id := range []rtree.NodeID{rtree.NodeID(dir + leaf + 5), 1 << 21, 1<<31 - 1} {
+		bad := maps.Clone(table)
+		bad[id] = []core.ClipPoint{{Coord: geom.Point{1, -0.5}, Mask: geom.Corner(1)}}
+		if _, err := Restore(tree, core.DefaultParams(2), bad); !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("a table naming missing node %d: Restore returned %v, want storage.ErrCorrupt", id, err)
 		}
 	}
 }
 
-// Rollback hands the writer the published directory back: nothing is rebuilt,
-// every record is the published one, and the next mutation detaches again.
+// Rollback hands the writer the published directory back, records and all:
+// nothing is rebuilt, every record is the published one, and a later
+// mutation leaves the published snapshot alone.
 func TestRollbackRestoresPublishedRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tree, _ := buildClusteredTree(t, rng, rtree.RRStar, 1000)
@@ -137,9 +137,6 @@ func TestRollbackRestoresPublishedRecords(t *testing.T) {
 	if idx.Snap() != published {
 		t.Fatal("Rollback published something")
 	}
-	if unsafe.SliceData(idx.store.Dense) != unsafe.SliceData(published.recs.Dense) || !idx.storeShared {
-		t.Fatal("Rollback must take the published directory back, shared")
-	}
 	if !bytes.Equal(idx.EncodeClips(2, nil), want) {
 		t.Fatal("clip points after Rollback differ from those before Begin")
 	}
@@ -149,9 +146,6 @@ func TestRollbackRestoresPublishedRecords(t *testing.T) {
 	if _, err := idx.Insert(randRect(rng, 2, 1000, 30), 9999); err != nil {
 		t.Fatal(err)
 	}
-	if unsafe.SliceData(idx.store.Dense) == unsafe.SliceData(published.recs.Dense) {
-		t.Fatal("a mutation after Rollback wrote into the published directory")
-	}
 	if !bytes.Equal(encodeSnap(published), want) {
 		t.Fatal("the published snapshot changed under a later mutation")
 	}
@@ -160,6 +154,6 @@ func TestRollbackRestoresPublishedRecords(t *testing.T) {
 // encodeSnap encodes a snapshot's records like Index.EncodeClips does the
 // writer's.
 func encodeSnap(s *Snap) []byte {
-	x := &Index{tree: s.v.Tree(), store: s.recs}
-	return x.EncodeClips(2, nil)
+	nodes, points, _ := s.ClipStats()
+	return encodeRecords(2, nil, nodes, points, s.v.Records())
 }

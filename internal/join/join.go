@@ -284,7 +284,7 @@ func (j *sttJoiner) read(side int, id rtree.NodeID) (info rtree.NodeInfo, ok boo
 	if info, j.err = v.Node(id); j.err != nil {
 		return info, false
 	}
-	v.Tree().ChargeNodeRead(&info, &j.io[side])
+	rtree.ChargeNodeRead(v.Tree().BufferPool(), &info, &j.io[side])
 	return info, true
 }
 

@@ -142,7 +142,7 @@ func (j *refJoiner) joinNodeWithLeaf(other *clipindex.Snap, ctr *storage.Snapsho
 }
 
 func refCharge(s *clipindex.Snap, info rtree.NodeInfo, ctr *storage.Snapshot) {
-	s.Version().Tree().ChargeNodeRead(&info, ctr)
+	rtree.ChargeNodeRead(s.Version().Tree().BufferPool(), &info, ctr)
 }
 
 // refSTT is the sequential join of the reference: the live side pairs in

@@ -26,7 +26,6 @@ func (t *Tree) BulkLoad(items []Item) (err error) {
 	if err := t.ensureMutable(); err != nil {
 		return err
 	}
-	t.beginMutation()
 	defer func() { t.autoCommit(err) }()
 	defer recoverFault(&err)
 	if t.size != 0 || t.root != InvalidNode {
@@ -271,7 +270,7 @@ func (t *Tree) packLeaves(items []Item, order []Keyed) []*node {
 func (t *Tree) packParents(children []*node, level int) []*node {
 	return t.packLevel(len(children), false, level, func(n *node, lo, hi int) {
 		for _, child := range children[lo:hi] {
-			child.parent = n.id
+			t.setParent(child.id, n.id)
 			// The child was just packed: syncDerived left its MBB in qmbb.
 			n.boxes = append(n.boxes, child.qmbb...)
 			n.refs = append(n.refs, int64(child.id))

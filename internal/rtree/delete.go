@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"slices"
 
 	"cbb/internal/geom"
 )
@@ -29,19 +30,16 @@ type DeleteTrace struct {
 }
 
 func (tr *DeleteTrace) markMBBChanged(id NodeID) {
-	for _, v := range tr.MBBChanged {
-		if v == id {
-			return
-		}
+	if !slices.Contains(tr.MBBChanged, id) {
+		tr.MBBChanged = append(tr.MBBChanged, id)
 	}
-	tr.MBBChanged = append(tr.MBBChanged, id)
 }
 
 // Delete removes the object with the given id and rectangle. Both must match
 // an indexed entry exactly (the usual R-tree contract). It returns a trace
 // and whether the object was found. On a writable file-backed tree the
-// mutation happens in the node arena and is written back by the next
-// FlushDirty; a read-only tree returns ErrReadOnly.
+// mutation happens in memory and is written back by the next FlushDirty; a
+// read-only tree returns ErrReadOnly.
 func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error) {
 	if err := t.ensureMutable(); err != nil {
 		return nil, err
@@ -49,7 +47,6 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 	if !r.Valid() || r.Dims() != t.cfg.Dims {
 		return nil, fmt.Errorf("rtree: invalid rectangle %v for a %d-dimensional tree", r, t.cfg.Dims)
 	}
-	t.beginMutation()
 	defer func() { t.autoCommit(err) }()
 	defer recoverFault(&err)
 	trace = &DeleteTrace{Leaf: InvalidNode}
@@ -82,7 +79,7 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 	root := t.mustNode(t.root)
 	for !root.leaf && root.count() == 1 {
 		child := t.mustNode(root.child(0))
-		child.parent = InvalidNode
+		t.setParent(child.id, InvalidNode)
 		trace.Removed = append(trace.Removed, root.id)
 		t.freeNode(root.id)
 		t.root = child.id
@@ -130,7 +127,7 @@ func (t *Tree) condense(n *node, trace *DeleteTrace) {
 	var orphans []orphan
 	cur := n
 	for cur.id != t.root {
-		parent := t.mustNode(cur.parent)
+		parent := t.mustNode(t.parentOf(cur.id))
 		idx := t.childIndex(parent, cur.id)
 		if cur.count() < t.cfg.MinEntries {
 			// Dissolve the node: remove it from the parent and queue its

@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 
+	"cbb/internal/core"
 	"cbb/internal/storage"
 )
 
@@ -73,7 +74,7 @@ func decodeNode(buf []byte, dims int) (*node, error) {
 	if len(buf) < nodeHeaderBytes {
 		return nil, errors.New("rtree: node page too short")
 	}
-	n := &node{parent: InvalidNode}
+	n := &node{}
 	n.leaf = buf[0] == 1
 	n.level = int(buf[1])
 	n.id = NodeID(binary.LittleEndian.Uint32(buf[2:6]))
@@ -109,47 +110,65 @@ func (n *node) readSlots(buf []byte, off, count, dims int) int {
 	return off
 }
 
-// Save writes every node of the tree onto the page store in the given codec's
-// layout, one page per node, and returns the map from node id to page id
-// (the root's page is pages[RootID()]). It is used by the snapshot writer,
-// the storage-overhead experiment, and persistence round-trip tests. Saving
-// a file-backed tree faults every node in first.
+// Save writes every node of the tree's last published version onto the page
+// store in the given codec's layout, one page per node, and returns the map
+// from node id to page id (the root's page is pages[RootID()]). It is used by
+// the snapshot writer, the storage-overhead experiment, and persistence
+// round-trip tests. Saving a file-backed tree faults every node in first.
 func (t *Tree) Save(p storage.PageStore, codec PageCodec) (map[NodeID]storage.PageID, error) {
-	if t.root == InvalidNode {
+	v := t.cur.Load()
+	if v.root == InvalidNode {
 		return nil, errors.New("rtree: cannot save an empty tree")
 	}
 	pages := make(map[NodeID]storage.PageID)
-	var firstErr error
-	t.Walk(func(info NodeInfo) {
-		if firstErr != nil {
-			return
-		}
+	err := v.walk(func(n *node) error {
 		kind := storage.KindDirectory
-		if info.Leaf {
+		if n.leaf {
 			kind = storage.KindLeaf
 		}
 		id, err := p.Allocate(kind)
 		if err != nil {
-			firstErr = err
-			return
+			return err
 		}
-		pages[info.ID] = id
-		buf, err := encodeNodeCodec(t.node(info.ID), t.cfg.Dims, codec)
+		pages[n.id] = id
+		buf, err := encodeNodeCodec(n, t.cfg.Dims, codec)
+		if err == nil {
+			err = p.Write(id, buf)
+		}
 		if err != nil {
-			firstErr = err
-			return
+			return fmt.Errorf("rtree: saving node %d: %w", n.id, err)
 		}
-		if err := p.Write(id, buf); err != nil {
-			firstErr = fmt.Errorf("rtree: saving node %d: %w", info.ID, err)
-		}
+		return nil
 	})
-	if firstErr == nil {
-		firstErr = t.Err()
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	return pages, nil
+}
+
+// walk calls fn for every node of the version, depth first, each node before
+// its children and the children of a node in reverse slot order, and stops
+// at the first error — fn's or a fault's.
+func (v *Version) walk(fn func(*node) error) error {
+	stack := []NodeID{v.root}
+	for len(stack) > 0 && v.root != InvalidNode {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n, err := v.nodeErr(id)
+		if err == nil && n == nil {
+			err = fmt.Errorf("rtree: node %d does not exist", id)
+		}
+		if err == nil {
+			err = fn(n)
+		}
+		if err != nil {
+			return err
+		}
+		for i := 0; i < n.count() && !n.leaf; i++ {
+			stack = append(stack, n.child(i))
+		}
+	}
+	return nil
 }
 
 // Load reconstructs, fully in memory, a tree previously written with Save in
@@ -168,23 +187,21 @@ func Load(cfg Config, store storage.PageStore, pages map[NodeID]storage.PageID, 
 	}
 	// Size and height are what hydrate is about to count; the open only needs
 	// plausible stand-ins.
-	t, err := OpenPaged(cfg, store, pages, root, 0, 1, true, codec)
+	t, err := OpenPaged(cfg, store, pages, root, 0, 1, true, codec, nil)
 	if err != nil {
 		return nil, err
 	}
 	if t.size, t.height, err = t.hydrate(); err != nil {
 		return nil, err
 	}
-	// No reader ever saw the lazy version the open published; the resident
-	// tree is published in its stead, under the same epoch.
+	// The resident tree replaces the lazy version no reader saw.
 	t.src, t.lazyV = nil, nil
-	t.epoch--
-	t.publish()
+	t.publishAt(t.cur.Load().epoch)
 	return t, nil
 }
 
 // maxNodeID returns the largest node id in the page map, rejecting maps so
-// sparse that sizing the arena by the maximum id would be an allocation
+// sparse that sizing the directory by the maximum id would be an allocation
 // hazard (a defence against corrupt or adversarial snapshots).
 func maxNodeID(pages map[NodeID]storage.PageID) (NodeID, error) {
 	maxID := NodeID(-1)
@@ -196,9 +213,9 @@ func maxNodeID(pages map[NodeID]storage.PageID) (NodeID, error) {
 			maxID = nid
 		}
 	}
-	// Deletions can legitimately leave the arena sparse (freed ids are only
-	// reused by later inserts), so the relative bound gets a generous
-	// absolute floor: a 2^20-entry arena of nil pointers costs 8 MiB, cheap
+	// Deletions can legitimately leave the directory sparse (freed ids are
+	// only reused by later inserts), so the relative bound gets a generous
+	// absolute floor: a 2^20-id directory of empty slots costs 48 MiB, cheap
 	// enough to always allow, while still rejecting snapshots whose ids
 	// would force a multi-gigabyte allocation.
 	limit := 32*len(pages) + 1024
@@ -226,7 +243,9 @@ func maxNodeID(pages map[NodeID]storage.PageID) (NodeID, error) {
 // ErrReadOnly. Compressed (v2) pages only open read-only: they are sized to
 // the encoded bytes at write time, so a re-encoded dirty node has no
 // guarantee of fitting its slot; writable trees use v1.
-func OpenPaged(cfg Config, store storage.PageStore, pages map[NodeID]storage.PageID, root NodeID, size, height int, readonly bool, codec PageCodec) (*Tree, error) {
+// recs are the nodes' clip records: the open's lazy version, the tree's only
+// one, carries them (records change only on a hydrated tree).
+func OpenPaged(cfg Config, store storage.PageStore, pages map[NodeID]storage.PageID, root NodeID, size, height int, readonly bool, codec PageCodec, recs map[NodeID]core.Record) (*Tree, error) {
 	switch {
 	case store == nil:
 		return nil, errors.New("rtree: OpenPaged requires a page store")
@@ -260,7 +279,12 @@ func OpenPaged(cfg Config, store storage.PageStore, pages map[NodeID]storage.Pag
 	if err != nil {
 		return nil, err
 	}
-	t.nodes = make([]*node, maxID+1)
+	t.dir = sized(int(maxID)+1, t.gen)
+	for id, rec := range recs {
+		if _, ok := pages[id]; ok {
+			t.dir.at(id).rec = rec
+		}
+	}
 	t.root = root
 	t.size = size
 	t.height = height
@@ -433,24 +457,25 @@ func (t *Tree) Materialize() error {
 		// a map a concurrent lazy reader might still consult while faulting.
 		src.pages = maps.Clone(src.pages)
 	}
-	src.hydrated = true
+	// The lazy version holds no parent or LHV; the writer's directory does, and
+	// replaces it under the same epoch, so RollbackBatch always gets them back.
+	src.hydrated, t.lazyV = true, nil
+	t.publishAt(t.cur.Load().epoch)
 	return nil
 }
 
-// hydrate brings every page of a lazily opened tree into the arena — the
-// only way a tree becomes fully resident, whoever asks (Materialize for an
-// opened tree, Load for an eager one). Each id of the page map is faulted in
-// through the tree's codec (fault: unreadable page, decode error, or a page
-// whose stored id differs from its index entry → error), every directory
-// slot must name a resident child, and what the page layout does not store
-// is rebuilt: parent pointers and the Hilbert LHVs. It returns the object
-// count and height the pages hold; the caller decides what they are checked
-// against. Readers may fault the same version concurrently: parents and LHVs
-// are writer-private metadata the read paths never consult.
+// hydrate brings every page of a lazily opened tree in — the only way a tree
+// becomes fully resident (Materialize for an opened tree, Load for an eager
+// one). Each page is faulted into the lazy version's directory (fault), so it
+// is full before any page can be rewritten. The writer then takes a private
+// copy of the directory, stamped generation 0 so its first batch copies what
+// it writes, and rebuilds there only what pages do not store: parents (each
+// child resident) and Hilbert LHVs. It returns the object count and height
+// the pages hold; the caller decides what they are checked against.
 func (t *Tree) hydrate() (objects, height int, err error) {
 	v := t.lazyV
 	for id := range v.pages {
-		n, err := t.lazyNode(v, id)
+		n, err := v.nodeErr(id)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -459,12 +484,32 @@ func (t *Tree) hydrate() (objects, height int, err error) {
 		}
 		height = max(height, n.level+1)
 	}
-	t.arenaMu.Lock()
-	err = t.fixParentsLocked()
-	t.arenaMu.Unlock()
-	if err != nil {
-		return 0, 0, err
+	// Until now the writer's directory was the lazy version's, full at last.
+	d := directory{chunks: make([]*chunk, len(v.dir.chunks)), n: v.dir.n}
+	for i, c := range v.dir.chunks {
+		d.chunks[i] = c.clone(0)
 	}
-	t.recomputeHilbertLHVs(height)
+	for id := NodeID(0); int(id) < d.n; id++ {
+		n := d.at(id).node.Load()
+		if n == nil || n.leaf {
+			continue
+		}
+		for _, c := range n.refs {
+			if !d.has(NodeID(c)) || d.at(NodeID(c)).node.Load() == nil {
+				return 0, 0, fmt.Errorf("rtree: node %d references missing child %d", id, c)
+			}
+			d.at(NodeID(c)).parent = id
+		}
+	}
+	t.dir, t.dirShared = d, false
+	if t.curve != nil {
+		for level := 0; level < height; level++ {
+			for id := NodeID(0); int(id) < d.n; id++ {
+				if n := d.at(id).node.Load(); n != nil && n.level == level {
+					d.at(id).lhv = t.hilbertLHV(n)
+				}
+			}
+		}
+	}
 	return objects, height, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestEncodeDecodeNode(t *testing.T) {
-	n := &node{id: 7, leaf: true, level: 0, parent: InvalidNode}
+	n := &node{id: 7, leaf: true, level: 0}
 	n.setEntries([]Entry{
 		{Rect: geom.R(1, 2, 3, 4), Object: 42, Child: InvalidNode},
 		{Rect: geom.R(-5, 0, 5, 10), Object: 43, Child: InvalidNode},
@@ -30,7 +30,7 @@ func TestEncodeDecodeNode(t *testing.T) {
 }
 
 func TestEncodeDecodeDirectoryNode(t *testing.T) {
-	n := &node{id: 3, leaf: false, level: 2, parent: InvalidNode}
+	n := &node{id: 3, leaf: false, level: 2}
 	n.setEntries([]Entry{
 		{Rect: geom.R(0, 0, 0, 1, 1, 1), Child: 11},
 		{Rect: geom.R(2, 2, 2, 3, 3, 3), Child: 12},

@@ -198,7 +198,7 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // encodeNodeV2 serialises a node into the compressed v2 layout. It fails only
 // on references the layout cannot carry (a child id beyond uint32), which the
-// arena's plausibility bounds make unreachable for trees this package built.
+// directory's plausibility bounds make unreachable for trees this package built.
 func encodeNodeV2(n *node, dims int) ([]byte, error) {
 	// A directory node with an in-memory filter layer is encoded from it
 	// verbatim: the planes ARE qlower/qupper of the exact entry bounds
@@ -315,7 +315,7 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 		return nil, errors.New("rtree: v2 node page too short")
 	}
 	flags := buf[0]
-	n := &node{parent: InvalidNode}
+	n := &node{}
 	n.leaf = flags&flagV2Leaf != 0
 	n.level = int(buf[1])
 	qbits := buf[2]
@@ -549,34 +549,19 @@ func InspectNodePage(buf []byte, dims int, codec PageCodec) (NodePageStats, erro
 	return st, nil
 }
 
-// MaxEncodedNodeBytes returns the size of the largest node page the tree
-// would produce under the given codec — the page-size discovery pass of the
+// MaxEncodedNodeBytes returns the size of the largest node page the tree's
+// last published version would produce under the given codec — the page-size discovery pass of the
 // two-pass v2 snapshot write (v2 pages are variable-length, so the page size
 // cannot be derived from MaxEntries alone, unlike PageBytesFor for v1).
 func (t *Tree) MaxEncodedNodeBytes(codec PageCodec) (int, error) {
 	if codec == CodecV1 {
 		return PageBytesFor(t.cfg.MaxEntries, t.cfg.Dims), nil
 	}
-	max := 0
-	var firstErr error
-	t.Walk(func(info NodeInfo) {
-		if firstErr != nil {
-			return
-		}
-		buf, err := encodeNodeCodec(t.node(info.ID), t.cfg.Dims, codec)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		if len(buf) > max {
-			max = len(buf)
-		}
+	most := 0
+	err := t.cur.Load().walk(func(n *node) error {
+		buf, err := encodeNodeCodec(n, t.cfg.Dims, codec)
+		most = max(most, len(buf))
+		return err
 	})
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	if err := t.Err(); err != nil {
-		return 0, err
-	}
-	return max, nil
+	return most, err
 }

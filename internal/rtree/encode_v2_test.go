@@ -15,7 +15,7 @@ import (
 func f32(v float64) float64 { return float64(float32(v)) }
 
 func randLeafV2(rng *rand.Rand, dims, count int, reduced bool) *node {
-	n := &node{id: 9, leaf: true, level: 0, parent: InvalidNode}
+	n := &node{id: 9, leaf: true, level: 0}
 	for i := 0; i < count; i++ {
 		lo := make(geom.Point, dims)
 		hi := make(geom.Point, dims)
@@ -92,7 +92,7 @@ func TestEncodeNodeV2RawFallbackBound(t *testing.T) {
 	// Adversarial leaf: coordinate bit patterns drawn uniformly from the
 	// whole range make every delta ~9-10 varint bytes, past the raw layout.
 	rng := rand.New(rand.NewSource(33))
-	n := &node{id: 4, leaf: true, level: 0, parent: InvalidNode}
+	n := &node{id: 4, leaf: true, level: 0}
 	for i := 0; i < 40; i++ {
 		lo := geom.Pt(math.Float64frombits(rng.Uint64()>>12), math.Float64frombits(rng.Uint64()>>12))
 		n.appendEntry(Entry{
@@ -121,7 +121,7 @@ func TestEncodeNodeV2RawFallbackBound(t *testing.T) {
 func TestEncodeDecodeNodeV2DirConservative(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, dims := range []int{1, 2, 3} {
-		n := &node{id: 2, leaf: false, level: 1, parent: InvalidNode}
+		n := &node{id: 2, leaf: false, level: 1}
 		for i := 0; i < 30; i++ {
 			n.appendEntry(Entry{Rect: randRect(rng, dims, 900, 40), Child: NodeID(i + 10)})
 		}
@@ -173,7 +173,7 @@ func TestDecodeNodeV2Errors(t *testing.T) {
 	if _, err := decodeNodeV2(bad, 2); err == nil {
 		t.Error("leaf delta shift > 63 must fail")
 	}
-	dir := &node{id: 1, leaf: false, level: 1, parent: InvalidNode}
+	dir := &node{id: 1, leaf: false, level: 1}
 	dir.appendEntry(Entry{Rect: geom.R(0, 0, 1, 1), Child: 5})
 	dbuf, err := encodeNodeV2(dir, 2)
 	if err != nil {
@@ -231,7 +231,7 @@ func TestTranscodeNodePageRoundTrip(t *testing.T) {
 	}
 
 	// Directory round trip needs the child-MBB fixup to restore exactness.
-	dir := &node{id: 3, leaf: false, level: 1, parent: InvalidNode}
+	dir := &node{id: 3, leaf: false, level: 1}
 	children := map[NodeID]geom.Rect{}
 	for i := 0; i < 20; i++ {
 		r := randRect(rng, dims, 500, 25)
@@ -331,7 +331,7 @@ func TestV2LoadedDirectoryRequantisedOnTouch(t *testing.T) {
 			t.Fatal(err)
 		}
 		adopted := map[NodeID][]uint64{}
-		for _, n := range back.nodes {
+		for _, n := range dirNodes(back) {
 			if n != nil && !n.leaf {
 				adopted[n.id] = slices.Clone(n.qplanes)
 			}
@@ -347,7 +347,7 @@ func TestV2LoadedDirectoryRequantisedOnTouch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, n := range back.nodes {
+			for _, n := range dirNodes(back) {
 				if n == nil || n.leaf || slices.Equal(n.qplanes, adopted[n.id]) {
 					continue
 				}

@@ -76,7 +76,6 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 	if err := t.checkItems(items); err != nil {
 		return nil, err
 	}
-	t.beginMutation()
 	defer func() { t.autoCommit(err) }()
 	defer recoverFault(&err)
 	trace = &InsertTrace{Leaf: InvalidNode}

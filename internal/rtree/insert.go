@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cbb/internal/geom"
@@ -58,65 +59,27 @@ type Placement struct {
 	Rect geom.Rect
 }
 
-func (tr *InsertTrace) markSplit(id NodeID) {
-	if tr.seen != nil {
-		if tr.seen[id]&traceSplitBit != 0 {
-			return
-		}
-		tr.seen[id] |= traceSplitBit
-		tr.Split = append(tr.Split, id)
-		return
-	}
-	for _, v := range tr.Split {
-		if v == id {
-			return
-		}
-	}
-	tr.Split = append(tr.Split, id)
-}
+func (tr *InsertTrace) markSplit(id NodeID)   { tr.mark(&tr.Split, traceSplitBit, id) }
+func (tr *InsertTrace) markCreated(id NodeID) { tr.mark(&tr.Created, traceCreatedBit, id) }
 
-func (tr *InsertTrace) markCreated(id NodeID) {
-	if tr.seen != nil {
-		if tr.seen[id]&traceCreatedBit != 0 {
-			return
-		}
-		tr.seen[id] |= traceCreatedBit
-		tr.Created = append(tr.Created, id)
-		return
-	}
-	for _, v := range tr.Created {
-		if v == id {
-			return
-		}
-	}
-	tr.Created = append(tr.Created, id)
-}
-
+// markMBBChanged records id unless it is in any of the three sets already.
 func (tr *InsertTrace) markMBBChanged(id NodeID) {
+	if !tr.Changed(id) {
+		tr.mark(&tr.MBBChanged, traceMBBBit, id)
+	}
+}
+
+// mark appends id to one change set (whose membership bit is bit) once.
+func (tr *InsertTrace) mark(set *[]NodeID, bit uint8, id NodeID) {
 	if tr.seen != nil {
-		if tr.seen[id] != 0 {
+		if tr.seen[id]&bit != 0 {
 			return
 		}
-		tr.seen[id] = traceMBBBit
-		tr.MBBChanged = append(tr.MBBChanged, id)
+		tr.seen[id] |= bit
+	} else if slices.Contains(*set, id) {
 		return
 	}
-	for _, v := range tr.MBBChanged {
-		if v == id {
-			return
-		}
-	}
-	for _, v := range tr.Split {
-		if v == id {
-			return
-		}
-	}
-	for _, v := range tr.Created {
-		if v == id {
-			return
-		}
-	}
-	tr.MBBChanged = append(tr.MBBChanged, id)
+	*set = append(*set, id)
 }
 
 // Changed reports whether the node appears in any of the trace's change
@@ -125,59 +88,27 @@ func (tr *InsertTrace) Changed(id NodeID) bool {
 	if tr.seen != nil {
 		return tr.seen[id] != 0
 	}
-	for _, v := range tr.Split {
-		if v == id {
-			return true
-		}
-	}
-	for _, v := range tr.Created {
-		if v == id {
-			return true
-		}
-	}
-	for _, v := range tr.MBBChanged {
-		if v == id {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(tr.Split, id) || slices.Contains(tr.Created, id) || slices.Contains(tr.MBBChanged, id)
 }
 
-// levelMarks is the pooled replacement for the per-insertion
-// `map[int]bool` that used to track which levels already ran the R*-tree
-// forced-reinsert treatment. One instance lives on the Tree (the writer is
-// single-threaded); begin() opens a fresh insertion without clearing — the
-// slice is generation-stamped, so reuse costs one counter bump and zero
-// allocations.
-type levelMarks struct {
-	gen []uint64
-	cur uint64
-}
+// levelMarks records which levels of one insertion already ran the R*-tree
+// forced-reinsert treatment, one bit per level (a tree of fanout at least 4
+// never reaches 64 levels). One lives on the Tree; begin opens a fresh
+// insertion.
+type levelMarks uint64
 
-// begin starts a fresh insertion scope: all previous marks become stale.
-func (m *levelMarks) begin() { m.cur++ }
-
-// done reports whether the level was already marked in this scope.
-func (m *levelMarks) done(level int) bool {
-	return level >= 0 && level < len(m.gen) && m.gen[level] == m.cur
-}
-
-// mark records the level in the current scope.
-func (m *levelMarks) mark(level int) {
-	for len(m.gen) <= level {
-		m.gen = append(m.gen, 0)
-	}
-	m.gen[level] = m.cur
-}
+func (m *levelMarks) begin()              { *m = 0 }
+func (m *levelMarks) done(level int) bool { return *m>>uint(level)&1 != 0 }
+func (m *levelMarks) mark(level int)      { *m |= 1 << uint(level) }
 
 // Insert adds an object with the given rectangle to the tree and returns a
 // trace of the structural changes. The rectangle's dimensionality must match
-// the tree's. On a writable file-backed tree the mutation happens in the
-// node arena and is written back by the next FlushDirty; a read-only tree
-// returns ErrReadOnly.
+// the tree's. On a writable file-backed tree the mutation happens in memory
+// and is written back by the next FlushDirty; a read-only tree returns
+// ErrReadOnly.
 //
-// Every node the insertion touches is cloned into the writer's private
-// arena first (copy-on-write), so concurrent readers keep traversing the
+// Every node the insertion touches is cloned into the writer's directory
+// first (copy-on-write), so concurrent readers keep traversing the
 // previously published version; outside an explicit batch the new state is
 // published to readers atomically when Insert returns.
 func (t *Tree) Insert(r geom.Rect, obj ObjectID) (trace *InsertTrace, err error) {
@@ -187,7 +118,6 @@ func (t *Tree) Insert(r geom.Rect, obj ObjectID) (trace *InsertTrace, err error)
 	if !r.Valid() || r.Dims() != t.cfg.Dims {
 		return nil, fmt.Errorf("rtree: invalid rectangle %v for a %d-dimensional tree", r, t.cfg.Dims)
 	}
-	t.beginMutation()
 	defer func() { t.autoCommit(err) }()
 	defer recoverFault(&err)
 	trace = &InsertTrace{Leaf: InvalidNode}
@@ -223,7 +153,7 @@ func (t *Tree) insertAtLevel(e Entry, level int, trace *InsertTrace, marks *leve
 	target := t.chooseSubtree(e.Rect, level)
 	n := t.mutable(t.mustNode(target))
 	if e.Child != InvalidNode {
-		t.mustNode(e.Child).parent = n.id
+		t.setParent(t.mustNode(e.Child).id, n.id)
 	}
 	before := n.mbb()
 	n.appendEntry(e)
@@ -372,9 +302,9 @@ func (t *Tree) chooseHilbertChild(n *node, r geom.Rect) int {
 	h := t.curve.IndexRect(r)
 	best := -1
 	for i := range n.refs {
-		child := t.mustNode(n.child(i))
-		if child.hilbertLHV >= h {
-			if best < 0 || t.mustNode(n.child(best)).hilbertLHV > child.hilbertLHV {
+		lhv := t.lhvOf(t.mustNode(n.child(i)).id)
+		if lhv >= h {
+			if best < 0 || t.lhvOf(n.child(best)) > lhv {
 				best = i
 			}
 		}
@@ -385,7 +315,7 @@ func (t *Tree) chooseHilbertChild(n *node, r geom.Rect) int {
 	// All children have smaller LHV: take the one with the largest.
 	best = 0
 	for i := range n.refs {
-		if t.mustNode(n.child(i)).hilbertLHV > t.mustNode(n.child(best)).hilbertLHV {
+		if t.lhvOf(n.child(i)) > t.lhvOf(n.child(best)) {
 			best = i
 		}
 	}
@@ -457,10 +387,10 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 	t.touch(sibling)
 	if !n.leaf {
 		for i := range sibling.refs {
-			t.mustNode(sibling.child(i)).parent = sibling.id
+			t.setParent(t.mustNode(sibling.child(i)).id, sibling.id)
 		}
 		for i := range n.refs {
-			t.mustNode(n.child(i)).parent = n.id
+			t.setParent(t.mustNode(n.child(i)).id, n.id)
 		}
 	}
 	t.updateHilbertLHV(n)
@@ -474,8 +404,8 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 		newRoot.appendEntry(Entry{Rect: n.mbb(), Child: n.id})
 		newRoot.appendEntry(Entry{Rect: sibling.mbb(), Child: sibling.id})
 		t.touch(newRoot)
-		n.parent = newRoot.id
-		sibling.parent = newRoot.id
+		t.setParent(n.id, newRoot.id)
+		t.setParent(sibling.id, newRoot.id)
 		t.root = newRoot.id
 		t.height = newRoot.level + 1
 		t.updateHilbertLHV(newRoot)
@@ -484,11 +414,11 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 		return
 	}
 
-	parent := t.mutable(t.mustNode(n.parent))
+	parent := t.mutable(t.mustNode(t.parentOf(n.id)))
 	idx := t.childIndex(parent, n.id)
 	before := parent.mbb()
 	parent.setRect(idx, n.mbb(), dims)
-	sibling.parent = parent.id
+	t.setParent(sibling.id, parent.id)
 	parent.appendEntry(Entry{Rect: sibling.mbb(), Child: sibling.id})
 	t.touch(parent, idx, parent.count()-1)
 	t.counter.Write(1)
@@ -507,8 +437,8 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 // root, recording every node whose MBB actually changed.
 func (t *Tree) adjustUpward(n *node, trace *InsertTrace) {
 	cur := n
-	for cur.parent != InvalidNode {
-		parent := t.mustNode(cur.parent)
+	for p := t.parentOf(cur.id); p != InvalidNode; p = t.parentOf(cur.id) {
+		parent := t.mustNode(p)
 		idx := t.childIndex(parent, cur.id)
 		newMBB := cur.mbb()
 		changed := !parent.rect(idx, t.cfg.Dims).Equal(newMBB)
@@ -538,12 +468,21 @@ func (t *Tree) childIndex(parent *node, child NodeID) int {
 	panic(fmt.Sprintf("rtree: node %d not found in parent %d", child, parent.id))
 }
 
-// updateHilbertLHV refreshes the cached largest-Hilbert-value of a node
-// (Hilbert variant only; a no-op otherwise).
+// updateHilbertLHV refreshes the largest Hilbert value the node's directory
+// slot records (Hilbert variant only; a no-op otherwise), copying the slot's
+// chunk only when the value changes.
 func (t *Tree) updateHilbertLHV(n *node) {
 	if t.cfg.Variant != Hilbert || t.curve == nil {
 		return
 	}
+	if h := t.hilbertLHV(n); t.lhvOf(n.id) != h {
+		t.slotW(n.id).lhv = h
+	}
+}
+
+// hilbertLHV computes the node's largest Hilbert value: over its objects on a
+// leaf, over its children's recorded LHVs on a directory.
+func (t *Tree) hilbertLHV(n *node) uint64 {
 	var max uint64
 	if n.leaf {
 		for i := range n.refs {
@@ -553,10 +492,10 @@ func (t *Tree) updateHilbertLHV(n *node) {
 		}
 	} else {
 		for i := range n.refs {
-			if h := t.mustNode(n.child(i)).hilbertLHV; h > max {
+			if h := t.lhvOf(t.mustNode(n.child(i)).id); h > max {
 				max = h
 			}
 		}
 	}
-	n.hilbertLHV = max
+	return max
 }

@@ -16,11 +16,11 @@ type Neighbor struct {
 	DistSq float64
 }
 
-// KNNSource is one tree of a nearest-neighbour query: a version and the clip
-// records of the same commit (nil: every bound is a box's plain MINDIST).
+// KNNSource is one tree of a nearest-neighbour query: a version, and whether
+// its clip records lift the bounds above a box's plain MINDIST.
 type KNNSource struct {
 	Version *Version
-	Clips   *ClipRecords
+	Clipped bool
 }
 
 // knnEntry is what both heaps of a nearest-neighbour query hold: a node not
@@ -97,7 +97,9 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) []Neighbor {
 	sc := searchScratchPool.Get().(*searchScratch)
 	front, best, read := sc.front[:0], sc.best[:0], sc.read[:0]
 	io := append(sc.io[:0], make([]storage.Snapshot, len(srcs))...)
+	pools := sc.pools[:0]
 	for i, s := range srcs {
+		pools = append(pools, s.Version.tree.pool.Load())
 		v := s.Version
 		if v.root == InvalidNode || v.tree.cfg.Dims != dims {
 			continue
@@ -122,9 +124,9 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) []Neighbor {
 		e := front[0]
 		front = heapPop(front)
 		from := read[e.from]
-		v, clips := srcs[from.src].Version, srcs[from.src].Clips
-		if clips != nil && len(from.boxes) > 0 {
-			if rec := clips.Of(NodeID(e.id)); len(rec) > 0 {
+		v := srcs[from.src].Version
+		if srcs[from.src].Clipped && len(from.boxes) > 0 {
+			if rec := v.dir.record(NodeID(e.id)); len(rec) > 0 {
 				e.key = max(e.key, rec.MinDistSq(dims, &sc.sel, from.boxes[int(e.slot)*2*dims:][:2*dims]))
 				if e.key > worst {
 					continue
@@ -140,7 +142,7 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) []Neighbor {
 		if n == nil {
 			continue // an unreadable page on a file-backed tree, recorded in Err
 		}
-		v.tree.chargeReadNode(n, &io[from.src])
+		chargeReadNode(pools[from.src], n, &io[from.src])
 		count := n.count()
 		mask := sc.mask.sized(count)
 		if worst <= math.MaxFloat64 && n.hasPlanes(dims) {
@@ -206,7 +208,8 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) []Neighbor {
 	}
 	// Drop the references into node storage: a pooled scratch pins nothing.
 	clear(read)
-	sc.front, sc.best, sc.read, sc.io = front[:0], best[:0], read[:0], io[:0]
+	clear(pools)
+	sc.front, sc.best, sc.read, sc.io, sc.pools = front[:0], best[:0], read[:0], io[:0], pools[:0]
 	searchScratchPool.Put(sc)
 	return out
 }

@@ -376,7 +376,7 @@ func TestValidateDetectsBoxCorruption(t *testing.T) {
 		func() { leaf.boxes = boxes })
 	ref := root.refs[0]
 	corrupt("a directory ref to no node",
-		func() { root.refs[0] = int64(len(tr.nodes)) },
+		func() { root.refs[0] = int64(tr.dir.n) },
 		func() { root.refs[0] = ref })
 	obj := leaf.refs[1]
 	corrupt("an object held twice by one leaf",
@@ -402,7 +402,7 @@ func TestV2DirPlanesAdoptedVerbatim(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirs, leaves := 0, 0
-	for _, n := range tr.nodes {
+	for _, n := range dirNodes(tr) {
 		if n == nil || n.count() == 0 {
 			continue
 		}
@@ -494,7 +494,7 @@ func TestSearchAndKNNMatchPlaneFreeScan(t *testing.T) {
 		return nns
 	}
 	wantNNs := run()
-	for _, n := range tr.nodes {
+	for _, n := range dirNodes(tr) {
 		if n != nil {
 			n.qplanes = nil
 			n.qmbb = nil

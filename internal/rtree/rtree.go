@@ -9,8 +9,11 @@
 // Every read — range search, kNN, join traversal — tallies its leaf and
 // directory accesses, the paper's I/O metric, in a storage.Snapshot it owns
 // and charges the tally to the tree's storage.Counter once, when it ends.
-// Nodes live in an arena that is either built in memory or bound to
-// a storage.PageStore holding one page per node (Figure 4a; encode.go,
+// Nodes live in a versioned node directory (dir.go) whose slot per node id
+// also holds the node's clip record (Figure 4b) and the parent and Hilbert
+// metadata the writer keeps; a commit copies only the directory chunks it
+// wrote. The nodes are either built in memory or bound to a
+// storage.PageStore holding one page per node (Figure 4a; encode.go,
 // encode_v2.go), and there is one door each way. Off pages: Tree.fault is
 // the only code that turns a page into a node, on first access to it, and
 // hydrate is the only code that brings every page in. A tree opened with
@@ -92,7 +95,7 @@ func AllVariants() []Variant { return []Variant{Quadratic, Hilbert, RStar, RRSta
 // ObjectID identifies a data object stored in a leaf entry.
 type ObjectID int64
 
-// NodeID identifies a node in the tree arena. InvalidNode (-1) is the null
+// NodeID identifies a node in the node directory. InvalidNode (-1) is the null
 // reference.
 type NodeID int32
 
@@ -123,17 +126,15 @@ type Entry struct {
 // (exact coordinates) and refs — with one filter layer derived from boxes
 // (qmbb/qplanes, see quant.go).
 type node struct {
-	id     NodeID
-	parent NodeID
-	leaf   bool
-	level  int // 0 = leaf level
-	// born is the writer epoch that created this node object (creation,
-	// clone, or decode). A node whose born epoch predates the writer's
-	// current batch belongs to a published version and is immutable: the
+	id    NodeID
+	leaf  bool
+	level int // 0 = leaf level
+	// born is the writer generation that created this node object
+	// (creation or clone; 0 for a decoded one). A node born in an earlier
+	// generation may belong to a published version and is immutable: the
 	// writer must clone it (Tree.mutable) before changing boxes, refs, leaf,
-	// or level. The parent pointer and the cached Hilbert LHV are
-	// writer-private metadata the read paths never consult, so they may be
-	// refreshed in place on shared node objects.
+	// or level. What the writer knows about a node beyond its page — its
+	// parent, its Hilbert LHV — lives in the node's directory slot.
 	born uint64
 	// boxes is the only exact store of the slot rectangles: 2·dims
 	// contiguous float64 per slot (Lo extents then Hi extents), in slot
@@ -161,9 +162,6 @@ type node struct {
 	// decodeNodeV2).
 	qmbb    []float64
 	qplanes []uint64
-	// hilbertLHV is the largest Hilbert value of the subtree, maintained
-	// only by the Hilbert variant.
-	hilbertLHV uint64
 	// encSize is the node's encoded page size in bytes: the exact stored
 	// size for nodes decoded from a snapshot, or the v1 layout size for
 	// in-memory nodes (refreshed by syncDerived on every mutation).
@@ -384,57 +382,52 @@ func (c Config) withDefaults() (Config, error) {
 // epoch versioning. Any number of goroutines may run Search, Count,
 // NearestNeighbors, Stats, and the join algorithms at any time — including
 // concurrently with a mutation — because every read traverses an immutable
-// published Version (one atomic load per query; see version.go). Mutations (Insert, Delete, BulkLoad, BeginBatch/CommitBatch,
-// FlushDirty) must come from one goroutine at a time; the public cbb layer
+// published Version (one atomic load per query; see version.go). Mutations
+// (Insert, Delete, BulkLoad, BeginBatch/CommitBatch, FlushDirty,
+// SetRecord) must come from one goroutine at a time; the public cbb layer
 // enforces this with a writer mutex. Walk, Node, Save, Materialize, and
-// Validate work on the writer's state and are likewise writer-side operations.
-// SetCounter and SetBufferPool must not race with readers; attach them
-// before the concurrent phase starts.
+// Validate work on the writer's state and are likewise writer-side
+// operations. SetBufferPool and ResetIO may run beside readers; SetCounter
+// may not.
 type Tree struct {
 	cfg     Config
-	nodes   []*node
+	dir     directory
 	free    []NodeID
 	root    NodeID
 	size    int
 	height  int // number of levels; 1 = root is a leaf
 	counter *storage.Counter
-	pool    *storage.BufferPool // optional, attached via SetBufferPool
+	pool    atomic.Pointer[storage.BufferPool] // optional, attached via SetBufferPool
 	curve   *hilbert.Curve
 
-	// Copy-on-write versioning (see version.go): cur is the last published
-	// Version, loaded once per query by every read path. The fields above
-	// (nodes, root, size, height, free) are the single writer's working
-	// state; epoch is the batch currently being built (published epoch + 1),
-	// published marks that t.nodes still aliases cur's node array and must
-	// be copied before the next mutation (detach), and inBatch suppresses
-	// the per-operation auto-commit between BeginBatch and CommitBatch.
-	// live tracks recently published versions so FlushDirty can compute the
-	// minimum pinned epoch for deferred free-page release.
+	// Copy-on-write versioning (version.go, dir.go): cur is the last
+	// published Version; the fields above are the writer's working state.
+	// epoch is the batch being built (published epoch + 1); gen counts
+	// publishes, and nodes and chunks stamped with it are the writer's to
+	// write in place; dirShared marks dir's top array as cur's. inBatch
+	// suppresses the auto-commit. live holds recent versions for
+	// FlushDirty's minimum pinned epoch.
 	cur       atomic.Pointer[Version]
 	epoch     uint64
-	published bool
+	gen       uint64
+	dirShared bool
 	inBatch   bool
 	undo      *batchUndo // writer bookkeeping snapshot for RollbackBatch
 	verMu     sync.Mutex
 	live      []*Version
-	lazyV     *Version // initial lazy version of a file-backed tree
+	lazyV     *Version // the one lazy version of a file-backed tree, until hydrated
 
-	// Writer-side scratch, reused across mutations (the writer is single-
-	// threaded, see above): ovMarks replaces the per-insertion
-	// map[int]bool that tracked the once-per-level R* overflow treatment,
-	// and lastIngest records how the most recent InsertItems call routed
-	// its items.
+	// Writer-side scratch: the levels one insertion gave the R* overflow
+	// treatment, and how the last InsertItems call routed its items.
 	ovMarks    levelMarks
 	lastIngest IngestStats
 
 	// File-backed mode, set up by OpenPaged or AttachStore: nodes are
-	// faulted into the arena on first access from src, under arenaMu, and
-	// mutated nodes are tracked in src.dirty until FlushDirty writes them
-	// back to the page store. src is nil for ordinary in-memory trees, whose
-	// arena is accessed without locking.
+	// faulted into the lazy version's directory on first access from src,
+	// and mutated nodes are tracked in src.dirty until FlushDirty writes them
+	// back to the page store. src is nil for ordinary in-memory trees.
 	src      *pageSource
-	arenaMu  sync.RWMutex
-	faultErr error // first page fault failure, sticky; guarded by arenaMu
+	faultErr atomic.Pointer[error] // first page fault failure, sticky
 
 	// conservative marks a tree decoded from compressed (v2) pages: its
 	// directory entry rects are supersets of the exact child MBBs (the
@@ -451,7 +444,7 @@ type pageSource struct {
 	store    storage.PageStore
 	pages    map[NodeID]storage.PageID
 	readonly bool
-	hydrated bool      // hydrate has run and held: parents and LHVs are valid
+	hydrated bool      // hydrate has run and held: the writer's directory is whole
 	codec    PageCodec // page layout of the store; CodecV1 on every writable tree
 	dirty    map[NodeID]struct{}
 	freed    []freedPage
@@ -473,7 +466,7 @@ func New(cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{cfg: cfg, root: InvalidNode, counter: &storage.Counter{}, epoch: 1}
+	t := &Tree{cfg: cfg, root: InvalidNode, counter: &storage.Counter{}, epoch: 1, gen: 1}
 	if cfg.Variant == Hilbert {
 		c, err := hilbert.New(cfg.Universe, cfg.HilbertBits)
 		if err != nil {
@@ -525,11 +518,13 @@ func (t *Tree) SetCounter(c *storage.Counter) {
 // SetBufferPool attaches an LRU buffer pool that every node access is routed
 // through, emulating a bounded main-memory buffer in front of the simulated
 // disk. Pass nil to detach. A pool tracks the node ids of one tree; do not
-// share one pool across trees. Attach before any concurrent reads start.
-func (t *Tree) SetBufferPool(p *storage.BufferPool) { t.pool = p }
+// share one pool across trees. Every read loads the pool once, so attaching
+// or detaching may happen beside readers; a read in flight finishes on the
+// pool it started with.
+func (t *Tree) SetBufferPool(p *storage.BufferPool) { t.pool.Store(p) }
 
 // BufferPool returns the attached buffer pool, or nil.
-func (t *Tree) BufferPool() *storage.BufferPool { return t.pool }
+func (t *Tree) BufferPool() *storage.BufferPool { return t.pool.Load() }
 
 // ResetIO zeroes the I/O counter and, when a buffer pool is attached, empties
 // the pool and zeroes its hit/miss statistics as well (a cold start). Batch
@@ -537,8 +532,8 @@ func (t *Tree) BufferPool() *storage.BufferPool { return t.pool }
 // cannot leak from one measured run into the next.
 func (t *Tree) ResetIO() {
 	t.counter.Reset()
-	if t.pool != nil {
-		t.pool.Reset()
+	if p := t.pool.Load(); p != nil {
+		p.Reset()
 	}
 }
 
@@ -549,21 +544,36 @@ func (t *Tree) ResetIO() {
 // it reads (Version.Pin; see clipindex.Index.PinSnap).
 func (t *Tree) CurrentVersion() *Version { return t.cur.Load() }
 
-// publish commits the writer's working state as a new immutable Version and
-// makes it the current one. The writer's node array is handed to the version
-// as-is; the next mutation copies it first (detach), so the published array
-// never changes again.
+// publish commits the writer's working state as a new immutable Version at
+// the next epoch and makes it the current one.
 func (t *Tree) publish() *Version {
+	v := t.publishAt(t.epoch)
+	t.epoch++
+	return v
+}
+
+// PublishRecords publishes clip records written outside a batch, over a tree
+// with no unpublished node changes, under the current epoch (epochs count
+// node commits); it does nothing when the writer's directory is unchanged.
+func (t *Tree) PublishRecords() {
+	if !t.dirShared {
+		t.publishAt(t.cur.Load().epoch)
+	}
+}
+
+// publishAt makes the writer's working state the current version, with the
+// given epoch. The directory is handed over as-is and marked shared, and a
+// new writer generation opens, so nothing the version holds changes again.
+func (t *Tree) publishAt(epoch uint64) *Version {
 	v := &Version{
-		tree: t, epoch: t.epoch,
+		tree: t, epoch: epoch,
 		root: t.root, size: t.size, height: t.height,
-		nodes: t.nodes,
+		dir: t.dir,
 	}
 	if t.src != nil && !t.src.hydrated {
-		// A file-backed tree that has never been mutated publishes a lazy
-		// version: nodes are still faulted in on demand from this epoch's
-		// page map. Only the initial version of such a tree can be lazy —
-		// the first mutation hydrates everything before publishing again.
+		// Nodes are faulted into this version's directory on demand, from
+		// this epoch's page map. Only the open publishes a lazy version: a
+		// mutation or a record write hydrates the tree first.
 		v.lazy = true
 		v.pages = t.src.pages
 		t.lazyV = v
@@ -581,8 +591,8 @@ func (t *Tree) publish() *Version {
 	clear(t.live[len(live):])
 	t.live = append(live, v)
 	t.verMu.Unlock()
-	t.published = true
-	t.epoch++
+	t.dirShared = true
+	t.gen++
 	return v
 }
 
@@ -601,25 +611,11 @@ func (t *Tree) minPinnedEpoch() uint64 {
 	return min
 }
 
-// beginMutation prepares the writer's working state for in-place work: if
-// the node array is still the one handed to the last published version, it
-// is copied first, so concurrent readers of that version keep an untouched
-// array. Called at the start of every mutating operation (and by
-// BeginBatch); cheap when already detached.
-func (t *Tree) beginMutation() {
-	if t.published {
-		t.nodes = append([]*node(nil), t.nodes...)
-		t.published = false
-	}
-}
-
 // batchUndo records what RollbackBatch needs to restore the writer
-// bookkeeping an explicit batch touched. Node content needs no undo log —
-// the published version's node array is immutable, so discarding the
-// writer's private array is the rollback. The dirty-set and page-map undo
-// is built incrementally, first touch wins (recording each id's pre-batch
-// state the first time the batch modifies it), so BeginBatch stays O(free
-// list) instead of copying maps proportional to the whole tree.
+// bookkeeping an explicit batch touched; the directory — nodes, records,
+// parents — is taken back from the published version. The dirty-set and
+// page-map undo is built incrementally, first touch wins, so BeginBatch
+// stays O(free list) instead of copying maps proportional to the tree.
 type batchUndo struct {
 	free []NodeID
 	// dirtyPrev maps each node id whose dirty-set membership the batch
@@ -674,7 +670,6 @@ func (t *Tree) BeginBatch() error {
 	if t.inBatch {
 		return errors.New("rtree: batch already in progress")
 	}
-	t.beginMutation()
 	u := &batchUndo{free: append([]NodeID(nil), t.free...)}
 	if t.src != nil {
 		u.freedLen = len(t.src.freed)
@@ -693,14 +688,9 @@ func (t *Tree) CommitBatch() *Version {
 	return t.publish()
 }
 
-// RollbackBatch discards every mutation since BeginBatch: the writer's
-// private node array is dropped in favour of the published version's
-// (copy-on-write means the published nodes were never touched), the batch's
-// bookkeeping (free list, page map, dirty set, freed pages) is restored
-// from the begin-time snapshot, and the writer-private node metadata the
-// batch may have refreshed in place on shared objects — parent pointers and
-// Hilbert LHVs — is recomputed. Readers are unaffected: nothing was
-// published.
+// RollbackBatch discards every mutation since BeginBatch: the writer takes
+// the published version's untouched directory and root back, and the batch's
+// bookkeeping (free list, page map, dirty set, freed pages) is restored.
 func (t *Tree) RollbackBatch() {
 	if !t.inBatch {
 		return
@@ -709,8 +699,7 @@ func (t *Tree) RollbackBatch() {
 	t.inBatch = false
 	t.undo = nil
 	v := t.cur.Load()
-	t.nodes = v.nodes
-	t.published = true // next mutation detaches from the published array again
+	t.dir, t.dirShared = v.dir, true
 	t.root, t.size, t.height = v.root, v.size, v.height
 	t.free = u.free
 	if t.src != nil {
@@ -726,41 +715,12 @@ func (t *Tree) RollbackBatch() {
 		}
 		t.src.freed = t.src.freed[:u.freedLen]
 	}
-	t.arenaMu.Lock()
-	_ = t.fixParentsLocked() // every child of a published version is resident
-	t.arenaMu.Unlock()
-	t.recomputeHilbertLHVs(t.height)
-}
-
-// fixParentsLocked recomputes every node's parent pointer from the
-// directory entries (the inverse information is not kept anywhere else) —
-// shared by hydrate and RollbackBatch — and reports the first directory slot
-// whose child is not in the arena. arenaMu must be held; the arena is
-// accessed directly, so every node must already be resident.
-func (t *Tree) fixParentsLocked() (err error) {
-	if t.root != InvalidNode && int(t.root) < len(t.nodes) && t.nodes[t.root] != nil {
-		t.nodes[t.root].parent = InvalidNode
-	}
-	for _, n := range t.nodes {
-		if n == nil || n.leaf {
-			continue
-		}
-		for i := range n.refs {
-			c := n.child(i)
-			if c >= 0 && int(c) < len(t.nodes) && t.nodes[c] != nil {
-				t.nodes[c].parent = n.id
-			} else if err == nil {
-				err = fmt.Errorf("rtree: node %d references missing child %d", n.id, c)
-			}
-		}
-	}
-	return err
 }
 
 // InBatch reports whether an explicit writer batch is open.
 func (t *Tree) InBatch() bool { return t.inBatch }
 
-// autoCommit publishes after a successful non-batched mutation.
+// autoCommit publishes after a successful mutation, unless a batch is open.
 func (t *Tree) autoCommit(err error) {
 	if err == nil && !t.inBatch {
 		t.publish()
@@ -770,13 +730,9 @@ func (t *Tree) autoCommit(err error) {
 // cloneForWrite deep-copies a shared node object so the writer can mutate it
 // without disturbing published versions: boxes, refs, and the planes get
 // fresh backing arrays (qmbb is never written in place, so it is shared);
-// parent, leaf, level, and the Hilbert LHV carry over.
+// leaf and level carry over.
 func (t *Tree) cloneForWrite(n *node) *node {
-	c := &node{
-		id: n.id, parent: n.parent, leaf: n.leaf, level: n.level,
-		born:       t.epoch,
-		hilbertLHV: n.hilbertLHV,
-	}
+	c := &node{id: n.id, leaf: n.leaf, level: n.level, born: t.gen}
 	c.boxes = append(make([]float64, 0, cap(n.boxes)), n.boxes...)
 	c.refs = append(make([]int64, 0, cap(n.refs)), n.refs...)
 	c.qmbb = n.qmbb
@@ -786,52 +742,51 @@ func (t *Tree) cloneForWrite(n *node) *node {
 
 // mutable returns a node object the writer may mutate in place: n itself
 // when it was created or already cloned in the current batch, otherwise a
-// clone installed in the writer's arena in its stead. Every mutation of a
-// node's slots must go through here before writing; reads may keep using the
-// shared object.
+// clone installed in the writer's directory in its stead. Every mutation of
+// a node's slots must go through here before writing; reads may keep using
+// the shared object.
 func (t *Tree) mutable(n *node) *node {
-	if n.born == t.epoch {
+	if n.born == t.gen {
 		return n
 	}
-	// The arena may already hold a clone from earlier in this batch even if
-	// the caller still has a stale shared pointer.
-	if c := t.nodes[n.id]; c.born == t.epoch {
+	// The directory may already hold a clone from earlier in this batch even
+	// if the caller still has a stale shared pointer.
+	if c := t.dir.at(n.id).node.Load(); c.born == t.gen {
 		return c
 	}
 	c := t.cloneForWrite(n)
-	t.nodes[n.id] = c
+	t.slotW(n.id).node.Store(c)
 	return c
 }
 
 // ChargeNodeRead records one access to the node info describes: a leaf or
 // directory read in io, the tally of the read it belongs to, plus a touch of
-// the attached buffer pool, if any. Every read path funnels its node accesses
-// through here or through chargeReadNode, its form for callers that hold the
-// node itself, so tally and pool accounting cannot diverge and a page is
-// charged one size whoever reads it.
-func (t *Tree) ChargeNodeRead(info *NodeInfo, io *storage.Snapshot) {
-	t.chargeRead(info.ID, info.Leaf, info.Bytes+info.PlaneBytes, io)
+// pool, the buffer pool the read loaded when it started (nil for none). Every
+// read path funnels its accesses through here or chargeReadNode, so tally
+// and pool accounting cannot diverge and a page is charged one size.
+func ChargeNodeRead(pool *storage.BufferPool, info *NodeInfo, io *storage.Snapshot) {
+	chargeRead(pool, info.ID, info.Leaf, info.Bytes+info.PlaneBytes, io)
 }
 
 // chargeReadNode is ChargeNodeRead for the search and kNN hot paths, which
 // hold the node and build no NodeInfo.
-func (t *Tree) chargeReadNode(n *node, io *storage.Snapshot) {
-	t.chargeRead(n.id, n.leaf, int(n.encSize)+n.planeBytes(), io)
+func chargeReadNode(pool *storage.BufferPool, n *node, io *storage.Snapshot) {
+	chargeRead(pool, n.id, n.leaf, int(n.encSize)+n.planeBytes(), io)
 }
 
 // chargeRead counts the access and touches the pool with the bytes the node
 // keeps resident: its encoded page size plus the quantised filter layer
 // (planes + quantisation MBB). Byte-budget pools charge residency by it;
 // page-count pools ignore it.
-func (t *Tree) chargeRead(id NodeID, leaf bool, bytes int, io *storage.Snapshot) {
+func chargeRead(pool *storage.BufferPool, id NodeID, leaf bool, bytes int, io *storage.Snapshot) {
 	if leaf {
 		io.LeafReads++
 	} else {
 		io.DirReads++
 	}
-	if t.pool != nil {
+	if pool != nil {
 		// PageID zero is invalid, node ids start at zero: offset by one.
-		t.pool.TouchSized(storage.PageID(uint64(id)+1), bytes)
+		pool.TouchSized(storage.PageID(uint64(id)+1), bytes)
 	}
 }
 
@@ -862,12 +817,10 @@ func (t *Tree) Dirty() bool {
 // need certainty should check Err after a batch, or call Materialize up
 // front.
 func (t *Tree) Err() error {
-	if t.src == nil {
-		return nil
+	if p := t.faultErr.Load(); p != nil {
+		return *p
 	}
-	t.arenaMu.RLock()
-	defer t.arenaMu.RUnlock()
-	return t.faultErr
+	return nil
 }
 
 // Bounds returns the MBB of all indexed objects (zero Rect when empty) at
@@ -876,40 +829,40 @@ func (t *Tree) Bounds() geom.Rect {
 	return t.cur.Load().Bounds()
 }
 
-// --- node arena management -------------------------------------------------
+// --- node directory management -----------------------------------------------
 
 func (t *Tree) newNode(leaf bool, level int) *node {
 	var id NodeID
-	var nd *node
 	if n := len(t.free); n > 0 {
 		id = t.free[n-1]
 		t.free = t.free[:n-1]
-		// The arena slot may still be referenced by a published version
-		// (the node object of the freed generation), so a fresh object is
-		// always allocated; node ids are reused, node objects never are.
-		nd = &node{id: id, parent: InvalidNode, leaf: leaf, level: level, born: t.epoch}
-		t.nodes[id] = nd
 	} else {
-		id = NodeID(len(t.nodes))
-		nd = &node{id: id, parent: InvalidNode, leaf: leaf, level: level, born: t.epoch}
-		t.nodes = append(t.nodes, nd)
+		id = t.grow()
 	}
+	// The slot may still be shared with a published version holding the
+	// freed generation's node, so a fresh object is always allocated: node
+	// ids are reused, node objects never are.
+	nd := &node{id: id, leaf: leaf, level: level, born: t.gen}
+	s := t.slotW(id)
+	s.node.Store(nd)
+	s.parent, s.lhv = InvalidNode, 0
 	t.touch(nd)
 	return nd
 }
 
 func (t *Tree) freeNode(id NodeID) {
 	// Published versions may still traverse the freed node's object, so it
-	// is left untouched; the writer's arena slot gets an empty placeholder
-	// of the same shape (matching the pre-versioning behaviour of a freed
-	// slot: present, no entries).
-	old := t.nodes[id]
-	t.nodes[id] = &node{id: id, parent: old.parent, leaf: old.leaf, level: old.level, born: t.epoch}
+	// is left untouched; the writer's slot gets an empty placeholder of the
+	// same shape (present, no entries, no clip record).
+	s := t.slotW(id)
+	old := s.node.Load()
+	s.node.Store(&node{id: id, leaf: old.leaf, level: old.level, born: t.gen})
+	s.rec, s.lhv = nil, 0
 	t.free = append(t.free, id)
 	if t.src != nil {
 		// The node's page (if it has one) is released on a later flush, once
 		// no pinned version predates this batch; a later newNode reusing
-		// this arena id allocates a fresh page with the right kind.
+		// this id allocates a fresh page with the right kind.
 		if _, ok := t.src.dirty[id]; ok {
 			t.undo.noteDirty(id, true)
 			delete(t.src.dirty, id)
@@ -934,8 +887,8 @@ func (t *Tree) freeNode(id NodeID) {
 // writer-owned (created or cloned in the current batch); touching a shared
 // node object would mutate a published version under its readers.
 func (t *Tree) touch(n *node, slots ...int) {
-	if n.born != t.epoch {
-		panic(fmt.Sprintf("rtree: touch of node %d shared with a published version (born %d, batch %d)", n.id, n.born, t.epoch))
+	if n.born != t.gen {
+		panic(fmt.Sprintf("rtree: touch of node %d shared with a published version (born %d, generation %d)", n.id, n.born, t.gen))
 	}
 	if t.src != nil {
 		if _, ok := t.src.dirty[n.id]; !ok {
@@ -996,78 +949,40 @@ func (t *Tree) ensureMutable() error {
 	return nil
 }
 
-// recomputeHilbertLHVs rebuilds every node's cached largest-Hilbert-value
-// bottom-up (levels ascending) for a tree of the given height.
-func (t *Tree) recomputeHilbertLHVs(height int) {
-	if t.curve == nil {
-		return
-	}
-	for level := 0; level < height; level++ {
-		for _, n := range t.nodes {
-			if n != nil && n.level == level {
-				t.updateHilbertLHV(n)
-			}
-		}
-	}
-}
-
-// node is the writer-side node accessor: the arena lookup used by the
-// mutation algorithms, Walk, Save, and friends. For an ordinary in-memory
-// tree (and for a file-backed tree once hydrated) this is a plain arena
-// lookup; before hydration it falls through to the lazy version's fault
-// path, so the arena fills in exactly as reads always did. It returns nil
-// when the id is out of range or its page cannot be read (the failure is
-// recorded and exposed via Err).
+// node is the writer-side node accessor: the directory lookup used by the
+// mutation algorithms, Walk, Save, and friends. Before a file-backed tree is
+// hydrated it falls through to the lazy version's fault path, so the
+// directory fills in exactly as reads always did. It returns nil when the id
+// is out of range or its page cannot be read (the failure is recorded and
+// exposed via Err).
 func (t *Tree) node(id NodeID) *node {
-	if t.src == nil {
-		return t.nodes[id]
+	if t.src != nil && !t.src.hydrated {
+		return t.lazyV.node(id)
 	}
-	if id < 0 || int(id) >= len(t.nodes) {
-		t.parkFault(fmt.Errorf("rtree: node id %d out of range", id))
+	if !t.dir.has(id) {
+		if t.src != nil {
+			t.parkFault(fmt.Errorf("rtree: node id %d out of range", id))
+		}
 		return nil
 	}
-	if t.src.hydrated {
-		return t.nodes[id]
-	}
-	n, _ := t.lazyNode(t.lazyV, id) // the failure is parked in Err
-	return n
+	return t.dir.at(id).node.Load()
 }
 
-// lazyNode serves a node access on a lazy (file-backed, not yet hydrated)
-// version: the version's array is checked under the arena lock, and a miss
-// faults the page in. Before the tree's first mutation the lazy version's
-// array and the writer arena are the same array, so faults triggered by
-// either side are shared.
-func (t *Tree) lazyNode(v *Version, id NodeID) (*node, error) {
-	if id < 0 || int(id) >= len(v.nodes) {
+// fault loads one node page from the page store into a lazy version's
+// directory: the one place a page becomes a node of a tree, and the one place
+// a fault error is born (no page for the id, unreadable page, decode error, a
+// page that claims another node's id). Concurrent cold readers fault pages
+// in parallel, each installing its node with a CAS on the slot, and a node
+// installed meanwhile — by another reader or by hydration — wins over a
+// success or a failure alike. Hydration fills the directory before any page
+// can be freed, rewritten or recycled, so a stale fault that read such a page
+// returns the hydrated node instead. The page lookup uses the version's own
+// page map, which is never mutated after publication.
+func (t *Tree) fault(v *Version, id NodeID) (*node, error) {
+	if !v.dir.has(id) {
 		return nil, t.parkFault(fmt.Errorf("rtree: node id %d out of range", id))
 	}
-	t.arenaMu.RLock()
-	n := v.nodes[id]
-	t.arenaMu.RUnlock()
-	if n != nil {
-		return n, nil
-	}
-	return t.fault(v, id)
-}
-
-// fault loads one node page from the page store into a lazy version's node
-// array: the one place a page becomes a node of a tree, and the one place a
-// fault error is born (no page for the id, unreadable page, decode error, a
-// page that claims another node's id). The disk read and decode run outside
-// the lock so concurrent cold readers fault different pages in parallel; the
-// outcome — success OR failure — is then reconciled under the write lock
-// against what may have been installed meanwhile, and the already-installed
-// node always wins.
-// That rule is what makes unpinned in-flight reads safe against a
-// concurrent first mutation + flush: the writer's hydration populates the
-// whole array before any page can be freed, rewritten, or recycled on
-// disk, so a stale fault that loses the race and reads a freed, reused, or
-// mid-commit page discards its result and returns the hydrated epoch-0
-// node instead of recording a spurious fault — or, worse, serving a newer
-// node generation to an older version. The page lookup uses the version's
-// own page map, which is never mutated after publication.
-func (t *Tree) fault(v *Version, id NodeID) (*node, error) {
+	s := v.dir.at(id)
 	var n *node
 	var ferr error
 	if pid, ok := v.pages[id]; !ok {
@@ -1079,29 +994,19 @@ func (t *Tree) fault(v *Version, id NodeID) (*node, error) {
 	} else if n.id != id {
 		ferr = fmt.Errorf("rtree: page %d claims node id %d, expected %d", pid, n.id, id)
 	}
-	t.arenaMu.Lock()
-	defer t.arenaMu.Unlock()
-	if cached := v.nodes[id]; cached != nil {
+	if ferr == nil && s.node.CompareAndSwap(nil, n) {
+		return n, nil
+	}
+	if cached := s.node.Load(); cached != nil {
 		return cached, nil
 	}
-	if ferr != nil {
-		if t.faultErr == nil {
-			t.faultErr = ferr
-		}
-		return nil, ferr
-	}
-	v.nodes[id] = n
-	return n, nil
+	return nil, t.parkFault(ferr)
 }
 
 // parkFault records err as the tree's sticky fault failure if it is the
 // first, and returns it.
 func (t *Tree) parkFault(err error) error {
-	t.arenaMu.Lock()
-	if t.faultErr == nil {
-		t.faultErr = err
-	}
-	t.arenaMu.Unlock()
+	t.faultErr.CompareAndSwap(nil, &err)
 	return err
 }
 
@@ -1198,8 +1103,8 @@ func b2i(b bool) int {
 	return 0
 }
 
-// info describes the node for Node and Walk; parent is passed because
-// versions must not read the writer-private pointer.
+// info describes the node for Node and Walk, with the parent its directory
+// slot records.
 func (n *node) info(parent NodeID, dims int) NodeInfo {
 	ni := NodeInfo{
 		ID: n.id, Parent: parent, Leaf: n.leaf, Level: n.level,
@@ -1216,36 +1121,25 @@ func (n *node) info(parent NodeID, dims int) NodeInfo {
 // tree the node is faulted in on demand, and Parent is InvalidNode until
 // Materialize has run (parents are not stored in the Figure 4a page layout).
 func (t *Tree) Node(id NodeID) (NodeInfo, error) {
-	if id >= 0 && int(id) < len(t.nodes) {
-		if n := t.node(id); n != nil {
-			return n.info(n.parent, t.cfg.Dims), nil
-		}
+	if n := t.node(id); n != nil {
+		return n.info(t.parentOf(id), t.cfg.Dims), nil
 	}
 	return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
 }
 
-// Walk visits every live node of the tree top-down, calling fn with a
-// snapshot of each. It does not charge I/O; it is intended for construction
-// of clip tables, statistics, and validation.
+// Walk visits every live node of the writer's tree top-down, calling fn with
+// a snapshot of each; a node that cannot be read ends the walk (its failure
+// parked in Err). It does not charge I/O; it is intended for construction of
+// clip tables, statistics, and validation.
 func (t *Tree) Walk(fn func(NodeInfo)) {
-	if t.root == InvalidNode {
-		return
+	v := t.lazyV // the writer's state, until a file-backed tree is hydrated
+	if t.src == nil || t.src.hydrated {
+		v = &Version{tree: t, root: t.root, dir: t.dir}
 	}
-	stack := []NodeID{t.root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := t.node(id)
-		if n == nil {
-			continue
-		}
-		fn(n.info(n.parent, t.cfg.Dims))
-		if !n.leaf {
-			for i := range n.refs {
-				stack = append(stack, n.child(i))
-			}
-		}
-	}
+	_ = v.walk(func(n *node) error {
+		fn(n.info(t.parentOf(n.id), t.cfg.Dims))
+		return nil
+	})
 }
 
 // NodeCount returns the number of live nodes (directory + leaf).

@@ -199,16 +199,26 @@ func TestSearchCountsIO(t *testing.T) {
 	}
 }
 
-// rootChildRecords gives every child of the root one clip point at corner 0
-// with all coordinates c: its dead region is everything below c, so 1e18
-// prunes any query and -1e18 none.
-func rootChildRecords(v *Version, c float64) *ClipRecords {
-	root, _ := v.Node(v.RootID())
-	clips := &ClipRecords{Spill: map[NodeID]core.Record{}}
+// withRootChildRecords gives every child of the root one clip point at
+// corner 0 with all coordinates c — its dead region is everything below c, so
+// 1e18 prunes any query and -1e18 none — and returns the version that
+// publishes them.
+func withRootChildRecords(tr *Tree, c float64) *Version {
+	root, _ := tr.Node(tr.RootID())
 	for i := 0; i < root.Len(); i++ {
-		clips.Spill[root.Child(i)] = core.NewRecord([]core.ClipPoint{{Coord: geom.Point{c, c}}}, 2)
+		tr.SetRecord(root.Child(i), core.NewRecord([]core.ClipPoint{{Coord: geom.Point{c, c}}}, 2))
 	}
-	return clips
+	tr.PublishRecords()
+	return tr.CurrentVersion()
+}
+
+// dirNodes lists the node objects of the writer's directory, by id.
+func dirNodes(tr *Tree) []*node {
+	out := make([]*node, tr.dir.n)
+	for id := range out {
+		out[id] = tr.dir.at(NodeID(id)).node.Load()
+	}
+	return out
 }
 
 func TestSearchFiltered(t *testing.T) {
@@ -217,11 +227,10 @@ func TestSearchFiltered(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		_, _ = tr.Insert(randRect(rng, 2, 500, 5), ObjectID(i))
 	}
-	v := tr.CurrentVersion()
 	// Records that certify everything dead prune all children of the root.
 	tr.Counter().Reset()
 	count := 0
-	io := v.SearchClipped(geom.R(0, 0, 500, 500), rootChildRecords(v, 1e18),
+	io := withRootChildRecords(tr, 1e18).SearchClipped(geom.R(0, 0, 500, 500),
 		func(ObjectID, geom.Rect) bool { count++; return true })
 	if count != 0 {
 		t.Errorf("records rejecting all children should yield no results, got %d", count)
@@ -234,7 +243,7 @@ func TestSearchFiltered(t *testing.T) {
 	}
 	// Records that certify nothing dead behave like Search.
 	got := 0
-	v.SearchClipped(geom.R(0, 0, 500, 500), rootChildRecords(v, -1e18),
+	withRootChildRecords(tr, -1e18).SearchClipped(geom.R(0, 0, 500, 500),
 		func(ObjectID, geom.Rect) bool { got++; return true })
 	if got != tr.Count(geom.R(0, 0, 500, 500)) {
 		t.Error("pass-through records should match unfiltered search")

@@ -16,7 +16,8 @@ import (
 //   - every node's entry count is within [MinEntries, MaxEntries], except
 //     the root (which may hold fewer) and single-leaf trees;
 //   - directory entries' rectangles equal the MBB of the referenced child;
-//   - parent pointers are consistent with directory entries;
+//   - the parents the directory records are consistent with directory
+//     entries;
 //   - all leaves are at level 0 and all levels are consistent
 //     (child level = parent level − 1);
 //   - the number of reachable objects equals Len().
@@ -27,14 +28,17 @@ func (t *Tree) Validate() error {
 		}
 		return nil
 	}
-	// A file-backed tree must be hydrated first: validation needs parent
-	// pointers, which the page layout does not store.
+	// A file-backed tree must be hydrated first: validation needs the
+	// parents, which the page layout does not store.
 	if err := t.Materialize(); err != nil {
 		return err
 	}
-	root := t.nodes[t.root]
-	if root.parent != InvalidNode {
-		return fmt.Errorf("rtree: root %d has parent %d", root.id, root.parent)
+	root := t.node(t.root)
+	if root == nil {
+		return fmt.Errorf("rtree: root %d is nil", t.root)
+	}
+	if p := t.parentOf(t.root); p != InvalidNode {
+		return fmt.Errorf("rtree: root %d has parent %d", root.id, p)
 	}
 	if root.level != t.height-1 {
 		return fmt.Errorf("rtree: root level %d does not match height %d", root.level, t.height)
@@ -42,7 +46,7 @@ func (t *Tree) Validate() error {
 	objects := 0
 	var check func(id NodeID) error
 	check = func(id NodeID) error {
-		n := t.nodes[id]
+		n := t.node(id)
 		if n == nil {
 			return fmt.Errorf("rtree: node %d is nil", id)
 		}
@@ -67,9 +71,9 @@ func (t *Tree) Validate() error {
 		}
 		for i := range n.refs {
 			e := n.entry(i, t.cfg.Dims)
-			child := t.nodes[e.Child]
-			if child.parent != id {
-				return fmt.Errorf("rtree: child %d has parent %d, expected %d", child.id, child.parent, id)
+			child := t.node(e.Child)
+			if p := t.parentOf(e.Child); p != id {
+				return fmt.Errorf("rtree: child %d has parent %d, expected %d", child.id, p, id)
 			}
 			if child.level != n.level-1 {
 				return fmt.Errorf("rtree: child %d at level %d under parent at level %d", child.id, child.level, n.level)
@@ -114,7 +118,7 @@ func (t *Tree) checkSlots(n *node) error {
 			return fmt.Errorf("rtree: node %d entry %d has invalid rect %v", n.id, i, r)
 		}
 		if !n.leaf {
-			if ref < 0 || ref >= int64(len(t.nodes)) || t.nodes[ref] == nil {
+			if c := NodeID(ref); int64(c) != ref || !t.dir.has(c) || t.dir.at(c).node.Load() == nil {
 				return fmt.Errorf("rtree: node %d references missing child %d", n.id, ref)
 			}
 			continue
@@ -198,29 +202,18 @@ func (t *Tree) Stats() Stats { return t.cur.Load().Stats() }
 // goroutine.
 func (v *Version) Stats() Stats {
 	s := Stats{Objects: v.size, Height: v.height, Bounds: v.Bounds()}
-	if v.root == InvalidNode {
-		return s
-	}
 	var leafEntries, dirEntries int
-	stack := []NodeID{v.root}
-	for len(stack) > 0 {
-		n := v.node(stack[len(stack)-1])
-		stack = stack[:len(stack)-1]
-		if n == nil {
-			continue
-		}
+	_ = v.walk(func(n *node) error { // an unreadable node ends the count
 		s.PlaneBytes += n.planeBytes()
 		if n.leaf {
 			s.LeafNodes++
 			leafEntries += n.count()
-			continue
+		} else {
+			s.DirNodes++
+			dirEntries += n.count()
 		}
-		s.DirNodes++
-		dirEntries += n.count()
-		for i := range n.refs {
-			stack = append(stack, n.child(i))
-		}
-	}
+		return nil
+	})
 	maxEntries := v.tree.cfg.MaxEntries
 	if s.LeafNodes > 0 {
 		s.AvgLeafOcc = float64(leafEntries) / float64(s.LeafNodes*maxEntries)

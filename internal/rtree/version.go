@@ -12,59 +12,51 @@ import (
 )
 
 // This file implements the reader half of the tree's copy-on-write epoch
-// versioning. A Version is an immutable snapshot of the tree published by a
-// writer commit: the root id, object count, height, and the node array of
-// that epoch. Readers obtain the current version with one atomic pointer
-// load per query and traverse it without any further synchronisation —
-// writers clone every node they touch into a fresh arena before mutating it,
-// so the node objects referenced by a published version never change again.
+// versioning. A Version is an immutable snapshot published by a writer
+// commit: root, object count, height, and the node directory of that epoch
+// (dir.go) — every node with its clip record. A reader loads the current
+// version once per query and traverses it without synchronisation: nothing a
+// published version references is written again.
 //
-// Two kinds of versions exist:
-//
-//   - ordinary versions (in-memory and loaded trees, and every version
-//     committed after a file-backed tree was hydrated) hold a fully populated
-//     node array and are traversed lock-free;
-//   - the version a lazy open (OpenPaged) publishes is "lazy": it keeps the
-//     page map of its epoch, and a node missing from its array is brought in
-//     by Tree.fault on first access, under the tree's arena lock. Nothing
-//     else decodes pages for a tree, and Tree.hydrate — the only code that
-//     brings every page in — does so through the same fault. Because a
-//     writer's first mutation hydrates the whole tree (it needs parent
-//     pointers), the lazy version is fully populated before any node is ever
-//     mutated or any page rewritten, so lazy readers and the writer can never
-//     observe each other's pages.
+// The one version a lazy open (OpenPaged) publishes keeps the page map of its
+// epoch: a node missing from the directory is brought in by Tree.fault on
+// first access and installed with a CAS on its slot — no lock on any read
+// path. Tree.hydrate, the only code that brings every page in, faults the
+// same way and then gives the writer a copy of the directory with parents and
+// Hilbert LHVs, published in the lazy version's stead. A writer's first
+// mutation or record write hydrates, so no page is rewritten before the lazy
+// directory is full.
 //
 // Old versions are reclaimed by epoch-based garbage collection: in memory,
 // dropping the last reference to a Version lets the Go runtime collect the
-// node generations only it referenced; on disk, pages freed by a batch are
+// nodes and chunks only it referenced; on disk, pages freed by a batch are
 // released to the file pager's free list only once no pinned version is old
 // enough to still reference them (see FlushDirty).
 
 // Version is an immutable snapshot of a Tree at one committed epoch.
 // Obtain one with Tree.CurrentVersion (Pin it for a long-lived read view);
 // every read-only operation on it — Search, SearchClipped,
-// NearestNeighbors, Node, Bounds, Stats — sees exactly the state of that
-// commit, regardless of concurrent writer activity. The public cbb layer
-// never queries a bare Version: it reads through clipindex.Snap, which pairs
-// a Version with the clip records of the same commit (none for an unclipped
-// tree) and descends it with SearchClipped.
+// NearestNeighbors, Node, Record, Bounds, Stats — sees exactly the state of
+// that commit, regardless of concurrent writer activity. Its clip records are
+// the ones its clip layer published with it; Search and NearestNeighbors
+// ignore them, and the public cbb layer reads through clipindex.Snap, whose
+// reads use them.
 type Version struct {
 	tree   *Tree
 	epoch  uint64
 	root   NodeID
 	size   int
 	height int
-	nodes  []*node
-	// lazy marks the initial version of a file-backed tree whose nodes are
-	// still faulted in on demand (under the tree's arena lock) from pages.
-	lazy  bool
-	pages map[NodeID]storage.PageID // page map of this epoch (lazy versions)
-	pins  atomic.Int64
+	dir    directory
+	lazy   bool                      // nodes are faulted in from pages on demand
+	pages  map[NodeID]storage.PageID // page map of this epoch (lazy versions)
+
+	pins atomic.Int64
 }
 
 // Epoch returns the commit epoch of the version. Epochs increase by one per
-// committed batch; two versions of the same tree with the same epoch are the
-// same version.
+// committed batch; two versions of the same tree with the same epoch hold the
+// same nodes.
 func (v *Version) Epoch() uint64 { return v.epoch }
 
 // Tree returns the tree this version was published by.
@@ -90,16 +82,25 @@ func (v *Version) Pin() { v.pins.Add(1) }
 // Unpin releases a pin taken with Pin.
 func (v *Version) Unpin() { v.pins.Add(-1) }
 
-// node returns the node with the given id at this version. Ordinary
-// versions index the immutable node array directly; lazy versions fall back
-// to the tree's fault path (arena-locked, reading the version's own page
-// map) and return nil for a node that cannot be brought in.
+// node returns the node with the given id at this version, nil for an id
+// outside it. A lazy version faults a missing node in (reading the version's
+// own page map) and returns nil for one that cannot be brought in; the
+// failure is parked in Tree.Err.
 func (v *Version) node(id NodeID) *node {
-	if !v.lazy {
-		return v.nodes[id]
-	}
-	n, _ := v.tree.lazyNode(v, id) // the failure is parked in Tree.Err
+	n, _ := v.nodeErr(id)
 	return n
+}
+
+// nodeErr is node with the fault's error.
+func (v *Version) nodeErr(id NodeID) (*node, error) {
+	if v.dir.has(id) {
+		if n := v.dir.at(id).node.Load(); n != nil || !v.lazy {
+			return n, nil
+		}
+	} else if !v.lazy {
+		return nil, nil
+	}
+	return v.tree.fault(v, id)
 }
 
 // Bounds returns the MBB of all objects at this version (zero Rect when
@@ -134,21 +135,18 @@ func (v *Version) RootMBBIntersects(q geom.Rect) bool {
 
 // Node returns a read-only snapshot of the node with the given id at this
 // version, or the error that kept a lazy version from bringing its page in.
-// Parent is always InvalidNode: parent pointers are writer-private metadata
-// that the single writer refreshes in place on shared node objects, so a
-// version must not read them (the join and search paths never need them).
+// Parent is the parent the version's directory records: InvalidNode for the
+// root, and on a lazy version, whose pages do not store parents, for every
+// node.
 func (v *Version) Node(id NodeID) (NodeInfo, error) {
-	if v.lazy {
-		n, err := v.tree.lazyNode(v, id)
-		if err != nil {
-			return NodeInfo{}, err
-		}
-		return n.info(InvalidNode, v.tree.cfg.Dims), nil
+	n, err := v.nodeErr(id)
+	if err != nil {
+		return NodeInfo{}, err
 	}
-	if id < 0 || int(id) >= len(v.nodes) || v.nodes[id] == nil {
+	if n == nil {
 		return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
 	}
-	return v.nodes[id].info(InvalidNode, v.tree.cfg.Dims), nil
+	return n.info(v.dir.at(id).parent, v.tree.cfg.Dims), nil
 }
 
 // Search finds every object intersecting q at this version; traversal stops
@@ -162,7 +160,7 @@ func (v *Version) Search(q geom.Rect, visit func(ObjectID, geom.Rect) bool) {
 // tree's own counter (the tree's counter when c is nil). It returns what it
 // charged.
 func (v *Version) SearchCounted(q geom.Rect, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) storage.Snapshot {
-	io := v.SearchClipped(q, nil, visit)
+	io := v.search(q, false, visit)
 	if c == nil {
 		c = v.tree.counter
 	}
@@ -170,27 +168,10 @@ func (v *Version) SearchCounted(q geom.Rect, c *storage.Counter, visit func(Obje
 	return io
 }
 
-// ClipRecords is a clip store as the descent reads it: the record of node id
-// is Dense[id], or Spill[id] for the ids beyond the dense range (which only a
-// pathological snapshot produces; see clipindex). A node without an entry,
-// or with a nil one, has no clip points. The zero value is the empty store.
-type ClipRecords struct {
-	Dense []core.Record
-	Spill map[NodeID]core.Record
-}
-
-// Of returns the node's record (nil when it has no clip points).
-func (r *ClipRecords) Of(id NodeID) core.Record {
-	if uint64(id) < uint64(len(r.Dense)) {
-		return r.Dense[id]
-	}
-	return r.Spill[id]
-}
-
 // searchScratch is the pooled per-query working state: a range search's
 // explicit DFS stack; a nearest-neighbour search's frontier (a min-heap of
 // unread nodes), candidates (a max-heap of the k best objects seen), the box
-// arrays both point into and one access tally per source; and for either the
+// arrays both point into and one access tally and buffer pool per source; and for either the
 // query extents (the ball around the point) in fixed flat arrays, so the hot
 // loop compares contiguous memory with contiguous memory, plus the
 // grid-domain query window and survivor bitmask of the quantised scan kernel.
@@ -199,6 +180,7 @@ type searchScratch struct {
 	front, best []knnEntry
 	read        []knnRead
 	io          []storage.Snapshot
+	pools       []*storage.BufferPool
 	qlo         [geom.MaxDims]float64
 	qhi         [geom.MaxDims]float64
 	qg          [2 * geom.MaxDims]uint16
@@ -231,22 +213,25 @@ var searchScratchPool = sync.Pool{
 	New: func() interface{} { return &searchScratch{stack: make([]NodeID, 0, 64)} },
 }
 
-// SearchClipped is the range-query hot path: Search over clipped bounding
-// boxes (Algorithm 2) when clips is non-nil — a directory child that has a
-// record is visited only if q intersects its exact MBB and no clip point
-// certifies that overlap dead, and the root's own MBB and record are tested
-// before any node is read. clips must belong to this version's commit and
-// must not change during the call. It returns the query's node accesses and
-// charges them to no counter; Search and SearchCounted do.
-//
-// The descent is iterative and depth-first over an explicit pooled stack,
-// against one immutable version. Per node the
-// quantised SoA planes are scanned first (quantScan, branch-free, ANDing a
+// SearchClipped is the range-query hot path over clipped bounding boxes
+// (Algorithm 2), with the clip records of this version: a directory child
+// that has a record is visited only if q intersects its exact MBB and no clip
+// point certifies that overlap dead, and the root's own MBB and record are
+// tested before any node is read. It returns the query's node accesses and
+// charges them to no counter; Search and SearchCounted, which run the same
+// descent without the records, do.
+func (v *Version) SearchClipped(q geom.Rect, visit func(ObjectID, geom.Rect) bool) storage.Snapshot {
+	return v.search(q, true, visit)
+}
+
+// search is the descent behind Search and SearchClipped: iterative and
+// depth-first over a pooled stack, against one immutable version. Per node
+// the quantised SoA planes are scanned first (quantScan, branch-free, ANDing a
 // survivor bitmask across dimensions); only survivors touch the exact
 // float64 boxes — leaf survivors get one exact verification before visit,
 // directory survivors are recursed into directly off the conservative grid
 // verdict (admissible by the same containment argument as the v2 on-disk
-// format; see quant.go), except that one with a clip record (clips non-nil)
+// format; see quant.go), except that one with a clip record (when clipped)
 // first gets Algorithm 2 straight from the record: the exact MBB test on
 // boxes, then the dominance loop. Children without a record are not tested
 // exactly; that asymmetry is part of the access counts every store
@@ -257,24 +242,24 @@ var searchScratchPool = sync.Pool{
 // nodes in with identical planes (quant.go), so results, visit order, and
 // leaf/directory access counts are bit-identical across mem/file/v2/mmap.
 // In steady state it performs no heap allocations, takes no locks, and
-// touches no shared mutable state beyond an attached buffer pool: the one
-// version load its caller performed pins the entire traversal. The query is
-// validated here and nowhere else.
-func (v *Version) SearchClipped(q geom.Rect, clips *ClipRecords, visit func(ObjectID, geom.Rect) bool) (io storage.Snapshot) {
+// touches no shared mutable state beyond an attached buffer pool, loaded
+// once: the one version load its caller performed pins the entire
+// traversal, nodes and records alike. The query is validated here and
+// nowhere else.
+func (v *Version) search(q geom.Rect, clipped bool, visit func(ObjectID, geom.Rect) bool) (io storage.Snapshot) {
 	t := v.tree
 	if v.root == InvalidNode || !q.Valid() || q.Dims() != t.cfg.Dims {
 		return io
 	}
 	dims := t.cfg.Dims
+	pool := t.pool.Load()
 	sc := searchScratchPool.Get().(*searchScratch)
-	if clips == nil {
-		clips = &ClipRecords{}
-	} else {
+	if clipped {
 		sc.sel.Query(q)
 		// The root's own MBB and clip points can prune the query outright,
 		// before any node is read (an unreadable root falls through to the
 		// descent, which skips it).
-		if !v.RootMBBIntersects(q) || clips.Of(v.root).Dead(dims, &sc.sel) {
+		if !v.RootMBBIntersects(q) || v.dir.record(v.root).Dead(dims, &sc.sel) {
 			searchScratchPool.Put(sc)
 			return io
 		}
@@ -298,7 +283,7 @@ func (v *Version) SearchClipped(q geom.Rect, clips *ClipRecords, visit func(Obje
 		quantScan(n.qplanes, count, dims, &sc.qg, mask)
 		boxes := n.boxes
 		if n.leaf {
-			t.chargeReadNode(n, &io)
+			chargeReadNode(pool, n, &io)
 			for w := range mask {
 				m := mask[w]
 				for m != 0 {
@@ -315,7 +300,7 @@ func (v *Version) SearchClipped(q geom.Rect, clips *ClipRecords, visit func(Obje
 			}
 			continue
 		}
-		t.chargeReadNode(n, &io)
+		chargeReadNode(pool, n, &io)
 		base := len(stack)
 		for w := range mask {
 			m := mask[w]
@@ -323,7 +308,9 @@ func (v *Version) SearchClipped(q geom.Rect, clips *ClipRecords, visit func(Obje
 				i := w<<6 + bits.TrailingZeros64(m)
 				m &= m - 1
 				child := n.child(i)
-				if rec := clips.Of(child); len(rec) == 0 || boxHits(boxes, i*2*dims, dims, &sc.qlo, &sc.qhi) && !rec.Dead(dims, &sc.sel) {
+				if !clipped {
+					stack = append(stack, child)
+				} else if rec := v.dir.record(child); len(rec) == 0 || boxHits(boxes, i*2*dims, dims, &sc.qlo, &sc.qhi) && !rec.Dead(dims, &sc.sel) {
 					stack = append(stack, child)
 				}
 			}

@@ -276,13 +276,18 @@ func (s *Snapshot) LoadTree(store storage.PageStore) (*rtree.Tree, error) {
 }
 
 // OpenTree returns a tree that faults node pages in from the store on
-// demand, so queries run directly against the backing file. With readonly
-// false the tree is writable: mutations accumulate in its dirty set and
-// Rewrite commits them back into the snapshot in place. Compressed (v2)
-// snapshots only open read-only: their pages are sized to the encoded node,
-// so a mutated node might not fit back in its slot.
+// demand, so queries run directly against the backing file; it carries the
+// clip table's records from the start (clipindex.Restore then finds them in
+// place). With readonly false the tree is writable: mutations accumulate in
+// its dirty set and Rewrite commits them back into the snapshot in place.
+// Compressed (v2) snapshots only open read-only: their pages are sized to the
+// encoded node, so a mutated node might not fit back in its slot.
 func (s *Snapshot) OpenTree(store storage.PageStore, readonly bool) (*rtree.Tree, error) {
-	return rtree.OpenPaged(s.Meta.Config(), store, s.Pages, s.Meta.Root, s.Meta.Objects, s.Meta.Height, readonly, s.Meta.Codec())
+	recs := make(map[rtree.NodeID]core.Record, len(s.Table))
+	for id, clips := range s.Table {
+		recs[id] = core.NewRecord(clips, s.Meta.Dims)
+	}
+	return rtree.OpenPaged(s.Meta.Config(), store, s.Pages, s.Meta.Root, s.Meta.Objects, s.Meta.Height, readonly, s.Meta.Codec(), recs)
 }
 
 // Write serialises the tree and its clip table into a freshly created page
@@ -467,6 +472,11 @@ func Read(store storage.PageStore) (*Snapshot, error) {
 		}
 		if dims != meta.Dims {
 			return nil, fmt.Errorf("%w: clip table is %d-dimensional, header says %d", ErrCorrupt, dims, meta.Dims)
+		}
+		for id := range snap.Table {
+			if _, ok := pages[id]; !ok {
+				return nil, fmt.Errorf("%w: clip table names node %d, which the node index does not", ErrCorrupt, id)
+			}
 		}
 	}
 	return snap, nil

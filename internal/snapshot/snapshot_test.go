@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -214,6 +215,83 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// Garbage input.
 	if _, _, err := LoadFrom(bytes.NewReader([]byte("not a snapshot at all"))); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// A clip table that names a node its node index does not hold is corrupt:
+// reading the snapshot fails, so nothing restores, serves or re-saves the
+// stray record.
+func TestReadRejectsClipTableForMissingNode(t *testing.T) {
+	tree, idx, meta := buildTree(t, 200)
+	for _, format := range []int{FormatV1, FormatV2} {
+		meta := meta
+		meta.Format = format
+		table := idx.Table()
+		table[1<<21] = []core.ClipPoint{{Coord: geom.Point{1, 1}, Mask: geom.Corner(1)}}
+		var buf bytes.Buffer
+		if err := SaveTo(&buf, tree, table, meta); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadFrom(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("format %d: a clip table naming a missing node read with %v, want ErrCorrupt", format, err)
+		}
+	}
+}
+
+// An opened tree carries its clip records from the open, so Restore finds
+// them in place and the index reads the one lazy version the open published.
+// Restoring another table instead hydrates the tree and publishes the new
+// records under the same epoch.
+func TestOpenTreeCarriesRecords(t *testing.T) {
+	tree, idx, meta := buildTree(t, 400)
+	store := storage.NewImage(PageSizeFor(meta.MaxEntries, meta.Dims))
+	if err := Write(store, tree, idx.Table(), meta); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Read(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, _ := snap.Meta.ClipParams()
+	opened, err := snap.OpenTree(store, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy := opened.CurrentVersion()
+	x, err := clipindex.Restore(opened, params, snap.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Snap().Version() != lazy || opened.CurrentVersion() != lazy {
+		t.Fatal("Restore over the opened records published another version")
+	}
+	if !reflect.DeepEqual(x.Table(), idx.Table()) {
+		t.Fatal("opened records differ from the saved index's")
+	}
+
+	other := clipindex.Table{}
+	for id, clips := range snap.Table {
+		if len(other) < len(snap.Table)/2 {
+			other[id] = clips
+		}
+	}
+	reopened, err := snap.OpenTree(store, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy = reopened.CurrentVersion()
+	y, err := clipindex.Restore(reopened, params, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := y.Snap().Version(); v == lazy || v.Epoch() != lazy.Epoch() {
+		t.Fatalf("another table: version %p epoch %d, lazy %p epoch %d", v, v.Epoch(), lazy, lazy.Epoch())
+	}
+	if got := y.Table(); !reflect.DeepEqual(got, other) {
+		t.Fatalf("restored %d records, want %d", len(got), len(other))
+	}
+	if err := reopened.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

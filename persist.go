@@ -19,7 +19,7 @@ import (
 // Figure 4a node pages and Figure 4b clip table.
 //
 // File-backed trees are writable: Insert and Delete mutate the in-memory
-// node arena and maintain the clip table incrementally, and Flush commits
+// node directory and maintain the clip table incrementally, and Flush commits
 // the dirty pages back into the file atomically through a write-ahead log
 // (see internal/storage). Only trees opened with OpenReadOnly — or from a
 // file the process cannot write — reject mutations.
@@ -121,16 +121,17 @@ func restore(snap *snapshot.Snapshot, base *rtree.Tree) (*Tree, error) {
 // SaveTo writes a snapshot of the tree — configuration, node pages, and clip
 // table — to w. The snapshot is self-describing: Load and Open reconstruct
 // the tree without any out-of-band configuration, and reject corrupt or
-// truncated input via magic, version, and checksum validation.
-func (t *Tree) SaveTo(w io.Writer) error {
-	return snapshot.SaveTo(w, t.tree, t.idx, t.snapshotMeta())
-}
+// truncated input via magic, version, and checksum validation. Like
+// WriteSnapshot it waits for a mutation or batch in flight (the writer lock).
+func (t *Tree) SaveTo(w io.Writer) error { return t.SaveToFormat(w, SnapshotV1) }
 
 // SaveToFormat is SaveTo with an explicit snapshot format; SaveTo is
 // equivalent to SaveToFormat(w, SnapshotV1).
 func (t *Tree) SaveToFormat(w io.Writer, format SnapshotFormat) error {
 	meta := t.snapshotMeta()
 	meta.Format = int(format)
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
 	return snapshot.SaveTo(w, t.tree, t.idx, meta)
 }
 
@@ -142,6 +143,8 @@ func (t *Tree) SaveToFormat(w io.Writer, format SnapshotFormat) error {
 func (t *Tree) WriteSnapshot(path string, format SnapshotFormat) error {
 	meta := t.snapshotMeta()
 	meta.Format = int(format)
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
 	return snapshot.WriteFile(path, t.tree, t.idx, meta)
 }
 
@@ -178,7 +181,7 @@ func Load(r io.Reader) (*Tree, error) {
 // the same I/O counters and optional buffer pool as an in-memory tree.
 //
 // The tree is writable when the file is: Insert and Delete work against the
-// faulted-in node arena (maintaining the clip table incrementally), and
+// faulted-in node directory (maintaining the clip table incrementally), and
 // Flush writes the dirty pages, clip table, and superblock back into the
 // file in one atomic, WAL-protected commit. If the file cannot be opened
 // for writing (e.g. mode 0444 or a read-only mount) the tree falls back to

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 
+	"cbb/internal/core"
+	"cbb/internal/snapshot"
 	"cbb/internal/storage"
 )
 
@@ -777,7 +779,9 @@ func TestCreateFlushOpenCycle(t *testing.T) {
 
 // TestFileBackedConcurrentReaders exercises the lazy fault path under the
 // race detector: many goroutines query a freshly opened (cold, nothing
-// faulted yet) file-backed tree at once.
+// faulted yet) file-backed tree at once, beside a writer whose first batch
+// hydrates it and whose batches then roll back or commit an insert and its
+// delete, and whose flush rewrites pages — no query may see any of it.
 func TestFileBackedConcurrentReaders(t *testing.T) {
 	orig, err := New(Options{Dims: 2})
 	if err != nil {
@@ -818,8 +822,41 @@ func TestFileBackedConcurrentReaders(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r := R(10, 10, 11, 11)
+		for i := 0; i < 20; i++ {
+			b, err := opened.Begin()
+			if err == nil {
+				err = b.Insert(r, 900000)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if i%2 == 0 {
+				b.Rollback()
+				continue
+			}
+			if found, err := b.Delete(r, 900000); err != nil || !found {
+				t.Errorf("batch %d: delete found=%v err=%v", i, found, err)
+				return
+			}
+			if err := b.Commit(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := opened.Flush(); err != nil {
+			t.Error(err)
+		}
+	}()
 	wg.Wait()
 	if err := opened.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := opened.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -907,6 +944,22 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Add(v2.Bytes())
 		f.Add(v2.Bytes()[:64])
 	}
+	// A clip table naming a node the node index does not hold: decoding must
+	// reject it, not restore the stray record.
+	stray, err := New(Options{Dims: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := stray.BulkLoad(corpusItems(2, 120, 7)); err != nil {
+		f.Fatal(err)
+	}
+	table := stray.idx.Table()
+	table[1<<21] = []core.ClipPoint{{Coord: Point{1, 1}, Mask: 1}}
+	var bad bytes.Buffer
+	if err := snapshot.SaveTo(&bad, stray.tree, table, stray.snapshotMeta()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bad.Bytes())
 	f.Add([]byte("CBBPGF1\x00garbage"))
 	f.Add([]byte{})
 
@@ -922,4 +975,106 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		tree.Count(corpusQueries(tree.Options().Dims, 1, 1)[0])
 	})
+}
+
+// TestRollbackOnOpenedTree rolls back the first batch of a tree opened from a
+// file — whose published version is the lazy one the open made, holding no
+// parents or Hilbert LHVs — and then inserts enough to split nodes at every
+// level: the writer must be left with a whole directory, so the tree stays
+// valid and every insert stays findable.
+func TestRollbackOnOpenedTree(t *testing.T) {
+	for _, v := range []Variant{RStarTree, HRTree} {
+		t.Run(v.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "t.cbb")
+			tree, err := Create(path, Options{Dims: 2, Variant: v, MaxEntries: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			items := corpusItems(2, 400, 11)
+			if err := tree.BulkLoad(items); err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tree, err = Open(path); err != nil {
+				t.Fatal(err)
+			}
+			defer tree.Close()
+			b, err := tree.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Insert(R(1, 1, 2, 2), 90000); err != nil {
+				t.Fatal(err)
+			}
+			b.Rollback()
+			if err := tree.Validate(); err != nil {
+				t.Fatalf("after rollback: %v", err)
+			}
+			added := corpusItems(2, 300, 12)
+			for i, it := range added {
+				if err := tree.Insert(it.Rect, ObjectID(100000+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tree.Validate(); err != nil {
+				t.Fatalf("after inserts: %v", err)
+			}
+			for i, it := range added {
+				found := false
+				tree.Search(it.Rect, func(id ObjectID, _ Rect) bool {
+					found = id == ObjectID(100000+i)
+					return !found
+				})
+				if !found {
+					t.Fatalf("insert %d not found", i)
+				}
+			}
+		})
+	}
+}
+
+// TestCommitAdvancesEpochByOne holds View.Epoch to its contract: one
+// committed batch, or one auto-committed mutation, is one epoch.
+func TestCommitAdvancesEpochByOne(t *testing.T) {
+	for _, clipping := range []ClipMethod{ClipStairline, ClipNone} {
+		tree, err := New(Options{Dims: 2, Clipping: clipping})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.BulkLoad(corpusItems(2, 200, 3)); err != nil {
+			t.Fatal(err)
+		}
+		epoch := func() uint64 {
+			v := tree.Snapshot()
+			defer v.Close()
+			return v.Epoch()
+		}
+		e := epoch()
+		b, err := tree.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			if err := b.Insert(R(float64(i), 0, float64(i)+1, 1), ObjectID(5000+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := epoch(); got != e+1 {
+			t.Fatalf("%v: batch commit moved the epoch %d → %d", clipping, e, got)
+		}
+		if err := tree.Insert(R(3, 3, 4, 4), 6000); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tree.Delete(R(3, 3, 4, 4), 6000); err != nil {
+			t.Fatal(err)
+		}
+		if got := epoch(); got != e+3 {
+			t.Fatalf("%v: an insert and a delete moved the epoch %d → %d", clipping, e+1, got)
+		}
+	}
 }

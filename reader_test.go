@@ -332,7 +332,7 @@ func TestClipNoneIsPlainRTree(t *testing.T) {
 		if !plain.RootMBBIntersects(q) {
 			continue
 		}
-		want := plain.SearchClipped(q, nil, count)
+		want := plain.SearchCounted(q, new(storage.Counter), count)
 		tree.ResetIOStats()
 		tree.Search(q, count)
 		if got, w := tree.IOStats(), toIOStats(want); got != w {

@@ -703,7 +703,8 @@ func (st *ShardedTree) ResetIOStats() {
 // capacity evenly across the shards (per-shard pools: node ids are
 // per-tree, so one pool cannot be shared). Shards created by later splits
 // receive the same per-shard quota. capacity <= 0 means unbounded, like
-// Tree.AttachBufferPool. Maintenance operation: attach before reads start.
+// Tree.AttachBufferPool; queries in flight finish on the pools they started
+// with.
 func (st *ShardedTree) AttachBufferPool(capacity int) {
 	stored := int64(capacity)
 	if capacity <= 0 {
@@ -747,7 +748,9 @@ func (st *ShardedTree) Stats() Stats { return st.current().Stats() }
 
 // Validate checks every shard's structural invariants, the directory's
 // (contiguous ranges covering the key space), and that every object lives
-// in the shard owning its Hilbert key. Intended for tests; not cheap.
+// in the shard owning its Hilbert key. Intended for tests; not cheap. It
+// takes each shard's writer lock in turn, so it waits for the mutation or
+// batch in flight there.
 func (st *ShardedTree) Validate() error {
 	d := st.dir.Load()
 	if len(d.shards) == 0 {
@@ -766,10 +769,14 @@ func (st *ShardedTree) Validate() error {
 		if i > 0 && sh.lo != d.shards[i-1].hi {
 			return fmt.Errorf("cbb: shard %d starts at key %d, want %d (ranges must be contiguous)", i, sh.lo, d.shards[i-1].hi)
 		}
-		if err := sh.t.Validate(); err != nil {
+		sh.t.wmu.Lock()
+		err := sh.t.validateLocked()
+		items := sh.t.tree.AllItems()
+		sh.t.wmu.Unlock()
+		if err != nil {
 			return fmt.Errorf("cbb: shard %d: %w", i, err)
 		}
-		for _, it := range sh.t.tree.AllItems() {
+		for _, it := range items {
 			if key := st.key(it.Rect); key < sh.lo || key >= sh.hi {
 				return fmt.Errorf("cbb: shard %d [%d, %d) holds object %d with key %d", i, sh.lo, sh.hi, it.Object, key)
 			}
