@@ -13,8 +13,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -23,46 +25,56 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fatal(err)
+	}
+}
+
+// run is the command: it parses args and writes the objects, or the -list
+// table, to stdout unless -out names a file.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)
 	var (
-		name     = flag.String("dataset", "par02", "dataset to generate")
-		n        = flag.Int("n", 0, "number of objects (0 = dataset default)")
-		seed     = flag.Int64("seed", 42, "random seed")
-		out      = flag.String("out", "", "output file (default stdout)")
-		list     = flag.Bool("list", false, "list available datasets and exit")
-		chunk    = flag.Int("chunk", 0, "generate and write in chunks of this many objects, so datasets larger than RAM stream straight to the output (0 = materialise everything first; note a chunked run emits a different — still deterministic — object sequence)")
-		hotspots = flag.Int("hotspots", 0, "hot02/hot03 only: number of hot regions (0 = default)")
-		zipfs    = flag.Float64("zipfs", 0, "hot02/hot03 only: zipf exponent weighting the hot regions, > 1 (0 = default)")
+		name     = fs.String("dataset", "par02", "dataset to generate")
+		n        = fs.Int("n", 0, "number of objects (0 = dataset default)")
+		seed     = fs.Int64("seed", 42, "random seed")
+		out      = fs.String("out", "", "output file (default stdout)")
+		list     = fs.Bool("list", false, "list available datasets and exit")
+		chunk    = fs.Int("chunk", 0, "generate and write in chunks of this many objects, so datasets larger than RAM stream straight to the output (0 = materialise everything first; note a chunked run emits a different — still deterministic — object sequence)")
+		hotspots = fs.Int("hotspots", 0, "hot02/hot03 only: number of hot regions (0 = default)")
+		zipfs    = fs.Float64("zipfs", 0, "hot02/hot03 only: zipf exponent weighting the hot regions, > 1 (0 = default)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, s := range datasets.Specs {
-			fmt.Printf("%-6s %dd  default %8d  paper %8d  %s\n",
+			fmt.Fprintf(stdout, "%-6s %dd  default %8d  paper %8d  %s\n",
 				s.Name, s.Dims, s.DefaultSize, s.PaperSize, s.Description)
 		}
-		return
+		return nil
 	}
 
 	if *chunk > 0 && (*hotspots != 0 || *zipfs != 0) {
-		fatal(fmt.Errorf("-chunk cannot be combined with -hotspots/-zipfs"))
+		return errors.New("-chunk cannot be combined with -hotspots/-zipfs")
 	}
 
 	var w *bufio.Writer
 	if *out == "" {
-		w = bufio.NewWriter(os.Stdout)
+		w = bufio.NewWriter(stdout)
 	} else {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
 		}()
 		w = bufio.NewWriter(f)
 	}
-	defer w.Flush()
 
 	written := 0
 	emit := func(objs []geom.Rect) error {
@@ -87,7 +99,6 @@ func main() {
 		return nil
 	}
 
-	var err error
 	switch {
 	case *chunk > 0:
 		err = datasets.GenerateStream(*name, *n, *seed, *chunk, emit)
@@ -104,12 +115,16 @@ func main() {
 			err = emit(objs)
 		}
 	}
+	if err == nil {
+		err = w.Flush()
+	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *out != "" {
 		fmt.Fprintf(os.Stderr, "wrote %d objects of %s to %s\n", written, *name, *out)
 	}
+	return nil
 }
 
 func fatal(err error) {

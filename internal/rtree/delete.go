@@ -53,15 +53,14 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 	if t.root == InvalidNode {
 		return trace, nil
 	}
-	rootBefore := t.mustNode(t.root).mbb()
+	rootBefore := t.mbbOf(t.mustNode(t.root))
 	leaf, idx := t.findLeaf(t.mustNode(t.root), r, obj)
 	if leaf == nil {
 		return trace, nil
 	}
 	trace.Found = true
 	trace.Leaf = leaf.id
-	leaf = t.mutable(leaf)
-	leaf.removeAt(idx, t.cfg.Dims)
+	leaf = t.removeAt(leaf, idx)
 	t.touch(leaf)
 	t.size--
 	t.counter.Write(1)
@@ -70,7 +69,7 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 	// the condense pass; record it explicitly (the clipped layer must
 	// recompute clip points whenever a node's MBB changes).
 	if t.root != InvalidNode {
-		if !t.mustNode(t.root).mbb().Equal(rootBefore) {
+		if !t.mbbOf(t.mustNode(t.root)).Equal(rootBefore) {
 			trace.markMBBChanged(t.root)
 		}
 	}
@@ -132,8 +131,7 @@ func (t *Tree) condense(n *node, trace *DeleteTrace) {
 		if cur.count() < t.cfg.MinEntries {
 			// Dissolve the node: remove it from the parent and queue its
 			// entries for re-insertion.
-			parent = t.mutable(parent)
-			parent.removeAt(idx, t.cfg.Dims)
+			parent = t.removeAt(parent, idx)
 			t.touch(parent)
 			for _, e := range cur.entries(t.cfg.Dims) {
 				orphans = append(orphans, orphan{entry: e, level: cur.level})
@@ -141,10 +139,9 @@ func (t *Tree) condense(n *node, trace *DeleteTrace) {
 			trace.Removed = append(trace.Removed, cur.id)
 			t.freeNode(cur.id)
 		} else {
-			newMBB := cur.mbb()
+			newMBB := t.mbbOf(cur)
 			if !parent.rect(idx, t.cfg.Dims).Equal(newMBB) {
-				parent = t.mutable(parent)
-				parent.setRect(idx, newMBB, t.cfg.Dims)
+				parent = t.setRect(parent, idx, newMBB, 0)
 				t.touch(parent, idx)
 				trace.markMBBChanged(cur.id)
 				t.counter.Write(1)

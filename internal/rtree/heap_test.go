@@ -8,40 +8,63 @@ import (
 )
 
 // TestHeapBytesPerEntry keeps a second copy of the rectangles from creeping
-// back into the node: a bulk-loaded tree may cost at most 1.5× what one slot
-// needs — 2·dims float64 coordinates, one 8-byte reference, and 2·dims 16-bit
-// plane coordinates — which leaves room for directory nodes, node headers,
-// and allocator size classes, but not for the coordinates twice.
+// back into the node: a tree may cost at most 1.5× what one slot needs —
+// 2·dims float64 coordinates, one 8-byte reference, and 2·dims 16-bit plane
+// coordinates — which leaves room for directory nodes, node headers, and
+// allocator size classes, but not for the coordinates twice. It holds a
+// bulk-loaded tree, and a written one: bulk loaded, then taking scattered
+// batches of single inserts that clone most leaves, which must not keep
+// spare capacity in the nodes they publish.
 func TestHeapBytesPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates the heap")
 	}
-	const n = 200000
+	const n, batches, perBatch = 200000, 200, 64
 	for _, dims := range []int{2, 3} {
 		t.Run(fmt.Sprintf("dims=%d", dims), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(dims)))
-			items := make([]Item, n)
-			for i := range items {
-				items[i] = Item{Object: ObjectID(i), Rect: randRect(rng, dims, 1000, 2)}
-			}
-			heap := func() uint64 {
-				runtime.GC()
-				var m runtime.MemStats
-				runtime.ReadMemStats(&m)
-				return m.HeapAlloc
-			}
-			before := heap()
-			tr := MustNew(DefaultConfig(dims, RStar))
-			if err := tr.BulkLoad(items); err != nil {
-				t.Fatal(err)
-			}
-			perObject := (float64(heap()) - float64(before)) / n
-			runtime.KeepAlive(tr)
-			runtime.KeepAlive(items)
-			slot := float64(16*dims + 8 + 4*dims)
-			t.Logf("dims=%d: %.1f heap B/object (one slot needs %.0f B)", dims, perObject, slot)
-			if perObject > 1.5*slot {
-				t.Errorf("dims=%d: %.1f heap B/object exceeds 1.5 × %.0f B", dims, perObject, slot)
+			for _, written := range []bool{false, true} {
+				name := map[bool]string{false: "bulk", true: "written"}[written]
+				t.Run(name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(dims)))
+					items := make([]Item, n)
+					for i := range items {
+						items[i] = Item{Object: ObjectID(i), Rect: randRect(rng, dims, 1000, 2)}
+					}
+					heap := func() uint64 {
+						runtime.GC()
+						var m runtime.MemStats
+						runtime.ReadMemStats(&m)
+						return m.HeapAlloc
+					}
+					before := heap()
+					v := RStar
+					if written {
+						v = Quadratic // its subtree choice is linear, the R* one quadratic in M
+					}
+					tr := MustNew(DefaultConfig(dims, v))
+					if err := tr.BulkLoad(items); err != nil {
+						t.Fatal(err)
+					}
+					for b := 0; written && b < batches; b++ {
+						if err := tr.BeginBatch(); err != nil {
+							t.Fatal(err)
+						}
+						for i := 0; i < perBatch; i++ {
+							if _, err := tr.Insert(randRect(rng, dims, 1000, 2), ObjectID(n+b*perBatch+i)); err != nil {
+								t.Fatal(err)
+							}
+						}
+						tr.CommitBatch()
+					}
+					perObject := (float64(heap()) - float64(before)) / float64(tr.Len())
+					runtime.KeepAlive(tr)
+					runtime.KeepAlive(items)
+					slot := float64(16*dims + 8 + 4*dims)
+					t.Logf("dims=%d %s: %.1f heap B/object (one slot needs %.0f B)", dims, name, perObject, slot)
+					if perObject > 1.5*slot {
+						t.Errorf("dims=%d %s: %.1f heap B/object exceeds 1.5 × %.0f B", dims, name, perObject, slot)
+					}
+				})
 			}
 		})
 	}

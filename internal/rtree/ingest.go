@@ -106,9 +106,9 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 		return trace, nil
 	}
 
-	rootBefore := t.mustNode(t.root).mbb()
+	rootBefore := t.mbbOf(t.mustNode(t.root))
 	t.ingestRuns(items, t.ingestOrder(items), trace, &stats)
-	if rootAfter := t.mustNode(t.root).mbb(); !rootAfter.Equal(rootBefore) {
+	if !t.mbbOf(t.mustNode(t.root)).Equal(rootBefore) {
 		trace.markMBBChanged(t.root)
 	}
 	return trace, nil
@@ -179,7 +179,7 @@ func (t *Tree) ingestRuns(items []Item, ks []Keyed, trace *InsertTrace, stats *I
 		// natural target for the entire run).
 		target := t.chooseSubtree(items[ks[i].Orig].Rect, 0)
 		leaf := t.mustNode(target)
-		leafMBB := leaf.mbb()
+		leafMBB := t.mbbOf(leaf)
 		j := i + 1
 		for j < len(ks) && leafMBB.ContainsRect(items[ks[j].Orig].Rect) {
 			j++
@@ -198,8 +198,8 @@ func (t *Tree) ingestRuns(items []Item, ks []Keyed, trace *InsertTrace, stats *I
 		// with one touch/adjust pass for the whole stretch.
 		placed := 0
 		if leaf.count() < t.cfg.MaxEntries {
-			n := t.mutable(leaf)
-			before := n.mbb()
+			n := t.mutable(leaf, min(len(run), t.cfg.MaxEntries-leaf.count()))
+			before := t.mbbOf(n)
 			for placed < len(run) && n.count() < t.cfg.MaxEntries {
 				it := &items[run[placed].Orig]
 				n.appendEntry(Entry{Rect: it.Rect, Object: it.Object, Child: InvalidNode})
@@ -208,7 +208,7 @@ func (t *Tree) ingestRuns(items []Item, ks []Keyed, trace *InsertTrace, stats *I
 				t.counter.Write(1)
 				placed++
 			}
-			if !n.mbb().Equal(before) {
+			if !t.mbbOf(n).Equal(before) {
 				trace.markMBBChanged(n.id)
 			}
 			t.updateHilbertLHV(n)
@@ -249,7 +249,7 @@ func (t *Tree) graftRun(items []Item, run []Keyed, trace *InsertTrace, stats *In
 	}
 	for _, sub := range current {
 		t.ovMarks.begin()
-		t.insertAtLevel(Entry{Rect: sub.mbb(), Child: sub.id}, sub.level+1, trace, &t.ovMarks, false)
+		t.insertAtLevel(Entry{Rect: t.mbbOf(sub), Child: sub.id}, sub.level+1, trace, &t.ovMarks, false)
 		stats.GraftSubtrees++
 	}
 	t.size += len(run)

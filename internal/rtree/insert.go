@@ -135,11 +135,11 @@ func (t *Tree) Insert(r geom.Rect, obj ObjectID) (trace *InsertTrace, err error)
 		t.counter.Write(1)
 		return trace, nil
 	}
-	rootBefore := t.mustNode(t.root).mbb()
+	rootBefore := t.mbbOf(t.mustNode(t.root))
 	t.ovMarks.begin()
 	t.insertAtLevel(Entry{Rect: r, Object: obj, Child: InvalidNode}, 0, trace, &t.ovMarks, true)
 	t.size++
-	if rootAfter := t.mustNode(t.root).mbb(); !rootAfter.Equal(rootBefore) {
+	if !t.mbbOf(t.mustNode(t.root)).Equal(rootBefore) {
 		trace.markMBBChanged(t.root)
 	}
 	return trace, nil
@@ -151,11 +151,11 @@ func (t *Tree) Insert(r geom.Rect, obj ObjectID) (trace *InsertTrace, err error)
 // object insertion, not for re-insertions).
 func (t *Tree) insertAtLevel(e Entry, level int, trace *InsertTrace, marks *levelMarks, recordLeaf bool) {
 	target := t.chooseSubtree(e.Rect, level)
-	n := t.mutable(t.mustNode(target))
+	n := t.mutable(t.mustNode(target), 1)
 	if e.Child != InvalidNode {
 		t.setParent(t.mustNode(e.Child).id, n.id)
 	}
-	before := n.mbb()
+	before := t.mbbOf(n)
 	n.appendEntry(e)
 	t.touch(n, n.count()-1)
 	if recordLeaf && n.leaf {
@@ -167,7 +167,7 @@ func (t *Tree) insertAtLevel(e Entry, level int, trace *InsertTrace, marks *leve
 		t.handleOverflow(n, trace, marks)
 		return
 	}
-	if !n.mbb().Equal(before) {
+	if !t.mbbOf(n).Equal(before) {
 		trace.markMBBChanged(n.id)
 	}
 	t.updateHilbertLHV(n)
@@ -337,7 +337,7 @@ func (t *Tree) handleOverflow(n *node, trace *InsertTrace, marks *levelMarks) {
 // are farthest from the node's centre and re-inserts them at the same level
 // (the R*-tree overflow treatment).
 func (t *Tree) forcedReinsert(n *node, trace *InsertTrace, marks *levelMarks) {
-	centre := n.mbb().Center()
+	centre := t.mbbOf(n).Center()
 	type distEntry struct {
 		e Entry
 		d float64
@@ -401,8 +401,8 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 
 	if n.id == t.root {
 		newRoot := t.newNode(false, n.level+1)
-		newRoot.appendEntry(Entry{Rect: n.mbb(), Child: n.id})
-		newRoot.appendEntry(Entry{Rect: sibling.mbb(), Child: sibling.id})
+		newRoot.appendEntry(Entry{Rect: t.mbbOf(n), Child: n.id})
+		newRoot.appendEntry(Entry{Rect: t.mbbOf(sibling), Child: sibling.id})
 		t.touch(newRoot)
 		t.setParent(n.id, newRoot.id)
 		t.setParent(sibling.id, newRoot.id)
@@ -414,19 +414,19 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 		return
 	}
 
-	parent := t.mutable(t.mustNode(t.parentOf(n.id)))
+	parent := t.mustNode(t.parentOf(n.id))
 	idx := t.childIndex(parent, n.id)
-	before := parent.mbb()
-	parent.setRect(idx, n.mbb(), dims)
+	before := t.mbbOf(parent)
+	parent = t.setRect(parent, idx, t.mbbOf(n), 1)
 	t.setParent(sibling.id, parent.id)
-	parent.appendEntry(Entry{Rect: sibling.mbb(), Child: sibling.id})
+	parent.appendEntry(Entry{Rect: t.mbbOf(sibling), Child: sibling.id})
 	t.touch(parent, idx, parent.count()-1)
 	t.counter.Write(1)
 	if parent.count() > t.cfg.MaxEntries {
 		t.handleOverflow(parent, trace, marks)
 		return
 	}
-	if !parent.mbb().Equal(before) {
+	if !t.mbbOf(parent).Equal(before) {
 		trace.markMBBChanged(parent.id)
 	}
 	t.updateHilbertLHV(parent)
@@ -440,11 +440,10 @@ func (t *Tree) adjustUpward(n *node, trace *InsertTrace) {
 	for p := t.parentOf(cur.id); p != InvalidNode; p = t.parentOf(cur.id) {
 		parent := t.mustNode(p)
 		idx := t.childIndex(parent, cur.id)
-		newMBB := cur.mbb()
+		newMBB := t.mbbOf(cur)
 		changed := !parent.rect(idx, t.cfg.Dims).Equal(newMBB)
 		if changed {
-			parent = t.mutable(parent)
-			parent.setRect(idx, newMBB, t.cfg.Dims)
+			parent = t.setRect(parent, idx, newMBB, 0)
 			t.touch(parent, idx)
 			trace.markMBBChanged(cur.id)
 			t.counter.Write(1)

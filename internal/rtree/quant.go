@@ -131,13 +131,15 @@ func setPlane(planes []uint64, w, d, i int, hi bool, g uint16) {
 // streams contiguous words per dimension. Padding lanes are zero; their mask
 // bits are cleared by quantScan. The v2 fault-in path skips it for directory
 // nodes and installs the page's stored grid coordinates instead. qmbb is a
-// fresh array every time (the rule boxes follows): NodeInfo.MBB views it.
+// fresh array every time (the rule boxes follows): NodeInfo.MBB views it. The
+// planes' capacity follows refs': room for the slots a write reserved, and no
+// more (see node's exact-size rule).
 func (n *node) syncPlanes(dims int) {
 	count := n.count()
 	w := planeWords(count)
 	need := 2 * dims * w
-	if cap(n.qplanes) < need {
-		n.qplanes = make([]uint64, need)
+	if room := n.planeRoom(dims); cap(n.qplanes) != room {
+		n.qplanes = make([]uint64, need, room)
 	} else {
 		n.qplanes = n.qplanes[:need]
 		clear(n.qplanes)
@@ -310,6 +312,9 @@ func (n *node) syncSlots(dims int, slots []int) bool {
 	return true
 }
 
+// planeRoom is the plane capacity that holds every slot refs has room for.
+func (n *node) planeRoom(dims int) int { return 2 * dims * planeWords(cap(n.refs)) }
+
 // widenPlanes re-lays planes of w-1 words each out as planes of w words, the
 // new last word of each zero — in place when the capacity allows, moving the
 // last plane first so no plane is overwritten before it has moved.
@@ -317,7 +322,7 @@ func (n *node) widenPlanes(dims, w int) {
 	old, need := n.qplanes, 2*dims*w
 	planes := old[:cap(old)]
 	if len(planes) < need {
-		planes = make([]uint64, need)
+		planes = make([]uint64, n.planeRoom(dims))
 	}
 	planes = planes[:need]
 	for k := 2*dims - 1; k >= 0; k-- {

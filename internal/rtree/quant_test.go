@@ -250,16 +250,20 @@ func TestSyncSlotsMatchesSyncPlanes(t *testing.T) {
 				switch k := rng.Intn(3); {
 				case k == 0 && n.count() > 1:
 					i := rng.Intn(n.count())
-					n.setRect(i, r, dims)
+					n.resize(0, dims) // as Tree.setRect does
+					copy(n.boxes[i*2*dims:], r.Lo)
+					copy(n.boxes[i*2*dims+dims:], r.Hi)
 					slots = []int{i}
 				case k == 1 && n.count() > 1:
 					i := rng.Intn(n.count())
-					n.setRect(i, r, dims)
+					n.resize(0, dims) // as Tree.setRect does
+					copy(n.boxes[i*2*dims:], r.Lo)
+					copy(n.boxes[i*2*dims+dims:], r.Hi)
 					n.appendEntry(Entry{Rect: randRect(rng, dims, 0, 0), Child: InvalidNode, Object: ObjectID(step)})
 					slots = []int{i, n.count() - 1}
 				default:
 					if rng.Intn(2) == 0 {
-						n.qplanes = n.qplanes[:len(n.qplanes):len(n.qplanes)] // no spare capacity
+						n.resize(1+rng.Intn(6), dims) // room reserved for later appends
 					}
 					n.appendEntry(Entry{Rect: r, Child: InvalidNode, Object: ObjectID(step)})
 					slots = []int{n.count() - 1}
@@ -337,9 +341,8 @@ func TestValidateDetectsPlaneCorruption(t *testing.T) {
 }
 
 // TestValidateDetectsBoxCorruption checks that Validate checks the one exact
-// slot store itself: an inverted box, a truncated coordinate array, a
-// directory ref to no node, and an object held twice by one leaf must all be
-// reported.
+// slot store itself: an inverted box, a truncated coordinate array, and a
+// directory ref to no node must all be reported.
 func TestValidateDetectsBoxCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := MustNew(smallConfig(2, RStar))
@@ -378,10 +381,22 @@ func TestValidateDetectsBoxCorruption(t *testing.T) {
 	corrupt("a directory ref to no node",
 		func() { root.refs[0] = int64(tr.dir.n) },
 		func() { root.refs[0] = ref })
-	obj := leaf.refs[1]
-	corrupt("an object held twice by one leaf",
-		func() { leaf.refs[1] = leaf.refs[0] },
-		func() { leaf.refs[1] = obj })
+}
+
+// TestValidateAcceptsDuplicateIDs holds Validate to Insert's contract, which
+// permits duplicate object ids: the same object inserted twice, and two
+// objects sharing an id, lie in one leaf of a valid tree.
+func TestValidateAcceptsDuplicateIDs(t *testing.T) {
+	tr := MustNew(smallConfig(2, RStar))
+	r := geom.Rect{Lo: geom.Point{1, 1}, Hi: geom.Point{2, 2}}
+	for _, it := range []Item{{Object: 7, Rect: r}, {Object: 7, Rect: r}, {Object: 7, Rect: geom.Rect{Lo: geom.Point{1, 1}, Hi: geom.Point{3, 3}}}} {
+		if _, err := tr.Insert(it.Rect, it.Object); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestV2DirPlanesAdoptedVerbatim pins the cross-store identity at its root:

@@ -145,9 +145,16 @@ type node struct {
 	// those views outlive the node (orphans awaiting reinsertion, split
 	// groups, every Rect a visit callback ever received). So the backing
 	// arrays are never overwritten in place: appendEntry writes only beyond
-	// len (into spare capacity, or a grown copy), and removeAt, setRect, and
-	// setEntries install fresh arrays. Mutate slots only through those four
-	// methods, each followed by Tree.touch.
+	// len (into room a write reserved, or a copy one slot longer), and
+	// removeAt, setEntries and Tree.setRect install fresh arrays. Mutate
+	// slots only through those methods, each followed by Tree.touch.
+	//
+	// Exact-size rule: boxes, refs and qplanes of a node a published version
+	// holds have len == cap. A write reserves, when it copies a node, exactly
+	// the slots it is about to append (Tree.mutable), so a changed node is
+	// copied once and append's growth policy never leaves slack behind in a
+	// version; a node that takes more appends in the same batch gets room up
+	// to a split and is trimmed when the batch publishes.
 	boxes []float64
 	refs  []int64
 	// qmbb and qplanes are the quantised SoA filter layer (see quant.go):
@@ -216,10 +223,21 @@ func (n *node) ref(e Entry) int64 {
 	return int64(e.Child)
 }
 
-// appendEntry adds e as the last slot, copying its coordinates.
+// appendEntry adds e as the last slot, copying its coordinates: into room
+// reserved for it, or else into arrays one slot longer.
 func (n *node) appendEntry(e Entry) {
+	if len(n.refs) == cap(n.refs) {
+		n.resize(1, len(e.Rect.Lo))
+	}
 	n.boxes = append(append(n.boxes, e.Rect.Lo...), e.Rect.Hi...)
 	n.refs = append(n.refs, n.ref(e))
+}
+
+// resize moves boxes and refs into fresh arrays holding the slots plus room
+// for exactly reserve more.
+func (n *node) resize(reserve, dims int) {
+	n.boxes = append(make([]float64, 0, len(n.boxes)+reserve*2*dims), n.boxes...)
+	n.refs = append(make([]int64, 0, len(n.refs)+reserve), n.refs...)
 }
 
 // setEntries replaces every slot with copies of es, in fresh arrays.
@@ -239,14 +257,6 @@ func (n *node) removeAt(i, dims int) {
 	n.boxes = append(append(boxes, n.boxes[:i*w]...), n.boxes[(i+1)*w:]...)
 	refs := make([]int64, 0, len(n.refs)-1)
 	n.refs = append(append(refs, n.refs[:i]...), n.refs[i+1:]...)
-}
-
-// setRect replaces slot i's rectangle with a copy of r, in a fresh array.
-func (n *node) setRect(i int, r geom.Rect, dims int) {
-	boxes := append(make([]float64, 0, cap(n.boxes)), n.boxes...)
-	copy(boxes[i*2*dims:], r.Lo)
-	copy(boxes[i*2*dims+dims:], r.Hi)
-	n.boxes = boxes
 }
 
 // syncDerived rebuilds what is derived from boxes and refs: the quantised
@@ -418,9 +428,12 @@ type Tree struct {
 	lazyV     *Version // the one lazy version of a file-backed tree, until hydrated
 
 	// Writer-side scratch: the levels one insertion gave the R* overflow
-	// treatment, and how the last InsertItems call routed its items.
+	// treatment, how the last InsertItems call routed its items, and the
+	// nodes of the open batch that mutable gave room beyond one write's
+	// reservation (publish trims them).
 	ovMarks    levelMarks
 	lastIngest IngestStats
+	slack      []*node
 
 	// File-backed mode, set up by OpenPaged or AttachStore: nodes are
 	// faulted into the lazy version's directory on first access from src,
@@ -565,6 +578,7 @@ func (t *Tree) PublishRecords() {
 // given epoch. The directory is handed over as-is and marked shared, and a
 // new writer generation opens, so nothing the version holds changes again.
 func (t *Tree) publishAt(epoch uint64) *Version {
+	t.trimSlack()
 	v := &Version{
 		tree: t, epoch: epoch,
 		root: t.root, size: t.size, height: t.height,
@@ -698,6 +712,8 @@ func (t *Tree) RollbackBatch() {
 	u := t.undo
 	t.inBatch = false
 	t.undo = nil
+	clear(t.slack)
+	t.slack = t.slack[:0]
 	v := t.cur.Load()
 	t.dir, t.dirShared = v.dir, true
 	t.root, t.size, t.height = v.root, v.size, v.height
@@ -727,36 +743,110 @@ func (t *Tree) autoCommit(err error) {
 	}
 }
 
-// cloneForWrite deep-copies a shared node object so the writer can mutate it
-// without disturbing published versions: boxes, refs, and the planes get
-// fresh backing arrays (qmbb is never written in place, so it is shared);
-// leaf and level carry over.
-func (t *Tree) cloneForWrite(n *node) *node {
-	c := &node{id: n.id, leaf: n.leaf, level: n.level, born: t.gen}
-	c.boxes = append(make([]float64, 0, cap(n.boxes)), n.boxes...)
-	c.refs = append(make([]int64, 0, cap(n.refs)), n.refs...)
-	c.qmbb = n.qmbb
-	c.qplanes = append(make([]uint64, 0, cap(n.qplanes)), n.qplanes...)
-	return c
-}
-
-// mutable returns a node object the writer may mutate in place: n itself
-// when it was created or already cloned in the current batch, otherwise a
-// clone installed in the writer's directory in its stead. Every mutation of
-// a node's slots must go through here before writing; reads may keep using
-// the shared object.
-func (t *Tree) mutable(n *node) *node {
+// owned returns the writer's object for n's id — n itself when it was
+// created or cloned in the current batch, or a clone installed since the
+// caller loaded n — or nil while n is shared with a published version.
+func (t *Tree) owned(n *node) *node {
 	if n.born == t.gen {
 		return n
 	}
-	// The directory may already hold a clone from earlier in this batch even
-	// if the caller still has a stale shared pointer.
 	if c := t.dir.at(n.id).node.Load(); c.born == t.gen {
 		return c
 	}
-	c := t.cloneForWrite(n)
+	return nil
+}
+
+// install puts in the writer's directory, in the stead of the shared node n,
+// a new object of the current generation that shares n's boxes, refs and
+// qmbb — none of which it may write: its caller gives it fresh boxes and refs
+// at once, and qmbb is never written in place.
+func (t *Tree) install(n *node) *node {
+	c := &node{id: n.id, leaf: n.leaf, level: n.level, born: t.gen, boxes: n.boxes, refs: n.refs, qmbb: n.qmbb}
 	t.slotW(n.id).node.Store(c)
 	return c
+}
+
+// mutable returns the writer's copy of n with room for reserve more slots,
+// the number its caller is about to append. n's first write in a batch
+// installs a copy whose boxes, refs and planes hold exactly n's slots and the
+// reservation. A later one that finds too little room moves the copy into
+// arrays with room up to M+1 slots, the most a node holds before it splits,
+// so that a node taking many appends in one batch (orphans of a condense,
+// several inserts in one leaf) is copied once more, not once per append;
+// publish trims it. Every mutation of a node's slots goes through here,
+// setRect or removeAt; reads may keep using the shared object.
+func (t *Tree) mutable(n *node, reserve int) *node {
+	dims := t.cfg.Dims
+	c := t.owned(n)
+	switch {
+	case c == nil:
+		c = t.install(n)
+		c.resize(reserve, dims)
+		c.qplanes = append(make([]uint64, 0, c.planeRoom(dims)), n.qplanes...)
+	case cap(c.refs)-len(c.refs) < reserve:
+		c.resize(max(reserve, t.cfg.MaxEntries+1-len(c.refs)), dims)
+		t.slack = append(t.slack, c)
+	}
+	return c
+}
+
+// setRect makes r slot i's rectangle in the writer's copy of n, which it
+// returns with room for reserve more slots. The slots are copied once, into
+// fresh arrays that no view aliases yet, and r is written there: a shared n
+// is cloned, and an owned one is moved too (keeping its room), since views of
+// its arrays may be out (see node).
+func (t *Tree) setRect(n *node, i int, r geom.Rect, reserve int) *node {
+	dims := t.cfg.Dims
+	c := t.owned(n)
+	if c == nil {
+		c = t.mutable(n, reserve)
+	} else {
+		c.resize(max(reserve, cap(c.refs)-len(c.refs)), dims)
+	}
+	copy(c.boxes[i*2*dims:], r.Lo)
+	copy(c.boxes[i*2*dims+dims:], r.Hi)
+	return c
+}
+
+// trimSlack moves every node mutable gave extra room in this batch, and that
+// kept some, into arrays of exactly its slots, so the version about to be
+// published holds no spare capacity.
+func (t *Tree) trimSlack() {
+	for _, n := range t.slack {
+		if cap(n.refs) != len(n.refs) {
+			n.resize(0, t.cfg.Dims)
+			n.qplanes = append(make([]uint64, 0, n.planeRoom(t.cfg.Dims)), n.qplanes...)
+		}
+	}
+	clear(t.slack)
+	t.slack = t.slack[:0]
+}
+
+// removeAt drops slot i from the writer's copy of n and returns it, copying
+// the other slots once, into fresh arrays. A copy installed here has no
+// planes; the touch that follows builds them.
+func (t *Tree) removeAt(n *node, i int) *node {
+	c := t.owned(n)
+	if c == nil {
+		c = t.install(n)
+	}
+	c.removeAt(i, t.cfg.Dims)
+	return c
+}
+
+// mbbOf returns n's MBB (zero Rect when n is empty) as a view of qmbb, which
+// touch keeps equal to the fold of boxes and never writes in place, so a
+// caller may hold it across writes to n. A directory of a tree decoded from
+// v2 pages is folded instead: until its first touch its qmbb is the page's
+// exact MBB, while its decoded boxes are conservative.
+func (t *Tree) mbbOf(n *node) geom.Rect {
+	switch {
+	case n.count() == 0:
+		return geom.Rect{}
+	case t.conservative && !n.leaf:
+		return n.mbb()
+	}
+	return boxRect(n.qmbb, 0, t.cfg.Dims)
 }
 
 // ChargeNodeRead records one access to the node info describes: a leaf or

@@ -105,8 +105,9 @@ func (t *Tree) Validate() error {
 }
 
 // checkSlots verifies the node's one slot store: boxes holds exactly 2·dims
-// coordinates per ref, every box is finite with lo <= hi, every directory
-// ref names a live node, and no object id repeats within a leaf.
+// coordinates per ref, every box is finite with lo <= hi, and every directory
+// ref names a live node. Object ids may repeat, within a leaf too: Insert
+// permits duplicates.
 func (t *Tree) checkSlots(n *node) error {
 	dims := t.cfg.Dims
 	if len(n.boxes) != n.count()*2*dims {
@@ -120,12 +121,6 @@ func (t *Tree) checkSlots(n *node) error {
 		if !n.leaf {
 			if c := NodeID(ref); int64(c) != ref || !t.dir.has(c) || t.dir.at(c).node.Load() == nil {
 				return fmt.Errorf("rtree: node %d references missing child %d", n.id, ref)
-			}
-			continue
-		}
-		for _, other := range n.refs[:i] {
-			if other == ref {
-				return fmt.Errorf("rtree: leaf %d holds object %d twice", n.id, ref)
 			}
 		}
 	}

@@ -26,6 +26,8 @@ type Engine interface {
 	Apply(ops []WriteOp) (found int, err error)
 	// Len is the number of indexed objects at the last committed state.
 	Len() int
+	// Dims is the dimensionality of the indexed rectangles.
+	Dims() int
 	// Stats, IOStats and BufferStats surface engine-side statistics into
 	// /stats and /metrics.
 	Stats() cbb.Stats
@@ -137,22 +139,24 @@ type index[B writeBatch, V ReadView] interface {
 type engine[B writeBatch, V ReadView] struct {
 	index[B, V]
 	persistent bool
+	dims       int
 }
 
 // NewTreeEngine wraps a single tree for serving. persistent marks a tree
 // bound to a snapshot file (Create/Open), enabling the durable flush on
 // shutdown.
 func NewTreeEngine(t *cbb.Tree, persistent bool) Engine {
-	return engine[*cbb.Batch, *cbb.View]{t, persistent}
+	return engine[*cbb.Batch, *cbb.View]{t, persistent, t.Options().Dims}
 }
 
 // NewShardedEngine wraps a sharded tree for serving. persistent marks an
 // engine bound to a shard directory (CreateSharded/OpenSharded).
 func NewShardedEngine(st *cbb.ShardedTree, persistent bool) Engine {
-	return engine[*cbb.ShardedBatch, *cbb.ShardedView]{st, persistent}
+	return engine[*cbb.ShardedBatch, *cbb.ShardedView]{st, persistent, st.Options().Dims}
 }
 
 func (e engine[B, V]) Snapshot() ReadView { return e.index.Snapshot() }
+func (e engine[B, V]) Dims() int          { return e.dims }
 
 func (e engine[B, V]) Epochs() []uint64 {
 	v := e.index.Snapshot()

@@ -432,16 +432,30 @@ func decodeJSON(r *http.Request, v any) error {
 	if err == nil && d.dec.InputOffset() == d.read && d.read-before <= maxPooledBytes {
 		bodyDecoders.Put(d)
 	}
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return badRequest("empty request body")
-		}
-		return badRequest("invalid JSON: %v", err)
+	if err == nil {
+		return nil
 	}
-	return nil
+	if errors.Is(err, io.EOF) {
+		return badRequest("empty request body")
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &apiError{status: http.StatusRequestEntityTooLarge, msg: err.Error()}
+	}
+	return badRequest("invalid JSON: %v", err)
 }
 
 // --- handlers -----------------------------------------------------------------
+
+// rect converts a wire rectangle for the index: a malformed one, or one with
+// other dimensions than the index, is the client's error.
+func (s *Server) rect(rj RectJSON) (cbb.Rect, error) {
+	r, err := rj.ToRect()
+	if err == nil && r.Dims() != s.eng.Dims() {
+		err = fmt.Errorf("rect has %d dimensions, the index %d", r.Dims(), s.eng.Dims())
+	}
+	return r, err
+}
 
 // handleSearch answers one range query: through the coalescer when it is on
 // (alone if no other search is in progress, otherwise with the batch that
@@ -452,7 +466,7 @@ func (s *Server) handleSearch(r *http.Request) (any, error) {
 	if err := decodeJSON(r, &req); err != nil {
 		return nil, err
 	}
-	q, err := req.Query.ToRect()
+	q, err := s.rect(req.Query)
 	if err != nil {
 		return nil, badRequest("query: %v", err)
 	}
@@ -483,7 +497,7 @@ func (s *Server) handleSearchAll(r *http.Request) (any, error) {
 	}
 	queries := make([]cbb.Rect, len(req.Queries))
 	for i, rj := range req.Queries {
-		q, err := rj.ToRect()
+		q, err := s.rect(rj)
 		if err != nil {
 			return nil, badRequest("query %d: %v", i, err)
 		}
@@ -521,17 +535,12 @@ func (s *Server) handleKNN(r *http.Request) (any, error) {
 	if req.K < 1 {
 		return nil, badRequest("k must be at least 1")
 	}
-	if len(req.Point) == 0 {
-		return nil, badRequest("point must not be empty")
+	if len(req.Point) != s.eng.Dims() {
+		return nil, badRequest("point has %d dimensions, the index %d", len(req.Point), s.eng.Dims())
 	}
 	view := s.eng.Snapshot()
 	defer view.Close()
 	neighbors := view.NearestNeighbors(req.K, req.Point)
-	// No neighbour in an index that holds objects means the point has no
-	// answer (the search validates it), which is not an empty answer.
-	if len(neighbors) == 0 && !view.Bounds().IsZero() {
-		return nil, badRequest("point has %d dimensions, the index %d", len(req.Point), view.Bounds().Dims())
-	}
 	resp := KNNResponse{Epochs: view.Epochs(), Neighbors: make([]NeighborJSON, len(neighbors))}
 	for i, n := range neighbors {
 		resp.Neighbors[i] = NeighborJSON{ID: int64(n.Object), Rect: FromRect(n.Rect), DistSq: n.DistSq}
@@ -545,7 +554,7 @@ func (s *Server) handleInsert(r *http.Request) (any, error) {
 	if err := decodeJSON(r, &req); err != nil {
 		return nil, err
 	}
-	rect, err := req.Rect.ToRect()
+	rect, err := s.rect(req.Rect)
 	if err != nil {
 		return nil, badRequest("rect: %v", err)
 	}
@@ -569,7 +578,7 @@ func (s *Server) handleBatch(r *http.Request) (any, error) {
 	}
 	ops := make([]WriteOp, len(req.Ops))
 	for i, op := range req.Ops {
-		rect, err := op.Rect.ToRect()
+		rect, err := s.rect(op.Rect)
 		if err != nil {
 			return nil, badRequest("op %d rect: %v", i, err)
 		}
@@ -604,7 +613,7 @@ func (s *Server) handleJoin(r *http.Request) (any, error) {
 	}
 	probes := make([]cbb.Item, len(req.Probes))
 	for i, p := range req.Probes {
-		rect, err := p.Rect.ToRect()
+		rect, err := s.rect(p.Rect)
 		if err != nil {
 			return nil, badRequest("probe %d rect: %v", i, err)
 		}

@@ -244,8 +244,35 @@ func TestEndpointsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBadRequests sends malformed requests to every endpoint of an empty, a
+// filled and a sharded 2-D index: each is the client's error (400, or 413
+// for a body over MaxBodyBytes) — never a 500 from the engine nor a 200 that
+// answers nothing, a rectangle or point of other dimensions included — and
+// leaves the index as it was.
 func TestBadRequests(t *testing.T) {
-	s := newTestServer(t, Config{Engine: NewTreeEngine(buildTree(t, 10), false)})
+	engines := map[string]func() Engine{
+		"empty":  func() Engine { return NewTreeEngine(buildTree(t, 0), false) },
+		"filled": func() Engine { return NewTreeEngine(buildTree(t, 10), false) },
+		"sharded": func() Engine {
+			st, err := cbb.NewSharded(cbb.ShardedOptions{
+				Options: cbb.Options{Dims: 2, Universe: cbb.R(0, 0, 100, 100)},
+				Shards:  2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range testRects(50, 1) {
+				if err := st.Insert(r, cbb.ObjectID(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return NewShardedEngine(st, false)
+		},
+	}
+	const maxBody = 1 << 10
+	rect3 := `{"lo":[1,1,1],"hi":[2,2,2]}`
+	rect1 := `{"lo":[1],"hi":[2]}`
+	op := `{"op":"insert","id":7,"rect":{"lo":[1,1],"hi":[2,2]}}`
 	cases := []struct {
 		path string
 		body string
@@ -254,29 +281,48 @@ func TestBadRequests(t *testing.T) {
 		{"/search", ``, http.StatusBadRequest},
 		{"/search", `{"query":{"lo":[1],"hi":[2,3]}}`, http.StatusBadRequest},
 		{"/search", `{"bogus":1}`, http.StatusBadRequest},
+		{"/search", `{"query":` + rect3 + `}`, http.StatusBadRequest},
+		{"/search", `{"query":` + rect1 + `,"count_only":true}`, http.StatusBadRequest},
 		{"/searchall", `{"queries":[]}`, http.StatusBadRequest},
+		{"/searchall", `{"queries":[{"lo":[0,0],"hi":[9,9]},` + rect3 + `]}`, http.StatusBadRequest},
 		{"/knn", `{"point":[1,2],"k":0}`, http.StatusBadRequest},
 		{"/knn", `{"point":[],"k":1}`, http.StatusBadRequest},
 		{"/knn", `{"point":[1,2,3],"k":1}`, http.StatusBadRequest},
+		{"/knn", `{"point":[1],"k":1}`, http.StatusBadRequest},
 		{"/knn", `{"point":[1e999,2],"k":1}`, http.StatusBadRequest},
 		{"/insert", `{"id":1,"rect":{"lo":[5,5],"hi":[1,1]}}`, http.StatusBadRequest},
+		{"/insert", `{"id":7,"rect":` + rect3 + `}`, http.StatusBadRequest},
 		{"/batch", `{"ops":[{"op":"upsert","id":1,"rect":{"lo":[1,1],"hi":[2,2]}}]}`, http.StatusBadRequest},
+		{"/batch", `{"ops":[` + op + `,{"op":"insert","id":8,"rect":` + rect3 + `}]}`, http.StatusBadRequest},
+		{"/batch", `{"ops":[{"op":"delete","id":1,"rect":` + rect1 + `}]}`, http.StatusBadRequest},
+		{"/batch", `{"ops":[` + strings.Repeat(op+`,`, maxBody/len(op)) + op + `]}`, http.StatusRequestEntityTooLarge},
 		{"/join", `{"probes":[]}`, http.StatusBadRequest},
+		{"/join", `{"probes":[{"id":1,"rect":` + rect3 + `}]}`, http.StatusBadRequest},
 	}
-	for _, c := range cases {
-		r := httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body))
-		w := httptest.NewRecorder()
-		s.ServeHTTP(w, r)
-		if w.Code != c.want {
-			t.Errorf("%s %q: code = %d, want %d (%s)", c.path, c.body, w.Code, c.want, w.Body.String())
-		}
-	}
-	// Method filtering.
-	r := httptest.NewRequest(http.MethodGet, "/search", nil)
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, r)
-	if w.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /search = %d, want 405", w.Code)
+	for name, build := range engines {
+		t.Run(name, func(t *testing.T) {
+			eng := build()
+			s := newTestServer(t, Config{Engine: eng, MaxBodyBytes: maxBody})
+			for _, c := range cases {
+				before := eng.Len()
+				r := httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body))
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, r)
+				if w.Code != c.want {
+					t.Errorf("%s %q: code = %d, want %d (%s)", c.path, c.body, w.Code, c.want, w.Body.String())
+				}
+				if eng.Len() != before {
+					t.Errorf("%s %q: Len %d -> %d", c.path, c.body, before, eng.Len())
+				}
+			}
+			// Method filtering.
+			r := httptest.NewRequest(http.MethodGet, "/search", nil)
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, r)
+			if w.Code != http.StatusMethodNotAllowed {
+				t.Errorf("GET /search = %d, want 405", w.Code)
+			}
+		})
 	}
 }
 
