@@ -31,6 +31,7 @@ import (
 	"iter"
 	"maps"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"cbb/internal/core"
@@ -405,36 +406,40 @@ func BuildWorkers(n int) int { return fanout.Workers(0, n, reclipChunk) }
 // chunk starts no goroutine), each with its own scratch and each writing only
 // its own nodes' slots of recs. Installation is serial and in the order
 // given, so the store does not depend on the worker count or on scheduling.
-// The scratch goes with the call: nothing of a build stays on the heap but
-// the records, one allocation per clipped node.
+// The scratch comes from reclipScratch and goes back to it: nothing of a
+// build stays on the heap but the records, one allocation per clipped node.
 func (x *Index) reclip(infos []rtree.NodeInfo) {
 	if len(infos) == 0 {
 		return
 	}
 	recs := make([]core.Record, len(infos))
-	type scratch struct {
-		clipper  core.Clipper
-		children []geom.Rect
-	}
-	perWorker := make([]*scratch, BuildWorkers(len(infos)))
-	fanout.ForEachChunk(len(infos), 0, reclipChunk, func(w, lo, hi int) {
-		if perWorker[w] == nil {
-			perWorker[w] = new(scratch)
-		}
-		s := perWorker[w]
+	fanout.ForEachChunk(len(infos), 0, reclipChunk, func(_, lo, hi int) {
+		s := reclipScratch.Get().(*clipScratch)
+		defer reclipScratch.Put(s)
 		for i := lo; i < hi; i++ {
 			info := &infos[i]
 			s.children = slices.Grow(s.children[:0], info.Len())
 			for j := 0; j < info.Len(); j++ {
 				s.children = append(s.children, info.Rect(j))
 			}
-			recs[i] = core.NewRecord(s.clipper.Clip(info.MBB, s.children, x.params), len(info.MBB.Lo))
+			recs[i] = s.clipper.Record(info.MBB, s.children, x.params)
 		}
 	})
 	for i := range infos {
 		x.tree.SetRecord(infos[i].ID, recs[i])
 	}
 }
+
+// clipScratch is one worker's scratch for reclip.
+type clipScratch struct {
+	clipper  core.Clipper
+	children []geom.Rect
+}
+
+// reclipScratch keeps reclip's scratch between calls, so a write's reclip
+// does not regrow it; the collector empties the pool, so an idle index holds
+// none of it.
+var reclipScratch = sync.Pool{New: func() any { return new(clipScratch) }}
 
 // reclipByIDs recomputes the clip points of the given nodes in one build,
 // looking each node up first; a missing node is skipped (a freed node's

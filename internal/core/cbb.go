@@ -23,9 +23,9 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -149,17 +149,20 @@ func (p Params) Validate() error {
 //	return the K highest-scoring candidates overall, ordered by score
 //
 // evaluated so that only work whose result can be stored is done. A skyline
-// point is tested against the floor τ·Vol(mbb) at once; a pair of skyline
-// points is validated first (the cheapest test), then spliced and floored,
-// and only then compared with the candidates accepted so far; only candidates
-// that cleared the floor are scored. The floor is exact, not a heuristic: a
-// score is the candidate's volume minus what it shares with the corner's
-// largest candidate, so score ≤ volume and a candidate at or under the floor
-// would fail the threshold anyway; and the largest candidate, which every
-// other score refers to, clears the floor whenever any candidate does, so the
-// survivors' scores do not change. Validity and de-duplication are properties
-// of the splice alone, so their order is free. Ties in score keep candidate
-// order (corners ascending, then the order of skyline.Scratch.Candidates).
+// point is tested against the floor at once — τ·Vol(mbb), or, once K clip
+// points are kept, the score of the last of them if that is higher; a pair
+// of skyline points is validated first (the cheapest test), then spliced and
+// floored, and only then compared with the candidates accepted so far; only
+// candidates that cleared the floor are scored, and only those whose volume
+// could still displace a kept clip point have their overlap computed. The
+// floor is exact, not a heuristic: a score is the candidate's volume minus
+// what it shares with the corner's largest candidate, so score ≤ volume and
+// a candidate at or under the floor would fail the threshold or lose to the
+// kept points anyway; and the largest candidate, which every other score
+// refers to, clears the floor whenever any candidate does, so the survivors'
+// scores do not change. Validity and de-duplication are properties of the
+// splice alone, so their order is free. Ties in score keep candidate order
+// (corners ascending, then the order of skyline.Scratch.Candidates).
 //
 // A nil or empty children slice, a zero-volume MBB, or K == 0 yields no clip
 // points. The children need not be clipped themselves; only their MBBs
@@ -171,17 +174,16 @@ func Clip(mbb geom.Rect, children []geom.Rect, p Params) []ClipPoint {
 }
 
 // Clipper runs Clip with reusable scratch, so a node costs two allocations —
-// the clip points and the one slab their coordinates share — and none when it
-// gets no clip point. All scratch is sized by the node's fan-out and its
-// candidates, never by K. The zero value is ready; a Clipper serves one
-// goroutine.
+// the clip points and the one slab their coordinates share — or, as a
+// Record, one; none when it gets no clip point. All scratch is sized by the
+// node's fan-out and its candidates, never by K. The zero value is ready; a
+// Clipper serves one goroutine.
 type Clipper struct {
 	sky     skyline.Scratch
 	lo, nhi []float64 // the children's lower corners, and upper corners negated
-	pts     []float64 // one MBB corner's view of them: lo or nhi per dimension
-	origin  []float64 // that MBB corner, reflected like pts
-	picks   []pick    // candidates of all corners that cleared the threshold
-	coords  []float64 // their coordinates, still reflected
+	origin  []float64 // one MBB corner, reflected like its view of lo and nhi
+	top     []pick    // the best candidates so far, best first
+	coords  []float64 // the coordinates of the candidates that made top, still reflected
 }
 
 // pick is one scored candidate; off locates its coordinates in
@@ -194,6 +196,41 @@ type pick struct {
 
 // Clip is the package-level Clip on the receiver's scratch.
 func (c *Clipper) Clip(mbb geom.Rect, children []geom.Rect, p Params) []ClipPoint {
+	top := c.clip(mbb, children, p)
+	if len(top) == 0 {
+		return nil
+	}
+	dims := mbb.Dims()
+	out := make([]ClipPoint, len(top))
+	slab := make([]float64, len(top)*dims)
+	for i, pk := range top {
+		coord := slab[i*dims : (i+1)*dims : (i+1)*dims]
+		skyline.Reflect(coord, c.coords[pk.off:pk.off+dims], pk.mask)
+		out[i] = ClipPoint{Coord: coord, Mask: pk.mask, Score: pk.score}
+	}
+	return out
+}
+
+// Record is Clip in the flat form, NewRecord(c.Clip(mbb, children, p), dims)
+// bit for bit, in one allocation: a record stores the coordinates reflected,
+// as the pipeline computes them.
+func (c *Clipper) Record(mbb geom.Rect, children []geom.Rect, p Params) Record {
+	top := c.clip(mbb, children, p)
+	if len(top) == 0 {
+		return nil
+	}
+	dims := mbb.Dims()
+	r := make(Record, 0, len(top)*(dims+1))
+	for _, pk := range top {
+		r = append(r, math.Float64frombits(uint64(pk.mask)))
+		r = append(r, c.coords[pk.off:pk.off+dims]...)
+	}
+	return r
+}
+
+// clip is Algorithm 1: it returns the clip points, best first, with their
+// coordinates in c.coords in their corner's view. The result aliases c.
+func (c *Clipper) clip(mbb geom.Rect, children []geom.Rect, p Params) []pick {
 	if len(children) == 0 || p.K == 0 || !mbb.Valid() {
 		return nil
 	}
@@ -208,7 +245,7 @@ func (c *Clipper) Clip(mbb geom.Rect, children []geom.Rect, p Params) []ClipPoin
 	// Corner b's nearest child corners, reflected so that b is the minimum
 	// corner (Line 3), are the children's lower corners in the dimensions b
 	// minimises and their negated upper corners in the others: both are laid
-	// out once per node, and a corner is a strided copy per dimension.
+	// out once per node.
 	lo, nhi := slices.Grow(c.lo[:0], len(children)*dims), slices.Grow(c.nhi[:0], len(children)*dims)
 	for _, ch := range children {
 		lo = append(lo, ch.Lo...)
@@ -217,24 +254,23 @@ func (c *Clipper) Clip(mbb geom.Rect, children []geom.Rect, p Params) []ClipPoin
 		}
 	}
 	c.lo, c.nhi = lo, nhi
-	c.pts = slices.Grow(c.pts[:0], len(lo))[:len(lo)]
+	c.sky.Load(lo, nhi, dims)
 	c.origin = slices.Grow(c.origin[:0], dims)[:dims]
-	pts, origin := c.pts, c.origin
-	picks, coords := c.picks[:0], c.coords[:0]
+	origin := c.origin
+	top, coords := c.top[:0], c.coords[:0]
 
 	for b := geom.Corner(0); int(b) < geom.CornerCount(dims); b++ {
-		for d := 0; d < dims; d++ {
-			src := lo
+		for d := range origin {
 			origin[d] = mbb.Lo[d]
 			if b.Bit(d) {
-				src = nhi
 				origin[d] = -mbb.Hi[d]
 			}
-			for i := d; i < len(pts); i += dims {
-				pts[i] = src[i]
-			}
 		}
-		cand, vols := c.sky.Candidates(pts, dims, origin, minScore, p.Method == MethodStairline)
+		floor := minScore
+		if len(top) >= p.K {
+			floor = max(floor, top[len(top)-1].score)
+		}
+		cand, vols := c.sky.Candidates(b, origin, floor, p.Method == MethodStairline)
 
 		// Figure 5's additive approximation: the candidate clipping the most
 		// volume is assumed chosen and keeps its volume as score; every other
@@ -251,6 +287,15 @@ func (c *Clipper) Clip(mbb geom.Rect, children []geom.Rect, p Params) []ClipPoin
 		}
 		largest := cand[best*dims:][:dims]
 		for i, score := range vols {
+			// Line 12: keep the K highest-scoring clip points overall, ties in
+			// candidate order — a stable sort of all of them, cut at K. A
+			// candidate goes after every kept one at least as good, and one
+			// that would land at K or later is dropped — before its overlap is
+			// computed if its volume already would.
+			full := len(top) >= p.K
+			if full && score <= top[len(top)-1].score {
+				continue
+			}
 			q := cand[i*dims:][:dims]
 			if i != best {
 				// The conversion keeps the last multiplication of the overlap
@@ -259,30 +304,23 @@ func (c *Clipper) Clip(mbb geom.Rect, children []geom.Rect, p Params) []ClipPoin
 				// everywhere.
 				score -= float64(overlap(q, largest, origin))
 			}
-			if score > minScore {
-				picks = append(picks, pick{score: score, mask: b, off: len(coords)})
-				coords = append(coords, q...)
+			if !(score > minScore) || full && score <= top[len(top)-1].score {
+				continue
 			}
+			at := len(top)
+			for at > 0 && top[at-1].score < score {
+				at--
+			}
+			if len(top) < p.K {
+				top = append(top, pick{})
+			}
+			copy(top[at+1:], top[at:])
+			top[at] = pick{score: score, mask: b, off: len(coords)}
+			coords = append(coords, q...)
 		}
 	}
-	c.picks, c.coords = picks, coords
-
-	// Line 12: keep the K highest-scoring clip points overall.
-	slices.SortStableFunc(picks, func(a, b pick) int { return cmp.Compare(b.score, a.score) })
-	if len(picks) > p.K {
-		picks = picks[:p.K]
-	}
-	if len(picks) == 0 {
-		return nil
-	}
-	out := make([]ClipPoint, len(picks))
-	slab := make([]float64, len(picks)*dims)
-	for i, pk := range picks {
-		coord := slab[i*dims : (i+1)*dims : (i+1)*dims]
-		skyline.Reflect(coord, coords[pk.off:pk.off+dims], pk.mask)
-		out[i] = ClipPoint{Coord: coord, Mask: pk.mask, Score: pk.score}
-	}
-	return out
+	c.top, c.coords = top, coords
+	return top
 }
 
 // overlap returns the volume two corner rectangles [origin, p] and

@@ -146,8 +146,42 @@ func below(a, b float64) uint {
 // term no greater (c′_d − p′_d is at most the object's gap in the slab's
 // dimension, the box's gap at most the object's in the others), so the bound
 // holds in floating point as computed, not merely in the reals — the closed
-// form MINDIST² + min_d((c′_d − p′_d)² − gap_d²) overshoots by an ulp.
+// form MINDIST² + min_d((c′_d − p′_d)² − gap_d²) overshoots by an ulp. The
+// unrolled dimensionalities add in the same order as the general loop (the
+// conversions keep a square from being fused into the sum that follows), so
+// they return the same bits.
 func (r Record) MinDistSq(dims int, sel *Sel, box []float64) float64 {
+	switch dims {
+	case 2:
+		g0, g1 := max(box[0]-sel[0], sel[0]-box[2], 0), max(box[1]-sel[2], sel[2]-box[3], 0)
+		q0, q1 := float64(g0*g0), float64(g1*g1)
+		bound := q0 + q1
+		for ; len(r) >= 3; r = r[3:] {
+			m := math.Float64bits(r[0])
+			a0, a1 := r[1]-sel[m&1], r[2]-sel[2+m>>1&1]
+			if a0 > 0 && a1 > 0 {
+				bound = max(bound, min(float64(a0*a0)+q1, q0+float64(a1*a1)))
+			}
+		}
+		return bound
+	case 3:
+		g0, g1, g2 := max(box[0]-sel[0], sel[0]-box[3], 0), max(box[1]-sel[2], sel[2]-box[4], 0), max(box[2]-sel[4], sel[4]-box[5], 0)
+		q0, q1, q2 := float64(g0*g0), float64(g1*g1), float64(g2*g2)
+		bound := q0 + q1 + q2
+		for ; len(r) >= 4; r = r[4:] {
+			m := math.Float64bits(r[0])
+			a0, a1, a2 := r[1]-sel[m&1], r[2]-sel[2+m>>1&1], r[3]-sel[4+m>>2&1]
+			if a0 > 0 && a1 > 0 && a2 > 0 {
+				bound = max(bound, min(float64(a0*a0)+q1+q2, q0+float64(a1*a1)+q2, q0+q1+float64(a2*a2)))
+			}
+		}
+		return bound
+	}
+	return r.minDistSq(dims, sel, box)
+}
+
+// minDistSq is MinDistSq's general loop.
+func (r Record) minDistSq(dims int, sel *Sel, box []float64) float64 {
 	var gapSq, a [geom.MaxDims]float64
 	var bound float64
 	for d := 0; d < dims; d++ {

@@ -174,7 +174,8 @@ func clipMinDistSq(box geom.Rect, clips []ClipPoint, p geom.Point) float64 {
 func flatBox(r geom.Rect) []float64 { return append(append([]float64(nil), r.Lo...), r.Hi...) }
 
 // The flat bound is the definition bit for bit: dims 1–4, points inside,
-// outside and on clip coordinates, ±0, coordinates whose squares overflow.
+// outside and on clip coordinates, ±0, coordinates whose squares overflow —
+// and the unrolled dims 2 and 3 are the general loop's bits too.
 func TestClipMinDistMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for dims := 1; dims <= 4; dims++ {
@@ -192,9 +193,13 @@ func TestClipMinDistMatchesDefinition(t *testing.T) {
 			p := latticeRect(rng, dims, true).Lo
 			var sel Sel
 			sel.Query(geom.Rect{Lo: p, Hi: p})
-			got, want := NewRecord(clips, dims).MinDistSq(dims, &sel, flatBox(box)), clipMinDistSq(box, clips, p)
+			rec := NewRecord(clips, dims)
+			got, want := rec.MinDistSq(dims, &sel, flatBox(box)), clipMinDistSq(box, clips, p)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("dims %d: MinDistSq = %v, definition %v\nbox %v clips %v\np %v", dims, got, want, box, clips, p)
+			}
+			if general := rec.minDistSq(dims, &sel, flatBox(box)); math.Float64bits(got) != math.Float64bits(general) {
+				t.Fatalf("dims %d: MinDistSq = %v, general loop %v\nbox %v clips %v\np %v", dims, got, general, box, clips, p)
 			}
 			if plain := box.MinDistSq(p); len(clips) == 0 && math.Float64bits(got) != math.Float64bits(plain) {
 				t.Fatalf("dims %d: no clip points, MinDistSq = %v, the box's %v", dims, got, plain)
@@ -206,7 +211,8 @@ func TestClipMinDistMatchesDefinition(t *testing.T) {
 // checkClipMinDistIsLowerBound clips the children with Algorithm 1 and holds
 // the bound between the plain MINDIST² of the box and the distance of the
 // nearest child, as Rect.MinDistSq computes both, for the MBB itself and for
-// a superset of it (a v2 directory page's conservatively rounded box).
+// a superset of it (a v2 directory page's conservatively rounded box); the
+// unrolled dimensionalities must return the general loop's bits.
 func checkClipMinDistIsLowerBound(t testing.TB, children []geom.Rect, grow []float64, p geom.Point) {
 	t.Helper()
 	dims := len(p)
@@ -227,6 +233,9 @@ func checkClipMinDistIsLowerBound(t testing.TB, children []geom.Rect, grow []flo
 		rec := NewRecord(clips, dims)
 		for _, box := range []geom.Rect{mbb, super} {
 			got := rec.MinDistSq(dims, &sel, flatBox(box))
+			if general := rec.minDistSq(dims, &sel, flatBox(box)); math.Float64bits(got) != math.Float64bits(general) {
+				t.Fatalf("dims %d %v: bound %v, general loop %v\nbox %v clips %v\np %v", dims, m, got, general, box, clips, p)
+			}
 			if plain := box.MinDistSq(p); got < plain || got > nearest {
 				t.Fatalf("dims %d %v: bound %v outside [box %v, nearest child %v]\nchildren %v\nbox %v clips %v\np %v", dims, m, got, plain, nearest, children, box, clips, p)
 			}

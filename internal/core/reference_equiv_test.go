@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cbb/internal/geom"
@@ -40,6 +41,10 @@ func checkClipMatchesReference(t *testing.T, shared *Clipper, mbb geom.Rect, chi
 				want := refClip(mbb, children, p)
 				sameClips(t, "Clip", Clip(mbb, children, p), want)
 				sameClips(t, "Clipper.Clip (reused)", shared.Clip(mbb, children, p), want)
+				rec, wantRec := shared.Record(mbb, children, p), NewRecord(want, dims)
+				if !slices.EqualFunc(rec, wantRec, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+					t.Fatalf("Clipper.Record = %v, the reference's record %v", rec, wantRec)
+				}
 			}
 		}
 	}
@@ -90,12 +95,16 @@ func referenceNode(rng *rand.Rand, dims, fanout int) (geom.Rect, []geom.Rect) {
 	return geom.MBROf(children), children
 }
 
+// pageFanout is the node capacity M of a 4 KiB page in dims dimensions
+// (rtree.MaxEntriesForPage): the largest node a tree of the default page
+// size clips. Four dimensions stop at 16 — 16 corners × a cubic reference.
+var pageFanout = [...]int{1: 170, 2: 102, 3: 72, 4: 16}
+
 // TestClipMatchesReference is the invariant of the floor-first pipeline: the
 // clip points of any node — coordinates, masks, scores, order — are those of
 // the algorithm it replaced, bit for bit.
 func TestClipMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20180416))
-	const maxFanout = 40
 	iters := 600
 	if testing.Short() {
 		iters = 120
@@ -103,11 +112,49 @@ func TestClipMatchesReference(t *testing.T) {
 	var shared Clipper
 	for iter := 0; iter < iters; iter++ {
 		dims := 1 + iter%4
-		fanout := 1 + rng.Intn(maxFanout)
-		if dims == 4 {
-			fanout = 1 + rng.Intn(16) // 16 corners × a cubic reference
+		mbb, children := referenceNode(rng, dims, 1+rng.Intn(pageFanout[dims]))
+		checkClipMatchesReference(t, &shared, mbb, children)
+	}
+}
+
+// antiDiagonalNode draws a full node of point children on the plane
+// Σ x_d = 0: no child's corner dominates another's, so the skyline of the
+// minimum corner holds every child.
+func antiDiagonalNode(rng *rand.Rand, dims int) (geom.Rect, []geom.Rect) {
+	children := make([]geom.Rect, pageFanout[dims])
+	for i := range children {
+		p := make(geom.Point, dims)
+		for d := 1; d < dims; d++ {
+			p[d] = float64(rng.Intn(1 << 20))
+			p[0] -= p[d]
 		}
-		mbb, children := referenceNode(rng, dims, fanout)
+		children[i] = geom.Rect{Lo: p, Hi: p.Clone()}
+	}
+	return geom.MBROf(children), children
+}
+
+// The nodes of TestClipMatchesReference rarely have skylines of more than 64
+// points, where the stairline leaves its one-word closer sets for the general
+// multi-word loop (three dimensions) and the two-dimensional staircase is at
+// its longest: an anti-diagonal node of each page capacity has them.
+func TestClipMatchesReferenceLargeSkyline(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	var shared Clipper
+	for _, dims := range []int{2, 3} {
+		mbb, children := antiDiagonalNode(rng, dims)
+		sky := 0
+		for i, c := range children {
+			dominated := false
+			for j, o := range children {
+				dominated = dominated || geom.Dominates(o.Lo, c.Lo, 0) || j < i && o.Lo.Equal(c.Lo)
+			}
+			if !dominated {
+				sky++
+			}
+		}
+		if sky <= 64 {
+			t.Fatalf("dims %d: the minimum corner's skyline has %d points, want more than 64", dims, sky)
+		}
 		checkClipMatchesReference(t, &shared, mbb, children)
 	}
 }
@@ -122,12 +169,8 @@ func FuzzClipMatchesReference(f *testing.F) {
 	alphabet := []float64{math.Copysign(0, -1), 0, 1, 2, 3, 5, 8, 13, -1, -2, -3, -5, -8, -13, 0.5, -0.5, 1e-300}
 	f.Fuzz(func(t *testing.T, d uint8, data []byte) {
 		dims := 1 + int(d)%4
-		maxFanout := 48
-		if dims == 4 {
-			maxFanout = 12
-		}
 		var children []geom.Rect
-		for len(data) >= 2*dims && len(children) < maxFanout {
+		for len(data) >= 2*dims && len(children) < pageFanout[dims] {
 			lo, hi := make(geom.Point, dims), make(geom.Point, dims)
 			for i := 0; i < dims; i++ {
 				a := alphabet[int(data[i])%len(alphabet)]
@@ -158,19 +201,22 @@ func TestClipHugeK(t *testing.T) {
 	sameClips(t, "Clip", Clip(mbb, objs, p), refClip(mbb, objs, Params{K: 1 << 10, Tau: 0, Method: MethodStairline}))
 }
 
-// A warm Clipper clips a node with two allocations: the clip points and the
-// slab their coordinates share.
+// A warm Clipper clips a node with two allocations — the clip points and the
+// slab their coordinates share — and makes its record with one.
 func TestClipperAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var c Clipper
 	for _, dims := range []int{2, 3} {
 		p := DefaultParams(dims)
-		mbb, children := referenceNode(rng, dims, 40)
+		mbb, children := referenceNode(rng, dims, pageFanout[dims])
 		for len(c.Clip(mbb, children, p)) == 0 { // a node of large children may have no dead space
-			mbb, children = referenceNode(rng, dims, 40)
+			mbb, children = referenceNode(rng, dims, pageFanout[dims])
 		}
 		if got := testing.AllocsPerRun(20, func() { c.Clip(mbb, children, p) }); got > 2 {
 			t.Errorf("dims %d: %v allocations per clipped node, want at most 2", dims, got)
+		}
+		if got := testing.AllocsPerRun(20, func() { c.Record(mbb, children, p) }); got > 1 {
+			t.Errorf("dims %d: %v allocations per record, want at most 1", dims, got)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package skyline
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cbb/internal/geom"
@@ -277,6 +278,26 @@ func samePoints(got, want []geom.Point) bool {
 	return true
 }
 
+// checkCandidatesMatchReference fails the test unless the skyline and the
+// stairline of pts agree with the old generator's at every corner.
+func checkCandidatesMatchReference(t *testing.T, pts []geom.Point) {
+	t.Helper()
+	dims := pts[0].Dims()
+	geom.Corners(dims, func(b geom.Corner) {
+		if got, want := Oriented(pts, b), refOriented(pts, b); !samePoints(got, want) {
+			t.Fatalf("dims %d corner %s: skyline of %v\n got %v\nwant %v", dims, b.StringDims(dims), pts, got, want)
+		}
+		if got, want := Stairline(pts, b), refStairline(pts, b); !samePoints(got, want) {
+			t.Fatalf("dims %d corner %s: stairline of %v\n got %v\nwant %v", dims, b.StringDims(dims), pts, got, want)
+		}
+	})
+}
+
+// pageFanout is the node capacity M of a 4 KiB page in dims dimensions
+// (rtree.MaxEntriesForPage): the most points a corner of a node of the
+// default page size has.
+var pageFanout = [...]int{1: 170, 2: 102, 3: 72, 4: 56}
+
 // The flat pipeline without a floor is the old generator, bit for bit and in
 // the same order: ties, duplicates, signed zeros and all.
 func TestCandidatesMatchReference(t *testing.T) {
@@ -284,7 +305,7 @@ func TestCandidatesMatchReference(t *testing.T) {
 	for iter := 0; iter < 600; iter++ {
 		dims := 1 + rng.Intn(4)
 		grid := []int{0, 3, 12}[rng.Intn(3)]
-		pts := randomPoints(rng, 1+rng.Intn(48), dims, grid)
+		pts := randomPoints(rng, 1+rng.Intn(pageFanout[dims]), dims, grid)
 		for _, p := range pts {
 			for d := range p {
 				if p[d] == 0 && rng.Intn(2) == 0 {
@@ -292,15 +313,61 @@ func TestCandidatesMatchReference(t *testing.T) {
 				}
 			}
 		}
-		geom.Corners(dims, func(b geom.Corner) {
-			if got, want := Oriented(pts, b), refOriented(pts, b); !samePoints(got, want) {
-				t.Fatalf("dims %d corner %s: skyline of %v\n got %v\nwant %v", dims, b.StringDims(dims), pts, got, want)
-			}
-			if got, want := Stairline(pts, b), refStairline(pts, b); !samePoints(got, want) {
-				t.Fatalf("dims %d corner %s: stairline of %v\n got %v\nwant %v", dims, b.StringDims(dims), pts, got, want)
-			}
-		})
+		checkCandidatesMatchReference(t, pts)
 	}
+}
+
+// A skyline of more than 64 points takes the general pair loop over
+// multi-word closer sets in three dimensions and the longest staircase in
+// two: points on the plane Σ x_d = 100 are all in the skyline.
+func TestCandidatesMatchReferenceLargeSkyline(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, dims := range []int{2, 3} {
+		pts := make([]geom.Point, 100)
+		for i := range pts {
+			p := make(geom.Point, dims)
+			p[0] = 100
+			for d := 1; d < dims; d++ {
+				p[d] = float64(rng.Intn(1 << 20))
+				p[0] -= p[d]
+			}
+			pts[i] = p
+		}
+		var s Scratch
+		flat := slices.Concat(pts...)
+		s.Load(flat, flat, dims)
+		s.Candidates(0, make([]float64, dims), math.Inf(-1), true)
+		if len(s.sky) <= 64 {
+			t.Fatalf("dims %d: skyline of %d points, want more than 64", dims, len(s.sky))
+		}
+		checkCandidatesMatchReference(t, pts)
+	}
+}
+
+// FuzzCandidatesMatchReference lets the fuzzer place up to 150 points of
+// dims 1–4 on a small alphabet of coordinates, both zeros included: ties,
+// duplicates and signed zeros in every dimension.
+func FuzzCandidatesMatchReference(f *testing.F) {
+	f.Add(uint8(1), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add(uint8(2), []byte{0, 16, 0, 16, 1, 1, 2, 2, 9, 1, 1, 9, 5, 5, 3, 7, 7, 3})
+	f.Add(uint8(0), []byte{0, 1, 0, 1})
+	f.Add(uint8(3), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	alphabet := []float64{math.Copysign(0, -1), 0, 1, 2, 3, 5, 8, 13, -1, -2, -3, -5, -8, -13, 0.5, -0.5, 1e-300}
+	f.Fuzz(func(t *testing.T, d uint8, data []byte) {
+		dims := 1 + int(d)%4
+		var pts []geom.Point
+		for len(data) >= dims && len(pts) < 150 {
+			p := make(geom.Point, dims)
+			for i := range p {
+				p[i] = alphabet[int(data[i])%len(alphabet)]
+			}
+			pts = append(pts, p)
+			data = data[dims:]
+		}
+		if len(pts) > 0 {
+			checkCandidatesMatchReference(t, pts)
+		}
+	})
 }
 
 func BenchmarkOriented2D(b *testing.B) {
@@ -343,7 +410,8 @@ func Stairline(pts []geom.Point, b geom.Corner) []geom.Point {
 }
 
 // candidates adapts Scratch.Candidates to geom.Point in and out: reflect,
-// run with a floor nothing falls under, reflect back.
+// load the points as both slabs, ask for corner 0 (which reads every
+// dimension from lo) with a floor nothing falls under, reflect back.
 func candidates(pts []geom.Point, b geom.Corner, splice bool) []geom.Point {
 	if len(pts) == 0 {
 		return nil
@@ -361,7 +429,8 @@ func candidates(pts []geom.Point, b geom.Corner, splice bool) []geom.Point {
 		}
 	}
 	var s Scratch
-	coords, _ := s.Candidates(flat, dims, origin, math.Inf(-1), splice)
+	s.Load(flat, flat, dims)
+	coords, _ := s.Candidates(0, origin, math.Inf(-1), splice)
 	out := make([]geom.Point, len(coords)/dims)
 	for i := range out {
 		p := coords[i*dims : (i+1)*dims : (i+1)*dims]
