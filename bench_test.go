@@ -109,9 +109,10 @@ func BenchmarkFig10_DeadSpaceClipped(b *testing.B) {
 	}
 }
 
-// BenchmarkFig11_RangeQueryIO reproduces Figure 11: leaf accesses of clipped
-// R-trees relative to their unclipped counterparts across selectivities.
-func BenchmarkFig11_RangeQueryIO(b *testing.B) {
+// BenchmarkFig11_RangeQueryAccesses reproduces Figure 11: leaf accesses of
+// clipped R-trees relative to their unclipped counterparts across
+// selectivities.
+func BenchmarkFig11_RangeQueryAccesses(b *testing.B) {
 	cfg := benchConfig("rea02", "axo03")
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunFig11(cfg)

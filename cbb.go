@@ -322,6 +322,16 @@ func (t *Tree) insertLocked(r Rect, id ObjectID) error {
 	return err
 }
 
+func (t *Tree) insertItemsLocked(items []Item) error {
+	_, err := t.idx.InsertItems(items)
+	return err
+}
+
+func (t *Tree) deleteLocked(r Rect, id ObjectID) (bool, error) {
+	u, err := t.idx.Delete(r, id)
+	return u.Deletes == 1, err
+}
+
 // InsertItems adds a batch of objects through the fast batch-insert
 // pipeline and publishes them to readers as one atomic epoch: the batch is
 // Hilbert-sorted, contiguous runs that share a target leaf are placed (or
@@ -335,7 +345,7 @@ func (t *Tree) insertLocked(r Rect, id ObjectID) error {
 func (t *Tree) InsertItems(items []Item) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	return t.idx.InsertItems(items)
+	return t.insertItemsLocked(items)
 }
 
 // Delete removes the object with the exact rectangle and id. It reports
@@ -344,7 +354,7 @@ func (t *Tree) InsertItems(items []Item) error {
 func (t *Tree) Delete(r Rect, id ObjectID) (bool, error) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	return t.idx.Delete(r, id)
+	return t.deleteLocked(r, id)
 }
 
 // BulkLoad builds the tree from scratch out of the given items using the

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"cbb/internal/clipindex"
+	"cbb/internal/rtree"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -275,5 +278,40 @@ func TestPointAndRectHelpers(t *testing.T) {
 	}
 	if _, err := NewRect(Pt(2, 2), Pt(1, 1)); err == nil {
 		t.Error("invalid rect should be rejected")
+	}
+}
+
+// TestValidateRejectsHidingClipTable gives a tree a clip table whose root
+// clip point <(3.9, 3.9), 00> certifies as dead a corner of [0,10]² holding
+// a point object, which a clipped search then misses; Tree.Validate must
+// report it (a test of overlap volume cannot: a point has none).
+func TestValidateRejectsHidingClipTable(t *testing.T) {
+	tree, err := New(Options{Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range []Rect{R(0, 5, 1, 10), R(5, 0, 10, 1), R(9, 9, 10, 10), R(2, 2, 2, 2)} {
+		if err := tree.Insert(r, ObjectID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var root rtree.NodeID
+	tree.tree.Walk(func(info rtree.NodeInfo) {
+		if info.Parent == rtree.InvalidNode {
+			root = info.ID
+		}
+	})
+	table := clipindex.Table{root: {{Coord: Pt(3.9, 3.9), Mask: 0}}}
+	if tree.idx, err = clipindex.Restore(tree.tree, tree.opts.clipParams(), table); err != nil {
+		t.Fatal(err)
+	}
+	if n := tree.Count(R(1.9, 1.9, 2.1, 2.1)); n != 0 {
+		t.Fatalf("clipped search found %d objects: the clip point should hide the point", n)
+	}
+	if err := tree.Validate(); err == nil {
+		t.Fatal("Validate passed a clip table that hides an object")
 	}
 }

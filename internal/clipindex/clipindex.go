@@ -63,47 +63,39 @@ func (t Table) AvgClipPointsPerNode() float64 {
 	return float64(t.ClipPointCount()) / float64(len(t))
 }
 
-// ReclipCause attributes a clip-table recomputation to one of the three
-// causes decomposed in Figure 12.
-type ReclipCause int
-
-// Re-clip causes, from structurally forced to purely clip-induced.
-const (
-	// CauseSplit marks a node that was split (or newly created by a split);
-	// its contents changed wholesale, so its clip points must be rebuilt.
-	CauseSplit ReclipCause = iota
-	// CauseMBBChange marks a node whose MBB changed without a split.
-	CauseMBBChange
-	// CauseCBBOnly marks a node whose MBB did not change but whose clip
-	// points were invalidated by the inserted rectangle (Algorithm 2 with
-	// the insert selector returned false).
-	CauseCBBOnly
-)
-
-// String names the cause as in Figure 12's legend.
-func (c ReclipCause) String() string {
-	switch c {
-	case CauseSplit:
-		return "node split"
-	case CauseMBBChange:
-		return "MBB change"
-	case CauseCBBOnly:
-		return "CBB change"
-	default:
-		return fmt.Sprintf("ReclipCause(%d)", int(c))
-	}
-}
-
-// UpdateStats accumulates the re-clip accounting of the update experiment.
+// UpdateStats is the tally of a clip-layer mutation: Insert, InsertItems
+// and Delete each return theirs, and the update experiment sums them with
+// Add. The reclips are split by the three causes of Figure 12 — a node split
+// or created (its contents changed wholesale), a node whose MBB changed, and
+// a node whose MBB did not change but whose clip points the placed rectangle
+// invalidated (Algorithm 2 with the insert selector); a deletion's reclips
+// count as MBB changes or, for a re-inserted entry or a grown child reaching
+// into clipped dead space, as CBB changes.
 type UpdateStats struct {
 	Inserts         int
-	Deletes         int
+	Deletes         int // 1 when Delete found its object
+	Writes          int // node writes of the tree mutation
 	ReclipsBySplit  int
 	ReclipsByMBB    int
 	ReclipsByCBB    int
 	ValidityChecks  int
 	AvoidedReclips  int // validity check passed, clip table kept as-is
 	DeletesNoReclip int // deletions absorbed lazily
+}
+
+// Add returns the field-wise sum of two tallies.
+func (u UpdateStats) Add(o UpdateStats) UpdateStats {
+	return UpdateStats{
+		Inserts:         u.Inserts + o.Inserts,
+		Deletes:         u.Deletes + o.Deletes,
+		Writes:          u.Writes + o.Writes,
+		ReclipsBySplit:  u.ReclipsBySplit + o.ReclipsBySplit,
+		ReclipsByMBB:    u.ReclipsByMBB + o.ReclipsByMBB,
+		ReclipsByCBB:    u.ReclipsByCBB + o.ReclipsByCBB,
+		ValidityChecks:  u.ValidityChecks + o.ValidityChecks,
+		AvoidedReclips:  u.AvoidedReclips + o.AvoidedReclips,
+		DeletesNoReclip: u.DeletesNoReclip + o.DeletesNoReclip,
+	}
 }
 
 // TotalReclips returns all clip-table recomputations.
@@ -131,7 +123,6 @@ type Index struct {
 	tree   *rtree.Tree
 	params core.Params
 	cur    atomic.Pointer[Snap]
-	stats  UpdateStats
 }
 
 // Snap is one published version of a clipped tree, read with its clip
@@ -169,7 +160,8 @@ func (s *Snap) SearchCounted(q geom.Rect, c *storage.Counter, visit func(rtree.O
 
 // NearestNeighbors is rtree.NearestNeighbors over the snapshots — one tree,
 // or the shards of one index — with their clip records lifting its bounds.
-func NearestNeighbors(k int, p geom.Point, snaps ...*Snap) []rtree.Neighbor {
+// It returns the node accesses it charged beside the neighbours.
+func NearestNeighbors(k int, p geom.Point, snaps ...*Snap) ([]rtree.Neighbor, storage.Snapshot) {
 	var buf [8]rtree.KNNSource // on the stack for up to eight shards
 	srcs := buf[:0]
 	for _, s := range snaps {
@@ -216,17 +208,21 @@ func (x *Index) publishRecords() {
 // mutate applies one tree mutation and then the maintenance step it returns,
 // in the tree's open batch (whose Commit publishes) or in one of its own,
 // committed on success and rolled back on failure. With K == 0 core.Clip never
-// yields a clip point, so the step is skipped whole: a plain R-tree.
-func (x *Index) mutate(apply func() (step func(), err error)) error {
+// yields a clip point, so the step is skipped whole: a plain R-tree. Both
+// tally into the returned UpdateStats: apply the tree mutation's writes, which
+// the tree charged, and the step its reclips, which mutate charges to the
+// tree's counter once, when the step ends.
+func (x *Index) mutate(apply func(u *UpdateStats) (step func(), err error)) (u UpdateStats, err error) {
 	own := !x.tree.InBatch()
 	if own {
 		if err := x.tree.BeginBatch(); err != nil {
-			return err
+			return u, err
 		}
 	}
-	step, err := apply()
+	step, err := apply(&u)
 	if err == nil && x.params.K != 0 {
 		step()
+		x.tree.Counter().Add(storage.Snapshot{Reclips: int64(u.TotalReclips())})
 	}
 	switch {
 	case own && err != nil:
@@ -234,7 +230,7 @@ func (x *Index) mutate(apply func() (step func(), err error)) error {
 	case own:
 		x.Commit()
 	}
-	return err
+	return u, err
 }
 
 // Snap returns the current combined snapshot (one atomic load, unpinned).
@@ -264,8 +260,8 @@ func (x *Index) Commit() { x.cur.Store(&Snap{v: x.tree.CommitBatch()}) }
 
 // Rollback discards every mutation since Begin: the tree batch is rolled
 // back, and with it the records, which live in the tree's directory; nothing
-// is rebuilt. Readers never saw any of it. The advisory update statistics
-// (Stats) are not unwound.
+// is rebuilt. Readers never saw any of it. What the mutations charged to the
+// tree's counter stays charged: the work was done.
 func (x *Index) Rollback() { x.tree.RollbackBatch() }
 
 // New wraps an existing tree (already built, possibly empty) and computes
@@ -355,12 +351,6 @@ func (x *Index) Table() Table {
 	return t
 }
 
-// Stats returns the accumulated update statistics.
-func (x *Index) Stats() UpdateStats { return x.stats }
-
-// ResetStats zeroes the update statistics.
-func (x *Index) ResetStats() { x.stats = UpdateStats{} }
-
 // RebuildAll recomputes the clip points of every node from scratch
 // (Algorithm 1 per node, as when a freshly built R-tree is clipped before its
 // nodes are flushed), hydrating a lazily opened tree first, and publishes them
@@ -441,9 +431,30 @@ type clipScratch struct {
 // none of it.
 var reclipScratch = sync.Pool{New: func() any { return new(clipScratch) }}
 
+// reclipMarks collects the nodes one maintenance step re-clips — each once,
+// in the order marked, tallied under the cause that marked it first — so
+// that every decision reads the clip points of nodes not marked yet and the
+// marked nodes are re-clipped together at the end, as one build.
+type reclipMarks struct {
+	pending []rtree.NodeID
+	marked  map[rtree.NodeID]bool
+}
+
+// mark adds the node unless it is marked already, counting it in cause.
+func (r *reclipMarks) mark(id rtree.NodeID, cause *int) {
+	if r.marked == nil {
+		r.marked = make(map[rtree.NodeID]bool)
+	}
+	if !r.marked[id] {
+		r.marked[id] = true
+		r.pending = append(r.pending, id)
+		*cause++
+	}
+}
+
 // reclipByIDs recomputes the clip points of the given nodes in one build,
-// looking each node up first; a missing node is skipped (a freed node's
-// record went with its slot).
+// looking each node up first (a freed node's slot holds an empty placeholder,
+// whose record it clears).
 func (x *Index) reclipByIDs(ids []rtree.NodeID) {
 	infos := make([]rtree.NodeInfo, 0, len(ids))
 	for _, id := range ids {
@@ -452,7 +463,6 @@ func (x *Index) reclipByIDs(ids []rtree.NodeID) {
 		}
 	}
 	x.reclip(infos)
-	x.tree.Counter().Reclip(int64(len(infos)))
 }
 
 // Search finds every object intersecting q, using clip points to skip child
@@ -467,19 +477,20 @@ func (x *Index) Search(q geom.Rect, visit func(rtree.ObjectID, geom.Rect) bool) 
 }
 
 // Insert adds an object and maintains the clip table per Section IV-D. It
-// returns the causes of any clip recomputations performed (for the update
-// experiment).
-func (x *Index) Insert(r geom.Rect, obj rtree.ObjectID) ([]ReclipCause, error) {
-	var causes []ReclipCause
-	err := x.mutate(func() (func(), error) {
+// returns the call's tally, whose reclips it charged to the tree's counter
+// (the tree charged the writes).
+func (x *Index) Insert(r geom.Rect, obj rtree.ObjectID) (UpdateStats, error) {
+	u, err := x.mutate(func(u *UpdateStats) (func(), error) {
 		trace, err := x.tree.Insert(r, obj)
-		return func() { causes = x.applyInsertTrace(trace) }, err
+		if trace != nil {
+			u.Writes = trace.Writes
+		}
+		return func() { x.applyInsertTrace(trace, u) }, err
 	})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		u.Inserts = 1
 	}
-	x.stats.Inserts++
-	return causes, nil
+	return u, err
 }
 
 // InsertItems adds a batch of objects through the tree's fast batch-insert
@@ -487,68 +498,47 @@ func (x *Index) Insert(r geom.Rect, obj rtree.ObjectID) ([]ReclipCause, error) {
 // structurally changed node is re-clipped once for the whole batch and each
 // placement is validity-checked once, instead of paying the per-insert
 // maintenance per item. Outside an explicit batch the new version is
-// published once, atomically.
-func (x *Index) InsertItems(items []rtree.Item) error {
-	err := x.mutate(func() (func(), error) {
+// published once, atomically. It returns the call's tally, as Insert does.
+func (x *Index) InsertItems(items []rtree.Item) (UpdateStats, error) {
+	u, err := x.mutate(func(u *UpdateStats) (func(), error) {
 		trace, err := x.tree.InsertItems(items)
-		return func() { x.applyInsertTrace(trace) }, err
+		if trace != nil {
+			u.Writes = trace.Writes
+		}
+		return func() { x.applyInsertTrace(trace, u) }, err
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		u.Inserts = len(items)
 	}
-	x.stats.Inserts += len(items)
-	return nil
+	return u, err
 }
 
 // applyInsertTrace runs the Section IV-D maintenance for one insertion
 // trace — single-insert or batch-aggregated: re-clip split/created/
 // MBB-changed nodes, validity-check every placement, and check ancestors of
-// grown children. It returns the causes of the reclips performed.
-func (x *Index) applyInsertTrace(trace *rtree.InsertTrace) []ReclipCause {
+// grown children — tallying it in u.
+func (x *Index) applyInsertTrace(trace *rtree.InsertTrace, u *UpdateStats) {
 	if trace.Rebuilt {
 		// The batch rebuilt the tree wholesale: old ids were freed and may
 		// have been reused, so stale table entries cannot be patched out
 		// incrementally. Recompute the table from scratch, exactly like
 		// RebuildAll but publishing through the caller.
 		x.rebuildTable()
-		return nil
+		return
 	}
-
-	var causes []ReclipCause
-
-	// Every decision below reads the tree as the mutation left it and the
-	// clip points of nodes not marked yet, so the marked nodes are re-clipped
-	// together at the end, as one build.
-	var pending []rtree.NodeID
-	reclipped := make(map[rtree.NodeID]bool, len(trace.Split)+len(trace.Created)+len(trace.MBBChanged))
-	reclip := func(id rtree.NodeID, cause ReclipCause) {
-		if reclipped[id] {
-			return
-		}
-		reclipped[id] = true
-		pending = append(pending, id)
-		causes = append(causes, cause)
-		switch cause {
-		case CauseSplit:
-			x.stats.ReclipsBySplit++
-		case CauseMBBChange:
-			x.stats.ReclipsByMBB++
-		case CauseCBBOnly:
-			x.stats.ReclipsByCBB++
-		}
-	}
+	var rc reclipMarks
 
 	// 1. Nodes that were split or created: their content changed wholesale.
 	for _, id := range trace.Split {
-		reclip(id, CauseSplit)
+		rc.mark(id, &u.ReclipsBySplit)
 	}
 	for _, id := range trace.Created {
-		reclip(id, CauseSplit)
+		rc.mark(id, &u.ReclipsBySplit)
 	}
 	// 2. Nodes whose MBB changed: thresholds and orderings are distorted, so
 	// the paper recomputes them.
 	for _, id := range trace.MBBChanged {
-		reclip(id, CauseMBBChange)
+		rc.mark(id, &u.ReclipsByMBB)
 	}
 	// 3. Every node that received an entry (the target leaf and any node
 	// touched by forced reinsertion) but was not structurally changed: run
@@ -557,23 +547,23 @@ func (x *Index) applyInsertTrace(trace *rtree.InsertTrace) []ReclipCause {
 	// space.
 	check := func(id rtree.NodeID, r geom.Rect) {
 		if broken, checked := x.invalidates(id, r); checked {
-			x.stats.ValidityChecks++
+			u.ValidityChecks++
 			if broken {
-				reclip(id, CauseCBBOnly)
+				rc.mark(id, &u.ReclipsByCBB)
 			} else {
-				x.stats.AvoidedReclips++
+				u.AvoidedReclips++
 			}
 		}
 	}
 	for _, pl := range trace.Placements {
-		if reclipped[pl.Node] {
+		if rc.marked[pl.Node] {
 			continue
 		}
 		if len(x.tree.Record(pl.Node)) == 0 {
 			// No clip points can be invalidated, but new dead space might
 			// now be clippable; the paper leaves such nodes alone until the
 			// next forced recomputation, and so do we.
-			x.stats.AvoidedReclips++
+			u.AvoidedReclips++
 			continue
 		}
 		check(pl.Node, pl.Rect)
@@ -589,8 +579,7 @@ func (x *Index) applyInsertTrace(trace *rtree.InsertTrace) []ReclipCause {
 			}
 		}
 	}
-	x.reclipByIDs(pending)
-	return causes
+	x.reclipByIDs(rc.pending)
 }
 
 // invalidates is the eager validity check of Section IV-D on the node's flat
@@ -613,47 +602,39 @@ func (x *Index) invalidates(id rtree.NodeID, r geom.Rect) (broken, checked bool)
 
 // Delete removes an object. Deletions are handled lazily: clip points stay
 // valid when space only becomes emptier, so the table is touched only for
-// nodes whose MBB changed or that were dissolved.
-func (x *Index) Delete(r geom.Rect, obj rtree.ObjectID) (bool, error) {
-	var trace *rtree.DeleteTrace
-	err := x.mutate(func() (_ func(), err error) {
-		trace, err = x.tree.Delete(r, obj)
-		return func() { x.applyDeleteTrace(trace) }, err
+// nodes whose MBB changed or that were dissolved. It returns the call's
+// tally, as Insert does; its Deletes is 1 when the object was found.
+func (x *Index) Delete(r geom.Rect, obj rtree.ObjectID) (UpdateStats, error) {
+	u, err := x.mutate(func(u *UpdateStats) (func(), error) {
+		trace, err := x.tree.Delete(r, obj)
+		if trace != nil {
+			u.Writes = trace.Writes
+		}
+		if err == nil && trace.Found {
+			u.Deletes = 1
+		}
+		return func() { x.applyDeleteTrace(trace, u) }, err
 	})
-	if err != nil {
-		return false, err
-	}
-	if trace.Found {
-		x.stats.Deletes++
-	}
-	return trace.Found, nil
+	return u, err
 }
 
-// applyDeleteTrace runs the lazy deletion maintenance for one trace.
-func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace) {
+// applyDeleteTrace runs the lazy deletion maintenance for one trace,
+// tallying it in u.
+func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace, u *UpdateStats) {
 	if !trace.Found {
 		return
 	}
 	// The dissolved nodes' records went with their slots (rtree's freeNode).
-	// As in applyInsertTrace, the marked nodes are re-clipped together at the
-	// end.
-	var pending []rtree.NodeID
-	reclipped := make(map[rtree.NodeID]bool)
-	reclip := func(id rtree.NodeID) {
-		if !reclipped[id] {
-			reclipped[id] = true
-			pending = append(pending, id)
-		}
-	}
+	var rc reclipMarks
 	for _, id := range trace.MBBChanged {
-		reclip(id)
+		rc.mark(id, &u.ReclipsByMBB)
 	}
 	// Entries re-inserted by the condense step may land in clipped dead
 	// space of nodes whose MBB did not change; validity-check each placement
 	// just like an insertion.
 	for _, pl := range trace.Placements {
 		if broken, _ := x.invalidates(pl.Node, pl.Rect); broken {
-			reclip(pl.Node)
+			rc.mark(pl.Node, &u.ReclipsByCBB)
 		}
 	}
 	// A node whose MBB grew during re-insertion may now intrude into its
@@ -662,19 +643,22 @@ func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace) {
 	for _, id := range trace.MBBChanged {
 		if info, err := x.tree.Node(id); err == nil && info.Parent != rtree.InvalidNode {
 			if broken, _ := x.invalidates(info.Parent, info.MBB); broken {
-				reclip(info.Parent)
+				rc.mark(info.Parent, &u.ReclipsByCBB)
 			}
 		}
 	}
-	x.reclipByIDs(pending)
-	if len(reclipped) == 0 {
-		x.stats.DeletesNoReclip++
+	x.reclipByIDs(rc.pending)
+	if len(rc.pending) == 0 {
+		u.DeletesNoReclip++
 	}
 }
 
 // Validate checks that the clip table is sound: every clip point belongs to
-// a live node, lies inside that node's MBB, and clips only dead space (no
-// child rectangle overlaps a clipped region's interior). It returns the
+// a live node, lies inside that node's MBB, and clips only dead space. A
+// child reaches into a clipped region when it extends strictly past the clip
+// point toward the clipped corner in every dimension — Algorithm 2's insert
+// selector, and exactly when a query the clip point declares dead could meet
+// the child — however thin the child or small the overlap. It returns the
 // first violation found.
 func (x *Index) Validate() error {
 	live := make(map[rtree.NodeID]rtree.NodeInfo)
@@ -684,13 +668,12 @@ func (x *Index) Validate() error {
 		if !ok {
 			return fmt.Errorf("clipindex: clip table references dead node %d", id)
 		}
-		for _, c := range clips {
+		for k, c := range clips {
 			if !info.MBB.ContainsPoint(c.Coord) {
 				return fmt.Errorf("clipindex: node %d clip point %v outside MBB %v", id, c, info.MBB)
 			}
-			region := c.Region(info.MBB)
 			for i := 0; i < info.Len(); i++ {
-				if child := info.Rect(i); region.OverlapVolume(child) > 1e-9 {
+				if child := info.Rect(i); !core.ValidAfterInsert(info.MBB, clips[k:k+1], child) {
 					return fmt.Errorf("clipindex: node %d clip point %v clips child %v", id, c, child)
 				}
 			}

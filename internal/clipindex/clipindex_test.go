@@ -67,15 +67,6 @@ func TestNewValidation(t *testing.T) {
 	idx.Search(geom.R(0, 0, 1, 1), func(rtree.ObjectID, geom.Rect) bool { return true })
 }
 
-func TestReclipCauseString(t *testing.T) {
-	if CauseSplit.String() != "node split" || CauseMBBChange.String() != "MBB change" || CauseCBBOnly.String() != "CBB change" {
-		t.Error("cause names should match Figure 12's legend")
-	}
-	if ReclipCause(9).String() == "" {
-		t.Error("unknown cause should render")
-	}
-}
-
 func TestClippedSearchMatchesUnclipped(t *testing.T) {
 	for _, v := range rtree.AllVariants() {
 		for _, method := range []core.Method{core.MethodSkyline, core.MethodStairline} {
@@ -177,12 +168,15 @@ func TestInsertMaintainsCorrectness(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Insert more objects through the clipped index.
+			var stats UpdateStats
 			for i := 400; i < 700; i++ {
 				r := randRect(rng, 2, 1000, 30)
 				items = append(items, rtree.Item{Object: rtree.ObjectID(i), Rect: r})
-				if _, err := idx.Insert(r, rtree.ObjectID(i)); err != nil {
+				u, err := idx.Insert(r, rtree.ObjectID(i))
+				if err != nil {
 					t.Fatal(err)
 				}
+				stats = stats.Add(u)
 			}
 			if idx.Tree().Len() != 700 {
 				t.Fatalf("Len = %d, want 700", idx.Tree().Len())
@@ -206,7 +200,6 @@ func TestInsertMaintainsCorrectness(t *testing.T) {
 					t.Fatalf("query %v: got %d, want %d", query, got, want)
 				}
 			}
-			stats := idx.Stats()
 			if stats.Inserts != 300 {
 				t.Errorf("Inserts = %d, want 300", stats.Inserts)
 			}
@@ -234,13 +227,12 @@ func TestInsertAvoidsUnnecessaryReclips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.ResetStats()
 	// Strictly inside the first object: no MBB change, no dead-space
 	// intrusion.
-	if _, err := idx.Insert(geom.R(10, 10, 20, 20), 100); err != nil {
+	s, err := idx.Insert(geom.R(10, 10, 20, 20), 100)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := idx.Stats()
 	if s.ReclipsByCBB != 0 {
 		t.Errorf("nested insert should not cause a CBB-only reclip: %+v", s)
 	}
@@ -267,14 +259,15 @@ func TestDeleteLazyMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.ResetStats()
+	var s UpdateStats
 	for i := 0; i < 300; i++ {
-		found, err := idx.Delete(items[i].Rect, items[i].Object)
-		if err != nil || !found {
-			t.Fatalf("delete %d: %v %v", i, found, err)
+		u, err := idx.Delete(items[i].Rect, items[i].Object)
+		if err != nil || u.Deletes != 1 {
+			t.Fatalf("delete %d: %+v %v", i, u, err)
 		}
+		s = s.Add(u)
 	}
-	if found, _ := idx.Delete(geom.R(0, 0, 1, 1), 999999); found {
+	if u, _ := idx.Delete(geom.R(0, 0, 1, 1), 999999); u.Deletes != 0 {
 		t.Error("deleting a missing object should report false")
 	}
 	if idx.Tree().Len() != 300 {
@@ -283,7 +276,6 @@ func TestDeleteLazyMaintenance(t *testing.T) {
 	if err := idx.Validate(); err != nil {
 		t.Fatalf("clip table invalid after deletes: %v", err)
 	}
-	s := idx.Stats()
 	if s.Deletes != 300 {
 		t.Errorf("Deletes = %d", s.Deletes)
 	}
@@ -490,4 +482,50 @@ func countClipped(idx *Index, q geom.Rect) int {
 	n := 0
 	idx.Search(q, func(rtree.ObjectID, geom.Rect) bool { n++; return true })
 	return n
+}
+
+// TestValidateFlagsClipsThatHideObjects restores clip tables whose root clip
+// point <(3.9, 3.9), 00> certifies as dead a corner of [0,10]² that holds an
+// object of zero or tiny volume — a point, a segment, a box of side 1e-5 —
+// so the clipped search misses it, and holds Validate to rejecting each; an
+// object that only touches the clip point is not hidden and passes.
+func TestValidateFlagsClipsThatHideObjects(t *testing.T) {
+	frame := []geom.Rect{geom.R(0, 5, 1, 10), geom.R(5, 0, 10, 1), geom.R(9, 9, 10, 10)}
+	for _, c := range []struct {
+		name   string
+		obj    geom.Rect
+		hidden bool
+	}{
+		{"point", geom.R(2, 2, 2, 2), true},
+		{"segment", geom.R(1, 2, 3, 2), true},
+		{"small", geom.R(2, 2, 2+1e-5, 2+1e-5), true},
+		{"touching", geom.R(3.9, 2, 4, 2), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tree := rtree.MustNew(smallConfig(2, rtree.Quadratic))
+			for i, r := range append(frame, c.obj) {
+				if _, err := tree.Insert(r, rtree.ObjectID(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var root rtree.NodeID
+			tree.Walk(func(info rtree.NodeInfo) {
+				if info.Parent == rtree.InvalidNode {
+					root = info.ID
+				}
+			})
+			clip := core.ClipPoint{Coord: geom.Pt(3.9, 3.9), Mask: 0}
+			idx, err := Restore(tree, core.DefaultParams(2), Table{root: {clip}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := geom.R(c.obj.Lo[0]-0.1, c.obj.Lo[1]-0.1, c.obj.Lo[0]+0.1, c.obj.Lo[1]+0.1)
+			if got, want := countClipped(idx, q), tree.Count(q); (got == 0) != c.hidden || want != 1 {
+				t.Fatalf("clipped search found %d, unclipped %d", got, want)
+			}
+			if err := idx.Validate(); (err != nil) != c.hidden {
+				t.Fatalf("Validate = %v for a clip table that hides the object: %v", err, c.hidden)
+			}
+		})
+	}
 }

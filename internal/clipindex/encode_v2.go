@@ -33,10 +33,6 @@ const (
 	clipPointV2HeaderBytes = 4 // serialised mask + flags
 )
 
-// ClipPointBytesV2 returns the serialised size of one quantised v2 clip point
-// in d dimensions (raw-fallback points cost ClipPointBytes instead).
-func ClipPointBytesV2(dims int) int { return clipPointV2HeaderBytes + dims*4 }
-
 // clipQDecode reconstructs the coordinate of grid value q on [lo, hi]; the
 // endpoints decode exactly.
 func clipQDecode(lo, hi float64, q uint32) float64 {

@@ -109,7 +109,7 @@ func TestClipTableV2RawFallback(t *testing.T) {
 		},
 	}
 	buf := EncodeTableV2(table, 2, universe)
-	wantLen := 8 + 8 + 2*ClipPointBytes(2) + ClipPointBytesV2(2)
+	wantLen := 8 + 8 + 2*ClipPointBytes(2) + clipPointV2HeaderBytes + 2*4
 	if len(buf) != wantLen {
 		t.Fatalf("encoded %d bytes, want %d (two raw + one quantised)", len(buf), wantLen)
 	}

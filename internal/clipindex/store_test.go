@@ -127,7 +127,7 @@ func TestRollbackRestoresPublishedRecords(t *testing.T) {
 	for i := range items {
 		items[i] = rtree.Item{Object: rtree.ObjectID(5000 + i), Rect: randRect(rng, 2, 1000, 30)}
 	}
-	if err := idx.InsertItems(items); err != nil {
+	if _, err := idx.InsertItems(items); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(idx.EncodeClips(2, nil), want) {

@@ -9,6 +9,7 @@ import (
 	"cbb/internal/metrics"
 	"cbb/internal/querygen"
 	"cbb/internal/rtree"
+	"cbb/internal/storage"
 )
 
 // This file contains ablation studies that go beyond the paper's figures but
@@ -60,9 +61,8 @@ func RunTauSweep(cfg Config, taus []float64) (*TauSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		unclipped := metrics.QueryIO(tree.Counter(), qs, func(q geom.Rect) {
-			tree.Search(q, func(rtree.ObjectID, geom.Rect) bool { return true })
-		}).LeafReads
+		plain := tree.CurrentVersion()
+		unclipped := leafReads(qs, func(q geom.Rect) storage.Snapshot { return plain.SearchCounted(q, nil, discard) })
 		for _, tau := range taus {
 			params := core.Params{K: 1 << uint(ds.Spec.Dims+1), Tau: tau, Method: core.MethodStairline}
 			idx, err := clipindex.New(tree, params)
@@ -70,9 +70,8 @@ func RunTauSweep(cfg Config, taus []float64) (*TauSweepResult, error) {
 				return nil, err
 			}
 			cs := metrics.ClippedDeadSpace(idx, cfg.SamplesPerNode, cfg.Seed+6)
-			clipped := metrics.QueryIO(tree.Counter(), qs, func(q geom.Rect) {
-				idx.Search(q, func(rtree.ObjectID, geom.Rect) bool { return true })
-			}).LeafReads
+			snap := idx.Snap()
+			clipped := leafReads(qs, func(q geom.Rect) storage.Snapshot { return snap.SearchCounted(q, nil, discard) })
 			out.Rows = append(out.Rows, TauRow{
 				Dataset:        name,
 				Tau:            tau,

@@ -4,9 +4,9 @@ import (
 	"cbb/internal/clipindex"
 	"cbb/internal/core"
 	"cbb/internal/geom"
-	"cbb/internal/metrics"
 	"cbb/internal/querygen"
 	"cbb/internal/rtree"
+	"cbb/internal/storage"
 )
 
 // Fig11Row is one bar of Figure 11: relative leaf accesses of a clipped
@@ -64,21 +64,30 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 				return nil, err
 			}
 			// The unclipped tree, then the clipped ones, skyline first.
-			visit := func(rtree.ObjectID, geom.Rect) bool { return true }
-			search := []func(geom.Rect){
-				func(q geom.Rect) { tree.Search(q, visit) },
-				func(q geom.Rect) { idxSky.Search(q, visit) },
-				func(q geom.Rect) { idxSta.Search(q, visit) },
+			plain, sky, sta := tree.CurrentVersion(), idxSky.Snap(), idxSta.Snap()
+			search := []func(geom.Rect) storage.Snapshot{
+				func(q geom.Rect) storage.Snapshot { return plain.SearchCounted(q, nil, discard) },
+				func(q geom.Rect) storage.Snapshot { return sky.SearchCounted(q, nil, discard) },
+				func(q geom.Rect) storage.Snapshot { return sta.SearchCounted(q, nil, discard) },
 			}
-			nearest := []func(geom.Rect){
-				func(q geom.Rect) { tree.NearestNeighbors(10, q.Center()) },
-				func(q geom.Rect) { clipindex.NearestNeighbors(10, q.Center(), idxSky.Snap()) },
-				func(q geom.Rect) { clipindex.NearestNeighbors(10, q.Center(), idxSta.Snap()) },
+			nearest := []func(geom.Rect) storage.Snapshot{
+				func(q geom.Rect) storage.Snapshot {
+					_, io := rtree.NearestNeighbors(10, q.Center(), rtree.KNNSource{Version: plain})
+					return io
+				},
+				func(q geom.Rect) storage.Snapshot {
+					_, io := clipindex.NearestNeighbors(10, q.Center(), sky)
+					return io
+				},
+				func(q geom.Rect) storage.Snapshot {
+					_, io := clipindex.NearestNeighbors(10, q.Center(), sta)
+					return io
+				},
 			}
-			rows := func(profile string, qs []geom.Rect, run []func(geom.Rect)) {
+			rows := func(profile string, qs []geom.Rect, run []func(geom.Rect) storage.Snapshot) {
 				var leafIO [3]int64
 				for i, f := range run {
-					leafIO[i] = metrics.QueryIO(tree.Counter(), qs, f).LeafReads
+					leafIO[i] = leafReads(qs, f)
 				}
 				for i, m := range []core.Method{core.MethodSkyline, core.MethodStairline} {
 					out.Rows = append(out.Rows, Fig11Row{Dataset: name, Variant: v.String(), Profile: profile,
@@ -95,6 +104,15 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 		}
 	}
 	return out, nil
+}
+
+// leafReads runs a query batch and sums the leaf accesses its queries return.
+func leafReads(qs []geom.Rect, query func(geom.Rect) storage.Snapshot) int64 {
+	var n int64
+	for _, q := range qs {
+		n += query(q).LeafReads
+	}
+	return n
 }
 
 func relative(clipped, unclipped int64) float64 {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"cbb/internal/clipindex"
 	"cbb/internal/core"
 	"cbb/internal/rtree"
 	"cbb/internal/storage"
@@ -49,13 +50,14 @@ func RunFig12(cfg Config) (*Fig12Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			idx.ResetStats()
+			var s clipindex.UpdateStats
 			for _, it := range rest {
-				if _, err := idx.Insert(it.Rect, it.Object); err != nil {
+				u, err := idx.Insert(it.Rect, it.Object)
+				if err != nil {
 					return nil, err
 				}
+				s = s.Add(u)
 			}
-			s := idx.Stats()
 			n := float64(s.Inserts)
 			if n == 0 {
 				n = 1

@@ -9,6 +9,7 @@ import (
 	"cbb/internal/join"
 	"cbb/internal/querygen"
 	"cbb/internal/rtree"
+	"cbb/internal/storage"
 )
 
 // JoinRow is one cell of the spatial-join experiment: leaf I/O of one join
@@ -162,29 +163,27 @@ func RunFig15(cfg Config) (*Fig15Result, error) {
 			if v == rtree.RRStar {
 				short = "RR*"
 			}
+			plain, sky, sta := tree.CurrentVersion(), idxSky.Snap(), idxSta.Snap()
 			runs := []struct {
 				label  string
-				search func(geom.Rect)
+				search func(geom.Rect) storage.Snapshot
 			}{
-				{short, func(q geom.Rect) { tree.Search(q, discard) }},
-				{"CSKY-" + short, func(q geom.Rect) { idxSky.Search(q, discard) }},
-				{"CSTA-" + short, func(q geom.Rect) { idxSta.Search(q, discard) }},
+				{short, func(q geom.Rect) storage.Snapshot { return plain.SearchCounted(q, nil, discard) }},
+				{"CSKY-" + short, func(q geom.Rect) storage.Snapshot { return sky.SearchCounted(q, nil, discard) }},
+				{"CSTA-" + short, func(q geom.Rect) storage.Snapshot { return sta.SearchCounted(q, nil, discard) }},
 			}
 			for _, p := range querygen.AllProfiles() {
 				qs := queries[p]
 				for _, run := range runs {
-					tree.Counter().Reset()
 					start := time.Now()
-					for _, q := range qs {
-						run.search(q)
-					}
+					leaf := leafReads(qs, run.search)
 					elapsed := time.Since(start)
 					out.Rows = append(out.Rows, Fig15Row{
 						Dataset:  name,
 						Index:    run.label,
 						Profile:  p.String(),
 						AvgQuery: elapsed / time.Duration(len(qs)),
-						LeafIO:   tree.Counter().Snapshot().LeafReads,
+						LeafIO:   leaf,
 					})
 				}
 			}

@@ -1,10 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
+import "strings"
 
 // Corner is a bitmask identifying one corner of a d-dimensional rectangle.
 // Bit i set means the corner takes the rectangle's maximum extent in
@@ -28,16 +24,6 @@ func (c Corner) Bit(i int) bool { return c&(1<<uint(i)) != 0 }
 func (c Corner) Opposite(dims int) Corner {
 	return (^c) & Corner(1<<uint(dims)-1)
 }
-
-// Xor returns c XOR o restricted to dims dimensions. Algorithm 2 of the
-// paper selects the query corner as selector ⊕ c.mask; Xor implements that
-// selection.
-func (c Corner) Xor(o Corner, dims int) Corner {
-	return (c ^ o) & Corner(1<<uint(dims)-1)
-}
-
-// PopCount returns the number of set bits (dimensions maximised).
-func (c Corner) PopCount() int { return bits.OnesCount32(uint32(c)) }
 
 // String renders the corner as a bit string, lowest dimension first,
 // e.g. Corner(0b01) in 2d renders as "10" meaning dimension 0 maximised.
@@ -69,33 +55,4 @@ func Corners(dims int, fn func(Corner)) {
 	for b := 0; b < n; b++ {
 		fn(Corner(b))
 	}
-}
-
-// AllCorners returns the corners of a dims-dimensional rectangle as a slice.
-func AllCorners(dims int) []Corner {
-	n := CornerCount(dims)
-	out := make([]Corner, n)
-	for b := range out {
-		out[b] = Corner(b)
-	}
-	return out
-}
-
-// ParseCorner parses a bit string such as "10" (dimension 0 maximised,
-// dimension 1 minimised) into a Corner. It is the inverse of StringDims.
-func ParseCorner(s string) (Corner, error) {
-	if len(s) == 0 || len(s) > MaxDims {
-		return 0, fmt.Errorf("geom: corner bit string %q must have 1..%d bits", s, MaxDims)
-	}
-	var c Corner
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '1':
-			c |= 1 << uint(i)
-		case '0':
-		default:
-			return 0, fmt.Errorf("geom: corner bit string %q contains invalid character %q", s, s[i])
-		}
-	}
-	return c, nil
 }

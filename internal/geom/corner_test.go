@@ -9,9 +9,6 @@ func TestCornerBits(t *testing.T) {
 	if !c.Bit(0) || c.Bit(1) || !c.Bit(2) {
 		t.Fatalf("unexpected bits for %b", c)
 	}
-	if c.PopCount() != 2 {
-		t.Errorf("PopCount = %d, want 2", c.PopCount())
-	}
 }
 
 func TestCornerOpposite(t *testing.T) {
@@ -31,35 +28,14 @@ func TestCornerOpposite(t *testing.T) {
 	}
 }
 
-func TestCornerXor(t *testing.T) {
-	// With selector = 2^d - 1 (queries), Xor is equivalent to Opposite.
-	d := 3
-	sel := Corner(1<<uint(d) - 1)
-	Corners(d, func(b Corner) {
-		if sel.Xor(b, d) != b.Opposite(d) {
-			t.Fatalf("selector xor mismatch for %v", b)
-		}
-	})
-	// With selector = 0 (insert validity checks), Xor is the identity.
-	Corners(d, func(b Corner) {
-		if Corner(0).Xor(b, d) != b {
-			t.Fatalf("zero selector should be identity for %v", b)
-		}
-	})
-}
-
 func TestCornerCountAndAll(t *testing.T) {
 	if CornerCount(2) != 4 || CornerCount(3) != 8 {
 		t.Error("CornerCount wrong")
 	}
-	all := AllCorners(2)
-	if len(all) != 4 || all[0] != 0 || all[3] != 3 {
-		t.Errorf("AllCorners = %v", all)
-	}
 	var visited []Corner
 	Corners(2, func(b Corner) { visited = append(visited, b) })
-	if len(visited) != 4 {
-		t.Errorf("Corners visited %d corners", len(visited))
+	if len(visited) != 4 || visited[0] != 0 || visited[3] != 3 {
+		t.Errorf("Corners visited %v", visited)
 	}
 }
 
@@ -69,32 +45,7 @@ func TestCornerStringParse(t *testing.T) {
 	if s != "01" {
 		t.Fatalf("StringDims = %q, want \"01\"", s)
 	}
-	back, err := ParseCorner(s)
-	if err != nil || back != c {
-		t.Fatalf("ParseCorner(%q) = %v, %v", s, back, err)
-	}
-	if _, err := ParseCorner(""); err == nil {
-		t.Error("empty string should fail")
-	}
-	if _, err := ParseCorner("012"); err == nil {
-		t.Error("invalid character should fail")
-	}
-	if _, err := ParseCorner("0000000000000000000000000000000000000"); err == nil {
-		t.Error("over-long string should fail")
-	}
-}
-
-func TestParseCornerRoundTrip(t *testing.T) {
-	for d := 1; d <= 5; d++ {
-		Corners(d, func(b Corner) {
-			s := b.StringDims(d)
-			got, err := ParseCorner(s)
-			if err != nil {
-				t.Fatalf("ParseCorner(%q): %v", s, err)
-			}
-			if got != b {
-				t.Fatalf("round trip %q: got %v want %v", s, got, b)
-			}
-		})
+	if c.StringDims(0) != "" {
+		t.Error("zero dimensions should render empty")
 	}
 }

@@ -37,26 +37,6 @@ func Dominates(p, q Point, b Corner) bool {
 	return allGE && strict
 }
 
-// DominatesEq reports whether p dominates-or-equals q with respect to corner
-// b, i.e. p is at least as close to the corner as q in every dimension
-// (ties allowed everywhere). Algorithm 2's pruning test uses this weak form:
-// if the query corner is at least as close to the MBB corner as the clip
-// point in every dimension, the query lies entirely in clipped dead space.
-func DominatesEq(p, q Point, b Corner) bool {
-	for i := range p {
-		if b.Bit(i) {
-			if p[i] < q[i] {
-				return false
-			}
-		} else {
-			if p[i] > q[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // StrictlyDominates reports whether p is strictly closer to corner R^b than
 // q in every dimension. This is the exact condition under which the open
 // interior of the corner rectangle spanned by q (the region q would clip
@@ -79,20 +59,13 @@ func StrictlyDominates(p, q Point, b Corner) bool {
 	return true
 }
 
-// Splice returns the splice point b(p, q) of Definition 6: dimension i takes
+// SpliceInto writes the splice point b(p, q) of Definition 6 into dst, which
+// must have the same dimensionality as p and q: dimension i takes
 // max(p[i], q[i]) when bit i of b is set and min(p[i], q[i]) otherwise.
 // Splicing with mask ~b therefore produces the point between p and q that is
-// farthest from corner R^b, which is how stairline candidates are generated.
-func Splice(p, q Point, b Corner) Point {
-	r := make(Point, len(p))
-	SpliceInto(r, p, q, b)
-	return r
-}
-
-// SpliceInto writes the splice point b(p, q) into dst, which must have the
-// same dimensionality as p and q. It is the allocation-free form of Splice
-// for callers that own a scratch point (the stairline generator computes
-// every candidate pair but keeps only the valid ones).
+// farthest from corner R^b, which is how stairline candidates are generated;
+// the caller owns the scratch point (the stairline generator computes every
+// candidate pair but keeps only the valid ones).
 func SpliceInto(dst, p, q Point, b Corner) {
 	for i := range p {
 		if b.Bit(i) {
@@ -118,20 +91,4 @@ func CloserToCorner(p, q Point, b Corner, i int) bool {
 		return p[i] > q[i]
 	}
 	return p[i] < q[i]
-}
-
-// CornerDistance returns a monotone "distance from the corner" measure for
-// sorting candidate clip points: the L1 distance from p to the corner R^b of
-// rect. Larger values are farther from the corner and therefore clip more.
-func CornerDistance(rect Rect, p Point, b Corner) float64 {
-	c := rect.Corner(b)
-	var s float64
-	for i := range p {
-		d := p[i] - c[i]
-		if d < 0 {
-			d = -d
-		}
-		s += d
-	}
-	return s
 }

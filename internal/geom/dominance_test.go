@@ -31,18 +31,6 @@ func TestDominates2D(t *testing.T) {
 	}
 }
 
-func TestDominatesEq(t *testing.T) {
-	if !DominatesEq(Pt(1, 1), Pt(1, 1), 0b00) {
-		t.Error("DominatesEq should allow equality")
-	}
-	if !DominatesEq(Pt(0, 1), Pt(1, 1), 0b00) {
-		t.Error("closer-or-equal point should weakly dominate")
-	}
-	if DominatesEq(Pt(2, 0), Pt(1, 1), 0b00) {
-		t.Error("farther point should not weakly dominate")
-	}
-}
-
 func TestStrictlyDominates(t *testing.T) {
 	if !StrictlyDominates(Pt(1, 1), Pt(2, 2), 0b00) {
 		t.Error("strictly closer point should strictly dominate w.r.t. 00")
@@ -65,19 +53,19 @@ func TestStrictlyDominates(t *testing.T) {
 func TestSplice(t *testing.T) {
 	p, q := Pt(2, 7), Pt(5, 3)
 	// Mask 00 takes the minimum in both dimensions.
-	if got := Splice(p, q, 0b00); !got.Equal(Pt(2, 3)) {
+	if got := splice(p, q, 0b00); !got.Equal(Pt(2, 3)) {
 		t.Errorf("Splice 00 = %v, want (2,3)", got)
 	}
 	// Mask 11 takes the maximum in both dimensions.
-	if got := Splice(p, q, 0b11); !got.Equal(Pt(5, 7)) {
+	if got := splice(p, q, 0b11); !got.Equal(Pt(5, 7)) {
 		t.Errorf("Splice 11 = %v, want (5,7)", got)
 	}
 	// Mixed mask.
-	if got := Splice(p, q, 0b01); !got.Equal(Pt(5, 3)) {
+	if got := splice(p, q, 0b01); !got.Equal(Pt(5, 3)) {
 		t.Errorf("Splice 01 = %v, want (5,3)", got)
 	}
 	// Splice is symmetric in its point arguments.
-	if !Splice(p, q, 0b10).Equal(Splice(q, p, 0b10)) {
+	if !splice(p, q, 0b10).Equal(splice(q, p, 0b10)) {
 		t.Error("Splice should be symmetric")
 	}
 }
@@ -88,7 +76,7 @@ func TestSpliceFartherFromCorner(t *testing.T) {
 	r := R(0, 0, 10, 10)
 	o1 := Pt(3, 9) // top-right corner of object 1 (high y, low x)
 	o4 := Pt(9, 4) // top-right corner of object 4 (high x, low y)
-	c := Splice(o1, o4, Corner(0b11).Opposite(2))
+	c := splice(o1, o4, Corner(0b11).Opposite(2))
 	want := Pt(3, 4)
 	if !c.Equal(want) {
 		t.Fatalf("splice = %v, want %v", c, want)
@@ -169,24 +157,14 @@ func TestSpliceDominanceProperty(t *testing.T) {
 			q[d] = rng.Float64() * 10
 		}
 		Corners(dims, func(b Corner) {
-			s := Splice(p, q, b.Opposite(dims))
+			s := splice(p, q, b.Opposite(dims))
 			// s must be weakly dominated by p and q w.r.t. b: i.e. p and q are
 			// each at least as close to corner b as s in every dimension.
-			if !DominatesEq(p, s, b) || !DominatesEq(q, s, b) {
+			if !(p.Equal(s) || Dominates(p, s, b)) || !(q.Equal(s) || Dominates(q, s, b)) {
 				t.Fatalf("splice %v not farther from corner %s than sources %v %v",
 					s, b.StringDims(dims), p, q)
 			}
 		})
-	}
-}
-
-func TestCornerDistance(t *testing.T) {
-	r := R(0, 0, 10, 10)
-	if d := CornerDistance(r, Pt(10, 10), 0b11); d != 0 {
-		t.Errorf("corner itself should have distance 0, got %g", d)
-	}
-	if d := CornerDistance(r, Pt(7, 6), 0b11); d != 7 {
-		t.Errorf("CornerDistance = %g, want 7", d)
 	}
 }
 
@@ -200,4 +178,11 @@ func TestCloserToCorner(t *testing.T) {
 	if CloserToCorner(Pt(3, 0), Pt(3, 0), 0b00, 0) {
 		t.Error("equal coordinates are not strictly closer")
 	}
+}
+
+// splice is SpliceInto into a fresh point.
+func splice(p, q Point, b Corner) Point {
+	r := make(Point, len(p))
+	SpliceInto(r, p, q, b)
+	return r
 }

@@ -179,22 +179,6 @@ func (r Rect) Intersects(s Rect) bool {
 	return true
 }
 
-// Intersection returns the overlap rectangle of r and s and whether it is
-// non-empty. When the rectangles merely touch, the returned rectangle is
-// degenerate but ok is still true.
-func (r Rect) Intersection(s Rect) (Rect, bool) {
-	lo := make(Point, len(r.Lo))
-	hi := make(Point, len(r.Lo))
-	for i := range r.Lo {
-		lo[i] = math.Max(r.Lo[i], s.Lo[i])
-		hi[i] = math.Min(r.Hi[i], s.Hi[i])
-		if lo[i] > hi[i] {
-			return Rect{}, false
-		}
-	}
-	return Rect{Lo: lo, Hi: hi}, true
-}
-
 // IntersectionMeasures returns the volume and margin of r ∩ s without
 // materialising the intersection rectangle, and whether the two intersect
 // at all (touching counts, with zero volume but positive margin, exactly
@@ -241,20 +225,6 @@ func (r Rect) Union(s Rect) Rect {
 	for i := range r.Lo {
 		lo[i] = math.Min(r.Lo[i], s.Lo[i])
 		hi[i] = math.Max(r.Hi[i], s.Hi[i])
-	}
-	return Rect{Lo: lo, Hi: hi}
-}
-
-// UnionPoint returns the MBB of r and the point p.
-func (r Rect) UnionPoint(p Point) Rect {
-	if r.IsZero() {
-		return PointRect(p)
-	}
-	lo := make(Point, len(r.Lo))
-	hi := make(Point, len(r.Lo))
-	for i := range r.Lo {
-		lo[i] = math.Min(r.Lo[i], p[i])
-		hi[i] = math.Max(r.Hi[i], p[i])
 	}
 	return Rect{Lo: lo, Hi: hi}
 }
@@ -392,16 +362,6 @@ func MBROf(rects []Rect) Rect {
 			continue
 		}
 		out = out.Extend(r)
-	}
-	return out
-}
-
-// MBROfPoints computes the minimum bounding box of a set of points. It
-// returns the zero Rect for an empty input.
-func MBROfPoints(pts []Point) Rect {
-	var out Rect
-	for _, p := range pts {
-		out = out.UnionPoint(p)
 	}
 	return out
 }

@@ -113,12 +113,8 @@ func TestRectIntersects(t *testing.T) {
 func TestRectIntersectionUnion(t *testing.T) {
 	a := R(0, 0, 4, 4)
 	b := R(2, 2, 6, 6)
-	got, ok := a.Intersection(b)
-	if !ok || !got.Equal(R(2, 2, 4, 4)) {
-		t.Errorf("Intersection = %v ok=%v", got, ok)
-	}
-	if _, ok := a.Intersection(R(5, 5, 6, 6)); ok {
-		t.Error("disjoint rects should have no intersection")
+	if !a.Intersects(b) || a.Intersects(R(5, 5, 6, 6)) {
+		t.Error("Intersects wrong")
 	}
 	if !a.Union(b).Equal(R(0, 0, 6, 6)) {
 		t.Errorf("Union = %v", a.Union(b))
@@ -136,9 +132,6 @@ func TestRectUnionZero(t *testing.T) {
 	r := R(1, 1, 2, 2)
 	if !z.Union(r).Equal(r) || !r.Union(z).Equal(r) {
 		t.Error("union with zero rect should return the other rect")
-	}
-	if !z.UnionPoint(Pt(3, 4)).Equal(PointRect(Pt(3, 4))) {
-		t.Error("UnionPoint on zero rect should give point rect")
 	}
 }
 
@@ -171,10 +164,6 @@ func TestMBROf(t *testing.T) {
 	}
 	if !MBROf(nil).IsZero() {
 		t.Error("MBROf(nil) should be zero rect")
-	}
-	mp := MBROfPoints([]Point{Pt(1, 1), Pt(-1, 4)})
-	if !mp.Equal(R(-1, 1, 1, 4)) {
-		t.Errorf("MBROfPoints = %v", mp)
 	}
 }
 
@@ -213,8 +202,8 @@ func randomRect(rng *rand.Rand, dims int) Rect {
 	return Rect{Lo: lo, Hi: hi}
 }
 
-// Property: union contains both operands; intersection (when it exists) is
-// contained in both; overlap volume is symmetric and bounded by min volume.
+// Property: union contains both operands; overlap volume is symmetric,
+// bounded by min volume, and zero for rectangles that do not intersect.
 func TestRectAlgebraProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 500; iter++ {
@@ -224,17 +213,10 @@ func TestRectAlgebraProperties(t *testing.T) {
 		if !u.ContainsRect(a) || !u.ContainsRect(b) {
 			t.Fatalf("union %v does not contain operands %v %v", u, a, b)
 		}
-		if inter, ok := a.Intersection(b); ok {
-			if !a.ContainsRect(inter) || !b.ContainsRect(inter) {
-				t.Fatalf("intersection %v escapes operands", inter)
-			}
-			if !a.Intersects(b) {
-				t.Fatal("Intersection ok but Intersects false")
-			}
-		} else if a.Intersects(b) {
-			t.Fatal("Intersects true but Intersection not ok")
-		}
 		ov1, ov2 := a.OverlapVolume(b), b.OverlapVolume(a)
+		if !a.Intersects(b) && ov1 != 0 {
+			t.Fatalf("disjoint %v and %v overlap by %g", a, b, ov1)
+		}
 		if math.Abs(ov1-ov2) > 1e-9 {
 			t.Fatalf("overlap volume not symmetric: %g vs %g", ov1, ov2)
 		}

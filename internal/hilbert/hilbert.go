@@ -66,9 +66,6 @@ func New(universe geom.Rect, bits int) (*Curve, error) {
 // Dims returns the dimensionality of the curve.
 func (c *Curve) Dims() int { return c.dims }
 
-// Bits returns the curve order (bits per dimension).
-func (c *Curve) Bits() int { return c.bits }
-
 // Index returns the Hilbert index of a point (clamped to the universe).
 // NaN coordinates map to cell 0 of their axis rather than producing an
 // undefined float-to-integer conversion.

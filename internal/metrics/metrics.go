@@ -24,7 +24,6 @@ import (
 	"cbb/internal/core"
 	"cbb/internal/geom"
 	"cbb/internal/rtree"
-	"cbb/internal/storage"
 )
 
 // DefaultSamplesPerNode is the Monte-Carlo budget per node used when the
@@ -185,16 +184,15 @@ func (o IOOptimality) Ratio() float64 {
 	return float64(o.UsefulAccesses) / float64(o.LeafAccesses)
 }
 
-// MeasureIOOptimality runs the queries against the tree and compares actual
-// leaf accesses with the minimal number of leaf accesses needed (the number
-// of leaves that contain at least one object intersecting the query).
+// MeasureIOOptimality runs the queries against the tree's current version
+// and compares the leaf accesses the searches return with the minimal number
+// of leaf accesses needed (the number of leaves that contain at least one
+// object intersecting the query).
 func MeasureIOOptimality(t *rtree.Tree, queries []geom.Rect) IOOptimality {
 	out := IOOptimality{Queries: len(queries)}
-	counter := t.Counter()
+	v := t.CurrentVersion()
 	for _, q := range queries {
-		before := counter.Snapshot()
-		t.Search(q, func(rtree.ObjectID, geom.Rect) bool { return true })
-		out.LeafAccesses += storage.Diff(before, counter.Snapshot()).LeafReads
+		out.LeafAccesses += v.SearchCounted(q, nil, func(rtree.ObjectID, geom.Rect) bool { return true }).LeafReads
 		// Count the leaves that actually contain a result (the optimal
 		// number of leaf accesses for this query).
 		useful := int64(0)
@@ -212,14 +210,4 @@ func MeasureIOOptimality(t *rtree.Tree, queries []geom.Rect) IOOptimality {
 		out.UsefulAccesses += useful
 	}
 	return out
-}
-
-// QueryIO runs a query batch against an arbitrary search function and
-// reports the leaf and directory accesses charged to the counter.
-func QueryIO(counter *storage.Counter, queries []geom.Rect, search func(geom.Rect)) storage.Snapshot {
-	before := counter.Snapshot()
-	for _, q := range queries {
-		search(q)
-	}
-	return storage.Diff(before, counter.Snapshot())
 }

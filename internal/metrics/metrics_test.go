@@ -148,14 +148,3 @@ func TestMeasureIOOptimality(t *testing.T) {
 		t.Error("empty measurement should report ratio 1")
 	}
 }
-
-func TestQueryIO(t *testing.T) {
-	tree := buildTree(t, rtree.Quadratic, false, 500, 8)
-	queries := []geom.Rect{geom.R(0, 0, 100, 100), geom.R(500, 500, 600, 600)}
-	io := QueryIO(tree.Counter(), queries, func(q geom.Rect) {
-		tree.Search(q, func(rtree.ObjectID, geom.Rect) bool { return true })
-	})
-	if io.LeafReads <= 0 || io.DirReads < 0 {
-		t.Errorf("implausible IO snapshot: %+v", io)
-	}
-}

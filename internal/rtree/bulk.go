@@ -21,12 +21,13 @@ type Item struct {
 // loading strategy natural to the variant: Hilbert-order packing for the
 // HR-tree (its defining construction) and Sort-Tile-Recursive packing for
 // the other variants when bulk loading is explicitly requested. The tree
-// must be empty.
+// must be empty. It charges one node write per node it packs.
 func (t *Tree) BulkLoad(items []Item) (err error) {
 	if err := t.ensureMutable(); err != nil {
 		return err
 	}
-	defer func() { t.autoCommit(err) }()
+	writes := 0
+	defer func() { t.chargeWrites(writes); t.autoCommit(err) }()
 	defer recoverFault(&err)
 	if t.size != 0 || t.root != InvalidNode {
 		return fmt.Errorf("rtree: BulkLoad requires an empty tree")
@@ -34,7 +35,7 @@ func (t *Tree) BulkLoad(items []Item) (err error) {
 	if err := t.checkItems(items); err != nil || len(items) == 0 {
 		return err
 	}
-	t.buildPacked(items)
+	t.buildPacked(items, &writes)
 	return nil
 }
 
@@ -55,12 +56,14 @@ func (t *Tree) checkItems(items []Item) error {
 // GOMAXPROCS and neither copies or moves an item: the order is a permutation
 // of 16-byte records and a leaf takes its coordinates straight from the
 // caller's slice. The tree — ids, slots, page bytes — never depends on the
-// worker count.
-func (t *Tree) buildPacked(items []Item) {
+// worker count. It adds a write per node to *writes as it packs each level.
+func (t *Tree) buildPacked(items []Item, writes *int) {
 	order := t.packingOrder(items, fanout.Workers(0, len(items), sortRunItems))
 	current := t.packLeaves(items, order)
+	*writes += len(current)
 	for level := 1; len(current) > 1; level++ {
 		current = t.packParents(current, level)
+		*writes += len(current)
 	}
 	t.root = current[0].id
 	t.height = current[0].level + 1
@@ -239,7 +242,6 @@ func (t *Tree) packLevel(count int, leaf bool, level int, fill func(n *node, lo,
 		nodes[i] = t.newNode(leaf, level)
 		starts[i+1] = starts[i] + sizes[i]
 	}
-	t.counter.Write(int64(len(nodes)))
 	fanout.ForEachChunk(len(nodes), 0, packChunk, func(_, a, b int) {
 		for i := a; i < b; i++ {
 			n := nodes[i]

@@ -27,6 +27,10 @@ type DeleteTrace struct {
 	Placements []Placement
 	// Reinserted counts entries re-inserted after condensing.
 	Reinserted int
+	// Writes counts the node writes of the deletion, re-insertions included,
+	// which it charged to the tree's counter once, when it ended (on its
+	// error path too).
+	Writes int
 }
 
 func (tr *DeleteTrace) markMBBChanged(id NodeID) {
@@ -47,9 +51,9 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 	if !r.Valid() || r.Dims() != t.cfg.Dims {
 		return nil, fmt.Errorf("rtree: invalid rectangle %v for a %d-dimensional tree", r, t.cfg.Dims)
 	}
-	defer func() { t.autoCommit(err) }()
-	defer recoverFault(&err)
 	trace = &DeleteTrace{Leaf: InvalidNode}
+	defer func() { t.chargeWrites(trace.Writes); t.autoCommit(err) }()
+	defer recoverFault(&err)
 	if t.root == InvalidNode {
 		return trace, nil
 	}
@@ -63,7 +67,7 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 	leaf = t.removeAt(leaf, idx)
 	t.touch(leaf)
 	t.size--
-	t.counter.Write(1)
+	trace.Writes++
 	t.condense(leaf, trace)
 	// The root has no parent entry, so a shrink of its MBB is not caught by
 	// the condense pass; record it explicitly (the clipped layer must
@@ -144,7 +148,7 @@ func (t *Tree) condense(n *node, trace *DeleteTrace) {
 				parent = t.setRect(parent, idx, newMBB, 0)
 				t.touch(parent, idx)
 				trace.markMBBChanged(cur.id)
-				t.counter.Write(1)
+				trace.Writes++
 			}
 			t.updateHilbertLHV(cur)
 		}
@@ -154,13 +158,16 @@ func (t *Tree) condense(n *node, trace *DeleteTrace) {
 
 	// Re-insert orphaned entries at their original levels. Each orphan is a
 	// fresh insertion for the purposes of the once-per-level R* overflow
-	// treatment, so the pooled marks open a new scope per orphan.
+	// treatment, so the pooled marks open a new scope per orphan. Its trace
+	// is merged even when a fault ends it, so its writes are charged.
 	for _, o := range orphans {
 		itrace := &InsertTrace{Leaf: InvalidNode}
-		t.ovMarks.begin()
-		t.insertAtLevel(o.entry, o.level, itrace, &t.ovMarks, false)
+		func() {
+			defer mergeTraces(trace, itrace)
+			t.ovMarks.begin()
+			t.insertAtLevel(o.entry, o.level, itrace, &t.ovMarks, false)
+		}()
 		trace.Reinserted++
-		mergeTraces(trace, itrace)
 	}
 }
 
@@ -177,4 +184,5 @@ func mergeTraces(dt *DeleteTrace, it *InsertTrace) {
 		dt.markMBBChanged(id)
 	}
 	dt.Placements = append(dt.Placements, it.Placements...)
+	dt.Writes += it.Writes
 }

@@ -114,9 +114,8 @@ func TestPublishedNodesExactlySized(t *testing.T) {
 						t.Fatal(err)
 					}
 					h("items", trace.Split, trace.Created, trace.MBBChanged, trace.Reinserted)
-					st := tr.LastIngest()
-					placed += st.RunPlaced
-					grafted += st.Grafted
+					placed += trace.RunPlaced
+					grafted += trace.Grafted
 					live = append(live, batch...)
 					checkExactlySized(t, tr.CurrentVersion(), fmt.Sprintf("InsertItems %d", i))
 				}

@@ -24,8 +24,8 @@ package rtree
 // runs end at a foreign leaf boundary after a handful of items.
 const rebuildFactor = 2
 
-// IngestStats reports how the most recent InsertItems call routed its
-// items.
+// IngestStats reports how an InsertItems call routed its items, in the trace
+// it returns.
 type IngestStats struct {
 	// Items is the batch size.
 	Items int
@@ -48,12 +48,11 @@ type IngestStats struct {
 	BulkLoaded bool
 	// Rebuilt reports that the batch was at least rebuildFactor × the tree
 	// size, so the union of old and new items was bulk packed from scratch.
+	// Node ids may have been freed and reused, so consumers of the trace must
+	// discard per-node bookkeeping and recompute from a fresh walk; Created
+	// still lists every live node.
 	Rebuilt bool
 }
-
-// LastIngest returns the routing statistics of the most recent InsertItems
-// call. Writer-side.
-func (t *Tree) LastIngest() IngestStats { return t.lastIngest }
 
 // InsertItems adds a batch of objects in one mutation epoch and returns one
 // aggregated trace of every structural change (the clipped layer consumes
@@ -76,11 +75,9 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 	if err := t.checkItems(items); err != nil {
 		return nil, err
 	}
-	defer func() { t.autoCommit(err) }()
+	trace = &InsertTrace{Leaf: InvalidNode, IngestStats: IngestStats{Items: len(items)}}
+	defer func() { t.chargeWrites(trace.Writes); t.autoCommit(err) }()
 	defer recoverFault(&err)
-	trace = &InsertTrace{Leaf: InvalidNode}
-	stats := IngestStats{Items: len(items)}
-	defer func() { t.lastIngest = stats }()
 	if len(items) == 0 {
 		return trace, nil
 	}
@@ -92,22 +89,21 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 		// Empty tree: the whole batch is a bulk load. Every node is new, so
 		// the trace marks them all created (the clipped layer then clips
 		// each once, as it would after BulkLoad).
-		t.buildPacked(items)
+		t.buildPacked(items, &trace.Writes)
 		t.Walk(func(info NodeInfo) { trace.markCreated(info.ID) })
-		stats.BulkLoaded = true
-		stats.Grafted = len(items)
+		trace.BulkLoaded = true
+		trace.Grafted = len(items)
 		return trace, nil
 	}
 
 	if len(items) >= rebuildFactor*t.size {
 		t.rebuildWith(items, trace)
-		stats.Rebuilt = true
-		stats.Grafted = len(items)
+		trace.Grafted = len(items)
 		return trace, nil
 	}
 
 	rootBefore := t.mbbOf(t.mustNode(t.root))
-	t.ingestRuns(items, t.ingestOrder(items), trace, &stats)
+	t.ingestRuns(items, t.ingestOrder(items), trace)
 	if !t.mbbOf(t.mustNode(t.root)).Equal(rootBefore) {
 		trace.markMBBChanged(t.root)
 	}
@@ -137,7 +133,7 @@ func (t *Tree) rebuildWith(items []Item, trace *InsertTrace) {
 	}
 	t.root = InvalidNode
 	t.height = 0
-	t.buildPacked(all)
+	t.buildPacked(all, &trace.Writes)
 	trace.Rebuilt = true
 	t.Walk(func(info NodeInfo) { trace.markCreated(info.ID) })
 }
@@ -169,10 +165,10 @@ func (t *Tree) insertOne(it Item, trace *InsertTrace) {
 
 // ingestRuns partitions the sorted batch into runs sharing a target leaf
 // and services each run with the cheapest applicable strategy.
-func (t *Tree) ingestRuns(items []Item, ks []Keyed, trace *InsertTrace, stats *IngestStats) {
+func (t *Tree) ingestRuns(items []Item, ks []Keyed, trace *InsertTrace) {
 	i := 0
 	for i < len(ks) {
-		stats.Runs++
+		trace.Runs++
 		// One subtree choice for the whole run: descend once for the run
 		// head, then extend the run while the next sorted item lies inside
 		// the chosen leaf's MBB (zero enlargement, so the leaf stays a
@@ -189,7 +185,7 @@ func (t *Tree) ingestRuns(items []Item, ks []Keyed, trace *InsertTrace, stats *I
 		// Large runs skip per-item insertion entirely: pack bottom-up and
 		// graft. Needs a directory level to graft into (height >= 2).
 		if len(run) >= t.cfg.MaxEntries && t.height >= 2 {
-			t.graftRun(items, run, trace, stats)
+			t.graftRun(items, run, trace)
 			i = j
 			continue
 		}
@@ -205,7 +201,7 @@ func (t *Tree) ingestRuns(items []Item, ks []Keyed, trace *InsertTrace, stats *I
 				n.appendEntry(Entry{Rect: it.Rect, Object: it.Object, Child: InvalidNode})
 				t.touch(n, n.count()-1)
 				trace.Placements = append(trace.Placements, Placement{Node: n.id, Rect: n.rect(n.count()-1, t.cfg.Dims)})
-				t.counter.Write(1)
+				trace.Writes++
 				placed++
 			}
 			if !t.mbbOf(n).Equal(before) {
@@ -214,14 +210,14 @@ func (t *Tree) ingestRuns(items []Item, ks []Keyed, trace *InsertTrace, stats *I
 			t.updateHilbertLHV(n)
 			t.adjustUpward(n, trace)
 			t.size += placed
-			stats.RunPlaced += placed
+			trace.RunPlaced += placed
 		}
 		if placed < len(run) {
 			// The leaf is full: push one item through the classic path (it
 			// overflows and splits/reinserts as usual), then re-choose a
 			// target for whatever remains of the run.
 			t.insertOne(items[run[placed].Orig], trace)
-			stats.PerItem++
+			trace.PerItem++
 			placed++
 		}
 		i += placed
@@ -232,7 +228,7 @@ func (t *Tree) ingestRuns(items []Item, ks []Keyed, trace *InsertTrace, stats *I
 // and builds parent levels bottom-up while the level still satisfies the
 // minimum fill and stays strictly below the root, then grafts each packed
 // subtree as a sibling via one directory-level insertion.
-func (t *Tree) graftRun(items []Item, run []Keyed, trace *InsertTrace, stats *IngestStats) {
+func (t *Tree) graftRun(items []Item, run []Keyed, trace *InsertTrace) {
 	// maxLevel caps the packed subtree's root so its graft target (one
 	// level above) exists below or at the current root.
 	maxLevel := t.height - 2
@@ -241,7 +237,8 @@ func (t *Tree) graftRun(items []Item, run []Keyed, trace *InsertTrace, stats *In
 		for _, n := range current {
 			trace.markCreated(n.id)
 		}
-		stats.GraftNodes += len(current)
+		trace.GraftNodes += len(current)
+		trace.Writes += len(current)
 		if len(current) < t.cfg.MinEntries || level+1 > maxLevel {
 			break
 		}
@@ -250,8 +247,8 @@ func (t *Tree) graftRun(items []Item, run []Keyed, trace *InsertTrace, stats *In
 	for _, sub := range current {
 		t.ovMarks.begin()
 		t.insertAtLevel(Entry{Rect: t.mbbOf(sub), Child: sub.id}, sub.level+1, trace, &t.ovMarks, false)
-		stats.GraftSubtrees++
+		trace.GraftSubtrees++
 	}
 	t.size += len(run)
-	stats.Grafted += len(run)
+	trace.Grafted += len(run)
 }

@@ -128,15 +128,15 @@ func TestInsertItemsGraftEngages(t *testing.T) {
 			for i := range batch {
 				batch[i] = Item{Object: ObjectID(10000 + i), Rect: randRect(rng, dims, 100, 2)}
 			}
-			if _, err := tree.InsertItems(batch); err != nil {
+			st, err := tree.InsertItems(batch)
+			if err != nil {
 				t.Fatal(err)
 			}
-			st := tree.LastIngest()
 			if st.Grafted == 0 {
-				t.Fatalf("graft path never engaged: %+v", st)
+				t.Fatalf("graft path never engaged: %+v", st.IngestStats)
 			}
 			if st.Grafted+st.RunPlaced+st.PerItem != len(batch) {
-				t.Fatalf("items unaccounted: %+v", st)
+				t.Fatalf("items unaccounted: %+v", st.IngestStats)
 			}
 			if err := tree.Validate(); err != nil {
 				t.Fatalf("Validate after graft: %v", err)
@@ -172,9 +172,8 @@ func TestInsertItemsRebuildEngages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := tree.LastIngest()
-			if !st.Rebuilt || !trace.Rebuilt {
-				t.Fatalf("rebuild path did not engage: stats %+v, trace.Rebuilt %v", st, trace.Rebuilt)
+			if !trace.Rebuilt {
+				t.Fatalf("rebuild path did not engage: %+v", trace.IngestStats)
 			}
 			dir, leaf := tree.NodeCount()
 			if len(trace.Created) != dir+leaf {
@@ -197,11 +196,12 @@ func TestInsertItemsRebuildEngages(t *testing.T) {
 			}
 			// A small follow-up batch must not rebuild again.
 			small := []Item{{Object: 99999, Rect: randRect(rng, dims, 100, 2)}}
-			if _, err := tree.InsertItems(small); err != nil {
+			again, err := tree.InsertItems(small)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if tree.LastIngest().Rebuilt {
-				t.Fatalf("small follow-up batch rebuilt: %+v", tree.LastIngest())
+			if again.Rebuilt {
+				t.Fatalf("small follow-up batch rebuilt: %+v", again.IngestStats)
 			}
 		})
 	}
@@ -218,7 +218,7 @@ func TestInsertItemsEmptyTreeBulk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tree.LastIngest().BulkLoaded {
+		if !trace.BulkLoaded {
 			t.Fatalf("%s: empty-tree batch did not bulk load", v)
 		}
 		dir, leaf := tree.NodeCount()

@@ -32,11 +32,12 @@ type InsertTrace struct {
 	// Reinserted counts entries force-reinserted by the R*-tree overflow
 	// treatment.
 	Reinserted int
-	// Rebuilt reports that a batch insert rebuilt the whole tree from
-	// scratch (InsertItems' wholesale-rebuild path). Node ids may have been
-	// freed and reused, so consumers must discard per-node bookkeeping and
-	// recompute from a fresh walk; Created still lists every live node.
-	Rebuilt bool
+	// Writes counts the node writes of the insertion, which it charged to
+	// the tree's counter once, when it ended (on its error path too).
+	Writes int
+	// IngestStats reports how InsertItems routed its items; it is zero for
+	// a single Insert.
+	IngestStats
 
 	// seen indexes membership of the three change sets above so the mark*
 	// dedupe checks stay O(1). It is nil for single-insert traces, where the
@@ -118,9 +119,9 @@ func (t *Tree) Insert(r geom.Rect, obj ObjectID) (trace *InsertTrace, err error)
 	if !r.Valid() || r.Dims() != t.cfg.Dims {
 		return nil, fmt.Errorf("rtree: invalid rectangle %v for a %d-dimensional tree", r, t.cfg.Dims)
 	}
-	defer func() { t.autoCommit(err) }()
-	defer recoverFault(&err)
 	trace = &InsertTrace{Leaf: InvalidNode}
+	defer func() { t.chargeWrites(trace.Writes); t.autoCommit(err) }()
+	defer recoverFault(&err)
 	if t.root == InvalidNode {
 		root := t.newNode(true, 0)
 		t.root = root.id
@@ -132,7 +133,7 @@ func (t *Tree) Insert(r geom.Rect, obj ObjectID) (trace *InsertTrace, err error)
 		trace.Leaf = root.id
 		trace.markCreated(root.id)
 		trace.Placements = append(trace.Placements, Placement{Node: root.id, Rect: root.rect(0, t.cfg.Dims)})
-		t.counter.Write(1)
+		trace.Writes++
 		return trace, nil
 	}
 	rootBefore := t.mbbOf(t.mustNode(t.root))
@@ -162,7 +163,7 @@ func (t *Tree) insertAtLevel(e Entry, level int, trace *InsertTrace, marks *leve
 		trace.Leaf = n.id
 	}
 	trace.Placements = append(trace.Placements, Placement{Node: n.id, Rect: n.rect(n.count()-1, t.cfg.Dims)})
-	t.counter.Write(1)
+	trace.Writes++
 	if n.count() > t.cfg.MaxEntries {
 		t.handleOverflow(n, trace, marks)
 		return
@@ -397,7 +398,7 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 	t.updateHilbertLHV(sibling)
 	trace.markSplit(n.id)
 	trace.markCreated(sibling.id)
-	t.counter.Write(2)
+	trace.Writes += 2
 
 	if n.id == t.root {
 		newRoot := t.newNode(false, n.level+1)
@@ -410,7 +411,7 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 		t.height = newRoot.level + 1
 		t.updateHilbertLHV(newRoot)
 		trace.markCreated(newRoot.id)
-		t.counter.Write(1)
+		trace.Writes++
 		return
 	}
 
@@ -421,7 +422,7 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 	t.setParent(sibling.id, parent.id)
 	parent.appendEntry(Entry{Rect: t.mbbOf(sibling), Child: sibling.id})
 	t.touch(parent, idx, parent.count()-1)
-	t.counter.Write(1)
+	trace.Writes++
 	if parent.count() > t.cfg.MaxEntries {
 		t.handleOverflow(parent, trace, marks)
 		return
@@ -446,7 +447,7 @@ func (t *Tree) adjustUpward(n *node, trace *InsertTrace) {
 			parent = t.setRect(parent, idx, newMBB, 0)
 			t.touch(parent, idx)
 			trace.markMBBChanged(cur.id)
-			t.counter.Write(1)
+			trace.Writes++
 		}
 		t.updateHilbertLHV(parent)
 		if !changed && t.cfg.Variant != Hilbert {

@@ -58,7 +58,8 @@ func (t *Tree) NearestNeighbors(k int, p geom.Point) []Neighbor {
 // clip records: the answer is exactly this version's epoch's, regardless of
 // concurrent writer activity.
 func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
-	return NearestNeighbors(k, p, KNNSource{Version: v})
+	nn, _ := NearestNeighbors(k, p, KNNSource{Version: v})
+	return nn
 }
 
 // NearestNeighbors returns the k objects of the sources (one tree, or the
@@ -88,15 +89,16 @@ func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
 // the answer is exact under any of them: without records the nodes read are
 // exactly those with MINDIST ≤ the k-th distance, and records only ever
 // remove reads. Each source tallies its node accesses, and each tally is
-// charged to its tree's counter once, when the query ends.
-func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) []Neighbor {
+// charged to its tree's counter once, when the query ends; the sum of the
+// tallies is returned beside the answer.
+func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io storage.Snapshot) {
 	dims := len(p)
 	if k <= 0 || dims > geom.MaxDims || !p.Valid() {
-		return nil
+		return nil, io
 	}
 	sc := searchScratchPool.Get().(*searchScratch)
 	front, best, read := sc.front[:0], sc.best[:0], sc.read[:0]
-	io := append(sc.io[:0], make([]storage.Snapshot, len(srcs))...)
+	tally := append(sc.io[:0], make([]storage.Snapshot, len(srcs))...)
 	pools := sc.pools[:0]
 	for i, s := range srcs {
 		pools = append(pools, s.Version.tree.pool.Load())
@@ -142,7 +144,7 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) []Neighbor {
 		if n == nil {
 			continue // an unreadable page on a file-backed tree, recorded in Err
 		}
-		chargeReadNode(pools[from.src], n, &io[from.src])
+		chargeReadNode(pools[from.src], n, &tally[from.src])
 		count := n.count()
 		mask := sc.mask.sized(count)
 		if worst <= math.MaxFloat64 && n.hasPlanes(dims) {
@@ -204,14 +206,15 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) []Neighbor {
 		out[i] = Neighbor{Object: ObjectID(o.id), Rect: boxRect(read[o.from].boxes, int(o.slot), dims), DistSq: o.key}
 	}
 	for i, s := range srcs {
-		s.Version.tree.counter.Add(io[i])
+		s.Version.tree.counter.Add(tally[i])
+		io = io.Add(tally[i])
 	}
 	// Drop the references into node storage: a pooled scratch pins nothing.
 	clear(read)
 	clear(pools)
-	sc.front, sc.best, sc.read, sc.io, sc.pools = front[:0], best[:0], read[:0], io[:0], pools[:0]
+	sc.front, sc.best, sc.read, sc.io, sc.pools = front[:0], best[:0], read[:0], tally[:0], pools[:0]
 	searchScratchPool.Put(sc)
-	return out
+	return out, io
 }
 
 // minDistSq is Rect.MinDistSq for the box at boxes[off] (dims lower, then

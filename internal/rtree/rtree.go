@@ -343,7 +343,7 @@ func DefaultConfig(dims int, v Variant) Config {
 	}
 }
 
-// Validate checks the configuration and fills in defaults for optional
+// withDefaults checks the configuration and fills in defaults for optional
 // fields. It returns a usable copy.
 func (c Config) withDefaults() (Config, error) {
 	if c.Dims < 1 || c.Dims > geom.MaxDims {
@@ -428,12 +428,10 @@ type Tree struct {
 	lazyV     *Version // the one lazy version of a file-backed tree, until hydrated
 
 	// Writer-side scratch: the levels one insertion gave the R* overflow
-	// treatment, how the last InsertItems call routed its items, and the
-	// nodes of the open batch that mutable gave room beyond one write's
-	// reservation (publish trims them).
-	ovMarks    levelMarks
-	lastIngest IngestStats
-	slack      []*node
+	// treatment, and the nodes of the open batch that mutable gave room
+	// beyond one write's reservation (publish trims them).
+	ovMarks levelMarks
+	slack   []*node
 
 	// File-backed mode, set up by OpenPaged or AttachStore: nodes are
 	// faulted into the lazy version's directory on first access from src,
@@ -517,8 +515,13 @@ func (t *Tree) Len() int { return t.cur.Load().size }
 // is a leaf) at the last committed version.
 func (t *Tree) Height() int { return t.cur.Load().height }
 
-// Counter returns the I/O counter node accesses are charged to.
+// Counter returns the I/O counter every read and write of the tree charges
+// its tally to.
 func (t *Tree) Counter() *storage.Counter { return t.counter }
+
+// chargeWrites charges a mutation's node writes to the counter, once, as the
+// mutation ends.
+func (t *Tree) chargeWrites(n int) { t.counter.Add(storage.Snapshot{Writes: int64(n)}) }
 
 // SetCounter replaces the I/O counter (a sharded engine shares one across its
 // shard trees).

@@ -72,7 +72,8 @@ type SearchAllRequest struct {
 	Queries []RectJSON `json:"queries"`
 	// Collect returns the matching items of every query, not only counts.
 	Collect bool `json:"collect,omitempty"`
-	// Workers bounds the engine-side fan-out (0 = GOMAXPROCS).
+	// Workers bounds the engine-side fan-out (0 = the server's
+	// SearchWorkers, which also caps it).
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -146,7 +147,8 @@ type JoinRequest struct {
 	// Collect returns the matching (probe, indexed) id pairs, capped at
 	// MaxJoinPairs.
 	Collect bool `json:"collect,omitempty"`
-	// Workers bounds the engine-side fan-out (0 = GOMAXPROCS).
+	// Workers bounds the engine-side fan-out (0 = the server's
+	// SearchWorkers, which also caps it).
 	Workers int `json:"workers,omitempty"`
 }
 

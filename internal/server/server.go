@@ -33,6 +33,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,7 +70,8 @@ type Config struct {
 	CoalesceMaxBatch int
 
 	// SearchWorkers bounds the engine-side worker fan-out of coalesced
-	// batches, /searchall and /join (0 = GOMAXPROCS).
+	// batches, /searchall and /join (0 = GOMAXPROCS): a request that asks
+	// for more workers, or for none, gets this many.
 	SearchWorkers int
 
 	// MaxBodyBytes caps request bodies (0 defaults to 8 MiB).
@@ -447,6 +449,21 @@ func decodeJSON(r *http.Request, v any) error {
 
 // --- handlers -----------------------------------------------------------------
 
+// workers resolves a request's engine-side fan-out: SearchWorkers
+// (GOMAXPROCS when 0) both when the request names none and as its ceiling, so
+// no request starts more goroutines, or per-worker tallies, than the server
+// is configured for.
+func (s *Server) workers(requested int) int {
+	limit := s.cfg.SearchWorkers
+	if limit <= 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	if requested <= 0 || requested > limit {
+		return limit
+	}
+	return requested
+}
+
 // rect converts a wire rectangle for the index: a malformed one, or one with
 // other dimensions than the index, is the client's error.
 func (s *Server) rect(rj RectJSON) (cbb.Rect, error) {
@@ -506,10 +523,7 @@ func (s *Server) handleSearchAll(r *http.Request) (any, error) {
 	if err := r.Context().Err(); err != nil {
 		return nil, err
 	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.SearchWorkers
-	}
+	workers := s.workers(req.Workers)
 	view := s.eng.Snapshot()
 	defer view.Close()
 	res, err := view.BatchSearch(queries, cbb.BatchOptions{Collect: req.Collect, Workers: workers})
@@ -622,10 +636,7 @@ func (s *Server) handleJoin(r *http.Request) (any, error) {
 	if err := r.Context().Err(); err != nil {
 		return nil, err
 	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.SearchWorkers
-	}
+	workers := s.workers(req.Workers)
 	view := s.eng.Snapshot()
 	defer view.Close()
 	var visit func(cbb.JoinPair)

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -241,6 +242,59 @@ func TestEndpointsEndToEnd(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// workerLog is an Engine whose views log the worker count every
+// BatchSearch is asked for.
+type workerLog struct {
+	Engine
+	mu   sync.Mutex
+	seen []int
+}
+
+func (e *workerLog) Snapshot() ReadView { return workerView{e.Engine.Snapshot(), e} }
+
+type workerView struct {
+	ReadView
+	log *workerLog
+}
+
+func (v workerView) BatchSearch(qs []cbb.Rect, o cbb.BatchOptions) (cbb.BatchResult, error) {
+	v.log.mu.Lock()
+	v.log.seen = append(v.log.seen, o.Workers)
+	v.log.mu.Unlock()
+	return v.ReadView.BatchSearch(qs, o)
+}
+
+// TestRequestWorkersCapped holds a request's workers to Config.SearchWorkers:
+// a /searchall asking for a million workers over a thousand queries runs on
+// the configured two, one asking for none gets them, one asking for fewer
+// keeps its count, and /join resolves its workers the same way.
+func TestRequestWorkersCapped(t *testing.T) {
+	log := &workerLog{Engine: NewTreeEngine(buildTree(t, 200), false)}
+	s := newTestServer(t, Config{Engine: log, CoalesceWindow: -1, SearchWorkers: 2})
+	queries := make([]RectJSON, 1000)
+	for i := range queries {
+		queries[i] = RectJSON{Lo: []float64{float64(i % 90), 5}, Hi: []float64{float64(i%90) + 10, 15}}
+	}
+	for _, workers := range []int{1_000_000, 0, 1} {
+		var resp SearchAllResponse
+		if code := post(t, s, "/searchall", SearchAllRequest{Queries: queries, Workers: workers}, &resp); code != http.StatusOK || len(resp.Counts) != len(queries) {
+			t.Fatalf("/searchall workers=%d: status %d, %d counts", workers, code, len(resp.Counts))
+		}
+	}
+	if want := []int{2, 2, 1}; !slices.Equal(log.seen, want) {
+		t.Fatalf("BatchSearch ran with workers %v, want %v", log.seen, want)
+	}
+	var resp JoinResponse
+	if code := post(t, s, "/join", JoinRequest{Probes: []ItemJSON{{ID: 1, Rect: queries[0]}}, Workers: 1_000_000}, &resp); code != http.StatusOK || resp.Pairs == 0 {
+		t.Fatalf("/join: status %d, %d pairs", code, resp.Pairs)
+	}
+	for requested, want := range map[int]int{-3: 2, 0: 2, 1: 1, 2: 2, 3: 2, 1 << 40: 2} {
+		if got := s.workers(requested); got != want {
+			t.Errorf("workers(%d) = %d, want %d", requested, got, want)
+		}
 	}
 }
 

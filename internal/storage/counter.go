@@ -5,12 +5,15 @@
 // (MmapStore) — and an LRU buffer pool used to emulate cold-cache behaviour
 // in the scalability experiment.
 //
-// Every read of an R-tree — a range search, a kNN search, a join traversal —
-// tallies its node accesses in a plain Snapshot it owns and, when it ends,
-// adds the tally to its tree's Counter once, so the evaluation harness can
-// measure exactly what the paper measures: "we assume that internal
-// (non-leaf) nodes are memory-resident and measure the number of leaf-level
-// nodes accessed as our default I/O metric".
+// Every operation on an R-tree — a range search, a kNN search, a join
+// traversal, an insertion, a deletion, a bulk load, a clip-table maintenance
+// step — tallies what it did in a plain value it owns (a read's Snapshot, a
+// write's trace), charges the tally to its tree's Counter once, with Add,
+// when it ends, and returns it. Callers that measure sum the tallies their
+// calls return, so the evaluation harness measures exactly what the paper
+// measures — "we assume that internal (non-leaf) nodes are memory-resident
+// and measure the number of leaf-level nodes accessed as our default I/O
+// metric" — and the Counter holds only the running totals.
 package storage
 
 import (
@@ -18,9 +21,8 @@ import (
 	"sync/atomic"
 )
 
-// Counter accumulates a tree's node-access statistics. All methods are safe
-// for concurrent use; experiments typically Reset it, run a query batch, and
-// read a Snapshot.
+// Counter accumulates a tree's running totals: every operation charges its
+// tally once with Add. All methods are safe for concurrent use.
 type Counter struct {
 	leafReads int64
 	dirReads  int64
@@ -28,8 +30,8 @@ type Counter struct {
 	reclips   int64
 }
 
-// Snapshot is a copy of a Counter's totals, and the tally a read keeps of its
-// own accesses before charging them with Counter.Add.
+// Snapshot is a copy of a Counter's totals, and the tally an operation keeps
+// of what it did before charging it with Counter.Add.
 type Snapshot struct {
 	LeafReads int64 // leaf-node accesses (the paper's I/O metric)
 	DirReads  int64 // directory-node accesses
@@ -41,7 +43,7 @@ type Snapshot struct {
 func (s Snapshot) Total() int64 { return s.LeafReads + s.DirReads }
 
 // Add returns the element-wise sum of two snapshots, used to sum the tallies
-// of the reads of a batch or a join into one exact total.
+// of the operations of a batch, a join or an experiment into one exact total.
 func (s Snapshot) Add(o Snapshot) Snapshot {
 	return Snapshot{
 		LeafReads: s.LeafReads + o.LeafReads,
@@ -56,12 +58,6 @@ func (s Snapshot) String() string {
 	return fmt.Sprintf("leaf=%d dir=%d writes=%d reclips=%d", s.LeafReads, s.DirReads, s.Writes, s.Reclips)
 }
 
-// Write records n node writes.
-func (c *Counter) Write(n int64) { atomic.AddInt64(&c.writes, n) }
-
-// Reclip records n clip-table recomputations.
-func (c *Counter) Reclip(n int64) { atomic.AddInt64(&c.reclips, n) }
-
 // Snapshot returns the current totals.
 func (c *Counter) Snapshot() Snapshot {
 	return Snapshot{
@@ -72,9 +68,9 @@ func (c *Counter) Snapshot() Snapshot {
 	}
 }
 
-// Add accumulates a snapshot's totals into the counter: how a read charges
-// the tally of its accesses, once, when it ends. A zero tally (a query the
-// root ruled out) costs nothing.
+// Add accumulates a snapshot's totals into the counter: how an operation
+// charges its tally, once, when it ends. A zero tally (a query the root ruled
+// out) costs nothing.
 func (c *Counter) Add(s Snapshot) {
 	if s == (Snapshot{}) {
 		return
@@ -91,15 +87,4 @@ func (c *Counter) Reset() {
 	atomic.StoreInt64(&c.dirReads, 0)
 	atomic.StoreInt64(&c.writes, 0)
 	atomic.StoreInt64(&c.reclips, 0)
-}
-
-// Diff returns the difference new − old of two snapshots, useful for
-// measuring a single query batch.
-func Diff(old, new Snapshot) Snapshot {
-	return Snapshot{
-		LeafReads: new.LeafReads - old.LeafReads,
-		DirReads:  new.DirReads - old.DirReads,
-		Writes:    new.Writes - old.Writes,
-		Reclips:   new.Reclips - old.Reclips,
-	}
 }

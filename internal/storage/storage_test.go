@@ -10,8 +10,7 @@ import (
 func TestCounterBasics(t *testing.T) {
 	var c Counter
 	c.Add(Snapshot{LeafReads: 3, DirReads: 2})
-	c.Write(5)
-	c.Reclip(1)
+	c.Add(Snapshot{Writes: 5, Reclips: 1})
 	s := c.Snapshot()
 	if s.LeafReads != 3 || s.DirReads != 2 || s.Writes != 5 || s.Reclips != 1 {
 		t.Fatalf("unexpected snapshot %+v", s)
@@ -28,14 +27,20 @@ func TestCounterBasics(t *testing.T) {
 	}
 }
 
+// TestCounterDiff holds what every measurement relies on instead of
+// differencing counter readings: the counter moves by exactly the sum of the
+// tallies charged to it.
 func TestCounterDiff(t *testing.T) {
 	var c Counter
 	c.Add(Snapshot{LeafReads: 10})
-	before := c.Snapshot()
-	c.Add(Snapshot{LeafReads: 7, DirReads: 2})
-	d := Diff(before, c.Snapshot())
-	if d.LeafReads != 7 || d.DirReads != 2 {
-		t.Fatalf("Diff = %+v", d)
+	tallies := []Snapshot{{LeafReads: 7, DirReads: 2}, {Writes: 3, Reclips: 1}, {}}
+	var sum Snapshot
+	for _, s := range tallies {
+		c.Add(s)
+		sum = sum.Add(s)
+	}
+	if want := (Snapshot{LeafReads: 17, DirReads: 2, Writes: 3, Reclips: 1}); c.Snapshot() != want || sum.Add(Snapshot{LeafReads: 10}) != want {
+		t.Fatalf("counter %+v, tallies %+v", c.Snapshot(), sum)
 	}
 }
 

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"cbb/internal/clipindex"
+	"cbb/internal/storage"
 )
 
 // Every read path counts node accesses — the paper's I/O metric — and every
@@ -342,6 +345,126 @@ func TestIOAccountingConcurrent(t *testing.T) {
 			if delta != sum || sum.LeafReads == 0 {
 				t.Fatalf("IOStats moved by %+v, the calls returned %+v in total", delta, sum)
 			}
+		})
+	}
+}
+
+// TestWriteAccounting is TestIOAccountingConcurrent's read check for writes:
+// on each variant, a seeded history of bulk loads, inserts, batch inserts
+// (through the empty-tree, per-run and wholesale-rebuild paths), deletes (a
+// miss among them), a rolled-back batch and a shard split moves the counter's
+// Writes and Reclips after every call by exactly the tally the call returned
+// — clipindex's UpdateStats — and a bulk build, which returns none, by one
+// write per node it packed and no reclip. A rollback charges nothing and
+// unwinds nothing: the work was done.
+func TestWriteAccounting(t *testing.T) {
+	for _, v := range []Variant{QRTree, HRTree, RStarTree, RRStarTree} {
+		t.Run(v.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(40 + v)))
+			opts := Options{Dims: 2, Variant: v, MaxEntries: 8, MinEntries: 3, Universe: shardUniverse(2)}
+			items := randShardItems(rng, 2000, 2)
+			var ctr storage.Snapshot
+			var charged func() storage.Snapshot
+			expect := func(step string, writes, reclips int) {
+				t.Helper()
+				now := charged()
+				if want := ctr.Add(storage.Snapshot{Writes: int64(writes), Reclips: int64(reclips)}); now != want {
+					t.Fatalf("%s moved the counter from %v to %v; its tally: %d writes, %d reclips", step, ctr, now, writes, reclips)
+				}
+				ctr = now
+			}
+			call := func(step string, u clipindex.UpdateStats, err error) clipindex.UpdateStats {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				expect(step, u.Writes, u.TotalReclips())
+				return u
+			}
+			nodes := func(trees ...*Tree) int {
+				n := 0
+				for _, tr := range trees {
+					dir, leaf := tr.tree.NodeCount()
+					n += dir + leaf
+				}
+				return n
+			}
+
+			tr, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			charged = tr.tree.Counter().Snapshot
+			if err := tr.BulkLoad(items[:300]); err != nil {
+				t.Fatal(err)
+			}
+			expect("BulkLoad", nodes(tr), 0)
+			var sum clipindex.UpdateStats
+			for i, it := range items[300:400] {
+				u, err := tr.idx.Insert(it.Rect, it.Object)
+				sum = sum.Add(call(fmt.Sprintf("Insert %d", i), u, err))
+			}
+			for b := 0; b < 4; b++ {
+				u, err := tr.idx.InsertItems(items[400+50*b : 450+50*b])
+				sum = sum.Add(call(fmt.Sprintf("InsertItems %d", b), u, err))
+			}
+			for i, it := range items[:120] {
+				u, err := tr.idx.Delete(it.Rect, it.Object)
+				sum = sum.Add(call(fmt.Sprintf("Delete %d", i), u, err))
+			}
+			u, err := tr.idx.Delete(items[0].Rect, items[0].Object)
+			if call("Delete of a missing object", u, err).Deletes != 0 {
+				t.Fatal("a missing object was deleted")
+			}
+			if sum.Inserts != 300 || sum.Deletes != 120 || sum.TotalReclips() == 0 || sum.Writes == 0 {
+				t.Fatalf("history tallied %+v", sum)
+			}
+
+			if err := tr.idx.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			u, err = tr.idx.Insert(items[600].Rect, items[600].Object)
+			call("Insert in a batch", u, err)
+			u, err = tr.idx.InsertItems(items[601:700])
+			call("InsertItems in a batch", u, err)
+			u, err = tr.idx.Delete(items[200].Rect, items[200].Object)
+			call("Delete in a batch", u, err)
+			tr.idx.Rollback()
+			expect("Rollback", 0, 0)
+
+			u, err = tr.idx.InsertItems(items[600:])
+			call("InsertItems rebuilding the tree", u, err)
+			if u.Writes != nodes(tr) || u.TotalReclips() != 0 {
+				t.Fatalf("a wholesale rebuild tallied %+v for a tree of %d nodes", u, nodes(tr))
+			}
+			empty, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			charged, ctr = empty.tree.Counter().Snapshot, storage.Snapshot{}
+			u, err = empty.idx.InsertItems(items)
+			call("InsertItems into an empty tree", u, err)
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+
+			st, err := NewSharded(ShardedOptions{Options: opts, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			charged, ctr = st.counter.Snapshot, storage.Snapshot{}
+			if err := st.BulkLoad(items); err != nil {
+				t.Fatal(err)
+			}
+			d := st.dir.Load()
+			expect("sharded BulkLoad", nodes(d.shards[0].t, d.shards[1].t), 0)
+			if err := st.SplitShard(0); err != nil {
+				t.Fatal(err)
+			}
+			if d = st.dir.Load(); len(d.shards) != 3 {
+				t.Fatalf("%d shards after one split of 2", len(d.shards))
+			}
+			expect("SplitShard", nodes(d.shards[0].t, d.shards[1].t), 0)
 		})
 	}
 }

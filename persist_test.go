@@ -300,9 +300,9 @@ func applyOps(t *testing.T, tree *Tree, items []Item, from, to, delFrom int) (in
 	return inserts, deletes, del
 }
 
-// assertSameQueryIO runs the query batch against both trees from a cold
+// assertSameQueryAccesses runs the query batch against both trees from a cold
 // counter and requires bit-identical leaf and directory access counts.
-func assertSameQueryIO(t *testing.T, want, got *Tree, queries []Rect) {
+func assertSameQueryAccesses(t *testing.T, want, got *Tree, queries []Rect) {
 	t.Helper()
 	want.ResetIOStats()
 	got.ResetIOStats()
@@ -378,7 +378,7 @@ func TestWritableFileBackedMatrix(t *testing.T) {
 				}
 				defer reopened.Close()
 				assertTreesEqual(t, mem, reopened, queries)
-				assertSameQueryIO(t, mem, reopened, queries)
+				assertSameQueryAccesses(t, mem, reopened, queries)
 				if err := reopened.Validate(); err != nil {
 					t.Fatalf("reopened tree invalid: %v", err)
 				}
@@ -451,7 +451,7 @@ func TestWritableFileBackedHeavy(t *testing.T) {
 	defer reopened.Close()
 	queries := corpusQueries(2, 60, 79)
 	assertTreesEqual(t, mem, reopened, queries)
-	assertSameQueryIO(t, mem, reopened, queries)
+	assertSameQueryAccesses(t, mem, reopened, queries)
 	if reads, writes, ok := reopened.FileStats(); !ok || reads == 0 {
 		t.Fatalf("reopened tree did not fault pages from disk (reads=%d writes=%d ok=%v)", reads, writes, ok)
 	}

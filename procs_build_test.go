@@ -41,6 +41,17 @@ func TestBulkLoadDeterministicAcrossProcs(t *testing.T) {
 		must(t, err)
 		return tr
 	}
+	// insertItems runs what Tree.InsertItems runs and checks that the batch
+	// took a packed build: one that writes every node of the tree exactly
+	// once, which no incremental ingest of the batch does.
+	insertItems := func(t *testing.T, tr *Tree, items []Item) {
+		t.Helper()
+		u, err := tr.idx.InsertItems(items)
+		must(t, err)
+		if dir, leaf := tr.tree.NodeCount(); u.Writes != dir+leaf {
+			t.Fatalf("InsertItems wrote %d nodes of a tree of %d: not a packed build", u.Writes, dir+leaf)
+		}
+	}
 	paths := []struct {
 		name  string
 		build func(t *testing.T, opts Options, items []Item) (string, int64)
@@ -52,19 +63,13 @@ func TestBulkLoadDeterministicAcrossProcs(t *testing.T) {
 		}},
 		{"InsertItemsEmpty", func(t *testing.T, opts Options, items []Item) (string, int64) {
 			tr := newTree(t, opts)
-			must(t, tr.InsertItems(items))
-			if !tr.tree.LastIngest().BulkLoaded {
-				t.Fatal("InsertItems into an empty tree did not bulk load")
-			}
+			insertItems(t, tr, items)
 			return digest(t, tr), tr.IOStats().Writes
 		}},
 		{"Rebuild", func(t *testing.T, opts Options, items []Item) (string, int64) {
 			tr := newTree(t, opts)
 			must(t, tr.BulkLoad(items[:n/4]))
-			must(t, tr.InsertItems(items[n/4:]))
-			if !tr.tree.LastIngest().Rebuilt {
-				t.Fatal("a batch of three times the tree's size did not rebuild it")
-			}
+			insertItems(t, tr, items[n/4:])
 			return digest(t, tr), tr.IOStats().Writes
 		}},
 		{"ShardedSplit", func(t *testing.T, opts Options, items []Item) (string, int64) {

@@ -129,7 +129,8 @@ func (r reader) Count(q Rect) int {
 // node than from its MBB), so clipping saves node reads here as in Search.
 // k < 1, a non-finite point, or one of another dimensionality gets nil.
 func (r reader) NearestNeighbors(k int, p Point) []Neighbor {
-	return clipindex.NearestNeighbors(k, p, r...)
+	nn, _ := clipindex.NearestNeighbors(k, p, r...)
+	return nn
 }
 
 // BatchSearch runs a batch of range queries on a pool of worker goroutines,

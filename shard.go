@@ -374,7 +374,7 @@ func (st *ShardedTree) Delete(r Rect, id ObjectID) (bool, error) {
 			sh.t.wmu.Unlock()
 			continue
 		}
-		found, err := sh.t.idx.Delete(r, id)
+		found, err := sh.t.deleteLocked(r, id)
 		sh.t.wmu.Unlock()
 		if err != nil || !found {
 			return found, err

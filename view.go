@@ -108,7 +108,7 @@ func (b *Batch) InsertItems(items []Item) error {
 	if b.done {
 		return errBatchDone
 	}
-	return b.t.idx.InsertItems(items)
+	return b.t.insertItemsLocked(items)
 }
 
 // Delete removes an object within the batch; the removal becomes visible to
@@ -118,7 +118,7 @@ func (b *Batch) Delete(r Rect, id ObjectID) (bool, error) {
 	if b.done {
 		return false, errBatchDone
 	}
-	return b.t.idx.Delete(r, id)
+	return b.t.deleteLocked(r, id)
 }
 
 // Commit publishes the batch to readers as one new epoch and releases the
