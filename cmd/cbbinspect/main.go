@@ -96,9 +96,9 @@ func main() {
 		// The numerator of the paper's Figure 14: what clipping adds to the
 		// build, beside the tree's own time above.
 		clipTime := time.Since(start)
-		dir, leaf := tree.NodeCount()
+		st := tree.Stats()
 		fmt.Printf("clip build : %s (%.0f ns/object, %d nodes, %d workers)\n", clipTime.Round(1e6),
-			float64(clipTime.Nanoseconds())/float64(max(len(ds.Items), 1)), dir+leaf, clipindex.BuildWorkers(dir+leaf))
+			float64(clipTime.Nanoseconds())/float64(max(len(ds.Items), 1)), st.DirNodes+st.LeafNodes, clipindex.BuildWorkers(st.DirNodes+st.LeafNodes))
 	}
 	if err := inspectTree(tree, idx, *samples, *seed); err != nil {
 		fatal(err)
@@ -245,7 +245,7 @@ func reportCompression(path string, snap *snapshot.Snapshot, fp *storage.FilePag
 	// internal/rtree/quant.go), so the resident footprint per level is the
 	// encoded page bytes plus these plane bytes.
 	planeBytes := map[int]int{}
-	tree.Walk(func(info rtree.NodeInfo) { planeBytes[info.Level] += info.PlaneBytes })
+	_ = tree.Walk(func(info rtree.NodeInfo) { planeBytes[info.Level] += info.PlaneBytes }) // loaded: no fault
 	for level := maxLevel; level >= 0; level-- {
 		l := levels[level]
 		if l == nil {
@@ -277,7 +277,7 @@ func reportSlack(tree *rtree.Tree) {
 	// Buckets: exact, <1e-9, <1e-6, <1e-3, >=1e-3 relative margin slack.
 	var buckets [5]int
 	total := 0
-	tree.Walk(func(info rtree.NodeInfo) {
+	_ = tree.Walk(func(info rtree.NodeInfo) { // loaded: no fault
 		if info.Leaf {
 			return
 		}

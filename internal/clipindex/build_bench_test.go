@@ -41,7 +41,8 @@ func BenchmarkClipBuild(b *testing.B) {
 		if err := tree.BulkLoad(items); err != nil {
 			b.Fatal(err)
 		}
-		dir, leaf := tree.NodeCount()
+		s := tree.Stats()
+		dir, leaf := s.DirNodes, s.LeafNodes
 		for _, method := range []core.Method{core.MethodSkyline, core.MethodStairline} {
 			params := core.DefaultParams(spec.Dims)
 			params.Method = method

@@ -148,20 +148,20 @@ func (s *Snap) Clips(id rtree.NodeID) []core.ClipPoint {
 // SearchCounted finds every object intersecting q at the snapshot's epoch,
 // using its clip points to skip child nodes whose overlap with q is entirely
 // dead space, and charges the node accesses to c (the tree's own counter
-// when c is nil). It returns what it charged.
-func (s *Snap) SearchCounted(q geom.Rect, c *storage.Counter, visit func(rtree.ObjectID, geom.Rect) bool) storage.Snapshot {
-	io := s.v.SearchClipped(q, visit)
+// when c is nil). It returns what it charged, and the fault that ended it.
+func (s *Snap) SearchCounted(q geom.Rect, c *storage.Counter, visit func(rtree.ObjectID, geom.Rect) bool) (storage.Snapshot, error) {
+	io, err := s.v.SearchClipped(q, visit)
 	if c == nil {
 		c = s.v.Tree().Counter()
 	}
 	c.Add(io)
-	return io
+	return io, err
 }
 
 // NearestNeighbors is rtree.NearestNeighbors over the snapshots — one tree,
 // or the shards of one index — with their clip records lifting its bounds.
-// It returns the node accesses it charged beside the neighbours.
-func NearestNeighbors(k int, p geom.Point, snaps ...*Snap) ([]rtree.Neighbor, storage.Snapshot) {
+// It returns the node accesses it charged and any fault beside the neighbours.
+func NearestNeighbors(k int, p geom.Point, snaps ...*Snap) ([]rtree.Neighbor, storage.Snapshot, error) {
 	var buf [8]rtree.KNNSource // on the stack for up to eight shards
 	srcs := buf[:0]
 	for _, s := range snaps {
@@ -212,7 +212,7 @@ func (x *Index) publishRecords() {
 // tally into the returned UpdateStats: apply the tree mutation's writes, which
 // the tree charged, and the step its reclips, which mutate charges to the
 // tree's counter once, when the step ends.
-func (x *Index) mutate(apply func(u *UpdateStats) (step func(), err error)) (u UpdateStats, err error) {
+func (x *Index) mutate(apply func(u *UpdateStats) (step func() error, err error)) (u UpdateStats, err error) {
 	own := !x.tree.InBatch()
 	if own {
 		if err := x.tree.BeginBatch(); err != nil {
@@ -221,7 +221,7 @@ func (x *Index) mutate(apply func(u *UpdateStats) (step func(), err error)) (u U
 	}
 	step, err := apply(&u)
 	if err == nil && x.params.K != 0 {
-		step()
+		err = step()
 		x.tree.Counter().Add(storage.Snapshot{Reclips: int64(u.TotalReclips())})
 	}
 	switch {
@@ -359,7 +359,9 @@ func (x *Index) RebuildAll() error {
 	if err := x.tree.Materialize(); err != nil {
 		return err
 	}
-	x.rebuildTable()
+	if err := x.rebuildTable(); err != nil {
+		return err
+	}
 	if !x.tree.InBatch() {
 		x.publishRecords()
 	}
@@ -368,15 +370,19 @@ func (x *Index) RebuildAll() error {
 
 // rebuildTable drops every record and, unless K == 0, recomputes the record
 // of every node. The nodes are collected here, on the writer's goroutine, so
-// the build never faults a page from a worker.
-func (x *Index) rebuildTable() {
+// the build never faults a page from a worker; a node the walk cannot read
+// fails the rebuild before anything is clipped.
+func (x *Index) rebuildTable() error {
 	clearRecords(x.tree)
 	if x.params.K == 0 {
-		return
+		return nil
 	}
 	var infos []rtree.NodeInfo
-	x.tree.Walk(func(info rtree.NodeInfo) { infos = append(infos, info) })
+	if err := x.tree.Walk(func(info rtree.NodeInfo) { infos = append(infos, info) }); err != nil {
+		return err
+	}
 	x.reclip(infos)
+	return nil
 }
 
 // reclipChunk is the number of nodes a build worker takes at a time: large
@@ -480,12 +486,12 @@ func (x *Index) Search(q geom.Rect, visit func(rtree.ObjectID, geom.Rect) bool) 
 // returns the call's tally, whose reclips it charged to the tree's counter
 // (the tree charged the writes).
 func (x *Index) Insert(r geom.Rect, obj rtree.ObjectID) (UpdateStats, error) {
-	u, err := x.mutate(func(u *UpdateStats) (func(), error) {
+	u, err := x.mutate(func(u *UpdateStats) (func() error, error) {
 		trace, err := x.tree.Insert(r, obj)
 		if trace != nil {
 			u.Writes = trace.Writes
 		}
-		return func() { x.applyInsertTrace(trace, u) }, err
+		return func() error { return x.applyInsertTrace(trace, u) }, err
 	})
 	if err == nil {
 		u.Inserts = 1
@@ -500,12 +506,12 @@ func (x *Index) Insert(r geom.Rect, obj rtree.ObjectID) (UpdateStats, error) {
 // maintenance per item. Outside an explicit batch the new version is
 // published once, atomically. It returns the call's tally, as Insert does.
 func (x *Index) InsertItems(items []rtree.Item) (UpdateStats, error) {
-	u, err := x.mutate(func(u *UpdateStats) (func(), error) {
+	u, err := x.mutate(func(u *UpdateStats) (func() error, error) {
 		trace, err := x.tree.InsertItems(items)
 		if trace != nil {
 			u.Writes = trace.Writes
 		}
-		return func() { x.applyInsertTrace(trace, u) }, err
+		return func() error { return x.applyInsertTrace(trace, u) }, err
 	})
 	if err == nil {
 		u.Inserts = len(items)
@@ -517,14 +523,13 @@ func (x *Index) InsertItems(items []rtree.Item) (UpdateStats, error) {
 // trace — single-insert or batch-aggregated: re-clip split/created/
 // MBB-changed nodes, validity-check every placement, and check ancestors of
 // grown children — tallying it in u.
-func (x *Index) applyInsertTrace(trace *rtree.InsertTrace, u *UpdateStats) {
+func (x *Index) applyInsertTrace(trace *rtree.InsertTrace, u *UpdateStats) error {
 	if trace.Rebuilt {
 		// The batch rebuilt the tree wholesale: old ids were freed and may
 		// have been reused, so stale table entries cannot be patched out
 		// incrementally. Recompute the table from scratch, exactly like
 		// RebuildAll but publishing through the caller.
-		x.rebuildTable()
-		return
+		return x.rebuildTable()
 	}
 	var rc reclipMarks
 
@@ -580,6 +585,7 @@ func (x *Index) applyInsertTrace(trace *rtree.InsertTrace, u *UpdateStats) {
 		}
 	}
 	x.reclipByIDs(rc.pending)
+	return nil
 }
 
 // invalidates is the eager validity check of Section IV-D on the node's flat
@@ -605,7 +611,7 @@ func (x *Index) invalidates(id rtree.NodeID, r geom.Rect) (broken, checked bool)
 // nodes whose MBB changed or that were dissolved. It returns the call's
 // tally, as Insert does; its Deletes is 1 when the object was found.
 func (x *Index) Delete(r geom.Rect, obj rtree.ObjectID) (UpdateStats, error) {
-	u, err := x.mutate(func(u *UpdateStats) (func(), error) {
+	u, err := x.mutate(func(u *UpdateStats) (func() error, error) {
 		trace, err := x.tree.Delete(r, obj)
 		if trace != nil {
 			u.Writes = trace.Writes
@@ -613,7 +619,7 @@ func (x *Index) Delete(r geom.Rect, obj rtree.ObjectID) (UpdateStats, error) {
 		if err == nil && trace.Found {
 			u.Deletes = 1
 		}
-		return func() { x.applyDeleteTrace(trace, u) }, err
+		return func() error { x.applyDeleteTrace(trace, u); return nil }, err
 	})
 	return u, err
 }
@@ -662,7 +668,9 @@ func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace, u *UpdateStats) {
 // first violation found.
 func (x *Index) Validate() error {
 	live := make(map[rtree.NodeID]rtree.NodeInfo)
-	x.tree.Walk(func(info rtree.NodeInfo) { live[info.ID] = info })
+	if err := x.tree.Walk(func(info rtree.NodeInfo) { live[info.ID] = info }); err != nil {
+		return err
+	}
 	for id, clips := range x.Table() {
 		info, ok := live[id]
 		if !ok {

@@ -110,7 +110,7 @@ func TestClippedSearchSavesLeafIO(t *testing.T) {
 	}
 	tree.Counter().Reset()
 	for _, q := range queries {
-		tree.Search(q, func(rtree.ObjectID, geom.Rect) bool { return true })
+		tree.CurrentVersion().Search(q, func(rtree.ObjectID, geom.Rect) bool { return true })
 	}
 	unclipped := tree.Counter().Snapshot().LeafReads
 
@@ -473,7 +473,7 @@ func BenchmarkUnclippedSearch(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tree.Search(queries[i%len(queries)], func(rtree.ObjectID, geom.Rect) bool { return true })
+		tree.CurrentVersion().Search(queries[i%len(queries)], func(rtree.ObjectID, geom.Rect) bool { return true })
 	}
 }
 

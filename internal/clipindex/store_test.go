@@ -98,7 +98,8 @@ func TestRestoreTableIdentity(t *testing.T) {
 			t.Fatalf("query %v: %d results, plain tree has %d", q, got, want)
 		}
 	}
-	dir, leaf := tree.NodeCount()
+	s := tree.Stats()
+	dir, leaf := s.DirNodes, s.LeafNodes
 	for _, id := range []rtree.NodeID{rtree.NodeID(dir + leaf + 5), 1 << 21, 1<<31 - 1} {
 		bad := maps.Clone(table)
 		bad[id] = []core.ClipPoint{{Coord: geom.Point{1, -0.5}, Mask: geom.Corner(1)}}

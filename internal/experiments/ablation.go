@@ -62,7 +62,7 @@ func RunTauSweep(cfg Config, taus []float64) (*TauSweepResult, error) {
 			return nil, err
 		}
 		plain := tree.CurrentVersion()
-		unclipped := leafReads(qs, func(q geom.Rect) storage.Snapshot { return plain.SearchCounted(q, nil, discard) })
+		unclipped := leafReads(qs, func(q geom.Rect) (storage.Snapshot, error) { return plain.SearchCounted(q, nil, discard) })
 		for _, tau := range taus {
 			params := core.Params{K: 1 << uint(ds.Spec.Dims+1), Tau: tau, Method: core.MethodStairline}
 			idx, err := clipindex.New(tree, params)
@@ -71,7 +71,7 @@ func RunTauSweep(cfg Config, taus []float64) (*TauSweepResult, error) {
 			}
 			cs := metrics.ClippedDeadSpace(idx, cfg.SamplesPerNode, cfg.Seed+6)
 			snap := idx.Snap()
-			clipped := leafReads(qs, func(q geom.Rect) storage.Snapshot { return snap.SearchCounted(q, nil, discard) })
+			clipped := leafReads(qs, func(q geom.Rect) (storage.Snapshot, error) { return snap.SearchCounted(q, nil, discard) })
 			out.Rows = append(out.Rows, TauRow{
 				Dataset:        name,
 				Tau:            tau,
@@ -142,7 +142,7 @@ func RunScoreApprox(cfg Config) (*ScoreApproxResult, error) {
 // Algorithm 1 is re-run per node.
 func ScoreApproxError(tree *rtree.Tree, params core.Params) (meanRelErr float64, nodes int) {
 	var clipper core.Clipper
-	tree.Walk(func(info rtree.NodeInfo) {
+	_ = tree.Walk(func(info rtree.NodeInfo) { // built in memory: no fault
 		children := make([]geom.Rect, info.Len())
 		for i := range children {
 			children[i] = info.Rect(i)

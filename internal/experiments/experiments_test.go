@@ -122,7 +122,7 @@ func TestBuildTreeSnapshotCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if other.Variant() != rtree.Quadratic {
+	if other.Config().Variant != rtree.Quadratic {
 		t.Fatal("variant mismatch must bypass the cache")
 	}
 }

@@ -107,7 +107,7 @@ func RunFig09(cfg Config) (*Fig09Result, error) {
 		}
 		// Collect leaf nodes and sample a subset deterministically.
 		var leaves [][]geom.Rect
-		tree.Walk(func(info rtree.NodeInfo) {
+		_ = tree.Walk(func(info rtree.NodeInfo) { // built in memory: no fault
 			if !info.Leaf || info.Len() < 2 {
 				return
 			}

@@ -65,26 +65,26 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 			}
 			// The unclipped tree, then the clipped ones, skyline first.
 			plain, sky, sta := tree.CurrentVersion(), idxSky.Snap(), idxSta.Snap()
-			search := []func(geom.Rect) storage.Snapshot{
-				func(q geom.Rect) storage.Snapshot { return plain.SearchCounted(q, nil, discard) },
-				func(q geom.Rect) storage.Snapshot { return sky.SearchCounted(q, nil, discard) },
-				func(q geom.Rect) storage.Snapshot { return sta.SearchCounted(q, nil, discard) },
+			search := []func(geom.Rect) (storage.Snapshot, error){
+				func(q geom.Rect) (storage.Snapshot, error) { return plain.SearchCounted(q, nil, discard) },
+				func(q geom.Rect) (storage.Snapshot, error) { return sky.SearchCounted(q, nil, discard) },
+				func(q geom.Rect) (storage.Snapshot, error) { return sta.SearchCounted(q, nil, discard) },
 			}
-			nearest := []func(geom.Rect) storage.Snapshot{
-				func(q geom.Rect) storage.Snapshot {
-					_, io := rtree.NearestNeighbors(10, q.Center(), rtree.KNNSource{Version: plain})
-					return io
+			nearest := []func(geom.Rect) (storage.Snapshot, error){
+				func(q geom.Rect) (storage.Snapshot, error) {
+					_, io, err := rtree.NearestNeighbors(10, q.Center(), rtree.KNNSource{Version: plain})
+					return io, err
 				},
-				func(q geom.Rect) storage.Snapshot {
-					_, io := clipindex.NearestNeighbors(10, q.Center(), sky)
-					return io
+				func(q geom.Rect) (storage.Snapshot, error) {
+					_, io, err := clipindex.NearestNeighbors(10, q.Center(), sky)
+					return io, err
 				},
-				func(q geom.Rect) storage.Snapshot {
-					_, io := clipindex.NearestNeighbors(10, q.Center(), sta)
-					return io
+				func(q geom.Rect) (storage.Snapshot, error) {
+					_, io, err := clipindex.NearestNeighbors(10, q.Center(), sta)
+					return io, err
 				},
 			}
-			rows := func(profile string, qs []geom.Rect, run []func(geom.Rect) storage.Snapshot) {
+			rows := func(profile string, qs []geom.Rect, run []func(geom.Rect) (storage.Snapshot, error)) {
 				var leafIO [3]int64
 				for i, f := range run {
 					leafIO[i] = leafReads(qs, f)
@@ -106,11 +106,13 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 	return out, nil
 }
 
-// leafReads runs a query batch and sums the leaf accesses its queries return.
-func leafReads(qs []geom.Rect, query func(geom.Rect) storage.Snapshot) int64 {
+// leafReads runs a query batch and sums the leaf accesses its queries return;
+// the trees are in memory, where no read fails.
+func leafReads(qs []geom.Rect, query func(geom.Rect) (storage.Snapshot, error)) int64 {
 	var n int64
 	for _, q := range qs {
-		n += query(q).LeafReads
+		io, _ := query(q)
+		n += io.LeafReads
 	}
 	return n
 }

@@ -76,7 +76,9 @@ func RunJoin(cfg Config) (*JoinResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			inlj[i] = join.INLJ([]*clipindex.Snap{leftIdx.Snap()}, right.Items, 1, nil)
+			if inlj[i], err = join.INLJ([]*clipindex.Snap{leftIdx.Snap()}, right.Items, 1, nil); err != nil {
+				return nil, err
+			}
 			stt[i], err = join.STT([]join.SidePair{{Left: leftIdx.Snap(), Right: rightIdx.Snap()}}, 1, nil)
 			if err != nil {
 				return nil, err
@@ -166,11 +168,11 @@ func RunFig15(cfg Config) (*Fig15Result, error) {
 			plain, sky, sta := tree.CurrentVersion(), idxSky.Snap(), idxSta.Snap()
 			runs := []struct {
 				label  string
-				search func(geom.Rect) storage.Snapshot
+				search func(geom.Rect) (storage.Snapshot, error)
 			}{
-				{short, func(q geom.Rect) storage.Snapshot { return plain.SearchCounted(q, nil, discard) }},
-				{"CSKY-" + short, func(q geom.Rect) storage.Snapshot { return sky.SearchCounted(q, nil, discard) }},
-				{"CSTA-" + short, func(q geom.Rect) storage.Snapshot { return sta.SearchCounted(q, nil, discard) }},
+				{short, func(q geom.Rect) (storage.Snapshot, error) { return plain.SearchCounted(q, nil, discard) }},
+				{"CSKY-" + short, func(q geom.Rect) (storage.Snapshot, error) { return sky.SearchCounted(q, nil, discard) }},
+				{"CSTA-" + short, func(q geom.Rect) (storage.Snapshot, error) { return sta.SearchCounted(q, nil, discard) }},
 			}
 			for _, p := range querygen.AllProfiles() {
 				qs := queries[p]

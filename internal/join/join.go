@@ -66,27 +66,33 @@ type Result struct {
 // every worker count. Each probe's range query charges its side's tree
 // counter, so accumulated IOStats match a sequential run. When visit is
 // non-nil it is serialised by a mutex but the pair order across probes is
-// unspecified for workers > 1.
-func INLJ(sides []*clipindex.Snap, probes []rtree.Item, workers int, visit func(Pair)) Result {
+// unspecified for workers > 1. A node that cannot be read ends its worker's
+// share of the probes; the workers' errors are returned joined.
+func INLJ(sides []*clipindex.Snap, probes []rtree.Item, workers int, visit func(Pair)) (Result, error) {
 	workers = effectiveWorkers(workers, len(probes))
 	if len(probes) == 0 || len(sides) == 0 {
-		return Result{}
+		return Result{}, nil
 	}
 
 	emit := serializedVisit(visit, workers)
 	tallies := make([]Result, workers)
+	errs := make([]error, workers)
 	forEachChunk(len(probes), workers, func(w, start, end int) {
 		local := tallies[w]
-		for i := start; i < end; i++ {
+		for i := start; i < end && errs[w] == nil; i++ {
 			probe := probes[i]
 			for _, s := range sides {
-				local.IO = local.IO.Add(s.SearchCounted(probe.Rect, nil, func(id rtree.ObjectID, _ geom.Rect) bool {
+				io, err := s.SearchCounted(probe.Rect, nil, func(id rtree.ObjectID, _ geom.Rect) bool {
 					local.Pairs++
 					if emit != nil {
 						emit(Pair{Left: id, Right: probe.Object})
 					}
 					return true
-				}))
+				})
+				if local.IO = local.IO.Add(io); err != nil {
+					errs[w] = err
+					break
+				}
 			}
 		}
 		tallies[w] = local
@@ -96,7 +102,7 @@ func INLJ(sides []*clipindex.Snap, probes []rtree.Item, workers int, visit func(
 		res.Pairs += r.Pairs
 		res.IO = res.IO.Add(r.IO)
 	}
-	return res
+	return res, errors.Join(errs...)
 }
 
 // SidePair is one (left, right) input combination of an STT join.
@@ -134,11 +140,12 @@ func STT(pairs []SidePair, workers int, visit func(Pair)) (Result, error) {
 	}
 	// Several pairs are the cross product of sharded inputs: like the shard
 	// directory's routing of a range query, a pair whose trees' bounds are
-	// disjoint (or one of which is empty) is skipped without reading a root.
+	// disjoint (or one of which is empty) is skipped without a charged read;
+	// one with an unreadable root is kept, for its traversal to report.
 	live := make([]SidePair, 0, len(pairs))
 	for _, p := range pairs {
 		lv, rv := p.Left.Version(), p.Right.Version()
-		if lv.Len() > 0 && rv.Len() > 0 && lv.Bounds().Intersects(rv.Bounds()) {
+		if lv.Len() > 0 && rv.Len() > 0 && lv.RootMBBIntersects(rv.Bounds()) {
 			live = append(live, p)
 		}
 	}

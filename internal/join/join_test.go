@@ -44,9 +44,14 @@ func snapOf(t testing.TB, tree *rtree.Tree, idx *clipindex.Index) *clipindex.Sna
 }
 
 // inlj and stt run the two joins over single trees, the shape every test in
-// this package uses.
+// this package uses; the trees are in memory, so an INLJ error fails t.
 func inlj(t testing.TB, tree *rtree.Tree, idx *clipindex.Index, probes []rtree.Item, workers int, visit func(Pair)) Result {
-	return INLJ([]*clipindex.Snap{snapOf(t, tree, idx)}, probes, workers, visit)
+	t.Helper()
+	res, err := INLJ([]*clipindex.Snap{snapOf(t, tree, idx)}, probes, workers, visit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func stt(t testing.TB, left, right *rtree.Tree, leftIdx, rightIdx *clipindex.Index, workers int, visit func(Pair)) (Result, error) {

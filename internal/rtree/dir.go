@@ -67,6 +67,15 @@ type directory struct {
 func (d *directory) at(id NodeID) *slot { return &d.chunks[id>>chunkBits].slots[id&chunkMask] }
 func (d *directory) has(id NodeID) bool { return uint32(id) < uint32(d.n) }
 
+// node returns id's node, nil for an id outside the directory or a slot a
+// lazy version has not faulted in yet.
+func (d *directory) node(id NodeID) *node {
+	if !d.has(id) {
+		return nil
+	}
+	return d.at(id).node.Load()
+}
+
 // record returns id's clip record, nil for an id outside the directory.
 func (d *directory) record(id NodeID) core.Record {
 	if !d.has(id) {

@@ -154,10 +154,7 @@ func (v *Version) walk(fn func(*node) error) error {
 	for len(stack) > 0 && v.root != InvalidNode {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n, err := v.nodeErr(id)
-		if err == nil && n == nil {
-			err = fmt.Errorf("rtree: node %d does not exist", id)
-		}
+		n, err := v.node(id)
 		if err == nil {
 			err = fn(n)
 		}
@@ -310,13 +307,15 @@ func (t *Tree) AttachStore(store storage.PageStore, pages map[NodeID]storage.Pag
 		pages = make(map[NodeID]storage.PageID)
 	}
 	src := &pageSource{store: store, pages: pages, hydrated: true, codec: CodecV1, dirty: make(map[NodeID]struct{})}
-	t.src = src
-	t.Walk(func(info NodeInfo) {
+	err := t.Walk(func(info NodeInfo) {
 		if _, ok := pages[info.ID]; !ok {
 			src.dirty[info.ID] = struct{}{}
 		}
 	})
-	return nil
+	if err == nil {
+		t.src = src
+	}
+	return err
 }
 
 // FlushDirty writes every node mutated since the last flush back to the
@@ -375,9 +374,9 @@ func (t *Tree) FlushDirty() (map[NodeID]storage.PageID, func(), error) {
 		pages[id] = pid
 	}
 	for _, id := range ids {
-		n := t.node(id)
-		if n == nil {
-			return nil, nil, fmt.Errorf("rtree: dirty node %d does not exist", id)
+		n, err := t.node(id)
+		if err != nil {
+			return nil, nil, err
 		}
 		pid, ok := pages[id]
 		if !ok {
@@ -475,7 +474,7 @@ func (t *Tree) Materialize() error {
 func (t *Tree) hydrate() (objects, height int, err error) {
 	v := t.lazyV
 	for id := range v.pages {
-		n, err := v.nodeErr(id)
+		n, err := v.node(id)
 		if err != nil {
 			return 0, 0, err
 		}

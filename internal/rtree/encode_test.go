@@ -142,7 +142,8 @@ func TestSavePageKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	usage := pager.Usage()
-	dir, leaf := tr.NodeCount()
+	s := tr.Stats()
+	dir, leaf := s.DirNodes, s.LeafNodes
 	if usage.Pages[storage.KindLeaf] != leaf || usage.Pages[storage.KindDirectory] != dir {
 		t.Fatalf("page kinds wrong: %+v, want %d dir %d leaf", usage.Pages, dir, leaf)
 	}

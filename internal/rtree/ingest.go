@@ -90,7 +90,7 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 		// the trace marks them all created (the clipped layer then clips
 		// each once, as it would after BulkLoad).
 		t.buildPacked(items, &trace.Writes)
-		t.Walk(func(info NodeInfo) { trace.markCreated(info.ID) })
+		t.mustWalk(func(info NodeInfo) { trace.markCreated(info.ID) })
 		trace.BulkLoaded = true
 		trace.Grafted = len(items)
 		return trace, nil
@@ -119,7 +119,7 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 func (t *Tree) rebuildWith(items []Item, trace *InsertTrace) {
 	all := make([]Item, 0, t.size+len(items))
 	ids := make([]NodeID, 0, 2*t.size/t.cfg.MaxEntries+2)
-	t.Walk(func(info NodeInfo) {
+	t.mustWalk(func(info NodeInfo) {
 		ids = append(ids, info.ID)
 		if info.Leaf {
 			for i := 0; i < info.Len(); i++ {
@@ -135,7 +135,7 @@ func (t *Tree) rebuildWith(items []Item, trace *InsertTrace) {
 	t.height = 0
 	t.buildPacked(all, &trace.Writes)
 	trace.Rebuilt = true
-	t.Walk(func(info NodeInfo) { trace.markCreated(info.ID) })
+	t.mustWalk(func(info NodeInfo) { trace.markCreated(info.ID) })
 }
 
 // ingestOrder keys every item with its Hilbert index and returns the batch's

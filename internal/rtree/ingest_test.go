@@ -26,7 +26,7 @@ func ingestItems(rng *rand.Rand, dims, n int, clustered bool) []Item {
 
 func sortedAll(t *Tree, q geom.Rect) []string {
 	var out []string
-	t.Search(q, func(id ObjectID, r geom.Rect) bool {
+	t.CurrentVersion().Search(q, func(id ObjectID, r geom.Rect) bool {
 		out = append(out, fmt.Sprintf("%d:%v", id, r))
 		return true
 	})
@@ -175,7 +175,8 @@ func TestInsertItemsRebuildEngages(t *testing.T) {
 			if !trace.Rebuilt {
 				t.Fatalf("rebuild path did not engage: %+v", trace.IngestStats)
 			}
-			dir, leaf := tree.NodeCount()
+			s := tree.Stats()
+			dir, leaf := s.DirNodes, s.LeafNodes
 			if len(trace.Created) != dir+leaf {
 				t.Fatalf("trace.Created %d, live nodes %d", len(trace.Created), dir+leaf)
 			}
@@ -187,7 +188,7 @@ func TestInsertItemsRebuildEngages(t *testing.T) {
 			}
 			// Every pre-existing and batch object must still be found.
 			found := 0
-			tree.Search(geom.Rect{Lo: geom.Point{-1000, -1000}, Hi: geom.Point{1000, 1000}}, func(ObjectID, geom.Rect) bool {
+			tree.CurrentVersion().Search(geom.Rect{Lo: geom.Point{-1000, -1000}, Hi: geom.Point{1000, 1000}}, func(ObjectID, geom.Rect) bool {
 				found++
 				return true
 			})
@@ -221,7 +222,8 @@ func TestInsertItemsEmptyTreeBulk(t *testing.T) {
 		if !trace.BulkLoaded {
 			t.Fatalf("%s: empty-tree batch did not bulk load", v)
 		}
-		dir, leaf := tree.NodeCount()
+		s := tree.Stats()
+		dir, leaf := s.DirNodes, s.LeafNodes
 		if len(trace.Created) != dir+leaf {
 			t.Fatalf("%s: trace.Created %d, nodes %d", v, len(trace.Created), dir+leaf)
 		}

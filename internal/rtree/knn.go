@@ -49,17 +49,12 @@ type knnRead struct {
 	src   int
 }
 
-// NearestNeighbors is Version.NearestNeighbors on the last committed version.
-func (t *Tree) NearestNeighbors(k int, p geom.Point) []Neighbor {
-	return t.cur.Load().NearestNeighbors(k, p)
-}
-
 // NearestNeighbors is the package function over this one version, without
 // clip records: the answer is exactly this version's epoch's, regardless of
 // concurrent writer activity.
-func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
-	nn, _ := NearestNeighbors(k, p, KNNSource{Version: v})
-	return nn
+func (v *Version) NearestNeighbors(k int, p geom.Point) ([]Neighbor, error) {
+	nn, _, err := NearestNeighbors(k, p, KNNSource{Version: v})
+	return nn, err
 }
 
 // NearestNeighbors returns the k objects of the sources (one tree, or the
@@ -90,11 +85,12 @@ func (v *Version) NearestNeighbors(k int, p geom.Point) []Neighbor {
 // exactly those with MINDIST ≤ the k-th distance, and records only ever
 // remove reads. Each source tallies its node accesses, and each tally is
 // charged to its tree's counter once, when the query ends; the sum of the
-// tallies is returned beside the answer.
-func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io storage.Snapshot) {
+// tallies is returned beside the answer. A node that cannot be read ends the
+// search: its error is returned, with the tally and no neighbours.
+func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io storage.Snapshot, err error) {
 	dims := len(p)
 	if k <= 0 || dims > geom.MaxDims || !p.Valid() {
-		return nil, io
+		return nil, io, nil
 	}
 	sc := searchScratchPool.Get().(*searchScratch)
 	front, best, read := sc.front[:0], sc.best[:0], sc.read[:0]
@@ -106,9 +102,9 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 		if v.root == InvalidNode || v.tree.cfg.Dims != dims {
 			continue
 		}
-		root := v.node(v.root)
-		if root == nil {
-			continue
+		var root *node
+		if root, err = v.node(v.root); err != nil {
+			break
 		}
 		// A root's box is its own MBB, when it has one on record.
 		e, mbb := knnEntry{id: int64(v.root), from: int32(len(read))}, []float64(nil)
@@ -122,7 +118,7 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 
 	// worst is the k-th best distance seen, +Inf until k objects were.
 	worst := math.Inf(1)
-	for len(front) > 0 && front[0].key <= worst {
+	for err == nil && len(front) > 0 && front[0].key <= worst {
 		e := front[0]
 		front = heapPop(front)
 		from := read[e.from]
@@ -140,9 +136,9 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 				}
 			}
 		}
-		n := v.node(NodeID(e.id))
-		if n == nil {
-			continue // an unreadable page on a file-backed tree, recorded in Err
+		var n *node
+		if n, err = v.node(NodeID(e.id)); err != nil {
+			break
 		}
 		chargeReadNode(pools[from.src], n, &tally[from.src])
 		count := n.count()
@@ -194,6 +190,9 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 
 	// Heap-sort the candidates in place into answer order and copy them out.
 	var out []Neighbor
+	if err != nil {
+		best = best[:0]
+	}
 	if len(best) > 0 {
 		out = make([]Neighbor, len(best))
 	}
@@ -214,7 +213,7 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 	clear(pools)
 	sc.front, sc.best, sc.read, sc.io, sc.pools = front[:0], best[:0], read[:0], tally[:0], pools[:0]
 	searchScratchPool.Put(sc)
-	return out, io
+	return out, io, err
 }
 
 // minDistSq is Rect.MinDistSq for the box at boxes[off] (dims lower, then

@@ -28,6 +28,17 @@ func bruteForceKNN(items []Item, p geom.Point, k int) []Neighbor {
 	return out
 }
 
+// nearest is the kNN answer at tr's last committed version; a read error
+// fails tb.
+func nearest(tb testing.TB, tr *Tree, k int, p geom.Point) []Neighbor {
+	tb.Helper()
+	nn, err := tr.CurrentVersion().NearestNeighbors(k, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return nn
+}
+
 func TestNearestNeighborsMatchesBruteForce(t *testing.T) {
 	for _, v := range AllVariants() {
 		t.Run(v.String(), func(t *testing.T) {
@@ -45,7 +56,7 @@ func TestNearestNeighborsMatchesBruteForce(t *testing.T) {
 			for trial := 0; trial < 30; trial++ {
 				p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 				k := 1 + rng.Intn(10)
-				got := tr.NearestNeighbors(k, p)
+				got := nearest(t, tr, k, p)
 				want := bruteForceKNN(items, p, k)
 				if len(got) != len(want) {
 					t.Fatalf("k=%d: got %d results, want %d", k, len(got), len(want))
@@ -63,7 +74,7 @@ func TestNearestNeighborsMatchesBruteForce(t *testing.T) {
 
 func TestNearestNeighborsEdgeCases(t *testing.T) {
 	tr := MustNew(smallConfig(2, RStar))
-	if tr.NearestNeighbors(3, geom.Pt(0, 0)) != nil {
+	if nearest(t, tr, 3, geom.Pt(0, 0)) != nil {
 		t.Error("empty tree should return nil")
 	}
 	// A diagonal of unit boxes: box i is [i, i+1]².
@@ -92,14 +103,14 @@ func TestNearestNeighborsEdgeCases(t *testing.T) {
 		{"+Inf", 3, geom.Pt(inf, 5)},
 		{"-Inf", 3, geom.Pt(5, -inf)},
 	} {
-		if got := tr.NearestNeighbors(c.k, c.p); got != nil {
+		if got := nearest(t, tr, c.k, c.p); got != nil {
 			t.Errorf("%s: NearestNeighbors(%d, %v) = %v, want nil", c.name, c.k, c.p, got)
 		}
 	}
 	// k beyond the tree's size returns every object, in order, at a cost
 	// sized by the tree.
 	for _, k := range []int{len(items), len(items) + 1, math.MaxInt} {
-		got, want := tr.NearestNeighbors(k, geom.Pt(10.5, 10.5)), bruteForceKNN(items, geom.Pt(10.5, 10.5), k)
+		got, want := nearest(t, tr, k, geom.Pt(10.5, 10.5)), bruteForceKNN(items, geom.Pt(10.5, 10.5), k)
 		if len(got) != len(items) || cap(got) != len(items) {
 			t.Fatalf("k=%d: %d results (cap %d), want all %d", k, len(got), cap(got), len(items))
 		}
@@ -110,7 +121,7 @@ func TestNearestNeighborsEdgeCases(t *testing.T) {
 		}
 	}
 	// A point inside an object has distance zero; on a shared corner, two.
-	got := tr.NearestNeighbors(3, geom.Pt(7, 7))
+	got := nearest(t, tr, 3, geom.Pt(7, 7))
 	if len(got) != 3 || got[0].Object != 6 || got[0].DistSq != 0 || got[1].Object != 7 || got[1].DistSq != 0 || got[2].Object != 5 || got[2].DistSq != 2 {
 		t.Errorf("at a shared corner: %+v, want objects 6, 7 at distance 0 and 5 at 2", got)
 	}
@@ -122,9 +133,9 @@ func TestNearestNeighborsPrunesNodes(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		_, _ = tr.Insert(randRect(rng, 2, 5000, 5), ObjectID(i))
 	}
-	_, leaves := tr.NodeCount()
+	leaves := tr.Stats().LeafNodes
 	tr.Counter().Reset()
-	tr.NearestNeighbors(5, geom.Pt(2500, 2500))
+	nearest(t, tr, 5, geom.Pt(2500, 2500))
 	read := tr.Counter().Snapshot().LeafReads
 	if read == 0 {
 		t.Fatal("kNN should read at least one leaf")
@@ -143,6 +154,6 @@ func BenchmarkNearestNeighbors(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.NearestNeighbors(10, geom.Pt(rng.Float64()*10000, rng.Float64()*10000))
+		nearest(b, tr, 10, geom.Pt(rng.Float64()*10000, rng.Float64()*10000))
 	}
 }

@@ -91,8 +91,8 @@ func (n *node) planeBytes() int { return len(n.qplanes)*8 + len(n.qmbb)*8 }
 
 // hasPlanes reports whether the node carries a filter layer consistent with
 // its entry count — true for every node this package builds or decodes.
-// Range search skips a node without one like an unreadable page; the
-// nearest-neighbour search only skips its grid prefilter.
+// Range search skips a node without one (only freed-slot placeholders lack
+// it); the nearest-neighbour search only skips its grid prefilter.
 func (n *node) hasPlanes(dims int) bool {
 	return len(n.qplanes) == 2*dims*planeWords(n.count()) && len(n.qmbb) == 2*dims
 }

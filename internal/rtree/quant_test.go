@@ -486,7 +486,7 @@ func TestSearchAndKNNMatchPlaneFreeScan(t *testing.T) {
 			}
 		}
 		got := 0
-		tr.Search(q, func(o ObjectID, _ geom.Rect) bool {
+		tr.CurrentVersion().Search(q, func(o ObjectID, _ geom.Rect) bool {
 			if !want[o] {
 				t.Fatalf("query %d returned object %d, which does not intersect it", i, o)
 			}
@@ -504,7 +504,7 @@ func TestSearchAndKNNMatchPlaneFreeScan(t *testing.T) {
 	run := func() [][]Neighbor {
 		var nns [][]Neighbor
 		for _, p := range points {
-			nns = append(nns, tr.NearestNeighbors(7, p))
+			nns = append(nns, nearest(t, tr, 7, p))
 		}
 		return nns
 	}

@@ -438,7 +438,7 @@ type Tree struct {
 	// and mutated nodes are tracked in src.dirty until FlushDirty writes them
 	// back to the page store. src is nil for ordinary in-memory trees.
 	src      *pageSource
-	faultErr atomic.Pointer[error] // first page fault failure, sticky
+	faultErr atomic.Pointer[error] // first page fault failure, for Err
 
 	// conservative marks a tree decoded from compressed (v2) pages: its
 	// directory entry rects are supersets of the exact child MBBs (the
@@ -500,9 +500,6 @@ func MustNew(cfg Config) *Tree {
 
 // Config returns the tree's effective configuration.
 func (t *Tree) Config() Config { return t.cfg }
-
-// Variant returns the tree's variant.
-func (t *Tree) Variant() Variant { return t.cfg.Variant }
 
 // Dims returns the dimensionality of indexed rectangles.
 func (t *Tree) Dims() int { return t.cfg.Dims }
@@ -905,21 +902,15 @@ func (t *Tree) Dirty() bool {
 }
 
 // Err returns the first page-fault failure of a file-backed tree (a page
-// that could not be read or decoded on demand), or nil. Queries treat a
-// node that failed to fault in as empty rather than panicking; callers that
-// need certainty should check Err after a batch, or call Materialize up
-// front.
+// that could not be read or decoded on demand), or nil. A read with an error
+// result returns its own fault; Err is the only report of those without one —
+// Count, Stats, and Version's Search, Bounds and Stats — which stop at the
+// node they cannot read. No read depends on it.
 func (t *Tree) Err() error {
 	if p := t.faultErr.Load(); p != nil {
 		return *p
 	}
 	return nil
-}
-
-// Bounds returns the MBB of all indexed objects (zero Rect when empty) at
-// the last committed version.
-func (t *Tree) Bounds() geom.Rect {
-	return t.cur.Load().Bounds()
 }
 
 // --- node directory management -----------------------------------------------
@@ -999,20 +990,23 @@ func (t *Tree) touch(n *node, slots ...int) {
 // recursion; Insert, Delete, and BulkLoad recover it into an error.
 type faultFailure struct{ err error }
 
-// mustNode is the node accessor of the mutation paths: unlike node (which
-// lets queries degrade gracefully), a missing or unreadable node aborts the
-// mutation via a recoverable panic. After ensureMutable has hydrated a
-// file-backed tree this can only trip on genuine corruption.
+// mustNode is the node accessor of the mutation paths: a missing or
+// unreadable node aborts the mutation with node's error, via a recoverable
+// panic. After ensureMutable has hydrated a file-backed tree this can only
+// trip on genuine corruption.
 func (t *Tree) mustNode(id NodeID) *node {
-	n := t.node(id)
-	if n == nil {
-		err := t.Err()
-		if err == nil {
-			err = fmt.Errorf("rtree: node %d does not exist", id)
-		}
+	n, err := t.node(id)
+	if err != nil {
 		panic(faultFailure{err})
 	}
 	return n
+}
+
+// mustWalk is Walk for the mutation paths, aborting like mustNode.
+func (t *Tree) mustWalk(fn func(NodeInfo)) {
+	if err := t.Walk(fn); err != nil {
+		panic(faultFailure{err})
+	}
 }
 
 // recoverFault converts a faultFailure panic into *errp; other panics
@@ -1043,23 +1037,22 @@ func (t *Tree) ensureMutable() error {
 }
 
 // node is the writer-side node accessor: the directory lookup used by the
-// mutation algorithms, Walk, Save, and friends. Before a file-backed tree is
-// hydrated it falls through to the lazy version's fault path, so the
-// directory fills in exactly as reads always did. It returns nil when the id
-// is out of range or its page cannot be read (the failure is recorded and
-// exposed via Err).
-func (t *Tree) node(id NodeID) *node {
+// mutation algorithms, Validate, FlushDirty, and friends. Before a
+// file-backed tree is hydrated it is the lazy version's node, so the
+// directory fills in exactly as reads do. An id the writer's directory does
+// not hold, or a page that cannot be read, is an error.
+func (t *Tree) node(id NodeID) (*node, error) {
 	if t.src != nil && !t.src.hydrated {
 		return t.lazyV.node(id)
 	}
-	if !t.dir.has(id) {
-		if t.src != nil {
-			t.parkFault(fmt.Errorf("rtree: node id %d out of range", id))
-		}
-		return nil
+	if n := t.dir.node(id); n != nil {
+		return n, nil
 	}
-	return t.dir.at(id).node.Load()
+	return nil, missing(id)
 }
+
+// missing is the error of an id that names no node.
+func missing(id NodeID) error { return fmt.Errorf("rtree: node %d does not exist", id) }
 
 // fault loads one node page from the page store into a lazy version's
 // directory: the one place a page becomes a node of a tree, and the one place
@@ -1072,13 +1065,11 @@ func (t *Tree) node(id NodeID) *node {
 // returns the hydrated node instead. The page lookup uses the version's own
 // page map, which is never mutated after publication.
 func (t *Tree) fault(v *Version, id NodeID) (*node, error) {
-	if !v.dir.has(id) {
-		return nil, t.parkFault(fmt.Errorf("rtree: node id %d out of range", id))
-	}
-	s := v.dir.at(id)
 	var n *node
 	var ferr error
-	if pid, ok := v.pages[id]; !ok {
+	if pid, ok := v.pages[id]; !v.dir.has(id) {
+		ferr = fmt.Errorf("rtree: node id %d out of range", id)
+	} else if !ok {
 		ferr = fmt.Errorf("rtree: node %d has no page in the snapshot", id)
 	} else if buf, _, err := t.src.store.Read(pid); err != nil {
 		ferr = fmt.Errorf("rtree: reading page %d for node %d: %w", pid, id, err)
@@ -1087,17 +1078,17 @@ func (t *Tree) fault(v *Version, id NodeID) (*node, error) {
 	} else if n.id != id {
 		ferr = fmt.Errorf("rtree: page %d claims node id %d, expected %d", pid, n.id, id)
 	}
-	if ferr == nil && s.node.CompareAndSwap(nil, n) {
+	if ferr == nil && v.dir.at(id).node.CompareAndSwap(nil, n) {
 		return n, nil
 	}
-	if cached := s.node.Load(); cached != nil {
+	if cached := v.dir.node(id); cached != nil {
 		return cached, nil
 	}
 	return nil, t.parkFault(ferr)
 }
 
-// parkFault records err as the tree's sticky fault failure if it is the
-// first, and returns it.
+// parkFault records err as the tree's first fault failure, for Err, and
+// returns it.
 func (t *Tree) parkFault(err error) error {
 	t.faultErr.CompareAndSwap(nil, &err)
 	return err
@@ -1214,84 +1205,49 @@ func (n *node) info(parent NodeID, dims int) NodeInfo {
 // tree the node is faulted in on demand, and Parent is InvalidNode until
 // Materialize has run (parents are not stored in the Figure 4a page layout).
 func (t *Tree) Node(id NodeID) (NodeInfo, error) {
-	if n := t.node(id); n != nil {
-		return n.info(t.parentOf(id), t.cfg.Dims), nil
+	n, err := t.node(id)
+	if err != nil {
+		return NodeInfo{}, err
 	}
-	return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
+	return n.info(t.parentOf(id), t.cfg.Dims), nil
 }
 
 // Walk visits every live node of the writer's tree top-down, calling fn with
-// a snapshot of each; a node that cannot be read ends the walk (its failure
-// parked in Err). It does not charge I/O; it is intended for construction of
-// clip tables, statistics, and validation.
-func (t *Tree) Walk(fn func(NodeInfo)) {
+// a snapshot of each; a node it cannot read ends the walk with its error. It
+// does not charge I/O; it is for clip tables, statistics and validation.
+func (t *Tree) Walk(fn func(NodeInfo)) error {
 	v := t.lazyV // the writer's state, until a file-backed tree is hydrated
 	if t.src == nil || t.src.hydrated {
 		v = &Version{tree: t, root: t.root, dir: t.dir}
 	}
-	_ = v.walk(func(n *node) error {
+	return v.walk(func(n *node) error {
 		fn(n.info(t.parentOf(n.id), t.cfg.Dims))
 		return nil
 	})
 }
 
-// NodeCount returns the number of live nodes (directory + leaf).
-func (t *Tree) NodeCount() (dir, leaf int) {
-	t.Walk(func(info NodeInfo) {
-		if info.Leaf {
-			leaf++
-		} else {
-			dir++
-		}
-	})
-	return dir, leaf
-}
-
-// --- search ------------------------------------------------------------------
-
-// Search finds every object whose rectangle intersects q and passes it to
-// visit; traversal stops early if visit returns false. Node accesses are
-// charged to the tree's counter (directory and leaf reads separately).
-//
-// An invalid query, or one whose dimensionality differs from the tree's,
-// matches nothing. (Previously a query with extra dimensions had them
-// silently ignored on the unclipped path and panicked on the clipped path;
-// both now uniformly return no results.)
-func (t *Tree) Search(q geom.Rect, visit func(ObjectID, geom.Rect) bool) {
-	t.cur.Load().Search(q, visit)
-}
-
-// Count returns the number of objects intersecting q (convenience wrapper
-// over Search).
+// Count returns the number of objects intersecting q at the last committed
+// version. A page fault ends the count and is reported only through Err.
 func (t *Tree) Count(q geom.Rect) int {
 	n := 0
-	t.Search(q, func(ObjectID, geom.Rect) bool { n++; return true })
+	t.cur.Load().Search(q, func(ObjectID, geom.Rect) bool { n++; return true })
 	return n
 }
 
-// All returns every object in the tree (id and rectangle), in no particular
-// order, without charging I/O. The rectangles are views (see Entry).
-func (t *Tree) All() []Entry {
-	out := make([]Entry, 0, t.size)
-	t.Walk(func(info NodeInfo) {
-		if info.Leaf {
-			for i := 0; i < info.Len(); i++ {
-				out = append(out, Entry{Rect: info.Rect(i), Child: InvalidNode, Object: info.Object(i)})
-			}
+// AllItems returns every object as bulk-load items, in no particular order,
+// without charging I/O, or the error of a node it could not read. The
+// rectangles are views (see Entry). It is the export hook for shard rebuilds:
+// the sharded engine enumerates a shard with AllItems, partitions the items
+// by Hilbert key, and BulkLoads each half into a fresh tree.
+func (t *Tree) AllItems() ([]Item, error) {
+	out := make([]Item, 0, t.size)
+	err := t.Walk(func(info NodeInfo) {
+		for i := 0; i < info.Len() && info.Leaf; i++ {
+			out = append(out, Item{Object: info.Object(i), Rect: info.Rect(i)})
 		}
 	})
-	return out
-}
-
-// AllItems returns every object as bulk-load items, in no particular order,
-// without charging I/O. It is the export hook for shard rebuilds: the
-// sharded engine enumerates a shard with AllItems, partitions the items by
-// Hilbert key, and BulkLoads each half into a fresh tree.
-func (t *Tree) AllItems() []Item {
-	entries := t.All()
-	out := make([]Item, len(entries))
-	for i, e := range entries {
-		out[i] = Item{Object: e.Object, Rect: e.Rect}
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return out, nil
 }

@@ -86,11 +86,11 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 || tr.Height() != 0 || tr.RootID() != InvalidNode {
 		t.Error("fresh tree should be empty")
 	}
-	if !tr.Bounds().IsZero() {
+	if !tr.CurrentVersion().Bounds().IsZero() {
 		t.Error("empty tree bounds should be zero")
 	}
 	found := 0
-	tr.Search(geom.R(0, 0, 1, 1), func(ObjectID, geom.Rect) bool { found++; return true })
+	tr.CurrentVersion().Search(geom.R(0, 0, 1, 1), func(ObjectID, geom.Rect) bool { found++; return true })
 	if found != 0 {
 		t.Error("searching an empty tree should find nothing")
 	}
@@ -141,7 +141,7 @@ func TestInsertAndSearchAllVariants(t *testing.T) {
 					query := randRect(rng, dims, 1000, 80)
 					want := bruteForceSearch(items, query)
 					got := make(map[ObjectID]bool)
-					tr.Search(query, func(id ObjectID, _ geom.Rect) bool {
+					tr.CurrentVersion().Search(query, func(id ObjectID, _ geom.Rect) bool {
 						got[id] = true
 						return true
 					})
@@ -166,7 +166,7 @@ func TestSearchEarlyTermination(t *testing.T) {
 		_, _ = tr.Insert(randRect(rng, 2, 100, 10), ObjectID(i))
 	}
 	visited := 0
-	tr.Search(geom.R(0, 0, 100, 100), func(ObjectID, geom.Rect) bool {
+	tr.CurrentVersion().Search(geom.R(0, 0, 100, 100), func(ObjectID, geom.Rect) bool {
 		visited++
 		return visited < 5
 	})
@@ -182,9 +182,9 @@ func TestSearchCountsIO(t *testing.T) {
 		_, _ = tr.Insert(randRect(rng, 2, 1000, 10), ObjectID(i))
 	}
 	tr.Counter().Reset()
-	tr.Search(geom.R(0, 0, 1000, 1000), func(ObjectID, geom.Rect) bool { return true })
+	tr.CurrentVersion().Search(geom.R(0, 0, 1000, 1000), func(ObjectID, geom.Rect) bool { return true })
 	snap := tr.Counter().Snapshot()
-	_, leaves := tr.NodeCount()
+	leaves := tr.Stats().LeafNodes
 	if snap.LeafReads != int64(leaves) {
 		t.Errorf("full-space query should read every leaf: read %d of %d", snap.LeafReads, leaves)
 	}
@@ -193,7 +193,7 @@ func TestSearchCountsIO(t *testing.T) {
 	}
 	// A tiny query should read far fewer leaves.
 	tr.Counter().Reset()
-	tr.Search(geom.R(1, 1, 2, 2), func(ObjectID, geom.Rect) bool { return true })
+	tr.CurrentVersion().Search(geom.R(1, 1, 2, 2), func(ObjectID, geom.Rect) bool { return true })
 	if small := tr.Counter().Snapshot().LeafReads; small >= int64(leaves) {
 		t.Errorf("small query read %d leaves of %d", small, leaves)
 	}
@@ -230,8 +230,11 @@ func TestSearchFiltered(t *testing.T) {
 	// Records that certify everything dead prune all children of the root.
 	tr.Counter().Reset()
 	count := 0
-	io := withRootChildRecords(tr, 1e18).SearchClipped(geom.R(0, 0, 500, 500),
+	io, err := withRootChildRecords(tr, 1e18).SearchClipped(geom.R(0, 0, 500, 500),
 		func(ObjectID, geom.Rect) bool { count++; return true })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if count != 0 {
 		t.Errorf("records rejecting all children should yield no results, got %d", count)
 	}
@@ -312,7 +315,7 @@ func TestDelete(t *testing.T) {
 			// Deleted objects are gone; remaining ones are still found.
 			remaining := items[150:]
 			got := make(map[ObjectID]bool)
-			tr.Search(geom.R(-10, -10, 600, 600), func(id ObjectID, _ geom.Rect) bool {
+			tr.CurrentVersion().Search(geom.R(-10, -10, 600, 600), func(id ObjectID, _ geom.Rect) bool {
 				got[id] = true
 				return true
 			})
@@ -396,7 +399,7 @@ func TestBulkLoadAllVariants(t *testing.T) {
 					query := randRect(rng, 2, 1000, 100)
 					want := bruteForceSearch(items, query)
 					got := 0
-					tr.Search(query, func(ObjectID, geom.Rect) bool { got++; return true })
+					tr.CurrentVersion().Search(query, func(ObjectID, geom.Rect) bool { got++; return true })
 					if got != len(want) {
 						t.Fatalf("query %d: got %d, want %d", q, got, len(want))
 					}
@@ -480,7 +483,7 @@ func TestNodeAndWalk(t *testing.T) {
 	}
 	seen := 0
 	leafObjects := 0
-	tr.Walk(func(info NodeInfo) {
+	err := tr.Walk(func(info NodeInfo) {
 		seen++
 		if info.Leaf {
 			leafObjects += info.Len()
@@ -496,15 +499,19 @@ func TestNodeAndWalk(t *testing.T) {
 			t.Error("Node and Walk disagree on MBB")
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if leafObjects != 100 {
 		t.Errorf("walk reached %d objects, want 100", leafObjects)
 	}
-	dir, leaf := tr.NodeCount()
+	s := tr.Stats()
+	dir, leaf := s.DirNodes, s.LeafNodes
 	if dir+leaf != seen {
-		t.Errorf("NodeCount %d+%d != walked %d", dir, leaf, seen)
+		t.Errorf("Stats counts %d+%d nodes, walked %d", dir, leaf, seen)
 	}
-	if len(tr.All()) != 100 {
-		t.Errorf("All returned %d entries", len(tr.All()))
+	if all, err := tr.AllItems(); err != nil || len(all) != 100 {
+		t.Errorf("AllItems returned %d items, error %v", len(all), err)
 	}
 	if _, err := tr.Node(NodeID(9999)); err == nil {
 		t.Error("Node with bogus id should fail")
@@ -575,7 +582,7 @@ func TestOccupancyInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := 0
-			tr.Search(geom.R(-10, -10, 400, 400), func(ObjectID, geom.Rect) bool { got++; return true })
+			tr.CurrentVersion().Search(geom.R(-10, -10, 400, 400), func(ObjectID, geom.Rect) bool { got++; return true })
 			if got != len(live) {
 				t.Fatalf("full query found %d of %d", got, len(live))
 			}
@@ -698,7 +705,7 @@ func TestGroupSizes(t *testing.T) {
 }
 
 // Property-style test: for every variant, the set of (object, rect) pairs
-// returned by All() is exactly what was inserted.
+// returned by AllItems is exactly what was inserted.
 func TestAllReturnsEveryObject(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, v := range AllVariants() {
@@ -709,9 +716,9 @@ func TestAllReturnsEveryObject(t *testing.T) {
 			want[ObjectID(i)] = r
 			_, _ = tr.Insert(r, ObjectID(i))
 		}
-		got := tr.All()
-		if len(got) != len(want) {
-			t.Fatalf("%v: All returned %d, want %d", v, len(got), len(want))
+		got, err := tr.AllItems()
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("%v: AllItems returned %d, want %d (error %v)", v, len(got), len(want), err)
 		}
 		ids := make([]int, 0, len(got))
 		for _, e := range got {
@@ -868,6 +875,6 @@ func BenchmarkSearch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q := randRect(rng, 2, 10000, 100)
-		tr.Search(q, func(ObjectID, geom.Rect) bool { return true })
+		tr.CurrentVersion().Search(q, func(ObjectID, geom.Rect) bool { return true })
 	}
 }

@@ -33,9 +33,9 @@ func (t *Tree) Validate() error {
 	if err := t.Materialize(); err != nil {
 		return err
 	}
-	root := t.node(t.root)
-	if root == nil {
-		return fmt.Errorf("rtree: root %d is nil", t.root)
+	root, err := t.node(t.root)
+	if err != nil {
+		return err
 	}
 	if p := t.parentOf(t.root); p != InvalidNode {
 		return fmt.Errorf("rtree: root %d has parent %d", root.id, p)
@@ -46,9 +46,9 @@ func (t *Tree) Validate() error {
 	objects := 0
 	var check func(id NodeID) error
 	check = func(id NodeID) error {
-		n := t.node(id)
-		if n == nil {
-			return fmt.Errorf("rtree: node %d is nil", id)
+		n, err := t.node(id)
+		if err != nil {
+			return err
 		}
 		if n.count() > t.cfg.MaxEntries {
 			return fmt.Errorf("rtree: node %d has %d entries (max %d)", id, n.count(), t.cfg.MaxEntries)
@@ -71,7 +71,10 @@ func (t *Tree) Validate() error {
 		}
 		for i := range n.refs {
 			e := n.entry(i, t.cfg.Dims)
-			child := t.node(e.Child)
+			child, err := t.node(e.Child)
+			if err != nil {
+				return err
+			}
 			if p := t.parentOf(e.Child); p != id {
 				return fmt.Errorf("rtree: child %d has parent %d, expected %d", child.id, p, id)
 			}

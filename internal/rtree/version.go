@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -82,38 +81,29 @@ func (v *Version) Pin() { v.pins.Add(1) }
 // Unpin releases a pin taken with Pin.
 func (v *Version) Unpin() { v.pins.Add(-1) }
 
-// node returns the node with the given id at this version, nil for an id
-// outside it. A lazy version faults a missing node in (reading the version's
-// own page map) and returns nil for one that cannot be brought in; the
-// failure is parked in Tree.Err.
-func (v *Version) node(id NodeID) *node {
-	n, _ := v.nodeErr(id)
-	return n
-}
-
-// nodeErr is node with the fault's error.
-func (v *Version) nodeErr(id NodeID) (*node, error) {
-	if v.dir.has(id) {
-		if n := v.dir.at(id).node.Load(); n != nil || !v.lazy {
-			return n, nil
-		}
-	} else if !v.lazy {
-		return nil, nil
+// node returns the node with the given id at this version, or the error that
+// keeps it from the caller: the one node accessor of every read, and the only
+// way a read learns of a fault. A lazy version faults a missing node in from
+// its own page map (Tree.fault); an id outside the version is an error.
+func (v *Version) node(id NodeID) (*node, error) {
+	if n := v.dir.node(id); n != nil {
+		return n, nil
 	}
-	return v.tree.fault(v, id)
+	if v.lazy {
+		return v.tree.fault(v, id)
+	}
+	return nil, missing(id)
 }
 
 // Bounds returns the MBB of all objects at this version (zero Rect when
 // empty).
 func (v *Version) Bounds() geom.Rect {
-	if v.root == InvalidNode {
-		return geom.Rect{}
+	if v.root != InvalidNode {
+		if n, err := v.node(v.root); err == nil {
+			return n.mbb()
+		}
 	}
-	n := v.node(v.root)
-	if n == nil {
-		return geom.Rect{}
-	}
-	return n.mbb()
+	return geom.Rect{}
 }
 
 // RootMBBIntersects reports whether q intersects the MBB of the root node at
@@ -121,16 +111,16 @@ func (v *Version) Bounds() geom.Rect {
 // root's qmbb, the exact MBB its planes are quantised against. It returns
 // false for an empty tree, and true when the root has no slots (the vacuous
 // truth of the zero Rect) or cannot be read (so callers fall through to the
-// regular search path, which records the fault).
+// regular search path, which returns the fault).
 func (v *Version) RootMBBIntersects(q geom.Rect) bool {
 	if v.root == InvalidNode {
 		return false
 	}
-	n, dims := v.node(v.root), len(q.Lo)
-	if n == nil || n.count() == 0 || len(n.qmbb) != 2*dims {
+	n, err := v.node(v.root)
+	if err != nil || n.count() == 0 || len(n.qmbb) != 2*len(q.Lo) {
 		return true
 	}
-	return boxRect(n.qmbb, 0, dims).Intersects(q)
+	return boxRect(n.qmbb, 0, len(q.Lo)).Intersects(q)
 }
 
 // Node returns a read-only snapshot of the node with the given id at this
@@ -139,33 +129,31 @@ func (v *Version) RootMBBIntersects(q geom.Rect) bool {
 // root, and on a lazy version, whose pages do not store parents, for every
 // node.
 func (v *Version) Node(id NodeID) (NodeInfo, error) {
-	n, err := v.nodeErr(id)
+	n, err := v.node(id)
 	if err != nil {
 		return NodeInfo{}, err
-	}
-	if n == nil {
-		return NodeInfo{}, fmt.Errorf("rtree: node %d does not exist", id)
 	}
 	return n.info(v.dir.at(id).parent, v.tree.cfg.Dims), nil
 }
 
 // Search finds every object intersecting q at this version; traversal stops
 // early when visit returns false. Node accesses are charged to the owning
-// tree's counter.
+// tree's counter. A page fault ends the search and is reported only through
+// Tree.Err; SearchCounted returns it.
 func (v *Version) Search(q geom.Rect, visit func(ObjectID, geom.Rect) bool) {
-	v.SearchCounted(q, nil, visit)
+	_, _ = v.SearchCounted(q, nil, visit) // a fault is reported through Tree.Err
 }
 
 // SearchCounted is Search with the node accesses charged to c instead of the
 // tree's own counter (the tree's counter when c is nil). It returns what it
-// charged.
-func (v *Version) SearchCounted(q geom.Rect, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) storage.Snapshot {
-	io := v.search(q, false, visit)
+// charged, and the fault of a node it could not read, which ended it.
+func (v *Version) SearchCounted(q geom.Rect, c *storage.Counter, visit func(ObjectID, geom.Rect) bool) (storage.Snapshot, error) {
+	io, err := v.search(q, false, visit)
 	if c == nil {
 		c = v.tree.counter
 	}
 	c.Add(io)
-	return io
+	return io, err
 }
 
 // searchScratch is the pooled per-query working state: a range search's
@@ -218,9 +206,9 @@ var searchScratchPool = sync.Pool{
 // that has a record is visited only if q intersects its exact MBB and no clip
 // point certifies that overlap dead, and the root's own MBB and record are
 // tested before any node is read. It returns the query's node accesses and
-// charges them to no counter; Search and SearchCounted, which run the same
-// descent without the records, do.
-func (v *Version) SearchClipped(q geom.Rect, visit func(ObjectID, geom.Rect) bool) storage.Snapshot {
+// fault, and charges the accesses to no counter; Search and SearchCounted,
+// which run the same descent without the records, do.
+func (v *Version) SearchClipped(q geom.Rect, visit func(ObjectID, geom.Rect) bool) (storage.Snapshot, error) {
 	return v.search(q, true, visit)
 }
 
@@ -245,11 +233,11 @@ func (v *Version) SearchClipped(q geom.Rect, visit func(ObjectID, geom.Rect) boo
 // touches no shared mutable state beyond an attached buffer pool, loaded
 // once: the one version load its caller performed pins the entire
 // traversal, nodes and records alike. The query is validated here and
-// nowhere else.
-func (v *Version) search(q geom.Rect, clipped bool, visit func(ObjectID, geom.Rect) bool) (io storage.Snapshot) {
+// nowhere else. A node it cannot read ends it, with that node's error.
+func (v *Version) search(q geom.Rect, clipped bool, visit func(ObjectID, geom.Rect) bool) (io storage.Snapshot, err error) {
 	t := v.tree
 	if v.root == InvalidNode || !q.Valid() || q.Dims() != t.cfg.Dims {
-		return io
+		return io, nil
 	}
 	dims := t.cfg.Dims
 	pool := t.pool.Load()
@@ -258,24 +246,25 @@ func (v *Version) search(q geom.Rect, clipped bool, visit func(ObjectID, geom.Re
 		sc.sel.Query(q)
 		// The root's own MBB and clip points can prune the query outright,
 		// before any node is read (an unreadable root falls through to the
-		// descent, which skips it).
+		// descent, which returns its fault).
 		if !v.RootMBBIntersects(q) || v.dir.record(v.root).Dead(dims, &sc.sel) {
 			searchScratchPool.Put(sc)
-			return io
+			return io, nil
 		}
 	}
 	copy(sc.qlo[:dims], q.Lo)
 	copy(sc.qhi[:dims], q.Hi)
 	stack := append(sc.stack[:0], v.root)
+descent:
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n := v.node(id)
-		if n == nil || !n.hasPlanes(dims) {
-			// An unreadable page on a file-backed tree (recorded in Err), or a
-			// node without a filter layer: only freed-slot placeholders lack
-			// one, and no live root reaches them.
-			continue
+		var n *node
+		if n, err = v.node(id); err != nil {
+			break
+		}
+		if !n.hasPlanes(dims) {
+			continue // only freed-slot placeholders lack a filter layer
 		}
 		count := n.count()
 		quantiseQuery(n.qmbb, dims, sc.qlo[:], sc.qhi[:], &sc.qg)
@@ -291,9 +280,7 @@ func (v *Version) search(q geom.Rect, clipped bool, visit func(ObjectID, geom.Re
 					m &= m - 1
 					if boxHits(boxes, i*2*dims, dims, &sc.qlo, &sc.qhi) {
 						if !visit(n.object(i), boxRect(boxes, i, dims)) {
-							sc.stack = stack[:0]
-							searchScratchPool.Put(sc)
-							return io
+							break descent
 						}
 					}
 				}
@@ -323,7 +310,7 @@ func (v *Version) search(q geom.Rect, clipped bool, visit func(ObjectID, geom.Re
 	}
 	sc.stack = stack[:0]
 	searchScratchPool.Put(sc)
-	return io
+	return io, err
 }
 
 // boxHits reports whether the entry box starting at boxes[off] (dims Lo

@@ -80,7 +80,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	dir, leaf := tree.NodeCount()
+	ts := tree.Stats()
+	dir, leaf := ts.DirNodes, ts.LeafNodes
 	if len(snap.Pages) != dir+leaf {
 		t.Fatalf("page index has %d entries, want %d", len(snap.Pages), dir+leaf)
 	}
@@ -105,8 +106,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	q := geom.R(100, 100, 400, 400)
 	var a, b []rtree.ObjectID
-	tree.Search(q, func(id rtree.ObjectID, _ geom.Rect) bool { a = append(a, id); return true })
-	lazy.Search(q, func(id rtree.ObjectID, _ geom.Rect) bool { b = append(b, id); return true })
+	tree.CurrentVersion().Search(q, func(id rtree.ObjectID, _ geom.Rect) bool { a = append(a, id); return true })
+	lazy.CurrentVersion().Search(q, func(id rtree.ObjectID, _ geom.Rect) bool { b = append(b, id); return true })
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("lazy search differs: %d vs %d results", len(a), len(b))
 	}

@@ -16,10 +16,11 @@ import (
 // page whose stored node id differs from its index entry, an unreadable page,
 // a header whose object count or height disagrees with the pages — must be
 // rejected by the eager load, by lazy open + Materialize, by the first
-// mutation of a writable lazy open, and by Validate. Only a lazy open that is
-// merely searched keeps serving: the node that fails to fault in is skipped
-// and the failure parks in Err (scoping that error to the query is the
-// exact-or-error work, not this test's).
+// mutation of a writable lazy open, and by Validate. A lazy open that is
+// merely searched keeps serving what it can read: a search with an error
+// result (SearchCounted) returns the fault of the node it cannot read, and
+// one without (Count) stops there and parks the failure in Err. Header damage
+// is invisible to a search: it finds every object, without an error.
 func TestStrictnessEveryWayIn(t *testing.T) {
 	const objects = 2000
 	everything := geom.R(-1, -1, 2000, 2000)
@@ -129,6 +130,14 @@ func TestStrictnessEveryWayIn(t *testing.T) {
 					t.Errorf("search alone: %d of %d objects, Err %v; want a skipped node and a parked error", found, objects, lazy.Err())
 				case !dmg.pagesBad && (found != objects || lazy.Err() != nil):
 					t.Errorf("search alone: %d of %d objects, Err %v; want all of them and no error", found, objects, lazy.Err())
+				}
+				found = 0
+				_, err := open(t, true).CurrentVersion().SearchCounted(everything, nil, func(rtree.ObjectID, geom.Rect) bool { found++; return true })
+				switch {
+				case dmg.pagesBad && err == nil:
+					t.Errorf("SearchCounted: %d of %d objects and no error; want the fault", found, objects)
+				case !dmg.pagesBad && (err != nil || found != objects):
+					t.Errorf("SearchCounted: %d of %d objects, error %v; want all of them and no error", found, objects, err)
 				}
 			})
 		}

@@ -384,7 +384,8 @@ func TestWriteAccounting(t *testing.T) {
 			nodes := func(trees ...*Tree) int {
 				n := 0
 				for _, tr := range trees {
-					dir, leaf := tr.tree.NodeCount()
+					ts := tr.tree.Stats()
+					dir, leaf := ts.DirNodes, ts.LeafNodes
 					n += dir + leaf
 				}
 				return n

@@ -61,14 +61,19 @@ func (sv *ShardedView) acquire() (reader, func()) { return sv.reader, func() {} 
 // JoinItems joins an index with a set of probe items by running one range
 // query per probe (the paper's INLJ strategy, used when only one input is
 // indexed). The optional visit callback receives every matching pair, the
-// indexed object on the left; pass nil to only count.
+// indexed object on the left; pass nil to only count. A node that cannot be
+// read fails the join: the error comes back with no result, and visit may
+// have seen part of the pairs.
 func JoinItems(indexed Reader, probes []Item, opts JoinOptions, visit func(JoinPair)) (JoinResult, error) {
 	if indexed == nil {
 		return JoinResult{}, errors.New("cbb: JoinItems requires an indexed input")
 	}
 	r, release := indexed.acquire()
 	defer release()
-	res := join.INLJ(r, probes, opts.Workers, visit)
+	res, err := join.INLJ(r, probes, opts.Workers, visit)
+	if err != nil {
+		return JoinResult{}, err
+	}
 	return JoinResult{Pairs: res.Pairs, IO: toIOStats(res.IO)}, nil
 }
 
@@ -76,6 +81,7 @@ func JoinItems(indexed Reader, probes []Item, opts JoinOptions, visit func(JoinP
 // paper's STT strategy, used when both inputs are indexed). Clipping is
 // applied on whichever inputs have it enabled: a subtree pair is skipped
 // when either side's overlap with the other's MBB is certified dead space.
+// A node that cannot be read fails the join, as in JoinItems.
 func Join(left, right Reader, opts JoinOptions, visit func(JoinPair)) (JoinResult, error) {
 	if left == nil || right == nil {
 		return JoinResult{}, errors.New("cbb: Join requires two indexed inputs")

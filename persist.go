@@ -399,10 +399,11 @@ func (t *Tree) Close() error {
 // was opened with OpenReadOnly, or with Open from an unwritable file.
 func (t *Tree) ReadOnly() bool { return t.tree.ReadOnly() }
 
-// Err returns the first background page-fault failure of a file-backed
-// tree (an unreadable or corrupt page hit during a query), or nil. Queries
-// treat such nodes as empty instead of panicking; callers that need
-// certainty check Err after a batch, or Validate/Materialize up front.
+// Err returns the first page-fault failure of a file-backed tree (an
+// unreadable or corrupt page hit during a read), or nil. BatchSearch, the
+// joins, Validate and the writes return the fault they hit; Err is the only
+// report of Search, SearchAll, Count, NearestNeighbors, Bounds and Stats,
+// which stop at the node they cannot read.
 func (t *Tree) Err() error { return t.tree.Err() }
 
 // Materialize brings every node of a file-backed tree into memory (a warm

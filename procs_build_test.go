@@ -48,8 +48,8 @@ func TestBulkLoadDeterministicAcrossProcs(t *testing.T) {
 		t.Helper()
 		u, err := tr.idx.InsertItems(items)
 		must(t, err)
-		if dir, leaf := tr.tree.NodeCount(); u.Writes != dir+leaf {
-			t.Fatalf("InsertItems wrote %d nodes of a tree of %d: not a packed build", u.Writes, dir+leaf)
+		if ts := tr.tree.Stats(); u.Writes != ts.DirNodes+ts.LeafNodes {
+			t.Fatalf("InsertItems wrote %d nodes of a tree of %d: not a packed build", u.Writes, ts.DirNodes+ts.LeafNodes)
 		}
 	}
 	paths := []struct {

@@ -1,6 +1,8 @@
 package cbb
 
 import (
+	"errors"
+
 	"cbb/internal/clipindex"
 	"cbb/internal/fanout"
 	"cbb/internal/storage"
@@ -78,17 +80,19 @@ func (r reader) Bounds() Rect {
 // whose root MBB or root clip points rule q out costs no I/O at all; the
 // result set is always identical to an unclipped search. Across shards the
 // order follows the shard directory (Hilbert order). An invalid query, or
-// one whose dimensionality differs from the index's, matches nothing.
+// one whose dimensionality differs from the index's, matches nothing. A page
+// it cannot read ends it, reported only through Tree.Err, as in SearchAll,
+// Count and NearestNeighbors; BatchSearch and the joins return the fault.
 //
 // The rectangles handed to visit (and those in SearchAll and
 // NearestNeighbors results) are views of immutable node storage: read-only,
 // but safe to keep without Clone — no later mutation changes them.
 func (r reader) Search(q Rect, visit func(ObjectID, Rect) bool) {
-	r.search(q, visit)
+	_, _ = r.search(q, visit) // a fault is reported through Tree.Err
 }
 
-// search is Search returning the node accesses it charged.
-func (r reader) search(q Rect, visit func(ObjectID, Rect) bool) (io storage.Snapshot) {
+// search is Search returning the node accesses it charged and its fault.
+func (r reader) search(q Rect, visit func(ObjectID, Rect) bool) (io storage.Snapshot, err error) {
 	cont := true
 	stoppable := func(id ObjectID, rect Rect) bool {
 		cont = visit(id, rect)
@@ -96,11 +100,13 @@ func (r reader) search(q Rect, visit func(ObjectID, Rect) bool) (io storage.Snap
 	}
 	last := len(r) - 1
 	for _, s := range r[:last] {
-		if io = io.Add(s.SearchCounted(q, nil, stoppable)); !cont {
-			return io
+		sio, err := s.SearchCounted(q, nil, stoppable)
+		if io = io.Add(sio); err != nil || !cont {
+			return io, err
 		}
 	}
-	return io.Add(r[last].SearchCounted(q, nil, visit)) // nothing to stop after the last one
+	sio, err := r[last].SearchCounted(q, nil, visit) // nothing to stop after the last one
+	return io.Add(sio), err
 }
 
 // SearchAll returns every object intersecting q as a slice of items.
@@ -129,7 +135,7 @@ func (r reader) Count(q Rect) int {
 // node than from its MBB), so clipping saves node reads here as in Search.
 // k < 1, a non-finite point, or one of another dimensionality gets nil.
 func (r reader) NearestNeighbors(k int, p Point) []Neighbor {
-	nn, _ := clipindex.NearestNeighbors(k, p, r...)
+	nn, _, _ := clipindex.NearestNeighbors(k, p, r...) // a fault is reported through Tree.Err
 	return nn
 }
 
@@ -138,7 +144,8 @@ func (r reader) NearestNeighbors(k int, p Point) []Neighbor {
 // query charges the index's counters as it ends, and BatchResult.IO is the
 // sum of what the queries charged: exact, and the index's cumulative IOStats
 // advance exactly as in a sequential run. It is safe to call concurrently
-// with other queries.
+// with other queries. A node that cannot be read ends its worker's share of
+// the batch, and the workers' errors come back joined, with no result.
 func (r reader) BatchSearch(queries []Rect, opts BatchOptions) (BatchResult, error) {
 	n := len(queries)
 	res := BatchResult{Counts: make([]int, n), Workers: min(fanout.Workers(opts.Workers, n, 1), n)}
@@ -149,24 +156,30 @@ func (r reader) BatchSearch(queries []Rect, opts BatchOptions) (BatchResult, err
 		return res, nil
 	}
 	tallies := make([]storage.Snapshot, res.Workers)
+	errs := make([]error, res.Workers)
 	fanout.ForEachChunk(n, res.Workers, max(1, n/(res.Workers*8)), func(w, start, end int) {
 		io := tallies[w]
-		for i := start; i < end; i++ {
+		for i := start; i < end && errs[w] == nil; i++ {
+			var qio storage.Snapshot
 			if opts.Collect {
 				var items []Item
-				io = io.Add(r.search(queries[i], func(id ObjectID, rect Rect) bool {
+				qio, errs[w] = r.search(queries[i], func(id ObjectID, rect Rect) bool {
 					items = append(items, Item{Object: id, Rect: rect})
 					return true
-				}))
+				})
 				res.Items[i], res.Counts[i] = items, len(items)
 			} else {
 				hits := 0
-				io = io.Add(r.search(queries[i], func(ObjectID, Rect) bool { hits++; return true }))
+				qio, errs[w] = r.search(queries[i], func(ObjectID, Rect) bool { hits++; return true })
 				res.Counts[i] = hits
 			}
+			io = io.Add(qio)
 		}
 		tallies[w] = io
 	})
+	if err := errors.Join(errs...); err != nil {
+		return BatchResult{}, err
+	}
 	var io storage.Snapshot
 	for _, t := range tallies {
 		io = io.Add(t)

@@ -332,7 +332,10 @@ func TestClipNoneIsPlainRTree(t *testing.T) {
 		if !plain.RootMBBIntersects(q) {
 			continue
 		}
-		want := plain.SearchCounted(q, new(storage.Counter), count)
+		want, err := plain.SearchCounted(q, new(storage.Counter), count)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tree.ResetIOStats()
 		tree.Search(q, count)
 		if got, w := tree.IOStats(), toIOStats(want); got != w {

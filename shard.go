@@ -771,9 +771,9 @@ func (st *ShardedTree) Validate() error {
 		}
 		sh.t.wmu.Lock()
 		err := sh.t.validateLocked()
-		items := sh.t.tree.AllItems()
+		items, aerr := sh.t.tree.AllItems()
 		sh.t.wmu.Unlock()
-		if err != nil {
+		if err = cmp.Or(err, aerr); err != nil {
 			return fmt.Errorf("cbb: shard %d: %w", i, err)
 		}
 		for _, it := range items {
@@ -830,7 +830,8 @@ func (st *ShardedTree) maybeMerge(sh *shard) {
 // pinned views) are never blocked and writers to the shard only while the
 // halves are built. It is the manual trigger of the same path automatic
 // splits take; it is a no-op (nil error) when the shard cannot be split
-// (fewer than 2 distinct keys) or another rebalance is in flight.
+// (fewer than 2 distinct keys) or another rebalance is in flight, and fails,
+// changing nothing, when a page of the shard cannot be read.
 func (st *ShardedTree) SplitShard(i int) error {
 	d := st.dir.Load()
 	if i < 0 || i >= len(d.shards) {
@@ -849,9 +850,9 @@ func (st *ShardedTree) splitShard(sh *shard) error {
 	if sh.retired.Load() || sh.hi-sh.lo < 2 {
 		return nil
 	}
-	items := sh.t.tree.AllItems()
-	if len(items) < 2 {
-		return nil
+	items, err := sh.t.tree.AllItems()
+	if err != nil || len(items) < 2 {
+		return err
 	}
 	ks, err := st.routeOrder(items)
 	if err != nil {
@@ -899,7 +900,7 @@ func (st *ShardedTree) splitShard(sh *shard) error {
 // MergeShards merges shards i and i+1 into one shard owning the union of
 // their key ranges. Like SplitShard it is the manual trigger of the
 // automatic path; it returns a nil error without merging when either shard
-// is being rebalanced concurrently.
+// is being rebalanced concurrently, and fails like SplitShard.
 func (st *ShardedTree) MergeShards(i int) error {
 	d := st.dir.Load()
 	if i < 0 || i+1 >= len(d.shards) {
@@ -938,8 +939,12 @@ func (st *ShardedTree) mergeShards(i int) error {
 	if st.opts.SplitAbove > 0 && left.t.Len()+right.t.Len() > st.opts.SplitAbove*3/4 {
 		return nil // hysteresis: never merge into an immediate split
 	}
-	items := append(left.t.tree.AllItems(), right.t.tree.AllItems()...)
-	merged, err := st.buildShard(left.lo, right.hi, st.nextShardPath(), items)
+	items, err := left.t.tree.AllItems()
+	more, rerr := right.t.tree.AllItems()
+	if err = cmp.Or(err, rerr); err != nil {
+		return err
+	}
+	merged, err := st.buildShard(left.lo, right.hi, st.nextShardPath(), append(items, more...))
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package cbb
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -9,6 +10,9 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"cbb/internal/snapshot"
+	"cbb/internal/storage"
 )
 
 // --- helpers ----------------------------------------------------------------
@@ -745,6 +749,112 @@ func TestShardedPersistenceRoundTrip(t *testing.T) {
 
 	if _, err := CreateSharded(dir, ShardedOptions{Options: base}); err == nil {
 		t.Error("CreateSharded over an existing engine must fail")
+	}
+}
+
+// damageLeafPage zeroes one leaf page of the snapshot file at path (the leaf
+// with the smallest node id), found through the file's page map: the page
+// then decodes as another node, so every read of it fails.
+func damageLeafPage(t *testing.T, path string) {
+	t.Helper()
+	snap, fp, err := snapshot.OpenFile(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves []storage.PageID
+	for id := range snap.Pages {
+		if _, kind, err := fp.Read(snap.Pages[id]); err != nil {
+			t.Fatal(err)
+		} else if kind == storage.KindLeaf && id != 0 {
+			leaves = append(leaves, snap.Pages[id])
+		}
+	}
+	if len(leaves) == 0 {
+		t.Fatal("no leaf page to damage")
+	}
+	slices.Sort(leaves)
+	if err := fp.Write(leaves[0], make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fp.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardRebalanceOnUnreadablePage: a rebalance rebuilds shards from what
+// it reads of them, so a shard with a page it cannot read must not be
+// rebuilt at all. SplitShard, MergeShards and Validate each return the
+// fault, and the engine — its shard count, its length, shards.json and the
+// damaged shard's file — is left exactly as it was, on disk as in memory.
+func TestShardRebalanceOnUnreadablePage(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "engine")
+	base := Options{Dims: 2, MaxEntries: 16, MinEntries: 6, Universe: shardUniverse(2)}
+	st, err := CreateSharded(dir, ShardedOptions{Options: base, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const objects = 3000
+	if err := st.InsertItems(randShardItems(rand.New(rand.NewSource(36)), objects, 2)); err != nil {
+		t.Fatal(err)
+	}
+	damagedPath := st.dir.Load().shards[0].path
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	damageLeafPage(t, damagedPath)
+	snapshotDir := func() map[string][]byte {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		for _, e := range entries {
+			if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return files
+	}
+	before := snapshotDir()
+
+	st, err = OpenSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(op string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s over an unreadable page returned no error", op)
+		}
+		if st.NumShards() != 2 || st.Len() != objects {
+			t.Errorf("after %s: %d shards holding %d objects, want 2 holding %d", op, st.NumShards(), st.Len(), objects)
+		}
+	}
+	check("SplitShard(0)", st.SplitShard(0))
+	check("MergeShards(0)", st.MergeShards(0))
+	check("Validate", st.Validate())
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := snapshotDir()
+	for name, raw := range before {
+		if !bytes.Equal(after[name], raw) {
+			t.Errorf("%s changed or went missing", name)
+		}
+	}
+	for name := range after {
+		if before[name] == nil {
+			t.Errorf("%s was left behind", name)
+		}
+	}
+
+	re, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.NumShards() != 2 || re.Len() != objects {
+		t.Errorf("reopened: %d shards holding %d objects, want 2 holding %d", re.NumShards(), re.Len(), objects)
 	}
 }
 
