@@ -118,11 +118,13 @@ func main() {
 		cfg.Datasets = splitList(*dsFlag)
 	}
 	if *varFlag != "" {
-		variants, err := parseVariants(splitList(*varFlag))
-		if err != nil {
-			fatal(err)
+		for _, name := range splitList(*varFlag) {
+			v, err := rtree.ParseVariant(name)
+			if err != nil {
+				fatal(err)
+			}
+			cfg.Variants = append(cfg.Variants, v)
 		}
-		cfg.Variants = variants
 	}
 
 	runner := &runner{cfg: cfg}
@@ -233,25 +235,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func parseVariants(names []string) ([]rtree.Variant, error) {
-	var out []rtree.Variant
-	for _, n := range names {
-		switch strings.ToLower(n) {
-		case "qr-tree", "qr", "quadratic":
-			out = append(out, rtree.Quadratic)
-		case "hr-tree", "hr", "hilbert":
-			out = append(out, rtree.Hilbert)
-		case "r*-tree", "r*", "rstar":
-			out = append(out, rtree.RStar)
-		case "rr*-tree", "rr*", "rrstar":
-			out = append(out, rtree.RRStar)
-		default:
-			return nil, fmt.Errorf("unknown variant %q", n)
-		}
-	}
-	return out, nil
 }
 
 func fatal(err error) {

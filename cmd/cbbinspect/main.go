@@ -65,7 +65,7 @@ func main() {
 		fatal(fmt.Errorf("-verify requires -file"))
 	}
 
-	v, err := parseVariant(*variant)
+	v, err := rtree.ParseVariant(*variant)
 	if err != nil {
 		fatal(err)
 	}
@@ -455,21 +455,6 @@ func inspectTree(tree *rtree.Tree, idx *clipindex.Index, samples int, seed int64
 	}
 	fmt.Println("status     : all invariants hold")
 	return nil
-}
-
-func parseVariant(s string) (rtree.Variant, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "qr-tree", "qr", "quadratic":
-		return rtree.Quadratic, nil
-	case "hr-tree", "hr", "hilbert":
-		return rtree.Hilbert, nil
-	case "r*-tree", "r*", "rstar":
-		return rtree.RStar, nil
-	case "rr*-tree", "rr*", "rrstar":
-		return rtree.RRStar, nil
-	default:
-		return 0, fmt.Errorf("unknown variant %q", s)
-	}
 }
 
 func parseClip(s string) (core.Method, bool) {

@@ -27,6 +27,7 @@ import (
 
 	"cbb"
 	"cbb/internal/datasets"
+	"cbb/internal/rtree"
 	"cbb/internal/server"
 )
 
@@ -148,7 +149,7 @@ type engineConfig struct {
 // are bulk-loaded into a fresh (optionally file-backed, optionally sharded)
 // tree.
 func buildEngine(cfg engineConfig) (server.Engine, string, error) {
-	variant, err := parseVariant(cfg.variant)
+	variant, err := rtree.ParseVariant(cfg.variant)
 	if err != nil {
 		return nil, "", err
 	}
@@ -257,20 +258,6 @@ func loadObjects(cfg engineConfig) ([]cbb.Rect, cbb.Rect, string, error) {
 		return nil, cbb.Rect{}, "", err
 	}
 	return objects, universe, fmt.Sprintf("dataset %s seed %d", name, cfg.seed), nil
-}
-
-func parseVariant(name string) (cbb.Variant, error) {
-	switch strings.ToLower(name) {
-	case "qr-tree", "qr", "quadratic":
-		return cbb.QRTree, nil
-	case "hr-tree", "hr", "hilbert":
-		return cbb.HRTree, nil
-	case "r*-tree", "r*", "rstar":
-		return cbb.RStarTree, nil
-	case "rr*-tree", "rr*", "rrstar":
-		return cbb.RRStarTree, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q (want qr, hr, r*, or rr*)", name)
 }
 
 func parseClip(name string) (cbb.ClipMethod, error) {

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -87,6 +88,23 @@ func (v Variant) String() string {
 	default:
 		return fmt.Sprintf("Variant(%d)", int(v))
 	}
+}
+
+// ParseVariant returns the variant a name denotes: the paper's name as String
+// writes it, or an alias ("qr", "quadratic", "hr", "hilbert", "r*", "rstar",
+// "rr*", "rrstar"), in any case and with surrounding spaces ignored.
+func ParseVariant(name string) (Variant, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "qr-tree", "qr", "quadratic":
+		return Quadratic, nil
+	case "hr-tree", "hr", "hilbert":
+		return Hilbert, nil
+	case "r*-tree", "r*", "rstar":
+		return RStar, nil
+	case "rr*-tree", "rr*", "rrstar":
+		return RRStar, nil
+	}
+	return 0, fmt.Errorf("unknown variant %q (want qr, hr, r*, or rr*)", name)
 }
 
 // AllVariants lists the four variants in the order the paper's figures use.

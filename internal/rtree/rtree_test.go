@@ -57,6 +57,31 @@ func TestVariantString(t *testing.T) {
 	}
 }
 
+// TestParseVariant round-trips every variant's String and parses each alias
+// in any case and with spaces around it.
+func TestParseVariant(t *testing.T) {
+	for _, v := range AllVariants() {
+		if got, err := ParseVariant(v.String()); err != nil || got != v {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", v.String(), got, err, v)
+		}
+	}
+	for name, want := range map[string]Variant{
+		"qr": Quadratic, " Quadratic ": Quadratic,
+		"HR": Hilbert, "hilbert\t": Hilbert,
+		"r*": RStar, "RStar": RStar,
+		"rr*": RRStar, " rrstar": RRStar, "rr*-TREE": RRStar,
+	} {
+		if got, err := ParseVariant(name); err != nil || got != want {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "r", "rr**", "Variant(99)"} {
+		if _, err := ParseVariant(name); err == nil {
+			t.Errorf("ParseVariant(%q) succeeded; want an error", name)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		cfg  Config

@@ -26,8 +26,9 @@ import (
 //
 // The layer stack, top to bottom:
 //
-//	directory  — one atomic pointer to an immutable list of shards
-//	             (Hilbert key range + per-shard MBB for routing)
+//	directory  — one atomic pointer to an immutable list of shards, each
+//	             owning a contiguous Hilbert key range; the only record of
+//	             which shards are live
 //	shard      — an independent Tree: writer mutex, clip index, buffer
 //	             pool, optional snapshot file + WAL
 //	version    — the shard tree's copy-on-write epoch chain
@@ -107,15 +108,14 @@ func (o ShardedOptions) withDefaults() (ShardedOptions, error) {
 }
 
 // shard is one partition: the Hilbert key range [lo, hi) it owns and the
-// independent Tree holding its objects. A shard retired by a split or merge
-// stays fully queryable for views that pinned it, but every writer that
-// reaches it re-routes through the current directory (see the retired
-// re-check in route and ShardedBatch).
+// independent Tree holding its objects. A shard is live while the current
+// directory lists it. One that a split or merge replaced stays fully
+// queryable for views that pinned it, but every writer that reaches it
+// routes again through the current directory (see lockShard).
 type shard struct {
-	lo, hi  uint64
-	t       *Tree
-	path    string // snapshot file of a file-backed shard ("" in memory)
-	retired atomic.Bool
+	lo, hi uint64
+	t      *Tree
+	path   string // snapshot file of a file-backed shard ("" in memory)
 }
 
 // shardDir is the immutable shard directory: shards sorted by lo, their
@@ -201,31 +201,56 @@ type ShardedTree struct {
 	retired   []*shard
 }
 
-// newShardCurve builds the routing curve for effective (defaulted) options.
-func newShardCurve(opts ShardedOptions) (*hilbert.Curve, error) {
-	return hilbert.New(opts.Universe, opts.HilbertBits)
-}
-
-// NewSharded creates an empty in-memory ShardedTree.
-func NewSharded(opts ShardedOptions) (*ShardedTree, error) {
+// newShardedTree defaults opts and builds an engine with its routing curve
+// and no shards yet, bound to the directory dir ("" in memory).
+func newShardedTree(opts ShardedOptions, dir string) (*ShardedTree, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	st := &ShardedTree{opts: opts, counter: &storage.Counter{}}
-	st.curve, err = newShardCurve(opts)
+	curve, err := hilbert.New(opts.Universe, opts.HilbertBits)
 	if err != nil {
 		return nil, err
 	}
-	ranges := st.initialRanges()
-	shards := make([]*shard, len(ranges))
-	for i, rg := range ranges {
-		if shards[i], err = st.buildShard(rg[0], rg[1], "", nil); err != nil {
-			return nil, err
+	return &ShardedTree{opts: opts, curve: curve, counter: &storage.Counter{}, dirPath: dir}, nil
+}
+
+// NewSharded creates an empty in-memory ShardedTree.
+func NewSharded(opts ShardedOptions) (*ShardedTree, error) {
+	st, err := newShardedTree(opts, "")
+	if err != nil {
+		return nil, err
+	}
+	if err := st.createShards(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// createShards builds an empty shard for each of the initial ranges,
+// persists the directory file of a file-backed engine and publishes the
+// directory. On failure it discards what it built.
+func (st *ShardedTree) createShards() error {
+	var shards []*shard
+	var err error
+	for _, rg := range st.initialRanges() {
+		var sh *shard
+		if sh, err = st.buildShard(rg[0], rg[1], st.nextShardPath(), nil); err != nil {
+			break
 		}
+		shards = append(shards, sh)
+	}
+	if err == nil {
+		err = st.persistDirectory(shards)
+	}
+	if err != nil {
+		for _, sh := range shards {
+			st.discardShard(sh)
+		}
+		return err
 	}
 	st.dir.Store(&shardDir{shards: shards})
-	return st, nil
+	return nil
 }
 
 // initialRanges divides the curve's key space [0, MaxIndex] into
@@ -332,6 +357,25 @@ func (st *ShardedTree) checkRect(r Rect) error {
 	return nil
 }
 
+// lockShard returns the shard owning a Hilbert key with its writer lock
+// held: it locks the owner the current directory names and keeps it only if
+// the directory still routes the key there, and routes again otherwise. The
+// re-check is exact because publishReplacement stores a new directory only
+// while it holds the writer lock of every shard it replaces: a writer that
+// gets a replaced shard's lock afterwards sees a directory that no longer
+// routes its key there, and a writer that holds the lock blocks the
+// replacement.
+func (st *ShardedTree) lockShard(key uint64) *shard {
+	for {
+		sh := st.dir.Load().find(key)
+		sh.t.wmu.Lock()
+		if st.dir.Load().find(key) == sh {
+			return sh
+		}
+		sh.t.wmu.Unlock()
+	}
+}
+
 // Insert adds an object, routed to the shard owning its centre's Hilbert
 // key. Writers on different shards run concurrently; two writers on the
 // same shard serialise on that shard's writer mutex only.
@@ -339,24 +383,14 @@ func (st *ShardedTree) Insert(r Rect, id ObjectID) error {
 	if err := st.checkRect(r); err != nil {
 		return err
 	}
-	key := st.key(r)
-	for {
-		sh := st.dir.Load().find(key)
-		sh.t.wmu.Lock()
-		if sh.retired.Load() {
-			// A split or merge replaced this shard while we queued on its
-			// writer lock; re-route through the fresh directory.
-			sh.t.wmu.Unlock()
-			continue
-		}
-		err := sh.t.insertLocked(r, id)
-		sh.t.wmu.Unlock()
-		if err != nil {
-			return err
-		}
-		st.maybeSplit(sh)
-		return nil
+	sh := st.lockShard(st.key(r))
+	err := sh.t.insertLocked(r, id)
+	sh.t.wmu.Unlock()
+	if err != nil {
+		return err
 	}
+	st.maybeSplit(sh)
+	return nil
 }
 
 // Delete removes the object with the exact rectangle and id, routed like
@@ -366,64 +400,56 @@ func (st *ShardedTree) Delete(r Rect, id ObjectID) (bool, error) {
 	if err := st.checkRect(r); err != nil {
 		return false, err
 	}
-	key := st.key(r)
-	for {
-		sh := st.dir.Load().find(key)
-		sh.t.wmu.Lock()
-		if sh.retired.Load() {
-			sh.t.wmu.Unlock()
-			continue
-		}
-		found, err := sh.t.deleteLocked(r, id)
-		sh.t.wmu.Unlock()
-		if err != nil || !found {
-			return found, err
-		}
-		st.maybeMerge(sh)
-		return found, nil
+	sh := st.lockShard(st.key(r))
+	found, err := sh.t.deleteLocked(r, id)
+	sh.t.wmu.Unlock()
+	if err != nil || !found {
+		return found, err
 	}
+	st.maybeMerge(sh)
+	return found, nil
 }
 
 // InsertItems ingests a batch of items grouped by shard: items are sorted
-// into Hilbert order once, then each run belonging to one shard is applied
-// as a single per-shard batch (one commit per shard). This is the
-// high-throughput ingest path — per-shard commit cost is amortised over the
-// run and concurrent InsertItems calls on disjoint regions do not contend.
-// Unlike Begin, the ingest is atomic per shard, not across shards.
+// into Hilbert order once, then each run belonging to one shard rides that
+// tree's batch fast path (see Tree.InsertItems) and is published as one
+// epoch. This is the high-throughput ingest path — per-shard commit cost is
+// amortised over the run and concurrent InsertItems calls on disjoint
+// regions do not contend. Unlike Begin, the ingest is atomic per shard, not
+// across shards.
 func (st *ShardedTree) InsertItems(items []Item) error {
+	return st.insertRuns(items, func(key uint64) (*shard, error) { return st.lockShard(key), nil },
+		func(sh *shard, run []Item) error {
+			err := sh.t.insertItemsLocked(run)
+			sh.t.wmu.Unlock()
+			if err == nil {
+				st.maybeSplit(sh)
+			}
+			return err
+		})
+}
+
+// insertRuns sorts items into Hilbert order once and applies them run by
+// run: route claims the shard owning the run's first key, and apply gets
+// that shard with the items keyed below its hi.
+func (st *ShardedTree) insertRuns(items []Item, route func(key uint64) (*shard, error), apply func(sh *shard, run []Item) error) error {
 	ks, err := st.routeOrder(items)
 	if err != nil {
 		return err
 	}
 	var run []Item // reused per shard
-	i := 0
-	for i < len(ks) {
-		sh := st.dir.Load().find(ks[i].Key)
-		b, err := sh.t.Begin()
+	for i := 0; i < len(ks); {
+		sh, err := route(ks[i].Key)
 		if err != nil {
 			return err
 		}
-		if sh.retired.Load() {
-			b.Rollback()
-			continue
-		}
-		j := i
 		run = run[:0]
-		for j < len(ks) && ks[j].Key < sh.hi {
-			run = append(run, items[ks[j].Orig])
-			j++
+		for ; i < len(ks) && ks[i].Key < sh.hi; i++ {
+			run = append(run, items[ks[i].Orig])
 		}
-		// The whole per-shard run rides the tree's batch fast path (one
-		// Hilbert-sorted routing pass, bulk subtree grafts, one COW epoch).
-		if err := b.InsertItems(run); err != nil {
-			b.Rollback()
+		if err := apply(sh, run); err != nil {
 			return err
 		}
-		if err := b.Commit(); err != nil {
-			return err
-		}
-		i = j
-		st.maybeSplit(sh)
 	}
 	return nil
 }
@@ -509,24 +535,19 @@ type ShardedBatch struct {
 
 // batchFor lazily opens (and caches) the per-shard batch owning a key,
 // returning the shard alongside so callers can group further keys in
-// [sh.lo, sh.hi) onto the same batch.
+// [sh.lo, sh.hi) onto the same batch. A shard the batch holds open stays
+// live, so the directory routes the key to it exactly when it owns the key.
 func (sb *ShardedBatch) batchFor(key uint64) (*shard, *Batch, error) {
-	for {
-		sh := sb.st.dir.Load().find(key)
-		if b, ok := sb.open[sh]; ok {
-			return sh, b, nil
-		}
-		b, err := sh.t.Begin()
-		if err != nil {
-			return nil, nil, err
-		}
-		if sh.retired.Load() {
-			b.Rollback()
-			continue
-		}
-		sb.open[sh] = b
-		return sh, b, nil
+	if sh := sb.st.dir.Load().find(key); sb.open[sh] != nil {
+		return sh, sb.open[sh], nil
 	}
+	sh := sb.st.lockShard(key)
+	b, err := sh.t.beginLocked()
+	if err != nil {
+		return nil, nil, err
+	}
+	sb.open[sh] = b
+	return sh, b, nil
 }
 
 // Insert adds an object to the batch; it becomes visible at Commit.
@@ -552,29 +573,10 @@ func (sb *ShardedBatch) InsertItems(items []Item) error {
 	if sb.done {
 		return errBatchDone
 	}
-	ks, err := sb.st.routeOrder(items)
-	if err != nil {
-		return err
-	}
-	var run []Item // reused per shard
-	i := 0
-	for i < len(ks) {
-		sh, b, err := sb.batchFor(ks[i].Key)
-		if err != nil {
-			return err
-		}
-		j := i
-		run = run[:0]
-		for j < len(ks) && ks[j].Key < sh.hi {
-			run = append(run, items[ks[j].Orig])
-			j++
-		}
-		if err := b.InsertItems(run); err != nil {
-			return err
-		}
-		i = j
-	}
-	return nil
+	return sb.st.insertRuns(items, func(key uint64) (*shard, error) {
+		sh, _, err := sb.batchFor(key)
+		return sh, err
+	}, func(sh *shard, run []Item) error { return sb.open[sh].InsertItems(run) })
 }
 
 // Delete removes an object within the batch; the removal becomes visible at
@@ -753,22 +755,10 @@ func (st *ShardedTree) Stats() Stats { return st.current().Stats() }
 // batch in flight there.
 func (st *ShardedTree) Validate() error {
 	d := st.dir.Load()
-	if len(d.shards) == 0 {
-		return errors.New("cbb: sharded tree has no shards")
-	}
-	if d.shards[0].lo != 0 {
-		return fmt.Errorf("cbb: first shard starts at key %d, want 0", d.shards[0].lo)
-	}
-	if want := st.curve.MaxIndex() + 1; d.shards[len(d.shards)-1].hi != want {
-		return fmt.Errorf("cbb: last shard ends at key %d, want %d", d.shards[len(d.shards)-1].hi, want)
+	if err := st.checkDirectoryRanges(d.shards); err != nil {
+		return err
 	}
 	for i, sh := range d.shards {
-		if sh.lo >= sh.hi {
-			return fmt.Errorf("cbb: shard %d has empty key range [%d, %d)", i, sh.lo, sh.hi)
-		}
-		if i > 0 && sh.lo != d.shards[i-1].hi {
-			return fmt.Errorf("cbb: shard %d starts at key %d, want %d (ranges must be contiguous)", i, sh.lo, d.shards[i-1].hi)
-		}
 		sh.t.wmu.Lock()
 		err := sh.t.validateLocked()
 		items, aerr := sh.t.tree.AllItems()
@@ -785,17 +775,36 @@ func (st *ShardedTree) Validate() error {
 	return nil
 }
 
+// checkDirectoryRanges checks a shard list's layout: contiguous ranges
+// covering exactly the curve's key space.
+func (st *ShardedTree) checkDirectoryRanges(shards []*shard) error {
+	want := uint64(0)
+	for i, sh := range shards {
+		if sh.lo != want || sh.lo >= sh.hi {
+			return fmt.Errorf("cbb: shard %d has key range [%d, %d), want start %d", i, sh.lo, sh.hi, want)
+		}
+		want = sh.hi
+	}
+	if max := st.curve.MaxIndex() + 1; want != max {
+		return fmt.Errorf("cbb: shards cover keys up to %d, want %d", want, max)
+	}
+	return nil
+}
+
 // --- skew-driven rebalancing ------------------------------------------------
+//
+// The directory changes only in publishReplacement, under the rebalancing
+// guard; a split or merge that holds the guard sees it fixed.
 
 func (st *ShardedTree) maybeSplit(sh *shard) {
-	if st.opts.SplitAbove <= 0 || sh.retired.Load() || sh.t.Len() <= st.opts.SplitAbove {
+	if st.opts.SplitAbove <= 0 || sh.t.Len() <= st.opts.SplitAbove {
 		return
 	}
 	st.splitShard(sh)
 }
 
 func (st *ShardedTree) maybeMerge(sh *shard) {
-	if st.opts.MergeBelow <= 0 || sh.retired.Load() || sh.t.Len() >= st.opts.MergeBelow {
+	if st.opts.MergeBelow <= 0 || sh.t.Len() >= st.opts.MergeBelow {
 		return
 	}
 	d := st.dir.Load()
@@ -845,11 +854,11 @@ func (st *ShardedTree) splitShard(sh *shard) error {
 		return nil // one rebalance at a time; the trigger re-fires later
 	}
 	defer st.rebalancing.Store(false)
+	if st.dir.Load().indexOf(sh) < 0 || sh.hi-sh.lo < 2 {
+		return nil // replaced since the caller routed to it
+	}
 	sh.t.wmu.Lock()
 	defer sh.t.wmu.Unlock()
-	if sh.retired.Load() || sh.hi-sh.lo < 2 {
-		return nil
-	}
 	items, err := sh.t.tree.AllItems()
 	if err != nil || len(items) < 2 {
 		return err
@@ -921,9 +930,6 @@ func (st *ShardedTree) mergeShards(i int) error {
 	left, right := d.shards[i], d.shards[i+1]
 	left.t.wmu.Lock()
 	defer left.t.wmu.Unlock()
-	if left.retired.Load() {
-		return nil
-	}
 	// TryLock avoids a deadlock against an open ShardedBatch that holds the
 	// right shard's writer lock and may be waiting to lock further shards:
 	// a contended merge simply yields and retries on a later trigger.
@@ -931,11 +937,6 @@ func (st *ShardedTree) mergeShards(i int) error {
 		return nil
 	}
 	defer right.t.wmu.Unlock()
-	if right.retired.Load() {
-		return nil
-	}
-	// Both shards are unretired, so the directory still lists them
-	// adjacently (any rebalance would have retired one of them).
 	if st.opts.SplitAbove > 0 && left.t.Len()+right.t.Len() > st.opts.SplitAbove*3/4 {
 		return nil // hysteresis: never merge into an immediate split
 	}
@@ -958,7 +959,8 @@ func (st *ShardedTree) mergeShards(i int) error {
 
 // buildShard constructs a new shard for [lo, hi) bulk-loaded with items —
 // file-backed (its own snapshot file at path, from nextShardPath, flushed
-// before publication) when the engine is, in-memory otherwise.
+// after the load, before publication) when the engine is, in-memory
+// otherwise.
 func (st *ShardedTree) buildShard(lo, hi uint64, path string, items []Item) (*shard, error) {
 	var t *Tree
 	var err error
@@ -971,21 +973,17 @@ func (st *ShardedTree) buildShard(lo, hi uint64, path string, items []Item) (*sh
 		return nil, err
 	}
 	st.adoptShardTree(t)
+	sh := &shard{lo: lo, hi: hi, t: t, path: path}
 	if len(items) > 0 {
-		if err := t.BulkLoad(items); err != nil {
-			if path != "" {
-				t.Close()
-			}
-			return nil, err
+		if err = t.BulkLoad(items); err == nil && path != "" {
+			err = t.Flush()
 		}
 	}
-	if path != "" {
-		if err := t.Flush(); err != nil {
-			t.Close()
-			return nil, err
-		}
+	if err != nil {
+		st.discardShard(sh)
+		return nil, err
 	}
-	return &shard{lo: lo, hi: hi, t: t, path: path}, nil
+	return sh, nil
 }
 
 // discardShard drops a freshly built shard that never got published.
@@ -999,10 +997,10 @@ func (st *ShardedTree) discardShard(sh *shard) {
 // publishReplacement swaps a contiguous run of the directory's shards for
 // their replacements — one shard for its two halves on a split, two adjacent
 // shards for the merged one on a merge — in a new directory, persists the
-// directory file (file-backed engines), and retires the old shards — in that
-// order, and while the old shards' writer locks are held, so the old and new
-// shards hold identical content at the swap and a reader on either side
-// observes the same objects.
+// directory file (file-backed engines), and then stores the directory — in
+// that order, and while the old shards' writer locks are held, so the old and
+// new shards hold identical content at the swap, a reader on either side
+// observes the same objects, and lockShard's re-check is exact.
 func (st *ShardedTree) publishReplacement(old, repl []*shard) error {
 	d := st.dir.Load()
 	i := d.indexOf(old[0])
@@ -1015,7 +1013,6 @@ func (st *ShardedTree) publishReplacement(old, repl []*shard) error {
 	}
 	st.dir.Store(&shardDir{shards: shards})
 	for _, sh := range old {
-		sh.retired.Store(true)
 		st.noteRetired(sh)
 	}
 	return nil

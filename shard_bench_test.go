@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"cbb/internal/hilbert"
 )
 
 // Benchmarks for the sharded engine, tracked in BENCH_baseline.json and run
@@ -29,10 +31,7 @@ func shardedIngestWorkload(tb testing.TB, writers int) [][]Item {
 	items := randShardItems(rng, shardedIngestItems, 2)
 	// Partition into Hilbert-contiguous slices so concurrent writers land
 	// on disjoint shards (the favourable, and realistic, loader layout).
-	curve, err := newShardCurve(ShardedOptions{
-		Options: Options{Dims: 2, Universe: shardUniverse(2), MaxEntries: 16, MinEntries: 6},
-		Shards:  writers, HilbertBits: 16,
-	})
+	curve, err := hilbert.New(shardUniverse(2), 16)
 	if err != nil {
 		tb.Fatal(err)
 	}

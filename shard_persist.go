@@ -44,45 +44,19 @@ type shardEntry struct {
 // is created if missing): one snapshot file per shard plus shards.json. It
 // fails if dir already holds a sharded engine.
 func CreateSharded(dir string, opts ShardedOptions) (*ShardedTree, error) {
-	opts, err := opts.withDefaults()
+	st, err := newShardedTree(opts, dir)
 	if err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, err
 	}
-	dirFile := filepath.Join(dir, shardDirFileName)
-	if _, err := os.Stat(dirFile); err == nil {
+	if _, err := os.Stat(filepath.Join(dir, shardDirFileName)); err == nil {
 		return nil, fmt.Errorf("cbb: %s already holds a sharded engine", dir)
 	}
-	st := &ShardedTree{opts: opts, counter: &storage.Counter{}, dirPath: dir}
-	st.curve, err = newShardCurve(opts)
-	if err != nil {
+	if err := st.createShards(); err != nil {
 		return nil, err
 	}
-	ranges := st.initialRanges()
-	shards := make([]*shard, len(ranges))
-	fail := func(err error) (*ShardedTree, error) {
-		for _, sh := range shards {
-			if sh != nil {
-				st.discardShard(sh)
-			}
-		}
-		return nil, err
-	}
-	for i, rg := range ranges {
-		path := st.nextShardPath()
-		t, err := Create(path, opts.Options)
-		if err != nil {
-			return fail(err)
-		}
-		st.adoptShardTree(t)
-		shards[i] = &shard{lo: rg[0], hi: rg[1], t: t, path: path}
-	}
-	if err := st.persistDirectory(shards); err != nil {
-		return fail(err)
-	}
-	st.dir.Store(&shardDir{shards: shards})
 	return st, nil
 }
 
@@ -120,12 +94,7 @@ func openSharded(dir string, open func(path string) (*Tree, error)) (*ShardedTre
 	if len(df.Shards) == 0 {
 		return nil, fmt.Errorf("cbb: %s lists no shards", shardDirFileName)
 	}
-	opts, err := df.Options.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	st := &ShardedTree{opts: opts, counter: &storage.Counter{}, dirPath: dir}
-	st.curve, err = newShardCurve(opts)
+	st, err := newShardedTree(df.Options, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -145,33 +114,17 @@ func openSharded(dir string, open func(path string) (*Tree, error)) (*ShardedTre
 		if err != nil {
 			return fail(fmt.Errorf("cbb: opening shard %s: %w", e.File, err))
 		}
-		if t.Options().Dims != opts.Dims {
-			return fail(fmt.Errorf("cbb: shard %s has %d dimensions, directory says %d", e.File, t.Options().Dims, opts.Dims))
+		if t.Options().Dims != st.opts.Dims {
+			return fail(fmt.Errorf("cbb: shard %s has %d dimensions, directory says %d", e.File, t.Options().Dims, st.opts.Dims))
 		}
 		st.adoptShardTree(t)
 		shards[i] = &shard{lo: e.Lo, hi: e.Hi, t: t, path: path}
 	}
-	st.dir.Store(&shardDir{shards: shards})
 	if err := st.checkDirectoryRanges(shards); err != nil {
-		return fail(err)
+		return fail(fmt.Errorf("%w (in %s)", err, shardDirFileName))
 	}
+	st.dir.Store(&shardDir{shards: shards})
 	return st, nil
-}
-
-// checkDirectoryRanges validates the persisted layout: contiguous ranges
-// covering exactly the curve's key space.
-func (st *ShardedTree) checkDirectoryRanges(shards []*shard) error {
-	want := uint64(0)
-	for i, sh := range shards {
-		if sh.lo != want || sh.lo >= sh.hi {
-			return fmt.Errorf("cbb: %s: shard %d has key range [%d, %d), want start %d", shardDirFileName, i, sh.lo, sh.hi, want)
-		}
-		want = sh.hi
-	}
-	if max := st.curve.MaxIndex() + 1; want != max {
-		return fmt.Errorf("cbb: %s: shards cover keys up to %d, want %d", shardDirFileName, want, max)
-	}
-	return nil
 }
 
 // nextShardPath reserves the next shard file name ("" for an in-memory

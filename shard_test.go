@@ -2,6 +2,7 @@ package cbb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -749,6 +750,49 @@ func TestShardedPersistenceRoundTrip(t *testing.T) {
 
 	if _, err := CreateSharded(dir, ShardedOptions{Options: base}); err == nil {
 		t.Error("CreateSharded over an existing engine must fail")
+	}
+
+	// The same directory served through read-only mappings answers as the
+	// engine OpenSharded opened, and refuses writes.
+	mm, err := OpenShardedMmap(dir)
+	if errors.Is(err, ErrMmapUnsupported) {
+		t.Skip(err)
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	defer mm.Close()
+	if mm.NumShards() != re2.NumShards() || mm.Len() != re2.Len() {
+		t.Fatalf("mapped: %d shards holding %d objects, want %d holding %d", mm.NumShards(), mm.Len(), re2.NumShards(), re2.Len())
+	}
+	for _, q := range append(queries, shardUniverse(2)) {
+		got, want := mm.SearchAll(q), re2.SearchAll(q)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("mapped SearchAll(%v): %d items, want %d", q, len(got), len(want))
+		}
+	}
+	if got, want := mm.NearestNeighbors(10, Point{500, 500}), re2.NearestNeighbors(10, Point{500, 500}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("mapped NearestNeighbors: %v, want %v", got, want)
+	}
+	_, derr := mm.Delete(extra.Rect, extra.Object)
+	sb, _ := mm.Begin()
+	berr := sb.Insert(R(5, 5, 6, 6), 1)
+	sb.Rollback()
+	for op, err := range map[string]error{
+		"Insert":              mm.Insert(R(5, 5, 6, 6), 1),
+		"InsertItems":         mm.InsertItems([]Item{{Object: 2, Rect: R(7, 7, 8, 8)}}),
+		"Delete":              derr,
+		"ShardedBatch.Insert": berr,
+	} {
+		if !errors.Is(err, ErrReadOnly) {
+			t.Errorf("mapped %s: %v, want ErrReadOnly", op, err)
+		}
+	}
+	// Validate takes every shard's writer lock: no refused write kept one.
+	if err := mm.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if mm.Len() != re2.Len() {
+		t.Fatalf("mapped engine changed: Len %d, want %d", mm.Len(), re2.Len())
 	}
 }
 

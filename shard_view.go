@@ -3,17 +3,18 @@ package cbb
 import "sync"
 
 // ShardedView is a pinned, cross-shard read view of a ShardedTree taken
-// with ShardedTree.Snapshot: one snapshot per shard, all pinned in a single
-// acquisition that is atomic with respect to cross-shard batch commits, so
-// the per-shard epochs are mutually consistent — the view can never observe
-// part of a ShardedBatch. Each shard's epoch stays fixed for the view's
-// lifetime regardless of concurrent writers, splits, or merges (a view
-// pinned on a since-retired shard keeps serving its frozen content).
+// with ShardedTree.Snapshot: one snapshot per shard of the directory, all
+// pinned in a single acquisition that is atomic with respect to cross-shard
+// batch commits, so the per-shard epochs are mutually consistent — the view
+// can never observe part of a ShardedBatch. Each shard's epoch stays fixed
+// for the view's lifetime regardless of concurrent writers, splits, or
+// merges: a view pinned on a shard that a split or merge has since replaced
+// keeps serving its frozen content.
 //
-// It offers the same queries as a View (Search fans out only to shards whose
-// pinned root MBB intersects the query; Epochs lists the pinned epochs in
-// directory order). Like View, a ShardedView is safe for any number of
-// concurrent goroutines and must be released with Close.
+// Its queries are a View's, on the same read path (a shard whose pinned root
+// MBB or root clip points rule a range query out costs no I/O; Epochs lists
+// the pinned epochs in directory order). Like View, a ShardedView is safe for
+// any number of concurrent goroutines and must be released with Close.
 type ShardedView struct {
 	reader
 	once sync.Once

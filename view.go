@@ -84,6 +84,12 @@ type Batch struct {
 // on read-only trees.
 func (t *Tree) Begin() (*Batch, error) {
 	t.wmu.Lock()
+	return t.beginLocked()
+}
+
+// beginLocked opens a writer batch under the writer lock the caller took;
+// the batch owns the lock from here on, and a failure releases it.
+func (t *Tree) beginLocked() (*Batch, error) {
 	if err := t.idx.Begin(); err != nil {
 		t.wmu.Unlock()
 		return nil, fmt.Errorf("cbb: begin: %w", err)
