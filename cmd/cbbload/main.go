@@ -66,7 +66,7 @@ func main() {
 		fatal(fmt.Errorf("need -qps > 0, -duration > 0, -workers >= 1, -mix in [0,1]"))
 	}
 
-	objects, universe, err := loadObjects(*data, *dataset, *n, *seed)
+	objects, universe, err := datasets.Load(*data, *dataset, *n, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -313,30 +313,6 @@ func printLatency(w io.Writer, name string, h *telemetry.Histogram) {
 	ms := func(us int64) float64 { return float64(us) / 1000 }
 	fmt.Fprintf(w, "  %s p50 %8.3fms  p95 %8.3fms  p99 %8.3fms  max %8.3fms  (%d reqs)\n",
 		name, ms(s.P50), ms(s.P95), ms(s.P99), ms(s.Max), s.Count)
-}
-
-func loadObjects(data, dataset string, n int, seed int64) ([]geom.Rect, geom.Rect, error) {
-	if data != "" {
-		f, err := os.Open(data)
-		if err != nil {
-			return nil, geom.Rect{}, err
-		}
-		defer f.Close()
-		objects, err := datasets.ReadCSV(f)
-		if err != nil {
-			return nil, geom.Rect{}, err
-		}
-		return objects, datasets.BoundingUniverse(objects), nil
-	}
-	objects, err := datasets.Generate(dataset, n, seed)
-	if err != nil {
-		return nil, geom.Rect{}, err
-	}
-	universe, err := datasets.Universe(dataset)
-	if err != nil {
-		return nil, geom.Rect{}, err
-	}
-	return objects, universe, nil
 }
 
 func parseProfile(name string) (querygen.Profile, error) {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -176,7 +177,13 @@ func buildEngine(cfg engineConfig) (server.Engine, string, error) {
 		}
 	}
 
-	objects, universe, desc, err := loadObjects(cfg)
+	// -data CSV wins, then -dataset, with par02 as the out-of-the-box
+	// default so `cbbserve` alone boots.
+	name, desc := cmp.Or(cfg.dataset, "par02"), "csv "+cfg.data
+	if cfg.data == "" {
+		desc = fmt.Sprintf("dataset %s seed %d", name, cfg.seed)
+	}
+	objects, universe, err := datasets.Load(cfg.data, name, cfg.n, cfg.seed)
 	if err != nil {
 		return nil, "", err
 	}
@@ -228,36 +235,6 @@ func buildEngine(cfg engineConfig) (server.Engine, string, error) {
 		}
 	}
 	return server.NewTreeEngine(tree, persistent), fmt.Sprintf("%s, built in %d ms", desc, time.Since(start).Milliseconds()), nil
-}
-
-// loadObjects resolves the object source: -data CSV wins, then -dataset,
-// with par02 as the out-of-the-box default so `cbbserve` alone boots.
-func loadObjects(cfg engineConfig) ([]cbb.Rect, cbb.Rect, string, error) {
-	if cfg.data != "" {
-		f, err := os.Open(cfg.data)
-		if err != nil {
-			return nil, cbb.Rect{}, "", err
-		}
-		defer f.Close()
-		objects, err := datasets.ReadCSV(f)
-		if err != nil {
-			return nil, cbb.Rect{}, "", err
-		}
-		return objects, datasets.BoundingUniverse(objects), fmt.Sprintf("csv %s", cfg.data), nil
-	}
-	name := cfg.dataset
-	if name == "" {
-		name = "par02"
-	}
-	objects, err := datasets.Generate(name, cfg.n, cfg.seed)
-	if err != nil {
-		return nil, cbb.Rect{}, "", err
-	}
-	universe, err := datasets.Universe(name)
-	if err != nil {
-		return nil, cbb.Rect{}, "", err
-	}
-	return objects, universe, fmt.Sprintf("dataset %s seed %d", name, cfg.seed), nil
 }
 
 func parseClip(name string) (cbb.ClipMethod, error) {

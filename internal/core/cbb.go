@@ -3,14 +3,16 @@
 // Clipping Minimum Bounding Boxes" (ICDE 2018).
 //
 // A CBB augments a minimum bounding box (MBB) with a small, ordered set of
-// clip points. Each clip point is a pair <coordinate, corner-bitmask>
+// clip points (Definition 3), sorted by descending Score so that the test
+// most likely to prune a query runs first (Section IV-A). Each clip point is a pair <coordinate, corner-bitmask>
 // certifying that the rectangle spanned between the coordinate and the
 // indicated MBB corner contains no object — it is dead space that a query
 // can skip with a single extra dominance test.
 //
 // The package provides:
 //
-//   - ClipPoint and CBB value types (Definitions 2–3);
+//   - the ClipPoint value type (Definition 2) and Record, a node's clip
+//     points packed for the query kernels;
 //   - Clip, the construction procedure (Algorithm 1), in the two variants of
 //     the paper: MethodSkyline (CSKY, object-situated clip points of
 //     Section III-B) and MethodStairline (CSTA, point-spliced clip points of
@@ -68,11 +70,6 @@ type ClipPoint struct {
 	Score float64
 }
 
-// Clone returns an independent copy of the clip point.
-func (c ClipPoint) Clone() ClipPoint {
-	return ClipPoint{Coord: c.Coord.Clone(), Mask: c.Mask, Score: c.Score}
-}
-
 // Region returns the rectangle that the clip point removes from mbb: the MBB
 // of {Coord, mbb^Mask}.
 func (c ClipPoint) Region(mbb geom.Rect) geom.Rect {
@@ -82,26 +79,6 @@ func (c ClipPoint) Region(mbb geom.Rect) geom.Rect {
 // String renders the clip point in the paper's <point, bitmask> notation.
 func (c ClipPoint) String() string {
 	return fmt.Sprintf("<%s, %s>", c.Coord, c.Mask.StringDims(c.Coord.Dims()))
-}
-
-// CBB is a clipped bounding box: an MBB plus its ordered clip points
-// (Definition 3). Clips are sorted by descending Score so that the test most
-// likely to prune a query executes first (Section IV-A).
-type CBB struct {
-	MBB   geom.Rect
-	Clips []ClipPoint
-}
-
-// Clone returns a deep copy of the CBB.
-func (c CBB) Clone() CBB {
-	out := CBB{MBB: c.MBB.Clone()}
-	if len(c.Clips) > 0 {
-		out.Clips = make([]ClipPoint, len(c.Clips))
-		for i, cp := range c.Clips {
-			out.Clips[i] = cp.Clone()
-		}
-	}
-	return out
 }
 
 // Params controls clip-point construction (Algorithm 1).

@@ -158,27 +158,6 @@ func TestClipPointRegionAndString(t *testing.T) {
 	if c.String() != "<(7, 8), 11>" {
 		t.Errorf("String = %q", c.String())
 	}
-	cl := c.Clone()
-	cl.Coord[0] = 99
-	if c.Coord[0] != 7 {
-		t.Error("Clone must be independent")
-	}
-}
-
-func TestCBBClone(t *testing.T) {
-	objs := figure2Objects()
-	mbb := geom.MBROf(objs)
-	cbb := CBB{MBB: mbb, Clips: Clip(mbb, objs, DefaultParams(2))}
-	cl := cbb.Clone()
-	if len(cl.Clips) != len(cbb.Clips) {
-		t.Fatal("clone lost clips")
-	}
-	if len(cl.Clips) > 0 {
-		cl.Clips[0].Coord[0] = -999
-		if cbb.Clips[0].Coord[0] == -999 {
-			t.Error("clone shares clip coordinates with original")
-		}
-	}
 }
 
 // The key soundness invariant (Definition 2): a clip point never clips away

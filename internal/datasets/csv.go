@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -77,4 +78,29 @@ func BoundingUniverse(objs []geom.Rect) geom.Rect {
 		out = out.Union(o)
 	}
 	return out
+}
+
+// Load returns the objects a command serves or queries, with their universe:
+// those of the CSV file at path when it is set, under BoundingUniverse, and
+// otherwise n objects (0 for the default count) of the named dataset
+// generated from seed, under its Universe.
+func Load(path, name string, n int, seed int64) ([]geom.Rect, geom.Rect, error) {
+	if path == "" {
+		objs, err := Generate(name, n, seed)
+		if err != nil {
+			return nil, geom.Rect{}, err
+		}
+		uni, err := Universe(name)
+		return objs, uni, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, geom.Rect{}, err
+	}
+	defer f.Close()
+	objs, err := ReadCSV(f)
+	if err != nil {
+		return nil, geom.Rect{}, err
+	}
+	return objs, BoundingUniverse(objs), nil
 }

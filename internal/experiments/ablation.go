@@ -57,7 +57,7 @@ func RunTauSweep(cfg Config, taus []float64) (*TauSweepResult, error) {
 			return nil, err
 		}
 		qs := queries[querygen.QR1]
-		tree, _, err := cfg.BuildTree(ds, rtree.RRStar)
+		tree, err := cfg.BuildTree(ds, rtree.RRStar)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +124,7 @@ func RunScoreApprox(cfg Config) (*ScoreApproxResult, error) {
 			return nil, err
 		}
 		for _, v := range cfg.Variants {
-			tree, _, err := cfg.BuildTree(ds, v)
+			tree, err := cfg.BuildTree(ds, v)
 			if err != nil {
 				return nil, err
 			}
@@ -203,7 +203,7 @@ func RunOrderingAblation(cfg Config) (*OrderingResult, error) {
 			return nil, err
 		}
 		qs := queries[querygen.QR1]
-		tree, _, err := cfg.BuildTree(ds, rtree.RRStar)
+		tree, err := cfg.BuildTree(ds, rtree.RRStar)
 		if err != nil {
 			return nil, err
 		}

@@ -160,25 +160,24 @@ func BuildTree(ds *Dataset, v rtree.Variant) (*rtree.Tree, time.Duration, error)
 
 // BuildTree is the snapshot-caching variant of the package-level BuildTree,
 // used by every experiment: with LoadDir set it reopens a previously saved
-// snapshot instead of rebuilding (reporting the load time as the build
-// time), and with SaveDir set it saves freshly built trees, so the index
-// construction cost is paid once across experiment runs.
-func (c Config) BuildTree(ds *Dataset, v rtree.Variant) (*rtree.Tree, time.Duration, error) {
+// snapshot instead of rebuilding, and with SaveDir set it saves freshly built
+// trees, so the index construction cost is paid once across experiment runs.
+func (c Config) BuildTree(ds *Dataset, v rtree.Variant) (*rtree.Tree, error) {
 	if c.LoadDir != "" {
-		if tree, dur, ok := loadCachedTree(c.snapshotPath(c.LoadDir, ds, v), ds, v); ok {
-			return tree, dur, nil
+		if tree, ok := loadCachedTree(c.snapshotPath(c.LoadDir, ds, v), ds, v); ok {
+			return tree, nil
 		}
 	}
-	tree, dur, err := BuildTree(ds, v)
+	tree, _, err := BuildTree(ds, v)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if c.SaveDir != "" {
 		if err := saveCachedTree(c.snapshotPath(c.SaveDir, ds, v), tree); err != nil {
-			return nil, 0, fmt.Errorf("experiments: saving tree snapshot: %w", err)
+			return nil, fmt.Errorf("experiments: saving tree snapshot: %w", err)
 		}
 	}
-	return tree, dur, nil
+	return tree, nil
 }
 
 // snapshotPath names a cached tree snapshot so that any configuration
@@ -207,24 +206,23 @@ func variantSlug(v rtree.Variant) string {
 // verifying that it matches the requested dataset and configuration; ok is
 // false (and the caller rebuilds) when the file is missing, corrupt, or a
 // configuration mismatch.
-func loadCachedTree(path string, ds *Dataset, v rtree.Variant) (*rtree.Tree, time.Duration, bool) {
-	start := time.Now()
+func loadCachedTree(path string, ds *Dataset, v rtree.Variant) (*rtree.Tree, bool) {
 	snap, fp, err := snapshot.OpenFile(path, false)
 	if err != nil {
-		return nil, 0, false
+		return nil, false
 	}
 	defer fp.Close()
 	want := treeConfig(ds.Spec.Dims, v, ds.Universe)
 	m := snap.Meta
 	if m.Dims != want.Dims || m.Variant != v || m.MaxEntries != want.MaxEntries ||
 		m.MinEntries != want.MinEntries || m.Objects != len(ds.Items) {
-		return nil, 0, false
+		return nil, false
 	}
 	tree, err := snap.LoadTree(fp)
 	if err != nil {
-		return nil, 0, false
+		return nil, false
 	}
-	return tree, time.Since(start), true
+	return tree, true
 }
 
 // saveCachedTree writes a plain (unclipped) tree snapshot; experiments clip

@@ -95,13 +95,13 @@ func TestBuildTreeSnapshotCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, _, err := cfg.BuildTree(ds, rtree.RRStar)
+	built, err := cfg.BuildTree(ds, rtree.RRStar)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg.SaveDir, cfg.LoadDir = "", dir
-	reloaded, _, err := cfg.BuildTree(ds, rtree.RRStar)
+	reloaded, err := cfg.BuildTree(ds, rtree.RRStar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestBuildTreeSnapshotCache(t *testing.T) {
 	}
 
 	// A different variant misses the cache and rebuilds.
-	other, _, err := cfg.BuildTree(ds, rtree.Quadratic)
+	other, err := cfg.BuildTree(ds, rtree.Quadratic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func RunFig01(cfg Config) (*Fig01Result, error) {
 			return nil, err
 		}
 		for _, v := range cfg.Variants {
-			tree, _, err := cfg.BuildTree(ds, v)
+			tree, err := cfg.BuildTree(ds, v)
 			if err != nil {
 				return nil, err
 			}

@@ -101,7 +101,7 @@ func RunFig09(cfg Config) (*Fig09Result, error) {
 		if ds.Spec.Dims != 2 {
 			continue
 		}
-		tree, _, err := cfg.BuildTree(ds, rtree.RRStar)
+		tree, err := cfg.BuildTree(ds, rtree.RRStar)
 		if err != nil {
 			return nil, err
 		}

@@ -46,7 +46,7 @@ func RunFig10(cfg Config) (*Fig10Result, error) {
 			return nil, err
 		}
 		for _, v := range cfg.Variants {
-			tree, _, err := cfg.BuildTree(ds, v)
+			tree, err := cfg.BuildTree(ds, v)
 			if err != nil {
 				return nil, err
 			}

@@ -51,7 +51,7 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 			return nil, err
 		}
 		for _, v := range cfg.Variants {
-			tree, _, err := cfg.BuildTree(ds, v)
+			tree, err := cfg.BuildTree(ds, v)
 			if err != nil {
 				return nil, err
 			}

@@ -116,7 +116,7 @@ func RunFig13(cfg Config) (*Fig13Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tree, _, err := cfg.BuildTree(ds, rtree.RRStar)
+		tree, err := cfg.BuildTree(ds, rtree.RRStar)
 		if err != nil {
 			return nil, err
 		}

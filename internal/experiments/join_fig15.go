@@ -51,11 +51,11 @@ func RunJoin(cfg Config) (*JoinResult, error) {
 	}
 	out := &JoinResult{}
 	for _, v := range cfg.Variants {
-		leftTree, _, err := cfg.BuildTree(left, v)
+		leftTree, err := cfg.BuildTree(left, v)
 		if err != nil {
 			return nil, err
 		}
-		rightTree, _, err := cfg.BuildTree(right, v)
+		rightTree, err := cfg.BuildTree(right, v)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +149,7 @@ func RunFig15(cfg Config) (*Fig15Result, error) {
 			return nil, err
 		}
 		for _, v := range []rtree.Variant{rtree.Hilbert, rtree.RRStar} {
-			tree, _, err := cfg.BuildTree(ds, v)
+			tree, err := cfg.BuildTree(ds, v)
 			if err != nil {
 				return nil, err
 			}

@@ -230,7 +230,7 @@ func sortOrd(recs, tmp []Keyed, workers int) {
 // packLevel creates the nodes of one packed level over count inputs — at
 // most M a node, spread evenly so that every node also respects the minimum
 // fill (the root-only exception is the caller's) — and fills them. Ids are
-// allocated serially and in order, so ids, free-list reuse and dirty marks do
+// allocated serially and in order, so ids, free-list reuse and generations do
 // not depend on the worker count; fill then runs concurrently, a node at a
 // time over the input range it owns, appending to exactly-sized boxes and
 // refs. A level under packChunk nodes (a grafted run) starts no goroutine.

@@ -6,11 +6,13 @@ import (
 	"sync/atomic"
 
 	"cbb/internal/core"
+	"cbb/internal/storage"
 )
 
 // This file implements the node directory: the one versioned place a tree
-// keeps its nodes, each beside the writer's metadata about it and the clip
-// record the paper keeps in its auxiliary table (Figure 4b). It is two
+// keeps its nodes, each beside the writer's metadata about it, the clip
+// record the paper keeps in its auxiliary table (Figure 4b) and, on a
+// file-backed tree, the page that holds it (Figure 4a). It is two
 // levels, a top array of pointers to fixed-size chunks of slots, indexed by
 // node id. What a published version holds is never written again: the writer
 // copies the top array before its first write after a publish, and a chunk
@@ -27,12 +29,14 @@ const (
 )
 
 // slot is one node id's entry: the node; its clip record (nil without clip
-// points); and what pages do not store — the parent and, for the Hilbert
+// points); on a file-backed tree, the page it lives on (InvalidPage until its
+// first flush); and what pages do not store — the parent and, for the Hilbert
 // variant, the largest Hilbert value below the node. A fault installs a lazy
 // version's node with a CAS; nothing else in a published slot is written.
 type slot struct {
 	node   atomic.Pointer[node]
 	rec    core.Record
+	page   storage.PageID
 	lhv    uint64
 	parent NodeID
 }
@@ -51,7 +55,7 @@ func (c *chunk) clone(gen uint64) *chunk {
 	for i := range c.slots {
 		s, o := &d.slots[i], &c.slots[i]
 		s.node.Store(o.node.Load())
-		s.rec, s.lhv, s.parent = o.rec, o.lhv, o.parent
+		s.rec, s.page, s.lhv, s.parent = o.rec, o.page, o.lhv, o.parent
 	}
 	return d
 }
@@ -164,13 +168,12 @@ func (t *Tree) SetRecord(id NodeID, rec core.Record) {
 	}
 }
 
-// HasNode reports whether id names a node of the tree — in the page map of a
-// file-backed tree not yet hydrated, in the writer's directory otherwise —
-// without reading a page.
+// HasNode reports whether id names a node of the tree — a slot with a page on
+// a file-backed tree not yet hydrated, a slot with a node otherwise — without
+// reading a page.
 func (t *Tree) HasNode(id NodeID) bool {
 	if t.src != nil && !t.src.hydrated {
-		_, ok := t.src.pages[id]
-		return ok
+		return t.dir.has(id) && t.dir.at(id).page != storage.InvalidPage
 	}
 	return t.dir.has(id) && t.dir.at(id).node.Load() != nil
 }

@@ -4,9 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
+	"iter"
 	"math"
-	"sort"
 
 	"cbb/internal/core"
 	"cbb/internal/storage"
@@ -172,7 +171,7 @@ func (v *Version) walk(fn func(*node) error) error {
 // the same codec; the configuration must match the one the original tree was
 // built with. It is the lazy open followed by hydrate with the store binding
 // dropped: the result is an ordinary in-memory tree (not FileBacked, read
-// lock-free, no page map or store retained) whose object count and height
+// lock-free, no store retained) whose object count and height
 // are what the pages hold — callers with a header to honour compare them
 // (snapshot.LoadTree). A tree loaded from v2 pages carries conservatively
 // expanded directory rects, so Validate checks containment instead of
@@ -191,7 +190,9 @@ func Load(cfg Config, store storage.PageStore, pages map[NodeID]storage.PageID, 
 	if t.size, t.height, err = t.hydrate(); err != nil {
 		return nil, err
 	}
-	// The resident tree replaces the lazy version no reader saw.
+	// The resident tree replaces the lazy version no reader saw. Its slots
+	// keep the page ids of the dropped store; without a store nothing reads
+	// or frees them.
 	t.src, t.lazyV = nil, nil
 	t.publishAt(t.cur.Load().epoch)
 	return t, nil
@@ -235,8 +236,8 @@ func maxNodeID(pages map[NodeID]storage.PageID) (NodeID, error) {
 //
 // With readonly false the tree accepts Insert, Delete, and BulkLoad: the
 // first mutation hydrates the tree (parent pointers are not stored in the
-// page layout), mutated nodes accumulate in the dirty set, and FlushDirty
-// writes them back to the store. With readonly true mutations return
+// page layout), and FlushDirty writes the nodes born since the open or the
+// last flush back to the store. With readonly true mutations return
 // ErrReadOnly. Compressed (v2) pages only open read-only: they are sized to
 // the encoded bytes at write time, so a re-encoded dirty node has no
 // guarantee of fitting its slot; writable trees use v1.
@@ -255,7 +256,7 @@ func OpenPaged(cfg Config, store storage.PageStore, pages map[NodeID]storage.Pag
 	if err != nil {
 		return nil, err
 	}
-	t.src = &pageSource{store: store, pages: pages, readonly: readonly, codec: codec, dirty: make(map[NodeID]struct{})}
+	t.src = &pageSource{store: store, readonly: readonly, codec: codec}
 	t.conservative = codec == CodecV2
 	if root == InvalidNode {
 		if len(pages) != 0 || size != 0 || height != 0 {
@@ -264,6 +265,7 @@ func OpenPaged(cfg Config, store storage.PageStore, pages map[NodeID]storage.Pag
 		// An empty tree has nothing to hydrate; it is born mutable.
 		t.src.hydrated = true
 		t.publish()
+		t.src.flushed = t.gen
 		return t, nil
 	}
 	if _, ok := pages[root]; !ok {
@@ -277,6 +279,9 @@ func OpenPaged(cfg Config, store storage.PageStore, pages map[NodeID]storage.Pag
 		return nil, err
 	}
 	t.dir = sized(int(maxID)+1, t.gen)
+	for id, pid := range pages {
+		t.dir.at(id).page = pid
+	}
 	for id, rec := range recs {
 		if _, ok := pages[id]; ok {
 			t.dir.at(id).rec = rec
@@ -286,53 +291,46 @@ func OpenPaged(cfg Config, store storage.PageStore, pages map[NodeID]storage.Pag
 	t.size = size
 	t.height = height
 	// Publish the initial (lazy) version: readers fault nodes in on demand
-	// from this epoch's page map until the first mutation hydrates the tree.
+	// from their slots' pages until the first mutation hydrates the tree.
+	// Every node on the store is as written: none is born after the flush
+	// mark.
 	t.publish()
+	t.src.flushed = t.gen
 	return t, nil
 }
 
-// AttachStore binds a freshly built (or still empty) in-memory tree to a
-// page store as its write-back target: the tree becomes file-backed and
-// writable, every current node is considered dirty, and the next FlushDirty
-// writes the whole tree. pages maps nodes that already live on the store
-// (nil when none do, e.g. for a tree created over an empty store).
-func (t *Tree) AttachStore(store storage.PageStore, pages map[NodeID]storage.PageID) error {
+// AttachStore binds a freshly built (or still empty) in-memory tree, none of
+// whose nodes has a page yet, to a page store as its write-back target: the
+// tree becomes file-backed and writable, and with the flush mark at
+// generation 0 every current node is unflushed, so the next FlushDirty writes
+// the whole tree.
+func (t *Tree) AttachStore(store storage.PageStore) error {
 	if store == nil {
 		return errors.New("rtree: AttachStore requires a page store")
 	}
 	if t.src != nil {
 		return errors.New("rtree: tree is already file-backed")
 	}
-	if pages == nil {
-		pages = make(map[NodeID]storage.PageID)
-	}
-	src := &pageSource{store: store, pages: pages, hydrated: true, codec: CodecV1, dirty: make(map[NodeID]struct{})}
-	err := t.Walk(func(info NodeInfo) {
-		if _, ok := pages[info.ID]; !ok {
-			src.dirty[info.ID] = struct{}{}
-		}
-	})
-	if err == nil {
-		t.src = src
-	}
-	return err
+	t.src = &pageSource{store: store, hydrated: true, codec: CodecV1}
+	return nil
 }
 
-// FlushDirty writes every node mutated since the last flush back to the
-// tree's page store: dirty nodes are re-encoded onto their existing pages,
-// new nodes get pages allocated (reusing the store's free-page list), and
-// pages of dissolved nodes are released. It returns the updated node→page map
-// and a commit callback.
+// FlushDirty writes every node born since the last flush back to the tree's
+// page store: each is re-encoded onto its existing page, a new node gets a
+// page allocated (reusing the store's free-page list), in ascending id order,
+// and pages of dissolved nodes are released. It returns the node→page map
+// of the whole tree and a commit callback.
 //
-// FlushDirty is transactional on the tree side: the dirty set, the freed
-// list, and the live page map are not touched until the caller invokes
+// FlushDirty is transactional on the tree side: the flush mark, the freed
+// list, and the slots' page ids are not touched until the caller invokes
 // commit — which it must do only once every dependent write (node index,
-// clip table, superblock) has also succeeded. If anything fails before
-// that, the tree's bookkeeping still describes the pre-flush state, and the
-// page-store side effects are rolled back by discarding the store's journal
-// — so a failed flush can simply be retried. The store itself decides
-// durability: a journaled FilePager makes the whole batch atomic on its
-// next commit.
+// clip table, superblock) has also succeeded. commit publishes the new page
+// ids under the current epoch, so a later RollbackBatch keeps them. If
+// anything fails before that, the tree's bookkeeping still describes the
+// pre-flush state, and the page-store side effects are rolled back by
+// discarding the store's journal — so a failed flush can simply be retried.
+// The store itself decides durability: a journaled FilePager makes the whole
+// batch atomic on its next commit.
 func (t *Tree) FlushDirty() (map[NodeID]storage.PageID, func(), error) {
 	if t.src == nil {
 		return nil, nil, errors.New("rtree: FlushDirty requires a file-backed tree")
@@ -363,33 +361,27 @@ func (t *Tree) FlushDirty() (map[NodeID]storage.PageID, func(), error) {
 			return nil, nil, fmt.Errorf("rtree: releasing page %d: %w", fp.page, err)
 		}
 	}
-	ids := make([]NodeID, 0, len(src.dirty))
-	for id := range src.dirty {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// Work on a copy of the page map so a failure leaves src.pages intact.
-	pages := make(map[NodeID]storage.PageID, len(src.pages)+len(ids))
-	for id, pid := range src.pages {
-		pages[id] = pid
-	}
-	for _, id := range ids {
-		n, err := t.node(id)
-		if err != nil {
-			return nil, nil, err
+	pages := make(map[NodeID]storage.PageID)
+	for id := NodeID(0); int(id) < t.dir.n; id++ {
+		if pid := t.dir.at(id).page; pid != storage.InvalidPage {
+			pages[id] = pid
 		}
-		pid, ok := pages[id]
-		if !ok {
+	}
+	// fresh lists the nodes given a page here; the slots get it at commit.
+	var fresh []NodeID
+	for id := range t.unflushed() {
+		n, pid := t.dir.at(id).node.Load(), pages[id]
+		if pid == storage.InvalidPage {
 			kind := storage.KindDirectory
 			if n.leaf {
 				kind = storage.KindLeaf
 			}
 			var err error
-			pid, err = src.store.Allocate(kind)
-			if err != nil {
+			if pid, err = src.store.Allocate(kind); err != nil {
 				return nil, nil, fmt.Errorf("rtree: allocating page for node %d: %w", id, err)
 			}
 			pages[id] = pid
+			fresh = append(fresh, id)
 		}
 		buf, err := encodeNodeCodec(n, t.cfg.Dims, src.codec)
 		if err == nil {
@@ -400,11 +392,46 @@ func (t *Tree) FlushDirty() (map[NodeID]storage.PageID, func(), error) {
 		}
 	}
 	commit := func() {
-		src.pages = pages
-		src.dirty = make(map[NodeID]struct{})
+		for _, id := range fresh {
+			t.slotW(id).page = pages[id]
+		}
+		if len(fresh) > 0 {
+			t.publishAt(t.cur.Load().epoch)
+		}
+		src.flushed = t.gen
 		src.freed = deferred
 	}
 	return pages, commit, nil
+}
+
+// unflushed ranges, ascending, over the live nodes the next FlushDirty
+// writes: those born in or after the writer generation of the last flush.
+// Such a node sits in a chunk copied since then, so older chunks are skipped
+// whole; an id on the free list holds freeNode's placeholder, not a node.
+func (t *Tree) unflushed() iter.Seq[NodeID] {
+	return func(yield func(NodeID) bool) {
+		var free map[NodeID]bool
+		for i, c := range t.dir.chunks {
+			if c.born < t.src.flushed {
+				continue
+			}
+			for j := range min(chunkSlots, t.dir.n-i<<chunkBits) {
+				if n := c.slots[j].node.Load(); n == nil || n.born < t.src.flushed {
+					continue
+				}
+				id := NodeID(i<<chunkBits | j)
+				if free == nil {
+					free = make(map[NodeID]bool, len(t.free))
+					for _, f := range t.free {
+						free[f] = true
+					}
+				}
+				if !free[id] && !yield(id) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // ReleaseFreedPages unconditionally releases every deferred freed page to
@@ -450,12 +477,6 @@ func (t *Tree) Materialize() error {
 	if objects != t.size || height != t.height {
 		return fmt.Errorf("rtree: header claims %d objects and height %d, pages hold %d and %d", t.size, t.height, objects, height)
 	}
-	if !src.readonly {
-		// The lazy version published at open keeps the original page map; the
-		// writer takes a private copy so freeNode and FlushDirty never mutate
-		// a map a concurrent lazy reader might still consult while faulting.
-		src.pages = maps.Clone(src.pages)
-	}
 	// The lazy version holds no parent or LHV; the writer's directory does, and
 	// replaces it under the same epoch, so RollbackBatch always gets them back.
 	src.hydrated, t.lazyV = true, nil
@@ -465,15 +486,18 @@ func (t *Tree) Materialize() error {
 
 // hydrate brings every page of a lazily opened tree in — the only way a tree
 // becomes fully resident (Materialize for an opened tree, Load for an eager
-// one). Each page is faulted into the lazy version's directory (fault), so it
-// is full before any page can be rewritten. The writer then takes a private
-// copy of the directory, stamped generation 0 so its first batch copies what
-// it writes, and rebuilds there only what pages do not store: parents (each
-// child resident) and Hilbert LHVs. It returns the object count and height
+// one). Each slot with a page has its node faulted into the lazy version's
+// directory (fault), so it is full before any page can be rewritten. The
+// writer then takes a private copy of the directory, stamped generation 0 so
+// its first batch copies what it writes, and rebuilds there only what pages
+// do not store: parents (each child resident) and Hilbert LHVs. It returns the object count and height
 // the pages hold; the caller decides what they are checked against.
 func (t *Tree) hydrate() (objects, height int, err error) {
 	v := t.lazyV
-	for id := range v.pages {
+	for id := NodeID(0); int(id) < v.dir.n; id++ {
+		if v.dir.at(id).page == storage.InvalidPage {
+			continue
+		}
 		n, err := v.node(id)
 		if err != nil {
 			return 0, 0, err

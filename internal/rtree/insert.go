@@ -334,9 +334,13 @@ func (t *Tree) handleOverflow(n *node, trace *InsertTrace, marks *levelMarks) {
 	t.splitNode(n, trace, marks)
 }
 
-// forcedReinsert removes the configured fraction of entries whose centres
-// are farthest from the node's centre and re-inserts them at the same level
-// (the R*-tree overflow treatment).
+// reinsertFraction is the share of a node's capacity the R*-tree
+// force-reinserts on the first overflow of a level: Beckmann et al.'s 30 %.
+const reinsertFraction = 0.3
+
+// forcedReinsert removes the reinsertFraction of entries whose centres are
+// farthest from the node's centre and re-inserts them at the same level (the
+// R*-tree overflow treatment).
 func (t *Tree) forcedReinsert(n *node, trace *InsertTrace, marks *levelMarks) {
 	centre := t.mbbOf(n).Center()
 	type distEntry struct {
@@ -348,7 +352,7 @@ func (t *Tree) forcedReinsert(n *node, trace *InsertTrace, marks *levelMarks) {
 		ds[i] = distEntry{e: e, d: e.Rect.Center().DistSq(centre)}
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i].d > ds[j].d })
-	p := int(float64(t.cfg.MaxEntries) * t.cfg.ReinsertFraction)
+	p := int(float64(t.cfg.MaxEntries) * reinsertFraction)
 	if p < 1 {
 		p = 1
 	}

@@ -10,20 +10,20 @@
 // directory accesses, the paper's I/O metric, in a storage.Snapshot it owns
 // and charges the tally to the tree's storage.Counter once, when it ends.
 // Nodes live in a versioned node directory (dir.go) whose slot per node id
-// also holds the node's clip record (Figure 4b) and the parent and Hilbert
-// metadata the writer keeps; a commit copies only the directory chunks it
-// wrote. The nodes are either built in memory or bound to a
-// storage.PageStore holding one page per node (Figure 4a; encode.go,
-// encode_v2.go), and there is one door each way. Off pages: Tree.fault is
-// the only code that turns a page into a node, on first access to it, and
-// hydrate is the only code that brings every page in. A tree opened with
-// OpenPaged keeps its store, its page map and the header's counts, reads
-// through fault, and hydrates on Materialize, Validate or its first
-// mutation, when hydrate's recount is held to the header; a tree loaded
-// with Load is the same open hydrated at once, adopting the recount and
-// keeping neither store nor page map — an ordinary in-memory tree. Onto
-// pages: Save writes a whole tree, FlushDirty the nodes mutated since the
-// last flush, both through a PageCodec argument.
+// also holds the node's clip record (Figure 4b), its page on a file-backed
+// tree, and the parent and Hilbert metadata the writer keeps; a commit copies
+// only the directory chunks it wrote. The nodes are either built in memory or
+// bound to a storage.PageStore holding one page per node (Figure 4a;
+// encode.go, encode_v2.go), and there is one door each way. Off pages:
+// Tree.fault is the only code that turns a page into a node, on first access
+// to it, and hydrate is the only code that brings every page in. A tree
+// opened with OpenPaged keeps its store and the header's counts, its slots
+// the pages the snapshot's index names; it reads through fault, and hydrates
+// on Materialize, Validate or its first mutation, when hydrate's recount is
+// held to the header; a tree loaded with Load is the same open hydrated at
+// once, adopting the recount and keeping no store — an ordinary in-memory
+// tree. Onto pages: Save writes a whole tree, FlushDirty the nodes born
+// since the last flush, both through a PageCodec argument.
 //
 // A node keeps its rectangles once: one exact store (flat float64
 // coordinates plus a parallel reference array, the in-memory form of the
@@ -342,9 +342,6 @@ type Config struct {
 	// HilbertBits is the Hilbert curve order (bits per dimension) used by
 	// the Hilbert variant; defaults to 16.
 	HilbertBits int
-	// ReinsertFraction is the share of entries force-reinserted by the
-	// R*-tree on the first overflow of a level (defaults to 0.3).
-	ReinsertFraction float64
 }
 
 // DefaultConfig returns the configuration used by the evaluation harness:
@@ -352,12 +349,11 @@ type Config struct {
 // the requested variant, and a generous default universe.
 func DefaultConfig(dims int, v Variant) Config {
 	return Config{
-		Dims:             dims,
-		MaxEntries:       50,
-		MinEntries:       20,
-		Variant:          v,
-		HilbertBits:      16,
-		ReinsertFraction: 0.3,
+		Dims:        dims,
+		MaxEntries:  50,
+		MinEntries:  20,
+		Variant:     v,
+		HilbertBits: 16,
 	}
 }
 
@@ -386,9 +382,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.HilbertBits > hilbert.MaxBitsPerDim {
 		c.HilbertBits = hilbert.MaxBitsPerDim
-	}
-	if c.ReinsertFraction <= 0 || c.ReinsertFraction >= 0.5 {
-		c.ReinsertFraction = 0.3
 	}
 	if c.Universe.IsZero() {
 		lo := make(geom.Point, c.Dims)
@@ -453,8 +446,8 @@ type Tree struct {
 
 	// File-backed mode, set up by OpenPaged or AttachStore: nodes are
 	// faulted into the lazy version's directory on first access from src,
-	// and mutated nodes are tracked in src.dirty until FlushDirty writes them
-	// back to the page store. src is nil for ordinary in-memory trees.
+	// and nodes born since src.flushed are what FlushDirty writes back to the
+	// page store. src is nil for ordinary in-memory trees.
 	src      *pageSource
 	faultErr atomic.Pointer[error] // first page fault failure, for Err
 
@@ -465,17 +458,16 @@ type Tree struct {
 	conservative bool
 }
 
-// pageSource is the storage binding of a file-backed tree: where each node
-// lives in the page store, which nodes have been mutated since the last
-// flush (the dirty set), and which pages await release because their node
-// was dissolved.
+// pageSource is the storage binding of a file-backed tree: the page store,
+// the writer generation of the last flush (a live node born in it or later
+// is what the next flush writes), and the pages that await release because
+// their node was dissolved. Which page holds a node is its directory slot's.
 type pageSource struct {
 	store    storage.PageStore
-	pages    map[NodeID]storage.PageID
 	readonly bool
 	hydrated bool      // hydrate has run and held: the writer's directory is whole
 	codec    PageCodec // page layout of the store; CodecV1 on every writable tree
-	dirty    map[NodeID]struct{}
+	flushed  uint64
 	freed    []freedPage
 }
 
@@ -604,10 +596,9 @@ func (t *Tree) publishAt(epoch uint64) *Version {
 	}
 	if t.src != nil && !t.src.hydrated {
 		// Nodes are faulted into this version's directory on demand, from
-		// this epoch's page map. Only the open publishes a lazy version: a
+		// the pages its slots name. Only the open publishes a lazy version: a
 		// mutation or a record write hydrates the tree first.
 		v.lazy = true
-		v.pages = t.src.pages
 		t.lazyV = v
 	}
 	t.verMu.Lock()
@@ -644,48 +635,12 @@ func (t *Tree) minPinnedEpoch() uint64 {
 }
 
 // batchUndo records what RollbackBatch needs to restore the writer
-// bookkeeping an explicit batch touched; the directory — nodes, records,
-// parents — is taken back from the published version. The dirty-set and
-// page-map undo is built incrementally, first touch wins, so BeginBatch
-// stays O(free list) instead of copying maps proportional to the tree.
+// bookkeeping an explicit batch touched outside the directory: the free list
+// and the length of the freed-page list. The directory — nodes, records,
+// pages, parents — is taken back from the published version.
 type batchUndo struct {
-	free []NodeID
-	// dirtyPrev maps each node id whose dirty-set membership the batch
-	// changed to its pre-batch membership.
-	dirtyPrev map[NodeID]bool
-	// pagesRemoved holds the page-map entries freeNode deleted during the
-	// batch (pages are never added mid-batch; FlushDirty refuses to run
-	// inside one).
-	pagesRemoved map[NodeID]storage.PageID
-	freedLen     int
-}
-
-// noteDirty records the pre-batch dirty membership of id, first touch wins.
-// Safe on a nil receiver (no batch open).
-func (u *batchUndo) noteDirty(id NodeID, present bool) {
-	if u == nil {
-		return
-	}
-	if u.dirtyPrev == nil {
-		u.dirtyPrev = make(map[NodeID]bool)
-	}
-	if _, seen := u.dirtyPrev[id]; !seen {
-		u.dirtyPrev[id] = present
-	}
-}
-
-// notePageRemoved records a page-map entry deleted by freeNode, first
-// removal wins. Safe on a nil receiver.
-func (u *batchUndo) notePageRemoved(id NodeID, pid storage.PageID) {
-	if u == nil {
-		return
-	}
-	if u.pagesRemoved == nil {
-		u.pagesRemoved = make(map[NodeID]storage.PageID)
-	}
-	if _, seen := u.pagesRemoved[id]; !seen {
-		u.pagesRemoved[id] = pid
-	}
+	free     []NodeID
+	freedLen int
 }
 
 // BeginBatch starts an explicit writer batch: mutations accumulate in the
@@ -721,8 +676,9 @@ func (t *Tree) CommitBatch() *Version {
 }
 
 // RollbackBatch discards every mutation since BeginBatch: the writer takes
-// the published version's untouched directory and root back, and the batch's
-// bookkeeping (free list, page map, dirty set, freed pages) is restored.
+// the published version's untouched directory and root back — and with it
+// every page id and every node's generation, so the next flush writes what it
+// would have — and the free list and freed pages are restored.
 func (t *Tree) RollbackBatch() {
 	if !t.inBatch {
 		return
@@ -737,16 +693,6 @@ func (t *Tree) RollbackBatch() {
 	t.root, t.size, t.height = v.root, v.size, v.height
 	t.free = u.free
 	if t.src != nil {
-		for id, was := range u.dirtyPrev {
-			if was {
-				t.src.dirty[id] = struct{}{}
-			} else {
-				delete(t.src.dirty, id)
-			}
-		}
-		for id, pid := range u.pagesRemoved {
-			t.src.pages[id] = pid
-		}
 		t.src.freed = t.src.freed[:u.freedLen]
 	}
 }
@@ -909,14 +855,17 @@ func (t *Tree) ReadOnly() bool { return t.src != nil && t.src.readonly }
 // OpenPaged or attached with AttachStore).
 func (t *Tree) FileBacked() bool { return t.src != nil }
 
-// Dirty reports whether a file-backed tree has node mutations that
-// FlushDirty has not yet written back to the page store. In-memory trees
-// are never dirty.
+// Dirty reports whether a file-backed tree has nodes born since the last
+// flush or pages of dissolved nodes not yet released: what FlushDirty writes
+// back to the page store. In-memory trees are never dirty.
 func (t *Tree) Dirty() bool {
 	if t.src == nil {
 		return false
 	}
-	return len(t.src.dirty) > 0 || len(t.src.freed) > 0
+	for range t.unflushed() {
+		return true
+	}
+	return len(t.src.freed) > 0
 }
 
 // Err returns the first page-fault failure of a file-backed tree (a page
@@ -961,27 +910,20 @@ func (t *Tree) freeNode(id NodeID) {
 	s.node.Store(&node{id: id, leaf: old.leaf, level: old.level, born: t.gen})
 	s.rec, s.lhv = nil, 0
 	t.free = append(t.free, id)
-	if t.src != nil {
-		// The node's page (if it has one) is released on a later flush, once
-		// no pinned version predates this batch; a later newNode reusing
-		// this id allocates a fresh page with the right kind.
-		if _, ok := t.src.dirty[id]; ok {
-			t.undo.noteDirty(id, true)
-			delete(t.src.dirty, id)
-		}
-		if pid, ok := t.src.pages[id]; ok {
-			t.undo.notePageRemoved(id, pid)
-			t.src.freed = append(t.src.freed, freedPage{page: pid, epoch: t.epoch})
-			delete(t.src.pages, id)
-		}
+	if t.src != nil && s.page != storage.InvalidPage {
+		// The node's page is released on a later flush, once no pinned
+		// version predates this batch; a later newNode reusing this id
+		// allocates a fresh page with the right kind.
+		t.src.freed = append(t.src.freed, freedPage{page: s.page, epoch: t.epoch})
+		s.page = storage.InvalidPage
 	}
 }
 
 // touch records that a node's persistent state (slots, leaf flag, level)
-// changed: the next FlushDirty writes it back (file-backed trees), and the
-// filter layer derived from boxes is refreshed (all trees). Every slot
-// mutation site calls it — the single node-access layer shared by both
-// modes. A site that only appended slots or replaced their rectangles names
+// changed: the filter layer derived from boxes is refreshed. Every slot
+// mutation site calls it, on a node born in the writer's generation — which
+// is also what makes the next FlushDirty of a file-backed tree write the node
+// back. A site that only appended slots or replaced their rectangles names
 // them, so a node whose MBB stayed put re-quantises just those (see
 // node.syncSlots) — except a directory of a v2-loaded tree, whose other slots
 // may still hold planes adopted from the page: it is re-quantised whole, so
@@ -991,12 +933,6 @@ func (t *Tree) freeNode(id NodeID) {
 func (t *Tree) touch(n *node, slots ...int) {
 	if n.born != t.gen {
 		panic(fmt.Sprintf("rtree: touch of node %d shared with a published version (born %d, generation %d)", n.id, n.born, t.gen))
-	}
-	if t.src != nil {
-		if _, ok := t.src.dirty[n.id]; !ok {
-			t.undo.noteDirty(n.id, false)
-			t.src.dirty[n.id] = struct{}{}
-		}
 	}
 	if t.conservative && !n.leaf {
 		slots = nil
@@ -1042,8 +978,8 @@ func recoverFault(errp *error) {
 // ensureMutable gates every mutation. In-memory trees are always mutable, a
 // read-only file-backed tree fails with ErrReadOnly, and a writable one must
 // be hydrated (Materialize; the first mutation pays for it), after which the
-// mutation algorithms run exactly as in memory and mark what they change in
-// the dirty set.
+// mutation algorithms run exactly as in memory; the nodes they write are born
+// in the writer's generation, which is how the next flush finds them.
 func (t *Tree) ensureMutable() error {
 	if t.src != nil && t.src.readonly {
 		return ErrReadOnly
@@ -1080,14 +1016,14 @@ func missing(id NodeID) error { return fmt.Errorf("rtree: node %d does not exist
 // installed meanwhile — by another reader or by hydration — wins over a
 // success or a failure alike. Hydration fills the directory before any page
 // can be freed, rewritten or recycled, so a stale fault that read such a page
-// returns the hydrated node instead. The page lookup uses the version's own
-// page map, which is never mutated after publication.
+// returns the hydrated node instead. The page is the one the version's own
+// slot names, which is never written after publication.
 func (t *Tree) fault(v *Version, id NodeID) (*node, error) {
 	var n *node
 	var ferr error
-	if pid, ok := v.pages[id]; !v.dir.has(id) {
+	if !v.dir.has(id) {
 		ferr = fmt.Errorf("rtree: node id %d out of range", id)
-	} else if !ok {
+	} else if pid := v.dir.at(id).page; pid == storage.InvalidPage {
 		ferr = fmt.Errorf("rtree: node %d has no page in the snapshot", id)
 	} else if buf, _, err := t.src.store.Read(pid); err != nil {
 		ferr = fmt.Errorf("rtree: reading page %d for node %d: %w", pid, id, err)

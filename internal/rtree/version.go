@@ -17,14 +17,14 @@ import (
 // version once per query and traverses it without synchronisation: nothing a
 // published version references is written again.
 //
-// The one version a lazy open (OpenPaged) publishes keeps the page map of its
-// epoch: a node missing from the directory is brought in by Tree.fault on
-// first access and installed with a CAS on its slot — no lock on any read
-// path. Tree.hydrate, the only code that brings every page in, faults the
-// same way and then gives the writer a copy of the directory with parents and
-// Hilbert LHVs, published in the lazy version's stead. A writer's first
-// mutation or record write hydrates, so no page is rewritten before the lazy
-// directory is full.
+// The one version a lazy open (OpenPaged) publishes holds a directory whose
+// slots carry their nodes' pages: a node missing from it is brought in by
+// Tree.fault on first access, from its slot's page, and installed with a CAS
+// on that slot — no lock on any read path. Tree.hydrate, the only code that
+// brings every page in, faults the same way and then gives the writer a copy
+// of the directory with parents and Hilbert LHVs, published in the lazy
+// version's stead. A writer's first mutation or record write hydrates, so no
+// page is rewritten before the lazy directory is full.
 //
 // Old versions are reclaimed by epoch-based garbage collection: in memory,
 // dropping the last reference to a Version lets the Go runtime collect the
@@ -47,8 +47,7 @@ type Version struct {
 	size   int
 	height int
 	dir    directory
-	lazy   bool                      // nodes are faulted in from pages on demand
-	pages  map[NodeID]storage.PageID // page map of this epoch (lazy versions)
+	lazy   bool // nodes are faulted in from their slots' pages on demand
 
 	pins atomic.Int64
 }
@@ -84,7 +83,7 @@ func (v *Version) Unpin() { v.pins.Add(-1) }
 // node returns the node with the given id at this version, or the error that
 // keeps it from the caller: the one node accessor of every read, and the only
 // way a read learns of a fault. A lazy version faults a missing node in from
-// its own page map (Tree.fault); an id outside the version is an error.
+// the page its slot names (Tree.fault); an id outside the version is an error.
 func (v *Version) node(id NodeID) (*node, error) {
 	if n := v.dir.node(id); n != nil {
 		return n, nil

@@ -278,8 +278,8 @@ func (s *Snapshot) LoadTree(store storage.PageStore) (*rtree.Tree, error) {
 // OpenTree returns a tree that faults node pages in from the store on
 // demand, so queries run directly against the backing file; it carries the
 // clip table's records from the start (clipindex.Restore then finds them in
-// place). With readonly false the tree is writable: mutations accumulate in
-// its dirty set and Rewrite commits them back into the snapshot in place.
+// place). With readonly false the tree is writable: the nodes its mutations
+// write are the ones Rewrite commits back into the snapshot in place.
 // Compressed (v2) snapshots only open read-only: their pages are sized to the
 // encoded node, so a mutated node might not fit back in its slot.
 func (s *Snapshot) OpenTree(store storage.PageStore, readonly bool) (*rtree.Tree, error) {
@@ -375,14 +375,14 @@ func checkMeta(store storage.PageStore, tree *rtree.Tree, clips ClipSource, meta
 }
 
 // Rewrite commits the current state of a writable file-backed tree back into
-// its snapshot in place — the incremental counterpart of Write. Dirty node
-// pages are written back through the tree's FlushDirty (new nodes get pages,
-// pages of dissolved nodes return to the free list), the node index and the
-// Figure 4b clip table are re-written in freshly allocated aux pages (their
-// previous pages freed first, so the space is reused), and the superblock is
-// rewritten last. Rewrite itself does not force durability: on a journaled
-// FilePager the caller's CommitJournal makes the whole batch atomic, which
-// is how Flush gives crash consistency.
+// its snapshot in place — the incremental counterpart of Write. The nodes
+// born since the last flush are written back through the tree's FlushDirty
+// (new nodes get pages, pages of dissolved nodes return to the free list),
+// the node index and the Figure 4b clip table are re-written in freshly
+// allocated aux pages (their previous pages freed first, so the space is
+// reused), and the superblock is rewritten last. Rewrite itself does not
+// force durability: on a journaled FilePager the caller's CommitJournal makes
+// the whole batch atomic, which is how Flush gives crash consistency.
 func Rewrite(store storage.PageStore, tree *rtree.Tree, clips ClipSource, meta Meta) error {
 	if meta.Format >= FormatV2 {
 		return errors.New("snapshot: v2 (compressed) snapshots are read-only and cannot be rewritten in place")
@@ -422,7 +422,7 @@ func Rewrite(store storage.PageStore, tree *rtree.Tree, clips ClipSource, meta M
 		return err
 	}
 	// Every page of the rewrite is staged; only now may the tree retire its
-	// dirty-set bookkeeping. A failure anywhere above leaves the tree still
+	// flush bookkeeping. A failure anywhere above leaves the tree still
 	// dirty, so discarding the store's journal and retrying is safe.
 	commit()
 	return nil

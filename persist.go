@@ -310,7 +310,7 @@ func Create(path string, opts Options) (*Tree, error) {
 	if err := fp.CommitJournal(); err != nil {
 		return fail(err)
 	}
-	if err := t.tree.AttachStore(fp, nil); err != nil {
+	if err := t.tree.AttachStore(fp); err != nil {
 		return fail(err)
 	}
 	t.pager = fp

@@ -42,36 +42,10 @@ func TestShardedSimulation(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(37))
 	var live []Item // the oracle
-	nextID := ObjectID(1)
-	// fresh returns a new object: a point one time in ten, and half the time
-	// inside a hot corner, so one shard swells and splits.
-	fresh := func() Item {
-		span, size := 990.0, rng.Float64()*10
-		if rng.Intn(2) == 0 {
-			span = 90
-		}
-		if rng.Intn(10) == 0 {
-			size = 0
-		}
-		x, y := rng.Float64()*span, rng.Float64()*span
-		nextID++
-		return Item{Object: nextID - 1, Rect: R(x, y, x+size, y+size)}
-	}
-	freshItems := func(max int) []Item {
-		items := make([]Item, 1+rng.Intn(max))
-		for i := range items {
-			items[i] = fresh()
-		}
-		return items
-	}
-	// pick removes and returns a random object of the multiset.
-	pick := func(set *[]Item) Item {
-		i := rng.Intn(len(*set))
-		it := (*set)[i]
-		(*set)[i] = (*set)[len(*set)-1]
-		*set = (*set)[:len(*set)-1]
-		return it
-	}
+	// Half the fresh objects fall in a hot corner, so one shard swells and
+	// splits.
+	objs := &simObjects{rng: rng, next: 1}
+	fresh, freshItems, pick := objs.fresh, objs.freshItems, objs.pick
 	var splits, merges int64 // over every engine opened
 	closeEngine := func() {
 		s, m := st.RebalanceStats()
@@ -242,11 +216,8 @@ func TestShardedSimulation(t *testing.T) {
 		if err := st.Validate(); err != nil {
 			t.Fatalf("step %d (%s): %v", step, op, err)
 		}
-		got, want := st.SearchAll(universe), slices.Clone(live)
-		slices.SortFunc(got, cmpItem)
-		slices.SortFunc(want, cmpItem)
-		if !slices.EqualFunc(got, want, func(a, b Item) bool { return cmpItem(a, b) == 0 }) {
-			t.Fatalf("step %d (%s): the engine holds %d objects, the oracle %d, and they differ", step, op, len(got), len(want))
+		if got := st.SearchAll(universe); !sameItems(got, live) {
+			t.Fatalf("step %d (%s): the engine holds %d objects, the oracle %d, and they differ", step, op, len(got), len(live))
 		}
 	}
 
@@ -291,6 +262,54 @@ func TestShardedSimulation(t *testing.T) {
 	if splits == 0 || merges == 0 {
 		t.Errorf("the simulation ran %d splits and %d merges; want both", splits, merges)
 	}
+}
+
+// simObjects draws the objects of a seeded simulation from rng: fresh ones
+// with ascending ids, and random picks out of a multiset.
+type simObjects struct {
+	rng  *rand.Rand
+	next ObjectID
+}
+
+// fresh returns a new object of the square [0, 1000]²: a point one time in
+// ten, and half the time inside the corner [0, 100]², which crowds.
+func (s *simObjects) fresh() Item {
+	span, size := 990.0, s.rng.Float64()*10
+	if s.rng.Intn(2) == 0 {
+		span = 90
+	}
+	if s.rng.Intn(10) == 0 {
+		size = 0
+	}
+	x, y := s.rng.Float64()*span, s.rng.Float64()*span
+	s.next++
+	return Item{Object: s.next - 1, Rect: R(x, y, x+size, y+size)}
+}
+
+// freshItems returns between 1 and max fresh objects.
+func (s *simObjects) freshItems(max int) []Item {
+	items := make([]Item, 1+s.rng.Intn(max))
+	for i := range items {
+		items[i] = s.fresh()
+	}
+	return items
+}
+
+// pick removes and returns a random object of the multiset.
+func (s *simObjects) pick(set *[]Item) Item {
+	i := s.rng.Intn(len(*set))
+	it := (*set)[i]
+	(*set)[i] = (*set)[len(*set)-1]
+	*set = (*set)[:len(*set)-1]
+	return it
+}
+
+// sameItems reports whether got and want hold the same items as multisets.
+func sameItems(got, want []Item) bool {
+	got, want = slices.Clone(got), slices.Clone(want)
+	slices.SortFunc(got, cmpItem)
+	slices.SortFunc(want, cmpItem)
+	return slices.EqualFunc(got, want, func(a, b Item) bool { return cmpItem(a, b) == 0 })
 }
 
 // cmpItem orders items by id, then by rectangle.
