@@ -65,9 +65,9 @@
 //     concurrently with Insert, Delete, and open batches. Each query loads
 //     the current version once and traverses it lock-free; it sees either
 //     the state before a concurrent commit or after it, never a mix.
-//   - Tree.Snapshot returns a pinned View: a frozen state of the index that
-//     an arbitrarily long sequence of queries (and view-based joins) can
-//     run against while writers keep committing. Close releases it.
+//   - Tree.Snapshot returns a View: a frozen state of the index that an
+//     arbitrarily long sequence of queries (and view-based joins) can run
+//     against while writers keep committing. It holds nothing to release.
 //   - Writers are serialised by an internal writer lock. Tree.Begin opens a
 //     Batch whose mutations are published to readers as one atomic commit.
 //   - Stats reads only published state and may run at any time, as may
@@ -290,7 +290,7 @@ func New(opts Options) (*Tree, error) {
 func (t *Tree) Options() Options { return t.opts }
 
 // current returns the reader over the last fully published commit (one
-// atomic load, unpinned): tree version and clip table of the same epoch, so
+// atomic load): tree version and clip table of the same epoch, so
 // structural accessors (Len, Height, Bounds, NearestNeighbors) can never run
 // ahead of what Search observes during the instant a commit is being
 // published.

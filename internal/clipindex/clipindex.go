@@ -233,21 +233,10 @@ func (x *Index) mutate(apply func(u *UpdateStats) (step func() error, err error)
 	return u, err
 }
 
-// Snap returns the current combined snapshot (one atomic load, unpinned).
+// Snap returns the current combined snapshot: one atomic load. A long-lived
+// read view holds it as it is; its tree version never reads a page that a
+// later batch frees (see rtree.Version).
 func (x *Index) Snap() *Snap { return x.cur.Load() }
-
-// PinSnap returns the current combined snapshot with its tree version
-// pinned, for long-lived read views; release it with Snap.Version().Unpin().
-func (x *Index) PinSnap() *Snap {
-	for {
-		s := x.cur.Load()
-		s.v.Pin()
-		if x.cur.Load() == s {
-			return s
-		}
-		s.v.Unpin()
-	}
-}
 
 // Begin opens an explicit writer batch on the underlying tree: mutations
 // accumulate privately and reach readers only at Commit, as one atomic

@@ -120,7 +120,8 @@ func TestRebuildDeterministicAcrossWorkers(t *testing.T) {
 
 // Whole-table rebuilds — RebuildAll and the wholesale-rebuild path of
 // InsertItems, both through the parallel build loop — beside readers: a
-// reader on a pinned snapshot and a reader on the index's current one each
+// reader holding one snapshot (Snap) across several queries, as a read view
+// does, and a reader on the index's current one each
 // get the answer of one epoch, never a table of one epoch over the nodes of
 // another. Objects only ever get added, in slice order, so an epoch is
 // identified by its object count.
@@ -176,7 +177,7 @@ func TestRebuildBesidePinnedReaders(t *testing.T) {
 				}
 				qi := i % len(queries)
 				if pinned {
-					s := idx.PinSnap()
+					s := idx.Snap()
 					n := s.Version().Len()
 					if want[n] == nil {
 						t.Errorf("pinned view of %d objects: no commit ever published that many", n)
@@ -188,7 +189,6 @@ func TestRebuildBesidePinnedReaders(t *testing.T) {
 							t.Errorf("pinned view of %d objects: query %d found %d, want %d", n, qi, got, want[n][qi])
 						}
 					}
-					s.Version().Unpin()
 					continue
 				}
 				before := idx.Snap().Version().Len()

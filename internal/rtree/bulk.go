@@ -28,7 +28,6 @@ func (t *Tree) BulkLoad(items []Item) (err error) {
 	}
 	writes := 0
 	defer func() { t.chargeWrites(writes); t.autoCommit(err) }()
-	defer recoverFault(&err)
 	if t.size != 0 || t.root != InvalidNode {
 		return fmt.Errorf("rtree: BulkLoad requires an empty tree")
 	}

@@ -53,7 +53,6 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 	}
 	trace = &DeleteTrace{Leaf: InvalidNode}
 	defer func() { t.chargeWrites(trace.Writes); t.autoCommit(err) }()
-	defer recoverFault(&err)
 	if t.root == InvalidNode {
 		return trace, nil
 	}
@@ -158,15 +157,12 @@ func (t *Tree) condense(n *node, trace *DeleteTrace) {
 
 	// Re-insert orphaned entries at their original levels. Each orphan is a
 	// fresh insertion for the purposes of the once-per-level R* overflow
-	// treatment, so the pooled marks open a new scope per orphan. Its trace
-	// is merged even when a fault ends it, so its writes are charged.
+	// treatment, so the pooled marks open a new scope per orphan.
 	for _, o := range orphans {
 		itrace := &InsertTrace{Leaf: InvalidNode}
-		func() {
-			defer mergeTraces(trace, itrace)
-			t.ovMarks.begin()
-			t.insertAtLevel(o.entry, o.level, itrace, &t.ovMarks, false)
-		}()
+		t.ovMarks.begin()
+		t.insertAtLevel(o.entry, o.level, itrace, &t.ovMarks, false)
+		mergeTraces(trace, itrace)
 		trace.Reinserted++
 	}
 }

@@ -345,20 +345,12 @@ func (t *Tree) FlushDirty() (map[NodeID]storage.PageID, func(), error) {
 	}
 	src := t.src
 	// Release pages of dissolved nodes first so their slots are available
-	// for reuse by the allocations below — but only pages no pinned read
-	// view can still reference: a page freed by the batch that committed
-	// epoch E stays on the deferred list while any pinned version is older
-	// than E (epoch-based reclamation; see version.go). Retained pages are
-	// retried on the next flush.
-	minPinned := t.minPinnedEpoch()
-	var deferred []freedPage
-	for _, fp := range src.freed {
-		if fp.epoch > minPinned {
-			deferred = append(deferred, fp)
-			continue
-		}
-		if err := src.store.Free(fp.page); err != nil {
-			return nil, nil, fmt.Errorf("rtree: releasing page %d: %w", fp.page, err)
+	// for reuse by the allocations below. A page is freed only after the
+	// first mutation hydrated the tree, so no version — however old a view
+	// holds it — reads a page again (see version.go).
+	for _, pid := range src.freed {
+		if err := src.store.Free(pid); err != nil {
+			return nil, nil, fmt.Errorf("rtree: releasing page %d: %w", pid, err)
 		}
 	}
 	pages := make(map[NodeID]storage.PageID)
@@ -399,7 +391,7 @@ func (t *Tree) FlushDirty() (map[NodeID]storage.PageID, func(), error) {
 			t.publishAt(t.cur.Load().epoch)
 		}
 		src.flushed = t.gen
-		src.freed = deferred
+		src.freed = nil
 	}
 	return pages, commit, nil
 }
@@ -432,30 +424,6 @@ func (t *Tree) unflushed() iter.Seq[NodeID] {
 			}
 		}
 	}
-}
-
-// ReleaseFreedPages unconditionally releases every deferred freed page to
-// the page store, returning how many it released. It is the close-time
-// companion of FlushDirty's epoch-gated release: any pinned view that still
-// exists is necessarily hydrated (a page can only be freed after the first
-// mutation hydrated the whole tree), so it will never read the file again
-// and the pages are safe to recycle. Without this, pages whose release was
-// deferred past the final flush would stay marked in-use on disk forever —
-// referenced by nothing, and flagged by the page-accounting audit.
-func (t *Tree) ReleaseFreedPages() (int, error) {
-	if t.src == nil || t.src.readonly {
-		return 0, nil
-	}
-	released := 0
-	for _, fp := range t.src.freed {
-		if err := t.src.store.Free(fp.page); err != nil {
-			t.src.freed = t.src.freed[released:]
-			return released, err
-		}
-		released++
-	}
-	t.src.freed = nil
-	return released, nil
 }
 
 // Materialize makes a file-backed tree fully resident and verifies it: every

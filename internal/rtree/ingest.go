@@ -77,7 +77,6 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 	}
 	trace = &InsertTrace{Leaf: InvalidNode, IngestStats: IngestStats{Items: len(items)}}
 	defer func() { t.chargeWrites(trace.Writes); t.autoCommit(err) }()
-	defer recoverFault(&err)
 	if len(items) == 0 {
 		return trace, nil
 	}
@@ -90,7 +89,7 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 		// the trace marks them all created (the clipped layer then clips
 		// each once, as it would after BulkLoad).
 		t.buildPacked(items, &trace.Writes)
-		t.mustWalk(func(info NodeInfo) { trace.markCreated(info.ID) })
+		_ = t.Walk(func(info NodeInfo) { trace.markCreated(info.ID) }) // hydrated: no fault
 		trace.BulkLoaded = true
 		trace.Grafted = len(items)
 		return trace, nil
@@ -112,14 +111,14 @@ func (t *Tree) InsertItems(items []Item) (trace *InsertTrace, err error) {
 
 // rebuildWith merges the batch with the tree's existing items and bulk packs
 // the union from scratch, freeing every old node first (their ids return to
-// the free list; file-backed pages are released at the next safe flush, like
-// any freed node). The trace is marked Rebuilt: node ids may have been
+// the free list; file-backed pages are released at the next flush, like any
+// freed node). The trace is marked Rebuilt: node ids may have been
 // reused, so consumers must drop per-node bookkeeping and recompute from a
 // fresh walk rather than interpret the change sets incrementally.
 func (t *Tree) rebuildWith(items []Item, trace *InsertTrace) {
 	all := make([]Item, 0, t.size+len(items))
 	ids := make([]NodeID, 0, 2*t.size/t.cfg.MaxEntries+2)
-	t.mustWalk(func(info NodeInfo) {
+	_ = t.Walk(func(info NodeInfo) { // hydrated: no fault
 		ids = append(ids, info.ID)
 		if info.Leaf {
 			for i := 0; i < info.Len(); i++ {
@@ -135,7 +134,7 @@ func (t *Tree) rebuildWith(items []Item, trace *InsertTrace) {
 	t.height = 0
 	t.buildPacked(all, &trace.Writes)
 	trace.Rebuilt = true
-	t.mustWalk(func(info NodeInfo) { trace.markCreated(info.ID) })
+	_ = t.Walk(func(info NodeInfo) { trace.markCreated(info.ID) }) // hydrated: no fault
 }
 
 // ingestOrder keys every item with its Hilbert index and returns the batch's

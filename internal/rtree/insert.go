@@ -121,7 +121,6 @@ func (t *Tree) Insert(r geom.Rect, obj ObjectID) (trace *InsertTrace, err error)
 	}
 	trace = &InsertTrace{Leaf: InvalidNode}
 	defer func() { t.chargeWrites(trace.Writes); t.autoCommit(err) }()
-	defer recoverFault(&err)
 	if t.root == InvalidNode {
 		root := t.newNode(true, 0)
 		t.root = root.id

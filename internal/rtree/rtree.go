@@ -40,7 +40,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"cbb/internal/geom"
@@ -426,17 +425,14 @@ type Tree struct {
 	// epoch is the batch being built (published epoch + 1); gen counts
 	// publishes, and nodes and chunks stamped with it are the writer's to
 	// write in place; dirShared marks dir's top array as cur's. inBatch
-	// suppresses the auto-commit. live holds recent versions for
-	// FlushDirty's minimum pinned epoch.
+	// suppresses the auto-commit.
 	cur       atomic.Pointer[Version]
 	epoch     uint64
 	gen       uint64
 	dirShared bool
 	inBatch   bool
 	undo      *batchUndo // writer bookkeeping snapshot for RollbackBatch
-	verMu     sync.Mutex
-	live      []*Version
-	lazyV     *Version // the one lazy version of a file-backed tree, until hydrated
+	lazyV     *Version   // the one lazy version of a file-backed tree, until hydrated
 
 	// Writer-side scratch: the levels one insertion gave the R* overflow
 	// treatment, and the nodes of the open batch that mutable gave room
@@ -468,16 +464,7 @@ type pageSource struct {
 	hydrated bool      // hydrate has run and held: the writer's directory is whole
 	codec    PageCodec // page layout of the store; CodecV1 on every writable tree
 	flushed  uint64
-	freed    []freedPage
-}
-
-// freedPage is a page awaiting release, stamped with the epoch of the batch
-// that dissolved its node: FlushDirty returns it to the pager's free list
-// only once no pinned version is older than that epoch, so a long-lived read
-// view can never observe its page slot being recycled.
-type freedPage struct {
-	page  storage.PageID
-	epoch uint64
+	freed    []storage.PageID
 }
 
 // New creates an empty tree. The tree uses its own private I/O counter; use
@@ -563,8 +550,7 @@ func (t *Tree) ResetIO() {
 // --- copy-on-write versioning (writer side; reader side in version.go) ------
 
 // CurrentVersion returns the last published version of the tree: one atomic
-// load, no pinning. It is never nil. A long-lived read view pins the version
-// it reads (Version.Pin; see clipindex.Index.PinSnap).
+// load. It is never nil.
 func (t *Tree) CurrentVersion() *Version { return t.cur.Load() }
 
 // publish commits the writer's working state as a new immutable Version at
@@ -601,37 +587,10 @@ func (t *Tree) publishAt(epoch uint64) *Version {
 		v.lazy = true
 		t.lazyV = v
 	}
-	t.verMu.Lock()
 	t.cur.Store(v)
-	live := t.live[:0]
-	for _, lv := range t.live {
-		if lv.pins.Load() > 0 {
-			live = append(live, lv)
-		}
-	}
-	// The filter ran in place: clear the stale pointers left in the tail, or
-	// each keeps a superseded version — and every node it replaced — alive.
-	clear(t.live[len(live):])
-	t.live = append(live, v)
-	t.verMu.Unlock()
 	t.dirShared = true
 	t.gen++
 	return v
-}
-
-// minPinnedEpoch returns the smallest epoch among pinned versions, or
-// MaxUint64 when nothing is pinned. FlushDirty uses it to decide which freed
-// pages may be recycled.
-func (t *Tree) minPinnedEpoch() uint64 {
-	t.verMu.Lock()
-	defer t.verMu.Unlock()
-	min := ^uint64(0)
-	for _, v := range t.live {
-		if v.pins.Load() > 0 && v.epoch < min {
-			min = v.epoch
-		}
-	}
-	return min
 }
 
 // batchUndo records what RollbackBatch needs to restore the writer
@@ -911,10 +870,10 @@ func (t *Tree) freeNode(id NodeID) {
 	s.rec, s.lhv = nil, 0
 	t.free = append(t.free, id)
 	if t.src != nil && s.page != storage.InvalidPage {
-		// The node's page is released on a later flush, once no pinned
-		// version predates this batch; a later newNode reusing this id
-		// allocates a fresh page with the right kind.
-		t.src.freed = append(t.src.freed, freedPage{page: s.page, epoch: t.epoch})
+		// The node's page is released by the next flush: the tree is
+		// hydrated, so no version reads a page again. A later newNode
+		// reusing this id allocates a fresh page with the right kind.
+		t.src.freed = append(t.src.freed, s.page)
 		s.page = storage.InvalidPage
 	}
 }
@@ -940,39 +899,15 @@ func (t *Tree) touch(n *node, slots ...int) {
 	n.syncDerived(t.cfg.Dims, slots...)
 }
 
-// faultFailure carries a node-access failure out of the deep mutation
-// recursion; Insert, Delete, and BulkLoad recover it into an error.
-type faultFailure struct{ err error }
-
-// mustNode is the node accessor of the mutation paths: a missing or
-// unreadable node aborts the mutation with node's error, via a recoverable
-// panic. After ensureMutable has hydrated a file-backed tree this can only
-// trip on genuine corruption.
+// mustNode is the node accessor of the mutation paths. They run on a
+// hydrated directory (ensureMutable), so a missing id is a broken invariant
+// and panics, like touch on a shared node.
 func (t *Tree) mustNode(id NodeID) *node {
-	n, err := t.node(id)
-	if err != nil {
-		panic(faultFailure{err})
+	n := t.dir.node(id)
+	if n == nil {
+		panic(fmt.Sprintf("rtree: mutation reached node %d, which the directory does not hold", id))
 	}
 	return n
-}
-
-// mustWalk is Walk for the mutation paths, aborting like mustNode.
-func (t *Tree) mustWalk(fn func(NodeInfo)) {
-	if err := t.Walk(fn); err != nil {
-		panic(faultFailure{err})
-	}
-}
-
-// recoverFault converts a faultFailure panic into *errp; other panics
-// propagate.
-func recoverFault(errp *error) {
-	if r := recover(); r != nil {
-		ff, ok := r.(faultFailure)
-		if !ok {
-			panic(r)
-		}
-		*errp = ff.err
-	}
 }
 
 // ensureMutable gates every mutation. In-memory trees are always mutable, a

@@ -821,10 +821,10 @@ func TestWriterSideViewsStayValid(t *testing.T) {
 	}
 }
 
-// TestPublishDropsSupersededVersions pins that the live-version list holds no
-// stale pointers: once old versions are unpinned, the next publish must leave
-// nothing beyond len(t.live) in the backing array, so the garbage collector
-// can reclaim the versions and the node generations only they referenced.
+// TestPublishDropsSupersededVersions checks that the tree keeps no reference
+// to a superseded version: once the readers holding old versions drop them,
+// the garbage collector reclaims the versions and the node generations only
+// they referenced.
 func TestPublishDropsSupersededVersions(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	tr := MustNew(smallConfig(2, RStar))
@@ -837,27 +837,13 @@ func TestPublishDropsSupersededVersions(t *testing.T) {
 	insert(0)
 	collected := make(chan struct{})
 	runtime.SetFinalizer(tr.mustNode(tr.root), func(*node) { close(collected) })
-	pinned := []*Version{tr.CurrentVersion()}
-	pinned[0].Pin()
+	held := []*Version{tr.CurrentVersion()}
 	for i := 1; i < 8; i++ {
 		insert(i) // clones the root leaf: the finalizer's node is superseded
-		v := tr.CurrentVersion()
-		v.Pin()
-		pinned = append(pinned, v)
+		held = append(held, tr.CurrentVersion())
 	}
-	for i, v := range pinned {
-		v.Unpin()
-		pinned[i] = nil
-	}
+	clear(held)
 	insert(8)
-	if len(tr.live) != 1 {
-		t.Fatalf("%d live versions after unpinning everything, want 1", len(tr.live))
-	}
-	for i, v := range tr.live[:cap(tr.live)][len(tr.live):] {
-		if v != nil {
-			t.Errorf("stale *Version (epoch %d) left at live[%d]", v.epoch, len(tr.live)+i)
-		}
-	}
 	for i := 0; i < 10; i++ {
 		runtime.GC()
 		select {

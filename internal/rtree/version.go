@@ -3,7 +3,6 @@ package rtree
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"cbb/internal/core"
 	"cbb/internal/geom"
@@ -26,20 +25,20 @@ import (
 // version's stead. A writer's first mutation or record write hydrates, so no
 // page is rewritten before the lazy directory is full.
 //
-// Old versions are reclaimed by epoch-based garbage collection: in memory,
-// dropping the last reference to a Version lets the Go runtime collect the
-// nodes and chunks only it referenced; on disk, pages freed by a batch are
-// released to the file pager's free list only once no pinned version is old
-// enough to still reference them (see FlushDirty).
+// Old versions need no reclamation of their own: dropping the last
+// reference to a Version lets the Go runtime collect the nodes and chunks
+// only it referenced. Pages need none either. Only the lazy version reads
+// pages, and a page is freed only by a mutation, after hydration has filled
+// that version's directory: from then on no version reads a page again, so
+// the next flush releases freed pages at once (see FlushDirty).
 
 // Version is an immutable snapshot of a Tree at one committed epoch.
-// Obtain one with Tree.CurrentVersion (Pin it for a long-lived read view);
-// every read-only operation on it — Search, SearchClipped,
-// NearestNeighbors, Node, Record, Bounds, Stats — sees exactly the state of
-// that commit, regardless of concurrent writer activity. Its clip records are
-// the ones its clip layer published with it; Search and NearestNeighbors
-// ignore them, and the public cbb layer reads through clipindex.Snap, whose
-// reads use them.
+// Obtain one with Tree.CurrentVersion; every read-only operation on it —
+// Search, SearchClipped, NearestNeighbors, Node, Record, Bounds, Stats — sees
+// exactly the state of that commit, regardless of concurrent writer
+// activity. Its clip records are the ones its clip layer published with it;
+// Search and NearestNeighbors ignore them, and the public cbb layer reads
+// through clipindex.Snap, whose reads use them.
 type Version struct {
 	tree   *Tree
 	epoch  uint64
@@ -48,8 +47,6 @@ type Version struct {
 	height int
 	dir    directory
 	lazy   bool // nodes are faulted in from their slots' pages on demand
-
-	pins atomic.Int64
 }
 
 // Epoch returns the commit epoch of the version. Epochs increase by one per
@@ -71,14 +68,6 @@ func (v *Version) RootID() NodeID { return v.root }
 
 // Dims returns the dimensionality of the indexed rectangles.
 func (v *Version) Dims() int { return v.tree.cfg.Dims }
-
-// Pin marks the version as referenced by a long-lived read view, deferring
-// the release of file pages freed by later batches until Unpin. Pins are
-// counted; every Pin must be matched by exactly one Unpin.
-func (v *Version) Pin() { v.pins.Add(1) }
-
-// Unpin releases a pin taken with Pin.
-func (v *Version) Unpin() { v.pins.Add(-1) }
 
 // node returns the node with the given id at this version, or the error that
 // keeps it from the caller: the one node accessor of every read, and the only

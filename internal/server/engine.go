@@ -41,9 +41,10 @@ type Engine interface {
 	Close() error
 }
 
-// ReadView is one pinned snapshot: every operation answers at the view's
-// epoch(s), regardless of concurrent writers. It must be released with
-// Close. *cbb.View and *cbb.ShardedView implement it as they are; embedding
+// ReadView is one snapshot: every operation answers at the view's epoch(s),
+// regardless of concurrent writers. Close marks the end of its use: the cbb
+// views release nothing there, a wrapping view may.
+// *cbb.View and *cbb.ShardedView implement it as they are; embedding
 // cbb.Reader makes a view the indexed input of cbb.JoinItems.
 type ReadView interface {
 	cbb.Reader

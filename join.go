@@ -9,8 +9,8 @@ import (
 // Spatial joins have one entry point per paper algorithm — JoinItems (index
 // nested loop, one input indexed) and Join (synchronised tree traversal,
 // both inputs indexed) — and each accepts any Reader. Every join runs at one
-// snapshot per input: a View or ShardedView is used as pinned; a Tree or
-// ShardedTree is pinned for the duration of the join, so the result is
+// snapshot per input: a View or ShardedView answers at its own; a Tree or
+// ShardedTree is loaded once for the duration of the join, so the result is
 // exactly what a quiesced index at that epoch would produce even while
 // writers commit concurrently. A sharded input contributes one snapshot per
 // shard; because every object lives in exactly one shard, the union over

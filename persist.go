@@ -376,18 +376,6 @@ func (t *Tree) Close() error {
 	var err error
 	if !t.tree.ReadOnly() {
 		err = t.flushLocked()
-		if err == nil {
-			// Freed pages whose release was deferred because a read view
-			// pinned an older epoch must not leak past the file's lifetime:
-			// any surviving view is hydrated and will never read the file,
-			// so releasing them all here is safe — and keeps every in-use
-			// slot referenced by the snapshot structure.
-			if n, rerr := t.tree.ReleaseFreedPages(); rerr != nil {
-				err = rerr
-			} else if n > 0 {
-				err = t.pager.CommitJournal()
-			}
-		}
 	}
 	if cerr := t.pager.Close(); err == nil {
 		err = cerr

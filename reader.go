@@ -14,20 +14,13 @@ import (
 // immutable tree version with the clip points of the same commit; a tree
 // without clipping is a snapshot whose clip table is empty, so there is no
 // second, unclipped path. Every public query of the four types is written
-// once, here: View and ShardedView embed the reader they pinned, Tree and
+// once, here: View and ShardedView embed the reader they took, Tree and
 // ShardedTree build one over their last committed state per call.
 //
 // A reader is never empty. Every query tallies its node accesses and charges
 // each snapshot's tree counter once (a sharded engine rewires every shard
 // tree to one shared counter).
 type reader []*clipindex.Snap
-
-// unpin releases the pins of a reader built from pinned snapshots.
-func (r reader) unpin() {
-	for _, s := range r {
-		s.Version().Unpin()
-	}
-}
 
 // Epochs returns the commit epoch of every snapshot the reader answers
 // from: one element for a single tree, one per shard (in directory order)

@@ -37,10 +37,10 @@ import (
 // Consistency: per-shard mutations are atomic exactly as on a single Tree.
 // Cross-shard batches (Begin/ShardedBatch) commit all touched shards while
 // holding a commit lock that Snapshot acquires in read mode, so a
-// ShardedView (which pins every shard's epoch in one acquisition) can never
+// ShardedView (which takes every shard's epoch in one acquisition) can never
 // observe a partially committed cross-shard batch. Rebalancing (split and
 // merge, see below) replaces shards only with content-equivalent rebuilds
-// while their writers are blocked, so readers — pinned or not — never see
+// while their writers are blocked, so readers — views or not — never see
 // objects appear or disappear.
 
 // ShardedOptions configures a ShardedTree. The embedded Options apply to
@@ -110,7 +110,7 @@ func (o ShardedOptions) withDefaults() (ShardedOptions, error) {
 // shard is one partition: the Hilbert key range [lo, hi) it owns and the
 // independent Tree holding its objects. A shard is live while the current
 // directory lists it. One that a split or merge replaced stays fully
-// queryable for views that pinned it, but every writer that reaches it
+// queryable for views taken before, but every writer that reaches it
 // routes again through the current directory (see lockShard).
 type shard struct {
 	lo, hi uint64
@@ -195,7 +195,7 @@ type ShardedTree struct {
 	seq     atomic.Uint64
 
 	// retiredMu guards the file-backed trees kept open after a split/merge:
-	// views pinned on them stay valid, so their files are closed and
+	// views taken of them stay valid, so their files are closed and
 	// removed only at ShardedTree.Close.
 	retiredMu sync.Mutex
 	retired   []*shard
@@ -637,7 +637,7 @@ func (sb *ShardedBatch) Rollback() {
 
 // current returns the reader over every shard's last committed state, in
 // directory order. Each shard is loaded independently (no cross-shard
-// consistency, no pins); Snapshot is the coordinated counterpart.
+// consistency); Snapshot is the coordinated counterpart.
 func (st *ShardedTree) current() reader {
 	shards := st.dir.Load().shards
 	r := make(reader, len(shards))
@@ -836,7 +836,7 @@ func (st *ShardedTree) maybeMerge(sh *shard) {
 
 // SplitShard bisects shard i's Hilbert key range at the median occupied key
 // and rebuilds both halves, publishing a new directory; readers (including
-// pinned views) are never blocked and writers to the shard only while the
+// views) are never blocked and writers to the shard only while the
 // halves are built. It is the manual trigger of the same path automatic
 // splits take; it is a no-op (nil error) when the shard cannot be split
 // (fewer than 2 distinct keys) or another rebalance is in flight, and fails,
@@ -1018,9 +1018,9 @@ func (st *ShardedTree) publishReplacement(old, repl []*shard) error {
 	return nil
 }
 
-// noteRetired keeps a retired file-backed shard open (pinned views may
-// still fault its pages) until ShardedTree.Close, which closes and removes
-// it. Retired in-memory shards need nothing: the garbage collector reclaims
+// noteRetired keeps a retired file-backed shard open (views taken before
+// the swap may still fault its pages) until ShardedTree.Close, which closes
+// and removes it. Retired in-memory shards need nothing: the garbage collector reclaims
 // them once the last view closes.
 func (st *ShardedTree) noteRetired(sh *shard) {
 	if sh.path == "" {

@@ -190,7 +190,7 @@ func (st *ShardedTree) Flush() error {
 
 // Close releases the engine: every live file-backed shard is flushed and
 // closed, and the files of shards retired by splits and merges — kept open
-// until now so pinned views stayed valid — are closed and removed. The
+// until now so views taken of them stayed valid — are closed and removed. The
 // engine must not be used afterwards. In-memory engines only release the
 // retired bookkeeping.
 func (st *ShardedTree) Close() error {

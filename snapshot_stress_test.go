@@ -355,13 +355,89 @@ func TestBatchAtomicityAndViewJoins(t *testing.T) {
 	}
 }
 
-// TestDeferredPagesReleasedOnClose pins a view, deletes enough objects to
-// dissolve nodes (their pages' release is deferred while the older epoch is
-// pinned), flushes, and closes the tree with the view still open. Close
-// must release the deferred pages anyway — otherwise they would stay
-// marked in-use on disk forever, referenced by nothing — so the reopened
-// file must pass the same page-accounting audit cbbinspect -verify runs:
-// every in-use slot referenced exactly once, the rest on the free list.
+// TestLazyViewAcrossPageRecycling holds the invariant that lets views go
+// without pins: a view taken of a freshly opened file, before any read, keeps
+// its answer while flushes free the pages it was opened over and hand their
+// slots to new nodes. The first mutation hydrates the tree, which fills the
+// view's own directory, so the view never reads a page again.
+func TestLazyViewAcrossPageRecycling(t *testing.T) {
+	tree, items := stressFixture(t, ClipStairline, true, 1200)
+	path := tree.pager.Path()
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	v := tree.Snapshot()
+	defer v.Close()
+
+	removed := len(items) * 2 / 3
+	for _, it := range items[:removed] {
+		if found, err := tree.Delete(it.Rect, it.Object); err != nil || !found {
+			t.Fatalf("delete: found=%v err=%v", found, err)
+		}
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	slots, err := tree.pager.Slots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := make(map[storage.PageID]bool)
+	for _, s := range slots {
+		if !s.InUse {
+			free[s.ID] = true
+		}
+	}
+	if len(free) == 0 {
+		t.Fatal("the deletes freed no page; fixture is vacuous")
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := range removed {
+		x, y := rng.Float64()*1000, rng.Float64()*1000
+		if err := tree.Insert(R(x, y, x+rng.Float64()*6, y+rng.Float64()*6), ObjectID(len(items)+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if slots, err = tree.pager.Slots(); err != nil {
+		t.Fatal(err)
+	}
+	reused := 0
+	for _, s := range slots {
+		if s.InUse && free[s.ID] {
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no freed page was reused; fixture is vacuous")
+	}
+
+	before, _, _ := tree.FileStats()
+	if !sameItems(v.SearchAll(R(-10, -10, 1100, 1100)), items) {
+		t.Fatal("the view's answer changed after its pages were recycled")
+	}
+	if after, _, _ := tree.FileStats(); after != before {
+		t.Errorf("the view read %d pages after hydration", after-before)
+	}
+	if err := tree.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeferredPagesReleasedOnClose takes a view, deletes enough objects to
+// dissolve nodes, flushes, and closes the tree with the view still open. The
+// flush releases the dissolved nodes' pages at once — a view holds no pin
+// that would defer them — so no page stays marked in-use on disk,
+// referenced by nothing: the reopened file must pass the same
+// page-accounting audit cbbinspect -verify runs, every in-use slot
+// referenced exactly once, the rest on the free list.
 func TestDeferredPagesReleasedOnClose(t *testing.T) {
 	tree, items := stressFixture(t, ClipStairline, true, 1200)
 	path := tree.pager.Path()
@@ -388,7 +464,7 @@ func TestDeferredPagesReleasedOnClose(t *testing.T) {
 		t.Fatalf("Close with open batch: err=%v, want open-batch error", err)
 	}
 	b.Rollback()
-	if err := tree.Close(); err != nil { // view still pinned
+	if err := tree.Close(); err != nil { // view still open
 		t.Fatal(err)
 	}
 
@@ -416,7 +492,7 @@ func TestDeferredPagesReleasedOnClose(t *testing.T) {
 	for _, s := range slots {
 		switch n := refs[s.ID]; {
 		case s.InUse && n == 0:
-			t.Errorf("page %d in use but unreferenced (deferred free leaked)", s.ID)
+			t.Errorf("page %d in use but unreferenced (freed page leaked)", s.ID)
 		case s.InUse && n > 1:
 			t.Errorf("page %d referenced %d times", s.ID, n)
 		case !s.InUse && n > 0:

@@ -20,8 +20,11 @@ import (
 // after the write-ahead log became durable (recovered whole) and one whose log
 // was torn (recovered to the last flush), and a v1→v2→v1 transcode to a side
 // path. An oracle holds the objects as a multiset; after every step Validate
-// must pass and the tree's objects must equal the oracle's. Writers run one at
-// a time: concurrent writers are left to the race tests.
+// must pass and the tree's objects must equal the oracle's. Up to four read
+// views ride along — one taken right after every open, others at random
+// steps — and after every step each must still hold the oracle of its epoch,
+// across flushes that recycle pages, rollbacks and crash reopens. Writers run
+// one at a time: concurrent writers are left to the race tests.
 func TestTreeSimulation(t *testing.T) {
 	const steps = 2000
 	dir := t.TempDir()
@@ -39,6 +42,32 @@ func TestTreeSimulation(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(41))
 	var live, durable []Item // the oracle, and what it held at the last flush
+	// The views draw from their own source, so the step sequence is the one
+	// the simulation runs without them.
+	viewRng := rand.New(rand.NewSource(43))
+	type heldView struct {
+		v     *View
+		epoch uint64
+		want  []Item // the oracle at the view's epoch
+	}
+	var held []heldView
+	// hold takes a view of the tree's committed state, dropping a random one
+	// of four already held.
+	hold := func() {
+		if len(held) == 4 {
+			i := viewRng.Intn(len(held))
+			held[i].v.Close()
+			held = slices.Delete(held, i, i+1)
+		}
+		v := tr.Snapshot()
+		held = append(held, heldView{v: v, epoch: v.Epoch(), want: slices.Clone(live)})
+	}
+	openTree := func() {
+		if tr, err = Open(path); err != nil {
+			t.Fatal(err)
+		}
+		hold()
+	}
 	// Half the fresh objects fall in a crowded corner, so nodes overlap and
 	// split there.
 	objs := &simObjects{rng: rng, next: 1}
@@ -61,9 +90,7 @@ func TestTreeSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		durable = slices.Clone(live)
-		if tr, err = Open(path); err != nil {
-			t.Fatal(err)
-		}
+		openTree()
 	}
 	deleteSome := func() {
 		for range 1 + rng.Intn(8) {
@@ -150,9 +177,7 @@ func TestTreeSimulation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if tr, err = Open(path); err != nil {
-			t.Fatal(err)
-		}
+		openTree()
 	}
 	// crash makes the tree dirty, stops its flush once the write-ahead log is
 	// durable, and abandons it like a dead process; torn cuts the log's
@@ -183,9 +208,7 @@ func TestTreeSimulation(t *testing.T) {
 			}
 			live = slices.Clone(durable)
 		}
-		if tr, err = Open(path); err != nil {
-			t.Fatal(err)
-		}
+		openTree()
 		durable = slices.Clone(live)
 	}
 	// transcode flushes, then takes the file to v2 and back to v1 at a side
@@ -284,6 +307,15 @@ func TestTreeSimulation(t *testing.T) {
 			t.Fatalf("step %d (%s): %v", step, name, err)
 		}
 		holds("the tree", tr.SearchAll(universe), live)
+		if viewRng.Intn(8) == 0 {
+			hold()
+		}
+		for _, h := range held {
+			if h.v.Epoch() != h.epoch {
+				t.Fatalf("step %d (%s): a view of epoch %d moved to %d", step, name, h.epoch, h.v.Epoch())
+			}
+			holds("a view", h.v.SearchAll(universe), h.want)
+		}
 	}
 	t.Logf("%d objects at the end; steps run: %v", len(live), ran)
 	for _, op := range ops {

@@ -3,24 +3,23 @@ package cbb
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"cbb/internal/clipindex"
 )
 
-// This file is the public surface of the concurrency subsystem: pinned read
-// views (Snapshot / View) and batched writer transactions (Begin / Batch).
+// This file is the public surface of the concurrency subsystem: read views
+// (Snapshot / View) and batched writer transactions (Begin / Batch).
 //
 // The engine is copy-on-write versioned: every committed mutation publishes
 // a new immutable version of the tree together with the clip table of the
 // same epoch behind one atomic pointer. Ordinary queries on a Tree load the
-// current snapshot once and traverse it lock-free; a View pins one snapshot
+// current snapshot once and traverse it lock-free; a View holds one snapshot
 // so that an arbitrarily long sequence of queries — range searches, batch
 // searches, nearest-neighbour queries, joins — observes one frozen state of
 // the index while writers keep committing. Writers never wait for readers
 // and readers never wait for writers.
 
-// View is a pinned, immutable snapshot of a Tree taken with Tree.Snapshot.
+// View is an immutable snapshot of a Tree taken with Tree.Snapshot.
 // All read operations on the view observe exactly the state of the commit
 // that produced it: no later Insert, Delete, Batch.Commit, or BulkLoad is
 // visible, and no partially applied batch can ever be observed. A View is
@@ -30,30 +29,30 @@ import (
 // Reader interface — charge the owning tree's I/O counters and buffer pool
 // exactly like queries on the Tree itself.
 //
-// Close releases the view's pin; keeping many views open is cheap in
-// memory (versions share all unchanged nodes), but pins defer the reuse of
-// file pages freed by later batches, so long-lived views on file-backed
-// trees should be closed when done.
+// A view holds nothing but its snapshot: keeping many open is cheap in
+// memory (versions share all unchanged nodes), and a view of a file-backed
+// tree never keeps a freed page from reuse — once a page can be freed, the
+// tree is hydrated and no version reads the file again. The garbage
+// collector reclaims a view's nodes once the view is dropped.
 type View struct {
 	reader
-	one  [1]*clipindex.Snap // backs reader: pinning a view stays one allocation
-	once sync.Once
+	one [1]*clipindex.Snap // backs reader: taking a view stays one allocation
 }
 
-// Snapshot returns a pinned read view of the tree's last committed state.
-// It never blocks: concurrent writers continue committing new versions while
-// the view keeps serving its epoch. Every view must be released with Close.
+// Snapshot returns a read view of the tree's last committed state. It never
+// blocks: concurrent writers continue committing new versions while the view
+// keeps serving its epoch.
 func (t *Tree) Snapshot() *View {
-	v := &View{one: [1]*clipindex.Snap{t.idx.PinSnap()}}
+	v := &View{one: [1]*clipindex.Snap{t.idx.Snap()}}
 	v.reader = v.one[:]
 	return v
 }
 
-// Close releases the view's pin. It is idempotent; the view must not be
-// queried after Close.
-func (v *View) Close() { v.once.Do(v.unpin) }
+// Close releases nothing: a view holds no resource beyond memory. The view
+// must not be queried after Close.
+func (v *View) Close() {}
 
-// Epoch returns the commit epoch the view is pinned to. Epochs increase by
+// Epoch returns the commit epoch the view answers at. Epochs increase by
 // one per committed batch, so two views with equal epochs (of one tree) see
 // identical states.
 func (v *View) Epoch() uint64 { return v.reader[0].Version().Epoch() }
