@@ -121,6 +121,27 @@ func TestSearchZeroAllocs(t *testing.T) {
 			if allocs > knnAllocs {
 				t.Errorf("steady-state NearestNeighbors (%s) allocates %.1f times per query, want at most %d", cm, allocs, knnAllocs)
 			}
+			// A sharded engine reads each shard's snapshot into room on the
+			// caller's stack and runs the same descent per shard.
+			st, err := NewSharded(ShardedOptions{Options: Options{Dims: 2, Variant: RStarTree, Clipping: cm, Universe: R(0, 0, 1.01, 1.01)}, Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.BulkLoad(tree.SearchAll(R(0, 0, 1.01, 1.01))); err != nil || st.NumShards() != 4 {
+				t.Fatalf("sharded BulkLoad: %v, %d shards", err, st.NumShards())
+			}
+			for _, q := range queries {
+				st.Search(q, visit)
+			}
+			allocs = testing.AllocsPerRun(100, func() {
+				st.Search(queries[i%len(queries)], visit)
+				hits += st.Count(queries[i%len(queries)])
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state ShardedTree.Search and Count (%s) allocate %.1f times per query pair, want 0", cm, allocs)
+			}
+
 			other, _ := buildHotPathTestTree(t, 1000, cm)
 			ov := other.Snapshot()
 			defer ov.Close()

@@ -4,8 +4,10 @@
 //   - the clip points of every node live in an auxiliary table keyed by node
 //     id (Figure 4b), fully separate from the node pages — on disk, the
 //     snapshot's clip table; in memory, the record in the node's slot of the
-//     tree's versioned node directory, beside the node, so a query reads a
-//     child's record before reading the child;
+//     tree's versioned node directory, beside the node, so a query can test
+//     a child before reading it — and, derived from the records, a packed
+//     copy on the parent's 16-bit grid (rtree's quant.go), from which the
+//     query decides nearly every child without the record;
 //   - queries run the unmodified R-tree descent but consult Algorithm 2
 //     before visiting a child node, skipping children whose overlap with the
 //     query is entirely clipped dead space;

@@ -65,7 +65,7 @@ func (t *Tree) buildPacked(items []Item, writes *int) {
 		*writes += len(current)
 	}
 	t.root = current[0].id
-	t.height = current[0].level + 1
+	t.height = int(current[0].level) + 1
 	t.size = len(items)
 }
 

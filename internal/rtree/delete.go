@@ -85,7 +85,7 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) (trace *DeleteTrace, err error)
 		trace.Removed = append(trace.Removed, root.id)
 		t.freeNode(root.id)
 		t.root = child.id
-		t.height = child.level + 1
+		t.height = int(child.level) + 1
 		root = child
 	}
 	if root.leaf && root.count() == 0 && t.size == 0 {
@@ -137,7 +137,7 @@ func (t *Tree) condense(n *node, trace *DeleteTrace) {
 			parent = t.removeAt(parent, idx)
 			t.touch(parent)
 			for _, e := range cur.entries(t.cfg.Dims) {
-				orphans = append(orphans, orphan{entry: e, level: cur.level})
+				orphans = append(orphans, orphan{entry: e, level: int(cur.level)})
 			}
 			trace.Removed = append(trace.Removed, cur.id)
 			t.freeNode(cur.id)

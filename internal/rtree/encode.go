@@ -75,7 +75,7 @@ func decodeNode(buf []byte, dims int) (*node, error) {
 	}
 	n := &node{}
 	n.leaf = buf[0] == 1
-	n.level = int(buf[1])
+	n.level = int32(buf[1])
 	n.id = NodeID(binary.LittleEndian.Uint32(buf[2:6]))
 	count := int(binary.LittleEndian.Uint32(buf[6:10]))
 	want := nodeHeaderBytes + count*EntryBytes(dims)
@@ -473,7 +473,7 @@ func (t *Tree) hydrate() (objects, height int, err error) {
 		if n.leaf {
 			objects += n.count()
 		}
-		height = max(height, n.level+1)
+		height = max(height, int(n.level)+1)
 	}
 	// Until now the writer's directory was the lazy version's, full at last.
 	d := directory{chunks: make([]*chunk, len(v.dir.chunks)), n: v.dir.n}
@@ -496,7 +496,7 @@ func (t *Tree) hydrate() (objects, height int, err error) {
 	if t.curve != nil {
 		for level := 0; level < height; level++ {
 			for id := NodeID(0); int(id) < d.n; id++ {
-				if n := d.at(id).node.Load(); n != nil && n.level == level {
+				if n := d.at(id).node.Load(); n != nil && int(n.level) == level {
 					d.at(id).lhv = t.hilbertLHV(n)
 				}
 			}

@@ -100,18 +100,84 @@ func qdecode(lo, hi float64, q uint32) float64 {
 	return lo + (hi-lo)*(float64(q)/dirQMax)
 }
 
-// qlower quantises a lower bound: the largest grid value that decodes to at
-// most x. Float rounding can push the first estimate either way, so the
-// result is verified against qdecode and nudged — the loops are bounded by
-// the grid size and collapse to zero iterations for sane inputs. NaN or an x
-// below lo (impossible for a true MBB, defensive otherwise) yield 0, which
-// decodes to lo: for a lower bound that is the only safe floor available.
-func qlower(x, lo, hi float64) uint16 {
-	w := hi - lo
-	if !(w > 0) {
+// grid is one dimension of a node's 16-bit grid: the [lo, hi] range its
+// coordinates are quantised against, the scale s = dirQMax/(hi−lo) that
+// estimates a coordinate's cell with one multiplication, and the slack that
+// certifies an estimate. Its one division is paid once per dimension and
+// node, not once per bound.
+//
+// lower and upper return qlower's and qupper's definitions: the largest grid
+// value that decodes to at most x, the smallest that decodes to at least x.
+// When the estimate f lies inside the grid and its fraction more than slack
+// cells from a cell edge, the answer is ⌊f⌋ (⌊f⌋+1 for upper) without a
+// decode: f and qdecode are each within 65535·u·(8 + 4(|lo|+|hi|)/(hi−lo))
+// cells of the exact real values (u = 2⁻⁵³), and slack, 2⁻⁴⁰·(|lo|+|hi|+hi−lo)·s,
+// is a thousand times that. Otherwise the estimate only seeds the nudge
+// loops, which verify against qdecode and step to the one value the
+// definition names whatever the seed (qdecode is monotone in q).
+// TestGridMatchesDivisionForm and TestGridExhaustive hold both paths to the
+// one-division-per-bound form bit for bit.
+type grid struct{ lo, hi, s, slack float64 }
+
+func newGrid(lo, hi float64) grid {
+	// A degenerate range, or one so narrow that its scale overflows, gets an
+	// infinite (or NaN) scale and slack: it certifies nothing.
+	s := dirQMax / max(hi-lo, 0)
+	return grid{lo: lo, hi: hi, s: s, slack: 0x1p-40 * (math.Abs(lo) + math.Abs(hi) + (hi - lo)) * s}
+}
+
+// certain returns ⌊f⌋ for x's estimate f, and whether f certifies it (see
+// grid); a degenerate range certifies nothing.
+func (g grid) certain(x float64) (uint32, bool) {
+	f := (x - g.lo) * g.s
+	if !(f > g.slack && f < dirQMax-g.slack) {
+		return 0, false
+	}
+	q := uint32(f)
+	fr := f - float64(q)
+	return q, fr > g.slack && fr < 1-g.slack
+}
+
+// lower quantises a lower bound: the largest grid value that decodes to at
+// most x. NaN or an x below lo (impossible for a true MBB, defensive
+// otherwise) yield 0, which decodes to lo: for a lower bound that is the only
+// safe floor available. A degenerate range (hi ≤ lo, or NaN) quantises
+// everything to 0.
+func (g grid) lower(x float64) uint16 {
+	if q, ok := g.certain(x); ok {
+		return uint16(q)
+	}
+	return g.nudgeLower(x)
+}
+
+// upper quantises an upper bound: the smallest grid value that decodes to at
+// least x (dirQMax when even hi falls short, which cannot happen for a true
+// MBB).
+func (g grid) upper(x float64) uint16 {
+	if q, ok := g.certain(x); ok {
+		return uint16(q + 1)
+	}
+	return g.nudgeUpper(x)
+}
+
+// estimate is x's grid coordinate as a float64 (NaN for NaN), the seed of
+// the nudge loops. A range so narrow that its scale overflows falls back to
+// the division.
+func (g grid) estimate(x float64) float64 {
+	if g.s <= math.MaxFloat64 {
+		return (x - g.lo) * g.s
+	}
+	return (x - g.lo) / (g.hi - g.lo) * dirQMax
+}
+
+// nudgeLower is lower where the estimate does not certify the answer: the
+// seed is verified against qdecode and nudged — the loops are bounded by the
+// grid size and collapse to zero iterations for sane inputs.
+func (g grid) nudgeLower(x float64) uint16 {
+	if !(g.hi-g.lo > 0) {
 		return 0
 	}
-	f := (x - lo) / w * dirQMax
+	f := g.estimate(x)
 	var q uint32
 	switch {
 	case !(f > 0):
@@ -121,24 +187,21 @@ func qlower(x, lo, hi float64) uint16 {
 	default:
 		q = uint32(f)
 	}
-	for q > 0 && qdecode(lo, hi, q) > x {
+	for q > 0 && qdecode(g.lo, g.hi, q) > x {
 		q--
 	}
-	for q < dirQMax && qdecode(lo, hi, q+1) <= x {
+	for q < dirQMax && qdecode(g.lo, g.hi, q+1) <= x {
 		q++
 	}
 	return uint16(q)
 }
 
-// qupper quantises an upper bound: the smallest grid value that decodes to at
-// least x (dirQMax when even hi falls short, which cannot happen for a true
-// MBB).
-func qupper(x, lo, hi float64) uint16 {
-	w := hi - lo
-	if !(w > 0) {
+// nudgeUpper is upper where the estimate does not certify the answer.
+func (g grid) nudgeUpper(x float64) uint16 {
+	if !(g.hi-g.lo > 0) {
 		return 0
 	}
-	f := (x - lo) / w * dirQMax
+	f := g.estimate(x)
 	var q uint32
 	switch {
 	case !(f > 0):
@@ -148,14 +211,18 @@ func qupper(x, lo, hi float64) uint16 {
 	default:
 		q = uint32(f) + 1
 	}
-	for q < dirQMax && qdecode(lo, hi, q) < x {
+	for q < dirQMax && qdecode(g.lo, g.hi, q) < x {
 		q++
 	}
-	for q > 0 && qdecode(lo, hi, q-1) >= x {
+	for q > 0 && qdecode(g.lo, g.hi, q-1) >= x {
 		q--
 	}
 	return uint16(q)
 }
+
+// qlower and qupper are grid.lower and grid.upper on a range used once.
+func qlower(x, lo, hi float64) uint16 { return newGrid(lo, hi).lower(x) }
+func qupper(x, lo, hi float64) uint16 { return newGrid(lo, hi).upper(x) }
 
 // leafDeltaShift computes the common trailing-zero count of a leaf's
 // coordinate bit-pattern deltas — the exact number of bottom bits the varint
@@ -317,7 +384,7 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 	flags := buf[0]
 	n := &node{}
 	n.leaf = flags&flagV2Leaf != 0
-	n.level = int(buf[1])
+	n.level = int32(buf[1])
 	qbits := buf[2]
 	shift := 0
 	if n.leaf {
@@ -531,7 +598,7 @@ func InspectNodePage(buf []byte, dims int, codec PageCodec) (NodePageStats, erro
 	}
 	st := NodePageStats{
 		Leaf:    n.leaf,
-		Level:   n.level,
+		Level:   int(n.level),
 		ID:      n.id,
 		Entries: n.count(),
 		Bytes:   int(n.encSize),

@@ -245,7 +245,7 @@ func (t *Tree) graftRun(items []Item, run []Keyed, trace *InsertTrace) {
 	}
 	for _, sub := range current {
 		t.ovMarks.begin()
-		t.insertAtLevel(Entry{Rect: t.mbbOf(sub), Child: sub.id}, sub.level+1, trace, &t.ovMarks, false)
+		t.insertAtLevel(Entry{Rect: t.mbbOf(sub), Child: sub.id}, int(sub.level)+1, trace, &t.ovMarks, false)
 		trace.GraftSubtrees++
 	}
 	t.size += len(run)

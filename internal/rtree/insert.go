@@ -178,7 +178,7 @@ func (t *Tree) insertAtLevel(e Entry, level int, trace *InsertTrace, marks *leve
 // using the variant-specific selection policy, and returns its id.
 func (t *Tree) chooseSubtree(r geom.Rect, level int) NodeID {
 	cur := t.mustNode(t.root)
-	for cur.level > level {
+	for int(cur.level) > level {
 		idx := t.chooseChild(cur, r)
 		cur = t.mustNode(cur.child(idx))
 	}
@@ -325,8 +325,8 @@ func (t *Tree) chooseHilbertChild(n *node, r geom.Rect) int {
 // handleOverflow resolves an over-full node either by forced reinsertion
 // (R*-tree, once per level per insertion) or by splitting.
 func (t *Tree) handleOverflow(n *node, trace *InsertTrace, marks *levelMarks) {
-	if t.cfg.Variant == RStar && n.id != t.root && !marks.done(n.level) {
-		marks.mark(n.level)
+	if t.cfg.Variant == RStar && n.id != t.root && !marks.done(int(n.level)) {
+		marks.mark(int(n.level))
 		t.forcedReinsert(n, trace, marks)
 		return
 	}
@@ -374,7 +374,7 @@ func (t *Tree) forcedReinsert(n *node, trace *InsertTrace, marks *levelMarks) {
 	trace.Reinserted += len(removed)
 	// Reinsert far entries first (the R*-tree's "reinsert" ordering).
 	for _, e := range removed {
-		t.insertAtLevel(e, n.level, trace, marks, false)
+		t.insertAtLevel(e, int(n.level), trace, marks, false)
 	}
 }
 
@@ -384,7 +384,7 @@ func (t *Tree) forcedReinsert(n *node, trace *InsertTrace, marks *levelMarks) {
 func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 	dims := t.cfg.Dims
 	groupA, groupB := t.splitEntries(n.entries(dims))
-	sibling := t.newNode(n.leaf, n.level)
+	sibling := t.newNode(n.leaf, int(n.level))
 	n.setEntries(groupA, dims)
 	sibling.setEntries(groupB, dims)
 	t.touch(n)
@@ -404,14 +404,14 @@ func (t *Tree) splitNode(n *node, trace *InsertTrace, marks *levelMarks) {
 	trace.Writes += 2
 
 	if n.id == t.root {
-		newRoot := t.newNode(false, n.level+1)
+		newRoot := t.newNode(false, int(n.level)+1)
 		newRoot.appendEntry(Entry{Rect: t.mbbOf(n), Child: n.id})
 		newRoot.appendEntry(Entry{Rect: t.mbbOf(sibling), Child: sibling.id})
 		t.touch(newRoot)
 		t.setParent(n.id, newRoot.id)
 		t.setParent(sibling.id, newRoot.id)
 		t.root = newRoot.id
-		t.height = newRoot.level + 1
+		t.height = int(newRoot.level) + 1
 		t.updateHilbertLHV(newRoot)
 		trace.markCreated(newRoot.id)
 		trace.Writes++

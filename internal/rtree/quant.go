@@ -48,10 +48,16 @@ package rtree
 // pruning decisions — and with them node visit counts — diverge between
 // stores. With verbatim adoption, every store scans identical planes and the
 // equivalence matrices stay bit-identical across mem/file/v2/mmap.
+//
+// The same grid carries a directory node's copy of its children's clip
+// points, so that Algorithm 2 is decided there too; the last section of this
+// file extends the rounding argument to it.
 
 import (
 	"math"
+	"slices"
 
+	"cbb/internal/core"
 	"cbb/internal/geom"
 )
 
@@ -146,11 +152,11 @@ func (n *node) syncPlanes(dims int) {
 	}
 	n.qmbb = boxesMBB(n.boxes, dims)
 	for d := 0; d < dims; d++ {
-		lo, hi := n.qmbb[d], n.qmbb[dims+d]
+		g := newGrid(n.qmbb[d], n.qmbb[dims+d])
 		off := 0
 		for i := 0; i < count; i++ {
-			setPlane(n.qplanes, w, d, i, false, qlower(n.boxes[off+d], lo, hi))
-			setPlane(n.qplanes, w, d, i, true, qupper(n.boxes[off+dims+d], lo, hi))
+			setPlane(n.qplanes, w, d, i, false, g.lower(n.boxes[off+d]))
+			setPlane(n.qplanes, w, d, i, true, g.upper(n.boxes[off+dims+d]))
 			off += 2 * dims
 		}
 	}
@@ -164,9 +170,15 @@ func (n *node) syncPlanes(dims int) {
 // MBB clamp to the grid ends, which only widens the admitted set.
 func quantiseQuery(qmbb []float64, dims int, qlo, qhi []float64, qg *[2 * geom.MaxDims]uint16) {
 	for d := 0; d < dims; d++ {
-		lo, hi := qmbb[d], qmbb[dims+d]
-		qg[2*d] = qupper(qlo[d], lo, hi)
-		qg[2*d+1] = qlower(qhi[d], lo, hi)
+		g := newGrid(qmbb[d], qmbb[dims+d])
+		l, lok := g.certain(qlo[d])
+		h, hok := g.certain(qhi[d])
+		if lok && hok { // g.upper and g.lower without the calls
+			qg[2*d], qg[2*d+1] = uint16(l+1), uint16(h)
+			continue
+		}
+		qg[2*d] = g.upper(qlo[d])
+		qg[2*d+1] = g.lower(qhi[d])
 	}
 }
 
@@ -304,9 +316,9 @@ func (n *node) syncSlots(dims int, slots []int) bool {
 	for _, i := range slots {
 		box := n.boxes[i*2*dims:][:2*dims]
 		for d := 0; d < dims; d++ {
-			lo, hi := n.qmbb[d], n.qmbb[dims+d]
-			setPlane(n.qplanes, w, d, i, false, qlower(box[d], lo, hi))
-			setPlane(n.qplanes, w, d, i, true, qupper(box[dims+d], lo, hi))
+			g := newGrid(n.qmbb[d], n.qmbb[dims+d])
+			setPlane(n.qplanes, w, d, i, false, g.lower(box[d]))
+			setPlane(n.qplanes, w, d, i, true, g.upper(box[dims+d]))
 		}
 	}
 	return true
@@ -330,4 +342,186 @@ func (n *node) widenPlanes(dims, w int) {
 		planes[k*w+w-1] = 0
 	}
 	n.qplanes = planes
+}
+
+// --- clip admission on the grid ------------------------------------------------
+//
+// A directory node carries a compact copy of its children's clip points
+// (clipGrid), quantised onto the node's own grid, the one quantiseQuery has
+// just projected the query onto: Algorithm 2 then decides most children
+// in integer arithmetic, without the exact record, which sits two dependent
+// loads away in the node directory.
+//
+// A clip point c' kills a query in dimension d when the query's probe
+// coordinate lies strictly beyond c' toward the clipped corner: q.Hi < c with
+// mask bit d clear, q.Lo > c with it set (core.Sel). The copy keeps c rounded
+// corner-ward — a clear bit's c as L = qlower(c), a set bit's as U = qupper(c),
+// stored as its complement dirQMax−U so that both read "probe < stored" —
+// and the query enters as its grid coordinates gh = qlower(q.Hi) and
+// gl = qupper(q.Lo), the set-bit probe complemented alike. Per dimension, with
+// qdecode monotone, qlower maximal and qupper minimal on a range with hi > lo,
+// and lo ≤ c ≤ hi:
+//
+//	gh < L  ⇒  q.Hi < qdecode(gh+1) ≤ qdecode(L) ≤ c       certainly dead
+//	gh > L  ⇒  c < qdecode(L+1) ≤ qdecode(gh) ≤ q.Hi       certainly alive
+//	gl > U  ⇒  c ≤ qdecode(U) ≤ qdecode(gl−1) < q.Lo       certainly dead
+//	gl < U  ⇒  q.Lo ≤ qdecode(gl) ≤ qdecode(U−1) < c       certainly alive
+//
+// where the alive lines need qdecode(gh) ≤ q.Hi and q.Lo ≤ qdecode(gl), which
+// hold once the child's box — inside the node's MBB — meets the query: the
+// exact boxHits runs first, as it always has. Equality is the one-cell band in
+// which the grid cannot tell. A degenerate dimension (hi = lo) puts every
+// value on cell 0, so it always sits in the band, and no claim is made. A
+// point is certainly dead when it is dead in every dimension, and certainly
+// alive when it is alive in one; a child is dead when one point is certainly
+// dead, alive when every point is certainly alive, and otherwise — the band —
+// Record.Dead decides from the exact record. The verdict is Record.Dead's in
+// every case, so visit order and node accesses are the exact test's.
+//
+// A packed point is one uint64: dimension d's stored value in the 20-bit lane
+// at bit 20d with the lane's top bit (clipGuard) set, and the corner mask at
+// bit 60. Subtracting a probe word of per-lane values below the guard leaves a
+// lane's guard set exactly where stored ≥ probe, and no borrow crosses a lane;
+// so with the probe p "maybe dead" is every guard surviving w − p and
+// "certainly dead" every guard surviving w − p − 1 per lane.
+
+const (
+	clipMaxDims   = 3  // the dimensionalities a clip copy serves; beyond, records are read
+	clipLaneBits  = 20 // bits per dimension of a packed clip point
+	clipMaskShift = clipMaxDims * clipLaneBits
+	clipGuard     = 1 << (clipLaneBits - 1)
+)
+
+// clipGrid is a directory node's compact copy of its children's clip points:
+// child i's are pts[end[i-1]:end[i]] (from 0 for i = 0); a child without clip
+// points has none. It is derived like the planes, never written once its
+// node is published, and its node's page does not hold it.
+type clipGrid struct {
+	end []uint32
+	pts []uint64
+}
+
+// points returns child i's packed clip points.
+func (c *clipGrid) points(i int) []uint64 {
+	start := uint32(0)
+	if i > 0 {
+		start = c.end[i-1]
+	}
+	return c.pts[start:c.end[i]]
+}
+
+// sameRecord reports whether a and b are the same record: records are never
+// written once built, so the same backing array means the same clip points.
+func sameRecord(a, b core.Record) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// buildClips returns the clip copy of directory node n against its children's
+// records as rec gives them, or nil when n gets none: a leaf, a node without
+// planes, more than clipMaxDims dimensions, or a clip coordinate outside n's
+// MBB or NaN (which no consistent tree has; the exact records then decide).
+// old, when not nil, is a node of the same id whose copy matches the records
+// oldRec gives: a child in the same slot with the same record, on the same
+// grid, takes its packed points from there instead of being quantised again,
+// so a write re-quantises only the children it changed.
+func (n *node) buildClips(dims int, rec func(NodeID) core.Record, old *node, oldRec func(NodeID) core.Record) *clipGrid {
+	if n.leaf || dims > clipMaxDims || !n.hasPlanes(dims) {
+		return nil
+	}
+	var grids [clipMaxDims]grid
+	for d := 0; d < dims; d++ {
+		grids[d] = newGrid(n.qmbb[d], n.qmbb[dims+d])
+	}
+	if old != nil && (old.clips == nil || !slices.Equal(old.qmbb, n.qmbb)) {
+		old = nil
+	}
+	total := 0
+	for i := range n.refs {
+		total += rec(n.child(i)).Len(dims)
+	}
+	c := &clipGrid{end: make([]uint32, n.count()), pts: make([]uint64, 0, total)}
+	for i := range n.refs {
+		child, r := n.child(i), rec(n.child(i))
+		if old != nil && i < old.count() && old.child(i) == child && sameRecord(r, oldRec(child)) {
+			c.pts = append(c.pts, old.clips.points(i)...)
+			c.end[i] = uint32(len(c.pts))
+			continue
+		}
+		for ; len(r) > dims; r = r[dims+1:] {
+			m := math.Float64bits(r[0])
+			w := m << clipMaskShift
+			for d, x := range r[1 : dims+1] {
+				g := grids[d]
+				var v uint16
+				if m>>d&1 == 0 {
+					v = g.lower(x)
+				} else {
+					x = -x // Record reflects a set bit's coordinate
+					v = dirQMax - g.upper(x)
+				}
+				if !(x >= g.lo && x <= g.hi) {
+					return nil
+				}
+				w |= (uint64(v) | clipGuard) << (d * clipLaneBits)
+			}
+			c.pts = append(c.pts, w)
+		}
+		c.end[i] = uint32(len(c.pts))
+	}
+	return c
+}
+
+// clipProbe is the query laid out for packed clip points on one node's grid:
+// per corner mask, the probe word of "maybe dead" (ones added gives "certainly
+// dead"), and the guards of the node's dimensions.
+type clipProbe struct {
+	at     [1 << clipMaxDims]uint64
+	guards uint64
+	ones   uint64
+}
+
+// set lays out the query grid coordinates qg (quantiseQuery's) for dims ≤
+// clipMaxDims dimensions: the probe of mask m takes dimension d's gh where
+// bit d is clear and its complemented gl where it is set, so each mask's word
+// is its predecessor's with one lane swapped.
+func (p *clipProbe) set(qg *[2 * geom.MaxDims]uint16, dims int) {
+	var swap [clipMaxDims]uint64
+	p.guards, p.ones, p.at[0] = 0, 0, 0
+	for d := 0; d < dims; d++ {
+		shift := d * clipLaneBits
+		gh := uint64(qg[2*d+1]) << shift
+		p.guards |= clipGuard << shift
+		p.ones |= 1 << shift
+		swap[d] = (dirQMax-uint64(qg[2*d]))<<shift - gh // gl, complemented, in gh's stead
+		p.at[0] += gh
+	}
+	for d := 0; d < dims; d++ {
+		for m := 0; m < 1<<d; m++ {
+			p.at[m|1<<d] = p.at[m] + swap[d]
+		}
+	}
+}
+
+// Clip admission verdicts.
+const (
+	clipBand  = iota // the grid cannot tell: Record.Dead decides
+	clipAlive        // no clip point kills the query
+	clipDead         // some clip point kills the query
+)
+
+// verdict returns Algorithm 2's answer for one child's packed points, or
+// clipBand. The child's box must meet the query (see the section comment).
+func (p *clipProbe) verdict(pts []uint64) int {
+	maybe := false
+	for _, w := range pts {
+		d := w - p.at[w>>clipMaskShift&(1<<clipMaxDims-1)]
+		if (d-p.ones)&p.guards == p.guards {
+			return clipDead
+		}
+		maybe = maybe || d&p.guards == p.guards
+	}
+	if maybe {
+		return clipBand
+	}
+	return clipAlive
 }

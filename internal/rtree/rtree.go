@@ -144,8 +144,14 @@ type Entry struct {
 // (qmbb/qplanes, see quant.go).
 type node struct {
 	id    NodeID
+	level int32 // 0 = leaf level
 	leaf  bool
-	level int // 0 = leaf level
+	// encSize is the node's encoded page size in bytes: the exact stored
+	// size for nodes decoded from a snapshot, or the v1 layout size for
+	// in-memory nodes (refreshed by syncDerived on every mutation).
+	// Byte-budget buffer pools charge residency by it, so compressed and raw
+	// pages share one budget honestly.
+	encSize int32
 	// born is the writer generation that created this node object
 	// (creation or clone; 0 for a decoded one). A node born in an earlier
 	// generation may belong to a published version and is immutable: the
@@ -186,12 +192,14 @@ type node struct {
 	// decodeNodeV2).
 	qmbb    []float64
 	qplanes []uint64
-	// encSize is the node's encoded page size in bytes: the exact stored
-	// size for nodes decoded from a snapshot, or the v1 layout size for
-	// in-memory nodes (refreshed by syncDerived on every mutation).
-	// Byte-budget buffer pools charge residency by it, so compressed and raw
-	// pages share one budget honestly.
-	encSize int32
+	// clips is a directory node's compact copy of its children's clip points
+	// on its own grid (see quant.go), nil when it has none. Unlike the
+	// planes it depends on the children's records: a publish rebuilds it
+	// for the directory nodes the batch wrote and, where that copies no
+	// directory chunk, for the parents of nodes given a new record, and
+	// lists the others as stale (Tree.syncClips); a fault builds it from the
+	// lazy version's records.
+	clips *clipGrid
 }
 
 // count returns the number of slots in use.
@@ -431,14 +439,22 @@ type Tree struct {
 	gen       uint64
 	dirShared bool
 	inBatch   bool
-	undo      *batchUndo // writer bookkeeping snapshot for RollbackBatch
-	lazyV     *Version   // the one lazy version of a file-backed tree, until hydrated
+	// clipsStale lists, ascending, the directory nodes whose clip copy may
+	// predate a child's record (see syncClips), as the last publish left
+	// it; the version holds the same slice, so a publish that changes the
+	// set makes a new one.
+	clipsStale []NodeID
+	undo       *batchUndo // writer bookkeeping snapshot for RollbackBatch
+	lazyV      *Version   // the one lazy version of a file-backed tree, until hydrated
 
 	// Writer-side scratch: the levels one insertion gave the R* overflow
-	// treatment, and the nodes of the open batch that mutable gave room
-	// beyond one write's reservation (publish trims them).
-	ovMarks levelMarks
-	slack   []*node
+	// treatment, the nodes of the open batch that mutable gave room
+	// beyond one write's reservation (publish trims them), and the
+	// directory nodes touched and the nodes given a record since the last
+	// publish (whose clip copies, or whose parents', publish rebuilds).
+	ovMarks    levelMarks
+	slack      []*node
+	clipsDirty []NodeID
 
 	// File-backed mode, set up by OpenPaged or AttachStore: nodes are
 	// faulted into the lazy version's directory on first access from src,
@@ -575,10 +591,11 @@ func (t *Tree) PublishRecords() {
 // new writer generation opens, so nothing the version holds changes again.
 func (t *Tree) publishAt(epoch uint64) *Version {
 	t.trimSlack()
+	t.syncClips()
 	v := &Version{
 		tree: t, epoch: epoch,
 		root: t.root, size: t.size, height: t.height,
-		dir: t.dir,
+		dir: t.dir, clipsStale: t.clipsStale,
 	}
 	if t.src != nil && !t.src.hydrated {
 		// Nodes are faulted into this version's directory on demand, from
@@ -647,6 +664,7 @@ func (t *Tree) RollbackBatch() {
 	t.undo = nil
 	clear(t.slack)
 	t.slack = t.slack[:0]
+	t.clipsDirty = t.clipsDirty[:0]
 	v := t.cur.Load()
 	t.dir, t.dirShared = v.dir, true
 	t.root, t.size, t.height = v.root, v.size, v.height
@@ -852,7 +870,7 @@ func (t *Tree) newNode(leaf bool, level int) *node {
 	// The slot may still be shared with a published version holding the
 	// freed generation's node, so a fresh object is always allocated: node
 	// ids are reused, node objects never are.
-	nd := &node{id: id, leaf: leaf, level: level, born: t.gen}
+	nd := &node{id: id, leaf: leaf, level: int32(level), born: t.gen}
 	s := t.slotW(id)
 	s.node.Store(nd)
 	s.parent, s.lhv = InvalidNode, 0
@@ -893,8 +911,11 @@ func (t *Tree) touch(n *node, slots ...int) {
 	if n.born != t.gen {
 		panic(fmt.Sprintf("rtree: touch of node %d shared with a published version (born %d, generation %d)", n.id, n.born, t.gen))
 	}
-	if t.conservative && !n.leaf {
-		slots = nil
+	if !n.leaf {
+		t.clipsDirty = append(t.clipsDirty, n.id)
+		if t.conservative {
+			slots = nil
+		}
 	}
 	n.syncDerived(t.cfg.Dims, slots...)
 }
@@ -966,6 +987,8 @@ func (t *Tree) fault(v *Version, id NodeID) (*node, error) {
 		ferr = fmt.Errorf("rtree: decoding page %d for node %d: %w", pid, id, err)
 	} else if n.id != id {
 		ferr = fmt.Errorf("rtree: page %d claims node id %d, expected %d", pid, n.id, id)
+	} else {
+		n.clips = n.buildClips(t.cfg.Dims, v.dir.record, nil, nil)
 	}
 	if ferr == nil && v.dir.at(id).node.CompareAndSwap(nil, n) {
 		return n, nil
@@ -1080,7 +1103,7 @@ func b2i(b bool) int {
 // slot records.
 func (n *node) info(parent NodeID, dims int) NodeInfo {
 	ni := NodeInfo{
-		ID: n.id, Parent: parent, Leaf: n.leaf, Level: n.level,
+		ID: n.id, Parent: parent, Leaf: n.leaf, Level: int(n.level),
 		Bytes: int(n.encSize), PlaneBytes: n.planeBytes(),
 		boxes: n.boxes, refs: n.refs, qmbb: n.qmbb, qplanes: n.qplanes, dims: dims,
 	}

@@ -2,6 +2,8 @@ package rtree
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"cbb/internal/geom"
 )
@@ -11,8 +13,9 @@ import (
 // tool; it never charges I/O.
 //
 // Invariants checked:
-//   - every node's slot store is well formed (checkSlots) and its filter
-//     layer is conservative for it (checkPlanes);
+//   - every node's slot store is well formed (checkSlots), its filter
+//     layer is conservative for it (checkPlanes), and, once published, its
+//     clip copy for its children's records (checkClips);
 //   - every node's entry count is within [MinEntries, MaxEntries], except
 //     the root (which may hold fewer) and single-leaf trees;
 //   - directory entries' rectangles equal the MBB of the referenced child;
@@ -40,7 +43,7 @@ func (t *Tree) Validate() error {
 	if p := t.parentOf(t.root); p != InvalidNode {
 		return fmt.Errorf("rtree: root %d has parent %d", root.id, p)
 	}
-	if root.level != t.height-1 {
+	if int(root.level) != t.height-1 {
 		return fmt.Errorf("rtree: root level %d does not match height %d", root.level, t.height)
 	}
 	objects := 0
@@ -57,6 +60,9 @@ func (t *Tree) Validate() error {
 			return err
 		}
 		if err := t.checkPlanes(n); err != nil {
+			return err
+		}
+		if err := t.checkClips(n); err != nil {
 			return err
 		}
 		if id != t.root && n.count() < t.cfg.MinEntries {
@@ -171,6 +177,68 @@ func (t *Tree) checkPlanes(n *node) error {
 					n.id, i, plo, phi, d, elo, ehi, qlower(elo, lo, hi), qupper(ehi, lo, hi))
 			}
 			off += 2 * dims
+		}
+	}
+	return nil
+}
+
+// checkClips verifies a directory node's clip copy (see quant.go) against its
+// children's exact records and its grid: child by child the records' clip
+// points with their corner masks, each coordinate rounded corner-ward (the
+// stored cell decodes to at most a clear bit's coordinate and to at least a
+// set bit's) and by less than one cell (the next cell inward decodes past
+// it) — conservative in both directions, the two halves the certainly-dead
+// and the certainly-alive verdicts each rest on. A node that can have a copy
+// must have one, unless it is listed stale. The writer's copies are rebuilt
+// at publish, so a directory with unpublished changes is not checked.
+func (t *Tree) checkClips(n *node) error {
+	dims := t.cfg.Dims
+	if !t.dirShared || n.leaf || dims > clipMaxDims {
+		return nil
+	}
+	if _, stale := slices.BinarySearch(t.clipsStale, n.id); stale {
+		return nil // admission reads this node's children's records
+	}
+	c := n.clips
+	if c == nil {
+		if n.buildClips(dims, t.dir.record, nil, nil) != nil {
+			return fmt.Errorf("rtree: directory node %d has no clip copy", n.id)
+		}
+		return nil
+	}
+	if len(c.end) != n.count() {
+		return fmt.Errorf("rtree: node %d clip copy spans %d children, node has %d", n.id, len(c.end), n.count())
+	}
+	for i := range n.refs {
+		rec, pts := t.dir.record(n.child(i)), c.points(i)
+		if len(pts) != rec.Len(dims) {
+			return fmt.Errorf("rtree: node %d clip copy holds %d points for child %d, its record %d", n.id, len(pts), n.child(i), rec.Len(dims))
+		}
+		for k, w := range pts {
+			p := rec[k*(dims+1):][:dims+1]
+			m := math.Float64bits(p[0])
+			if w>>clipMaskShift != m {
+				return fmt.Errorf("rtree: node %d clip copy point %d of child %d has mask %b, its record %b", n.id, k, n.child(i), w>>clipMaskShift, m)
+			}
+			for d := 0; d < dims; d++ {
+				lane := w >> (d * clipLaneBits) & (1<<clipLaneBits - 1)
+				lo, hi, x := n.qmbb[d], n.qmbb[dims+d], p[1+d]
+				v := uint32(lane &^ clipGuard)
+				var ok bool
+				switch {
+				case lane&clipGuard == 0 || v > dirQMax:
+				case !(hi > lo):
+					ok = v == uint32(m>>d&1)*dirQMax // every value on cell 0
+				case m>>d&1 == 0:
+					ok = qdecode(lo, hi, v) <= x && (v == dirQMax || qdecode(lo, hi, v+1) > x)
+				default:
+					v = dirQMax - v
+					ok = qdecode(lo, hi, v) >= -x && (v == 0 || qdecode(lo, hi, v-1) < -x)
+				}
+				if !ok {
+					return fmt.Errorf("rtree: node %d clip copy point %d of child %d in dim %d: lane %#x is not the corner-ward cell of %v on [%v, %v]", n.id, k, n.child(i), d, lane, x, lo, hi)
+				}
+			}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"cbb/internal/core"
@@ -47,6 +48,10 @@ type Version struct {
 	height int
 	dir    directory
 	lazy   bool // nodes are faulted in from their slots' pages on demand
+	// clipsStale lists, ascending, the directory nodes whose clip copy may
+	// predate a child's record (Tree.syncClips): admission reads their
+	// children's records instead.
+	clipsStale []NodeID
 }
 
 // Epoch returns the commit epoch of the version. Epochs increase by one per
@@ -160,7 +165,8 @@ type searchScratch struct {
 	qlo         [geom.MaxDims]float64
 	qhi         [geom.MaxDims]float64
 	qg          [2 * geom.MaxDims]uint16
-	sel         core.Sel // q laid out for the clip records' tests
+	sel         core.Sel  // q laid out for the clip records' tests
+	probe       clipProbe // q laid out for a node's clip copy
 	mask        survivorMask
 }
 
@@ -208,10 +214,12 @@ func (v *Version) SearchClipped(q geom.Rect, visit func(ObjectID, geom.Rect) boo
 // directory survivors are recursed into directly off the conservative grid
 // verdict (admissible by the same containment argument as the v2 on-disk
 // format; see quant.go), except that one with a clip record (when clipped)
-// first gets Algorithm 2 straight from the record: the exact MBB test on
-// boxes, then the dominance loop. Children without a record are not tested
-// exactly; that asymmetry is part of the access counts every store
-// reproduces. Survivors are walked in ascending entry order
+// first gets Algorithm 2: the exact MBB test on boxes, then the dominance
+// test, run on the node's clip copy against the query's grid coordinates
+// and, for a child in the copy's one-cell rounding band (or under a node
+// whose copy may be stale), on the record in the child's slot. Children without a record are not tested exactly;
+// that asymmetry is part of the access counts every store reproduces.
+// Survivors are walked in ascending entry order
 // (trailing-zero iteration over the mask words) and admitted children are
 // reversed on the stack, so nodes are processed — and I/O is charged — in
 // exactly the order the recursive implementation used. Every store faults
@@ -276,6 +284,10 @@ descent:
 			continue
 		}
 		chargeReadNode(pool, n, &io)
+		clips, probed := n.clips, false
+		if _, stale := slices.BinarySearch(v.clipsStale, id); stale {
+			clips = nil
+		}
 		base := len(stack)
 		for w := range mask {
 			m := mask[w]
@@ -283,11 +295,34 @@ descent:
 				i := w<<6 + bits.TrailingZeros64(m)
 				m &= m - 1
 				child := n.child(i)
-				if !clipped {
-					stack = append(stack, child)
-				} else if rec := v.dir.record(child); len(rec) == 0 || boxHits(boxes, i*2*dims, dims, &sc.qlo, &sc.qhi) && !rec.Dead(dims, &sc.sel) {
-					stack = append(stack, child)
+				switch {
+				case !clipped:
+				case clips != nil:
+					pts := clips.points(i)
+					if len(pts) == 0 {
+						break
+					}
+					if !boxHits(boxes, i*2*dims, dims, &sc.qlo, &sc.qhi) {
+						continue
+					}
+					if !probed {
+						sc.probe.set(&sc.qg, dims)
+						probed = true
+					}
+					switch sc.probe.verdict(pts) {
+					case clipDead:
+						continue
+					case clipBand:
+						if v.dir.record(child).Dead(dims, &sc.sel) {
+							continue
+						}
+					}
+				default:
+					if rec := v.dir.record(child); len(rec) > 0 && (!boxHits(boxes, i*2*dims, dims, &sc.qlo, &sc.qhi) || rec.Dead(dims, &sc.sel)) {
+						continue
+					}
 				}
+				stack = append(stack, child)
 			}
 		}
 		// Reverse the admitted children so the first entry is popped first,

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cbb/internal/clipindex"
 	"cbb/internal/fanout"
 	"cbb/internal/hilbert"
 	"cbb/internal/rtree"
@@ -636,16 +637,20 @@ func (sb *ShardedBatch) Rollback() {
 }
 
 // current returns the reader over every shard's last committed state, in
-// directory order. Each shard is loaded independently (no cross-shard
-// consistency); Snapshot is the coordinated counterpart.
-func (st *ShardedTree) current() reader {
-	shards := st.dir.Load().shards
-	r := make(reader, len(shards))
-	for i, sh := range shards {
-		r[i] = sh.t.idx.Snap()
+// directory order, built in buf's room: a caller that passes an array on its
+// stack reads up to len(buf) shards without allocating. Each shard is loaded
+// independently (no cross-shard consistency); Snapshot is the coordinated
+// counterpart.
+func (st *ShardedTree) current(buf []*clipindex.Snap) reader {
+	r := reader(buf[:0])
+	for _, sh := range st.dir.Load().shards {
+		r = append(r, sh.t.idx.Snap())
 	}
 	return r
 }
+
+// shardRoom is the stack room the range reads give current.
+type shardRoom [8]*clipindex.Snap
 
 // Search calls visit for every object whose rectangle intersects q, fanning
 // out only to shards whose root MBB intersects q (the directory-level skip
@@ -654,21 +659,25 @@ func (st *ShardedTree) current() reader {
 // Tree.Search, it runs lock-free against each shard's last committed state;
 // use Snapshot for a frozen cross-shard view.
 func (st *ShardedTree) Search(q Rect, visit func(ObjectID, Rect) bool) {
-	st.current().Search(q, visit)
+	var room shardRoom
+	st.current(room[:]).Search(q, visit)
 }
 
 // SearchAll returns every object intersecting q. Order follows the shard
 // directory (Hilbert order), not a single tree's traversal order.
-func (st *ShardedTree) SearchAll(q Rect) []Item { return st.current().SearchAll(q) }
+func (st *ShardedTree) SearchAll(q Rect) []Item { return st.current(nil).SearchAll(q) }
 
 // Count returns the number of objects intersecting q.
-func (st *ShardedTree) Count(q Rect) int { return st.current().Count(q) }
+func (st *ShardedTree) Count(q Rect) int {
+	var room shardRoom
+	return st.current(room[:]).Count(q)
+}
 
 // NearestNeighbors returns the k objects closest to p across all shards,
 // ordered by ascending distance (ties broken by object id): one best-first
 // search whose frontier starts with every shard's root.
 func (st *ShardedTree) NearestNeighbors(k int, p Point) []Neighbor {
-	return st.current().NearestNeighbors(k, p)
+	return st.current(nil).NearestNeighbors(k, p)
 }
 
 // BatchSearch runs a batch of range queries over one internally acquired
@@ -681,13 +690,13 @@ func (st *ShardedTree) BatchSearch(queries []Rect, opts BatchOptions) (BatchResu
 }
 
 // Len returns the total number of indexed objects across shards.
-func (st *ShardedTree) Len() int { return st.current().Len() }
+func (st *ShardedTree) Len() int { return st.current(nil).Len() }
 
 // Height returns the height of the tallest shard tree.
-func (st *ShardedTree) Height() int { return st.current().Height() }
+func (st *ShardedTree) Height() int { return st.current(nil).Height() }
 
 // Bounds returns the MBB of all indexed objects across shards.
-func (st *ShardedTree) Bounds() Rect { return st.current().Bounds() }
+func (st *ShardedTree) Bounds() Rect { return st.current(nil).Bounds() }
 
 // IOStats returns the I/O counters accumulated across every shard: all
 // shard trees charge one shared counter, so each node access is counted
@@ -746,7 +755,7 @@ func (st *ShardedTree) BufferStats() (BufferStats, bool) {
 // Stats aggregates structural statistics across shards (Height is the
 // maximum, the counts are sums) at each shard's last committed state. Like
 // Tree.Stats it reads only published state and is safe while writers commit.
-func (st *ShardedTree) Stats() Stats { return st.current().Stats() }
+func (st *ShardedTree) Stats() Stats { return st.current(nil).Stats() }
 
 // Validate checks every shard's structural invariants, the directory's
 // (contiguous ranges covering the key space), and that every object lives
