@@ -71,7 +71,7 @@
 //   - Writers are serialised by an internal writer lock. Tree.Begin opens a
 //     Batch whose mutations are published to readers as one atomic commit.
 //   - Stats reads only published state and may run at any time, as may
-//     AttachBufferPool, DetachBufferPool and ResetIOStats. SaveTo,
+//     AttachBufferPoolBytes, DetachBufferPool and ResetIOStats. SaveTo,
 //     WriteSnapshot and Validate take the writer lock: they wait for the
 //     mutation or batch in flight, and readers keep running beside them.
 //
@@ -468,23 +468,14 @@ func (t *Tree) IOStats() IOStats {
 // the next.
 func (t *Tree) ResetIOStats() { t.tree.ResetIO() }
 
-// AttachBufferPool places an LRU buffer pool of the given node capacity in
-// front of the simulated disk: every node access additionally touches the
-// pool, and BufferStats reports how many accesses hit it. A capacity <= 0
-// means unbounded (everything hits after first touch). The pool is
-// lock-striped so parallel batch searches do not serialise on one mutex;
-// see storage.BufferPool for the sharding semantics. Attaching replaces
-// any previous pool; a query in flight finishes on the pool it started with.
-func (t *Tree) AttachBufferPool(capacity int) {
-	t.tree.SetBufferPool(storage.NewBufferPool(capacity))
-}
-
-// AttachBufferPoolBytes is AttachBufferPool with the budget expressed in
-// resident bytes instead of a page count: every node access charges the
-// node's encoded size, so a compressed (v2) snapshot genuinely fits more of
-// its tree into the same budget than an uncompressed one — the honest way to
-// compare storage formats under one memory limit. A byteCapacity <= 0 means
-// unbounded.
+// AttachBufferPoolBytes places an LRU buffer pool of the given byte budget
+// in front of the simulated disk: every node access also touches the pool,
+// charged the node's resident bytes (its encoded page plus its filter layer),
+// and BufferStats reports how many accesses hit it. Charging bytes, not
+// pages, lets a compressed (v2) snapshot genuinely fit more of its tree into
+// the same budget than an uncompressed one. A byteCapacity <= 0 means
+// unbounded (everything hits after its first touch). Attaching replaces any
+// previous pool; a query in flight finishes on the pool it started with.
 func (t *Tree) AttachBufferPoolBytes(byteCapacity int64) {
 	t.tree.SetBufferPool(storage.NewBufferPoolBytes(byteCapacity))
 }

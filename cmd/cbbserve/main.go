@@ -8,7 +8,7 @@
 //
 //	cbbserve -addr :8089 -dataset par02 -n 20000
 //	cbbserve -addr :8089 -data objects.csv -shards 8
-//	cbbserve -addr :8089 -file tree.cbb -buffer-pool 1024
+//	cbbserve -addr :8089 -file tree.cbb -buffer-pool 4194304
 package main
 
 import (
@@ -45,7 +45,7 @@ func main() {
 		variant    = flag.String("variant", "rr*", "R-tree variant (qr, hr, r*, rr*)")
 		clip       = flag.String("clip", "csta", "clipping method (csta, csky, none)")
 		shards     = flag.Int("shards", 0, "shard count for a ShardedTree engine (0 = single tree)")
-		bufferPool = flag.Int("buffer-pool", 0, "buffer-pool capacity in pages for file-backed trees (0 = none)")
+		bufferPool = flag.Int64("buffer-pool", 0, "buffer-pool budget in resident bytes for file-backed trees (0 = none)")
 
 		inflight     = flag.Int("inflight", 0, "max concurrently served data requests (0 = default 256, <0 = unlimited)")
 		queueTimeout = flag.Duration("queue-timeout", 0, "max wait for an in-flight slot before shedding with 429 (0 = default 50ms)")
@@ -142,7 +142,7 @@ type engineConfig struct {
 	variant    string
 	clip       string
 	shards     int
-	bufferPool int
+	bufferPool int64
 }
 
 // buildEngine boots the serving engine: an existing snapshot file is opened
@@ -171,7 +171,7 @@ func buildEngine(cfg engineConfig) (server.Engine, string, error) {
 				return nil, "", err
 			}
 			if cfg.bufferPool > 0 {
-				tree.AttachBufferPool(cfg.bufferPool)
+				tree.AttachBufferPoolBytes(cfg.bufferPool)
 			}
 			return server.NewTreeEngine(tree, true), fmt.Sprintf("snapshot %s", cfg.file), nil
 		}
@@ -231,7 +231,7 @@ func buildEngine(cfg engineConfig) (server.Engine, string, error) {
 			return nil, "", err
 		}
 		if cfg.bufferPool > 0 {
-			tree.AttachBufferPool(cfg.bufferPool)
+			tree.AttachBufferPoolBytes(cfg.bufferPool)
 		}
 	}
 	return server.NewTreeEngine(tree, persistent), fmt.Sprintf("%s, built in %d ms", desc, time.Since(start).Milliseconds()), nil

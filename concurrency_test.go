@@ -44,7 +44,7 @@ func TestConcurrentReaders(t *testing.T) {
 	for _, clipping := range []ClipMethod{ClipStairline, ClipNone} {
 		tree, queries := buildConcurrencyFixture(t, clipping, 4000)
 		// Attach a buffer pool so its locking is exercised under race too.
-		tree.AttachBufferPool(64)
+		tree.AttachBufferPoolBytes(64 << 10)
 
 		want := make([]int, len(queries))
 		for i, q := range queries {
@@ -186,7 +186,7 @@ func TestResetIOStatsResetsBufferPool(t *testing.T) {
 	if _, ok := tree.BufferStats(); ok {
 		t.Fatal("no pool attached yet, BufferStats should report ok=false")
 	}
-	tree.AttachBufferPool(32)
+	tree.AttachBufferPoolBytes(32 << 10)
 	for _, q := range queries[:20] {
 		tree.Count(q)
 	}

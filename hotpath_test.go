@@ -158,20 +158,23 @@ func TestSearchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchSearchShardedPoolRace exercises the lock-striped buffer pool from
-// several concurrent BatchSearch callers (each itself fanning out over
-// worker goroutines) and checks that every caller observes exactly the
-// sequential per-query counts. Run with -race, this is the regression test
-// for the pool's shard synchronisation.
+// TestBatchSearchShardedPoolRace drives one buffer pool from several
+// concurrent BatchSearch callers (each itself fanning out over worker
+// goroutines) and checks that every caller observes exactly the sequential
+// per-query counts, that the pool saw exactly one touch per node access and
+// that it kept its budget. Run with -race, this is the regression test for
+// the pool's one mutex.
 func TestBatchSearchShardedPoolRace(t *testing.T) {
 	tree, queries := buildHotPathTestTree(t, 4000, ClipStairline)
-	// Capacity 4096 stripes the pool across the maximum shard count.
-	tree.AttachBufferPool(4096)
+	// A budget of a few nodes: most touches evict.
+	const budget = 16 << 10
+	tree.AttachBufferPoolBytes(budget)
 
 	want := make([]int, len(queries))
 	for i, q := range queries {
 		want[i] = tree.Count(q)
 	}
+	tree.ResetIOStats()
 
 	const callers = 4
 	var wg sync.WaitGroup
@@ -201,8 +204,14 @@ func TestBatchSearchShardedPoolRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats, ok := tree.BufferStats()
-	if !ok || stats.Hits+stats.Misses == 0 {
-		t.Fatal("buffer pool saw no traffic")
+	if !ok || stats.Hits == 0 || stats.Misses == 0 {
+		t.Fatalf("buffer pool saw no mixed traffic: %+v", stats)
+	}
+	if io := tree.IOStats(); stats.Hits+stats.Misses != io.LeafReads+io.DirReads {
+		t.Errorf("pool saw %d touches, the counter %d node accesses", stats.Hits+stats.Misses, io.LeafReads+io.DirReads)
+	}
+	if pool := tree.tree.BufferPool(); pool.BytesResident() > budget && pool.Len() > 1 {
+		t.Errorf("%d nodes hold %d B, over the %d B budget", pool.Len(), pool.BytesResident(), budget)
 	}
 }
 

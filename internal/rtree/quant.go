@@ -91,8 +91,8 @@ func planeWords(count int) int { return (count + planeLanes - 1) / planeLanes }
 
 // planeBytes is the resident size of the node's quantised filter layer: the
 // packed SoA planes plus the MBB they are quantised against. It is charged
-// to byte-budget buffer pools on every access alongside the encoded page
-// size, and reported by Stats/NodeInfo.
+// to buffer pools on every access alongside the encoded page size, and
+// reported by Stats/NodeInfo.
 func (n *node) planeBytes() int { return len(n.qplanes)*8 + len(n.qmbb)*8 }
 
 // hasPlanes reports whether the node carries a filter layer consistent with

@@ -149,8 +149,8 @@ type node struct {
 	// encSize is the node's encoded page size in bytes: the exact stored
 	// size for nodes decoded from a snapshot, or the v1 layout size for
 	// in-memory nodes (refreshed by syncDerived on every mutation).
-	// Byte-budget buffer pools charge residency by it, so compressed and raw
-	// pages share one budget honestly.
+	// Buffer pools charge residency by it, so compressed and raw pages share
+	// one budget honestly.
 	encSize int32
 	// born is the writer generation that created this node object
 	// (creation or clone; 0 for a decoded one). A node born in an earlier
@@ -543,10 +543,10 @@ func (t *Tree) SetCounter(c *storage.Counter) {
 
 // SetBufferPool attaches an LRU buffer pool that every node access is routed
 // through, emulating a bounded main-memory buffer in front of the simulated
-// disk. Pass nil to detach. A pool tracks the node ids of one tree; do not
-// share one pool across trees. Every read loads the pool once, so attaching
-// or detaching may happen beside readers; a read in flight finishes on the
-// pool it started with.
+// disk. Pass nil to detach. A pool is indexed by the node ids of one tree;
+// do not share one pool across trees. Every read loads the pool once, so
+// attaching or detaching may happen beside readers; a read in flight
+// finishes on the pool it started with.
 func (t *Tree) SetBufferPool(p *storage.BufferPool) { t.pool.Store(p) }
 
 // BufferPool returns the attached buffer pool, or nil.
@@ -807,8 +807,7 @@ func chargeReadNode(pool *storage.BufferPool, n *node, io *storage.Snapshot) {
 
 // chargeRead counts the access and touches the pool with the bytes the node
 // keeps resident: its encoded page size plus the quantised filter layer
-// (planes + quantisation MBB). Byte-budget pools charge residency by it;
-// page-count pools ignore it.
+// (planes + quantisation MBB).
 func chargeRead(pool *storage.BufferPool, id NodeID, leaf bool, bytes int, io *storage.Snapshot) {
 	if leaf {
 		io.LeafReads++
@@ -816,8 +815,7 @@ func chargeRead(pool *storage.BufferPool, id NodeID, leaf bool, bytes int, io *s
 		io.DirReads++
 	}
 	if pool != nil {
-		// PageID zero is invalid, node ids start at zero: offset by one.
-		pool.TouchSized(storage.PageID(uint64(id)+1), bytes)
+		pool.TouchSized(int32(id), bytes)
 	}
 }
 

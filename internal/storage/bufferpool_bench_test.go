@@ -6,34 +6,34 @@ import (
 )
 
 // BenchmarkBufferPoolParallel hammers one shared pool from GOMAXPROCS
-// goroutines, each touching its own page working set plus a shared hot set —
+// goroutines, each touching its own node working set plus a long stride —
 // the access shape of a parallel batch search, where workers mostly revisit
-// recently faulted nodes. ns/op is the cost of a single Touch under
-// contention.
+// recently faulted nodes. ns/op is the cost of a single TouchSized under
+// contention for the pool's one mutex.
 func BenchmarkBufferPoolParallel(b *testing.B) {
 	for _, cfg := range []struct {
-		name     string
-		capacity int
+		name   string
+		budget int64
 	}{
 		{"unbounded", 0},
-		{"bounded=4096", 4096},
+		{"bounded=4096", 4096 * 512},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			pool := NewBufferPool(cfg.capacity)
-			var worker int64
+			pool := NewBufferPoolBytes(cfg.budget)
+			var worker int32
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				w := atomic.AddInt64(&worker, 1)
-				base := PageID(w * 1 << 20)
-				i := PageID(0)
+				base := (atomic.AddInt32(&worker, 1) - 1) << 17
+				i := int32(0)
 				for pb.Next() {
 					// 3 of 4 touches hit a small per-worker set, 1 of 4
-					// walks a long stride, forcing misses and evictions.
+					// walks a stride of 64k nodes, forcing misses and
+					// evictions.
 					if i%4 != 0 {
-						pool.Touch(base + i%128)
+						pool.TouchSized(base+i%128, 512)
 					} else {
-						pool.Touch(base + 1<<16 + i)
+						pool.TouchSized(base+1<<16+i%(1<<16), 512)
 					}
 					i++
 				}
@@ -42,14 +42,14 @@ func BenchmarkBufferPoolParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkBufferPoolTouch is the uncontended single-goroutine cost of Touch
-// on a bounded pool in steady state (working set larger than capacity, so
-// every miss evicts).
+// BenchmarkBufferPoolTouch is the uncontended single-goroutine cost of
+// TouchSized on a bounded pool in steady state (working set larger than the
+// budget, so every miss evicts).
 func BenchmarkBufferPoolTouch(b *testing.B) {
-	pool := NewBufferPool(1024)
+	pool := NewBufferPoolBytes(1024 * 512)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pool.Touch(PageID(i%2048 + 1))
+		pool.TouchSized(int32(i%2048), 512)
 	}
 }

@@ -2,8 +2,8 @@
 // (the paper's primary metric is the number of leaf-node accesses), one
 // checksummed page file format with its three page stores — held in memory
 // (Image), on disk with a write-ahead log (FilePager), and memory-mapped
-// (MmapStore) — and an LRU buffer pool used to emulate cold-cache behaviour
-// in the scalability experiment.
+// (MmapStore) — and a byte-budget LRU buffer pool that stands in for the OS
+// cache and counts the node accesses a buffer of its size would have served.
 //
 // Every operation on an R-tree — a range search, a kNN search, a join
 // traversal, an insertion, a deletion, a bulk load, a clip-table maintenance

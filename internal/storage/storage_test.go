@@ -148,118 +148,3 @@ func TestPageKindString(t *testing.T) {
 		t.Error("unknown kind should still render")
 	}
 }
-
-func TestBufferPoolLRU(t *testing.T) {
-	b := NewBufferPool(2)
-	if b.Touch(1) {
-		t.Error("first touch must be a miss")
-	}
-	if !b.Touch(1) {
-		t.Error("second touch must be a hit")
-	}
-	b.Touch(2)
-	b.Touch(3) // evicts 1 (least recently used)
-	if b.Contains(1) {
-		t.Error("page 1 should have been evicted")
-	}
-	if !b.Contains(2) || !b.Contains(3) {
-		t.Error("pages 2 and 3 should be resident")
-	}
-	if b.Len() != 2 {
-		t.Errorf("Len = %d, want 2", b.Len())
-	}
-	hits, misses := b.Stats()
-	if hits != 1 || misses != 3 {
-		t.Errorf("Stats = %d hits %d misses", hits, misses)
-	}
-	b.Reset()
-	if b.Len() != 0 {
-		t.Error("Reset should empty the pool")
-	}
-	if h, m := b.Stats(); h != 0 || m != 0 {
-		t.Error("Reset should zero statistics")
-	}
-}
-
-func TestBufferPoolRecencyOrder(t *testing.T) {
-	b := NewBufferPool(2)
-	b.Touch(1)
-	b.Touch(2)
-	b.Touch(1) // 1 becomes most recent
-	b.Touch(3) // should evict 2, not 1
-	if !b.Contains(1) || b.Contains(2) {
-		t.Error("LRU recency not respected")
-	}
-}
-
-func TestBufferPoolUnbounded(t *testing.T) {
-	b := NewBufferPool(0)
-	for i := PageID(1); i <= 1000; i++ {
-		b.Touch(i)
-	}
-	if b.Len() != 1000 {
-		t.Errorf("unbounded pool should keep everything, has %d", b.Len())
-	}
-}
-
-func TestBufferPoolConcurrency(t *testing.T) {
-	b := NewBufferPool(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				b.Touch(PageID(i%100 + g))
-			}
-		}(g)
-	}
-	wg.Wait()
-	hits, misses := b.Stats()
-	if hits+misses != 2000 {
-		t.Fatalf("lost touches: hits+misses = %d", hits+misses)
-	}
-}
-
-func TestUnshardedBufferPoolExactLRU(t *testing.T) {
-	// LRU is a stack algorithm: on one access sequence a larger exact-LRU pool
-	// holds a superset of a smaller one's pages, so its misses never exceed
-	// the smaller pool's — a cold run's misses shrink as the pool grows.
-	var seq []PageID
-	distinct := map[PageID]bool{}
-	for i := 0; i < 5000; i++ {
-		seq = append(seq, PageID(1+(i*i+7*i)%397))
-		distinct[seq[i]] = true
-	}
-	prev := int64(len(seq) + 1)
-	for _, capacity := range []int{1, 8, 64, 200, 397} {
-		b := newBufferPool(capacity, 1)
-		for _, id := range seq {
-			b.Touch(id)
-		}
-		_, misses := b.Stats()
-		if misses > prev {
-			t.Fatalf("pool of %d pages missed %d times, a smaller one %d", capacity, misses, prev)
-		}
-		prev = misses
-	}
-	if prev != int64(len(distinct)) {
-		t.Fatalf("a pool holding every page missed %d times, want one per page (%d)", prev, len(distinct))
-	}
-
-	// At capacity 256 NewBufferPool stripes the pool; the unsharded layout
-	// keeps exact global-LRU eviction at any capacity.
-	b := newBufferPool(256, 1)
-	for i := 1; i <= 256; i++ {
-		b.Touch(PageID(i))
-	}
-	b.Touch(1)           // page 1 becomes most recent
-	b.Touch(PageID(300)) // must evict page 2, the global LRU victim
-	if !b.Contains(1) || b.Contains(2) || !b.Contains(300) {
-		t.Fatalf("unsharded pool is not an exact LRU: contains(1)=%v contains(2)=%v contains(300)=%v",
-			b.Contains(1), b.Contains(2), b.Contains(300))
-	}
-	if b.Len() != 256 {
-		t.Fatalf("Len %d, want 256", b.Len())
-	}
-}

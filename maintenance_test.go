@@ -13,7 +13,7 @@ type maintenanceEngine interface {
 	Insert(Rect, ObjectID) error
 	Delete(Rect, ObjectID) (bool, error)
 	Count(Rect) int
-	AttachBufferPool(int)
+	AttachBufferPoolBytes(int64)
 	DetachBufferPool()
 	ResetIOStats()
 	Validate() error
@@ -84,7 +84,7 @@ func TestMaintenanceBesideWriterAndReader(t *testing.T) {
 				}
 			}()
 			for round := 0; round < 4; round++ {
-				c.e.AttachBufferPool(64)
+				c.e.AttachBufferPoolBytes(64 << 10)
 				c.e.ResetIOStats()
 				if err := c.e.Validate(); err != nil {
 					t.Error(err)

@@ -802,7 +802,7 @@ func TestFileBackedConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer opened.Close()
-	opened.AttachBufferPool(64)
+	opened.AttachBufferPoolBytes(64 << 10)
 	queries := corpusQueries(2, 60, 33)
 	want := make([]int, len(queries))
 	for i, q := range queries {

@@ -186,7 +186,7 @@ type ShardedTree struct {
 	splits atomic.Int64
 	merges atomic.Int64
 
-	// poolCap remembers AttachBufferPool's capacity so shards created by
+	// poolCap remembers AttachBufferPoolBytes's budget so shards created by
 	// later splits get their share (0 = no pool, -1 = unbounded).
 	poolCap atomic.Int64
 
@@ -281,12 +281,13 @@ func (st *ShardedTree) initialRanges() [][2]uint64 {
 func (st *ShardedTree) adoptShardTree(t *Tree) {
 	t.tree.SetCounter(st.counter)
 	if cap := st.poolCap.Load(); cap != 0 {
-		t.AttachBufferPool(st.shardPoolQuota(int(cap)))
+		t.AttachBufferPoolBytes(st.shardPoolQuota(cap))
 	}
 }
 
-// shardPoolQuota splits a total pool capacity across the current shards.
-func (st *ShardedTree) shardPoolQuota(total int) int {
+// shardPoolQuota splits a total pool budget in bytes across the current
+// shards.
+func (st *ShardedTree) shardPoolQuota(total int64) int64 {
 	if total <= 0 {
 		return 0 // unbounded
 	}
@@ -294,11 +295,7 @@ func (st *ShardedTree) shardPoolQuota(total int) int {
 	if d := st.dir.Load(); d != nil {
 		n = len(d.shards)
 	}
-	q := total / n
-	if q < 1 {
-		q = 1
-	}
-	return q
+	return max(total/int64(n), 1)
 }
 
 // Options returns the effective configuration.
@@ -710,21 +707,21 @@ func (st *ShardedTree) ResetIOStats() {
 	}
 }
 
-// AttachBufferPool divides an LRU buffer budget of the given total node
-// capacity evenly across the shards (per-shard pools: node ids are
-// per-tree, so one pool cannot be shared). Shards created by later splits
-// receive the same per-shard quota. capacity <= 0 means unbounded, like
-// Tree.AttachBufferPool; queries in flight finish on the pools they started
-// with.
-func (st *ShardedTree) AttachBufferPool(capacity int) {
-	stored := int64(capacity)
-	if capacity <= 0 {
+// AttachBufferPoolBytes divides an LRU buffer budget of the given total
+// bytes evenly across the shards (per-shard pools: node ids are per-tree, so
+// one pool cannot be shared). Shards created by later splits receive the
+// same per-shard quota. byteCapacity <= 0 means unbounded, like
+// Tree.AttachBufferPoolBytes; queries in flight finish on the pools they
+// started with.
+func (st *ShardedTree) AttachBufferPoolBytes(byteCapacity int64) {
+	stored := byteCapacity
+	if byteCapacity <= 0 {
 		stored = -1 // distinguish "unbounded" from "no pool"
 	}
 	st.poolCap.Store(stored)
-	quota := st.shardPoolQuota(capacity)
+	quota := st.shardPoolQuota(byteCapacity)
 	for _, sh := range st.dir.Load().shards {
-		sh.t.AttachBufferPool(quota)
+		sh.t.AttachBufferPoolBytes(quota)
 	}
 }
 

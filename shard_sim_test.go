@@ -15,8 +15,9 @@ import (
 // splits and merges at random shards, flushes, and a close followed by a
 // reopen — against an oracle holding the objects as a multiset. Small split
 // and merge thresholds, and a population that swells and shrinks in phases,
-// make the engine rebalance often. After every step Validate must pass and the
-// engine's objects must equal the oracle's.
+// make the engine rebalance often. After every step Validate must pass, the
+// engine's objects must equal the oracle's, and so must its answers to three
+// windowed queries, which clip admission can prune.
 //
 // Besides the random steps, a damage step replays a known failure: a split or
 // merge over a shard with an unreadable page must fail and change nothing,
@@ -42,6 +43,9 @@ func TestShardedSimulation(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(37))
 	var live []Item // the oracle
+	// The windowed queries draw from their own source, so the step sequence
+	// is the one the simulation runs without them.
+	queryRng := rand.New(rand.NewSource(39))
 	// Half the fresh objects fall in a hot corner, so one shard swells and
 	// splits.
 	objs := &simObjects{rng: rng, next: 1}
@@ -219,6 +223,12 @@ func TestShardedSimulation(t *testing.T) {
 		if got := st.SearchAll(universe); !sameItems(got, live) {
 			t.Fatalf("step %d (%s): the engine holds %d objects, the oracle %d, and they differ", step, op, len(got), len(live))
 		}
+		for range 3 {
+			q := simWindow(queryRng, live)
+			if got, want := st.SearchAll(q), within(live, q); !sameItems(got, want) {
+				t.Fatalf("step %d (%s): the engine answers %v with %d objects, the oracle %d, and they differ", step, op, q, len(got), len(want))
+			}
+		}
 	}
 
 	// The known failure goes first, over a populated engine.
@@ -284,6 +294,38 @@ func (s *simObjects) fresh() Item {
 	x, y := s.rng.Float64()*span, s.rng.Float64()*span
 	s.next++
 	return Item{Object: s.next - 1, Rect: R(x, y, x+size, y+size)}
+}
+
+// simWindow draws a query window of the square [0, 1000]² from rng. One time
+// in three it is the rectangle of one of the last objects appended to live,
+// which a write may have put in what its node's clip points called dead
+// space; one in three a random object's; otherwise a random window, half the
+// time a small one inside the crowded corner [0, 100]².
+func simWindow(rng *rand.Rand, live []Item) Rect {
+	switch r := rng.Intn(3); {
+	case r == 0 && len(live) > 0:
+		return live[len(live)-1-rng.Intn(min(len(live), 8))].Rect
+	case r == 1 && len(live) > 0:
+		return live[rng.Intn(len(live))].Rect
+	}
+	span, w := 1000.0, rng.Float64()*300
+	if rng.Intn(2) == 0 {
+		span, w = 100, rng.Float64()*30
+	}
+	x, y := rng.Float64()*span, rng.Float64()*span
+	return R(x, y, x+w, y+w)
+}
+
+// within returns the items of set that intersect q: the oracle's answer to
+// SearchAll(q).
+func within(set []Item, q Rect) []Item {
+	var out []Item
+	for _, it := range set {
+		if it.Rect.Intersects(q) {
+			out = append(out, it)
+		}
+	}
+	return out
 }
 
 // freshItems returns between 1 and max fresh objects.

@@ -648,7 +648,7 @@ func TestShardedStatsAggregation(t *testing.T) {
 		t.Fatalf("search charged no leaf reads: %+v", io)
 	}
 
-	st.AttachBufferPool(256)
+	st.AttachBufferPoolBytes(256 << 10)
 	st.Search(R(0, 0, 500, 500), func(ObjectID, Rect) bool { return true })
 	st.Search(R(0, 0, 500, 500), func(ObjectID, Rect) bool { return true })
 	bs, ok := st.BufferStats()

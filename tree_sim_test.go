@@ -2,6 +2,7 @@ package cbb
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -20,11 +21,13 @@ import (
 // after the write-ahead log became durable (recovered whole) and one whose log
 // was torn (recovered to the last flush), and a v1→v2→v1 transcode to a side
 // path. An oracle holds the objects as a multiset; after every step Validate
-// must pass and the tree's objects must equal the oracle's. Up to four read
+// must pass, and the tree's objects and its answers to three windowed queries,
+// which clip admission can prune, must equal the oracle's. Up to four read
 // views ride along — one taken right after every open, others at random
-// steps — and after every step each must still hold the oracle of its epoch,
-// across flushes that recycle pages, rollbacks and crash reopens. Writers run
-// one at a time: concurrent writers are left to the race tests.
+// steps — and after every step each must still hold, and answer the same
+// windows from, the oracle of its epoch, across flushes that recycle pages,
+// rollbacks and crash reopens. Writers run one at a time: concurrent writers
+// are left to the race tests.
 func TestTreeSimulation(t *testing.T) {
 	const steps = 2000
 	dir := t.TempDir()
@@ -42,9 +45,10 @@ func TestTreeSimulation(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(41))
 	var live, durable []Item // the oracle, and what it held at the last flush
-	// The views draw from their own source, so the step sequence is the one
-	// the simulation runs without them.
+	// The views and the windowed queries draw from their own sources, so the
+	// step sequence is the one the simulation runs without them.
 	viewRng := rand.New(rand.NewSource(43))
+	queryRng := rand.New(rand.NewSource(47))
 	type heldView struct {
 		v     *View
 		epoch uint64
@@ -165,13 +169,7 @@ func TestTreeSimulation(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, q := range queries {
-				var want []Item
-				for _, it := range live {
-					if it.Rect.Intersects(q) {
-						want = append(want, it)
-					}
-				}
-				holds(open.name, v.SearchAll(q), want)
+				holds(open.name, v.SearchAll(q), within(live, q))
 			}
 			if err := v.Close(); err != nil {
 				t.Fatal(err)
@@ -310,11 +308,18 @@ func TestTreeSimulation(t *testing.T) {
 		if viewRng.Intn(8) == 0 {
 			hold()
 		}
+		windows := [3]Rect{simWindow(queryRng, live), simWindow(queryRng, live), simWindow(queryRng, live)}
+		for _, q := range windows {
+			holds(fmt.Sprintf("at step %d (%s) the tree, in the window %v,", step, name, q), tr.SearchAll(q), within(live, q))
+		}
 		for _, h := range held {
 			if h.v.Epoch() != h.epoch {
 				t.Fatalf("step %d (%s): a view of epoch %d moved to %d", step, name, h.epoch, h.v.Epoch())
 			}
 			holds("a view", h.v.SearchAll(universe), h.want)
+			for _, q := range windows {
+				holds(fmt.Sprintf("at step %d (%s) a view, in the window %v,", step, name, q), h.v.SearchAll(q), within(h.want, q))
+			}
 		}
 	}
 	t.Logf("%d objects at the end; steps run: %v", len(live), ran)
