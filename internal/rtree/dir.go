@@ -189,13 +189,9 @@ func (v *Version) Records() iter.Seq2[NodeID, core.Record] { return v.dir.record
 // syncClips rebuilds, before a publish, the clip copy (node.clips) of every
 // directory node in clipsDirty: a node the batch wrote, and the parent of a
 // node the batch gave a record. Such a parent that the batch did not write is
-// replaced by a shallow copy that keeps its birth generation — the clip copy
-// is derived state that no page holds, so the next flush does not rewrite the
-// parent — when its directory chunk is the writer's already. When the chunk
-// is still shared, copying 128 slots to refresh one node would make every
-// such write pay for the reads: the parent keeps its copy and joins
-// clipsStale, whose members admission reads the records of (see
-// Version.search), until a batch rebuilds its copy.
+// replaced, through slotW, by a shallow copy that keeps its birth generation:
+// the clip copy is derived state that no page holds, so the next flush does
+// not rewrite the parent. Every published copy is thus current.
 func (t *Tree) syncClips() {
 	dims := t.cfg.Dims
 	if dims > clipMaxDims || len(t.clipsDirty) == 0 {
@@ -203,45 +199,21 @@ func (t *Tree) syncClips() {
 		return
 	}
 	var prev directory
-	var prevStale []NodeID
 	if v := t.cur.Load(); v != nil {
-		prev, prevStale = v.dir, v.clipsStale
-	}
-	stale := prevStale
-	mark := func(id NodeID, isStale bool) {
-		i, found := slices.BinarySearch(stale, id)
-		if found != isStale {
-			stale = slices.Clone(stale) // the published version keeps its set
-			if isStale {
-				stale = slices.Insert(stale, i, id)
-			} else {
-				stale = slices.Delete(stale, i, i+1)
-			}
-		}
+		prev = v.dir
 	}
 	slices.Sort(t.clipsDirty)
 	for _, id := range slices.Compact(t.clipsDirty) {
 		n := t.dir.node(id)
 		if n == nil || n.leaf || !n.hasPlanes(dims) {
-			mark(id, false)
 			continue
 		}
 		if n.born != t.gen {
-			if t.dir.chunks[id>>chunkBits].born != t.gen {
-				mark(id, true)
-				continue
-			}
 			c := *n
 			n = &c
-			t.dir.at(id).node.Store(n)
+			t.slotW(id).node.Store(n)
 		}
-		var old *node
-		if _, isStale := slices.BinarySearch(prevStale, id); !isStale {
-			old = prev.node(id)
-		}
-		n.clips = n.buildClips(dims, t.dir.record, old, prev.record)
-		mark(id, false)
+		n.clips = n.buildClips(dims, t.dir.record, prev.node(id), prev.record)
 	}
-	t.clipsStale = stale
 	t.clipsDirty = t.clipsDirty[:0]
 }

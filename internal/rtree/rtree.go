@@ -195,10 +195,9 @@ type node struct {
 	// clips is a directory node's compact copy of its children's clip points
 	// on its own grid (see quant.go), nil when it has none. Unlike the
 	// planes it depends on the children's records: a publish rebuilds it
-	// for the directory nodes the batch wrote and, where that copies no
-	// directory chunk, for the parents of nodes given a new record, and
-	// lists the others as stale (Tree.syncClips); a fault builds it from the
-	// lazy version's records.
+	// for the directory nodes the batch wrote and for the parents of nodes
+	// given a new record (Tree.syncClips), and a fault builds it from the
+	// lazy version's records, so a published copy always matches them.
 	clips *clipGrid
 }
 
@@ -439,13 +438,8 @@ type Tree struct {
 	gen       uint64
 	dirShared bool
 	inBatch   bool
-	// clipsStale lists, ascending, the directory nodes whose clip copy may
-	// predate a child's record (see syncClips), as the last publish left
-	// it; the version holds the same slice, so a publish that changes the
-	// set makes a new one.
-	clipsStale []NodeID
-	undo       *batchUndo // writer bookkeeping snapshot for RollbackBatch
-	lazyV      *Version   // the one lazy version of a file-backed tree, until hydrated
+	undo      *batchUndo // writer bookkeeping snapshot for RollbackBatch
+	lazyV     *Version   // the one lazy version of a file-backed tree, until hydrated
 
 	// Writer-side scratch: the levels one insertion gave the R* overflow
 	// treatment, the nodes of the open batch that mutable gave room
@@ -595,7 +589,7 @@ func (t *Tree) publishAt(epoch uint64) *Version {
 	v := &Version{
 		tree: t, epoch: epoch,
 		root: t.root, size: t.size, height: t.height,
-		dir: t.dir, clipsStale: t.clipsStale,
+		dir: t.dir,
 	}
 	if t.src != nil && !t.src.hydrated {
 		// Nodes are faulted into this version's directory on demand, from

@@ -3,7 +3,6 @@ package rtree
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"cbb/internal/geom"
 )
@@ -189,15 +188,12 @@ func (t *Tree) checkPlanes(n *node) error {
 // set bit's) and by less than one cell (the next cell inward decodes past
 // it) — conservative in both directions, the two halves the certainly-dead
 // and the certainly-alive verdicts each rest on. A node that can have a copy
-// must have one, unless it is listed stale. The writer's copies are rebuilt
-// at publish, so a directory with unpublished changes is not checked.
+// must have one. The writer's copies are rebuilt at publish, so a directory
+// with unpublished changes is not checked; every published copy is.
 func (t *Tree) checkClips(n *node) error {
 	dims := t.cfg.Dims
 	if !t.dirShared || n.leaf || dims > clipMaxDims {
 		return nil
-	}
-	if _, stale := slices.BinarySearch(t.clipsStale, n.id); stale {
-		return nil // admission reads this node's children's records
 	}
 	c := n.clips
 	if c == nil {

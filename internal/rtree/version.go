@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math/bits"
-	"slices"
 	"sync"
 
 	"cbb/internal/core"
@@ -48,10 +47,6 @@ type Version struct {
 	height int
 	dir    directory
 	lazy   bool // nodes are faulted in from their slots' pages on demand
-	// clipsStale lists, ascending, the directory nodes whose clip copy may
-	// predate a child's record (Tree.syncClips): admission reads their
-	// children's records instead.
-	clipsStale []NodeID
 }
 
 // Epoch returns the commit epoch of the version. Epochs increase by one per
@@ -216,9 +211,11 @@ func (v *Version) SearchClipped(q geom.Rect, visit func(ObjectID, geom.Rect) boo
 // format; see quant.go), except that one with a clip record (when clipped)
 // first gets Algorithm 2: the exact MBB test on boxes, then the dominance
 // test, run on the node's clip copy against the query's grid coordinates
-// and, for a child in the copy's one-cell rounding band (or under a node
-// whose copy may be stale), on the record in the child's slot. Children without a record are not tested exactly;
-// that asymmetry is part of the access counts every store reproduces.
+// and, for a child in the copy's one-cell rounding band (or in a tree of
+// more dimensions than a copy serves), on the record in the child's slot.
+// Every published copy matches its children's records (Tree.syncClips).
+// Children without a record are not tested exactly; that asymmetry is part
+// of the access counts every store reproduces.
 // Survivors are walked in ascending entry order
 // (trailing-zero iteration over the mask words) and admitted children are
 // reversed on the stack, so nodes are processed — and I/O is charged — in
@@ -285,9 +282,6 @@ descent:
 		}
 		chargeReadNode(pool, n, &io)
 		clips, probed := n.clips, false
-		if _, stale := slices.BinarySearch(v.clipsStale, id); stale {
-			clips = nil
-		}
 		base := len(stack)
 		for w := range mask {
 			m := mask[w]

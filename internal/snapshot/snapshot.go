@@ -565,16 +565,7 @@ func atomicWritePageFile(path string, pageSize int, fill func(*storage.FilePager
 		return fail(err)
 	}
 	// Flush the directory entry too, so the rename itself survives a crash.
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		err = d.Sync()
-		if cerr := d.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return storage.SyncDir(filepath.Dir(path))
 }
 
 // settleWAL disposes of the write-ahead log beside path before a new file is

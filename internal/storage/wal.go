@@ -273,10 +273,10 @@ func writeWALFile(path string, pageSize, slotCount int, records []WALRecord) err
 	if err == nil {
 		// The WAL's directory entry must be durable too: fsyncing only the
 		// file does not persist its dirent, and the commit point is defined
-		// by the WAL being findable after a crash. fsyncDir tolerates
+		// by the WAL being findable after a crash. SyncDir tolerates
 		// platforms and filesystems that cannot fsync a directory (see
 		// fsyncdir.go / fsyncdir_windows.go) rather than failing the commit.
-		err = fsyncDir(filepath.Dir(path))
+		err = SyncDir(filepath.Dir(path))
 	}
 	if err != nil {
 		os.Remove(path)

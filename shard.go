@@ -194,12 +194,6 @@ type ShardedTree struct {
 	dirPath string     // directory holding shards.json + per-shard files
 	fileMu  sync.Mutex // serialises shards.json rewrites
 	seq     atomic.Uint64
-
-	// retiredMu guards the file-backed trees kept open after a split/merge:
-	// views taken of them stay valid, so their files are closed and
-	// removed only at ShardedTree.Close.
-	retiredMu sync.Mutex
-	retired   []*shard
 }
 
 // newShardedTree defaults opts and builds an engine with its routing curve
@@ -242,7 +236,7 @@ func (st *ShardedTree) createShards() error {
 		shards = append(shards, sh)
 	}
 	if err == nil {
-		err = st.persistDirectory(shards)
+		_, err = st.persistDirectory(shards)
 	}
 	if err != nil {
 		for _, sh := range shards {
@@ -846,11 +840,15 @@ func (st *ShardedTree) maybeMerge(sh *shard) {
 // halves are built. It is the manual trigger of the same path automatic
 // splits take; it is a no-op (nil error) when the shard cannot be split
 // (fewer than 2 distinct keys) or another rebalance is in flight, and fails,
-// changing nothing, when a page of the shard cannot be read.
+// changing nothing, when a page of the shard cannot be read or the shard is
+// read-only (ErrReadOnly).
 func (st *ShardedTree) SplitShard(i int) error {
 	d := st.dir.Load()
 	if i < 0 || i >= len(d.shards) {
 		return fmt.Errorf("cbb: SplitShard(%d): shard index out of range", i)
+	}
+	if d.shards[i].t.ReadOnly() {
+		return fmt.Errorf("cbb: SplitShard(%d): %w", i, ErrReadOnly)
 	}
 	return st.splitShard(d.shards[i])
 }
@@ -920,6 +918,9 @@ func (st *ShardedTree) MergeShards(i int) error {
 	d := st.dir.Load()
 	if i < 0 || i+1 >= len(d.shards) {
 		return fmt.Errorf("cbb: MergeShards(%d): needs two adjacent shards", i)
+	}
+	if d.shards[i].t.ReadOnly() || d.shards[i+1].t.ReadOnly() {
+		return fmt.Errorf("cbb: MergeShards(%d): %w", i, ErrReadOnly)
 	}
 	return st.mergeShards(i)
 }
@@ -1003,7 +1004,8 @@ func (st *ShardedTree) discardShard(sh *shard) {
 // publishReplacement swaps a contiguous run of the directory's shards for
 // their replacements — one shard for its two halves on a split, two adjacent
 // shards for the merged one on a merge — in a new directory, persists the
-// directory file (file-backed engines), and then stores the directory — in
+// directory file (file-backed engines), stores the directory and, once the
+// directory file is durable, closes and deletes the old shards' files — in
 // that order, and while the old shards' writer locks are held, so the old and
 // new shards hold identical content at the swap, a reader on either side
 // observes the same objects, and lockShard's re-check is exact.
@@ -1014,25 +1016,21 @@ func (st *ShardedTree) publishReplacement(old, repl []*shard) error {
 		return fmt.Errorf("cbb: shards vanished from the directory during rebalance")
 	}
 	shards := slices.Concat(d.shards[:i], repl, d.shards[i+len(old):])
-	if err := st.persistDirectory(shards); err != nil {
+	durable, err := st.persistDirectory(shards)
+	if err != nil {
 		return err
 	}
 	st.dir.Store(&shardDir{shards: shards})
+	// The old shards' files go now, unless a crash could still bring back the
+	// shards.json that names them (then they stay, as orphans). The rebuild
+	// faulted every node of theirs in (AllItems), so no view reads a page of
+	// them again, and the flushed replacements hold their objects, so nothing
+	// is flushed. Tree.Close would take the writer locks this rebalance holds.
 	for _, sh := range old {
-		st.noteRetired(sh)
+		if durable && sh.t.pager != nil {
+			sh.t.pager.Close()
+			removeShardFile(sh.path)
+		}
 	}
 	return nil
-}
-
-// noteRetired keeps a retired file-backed shard open (views taken before
-// the swap may still fault its pages) until ShardedTree.Close, which closes
-// and removes it. Retired in-memory shards need nothing: the garbage collector reclaims
-// them once the last view closes.
-func (st *ShardedTree) noteRetired(sh *shard) {
-	if sh.path == "" {
-		return
-	}
-	st.retiredMu.Lock()
-	st.retired = append(st.retired, sh)
-	st.retiredMu.Unlock()
 }

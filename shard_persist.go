@@ -17,8 +17,10 @@ import (
 // (temp file + rename) whenever the shard layout changes — at creation and
 // on every split or merge — so a crash leaves it at either the pre- or the
 // post-rebalance layout, and the shard files it references are always
-// flushed before the rename. Shard files orphaned by a crash mid-rebalance
-// are ignored by OpenSharded and removed on the next Close.
+// flushed before the rename. The rename is made durable (a directory fsync)
+// before a split or merge deletes the files of the shards it replaced. Shard
+// files orphaned by a crash mid-rebalance are ignored by OpenSharded and
+// stay on disk: nothing scans the directory for them.
 
 // shardDirFileName is the directory file inside a sharded engine's
 // directory.
@@ -138,10 +140,14 @@ func (st *ShardedTree) nextShardPath() string {
 }
 
 // persistDirectory atomically rewrites shards.json for a prospective shard
-// list; a no-op for in-memory engines.
-func (st *ShardedTree) persistDirectory(shards []*shard) error {
+// list — temp file, fsync, rename — and then fsyncs the directory; a no-op
+// for in-memory engines. An error means shards.json still holds the old
+// layout. Once the rename is done the new layout stands, and durable reports
+// whether the directory fsync made it survive a crash: only then may the
+// files of the shards it replaced go.
+func (st *ShardedTree) persistDirectory(shards []*shard) (durable bool, err error) {
 	if st.dirPath == "" {
-		return nil
+		return true, nil
 	}
 	st.fileMu.Lock()
 	defer st.fileMu.Unlock()
@@ -151,12 +157,12 @@ func (st *ShardedTree) persistDirectory(shards []*shard) error {
 	}
 	raw, err := json.MarshalIndent(df, "", "\t")
 	if err != nil {
-		return err
+		return false, err
 	}
 	tmp := filepath.Join(st.dirPath, shardDirFileName+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if _, err := f.Write(raw); err == nil {
 		err = f.Sync()
@@ -166,9 +172,12 @@ func (st *ShardedTree) persistDirectory(shards []*shard) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return err
+		return false, err
 	}
-	return os.Rename(tmp, filepath.Join(st.dirPath, shardDirFileName))
+	if err := os.Rename(tmp, filepath.Join(st.dirPath, shardDirFileName)); err != nil {
+		return false, err
+	}
+	return storage.SyncDir(st.dirPath) == nil, nil
 }
 
 // Flush commits every live shard's changes into its snapshot file, each
@@ -189,26 +198,15 @@ func (st *ShardedTree) Flush() error {
 }
 
 // Close releases the engine: every live file-backed shard is flushed and
-// closed, and the files of shards retired by splits and merges — kept open
-// until now so views taken of them stayed valid — are closed and removed. The
-// engine must not be used afterwards. In-memory engines only release the
-// retired bookkeeping.
+// closed. A split or merge has already removed the files of the shards it
+// replaced. The engine must not be used afterwards. In-memory shards have
+// nothing to release.
 func (st *ShardedTree) Close() error {
 	var errs []error
 	for i, sh := range st.dir.Load().shards {
 		if err := sh.t.Close(); err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
 		}
-	}
-	st.retiredMu.Lock()
-	retired := st.retired
-	st.retired = nil
-	st.retiredMu.Unlock()
-	for _, sh := range retired {
-		if err := sh.t.Close(); err != nil {
-			errs = append(errs, err)
-		}
-		removeShardFile(sh.path)
 	}
 	return errors.Join(errs...)
 }

@@ -21,7 +21,8 @@ import (
 //
 // Besides the random steps, a damage step replays a known failure: a split or
 // merge over a shard with an unreadable page must fail and change nothing,
-// which the oracle checks once the page is mended.
+// which the oracle checks once the page is mended; and a last phase grows one
+// shard past a directory chunk before it splits.
 func TestShardedSimulation(t *testing.T) {
 	const (
 		steps      = 2000
@@ -272,6 +273,62 @@ func TestShardedSimulation(t *testing.T) {
 	if splits == 0 || merges == 0 {
 		t.Errorf("the simulation ran %d splits and %d merges; want both", splits, merges)
 	}
+
+	// A last phase grows one shard past a directory chunk (128 node ids)
+	// between rebalances, which the thresholds above never let a shard
+	// reach. While a rebalance holds the guard, writes to an oversized shard
+	// only defer its split; so a shard holding several chunks takes single
+	// writes whose re-clipped nodes' parents sit in chunks a published
+	// version still shares, and each publish must refresh those parents'
+	// clip copies (Tree.syncClips), which Validate checks after every step.
+	d := st.dir.Load()
+	hot := d.shards[0]
+	for _, sh := range d.shards {
+		if sh.hi-sh.lo > hot.hi-hot.lo {
+			hot = sh
+		}
+	}
+	owned := func(n int) []Item { // n fresh objects whose key hot owns
+		var out []Item
+		for len(out) < n {
+			if it := fresh(); st.key(it.Rect) >= hot.lo && st.key(it.Rect) < hot.hi {
+				out = append(out, it)
+			}
+		}
+		return out
+	}
+	nodes := func() int { s := hot.t.tree.Stats(); return s.LeafNodes + s.DirNodes }
+	st.rebalancing.Store(true)
+	step := steps
+	for nodes() <= 3*128/2 {
+		step++
+		name := "grow Insert"
+		switch r := rng.Intn(10); {
+		case r < 6:
+			it := owned(1)[0]
+			if err := st.Insert(it.Rect, it.Object); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, it)
+		case r < 9:
+			name = "grow InsertItems"
+			items := owned(8)
+			if err := st.InsertItems(items); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, items...)
+		default:
+			name = "grow Delete"
+			deleteSome()
+		}
+		check(step, name)
+	}
+	st.rebalancing.Store(false)
+	if err := st.SplitShard(d.indexOf(hot)); err != nil {
+		t.Fatal(err)
+	}
+	check(step+1, "SplitShard")
+	t.Logf("the growth phase ran %d steps to %d objects", step-steps, len(live))
 }
 
 // simObjects draws the objects of a seeded simulation from rng: fresh ones

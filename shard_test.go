@@ -735,7 +735,7 @@ func TestShardedPersistenceRoundTrip(t *testing.T) {
 		t.Fatal("flushed insert lost on reopen")
 	}
 
-	// The retired pre-split shard file was removed at Close.
+	// The replaced pre-split shard file was removed at the split.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -782,6 +782,8 @@ func TestShardedPersistenceRoundTrip(t *testing.T) {
 		"InsertItems":         mm.InsertItems([]Item{{Object: 2, Rect: R(7, 7, 8, 8)}}),
 		"Delete":              derr,
 		"ShardedBatch.Insert": berr,
+		"SplitShard":          mm.SplitShard(0),
+		"MergeShards":         mm.MergeShards(0),
 	} {
 		if !errors.Is(err, ErrReadOnly) {
 			t.Errorf("mapped %s: %v, want ErrReadOnly", op, err)
@@ -793,6 +795,73 @@ func TestShardedPersistenceRoundTrip(t *testing.T) {
 	}
 	if mm.Len() != re2.Len() {
 		t.Fatalf("mapped engine changed: Len %d, want %d", mm.Len(), re2.Len())
+	}
+}
+
+// TestRebalanceRemovesReplacedFiles takes a view of a lazily opened
+// file-backed engine before anything reads it, then splits a shard the view
+// holds and merges another: each call has deleted the files and WALs of the
+// shards it replaced when it returns, and the view, still on those shards,
+// answers every object without a fault.
+func TestRebalanceRemovesReplacedFiles(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "engine")
+	universe := shardUniverse(2)
+	st, err := CreateSharded(dir, ShardedOptions{
+		Options: Options{Dims: 2, MaxEntries: 16, MinEntries: 6, Universe: universe},
+		Shards:  2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := randShardItems(rand.New(rand.NewSource(43)), 4000, 2)
+	if err := st.InsertItems(items); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = OpenSharded(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	view := st.Snapshot()
+
+	gone := func(op string, replaced ...*shard) {
+		t.Helper()
+		for _, sh := range replaced {
+			for _, path := range []string{sh.path, storage.WALPathFor(sh.path)} {
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Errorf("after %s: %s is still there (%v)", op, filepath.Base(path), err)
+				}
+			}
+		}
+	}
+	// The split replaces the view's first shard, the merge its second
+	// beside one half of the first.
+	viewed := st.dir.Load().shards
+	if err := st.SplitShard(0); err != nil {
+		t.Fatal(err)
+	}
+	gone("SplitShard", viewed[0])
+	half := st.dir.Load().shards[1]
+	if err := st.MergeShards(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.NumShards(); n != 2 {
+		t.Fatalf("%d shards after one split and one merge of 2, want 2", n)
+	}
+	gone("MergeShards", half, viewed[1])
+
+	if got := view.SearchAll(universe); !sameItems(got, items) {
+		t.Fatalf("the view answers %d objects, want %d", len(got), len(items))
+	}
+	for i, snap := range view.reader {
+		if err := snap.Version().Tree().Err(); err != nil {
+			t.Errorf("the view's shard %d: %v", i, err)
+		}
+	}
+	if got := st.SearchAll(universe); !sameItems(got, items) {
+		t.Fatalf("the engine answers %d objects, want %d", len(got), len(items))
 	}
 }
 
