@@ -305,7 +305,8 @@ func BenchmarkAblation_ScoreApproximation(b *testing.B) {
 			if relErr, nodes := experiments.ScoreApproxError(tree, idx.Params()); nodes > 0 {
 				b.ReportMetric(100*relErr, "score_approx_error_%")
 			}
-			b.ReportMetric(float64(idx.Table().ClipPointCount()), "clip_points")
+			_, points, _ := idx.Snap().ClipStats()
+			b.ReportMetric(float64(points), "clip_points")
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cbb/internal/clipindex"
+	"cbb/internal/core"
 	"cbb/internal/rtree"
 )
 
@@ -304,8 +305,9 @@ func TestValidateRejectsHidingClipTable(t *testing.T) {
 			root = info.ID
 		}
 	})
-	table := clipindex.Table{root: {{Coord: Pt(3.9, 3.9), Mask: 0}}}
-	if tree.idx, err = clipindex.Restore(tree.tree, tree.opts.clipParams(), table); err != nil {
+	rec := core.NewRecord([]core.ClipPoint{{Coord: Pt(3.9, 3.9), Mask: 0}}, 2)
+	tree.tree.SetRecord(root, rec)
+	if tree.idx, err = clipindex.Restore(tree.tree, tree.opts.clipParams(), clipindex.Table{root: rec}); err != nil {
 		t.Fatal(err)
 	}
 	if n := tree.Count(R(1.9, 1.9, 2.1, 2.1)); n != 0 {

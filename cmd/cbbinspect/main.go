@@ -417,9 +417,9 @@ func inspectTree(tree *rtree.Tree, idx *clipindex.Index, samples int, seed int64
 	fmt.Printf("overlap    : %.1f%% of node volume covered by 2+ children\n", 100*node.AvgOverlap)
 	fmt.Printf("dead space : %.1f%% of node volume (%.1f%% at leaves)\n", 100*node.AvgDeadSpace, 100*node.AvgLeafDeadSpace)
 
-	// The clip-table footprint below comes from clipindex.TableBytes (via
-	// AuxBytes), the same helper behind the public Stats.ClipTableBytes, so
-	// the inspector can never disagree with the library's own accounting.
+	// The clip-table footprint below is AuxBytes, counted from the records as
+	// Snap.ClipStats counts the public Stats.ClipTableBytes, so the inspector
+	// can never disagree with the library's own accounting.
 	clipBytes := 0
 	if idx == nil {
 		fmt.Println("clipping   : disabled")

@@ -22,19 +22,19 @@
 // never written once installed). The range-search descent, the joins and the
 // writer's validity checks read the records directly; the maintenance writes
 // them into the writer's directory (rtree.Tree.SetRecord), and a commit
-// publishes them with the nodes they describe, as one tree version. Table,
-// the map of []core.ClipPoint, is the exchange form: what DecodeTable
-// produces, inspection tools read, and Index.Table materialises on demand.
+// publishes them with the nodes they describe, as one tree version — the
+// version a Snap is. On disk they are the snapshot's clip section, which
+// DecodeClips reads into the same records (a Table) and EncodeClips writes
+// from them.
 package clipindex
 
 import (
 	"errors"
 	"fmt"
 	"iter"
-	"maps"
+	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"cbb/internal/core"
 	"cbb/internal/fanout"
@@ -43,27 +43,11 @@ import (
 	"cbb/internal/storage"
 )
 
-// Table is the auxiliary clip-point table of Figure 4b: node id → ordered
-// clip points. A node with no entry simply has no clip points.
-type Table map[rtree.NodeID][]core.ClipPoint
-
-// ClipPointCount returns the total number of stored clip points.
-func (t Table) ClipPointCount() int {
-	n := 0
-	for _, clips := range t {
-		n += len(clips)
-	}
-	return n
-}
-
-// AvgClipPointsPerNode returns the average number of clip points per node
-// that has at least one (the statistic reported atop the bars of Figure 13).
-func (t Table) AvgClipPointsPerNode() float64 {
-	if len(t) == 0 {
-		return 0
-	}
-	return float64(t.ClipPointCount()) / float64(len(t))
-}
+// Table is the auxiliary clip-point table of Figure 4b as a snapshot's clip
+// section decodes: node id → the node's clip record. A node with no entry
+// simply has no clip points. Opening the snapshot hands the records to the
+// tree as they are (snapshot.OpenTree, LoadTree).
+type Table map[rtree.NodeID]core.Record
 
 // UpdateStats is the tally of a clip-layer mutation: Insert, InsertItems
 // and Delete each return theirs, and the update experiment sums them with
@@ -118,33 +102,32 @@ func (u UpdateStats) ReclipsPerInsert() float64 {
 // records of its nodes and the parameters used to maintain them. The records
 // live in the tree's node directory, so a mutation and its record maintenance
 // publish as one version — one writer batch — and a reader's one load per
-// query yields nodes and clip points of the same epoch. A tree holds one
-// index's records: a later New or Restore over it replaces them, and the
-// earlier index is then good only for the snapshots it published.
+// query yields nodes and clip points of the same epoch. The index keeps no
+// published state of its own: its snapshot is the tree's current version. A
+// tree holds one set of records: a later New over it replaces them for every
+// index over the tree.
 type Index struct {
 	tree   *rtree.Tree
 	params core.Params
-	cur    atomic.Pointer[Snap]
 }
 
-// Snap is one published version of a clipped tree, read with its clip
-// records: what every clipped query and join runs against, from any number
-// of goroutines. A plain R-tree is a Snap whose version has no records.
-type Snap struct {
-	v *rtree.Version
-}
+// Snap is one published version of a clipped tree — the tree's version
+// itself, read with its clip records: what every clipped query and join runs
+// against, from any number of goroutines. A plain R-tree is a Snap whose
+// version has no records.
+type Snap rtree.Version
 
-// Version returns the tree version the snapshot is bound to.
-func (s *Snap) Version() *rtree.Version { return s.v }
+// Version returns the tree version the snapshot is.
+func (s *Snap) Version() *rtree.Version { return (*rtree.Version)(s) }
 
 // Record returns the clip record of the node at the snapshot's epoch (nil
 // when it has no clip points); joins test it with core.Record.Dead.
-func (s *Snap) Record(id rtree.NodeID) core.Record { return s.v.Record(id) }
+func (s *Snap) Record(id rtree.NodeID) core.Record { return s.Version().Record(id) }
 
 // Clips materialises the clip points of the node at the snapshot's epoch
 // (nil when it has none), for inspection; nothing on a query path calls it.
 func (s *Snap) Clips(id rtree.NodeID) []core.ClipPoint {
-	return s.v.Record(id).Points(s.v.Dims())
+	return s.Record(id).Points(s.Version().Dims())
 }
 
 // SearchCounted finds every object intersecting q at the snapshot's epoch,
@@ -152,9 +135,9 @@ func (s *Snap) Clips(id rtree.NodeID) []core.ClipPoint {
 // dead space, and charges the node accesses to c (the tree's own counter
 // when c is nil). It returns what it charged, and the fault that ended it.
 func (s *Snap) SearchCounted(q geom.Rect, c *storage.Counter, visit func(rtree.ObjectID, geom.Rect) bool) (storage.Snapshot, error) {
-	io, err := s.v.SearchClipped(q, visit)
+	io, err := s.Version().SearchClipped(q, visit)
 	if c == nil {
-		c = s.v.Tree().Counter()
+		c = s.Version().Tree().Counter()
 	}
 	c.Add(io)
 	return io, err
@@ -167,23 +150,23 @@ func NearestNeighbors(k int, p geom.Point, snaps ...*Snap) ([]rtree.Neighbor, st
 	var buf [8]rtree.KNNSource // on the stack for up to eight shards
 	srcs := buf[:0]
 	for _, s := range snaps {
-		srcs = append(srcs, rtree.KNNSource{Version: s.v, Clipped: true})
+		srcs = append(srcs, rtree.KNNSource{Version: s.Version(), Clipped: true})
 	}
 	return rtree.NearestNeighbors(k, p, srcs...)
 }
 
 // ClipStats counts the snapshot's clip records: the nodes that have clip
 // points, the clip points in total, and the exact size the table serialises
-// to (as TableBytes; 0 for an empty table, which snapshots omit altogether).
+// to (0 for an empty table, which snapshots omit altogether).
 func (s *Snap) ClipStats() (nodes, points, bytes int) {
-	return clipStats(s.v.Records(), s.v.Dims())
+	return clipStats(s.Version().Records(), s.Version().Dims())
 }
 
 // ResidentBytes returns the heap the snapshot's clip points occupy: the
 // records themselves (their slots in the node directory are the tree's).
 func (s *Snap) ResidentBytes() int {
 	n := 0
-	for _, rec := range s.v.Records() {
+	for _, rec := range s.Version().Records() {
 		n += 8 * cap(rec)
 	}
 	return n
@@ -198,13 +181,6 @@ func clipStats(recs iter.Seq2[rtree.NodeID, core.Record], dims int) (nodes, poin
 		bytes = tableBytes(nodes, points, dims)
 	}
 	return nodes, points, bytes
-}
-
-// publishRecords publishes the records written outside a batch under the
-// tree's current epoch, as the current snapshot.
-func (x *Index) publishRecords() {
-	x.tree.PublishRecords()
-	x.cur.Store(&Snap{v: x.tree.CurrentVersion()})
 }
 
 // mutate applies one tree mutation and then the maintenance step it returns,
@@ -235,10 +211,10 @@ func (x *Index) mutate(apply func(u *UpdateStats) (step func() error, err error)
 	return u, err
 }
 
-// Snap returns the current combined snapshot: one atomic load. A long-lived
-// read view holds it as it is; its tree version never reads a page that a
-// later batch frees (see rtree.Version).
-func (x *Index) Snap() *Snap { return x.cur.Load() }
+// Snap returns the current snapshot: the tree's current version, one atomic
+// load. A long-lived read view holds it as it is; its tree version never
+// reads a page that a later batch frees (see rtree.Version).
+func (x *Index) Snap() *Snap { return (*Snap)(x.tree.CurrentVersion()) }
 
 // Begin opens an explicit writer batch on the underlying tree: mutations
 // accumulate privately and reach readers only at Commit, as one atomic
@@ -247,7 +223,7 @@ func (x *Index) Begin() error { return x.tree.BeginBatch() }
 
 // Commit publishes every mutation since Begin — node and clip state together
 // — as one new epoch.
-func (x *Index) Commit() { x.cur.Store(&Snap{v: x.tree.CommitBatch()}) }
+func (x *Index) Commit() { x.tree.CommitBatch() }
 
 // Rollback discards every mutation since Begin: the tree batch is rolled
 // back, and with it the records, which live in the tree's directory; nothing
@@ -279,68 +255,36 @@ func newIndex(tree *rtree.Tree, params core.Params) (*Index, error) {
 	return &Index{tree: tree, params: params}, nil
 }
 
-// Restore wraps a tree with a previously computed clip table without
-// recomputing anything — the decode path of the persistence subsystem. The
-// table is flattened into records and not retained; a nil table means no node
-// has clip points, and one naming a node the tree lacks is rejected with
-// storage.ErrCorrupt. Restore never walks the tree: one opened with the
-// table's records (snapshot.OpenTree) stays lazy, one holding others is
-// hydrated to take the table's.
+// Restore wraps a tree that already holds a clip table's records — one a
+// snapshot opened or loaded with the table it decoded (snapshot.OpenTree,
+// LoadTree) — without recomputing or installing anything: the decode path of
+// the persistence subsystem. It checks, reading no page and allocating
+// nothing, that the tree's records are the table's bit for bit (a nil table:
+// no node has clip points), returns an error when they are not, and then
+// publishes them.
 func Restore(tree *rtree.Tree, params core.Params, table Table) (*Index, error) {
 	x, err := newIndex(tree, params)
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range slices.Sorted(maps.Keys(table)) {
-		if !tree.HasNode(id) {
-			return nil, fmt.Errorf("%w: clip table names node %d, which the tree does not have", storage.ErrCorrupt, id)
+	n := 0
+	for id, rec := range tree.Records() {
+		if n++; !slices.EqualFunc(rec, table[id], sameBits) {
+			return nil, fmt.Errorf("clipindex: the tree's clip record of node %d is not the table's", id)
 		}
 	}
-	if !holds(tree, table) {
-		if err := tree.Materialize(); err != nil {
-			return nil, err
-		}
-		clearRecords(tree)
-		for id, clips := range table {
-			tree.SetRecord(id, core.NewRecord(clips, tree.Dims()))
-		}
+	if n != len(table) {
+		return nil, fmt.Errorf("clipindex: the tree holds %d clip records, the table %d", n, len(table))
 	}
-	x.publishRecords()
+	tree.PublishRecords()
 	return x, nil
 }
 
-// holds reports whether the tree's records are exactly the table's.
-func holds(tree *rtree.Tree, table Table) bool {
-	n := 0
-	for id, rec := range tree.Records() {
-		if n++; !slices.Equal(rec, core.NewRecord(table[id], tree.Dims())) {
-			return false
-		}
-	}
-	return n == len(table)
-}
-
-// clearRecords removes every record from the tree's writer directory.
-func clearRecords(tree *rtree.Tree) {
-	for id := range tree.Records() {
-		tree.SetRecord(id, nil)
-	}
-}
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // Tree and Params return the underlying R-tree and the clipping parameters.
 func (x *Index) Tree() *rtree.Tree   { return x.tree }
 func (x *Index) Params() core.Params { return x.params }
-
-// Table materialises the writer's clip records (scores are not kept, as in a
-// decoded table), for inspection, experiments and tests; snapshots are
-// encoded straight from the records (EncodeClips).
-func (x *Index) Table() Table {
-	t := make(Table)
-	for id, rec := range x.tree.Records() {
-		t[id] = rec.Points(x.tree.Dims())
-	}
-	return t
-}
 
 // RebuildAll recomputes the clip points of every node from scratch
 // (Algorithm 1 per node, as when a freshly built R-tree is clipped before its
@@ -354,7 +298,7 @@ func (x *Index) RebuildAll() error {
 		return err
 	}
 	if !x.tree.InBatch() {
-		x.publishRecords()
+		x.tree.PublishRecords()
 	}
 	return nil
 }
@@ -364,7 +308,9 @@ func (x *Index) RebuildAll() error {
 // the build never faults a page from a worker; a node the walk cannot read
 // fails the rebuild before anything is clipped.
 func (x *Index) rebuildTable() error {
-	clearRecords(x.tree)
+	for id := range x.tree.Records() {
+		x.tree.SetRecord(id, nil)
+	}
 	if x.params.K == 0 {
 		return nil
 	}
@@ -470,7 +416,7 @@ func (x *Index) reclipByIDs(ids []rtree.NodeID) {
 // while the single writer mutates: the query runs against one atomically
 // loaded Snap (immutable tree version + clip records of the same epoch).
 func (x *Index) Search(q geom.Rect, visit func(rtree.ObjectID, geom.Rect) bool) {
-	x.cur.Load().SearchCounted(q, nil, visit)
+	x.Snap().SearchCounted(q, nil, visit)
 }
 
 // Insert adds an object and maintains the clip table per Section IV-D. It
@@ -662,7 +608,8 @@ func (x *Index) Validate() error {
 	if err := x.tree.Walk(func(info rtree.NodeInfo) { live[info.ID] = info }); err != nil {
 		return err
 	}
-	for id, clips := range x.Table() {
+	for id, rec := range x.tree.Records() {
+		clips := rec.Points(x.tree.Dims())
 		info, ok := live[id]
 		if !ok {
 			return fmt.Errorf("clipindex: clip table references dead node %d", id)
@@ -689,9 +636,9 @@ func (x *Index) SaveAux(p storage.PageStore) (pages int, err error) {
 	return pages, err
 }
 
-// AuxBytes returns the exact serialised size of the clip table in bytes —
-// the same number Stats.ClipTableBytes and the cbbinspect storage breakdown
-// report, all through TableBytes.
+// AuxBytes returns the exact serialised size of the writer's clip table in
+// bytes, counted as Snap.ClipStats counts it (which gives 0 for an empty
+// table, whose 8-byte header a snapshot omits); cbbinspect reports it.
 func (x *Index) AuxBytes() int {
 	nodes, points, _ := clipStats(x.tree.Records(), x.tree.Dims())
 	return tableBytes(nodes, points, x.tree.Dims())

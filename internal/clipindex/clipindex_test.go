@@ -2,7 +2,9 @@ package clipindex
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cbb/internal/core"
@@ -10,6 +12,21 @@ import (
 	"cbb/internal/rtree"
 	"cbb/internal/storage"
 )
+
+// points is a clip table written as clip points, for tests that make one by
+// hand; tableOf flattens it into records.
+type points map[rtree.NodeID][]core.ClipPoint
+
+func tableOf(p points, dims int) Table {
+	t := make(Table, len(p))
+	for id, clips := range p {
+		t[id] = core.NewRecord(clips, dims)
+	}
+	return t
+}
+
+// records copies the writer's clip records into a Table.
+func records(x *Index) Table { return Table(maps.Collect(x.Tree().Records())) }
 
 func smallConfig(dims int, v rtree.Variant) rtree.Config {
 	return rtree.Config{Dims: dims, MaxEntries: 8, MinEntries: 3, Variant: v, HilbertBits: 12}
@@ -304,17 +321,22 @@ func TestTableStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := idx.Table()
-	if table.ClipPointCount() == 0 {
+	nodes, points, bytes := idx.Snap().ClipStats()
+	if points == 0 {
 		t.Fatal("expected clip points on clustered sliver data")
 	}
-	avg := table.AvgClipPointsPerNode()
-	if avg <= 0 || avg > float64(idx.Params().K) {
-		t.Errorf("AvgClipPointsPerNode = %g out of range", avg)
+	if avg := float64(points) / float64(nodes); avg > float64(idx.Params().K) {
+		t.Errorf("%g clip points per clipped node, more than K", avg)
 	}
-	var empty Table
-	if empty.AvgClipPointsPerNode() != 0 {
-		t.Error("empty table average should be 0")
+	if bytes != len(idx.EncodeClips(2, nil)) || bytes != idx.AuxBytes() {
+		t.Errorf("ClipStats gives %d bytes, the encoding %d, AuxBytes %d", bytes, len(idx.EncodeClips(2, nil)), idx.AuxBytes())
+	}
+	empty, err := New(rtree.MustNew(smallConfig(2, rtree.Quadratic)), core.DefaultParams(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes, points, bytes := empty.Snap().ClipStats(); nodes != 0 || points != 0 || bytes != 0 {
+		t.Errorf("empty index: ClipStats = %d, %d, %d", nodes, points, bytes)
 	}
 }
 
@@ -325,44 +347,33 @@ func TestEncodeDecodeTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := EncodeTable(idx.Table(), 2)
+	buf := idx.EncodeClips(2, nil)
 	if len(buf) != idx.AuxBytes() {
 		t.Error("AuxBytes should equal encoded size")
 	}
-	back, dims, err := DecodeTable(buf)
+	back, dims, err := DecodeClips(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dims != 2 {
 		t.Errorf("decoded dims = %d", dims)
 	}
-	if len(back) != len(idx.Table()) {
-		t.Fatalf("decoded %d entries, want %d", len(back), len(idx.Table()))
-	}
-	for id, clips := range idx.Table() {
-		got := back[id]
-		if len(got) != len(clips) {
-			t.Fatalf("node %d: %d clips decoded, want %d", id, len(got), len(clips))
-		}
-		for i := range clips {
-			if !got[i].Coord.Equal(clips[i].Coord) || got[i].Mask != clips[i].Mask {
-				t.Fatalf("node %d clip %d mismatch", id, i)
-			}
-		}
+	if want := records(idx); len(want) == 0 || !reflect.DeepEqual(back, want) {
+		t.Fatalf("decoded %d records, not the %d the index holds", len(back), len(want))
 	}
 }
 
 func TestDecodeTableErrors(t *testing.T) {
-	if _, _, err := DecodeTable(nil); err == nil {
+	if _, _, err := DecodeClips(nil, nil); err == nil {
 		t.Error("nil buffer must fail")
 	}
-	if _, _, err := DecodeTable([]byte{1, 2, 3}); err == nil {
+	if _, _, err := DecodeClips([]byte{1, 2, 3}, nil); err == nil {
 		t.Error("short buffer must fail")
 	}
 	// Corrupt dims.
 	bad := make([]byte, 8)
 	bad[0] = 200
-	if _, _, err := DecodeTable(bad); err == nil {
+	if _, _, err := DecodeClips(bad, nil); err == nil {
 		t.Error("implausible dims must fail")
 	}
 	// Truncated clip point.
@@ -371,9 +382,9 @@ func TestDecodeTableErrors(t *testing.T) {
 		_, _ = tree.Insert(geom.R(float64(i), 0, float64(i)+5, 1), rtree.ObjectID(i))
 	}
 	idx, _ := New(tree, core.Params{K: 8, Tau: 0, Method: core.MethodStairline})
-	buf := EncodeTable(idx.Table(), 2)
+	buf := idx.EncodeClips(2, nil)
 	if len(buf) > 16 {
-		if _, _, err := DecodeTable(buf[:len(buf)-3]); err == nil {
+		if _, _, err := DecodeClips(buf[:len(buf)-3], nil); err == nil {
 			t.Error("truncated table must fail")
 		}
 	}
@@ -514,8 +525,9 @@ func TestValidateFlagsClipsThatHideObjects(t *testing.T) {
 					root = info.ID
 				}
 			})
-			clip := core.ClipPoint{Coord: geom.Pt(3.9, 3.9), Mask: 0}
-			idx, err := Restore(tree, core.DefaultParams(2), Table{root: {clip}})
+			rec := core.NewRecord([]core.ClipPoint{{Coord: geom.Pt(3.9, 3.9), Mask: 0}}, 2)
+			tree.SetRecord(root, rec)
+			idx, err := Restore(tree, core.DefaultParams(2), Table{root: rec})
 			if err != nil {
 				t.Fatal(err)
 			}

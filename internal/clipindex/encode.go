@@ -12,6 +12,7 @@ import (
 	"cbb/internal/core"
 	"cbb/internal/geom"
 	"cbb/internal/rtree"
+	"cbb/internal/skyline"
 )
 
 // This file implements the physical layout of the auxiliary clip structure
@@ -27,60 +28,44 @@ import (
 // 4-byte mask is the aligned practical encoding.)
 func ClipPointBytes(dims int) int { return 4 + dims*8 }
 
-// TableBytes returns the exact serialised size of a clip table without
-// encoding it: the 8-byte table header plus, per node, an 8-byte entry
-// header and its clip points. It is the single source of truth for the
-// clip-table storage footprint, shared by Index.AuxBytes, the encoder's
-// buffer sizing, and the storage-breakdown reports.
-func TableBytes(t Table, dims int) int {
-	return tableBytes(len(t), t.ClipPointCount(), dims)
-}
-
 func tableBytes(nodes, points, dims int) int {
 	return 8 + nodes*8 + points*ClipPointBytes(dims)
 }
 
-// EncodeTable serialises a clip table. Entries are written in ascending
-// node-id order so the encoding is deterministic.
-func EncodeTable(t Table, dims int) []byte { return encodeTable(t, dims, nil) }
-
-// EncodeClips is the table's clip section as a snapshot stores it: EncodeTable
-// when universe is nil (format 1), EncodeTableV2 against *universe otherwise,
-// and nil — no section at all — for an empty table.
+// EncodeClips is the table's clip section as a snapshot stores it: raw
+// float64 coordinates when universe is nil (format 1), quantised onto
+// *universe otherwise (format 2, encode_v2.go), and nil — no section at all —
+// for an empty table. Entries are written in ascending node-id order, so the
+// encoding is deterministic.
 func (t Table) EncodeClips(dims int, universe *geom.Rect) []byte {
-	if len(t) == 0 {
-		return nil
-	}
-	return encodeTable(t, dims, universe)
-}
-
-// EncodeClips is Table.EncodeClips for the writer's current records, encoded
-// straight from them: the bytes are those of x.Table().EncodeClips, without
-// materialising the table (a durable commit runs this once per Flush).
-func (x *Index) EncodeClips(dims int, universe *geom.Rect) []byte {
-	nodes, points, _ := clipStats(x.tree.Records(), dims)
-	if nodes == 0 {
-		return nil
-	}
-	return encodeRecords(dims, universe, nodes, points, x.tree.Records())
-}
-
-func encodeTable(t Table, dims int, universe *geom.Rect) []byte {
-	return encodeRecords(dims, universe, len(t), t.ClipPointCount(), func(yield func(rtree.NodeID, core.Record) bool) {
-		for _, id := range slices.Sorted(maps.Keys(t)) {
-			yield(id, core.NewRecord(t[id], dims))
+	ids := slices.Sorted(maps.Keys(t))
+	return encodeRecords(dims, universe, func(yield func(rtree.NodeID, core.Record) bool) {
+		for _, id := range ids {
+			if !yield(id, t[id]) {
+				return
+			}
 		}
 	})
 }
 
-// encodeRecords writes a clip table of the given size in either layout: the
-// header, then per node — they come in ascending id order — its entry header
-// and its clip points. With a universe, points are quantised onto its grid
-// where that is conservative (see encode_v2.go) and stored raw, flagged, where
-// it is not.
-func encodeRecords(dims int, universe *geom.Rect, nodes, points int, recs iter.Seq2[rtree.NodeID, core.Record]) []byte {
+// EncodeClips is Table.EncodeClips for the writer's current records, encoded
+// straight from the tree's directory (a durable commit runs this once per
+// Flush).
+func (x *Index) EncodeClips(dims int, universe *geom.Rect) []byte {
+	return encodeRecords(dims, universe, x.tree.Records())
+}
+
+// encodeRecords writes a clip table in either layout: the header, then per
+// node — they come in ascending id order — its entry header and its clip
+// points. With a universe, points are quantised onto its grid where that is
+// conservative (see encode_v2.go) and stored raw, flagged, where it is not.
+func encodeRecords(dims int, universe *geom.Rect, recs iter.Seq2[rtree.NodeID, core.Record]) []byte {
+	nodes, _, size := clipStats(recs, dims)
+	if nodes == 0 {
+		return nil
+	}
 	le := binary.LittleEndian
-	buf := make([]byte, 0, tableBytes(nodes, points, dims))
+	buf := make([]byte, 0, size)
 	buf = le.AppendUint32(le.AppendUint32(buf, uint32(dims)), uint32(nodes))
 	coord, grid := make([]float64, dims), make([]uint32, dims)
 	for id, rec := range recs {
@@ -107,44 +92,52 @@ func encodeRecords(dims int, universe *geom.Rect, nodes, points int, recs iter.S
 	return buf
 }
 
-// DecodeTable parses a clip table previously produced by EncodeTable.
-// Scores are not persisted (they are only used to order clip points at
-// construction time); decoded clip points keep their stored order.
-func DecodeTable(buf []byte) (Table, int, error) { return decodeTable(buf, nil) }
-
-// decodeTable parses either layout: raw float64 coordinates throughout
-// without a universe, grid coordinates on it (raw for flagged points) with
-// one.
-func decodeTable(buf []byte, universe *geom.Rect) (Table, int, error) {
+// DecodeClips parses a clip section written by EncodeClips with the same
+// universe (nil for format 1) and returns it with its dimensionality. Each
+// point's mask word and coordinates go straight into its node's record, laid
+// out as core.Record lays them out — one allocation per node with clip
+// points; an entry with none is dropped. Points keep their stored order.
+func DecodeClips(buf []byte, universe *geom.Rect) (Table, int, error) {
+	le := binary.LittleEndian
 	if len(buf) < 8 {
 		return nil, 0, errors.New("clipindex: clip table buffer too short")
 	}
-	dims := int(binary.LittleEndian.Uint32(buf[0:4]))
+	dims := int(le.Uint32(buf))
 	if dims < 1 || dims > geom.MaxDims {
 		return nil, 0, fmt.Errorf("clipindex: implausible dimensionality %d", dims)
 	}
-	if universe != nil && (universe.Dims() != dims || !universe.Valid()) {
-		return nil, 0, fmt.Errorf("clipindex: v2 clip table needs a valid %d-dimensional universe", dims)
+	// minPoint is the smallest a clip point can be stored in, which bounds
+	// an entry's point count by the bytes left before anything is allocated.
+	minPoint := ClipPointBytes(dims)
+	var grid []uint32
+	if universe != nil {
+		if universe.Dims() != dims || !universe.Valid() {
+			return nil, 0, fmt.Errorf("clipindex: v2 clip table needs a valid %d-dimensional universe", dims)
+		}
+		minPoint, grid = clipPointV2HeaderBytes+4*dims, make([]uint32, dims)
 	}
-	count := int(binary.LittleEndian.Uint32(buf[4:8]))
+	count := int(le.Uint32(buf[4:]))
 	off := 8
 	table := make(Table, min(count, len(buf)/8))
-	for i := 0; i < count; i++ {
+	for range count {
 		if off+8 > len(buf) {
 			return nil, 0, errors.New("clipindex: truncated clip table entry header")
 		}
-		id := rtree.NodeID(binary.LittleEndian.Uint32(buf[off:]))
-		n := int(binary.LittleEndian.Uint32(buf[off+4:]))
+		id := rtree.NodeID(le.Uint32(buf[off:]))
+		n := int(le.Uint32(buf[off+4:]))
 		off += 8
-		if n > (len(buf)-off)/clipPointV2HeaderBytes {
+		if n > (len(buf)-off)/minPoint {
 			return nil, 0, errors.New("clipindex: truncated clip table")
 		}
-		clips := make([]core.ClipPoint, 0, n)
-		for j := 0; j < n; j++ {
+		if n == 0 {
+			continue
+		}
+		rec := make(core.Record, n*(dims+1))
+		for p := rec; len(p) > 0; p = p[dims+1:] {
 			if off+clipPointV2HeaderBytes > len(buf) {
 				return nil, 0, errors.New("clipindex: truncated clip point")
 			}
-			mask := binary.LittleEndian.Uint32(buf[off:])
+			mask := le.Uint32(buf[off:])
 			off += clipPointV2HeaderBytes
 			raw, width := universe == nil || mask&clipRawFlag != 0, 8
 			if universe != nil {
@@ -156,18 +149,22 @@ func decodeTable(buf []byte, universe *geom.Rect) (Table, int, error) {
 			if off+dims*width > len(buf) {
 				return nil, 0, errors.New("clipindex: truncated clip point")
 			}
-			coord := make(geom.Point, dims)
+			p[0] = math.Float64frombits(uint64(mask))
+			coord := p[1 : dims+1]
 			for d := range coord {
 				if raw {
-					coord[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+					coord[d] = math.Float64frombits(le.Uint64(buf[off:]))
 				} else {
-					coord[d] = clipQDecode(universe.Lo[d], universe.Hi[d], binary.LittleEndian.Uint32(buf[off:]))
+					coord[d] = clipQDecode(universe.Lo[d], universe.Hi[d], le.Uint32(buf[off:]))
 				}
 				off += width
 			}
-			clips = append(clips, core.ClipPoint{Coord: coord, Mask: geom.Corner(mask)})
+			if raw && universe != nil && quantisePoint(geom.Corner(mask), coord, *universe, grid) {
+				return nil, 0, errors.New("clipindex: v2 clip point stored raw although the grid holds it")
+			}
+			skyline.Reflect(coord, coord, geom.Corner(mask))
 		}
-		table[id] = clips
+		table[id] = rec
 	}
 	return table, dims, nil
 }

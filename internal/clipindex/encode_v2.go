@@ -24,7 +24,10 @@ import (
 // A coordinate the grid cannot bound conservatively (outside the universe, or
 // a non-finite value) falls back to raw float64 storage for that whole clip
 // point, flagged by the top bit of the serialised mask — geom.MaxDims is 30,
-// so corner masks never use it.
+// so corner masks never use it. The flag is set exactly when the grid cannot
+// hold the point, and the decoder rejects a raw point the grid could hold:
+// each clip point has one encoding, so decoding, re-encoding and decoding
+// again gives back the same records.
 
 const (
 	clipQMax    = math.MaxUint32
@@ -45,62 +48,48 @@ func clipQDecode(lo, hi float64, q uint32) float64 {
 	return lo + (hi-lo)*(float64(q)/clipQMax)
 }
 
-// clipQDown returns the largest grid value decoding to at most x; ok is false
-// when no grid value can (x below the universe, or not finite).
-func clipQDown(x, lo, hi float64) (uint32, bool) {
+// gridOK reports whether the universe [lo, hi] has a grid: a positive,
+// finite width, on which clipQDecode is non-decreasing in q.
+func gridOK(lo, hi float64) bool {
 	w := hi - lo
-	if !(w > 0) || math.IsNaN(x) {
+	return w > 0 && w <= math.MaxFloat64
+}
+
+// clipQDown returns the largest grid value decoding to at most x; ok is false
+// when no grid value can (x below the universe, or NaN) or the universe has no
+// grid. The search is binary: where the grid is finer than the float64
+// spacing of its coordinates, runs of grid values decode alike.
+func clipQDown(x, lo, hi float64) (uint32, bool) {
+	if !gridOK(lo, hi) || math.IsNaN(x) || clipQDecode(lo, hi, 0) > x {
 		return 0, false
 	}
-	f := (x - lo) / w * clipQMax
-	var q uint32
-	switch {
-	case !(f > 0):
-		q = 0
-	case f >= clipQMax:
-		q = clipQMax
-	default:
-		q = uint32(f)
+	a, b := uint64(0), uint64(clipQMax)+1 // decode(a) <= x; b is past the last candidate
+	for b-a > 1 {
+		if m := (a + b) / 2; clipQDecode(lo, hi, uint32(m)) <= x {
+			a = m
+		} else {
+			b = m
+		}
 	}
-	for q > 0 && clipQDecode(lo, hi, q) > x {
-		q--
-	}
-	if clipQDecode(lo, hi, q) > x {
-		return 0, false
-	}
-	for q < clipQMax && clipQDecode(lo, hi, q+1) <= x {
-		q++
-	}
-	return q, true
+	return uint32(a), true
 }
 
 // clipQUp returns the smallest grid value decoding to at least x; ok is false
-// when no grid value can (x above the universe, or not finite).
+// when no grid value can (x above the universe, or NaN) or the universe has no
+// grid.
 func clipQUp(x, lo, hi float64) (uint32, bool) {
-	w := hi - lo
-	if !(w > 0) || math.IsNaN(x) {
+	if !gridOK(lo, hi) || math.IsNaN(x) || clipQDecode(lo, hi, clipQMax) < x {
 		return 0, false
 	}
-	f := (x - lo) / w * clipQMax
-	var q uint32
-	switch {
-	case !(f > 0):
-		q = 0
-	case f >= clipQMax:
-		q = clipQMax
-	default:
-		q = uint32(f) + 1
+	a, b := int64(-1), int64(clipQMax) // decode(b) >= x; a is before the first candidate
+	for b-a > 1 {
+		if m := (a + b) / 2; clipQDecode(lo, hi, uint32(m)) >= x {
+			b = m
+		} else {
+			a = m
+		}
 	}
-	for q < clipQMax && clipQDecode(lo, hi, q) < x {
-		q++
-	}
-	if clipQDecode(lo, hi, q) < x {
-		return 0, false
-	}
-	for q > 0 && clipQDecode(lo, hi, q-1) >= x {
-		q--
-	}
-	return q, true
+	return uint32(b), true
 }
 
 // quantisePoint encodes one clip point's coordinates onto the universe grid,
@@ -122,16 +111,4 @@ func quantisePoint(mask geom.Corner, coord []float64, universe geom.Rect, out []
 		out[d] = q
 	}
 	return true
-}
-
-// EncodeTableV2 serialises a clip table in the quantised v2 layout. Entries
-// are written in ascending node-id order so the encoding is deterministic.
-func EncodeTableV2(t Table, dims int, universe geom.Rect) []byte {
-	return encodeTable(t, dims, &universe)
-}
-
-// DecodeTableV2 parses a clip table previously produced by EncodeTableV2,
-// reconstructing coordinates on the universe grid.
-func DecodeTableV2(buf []byte, universe geom.Rect) (Table, int, error) {
-	return decodeTable(buf, &universe)
 }

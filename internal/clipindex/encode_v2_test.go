@@ -2,6 +2,7 @@ package clipindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,8 +12,8 @@ import (
 	"cbb/internal/rtree"
 )
 
-func randClipTableV2(rng *rand.Rand, dims, nodes, perNode int, universe geom.Rect) Table {
-	t := make(Table, nodes)
+func randClipTableV2(rng *rand.Rand, dims, nodes, perNode int, universe geom.Rect) points {
+	t := make(points, nodes)
 	for i := 0; i < nodes; i++ {
 		clips := make([]core.ClipPoint, perNode)
 		for j := range clips {
@@ -36,11 +37,11 @@ func TestClipTableV2RoundTripConservative(t *testing.T) {
 			universe.Lo[d], universe.Hi[d] = 0, 10000
 		}
 		table := randClipTableV2(rng, dims, 20, 6, universe)
-		buf := EncodeTableV2(table, dims, universe)
-		if !bytes.Equal(buf, EncodeTableV2(table, dims, universe)) {
+		buf := tableOf(table, dims).EncodeClips(dims, &universe)
+		if !bytes.Equal(buf, tableOf(table, dims).EncodeClips(dims, &universe)) {
 			t.Fatalf("dims=%d encoding is not deterministic", dims)
 		}
-		back, gotDims, err := DecodeTableV2(buf, universe)
+		back, gotDims, err := decodePoints(buf, universe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,12 +89,12 @@ func TestClipTableV2GridStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	universe := geom.R(0, 0, 10000, 10000)
 	table := randClipTableV2(rng, 2, 15, 5, universe)
-	buf := EncodeTableV2(table, 2, universe)
-	once, _, err := DecodeTableV2(buf, universe)
+	buf := tableOf(table, 2).EncodeClips(2, &universe)
+	once, _, err := DecodeClips(buf, &universe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf2 := EncodeTableV2(once, 2, universe)
+	buf2 := once.EncodeClips(2, &universe)
 	if !bytes.Equal(buf, buf2) {
 		t.Fatal("re-encoding a decoded table changed the bytes")
 	}
@@ -101,19 +102,19 @@ func TestClipTableV2GridStability(t *testing.T) {
 
 func TestClipTableV2RawFallback(t *testing.T) {
 	universe := geom.R(0, 0, 100, 100)
-	table := Table{
-		5: []core.ClipPoint{
+	table := points{
+		5: {
 			{Coord: geom.Pt(-3, 50), Mask: 0},               // below the universe on d0
 			{Coord: geom.Pt(50, 120), Mask: geom.Corner(2)}, // above it on d1
 			{Coord: geom.Pt(25, 75), Mask: geom.Corner(1)},  // in range: quantised
 		},
 	}
-	buf := EncodeTableV2(table, 2, universe)
+	buf := tableOf(table, 2).EncodeClips(2, &universe)
 	wantLen := 8 + 8 + 2*ClipPointBytes(2) + clipPointV2HeaderBytes + 2*4
 	if len(buf) != wantLen {
 		t.Fatalf("encoded %d bytes, want %d (two raw + one quantised)", len(buf), wantLen)
 	}
-	back, _, err := DecodeTableV2(buf, universe)
+	back, _, err := decodePoints(buf, universe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,26 +131,32 @@ func TestClipTableV2RawFallback(t *testing.T) {
 		}
 	}
 	// Non-finite coordinates must also take the raw path, not panic.
-	nan := Table{1: []core.ClipPoint{{Coord: geom.Pt(math.NaN(), 1), Mask: 0}}}
-	nbuf := EncodeTableV2(nan, 2, universe)
-	nback, _, err := DecodeTableV2(nbuf, universe)
+	nan := points{1: {{Coord: geom.Pt(math.NaN(), 1), Mask: 0}}}
+	nbuf := tableOf(nan, 2).EncodeClips(2, &universe)
+	nback, _, err := decodePoints(nbuf, universe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsNaN(nback[1][0].Coord[0]) {
 		t.Error("NaN coordinate not preserved through the raw path")
 	}
+	// A universe whose width overflows float64 has no grid: every point is
+	// stored raw.
+	wide := geom.R(-1e308, -1e308, 1e308, 1e308)
+	if buf := tableOf(points{1: {{Coord: geom.Pt(1, 2), Mask: 0}}}, 2).EncodeClips(2, &wide); len(buf) != 8+8+ClipPointBytes(2) {
+		t.Errorf("a point in a universe too wide for a grid encoded in %d bytes, want it raw", len(buf))
+	}
 }
 
 func TestClipTableV2UniverseEndpointsExact(t *testing.T) {
 	universe := geom.R(0, 0, 100, 100)
-	table := Table{
-		2: []core.ClipPoint{
+	table := points{
+		2: {
 			{Coord: geom.Pt(0, 100), Mask: geom.Corner(2)},
 			{Coord: geom.Pt(100, 0), Mask: geom.Corner(1)},
 		},
 	}
-	back, _, err := DecodeTableV2(EncodeTableV2(table, 2, universe), universe)
+	back, _, err := decodePoints(tableOf(table, 2).EncodeClips(2, &universe), universe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,26 +171,44 @@ func TestClipTableV2UniverseEndpointsExact(t *testing.T) {
 
 func TestDecodeTableV2Errors(t *testing.T) {
 	universe := geom.R(0, 0, 100, 100)
-	if _, _, err := DecodeTableV2([]byte{1, 2, 3}, universe); err == nil {
+	if _, _, err := decodePoints([]byte{1, 2, 3}, universe); err == nil {
 		t.Error("short buffer must fail")
 	}
-	table := Table{3: []core.ClipPoint{{Coord: geom.Pt(10, 20), Mask: 1}}}
-	buf := EncodeTableV2(table, 2, universe)
+	table := points{3: {{Coord: geom.Pt(10, 20), Mask: 1}}}
+	buf := tableOf(table, 2).EncodeClips(2, &universe)
 	for _, cut := range []int{9, 13, len(buf) - 1} {
-		if _, _, err := DecodeTableV2(buf[:cut], universe); err == nil {
+		if _, _, err := decodePoints(buf[:cut], universe); err == nil {
 			t.Errorf("truncation at %d must fail", cut)
 		}
 	}
 	flipped := geom.Rect{Lo: geom.Pt(0, 100), Hi: geom.Pt(100, 0)}
-	if _, _, err := DecodeTableV2(buf, flipped); err == nil {
+	if _, _, err := decodePoints(buf, flipped); err == nil {
 		t.Error("invalid universe must fail")
 	}
-	if _, _, err := DecodeTableV2(buf, geom.Rect{Lo: geom.Pt(0), Hi: geom.Pt(100)}); err == nil {
+	if _, _, err := decodePoints(buf, geom.Rect{Lo: geom.Pt(0), Hi: geom.Pt(100)}); err == nil {
 		t.Error("universe dimensionality mismatch must fail")
 	}
 	bad := append([]byte(nil), buf...)
 	bad[0] = 77 // implausible dims
-	if _, _, err := DecodeTableV2(bad, universe); err == nil {
+	if _, _, err := decodePoints(bad, universe); err == nil {
 		t.Error("implausible dimensionality must fail")
 	}
+	// The encoder stores a point raw only when the grid cannot hold it, so a
+	// raw point inside the universe is not a section it wrote.
+	raw := tableOf(points{3: {{Coord: geom.Pt(-5, 20), Mask: 0}}}, 2).EncodeClips(2, &universe)
+	binary.LittleEndian.PutUint64(raw[20:], math.Float64bits(5))
+	if _, _, err := decodePoints(raw, universe); err == nil {
+		t.Error("a raw point the grid holds must fail")
+	}
+}
+
+// decodePoints is DecodeClips over a v2 section with the records
+// materialised as clip points.
+func decodePoints(buf []byte, universe geom.Rect) (points, int, error) {
+	table, dims, err := DecodeClips(buf, &universe)
+	out := make(points, len(table))
+	for id, rec := range table {
+		out[id] = rec.Points(dims)
+	}
+	return out, dims, err
 }

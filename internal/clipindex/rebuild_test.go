@@ -34,7 +34,7 @@ func sliverItems(rng *rand.Rand, dims, n int) []rtree.Item {
 
 // sameClipBits compares clip points by order, mask and coordinate bits. Scores
 // are not compared: the index keeps none (they have done their work once the
-// clip points are ordered), so Table and Clips report 0 where core.Clip
+// clip points are ordered), so Record.Points and Clips report 0 where core.Clip
 // reports the score.
 func sameClipBits(a, b []core.ClipPoint) bool {
 	if len(a) != len(b) {
@@ -72,7 +72,7 @@ func TestRebuildDeterministicAcrossWorkers(t *testing.T) {
 					}
 					params := core.DefaultParams(dims)
 					params.Method = method
-					want := make(Table)
+					want := make(points)
 					nodes := 0
 					tree.Walk(func(info rtree.NodeInfo) {
 						nodes++
@@ -94,13 +94,13 @@ func TestRebuildDeterministicAcrossWorkers(t *testing.T) {
 							t.Fatal(err)
 						}
 						for pass := 0; pass < 2; pass++ { // New's build, then RebuildAll over a published table
-							snap, table := idx.Snap(), idx.Table()
+							snap, table := idx.Snap(), records(idx)
 							if len(table) != len(want) {
 								t.Fatalf("GOMAXPROCS=%d: %d clipped nodes, serial reference has %d", procs, len(table), len(want))
 							}
 							for id, clips := range want {
-								if !sameClipBits(table[id], clips) {
-									t.Fatalf("GOMAXPROCS=%d: node %d has %v, serial reference %v", procs, id, table[id], clips)
+								if !sameClipBits(table[id].Points(dims), clips) {
+									t.Fatalf("GOMAXPROCS=%d: node %d has %v, serial reference %v", procs, id, table[id].Points(dims), clips)
 								}
 								if !sameClipBits(snap.Clips(id), clips) {
 									t.Fatalf("GOMAXPROCS=%d: node %d's published record has %v, serial reference %v", procs, id, snap.Clips(id), clips)

@@ -2,20 +2,21 @@ package clipindex
 
 import (
 	"bytes"
-	"errors"
 	"maps"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"cbb/internal/core"
 	"cbb/internal/geom"
 	"cbb/internal/rtree"
-	"cbb/internal/storage"
 )
 
-// An index encodes its clip section straight from its records; the bytes are
-// those of encoding the materialised table, in both layouts, for a fresh
-// build and after updates, and an empty index has no section.
+// An index encodes its clip section straight from the tree's directory; the
+// bytes are those of encoding a Table of the same records, in both layouts,
+// for a fresh build and after updates, and an empty index has no section.
 func TestEncodeClipsMatchesTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tree, _ := buildClusteredTree(t, rng, rtree.RRStar, 1500)
@@ -26,18 +27,18 @@ func TestEncodeClipsMatchesTable(t *testing.T) {
 	universe := geom.R(-10, -10, 1100, 1100)
 	check := func(when string) {
 		t.Helper()
-		table := idx.Table()
+		table := records(idx)
 		if len(table) == 0 {
 			t.Fatalf("%s: no clipped node", when)
 		}
-		if got, want := idx.EncodeClips(2, nil), EncodeTable(table, 2); !bytes.Equal(got, want) {
-			t.Fatalf("%s: format-1 section from the records differs from the table's (%d vs %d bytes)", when, len(got), len(want))
+		if got, want := idx.EncodeClips(2, nil), table.EncodeClips(2, nil); !bytes.Equal(got, want) {
+			t.Fatalf("%s: format-1 section from the directory differs from the table's (%d vs %d bytes)", when, len(got), len(want))
 		}
-		if got, want := idx.EncodeClips(2, &universe), EncodeTableV2(table, 2, universe); !bytes.Equal(got, want) {
-			t.Fatalf("%s: format-2 section from the records differs from the table's (%d vs %d bytes)", when, len(got), len(want))
+		if got, want := idx.EncodeClips(2, &universe), table.EncodeClips(2, &universe); !bytes.Equal(got, want) {
+			t.Fatalf("%s: format-2 section from the directory differs from the table's (%d vs %d bytes)", when, len(got), len(want))
 		}
-		if got := idx.AuxBytes(); got != TableBytes(table, 2) {
-			t.Fatalf("%s: AuxBytes %d, TableBytes of the table %d", when, got, TableBytes(table, 2))
+		if got, want := idx.AuxBytes(), len(table.EncodeClips(2, nil)); got != want {
+			t.Fatalf("%s: AuxBytes %d, the table encodes to %d", when, got, want)
 		}
 	}
 	check("after the build")
@@ -60,10 +61,11 @@ func TestEncodeClipsMatchesTable(t *testing.T) {
 	}
 }
 
-// Restore followed by Table is the identity on a decoded table — nodes, order
-// of clip points, masks, coordinate bits — and a table that names a node the
-// tree does not have is rejected as corrupt rather than kept, served and
-// saved again.
+// Restore over a tree that holds a decoded table's records is the identity —
+// nodes, order of clip points, masks, coordinate bits — and installs
+// nothing: a table that is not exactly the tree's records (one naming a node
+// the tree lacks, one missing a record, one whose record differs in a single
+// bit) is an error, and the tree keeps its own records.
 func TestRestoreTableIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tree, _ := buildClusteredTree(t, rng, rtree.RRStar, 1200)
@@ -71,7 +73,7 @@ func TestRestoreTableIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, _, err := DecodeTable(EncodeTable(built.Table(), 2))
+	table, _, err := DecodeClips(built.EncodeClips(2, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,16 +81,15 @@ func TestRestoreTableIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := idx.Table()
-	if len(back) != len(table) {
-		t.Fatalf("restored table has %d nodes, want %d", len(back), len(table))
+	if back := records(idx); !reflect.DeepEqual(back, table) {
+		t.Fatalf("restored index holds %d records, the table %d", len(back), len(table))
 	}
-	for id, clips := range table {
-		if !sameClipBits(back[id], clips) || !sameClipBits(idx.Snap().Clips(id), clips) {
-			t.Fatalf("node %d: restored %v (published %v), want %v", id, back[id], idx.Snap().Clips(id), clips)
+	for id, rec := range table {
+		if !sameClipBits(idx.Snap().Clips(id), rec.Points(2)) {
+			t.Fatalf("node %d: published %v, want %v", id, idx.Snap().Clips(id), rec.Points(2))
 		}
 	}
-	if !bytes.Equal(idx.EncodeClips(2, nil), EncodeTable(table, 2)) {
+	if !bytes.Equal(idx.EncodeClips(2, nil), table.EncodeClips(2, nil)) {
 		t.Fatal("restored records do not encode to the table's bytes")
 	}
 	// Queries over the restored index still agree with the plain tree.
@@ -100,11 +101,27 @@ func TestRestoreTableIdentity(t *testing.T) {
 	}
 	s := tree.Stats()
 	dir, leaf := s.DirNodes, s.LeafNodes
+	var bads []Table
 	for _, id := range []rtree.NodeID{rtree.NodeID(dir + leaf + 5), 1 << 21, 1<<31 - 1} {
 		bad := maps.Clone(table)
-		bad[id] = []core.ClipPoint{{Coord: geom.Point{1, -0.5}, Mask: geom.Corner(1)}}
-		if _, err := Restore(tree, core.DefaultParams(2), bad); !errors.Is(err, storage.ErrCorrupt) {
-			t.Fatalf("a table naming missing node %d: Restore returned %v, want storage.ErrCorrupt", id, err)
+		bad[id] = core.NewRecord([]core.ClipPoint{{Coord: geom.Point{1, -0.5}, Mask: geom.Corner(1)}}, 2)
+		bads = append(bads, bad)
+	}
+	for id, rec := range table {
+		missing, flipped := maps.Clone(table), maps.Clone(table)
+		delete(missing, id)
+		flipped[id] = slices.Clone(rec)
+		flipped[id][len(rec)-1] = math.Float64frombits(math.Float64bits(rec[len(rec)-1]) ^ 1)
+		bads = append(bads, missing, flipped)
+		break
+	}
+	before := built.EncodeClips(2, nil)
+	for i, bad := range bads {
+		if _, err := Restore(tree, core.DefaultParams(2), bad); err == nil {
+			t.Fatalf("table %d is not the tree's records, and Restore accepted it", i)
+		}
+		if !bytes.Equal(built.EncodeClips(2, nil), before) {
+			t.Fatalf("a failed Restore of table %d changed the tree's records", i)
 		}
 	}
 }
@@ -155,6 +172,5 @@ func TestRollbackRestoresPublishedRecords(t *testing.T) {
 // encodeSnap encodes a snapshot's records like Index.EncodeClips does the
 // writer's.
 func encodeSnap(s *Snap) []byte {
-	nodes, points, _ := s.ClipStats()
-	return encodeRecords(2, nil, nodes, points, s.v.Records())
+	return encodeRecords(2, nil, s.Version().Records())
 }

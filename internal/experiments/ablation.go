@@ -75,7 +75,7 @@ func RunTauSweep(cfg Config, taus []float64) (*TauSweepResult, error) {
 			out.Rows = append(out.Rows, TauRow{
 				Dataset:        name,
 				Tau:            tau,
-				AvgClipPoints:  idx.Table().AvgClipPointsPerNode(),
+				AvgClipPoints:  cs.AvgClipPoints,
 				ClipTableBytes: idx.AuxBytes(),
 				ClippedShare:   cs.ClippedShareOfDead,
 				RelativeLeafIO: relative(clipped, unclipped),
@@ -211,8 +211,8 @@ func RunOrderingAblation(cfg Config) (*OrderingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ordered := countClipChecks(tree, idx.Table(), qs, false)
-		reversed := countClipChecks(tree, idx.Table(), qs, true)
+		ordered := countClipChecks(idx.Snap(), qs, false)
+		reversed := countClipChecks(idx.Snap(), qs, true)
 		out.Rows = append(out.Rows, OrderingRow{Dataset: name, OrderedChecks: ordered, ReversedChecks: reversed})
 	}
 	return out, nil
@@ -223,8 +223,9 @@ func RunOrderingAblation(cfg Config) (*OrderingResult, error) {
 // candidate child — the children of visited nodes that have clip points and
 // whose MBB the query intersects — with every clip list optionally reversed.
 // The verdicts, and so the nodes visited, do not depend on the order.
-func countClipChecks(tree *rtree.Tree, table clipindex.Table, queries []geom.Rect, reversed bool) int64 {
-	v := tree.CurrentVersion()
+func countClipChecks(snap *clipindex.Snap, queries []geom.Rect, reversed bool) int64 {
+	v, dims := snap.Version(), snap.Version().Dims()
+	one := []core.ClipPoint{{Coord: make(geom.Point, dims)}}
 	var checks int64
 	var descend func(id rtree.NodeID, q geom.Rect)
 	descend = func(id rtree.NodeID, q geom.Rect) {
@@ -237,15 +238,16 @@ func countClipChecks(tree *rtree.Tree, table clipindex.Table, queries []geom.Rec
 			if !info.Rect(i).Intersects(q) {
 				continue
 			}
-			clips := table[info.Child(i)]
+			rec := snap.Record(info.Child(i))
 			// Examine clip points one at a time until one prunes (or all
 			// pass), mirroring Algorithm 2's early exit.
-			for k := range clips {
+			for k := range rec.Len(dims) {
 				if reversed {
-					k = len(clips) - 1 - k
+					k = rec.Len(dims) - 1 - k
 				}
 				checks++
-				if core.QueryDead(clips[k:k+1], q) {
+				one[0].Mask = rec.At(dims, k, one[0].Coord)
+				if core.QueryDead(one, q) {
 					continue children
 				}
 			}

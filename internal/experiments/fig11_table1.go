@@ -55,16 +55,19 @@ func RunFig11(cfg Config) (*Fig11Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			// The unclipped tree, then the clipped ones, skyline first. Each
+			// clipping publishes a version with its own records, so the
+			// skyline one is held before the stairline clipping replaces them.
 			idxSky, _, err := cfg.ClipTree(tree, core.MethodSkyline)
 			if err != nil {
 				return nil, err
 			}
+			sky := idxSky.Snap()
 			idxSta, _, err := cfg.ClipTree(tree, core.MethodStairline)
 			if err != nil {
 				return nil, err
 			}
-			// The unclipped tree, then the clipped ones, skyline first.
-			plain, sky, sta := tree.CurrentVersion(), idxSky.Snap(), idxSta.Snap()
+			plain, sta := tree.CurrentVersion(), idxSta.Snap()
 			search := []func(geom.Rect) (storage.Snapshot, error){
 				func(q geom.Rect) (storage.Snapshot, error) { return plain.SearchCounted(q, nil, discard) },
 				func(q geom.Rect) (storage.Snapshot, error) { return sky.SearchCounted(q, nil, discard) },

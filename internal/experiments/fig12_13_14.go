@@ -138,6 +138,7 @@ func RunFig13(cfg Config) (*Fig13Result, error) {
 			if total > 0 {
 				clipShare = float64(usage.Bytes[storage.KindAux]) / float64(total)
 			}
+			nodes, points, _ := idx.Snap().ClipStats()
 			out.Rows = append(out.Rows, Fig13Row{
 				Dataset:       name,
 				Method:        method.String(),
@@ -145,7 +146,7 @@ func RunFig13(cfg Config) (*Fig13Result, error) {
 				LeafBytes:     usage.Bytes[storage.KindLeaf],
 				ClipBytes:     usage.Bytes[storage.KindAux],
 				ClipShare:     clipShare,
-				AvgClipPoints: idx.Table().AvgClipPointsPerNode(),
+				AvgClipPoints: float64(points) / float64(max(nodes, 1)),
 			})
 		}
 	}

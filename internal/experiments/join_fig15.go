@@ -153,10 +153,13 @@ func RunFig15(cfg Config) (*Fig15Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Each clipping publishes a version with its own records: the
+			// skyline one is held before the stairline clipping replaces them.
 			idxSky, _, err := cfg.ClipTree(tree, core.MethodSkyline)
 			if err != nil {
 				return nil, err
 			}
+			sky := idxSky.Snap()
 			idxSta, _, err := cfg.ClipTree(tree, core.MethodStairline)
 			if err != nil {
 				return nil, err
@@ -165,7 +168,7 @@ func RunFig15(cfg Config) (*Fig15Result, error) {
 			if v == rtree.RRStar {
 				short = "RR*"
 			}
-			plain, sky, sta := tree.CurrentVersion(), idxSky.Snap(), idxSta.Snap()
+			plain, sta := tree.CurrentVersion(), idxSta.Snap()
 			runs := []struct {
 				label  string
 				search func(geom.Rect) (storage.Snapshot, error)

@@ -135,7 +135,6 @@ func ClippedDeadSpace(idx *clipindex.Index, samplesPerNode int, seed int64) Clip
 	}
 	rng := rand.New(rand.NewSource(seed))
 	tree := idx.Tree()
-	table := idx.Table()
 	var out ClipStats
 	var sumDead, sumClipped float64
 	_ = tree.Walk(func(info rtree.NodeInfo) { // in memory, as above
@@ -144,7 +143,7 @@ func ClippedDeadSpace(idx *clipindex.Index, samplesPerNode int, seed int64) Clip
 			return
 		}
 		_, dead := nodeOverlapAndDeadSpace(info, samplesPerNode, rng)
-		clipped := core.ClippedVolume(info.MBB, table[info.ID]) / vol
+		clipped := core.ClippedVolume(info.MBB, tree.Record(info.ID).Points(tree.Dims())) / vol
 		out.Nodes++
 		sumDead += dead
 		sumClipped += clipped
@@ -163,7 +162,8 @@ func ClippedDeadSpace(idx *clipindex.Index, samplesPerNode int, seed int64) Clip
 			}
 		}
 	}
-	out.AvgClipPoints = table.AvgClipPointsPerNode()
+	nodes, points, _ := idx.Snap().ClipStats()
+	out.AvgClipPoints = float64(points) / float64(max(nodes, 1))
 	return out
 }
 

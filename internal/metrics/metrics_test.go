@@ -110,11 +110,12 @@ func TestStairlineClipsMoreThanSkyline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Measured before the stairline index replaces the tree's records.
+	skyStats := ClippedDeadSpace(sky, 256, 13)
 	sta, err := clipindex.New(tree, core.Params{K: 8, Tau: 0.025, Method: core.MethodStairline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	skyStats := ClippedDeadSpace(sky, 256, 13)
 	staStats := ClippedDeadSpace(sta, 256, 13)
 	if staStats.AvgClipped < skyStats.AvgClipped-0.02 {
 		t.Errorf("stairline clipping (%.3f) should be at least skyline clipping (%.3f)",

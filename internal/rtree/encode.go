@@ -173,17 +173,18 @@ func (v *Version) walk(fn func(*node) error) error {
 // dropped: the result is an ordinary in-memory tree (not FileBacked, read
 // lock-free, no store retained) whose object count and height
 // are what the pages hold — callers with a header to honour compare them
-// (snapshot.LoadTree). A tree loaded from v2 pages carries conservatively
-// expanded directory rects, so Validate checks containment instead of
-// equality; it remains fully usable (queries are admissible, mutations
-// re-tighten rects as they touch them).
-func Load(cfg Config, store storage.PageStore, pages map[NodeID]storage.PageID, root NodeID, codec PageCodec) (*Tree, error) {
+// (snapshot.LoadTree). recs are the nodes' clip records, as OpenPaged takes
+// them. A tree loaded from v2 pages carries conservatively expanded directory
+// rects, so Validate checks containment instead of equality; it remains fully
+// usable (queries are admissible, mutations re-tighten rects as they touch
+// them).
+func Load(cfg Config, store storage.PageStore, pages map[NodeID]storage.PageID, root NodeID, codec PageCodec, recs map[NodeID]core.Record) (*Tree, error) {
 	if root == InvalidNode {
 		return nil, errors.New("rtree: cannot load an empty tree")
 	}
 	// Size and height are what hydrate is about to count; the open only needs
 	// plausible stand-ins.
-	t, err := OpenPaged(cfg, store, pages, root, 0, 1, true, codec, nil)
+	t, err := OpenPaged(cfg, store, pages, root, 0, 1, true, codec, recs)
 	if err != nil {
 		return nil, err
 	}

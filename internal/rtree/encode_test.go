@@ -80,7 +80,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			if len(pages) == 0 || pages[tr.RootID()] == storage.InvalidPage {
 				t.Fatal("Save produced no pages")
 			}
-			back, err := Load(cfg, pager, pages, tr.RootID(), CodecV1)
+			back, err := Load(cfg, pager, pages, tr.RootID(), CodecV1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,12 +121,12 @@ func TestLoadErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Root without a page.
-	if _, err := Load(cfg, pager, pages, NodeID(99999), CodecV1); err == nil {
+	if _, err := Load(cfg, pager, pages, NodeID(99999), CodecV1, nil); err == nil {
 		t.Error("bogus root must fail")
 	}
 	// Page map referencing a missing page.
 	broken := map[NodeID]storage.PageID{NodeID(0): storage.PageID(99999)}
-	if _, err := Load(cfg, pager, broken, NodeID(0), CodecV1); err == nil {
+	if _, err := Load(cfg, pager, broken, NodeID(0), CodecV1, nil); err == nil {
 		t.Error("missing pages must fail")
 	}
 }

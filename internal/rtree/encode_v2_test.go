@@ -280,7 +280,7 @@ func TestSaveLoadRoundTripV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(cfg, pager, pages, tr.RootID(), CodecV2)
+	back, err := Load(cfg, pager, pages, tr.RootID(), CodecV2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestV2LoadedDirectoryRequantisedOnTouch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := Load(cfg, pager, pages, tr.RootID(), CodecV2)
+		back, err := Load(cfg, pager, pages, tr.RootID(), CodecV2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

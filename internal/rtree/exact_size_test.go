@@ -193,7 +193,7 @@ func TestPublishedNodesExactlySized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := Load(cfg, pager, pages, tr.RootID(), CodecV2)
+			back, err := Load(cfg, pager, pages, tr.RootID(), CodecV2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

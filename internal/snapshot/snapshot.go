@@ -49,7 +49,8 @@ const (
 	// quantised/delta-coded v2 layout (rtree.CodecV2), the page size is
 	// chosen from the largest encoded node rather than the node capacity,
 	// and the clip table is quantised against the universe
-	// (clipindex.EncodeTableV2). v2 snapshots open read-only.
+	// (clipindex's EncodeClips given the universe). v2 snapshots open
+	// read-only.
 	FormatV2 = 2
 	// SuperPage is the page id of the superblock: always the first page of
 	// the file, so readers can find it without any other metadata.
@@ -213,8 +214,8 @@ func fillPageSize(meta Meta, tree *rtree.Tree) (Meta, error) {
 }
 
 // ClipSource is a clip table a snapshot can serialise: a clipindex.Table
-// (decoded from another snapshot, say) or a *clipindex.Index, which encodes
-// straight from its resident records. EncodeClips returns the clip section in
+// (decoded from another snapshot, say) or a *clipindex.Index; both encode
+// straight from their records. EncodeClips returns the clip section in
 // the format-1 layout for a nil universe and the format-2 layout otherwise,
 // nil when there are no clip points. A nil ClipSource has none.
 type ClipSource interface {
@@ -246,8 +247,9 @@ type Layout struct {
 }
 
 // Snapshot is a decoded snapshot: its header, the location of every node
-// page, and the clip table. The node pages themselves stay in the page store
-// until LoadTree or OpenTree asks for them.
+// page, and the clip table, decoded into the nodes' clip records. The node
+// pages themselves stay in the page store until LoadTree or OpenTree asks for
+// them, and the tree either returns holds the table's records as they are.
 type Snapshot struct {
 	Meta   Meta
 	Pages  map[rtree.NodeID]storage.PageID
@@ -256,13 +258,15 @@ type Snapshot struct {
 }
 
 // LoadTree loads the snapshot's tree from the page store into memory (the
-// Load half of the Save/Load pair) and holds what the pages contain to the
-// header: a differing object count or height is ErrCorrupt.
+// Load half of the Save/Load pair), with the clip table's records in its
+// directory (clipindex.Restore then finds them in place), and holds what the
+// pages contain to the header: a differing object count or height is
+// ErrCorrupt.
 func (s *Snapshot) LoadTree(store storage.PageStore) (*rtree.Tree, error) {
 	if s.Meta.Root == rtree.InvalidNode {
 		return rtree.New(s.Meta.Config())
 	}
-	t, err := rtree.Load(s.Meta.Config(), store, s.Pages, s.Meta.Root, s.Meta.Codec())
+	t, err := rtree.Load(s.Meta.Config(), store, s.Pages, s.Meta.Root, s.Meta.Codec(), s.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -276,18 +280,15 @@ func (s *Snapshot) LoadTree(store storage.PageStore) (*rtree.Tree, error) {
 }
 
 // OpenTree returns a tree that faults node pages in from the store on
-// demand, so queries run directly against the backing file; it carries the
-// clip table's records from the start (clipindex.Restore then finds them in
-// place). With readonly false the tree is writable: the nodes its mutations
-// write are the ones Rewrite commits back into the snapshot in place.
+// demand, so queries run directly against the backing file; its lazy version
+// carries the clip table's records as they are (clipindex.Restore then finds
+// them in place). With readonly false the tree is writable: the nodes its
+// mutations write are the ones Rewrite commits back into the snapshot in
+// place.
 // Compressed (v2) snapshots only open read-only: their pages are sized to the
 // encoded node, so a mutated node might not fit back in its slot.
 func (s *Snapshot) OpenTree(store storage.PageStore, readonly bool) (*rtree.Tree, error) {
-	recs := make(map[rtree.NodeID]core.Record, len(s.Table))
-	for id, clips := range s.Table {
-		recs[id] = core.NewRecord(clips, s.Meta.Dims)
-	}
-	return rtree.OpenPaged(s.Meta.Config(), store, s.Pages, s.Meta.Root, s.Meta.Objects, s.Meta.Height, readonly, s.Meta.Codec(), recs)
+	return rtree.OpenPaged(s.Meta.Config(), store, s.Pages, s.Meta.Root, s.Meta.Objects, s.Meta.Height, readonly, s.Meta.Codec(), s.Table)
 }
 
 // Write serialises the tree and its clip table into a freshly created page
@@ -461,12 +462,12 @@ func Read(store storage.PageStore) (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: reading clip table: %w", err)
 		}
-		var dims int
+		var universe *geom.Rect
 		if meta.Format >= FormatV2 {
-			snap.Table, dims, err = clipindex.DecodeTableV2(clipBuf, meta.Universe)
-		} else {
-			snap.Table, dims, err = clipindex.DecodeTable(clipBuf)
+			universe = &meta.Universe
 		}
+		var dims int
+		snap.Table, dims, err = clipindex.DecodeClips(clipBuf, universe)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -43,10 +44,15 @@ func buildTree(t *testing.T, n int) (*rtree.Tree, *clipindex.Index, Meta) {
 	return tree, idx, meta
 }
 
+// records copies the index's clip records into a Table.
+func records(x *clipindex.Index) clipindex.Table {
+	return clipindex.Table(maps.Collect(x.Tree().Records()))
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	tree, idx, meta := buildTree(t, 500)
 	store := storage.NewImage(PageSizeFor(meta.MaxEntries, meta.Dims))
-	if err := Write(store, tree, idx.Table(), meta); err != nil {
+	if err := Write(store, tree, idx, meta); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Read(store)
@@ -66,19 +72,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	// Scores are construction-time ordering hints and not persisted; the
 	// persisted coordinates, masks, and their order must match exactly.
-	if len(snap.Table) != len(idx.Table()) {
-		t.Fatalf("clip table has %d nodes, want %d", len(snap.Table), len(idx.Table()))
-	}
-	for id, want := range idx.Table() {
-		got := snap.Table[id]
-		if len(got) != len(want) {
-			t.Fatalf("node %d has %d clip points, want %d", id, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Mask != want[i].Mask || !reflect.DeepEqual(got[i].Coord, want[i].Coord) {
-				t.Fatalf("node %d clip point %d differs: %v vs %v", id, i, got[i], want[i])
-			}
-		}
+	if want := records(idx); !reflect.DeepEqual(snap.Table, want) {
+		t.Fatalf("clip table has %d records, not the %d of the index", len(snap.Table), len(want))
 	}
 	ts := tree.Stats()
 	dir, leaf := ts.DirNodes, ts.LeafNodes
@@ -162,7 +157,7 @@ func TestEmptyAndStreamRoundTrip(t *testing.T) {
 func TestFileRoundTrip(t *testing.T) {
 	tree, idx, meta := buildTree(t, 300)
 	path := filepath.Join(t.TempDir(), "snap.cbb")
-	if err := WriteFile(path, tree, idx.Table(), meta); err != nil {
+	if err := WriteFile(path, tree, idx, meta); err != nil {
 		t.Fatal(err)
 	}
 	snap, fp, err := OpenFile(path, false)
@@ -193,7 +188,7 @@ func TestFileRoundTrip(t *testing.T) {
 func TestDecodeRejectsCorruption(t *testing.T) {
 	tree, idx, meta := buildTree(t, 200)
 	var buf bytes.Buffer
-	if err := SaveTo(&buf, tree, idx.Table(), meta); err != nil {
+	if err := SaveTo(&buf, tree, idx, meta); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -227,8 +222,8 @@ func TestReadRejectsClipTableForMissingNode(t *testing.T) {
 	for _, format := range []int{FormatV1, FormatV2} {
 		meta := meta
 		meta.Format = format
-		table := idx.Table()
-		table[1<<21] = []core.ClipPoint{{Coord: geom.Point{1, 1}, Mask: geom.Corner(1)}}
+		table := records(idx)
+		table[1<<21] = core.NewRecord([]core.ClipPoint{{Coord: geom.Point{1, 1}, Mask: geom.Corner(1)}}, 2)
 		var buf bytes.Buffer
 		if err := SaveTo(&buf, tree, table, meta); err != nil {
 			t.Fatal(err)
@@ -241,12 +236,12 @@ func TestReadRejectsClipTableForMissingNode(t *testing.T) {
 
 // An opened tree carries its clip records from the open, so Restore finds
 // them in place and the index reads the one lazy version the open published.
-// Restoring another table instead hydrates the tree and publishes the new
-// records under the same epoch.
+// Restore installs nothing: over a tree holding other records it fails, and
+// the tree keeps its records and its lazy version.
 func TestOpenTreeCarriesRecords(t *testing.T) {
 	tree, idx, meta := buildTree(t, 400)
 	store := storage.NewImage(PageSizeFor(meta.MaxEntries, meta.Dims))
-	if err := Write(store, tree, idx.Table(), meta); err != nil {
+	if err := Write(store, tree, idx, meta); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Read(store)
@@ -266,7 +261,7 @@ func TestOpenTreeCarriesRecords(t *testing.T) {
 	if x.Snap().Version() != lazy || opened.CurrentVersion() != lazy {
 		t.Fatal("Restore over the opened records published another version")
 	}
-	if !reflect.DeepEqual(x.Table(), idx.Table()) {
+	if !reflect.DeepEqual(records(x), records(idx)) {
 		t.Fatal("opened records differ from the saved index's")
 	}
 
@@ -281,15 +276,14 @@ func TestOpenTreeCarriesRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	lazy = reopened.CurrentVersion()
-	y, err := clipindex.Restore(reopened, params, other)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := clipindex.Restore(reopened, params, other); err == nil {
+		t.Fatal("Restore over a tree holding other records succeeded")
 	}
-	if v := y.Snap().Version(); v == lazy || v.Epoch() != lazy.Epoch() {
-		t.Fatalf("another table: version %p epoch %d, lazy %p epoch %d", v, v.Epoch(), lazy, lazy.Epoch())
+	if reopened.CurrentVersion() != lazy {
+		t.Fatal("a failed Restore published a version")
 	}
-	if got := y.Table(); !reflect.DeepEqual(got, other) {
-		t.Fatalf("restored %d records, want %d", len(got), len(other))
+	if got := clipindex.Table(maps.Collect(reopened.Records())); !reflect.DeepEqual(got, snap.Table) {
+		t.Fatalf("after a failed Restore the tree holds %d records, want the %d it was opened with", len(got), len(snap.Table))
 	}
 	if err := reopened.Validate(); err != nil {
 		t.Fatal(err)
@@ -301,14 +295,14 @@ func TestWriteRejectsMismatchedMeta(t *testing.T) {
 	bad := meta
 	bad.Dims = 3
 	store := storage.NewImage(PageSizeFor(meta.MaxEntries, meta.Dims))
-	if err := Write(store, tree, idx.Table(), bad); err == nil {
+	if err := Write(store, tree, idx, bad); err == nil {
 		t.Error("dims mismatch accepted")
 	}
 	store2 := storage.NewImage(PageSizeFor(meta.MaxEntries, meta.Dims))
 	if _, err := store2.Allocate(storage.KindLeaf); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(store2, tree, idx.Table(), meta); err == nil {
+	if err := Write(store2, tree, idx, meta); err == nil {
 		t.Error("non-empty store accepted")
 	}
 }

@@ -81,7 +81,7 @@ func TestTranscodeV1V2V1RoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	v1, v2, back := filepath.Join(dir, "a.cbb"), filepath.Join(dir, "b.cbb"), filepath.Join(dir, "c.cbb")
 	tree, idx, meta := buildTree(t, 600)
-	if err := WriteFile(v1, tree, idx.Table(), meta); err != nil {
+	if err := WriteFile(v1, tree, idx, meta); err != nil {
 		t.Fatal(err)
 	}
 	qs := transcodeQueries(40)
@@ -134,7 +134,7 @@ func TestTranscodeCompactInPlace(t *testing.T) {
 	dir := t.TempDir()
 	v1, v2 := filepath.Join(dir, "a.cbb"), filepath.Join(dir, "b.cbb")
 	tree, idx, meta := buildTree(t, 400)
-	if err := WriteFile(v1, tree, idx.Table(), meta); err != nil {
+	if err := WriteFile(v1, tree, idx, meta); err != nil {
 		t.Fatal(err)
 	}
 	if err := Transcode(v1, v2, FormatV2); err != nil {
@@ -167,7 +167,7 @@ func TestTranscodeUnknownFormat(t *testing.T) {
 	dir := t.TempDir()
 	v1 := filepath.Join(dir, "a.cbb")
 	tree, idx, meta := buildTree(t, 50)
-	if err := WriteFile(v1, tree, idx.Table(), meta); err != nil {
+	if err := WriteFile(v1, tree, idx, meta); err != nil {
 		t.Fatal(err)
 	}
 	if err := Transcode(v1, filepath.Join(dir, "b.cbb"), 9); err == nil {
@@ -178,11 +178,11 @@ func TestTranscodeUnknownFormat(t *testing.T) {
 func TestRewriteRejectsV2(t *testing.T) {
 	tree, idx, meta := buildTree(t, 50)
 	store := storage.NewImage(PageSizeFor(meta.MaxEntries, meta.Dims))
-	if err := Write(store, tree, idx.Table(), meta); err != nil {
+	if err := Write(store, tree, idx, meta); err != nil {
 		t.Fatal(err)
 	}
 	meta.Format = FormatV2
-	if err := Rewrite(store, tree, idx.Table(), meta); err == nil {
+	if err := Rewrite(store, tree, idx, meta); err == nil {
 		t.Error("Rewrite must reject the read-only v2 format")
 	}
 }
@@ -195,7 +195,7 @@ func TestTranscodeFoldsPendingWAL(t *testing.T) {
 	dir := t.TempDir()
 	v1, v2 := filepath.Join(dir, "a.cbb"), filepath.Join(dir, "b.cbb")
 	tree, idx, meta := buildTree(t, 400)
-	if err := WriteFile(v1, tree, idx.Table(), meta); err != nil {
+	if err := WriteFile(v1, tree, idx, meta); err != nil {
 		t.Fatal(err)
 	}
 
@@ -226,7 +226,7 @@ func TestTranscodeFoldsPendingWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Rewrite(fp, wtree, widx.Table(), snap.Meta); err != nil {
+	if err := Rewrite(fp, wtree, widx, snap.Meta); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("crash after WAL sync")

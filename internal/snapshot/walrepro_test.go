@@ -20,7 +20,7 @@ func TestTranscodeInPlaceStaleWAL(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.cbb")
 	tree, idx, meta := buildTree(t, 400)
-	if err := WriteFile(path, tree, idx.Table(), meta); err != nil {
+	if err := WriteFile(path, tree, idx, meta); err != nil {
 		t.Fatal(err)
 	}
 
@@ -51,7 +51,7 @@ func TestTranscodeInPlaceStaleWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Rewrite(fp, wtree, widx.Table(), snap.Meta); err != nil {
+	if err := Rewrite(fp, wtree, widx, snap.Meta); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("crash after WAL sync")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"cbb/internal/clipindex"
 	"cbb/internal/core"
 	"cbb/internal/snapshot"
 	"cbb/internal/storage"
@@ -953,8 +955,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	if err := stray.BulkLoad(corpusItems(2, 120, 7)); err != nil {
 		f.Fatal(err)
 	}
-	table := stray.idx.Table()
-	table[1<<21] = []core.ClipPoint{{Coord: Point{1, 1}, Mask: 1}}
+	table := clipindex.Table(maps.Collect(stray.tree.Records()))
+	table[1<<21] = core.NewRecord([]core.ClipPoint{{Coord: Point{1, 1}, Mask: 1}}, 2)
 	var bad bytes.Buffer
 	if err := snapshot.SaveTo(&bad, stray.tree, table, stray.snapshotMeta()); err != nil {
 		f.Fatal(err)
@@ -1077,4 +1079,50 @@ func TestCommitAdvancesEpochByOne(t *testing.T) {
 			t.Fatalf("%v: an insert and a delete moved the epoch %d → %d", clipping, e+1, got)
 		}
 	}
+}
+
+// The clip layer's snapshot is the tree's published version: it follows the
+// versions Materialize and a flush's commit publish, not only the commits
+// the clip layer makes itself.
+func TestClipSnapTracksTree(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "track.cbb")
+	created, err := Create(path, Options{Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := created.BulkLoad(corpusItems(2, 600, 41)); err != nil {
+		t.Fatal(err)
+	}
+	if err := created.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	same := func(when string) {
+		t.Helper()
+		if got, want := tree.idx.Snap().Version(), tree.tree.CurrentVersion(); got != want {
+			t.Fatalf("%s: the clip snapshot is version %p (epoch %d), the tree's is %p (epoch %d)", when, got, got.Epoch(), want, want.Epoch())
+		}
+	}
+	same("after Open")
+	if err := tree.tree.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	same("after Materialize")
+	for _, it := range corpusItems(2, 300, 43) {
+		if err := tree.Insert(it.Rect, it.Object+10000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := tree.tree.CurrentVersion()
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if tree.tree.CurrentVersion() == before {
+		t.Fatal("the flush published no version: no new node got a page, and the test is vacuous")
+	}
+	same("after a Flush that gave new nodes pages")
 }
