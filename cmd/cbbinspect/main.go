@@ -241,7 +241,8 @@ func reportCompression(path string, snap *snapshot.Snapshot, fp *storage.FilePag
 		fmt.Printf("file size  : %d B (%.1f B/object)\n", fi.Size(), float64(fi.Size())/float64(snap.Meta.Objects))
 	}
 	// In-memory filter layer per level: every faulted node carries packed
-	// PlaneBits-wide SoA planes alongside its exact rects (see
+	// SoA planes alongside its exact rects, PlaneBits wide on directory
+	// levels and LeafPlaneBits wide on the leaves (see
 	// internal/rtree/quant.go), so the resident footprint per level is the
 	// encoded page bytes plus these plane bytes.
 	planeBytes := map[int]int{}
@@ -261,7 +262,11 @@ func reportCompression(path string, snap *snapshot.Snapshot, fp *storage.FilePag
 				line += fmt.Sprintf(", %d-bit quantised", rtree.DirQuantBits)
 			}
 		}
-		line += fmt.Sprintf(", %d-bit planes %d B in-mem", rtree.PlaneBits, planeBytes[level])
+		bits := rtree.PlaneBits
+		if level == 0 {
+			bits = rtree.LeafPlaneBits
+		}
+		line += fmt.Sprintf(", %d-bit planes %d B in-mem", bits, planeBytes[level])
 		fmt.Println(line)
 	}
 	if codec == rtree.CodecV2 {

@@ -426,7 +426,7 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 		// what an in-memory tree's syncPlanes produces — requantising the
 		// conservatively decoded rects instead would drift by up to one grid
 		// cell and make pruning (and I/O counts) diverge between stores.
-		pw := planeWords(count)
+		pw := planeWords(count, false)
 		n.qplanes = make([]uint64, 2*dims*pw)
 		n.qmbb = make([]float64, 2*dims)
 		copy(n.qmbb[:dims], mbbLo)
@@ -435,13 +435,13 @@ func decodeNodeV2(buf []byte, dims int) (*node, error) {
 			r := n.rect(i, dims)
 			for d := 0; d < dims; d++ {
 				g := binary.LittleEndian.Uint16(buf[off:])
-				setPlane(n.qplanes, pw, d, i, false, g)
+				setPlane(n.qplanes, pw, PlaneBits, d, i, false, g)
 				r.Lo[d] = qdecode(mbbLo[d], mbbHi[d], uint32(g))
 				off += 2
 			}
 			for d := 0; d < dims; d++ {
 				g := binary.LittleEndian.Uint16(buf[off:])
-				setPlane(n.qplanes, pw, d, i, true, g)
+				setPlane(n.qplanes, pw, PlaneBits, d, i, true, g)
 				r.Hi[d] = qdecode(mbbLo[d], mbbHi[d], uint32(g))
 				off += 2
 			}

@@ -158,7 +158,7 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 				sc.qhi[d] = math.Nextafter(x+r, math.Inf(1))
 			}
 			quantiseQuery(n.qmbb, dims, sc.qlo[:], sc.qhi[:], &sc.qg)
-			quantScan(n.qplanes, count, dims, &sc.qg, mask)
+			scanPlanes(n.leaf, n.qplanes, count, dims, &sc.qg, mask)
 		} else { // nothing to filter by yet, or with: every slot survives
 			for w := range mask {
 				mask[w] = ^uint64(0) >> max(0, (w+1)<<6-count)

@@ -2,18 +2,20 @@ package rtree
 
 // This file implements the quantised structure-of-arrays (SoA) filter layer
 // of the in-memory node representation: derived from the one exact store
-// (node.boxes, flat float64), every node keeps per-dimension planes of 16-bit
-// grid coordinates relative to its own MBB, quantised conservatively outward with
+// (node.boxes, flat float64), every node keeps per-dimension planes of grid
+// coordinates relative to its own MBB, quantised conservatively outward with
 // exactly the v2 directory codec's qlower/qupper (lower bounds round down,
-// upper bounds round up on the same grid). The query hot path scans these
-// planes instead of the float64 store: per node, the intersection test becomes
-// one branch-free pass per dimension ANDing a survivor bitmask — and because
-// the planes are packed four 16-bit lanes to a uint64 word, each comparison
-// instruction processes four entries at once (SWAR), an 8x cut in memory
-// traffic and loop iterations against the float64 store. Only surviving
-// entries ever touch the exact rectangles: leaf survivors get one exact
-// verification, directory survivors are recursed into directly (the decoded
-// plane rect is a superset of the stored rect, so recursing off the
+// upper bounds round up on the same 16-bit grid). A directory node's planes
+// hold those 16-bit coordinates; a leaf's hold them reduced to 8 bits (see
+// below). The query hot path scans these planes instead of the float64
+// store: per node, the intersection test becomes one branch-free pass per
+// dimension ANDing a survivor bitmask — and because the planes are packed
+// four 16-bit or eight 8-bit lanes to a uint64 word, each comparison
+// instruction processes four or eight entries at once (SWAR), an 8x or 16x
+// cut in memory traffic and loop iterations against the float64 store. Only
+// surviving entries ever touch the exact rectangles: leaf survivors get one
+// exact verification, directory survivors are recursed into directly (the
+// decoded plane rect is a superset of the stored rect, so recursing off the
 // conservative verdict is admissible by the same containment argument as the
 // v2 on-disk format — a false positive costs one extra node visit, never a
 // missed result).
@@ -39,6 +41,18 @@ package rtree
 // also assign to every query value — the dimension passes vacuously and the
 // exact verify (leaves) or the child's own planes (directories) take over.
 //
+// A leaf's grid decides no descent — every leaf survivor is checked against
+// its exact box — so leaves keep only the top eight bits of each coordinate:
+// a lower bound g becomes leafLower(g) = g>>8 and an upper bound
+// leafUpper(g) = min(255, ⌈g/256⌉), and the query's two grid coordinates are
+// reduced the same way on the same side, its upper bound with leafLower and
+// its lower bound with leafUpper. Both maps are monotone, so their
+// composition with qlower and qupper is too, and the two implications above
+// hold for the composed roundings word for word: the 8-bit test never misses
+// either. A coarser leaf grid costs only the near misses it admits — one
+// more exact check each — and halves the words a leaf scan reads and the
+// heap its planes take.
+//
 // Plane provenance matters for cross-store equivalence: an in-memory node
 // quantises its exact entry rects, and a node faulted in from a compressed
 // (v2) snapshot page adopts the grid coordinates stored in the page verbatim
@@ -47,7 +61,9 @@ package rtree
 // instead would drift by up to one grid cell (double quantisation), making
 // pruning decisions — and with them node visit counts — diverge between
 // stores. With verbatim adoption, every store scans identical planes and the
-// equivalence matrices stay bit-identical across mem/file/v2/mmap.
+// equivalence matrices stay bit-identical across mem/file/v2/mmap. Leaf
+// pages hold exact boxes in every format, so a leaf's planes are computed at
+// fault-in like an in-memory leaf's.
 //
 // The same grid carries a directory node's copy of its children's clip
 // points, so that Algorithm 2 is decided there too; the last section of this
@@ -61,17 +77,19 @@ import (
 	"cbb/internal/geom"
 )
 
-// PlaneBits is the width of one in-memory quantised plane coordinate. It is
-// fixed to the v2 directory grid (DirQuantBits) so that compressed snapshot
-// pages can populate the planes verbatim from their stored grid coordinates,
-// with no requantisation on the fault-in path and bit-identical pruning
-// across stores. The measured slack of the 16-bit grid (see cbbinspect's
+// PlaneBits is the width of one directory plane coordinate. It is fixed to
+// the v2 directory grid (DirQuantBits) so that compressed snapshot pages can
+// populate the planes verbatim from their stored grid coordinates, with no
+// requantisation on the fault-in path and bit-identical pruning across
+// stores. The measured slack of the 16-bit grid (see cbbinspect's
 // quant-slack report) is far below one part in 10^3 of a node's extent,
 // which a conservative filter absorbs as the occasional extra exact check.
 const PlaneBits = DirQuantBits
 
-// planeLanes is how many plane coordinates one uint64 word packs.
-const planeLanes = 64 / PlaneBits
+// LeafPlaneBits is the width of one leaf plane coordinate: the top eight
+// bits of the node's 16-bit grid coordinate, rounded outward (see the file
+// comment).
+const LeafPlaneBits = 8
 
 const (
 	// laneH has the top bit of each 16-bit lane set — the SWAR sign mask.
@@ -83,11 +101,35 @@ const (
 	// two partial products collide, so one multiply replaces four
 	// shift-mask-or steps.
 	nibMul = 1<<48 | 1<<33 | 1<<18 | 1<<3
+	// byteH, byte1 and byteMul are the same for eight 8-bit lanes: byteMul
+	// moves lane k's top bit (at 8k after the >>7) by 56-7k places into bit
+	// 56+k, and the 64 partial products all land on different bits, so no
+	// carry reaches the top byte.
+	byteH   = 0x8080808080808080
+	byte1   = 0x0101010101010101
+	byteMul = 0x0102040810204080
 )
 
-// planeWords is the length of one plane (one dimension, one bound) in packed
-// uint64 words.
-func planeWords(count int) int { return (count + planeLanes - 1) / planeLanes }
+// planeBits is the lane width of a leaf's or a directory node's planes.
+func planeBits(leaf bool) int {
+	if leaf {
+		return LeafPlaneBits
+	}
+	return PlaneBits
+}
+
+// planeWords is the length of one plane (one dimension, one bound) of a
+// node of the given kind in packed uint64 words.
+func planeWords(count int, leaf bool) int {
+	lanes := 64 / planeBits(leaf)
+	return (count + lanes - 1) / lanes
+}
+
+// leafLower and leafUpper reduce a 16-bit grid coordinate to the leaf grid:
+// a lower bound down to its 256-cell block, an upper bound up to the next
+// block boundary, where the grid's top (256) is kept as 255.
+func leafLower(g uint16) uint16 { return g >> 8 }
+func leafUpper(g uint16) uint16 { return uint16(min(255, (uint32(g)+255)>>8)) }
 
 // planeBytes is the resident size of the node's quantised filter layer: the
 // packed SoA planes plus the MBB they are quantised against. It is charged
@@ -100,49 +142,66 @@ func (n *node) planeBytes() int { return len(n.qplanes)*8 + len(n.qmbb)*8 }
 // Range search skips a node without one (only freed-slot placeholders lack
 // it); the nearest-neighbour search only skips its grid prefilter.
 func (n *node) hasPlanes(dims int) bool {
-	return len(n.qplanes) == 2*dims*planeWords(n.count()) && len(n.qmbb) == 2*dims
+	return len(n.qplanes) == 2*dims*planeWords(n.count(), n.leaf) && len(n.qmbb) == 2*dims
 }
 
 // planeAt reads one quantised coordinate back out of the packed planes:
-// entry i's lower (hi=false) or upper (hi=true) bound in dimension d.
-// Validation and the v2 encoder use it; the scan kernels never unpack.
+// entry i's lower (hi=false) or upper (hi=true) bound in dimension d, on the
+// leaf grid for a leaf. Validation and the v2 encoder use it; the scan
+// kernels never unpack.
 func (n *node) planeAt(dims, d, i int, hi bool) uint16 {
-	count := n.count()
-	w := planeWords(count)
+	bits := planeBits(n.leaf)
+	w := planeWords(n.count(), n.leaf)
 	base := 2 * d * w
 	if hi {
 		base += w
 	}
-	return uint16(n.qplanes[base+i/planeLanes] >> ((i % planeLanes) * PlaneBits))
+	lanes := 64 / bits
+	return uint16(n.qplanes[base+i/lanes] >> (i % lanes * bits) & (1<<bits - 1))
 }
 
-// setPlane writes one quantised coordinate into the packed planes.
-func setPlane(planes []uint64, w, d, i int, hi bool, g uint16) {
+// setPlane writes one coordinate into planes of w words each, packed bits
+// wide.
+func setPlane(planes []uint64, w, bits, d, i int, hi bool, g uint16) {
 	base := 2 * d * w
 	if hi {
 		base += w
 	}
-	shift := (i % planeLanes) * PlaneBits
-	word := &planes[base+i/planeLanes]
-	*word = *word&^(uint64(1<<PlaneBits-1)<<shift) | uint64(g)<<shift
+	lanes := 64 / bits
+	shift := i % lanes * bits
+	word := &planes[base+i/lanes]
+	*word = *word&^(uint64(1<<bits-1)<<shift) | uint64(g)<<shift
+}
+
+// quantiseSlot writes slot i's bounds lo and hi in dimension d, quantised
+// onto g, into the node's planes of w words each: reduced to the leaf grid
+// on a leaf.
+func (n *node) quantiseSlot(w, d, i int, g grid, lo, hi float64) {
+	gl, gh, bits := g.lower(lo), g.upper(hi), PlaneBits
+	if n.leaf {
+		gl, gh, bits = leafLower(gl), leafUpper(gh), LeafPlaneBits
+	}
+	setPlane(n.qplanes, w, bits, d, i, false, gl)
+	setPlane(n.qplanes, w, bits, d, i, true, gh)
 }
 
 // syncPlanes rebuilds the quantised SoA planes from boxes:
 // qmbb gets the node MBB (Lo extents then Hi extents, like boxes), and each
 // dimension's lo/hi plane gets the entry bounds quantised conservatively
-// outward onto that MBB's 16-bit grid. The plane layout is dimension-major
-// and packed four lanes per word: with W = planeWords(count), words
+// outward onto that MBB's grid (quantiseSlot). The plane layout is
+// dimension-major and packed L = 64/planeBits lanes per word (four on a
+// directory node, eight on a leaf): with W = planeWords(count), words
 // [2dW, (2d+1)W) are dimension d's lower-bound plane and [(2d+1)W, (2d+2)W)
-// its upper-bound plane, entry i in lane i%4 of word i/4 — so the kernel
+// its upper-bound plane, entry i in lane i%L of word i/L — so the kernel
 // streams contiguous words per dimension. Padding lanes are zero; their mask
-// bits are cleared by quantScan. The v2 fault-in path skips it for directory
-// nodes and installs the page's stored grid coordinates instead. qmbb is a
-// fresh array every time (the rule boxes follows): NodeInfo.MBB views it. The
-// planes' capacity follows refs': room for the slots a write reserved, and no
-// more (see node's exact-size rule).
+// bits are cleared by the kernels. The v2 fault-in path skips it for
+// directory nodes and installs the page's stored grid coordinates instead.
+// qmbb is a fresh array every time (the rule boxes follows): NodeInfo.MBB
+// views it. The planes' capacity follows refs': room for the slots a write
+// reserved, and no more (see node's exact-size rule).
 func (n *node) syncPlanes(dims int) {
 	count := n.count()
-	w := planeWords(count)
+	w := planeWords(count, n.leaf)
 	need := 2 * dims * w
 	if room := n.planeRoom(dims); cap(n.qplanes) != room {
 		n.qplanes = make([]uint64, need, room)
@@ -155,8 +214,7 @@ func (n *node) syncPlanes(dims int) {
 		g := newGrid(n.qmbb[d], n.qmbb[dims+d])
 		off := 0
 		for i := 0; i < count; i++ {
-			setPlane(n.qplanes, w, d, i, false, g.lower(n.boxes[off+d]))
-			setPlane(n.qplanes, w, d, i, true, g.upper(n.boxes[off+dims+d]))
+			n.quantiseSlot(w, d, i, g, n.boxes[off+d], n.boxes[off+dims+d])
 			off += 2 * dims
 		}
 	}
@@ -167,7 +225,8 @@ func (n *node) syncPlanes(dims int) {
 // bound rounded UP with qupper (compared against entry upper bounds, which
 // qupper rounded up) and qg[2d+1] the upper bound rounded DOWN with qlower
 // (compared against entry lower bounds). Query coordinates outside the node
-// MBB clamp to the grid ends, which only widens the admitted set.
+// MBB clamp to the grid ends, which only widens the admitted set. The leaf
+// kernel reduces the projection to the leaf grid itself.
 func quantiseQuery(qmbb []float64, dims int, qlo, qhi []float64, qg *[2 * geom.MaxDims]uint16) {
 	for d := 0; d < dims; d++ {
 		g := newGrid(qmbb[d], qmbb[dims+d])
@@ -179,6 +238,17 @@ func quantiseQuery(qmbb []float64, dims int, qlo, qhi []float64, qg *[2 * geom.M
 		}
 		qg[2*d] = g.upper(qlo[d])
 		qg[2*d+1] = g.lower(qhi[d])
+	}
+}
+
+// scanPlanes fills mask with the survivor bitmask of a node's entries against
+// the query's grid coordinates qg (quantiseQuery's), with the kernel of the
+// node's kind: leafScan on a leaf's planes, quantScan on a directory's.
+func scanPlanes(leaf bool, planes []uint64, count, dims int, qg *[2 * geom.MaxDims]uint16, mask []uint64) {
+	if leaf {
+		leafScan(planes, count, dims, qg, mask)
+	} else {
+		quantScan(planes, count, dims, qg, mask)
 	}
 }
 
@@ -194,13 +264,16 @@ func quantiseQuery(qmbb []float64, dims int, qlo, qhi []float64, qg *[2 * geom.M
 // is x|t or x&t, which is ((t^s)&(x^s))^s either way.
 func swarGE(x, cL, s uint64) uint64 { return (((x|laneH)-cL)^s)&(x^s) ^ s }
 
-// laneQuery is one dimension of the quantised query window as quantScan's
+// swarGE8 is swarGE on eight 8-bit lanes (cL = c&^byteH).
+func swarGE8(x, cL, s uint64) uint64 { return (((x|byteH)-cL)^s)&(x^s) ^ s }
+
+// laneQuery is one dimension of the quantised query window as a kernel's
 // word loop needs it: all that depends on the query alone, computed once per
 // node instead of once per word (the compiler hoists none of it). An entry
 // passes the dimension when lo <= qh and hi >= ql; the first is taken as
-// ^lo >= ^qh, exact on 16-bit lanes, so both are swarGE against a constant.
+// ^lo >= ^qh, exact on unsigned lanes, so both are swarGE against a constant.
 type laneQuery struct {
-	nhL, nhS uint64 // ^qh broadcast: low 15 bits per lane, and swarGE's s
+	nhL, nhS uint64 // ^qh broadcast: the lane tops cleared, and swarGE's s
 	lL, lS   uint64 // the same for ql
 }
 
@@ -209,10 +282,23 @@ func newLaneQuery(ql, qh uint16) laneQuery {
 	return laneQuery{nhL: nh &^ laneH, nhS: nh>>15&1 - 1, lL: l &^ laneH, lS: l>>15&1 - 1}
 }
 
+// newLeafQuery is newLaneQuery on the leaf grid, for the query's 16-bit grid
+// coordinates ql and qh: ql is reduced as entry upper bounds are and qh as
+// entry lower bounds are.
+func newLeafQuery(ql, qh uint16) laneQuery {
+	l, nh := uint64(leafUpper(ql))*byte1, uint64(255-leafLower(qh))*byte1
+	return laneQuery{nhL: nh &^ byteH, nhS: nh>>7&1 - 1, lL: l &^ byteH, lS: l>>7&1 - 1}
+}
+
 // admits returns a word whose lane tops are set where the entry bounds lo, hi
 // (one plane word each) overlap the query in this dimension.
 func (q laneQuery) admits(lo, hi uint64) uint64 {
 	return swarGE(^lo, q.nhL, q.nhS) & swarGE(hi, q.lL, q.lS)
+}
+
+// admits8 is admits on a leaf's 8-bit lanes (a newLeafQuery).
+func (q laneQuery) admits8(lo, hi uint64) uint64 {
+	return swarGE8(^lo, q.nhL, q.nhS) & swarGE8(hi, q.lL, q.lS)
 }
 
 // nibble gathers the four lane tops of m into the mask nibble of plane word
@@ -221,9 +307,15 @@ func nibble(m uint64, wi int) uint64 {
 	return ((m & laneH >> 15) * nibMul >> 48) << (uint(wi&15) << 2)
 }
 
-// quantScan fills mask with the survivor bitmask of the node's entries
-// against the quantised query window: bit i of mask[i/64] is set iff the
-// grid-domain test admits entry i. One pass over the packed planes, four
+// octet gathers the eight lane tops of m into the mask byte of leaf plane
+// word wi (one multiply, see byteMul), positioned within its mask word.
+func octet(m uint64, wi int) uint64 {
+	return ((m & byteH >> 7) * byteMul >> 56) << (uint(wi&7) << 3)
+}
+
+// quantScan fills mask with the survivor bitmask of a directory node's
+// entries against the quantised query window: bit i of mask[i/64] is set iff
+// the grid-domain test admits entry i. One pass over the packed planes, four
 // entries per comparison: per word and dimension, two SWAR compares AND into
 // a lane-top accumulator, and one multiply gathers the four verdict bits
 // into the mask nibble; a mask word's sixteen nibbles are collected in a
@@ -236,7 +328,7 @@ func nibble(m uint64, wi int) uint64 {
 // resliced to one length so the word loop carries no bounds checks. All
 // branches compute the identical function.
 func quantScan(planes []uint64, count, dims int, qg *[2 * geom.MaxDims]uint16, mask []uint64) {
-	w := planeWords(count)
+	w := planeWords(count, false)
 	words := (w + 15) >> 4
 	clear(mask[words:])
 	if w == 0 {
@@ -286,6 +378,61 @@ func quantScan(planes []uint64, count, dims int, qg *[2 * geom.MaxDims]uint16, m
 	}
 }
 
+// leafScan is quantScan on a leaf's 8-bit planes, eight entries per
+// comparison: the query's grid coordinates are reduced to the leaf grid
+// (newLeafQuery), one multiply gathers a word's eight verdict bits into a
+// mask byte, and eight plane words fill a mask word.
+func leafScan(planes []uint64, count, dims int, qg *[2 * geom.MaxDims]uint16, mask []uint64) {
+	w := planeWords(count, true)
+	words := (w + 7) >> 3
+	clear(mask[words:])
+	if w == 0 {
+		return
+	}
+	var acc uint64
+	switch dims {
+	case 2:
+		lo0, hi0, lo1, hi1 := planes[:w], planes[w:][:w], planes[2*w:][:w], planes[3*w:][:w]
+		q0, q1 := newLeafQuery(qg[0], qg[1]), newLeafQuery(qg[2], qg[3])
+		for wi, l0 := range lo0 {
+			m := q0.admits8(l0, hi0[wi]) & q1.admits8(lo1[wi], hi1[wi])
+			if acc |= octet(m, wi); wi&7 == 7 {
+				mask[wi>>3], acc = acc, 0
+			}
+		}
+	case 3:
+		lo0, hi0, lo1, hi1 := planes[:w], planes[w:][:w], planes[2*w:][:w], planes[3*w:][:w]
+		lo2, hi2 := planes[4*w:][:w], planes[5*w:][:w]
+		q0, q1, q2 := newLeafQuery(qg[0], qg[1]), newLeafQuery(qg[2], qg[3]), newLeafQuery(qg[4], qg[5])
+		for wi, l0 := range lo0 {
+			m := q0.admits8(l0, hi0[wi]) & q1.admits8(lo1[wi], hi1[wi]) & q2.admits8(lo2[wi], hi2[wi])
+			if acc |= octet(m, wi); wi&7 == 7 {
+				mask[wi>>3], acc = acc, 0
+			}
+		}
+	default:
+		var qs [geom.MaxDims]laneQuery
+		for d := 0; d < dims; d++ {
+			qs[d] = newLeafQuery(qg[2*d], qg[2*d+1])
+		}
+		for wi := 0; wi < w; wi++ {
+			m := ^uint64(0)
+			for d := 0; d < dims; d++ {
+				m &= qs[d].admits8(planes[2*d*w+wi], planes[(2*d+1)*w+wi])
+			}
+			if acc |= octet(m, wi); wi&7 == 7 {
+				mask[wi>>3], acc = acc, 0
+			}
+		}
+	}
+	if w&7 != 0 {
+		mask[words-1] = acc
+	}
+	if r := count & 63; r != 0 {
+		mask[words-1] &= 1<<uint(r) - 1
+	}
+}
+
 // syncSlots is syncPlanes for a change confined to the given slots — appended,
 // or their rectangles replaced — that left the node's MBB where it was: the
 // other slots' grid coordinates cannot have changed, so only these slots' are
@@ -305,7 +452,7 @@ func (n *node) syncSlots(dims int, slots []int) bool {
 			return false
 		}
 	}
-	w := planeWords(n.count())
+	w := planeWords(n.count(), n.leaf)
 	switch len(n.qplanes) {
 	case 2 * dims * w:
 	case 2 * dims * (w - 1):
@@ -316,16 +463,14 @@ func (n *node) syncSlots(dims int, slots []int) bool {
 	for _, i := range slots {
 		box := n.boxes[i*2*dims:][:2*dims]
 		for d := 0; d < dims; d++ {
-			g := newGrid(n.qmbb[d], n.qmbb[dims+d])
-			setPlane(n.qplanes, w, d, i, false, g.lower(box[d]))
-			setPlane(n.qplanes, w, d, i, true, g.upper(box[dims+d]))
+			n.quantiseSlot(w, d, i, newGrid(n.qmbb[d], n.qmbb[dims+d]), box[d], box[dims+d])
 		}
 	}
 	return true
 }
 
 // planeRoom is the plane capacity that holds every slot refs has room for.
-func (n *node) planeRoom(dims int) int { return 2 * dims * planeWords(cap(n.refs)) }
+func (n *node) planeRoom(dims int) int { return 2 * dims * planeWords(cap(n.refs), n.leaf) }
 
 // widenPlanes re-lays planes of w-1 words each out as planes of w words, the
 // new last word of each zero — in place when the capacity allows, moving the

@@ -19,7 +19,7 @@ func refSwarGE(x, y uint64) uint64 {
 }
 
 func refQuantScan(planes []uint64, count, dims int, qg *[2 * geom.MaxDims]uint16, mask []uint64) {
-	w := planeWords(count)
+	w := planeWords(count, false)
 	for i := range mask {
 		mask[i] = 0
 	}
@@ -82,24 +82,50 @@ func refQuantScan(planes []uint64, count, dims int, qg *[2 * geom.MaxDims]uint16
 // wrong: the ends of the range and both sides of the lane-top bit.
 var laneEdges = [...]uint16{0, 1, 0x7FFF, 0x8000, 0xFFFF}
 
-// scanBothKernels runs the live and the reference kernel over the same
-// planes and query and fails on the first differing mask word. The live
-// kernel gets a dirty, over-long mask: it must overwrite its own words and
-// clear the rest.
-func scanBothKernels(t testing.TB, planes []uint64, count, dims int, qg *[2 * geom.MaxDims]uint16) {
+// refLeafScan is leafScan written out lane by lane: each 8-bit lane read on
+// its own, and the query's 16-bit grid coordinates cut to the leaf grid by
+// integer division, the lower bound rounded up (256 kept as 255) and the
+// upper bound down.
+func refLeafScan(planes []uint64, count, dims int, qg *[2 * geom.MaxDims]uint16, mask []uint64) {
+	w := (count + 7) / 8
+	clear(mask)
+	for i := 0; i < count; i++ {
+		hit := true
+		for d := 0; d < dims; d++ {
+			lo := planes[2*d*w+i/8] >> (i % 8 * 8) & 0xFF
+			hi := planes[(2*d+1)*w+i/8] >> (i % 8 * 8) & 0xFF
+			ql := min(255, (uint64(qg[2*d])+255)/256)
+			qh := uint64(qg[2*d+1]) / 256
+			hit = hit && lo <= qh && hi >= ql
+		}
+		if hit {
+			mask[i/64] |= 1 << (i % 64)
+		}
+	}
+}
+
+// scanBothKernels runs the live kernel of the node kind (through scanPlanes)
+// and its reference over the same planes and query and fails on the first
+// differing mask word. The live kernel gets a dirty, over-long mask: it must
+// overwrite its own words and clear the rest.
+func scanBothKernels(t testing.TB, leaf bool, planes []uint64, count, dims int, qg *[2 * geom.MaxDims]uint16) {
 	t.Helper()
 	words := (count + 63) >> 6
 	want := make([]uint64, words)
-	refQuantScan(planes, count, dims, qg, want)
+	if leaf {
+		refLeafScan(planes, count, dims, qg, want)
+	} else {
+		refQuantScan(planes, count, dims, qg, want)
+	}
 	want = append(want, 0)
 	got := make([]uint64, words+1)
 	for i := range got {
 		got[i] = 0xDEADBEEFDEADBEEF
 	}
-	quantScan(planes, count, dims, qg, got)
+	scanPlanes(leaf, planes, count, dims, qg, got)
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("dims %d count %d: mask word %d is %#x, reference %#x (query %v)", dims, count, i, got[i], want[i], qg[:2*dims])
+			t.Fatalf("leaf %v dims %d count %d: mask word %d is %#x, reference %#x (query %v)", leaf, dims, count, i, got[i], want[i], qg[:2*dims])
 		}
 	}
 }
@@ -147,24 +173,78 @@ func TestQuantScanMatchesReference(t *testing.T) {
 	}
 	for dims := 1; dims <= 5; dims++ {
 		for count := 0; count <= 260; count++ {
-			w := planeWords(count)
+			w := planeWords(count, false)
 			planes := make([]uint64, 2*dims*w)
 			for pass := 0; pass < 6; pass++ {
 				edgy := pass%2 == 0
 				clear(planes)
 				for d := 0; d < dims; d++ {
 					for i := 0; i < count; i++ {
-						setPlane(planes, w, d, i, false, lane(edgy))
-						setPlane(planes, w, d, i, true, lane(edgy))
+						setPlane(planes, w, PlaneBits, d, i, false, lane(edgy))
+						setPlane(planes, w, PlaneBits, d, i, true, lane(edgy))
 					}
 				}
 				var qg [2 * geom.MaxDims]uint16
 				for d := 0; d < 2*dims; d++ {
 					qg[d] = lane(pass < 4)
 				}
-				scanBothKernels(t, planes, count, dims, &qg)
+				scanBothKernels(t, false, planes, count, dims, &qg)
 			}
 		}
+	}
+}
+
+// The leaf kernel is its lane-by-lane reference: dims 1, 2, 3 and 30 (both
+// unrolled branches and the general one), every count from an empty leaf
+// over partial plane and mask words to three mask words (padding lanes must
+// come out cleared), lanes at 0 and 255 and around the lane top, and query
+// bounds at the leaf grid's block edges and in its top block 65281-65535,
+// whose lower bounds round up past 255. The kernel allocates nothing.
+func TestLeafScanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	laneEdges := [...]uint16{0, 1, 0x7F, 0x80, 0xFE, 0xFF}
+	queryEdges := [...]uint16{0, 1, 255, 256, 257, 0x7FFF, 0x8000, 65280, 65281, 65535}
+	lane := func(edgy bool) uint16 {
+		if edgy {
+			return laneEdges[rng.Intn(len(laneEdges))]
+		}
+		return uint16(rng.Intn(256))
+	}
+	query := func(edgy bool) uint16 {
+		switch {
+		case !edgy:
+			return uint16(rng.Uint32())
+		case rng.Intn(3) == 0:
+			return 65281 + uint16(rng.Intn(255))
+		}
+		return queryEdges[rng.Intn(len(queryEdges))]
+	}
+	for _, dims := range []int{1, 2, 3, 30} {
+		for count := 0; count <= 130; count++ {
+			w := planeWords(count, true)
+			planes := make([]uint64, 2*dims*w)
+			for pass := 0; pass < 6; pass++ {
+				edgy := pass%2 == 0
+				clear(planes)
+				for d := 0; d < dims; d++ {
+					for i := 0; i < count; i++ {
+						setPlane(planes, w, LeafPlaneBits, d, i, false, lane(edgy))
+						setPlane(planes, w, LeafPlaneBits, d, i, true, lane(edgy))
+					}
+				}
+				var qg [2 * geom.MaxDims]uint16
+				for d := 0; d < 2*dims; d++ {
+					qg[d] = query(pass < 4)
+				}
+				scanBothKernels(t, true, planes, count, dims, &qg)
+			}
+		}
+	}
+	planes := make([]uint64, 2*3*planeWords(130, true))
+	var qg [2 * geom.MaxDims]uint16
+	var mask [3]uint64
+	if allocs := testing.AllocsPerRun(100, func() { leafScan(planes, 130, 3, &qg, mask[:]) }); allocs != 0 {
+		t.Fatalf("leafScan allocates %v times per scan", allocs)
 	}
 }
 
@@ -182,16 +262,17 @@ func FuzzQuantScanMatchesReference(f *testing.F) {
 			qg[d] = binary.LittleEndian.Uint16(data)
 			data = data[2:]
 		}
-		w := planeWords(count)
+		w := planeWords(count, false)
 		planes := make([]uint64, 2*dims*w)
-		for i := 0; i < len(planes)*planeLanes && len(data) >= 2; i++ {
+		const lanes = 64 / PlaneBits
+		for i := 0; i < len(planes)*lanes && len(data) >= 2; i++ {
 			// Padding lanes stay zero, as syncPlanes leaves them.
-			if i%(w*planeLanes) < count {
-				planes[i/planeLanes] |= uint64(binary.LittleEndian.Uint16(data)) << (i % planeLanes * PlaneBits)
+			if i%(w*lanes) < count {
+				planes[i/lanes] |= uint64(binary.LittleEndian.Uint16(data)) << (i % lanes * PlaneBits)
 			}
 			data = data[2:]
 		}
-		scanBothKernels(t, planes, count, dims, &qg)
+		scanBothKernels(t, false, planes, count, dims, &qg)
 	})
 }
 
@@ -202,15 +283,15 @@ func BenchmarkQuantScan(b *testing.B) {
 			// and 64 query windows in rotation.
 			const count, nodes = 100, 64
 			rng := rand.New(rand.NewSource(3))
-			w := planeWords(count)
+			w := planeWords(count, false)
 			planes := make([][]uint64, nodes)
 			for n := range planes {
 				planes[n] = make([]uint64, 2*dims*w)
 				for d := 0; d < dims; d++ {
 					for i := 0; i < count; i++ {
 						lo := uint16(rng.Intn(0xF000))
-						setPlane(planes[n], w, d, i, false, lo)
-						setPlane(planes[n], w, d, i, true, lo+uint16(rng.Intn(0x0FFF)))
+						setPlane(planes[n], w, PlaneBits, d, i, false, lo)
+						setPlane(planes[n], w, PlaneBits, d, i, true, lo+uint16(rng.Intn(0x0FFF)))
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,19 +10,21 @@ import (
 	"cbb/internal/geom"
 )
 
-// leafFromRects builds a detached leaf node over the given rects and syncs
-// its quantised planes, without going through a tree.
-func leafFromRects(rects []geom.Rect, dims int) *node {
-	n := &node{leaf: true}
+// nodeFromRects builds a detached node of the given kind over the given
+// rects and syncs its quantised planes, without going through a tree.
+func nodeFromRects(rects []geom.Rect, dims int, leaf bool) *node {
+	n := &node{leaf: leaf}
 	for i, r := range rects {
-		n.appendEntry(Entry{Rect: r, Object: ObjectID(i), Child: InvalidNode})
+		n.appendEntry(Entry{Rect: r, Object: ObjectID(i), Child: NodeID(i)})
 	}
 	n.syncDerived(dims)
 	return n
 }
 
-// quantVerdicts runs the quantised kernel for one query against a node and
-// returns the admitted-entry bitset as a bool slice.
+func leafFromRects(rects []geom.Rect, dims int) *node { return nodeFromRects(rects, dims, true) }
+
+// quantVerdicts runs the quantised kernel of the node's kind for one query
+// and returns the admitted-entry bitset as a bool slice.
 func quantVerdicts(n *node, dims int, q geom.Rect) []bool {
 	var qlo, qhi [geom.MaxDims]float64
 	var qg [2 * geom.MaxDims]uint16
@@ -29,7 +32,7 @@ func quantVerdicts(n *node, dims int, q geom.Rect) []bool {
 	copy(qhi[:dims], q.Hi)
 	quantiseQuery(n.qmbb, dims, qlo[:], qhi[:], &qg)
 	mask := make([]uint64, (n.count()+63)>>6)
-	quantScan(n.qplanes, n.count(), dims, &qg, mask)
+	scanPlanes(n.leaf, n.qplanes, n.count(), dims, &qg, mask)
 	out := make([]bool, n.count())
 	for i := range out {
 		out[i] = mask[i>>6]&(1<<uint(i&63)) != 0
@@ -37,19 +40,155 @@ func quantVerdicts(n *node, dims int, q geom.Rect) []bool {
 	return out
 }
 
-// checkNeverMisses asserts the defining property of the conservative kernel:
+// checkNeverMisses asserts the defining property of the conservative kernels:
 // every entry that exactly intersects the query must be admitted by the
-// quantised verdict. (The reverse — an admitted entry that does not
-// intersect — is an allowed false positive.)
+// quantised verdict, on n and on a node of the other kind over the same
+// rects. (The reverse — an admitted entry that does not intersect — is an
+// allowed false positive.)
 func checkNeverMisses(t *testing.T, n *node, dims int, q geom.Rect) {
 	t.Helper()
-	got := quantVerdicts(n, dims, q)
-	for i := range n.refs {
-		if n.rect(i, dims).Intersects(q) && !got[i] {
-			t.Fatalf("quantised kernel missed entry %d (%v) for query %v (node MBB %v)",
-				i, n.rect(i, dims), q, n.qmbb)
+	twin := &node{leaf: !n.leaf, boxes: n.boxes, refs: n.refs}
+	twin.syncDerived(dims)
+	for _, k := range []*node{n, twin} {
+		got := quantVerdicts(k, dims, q)
+		for i := range k.refs {
+			if k.rect(i, dims).Intersects(q) && !got[i] {
+				t.Fatalf("quantised kernel (leaf %v) missed entry %d (%v) for query %v (node MBB %v)",
+					k.leaf, i, k.rect(i, dims), q, k.qmbb)
+			}
 		}
 	}
+}
+
+// refLeafVerdicts is a leaf's filter written out slot by slot from its exact
+// boxes: every bound quantised onto the node's 16-bit grid with qlower and
+// qupper, then cut to 8 bits by integer division — entry lower bounds and
+// the query's upper bound rounded down, entry upper bounds and the query's
+// lower bound rounded up, 256 kept as 255.
+func refLeafVerdicts(n *node, dims int, q geom.Rect) []bool {
+	down := func(g uint16) int { return int(g) / 256 }
+	up := func(g uint16) int { return min(255, (int(g)+255)/256) }
+	out := make([]bool, n.count())
+	for i := range out {
+		r := n.rect(i, dims)
+		out[i] = true
+		for d := 0; d < dims; d++ {
+			lo, hi := n.qmbb[d], n.qmbb[dims+d]
+			if down(qlower(r.Lo[d], lo, hi)) > down(qlower(q.Hi[d], lo, hi)) || up(qupper(r.Hi[d], lo, hi)) < up(qupper(q.Lo[d], lo, hi)) {
+				out[i] = false
+			}
+		}
+	}
+	return out
+}
+
+// checkLeafVerdicts holds a leaf's verdicts for q to refLeafVerdicts and to
+// every exact hit.
+func checkLeafVerdicts(t *testing.T, n *node, dims int, q geom.Rect) {
+	t.Helper()
+	got, want := quantVerdicts(n, dims, q), refLeafVerdicts(n, dims, q)
+	for i := range got {
+		if n.rect(i, dims).Intersects(q) && !got[i] {
+			t.Fatalf("leaf kernel missed entry %d (%v) for query %v (node MBB %v)", i, n.rect(i, dims), q, n.qmbb)
+		}
+		if got[i] != want[i] {
+			t.Fatalf("leaf kernel admits entry %d (%v) = %v for query %v, reference %v (node MBB %v)",
+				i, n.rect(i, dims), got[i], q, want[i], n.qmbb)
+		}
+	}
+}
+
+// TestLeafPlanesMatchReference builds leaves from exact boxes and holds
+// their verdicts to refLeafVerdicts and to the exact hits, in 1, 2, 3 and 30
+// dimensions: upper bounds in the top block of the 16-bit grid
+// (65281-65535) land on 255, and so does a query's lower bound there; a
+// degenerate dimension puts every bound on 0.
+func TestLeafPlanesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for _, dims := range []int{1, 2, 3, 30} {
+		for _, degenerate := range []bool{false, true} {
+			rects := make([]geom.Rect, 50)
+			for i := range rects {
+				lo, hi := make(geom.Point, dims), make(geom.Point, dims)
+				for d := range lo {
+					a := rng.Float64()
+					b := a + rng.Float64()*(1-a)
+					if rng.Intn(3) == 0 {
+						b = 1 - rng.Float64()*300/65535 // near the top of the grid
+					}
+					lo[d], hi[d] = min(a, b), max(a, b)
+					if degenerate && d == 0 {
+						lo[d], hi[d] = 0.5, 0.5
+					}
+				}
+				rects[i] = geom.Rect{Lo: lo, Hi: hi}
+			}
+			n := leafFromRects(rects, dims)
+			top := 0
+			for i := range rects {
+				for d := 0; d < dims; d++ {
+					g := qupper(rects[i].Hi[d], n.qmbb[d], n.qmbb[dims+d])
+					if lane := n.planeAt(dims, d, i, true); g > 65280 && lane != 255 || degenerate && d == 0 && lane != 0 {
+						t.Fatalf("dims=%d: entry %d's upper bound on grid value %d has lane %d", dims, i, g, lane)
+					}
+					if g > 65280 && g < dirQMax {
+						top++
+					}
+				}
+			}
+			if top == 0 && !(degenerate && dims == 1) {
+				t.Fatalf("dims=%d: no upper bound fell in the grid's top block", dims)
+			}
+			for trial := 0; trial < 200; trial++ {
+				q := geom.Rect{Lo: make(geom.Point, dims), Hi: make(geom.Point, dims)}
+				for d := 0; d < dims; d++ {
+					a, b := rng.Float64()*1.2-0.1, rng.Float64()*1.2-0.1
+					if rng.Intn(3) == 0 {
+						a = n.qmbb[dims+d] - rng.Float64()*300/65535*(n.qmbb[dims+d]-n.qmbb[d])
+					}
+					q.Lo[d], q.Hi[d] = min(a, b), max(a, b)
+				}
+				checkLeafVerdicts(t, n, dims, q)
+			}
+		}
+	}
+}
+
+// FuzzLeafPlanes builds a leaf over fuzzed exact boxes on [off, off+span]
+// and holds its verdicts for a fuzzed query to refLeafVerdicts and to every
+// exact hit.
+func FuzzLeafPlanes(f *testing.F) {
+	f.Add(uint8(2), 0.0, 1.0, []byte{0, 0, 0xFF, 0xFF, 0x10, 0, 0x20, 0, 1, 0, 0xFE, 0xFF, 0, 0x80, 0xFF, 0xFF, 0x40, 0, 0x50, 0})
+	f.Add(uint8(1), -3.5, 7.0, []byte{0x01, 0xFF, 0xFF, 0xFF, 0, 0, 0xFF, 0xFF, 0x02, 0xFF, 0x03, 0xFF})
+	f.Add(uint8(3), 1e9, 1e-3, []byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
+	f.Fuzz(func(t *testing.T, dimsSeed uint8, off, span float64, data []byte) {
+		if !(math.Abs(off) < 1e300 && span > 0 && span < 1e300) {
+			t.Skip("coordinates must be finite, like Insert's")
+		}
+		dims := int(dimsSeed)%3 + 1
+		coord := func() float64 {
+			v := binary.LittleEndian.Uint16(data)
+			data = data[2:]
+			return off + float64(v)/65535*span
+		}
+		box := func() geom.Rect {
+			r := geom.Rect{Lo: make(geom.Point, dims), Hi: make(geom.Point, dims)}
+			for d := 0; d < dims; d++ {
+				a, b := coord(), coord()
+				r.Lo[d], r.Hi[d] = min(a, b), max(a, b)
+			}
+			return r
+		}
+		if len(data) < 8*dims {
+			return
+		}
+		q := box()
+		var rects []geom.Rect
+		for len(data) >= 4*dims && len(rects) < 130 {
+			rects = append(rects, box())
+		}
+		checkLeafVerdicts(t, leafFromRects(rects, dims), dims, q)
+	})
 }
 
 // TestQuantPlanesDegenerateMBB pins the zero-extent corner case: when every
@@ -124,7 +263,8 @@ func TestQuantPlanesBoundaryEntries(t *testing.T) {
 		}
 		n := leafFromRects(rects, dims)
 		for d := 0; d < dims; d++ {
-			if g := n.planeAt(dims, d, 1, true); qdecode(n.qmbb[d], n.qmbb[dims+d], uint32(g)) < lo[d] {
+			// The leaf lane's 256-cell block, back on the 16-bit grid.
+			if g := uint32(n.planeAt(dims, d, 1, true)) << 8; qdecode(n.qmbb[d], n.qmbb[dims+d], g) < lo[d] {
 				t.Fatalf("dims=%d: boundary upper bound decodes below the face", dims)
 			}
 		}
@@ -228,13 +368,14 @@ func TestInsertRejectsNonFinite(t *testing.T) {
 // named, and holds qmbb, planes and page size to a full syncPlanes of the same
 // boxes after every step: across plane-word boundaries (with and without spare
 // capacity), for changes inside the MBB (written slot by slot) and outside it
-// (rebuilt), in 1 to 3 dimensions.
+// (rebuilt), on leaves and directory nodes in 1 to 3 dimensions.
 func TestSyncSlotsMatchesSyncPlanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	partial, steps := 0, 0
 	for dims := 1; dims <= 3; dims++ {
-		for trial := 0; trial < 20; trial++ {
-			n := leafFromRects([]geom.Rect{randRect(rng, dims, 100, 10)}, dims)
+		for trial := 0; trial < 40; trial++ {
+			leaf := trial%2 == 0
+			n := nodeFromRects([]geom.Rect{randRect(rng, dims, 100, 10)}, dims, leaf)
 			for step := 0; step < 60; step++ {
 				// Mostly inside the current MBB, now and then beyond it.
 				r := randRect(rng, dims, 100, 10)
@@ -273,11 +414,11 @@ func TestSyncSlotsMatchesSyncPlanes(t *testing.T) {
 				if &n.qmbb[0] == before {
 					partial++ // syncPlanes installs a fresh qmbb; syncSlots keeps it
 				}
-				want := &node{leaf: true, boxes: n.boxes, refs: n.refs}
+				want := &node{leaf: leaf, boxes: n.boxes, refs: n.refs}
 				want.syncDerived(dims)
 				if !slicesEqualBits(n.qmbb, want.qmbb) || !slices.Equal(n.qplanes, want.qplanes) || n.encSize != want.encSize {
-					t.Fatalf("dims=%d step %d (slots %v, %d entries): qmbb %v planes %x size %d, full sync %v %x %d",
-						dims, step, slots, n.count(), n.qmbb, n.qplanes, n.encSize, want.qmbb, want.qplanes, want.encSize)
+					t.Fatalf("dims=%d leaf %v step %d (slots %v, %d entries): qmbb %v planes %x size %d, full sync %v %x %d",
+						dims, leaf, step, slots, n.count(), n.qmbb, n.qplanes, n.encSize, want.qmbb, want.qplanes, want.encSize)
 				}
 				steps++
 			}
@@ -294,7 +435,8 @@ func slicesEqualBits(a, b []float64) bool {
 
 // TestValidateDetectsPlaneCorruption checks that Validate cross-checks the
 // filter layer: a plane bound rewritten to be non-conservative, a truncated
-// plane slice, and a drifted plane MBB must all be reported.
+// plane slice, a drifted plane MBB, and a leaf lane one leaf-grid step off
+// must all be reported.
 func TestValidateDetectsPlaneCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tr, err := New(smallConfig(2, RStar))
@@ -335,6 +477,15 @@ func TestValidateDetectsPlaneCorruption(t *testing.T) {
 		t.Error("Validate missed a drifted plane MBB")
 	}
 	n.qmbb[0] = savedLo
+	// A leaf's upper-bound lane one step off its reduction of qupper.
+	leaf := tr.mustNode(n.child(0))
+	w := planeWords(leaf.count(), true)
+	up := leaf.planeAt(2, 0, 0, true)
+	setPlane(leaf.qplanes, w, LeafPlaneBits, 0, 0, true, up^1)
+	if err := tr.Validate(); err == nil {
+		t.Error("Validate missed a leaf plane lane one step off")
+	}
+	setPlane(leaf.qplanes, w, LeafPlaneBits, 0, 0, true, up)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("restored tree fails validation: %v", err)
 	}

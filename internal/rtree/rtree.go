@@ -27,8 +27,8 @@
 //
 // A node keeps its rectangles once: one exact store (flat float64
 // coordinates plus a parallel reference array, the in-memory form of the
-// paper's Figure 4a page) and one filter layer derived from it (16-bit SoA
-// planes, quant.go). Entry and NodeInfo are views of that store; the
+// paper's Figure 4a page) and one filter layer derived from it (SoA planes
+// of 16-bit grid coordinates, 8-bit on leaves, quant.go). Entry and NodeInfo are views of that store; the
 // rectangles they — and every query callback — hand out alias immutable node
 // storage, are read-only, and stay valid for the life of the process (see
 // Entry).
@@ -183,9 +183,10 @@ type node struct {
 	// qmbb and qplanes are the quantised SoA filter layer (see quant.go):
 	// qmbb holds the node MBB the planes are quantised against (dims Lo
 	// extents then dims Hi extents, like one boxes record), and qplanes holds
-	// the 16-bit grid coordinates of the slot bounds in dimension-major SoA
-	// order (lo plane then hi plane per dimension), packed four lanes per
-	// uint64 word. The scan kernels test slots against these planes first
+	// the grid coordinates of the slot bounds in dimension-major SoA order
+	// (lo plane then hi plane per dimension): 16-bit, four lanes per uint64
+	// word, on a directory node, and 8-bit, eight lanes per word, on a leaf.
+	// The scan kernels test slots against these planes first
 	// and touch boxes only for survivors. Derived from boxes by syncDerived
 	// on every mutation; the v2 fault-in path installs the page's stored grid
 	// coordinates instead (bit-identical pruning across stores — see
@@ -1016,7 +1017,9 @@ type NodeInfo struct {
 	// Bytes is the node's encoded page size (see node.encSize).
 	Bytes int
 	// PlaneBytes is the resident size of the node's quantised SoA filter
-	// layer (see quant.go); it rides on top of Bytes in pool accounting.
+	// layer (see quant.go): PlaneBits-wide coordinates on a directory node,
+	// LeafPlaneBits-wide on a leaf. It rides on top of Bytes in pool
+	// accounting.
 	PlaneBytes int
 
 	boxes   []float64
@@ -1043,18 +1046,19 @@ func (ni *NodeInfo) Object(i int) ObjectID { return ObjectID(ni.refs[i]) }
 
 // Restrict appends to dst, ascending, the slots whose rectangles may intersect
 // q — every slot that does, plus the near misses the grid admits: the range
-// search's scan kernel (quantiseQuery, quantScan) over a published node's
+// search's scan kernel (quantiseQuery, then quantScan on a directory node's
+// 16-bit planes or leafScan on a leaf's 8-bit ones) over a published node's
 // planes, through the caller's scratch mask (replaced when too small). A node
 // without a filter layer yields none, as range search skips it.
 func (ni *NodeInfo) Restrict(q geom.Rect, mask *[]uint64, dst []int) []int {
 	count, dims := len(ni.refs), ni.dims
-	if q.Dims() != dims || len(ni.qmbb) != 2*dims || len(ni.qplanes) != 2*dims*planeWords(count) {
+	if q.Dims() != dims || len(ni.qmbb) != 2*dims || len(ni.qplanes) != 2*dims*planeWords(count, ni.Leaf) {
 		return dst
 	}
 	var qg [2 * geom.MaxDims]uint16
 	quantiseQuery(ni.qmbb, dims, q.Lo, q.Hi, &qg)
 	*mask = slices.Grow((*mask)[:0], (count+63)>>6)[:(count+63)>>6]
-	quantScan(ni.qplanes, count, dims, &qg, *mask)
+	scanPlanes(ni.Leaf, ni.qplanes, count, dims, &qg, *mask)
 	for w, m := range *mask {
 		for ; m != 0; m &= m - 1 {
 			dst = append(dst, w<<6+bits.TrailingZeros64(m))

@@ -136,18 +136,20 @@ func (t *Tree) checkSlots(n *node) error {
 }
 
 // checkPlanes verifies the node's quantised SoA filter layer against the
-// exact boxes: the planes must be conservative (each grid bound decodes to
-// at most the exact lower / at least the exact upper bound — the property
-// the scan kernels rely on to never miss a hit), and, wherever the planes
-// were computed from exact rects (every node except directories adopted
-// verbatim from a compressed v2 page), they must be exactly the
-// qlower/qupper quantisation of boxes against a qmbb that is their true MBB.
+// exact boxes: a directory's planes must be conservative (each grid bound
+// decodes to at most the exact lower / at least the exact upper bound — the
+// property the scan kernels rely on to never miss a hit), and, wherever the
+// planes were computed from exact rects (every node except directories
+// adopted verbatim from a compressed v2 page), they must be exactly the
+// qlower/qupper quantisation of boxes against a qmbb that is their true MBB —
+// on a leaf, exactly its leafLower/leafUpper reduction, which is conservative
+// because the quantisation is and the reduction rounds the same way.
 func (t *Tree) checkPlanes(n *node) error {
 	dims := t.cfg.Dims
 	count := n.count()
 	if !n.hasPlanes(dims) {
 		return fmt.Errorf("rtree: node %d has %d plane words and %d MBB extents for %d entries (want %d and %d)",
-			n.id, len(n.qplanes), len(n.qmbb), count, 2*dims*planeWords(count), 2*dims)
+			n.id, len(n.qplanes), len(n.qmbb), count, 2*dims*planeWords(count, n.leaf), 2*dims)
 	}
 	if count == 0 {
 		return nil
@@ -167,13 +169,16 @@ func (t *Tree) checkPlanes(n *node) error {
 		for i := 0; i < count; i++ {
 			elo, ehi := n.boxes[off+d], n.boxes[off+dims+d]
 			plo, phi := n.planeAt(dims, d, i, false), n.planeAt(dims, d, i, true)
-			if qdecode(lo, hi, uint32(plo)) > elo || qdecode(lo, hi, uint32(phi)) < ehi {
+			wlo, whi := qlower(elo, lo, hi), qupper(ehi, lo, hi)
+			if n.leaf {
+				wlo, whi = leafLower(wlo), leafUpper(whi)
+			} else if qdecode(lo, hi, uint32(plo)) > elo || qdecode(lo, hi, uint32(phi)) < ehi {
 				return fmt.Errorf("rtree: node %d entry %d plane [%d, %d] in dim %d is not conservative for [%v, %v]",
 					n.id, i, plo, phi, d, elo, ehi)
 			}
-			if !adopted && (plo != qlower(elo, lo, hi) || phi != qupper(ehi, lo, hi)) {
-				return fmt.Errorf("rtree: node %d entry %d plane [%d, %d] in dim %d is not the tight quantisation of [%v, %v] (want [%d, %d])",
-					n.id, i, plo, phi, d, elo, ehi, qlower(elo, lo, hi), qupper(ehi, lo, hi))
+			if !adopted && (plo != wlo || phi != whi) {
+				return fmt.Errorf("rtree: node %d entry %d plane [%d, %d] in dim %d is not the tight %d-bit quantisation of [%v, %v] (want [%d, %d])",
+					n.id, i, plo, phi, d, planeBits(n.leaf), elo, ehi, wlo, whi)
 			}
 			off += 2 * dims
 		}

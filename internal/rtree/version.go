@@ -165,7 +165,7 @@ type searchScratch struct {
 	mask        survivorMask
 }
 
-// survivorMask is the buffer for quantScan's bitmask. The inline words serve
+// survivorMask is the buffer for the scan kernels' bitmask. The inline words serve
 // nodes of up to 256 entries (every page-derived fanout) without a separate
 // allocation; spill is for configurations with a larger fanout (amortised to
 // zero by the pool).
@@ -203,8 +203,9 @@ func (v *Version) SearchClipped(q geom.Rect, visit func(ObjectID, geom.Rect) boo
 
 // search is the descent behind Search and SearchClipped: iterative and
 // depth-first over a pooled stack, against one immutable version. Per node
-// the quantised SoA planes are scanned first (quantScan, branch-free, ANDing a
-// survivor bitmask across dimensions); only survivors touch the exact
+// the quantised SoA planes are scanned first (scanPlanes: leafScan on a
+// leaf's 8-bit planes, quantScan on a directory's 16-bit ones, branch-free,
+// ANDing a survivor bitmask across dimensions); only survivors touch the exact
 // float64 boxes — leaf survivors get one exact verification before visit,
 // directory survivors are recursed into directly off the conservative grid
 // verdict (admissible by the same containment argument as the v2 on-disk
@@ -262,7 +263,7 @@ descent:
 		count := n.count()
 		quantiseQuery(n.qmbb, dims, sc.qlo[:], sc.qhi[:], &sc.qg)
 		mask := sc.mask.sized(count)
-		quantScan(n.qplanes, count, dims, &sc.qg, mask)
+		scanPlanes(n.leaf, n.qplanes, count, dims, &sc.qg, mask)
 		boxes := n.boxes
 		if n.leaf {
 			chargeReadNode(pool, n, &io)
