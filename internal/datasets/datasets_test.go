@@ -359,3 +359,50 @@ func TestGenerateStream(t *testing.T) {
 		t.Errorf("yield error not propagated: %v", err)
 	}
 }
+
+// TestGenerateAllocsIndependentOfN holds every generator to one coordinate
+// slab: the allocation count of Generate and GenerateHot is the same at 1k
+// and at 20k objects.
+func TestGenerateAllocsIndependentOfN(t *testing.T) {
+	allocs := func(gen func(n int)) (small, large float64) {
+		return testing.AllocsPerRun(10, func() { gen(1000) }), testing.AllocsPerRun(10, func() { gen(20000) })
+	}
+	for _, name := range Names() {
+		small, large := allocs(func(n int) { Generate(name, n, 1) })
+		if small != large {
+			t.Errorf("Generate(%s): %.0f allocations at n=1k, %.0f at n=20k", name, small, large)
+		}
+	}
+	small, large := allocs(func(n int) { GenerateHot("hot03", n, 1, HotParams{Hotspots: 5, ZipfS: 2}) })
+	if small != large {
+		t.Errorf("GenerateHot: %.0f allocations at n=1k, %.0f at n=20k", small, large)
+	}
+}
+
+// TestGeneratedViewsAreCapped checks that the rectangles of one slab are
+// independent: each Lo and Hi is capped at its own coordinates, so appending
+// to one copies it, and writing one coordinate changes no other rectangle.
+func TestGeneratedViewsAreCapped(t *testing.T) {
+	for _, name := range []string{"rea02", "axo03"} {
+		rs, err := Generate(name, 10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]geom.Rect, len(rs))
+		for i, r := range rs {
+			if cap(r.Lo) != r.Dims() || cap(r.Hi) != r.Dims() {
+				t.Fatalf("%s: object %d has capacities %d/%d, want %d", name, i, cap(r.Lo), cap(r.Hi), r.Dims())
+			}
+			want[i] = r.Clone()
+		}
+		_ = append(rs[3].Lo, -1)
+		_ = append(rs[3].Hi, -1)
+		rs[5].Hi[0] = -7
+		want[5].Hi[0] = -7
+		for i := range rs {
+			if !rs[i].Equal(want[i]) {
+				t.Fatalf("%s: object %d changed to %v, want %v", name, i, rs[i], want[i])
+			}
+		}
+	}
+}

@@ -107,24 +107,6 @@ func (p Point) Scale(s float64) Point {
 	return r
 }
 
-// Min returns the component-wise minimum of p and q.
-func (p Point) Min(q Point) Point {
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = math.Min(p[i], q[i])
-	}
-	return r
-}
-
-// Max returns the component-wise maximum of p and q.
-func (p Point) Max(q Point) Point {
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = math.Max(p[i], q[i])
-	}
-	return r
-}
-
 // Valid reports whether every coordinate of p is a finite number.
 func (p Point) Valid() bool {
 	for _, v := range p {

@@ -72,9 +72,6 @@ func TestPointArithmetic(t *testing.T) {
 	if !a.Scale(2).Equal(Pt(2, 4)) {
 		t.Error("Scale wrong")
 	}
-	if !a.Min(b).Equal(Pt(1, 2)) || !a.Max(b).Equal(Pt(3, 5)) {
-		t.Error("Min/Max wrong")
-	}
 }
 
 func TestPointValid(t *testing.T) {

@@ -3,6 +3,7 @@ package querygen
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
 	"cbb/internal/datasets"
@@ -37,6 +38,18 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(objs, geom.R(0, 0, 0, 1, 1, 1), 1); err == nil {
 		t.Error("dimension mismatch should error")
+	}
+	// Only a later object is short: binning must reject it, not index past
+	// its coordinates.
+	for _, bad := range []geom.Rect{
+		geom.R(5, 6),
+		{Lo: geom.Pt(1, 2), Hi: geom.Pt(3)},
+		{Lo: geom.Pt(1, 2, 3), Hi: geom.Pt(4, 5, 6)},
+	} {
+		objs := []geom.Rect{geom.R(0, 0, 1, 1), geom.R(2, 2, 3, 3), bad}
+		if _, err := New(objs, geom.R(0, 0, 10, 10), 1); err == nil {
+			t.Errorf("object %v of the wrong dimensionality should error", bad)
+		}
 	}
 }
 
@@ -160,7 +173,10 @@ func TestGridHistogramEstimate(t *testing.T) {
 		}
 	}
 	uni := geom.R(0, 0, 1000, 1000)
-	h := newGridHistogram(objs, uni)
+	h, err := newGridHistogram(objs, uni)
+	if err != nil {
+		t.Fatal(err)
+	}
 	est := h.estimate(geom.R(0, 0, 500, 500))
 	if math.Abs(est-400) > 60 {
 		t.Errorf("quarter-window estimate %.0f, want ~400", est)
@@ -179,5 +195,174 @@ func BenchmarkQueryGeneration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g.Query(QR1)
+	}
+}
+
+// refEstimate is estimate as it was before the odometer: a recursive walk
+// over the dimensions that recomputes every fraction at every inner cell.
+// The odometer must agree with it to the bit.
+func refEstimate(h *gridHistogram, q geom.Rect) float64 {
+	loCell := make([]int, h.dims)
+	hiCell := make([]int, h.dims)
+	for d := 0; d < h.dims; d++ {
+		loCell[d] = h.cellCoord(q.Lo[d], d)
+		hiCell[d] = h.cellCoord(q.Hi[d], d)
+	}
+	var total float64
+	idx := make([]int, h.dims)
+	var walk func(d int, frac float64)
+	walk = func(d int, frac float64) {
+		if d == h.dims {
+			flat := 0
+			for i := 0; i < h.dims; i++ {
+				flat = flat*h.cells + idx[i]
+			}
+			total += frac * float64(h.counts[flat])
+			return
+		}
+		for c := loCell[d]; c <= hiCell[d]; c++ {
+			idx[d] = c
+			cellLo := h.universe.Lo[d] + float64(c)/float64(h.cells)*h.universe.Side(d)
+			cellHi := h.universe.Lo[d] + float64(c+1)/float64(h.cells)*h.universe.Side(d)
+			overlap := math.Min(q.Hi[d], cellHi) - math.Max(q.Lo[d], cellLo)
+			width := cellHi - cellLo
+			f := 1.0
+			if width > 0 {
+				f = overlap / width
+				if f < 0 {
+					f = 0
+				}
+				if f > 1 {
+					f = 1
+				}
+			}
+			walk(d+1, frac*f)
+		}
+	}
+	walk(0, 1)
+	return total
+}
+
+// estimateFixture bins n seeded objects in a universe of dims dimensions whose
+// origin and sides differ per dimension (one side zero when flat is set).
+func estimateFixture(t testing.TB, dims, n int, seed int64, flat bool) (*gridHistogram, geom.Rect) {
+	rng := rand.New(rand.NewSource(seed))
+	uni := geom.Rect{Lo: make(geom.Point, dims), Hi: make(geom.Point, dims)}
+	for d := 0; d < dims; d++ {
+		uni.Lo[d] = float64(d)*-37.5 + 0.1
+		uni.Hi[d] = uni.Lo[d] + 100*float64(d+1) + 0.3
+	}
+	if flat {
+		uni.Hi[dims-1] = uni.Lo[dims-1]
+	}
+	objs := make([]geom.Rect, n)
+	for i := range objs {
+		o := geom.Rect{Lo: make(geom.Point, dims), Hi: make(geom.Point, dims)}
+		for d := 0; d < dims; d++ {
+			// Clustered towards the origin, so counts differ per cell.
+			u := rng.Float64()
+			u *= u
+			o.Lo[d] = uni.Lo[d] + u*uni.Side(d)
+			o.Hi[d] = math.Min(uni.Hi[d], o.Lo[d]+rng.Float64()*uni.Side(d)/50)
+		}
+		objs[i] = o
+	}
+	h, err := newGridHistogram(objs, uni)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, uni
+}
+
+// sameEstimate fails t unless estimate and refEstimate agree bit for bit on q.
+func sameEstimate(t *testing.T, h *gridHistogram, q geom.Rect) {
+	t.Helper()
+	want := refEstimate(h, q)
+	if got := h.estimate(q); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("dims %d cells %d window %v: estimate %v (%#x), reference %v (%#x)",
+			h.dims, h.cells, q, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+func TestEstimateMatchesReference(t *testing.T) {
+	for dims := 1; dims <= 4; dims++ {
+		for _, n := range []int{1, 40, 3000} {
+			for _, flat := range []bool{false, true} {
+				h, uni := estimateFixture(t, dims, n, int64(dims*n), flat)
+				rng := rand.New(rand.NewSource(int64(n + dims)))
+				cell := func(d, c int) float64 {
+					return uni.Lo[d] + float64(c)/float64(h.cells)*uni.Side(d)
+				}
+				for trial := 0; trial < 300; trial++ {
+					q := geom.Rect{Lo: make(geom.Point, dims), Hi: make(geom.Point, dims)}
+					for d := 0; d < dims; d++ {
+						span := uni.Side(d)
+						a := uni.Lo[d] + rng.Float64()*span
+						w := rng.Float64() * span / 4
+						switch trial % 6 {
+						case 0: // inside
+							q.Lo[d], q.Hi[d] = a, math.Min(uni.Hi[d], a+w)
+						case 1: // straddling the universe's edges, clamped there
+							q.Lo[d], q.Hi[d] = uni.Lo[d]-w, uni.Hi[d]+w
+							if rng.Intn(2) == 0 {
+								q.Lo[d], q.Hi[d] = uni.Lo[d], uni.Hi[d]
+							}
+						case 2: // outside: wholly below or above
+							if rng.Intn(2) == 0 {
+								q.Lo[d], q.Hi[d] = uni.Lo[d]-2*w-1, uni.Lo[d]-w-1
+							} else {
+								q.Lo[d], q.Hi[d] = uni.Hi[d]+w+1, uni.Hi[d]+2*w+1
+							}
+						case 3: // degenerate: a point, on a cell boundary half the time
+							if rng.Intn(2) == 0 {
+								a = cell(d, rng.Intn(h.cells+1))
+							}
+							q.Lo[d], q.Hi[d] = a, a
+						case 4: // exactly on cell boundaries
+							c := rng.Intn(h.cells)
+							q.Lo[d], q.Hi[d] = cell(d, c), cell(d, c+1+rng.Intn(h.cells-c))
+						default: // inverted
+							q.Lo[d], q.Hi[d] = a+w+1e-9, a
+						}
+					}
+					sameEstimate(t, h, q)
+				}
+			}
+		}
+	}
+}
+
+func FuzzEstimateMatchesReference(f *testing.F) {
+	f.Add(uint8(2), uint16(500), int64(1), 10.0, 20.0, 30.0, 90.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint8(3), uint16(4000), int64(2), -50.0, -50.0, -50.0, 1e9, 1e9, 1e9, 0.0, 0.0)
+	f.Add(uint8(4), uint16(64), int64(3), 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0)
+	f.Add(uint8(1), uint16(7), int64(4), 60.0, 40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Fuzz(func(t *testing.T, dims uint8, n uint16, seed int64, a, b, c, d, e, g, i, j float64) {
+		k := 1 + int(dims%4)
+		h, _ := estimateFixture(t, k, 1+int(n%4096), seed, seed%5 == 0)
+		v := []float64{a, b, c, d, e, g, i, j}
+		sameEstimate(t, h, geom.Rect{Lo: v[:k], Hi: v[4 : 4+k]})
+	})
+}
+
+// TestCalibrationAllocs holds the bisection to no allocation and a query to
+// its result's two coordinate slices.
+func TestCalibrationAllocs(t *testing.T) {
+	for _, name := range []string{"rea02", "axo03"} {
+		objs, _ := datasets.Generate(name, 20000, 1)
+		uni, _ := datasets.Universe(name)
+		g, err := New(objs, uni, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(g.centre, objs[0].Lo)
+		if a := testing.AllocsPerRun(50, func() { g.calibrateSide(g.centre, 10) }); a != 0 {
+			t.Errorf("%s: calibrateSide allocates %.1f times, want 0", name, a)
+		}
+		for _, p := range AllProfiles() {
+			if a := testing.AllocsPerRun(50, func() { g.Query(p) }); a > 2 {
+				t.Errorf("%s: Query(%v) allocates %.1f times, want at most its result's 2", name, p, a)
+			}
+		}
 	}
 }
