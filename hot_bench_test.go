@@ -9,6 +9,7 @@ package cbb
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -253,6 +254,37 @@ func BenchmarkBulkLoad(b *testing.B) {
 						b.Fatal(err)
 					}
 					if err := tree.BulkLoad(items); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(items)), "ns/object")
+			})
+		}
+	}
+}
+
+// BenchmarkWriteSnapshot measures one WriteSnapshot of a bulk-loaded, clipped
+// (CSTA) tree per iteration, over 100k objects of rea02 (2-D) and axo03
+// (3-D), in both formats: the node pages, the node index and the clip table,
+// written atomically into a temporary directory. Node pages are encoded on
+// GOMAXPROCS workers, so run it with -cpu 1,2; the file's bytes do not
+// depend on it (TestWriteSnapshotIndependentOfProcs).
+func BenchmarkWriteSnapshot(b *testing.B) {
+	for _, dataset := range []string{"rea02", "axo03"} {
+		items, uni := loadDataset(b, dataset, 100000, 42)
+		tree, err := New(Options{Dims: uni.Dims(), Universe: uni})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tree.BulkLoad(items); err != nil {
+			b.Fatal(err)
+		}
+		for _, format := range []SnapshotFormat{SnapshotV1, SnapshotV2} {
+			b.Run(fmt.Sprintf("%s/v%d", dataset, format), func(b *testing.B) {
+				path := filepath.Join(b.TempDir(), "tree.cbb")
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := tree.WriteSnapshot(path, format); err != nil {
 						b.Fatal(err)
 					}
 				}

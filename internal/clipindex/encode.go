@@ -68,12 +68,16 @@ func encodeRecords(dims int, universe *geom.Rect, recs iter.Seq2[rtree.NodeID, c
 	buf := make([]byte, 0, size)
 	buf = le.AppendUint32(le.AppendUint32(buf, uint32(dims)), uint32(nodes))
 	coord, grid := make([]float64, dims), make([]uint32, dims)
+	var grids []clipGrid
+	if universe != nil {
+		grids = clipGrids(*universe)
+	}
 	for id, rec := range recs {
 		n := rec.Len(dims)
 		buf = le.AppendUint32(le.AppendUint32(buf, uint32(id)), uint32(n))
 		for i := 0; i < n; i++ {
 			mask := rec.At(dims, i, coord)
-			if universe != nil && quantisePoint(mask, coord, *universe, grid) {
+			if universe != nil && quantisePoint(mask, coord, grids, grid) {
 				buf = le.AppendUint32(buf, uint32(mask))
 				for _, g := range grid {
 					buf = le.AppendUint32(buf, g)
@@ -110,11 +114,12 @@ func DecodeClips(buf []byte, universe *geom.Rect) (Table, int, error) {
 	// an entry's point count by the bytes left before anything is allocated.
 	minPoint := ClipPointBytes(dims)
 	var grid []uint32
+	var grids []clipGrid
 	if universe != nil {
 		if universe.Dims() != dims || !universe.Valid() {
 			return nil, 0, fmt.Errorf("clipindex: v2 clip table needs a valid %d-dimensional universe", dims)
 		}
-		minPoint, grid = clipPointV2HeaderBytes+4*dims, make([]uint32, dims)
+		minPoint, grid, grids = clipPointV2HeaderBytes+4*dims, make([]uint32, dims), clipGrids(*universe)
 	}
 	count := int(le.Uint32(buf[4:]))
 	off := 8
@@ -159,7 +164,7 @@ func DecodeClips(buf []byte, universe *geom.Rect) (Table, int, error) {
 				}
 				off += width
 			}
-			if raw && universe != nil && quantisePoint(geom.Corner(mask), coord, *universe, grid) {
+			if raw && universe != nil && quantisePoint(geom.Corner(mask), coord, grids, grid) {
 				return nil, 0, errors.New("clipindex: v2 clip point stored raw although the grid holds it")
 			}
 			skyline.Reflect(coord, coord, geom.Corner(mask))

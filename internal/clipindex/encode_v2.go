@@ -28,6 +28,14 @@ import (
 // hold the point, and the decoder rejects a raw point the grid could hold:
 // each clip point has one encoding, so decoding, re-encoding and decoding
 // again gives back the same records.
+//
+// The grid value of a coordinate is defined by the decoder: the largest value
+// decoding to at most it (rounding down), the smallest decoding to at least
+// it (rounding up). A one-multiply estimate answers that for nearly every
+// coordinate, certified by a slack bound on its rounding error (clipGrid);
+// the rest — a coordinate within slack of a cell edge, a grid finer than its
+// coordinates' float64 spacing — take a binary search over the decoder, so
+// the bytes are the definition's whichever path answers.
 
 const (
 	clipQMax    = math.MaxUint32
@@ -55,17 +63,79 @@ func gridOK(lo, hi float64) bool {
 	return w > 0 && w <= math.MaxFloat64
 }
 
+// clipGrid is one dimension of the universe's 32-bit grid: the [lo, hi] range
+// clip coordinates are quantised against, the scale s = clipQMax/(hi−lo) that
+// estimates a coordinate's cell with one multiplication, and the slack that
+// certifies an estimate — rtree's 16-bit node grid re-derived for 32-bit
+// cells. Its one division is paid once per dimension and table, not once per
+// coordinate.
+//
+// With u = 2⁻⁵³, r = |lo|+|hi| and w = hi−lo, the estimate f = (x−lo)·s
+// rounds four times (the difference, the width, the scale, the product), so
+// it is within 4u·clipQMax(1+O(u)) cells of the real (x−lo)·clipQMax/w over
+// the grid; clipQDecode rounds four times too, on values no larger than w
+// and r, so it is within u(3w + r)(1+O(u)), that is clipQMax·u·(3 + r/w)
+// cells, of the real lo + w·q/clipQMax. Each is below clipQMax·u·(8 + 4r/w)
+// cells, and slack, 2⁻⁴⁰·(r + w)·s = clipQMax·2⁻⁴⁰·(1 + r/w) cells, is at
+// least 1024 times that (2¹³/8). So when f lies inside the grid and its
+// fraction is more than slack from both cell edges, ⌊f⌋ is x's cell:
+// clipQDecode(⌊f⌋) < x < clipQDecode(⌊f⌋+1), the real values being more than
+// slack cells apart from x and the computed ones within a 512th of that.
+//
+// Every other case falls back to the binary search over clipQDecode, which
+// needs no bound: a fraction within slack of a cell edge; a grid finer than
+// the float64 spacing of its coordinates (r/w above 2²¹, where runs of grid
+// values decode alike — slack passes half a cell from r/w ≈ 2⁷ on, so such a
+// universe certifies nothing); a scale that overflows (a subnormal width:
+// slack is infinite); and a universe with no grid (gridOK: s and slack are
+// NaN, which certify nothing).
+type clipGrid struct{ lo, hi, s, slack float64 }
+
+func newClipGrid(lo, hi float64) clipGrid {
+	g := clipGrid{lo: lo, hi: hi, s: math.NaN(), slack: math.NaN()}
+	if gridOK(lo, hi) {
+		g.s = clipQMax / (hi - lo)
+		g.slack = 0x1p-40 * (math.Abs(lo) + math.Abs(hi) + (hi - lo)) * g.s
+	}
+	return g
+}
+
+// clipGrids is the grid of each dimension of the universe.
+func clipGrids(universe geom.Rect) []clipGrid {
+	gs := make([]clipGrid, universe.Dims())
+	for d := range gs {
+		gs[d] = newClipGrid(universe.Lo[d], universe.Hi[d])
+	}
+	return gs
+}
+
+// certain returns ⌊f⌋ for x's estimate f, and whether f certifies it (see
+// clipGrid).
+func (g clipGrid) certain(x float64) (uint32, bool) {
+	f := (x - g.lo) * g.s
+	if !(f > g.slack && f < clipQMax-g.slack) {
+		return 0, false
+	}
+	q := uint32(f)
+	fr := f - float64(q)
+	return q, fr > g.slack && fr < 1-g.slack
+}
+
 // clipQDown returns the largest grid value decoding to at most x; ok is false
 // when no grid value can (x below the universe, or NaN) or the universe has no
-// grid. The search is binary: where the grid is finer than the float64
+// grid. A certified estimate answers with one multiplication (clipGrid);
+// otherwise the search is binary: where the grid is finer than the float64
 // spacing of its coordinates, runs of grid values decode alike.
-func clipQDown(x, lo, hi float64) (uint32, bool) {
-	if !gridOK(lo, hi) || math.IsNaN(x) || clipQDecode(lo, hi, 0) > x {
+func (g clipGrid) clipQDown(x float64) (uint32, bool) {
+	if q, ok := g.certain(x); ok {
+		return q, true
+	}
+	if !gridOK(g.lo, g.hi) || math.IsNaN(x) || clipQDecode(g.lo, g.hi, 0) > x {
 		return 0, false
 	}
 	a, b := uint64(0), uint64(clipQMax)+1 // decode(a) <= x; b is past the last candidate
 	for b-a > 1 {
-		if m := (a + b) / 2; clipQDecode(lo, hi, uint32(m)) <= x {
+		if m := (a + b) / 2; clipQDecode(g.lo, g.hi, uint32(m)) <= x {
 			a = m
 		} else {
 			b = m
@@ -76,14 +146,18 @@ func clipQDown(x, lo, hi float64) (uint32, bool) {
 
 // clipQUp returns the smallest grid value decoding to at least x; ok is false
 // when no grid value can (x above the universe, or NaN) or the universe has no
-// grid.
-func clipQUp(x, lo, hi float64) (uint32, bool) {
-	if !gridOK(lo, hi) || math.IsNaN(x) || clipQDecode(lo, hi, clipQMax) < x {
+// grid. It is certified like clipQDown, the cell's upper edge ⌊f⌋+1, and falls
+// back to the same binary search.
+func (g clipGrid) clipQUp(x float64) (uint32, bool) {
+	if q, ok := g.certain(x); ok {
+		return q + 1, true
+	}
+	if !gridOK(g.lo, g.hi) || math.IsNaN(x) || clipQDecode(g.lo, g.hi, clipQMax) < x {
 		return 0, false
 	}
 	a, b := int64(-1), int64(clipQMax) // decode(b) >= x; a is before the first candidate
 	for b-a > 1 {
-		if m := (a + b) / 2; clipQDecode(lo, hi, uint32(m)) >= x {
+		if m := (a + b) / 2; clipQDecode(g.lo, g.hi, uint32(m)) >= x {
 			b = m
 		} else {
 			a = m
@@ -92,18 +166,17 @@ func clipQUp(x, lo, hi float64) (uint32, bool) {
 	return uint32(b), true
 }
 
-// quantisePoint encodes one clip point's coordinates onto the universe grid,
-// rounding toward its corner. ok is false when any dimension cannot be
+// quantisePoint encodes one clip point's coordinates onto the universe's
+// grids, rounding toward its corner. ok is false when any dimension cannot be
 // bounded conservatively, in which case the caller stores the point raw.
-func quantisePoint(mask geom.Corner, coord []float64, universe geom.Rect, out []uint32) bool {
+func quantisePoint(mask geom.Corner, coord []float64, grids []clipGrid, out []uint32) bool {
 	for d, v := range coord {
-		lo, hi := universe.Lo[d], universe.Hi[d]
 		var q uint32
 		var ok bool
 		if mask.Bit(d) {
-			q, ok = clipQUp(v, lo, hi)
+			q, ok = grids[d].clipQUp(v)
 		} else {
-			q, ok = clipQDown(v, lo, hi)
+			q, ok = grids[d].clipQDown(v)
 		}
 		if !ok {
 			return false

@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"cbb/internal/core"
+	"cbb/internal/fanout"
 	"cbb/internal/storage"
 )
 
@@ -114,13 +115,18 @@ func (n *node) readSlots(buf []byte, off, count, dims int) int {
 // from node id to page id (the root's page is pages[RootID()]). It is used by
 // the snapshot writer, the storage-overhead experiment, and persistence
 // round-trip tests. Saving a file-backed tree faults every node in first.
+//
+// Nodes are encoded on GOMAXPROCS workers, a bounded window at a time
+// (encodeWalk); the calling goroutine allocates and writes each window's
+// pages in walk order, so page ids and bytes do not depend on the worker
+// count, and memory does not grow with the tree.
 func (t *Tree) Save(p storage.PageStore, codec PageCodec) (map[NodeID]storage.PageID, error) {
 	v := t.cur.Load()
 	if v.root == InvalidNode {
 		return nil, errors.New("rtree: cannot save an empty tree")
 	}
 	pages := make(map[NodeID]storage.PageID)
-	err := v.walk(func(n *node) error {
+	err := v.encodeWalk(t.cfg.Dims, codec, func(n *node, buf []byte) error {
 		kind := storage.KindDirectory
 		if n.leaf {
 			kind = storage.KindLeaf
@@ -130,11 +136,7 @@ func (t *Tree) Save(p storage.PageStore, codec PageCodec) (map[NodeID]storage.Pa
 			return err
 		}
 		pages[n.id] = id
-		buf, err := encodeNodeCodec(n, t.cfg.Dims, codec)
-		if err == nil {
-			err = p.Write(id, buf)
-		}
-		if err != nil {
+		if err := p.Write(id, buf); err != nil {
 			return fmt.Errorf("rtree: saving node %d: %w", n.id, err)
 		}
 		return nil
@@ -143,6 +145,48 @@ func (t *Tree) Save(p storage.PageStore, codec PageCodec) (map[NodeID]storage.Pa
 		return nil, err
 	}
 	return pages, nil
+}
+
+// encodeWindow is how many nodes encodeWalk encodes at a time, and
+// encodeChunk how many of them a worker takes at once: a window's pages are
+// at most encodeWindow node pages of memory, whatever the tree's size.
+const encodeWindow, encodeChunk = 256, 8
+
+// encodeWalk calls fn with every node of the version and its page in the
+// given codec, in walk order, on the calling goroutine. The pages are encoded
+// a window of nodes at a time through fanout on GOMAXPROCS workers, so what
+// fn sees does not depend on the worker count. It stops at the first error —
+// a fault's, an encoding's or fn's.
+func (v *Version) encodeWalk(dims int, codec PageCodec, fn func(n *node, buf []byte) error) error {
+	nodes := make([]*node, 0, encodeWindow)
+	bufs, errs := make([][]byte, encodeWindow), make([]error, encodeWindow)
+	flush := func() error {
+		fanout.ForEachChunk(len(nodes), 0, encodeChunk, func(_, start, end int) {
+			for i := start; i < end; i++ {
+				bufs[i], errs[i] = encodeNodeCodec(nodes[i], dims, codec)
+			}
+		})
+		for i, n := range nodes {
+			if errs[i] != nil {
+				return fmt.Errorf("rtree: encoding node %d: %w", n.id, errs[i])
+			}
+			if err := fn(n, bufs[i]); err != nil {
+				return err
+			}
+		}
+		nodes = nodes[:0]
+		return nil
+	}
+	err := v.walk(func(n *node) error {
+		if nodes = append(nodes, n); len(nodes) == encodeWindow {
+			return flush()
+		}
+		return nil
+	})
+	if err == nil && len(nodes) > 0 {
+		err = flush()
+	}
+	return err
 }
 
 // walk calls fn for every node of the version, depth first, each node before

@@ -339,7 +339,6 @@ func encodeNodeV2(n *node, dims int) ([]byte, error) {
 	// part of the bit-identical-results contract — so deltas ride on the
 	// spatial locality the build already produced rather than a re-sort.
 	payloadStart := len(buf)
-	var scratch [binary.MaxVarintLen64]byte
 	prevLo := make([]uint64, dims)
 	for d := 0; d < dims; d++ {
 		prevLo[d] = math.Float64bits(mbb.Lo[d])
@@ -349,17 +348,14 @@ func encodeNodeV2(n *node, dims int) ([]byte, error) {
 		r := n.rect(i, dims)
 		for d := 0; d < dims; d++ {
 			lo := math.Float64bits(r.Lo[d])
-			m := binary.PutUvarint(scratch[:], zigzag(int64(lo-prevLo[d])>>shift))
-			buf = append(buf, scratch[:m]...)
+			buf = binary.AppendUvarint(buf, zigzag(int64(lo-prevLo[d])>>shift))
 			prevLo[d] = lo
 		}
 		for d := 0; d < dims; d++ {
 			hi := math.Float64bits(r.Hi[d])
-			m := binary.PutUvarint(scratch[:], zigzag(int64(hi-prevLo[d])>>shift))
-			buf = append(buf, scratch[:m]...)
+			buf = binary.AppendUvarint(buf, zigzag(int64(hi-prevLo[d])>>shift))
 		}
-		m := binary.PutUvarint(scratch[:], zigzag(obj-prevObj))
-		buf = append(buf, scratch[:m]...)
+		buf = binary.AppendUvarint(buf, zigzag(obj-prevObj))
 		prevObj = obj
 	}
 	if len(buf)-payloadStart >= n.count()*EntryBytes(dims) {
@@ -617,18 +613,19 @@ func InspectNodePage(buf []byte, dims int, codec PageCodec) (NodePageStats, erro
 }
 
 // MaxEncodedNodeBytes returns the size of the largest node page the tree's
-// last published version would produce under the given codec — the page-size discovery pass of the
-// two-pass v2 snapshot write (v2 pages are variable-length, so the page size
-// cannot be derived from MaxEntries alone, unlike PageBytesFor for v1).
+// last published version would produce under the given codec — the page-size
+// discovery pass of the two-pass v2 snapshot write (v2 pages are
+// variable-length, so the page size cannot be derived from MaxEntries alone,
+// unlike PageBytesFor for v1). The pages are encoded on GOMAXPROCS workers,
+// as Save encodes them, and dropped a window at a time.
 func (t *Tree) MaxEncodedNodeBytes(codec PageCodec) (int, error) {
 	if codec == CodecV1 {
 		return PageBytesFor(t.cfg.MaxEntries, t.cfg.Dims), nil
 	}
 	most := 0
-	err := t.cur.Load().walk(func(n *node) error {
-		buf, err := encodeNodeCodec(n, t.cfg.Dims, codec)
+	err := t.cur.Load().encodeWalk(t.cfg.Dims, codec, func(_ *node, buf []byte) error {
 		most = max(most, len(buf))
-		return err
+		return nil
 	})
 	return most, err
 }

@@ -44,9 +44,12 @@ func (a *knnEntry) before(b *knnEntry, max bool) bool {
 // knnRead is the box array of a node that was read (for a root, its MBB
 // alone) and the source it belongs to, kept so that an entry's box can be
 // found again: a node's when it is popped, an object's when it is returned.
+// rest[lo:hi] of the query's scratch are the node's children not yet on the
+// frontier, when it was read before the search had a bound (admit).
 type knnRead struct {
-	boxes []float64
-	src   int
+	boxes  []float64
+	src    int
+	lo, hi int32
 }
 
 // NearestNeighbors is the package function over this one version, without
@@ -72,7 +75,12 @@ func (v *Version) NearestNeighbors(k int, p geom.Point) ([]Neighbor, error) {
 // first leaf on: an entry beyond it is not pushed, and a node's quantised
 // planes are scanned against the ball of that radius before any exact
 // distance is computed. A huge k costs O(log k) per candidate and never an
-// allocation sized by k.
+// allocation sized by k. Until k objects were seen there is no bound, and a
+// directory node read then puts only its nearest child on the frontier; the
+// others wait beside it, and each pop of an entry of that node brings the
+// next nearest, or — once there is a bound — all that are within it. The
+// frontier always holds each node's nearest waiting child, so it pops the
+// same entries in the same (key, id) order as if all had been pushed.
 //
 // A bound starts as the MINDIST of the entry's box. When the entry is popped
 // and its node has clip points, core.Record.MinDistSq lifts it: a point
@@ -122,6 +130,9 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 		e := front[0]
 		front = heapPop(front)
 		from := read[e.from]
+		if from.lo < from.hi {
+			front, read[e.from].hi = admit(front, sc.rest, from.lo, from.hi, worst)
+		}
 		v := srcs[from.src].Version
 		if srcs[from.src].Clipped && len(from.boxes) > 0 {
 			if rec := v.dir.record(NodeID(e.id)); len(rec) > 0 {
@@ -164,7 +175,7 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 				mask[w] = ^uint64(0) >> max(0, (w+1)<<6-count)
 			}
 		}
-		here := int32(len(read))
+		here, lo := int32(len(read)), len(sc.rest)
 		read = append(read, knnRead{boxes: n.boxes, src: from.src})
 		for w, m := range mask {
 			for ; m != 0; m &= m - 1 {
@@ -175,7 +186,11 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 				case !n.leaf:
 					// Below a lifted node nothing is nearer than its bound.
 					o.key = max(d, e.key)
-					front = heapPush(front, o, false)
+					if worst > math.MaxFloat64 {
+						sc.rest = append(sc.rest, o)
+					} else {
+						front = heapPush(front, o, false)
+					}
 				case len(best) < k:
 					if best = heapPush(best, o, true); len(best) == k {
 						worst = best[0].key
@@ -185,6 +200,12 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 					worst = best[0].key
 				}
 			}
+		}
+		if len(sc.rest) > lo {
+			var hi int32
+			front, hi = admit(front, sc.rest, int32(lo), int32(len(sc.rest)), worst)
+			sc.rest = sc.rest[:hi]
+			read[here].lo, read[here].hi = int32(lo), hi
 		}
 	}
 
@@ -211,9 +232,33 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 	// Drop the references into node storage: a pooled scratch pins nothing.
 	clear(read)
 	clear(pools)
-	sc.front, sc.best, sc.read, sc.io, sc.pools = front[:0], best[:0], read[:0], tally[:0], pools[:0]
+	sc.front, sc.best, sc.read, sc.io, sc.pools, sc.rest = front[:0], best[:0], read[:0], tally[:0], pools[:0], sc.rest[:0]
 	searchScratchPool.Put(sc)
 	return out, io, err
+}
+
+// admit moves children of a node read before the search had a bound from
+// rest[lo:hi] onto the frontier: while there is still none, the (key, id)-least
+// alone, the last child taking its place; otherwise all within worst. It
+// returns the frontier and the new end of the node's waiting children.
+func admit(front, rest []knnEntry, lo, hi int32, worst float64) ([]knnEntry, int32) {
+	if worst <= math.MaxFloat64 {
+		for _, o := range rest[lo:hi] {
+			if o.key <= worst {
+				front = heapPush(front, o, false)
+			}
+		}
+		return front, lo
+	}
+	m := lo
+	for i := lo + 1; i < hi; i++ {
+		if rest[i].before(&rest[m], false) {
+			m = i
+		}
+	}
+	front = heapPush(front, rest[m], false)
+	rest[m] = rest[hi-1]
+	return front, hi - 1
 }
 
 // minDistSq is Rect.MinDistSq for the box at boxes[off] (dims lower, then

@@ -147,10 +147,11 @@ func (v *Version) SearchCounted(q geom.Rect, c *storage.Counter, visit func(Obje
 // searchScratch is the pooled per-query working state: a range search's
 // explicit DFS stack; a nearest-neighbour search's frontier (a min-heap of
 // unread nodes), candidates (a max-heap of the k best objects seen), the box
-// arrays both point into and one access tally and buffer pool per source; and for either the
-// query extents (the ball around the point) in fixed flat arrays, so the hot
-// loop compares contiguous memory with contiguous memory, plus the
-// grid-domain query window and survivor bitmask of the quantised scan kernel.
+// arrays both point into, one access tally and buffer pool per source, and
+// the children waiting to join the frontier; and for either the query
+// extents (the ball around the point) in fixed flat arrays, so the hot loop
+// compares contiguous memory with contiguous memory, plus the grid-domain
+// query window and survivor bitmask of the quantised scan kernel.
 type searchScratch struct {
 	stack       []NodeID
 	front, best []knnEntry
@@ -163,6 +164,7 @@ type searchScratch struct {
 	sel         core.Sel  // q laid out for the clip records' tests
 	probe       clipProbe // q laid out for a node's clip copy
 	mask        survivorMask
+	rest        []knnEntry // children not yet on the frontier (knnRead)
 }
 
 // survivorMask is the buffer for the scan kernels' bitmask. The inline words serve

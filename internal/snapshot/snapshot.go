@@ -294,7 +294,10 @@ func (s *Snapshot) OpenTree(store storage.PageStore, readonly bool) (*rtree.Tree
 // Write serialises the tree and its clip table into a freshly created page
 // store: superblock first, then the node pages (Figure 4a), the node index,
 // and the clip table (Figure 4b). meta's configuration fields must describe
-// the tree; its structural fields are filled in here.
+// the tree; its structural fields are filled in here. Node pages are encoded
+// on GOMAXPROCS workers — in the v2 page-size pass as well as by
+// rtree.Tree.Save — and written by the calling goroutine in walk order, so
+// the bytes do not depend on the worker count.
 func Write(store storage.PageStore, tree *rtree.Tree, clips ClipSource, meta Meta) error {
 	meta, clipBuf, err := checkMeta(store, tree, clips, meta)
 	if err != nil {
