@@ -276,10 +276,10 @@ func TestBatchCommitCrashMatrix(t *testing.T) {
 	}
 
 	// mkCrashed builds the seeded file, ingests the batch, and crashes the
-	// flush at the given failpoints; it returns the file path with the
-	// abandoned (dead-process) state on disk.
+	// flush once its WAL is durable and skip page records are applied; it
+	// returns the file path with the abandoned (dead-process) state on disk.
 	boom := errors.New("injected crash")
-	mkCrashed := func(t *testing.T, afterWAL func() error, apply func(int) error) string {
+	mkCrashed := func(t *testing.T, skip int) string {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "crash.cbb")
 		created, err := Create(path, opts)
@@ -294,6 +294,7 @@ func TestBatchCommitCrashMatrix(t *testing.T) {
 		if err := created.Close(); err != nil {
 			t.Fatal(err)
 		}
+		crashAfterWAL(t, skip, boom)
 		fb, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
@@ -301,7 +302,6 @@ func TestBatchCommitCrashMatrix(t *testing.T) {
 		if err := fb.InsertItems(batch); err != nil {
 			t.Fatal(err)
 		}
-		fb.pager.SetCommitFailpoints(afterWAL, apply)
 		if err := fb.Flush(); !errors.Is(err, boom) {
 			t.Fatalf("flush error = %v, want injected crash", err)
 		}
@@ -310,7 +310,7 @@ func TestBatchCommitCrashMatrix(t *testing.T) {
 	}
 
 	t.Run("after-WAL", func(t *testing.T) {
-		path := mkCrashed(t, func() error { return boom }, nil)
+		path := mkCrashed(t, 0)
 		if s := batchCrashState(t, "after-WAL", path, pre, post, queries); s != "post" {
 			t.Fatalf("committed WAL recovered to %q, want post-batch state", s)
 		}
@@ -320,12 +320,7 @@ func TestBatchCommitCrashMatrix(t *testing.T) {
 		for _, at := range []int{0, 1, 7, 100} {
 			at := at
 			t.Run(fmt.Sprintf("record=%d", at), func(t *testing.T) {
-				path := mkCrashed(t, nil, func(i int) error {
-					if i == at {
-						return boom
-					}
-					return nil
-				})
+				path := mkCrashed(t, at)
 				if s := batchCrashState(t, "mid-apply", path, pre, post, queries); s != "post" {
 					t.Fatalf("crash before record %d recovered to %q, want post-batch state", at, s)
 				}
@@ -336,7 +331,7 @@ func TestBatchCommitCrashMatrix(t *testing.T) {
 	t.Run("wal-cut-and-corrupt", func(t *testing.T) {
 		// One crashed flush gives us the pristine pre-state page file and
 		// the full WAL; every cut/corrupt case restores both and reopens.
-		path := mkCrashed(t, func() error { return boom }, nil)
+		path := mkCrashed(t, 0)
 		walPath := path + storage.WALSuffix
 		wal, err := os.ReadFile(walPath)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"cbb"
@@ -87,6 +88,9 @@ func TestInspectorRewritesInPlace(t *testing.T) {
 // until the write-ahead log is durable, then abandons the writer: the file
 // is the pre-commit one and the log holds the whole commit.
 func crashAfterWAL(path string, items []cbb.Item) error {
+	crash := errors.New("crash after the WAL sync")
+	c := &crashFS{err: crash}
+	defer storage.UseFS(func(base storage.FS) storage.FS { c.FS = base; return c })()
 	snap, fp, err := snapshot.OpenFile(path, false)
 	if err != nil {
 		return err
@@ -111,12 +115,45 @@ func crashAfterWAL(path string, items []cbb.Item) error {
 	if err := snapshot.Rewrite(fp, tree, idx, snap.Meta); err != nil {
 		return err
 	}
-	crash := errors.New("crash after the WAL sync")
-	fp.SetCommitFailpoints(func() error { return crash }, nil)
 	if err := fp.CommitJournal(); !errors.Is(err, crash) {
 		return err
 	}
 	return nil
+}
+
+// crashFS fails the first page-file write after a write-ahead log's fsync
+// with err, once: a process dying once its commit is durable.
+type crashFS struct {
+	storage.FS
+	err          error
+	armed, fired bool
+}
+
+func (c *crashFS) OpenFile(name string, flag int, perm os.FileMode) (storage.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return crashFile{f, c, strings.HasSuffix(name, storage.WALSuffix)}, nil
+}
+
+type crashFile struct {
+	storage.File
+	fs  *crashFS
+	wal bool
+}
+
+func (f crashFile) Sync() error {
+	f.fs.armed = f.fs.armed || f.wal
+	return f.File.Sync()
+}
+
+func (f crashFile) WriteAt(b []byte, off int64) (int, error) {
+	if c := f.fs; c.armed && !f.wal && !c.fired {
+		c.fired = true
+		return 0, c.err
+	}
+	return f.File.WriteAt(b, off)
 }
 
 // testItems returns n deterministic small rectangles inside the test

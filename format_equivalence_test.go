@@ -164,6 +164,8 @@ func TestMmapPagerEquivalenceWALPending(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	boom := errors.New("crash after WAL sync")
+	crashAfterWAL(t, 0, boom)
 	w, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +176,6 @@ func TestMmapPagerEquivalenceWALPending(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	boom := errors.New("crash after WAL sync")
-	w.pager.SetCommitFailpoints(func() error { return boom }, nil)
 	if err := w.Flush(); !errors.Is(err, boom) {
 		t.Fatalf("flush error = %v, want injected crash", err)
 	}

@@ -601,8 +601,9 @@ func (x *Index) applyDeleteTrace(trace *rtree.DeleteTrace, u *UpdateStats) {
 // child reaches into a clipped region when it extends strictly past the clip
 // point toward the clipped corner in every dimension — Algorithm 2's insert
 // selector, and exactly when a query the clip point declares dead could meet
-// the child — however thin the child or small the overlap. It returns the
-// first violation found.
+// the child — however thin the child or small the overlap. A child node is
+// held to its own exact MBB, not to its entry's rectangle, which a v2
+// snapshot quantises outward. It returns the first violation found.
 func (x *Index) Validate() error {
 	live := make(map[rtree.NodeID]rtree.NodeInfo)
 	if err := x.tree.Walk(func(info rtree.NodeInfo) { live[info.ID] = info }); err != nil {
@@ -619,7 +620,11 @@ func (x *Index) Validate() error {
 				return fmt.Errorf("clipindex: node %d clip point %v outside MBB %v", id, c, info.MBB)
 			}
 			for i := 0; i < info.Len(); i++ {
-				if child := info.Rect(i); !core.ValidAfterInsert(info.MBB, clips[k:k+1], child) {
+				child := info.Rect(i)
+				if !info.Leaf {
+					child = live[info.Child(i)].MBB
+				}
+				if !core.ValidAfterInsert(info.MBB, clips[k:k+1], child) {
 					return fmt.Errorf("clipindex: node %d clip point %v clips child %v", id, c, child)
 				}
 			}

@@ -172,16 +172,6 @@ func (t *Tree) SetRecord(id NodeID, rec core.Record) {
 	}
 }
 
-// HasNode reports whether id names a node of the tree — a slot with a page on
-// a file-backed tree not yet hydrated, a slot with a node otherwise — without
-// reading a page.
-func (t *Tree) HasNode(id NodeID) bool {
-	if t.src != nil && !t.src.hydrated {
-		return t.dir.has(id) && t.dir.at(id).page != storage.InvalidPage
-	}
-	return t.dir.has(id) && t.dir.at(id).node.Load() != nil
-}
-
 // Record and Records are Tree.Record and Tree.Records at this version.
 func (v *Version) Record(id NodeID) core.Record            { return v.dir.record(id) }
 func (v *Version) Records() iter.Seq2[NodeID, core.Record] { return v.dir.records() }

@@ -24,8 +24,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"cbb/internal/clipindex"
@@ -525,71 +523,9 @@ func WriteFile(path string, tree *rtree.Tree, clips ClipSource, meta Meta) error
 	if err != nil {
 		return err
 	}
-	return atomicWritePageFile(path, meta.PageSize, func(fp *storage.FilePager) error {
+	return storage.ReplacePageFile(path, meta.PageSize, func(fp *storage.FilePager) error {
 		return Write(fp, tree, clips, meta)
 	})
-}
-
-// atomicWritePageFile creates a page file at path atomically: fill populates
-// a FilePager over a temporary file in the same directory, which is fsynced
-// and renamed over path only after every page is on disk and the write-ahead
-// log of the file it replaces is settled (settleWAL).
-func atomicWritePageFile(path string, pageSize int, fill func(*storage.FilePager) error) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpPath := tmp.Name()
-	tmp.Close()
-	fail := func(err error) error {
-		os.Remove(tmpPath)
-		return err
-	}
-	// CreateTemp makes the file 0600; shipped snapshots should be readable
-	// like any file CreateFilePager makes directly.
-	if err := os.Chmod(tmpPath, 0o644); err != nil {
-		return fail(err)
-	}
-	fp, err := storage.CreateFilePager(tmpPath, pageSize)
-	if err != nil {
-		return fail(err)
-	}
-	if err := fill(fp); err != nil {
-		fp.Close()
-		return fail(err)
-	}
-	if err := fp.Close(); err != nil {
-		return fail(err)
-	}
-	if err := settleWAL(path); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmpPath, path); err != nil {
-		return fail(err)
-	}
-	// Flush the directory entry too, so the rename itself survives a crash.
-	return storage.SyncDir(filepath.Dir(path))
-}
-
-// settleWAL disposes of the write-ahead log beside path before a new file is
-// renamed over it. A log names only a page size, not the file it belongs to,
-// so one left there would be replayed onto the new file. A writable page
-// file at path applies a committed log to itself and drops any other, which
-// is what opening it does; without one the log is removed. A crash before the
-// rename thus leaves the old file at its committed state, one after it the
-// new file with no log.
-func settleWAL(path string) error {
-	if fp, err := storage.OpenFilePager(path); err == nil {
-		if !fp.ReadOnlyFile() {
-			return fp.Close()
-		}
-		fp.Close()
-	}
-	if err := os.Remove(storage.WALPathFor(path)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
 }
 
 // OpenFile opens a snapshot file for lazy, file-backed access. The caller

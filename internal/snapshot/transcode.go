@@ -112,7 +112,7 @@ func Transcode(srcPath, dstPath string, format int) error {
 	meta.PageSize = pageSize
 
 	// Pass 2: write the destination file.
-	return atomicWritePageFile(dstPath, pageSize, func(fp *storage.FilePager) error {
+	return storage.ReplacePageFile(dstPath, pageSize, func(fp *storage.FilePager) error {
 		super, err := fp.Allocate(storage.KindAux)
 		if err != nil {
 			return err

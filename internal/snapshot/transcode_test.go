@@ -199,6 +199,8 @@ func TestTranscodeFoldsPendingWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	boom := errors.New("crash after WAL sync")
+	restore := crashAfterWAL(t, 0, boom)
 	fp, err := storage.OpenFilePager(v1)
 	if err != nil {
 		t.Fatal(err)
@@ -229,11 +231,10 @@ func TestTranscodeFoldsPendingWAL(t *testing.T) {
 	if err := Rewrite(fp, wtree, widx, snap.Meta); err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("crash after WAL sync")
-	fp.SetCommitFailpoints(func() error { return boom }, nil)
 	if err := fp.CommitJournal(); !errors.Is(err, boom) {
 		t.Fatalf("commit error = %v, want injected crash", err)
 	}
+	restore()
 	// Abandon the writer without closing: the base file is pre-commit, the
 	// durable WAL next to it holds the whole rewrite.
 	if _, err := os.Stat(storage.WALPathFor(v1)); err != nil {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cbb/internal/clipindex"
@@ -24,6 +25,8 @@ func TestTranscodeInPlaceStaleWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	boom := errors.New("crash after WAL sync")
+	restore := crashAfterWAL(t, 0, boom)
 	fp, err := storage.OpenFilePager(path)
 	if err != nil {
 		t.Fatal(err)
@@ -54,11 +57,10 @@ func TestTranscodeInPlaceStaleWAL(t *testing.T) {
 	if err := Rewrite(fp, wtree, widx, snap.Meta); err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("crash after WAL sync")
-	fp.SetCommitFailpoints(func() error { return boom }, nil)
 	if err := fp.CommitJournal(); !errors.Is(err, boom) {
 		t.Fatalf("commit error = %v, want injected crash", err)
 	}
+	restore()
 	if _, err := os.Stat(storage.WALPathFor(path)); err != nil {
 		t.Fatalf("no WAL left on disk: %v", err)
 	}
@@ -95,4 +97,50 @@ func TestTranscodeInPlaceStaleWAL(t *testing.T) {
 	if got := snap2.Meta.Objects; got != 500 {
 		t.Fatalf("snapshot holds %d objects after reopen, want 500", got)
 	}
+}
+
+// crashAfterWAL installs a file system under which a commit stops like a
+// process that dies once its write-ahead log is durable: after a log's fsync,
+// the page-file write after skip of them fails with err, once. The returned
+// function, also run at the end of the test, puts the previous one back.
+func crashAfterWAL(t *testing.T, skip int, err error) (restore func()) {
+	c := &crashFS{skip: skip, err: err}
+	restore = storage.UseFS(func(base storage.FS) storage.FS { c.FS = base; return c })
+	t.Cleanup(restore)
+	return restore
+}
+
+type crashFS struct {
+	storage.FS
+	skip  int
+	err   error
+	armed bool
+}
+
+func (c *crashFS) OpenFile(name string, flag int, perm os.FileMode) (storage.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return crashFile{f, c, strings.HasSuffix(name, storage.WALSuffix)}, nil
+}
+
+type crashFile struct {
+	storage.File
+	fs  *crashFS
+	wal bool
+}
+
+func (f crashFile) Sync() error {
+	f.fs.armed = f.fs.armed || f.wal
+	return f.File.Sync()
+}
+
+func (f crashFile) WriteAt(b []byte, off int64) (int, error) {
+	if c := f.fs; c.armed && !f.wal {
+		if c.skip--; c.skip == -1 {
+			return 0, c.err
+		}
+	}
+	return f.File.WriteAt(b, off)
 }

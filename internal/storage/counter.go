@@ -1,9 +1,10 @@
 // Package storage provides the page layer of the library: I/O accounting
 // (the paper's primary metric is the number of leaf-node accesses), one
-// checksummed page file format with its three page stores — held in memory
-// (Image), on disk with a write-ahead log (FilePager), and memory-mapped
-// (MmapStore) — and a byte-budget LRU buffer pool that stands in for the OS
-// cache and counts the node accesses a buffer of its size would have served.
+// checksummed page file format with its three page stores — in memory
+// (Image), on disk with a write-ahead log (FilePager), memory-mapped
+// (MmapStore) — whose durable writes all go through one file seam (FS, in
+// fs.go), and a byte-budget LRU buffer pool that stands in for the OS cache
+// and counts the node accesses a buffer of its size would have served.
 //
 // Every operation on an R-tree — a range search, a kNN search, a join
 // traversal, an insertion, a deletion, a bulk load, a clip-table maintenance

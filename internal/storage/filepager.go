@@ -109,7 +109,7 @@ func checkPageFile(buf []byte, size int64) (pageSize, slots int, err error) {
 }
 
 // statPageFile reads f's header and runs checkPageFile against f's size.
-func statPageFile(f *os.File) (pageSize, slots int, size int64, err error) {
+func statPageFile(f File) (pageSize, slots int, size int64, err error) {
 	hdr := make([]byte, fileHeaderBytes)
 	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return 0, 0, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -195,7 +195,7 @@ func decodeSlot(slot []byte, pageSize int, id PageID) ([]byte, PageKind, error) 
 // left behind by a crash and discards a torn one.
 type FilePager struct {
 	mu             sync.Mutex
-	f              *os.File
+	f              File
 	path           string
 	pageSize       int
 	readonly       bool
@@ -214,11 +214,6 @@ type FilePager struct {
 	commits     int64 // successful CommitJournal calls that had staged pages
 	commitPages int64 // page images carried by those commits, summed
 	walFsyncs   int64 // WAL fsyncs issued — exactly one per group commit
-
-	// Commit fail-points for crash-injection tests: called after the WAL is
-	// durable (but before any page is applied) and before applying record i.
-	failAfterWAL func() error
-	failApply    func(i int) error
 }
 
 // overlayPage is one staged (dirty) page of a journaled pager: the image the
@@ -235,28 +230,34 @@ var _ PageStore = (*FilePager)(nil)
 // page size (DefaultPageSize when pageSize <= 0). Any write-ahead log left
 // next to the path by a previous incarnation of the file is discarded.
 func CreateFilePager(path string, pageSize int) (*FilePager, error) {
+	p, err := newFilePager(path, pageSize)
+	if err != nil {
+		return nil, err
+	}
+	if p.f, err = fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644); err != nil {
+		return nil, err
+	}
+	// A stale committed WAL from the file this one replaces must never be
+	// replayed onto the fresh file.
+	if err = Remove(WALPathFor(path)); err == nil {
+		_, err = p.f.WriteAt(encodeFileHeader(p.pageSize, 0), 0)
+	}
+	if err != nil {
+		p.f.Close()
+		return nil, err
+	}
+	return p, nil
+}
+
+// newFilePager is the empty pager of a new page file at path, not open yet.
+func newFilePager(path string, pageSize int) (*FilePager, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
 	if pageSize < minPageSize || pageSize > maxPageSize {
 		return nil, fmt.Errorf("storage: page size %d out of range [%d, %d]", pageSize, minPageSize, maxPageSize)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	// A stale committed WAL from the file this one replaces must never be
-	// replayed onto the fresh file.
-	if err := removeWAL(WALPathFor(path)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	p := &FilePager{f: f, path: path, pageSize: pageSize, dir: []slotMeta{}, dirty: true}
-	if _, err := f.WriteAt(encodeFileHeader(pageSize, 0), 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return p, nil
+	return &FilePager{path: path, pageSize: pageSize, dir: []slotMeta{}, dirty: true}, nil
 }
 
 // OpenFilePager opens an existing page file, validating its header. The
@@ -283,14 +284,14 @@ func OpenFilePager(path string) (*FilePager, error) { return openFilePager(path,
 func OpenFilePagerReadOnly(path string) (*FilePager, error) { return openFilePager(path, true) }
 
 func openFilePager(path string, readonly bool) (*FilePager, error) {
-	var f *os.File
+	var f File
 	var err error
 	if !readonly {
-		f, err = os.OpenFile(path, os.O_RDWR, 0o644)
+		f, err = fsys.OpenFile(path, os.O_RDWR, 0)
 		readonly = err != nil
 	}
 	if readonly {
-		if f, err = os.Open(path); err != nil {
+		if f, err = fsys.OpenFile(path, os.O_RDONLY, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -330,7 +331,7 @@ func (p *FilePager) recoverWAL() (err error) {
 			return fmt.Errorf("storage: replaying WAL %s: %w", walPath, err)
 		}
 	}
-	return removeWAL(walPath)
+	return Remove(walPath)
 }
 
 // ensureDirLocked builds the slot directory and free list by scanning the
@@ -655,18 +656,23 @@ func (p *FilePager) syncLocked() error {
 	if p.readonly {
 		return nil
 	}
-	if p.journal {
-		// Staged pages become durable only through CommitJournal; the file
-		// header on disk keeps describing the committed region.
-		return p.f.Sync()
-	}
-	if p.dirty {
-		if _, err := p.f.WriteAt(encodeFileHeader(p.pageSize, uint64(p.slotCount)), 0); err != nil {
-			return err
-		}
-		p.dirty = false
+	if err := p.writeHeaderLocked(); err != nil {
+		return err
 	}
 	return p.f.Sync()
+}
+
+// writeHeaderLocked rewrites the header of a pager that allocated or freed
+// pages; a journaled pager's header changes only through CommitJournal.
+func (p *FilePager) writeHeaderLocked() error {
+	if p.journal || !p.dirty {
+		return nil
+	}
+	if _, err := p.f.WriteAt(encodeFileHeader(p.pageSize, uint64(p.slotCount)), 0); err != nil {
+		return err
+	}
+	p.dirty = false
+	return nil
 }
 
 // EnableJournal switches the pager into journal mode: every Allocate, Write,
@@ -697,13 +703,6 @@ func (p *FilePager) EnableJournal() error {
 	return nil
 }
 
-// DirtyPages returns the number of staged (uncommitted) pages.
-func (p *FilePager) DirtyPages() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.overlay)
-}
-
 // CommitJournal atomically applies every staged page mutation to the file:
 // the page images are written to the write-ahead log and fsynced first, then
 // applied to the page file and fsynced, then the log is removed. If the
@@ -731,15 +730,10 @@ func (p *FilePager) CommitJournal() error {
 	p.walFsyncs++ // the whole batch just became durable with one WAL fsync
 	// From here on the transaction is durable: a crash replays the WAL on
 	// the next open, so every failure below leaves a recoverable file.
-	if p.failAfterWAL != nil {
-		if err := p.failAfterWAL(); err != nil {
-			return err
-		}
-	}
 	if err := p.applyRecordsLocked(records, p.slotCount); err != nil {
 		return err
 	}
-	if err := removeWAL(walPath); err != nil {
+	if err := Remove(walPath); err != nil {
 		return err
 	}
 	p.overlay = make(map[PageID]*overlayPage)
@@ -766,17 +760,6 @@ func (p *FilePager) CommitStats() CommitStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return CommitStats{Commits: p.commits, Pages: p.commitPages, WALFsyncs: p.walFsyncs}
-}
-
-// SetCommitFailpoints installs crash-injection hooks for durability tests:
-// afterWAL runs once the write-ahead log is durable but before any page is
-// applied; apply runs before applying record i. Returning an error from
-// either aborts the commit at that point, simulating a crash (the WAL is
-// left on disk for recovery). Pass nil, nil to clear.
-func (p *FilePager) SetCommitFailpoints(afterWAL func() error, apply func(i int) error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.failAfterWAL, p.failApply = afterWAL, apply
 }
 
 // DiscardJournal drops every staged page mutation, returning the pager to
@@ -811,12 +794,7 @@ func (p *FilePager) applyRecordsLocked(records []WALRecord, slotCount int) error
 			return err
 		}
 	}
-	for i, r := range records {
-		if p.failApply != nil {
-			if err := p.failApply(i); err != nil {
-				return err
-			}
-		}
+	for _, r := range records {
 		if r.InUse {
 			if err := p.writeSlotLocked(r.Page, r.Kind, r.Payload); err != nil {
 				return err
@@ -883,7 +861,3 @@ func (p *FilePager) Slots() ([]Slot, error) {
 	}
 	return out, nil
 }
-
-// WALPath returns the path of the pager's write-ahead log file (which exists
-// only while a commit is in flight or after a crash).
-func (p *FilePager) WALPath() string { return WALPathFor(p.path) }

@@ -8,16 +8,15 @@ import (
 	"syscall"
 )
 
-// SyncDir fsyncs a directory so recent entry creations, renames and
-// removals survive a crash — the durability anchor of the write-ahead-log
-// commit point, of a snapshot file renamed into place and of a sharded
-// engine's shards.json. Directory fsync is a POSIX nicety that not every
-// platform or filesystem supports: some return EINVAL (e.g. certain FUSE and
-// network filesystems) or ENOTSUP/EACCES for the open or the sync itself.
-// Losing the dirent sync only narrows the crash-durability window, it does
-// not corrupt anything (a missing WAL reads as "nothing to recover"), so
+// syncDir is the OS file system's SyncDir: the durability anchor of the
+// write-ahead-log commit point, of a file ReplaceFile renamed into place and
+// of a sharded engine's shards.json. Directory fsync is a POSIX nicety that
+// not every platform or filesystem supports: some return EINVAL (e.g. certain
+// FUSE and network filesystems) or ENOTSUP/EACCES for the open or the sync
+// itself. Losing the dirent sync only narrows the crash-durability window, it
+// does not corrupt anything (a missing WAL reads as "nothing to recover"), so
 // unsupported-operation errors are tolerated instead of failing the commit.
-func SyncDir(dir string) error {
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		if errorsIsUnsupportedSync(err) {

@@ -124,8 +124,8 @@ func TestJournalStagedStateVisibleBeforeCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	stageTransaction(t, p)
-	if got := p.DirtyPages(); got != 3 {
-		t.Fatalf("DirtyPages = %d, want 3", got)
+	if got := len(p.overlay); got != 3 {
+		t.Fatalf("dirty pages = %d, want 3", got)
 	}
 	// The pager itself sees the staged state.
 	buf, kind, err := p.Read(3)
@@ -179,10 +179,10 @@ func TestJournalCommitAndReopen(t *testing.T) {
 	if err := p.CommitJournal(); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.DirtyPages(); got != 0 {
-		t.Fatalf("DirtyPages after commit = %d", got)
+	if got := len(p.overlay); got != 0 {
+		t.Fatalf("dirty pages after commit = %d", got)
 	}
-	if _, err := os.Stat(p.WALPath()); !os.IsNotExist(err) {
+	if _, err := os.Stat(WALPathFor(path)); !os.IsNotExist(err) {
 		t.Fatalf("WAL not removed after commit: %v", err)
 	}
 	if err := p.Close(); err != nil {
@@ -191,6 +191,27 @@ func TestJournalCommitAndReopen(t *testing.T) {
 	if got := checkState(t, path, "committed"); got != "new" {
 		t.Fatalf("state after commit = %s, want new", got)
 	}
+}
+
+// crashApply makes p's next commit stop like a process that dies in its
+// apply phase: the write-ahead log is written and synced as usual, then the
+// page write after skip of them fails with err, once (skip 0: the log is
+// durable and no page is applied).
+func crashApply(p *FilePager, skip int, err error) {
+	p.f = &crashFile{File: p.f, skip: skip, err: err}
+}
+
+type crashFile struct {
+	File
+	skip int
+	err  error
+}
+
+func (f *crashFile) WriteAt(b []byte, off int64) (int, error) {
+	if f.skip--; f.skip == -1 {
+		return 0, f.err
+	}
+	return f.File.WriteAt(b, off)
 }
 
 // TestJournalCrashAfterWALDurable simulates a crash right after the WAL
@@ -204,11 +225,11 @@ func TestJournalCrashAfterWALDurable(t *testing.T) {
 	}
 	stageTransaction(t, p)
 	boom := errors.New("simulated crash after WAL sync")
-	p.failAfterWAL = func() error { return boom }
+	crashApply(p, 0, boom)
 	if err := p.CommitJournal(); !errors.Is(err, boom) {
 		t.Fatalf("commit error = %v, want injected crash", err)
 	}
-	if _, err := os.Stat(p.WALPath()); err != nil {
+	if _, err := os.Stat(WALPathFor(path)); err != nil {
 		t.Fatalf("WAL must survive the crash: %v", err)
 	}
 	p.f.Close() // abandon the handle without any cleanup, like a dead process
@@ -233,12 +254,7 @@ func TestJournalCrashMidApply(t *testing.T) {
 			}
 			stageTransaction(t, p)
 			boom := errors.New("simulated crash mid-apply")
-			p.failApply = func(i int) error {
-				if i == stop {
-					return boom
-				}
-				return nil
-			}
+			crashApply(p, stop, boom)
 			if err := p.CommitJournal(); !errors.Is(err, boom) {
 				t.Fatalf("commit error = %v, want injected crash", err)
 			}
@@ -262,7 +278,7 @@ func TestJournalTornWAL(t *testing.T) {
 	}
 	stageTransaction(t, p)
 	boom := errors.New("crash")
-	p.failAfterWAL = func() error { return boom }
+	crashApply(p, 0, boom)
 	if err := p.CommitJournal(); !errors.Is(err, boom) {
 		t.Fatal(err)
 	}
@@ -313,7 +329,7 @@ func TestJournalCorruptWAL(t *testing.T) {
 	}
 	stageTransaction(t, p)
 	boom := errors.New("crash")
-	p.failAfterWAL = func() error { return boom }
+	crashApply(p, 0, boom)
 	if err := p.CommitJournal(); !errors.Is(err, boom) {
 		t.Fatal(err)
 	}

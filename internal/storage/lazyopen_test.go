@@ -93,7 +93,7 @@ func TestOpenFilePagerReadOnlyPreservesWAL(t *testing.T) {
 	}
 	stageTransaction(t, p)
 	boom := errors.New("simulated crash after WAL sync")
-	p.failAfterWAL = func() error { return boom }
+	crashApply(p, 0, boom)
 	if err := p.CommitJournal(); !errors.Is(err, boom) {
 		t.Fatalf("commit error = %v, want injected crash", err)
 	}

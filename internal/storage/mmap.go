@@ -29,9 +29,10 @@ var ErrMmapUnsupported = errors.New("storage: mmap is not supported on this plat
 // Opening runs the same file checks as OpenFilePagerReadOnly and replays a
 // committed write-ahead log next to the file through the same walOverlay, so
 // the two read-only stores agree on every file + log pair; overlay pages are
-// served from heap copies, file pages from the mapping.
+// served from heap copies, file pages from the mapping. It opens its file
+// through os, not the FS seam (fs.go): it writes nothing, and the mapping
+// needs a descriptor.
 type MmapStore struct {
-	path      string
 	img       Image // over the mapping; never written, its data nil after Close
 	slotCount int   // including WAL-appended slots visible via the overlay
 	overlay   map[PageID]*overlayPage
@@ -58,16 +59,13 @@ func OpenMmapStore(path string) (*MmapStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &MmapStore{path: path, img: Image{pageSize: pageSize, data: data}}
+	m := &MmapStore{img: Image{pageSize: pageSize, data: data}}
 	if m.overlay, m.slotCount, err = walOverlay(WALPathFor(path), pageSize, slots); err != nil {
 		munmapFile(data)
 		return nil, err
 	}
 	return m, nil
 }
-
-// Path returns the file path the store was opened from.
-func (m *MmapStore) Path() string { return m.path }
 
 // PageSize returns the page size recorded in the file header.
 func (m *MmapStore) PageSize() int { return m.img.pageSize }

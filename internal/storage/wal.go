@@ -246,11 +246,11 @@ func walOverlay(walPath string, pageSize, slotCount int) (map[PageID]*overlayPag
 // writeWALFile writes a committed WAL for the given records and syncs it to
 // stable storage. The file is created fresh (truncating any stale log). The
 // whole log — header, every page record, and the commit record — is encoded
-// into one buffer and handed to the kernel in a single Write followed by a
+// into one buffer and handed to the kernel in a single write followed by a
 // single fsync, so a group commit of thousands of pages costs one syscall
 // pair instead of one write per record.
 func writeWALFile(path string, pageSize, slotCount int, records []WALRecord) error {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
@@ -264,32 +264,20 @@ func writeWALFile(path string, pageSize, slotCount int, records []WALRecord) err
 		buf = append(buf, encodeWALPage(r.Page, r.Kind, r.InUse, r.Payload)...)
 	}
 	buf = append(buf, encodeWALCommit(len(records), slotCount)...)
-	if _, err = f.Write(buf); err == nil {
+	if _, err = f.WriteAt(buf, 0); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		// The WAL's directory entry must be durable too: fsyncing only the
-		// file does not persist its dirent, and the commit point is defined
-		// by the WAL being findable after a crash. SyncDir tolerates
-		// platforms and filesystems that cannot fsync a directory (see
-		// fsyncdir.go / fsyncdir_windows.go) rather than failing the commit.
+		// The WAL's directory entry must be durable too: the commit point
+		// is the WAL being findable after a crash.
 		err = SyncDir(filepath.Dir(path))
 	}
 	if err != nil {
-		os.Remove(path)
+		Remove(path)
 		return fmt.Errorf("storage: writing WAL %s: %w", path, err)
-	}
-	return nil
-}
-
-// removeWAL deletes a consumed (or discarded) write-ahead log; a missing
-// file is not an error.
-func removeWAL(path string) error {
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return err
 	}
 	return nil
 }

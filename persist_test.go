@@ -488,13 +488,13 @@ func TestFlushCrashRecovery(t *testing.T) {
 
 	t.Run("after-WAL", func(t *testing.T) {
 		path := mkState(t.TempDir())
+		boom := errors.New("crash after WAL")
+		crashAfterWAL(t, 0, boom)
 		fb, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		applyOps(t, fb, items, 500, len(items), 0)
-		boom := errors.New("crash after WAL")
-		fb.pager.SetCommitFailpoints(func() error { return boom }, nil)
 		if err := fb.Flush(); !errors.Is(err, boom) {
 			t.Fatalf("flush error = %v, want injected crash", err)
 		}
@@ -531,19 +531,18 @@ func TestFlushCrashRecovery(t *testing.T) {
 
 	t.Run("retry-after-failed-commit", func(t *testing.T) {
 		path := mkState(t.TempDir())
+		boom := errors.New("transient I/O error")
+		crashAfterWAL(t, 0, boom)
 		fb, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		applyOps(t, fb, items, 500, len(items), 0)
-		boom := errors.New("transient I/O error")
-		fb.pager.SetCommitFailpoints(func() error { return boom }, nil)
 		if err := fb.Flush(); !errors.Is(err, boom) {
 			t.Fatalf("flush error = %v, want injected failure", err)
 		}
-		// The failure was transient: clearing it and flushing again must
-		// commit the same transaction, not silently drop it.
-		fb.pager.SetCommitFailpoints(nil, nil)
+		// The failure was transient (the crashFS fails one write): flushing
+		// again must commit the same transaction, not silently drop it.
 		if err := fb.Flush(); err != nil {
 			t.Fatalf("retried flush: %v", err)
 		}
@@ -579,13 +578,13 @@ func TestFlushCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		boom := errors.New("crash after WAL")
+		crashAfterWAL(t, 0, boom)
 		fb, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		applyOps(t, fb, items, 500, len(items), 0)
-		boom := errors.New("crash after WAL")
-		fb.pager.SetCommitFailpoints(func() error { return boom }, nil)
 		if err := fb.Flush(); !errors.Is(err, boom) {
 			t.Fatalf("flush error = %v, want injected crash", err)
 		}
@@ -632,6 +631,8 @@ func TestSnapshotOverCommittedWAL(t *testing.T) {
 		if err := tr.WriteSnapshot(path, SnapshotV1); err != nil {
 			t.Fatal(err)
 		}
+		boom := errors.New("crash after WAL")
+		crashAfterWAL(t, 0, boom)
 		fb, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
@@ -639,8 +640,6 @@ func TestSnapshotOverCommittedWAL(t *testing.T) {
 		if err := fb.InsertItems(items[800:920]); err != nil {
 			t.Fatal(err)
 		}
-		boom := errors.New("crash after WAL")
-		fb.pager.SetCommitFailpoints(func() error { return boom }, nil)
 		if err := fb.Flush(); !errors.Is(err, boom) {
 			t.Fatalf("flush error = %v, want injected crash", err)
 		}

@@ -509,8 +509,10 @@ func (st *ShardedTree) BulkLoad(items []Item) error {
 // Begin opens a cross-shard writer batch: mutations route to their shards
 // as usual but accumulate in per-shard batches that Commit publishes
 // together — a ShardedView acquired at any moment observes either none or
-// all of them. ShardedBatches are serialised against each other; plain
-// Insert/Delete calls on other shards keep running concurrently.
+// all of them. That atomicity is to views, not to crashes: a file-backed
+// shard's part becomes durable with that shard's own Flush (see
+// ShardedTree.Flush). ShardedBatches are serialised against each other;
+// plain Insert/Delete calls on other shards keep running concurrently.
 func (st *ShardedTree) Begin() (*ShardedBatch, error) {
 	st.batchMu.Lock()
 	return &ShardedBatch{st: st, open: make(map[*shard]*Batch)}, nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"cbb/internal/storage"
 )
@@ -13,14 +14,13 @@ import (
 // Persistence of the sharded engine: a ShardedTree binds to a directory
 // holding one snapshot file per shard (each with its own WAL, exactly as
 // Create/Open produce) plus a shards.json directory file mapping Hilbert
-// key ranges to shard files. The directory file is rewritten atomically
-// (temp file + rename) whenever the shard layout changes — at creation and
-// on every split or merge — so a crash leaves it at either the pre- or the
-// post-rebalance layout, and the shard files it references are always
-// flushed before the rename. The rename is made durable (a directory fsync)
-// before a split or merge deletes the files of the shards it replaced. Shard
-// files orphaned by a crash mid-rebalance are ignored by OpenSharded and
-// stay on disk: nothing scans the directory for them.
+// key ranges to shard files. Every layout change — creation, a split or a
+// merge — flushes the new shard files, replaces shards.json atomically
+// (storage.ReplaceFile, which fsyncs the directory), and only then deletes
+// the files of the shards it replaced, so a crash leaves the pre- or the
+// post-rebalance layout. Shard files a crash leaves unnamed (between a
+// replacement's flush and the rename, or after a failed directory fsync)
+// are deleted by the next writable OpenSharded (reclaimOrphans).
 
 // shardDirFileName is the directory file inside a sharded engine's
 // directory.
@@ -67,9 +67,10 @@ func CreateSharded(dir string, opts ShardedOptions) (*ShardedTree, error) {
 // fault pages in on demand; mutations commit through each shard's WAL), and
 // the engine resumes with the persisted layout and options. Interrupted
 // per-shard commits are recovered by each shard's own WAL replay; an
-// interrupted rebalance resumes at whichever layout shards.json references.
+// interrupted rebalance resumes at the layout shards.json names, and the
+// shard files it does not name are deleted.
 func OpenSharded(dir string) (*ShardedTree, error) {
-	return openSharded(dir, Open)
+	return openSharded(dir, Open, true)
 }
 
 // OpenShardedMmap opens a sharded engine with every shard served through a
@@ -78,10 +79,10 @@ func OpenSharded(dir string) (*ShardedTree, error) {
 // fails with ErrMmapUnsupported on platforms without mmap support; fall back
 // to OpenSharded.
 func OpenShardedMmap(dir string) (*ShardedTree, error) {
-	return openSharded(dir, OpenMmap)
+	return openSharded(dir, OpenMmap, false)
 }
 
-func openSharded(dir string, open func(path string) (*Tree, error)) (*ShardedTree, error) {
+func openSharded(dir string, open func(path string) (*Tree, error), reclaim bool) (*ShardedTree, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, shardDirFileName))
 	if err != nil {
 		return nil, err
@@ -126,7 +127,28 @@ func openSharded(dir string, open func(path string) (*Tree, error)) (*ShardedTre
 		return fail(fmt.Errorf("%w (in %s)", err, shardDirFileName))
 	}
 	st.dir.Store(&shardDir{shards: shards})
+	if reclaim {
+		reclaimOrphans(dir, df)
+	}
 	return st, nil
+}
+
+// reclaimOrphans deletes, best-effort, the shard files (and logs) in dir that
+// df does not name — a split's or merge's, cut short by a crash — and the
+// directory file's temporary file.
+func reclaimOrphans(dir string, df shardDirFile) {
+	entries, _ := os.ReadDir(dir)
+	named := map[string]bool{}
+	for _, e := range df.Shards {
+		named[e.File] = true
+	}
+	for _, e := range entries {
+		base := strings.TrimSuffix(e.Name(), storage.WALSuffix)
+		shardFile, _ := filepath.Match("shard-*.cbb", base)
+		if (shardFile && !named[base]) || e.Name() == shardDirFileName+storage.TempSuffix {
+			storage.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
 }
 
 // nextShardPath reserves the next shard file name ("" for an in-memory
@@ -140,8 +162,7 @@ func (st *ShardedTree) nextShardPath() string {
 }
 
 // persistDirectory atomically rewrites shards.json for a prospective shard
-// list — temp file, fsync, rename — and then fsyncs the directory; a no-op
-// for in-memory engines. An error means shards.json still holds the old
+// list with storage.ReplaceFile; a no-op for in-memory engines. An error means shards.json still holds the old
 // layout. Once the rename is done the new layout stands, and durable reports
 // whether the directory fsync made it survive a crash: only then may the
 // files of the shards it replaced go.
@@ -159,31 +180,18 @@ func (st *ShardedTree) persistDirectory(shards []*shard) (durable bool, err erro
 	if err != nil {
 		return false, err
 	}
-	tmp := filepath.Join(st.dirPath, shardDirFileName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return false, err
-	}
-	if _, err := f.Write(raw); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return false, err
-	}
-	if err := os.Rename(tmp, filepath.Join(st.dirPath, shardDirFileName)); err != nil {
-		return false, err
-	}
-	return storage.SyncDir(st.dirPath) == nil, nil
+	return storage.ReplaceFile(filepath.Join(st.dirPath, shardDirFileName), func(f storage.File) error {
+		_, err := f.WriteAt(raw, 0)
+		return err
+	})
 }
 
 // Flush commits every live shard's changes into its snapshot file, each
-// through its own atomic WAL-protected commit. Like Tree.Flush it is a
-// writer-side operation: it fails on a shard with an open batch. In-memory
-// engines return an error, matching Tree.Flush without a file binding.
+// through its own atomic WAL-protected commit. Durability is per shard: a
+// crash mid-Flush may leave one shard's file before its commit and another's
+// after it. Like Tree.Flush it is a writer-side operation: it fails on a
+// shard with an open batch. In-memory engines return an error, matching
+// Tree.Flush without a file binding.
 func (st *ShardedTree) Flush() error {
 	if st.dirPath == "" {
 		return errors.New("cbb: sharded tree has no directory binding; use CreateSharded")
@@ -198,8 +206,8 @@ func (st *ShardedTree) Flush() error {
 }
 
 // Close releases the engine: every live file-backed shard is flushed and
-// closed. A split or merge has already removed the files of the shards it
-// replaced. The engine must not be used afterwards. In-memory shards have
+// closed, each shard durable on its own as in Flush. A split or merge has
+// already removed the files of the shards it replaced. The engine must not be used afterwards. In-memory shards have
 // nothing to release.
 func (st *ShardedTree) Close() error {
 	var errs []error
@@ -217,6 +225,6 @@ func removeShardFile(path string) {
 	if path == "" {
 		return
 	}
-	os.Remove(path)
-	os.Remove(storage.WALPathFor(path))
+	storage.Remove(path)
+	storage.Remove(storage.WALPathFor(path))
 }

@@ -663,6 +663,66 @@ func TestShardedStatsAggregation(t *testing.T) {
 
 // --- persistence -------------------------------------------------------------
 
+// TestShardedOpenReclaimsOrphans plants what a crash mid-rebalance leaves —
+// a shard file shards.json does not name, with its log, and the directory
+// file's temporary file — beside a closed engine: a read-only mapped open
+// leaves them, a writable open deletes them and nothing else.
+func TestShardedOpenReclaimsOrphans(t *testing.T) {
+	dir := t.TempDir()
+	opts := ShardedOptions{Options: Options{Dims: 2, Universe: shardUniverse(2)}, Shards: 2}
+	st, err := CreateSharded(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.InsertItems(randShardItems(rand.New(rand.NewSource(5)), 200, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := []string{"notes.txt"}
+	for _, e := range entries {
+		kept = append(kept, e.Name())
+	}
+	orphans := []string{"shard-000099.cbb", "shard-000099.cbb" + storage.WALSuffix, shardDirFileName + storage.TempSuffix}
+	for _, name := range append(orphans, "notes.txt") {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("left by a crash"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	present := func(when string, want bool) {
+		t.Helper()
+		for _, name := range orphans {
+			if _, err := os.Stat(filepath.Join(dir, name)); (err == nil) != want {
+				t.Errorf("%s: %s present = %v, want %v", when, name, err == nil, want)
+			}
+		}
+	}
+	if mm, err := OpenShardedMmap(dir); err == nil {
+		mm.Close()
+		present("after a mapped open", true)
+	} else if !errors.Is(err, ErrMmapUnsupported) {
+		t.Fatal(err)
+	}
+	re, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	present("after a writable open", false)
+	for _, name := range kept {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("a writable open deleted %s: %v", name, err)
+		}
+	}
+}
+
 func TestShardedPersistenceRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "engine")
 	base := Options{Dims: 2, MaxEntries: 16, MinEntries: 6, Universe: shardUniverse(2)}

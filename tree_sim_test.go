@@ -33,6 +33,8 @@ func TestTreeSimulation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tree.cbb")
 	universe := R(0, 0, 1000, 1000)
+	// Every file runs under a crashFS, which the crash steps arm.
+	crashes := crashAfterWAL(t, -1, errors.New("crash after WAL"))
 	tr, err := Create(path, Options{Dims: 2, MaxEntries: 8, MinEntries: 3, Universe: universe})
 	if err != nil {
 		t.Fatal(err)
@@ -186,9 +188,8 @@ func TestTreeSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		live = append(live, items...)
-		boom := errors.New("crash after WAL")
-		tr.pager.SetCommitFailpoints(func() error { return boom }, nil)
-		if err := tr.Flush(); !errors.Is(err, boom) {
+		crashes.skip = 0
+		if err := tr.Flush(); !errors.Is(err, crashes.err) {
 			t.Fatalf("Flush = %v, want the injected crash", err)
 		}
 		// The pager's Close applies nothing; it only gives the file back.
