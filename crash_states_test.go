@@ -8,6 +8,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -759,28 +760,51 @@ func crashWorkloads() []crashWorkload {
 	}
 }
 
+// recordCrashStates runs w under the recorder and holds every state a crash
+// during it may leave to its oracle, returning the calls recorded and the
+// states checked. The run is recorded at GOMAXPROCS 1, so that work fanned
+// out over the cores (fanout.ForEachChunk building a split's halves) reaches
+// the files in one order and every recording of w is the same log.
+func recordCrashStates(t *testing.T, w crashWorkload) (calls, states int) {
+	t.Helper()
+	dir := t.TempDir()
+	w.setup(t, dir)
+	rec, restore := record(t, dir)
+	procs := runtime.GOMAXPROCS(1)
+	w.run(t, dir)
+	runtime.GOMAXPROCS(procs)
+	restore()
+	state := filepath.Join(t.TempDir(), "state")
+	n := rec.crashStates(func(what string, img map[string][]byte) {
+		must(t, os.RemoveAll(state))
+		must(t, os.Mkdir(state, 0o755))
+		for name, b := range img {
+			must(t, os.WriteFile(filepath.Join(state, name), b, 0o644))
+		}
+		if err := w.check(state); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	})
+	return len(rec.ops), n
+}
+
 // TestCrashStates runs every durable write path under the recorder and holds
-// every state a crash during it may leave to the workload's oracle.
+// every state a crash during it may leave to the workload's oracle. A second
+// recording of SplitShard, whose halves are built in parallel when the cores
+// allow, must give as many states as the first.
 func TestCrashStates(t *testing.T) {
+	counts := map[string]int{}
 	for _, w := range crashWorkloads() {
 		t.Run(w.name, func(t *testing.T) {
-			dir := t.TempDir()
-			w.setup(t, dir)
-			rec, restore := record(t, dir)
-			w.run(t, dir)
-			restore()
-			state := filepath.Join(t.TempDir(), "state")
-			n := rec.crashStates(func(what string, img map[string][]byte) {
-				must(t, os.RemoveAll(state))
-				must(t, os.Mkdir(state, 0o755))
-				for name, b := range img {
-					must(t, os.WriteFile(filepath.Join(state, name), b, 0o644))
-				}
-				if err := w.check(state); err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
-			})
-			t.Logf("%d calls, %d crash states", len(rec.ops), n)
+			calls, n := recordCrashStates(t, w)
+			counts[w.name] = n
+			t.Logf("%d calls, %d crash states", calls, n)
 		})
 	}
+	t.Run("SplitShard/again", func(t *testing.T) {
+		i := slices.IndexFunc(crashWorkloads(), func(w crashWorkload) bool { return w.name == "SplitShard" })
+		if _, n := recordCrashStates(t, crashWorkloads()[i]); n != counts["SplitShard"] {
+			t.Fatalf("SplitShard recorded again: %d crash states, the first time %d", n, counts["SplitShard"])
+		}
+	})
 }

@@ -147,24 +147,28 @@ func (v *Version) SearchCounted(q geom.Rect, c *storage.Counter, visit func(Obje
 // searchScratch is the pooled per-query working state: a range search's
 // explicit DFS stack; a nearest-neighbour search's frontier (a min-heap of
 // unread nodes), candidates (a max-heap of the k best objects seen), the box
-// arrays both point into, one access tally and buffer pool per source, and
-// the children waiting to join the frontier; and for either the query
-// extents (the ball around the point) in fixed flat arrays, so the hot loop
-// compares contiguous memory with contiguous memory, plus the grid-domain
-// query window and survivor bitmask of the quantised scan kernel.
+// arrays both point into, one access tally and buffer pool per source, the
+// pending masks of the directory nodes it read, a leaf's mask of entries
+// already scanned, and the squared radius of the ball the query extents hold;
+// and for either the query extents (the ball's box around the point) in fixed
+// flat arrays, so the hot loop compares contiguous memory with contiguous
+// memory, plus the grid-domain query window and survivor bitmask of the
+// quantised scan kernel.
 type searchScratch struct {
 	stack       []NodeID
 	front, best []knnEntry
 	read        []knnRead
 	io          []storage.Snapshot
 	pools       []*storage.BufferPool
+	pend        []uint64 // children not keyed yet, per directory read (knnRead)
+	done        survivorMask
+	ball        float64
 	qlo         [geom.MaxDims]float64
 	qhi         [geom.MaxDims]float64
 	qg          [2 * geom.MaxDims]uint16
 	sel         core.Sel  // q laid out for the clip records' tests
 	probe       clipProbe // q laid out for a node's clip copy
 	mask        survivorMask
-	rest        []knnEntry // children not yet on the frontier (knnRead)
 }
 
 // survivorMask is the buffer for the scan kernels' bitmask. The inline words serve

@@ -134,9 +134,12 @@ func encodeSlotHeader(kind PageKind, inUse bool, payload []byte) []byte {
 }
 
 type slotMeta struct {
+	length int
 	kind   PageKind
 	inUse  bool
-	length int
+	// unwritten marks an appended slot whose bytes are not in the file yet:
+	// neither written nor flushed (flushAppendsLocked).
+	unwritten bool
 }
 
 func decodeSlotHeader(buf []byte, pageSize int) (slotMeta, uint32, error) {
@@ -204,6 +207,7 @@ type FilePager struct {
 	committedSlots int        // number of slots physically in the file
 	dir            []slotMeta // lazy slot directory; nil until ensureDirLocked
 	free           []PageID   // valid only once dir is built
+	appended       []PageID   // slots appended since the last flush of appends
 	journal        bool       // mutations are staged until CommitJournal
 	overlay        map[PageID]*overlayPage
 	closed         bool
@@ -501,26 +505,56 @@ func (p *FilePager) appendSlotLocked() PageID {
 }
 
 // claimSlotLocked marks a slot in use with the given kind: staged in the
-// overlay in journal mode, written straight to the file otherwise.
+// overlay in journal mode, written straight to the file otherwise — except
+// for a slot appended since the last flush of appends, which touches memory
+// only: its header reaches the file with its payload (Write), or with the
+// next Sync or Close (flushAppendsLocked), so the Allocate+Write pattern of
+// the snapshot writer pays one write per page.
 func (p *FilePager) claimSlotLocked(id PageID, kind PageKind, appended bool) error {
-	p.dir[id-1] = slotMeta{kind: kind, inUse: true}
+	unwritten := !p.journal && (appended || p.dir[id-1].unwritten)
+	p.dir[id-1] = slotMeta{kind: kind, inUse: true, unwritten: unwritten}
 	p.dirty = true
 	if p.journal {
 		p.overlay[id] = &overlayPage{kind: kind, inUse: true}
 		return nil
 	}
+	if unwritten {
+		if appended {
+			p.appended = append(p.appended, id)
+		}
+		return nil
+	}
 	// Only the 16-byte slot header is written here; the payload region is
-	// materialised by extending the file (zeros), so the Allocate+Write
-	// pattern of the snapshot writer pays one full-page write, not two.
+	// in the file already.
 	if _, err := p.f.WriteAt(encodeSlotHeader(kind, true, nil), p.slotOffset(id)); err != nil {
 		return fmt.Errorf("storage: allocating page %d: %w", id, err)
 	}
-	if appended {
-		if err := p.f.Truncate(p.slotOffset(id) + int64(slotHeaderBytes+p.pageSize)); err != nil {
-			return fmt.Errorf("storage: extending file for page %d: %w", id, err)
+	return nil
+}
+
+// flushAppendsLocked makes the slots appended since the last flush whole in
+// the file: it extends the file over them once, then writes the headers of
+// the ones claimed but never written (a free slot's is all zero).
+func (p *FilePager) flushAppendsLocked() error {
+	if len(p.appended) == 0 {
+		return nil
+	}
+	if p.committedSlots < p.slotCount {
+		if err := p.f.Truncate(p.slotOffset(PageID(p.slotCount) + 1)); err != nil {
+			return fmt.Errorf("storage: extending file to %d pages: %w", p.slotCount, err)
 		}
 		p.committedSlots = p.slotCount
 	}
+	for _, id := range p.appended {
+		m := &p.dir[id-1]
+		if m.unwritten && m.inUse {
+			if _, err := p.f.WriteAt(encodeSlotHeader(m.kind, true, nil), p.slotOffset(id)); err != nil {
+				return fmt.Errorf("storage: allocating page %d: %w", id, err)
+			}
+		}
+		m.unwritten = false
+	}
+	p.appended = p.appended[:0]
 	return nil
 }
 
@@ -561,6 +595,11 @@ func (p *FilePager) Write(id PageID, payload []byte) error {
 	} else if err := p.writeSlotLocked(id, kind, payload); err != nil {
 		return err
 	}
+	if p.dir[id-1].unwritten {
+		// The whole slot, header and all, is in the file now.
+		p.dir[id-1].unwritten = false
+		p.committedSlots = max(p.committedSlots, int(id))
+	}
 	p.dir[id-1].length = len(payload)
 	p.dirty = true
 	return nil
@@ -577,6 +616,15 @@ func (p *FilePager) Read(id PageID) ([]byte, PageKind, error) {
 		return nil, 0, ErrPagerClosed
 	}
 	count := p.slotCount
+	if int(id) <= len(p.dir) && id >= 1 && p.dir[id-1].unwritten {
+		// Appended and not written: the file does not hold it yet.
+		m := p.dir[id-1]
+		p.mu.Unlock()
+		if !m.inUse {
+			return nil, 0, fmt.Errorf("%w: %d", ErrPageNotFound, id)
+		}
+		return []byte{}, m.kind, nil
+	}
 	if ov, ok := p.overlay[id]; ok {
 		// The page is staged (journal mode) or recovered from a committed WAL
 		// on read-only media: the overlay image is the current truth.
@@ -618,15 +666,16 @@ func (p *FilePager) Free(id PageID) error {
 	if id < 1 || int(id) > len(p.dir) || !p.dir[id-1].inUse {
 		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
 	}
+	unwritten := p.dir[id-1].unwritten
 	if p.journal {
 		p.overlay[id] = &overlayPage{kind: p.dir[id-1].kind, inUse: false}
-	} else {
+	} else if !unwritten {
 		hdr := encodeSlotHeader(p.dir[id-1].kind, false, nil)
 		if _, err := p.f.WriteAt(hdr, p.slotOffset(id)); err != nil {
 			return fmt.Errorf("storage: freeing page %d: %w", id, err)
 		}
 	}
-	p.dir[id-1] = slotMeta{}
+	p.dir[id-1] = slotMeta{unwritten: unwritten}
 	p.free = append(p.free, id)
 	p.dirty = true
 	return nil
@@ -662,11 +711,15 @@ func (p *FilePager) syncLocked() error {
 	return p.f.Sync()
 }
 
-// writeHeaderLocked rewrites the header of a pager that allocated or freed
-// pages; a journaled pager's header changes only through CommitJournal.
+// writeHeaderLocked makes the slots appended since the last call whole in
+// the file and rewrites the header of a pager that allocated or freed pages;
+// a journaled pager's header changes only through CommitJournal.
 func (p *FilePager) writeHeaderLocked() error {
 	if p.journal || !p.dirty {
 		return nil
+	}
+	if err := p.flushAppendsLocked(); err != nil {
+		return err
 	}
 	if _, err := p.f.WriteAt(encodeFileHeader(p.pageSize, uint64(p.slotCount)), 0); err != nil {
 		return err
@@ -697,6 +750,10 @@ func (p *FilePager) EnableJournal() error {
 	}
 	if p.journal {
 		return nil
+	}
+	// The journal stages pages over a file that holds every slot.
+	if err := p.flushAppendsLocked(); err != nil {
+		return err
 	}
 	p.journal = true
 	p.overlay = make(map[PageID]*overlayPage)

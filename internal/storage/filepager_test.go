@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -270,4 +271,96 @@ func TestFilePagerMatchesStreamFormat(t *testing.T) {
 	if err != nil || string(got) != "shared format" {
 		t.Fatalf("file read of stream bytes: %q %v", got, err)
 	}
+}
+
+// countingFile counts the writes and truncations that reach a file.
+type countingFile struct {
+	File
+	writes, truncates int
+}
+
+func (f *countingFile) WriteAt(b []byte, off int64) (int, error) {
+	f.writes++
+	return f.File.WriteAt(b, off)
+}
+
+func (f *countingFile) Truncate(size int64) error {
+	f.truncates++
+	return f.File.Truncate(size)
+}
+
+// TestFilePagerAppendedSlots pins what an appended page costs outside
+// journal mode: claiming it touches memory only, writing it is one write
+// with its header, and Sync extends the file once and writes the headers of
+// the pages claimed but never written — which read as empty payloads before
+// and after, as a freed one reads as absent.
+func TestFilePagerAppendedSlots(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.cbb")
+	p, err := CreateFilePager(path, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &countingFile{File: p.f}
+	p.f = f
+	first, err := p.AllocateRun(KindLeaf, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := p.Allocate(KindDirectory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.writes+f.truncates != 0 {
+		t.Fatalf("claiming four appended pages: %d writes, %d truncations, want none", f.writes, f.truncates)
+	}
+	if err := p.Write(first+1, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if f.writes != 1 || f.truncates != 0 {
+		t.Fatalf("writing an appended page: %d writes, %d truncations, want one write", f.writes, f.truncates)
+	}
+	if err := p.Free(first + 2); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, p *FilePager) {
+		t.Helper()
+		for _, c := range []struct {
+			id   PageID
+			kind PageKind
+			want string
+		}{{first, KindLeaf, ""}, {first + 1, KindLeaf, "payload"}, {last, KindDirectory, ""}} {
+			if got, kind, err := p.Read(c.id); err != nil || kind != c.kind || string(got) != c.want || got == nil {
+				t.Errorf("%s: page %d = %q (nil %v), kind %d, %v; want %q, kind %d", when, c.id, got, got == nil, kind, err, c.want, c.kind)
+			}
+		}
+		if _, _, err := p.Read(first + 2); !errors.Is(err, ErrPageNotFound) {
+			t.Errorf("%s: freed page: %v, want ErrPageNotFound", when, err)
+		}
+	}
+	check("before Sync", p)
+	f.writes = 0
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// The file header and the headers of the two pages never written.
+	if f.writes != 3 || f.truncates != 1 {
+		t.Fatalf("Sync: %d writes, %d truncations, want 3 and 1", f.writes, f.truncates)
+	}
+	check("after Sync", p)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(fileHeaderBytes + 4*(slotHeaderBytes+256)); st.Size() != want {
+		t.Fatalf("file of %d bytes, want %d", st.Size(), want)
+	}
+	q, err := OpenFilePager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	check("reopened", q)
 }
