@@ -234,8 +234,6 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 					d := minDistSq(p, n.boxes, i*2*dims, dims)
 					switch o := (knnEntry{key: d, id: n.refs[i], from: here, slot: int32(i)}); {
 					case d > worst:
-					case k <= sortedK:
-						best, worst = keepSorted(best, o, k)
 					case len(best) < k:
 						if best = heapPush(best, o, true); len(best) == k {
 							worst = best[0].key
@@ -255,8 +253,7 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 		}
 	}
 
-	// Heap-sort the candidates in place into answer order, unless they are
-	// in it, and copy them out.
+	// Heap-sort the candidates in place into answer order and copy them out.
 	var out []Neighbor
 	if err != nil {
 		best = best[:0]
@@ -264,7 +261,7 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 	if len(best) > 0 {
 		out = make([]Neighbor, len(best))
 	}
-	for end := len(best) - 1; k > sortedK && end > 0; end-- {
+	for end := len(best) - 1; end > 0; end-- {
 		last := best[0]
 		heapSift(best[:end], best[end], true)
 		best[end] = last
@@ -282,33 +279,6 @@ func NearestNeighbors(k int, p geom.Point, srcs ...KNNSource) (_ []Neighbor, io 
 	sc.front, sc.best, sc.read, sc.io, sc.pools = front[:0], best[:0], read[:0], tally[:0], pools[:0]
 	searchScratchPool.Put(sc)
 	return out, io, err
-}
-
-// sortedK is the largest k whose best objects are kept in answer order
-// rather than in a max-heap: inserting into a short sorted array moves fewer
-// entries than sifting through a heap, and leaves nothing to sort at the end.
-const sortedK = 16
-
-// keepSorted adds o to best, the k best objects seen in answer order, if it
-// is among them, and returns best and its k-th distance (+Inf while it holds
-// fewer than k).
-func keepSorted(best []knnEntry, o knnEntry, k int) ([]knnEntry, float64) {
-	if len(best) == k {
-		if !o.before(&best[k-1], false) {
-			return best, best[k-1].key
-		}
-		best = best[:k-1]
-	}
-	j := len(best)
-	best = append(best, o)
-	for ; j > 0 && o.before(&best[j-1], false); j-- {
-		best[j] = best[j-1]
-	}
-	best[j] = o
-	if len(best) < k {
-		return best, math.Inf(1)
-	}
-	return best, best[k-1].key
 }
 
 // expand keys the pending children of directory node rd.n (read[g]) that
@@ -394,7 +364,10 @@ func grow(r float64, step *float64) float64 {
 }
 
 // ballStep is the radius of a ball that would hold need of n's entries were
-// they spread evenly over its MBB (its mean extent, in every dimension).
+// they spread evenly over its MBB (its mean extent, in every dimension),
+// through the unit ball's measure in one to three dimensions (2, π, 4π/3);
+// above three it is the side of a cube that would, a larger step. The step
+// sets only how fast a ball grows, never what a search returns.
 func ballStep(n *node, dims, need int) float64 {
 	var ext float64
 	for d := 0; d < dims; d++ {
