@@ -95,9 +95,6 @@ func crashAfterWAL(path string, items []cbb.Item) error {
 	if err != nil {
 		return err
 	}
-	if err := fp.EnableJournal(); err != nil {
-		return err
-	}
 	tree, err := snap.OpenTree(fp, false)
 	if err != nil {
 		return err

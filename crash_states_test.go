@@ -44,6 +44,12 @@ import (
 // sector boundary), and those with each order-respecting subset of the
 // pending directory calls (all of them up to six calls, else the prefixes and
 // the one-call drops and keeps).
+//
+// A state that holds a write-ahead log is recovered by the oracle's own
+// writable open, which replays a committed log and removes it. That recovery
+// is recorded in its turn, and every state a crash during it may leave must
+// reopen to the objects the uninterrupted recovery found: recovery states,
+// one level deep.
 
 // crashFS is a file system under which a commit stops like a process that
 // dies once its write-ahead log is durable: after the next log fsync, the
@@ -309,10 +315,11 @@ func (r *recorder) image(prefix int, keep []bool, tear, cut int) map[string][]by
 	return img
 }
 
-// crashStates calls visit with every distinct image a crash during the log
-// may leave, with a description of the cut, and returns their number.
-func (r *recorder) crashStates(visit func(what string, img map[string][]byte)) int {
-	seen := map[uint64]bool{}
+// crashStates calls visit with every image a crash during the log may leave
+// that seen does not hold yet, with a description of the cut, adds it to
+// seen, and returns the number of images it visited.
+func (r *recorder) crashStates(seen map[uint64]bool, visit func(what string, img map[string][]byte)) int {
+	n, built := len(seen), map[uint64]bool{}
 	for prefix := 0; prefix <= len(r.ops); prefix++ {
 		// pending: the data and directory calls a later fsync has not made
 		// durable yet.
@@ -346,6 +353,20 @@ func (r *recorder) crashStates(visit func(what string, img map[string][]byte)) i
 				k[i] = keepDir(i)
 			}
 			closeDirSubset(r.ops, dir, k)
+			// The calls kept, and the tear, make the image: one built
+			// already is not built again.
+			var sig maphash.Hash
+			sig.SetSeed(imageSeed)
+			for i, ok := range k {
+				if ok {
+					fmt.Fprint(&sig, i, " ")
+				}
+			}
+			fmt.Fprint(&sig, tear, cut)
+			if built[sig.Sum64()] {
+				return
+			}
+			built[sig.Sum64()] = true
 			img := r.image(prefix, k, tear, cut)
 			if h := hashImage(img); !seen[h] {
 				seen[h] = true
@@ -377,7 +398,7 @@ func (r *recorder) crashStates(visit func(what string, img map[string][]byte)) i
 			}
 		}
 	}
-	return len(seen)
+	return len(seen) - n
 }
 
 // closeDirSubset drops every kept directory call that follows a dropped one
@@ -460,12 +481,13 @@ func hashImage(img map[string][]byte) uint64 {
 
 // crashWorkload is one recorded operation: setup leaves the durable state
 // before it in dir, run issues the recorded calls, and check is the oracle
-// on one crash state, materialised in a directory of its own.
+// on one crash state, materialised in a directory of its own; it returns the
+// objects the state reopens to.
 type crashWorkload struct {
 	name  string
 	setup func(t *testing.T, dir string)
 	run   func(t *testing.T, dir string)
-	check func(dir string) error
+	check func(dir string) ([]Item, error)
 }
 
 var crashUniverse = R(0, 0, 1024, 1024)
@@ -489,37 +511,38 @@ func holdsOneOf(what string, got []Item, wants ...[]Item) error {
 }
 
 // openHolds opens the snapshot file at path writable, as the next process
-// would, and holds it to Validate and to one of wants.
-func openHolds(path string, wants ...[]Item) (err error) {
+// would, holds it to Validate and to one of wants, and returns its objects.
+func openHolds(path string, wants ...[]Item) (got []Item, err error) {
 	tr, err := Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer func() { err = cmp.Or(err, tr.Close()) }()
 	if err := tr.Validate(); err != nil {
-		return err
+		return nil, err
 	}
-	got := tr.SearchAll(crashUniverse)
+	got = tr.SearchAll(crashUniverse)
 	if err := tr.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	return holdsOneOf(filepath.Base(path), got, wants...)
+	return got, holdsOneOf(filepath.Base(path), got, wants...)
 }
 
-// openShardsHold opens the sharded engine in dir writable and holds it to
+// openShardsHold opens the sharded engine in dir writable, holds it to
 // Validate, to one of wants, and to a directory with nothing in it that
-// shards.json does not name.
-func openShardsHold(dir string, wants ...[]Item) (err error) {
+// shards.json does not name, and returns its objects.
+func openShardsHold(dir string, wants ...[]Item) (got []Item, err error) {
 	st, err := OpenSharded(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer func() { err = cmp.Or(err, st.Close()) }()
 	if err := st.Validate(); err != nil {
-		return err
+		return nil, err
 	}
-	if err := holdsOneOf("the engine", st.SearchAll(crashUniverse), wants...); err != nil {
-		return err
+	got = st.SearchAll(crashUniverse)
+	if err := holdsOneOf("the engine", got, wants...); err != nil {
+		return nil, err
 	}
 	want := []string{shardDirFileName}
 	for _, sh := range st.dir.Load().shards {
@@ -527,17 +550,17 @@ func openShardsHold(dir string, wants ...[]Item) (err error) {
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var got []string
+	var names []string
 	for _, e := range entries {
-		got = append(got, e.Name())
+		names = append(names, e.Name())
 	}
 	slices.Sort(want)
-	if !slices.Equal(got, want) {
-		return fmt.Errorf("the directory holds %v after a writable open, shards.json names %v", got, want)
+	if !slices.Equal(names, want) {
+		return nil, fmt.Errorf("the directory holds %v after a writable open, shards.json names %v", names, want)
 	}
-	return nil
+	return got, nil
 }
 
 // minus returns items without those whose ids del holds.
@@ -567,8 +590,8 @@ func must(t *testing.T, err error) {
 }
 
 // crashWorkloads are the durable write paths: a tree's flush, a snapshot
-// written over an existing one, both transcodes, and the sharded engine's
-// creation, split, merge and close.
+// written over an existing one, a tree created over one, both transcodes, and
+// the sharded engine's creation, split, merge and close.
 func crashWorkloads() []crashWorkload {
 	items := corpusItems(2, 480, 71)
 	const path = "t.cbb"
@@ -586,7 +609,7 @@ func crashWorkloads() []crashWorkload {
 		}
 		must(t, tr.Close())
 	}
-	fileCheck := func(dir string) error { return openHolds(filepath.Join(dir, path), pre, post) }
+	fileCheck := func(dir string) ([]Item, error) { return openHolds(filepath.Join(dir, path), pre, post) }
 	writeSnapshot := func(format SnapshotFormat) crashWorkload {
 		return crashWorkload{
 			name: fmt.Sprintf("WriteSnapshot/v%d", format),
@@ -614,9 +637,9 @@ func crashWorkloads() []crashWorkload {
 			check: fileCheck,
 		}
 	}
-	shardCheck := func(dir string) error {
+	shardCheck := func(dir string) ([]Item, error) {
 		if _, err := os.Stat(filepath.Join(dir, shardDirFileName)); os.IsNotExist(err) && pre == nil {
-			return nil // CreateSharded before its directory file
+			return nil, nil // CreateSharded before its directory file
 		}
 		return openShardsHold(dir, pre, post)
 	}
@@ -673,6 +696,19 @@ func crashWorkloads() []crashWorkload {
 		writeSnapshot(SnapshotV1),
 		writeSnapshot(SnapshotV2),
 		{
+			name: "Create/over a snapshot",
+			setup: func(t *testing.T, dir string) {
+				pre, post = corpusItems(2, 1200, 71), []Item{}
+				must(t, mustTree(t, pre).WriteSnapshot(filepath.Join(dir, path), SnapshotV1))
+			},
+			run: func(t *testing.T, dir string) {
+				tr, err := Create(filepath.Join(dir, path), crashOpts)
+				must(t, err)
+				must(t, tr.Close())
+			},
+			check: fileCheck,
+		},
+		{
 			name: "TranscodeSnapshot/compact",
 			setup: func(t *testing.T, dir string) {
 				pre = minus(items[:240], items[:80])
@@ -693,14 +729,16 @@ func crashWorkloads() []crashWorkload {
 			run: func(t *testing.T, dir string) {
 				must(t, TranscodeSnapshot(filepath.Join(dir, path), filepath.Join(dir, "v2.cbb"), SnapshotV2))
 			},
-			check: func(dir string) error {
-				if err := fileCheck(dir); err != nil {
-					return err
+			check: func(dir string) ([]Item, error) {
+				got, err := fileCheck(dir)
+				if err != nil {
+					return nil, err
 				}
 				if _, err := os.Stat(filepath.Join(dir, "v2.cbb")); os.IsNotExist(err) {
-					return nil
+					return got, nil
 				}
-				return openHolds(filepath.Join(dir, "v2.cbb"), post)
+				_, err = openHolds(filepath.Join(dir, "v2.cbb"), post)
+				return got, err
 			},
 		},
 		{
@@ -739,22 +777,22 @@ func crashWorkloads() []crashWorkload {
 			},
 			// Durability is per shard: each file is at its own pre- or
 			// post-flush state, whatever the others are at.
-			check: func(dir string) (err error) {
+			check: func(dir string) (got []Item, err error) {
 				st, err := OpenSharded(dir)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				defer func() { err = cmp.Or(err, st.Close()) }()
 				if err := st.Validate(); err != nil {
-					return err
+					return nil, err
 				}
 				for _, sh := range st.dir.Load().shards {
 					name := filepath.Base(sh.path)
 					if err := holdsOneOf(name, sh.t.SearchAll(crashUniverse), shardPre[name], shardPost[name]); err != nil {
-						return err
+						return nil, err
 					}
 				}
-				return nil
+				return st.SearchAll(crashUniverse), nil
 			},
 		},
 	}
@@ -764,30 +802,97 @@ func crashWorkloads() []crashWorkload {
 // during it may leave to its oracle, returning the calls recorded and the
 // states checked. The run is recorded at GOMAXPROCS 1, so that work fanned
 // out over the cores (fanout.ForEachChunk building a split's halves) reaches
-// the files in one order and every recording of w is the same log.
-func recordCrashStates(t *testing.T, w crashWorkload) (calls, states int) {
+// the files in one order and every recording of w is the same log. The
+// oracle's open of a state that holds a log is recorded too, and nested
+// counts the states a crash during those recoveries may leave; under -short
+// or -race only every eighth such recovery is recorded.
+func recordCrashStates(t *testing.T, w crashWorkload) (calls, states, nested int) {
 	t.Helper()
 	dir := t.TempDir()
 	w.setup(t, dir)
-	rec := func() *recorder {
-		rec, restore := record(t, dir)
-		defer restore()
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		w.run(t, dir)
-		return rec
-	}()
-	state := filepath.Join(t.TempDir(), "state")
-	n := rec.crashStates(func(what string, img map[string][]byte) {
-		must(t, os.RemoveAll(state))
-		must(t, os.Mkdir(state, 0o755))
-		for name, b := range img {
-			must(t, os.WriteFile(filepath.Join(state, name), b, 0o644))
+	rec := recordRun(t, dir, func() { w.run(t, dir) })
+	sample := 1
+	if testing.Short() || raceEnabled {
+		sample = 8
+	}
+	state, inner := filepath.Join(t.TempDir(), "state"), filepath.Join(t.TempDir(), "state")
+	// recovered holds the states with a log met so far; seen, the recovery
+	// states checked, by the objects they must reopen to.
+	recovered, seen := map[uint64]bool{}, map[uint64]map[uint64]bool{}
+	n := rec.crashStates(map[uint64]bool{}, func(what string, img map[string][]byte) {
+		materialise(t, state, img)
+		if !slices.ContainsFunc(slices.Collect(maps.Keys(img)), isLog) || !firstRecovery(recovered, img, sample) {
+			if _, err := w.check(state); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			return
 		}
-		if err := w.check(state); err != nil {
+		var want []Item
+		var err error
+		recovery := recordRun(t, state, func() { want, err = w.check(state) })
+		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
+		h := hashItems(want)
+		if seen[h] == nil {
+			seen[h] = map[uint64]bool{}
+		}
+		nested += recovery.crashStates(seen[h], func(during string, img map[string][]byte) {
+			materialise(t, inner, img)
+			got, err := w.check(inner)
+			if err == nil && !sameItems(got, want) {
+				err = fmt.Errorf("%d objects, the uninterrupted recovery %d", len(got), len(want))
+			}
+			if err != nil {
+				t.Fatalf("%s; recovery %s: %v", what, during, err)
+			}
+		})
 	})
-	return len(rec.ops), n
+	return len(rec.ops), n, nested
+}
+
+// firstRecovery reports whether img is the first state, of every sample
+// states, whose recovery is to be recorded, and marks it in recovered.
+// Nothing reads a temporary file, so states that differ only in one recover
+// alike: the first of them stands for all.
+func firstRecovery(recovered map[uint64]bool, img map[string][]byte, sample int) bool {
+	kept := maps.Clone(img)
+	maps.DeleteFunc(kept, func(name string, _ []byte) bool { return strings.HasSuffix(name, storage.TempSuffix) })
+	key := hashImage(kept)
+	if recovered[key] {
+		return false
+	}
+	recovered[key] = true
+	return len(recovered)%sample == 1%sample
+}
+
+// recordRun records the calls run makes in dir at GOMAXPROCS 1.
+func recordRun(t *testing.T, dir string, run func()) *recorder {
+	rec, restore := record(t, dir)
+	defer restore()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run()
+	return rec
+}
+
+// materialise makes dir hold exactly the files of img.
+func materialise(t *testing.T, dir string, img map[string][]byte) {
+	must(t, os.RemoveAll(dir))
+	must(t, os.Mkdir(dir, 0o755))
+	for name, b := range img {
+		must(t, os.WriteFile(filepath.Join(dir, name), b, 0o644))
+	}
+}
+
+func isLog(name string) bool { return strings.HasSuffix(name, storage.WALSuffix) }
+
+func hashItems(items []Item) uint64 {
+	var h maphash.Hash
+	h.SetSeed(imageSeed)
+	for _, it := range slices.SortedFunc(slices.Values(items), cmpItem) {
+		fmt.Fprint(&h, it.Object, it.Rect.Lo, it.Rect.Hi)
+	}
+	return h.Sum64()
 }
 
 // TestCrashStates runs every durable write path under the recorder and holds
@@ -797,13 +902,13 @@ func recordCrashStates(t *testing.T, w crashWorkload) (calls, states int) {
 func TestCrashStates(t *testing.T) {
 	for i, w := range crashWorkloads() {
 		t.Run(w.name, func(t *testing.T) {
-			calls, n := recordCrashStates(t, w)
-			t.Logf("%d calls, %d crash states", calls, n)
+			calls, n, nested := recordCrashStates(t, w)
+			t.Logf("%d calls, %d crash states, %d recovery states", calls, n, nested)
 			if w.name != "SplitShard" {
 				return
 			}
 			t.Run("again", func(t *testing.T) {
-				if _, again := recordCrashStates(t, crashWorkloads()[i]); again != n {
+				if _, again, _ := recordCrashStates(t, crashWorkloads()[i]); again != n {
 					t.Fatalf("SplitShard recorded again: %d crash states, the first time %d", again, n)
 				}
 			})

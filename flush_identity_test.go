@@ -18,12 +18,16 @@ import (
 // the final page file's bytes and the page writes each flush made.
 
 // fileFlushGolden maps each case to "<page file SHA-256> <flush writes
-// SHA-256>", each shortened to 16 hex digits.
+// SHA-256>", each shortened to 16 hex digits. The page file digests are the
+// ones recorded then. The writes digests were recorded again when Create
+// began to write its file whole and open it: FileStats no longer counts
+// Create's own write of the superblock, so each flush before the first
+// reopen counts one write fewer, and every other count is unchanged.
 var fileFlushGolden = map[string]string{
-	"TestFileBackedFlushIdentity/QR-tree":  "8bc18fb5e35c7c6b 1ddb38e473433691",
-	"TestFileBackedFlushIdentity/HR-tree":  "8c14d02643fb40a7 7c23c6d9cf42e9db",
-	"TestFileBackedFlushIdentity/R*-tree":  "321072ce0bc006de a3a467f142ece6c1",
-	"TestFileBackedFlushIdentity/RR*-tree": "b319c300a921f4e8 3cb0d9412d74c7d1",
+	"TestFileBackedFlushIdentity/QR-tree":  "8bc18fb5e35c7c6b 8bb90eefc3692a7a",
+	"TestFileBackedFlushIdentity/HR-tree":  "8c14d02643fb40a7 44dbf8dbddcb8cb1",
+	"TestFileBackedFlushIdentity/R*-tree":  "321072ce0bc006de ff995c0c49ef9b62",
+	"TestFileBackedFlushIdentity/RR*-tree": "b319c300a921f4e8 f0187ae5a20d6452",
 }
 
 func TestFileBackedFlushIdentity(t *testing.T) {

@@ -409,8 +409,8 @@ func TestSTTReportsUnreadablePage(t *testing.T) {
 			damaged = true
 		}
 	}
-	if err := fp.Close(); err != nil || !damaged {
-		t.Fatalf("damaging a leaf page: done %v, close %v", damaged, err)
+	if err := errors.Join(fp.CommitJournal(), fp.Close()); err != nil || !damaged {
+		t.Fatalf("damaging a leaf page: done %v, commit and close %v", damaged, err)
 	}
 
 	for _, workers := range []int{1, 2, 4} {

@@ -344,22 +344,6 @@ func OpenPaged(cfg Config, store storage.PageStore, pages map[NodeID]storage.Pag
 	return t, nil
 }
 
-// AttachStore binds a freshly built (or still empty) in-memory tree, none of
-// whose nodes has a page yet, to a page store as its write-back target: the
-// tree becomes file-backed and writable, and with the flush mark at
-// generation 0 every current node is unflushed, so the next FlushDirty writes
-// the whole tree.
-func (t *Tree) AttachStore(store storage.PageStore) error {
-	if store == nil {
-		return errors.New("rtree: AttachStore requires a page store")
-	}
-	if t.src != nil {
-		return errors.New("rtree: tree is already file-backed")
-	}
-	t.src = &pageSource{store: store, hydrated: true, codec: CodecV1}
-	return nil
-}
-
 // FlushDirty writes every node born since the last flush back to the tree's
 // page store: each is re-encoded onto its existing page, a new node gets a
 // page allocated (reusing the store's free-page list), in ascending id order,

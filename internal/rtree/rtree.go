@@ -451,10 +451,10 @@ type Tree struct {
 	slack      []*node
 	clipsDirty []NodeID
 
-	// File-backed mode, set up by OpenPaged or AttachStore: nodes are
-	// faulted into the lazy version's directory on first access from src,
-	// and nodes born since src.flushed are what FlushDirty writes back to the
-	// page store. src is nil for ordinary in-memory trees.
+	// File-backed mode, set up by OpenPaged: nodes are faulted into the lazy
+	// version's directory on first access from src, and nodes born since
+	// src.flushed are what FlushDirty writes back to the page store. src is
+	// nil for ordinary in-memory trees.
 	src      *pageSource
 	faultErr atomic.Pointer[error] // first page fault failure, for Err
 
@@ -821,8 +821,7 @@ func (t *Tree) RootID() NodeID { return t.root }
 // was opened read-only, or its page store cannot be written.
 func (t *Tree) ReadOnly() bool { return t.src != nil && t.src.readonly }
 
-// FileBacked reports whether the tree is bound to a page store (opened with
-// OpenPaged or attached with AttachStore).
+// FileBacked reports whether the tree is bound to a page store (OpenPaged).
 func (t *Tree) FileBacked() bool { return t.src != nil }
 
 // Dirty reports whether a file-backed tree has nodes born since the last

@@ -50,6 +50,9 @@ func damagedTree(t *testing.T, objects int) *cbb.Tree {
 	if err := fp.Write(slices.Min(leaves), make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
+	if err := fp.CommitJournal(); err != nil {
+		t.Fatal(err)
+	}
 	if err := fp.Close(); err != nil {
 		t.Fatal(err)
 	}

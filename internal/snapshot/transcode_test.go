@@ -205,9 +205,6 @@ func TestTranscodeFoldsPendingWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fp.EnableJournal(); err != nil {
-		t.Fatal(err)
-	}
 	snap, err := Read(fp)
 	if err != nil {
 		t.Fatal(err)

@@ -189,26 +189,27 @@ func decodeSlot(slot []byte, pageSize int, id PageID) ([]byte, PageKind, error) 
 // for writing are opened read-only — reads work as usual, mutations return
 // ErrReadOnlyFS, and Close leaves the file bytes and mtime untouched.
 //
-// A pager can additionally be put in journal mode (EnableJournal): page
-// mutations are then staged in an in-memory overlay — the dirty-page set —
-// and hit the file only on CommitJournal, which funnels the whole batch
-// through a write-ahead log so the commit is atomic: after a crash at any
-// point, reopening the file yields either the state before the commit or the
-// state after it, never a mix. Opening a page file replays a committed WAL
-// left behind by a crash and discards a torn one.
+// A writable open is journaled from the moment it opens: page mutations are
+// staged in an in-memory overlay — the dirty-page set — and hit the file only
+// on CommitJournal, which funnels the whole batch through a write-ahead log
+// so the commit is atomic: after a crash at any point, reopening the file
+// yields either the state before the commit or the state after it, never a
+// mix. Opening a page file replays a committed WAL left behind by a crash and
+// discards a torn one. The one pager that writes its file directly is
+// ReplacePageFile's fill of a fresh temporary file, which no reader sees
+// before it is whole and renamed into place.
 type FilePager struct {
 	mu             sync.Mutex
 	f              File
 	path           string
 	pageSize       int
 	readonly       bool
-	dirty          bool       // header must be rewritten on Sync/Close
 	slotCount      int        // number of slots, including staged appends
 	committedSlots int        // number of slots physically in the file
 	dir            []slotMeta // lazy slot directory; nil until ensureDirLocked
 	free           []PageID   // valid only once dir is built
-	appended       []PageID   // slots appended since the last flush of appends
-	journal        bool       // mutations are staged until CommitJournal
+	appended       []PageID   // a fill's slots claimed since the last flush of appends
+	journal        bool       // a writable open: mutations are staged until CommitJournal
 	overlay        map[PageID]*overlayPage
 	closed         bool
 	reads          int64 // atomic: pages read from disk
@@ -230,30 +231,8 @@ type overlayPage struct {
 
 var _ PageStore = (*FilePager)(nil)
 
-// CreateFilePager creates (or truncates) a page file at path with the given
-// page size (DefaultPageSize when pageSize <= 0). Any write-ahead log left
-// next to the path by a previous incarnation of the file is discarded.
-func CreateFilePager(path string, pageSize int) (*FilePager, error) {
-	p, err := newFilePager(path, pageSize)
-	if err != nil {
-		return nil, err
-	}
-	if p.f, err = fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644); err != nil {
-		return nil, err
-	}
-	// A stale committed WAL from the file this one replaces must never be
-	// replayed onto the fresh file.
-	if err = Remove(WALPathFor(path)); err == nil {
-		_, err = p.f.WriteAt(encodeFileHeader(p.pageSize, 0), 0)
-	}
-	if err != nil {
-		p.f.Close()
-		return nil, err
-	}
-	return p, nil
-}
-
-// newFilePager is the empty pager of a new page file at path, not open yet.
+// newFilePager is the empty, unjournaled pager of a new page file at path,
+// not open yet: ReplacePageFile's fill.
 func newFilePager(path string, pageSize int) (*FilePager, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
@@ -261,14 +240,15 @@ func newFilePager(path string, pageSize int) (*FilePager, error) {
 	if pageSize < minPageSize || pageSize > maxPageSize {
 		return nil, fmt.Errorf("storage: page size %d out of range [%d, %d]", pageSize, minPageSize, maxPageSize)
 	}
-	return &FilePager{path: path, pageSize: pageSize, dir: []slotMeta{}, dirty: true}, nil
+	return &FilePager{path: path, pageSize: pageSize, dir: []slotMeta{}}, nil
 }
 
 // OpenFilePager opens an existing page file, validating its header. The
 // file is opened read-write when possible, falling back to read-only (e.g.
 // for a snapshot shipped with mode 0444 or on a read-only mount); in that
-// case mutations return ErrReadOnlyFS. Opening costs O(1) in the file size:
-// slot metadata is read on demand, never scanned up front.
+// case mutations return ErrReadOnlyFS. A writable pager is journaled: every
+// Allocate, Write and Free is staged until CommitJournal. Opening costs O(1)
+// in the file size: slot metadata is read on demand, never scanned up front.
 //
 // If a write-ahead log with a committed transaction sits next to the file —
 // the trace of a commit interrupted after its atomicity point — the log is
@@ -305,8 +285,8 @@ func openFilePager(path string, readonly bool) (*FilePager, error) {
 		return nil, err
 	}
 	p := &FilePager{
-		f: f, path: path, pageSize: pageSize,
-		readonly: readonly, slotCount: slots, committedSlots: slots,
+		f: f, path: path, pageSize: pageSize, readonly: readonly, journal: !readonly,
+		slotCount: slots, committedSlots: slots, overlay: map[PageID]*overlayPage{},
 	}
 	if err := p.recoverWAL(); err != nil {
 		f.Close()
@@ -413,17 +393,13 @@ func (p *FilePager) Allocate(kind PageKind) (PageID, error) {
 		return InvalidPage, err
 	}
 	var id PageID
-	appended := false
 	if n := len(p.free); n > 0 {
 		id = p.free[n-1]
 		p.free = p.free[:n-1]
 	} else {
 		id = p.appendSlotLocked()
-		appended = true
 	}
-	if err := p.claimSlotLocked(id, kind, appended); err != nil {
-		return InvalidPage, err
-	}
+	p.claimSlotLocked(id, kind)
 	return id, nil
 }
 
@@ -448,20 +424,15 @@ func (p *FilePager) AllocateRun(kind PageKind, n int) (PageID, error) {
 	if err := p.ensureDirLocked(); err != nil {
 		return InvalidPage, err
 	}
-	if first, ok := p.takeFreeRunLocked(n); ok {
-		for i := 0; i < n; i++ {
-			if err := p.claimSlotLocked(first+PageID(i), kind, false); err != nil {
-				return InvalidPage, err
-			}
-		}
-		return first, nil
+	first, ok := p.takeFreeRunLocked(n)
+	if !ok {
+		first = PageID(len(p.dir) + 1)
 	}
-	first := PageID(len(p.dir) + 1)
-	for i := 0; i < n; i++ {
-		id := p.appendSlotLocked()
-		if err := p.claimSlotLocked(id, kind, true); err != nil {
-			return InvalidPage, err
+	for id := first; id < first+PageID(n); id++ {
+		if !ok {
+			p.appendSlotLocked()
 		}
+		p.claimSlotLocked(id, kind)
 	}
 	return first, nil
 }
@@ -505,35 +476,24 @@ func (p *FilePager) appendSlotLocked() PageID {
 }
 
 // claimSlotLocked marks a slot in use with the given kind: staged in the
-// overlay in journal mode, written straight to the file otherwise — except
-// for a slot appended since the last flush of appends, which touches memory
-// only: its header reaches the file with its payload (Write), or with the
-// next Sync or Close (flushAppendsLocked), so the Allocate+Write pattern of
-// the snapshot writer pays one write per page.
-func (p *FilePager) claimSlotLocked(id PageID, kind PageKind, appended bool) error {
-	unwritten := !p.journal && (appended || p.dir[id-1].unwritten)
-	p.dir[id-1] = slotMeta{kind: kind, inUse: true, unwritten: unwritten}
-	p.dirty = true
+// overlay on a journaled pager. In a fill it touches memory only: the slot's
+// header reaches the file with its payload (Write), or with the next Sync
+// (flushAppendsLocked), so the Allocate+Write pattern of the snapshot writer
+// pays one write per page.
+func (p *FilePager) claimSlotLocked(id PageID, kind PageKind) {
 	if p.journal {
+		p.dir[id-1] = slotMeta{kind: kind, inUse: true}
 		p.overlay[id] = &overlayPage{kind: kind, inUse: true}
-		return nil
+		return
 	}
-	if unwritten {
-		if appended {
-			p.appended = append(p.appended, id)
-		}
-		return nil
+	if !p.dir[id-1].unwritten {
+		p.appended = append(p.appended, id)
 	}
-	// Only the 16-byte slot header is written here; the payload region is
-	// in the file already.
-	if _, err := p.f.WriteAt(encodeSlotHeader(kind, true, nil), p.slotOffset(id)); err != nil {
-		return fmt.Errorf("storage: allocating page %d: %w", id, err)
-	}
-	return nil
+	p.dir[id-1] = slotMeta{kind: kind, inUse: true, unwritten: true}
 }
 
-// flushAppendsLocked makes the slots appended since the last flush whole in
-// the file: it extends the file over them once, then writes the headers of
+// flushAppendsLocked makes a fill's slots claimed since the last flush whole
+// in the file: it extends the file over them once, then writes the headers of
 // the ones claimed but never written (a free slot's is all zero).
 func (p *FilePager) flushAppendsLocked() error {
 	if len(p.appended) == 0 {
@@ -589,19 +549,18 @@ func (p *FilePager) Write(id PageID, payload []byte) error {
 	if id < 1 || int(id) > len(p.dir) || !p.dir[id-1].inUse {
 		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
 	}
-	kind := p.dir[id-1].kind
+	m := &p.dir[id-1]
 	if p.journal {
-		p.overlay[id] = &overlayPage{kind: kind, inUse: true, data: append([]byte(nil), payload...)}
-	} else if err := p.writeSlotLocked(id, kind, payload); err != nil {
-		return err
-	}
-	if p.dir[id-1].unwritten {
+		p.overlay[id] = &overlayPage{kind: m.kind, inUse: true, data: append([]byte(nil), payload...)}
+	} else {
+		if err := p.writeSlotLocked(id, m.kind, payload); err != nil {
+			return err
+		}
 		// The whole slot, header and all, is in the file now.
-		p.dir[id-1].unwritten = false
+		m.unwritten = false
 		p.committedSlots = max(p.committedSlots, int(id))
 	}
-	p.dir[id-1].length = len(payload)
-	p.dirty = true
+	m.length = len(payload)
 	return nil
 }
 
@@ -650,7 +609,8 @@ func (p *FilePager) Read(id PageID) ([]byte, PageKind, error) {
 	return decodeSlot(buf, p.pageSize, id)
 }
 
-// Free releases a page for reuse.
+// Free releases a page for reuse. A fill frees only pages it has not
+// written yet.
 func (p *FilePager) Free(id PageID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -666,18 +626,15 @@ func (p *FilePager) Free(id PageID) error {
 	if id < 1 || int(id) > len(p.dir) || !p.dir[id-1].inUse {
 		return fmt.Errorf("%w: %d", ErrPageNotFound, id)
 	}
-	unwritten := p.dir[id-1].unwritten
-	if p.journal {
-		p.overlay[id] = &overlayPage{kind: p.dir[id-1].kind, inUse: false}
-	} else if !unwritten {
-		hdr := encodeSlotHeader(p.dir[id-1].kind, false, nil)
-		if _, err := p.f.WriteAt(hdr, p.slotOffset(id)); err != nil {
-			return fmt.Errorf("storage: freeing page %d: %w", id, err)
-		}
+	m := p.dir[id-1]
+	switch {
+	case p.journal:
+		p.overlay[id] = &overlayPage{kind: m.kind}
+	case !m.unwritten:
+		return fmt.Errorf("storage: freeing page %d, which is in the file, needs a journaled pager", id)
 	}
-	p.dir[id-1] = slotMeta{unwritten: unwritten}
+	p.dir[id-1] = slotMeta{unwritten: m.unwritten}
 	p.free = append(p.free, id)
-	p.dirty = true
 	return nil
 }
 
@@ -689,9 +646,9 @@ func (p *FilePager) Usage() Usage {
 	return usageOf(slots)
 }
 
-// Sync flushes the file to stable storage, rewriting the file header first
-// if pages were allocated or freed since the last sync. On a read-only
-// pager it is a no-op.
+// Sync flushes the file to stable storage; a fill's pager first makes its
+// claimed slots whole and rewrites the file header. On a read-only pager it
+// is a no-op.
 func (p *FilePager) Sync() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -711,53 +668,18 @@ func (p *FilePager) syncLocked() error {
 	return p.f.Sync()
 }
 
-// writeHeaderLocked makes the slots appended since the last call whole in
-// the file and rewrites the header of a pager that allocated or freed pages;
-// a journaled pager's header changes only through CommitJournal.
+// writeHeaderLocked makes a fill's claimed slots whole in the file and
+// rewrites its header; a journaled pager's header changes only through
+// CommitJournal.
 func (p *FilePager) writeHeaderLocked() error {
-	if p.journal || !p.dirty {
-		return nil
-	}
-	if err := p.flushAppendsLocked(); err != nil {
-		return err
-	}
-	if _, err := p.f.WriteAt(encodeFileHeader(p.pageSize, uint64(p.slotCount)), 0); err != nil {
-		return err
-	}
-	p.dirty = false
-	return nil
-}
-
-// EnableJournal switches the pager into journal mode: every Allocate, Write,
-// and Free from now on is staged in an in-memory overlay (the dirty-page
-// set) and reaches the file only through CommitJournal, which makes the
-// whole batch atomic via the write-ahead log. Reads see staged state
-// immediately. EnableJournal fails on a read-only pager; enabling an already
-// journaled pager is a no-op.
-//
-// Enabling the journal is O(1): the slot directory and free list are NOT
-// scanned here — they are still built lazily, by the first operation that
-// genuinely needs them (Allocate, Write, Free, Usage) — so a writable Open
-// of an arbitrarily large snapshot stays constant-time.
-func (p *FilePager) EnableJournal() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrPagerClosed
-	}
-	if p.readonly {
-		return ErrReadOnlyFS
-	}
 	if p.journal {
 		return nil
 	}
-	// The journal stages pages over a file that holds every slot.
 	if err := p.flushAppendsLocked(); err != nil {
 		return err
 	}
-	p.journal = true
-	p.overlay = make(map[PageID]*overlayPage)
-	return nil
+	_, err := p.f.WriteAt(encodeFileHeader(p.pageSize, uint64(p.slotCount)), 0)
+	return err
 }
 
 // CommitJournal atomically applies every staged page mutation to the file:
@@ -794,7 +716,6 @@ func (p *FilePager) CommitJournal() error {
 		return err
 	}
 	p.overlay = make(map[PageID]*overlayPage)
-	p.dirty = false
 	p.commits++
 	p.commitPages += int64(len(records))
 	return nil
@@ -831,7 +752,6 @@ func (p *FilePager) DiscardJournal() {
 	p.overlay = make(map[PageID]*overlayPage)
 	p.dir, p.free = nil, nil
 	p.slotCount = p.committedSlots
-	p.dirty = false
 }
 
 // applyRecordsLocked writes page images straight into the file — the apply
@@ -878,11 +798,10 @@ func (p *FilePager) applyRecordsLocked(records []WALRecord, slotCount int) error
 	return nil
 }
 
-// Close syncs (when the pager has unflushed writes) and closes the file; a
-// read-only or untouched pager leaves the file bytes and mtime unchanged.
-// On a journaled pager, staged pages that were never committed are
-// discarded — call CommitJournal first to keep them. Subsequent operations
-// fail with ErrPagerClosed. Close is idempotent.
+// Close syncs and closes the file; a read-only pager leaves the file bytes
+// and mtime unchanged, and so does a journaled one, whose staged pages that
+// were never committed are discarded — call CommitJournal first to keep
+// them. Subsequent operations fail with ErrPagerClosed. Close is idempotent.
 func (p *FilePager) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

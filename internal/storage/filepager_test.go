@@ -8,49 +8,80 @@ import (
 	"testing"
 )
 
+// fillFile writes a new page file at path as ReplacePageFile does, fill
+// populating it.
+func fillFile(t testing.TB, path string, pageSize int, fill func(p *FilePager)) {
+	t.Helper()
+	if err := ReplacePageFile(path, pageSize, func(p *FilePager) error { fill(p); return nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writePages fills a new page file at path with one page of each payload,
+// of the given kind.
+func writePages(t testing.TB, path string, pageSize int, kind PageKind, payloads ...[]byte) {
+	t.Helper()
+	fillFile(t, path, pageSize, func(p *FilePager) {
+		for _, b := range payloads {
+			id, err := p.Allocate(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Write(id, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
 func TestFilePagerBasics(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.cbb")
-	p, err := CreateFilePager(path, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.PageSize() != 256 {
-		t.Fatalf("page size %d", p.PageSize())
-	}
-	id1, err := p.Allocate(KindDirectory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id2, err := p.Allocate(KindLeaf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id1 != 1 || id2 != 2 {
-		t.Fatalf("ids %d %d, want 1 2", id1, id2)
-	}
-	if err := p.Write(id1, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Write(id2, bytes.Repeat([]byte{7}, 256)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Write(id2, bytes.Repeat([]byte{7}, 257)); err == nil {
-		t.Error("oversized payload must be rejected")
-	}
-	buf, kind, err := p.Read(id1)
-	if err != nil || kind != KindDirectory || string(buf) != "hello" {
-		t.Fatalf("read %q %v %v", buf, kind, err)
-	}
-	u := p.Usage()
-	if u.TotalPages != 2 || u.Bytes[KindDirectory] != 5 || u.Bytes[KindLeaf] != 256 {
-		t.Fatalf("usage %+v", u)
-	}
-	reads, writes := p.DiskStats()
-	if reads == 0 || writes == 0 {
-		t.Fatalf("disk stats %d/%d should move", reads, writes)
-	}
+	var id1, id2 PageID
+	fillFile(t, path, 256, func(p *FilePager) {
+		if p.PageSize() != 256 {
+			t.Fatalf("page size %d", p.PageSize())
+		}
+		var err error
+		if id1, err = p.Allocate(KindDirectory); err != nil {
+			t.Fatal(err)
+		}
+		if id2, err = p.Allocate(KindLeaf); err != nil {
+			t.Fatal(err)
+		}
+		if id1 != 1 || id2 != 2 {
+			t.Fatalf("ids %d %d, want 1 2", id1, id2)
+		}
+		if err := p.Write(id1, []byte("hello")); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(id2, bytes.Repeat([]byte{7}, 256)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(id2, bytes.Repeat([]byte{7}, 257)); err == nil {
+			t.Error("oversized payload must be rejected")
+		}
+		buf, kind, err := p.Read(id1)
+		if err != nil || kind != KindDirectory || string(buf) != "hello" {
+			t.Fatalf("read %q %v %v", buf, kind, err)
+		}
+		u := p.Usage()
+		if u.TotalPages != 2 || u.Bytes[KindDirectory] != 5 || u.Bytes[KindLeaf] != 256 {
+			t.Fatalf("usage %+v", u)
+		}
+		reads, writes := p.DiskStats()
+		if reads == 0 || writes == 0 {
+			t.Fatalf("disk stats %d/%d should move", reads, writes)
+		}
+		if err := p.Free(id1); err == nil {
+			t.Error("a fill freed a page it had written")
+		}
+	})
 
-	// Free + reuse.
+	// Free + reuse, on a journaled open.
+	p, err := OpenFilePager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := p.Free(id1); err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +94,9 @@ func TestFilePagerBasics(t *testing.T) {
 	}
 	if id3 != id1 {
 		t.Fatalf("freed slot not reused: got %d", id3)
+	}
+	if err := p.CommitJournal(); err != nil {
+		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -80,7 +114,7 @@ func TestFilePagerBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	buf, kind, err = q.Read(id2)
+	buf, kind, err := q.Read(id2)
 	if err != nil || kind != KindLeaf || len(buf) != 256 || buf[0] != 7 {
 		t.Fatalf("reopened read %d bytes %v %v", len(buf), kind, err)
 	}
@@ -91,17 +125,8 @@ func TestFilePagerBasics(t *testing.T) {
 
 func TestFilePagerReadOnlyFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.cbb")
-	p, err := CreateFilePager(path, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _ := p.Allocate(KindLeaf)
-	if err := p.Write(id, []byte("shipped read-only")); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	const id = PageID(1)
+	writePages(t, path, 128, KindLeaf, []byte("shipped read-only"))
 	if err := os.Chmod(path, 0o444); err != nil {
 		t.Fatal(err)
 	}
@@ -147,17 +172,8 @@ func TestFilePagerReadOnlyFile(t *testing.T) {
 
 func TestFilePagerDetectsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.cbb")
-	p, err := CreateFilePager(path, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _ := p.Allocate(KindLeaf)
-	if err := p.Write(id, []byte("payload under checksum")); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	const id = PageID(1)
+	writePages(t, path, 128, KindLeaf, []byte("payload under checksum"))
 	// Flip one payload byte on disk.
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -232,15 +248,8 @@ func TestFilePagerMatchesStreamFormat(t *testing.T) {
 	// versa: the two paths share one format.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "pages.cbb")
-	fp, err := CreateFilePager(path, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _ := fp.Allocate(KindLeaf)
-	fp.Write(id, []byte("shared format"))
-	if err := fp.Close(); err != nil {
-		t.Fatal(err)
-	}
+	const id = PageID(1)
+	writePages(t, path, 128, KindLeaf, []byte("shared format"))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -289,39 +298,14 @@ func (f *countingFile) Truncate(size int64) error {
 	return f.File.Truncate(size)
 }
 
-// TestFilePagerAppendedSlots pins what an appended page costs outside
-// journal mode: claiming it touches memory only, writing it is one write
-// with its header, and Sync extends the file once and writes the headers of
-// the pages claimed but never written — which read as empty payloads before
-// and after, as a freed one reads as absent.
+// TestFilePagerAppendedSlots pins what an appended page of a fill costs:
+// claiming it touches memory only, writing it is one write with its header,
+// and Sync extends the file once and writes the headers of the pages claimed
+// but never written — which read as empty payloads before and after, as a
+// freed one reads as absent.
 func TestFilePagerAppendedSlots(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.cbb")
-	p, err := CreateFilePager(path, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &countingFile{File: p.f}
-	p.f = f
-	first, err := p.AllocateRun(KindLeaf, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last, err := p.Allocate(KindDirectory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.writes+f.truncates != 0 {
-		t.Fatalf("claiming four appended pages: %d writes, %d truncations, want none", f.writes, f.truncates)
-	}
-	if err := p.Write(first+1, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	if f.writes != 1 || f.truncates != 0 {
-		t.Fatalf("writing an appended page: %d writes, %d truncations, want one write", f.writes, f.truncates)
-	}
-	if err := p.Free(first + 2); err != nil {
-		t.Fatal(err)
-	}
+	var first, last PageID
 	check := func(when string, p *FilePager) {
 		t.Helper()
 		for _, c := range []struct {
@@ -337,19 +321,39 @@ func TestFilePagerAppendedSlots(t *testing.T) {
 			t.Errorf("%s: freed page: %v, want ErrPageNotFound", when, err)
 		}
 	}
-	check("before Sync", p)
-	f.writes = 0
-	if err := p.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	// The file header and the headers of the two pages never written.
-	if f.writes != 3 || f.truncates != 1 {
-		t.Fatalf("Sync: %d writes, %d truncations, want 3 and 1", f.writes, f.truncates)
-	}
-	check("after Sync", p)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	fillFile(t, path, 256, func(p *FilePager) {
+		f := &countingFile{File: p.f}
+		p.f = f
+		var err error
+		if first, err = p.AllocateRun(KindLeaf, 3); err != nil {
+			t.Fatal(err)
+		}
+		if last, err = p.Allocate(KindDirectory); err != nil {
+			t.Fatal(err)
+		}
+		if f.writes+f.truncates != 0 {
+			t.Fatalf("claiming four appended pages: %d writes, %d truncations, want none", f.writes, f.truncates)
+		}
+		if err := p.Write(first+1, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		if f.writes != 1 || f.truncates != 0 {
+			t.Fatalf("writing an appended page: %d writes, %d truncations, want one write", f.writes, f.truncates)
+		}
+		if err := p.Free(first + 2); err != nil {
+			t.Fatal(err)
+		}
+		check("before Sync", p)
+		f.writes = 0
+		if err := p.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		// The file header and the headers of the two pages never written.
+		if f.writes != 3 || f.truncates != 1 {
+			t.Fatalf("Sync: %d writes, %d truncations, want 3 and 1", f.writes, f.truncates)
+		}
+		check("after Sync", p)
+	})
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,9 @@ func ReplaceFile(path string, fill func(File) error) (durable bool, err error) {
 }
 
 // ReplacePageFile is ReplaceFile for a page file that fill populates through
-// a FilePager; the log beside path is settled before the rename (settleWAL).
+// a FilePager, the one writable pager that is not journaled: it writes the
+// fresh temporary file directly, which no reader sees before the rename. The
+// log beside path is settled before the rename (settleWAL).
 func ReplacePageFile(path string, pageSize int, fill func(*FilePager) error) error {
 	p, err := newFilePager(path+TempSuffix, pageSize)
 	if err != nil {

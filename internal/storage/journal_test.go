@@ -15,22 +15,7 @@ import (
 func journalFixture(t testing.TB) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "journal.cbb")
-	p, err := CreateFilePager(path, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		id, err := p.Allocate(KindLeaf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Write(id, fixturePayload(int(id), 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writePages(t, path, 128, KindLeaf, fixturePayload(1, 64), fixturePayload(2, 64), fixturePayload(3, 64))
 	return path
 }
 
@@ -42,13 +27,10 @@ func fixturePayload(seed, n int) []byte {
 	return buf
 }
 
-// stageTransaction enables the journal and stages the reference transaction:
+// stageTransaction stages the reference transaction on a writable open:
 // rewrite page 2, free page 3, allocate and write page 4. It does not commit.
 func stageTransaction(t *testing.T, p *FilePager) {
 	t.Helper()
-	if err := p.EnableJournal(); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.Write(2, fixturePayload(20, 80)); err != nil {
 		t.Fatal(err)
 	}
@@ -358,16 +340,18 @@ func TestJournalCorruptWAL(t *testing.T) {
 
 func TestAllocateRunPrefersContiguousFreeRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.cbb")
-	p, err := CreateFilePager(path, 128)
+	fillFile(t, path, 128, func(p *FilePager) {
+		for i := 0; i < 8; i++ {
+			if _, err := p.Allocate(KindLeaf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	p, err := OpenFilePager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	for i := 0; i < 8; i++ {
-		if _, err := p.Allocate(KindLeaf); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// Free pages 3,4,5 (contiguous) and 7 (isolated).
 	for _, id := range []PageID{7, 4, 3, 5} {
 		if err := p.Free(id); err != nil {

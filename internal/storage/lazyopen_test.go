@@ -8,45 +8,38 @@ import (
 	"testing"
 )
 
-// TestEnableJournalIsLazy is the regression test for the O(1) writable open:
-// enabling journal mode must not build the slot directory (which would scan
-// every slot header of the file), and the pure read path must never build it
-// either. Only the first operation that genuinely needs global state —
-// Allocate, Write, Free, Usage — may pay the scan.
-func TestEnableJournalIsLazy(t *testing.T) {
+// TestWritableOpenIsLazy is the regression test for the O(1) writable open:
+// a writable open is journaled from the start and must not build the slot
+// directory (which would scan every slot header of the file), and the pure
+// read path must never build it either. Only the first operation that
+// genuinely needs global state — Allocate, Write, Free, Usage — may pay the
+// scan.
+func TestWritableOpenIsLazy(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lazy.pages")
-	p, err := CreateFilePager(path, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ids []PageID
-	for i := 0; i < 64; i++ {
-		id, err := p.Allocate(KindLeaf)
-		if err != nil {
-			t.Fatal(err)
+	fillFile(t, path, 256, func(p *FilePager) {
+		for i := 0; i < 64; i++ {
+			id, err := p.Allocate(KindLeaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Write(id, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
 		}
-		if err := p.Write(id, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	})
 
-	p, err = OpenFilePager(path)
+	p, err := OpenFilePager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if p.dir != nil {
-		t.Fatal("open built the slot directory eagerly")
-	}
-	if err := p.EnableJournal(); err != nil {
-		t.Fatal(err)
+	if !p.journal {
+		t.Fatal("a writable open is not journaled")
 	}
 	if p.dir != nil {
-		t.Fatal("EnableJournal built the slot directory eagerly (breaks O(1) writable open)")
+		t.Fatal("the writable open built the slot directory eagerly (breaks O(1) writable open)")
 	}
 	// Reads must work without the directory and must not build it.
 	buf, kind, err := p.Read(ids[3])

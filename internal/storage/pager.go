@@ -55,8 +55,8 @@ func (k PageKind) String() string {
 // (the file on disk) and the read-only MmapStore (an Image over a mapping,
 // whose mutators all answer ErrReadOnlyFS) — and all must be safe for
 // concurrent use. What an implementation offers beyond the contract is
-// reached through its concrete type: journaling, commit statistics and crash
-// fail-points (FilePager), Slots for inspection (all three),
+// reached through its concrete type: the journal of a writable open and
+// commit statistics (FilePager), Slots for inspection (all three),
 // DiskStats/ReadOnlyFile (FilePager, MmapStore), stream export
 // (Image.WriteTo).
 type PageStore interface {

@@ -9,10 +9,10 @@ import (
 )
 
 // This file implements the write-ahead log that makes FilePager commits
-// atomic. A journaled pager stages every page mutation in memory; on commit
-// the staged page images are first written to a sidecar WAL file (the page
-// file's path plus WALSuffix) and fsynced, then applied to the page file,
-// then the WAL is removed. Opening a page file replays a committed WAL left
+// atomic. A writable pager is journaled from the moment it opens: it stages
+// every page mutation in memory; on commit the staged page images are first
+// written to a sidecar WAL file (the page file's path plus WALSuffix) and
+// fsynced, then applied to the page file, then the WAL is removed. Opening a page file replays a committed WAL left
 // behind by a crash and discards a torn one, so a reader always sees either
 // the state before the commit or the state after it — never a mix.
 //

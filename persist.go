@@ -23,6 +23,11 @@ import (
 // the dirty pages back into the file atomically through a write-ahead log
 // (see internal/storage). Only trees opened with OpenReadOnly — or from a
 // file the process cannot write — reject mutations.
+//
+// A snapshot file comes into being one way: written whole into a temporary
+// file, fsynced and renamed over its path (WriteSnapshot, TranscodeSnapshot,
+// and Create, which then opens it as Open does), so a crash leaves the old
+// file or the new one, never a truncated one.
 
 // ErrReadOnly is returned by mutating operations (Insert, Delete, BulkLoad,
 // Flush) on a read-only tree: one opened with OpenReadOnly or OpenMmap, a
@@ -221,14 +226,6 @@ func openFile(path string, readonly bool) (*Tree, error) {
 		// back into its slot. Open degrades to read-only instead of failing.
 		readonly = true
 	}
-	if !readonly {
-		// All mutations of the page file flow through the journal, so a
-		// Flush commits them atomically via the write-ahead log.
-		if err := fp.EnableJournal(); err != nil {
-			fp.Close()
-			return nil, err
-		}
-	}
 	base, err := snap.OpenTree(fp, readonly)
 	if err != nil {
 		fp.Close()
@@ -280,41 +277,22 @@ func OpenMmap(path string) (*Tree, error) {
 }
 
 // Create makes a new, empty, writable tree bound to a snapshot file at
-// path: the file is written immediately (so path is known to be writable)
-// and the tree is file-backed from the start — Insert, Delete, and BulkLoad
-// work as on any tree, and every Flush or Close commits the accumulated
-// changes into the file atomically through the write-ahead log. Create +
-// Flush is the "build once, ship the file" half of the workflow whose other
-// half is Open.
+// path: the empty tree's snapshot is written as WriteSnapshot writes one —
+// into a temporary file that is fsynced and renamed over path, so a crash
+// leaves the file that was at path or the new one — and opened as Open opens
+// it. Insert, Delete, and BulkLoad work as on any tree, and every Flush or
+// Close commits the accumulated changes into the file atomically through
+// the write-ahead log. Create + Flush is the "build once, ship the file" half
+// of the workflow whose other half is Open.
 func Create(path string, opts Options) (*Tree, error) {
 	t, err := New(opts)
 	if err != nil {
 		return nil, err
 	}
-	meta := t.snapshotMeta()
-	meta.PageSize = snapshot.PageSizeFor(t.opts.MaxEntries, t.opts.Dims)
-	fp, err := storage.CreateFilePager(path, meta.PageSize)
-	if err != nil {
+	if err := snapshot.WriteFile(path, t.tree, t.idx, t.snapshotMeta()); err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*Tree, error) {
-		fp.Close()
-		return nil, err
-	}
-	if err := fp.EnableJournal(); err != nil {
-		return fail(err)
-	}
-	if err := snapshot.Write(fp, t.tree, t.idx, meta); err != nil {
-		return fail(err)
-	}
-	if err := fp.CommitJournal(); err != nil {
-		return fail(err)
-	}
-	if err := t.tree.AttachStore(fp); err != nil {
-		return fail(err)
-	}
-	t.pager = fp
-	return t, nil
+	return Open(path)
 }
 
 // Flush commits every change since the last flush — dirty node pages, the

@@ -18,9 +18,10 @@ import (
 // merge — flushes the new shard files, replaces shards.json atomically
 // (storage.ReplaceFile, which fsyncs the directory), and only then deletes
 // the files of the shards it replaced, so a crash leaves the pre- or the
-// post-rebalance layout. Shard files a crash leaves unnamed (between a
-// replacement's flush and the rename, or after a failed directory fsync)
-// are deleted by the next writable OpenSharded (reclaimOrphans).
+// post-rebalance layout. Shard files a crash leaves unnamed (between a new
+// shard file's creation and the rename, or after a failed directory fsync),
+// and their temporary files, are deleted by the next writable OpenSharded
+// (reclaimOrphans).
 
 // shardDirFileName is the directory file inside a sharded engine's
 // directory.
@@ -133,9 +134,9 @@ func openSharded(dir string, open func(path string) (*Tree, error), reclaim bool
 	return st, nil
 }
 
-// reclaimOrphans deletes, best-effort, the shard files (and logs) in dir that
-// df does not name — a split's or merge's, cut short by a crash — and the
-// directory file's temporary file.
+// reclaimOrphans deletes, best-effort, the shard files (with their logs and
+// temporary files) in dir that df does not name — a split's or merge's, cut
+// short by a crash — and the directory file's temporary file.
 func reclaimOrphans(dir string, df shardDirFile) {
 	entries, _ := os.ReadDir(dir)
 	named := map[string]bool{}
@@ -143,7 +144,7 @@ func reclaimOrphans(dir string, df shardDirFile) {
 		named[e.File] = true
 	}
 	for _, e := range entries {
-		base := strings.TrimSuffix(e.Name(), storage.WALSuffix)
+		base := strings.TrimSuffix(strings.TrimSuffix(e.Name(), storage.TempSuffix), storage.WALSuffix)
 		shardFile, _ := filepath.Match("shard-*.cbb", base)
 		if (shardFile && !named[base]) || e.Name() == shardDirFileName+storage.TempSuffix {
 			storage.Remove(filepath.Join(dir, e.Name()))

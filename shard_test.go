@@ -949,6 +949,9 @@ func damageLeafPage(t *testing.T, path string) {
 	if err := fp.Write(leaves[0], make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
+	if err := fp.CommitJournal(); err != nil {
+		t.Fatal(err)
+	}
 	if err := fp.Close(); err != nil {
 		t.Fatal(err)
 	}
